@@ -30,13 +30,20 @@ import numpy as np
 
 from conftest import run_once
 from repro.core.dcsr import DcsrCache
-from repro.core.frequency import make_estimator
+from repro.core.frequency_frontier import FrontierFrequencyEstimator
 from repro.graphs import DynamicGraph
 from repro.graphs.generators import powerlaw_graph
 from repro.graphs.stream import derive_stream
 from repro.gpu import default_device
 from repro.query import compile_delta_plans, query_by_name
+from repro.testing import RecursiveFrequencyEstimator, build_reference
 from repro.utils import geometric_mean
+
+#: the production sampler vs its parity oracle (``repro.testing``)
+ESTIMATORS = {
+    "frontier": FrontierFrequencyEstimator,
+    "recursive": RecursiveFrequencyEstimator,
+}
 
 GRAPH_N = 8_000
 BATCH_SIZE = 4_096
@@ -51,7 +58,7 @@ def _time_estimates(name: str, g0, batches, plans, num_walks: int) -> float:
     """Total ``estimate`` seconds over a stream (update/reorg excluded)."""
     device = default_device()
     graph = DynamicGraph(g0)
-    est = make_estimator(name, graph, device, seed=7, survival=1.0)
+    est = ESTIMATORS[name](graph, device, seed=7, survival=1.0)
     total = 0.0
     for batch in batches:
         graph.apply_batch(batch)
@@ -98,7 +105,7 @@ def test_estimator_wallclock(benchmark, record_table):
         build_rows = []
         dyn = DynamicGraph(g0)
         dyn.apply_batch(batches[0])
-        est = make_estimator("frontier", dyn, default_device(), seed=7)
+        est = FrontierFrequencyEstimator(dyn, default_device(), seed=7)
         plans = compile_delta_plans(query_by_name("Q1"))
         freq_result = est.estimate(plans, batches[0], num_walks=4096)
         for k in CACHE_SIZES:
@@ -108,7 +115,7 @@ def test_estimator_wallclock(benchmark, record_table):
                 verts = np.arange(GRAPH_N, dtype=np.int64)
             else:
                 verts = freq_result.top_vertices(k)
-            rec = _measure(_time_build, DcsrCache.build_reference, dyn, verts)
+            rec = _measure(_time_build, build_reference, dyn, verts)
             fro = _measure(_time_build, DcsrCache.build, dyn, verts)
             build_rows.append((f"dcsr_build/k={verts.size}", rec, fro))
         return est_rows, build_rows

@@ -31,7 +31,12 @@ from repro.query import (
     compile_static_plan,
     query_by_name,
 )
+from repro.testing import match_batch_recursive, match_static_recursive
 from repro.utils import geometric_mean
+
+#: the production kernel vs its parity oracle (``repro.testing``)
+MATCH_BATCH = {"frontier": match_batch, "recursive": match_batch_recursive}
+MATCH_STATIC = {"frontier": match_static, "recursive": match_static_recursive}
 
 GRAPH_N = 8_000
 BATCH_SIZES = (128, 512, 1024)
@@ -47,7 +52,7 @@ def _time_batches(executor: str, g0, batches, plans) -> float:
         graph.apply_batch(batch)
         view = ZeroCopyView(graph, device, AccessCounters())
         start = time.perf_counter()
-        match_batch(plans, batch, view, executor=executor)
+        MATCH_BATCH[executor](plans, batch, view)
         total += time.perf_counter() - start
         graph.reorganize()
     return total
@@ -58,7 +63,7 @@ def _time_static(executor: str, graph_static, plan) -> float:
     graph = DynamicGraph(graph_static)
     view = ZeroCopyView(graph, device, AccessCounters())
     start = time.perf_counter()
-    match_static(plan, view, executor=executor)
+    MATCH_STATIC[executor](plan, view)
     return time.perf_counter() - start
 
 

@@ -9,7 +9,7 @@ rounds — the numbers a developer optimizing this library watches.
 import pytest
 
 from repro.core.engine import GCSMEngine
-from repro.core.frequency import FrequencyEstimator
+from repro.core.frequency_frontier import FrontierFrequencyEstimator
 from repro.core.matching import match_batch
 from repro.graphs import DynamicGraph
 from repro.graphs.generators import powerlaw_graph
@@ -44,7 +44,7 @@ def test_estimator_throughput(benchmark, workload):
     plans = compile_delta_plans(query_by_name("Q1"))
     dg = DynamicGraph(g0)
     dg.apply_batch(batch)
-    estimator = FrequencyEstimator(dg, default_device(), seed=1, survival=1.0)
+    estimator = FrontierFrequencyEstimator(dg, default_device(), seed=1, survival=1.0)
 
     res = benchmark.pedantic(
         lambda: estimator.estimate(plans, batch, num_walks=512),

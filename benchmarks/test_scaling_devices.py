@@ -107,13 +107,13 @@ def _partition_leg(devices, part):
         partitioner=part, seed=0,
     )
     captured = {}
-    inner = eng.partitioner.assign
+    inner = eng.fleet.partitioner.assign
 
     def capture(*args, **kwargs):
         captured["owner"] = inner(*args, **kwargs)
         return captured["owner"]
 
-    eng.partitioner.assign = capture
+    eng.fleet.partitioner.assign = capture
     peer = delta = 0
     match_imb = []
     for batch in batches:

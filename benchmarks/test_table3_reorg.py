@@ -4,7 +4,7 @@ Paper shape: a few milliseconds at most — negligible against matching time
 — growing with batch size and with graph/list sizes.
 
 Also covers the vectorized per-list merge that reorganize() uses: parity
-against the retained scalar reference (``merge_runs_reference``) and the
+against the scalar reference (``repro.testing.merge_runs_reference``) and the
 wall-clock win on long adjacency lists.
 """
 
@@ -41,7 +41,7 @@ def test_reorganize_merge_parity_with_scalar_reference(benchmark, monkeypatch):
     scalar reference must leave bit-identical stores and ReorganizeStats."""
     from repro.graphs import DynamicGraph
     from repro.graphs import dynamic_graph as dg_mod
-    from repro.graphs.dynamic_graph import merge_runs_reference
+    from repro.testing import merge_runs_reference
 
     g = erdos_renyi(400, 8.0, num_labels=2, seed=21)
     g0, batches = derive_stream(g, update_fraction=0.4, batch_size=64, seed=21)
@@ -69,7 +69,7 @@ def test_reorganize_merge_parity_with_scalar_reference(benchmark, monkeypatch):
 def test_reorganize_vectorized_merge_wallclock(benchmark):
     """The numpy two-searchsorted merge beats the scalar two-pointer loop
     on long adjacency lists (where reorganize time actually accrues)."""
-    from repro.graphs.dynamic_graph import merge_runs_reference
+    from repro.testing import merge_runs_reference
 
     rng = np.random.default_rng(7)
     pool = rng.choice(2_000_000, size=120_000, replace=False)

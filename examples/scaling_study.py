@@ -20,29 +20,29 @@ from repro.core.engine import GCSMEngine
 from repro.gpu.device import ClusterConfig
 from repro.graphs.generators import powerlaw_graph
 from repro.graphs.stream import derive_stream
-from repro.multigpu import MultiGpuEngine
 from repro.query import QueryGraph
 from repro.utils import format_bytes, format_time_ns
 
 
 def run_fleet(g0, batches, query, *, devices, partitioner="hash",
               interconnect="nvlink"):
-    engine = MultiGpuEngine(
+    engine = GCSMEngine(
         g0, query,
         devices=ClusterConfig(num_devices=devices, interconnect=interconnect),
         partitioner=partitioner, seed=7,
     )
     results = [engine.process_batch(b) for b in batches]
+    # devices=1 is the single-device engine itself: plain BatchResults,
+    # no fleet diagnostics to aggregate
+    fleet = results if engine.fleet is not None else []
     return {
         "delta": sum(r.delta_count for r in results),
         "total_ns": sum(r.breakdown.total_ns for r in results),
         "match_ns": sum(r.breakdown.match_ns for r in results),
         "comm_ns": sum(r.breakdown.comm_ns for r in results),
-        "peer_bytes": sum(r.comm.peer_bytes for r in results if r.comm),
-        "imbalance": max((r.load_balance.imbalance for r in results
-                          if r.load_balance), default=1.0),
-        "straggler": results[-1].load_balance.straggler
-        if results[-1].load_balance else None,
+        "peer_bytes": sum(r.comm.peer_bytes for r in fleet),
+        "imbalance": max((r.load_balance.imbalance for r in fleet), default=1.0),
+        "straggler": fleet[-1].load_balance.straggler if fleet else None,
     }
 
 
@@ -52,7 +52,7 @@ def main() -> None:
     g0, batches = derive_stream(graph, num_updates=768, batch_size=256, seed=7)
     print(f"workload: {g0}, {len(batches)} batches of 256, query {query.name}\n")
 
-    # sanity: the sharded engine must agree with the single-GPU engine
+    # sanity: every fleet size must agree with the single-GPU engine
     single = GCSMEngine(g0, query, seed=7)
     expected = sum(single.process_batch(b).delta_count for b in batches)
 

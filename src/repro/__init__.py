@@ -16,7 +16,7 @@ Top-level convenience re-exports cover the primary user workflow::
     results = engine.process_stream(batches)
 """
 
-from repro.core.engine import BatchResult, GCSMEngine
+from repro.core.engine import BatchResult, EngineConfig, GCSMEngine
 from repro.core.multiquery import MultiQueryEngine
 from repro.graphs.generators import erdos_renyi, powerlaw_graph, road_network
 from repro.graphs.static_graph import StaticGraph
@@ -30,6 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GCSMEngine",
+    "EngineConfig",
     "BatchResult",
     "MultiQueryEngine",
     "StaticGraph",

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.bench.harness import RunResult, build_workload, print_table, run_stream
 from repro.core.baselines import VsgmCapacityError, make_system
-from repro.core.rapidflow import IndexMemoryError, RapidFlowSystem
+from repro.core.rapidflow import IndexMemoryError
 from repro.graphs import DynamicGraph, datasets
 from repro.gpu.clock import simulated_time_ns
 from repro.gpu.counters import AccessCounters, Channel
@@ -316,7 +316,7 @@ def fig14_rapidflow(
     # the large-graph OOM that keeps RapidFlow out of Figs. 8-10
     g0, _ = build_workload("FR", batch_size=batch_size, seed=seed)
     try:
-        RapidFlowSystem(g0, QUERIES["Q1"])
+        make_system("RapidFlow", g0, QUERIES["Q1"])
         oom = False
     except IndexMemoryError as exc:
         oom = True

@@ -29,7 +29,7 @@ from repro.graphs import datasets
 from repro.graphs.static_graph import StaticGraph
 from repro.graphs.stream import UpdateBatch, churn_stream, derive_stream
 from repro.gpu.clock import TimeBreakdown
-from repro.gpu.counters import AccessCounters
+from repro.gpu.counters import AccessCounters, Channel
 from repro.gpu.device import DeviceConfig
 from repro.query.pattern import QueryGraph
 from repro.utils import format_time_ns
@@ -270,7 +270,6 @@ class RunResult:
     coverage_top5: float | None = None
     cache_hit_rate: float | None = None
     cache_bytes: int = 0  # mean per batch
-    estimator: str | None = None  # FE sampler the system was configured with
     conflict_mode: str | None = None  # update-conflict policy (Sec. V-A hardening)
     # -- multi-GPU extras (left at defaults for single-device systems) -----
     num_devices: int = 1
@@ -319,6 +318,49 @@ class RunResult:
         )
 
 
+class _StreamTotals:
+    """What both stream drivers sum over the batches they drive, and the
+    :class:`RunResult` fields that follow from it."""
+
+    def __init__(self) -> None:
+        self.breakdown = TimeBreakdown()
+        self.counters = AccessCounters()
+        self.cache_bytes = self.hits = self.misses = 0
+        self.batches_skipped = self.roots_skipped = self.queries_skipped = 0
+
+    def add(self, result) -> None:
+        self.breakdown = self.breakdown + result.breakdown
+        self.counters.merge(result.match_counters)
+        self.cache_bytes += result.cache_bytes
+        self.hits += result.cache_hits
+        self.misses += result.cache_misses
+        if result.prefilter is not None:
+            self.batches_skipped += result.prefilter.batches_skipped
+            self.roots_skipped += result.prefilter.roots_skipped
+            self.queries_skipped += result.prefilter.queries_skipped
+
+    def fields(self, workload: Workload, batches: list[UpdateBatch],
+               num_batches: int) -> dict:
+        n = max(1, len(batches))
+        touched = self.hits + self.misses
+        return dict(
+            batch_size=float(np.mean([len(b) for b in batches])) if batches else 0.0,
+            num_batches=len(batches),
+            batch_size_requested=workload.batch_size_requested,
+            num_batches_requested=num_batches,
+            update_mix=workload.update_mix,
+            window=workload.window,
+            breakdown=self.breakdown.scaled(1.0 / n),
+            counters=self.counters,
+            cpu_access_bytes=self.counters.bytes_by_channel[Channel.ZERO_COPY] // n,
+            cache_hit_rate=self.hits / touched if touched else None,
+            cache_bytes=self.cache_bytes // n,
+            batches_skipped=self.batches_skipped,
+            roots_skipped=self.roots_skipped,
+            queries_skipped=self.queries_skipped,
+        )
+
+
 def run_stream(
     system_name: str,
     dataset: str,
@@ -337,55 +379,41 @@ def run_stream(
         dataset, batch_size=batch_size, num_batches=num_batches, seed=seed,
         update_mix=update_mix, window=window,
     )
-    g0 = workload.graph
     batches = workload.batches[:num_batches]
-    system = make_system(system_name, g0, query, device=device, seed=seed, **system_kwargs)
+    system = make_system(
+        system_name, workload.graph, query, device=device, seed=seed, **system_kwargs
+    )
+    config, fleet = system.config, system.fleet
 
-    agg_breakdown = TimeBreakdown()
-    agg_counters = AccessCounters()
-    delta_total = 0
-    embeddings_total = 0
-    cpu_bytes = 0
-    cache_bytes = 0
+    totals = _StreamTotals()
+    delta_total = embeddings_total = 0
     cov1: list[float] = []
     cov5: list[float] = []
-    hits = misses = 0
     peer_bytes = 0
     allreduce_ns = 0.0
     imbalances: list[float] = []
     lb_reports: list[dict] = []
-    pf_batches = pf_roots = pf_queries = 0
     rep_evaluated = rep_triggered = rep_moved = rep_bytes = 0
     rep_ns = 0.0
     rep_last: dict | None = None
     for batch in batches:
         result: BatchResult = system.process_batch(batch)
-        agg_breakdown = agg_breakdown + result.breakdown
-        agg_counters.merge(result.match_counters)
+        totals.add(result)
         delta_total += result.delta_count
         embeddings_total += result.match_stats.embeddings_found
-        cpu_bytes += result.cpu_access_bytes
-        cache_bytes += result.cache_bytes
         if result.cached_vertices.size and result.estimation is not None:
             cov1.append(result.coverage(0.01))
             cov5.append(result.coverage(0.05))
-        hits += result.cache_hits
-        misses += result.cache_misses
-        # multi-GPU extras, duck-typed so single-device BatchResults pass through
-        balance = getattr(result, "load_balance", None)
-        if balance is not None:
-            imbalances.append(balance.imbalance)
-            lb_reports.append(balance.to_dict())
-        comm = getattr(result, "comm", None)
-        if comm is not None:
-            peer_bytes += comm.peer_bytes
-            allreduce_ns += comm.allreduce_ns
-        pf = getattr(result, "prefilter", None)
-        if pf is not None:
-            pf_batches += pf.batches_skipped
-            pf_roots += pf.roots_skipped
-            pf_queries += pf.queries_skipped
-        rep = getattr(result, "repartition", None)
+        if fleet is None:
+            continue
+        # fleet diagnostics (a certified-skip batch carries none)
+        if result.load_balance is not None:
+            imbalances.append(result.load_balance.imbalance)
+            lb_reports.append(result.load_balance.to_dict())
+        if result.comm is not None:
+            peer_bytes += result.comm.peer_bytes
+            allreduce_ns += result.comm.allreduce_ns
+        rep = result.repartition
         if rep is not None:
             rep_evaluated += int(rep.evaluated)
             rep_triggered += int(rep.triggered)
@@ -395,31 +423,18 @@ def run_stream(
             if rep.evaluated or rep_last is None:
                 rep_last = rep.to_dict()  # last *drift evaluation*, not no-op
 
-    n = max(1, len(batches))
     return RunResult(
         system=system_name,
         dataset=dataset,
         query=query.name,
-        batch_size=float(np.mean([len(b) for b in batches])) if batches else 0.0,
-        num_batches=len(batches),
-        batch_size_requested=workload.batch_size_requested,
-        num_batches_requested=num_batches,
-        update_mix=update_mix,
-        window=window,
-        breakdown=agg_breakdown.scaled(1.0 / n),
-        counters=agg_counters,
         delta_total=delta_total,
         embeddings_total=embeddings_total,
-        cpu_access_bytes=cpu_bytes // n,
         coverage_top1=float(np.mean(cov1)) if cov1 else None,
         coverage_top5=float(np.mean(cov5)) if cov5 else None,
-        cache_hit_rate=hits / (hits + misses) if (hits + misses) else None,
-        cache_bytes=cache_bytes // n,
-        estimator=getattr(system, "estimator_name", None),
-        conflict_mode=getattr(system, "conflict_mode", None),
-        num_devices=getattr(system, "num_devices", 1),
-        partitioner=getattr(getattr(system, "partitioner", None), "name", None),
-        partitioner_opts=resolve_partitioner_opts(system),
+        conflict_mode=config.conflict_mode,
+        num_devices=system.num_devices,
+        partitioner=fleet.partitioner.name if fleet is not None else None,
+        partitioner_opts=resolve_partitioner_opts(fleet),
         peer_bytes=peer_bytes,
         allreduce_ns=allreduce_ns,
         imbalance=float(np.mean(imbalances)) if imbalances else None,
@@ -434,17 +449,11 @@ def run_stream(
                 "repartition_ns": rep_ns,
                 "last": rep_last,
             }
-            if (cfg := getattr(system, "repartition_config", None)) is not None
+            if fleet is not None and (cfg := fleet.repartition_config) is not None
             else None
         ),
-        prefilter=(
-            name
-            if (name := getattr(system, "prefilter_name", "off")) != "off"
-            else None
-        ),
-        batches_skipped=pf_batches,
-        roots_skipped=pf_roots,
-        queries_skipped=pf_queries,
+        prefilter=config.prefilter if config.prefilter != "off" else None,
+        **totals.fields(workload, batches, num_batches),
     )
 
 
@@ -468,70 +477,37 @@ def run_rulebook_stream(
     per-query independent baseline.  ``delta_total`` / ``embeddings_total``
     sum over all queries; ``query`` is labelled with the rulebook size.
     """
-    from repro.core.multiquery import MultiBatchResult, MultiQueryEngine
-    from repro.gpu.counters import Channel
+    from repro.core.multiquery import MultiQueryEngine
 
     workload = build_workload(
         dataset, batch_size=batch_size, num_batches=num_batches, seed=seed,
         update_mix=update_mix, window=window,
     )
-    g0 = workload.graph
     batches = workload.batches[:num_batches]
     engine = MultiQueryEngine(
-        g0, queries, device=device, seed=seed, shared=shared, **engine_kwargs
+        workload.graph, queries, device=device, seed=seed, shared=shared,
+        **engine_kwargs,
     )
-
-    agg_breakdown = TimeBreakdown()
-    agg_counters = AccessCounters()
-    delta_total = 0
-    embeddings_total = 0
-    cpu_bytes = 0
-    cache_bytes = 0
-    hits = misses = 0
-    pf_batches = pf_roots = pf_queries = 0
+    totals = _StreamTotals()
+    delta_total = embeddings_total = 0
     for batch in batches:
-        result: MultiBatchResult = engine.process_batch(batch)
-        agg_breakdown = agg_breakdown + result.breakdown
-        agg_counters.merge(result.match_counters)
+        result = engine.process_batch(batch)
+        totals.add(result)
         delta_total += result.total_delta
         embeddings_total += sum(
             st.embeddings_found for st in result.match_stats.values()
         )
-        cpu_bytes += result.match_counters.bytes_by_channel[Channel.ZERO_COPY]
-        cache_bytes += result.cache_bytes
-        hits += result.cache_hits
-        misses += result.cache_misses
-        if result.prefilter is not None:
-            pf_batches += result.prefilter.batches_skipped
-            pf_roots += result.prefilter.roots_skipped
-            pf_queries += result.prefilter.queries_skipped
-
-    n = max(1, len(batches))
     return RunResult(
         system="GCSM-multi",
         dataset=dataset,
         query=f"rulebook[{len(queries)}]",
-        batch_size=float(np.mean([len(b) for b in batches])) if batches else 0.0,
-        num_batches=len(batches),
-        batch_size_requested=workload.batch_size_requested,
-        num_batches_requested=num_batches,
-        update_mix=update_mix,
-        window=window,
-        breakdown=agg_breakdown.scaled(1.0 / n),
-        counters=agg_counters,
         delta_total=delta_total,
         embeddings_total=embeddings_total,
-        cpu_access_bytes=cpu_bytes // n,
-        cache_hit_rate=hits / (hits + misses) if (hits + misses) else None,
-        cache_bytes=cache_bytes // n,
-        estimator=engine.estimator_name,
         conflict_mode=engine.conflict_mode,
         shared=shared,
         rulebook_size=len(queries),
-        prefilter=engine.prefilter_name if engine.prefilter_name != "off" else None,
-        batches_skipped=pf_batches,
-        roots_skipped=pf_roots,
-        queries_skipped=pf_queries,
+        prefilter=engine.prefilter_index.name if engine.prefilter_index else None,
+        **totals.fields(workload, batches, num_batches),
     )
 
 

@@ -1,11 +1,11 @@
 """Declarative factorial scenario-matrix runner with regression gates.
 
 A :class:`ScenarioSpec` declares *factors* — graph family, update mix,
-batch size, executor, estimator, conflict mode, device-fleet size,
-partitioner, pre-filter, edge predicate, TTL window — each with one or
-more levels.  :func:`expand_cells` takes the full cartesian product,
-prunes combinations that are invalid by construction (e.g. ``devices``
-with a non-GCSM system, ``window`` under ``strict`` conflict handling),
+batch size, conflict mode, device-fleet size, partitioner, pre-filter,
+edge predicate, TTL window — each with one or more levels.
+:func:`expand_cells` takes the full cartesian product, prunes combinations
+that are invalid by construction (e.g. ``devices`` with a system whose
+placement is not ``cached``, ``window`` under ``strict`` conflict handling),
 and optionally draws a deterministic fractional sample.  Each surviving
 *cell* is executed through the existing harness entry points
 (:func:`~repro.bench.harness.run_stream`,
@@ -36,9 +36,8 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from repro.core.baselines import SYSTEM_NAMES
-from repro.core.frequency import ESTIMATORS
-from repro.core.matching import EXECUTORS
+from repro.core.baselines import SYSTEM_NAMES, SYSTEMS
+from repro.core.engine import EngineConfig
 from repro.graphs import datasets
 from repro.graphs.stream import CONFLICT_MODES
 from repro.multigpu.partition import PARTITIONER_NAMES
@@ -74,8 +73,6 @@ FACTOR_DEFAULTS: dict[str, object] = {
     "update_mix": "mixed",
     "batch_size": None,  # dataset default
     "num_batches": 2,
-    "executor": "frontier",
-    "estimator": "frontier",
     "conflict_mode": "coalesce",
     "devices": None,  # single-GPU engine
     "partitioner": "hash",
@@ -130,7 +127,7 @@ def parse_predicate(text: str) -> tuple[float, float]:
 def _check_level(factor: str, value: object) -> None:
     """Validate one factor level eagerly (spec-load time, not run time)."""
     checks: dict[str, Callable[[object], bool]] = {
-        "system": lambda v: v in tuple(SYSTEM_NAMES) + ("RapidFlow",),
+        "system": lambda v: v in SYSTEM_NAMES,
         "dataset": lambda v: v in datasets.DATASETS,
         "query": lambda v: (
             isinstance(v, str)
@@ -141,8 +138,6 @@ def _check_level(factor: str, value: object) -> None:
         "update_mix": lambda v: v in _UPDATE_MIXES,
         "batch_size": lambda v: v is None or (isinstance(v, int) and v > 0),
         "num_batches": lambda v: isinstance(v, int) and v > 0,
-        "executor": lambda v: v in EXECUTORS,
-        "estimator": lambda v: v in ESTIMATORS,
         "conflict_mode": lambda v: v in CONFLICT_MODES,
         "devices": lambda v: v is None or (isinstance(v, int) and v >= 1),
         "partitioner": lambda v: v in PARTITIONER_NAMES,
@@ -224,8 +219,10 @@ def _cell_invalid_reason(cell: Mapping) -> str | None:
     fleet to partition).
     """
     rulebook = str(cell["query"]).startswith("rulebook:")
-    if cell["devices"] is not None and cell["system"] != "GCSM":
-        return "devices requires the GCSM engine"
+    try:  # the engine's own validation is the one place contradictions live
+        EngineConfig(**{**SYSTEMS[cell["system"]], "devices": cell["devices"]})
+    except ValueError as exc:
+        return str(exc)
     if cell["devices"] is None and cell["partitioner"] != "hash":
         return "partitioner choice is meaningless without a device fleet"
     if rulebook and cell["system"] != "GCSM":
@@ -322,8 +319,6 @@ def run_cell(cell: Mapping, *, seed: int = 0) -> dict:
         seed=seed,
         update_mix=cell["update_mix"],
         window=cell["window"],
-        executor=cell["executor"],
-        estimator=cell["estimator"],
         conflict_mode=cell["conflict_mode"],
         prefilter=cell["prefilter"],
     )

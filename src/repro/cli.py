@@ -27,8 +27,6 @@ from typing import Sequence
 from repro.bench import figures
 from repro.bench.harness import build_workload, print_table, run_stream
 from repro.core.baselines import SYSTEM_NAMES
-from repro.core.frequency import DEFAULT_ESTIMATOR, ESTIMATORS
-from repro.core.matching import DEFAULT_EXECUTOR, EXECUTORS
 from repro.core.results import ExperimentRecord, save_records, summarize
 from repro.gpu.device import INTERCONNECTS, ClusterConfig
 from repro.graphs import datasets
@@ -68,8 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-queries", help="the Fig. 7 query catalog")
 
     run_p = sub.add_parser("run", help="run one system on one workload")
-    run_p.add_argument("--system", default="GCSM",
-                       choices=list(SYSTEM_NAMES) + ["RapidFlow"])
+    run_p.add_argument("--system", default="GCSM", choices=SYSTEM_NAMES)
     run_p.add_argument("--dataset", default="FR", choices=datasets.TABLE1_ORDER)
     run_p.add_argument("--query", default="Q1", choices=QUERY_ORDER)
     run_p.add_argument("--rulebook", default=None, metavar="SPEC",
@@ -86,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--batches", type=int, default=1)
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--devices", type=int, default=None, metavar="N",
-                       help="simulate an N-GPU fleet (GCSM only; routes to the "
-                            "sharded MultiGpuEngine, N=1 matches single-GPU "
-                            "bit-for-bit)")
+                       help="simulate an N-GPU fleet (cached-placement systems: "
+                            "GCSM, Pipelined, Naive; N=1 is the single-GPU "
+                            "engine itself)")
     run_p.add_argument("--partitioner", default="hash",
                        choices=list(PARTITIONER_NAMES),
                        help="vertex-ownership strategy for --devices (default: hash)")
@@ -98,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "--partitioner-opt balance_slack=0.15")
     run_p.add_argument("--repartition-every", type=int, default=None, metavar="N",
                        help="enable sticky ownership + online repartitioning, "
-                            "evaluating drift every N batches (GCSM with "
-                            "--devices > 1 only)")
+                            "evaluating drift every N batches (--devices > 1 "
+                            "only)")
     run_p.add_argument("--repartition-threshold", type=float, default=None,
                        metavar="R",
                        help="heat-weighted cut-rate that triggers a replan "
@@ -112,15 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="host thread-pool width for per-shard work "
                             "(default: repro.parallel.default_workers() — "
                             "min(cpu_count, 8)); simulated time is unaffected")
-    run_p.add_argument("--executor", default=DEFAULT_EXECUTOR, choices=EXECUTORS,
-                       help="matching executor: the batched frontier kernel "
-                            "(default) or the recursive reference; both are "
-                            "counter-identical, only wall-clock differs")
-    run_p.add_argument("--estimator", default=DEFAULT_ESTIMATOR, choices=ESTIMATORS,
-                       help="frequency-estimation sampler: the level-"
-                            "synchronous merged-frontier walker (default) or "
-                            "the recursive reference; identical in the "
-                            "deterministic regime, only wall-clock differs")
     run_p.add_argument("--conflict-mode", default=None, choices=CONFLICT_MODES,
                        help="update-conflict policy for duplicate inserts / "
                             "phantom deletes / same-batch churn: strict "
@@ -272,29 +260,33 @@ def _cmd_run_rulebook(args: argparse.Namespace) -> int:
     if args.devices is not None:
         print("--rulebook and --devices are mutually exclusive", file=sys.stderr)
         return 2
-    extra: dict = {}
-    if args.executor != DEFAULT_EXECUTOR:
-        extra["executor"] = args.executor
-    if args.estimator != DEFAULT_ESTIMATOR:
-        extra["estimator"] = args.estimator
-    if args.conflict_mode is not None:
-        extra["conflict_mode"] = args.conflict_mode
-    if args.prefilter is not None:
-        extra["prefilter"] = args.prefilter
     try:
         queries = load_rulebook(args.rulebook)
         result = run_rulebook_stream(
             args.dataset, queries, shared=args.shared,
             batch_size=args.batch_size, num_batches=args.batches, seed=args.seed,
-            **extra,
+            **_engine_settings(args),
         )
     except (KeyError, ValueError) as exc:
         print(f"repro run: error: {exc}", file=sys.stderr)
         return 2
+    _print_run(result, args)
+    return 0
+
+
+def _engine_settings(args: argparse.Namespace) -> dict:
+    """The engine settings ``run`` passes through only when given."""
+    settings = {"conflict_mode": args.conflict_mode, "prefilter": args.prefilter}
+    return {k: v for k, v in settings.items() if v is not None}
+
+
+def _print_run(result, args: argparse.Namespace) -> None:
+    """The ``run`` report (single query, fleet, or rulebook) + JSON export."""
     bd = result.breakdown
     print(result.describe())
-    print(f"  rulebook          : {result.rulebook_size} queries, "
-          f"shared={result.shared}")
+    if result.rulebook_size:
+        print(f"  rulebook          : {result.rulebook_size} queries, "
+              f"shared={result.shared}")
     print(f"  ΔM total          : {result.delta_total:+d}")
     print(f"  embeddings emitted: {result.embeddings_total}")
     print(f"  per-batch phases  : update {format_time_ns(bd.update_ns)}, "
@@ -304,10 +296,11 @@ def _cmd_run_rulebook(args: argparse.Namespace) -> int:
         print(f"  cache hit rate    : {result.cache_hit_rate:.2f} "
               f"({format_bytes(result.cache_bytes)} cached)")
     _print_prefilter(result)
+    if result.num_devices > 1:
+        _print_fleet(result, args.interconnect)
     if args.json:
         save_records([ExperimentRecord.from_run(result)], args.json)
         print(f"  record written to {args.json}")
-    return 0
 
 
 def _print_prefilter(result) -> None:
@@ -327,15 +320,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.rulebook is not None:
         return _cmd_run_rulebook(args)
     extra: dict = {}
-    if args.executor != DEFAULT_EXECUTOR:
-        extra["executor"] = args.executor
-    if args.estimator != DEFAULT_ESTIMATOR:
-        extra["estimator"] = args.estimator
     if args.devices is not None:
-        if args.system != "GCSM":
-            print(f"--devices only applies to GCSM, not {args.system}",
-                  file=sys.stderr)
-            return 2
         try:
             extra["devices"] = ClusterConfig(
                 num_devices=args.devices, interconnect=args.interconnect
@@ -345,80 +330,62 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
         extra["partitioner"] = args.partitioner
         extra["workers"] = args.workers
-        if args.partitioner_opts:
-            opts: dict = {}
-            for item in args.partitioner_opts:
-                key, sep, value = item.partition("=")
-                if not sep or not key:
-                    print(f"bad --partitioner-opt {item!r}: expected KEY=VALUE",
-                          file=sys.stderr)
-                    return 2
+    # fleet-only knobs are passed through as given: EngineConfig rejects them
+    # without --devices (and --devices on a non-cached placement)
+    if args.partitioner_opts:
+        opts: dict = {}
+        for item in args.partitioner_opts:
+            key, sep, value = item.partition("=")
+            if not sep or not key:
+                print(f"bad --partitioner-opt {item!r}: expected KEY=VALUE",
+                      file=sys.stderr)
+                return 2
+            try:
+                opts[key] = int(value)
+            except ValueError:
                 try:
-                    opts[key] = int(value)
+                    opts[key] = float(value)
                 except ValueError:
-                    try:
-                        opts[key] = float(value)
-                    except ValueError:
-                        opts[key] = value
-            extra["partitioner_opts"] = opts
-        if args.repartition_every is not None or args.repartition_threshold is not None:
-            rep: dict = {}
-            if args.repartition_every is not None:
-                rep["every"] = args.repartition_every
-            if args.repartition_threshold is not None:
-                rep["threshold"] = args.repartition_threshold
-            extra["repartition"] = rep
-    elif args.partitioner_opts or args.repartition_every is not None \
-            or args.repartition_threshold is not None:
-        print("--partitioner-opt/--repartition-* require --devices",
-              file=sys.stderr)
-        return 2
-    if args.conflict_mode is not None:
-        extra["conflict_mode"] = args.conflict_mode
-    if args.prefilter is not None:
-        extra["prefilter"] = args.prefilter
+                    opts[key] = value
+        extra["partitioner_opts"] = opts
+    if args.repartition_every is not None or args.repartition_threshold is not None:
+        rep: dict = {}
+        if args.repartition_every is not None:
+            rep["every"] = args.repartition_every
+        if args.repartition_threshold is not None:
+            rep["threshold"] = args.repartition_threshold
+        extra["repartition"] = rep
     try:
         result = run_stream(
             args.system, args.dataset, query_by_name(args.query),
             batch_size=args.batch_size, num_batches=args.batches, seed=args.seed,
-            **extra,
+            **extra, **_engine_settings(args),
         )
     except ValueError as exc:
         print(f"repro run: error: {exc}", file=sys.stderr)
         return 2
-    bd = result.breakdown
-    print(result.describe())
-    print(f"  ΔM total          : {result.delta_total:+d}")
-    print(f"  embeddings emitted: {result.embeddings_total}")
-    print(f"  per-batch phases  : update {format_time_ns(bd.update_ns)}, "
-          f"FE {format_time_ns(bd.estimate_ns)}, DC {format_time_ns(bd.pack_ns)}, "
-          f"match {format_time_ns(bd.match_ns)}, reorg {format_time_ns(bd.reorg_ns)}")
-    if result.cache_hit_rate is not None:
-        print(f"  cache hit rate    : {result.cache_hit_rate:.2f} "
-              f"({format_bytes(result.cache_bytes)} cached)")
-    _print_prefilter(result)
-    if result.num_devices > 1:
-        last = result.load_balance[-1] if result.load_balance else {}
-        print(f"  fleet             : {result.num_devices} devices "
-              f"({args.interconnect}), partitioner={result.partitioner}")
-        print(f"  comm              : peer {format_bytes(result.peer_bytes)}, "
-              f"all-reduce {format_time_ns(result.allreduce_ns)}")
-        if result.imbalance is not None:
-            straggler = last.get("straggler")
-            tail = (f"(last batch straggler: shard {straggler})"
-                    if straggler is not None else "(idle fleet: no straggler)")
-            print(f"  load balance      : mean imbalance {result.imbalance:.2f} "
-                  f"{tail}")
-        if result.repartition is not None:
-            rep = result.repartition
-            print(f"  repartition       : {rep['triggered']}/{rep['evaluated']} "
-                  f"replans, {rep['moved']} vertices moved "
-                  f"({format_bytes(rep['migration_bytes'])} migrated, "
-                  f"{format_time_ns(rep['repartition_ns'])})")
-    if args.json:
-        save_records([ExperimentRecord.from_run(result)], args.json)
-        print(f"  record written to {args.json}")
+    _print_run(result, args)
     return 0
+
+
+def _print_fleet(result, interconnect: str) -> None:
+    last = result.load_balance[-1] if result.load_balance else {}
+    print(f"  fleet             : {result.num_devices} devices "
+          f"({interconnect}), partitioner={result.partitioner}")
+    print(f"  comm              : peer {format_bytes(result.peer_bytes)}, "
+          f"all-reduce {format_time_ns(result.allreduce_ns)}")
+    if result.imbalance is not None:
+        straggler = last.get("straggler")
+        tail = (f"(last batch straggler: shard {straggler})"
+                if straggler is not None else "(idle fleet: no straggler)")
+        print(f"  load balance      : mean imbalance {result.imbalance:.2f} "
+              f"{tail}")
+    if result.repartition is not None:
+        rep = result.repartition
+        print(f"  repartition       : {rep['triggered']}/{rep['evaluated']} "
+              f"replans, {rep['moved']} vertices moved "
+              f"({format_bytes(rep['migration_bytes'])} migrated, "
+              f"{format_time_ns(rep['repartition_ns'])})")
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:

@@ -7,47 +7,34 @@
 * :mod:`repro.core.dcsr`      — the doubly-compressed cache format (Sec. V-B).
 * :mod:`repro.core.cache`     — cache-selection policies and the cached
   device view (frequency-based for GCSM, degree-based for Naive).
-* :mod:`repro.core.engine`    — the five-step per-batch pipeline (Fig. 3).
-* :mod:`repro.core.baselines` — UM / ZC / VSGM / Naive GPU baselines and the
-  CPU nested-loop baseline.
-* :mod:`repro.core.rapidflow` — the RapidFlow-style CPU comparator.
+* :mod:`repro.core.engine`    — the one staged per-batch pipeline (Fig. 3)
+  and its ``EngineConfig``.
+* :mod:`repro.core.baselines` — the UM / ZC / VSGM / CPU placements and the
+  ``SYSTEMS`` table that makes every baseline a config row.
+* :mod:`repro.core.rapidflow` — the RapidFlow-style candidate-index placement.
 * :mod:`repro.core.reference` — brute-force oracle for correctness tests.
 """
 
-from repro.core.matching import (
-    DEFAULT_EXECUTOR,
-    EXECUTORS,
-    MatchStats,
-    match_batch,
-    match_static,
-)
+from repro.core.matching import MatchStats, match_batch, match_static
 from repro.core.frontier import FrontierExecutor
 from repro.core.frequency import (
-    DEFAULT_ESTIMATOR,
-    ESTIMATORS,
     EstimationResult,
     FrequencyEstimator,
-    make_estimator,
     required_walks,
 )
 from repro.core.frequency_frontier import FrontierFrequencyEstimator
 from repro.core.dcsr import DcsrCache
 from repro.core.cache import CachePolicy, FrequencyCachePolicy, DegreeCachePolicy, CachedDeviceView
-from repro.core.engine import GCSMEngine, BatchResult
+from repro.core.engine import GCSMEngine, EngineConfig, BatchResult
 from repro.core.reference import count_embeddings, find_embeddings
 
 __all__ = [
     "MatchStats",
     "match_batch",
     "match_static",
-    "EXECUTORS",
-    "DEFAULT_EXECUTOR",
     "FrontierExecutor",
     "FrequencyEstimator",
     "FrontierFrequencyEstimator",
-    "make_estimator",
-    "ESTIMATORS",
-    "DEFAULT_ESTIMATOR",
     "EstimationResult",
     "required_walks",
     "DcsrCache",
@@ -56,6 +43,7 @@ __all__ = [
     "DegreeCachePolicy",
     "CachedDeviceView",
     "GCSMEngine",
+    "EngineConfig",
     "BatchResult",
     "count_embeddings",
     "find_embeddings",

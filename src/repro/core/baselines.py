@@ -1,8 +1,9 @@
-"""Baseline systems (paper Sec. VI-A "Baselines").
+"""Baseline systems (paper Sec. VI-A "Baselines") as engine configurations.
 
 Four naive GPU implementations plus the CPU nested-loop baseline, all
-sharing the *same* matching kernel as GCSM (``repro.core.matching``) and the
-same dynamic-graph maintenance — they differ only in the data path:
+running the *same* staged engine and matching kernel as GCSM
+(:class:`~repro.core.engine.GCSMEngine`) — they differ only in the data
+path, i.e. in the engine's placement plug:
 
 * **UM**    — all neighbor lists in unified memory; the kernel faults pages
   across PCIe on demand (69-210x slower than ZC in the paper).
@@ -17,239 +18,66 @@ same dynamic-graph maintenance — they differ only in the data path:
 * **CPU**   — the same nested loops run by 32 host threads (the paper's own
   CPU baseline, same stack-based implementation and matching order).
 
-Every system implements ``process_batch(batch) -> BatchResult`` so the
-harness can drive them interchangeably.
+:data:`SYSTEMS` maps every evaluated system name to its config overrides;
+:func:`make_system` is a lookup in that table.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.engine import BatchResult, GCSMEngine, reorganize_step, update_step
-from repro.core.frequency import DEFAULT_ESTIMATOR
-from repro.core.matching import DEFAULT_EXECUTOR, MatchStats, match_batch
-from repro.core.prefilter import (
-    DEFAULT_PREFILTER,
-    InvariantIndex,
-    normalize_prefilter,
-)
-from repro.graphs.dynamic_graph import DynamicGraph
+from repro.core.engine import GCSMEngine, Placement
 from repro.graphs.static_graph import StaticGraph
-from repro.graphs.stream import DEFAULT_CONFLICT_MODE, UpdateBatch
-from repro.gpu.clock import TimeBreakdown, simulated_time_ns
+from repro.graphs.stream import UpdateBatch
+from repro.gpu.clock import simulated_time_ns
 from repro.gpu.counters import AccessCounters, Channel
-from repro.gpu.device import BYTES_PER_NEIGHBOR, DeviceConfig, default_device
+from repro.gpu.device import BYTES_PER_NEIGHBOR
 from repro.gpu.transfer import DmaEngine
 from repro.gpu.views import (
     FullDeviceView,
-    GraphView,
     HostCPUView,
     UnifiedMemoryView,
     ZeroCopyView,
 )
 from repro.query.pattern import QueryGraph
-from repro.query.plan import compile_delta_plans
-from repro.utils import require
 
 __all__ = [
-    "SimpleViewSystem",
-    "ZeroCopySystem",
-    "UnifiedMemorySystem",
-    "CpuLoopSystem",
-    "NaiveDegreeCacheSystem",
-    "VsgmSystem",
+    "DirectPlacement",
+    "UnifiedMemoryPlacement",
+    "HostPlacement",
+    "KhopPlacement",
     "VsgmCapacityError",
-    "make_system",
+    "NAIVE_CACHE_BUDGET_BYTES",
+    "SYSTEMS",
     "SYSTEM_NAMES",
+    "make_system",
 ]
 
 
-class SimpleViewSystem:
-    """Shared pipeline for the single-view baselines (UM / ZC / CPU).
+class DirectPlacement(Placement):
+    """Nothing estimated, nothing shipped: the kernel reads every list
+    through one view of the host store.  As is, this is ZC — every read
+    crosses PCIe in 128 B lines; UM and CPU swap the view."""
 
-    Steps: update → match through the system's view → reorganize.  No
-    frequency estimation and no data packing.
-    """
+    view_type = ZeroCopyView
 
-    name = "abstract"
-    platform = "gpu"
+    def view(self, graph, counters, shipped):
+        return self.view_type(graph, self.engine.device, counters)
 
-    def __init__(
-        self,
-        initial_graph: StaticGraph,
-        query: QueryGraph,
-        *,
-        device: DeviceConfig | None = None,
-        executor: str = DEFAULT_EXECUTOR,
-        estimator: str = DEFAULT_ESTIMATOR,
-        conflict_mode: str = DEFAULT_CONFLICT_MODE,
-        prefilter: str = DEFAULT_PREFILTER,
-    ) -> None:
-        self.device = device or default_device()
-        self.graph = DynamicGraph(initial_graph)
-        self.query = query
-        self.plans = compile_delta_plans(query)
-        self.executor = executor
-        self.conflict_mode = conflict_mode
-        # these systems never estimate; the configured choice is still
-        # recorded so harness/results JSON stays uniform across systems
-        self.estimator_name = estimator
-        self.prefilter_name = normalize_prefilter(prefilter)
-        self.prefilter_index = (
-            InvariantIndex(self.graph) if self.prefilter_name != "off" else None
-        )
-        self.batches_processed = 0
-        self.total_delta = 0
-
-    def _make_view(self, counters: AccessCounters) -> GraphView:
-        raise NotImplementedError
-
-    def _prefilter_batch(self, batch: UpdateBatch, breakdown: TimeBreakdown):
-        """Maintain the invariant index and certify skips (None when off)."""
-        if self.prefilter_index is None:
-            return None
-        counters = self.prefilter_index.apply_batch(batch)
-        decision = self.prefilter_index.evaluate(self.plans, batch)
-        counters.merge(decision.counters)
-        breakdown.prefilter_ns = simulated_time_ns(
-            counters, self.device, platform="cpu"
-        )
-        return decision
-
-    def _close_prefilter(self) -> None:
-        if self.prefilter_index is not None:
-            self.prefilter_index.close_batch()
-
-    def _skipped_result(self, breakdown, decision, conflicts) -> BatchResult:
-        self.batches_processed += 1
-        return BatchResult(
-            delta_count=0,
-            match_stats=MatchStats(roots_skipped=decision.roots_total),
-            breakdown=breakdown,
-            match_counters=AccessCounters(),
-            estimation=None,
-            cached_vertices=np.empty(0, dtype=np.int64),
-            cache_bytes=0,
-            cache_hits=0,
-            cache_misses=0,
-            conflicts=conflicts,
-            prefilter=decision.to_stats(breakdown.prefilter_ns),
-        )
-
-    def process_batch(self, batch: UpdateBatch) -> BatchResult:
-        require(len(batch) > 0, "empty batch")
-        graph = self.graph
-        breakdown = TimeBreakdown()
-
-        batch, breakdown.update_ns = update_step(
-            graph, batch, self.device, self.conflict_mode
-        )
-
-        decision = self._prefilter_batch(batch, breakdown)
-        if decision is not None and decision.skip_batch:
-            breakdown.reorg_ns = reorganize_step(graph, self.device)
-            self._close_prefilter()
-            return self._skipped_result(
-                breakdown, decision, graph.last_canonical_report
-            )
-
-        match_counters = AccessCounters()
-        view = self._make_view(match_counters)
-        stats = match_batch(
-            self.plans, batch, view, prefilter=decision, executor=self.executor
-        )
-        breakdown.match_ns = simulated_time_ns(
-            match_counters, self.device, platform=view.platform
-        )
-
-        breakdown.reorg_ns = reorganize_step(graph, self.device)
-        self._close_prefilter()
-
-        self.batches_processed += 1
-        self.total_delta += stats.signed_count
-        return BatchResult(
-            delta_count=stats.signed_count,
-            match_stats=stats,
-            breakdown=breakdown,
-            match_counters=match_counters,
-            estimation=None,
-            cached_vertices=np.empty(0, dtype=np.int64),
-            cache_bytes=0,
-            cache_hits=0,
-            cache_misses=stats.roots_processed,
-            conflicts=graph.last_canonical_report,
-            prefilter=decision.to_stats(breakdown.prefilter_ns)
-            if decision is not None
-            else None,
-        )
-
-    def snapshot(self) -> StaticGraph:
-        return self.graph.snapshot()
+    def bookkeeping(self, shipped, outcome):
+        return {} if outcome is None else {"cache_misses": outcome.stats.roots_processed}
 
 
-class ZeroCopySystem(SimpleViewSystem):
-    """ZC: every neighbor-list read crosses PCIe in 128 B lines."""
-
-    name = "ZC"
-
-    def _make_view(self, counters: AccessCounters) -> GraphView:
-        return ZeroCopyView(self.graph, self.device, counters)
-
-
-class UnifiedMemorySystem(SimpleViewSystem):
+class UnifiedMemoryPlacement(DirectPlacement):
     """UM: managed memory, page-fault-driven migration (cold per batch)."""
 
-    name = "UM"
-
-    def _make_view(self, counters: AccessCounters) -> GraphView:
-        return UnifiedMemoryView(self.graph, self.device, counters)
+    view_type = UnifiedMemoryView
 
 
-class CpuLoopSystem(SimpleViewSystem):
+class HostPlacement(DirectPlacement):
     """The paper's CPU baseline: same loops, 32 host threads, host DRAM."""
 
-    name = "CPU"
-
-    def _make_view(self, counters: AccessCounters) -> GraphView:
-        return HostCPUView(self.graph, self.device, counters)
-
-
-#: Naive's cache budget: the paper notes GCSM's sampled lists occupy < 2 GB
-#: of the 14 GB buffer; Naive gets the same footprint so the comparison is
-#: policy-vs-policy, not budget-vs-budget.  2 GB / 14 GB of the scaled buffer:
-NAIVE_CACHE_BUDGET_BYTES = 200_000
-
-
-class NaiveDegreeCacheSystem(GCSMEngine):
-    """Naive: GCSM's cache machinery with degree ranking, no estimation."""
-
-    name = "Naive"
-
-    def __init__(
-        self,
-        initial_graph: StaticGraph,
-        query: QueryGraph,
-        *,
-        device: DeviceConfig | None = None,
-        cache_budget_bytes: int = NAIVE_CACHE_BUDGET_BYTES,
-        seed=0,
-        executor: str = DEFAULT_EXECUTOR,
-        estimator: str = DEFAULT_ESTIMATOR,
-        conflict_mode: str = DEFAULT_CONFLICT_MODE,
-        prefilter: str = DEFAULT_PREFILTER,
-    ) -> None:
-        super().__init__(
-            initial_graph,
-            query,
-            device=device,
-            policy="degree",
-            cache_budget_bytes=cache_budget_bytes,
-            seed=seed,
-            executor=executor,
-            estimator=estimator,
-            conflict_mode=conflict_mode,
-            prefilter=prefilter,
-        )
+    view_type = HostCPUView
 
 
 class VsgmCapacityError(RuntimeError):
@@ -259,53 +87,28 @@ class VsgmCapacityError(RuntimeError):
     128 (SF3K) / 64 (SF10K) edges when running VSGM (Sec. VI-B)."""
 
 
-class VsgmSystem:
-    """The VSGM-style baseline: bulk-copy the batch's k-hop neighborhood.
+class KhopPlacement(Placement):
+    """The VSGM-style data path: bulk-copy the batch's k-hop neighborhood.
 
     Per batch: BFS from every update endpoint out to ``k = diameter(Q)``
     hops on the CPU, pack all visited vertices' lists, DMA them to the GPU,
     then match entirely from device memory.  The kernel never touches the
-    CPU — at the price of copying the (large) k-hop working set.
+    CPU — at the price of copying the (large) k-hop working set.  A
+    certified ΔM = 0 batch saves exactly that dominant cost.
     """
 
-    name = "VSGM"
+    def __init__(self, engine: GCSMEngine) -> None:
+        super().__init__(engine)
+        self.hops = engine.query.diameter()
 
-    def __init__(
-        self,
-        initial_graph: StaticGraph,
-        query: QueryGraph,
-        *,
-        device: DeviceConfig | None = None,
-        strict_capacity: bool = True,
-        executor: str = DEFAULT_EXECUTOR,
-        estimator: str = DEFAULT_ESTIMATOR,
-        conflict_mode: str = DEFAULT_CONFLICT_MODE,
-        prefilter: str = DEFAULT_PREFILTER,
-    ) -> None:
-        self.device = device or default_device()
-        self.graph = DynamicGraph(initial_graph)
-        self.query = query
-        self.plans = compile_delta_plans(query)
-        self.hops = query.diameter()
-        self.strict_capacity = strict_capacity
-        self.executor = executor
-        self.estimator_name = estimator
-        self.conflict_mode = conflict_mode
-        self.prefilter_name = normalize_prefilter(prefilter)
-        self.prefilter_index = (
-            InvariantIndex(self.graph) if self.prefilter_name != "off" else None
-        )
-        self.batches_processed = 0
-        self.total_delta = 0
-
-    # -- k-hop gather ------------------------------------------------------
     def _khop_vertices(self, batch: UpdateBatch, counters: AccessCounters) -> set[int]:
+        graph = self.engine.graph
         frontier = set(batch.edges.reshape(-1).tolist())
         visited = set(frontier)
         for _ in range(self.hops):
             nxt: set[int] = set()
             for v in frontier:
-                nbrs = self.graph.neighbors_new(v)
+                nbrs = graph.neighbors_new(v)
                 counters.record_compute(nbrs.size + 1)
                 counters.record_access(
                     Channel.CPU_DRAM, v, nbrs.size * BYTES_PER_NEIGHBOR
@@ -317,138 +120,65 @@ class VsgmSystem:
                 break
         return visited
 
-    def process_batch(self, batch: UpdateBatch) -> BatchResult:
-        require(len(batch) > 0, "empty batch")
-        graph = self.graph
-        breakdown = TimeBreakdown()
-
-        batch, breakdown.update_ns = update_step(
-            graph, batch, self.device, self.conflict_mode
-        )
-
-        decision = SimpleViewSystem._prefilter_batch(self, batch, breakdown)
-        if decision is not None and decision.skip_batch:
-            # certified ΔM = 0 also saves VSGM's dominant cost: the k-hop
-            # gather + bulk copy never happen
-            breakdown.reorg_ns = reorganize_step(graph, self.device)
-            SimpleViewSystem._close_prefilter(self)
-            return SimpleViewSystem._skipped_result(
-                self, breakdown, decision, graph.last_canonical_report
-            )
-
-        # gather + copy (this is VSGM's "DC" phase of Fig. 13)
+    def prepare(self, batch, decision, breakdown):
+        """Gather + copy (VSGM's "DC" phase of Fig. 13)."""
+        engine, graph, device = self.engine, self.engine.graph, self.engine.device
         gather_counters = AccessCounters()
         resident = self._khop_vertices(batch, gather_counters)
         copy_bytes = sum(
             (graph.degree_old(v) + graph.delta_neighbors(v).size) * BYTES_PER_NEIGHBOR
             for v in resident
         ) + len(resident) * 3 * BYTES_PER_NEIGHBOR
-        if self.strict_capacity and copy_bytes > self.device.cache_buffer_bytes:
-            graph.reorganize()  # leave the store consistent
-            SimpleViewSystem._close_prefilter(self)
+        if engine.config.strict_capacity and copy_bytes > device.cache_buffer_bytes:
             raise VsgmCapacityError(
                 f"k-hop working set ({copy_bytes} B) exceeds device buffer "
-                f"({self.device.cache_buffer_bytes} B); use a smaller batch"
+                f"({device.cache_buffer_bytes} B); use a smaller batch"
             )
-        gather_ns = simulated_time_ns(gather_counters, self.device, platform="cpu")
-        dma_counters = AccessCounters()
-        dma_ns = DmaEngine(self.device, dma_counters).transfer(copy_bytes)
+        gather_ns = simulated_time_ns(gather_counters, device, platform="cpu")
+        dma_ns = DmaEngine(device, AccessCounters()).transfer(copy_bytes)
         breakdown.pack_ns = gather_ns + dma_ns
+        return resident, copy_bytes
 
-        match_counters = AccessCounters()
-        view = FullDeviceView(graph, self.device, match_counters, resident)
-        stats = match_batch(
-            self.plans, batch, view, prefilter=decision, executor=self.executor
-        )
-        breakdown.match_ns = simulated_time_ns(match_counters, self.device, platform="gpu")
+    def view(self, graph, counters, shipped):
+        return FullDeviceView(graph, self.engine.device, counters, shipped[0])
 
-        breakdown.reorg_ns = reorganize_step(graph, self.device)
-        SimpleViewSystem._close_prefilter(self)
-
-        self.batches_processed += 1
-        self.total_delta += stats.signed_count
+    def bookkeeping(self, shipped, outcome):
+        if outcome is None:
+            return {}
+        resident, copy_bytes = shipped
         cached = np.fromiter(resident, dtype=np.int64, count=len(resident))
-        return BatchResult(
-            delta_count=stats.signed_count,
-            match_stats=stats,
-            breakdown=breakdown,
-            match_counters=match_counters,
-            estimation=None,
-            cached_vertices=np.sort(cached),
-            cache_bytes=copy_bytes,
-            cache_hits=stats.roots_processed,
-            cache_misses=view.fallthrough_accesses,
-            conflicts=graph.last_canonical_report,
-            prefilter=decision.to_stats(breakdown.prefilter_ns)
-            if decision is not None
-            else None,
+        return dict(
+            cached_vertices=np.sort(cached), cache_bytes=copy_bytes,
+            cache_hits=outcome.stats.roots_processed,
+            cache_misses=outcome.view.fallthrough_accesses,
         )
 
-    def snapshot(self) -> StaticGraph:
-        return self.graph.snapshot()
 
+#: Naive's cache budget: the paper notes GCSM's sampled lists occupy < 2 GB
+#: of the 14 GB buffer; Naive gets the same footprint so the comparison is
+#: policy-vs-policy, not budget-vs-budget.  2 GB / 14 GB of the scaled buffer:
+NAIVE_CACHE_BUDGET_BYTES = 200_000
 
-SYSTEM_NAMES = ("GCSM", "Pipelined", "ZC", "UM", "Naive", "VSGM", "CPU")
+#: every evaluated system (paper Fig. 8-14) as :class:`EngineConfig` overrides
+SYSTEMS: dict[str, dict] = {
+    "GCSM": {},
+    "Pipelined": {"schedule": "pipelined"},
+    "ZC": {"placement": "zero-copy"},
+    "UM": {"placement": "unified"},
+    "Naive": {"policy": "degree", "cache_budget_bytes": NAIVE_CACHE_BUDGET_BYTES},
+    "VSGM": {"placement": "khop"},
+    "CPU": {"placement": "host"},
+    "RapidFlow": {"placement": "indexed"},
+}
+SYSTEM_NAMES = tuple(SYSTEMS)
 
 
 def make_system(
-    name: str,
-    initial_graph: StaticGraph,
-    query: QueryGraph,
-    *,
-    device: DeviceConfig | None = None,
-    seed: int = 0,
-    **kwargs,
-):
-    """Factory over every evaluated system (paper Fig. 8-14).
-
-    For ``GCSM``, passing ``devices`` (an int or a
-    :class:`~repro.gpu.device.ClusterConfig`) routes to the sharded
-    :class:`~repro.multigpu.engine.MultiGpuEngine` — together with the
-    optional ``partitioner`` / ``partitioner_opts`` / ``repartition`` /
-    ``workers`` knobs.  ``devices`` omitted (or ``None``) keeps the
-    single-GPU engine (which rejects the fleet-only knobs).
-    """
-    if name == "GCSM":
-        devices = kwargs.pop("devices", None)
-        partitioner = kwargs.pop("partitioner", "hash")
-        partitioner_opts = kwargs.pop("partitioner_opts", None)
-        repartition = kwargs.pop("repartition", None)
-        workers = kwargs.pop("workers", None)
-        if devices is not None:
-            from repro.multigpu import MultiGpuEngine
-
-            return MultiGpuEngine(
-                initial_graph, query, devices=devices, partitioner=partitioner,
-                partitioner_opts=partitioner_opts, repartition=repartition,
-                device=device, seed=seed, workers=workers, **kwargs,
-            )
-        if partitioner_opts or repartition:
-            raise ValueError(
-                "partitioner_opts/repartition require a multi-device GCSM "
-                "(pass devices=N)"
-            )
-        return GCSMEngine(initial_graph, query, device=device, seed=seed, **kwargs)
-    if name == "Pipelined":
-        # GCSM under the staged/overlapped schedule: bit-identical results,
-        # pipeline-annotated TimeBreakdowns (repro.service.pipeline)
-        from repro.service.pipeline import PipelinedEngine
-
-        return PipelinedEngine(initial_graph, query, device=device, seed=seed, **kwargs)
-    if name == "ZC":
-        return ZeroCopySystem(initial_graph, query, device=device, **kwargs)
-    if name == "UM":
-        return UnifiedMemorySystem(initial_graph, query, device=device, **kwargs)
-    if name == "Naive":
-        return NaiveDegreeCacheSystem(
-            initial_graph, query, device=device, seed=seed, **kwargs
-        )
-    if name == "VSGM":
-        return VsgmSystem(initial_graph, query, device=device, **kwargs)
-    if name == "CPU":
-        return CpuLoopSystem(initial_graph, query, device=device, **kwargs)
-    if name == "RapidFlow":
-        from repro.core.rapidflow import RapidFlowSystem
-
-        return RapidFlowSystem(initial_graph, query, device=device, **kwargs)
-    raise ValueError(f"unknown system {name!r}")
+    name: str, initial_graph: StaticGraph, query: QueryGraph, **settings
+) -> GCSMEngine:
+    """The named system: its :data:`SYSTEMS` row, overridden by ``settings``
+    (any :class:`~repro.core.engine.EngineConfig` field — e.g. ``devices=N``
+    fans a ``cached`` system out over a fleet)."""
+    if name not in SYSTEMS:
+        raise ValueError(f"unknown system {name!r}; expected one of {SYSTEM_NAMES}")
+    return GCSMEngine(initial_graph, query, **{**SYSTEMS[name], **settings})

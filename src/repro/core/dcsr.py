@@ -62,7 +62,8 @@ class DcsrCache:
         in the store (:meth:`~repro.graphs.dynamic_graph.DynamicGraph.packed_run_raw`)
         ``colidx`` is a single concatenate of per-vertex views — one bulk
         copy, no per-vertex Python bookkeeping.  Produces arrays bit-identical
-        to :meth:`build_reference` (enforced by ``tests/test_dcsr.py``).
+        to :func:`repro.testing.oracles.build_reference` (enforced by
+        ``tests/test_dcsr.py``).
         """
         verts = np.sort(np.asarray(vertices, dtype=VERTEX_DTYPE).ravel())
         if verts.size > 1:
@@ -86,34 +87,6 @@ class DcsrCache:
         rowptr[k, 0] = offsets[k]
         rowptr[k, 1] = -1
         colidx = np.concatenate(views) if k else _EMPTY.copy()
-        return cls(verts, rowptr, colidx.astype(VERTEX_DTYPE, copy=False))
-
-    @classmethod
-    def build_reference(cls, graph: DynamicGraph, vertices: np.ndarray) -> "DcsrCache":
-        """The original per-vertex packing loop, kept as the parity oracle
-        for :meth:`build` (and as the honest CPU-side cost baseline)."""
-        verts = np.unique(np.asarray(vertices, dtype=VERTEX_DTYPE))
-        if verts.size:
-            require(
-                bool(verts[0] >= 0 and verts[-1] < graph.num_vertices),
-                "cache vertex out of range",
-            )
-        k = verts.size
-        rowptr = np.empty((k + 1, 2), dtype=np.int64)
-        chunks: list[np.ndarray] = []
-        offset = 0
-        for i, v in enumerate(verts.tolist()):
-            base = graph.base_run_raw(v)
-            delta = graph.delta_neighbors(v)
-            rowptr[i, 0] = offset
-            rowptr[i, 1] = offset + base.size if delta.size else -1
-            chunks.append(base)
-            if delta.size:
-                chunks.append(delta)
-            offset += base.size + delta.size
-        rowptr[k, 0] = offset
-        rowptr[k, 1] = -1
-        colidx = np.concatenate(chunks) if chunks else _EMPTY.copy()
         return cls(verts, rowptr, colidx.astype(VERTEX_DTYPE, copy=False))
 
     # ------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""The GCSM end-to-end engine: the five-step per-batch pipeline of Fig. 3.
+"""The GCSM engine: one staged per-batch pipeline, three plug points.
 
-For every update batch ``ΔE_k``:
+For every update batch ``ΔE_k`` (paper Fig. 3):
 
 1. **Update** — ``ΔE_k`` is folded into the CPU adjacency store (insertions
    appended, deletions marked).
@@ -16,12 +16,34 @@ For every update batch ``ΔE_k``:
 
 Every step's work is counted and priced by the device cost model, giving
 the Table II / Fig. 13 phase breakdown per batch.
+
+:class:`GCSMEngine` is the only single-query engine class.  Its skeleton —
+update → prefilter → prepare → match → reorganize → result — is fixed; a
+frozen, once-validated :class:`EngineConfig` picks three narrow plugs:
+
+* **placement** (:class:`Placement`) — what *prepare* estimates, packs and
+  ships, which :class:`~repro.gpu.views.GraphView` the kernel reads through,
+  and the result bookkeeping.  ``cached`` is the paper's system; the
+  baselines' data paths (:mod:`repro.core.baselines`,
+  :mod:`repro.core.rapidflow`) are loaded on first use.
+* **schedule** — :class:`SerialSchedule`, or the stage-overlapping
+  :class:`repro.service.pipeline.PipelinedSchedule` with its clock.
+* **fan-out** — ``devices > 1`` swaps the single-device pack/match body for
+  :class:`repro.multigpu.engine.FleetPlacement`, imported lazily.
+
+Every paper baseline is therefore a row of config overrides
+(:data:`repro.core.baselines.SYSTEMS`), not a class.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import weakref
+from collections.abc import Mapping
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from importlib import import_module
+from typing import Callable
 
 import numpy as np
 
@@ -33,34 +55,45 @@ from repro.core.cache import (
     HybridCachePolicy,
 )
 from repro.core.dcsr import DcsrCache
-from repro.core.frequency import (
-    DEFAULT_ESTIMATOR,
-    EstimationResult,
-    make_estimator,
-)
-from repro.core.matching import DEFAULT_EXECUTOR, MatchStats, match_batch
+from repro.core.frequency import EstimationResult
+from repro.core.frequency_frontier import FrontierFrequencyEstimator
+from repro.core.matching import MatchStats, match_batch, match_static
 from repro.core.prefilter import (
     DEFAULT_PREFILTER,
-    InvariantIndex,
     PrefilterDecision,
     PrefilterStats,
+    make_prefilter,
     normalize_prefilter,
 )
 from repro.graphs.attributes import EdgeAttributeStore
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.static_graph import StaticGraph
-from repro.graphs.stream import CanonicalReport, DEFAULT_CONFLICT_MODE, UpdateBatch
-from repro.gpu.clock import TimeBreakdown, simulated_time_ns
+from repro.graphs.stream import DEFAULT_CONFLICT_MODE, CanonicalReport, UpdateBatch
+from repro.gpu.clock import ScheduleReport, TimeBreakdown, simulated_time_ns
 from repro.gpu.counters import AccessCounters, Channel
-from repro.gpu.device import BYTES_PER_NEIGHBOR, DeviceConfig, default_device
+from repro.gpu.device import (
+    BYTES_PER_NEIGHBOR,
+    ClusterConfig,
+    DeviceConfig,
+    default_device,
+)
 from repro.gpu.transfer import DmaEngine
+from repro.gpu.views import GraphView, ZeroCopyView
 from repro.query.pattern import QueryGraph
-from repro.query.plan import compile_delta_plans
+from repro.query.plan import MatchPlan, compile_delta_plans, compile_static_plan
 from repro.utils import VERTEX_DTYPE, as_generator, require, spawn_generator
 
 __all__ = [
     "GCSMEngine",
+    "EngineConfig",
     "BatchResult",
+    "Placement",
+    "CachedPlacement",
+    "MatchOutcome",
+    "StagedBatch",
+    "SerialSchedule",
+    "PLACEMENTS",
+    "SCHEDULES",
     "make_policy",
     "update_step",
     "pack_step",
@@ -69,22 +102,22 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Shared batch-step internals.  GCSMEngine composes these; the sharded
-# engine (repro.multigpu.engine) reuses them per shard instead of forking
-# the pipeline — any change here changes both engines identically, which
-# is what keeps the N=1 equivalence invariant cheap to maintain.
+# Shared batch-step internals.  The engine, the fleet's per-shard pack, the
+# rulebook engine and the benchmark's staged replay all compose these, so a
+# change here changes every caller identically.
 # ----------------------------------------------------------------------
+_POLICIES = {
+    cls.name: cls
+    for cls in (FrequencyCachePolicy, DegreeCachePolicy, HybridCachePolicy)
+}
+
+
 def make_policy(policy: str | CachePolicy) -> CachePolicy:
     """Resolve a policy name to a CachePolicy instance."""
     if isinstance(policy, CachePolicy):
         return policy
-    if policy == "frequency":
-        return FrequencyCachePolicy()
-    if policy == "degree":
-        return DegreeCachePolicy()
-    if policy == "hybrid":
-        return HybridCachePolicy()
-    raise ValueError(f"unknown cache policy {policy!r}")
+    require(policy in _POLICIES, f"unknown cache policy {policy!r}")
+    return _POLICIES[policy]()
 
 
 def update_step(
@@ -92,6 +125,7 @@ def update_step(
     batch: UpdateBatch,
     device: DeviceConfig,
     mode: str = DEFAULT_CONFLICT_MODE,
+    on_applied: Callable[[UpdateBatch, AccessCounters], None] | None = None,
 ) -> tuple[UpdateBatch, float]:
     """Step 1: canonicalize ``ΔE`` under ``mode`` and fold it into the CPU
     store; returns ``(effective_batch, simulated_ns)``.
@@ -101,13 +135,18 @@ def update_step(
     difference between the pre- and post-batch edge sets, which is what
     makes ΔM equal the true state difference on conflicted streams.  The
     raw batch is still what the CPU scans (and classifies), so the charged
-    work covers the full input.
+    work covers the full input.  ``on_applied(effective, counters)`` runs
+    while the batch is open and before the step is priced, so host-side
+    maintenance that rides on the update (RapidFlow's candidate index) is
+    charged into the same counters.
     """
     effective = graph.apply_batch(batch, mode=mode)
     counters = AccessCounters()
     avg_deg = max(2.0, 2.0 * graph.num_edges / max(1, graph.num_vertices))
     per_update_ops = int(2 * (1 + math.log2(avg_deg)))
     counters.record_compute(len(batch) * per_update_ops)
+    if on_applied is not None:
+        on_applied(effective, counters)
     return effective, simulated_time_ns(counters, device, platform="cpu")
 
 
@@ -145,18 +184,21 @@ class BatchResult:
     kernel's traffic (its per-vertex histogram is the *exact* access
     frequency ``C_v`` of this batch — the ground truth for Fig. 15);
     ``estimation`` the estimator output; ``cached_vertices`` the set shipped
-    to the GPU.
+    to the GPU (the defaults say "nothing estimated, nothing shipped": a
+    certified-skip batch, or a placement without a cache).
     """
 
     delta_count: int
     match_stats: MatchStats
     breakdown: TimeBreakdown
     match_counters: AccessCounters
-    estimation: EstimationResult | None
-    cached_vertices: np.ndarray
-    cache_bytes: int
-    cache_hits: int
-    cache_misses: int
+    estimation: EstimationResult | None = None
+    cached_vertices: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=VERTEX_DTYPE)
+    )
+    cache_bytes: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
     #: classification of the raw batch against the pre-batch store (None for
     #: legacy constructors); ``conflicts.anomalies`` counts updates a clean
     #: stream would never contain
@@ -184,78 +226,349 @@ class BatchResult:
         return len(top & cached) / len(top)
 
 
-class GCSMEngine:
-    """Continuous subgraph matching with GPU caching (the paper's system).
+# ----------------------------------------------------------------------
+# configuration
+# ----------------------------------------------------------------------
+#: placement name -> ``module:class`` of its :class:`Placement`; resolved on
+#: first use so the default engine's import graph stays minimal
+PLACEMENTS = {
+    "cached": "repro.core.engine:CachedPlacement",
+    "zero-copy": "repro.core.baselines:DirectPlacement",
+    "unified": "repro.core.baselines:UnifiedMemoryPlacement",
+    "host": "repro.core.baselines:HostPlacement",
+    "khop": "repro.core.baselines:KhopPlacement",
+    "indexed": "repro.core.rapidflow:IndexedPlacement",
+}
+_FLEET = "repro.multigpu.engine:FleetPlacement"
+SCHEDULES = ("serial", "pipelined")
 
-    Parameters
-    ----------
-    initial_graph:
-        The ``G_0`` snapshot; copied into the dynamic store.
-    query:
-        The pattern to monitor continuously.
+
+def _load(spec: str):
+    module, _, name = spec.partition(":")
+    return getattr(import_module(module), name)
+
+
+@dataclass(frozen=True)
+class EngineConfig:
+    """Every setting of a :class:`GCSMEngine`, validated once.
+
+    Each field is consumed by exactly one plug (the "Engine configuration"
+    table in ``DESIGN.md``); contradictions are rejected here and nowhere
+    else.
+
     device:
         Cost/capacity model; defaults to the scaled RTX3090 analog.
-    policy:
-        Cache-selection policy; the paper's system uses ``"frequency"``,
-        the Naive baseline is this same engine with ``"degree"`` (which
-        also skips the estimation step — degrees are already known).
-    num_walks:
-        Estimator budget; ``None`` uses :func:`~repro.core.frequency.default_num_walks`.
-    adaptive_walks:
-        Enable the Eq. (5) re-sampling loop.
-    cache_budget_bytes:
-        Device bytes available for cached lists; ``None`` uses the full
-        device buffer (GCSM).  The Naive baseline restricts this to the
-        scaled analog of the ~2 GB the paper's sampled sets occupy, for a
-        like-for-like footprint comparison.
+    placement:
+        The kernel's data path, a :data:`PLACEMENTS` key: ``cached`` (DCSR
+        cache + zero-copy fallback — GCSM, Naive), ``zero-copy`` /
+        ``unified`` / ``host`` (one view, nothing shipped — ZC / UM / CPU),
+        ``khop`` (bulk-copy the batch's k-hop neighbourhood — VSGM),
+        ``indexed`` (host loops over a candidate index — RapidFlow).
+    policy, cache_budget_bytes:
+        ``cached`` only: selection policy (``"frequency"``; Naive's
+        ``"degree"`` also skips estimation) and device bytes for cached
+        lists, per device on a fleet (``None``: the full device buffer).
+    num_walks, adaptive_walks, survival:
+        Estimator budget (``None``:
+        :func:`~repro.core.frequency.default_num_walks`), the Eq. (5)
+        re-sampling loop, and the walk-continuation schedule.
+    strict_capacity / memory_budget_bytes:
+        ``khop``: raise when the working set exceeds the device buffer.
+        ``indexed``: host memory for the candidate index.
+    schedule, threaded:
+        ``"serial"`` or ``"pipelined"`` (cross-batch stage overlap, same
+        results, annotated breakdowns); ``threaded=False`` keeps the
+        pipelined schedule on one thread.
+    devices:
+        The fan-out: a count or a :class:`~repro.gpu.device.ClusterConfig`;
+        ``devices > 1`` shards pack and match over a fleet.
+    partitioner, partitioner_opts, repartition, workers:
+        Fleet only: vertex-ownership strategy (``hash`` | ``range`` |
+        ``freq`` | ``mincut`` or an instance) and its tuning knobs; online
+        repartitioning (``True`` or a mapping /
+        :class:`~repro.multigpu.repartition.RepartitionConfig`); thread-pool
+        width for the per-shard steps (wall clock only).
+    """
+
+    device: DeviceConfig | None = None
+    placement: str = "cached"
+    policy: str | CachePolicy = "frequency"
+    num_walks: int | None = None
+    adaptive_walks: bool = False
+    cache_budget_bytes: int | None = None
+    survival: float | None = 1.0
+    seed: int | np.random.Generator | None = 0
+    conflict_mode: str = DEFAULT_CONFLICT_MODE
+    prefilter: str = DEFAULT_PREFILTER
+    strict_capacity: bool = True
+    memory_budget_bytes: int | None = None
+    schedule: str = "serial"
+    threaded: bool = True
+    devices: int | ClusterConfig | None = None
+    partitioner: object = "hash"
+    partitioner_opts: Mapping | None = None
+    repartition: object = None
+    workers: int | None = None
+
+    def __post_init__(self) -> None:
+        cached = self.placement == "cached"
+        require(self.placement in PLACEMENTS, f"unknown placement {self.placement!r}")
+        require(self.schedule in SCHEDULES, f"unknown schedule {self.schedule!r}")
+        object.__setattr__(self, "prefilter", normalize_prefilter(self.prefilter))
+        if self.devices is None:
+            require(not (self.partitioner_opts or self.repartition),
+                    "partitioner_opts/repartition require a fleet (pass devices=N)")
+        else:
+            require(isinstance(self.devices, ClusterConfig) or int(self.devices) >= 1,
+                    "devices must be >= 1")
+            require(cached, f"devices requires placement='cached', not {self.placement!r}")
+        require(cached or self.schedule == "serial",
+                f"the pipelined schedule requires placement='cached', not {self.placement!r}")
+
+
+# ----------------------------------------------------------------------
+# the placement plug
+# ----------------------------------------------------------------------
+@dataclass
+class MatchOutcome:
+    """What the match stage hands back to the host thread."""
+
+    stats: MatchStats
+    counters: AccessCounters
+    match_ns: float
+    view: GraphView | None = None  #: what the kernel read through (hits/misses)
+    comm_ns: float = 0.0  #: collective after the kernels drain (fleets only)
+
+
+@dataclass
+class StagedBatch:
+    """One batch in flight between the host stages and its result."""
+
+    batch: UpdateBatch  #: the canonicalized *effective* batch
+    breakdown: TimeBreakdown
+    conflicts: CanonicalReport | None
+    decision: PrefilterDecision | None = None
+    shipped: object = None  #: whatever the placement's ``prepare`` produced
+    outcome: MatchOutcome | None = None
+
+    @property
+    def skipped(self) -> bool:
+        """Certified ΔM = 0: estimation, packing and the kernel never run."""
+        return self.decision is not None and self.decision.skip_batch
+
+    def land(self, outcome: MatchOutcome) -> None:
+        """Record the joined match stage (host thread)."""
+        self.outcome = outcome
+        self.breakdown.match_ns = outcome.match_ns
+        self.breakdown.comm_ns = outcome.comm_ns
+
+
+class Placement:
+    """Where the kernel's reads are served from, and what has to be shipped
+    there first.  The base class is the "nothing shipped, nothing cached"
+    data path; subclasses override the hooks they need."""
+
+    #: result class the engine instantiates (fleets add diagnostics)
+    result_type = BatchResult
+    #: per-query-vertex candidate arrays handed to the kernel (``indexed``)
+    filters: dict[int, np.ndarray] | None = None
+
+    def __init__(self, engine: "GCSMEngine") -> None:
+        # weak: the engine owns its placement, and an engine (with its whole
+        # store) must be freed when dropped, not whenever the cycle collector
+        # next runs — services and benchmarks build engines in a loop
+        self.engine = weakref.proxy(engine)
+
+    def compile_plans(self, query: QueryGraph) -> list[MatchPlan]:
+        return compile_delta_plans(query)
+
+    def maintain(self, batch: UpdateBatch, counters: AccessCounters) -> None:
+        """Host maintenance riding on the update; charged into ``update_ns``."""
+
+    def prepare(
+        self, batch: UpdateBatch, decision: PrefilterDecision | None,
+        breakdown: TimeBreakdown,
+    ) -> object:
+        """Estimate / pack / ship for ``batch``; fills ``estimate_ns`` and
+        ``pack_ns`` and returns the shipped state ``match`` reads."""
+        return None
+
+    def view(self, graph: DynamicGraph, counters: AccessCounters,
+             shipped: object) -> GraphView:
+        raise NotImplementedError
+
+    def match(
+        self, batch: UpdateBatch, shipped: object, graph: DynamicGraph,
+        decision: PrefilterDecision | None,
+    ) -> MatchOutcome:
+        """The kernel stage.  ``graph`` is the store the view dereferences —
+        the live one, or a frozen epoch under the pipelined schedule (the
+        decision's masks are immutable, so this is safe to overlap)."""
+        engine = self.engine
+        counters = AccessCounters()
+        view = self.view(graph, counters, shipped)
+        stats = engine.match(
+            engine.plans, batch, view, filters=self.filters, prefilter=decision,
+            attributes=engine.attributes,
+        )
+        ns = simulated_time_ns(counters, engine.device, platform=view.platform)
+        return MatchOutcome(stats, counters, ns, view)
+
+    def bookkeeping(self, shipped: object, outcome: MatchOutcome | None) -> dict:
+        """The placement-specific :class:`BatchResult` fields; ``outcome`` is
+        ``None`` for a certified-skip batch."""
+        return {}
+
+
+class CachedPlacement(Placement):
+    """GCSM's data path: estimate, select, pack one DCSR buffer, single DMA;
+    the kernel hits the cache or falls back to zero-copy."""
+
+    def estimate(
+        self, batch: UpdateBatch, decision: PrefilterDecision | None,
+        breakdown: TimeBreakdown,
+    ) -> EstimationResult | None:
+        """CPU stage 2: merged-random-walk estimation (policy-gated); root-
+        masked updates shrink the walk budget and the packed cache."""
+        engine, cfg = self.engine, self.engine.config
+        if not engine.policy.requires_estimation:
+            return None
+        if decision is not None:
+            batch = decision.estimate_batch
+        if cfg.adaptive_walks:
+            estimation = engine.estimator.estimate_adaptive(
+                engine.plans, batch, initial_walks=cfg.num_walks
+            )
+        else:
+            estimation = engine.estimator.estimate(
+                engine.plans, batch, num_walks=cfg.num_walks
+            )
+        breakdown.estimate_ns = simulated_time_ns(
+            estimation.counters, engine.device, platform="cpu_estimator"
+        )
+        return estimation
+
+    def prepare(self, batch, decision, breakdown):
+        engine = self.engine
+        estimation = self.estimate(batch, decision, breakdown)
+        frequencies = estimation.frequencies if estimation is not None else None
+        selected = engine.policy.select(
+            engine.graph, frequencies, engine.cache_budget_bytes
+        )
+        cache, breakdown.pack_ns = pack_step(engine.graph, selected, engine.device)
+        return estimation, selected, cache
+
+    def view(self, graph, counters, shipped):
+        return CachedDeviceView(graph, self.engine.device, counters, shipped[2])
+
+    def bookkeeping(self, shipped, outcome):
+        if outcome is None:
+            return {}
+        estimation, selected, cache = shipped
+        return dict(
+            estimation=estimation, cached_vertices=selected,
+            cache_bytes=cache.total_bytes, cache_hits=outcome.view.hits,
+            cache_misses=outcome.view.misses,
+        )
+
+
+# ----------------------------------------------------------------------
+# the schedule plug
+# ----------------------------------------------------------------------
+class SerialSchedule:
+    """Match, then reorganize, one batch at a time (the paper's Fig. 3)."""
+
+    clock = None
+
+    def run_batch(self, engine: "GCSMEngine", raw: UpdateBatch) -> BatchResult:
+        staged = engine.stage_host(raw)
+        if not staged.skipped:
+            with engine.settling():
+                self.run_device(engine, staged)
+        return self.finish(engine, staged)
+
+    def run_device(self, engine: "GCSMEngine", staged: StagedBatch) -> None:
+        staged.land(engine.stage_match(staged))
+        staged.breakdown.reorg_ns = engine.stage_reorganize()
+
+    def finish(self, engine: "GCSMEngine", staged: StagedBatch) -> BatchResult:
+        return engine.finish(staged)
+
+    def run_stream(self, engine: "GCSMEngine", batches) -> list[BatchResult]:
+        return [self.run_batch(engine, b) for b in batches]
+
+
+# ----------------------------------------------------------------------
+# the engine
+# ----------------------------------------------------------------------
+class GCSMEngine:
+    """Continuous subgraph matching over one staged per-batch pipeline.
+
+    ``GCSMEngine(initial_graph, query, **settings)`` builds the paper's
+    system; ``settings`` are :class:`EngineConfig` fields (or pass a ready
+    ``config`` and override fields of it).  ``initial_graph`` is the ``G_0``
+    snapshot, copied into the dynamic store; ``query`` the pattern to
+    monitor continuously.
+
+    ``estimator`` and ``match`` are plain attributes holding the two
+    kernels, so a parity suite can run the same pipeline on reference
+    kernels (:func:`repro.testing.use_reference_kernels`).
     """
 
     def __init__(
         self,
         initial_graph: StaticGraph,
         query: QueryGraph,
-        *,
-        device: DeviceConfig | None = None,
-        policy: str | CachePolicy = "frequency",
-        num_walks: int | None = None,
-        adaptive_walks: bool = False,
-        cache_budget_bytes: int | None = None,
-        survival: float | None = 1.0,
-        seed: int | np.random.Generator | None = 0,
-        executor: str = DEFAULT_EXECUTOR,
-        estimator: str = DEFAULT_ESTIMATOR,
-        conflict_mode: str = DEFAULT_CONFLICT_MODE,
-        prefilter: str = DEFAULT_PREFILTER,
+        config: EngineConfig | None = None,
+        **overrides,
     ) -> None:
-        self.device = device or default_device()
+        config = EngineConfig(**overrides) if config is None else replace(config, **overrides)
+        self.config = config
+        if config.devices is None:
+            self.cluster = None
+            self.device = config.device or default_device()
+        else:
+            self.cluster = (
+                config.devices
+                if isinstance(config.devices, ClusterConfig)
+                else ClusterConfig(
+                    num_devices=int(config.devices),
+                    base=config.device or default_device(),
+                )
+            )
+            self.device = self.cluster.device()
+        self.num_devices = self.cluster.num_devices if self.cluster else 1
         self.cache_budget_bytes = (
-            cache_budget_bytes
-            if cache_budget_bytes is not None
+            config.cache_budget_bytes
+            if config.cache_budget_bytes is not None
             else self.device.cache_buffer_bytes
         )
         self.graph = DynamicGraph(initial_graph)
         self.query = query
-        self.plans = compile_delta_plans(query)
         #: explicit-weight overlay for predicate pushdown; None when the
-        #: query carries no predicates (the common, weightless case).  The
-        #: overlay only changes behavior once ``set_weight`` records an
-        #: override, so the pipelined engine's stage overlap stays safe on
-        #: plain streams (lookups reduce to the pure hash).
+        #: query carries no predicates (the common, weightless case)
         self.attributes = EdgeAttributeStore() if query.has_predicates() else None
-        self.num_walks = num_walks
-        self.adaptive_walks = adaptive_walks
-        rng = as_generator(seed)
-        self.estimator = make_estimator(
-            estimator, self.graph, self.device,
-            seed=spawn_generator(rng), survival=survival,
+        self.estimator = FrontierFrequencyEstimator(
+            self.graph, self.device,
+            seed=spawn_generator(as_generator(config.seed)),
+            survival=config.survival,
         )
-        self.estimator_name = estimator
-        self.policy: CachePolicy = make_policy(policy)
-        self.executor = executor
-        self.conflict_mode = conflict_mode
-        self.prefilter_name = normalize_prefilter(prefilter)
-        self.prefilter_index = (
-            InvariantIndex(self.graph) if self.prefilter_name != "off" else None
+        self.match = match_batch
+        self.policy: CachePolicy = make_policy(config.policy)
+        #: one shared host-side index, also on a fleet: maintenance is a host
+        #: phase and the kernels only read precomputed masks
+        self.prefilter_index = make_prefilter(config.prefilter, self.graph)
+        self.placement: Placement = _load(
+            _FLEET if self.num_devices > 1 else PLACEMENTS[config.placement]
+        )(self)
+        #: the fleet placement when ``devices > 1`` (shards, partitioner,
+        #: ownership manager), else None
+        self.fleet = self.placement if self.num_devices > 1 else None
+        self.plans = self.placement.compile_plans(query)
+        self.schedule = (
+            _load("repro.service.pipeline:PipelinedSchedule")(config.threaded)
+            if config.schedule == "pipelined"
+            else SerialSchedule()
         )
         self.batches_processed = 0
         self.total_delta = 0
@@ -263,101 +576,83 @@ class GCSMEngine:
     # ------------------------------------------------------------------
     # pipeline stages
     #
-    # Each of the five steps is an explicit stage method whose resource
-    # class is declared in :data:`repro.gpu.clock.PIPELINE_STAGES` (CPU for
-    # update/estimate/pack/reorganize, GPU for match).  The stages only
-    # communicate through arguments and return values, never through
-    # hidden instance state, so :class:`repro.service.pipeline.PipelinedEngine`
-    # can legally re-sequence them — running the GPU match of batch *k*
-    # concurrently with the CPU stages of batch *k+1* — without changing
-    # any stage's inputs.
+    # The stages only communicate through the StagedBatch, never through
+    # hidden instance state, so a schedule can legally re-sequence them —
+    # running the GPU match of batch *k* concurrently with the CPU stages
+    # of batch *k+1* — without changing any stage's inputs.  Resource
+    # classes are declared in :data:`repro.gpu.clock.PIPELINE_STAGES`.
     # ------------------------------------------------------------------
-    def _stage_update(self, batch: UpdateBatch) -> tuple[UpdateBatch, float]:
-        """CPU stage 1: canonicalize ΔE and fold it into the store."""
-        effective, ns = update_step(self.graph, batch, self.device, self.conflict_mode)
+    @contextmanager
+    def settling(self):
+        """Settle on failure, once: if a stage raises after the update was
+        applied, reorganize the store and close the prefilter and attribute
+        overlays before re-raising, so the next batch finds a usable engine.
+        (The index is rebuilt from the settled store — the failed stage may
+        have run before or after its own ``apply_batch``.)"""
+        try:
+            yield
+        except BaseException:
+            if self.graph.batch_open:
+                self.graph.reorganize()
+                if self.prefilter_index is not None:
+                    self.prefilter_index.rebuild()
+            if self.attributes is not None:
+                self.attributes.close_batch()
+            raise
+
+    def _on_applied(self, batch: UpdateBatch, counters: AccessCounters) -> None:
         if self.attributes is not None:
             # track override lifecycle against the effective batch (delete
             # removal is deferred to close_batch so OLD reads stay correct)
-            self.attributes.apply_batch(effective)
-        return effective, ns
+            self.attributes.apply_batch(batch)
+        self.placement.maintain(batch, counters)
 
-    def _stage_prefilter(
-        self, batch: UpdateBatch
-    ) -> tuple[PrefilterDecision | None, float]:
+    def _prefilter(self, batch: UpdateBatch, breakdown: TimeBreakdown):
         """CPU stage 1b: maintain the aggregate-invariant index and certify
-        skips for this (effective) batch.
-
-        Runs on the host right after update, while the batch is open.  The
-        decision's per-plan root masks are fully materialized here, so the
-        (possibly concurrent) match stage never reads the live index — the
-        pipelined engine mutates it for batch *k+1* while batch *k* is
-        still matching.  Returns ``(None, 0.0)`` with ``prefilter="off"``.
-        """
-        if self.prefilter_index is None:
-            return None, 0.0
-        counters = self.prefilter_index.apply_batch(batch)
-        decision = self.prefilter_index.evaluate(self.plans, batch)
+        skips for this (effective) batch.  The decision's per-plan root
+        masks are fully materialized here, so the (possibly concurrent)
+        match stage never reads the live index."""
+        index = self.prefilter_index
+        if index is None:
+            return None
+        counters = index.apply_batch(batch)
+        decision = index.evaluate(self.plans, batch)
         counters.merge(decision.counters)
-        return decision, simulated_time_ns(counters, self.device, platform="cpu")
+        breakdown.prefilter_ns = simulated_time_ns(counters, self.device, platform="cpu")
+        return decision
 
-    def _stage_estimate(
-        self, batch: UpdateBatch
-    ) -> tuple[EstimationResult | None, float]:
-        """CPU stage 2: merged-random-walk frequency estimation (policy-gated)."""
-        if not self.policy.requires_estimation:
-            return None, 0.0
-        if self.adaptive_walks:
-            estimation = self.estimator.estimate_adaptive(
-                self.plans, batch, initial_walks=self.num_walks
+    def stage_host(self, raw: UpdateBatch) -> StagedBatch:
+        """CPU stages update → prefilter → prepare (or, for a certified
+        ΔM = 0 batch, straight to reorganize — the update really happened)."""
+        require(len(raw) > 0, "empty batch")
+        breakdown = TimeBreakdown()
+        with self.settling():
+            # every later step runs on the canonicalized *effective* batch
+            batch, breakdown.update_ns = update_step(
+                self.graph, raw, self.device, self.config.conflict_mode,
+                self._on_applied,
             )
-        else:
-            estimation = self.estimator.estimate(
-                self.plans, batch, num_walks=self.num_walks
-            )
-        ns = simulated_time_ns(
-            estimation.counters, self.device, platform="cpu_estimator"
+            staged = StagedBatch(batch, breakdown, self.graph.last_canonical_report)
+            staged.decision = self._prefilter(batch, breakdown)
+            if staged.skipped:
+                breakdown.reorg_ns = self.stage_reorganize()
+            else:
+                staged.shipped = self.placement.prepare(
+                    batch, staged.decision, breakdown
+                )
+        return staged
+
+    def stage_match(
+        self, staged: StagedBatch, graph: DynamicGraph | None = None
+    ) -> MatchOutcome:
+        """GPU stage 4: the incremental WCOJ kernel (``graph`` overrides the
+        store the views dereference with a frozen epoch)."""
+        return self.placement.match(
+            staged.batch, staged.shipped,
+            graph if graph is not None else self.graph, staged.decision,
         )
-        return estimation, ns
 
-    def _stage_pack(
-        self, estimation: EstimationResult | None
-    ) -> tuple[np.ndarray, DcsrCache, float]:
-        """CPU stage 3: select + pack frequent lists, single DMA to device."""
-        frequencies = estimation.frequencies if estimation is not None else None
-        selected = self.policy.select(self.graph, frequencies, self.cache_budget_bytes)
-        cache, ns = pack_step(self.graph, selected, self.device)
-        return selected, cache, ns
-
-    def _stage_match(
-        self,
-        batch: UpdateBatch,
-        cache: DcsrCache,
-        graph: DynamicGraph | None = None,
-        prefilter: PrefilterDecision | None = None,
-    ) -> tuple[MatchStats, AccessCounters, CachedDeviceView, float]:
-        """GPU stage 4: the incremental WCOJ kernel.
-
-        ``graph`` overrides the store the device view dereferences for
-        zero-copy fallthrough — the pipelined engine passes a
-        :class:`~repro.graphs.dynamic_graph.FrozenDynamicGraph` epoch so the
-        kernel keeps reading batch *k*'s state while the host already
-        mutates the live store for batch *k+1*.  ``prefilter`` is the
-        host-precomputed certified root-skip decision for this batch (its
-        masks are immutable, so this stage stays safe to overlap).
-        """
-        match_counters = AccessCounters()
-        view = CachedDeviceView(
-            graph if graph is not None else self.graph,
-            self.device, match_counters, cache,
-        )
-        stats = match_batch(
-            self.plans, batch, view, prefilter=prefilter, executor=self.executor,
-            attributes=self.attributes,
-        )
-        ns = simulated_time_ns(match_counters, self.device, platform="gpu")
-        return stats, match_counters, view, ns
-
-    def _stage_reorganize(self) -> float:
+    def stage_reorganize(self) -> float:
         """CPU stage 5: re-sort updated lists, close the batch."""
         ns = reorganize_step(self.graph, self.device)
         if self.prefilter_index is not None:
@@ -367,75 +662,47 @@ class GCSMEngine:
             self.attributes.close_batch()
         return ns
 
-    # ------------------------------------------------------------------
-    def process_batch(self, batch: UpdateBatch) -> BatchResult:
-        """Run the full five-step pipeline for one batch."""
-        require(len(batch) > 0, "empty batch")
-        breakdown = TimeBreakdown()
-
-        # -- step 1: dynamic graph update on the CPU ----------------------
-        # every later step runs on the canonicalized *effective* batch
-        batch, breakdown.update_ns = self._stage_update(batch)
-        conflicts = self.graph.last_canonical_report
-
-        # -- step 1b: invariant maintenance + certified skip decision -----
-        decision, breakdown.prefilter_ns = self._stage_prefilter(batch)
-        if decision is not None and decision.skip_batch:
-            # certified ΔM = 0: skip estimation, packing, and the kernel;
-            # the store still reorganizes (the update really happened)
-            breakdown.reorg_ns = self._stage_reorganize()
-            self.batches_processed += 1
-            return BatchResult(
-                delta_count=0,
-                match_stats=MatchStats(roots_skipped=decision.roots_total),
-                breakdown=breakdown,
-                match_counters=AccessCounters(),
-                estimation=None,
-                cached_vertices=np.empty(0, dtype=VERTEX_DTYPE),
-                cache_bytes=0,
-                cache_hits=0,
-                cache_misses=0,
-                conflicts=conflicts,
-                prefilter=decision.to_stats(breakdown.prefilter_ns),
-            )
-
-        # -- step 2: frequency estimation (CPU) ---------------------------
-        # root-masked updates shrink the walk budget and the packed cache
-        estimate_input = decision.estimate_batch if decision is not None else batch
-        estimation, breakdown.estimate_ns = self._stage_estimate(estimate_input)
-
-        # -- step 3: pack frequent lists + single DMA ----------------------
-        selected, cache, breakdown.pack_ns = self._stage_pack(estimation)
-
-        # -- step 4: incremental matching on the GPU -----------------------
-        stats, match_counters, view, breakdown.match_ns = self._stage_match(
-            batch, cache, prefilter=decision
-        )
-
-        # -- step 5: reorganize CPU lists ----------------------------------
-        breakdown.reorg_ns = self._stage_reorganize()
-
+    def finish(self, staged: StagedBatch) -> BatchResult:
+        """Fold a staged batch into its result (the skipped-batch result is
+        the same code with no outcome)."""
+        outcome, decision = staged.outcome, staged.decision
+        if outcome is None:
+            stats = MatchStats(roots_skipped=decision.roots_total)
+            counters = AccessCounters()
+        else:
+            stats, counters = outcome.stats, outcome.counters
+        prefilter = None
+        if decision is not None:
+            prefilter = decision.to_stats(staged.breakdown.prefilter_ns)
+            # report the drops the kernel actually saw (candidate filters may
+            # have removed certified-skippable roots first)
+            prefilter.roots_skipped = stats.roots_skipped
         self.batches_processed += 1
         self.total_delta += stats.signed_count
-        return BatchResult(
+        return self.placement.result_type(
             delta_count=stats.signed_count,
             match_stats=stats,
-            breakdown=breakdown,
-            match_counters=match_counters,
-            estimation=estimation,
-            cached_vertices=selected,
-            cache_bytes=cache.total_bytes,
-            cache_hits=view.hits,
-            cache_misses=view.misses,
-            conflicts=conflicts,
-            prefilter=decision.to_stats(breakdown.prefilter_ns)
-            if decision is not None
-            else None,
+            breakdown=staged.breakdown,
+            match_counters=counters,
+            conflicts=staged.conflicts,
+            prefilter=prefilter,
+            **self.placement.bookkeeping(staged.shipped, outcome),
         )
 
+    # ------------------------------------------------------------------
+    def process_batch(self, batch: UpdateBatch) -> BatchResult:
+        """Run the full pipeline for one batch under the configured schedule."""
+        return self.schedule.run_batch(self, batch)
+
     def process_stream(self, batches: list[UpdateBatch]) -> list[BatchResult]:
-        """Convenience: process a whole stream, returning per-batch results."""
-        return [self.process_batch(b) for b in batches]
+        """Process a whole stream, returning per-batch results in order."""
+        return self.schedule.run_stream(self, batches)
+
+    def schedule_report(self) -> ScheduleReport:
+        """Stream-level pipeline summary (``schedule="pipelined"`` only)."""
+        require(self.schedule.clock is not None,
+                "engine built without schedule='pipelined'")
+        return self.schedule.clock.report()
 
     def initial_match(self) -> tuple[int, float]:
         """Match the query on the current settled snapshot (paper Fig. 2a).
@@ -443,18 +710,14 @@ class GCSMEngine:
         CSM deployments bootstrap with one static matching pass before
         switching to incremental maintenance.  Prior GPU work covers this
         case (STMatch et al., paper Sec. III); here the snapshot is matched
-        with the same kernel through the zero-copy path (the graph lives on
-        the CPU).  Returns ``(embedding_count, simulated_ns)``.
+        with the same kernel through the zero-copy path on one device (the
+        graph lives on the CPU).  Returns ``(embedding_count, simulated_ns)``.
         """
         require(not self.graph.batch_open, "settle the open batch first")
-        from repro.core.matching import match_static
-        from repro.gpu.views import ZeroCopyView
-        from repro.query.plan import compile_static_plan
-
         counters = AccessCounters()
         view = ZeroCopyView(self.graph, self.device, counters)
         stats = match_static(
-            compile_static_plan(self.query), view, executor=self.executor
+            compile_static_plan(self.query), view, attributes=self.attributes
         )
         return stats.signed_count, simulated_time_ns(counters, self.device, platform="gpu")
 

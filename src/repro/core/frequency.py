@@ -29,72 +29,35 @@ total time); Eq. (5)'s sample-size bound is exposed as
 :func:`required_walks` and drives the adaptive re-sampling loop of
 :meth:`FrequencyEstimator.estimate_adaptive`.
 
-Two samplers implement this contract (mirroring the executor pair of
-:mod:`repro.core.matching`):
-
-* ``estimator="frontier"`` (default) — the level-synchronous merged-walk
-  sampler of :mod:`repro.core.frequency_frontier`: one flat frontier of
-  ``(bound_vertices, multiplicity, weight)`` rows per execution-tree level,
-  expanded with vectorized binomial draws and sorted-set kernels.
-* ``estimator="recursive"`` — the per-node depth-first reference below,
-  kept as the parity oracle (see ``docs/frequency.md`` for the three-layer
-  parity contract the two must satisfy).
+The sampler the engines run is the level-synchronous merged-walk sampler of
+:mod:`repro.core.frequency_frontier` (one flat frontier of ``(bound_vertices,
+multiplicity, weight)`` rows per execution-tree level).  This module holds
+what it shares with its per-node depth-first parity oracle
+(:class:`repro.testing.kernels.RecursiveFrequencyEstimator`): the budget
+formulas, the result type, and the :class:`FrequencyEstimator` base with the
+adaptive re-sampling loop (see ``docs/frequency.md`` for the three-layer
+parity contract the two samplers must satisfy).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.stream import UpdateBatch
-from repro.gpu.counters import AccessCounters, Channel
-from repro.gpu.device import BYTES_PER_NEIGHBOR, DeviceConfig
-from repro.query.pattern import WILDCARD_LABEL
-from repro.query.plan import EdgeVersion, MatchPlan
-from repro.core.matching import delta_roots
-from repro.utils import as_generator, merge_sorted, require
+from repro.gpu.counters import AccessCounters
+from repro.gpu.device import DeviceConfig
+from repro.query.plan import MatchPlan
+from repro.utils import as_generator, require
 
 __all__ = [
     "EstimationResult",
     "FrequencyEstimator",
     "required_walks",
     "default_num_walks",
-    "make_estimator",
-    "ESTIMATORS",
-    "DEFAULT_ESTIMATOR",
 ]
-
-#: recognized ``estimator=`` values for :func:`make_estimator` and the engines
-ESTIMATORS = ("frontier", "recursive")
-DEFAULT_ESTIMATOR = "frontier"
-
-
-def make_estimator(
-    name: str,
-    graph: DynamicGraph,
-    device: DeviceConfig,
-    *,
-    seed: int | np.random.Generator | None = 0,
-    survival: float | None = None,
-) -> "FrequencyEstimator":
-    """Resolve an estimator name to an instance (the executor-pair analog).
-
-    ``"frontier"`` returns the level-synchronous merged-frontier sampler
-    (:class:`~repro.core.frequency_frontier.FrontierFrequencyEstimator`);
-    ``"recursive"`` the depth-first reference.  Both share the paper's
-    statistical contract, and in the deterministic full-expansion regime
-    they agree exactly (frequencies, counters, nodes visited).
-    """
-    if name == "frontier":
-        from repro.core.frequency_frontier import FrontierFrequencyEstimator
-
-        return FrontierFrequencyEstimator(graph, device, seed=seed, survival=survival)
-    if name == "recursive":
-        return FrequencyEstimator(graph, device, seed=seed, survival=survival)
-    raise ValueError(f"unknown estimator {name!r}; expected one of {ESTIMATORS}")
 
 
 def required_walks(
@@ -174,7 +137,12 @@ class EstimationResult:
 
 
 class FrequencyEstimator:
-    """Merged-binomial random-walk estimator over the ΔM_i execution trees."""
+    """Merged-binomial random-walk estimator over the ΔM_i execution trees.
+
+    Base of the production sampler and its recursive oracle: subclasses
+    implement :meth:`estimate`; the walk-continuation schedule and the
+    Eq. (5) re-sampling loop are shared.
+    """
 
     def __init__(
         self,
@@ -218,39 +186,7 @@ class FrequencyEstimator:
         The walk budget is split evenly across the m plans (each ΔM_i tree
         is sampled independently; their access frequencies add).
         """
-        graph = self.graph
-        labels = graph.labels
-        n = graph.num_vertices
-        if max_degree is None:
-            max_degree = max(1, graph.max_degree())
-        if num_walks is None:
-            num_walks = default_num_walks(
-                len(batch), max_degree, plans[0].query.num_vertices
-            )
-        counters = AccessCounters()
-        freq = np.zeros(n, dtype=np.float64)
-        nodes_visited = 0
-        walks_per_plan = max(1, num_walks // max(1, len(plans)))
-        inv_d = 1.0 / max_degree
-
-        for plan in plans:
-            roots, _signs = delta_roots(plan, batch, labels)
-            num_roots = roots.shape[0]
-            if num_roots == 0:
-                continue
-            # B_root ~ Binomial(M, 1/|ΔR_i|) per root (merged execution)
-            b_roots = self.rng.binomial(walks_per_plan, 1.0 / num_roots, size=num_roots)
-            bound = np.empty(plan.depth, dtype=np.int64)
-            for r in np.nonzero(b_roots > 0)[0]:
-                bound[0], bound[1] = roots[r]
-                nodes_visited += self._walk(
-                    plan, bound, level_index=0, multiplicity=int(b_roots[r]),
-                    weight=float(num_roots), inv_d=inv_d, freq=freq,
-                    counters=counters, labels=labels,
-                )
-        if num_walks > 0:
-            freq /= walks_per_plan
-        return EstimationResult(freq, num_walks, nodes_visited, counters)
+        raise NotImplementedError
 
     def estimate_adaptive(
         self,
@@ -295,99 +231,3 @@ class FrequencyEstimator:
                 extra.counters,
             )
         return result
-
-    # ------------------------------------------------------------------
-    def _fetch(
-        self,
-        v: int,
-        version: EdgeVersion,
-        counters: AccessCounters,
-        multiplicity: int,
-        weight: float,
-        freq: np.ndarray,
-    ) -> np.ndarray:
-        """Read a versioned list on the CPU, recording the access for FE cost
-        and charging the frequency estimate for vertex ``v``."""
-        if version is EdgeVersion.OLD:
-            arr = self.graph.neighbors_old(v)
-        else:
-            base, delta = self.graph.neighbors_new_parts(v)
-            # both runs arrive sorted from the store, so the linear merge
-            # kernel replaces the O(n log n) concatenate-then-sort
-            arr = merge_sorted(base, delta) if delta.size else base
-        counters.record_access(Channel.CPU_DRAM, v, arr.size * BYTES_PER_NEIGHBOR)
-        counters.record_compute(arr.size + 1)
-        freq[v] += multiplicity * weight
-        return arr
-
-    def _walk(
-        self,
-        plan: MatchPlan,
-        bound: np.ndarray,
-        level_index: int,
-        multiplicity: int,
-        weight: float,
-        inv_d: float,
-        freq: np.ndarray,
-        counters: AccessCounters,
-        labels: np.ndarray,
-    ) -> int:
-        """Expand one execution-tree node with merged multiplicity ``B``.
-
-        ``weight`` is the inverse sampling probability of *this* node
-        (``|ΔE| · D^{level-1}``); accesses performed here are charged at that
-        weight times the node multiplicity (paper Eq. 3).
-        """
-        if level_index >= len(plan.levels):
-            return 1
-        lvl = plan.levels[level_index]
-        # mirror the executor: visit constraints smallest-list-first so the
-        # sampled accesses follow the exact kernel's access pattern
-        def _len_of(c):
-            v = int(bound[c.position])
-            return (self.graph.degree_old(v) if c.version is EdgeVersion.OLD
-                    else self.graph.degree_new(v))
-
-        cand: np.ndarray | None = None
-        for c in sorted(lvl.constraints, key=_len_of):
-            arr = self._fetch(
-                int(bound[c.position]), c.version, counters, multiplicity, weight, freq
-            )
-            if cand is None:
-                cand = arr
-            else:
-                counters.record_compute(cand.size + arr.size)
-                cand = np.intersect1d(cand, arr, assume_unique=True)
-            if cand.size == 0:
-                return 1
-        assert cand is not None
-        if lvl.label != WILDCARD_LABEL:
-            cand = cand[labels[cand] == lvl.label]
-        for i in range(level_index + 2):
-            cand = cand[cand != bound[i]]
-        counters.record_compute(cand.size)
-        if cand.size == 0:
-            return 1
-        nodes = 1
-        if self.survival is None:
-            child_p = inv_d  # paper schedule: 1/D per child
-        else:
-            child_p = min(1.0, self.survival / cand.size)
-        if child_p >= 1.0:
-            # saturated continuation: every child survives with its parent's
-            # full multiplicity.  Skipping the (degenerate) binomial draw
-            # keeps the RNG stream aligned with the frontier sampler, which
-            # is what makes the deterministic-regime parity *exact* across
-            # multiple plans (only root draws consume randomness there).
-            b_children = np.full(cand.size, multiplicity, dtype=np.int64)
-        else:
-            b_children = self.rng.binomial(multiplicity, child_p, size=cand.size)
-        live = np.nonzero(b_children > 0)[0]
-        child_weight = weight / child_p  # inverse sampling probability so far
-        for j in live:
-            bound[level_index + 2] = cand[j]
-            nodes += self._walk(
-                plan, bound, level_index + 1, int(b_children[j]), child_weight,
-                inv_d, freq, counters, labels,
-            )
-        return nodes

@@ -1,6 +1,6 @@
 """Level-synchronous merged-frontier frequency estimator (the GPU analog).
 
-The recursive sampler in :mod:`repro.core.frequency` expands one execution
+The recursive sampler in :mod:`repro.testing.kernels` expands one execution
 tree node per Python frame — one ``np.intersect1d``, one scalar binomial
 draw, one ``_fetch`` pair of counter updates per node.  That is faithful to
 the paper's description but interpreter-bound, exactly like the recursive
@@ -62,11 +62,12 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 
 class FrontierFrequencyEstimator(FrequencyEstimator):
-    """Drop-in peer of :class:`~repro.core.frequency.FrequencyEstimator`.
+    """The production sampler: level-synchronous merged walks.
 
-    Same constructor, same ``estimate``/``estimate_adaptive`` signatures and
-    statistical contract; the execution shape is level-synchronous instead
-    of recursive.
+    Same constructor, ``estimate``/``estimate_adaptive`` signatures and
+    statistical contract as its recursive oracle
+    (:class:`repro.testing.kernels.RecursiveFrequencyEstimator`); the
+    execution shape is level-synchronous instead of recursive.
     """
 
     #: touched-vertex snapshot of the batch being estimated (set per call)

@@ -1,6 +1,6 @@
 """Frontier-based batched WCOJ executor (the warp-centric kernel analog).
 
-The recursive executor in :mod:`repro.core.matching` expands one root at a
+The recursive executor in :mod:`repro.testing.kernels` expands one root at a
 time, descending per candidate in Python — faithful, but the per-node
 interpreter overhead dominates wall-clock.  Real GPU matchers (GSI's
 Prealloc-Combine joins, Gunrock's subgraph-matching advance/filter

@@ -24,20 +24,18 @@ The executor is shared verbatim by GCSM and every baseline — exactly the
 paper's "all the GPU versions use the same GPU kernel" setup — with only the
 view deciding where reads are served from.
 
-Two executors implement this contract:
-
-* ``executor="frontier"`` (default) — the level-synchronous batched
-  executor of :mod:`repro.core.frontier`: all roots expand one query-vertex
-  level at a time across a partial-embedding frontier, with vectorized
-  sorted-set kernels.  Bit-identical counters, ≥3× lower wall-clock.
-* ``executor="recursive"`` — the original per-root depth-first reference
-  implementation below; kept as the parity oracle and escape hatch.
+The kernel itself is the level-synchronous batched executor of
+:mod:`repro.core.frontier`: all roots expand one query-vertex level at a
+time across a partial-embedding frontier, with vectorized sorted-set
+kernels.  The per-root depth-first executor it replaced lives on as a
+parity oracle in :mod:`repro.testing.kernels`; both consume the roots
+:func:`batch_roots` generates, so they see identical inputs by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -45,25 +43,21 @@ from repro.graphs.attributes import edge_weights
 from repro.graphs.stream import UpdateBatch
 from repro.gpu.views import GraphView
 from repro.query.pattern import WILDCARD_LABEL
-from repro.query.plan import EdgeVersion, MatchPlan
-from repro.utils import VERTEX_DTYPE, intersect_sorted, merge_sorted
+from repro.query.plan import MatchPlan
+from repro.utils import VERTEX_DTYPE, merge_sorted
 
 __all__ = [
     "MatchStats",
     "match_batch",
     "match_static",
+    "batch_roots",
     "delta_roots",
+    "root_label_mask",
     "static_roots",
     "filter_root_predicate",
-    "EXECUTORS",
-    "DEFAULT_EXECUTOR",
 ]
 
 EmbeddingSink = Callable[[tuple[int, ...], int], None]
-
-#: recognized ``executor=`` values for :func:`match_batch` / :func:`match_static`
-EXECUTORS = ("frontier", "recursive")
-DEFAULT_EXECUTOR = "frontier"
 
 
 @dataclass
@@ -111,153 +105,23 @@ def _merge_runs(runs: tuple[np.ndarray, ...]) -> np.ndarray:
     return merged
 
 
-def _intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return intersect_sorted(a, b)
-
-
-class _PlanExecutor:
-    """Depth-first execution of one plan over a set of roots."""
-
-    def __init__(
-        self,
-        plan: MatchPlan,
-        view: GraphView,
-        labels: np.ndarray,
-        sink: EmbeddingSink | None,
-        filters: dict[int, np.ndarray] | None = None,
-        attributes=None,
-    ) -> None:
-        self.plan = plan
-        self.view = view
-        self.labels = labels
-        self.sink = sink
-        #: optional per-query-vertex candidate sets (sorted arrays); used by
-        #: the RapidFlow baseline's candidate-index pruning
-        self.filters = filters or {}
-        #: optional edge-weight provider for predicate pushdown (an
-        #: ``EdgeAttributeStore``); None falls back to the hash default
-        self.attributes = attributes
-        #: per-level predicated constraints, in plan constraint order
-        self._preds = [
-            tuple(c for c in lvl.constraints if c.predicate is not None)
-            for lvl in plan.levels
-        ]
-        self.stats = MatchStats()
-        # merged-array memo: the kernel re-reads lists (recorded by the view)
-        # but we keep one merged Python object per (vertex, version family)
-        self._merged: dict[tuple[int, bool], np.ndarray] = {}
-        self._bound = np.empty(plan.depth, dtype=VERTEX_DTYPE)
-
-    def _versioned_list(self, v: int, version: EdgeVersion) -> np.ndarray:
-        runs = self.view.fetch(v, version)  # records the access every time
-        key = (v, version is EdgeVersion.OLD)
-        arr = self._merged.get(key)
-        if arr is None:
-            arr = _merge_runs(runs)
-            self._merged[key] = arr
-        return arr
-
-    def run_root(self, x_a: int, x_b: int, sign: int) -> None:
-        self.stats.roots_processed += 1
-        self.stats.tree_nodes += 1
-        self._bound[0] = x_a
-        self._bound[1] = x_b
-        if self.plan.depth == 2:
-            self._emit(2, 1, sign, leaf_candidates=None)
-            return
-        self._expand(0, sign)
-
-    # ------------------------------------------------------------------
-    def _candidates(self, level_index: int, bound_count: int) -> np.ndarray:
-        lvl = self.plan.levels[level_index]
-        counters = self.view.counters
-        # smallest constraint list first: maximal early pruning
-        cons = sorted(
-            lvl.constraints,
-            key=lambda c: self.view.degree_bound(int(self._bound[c.position]), c.version),
-        )
-        first = cons[0]
-        cand = self._versioned_list(int(self._bound[first.position]), first.version)
-        counters.record_compute(cand.size)
-        for c in cons[1:]:
-            if cand.size == 0:
-                break
-            other = self._versioned_list(int(self._bound[c.position]), c.version)
-            counters.record_compute(cand.size + other.size)
-            cand = _intersect(cand, other)
-        if cand.size == 0:
-            return cand
-        cand_filter = self.filters.get(lvl.query_vertex)
-        if cand_filter is not None:
-            # candidate-index pruning (RapidFlow): the index already encodes
-            # the label constraint, so it subsumes the label check.  Real
-            # implementations keep membership bitmaps, so the probe is O(1)
-            # per candidate (charged 1 op each); this simulation uses a
-            # sorted-array intersection for the same result.
-            counters.record_compute(cand.size)
-            cand = _intersect(cand, cand_filter)
-        elif lvl.label != WILDCARD_LABEL:
-            cand = cand[self.labels[cand] == lvl.label]
-        # predicate pushdown: one weight probe per surviving candidate, one
-        # predicated constraint at a time (plan constraint order) — the
-        # frontier executor reproduces these charges as per-level sums
-        for c in self._preds[level_index]:
-            if cand.size == 0:
-                break
-            counters.record_compute(cand.size)
-            anchor = int(self._bound[c.position])
-            if self.attributes is not None:
-                w = self.attributes.pair_weights(anchor, cand)
-            else:
-                w = edge_weights(anchor, cand)
-            lo, hi = c.predicate
-            cand = cand[(w >= lo) & (w <= hi)]
-        for i in range(bound_count):  # injectivity
-            if cand.size == 0:
-                break
-            cand = cand[cand != self._bound[i]]
-        counters.record_compute(cand.size)
-        return cand
-
-    def _expand(self, level_index: int, sign: int) -> None:
-        bound_count = level_index + 2
-        cand = self._candidates(level_index, bound_count)
-        if cand.size == 0:
-            return
-        last = level_index == len(self.plan.levels) - 1
-        if last:
-            self._emit(bound_count, cand.size, sign, leaf_candidates=cand)
-            return
-        for v in cand.tolist():
-            self.stats.tree_nodes += 1
-            self._bound[bound_count] = v
-            self._expand(level_index + 1, sign)
-
-    def _emit(self, bound_count: int, count: int, sign: int,
-              leaf_candidates: np.ndarray | None) -> None:
-        self.stats.signed_count += sign * count
-        self.stats.embeddings_found += count
-        self.stats.tree_nodes += count if leaf_candidates is not None else 0
-        self.view.counters.record_output(count)
-        self.view.counters.record_compute(count * self.plan.depth)
-        if self.sink is not None:
-            order = self.plan.order
-            inverse = np.empty(len(order), dtype=np.int64)
-            for pos, u in enumerate(order):
-                inverse[u] = pos
-            if leaf_candidates is None:
-                emb = tuple(int(self._bound[inverse[u]]) for u in range(len(order)))
-                self.sink(emb, sign)
-            else:
-                for v in leaf_candidates.tolist():
-                    self._bound[bound_count] = v
-                    emb = tuple(int(self._bound[inverse[u]]) for u in range(len(order)))
-                    self.sink(emb, sign)
-
-
 # ----------------------------------------------------------------------
 # root generation
 # ----------------------------------------------------------------------
+def root_label_mask(
+    plan: MatchPlan, directed: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """Which directed edges ``(r, 2)`` can map to the plan's root query edge
+    by endpoint label (wildcards match anything)."""
+    la, lb = plan.root_labels()
+    mask = np.ones(directed.shape[0], dtype=bool)
+    if la != WILDCARD_LABEL:
+        mask &= labels[directed[:, 0]] == la
+    if lb != WILDCARD_LABEL:
+        mask &= labels[directed[:, 1]] == lb
+    return mask
+
+
 def delta_roots(
     plan: MatchPlan, batch: UpdateBatch, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -270,12 +134,7 @@ def delta_roots(
     edges, signs = batch.directed_updates()
     if edges.shape[0] == 0:
         return edges, signs
-    la, lb = plan.root_labels()
-    mask = np.ones(edges.shape[0], dtype=bool)
-    if la != WILDCARD_LABEL:
-        mask &= labels[edges[:, 0]] == la
-    if lb != WILDCARD_LABEL:
-        mask &= labels[edges[:, 1]] == lb
+    mask = root_label_mask(plan, edges, labels)
     return edges[mask], signs[mask]
 
 
@@ -287,13 +146,7 @@ def static_roots(
         empty = np.empty((0, 2), dtype=VERTEX_DTYPE)
         return empty, np.empty(0, dtype=np.int64)
     directed = np.concatenate([edge_array, edge_array[:, ::-1]], axis=0)
-    la, lb = plan.root_labels()
-    mask = np.ones(directed.shape[0], dtype=bool)
-    if la != WILDCARD_LABEL:
-        mask &= labels[directed[:, 0]] == la
-    if lb != WILDCARD_LABEL:
-        mask &= labels[directed[:, 1]] == lb
-    directed = directed[mask]
+    directed = directed[root_label_mask(plan, directed, labels)]
     return directed, np.ones(directed.shape[0], dtype=np.int64)
 
 
@@ -324,37 +177,53 @@ def filter_root_predicate(
 # ----------------------------------------------------------------------
 # public entry points
 # ----------------------------------------------------------------------
-def _run_plan(
-    plan: MatchPlan,
-    view: GraphView,
+def batch_roots(
+    plans: list[MatchPlan],
+    batch: UpdateBatch,
     labels: np.ndarray,
-    sink: EmbeddingSink | None,
-    filters: dict[int, np.ndarray] | None,
-    roots: np.ndarray,
-    signs: np.ndarray,
-    executor: str,
-    pool: dict | None = None,
+    total: MatchStats,
+    *,
+    filters: dict[int, np.ndarray] | None = None,
+    root_mask: Callable[[np.ndarray], np.ndarray] | None = None,
+    prefilter=None,
     attributes=None,
-) -> MatchStats:
-    """Execute one plan over its roots with the selected executor.
+) -> Iterator[tuple[MatchPlan, np.ndarray, np.ndarray]]:
+    """Yield ``(plan, roots, signs)`` for every ΔM_i plan of a signed batch.
 
-    ``pool`` optionally shares the frontier executor's merged-list memo
-    across the plans of one batch (the adjacency is frozen in between, so
-    merged contents are plan-independent; accesses are still charged per
-    plan).
+    The root pipeline shared by the kernel and its test oracle: label-
+    filtered directed roots, then shard routing (``root_mask``), candidate
+    filters, the certified-skip ``prefilter`` and the root predicate.  The
+    prefilter's keep-mask is *evaluated* on the raw :func:`delta_roots`
+    output — so a precomputed :class:`~repro.core.prefilter.PrefilterDecision`
+    stays aligned under any routing or filtering — but *applied* last:
+    roots it drops among the survivors are added to ``total.roots_skipped``.
     """
-    if executor == "frontier":
-        from repro.core.frontier import FrontierExecutor
-
-        return FrontierExecutor(
-            plan, view, labels, sink, filters, pool=pool, attributes=attributes
-        ).run(roots, signs)
-    if executor == "recursive":
-        ex = _PlanExecutor(plan, view, labels, sink, filters, attributes)
-        for (x_a, x_b), sign in zip(roots.tolist(), signs.tolist()):
-            ex.run_root(int(x_a), int(x_b), int(sign))
-        return ex.stats
-    raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTORS}")
+    for plan_index, plan in enumerate(plans):
+        roots, signs = delta_roots(plan, batch, labels)
+        keep = None
+        if prefilter is not None and roots.shape[0]:
+            keep = prefilter.mask(plan_index, plan, roots)
+        if root_mask is not None and roots.shape[0]:
+            mask = root_mask(roots)
+            roots, signs = roots[mask], signs[mask]
+            keep = keep[mask] if keep is not None else None
+        if filters and roots.shape[0]:
+            mask = np.ones(roots.shape[0], dtype=bool)
+            for col, u in ((0, plan.order[0]), (1, plan.order[1])):
+                cand = filters.get(u)
+                if cand is None:
+                    continue
+                if cand.size == 0:
+                    mask[:] = False
+                    break
+                pos = np.minimum(np.searchsorted(cand, roots[:, col]), cand.size - 1)
+                mask &= cand[pos] == roots[:, col]
+            roots, signs = roots[mask], signs[mask]
+            keep = keep[mask] if keep is not None else None
+        if keep is not None:
+            total.roots_skipped += int(keep.size - np.count_nonzero(keep))
+            roots, signs = roots[keep], signs[keep]
+        yield (plan, *filter_root_predicate(plan, roots, signs, attributes))
 
 
 def match_batch(
@@ -366,7 +235,6 @@ def match_batch(
     filters: dict[int, np.ndarray] | None = None,
     root_mask: Callable[[np.ndarray], np.ndarray] | None = None,
     prefilter=None,
-    executor: str = DEFAULT_EXECUTOR,
     attributes=None,
 ) -> MatchStats:
     """Run all ΔM_i plans against a signed batch (paper Fig. 2b-f).
@@ -387,42 +255,26 @@ def match_batch(
     ``MatchStats.roots_skipped``.  It is applied *last* — after routing and
     candidate filters — so the skip accounting composes with both, and
     exactness is certified (only provably-ΔM=0 roots are dropped).
-    ``executor`` picks the batched frontier executor (default) or the
-    recursive reference; both produce bit-identical stats and counters.
     ``attributes`` optionally supplies an edge-weight provider
     (:class:`~repro.graphs.attributes.EdgeAttributeStore`) for plans whose
     query carries weight predicates; without one the deterministic hash
-    weights are used.  Root-predicate filtering runs after the prefilter
-    (whose precomputed masks are aligned with the raw root array).
+    weights are used.
     """
+    from repro.core.frontier import FrontierExecutor
+
     labels = view.graph.labels
     total = MatchStats()
+    # merged-list memo shared across the plans of one batch (the adjacency
+    # is frozen in between; accesses are still charged per plan)
     pool: dict = {}
-    for plan_index, plan in enumerate(plans):
-        roots, signs = delta_roots(plan, batch, labels)
-        if root_mask is not None and roots.shape[0]:
-            mask = root_mask(roots)
-            roots, signs = roots[mask], signs[mask]
-        if filters and roots.shape[0]:
-            mask = np.ones(roots.shape[0], dtype=bool)
-            for col, u in ((0, plan.order[0]), (1, plan.order[1])):
-                cand = filters.get(u)
-                if cand is None:
-                    continue
-                if cand.size == 0:
-                    mask[:] = False
-                    break
-                pos = np.minimum(np.searchsorted(cand, roots[:, col]), cand.size - 1)
-                mask &= cand[pos] == roots[:, col]
-            roots, signs = roots[mask], signs[mask]
-        if prefilter is not None and roots.shape[0]:
-            keep = prefilter.mask(plan_index, plan, roots)
-            total.roots_skipped += int(roots.shape[0] - np.count_nonzero(keep))
-            roots, signs = roots[keep], signs[keep]
-        roots, signs = filter_root_predicate(plan, roots, signs, attributes)
+    for plan, roots, signs in batch_roots(
+        plans, batch, labels, total, filters=filters, root_mask=root_mask,
+        prefilter=prefilter, attributes=attributes,
+    ):
         total.merge(
-            _run_plan(plan, view, labels, sink, filters, roots, signs, executor,
-                      pool, attributes)
+            FrontierExecutor(
+                plan, view, labels, sink, filters, pool=pool, attributes=attributes
+            ).run(roots, signs)
         )
     return total
 
@@ -432,7 +284,6 @@ def match_static(
     view: GraphView,
     *,
     sink: EmbeddingSink | None = None,
-    executor: str = DEFAULT_EXECUTOR,
     attributes=None,
 ) -> MatchStats:
     """Match the query on the current snapshot (paper Fig. 2a).
@@ -442,9 +293,11 @@ def match_static(
     exported CSR-style from the dynamic store (vectorized v<w dedup), in the
     same source-major/ascending order as a per-vertex adjacency scan.
     """
+    from repro.core.frontier import FrontierExecutor
+
     labels = view.graph.labels
-    edge_array = view.graph.edges_new_array()
-    roots, signs = static_roots(plan, edge_array, labels)
+    roots, signs = static_roots(plan, view.graph.edges_new_array(), labels)
     roots, signs = filter_root_predicate(plan, roots, signs, attributes)
-    return _run_plan(plan, view, labels, sink, None, roots, signs, executor,
-                     attributes=attributes)
+    return FrontierExecutor(
+        plan, view, labels, sink, attributes=attributes
+    ).run(roots, signs)

@@ -44,35 +44,29 @@ bench quantifies it against per-pattern engines and across rulebook sizes.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.core.cache import CachedDeviceView, FrequencyCachePolicy
-from repro.core.dcsr import DcsrCache
-from repro.core.frequency import (
-    DEFAULT_ESTIMATOR,
-    EstimationResult,
-    default_num_walks,
-    make_estimator,
-)
+from repro.core.engine import pack_step, reorganize_step, update_step
+from repro.core.frequency import EstimationResult, default_num_walks
+from repro.core.frequency_frontier import FrontierFrequencyEstimator
 from repro.core.frontier import FrontierKernel
-from repro.core.matching import DEFAULT_EXECUTOR, MatchStats, match_batch
+from repro.core.matching import MatchStats, match_batch
 from repro.core.prefilter import (
     DEFAULT_PREFILTER,
-    InvariantIndex,
     PrefilterDecision,
     PrefilterStats,
-    normalize_prefilter,
+    make_prefilter,
 )
 from repro.core.querytrie import ExecutionTrie, SharedTrieExecutor, TrieStats
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.static_graph import StaticGraph
 from repro.graphs.stream import DEFAULT_CONFLICT_MODE, UpdateBatch
 from repro.gpu.clock import TimeBreakdown, simulated_time_ns
-from repro.gpu.counters import AccessCounters, Channel
-from repro.gpu.device import BYTES_PER_NEIGHBOR, DeviceConfig, default_device
+from repro.gpu.counters import AccessCounters
+from repro.gpu.device import DeviceConfig, default_device
 from repro.query.pattern import QueryGraph
 from repro.query.plan import compile_delta_plans
 from repro.query.symmetry import canonical_form, find_isomorphism
@@ -115,11 +109,14 @@ class MultiBatchResult:
     match_stats: dict[str, MatchStats]
     breakdown: TimeBreakdown
     match_counters: AccessCounters
-    estimation: EstimationResult | None
-    cached_vertices: np.ndarray
-    cache_bytes: int
-    cache_hits: int
-    cache_misses: int
+    #: the shared cache (defaults: whole-rulebook certified skip, nothing shipped)
+    estimation: EstimationResult | None = None
+    cached_vertices: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=VERTEX_DTYPE)
+    )
+    cache_bytes: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
     shared: bool = True
     match_counters_by_query: dict[str, AccessCounters] | None = None
     aliases: dict[str, str] = field(default_factory=dict)
@@ -140,16 +137,6 @@ def _copy_counters(counters: AccessCounters) -> AccessCounters:
     return fresh
 
 
-def _copy_stats(stats: MatchStats) -> MatchStats:
-    return MatchStats(
-        signed_count=stats.signed_count,
-        embeddings_found=stats.embeddings_found,
-        roots_processed=stats.roots_processed,
-        tree_nodes=stats.tree_nodes,
-        roots_skipped=stats.roots_skipped,
-    )
-
-
 class MultiQueryEngine:
     """Continuously match a set of patterns with shared per-batch work.
 
@@ -168,8 +155,6 @@ class MultiQueryEngine:
         survival: float | None = 1.0,
         cache_budget_bytes: int | None = None,
         seed: int | np.random.Generator | None = 0,
-        executor: str = DEFAULT_EXECUTOR,
-        estimator: str = DEFAULT_ESTIMATOR,
         conflict_mode: str = DEFAULT_CONFLICT_MODE,
         shared: bool = True,
         attribute_counters: bool = True,
@@ -189,21 +174,17 @@ class MultiQueryEngine:
         self.queries = sorted(queries, key=lambda q: q.name)
         self.plans = {q.name: compile_delta_plans(q) for q in self.queries}
         self.num_walks = num_walks
-        rng = as_generator(seed)
-        self.estimator = make_estimator(
-            estimator, self.graph, self.device,
-            seed=spawn_generator(rng), survival=survival,
+        # the two kernels are plain attributes (the repro.testing seam)
+        self.estimator = FrontierFrequencyEstimator(
+            self.graph, self.device,
+            seed=spawn_generator(as_generator(seed)), survival=survival,
         )
-        self.estimator_name = estimator
+        self.match = match_batch
         self.policy = FrequencyCachePolicy()
-        self.executor = executor
         self.conflict_mode = conflict_mode
         self.shared = shared
         self.attribute_counters = attribute_counters
-        self.prefilter_name = normalize_prefilter(prefilter)
-        self.prefilter_index = (
-            InvariantIndex(self.graph) if self.prefilter_name != "off" else None
-        )
+        self.prefilter_index = make_prefilter(prefilter, self.graph)
         self.batches_processed = 0
 
         # -- symmetry dedupe: one representative per isomorphism class ------
@@ -351,10 +332,9 @@ class MultiQueryEngine:
                     per_query[query.name] = pq
                     continue
                 view.counters = pq
-                match_stats[query.name] = match_batch(
+                match_stats[query.name] = self.match(
                     self.plans[query.name], batch, view,
-                    sink=sinks.get(query.name), executor=self.executor,
-                    prefilter=self.prefilter_index,
+                    sink=sinks.get(query.name), prefilter=self.prefilter_index,
                 )
                 per_query[query.name] = pq
                 match_counters.merge(pq)
@@ -373,10 +353,8 @@ class MultiQueryEngine:
     ) -> tuple[dict[str, MatchStats], dict[str, AccessCounters] | None]:
         """One trie walk over the representatives; aliases copy results.
 
-        The trie always drives the frontier kernel — by the executor parity
-        contract (PR 3) its per-query attributed counters and stats are
-        bit-identical to an independent run under either executor, so the
-        ``executor=`` knob only changes how the *independent* baseline runs.
+        The trie always drives the frontier kernel; its per-query attributed
+        counters and stats are bit-identical to an independent run.
         """
         # aliases receive the representative's embeddings remapped through
         # the stored isomorphism; the representative's own sink (if any)
@@ -435,7 +413,7 @@ class MultiQueryEngine:
             else:
                 # ΔM and embedding counts are isomorphism invariants;
                 # stats/counters mirror the representative's execution
-                match_stats[query.name] = _copy_stats(rep_stats[rep])
+                match_stats[query.name] = replace(rep_stats[rep])
                 if per_query is not None:
                     per_query[query.name] = _copy_counters(per_query[rep])
         return match_stats, per_query
@@ -457,88 +435,85 @@ class MultiQueryEngine:
         sinks = sinks or {}
 
         # -- shared step 1: update -----------------------------------------
-        raw_len = len(batch)  # the CPU scans (and classifies) every raw update
-        batch = graph.apply_batch(batch, mode=self.conflict_mode)
-        upd = AccessCounters()
-        avg_deg = max(2.0, 2.0 * graph.num_edges / max(1, graph.num_vertices))
-        upd.record_compute(raw_len * int(2 * (1 + math.log2(avg_deg))))
-        breakdown.update_ns = simulated_time_ns(upd, self.device, platform="cpu")
+        batch, breakdown.update_ns = update_step(
+            graph, batch, self.device, self.conflict_mode
+        )
 
         # -- shared step 1b: invariant maintenance + per-query skips ---------
         decisions, skip_queries, breakdown.prefilter_ns = self._prefilter_batch(batch)
-        if decisions is not None and len(skip_queries) == len(self.queries):
+        match_counters = AccessCounters()
+        whole_skip = decisions is not None and len(skip_queries) == len(self.queries)
+        if whole_skip:
             # every rulebook entry certified ΔM = 0: skip estimation,
             # packing, DMA, and the whole trie walk; reorganize only
-            return self._finish_skipped(
-                batch, breakdown, decisions, skip_queries
+            match_stats = {
+                q.name: MatchStats(
+                    roots_skipped=decisions[self.canonical_of[q.name]].roots_total
+                )
+                for q in self.queries
+            }
+            per_query = (
+                {q.name: AccessCounters() for q in self.queries}
+                if self.attribute_counters or not self.shared
+                else None
             )
-
-        # -- shared step 2: pooled estimation --------------------------------
-        estimation = self._pooled_estimate(batch, decisions, skip_queries)
-        breakdown.estimate_ns = simulated_time_ns(
-            estimation.counters, self.device, platform="cpu_estimator"
-        )
-
-        # -- shared step 3: one cache, one DMA --------------------------------
-        selected = self.policy.select(
-            graph, estimation.frequencies, self.cache_budget_bytes
-        )
-        cache = DcsrCache.build(graph, selected)
-        pack = AccessCounters()
-        pack.record_compute(int(cache.colidx.shape[0]) + cache.num_cached)
-        from repro.gpu.transfer import DmaEngine
-
-        dma = AccessCounters()
-        dma_ns = DmaEngine(self.device, dma).transfer(cache.total_bytes)
-        breakdown.pack_ns = simulated_time_ns(pack, self.device, platform="cpu") + dma_ns
-
-        # -- step 4: rulebook matching against the shared cache ---------------
-        match_counters = AccessCounters()
-        view = CachedDeviceView(graph, self.device, match_counters, cache)
-        if self.shared:
-            match_stats, per_query = self._match_shared(
-                batch, view, match_counters, sinks, decisions, skip_queries
-            )
+            cached = {}
         else:
-            match_stats, per_query = self._match_independent(
+            # -- shared step 2: pooled estimation ----------------------------
+            estimation = self._pooled_estimate(batch, decisions, skip_queries)
+            breakdown.estimate_ns = simulated_time_ns(
+                estimation.counters, self.device, platform="cpu_estimator"
+            )
+
+            # -- shared step 3: one cache, one DMA ---------------------------
+            selected = self.policy.select(
+                graph, estimation.frequencies, self.cache_budget_bytes
+            )
+            cache, breakdown.pack_ns = pack_step(graph, selected, self.device)
+
+            # -- step 4: rulebook matching against the shared cache ----------
+            view = CachedDeviceView(graph, self.device, match_counters, cache)
+            run = self._match_shared if self.shared else self._match_independent
+            match_stats, per_query = run(
                 batch, view, match_counters, sinks, decisions, skip_queries
             )
-        delta_counts = {name: st.signed_count for name, st in match_stats.items()}
-        breakdown.match_ns = simulated_time_ns(match_counters, self.device, platform="gpu")
+            breakdown.match_ns = simulated_time_ns(
+                match_counters, self.device, platform="gpu"
+            )
+            cached = dict(
+                estimation=estimation, cached_vertices=selected,
+                cache_bytes=cache.total_bytes, cache_hits=view.hits,
+                cache_misses=view.misses,
+            )
 
         # -- shared step 5: reorganize ----------------------------------------
         breakdown.reorg_ns = self._reorganize()
 
         self.batches_processed += 1
         return MultiBatchResult(
-            delta_counts=delta_counts,
+            delta_counts={name: st.signed_count for name, st in match_stats.items()},
             match_stats=match_stats,
             breakdown=breakdown,
             match_counters=match_counters,
-            estimation=estimation,
-            cached_vertices=selected,
-            cache_bytes=cache.total_bytes,
-            cache_hits=view.hits,
-            cache_misses=view.misses,
             shared=self.shared,
             match_counters_by_query=per_query,
             aliases={
                 name: rep for name, rep in self.canonical_of.items() if name != rep
             },
             trie_stats=self.trie.stats if self.shared else None,
-            prefilter=self._prefilter_stats(breakdown, decisions, match_stats, False),
+            prefilter=self._prefilter_stats(
+                breakdown, decisions, match_stats, whole_skip
+            ),
+            **cached,
         )
 
     # ------------------------------------------------------------------
     def _reorganize(self) -> float:
-        reorg = self.graph.reorganize()
-        rc = AccessCounters()
-        rc.record_compute(reorg.merged_elements + reorg.lists_touched)
-        rc.record_access(Channel.CPU_DRAM, 0, reorg.merged_elements * BYTES_PER_NEIGHBOR)
+        ns = reorganize_step(self.graph, self.device)
         if self.prefilter_index is not None:
             # the batch is settled: OLD adjacency is gone, drop the overlay
             self.prefilter_index.close_batch()
-        return simulated_time_ns(rc, self.device, platform="cpu")
+        return ns
 
     def _prefilter_stats(
         self,
@@ -557,46 +532,6 @@ class MultiQueryEngine:
                 decisions[self.canonical_of[q.name]].skip_batch for q in self.queries
             ),
             maintenance_ns=breakdown.prefilter_ns,
-        )
-
-    def _finish_skipped(
-        self,
-        batch: UpdateBatch,
-        breakdown: TimeBreakdown,
-        decisions: dict[str, PrefilterDecision],
-        skip_queries: frozenset[str],
-    ) -> MultiBatchResult:
-        """Whole-rulebook certified skip: every query's ΔM is provably zero."""
-        breakdown.reorg_ns = self._reorganize()
-        match_stats = {
-            q.name: MatchStats(
-                roots_skipped=decisions[self.canonical_of[q.name]].roots_total
-            )
-            for q in self.queries
-        }
-        per_query = (
-            {q.name: AccessCounters() for q in self.queries}
-            if self.attribute_counters or not self.shared
-            else None
-        )
-        self.batches_processed += 1
-        return MultiBatchResult(
-            delta_counts={q.name: 0 for q in self.queries},
-            match_stats=match_stats,
-            breakdown=breakdown,
-            match_counters=AccessCounters(),
-            estimation=None,
-            cached_vertices=np.empty(0, dtype=VERTEX_DTYPE),
-            cache_bytes=0,
-            cache_hits=0,
-            cache_misses=0,
-            shared=self.shared,
-            match_counters_by_query=per_query,
-            aliases={
-                name: rep for name, rep in self.canonical_of.items() if name != rep
-            },
-            trie_stats=self.trie.stats if self.shared else None,
-            prefilter=self._prefilter_stats(breakdown, decisions, match_stats, True),
         )
 
     def snapshot(self) -> StaticGraph:

@@ -67,10 +67,11 @@ argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from repro.core.matching import root_label_mask
 from repro.graphs.stream import UpdateBatch
 from repro.gpu.counters import AccessCounters, Channel
 from repro.query.pattern import WILDCARD_LABEL, QueryGraph
@@ -138,13 +139,7 @@ class PrefilterStats:
         self.maintenance_ns += other.maintenance_ns
 
     def to_dict(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "batches_skipped": self.batches_skipped,
-            "roots_skipped": self.roots_skipped,
-            "queries_skipped": self.queries_skipped,
-            "maintenance_ns": self.maintenance_ns,
-        }
+        return asdict(self)
 
 
 # ----------------------------------------------------------------------
@@ -535,14 +530,7 @@ class InvariantIndex:
         total = passing = 0
         keep_edge = np.zeros(b, dtype=bool)
         for plan in plans:
-            la, lb = plan.root_labels()
-            lmask = np.ones(dir_edges.shape[0], dtype=bool)
-            if dir_edges.shape[0]:
-                if la != WILDCARD_LABEL:
-                    lmask &= labels[dir_edges[:, 0]] == la
-                if lb != WILDCARD_LABEL:
-                    lmask &= labels[dir_edges[:, 1]] == lb
-            rows = np.nonzero(lmask)[0]
+            rows = np.nonzero(root_label_mask(plan, dir_edges, labels))[0]
             roots = dir_edges[rows]
             if feasible:
                 m = self.root_mask(plan, roots)

@@ -16,36 +16,26 @@ against.  Its two relevant characteristics are reproduced:
    ``memory_budget_bytes`` and :class:`IndexMemoryError` is raised — which
    is why Fig. 14 only covers AZ and LJ.
 
-Matching itself reuses the shared executor on the CPU view, with
-``filters`` carrying the candidate sets, so counted costs are directly
-comparable with every other system.
+It is the staged engine's ``indexed`` placement: matching reuses the shared
+kernel on the CPU view, with ``filters`` carrying the candidate sets, so
+counted costs are directly comparable with every other system; index
+maintenance rides on the update stage and is charged into ``update_ns``.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.core.engine import BatchResult
-from repro.core.frequency import DEFAULT_ESTIMATOR
-from repro.core.matching import DEFAULT_EXECUTOR, MatchStats, match_batch
-from repro.core.prefilter import (
-    DEFAULT_PREFILTER,
-    InvariantIndex,
-    normalize_prefilter,
-)
+from repro.core.engine import GCSMEngine, Placement
 from repro.graphs.dynamic_graph import DynamicGraph
-from repro.graphs.static_graph import StaticGraph
-from repro.graphs.stream import DEFAULT_CONFLICT_MODE, UpdateBatch
-from repro.gpu.clock import TimeBreakdown, simulated_time_ns
+from repro.graphs.stream import UpdateBatch
 from repro.gpu.counters import AccessCounters, Channel
-from repro.gpu.device import BYTES_PER_NEIGHBOR, DeviceConfig, default_device
+from repro.gpu.device import BYTES_PER_NEIGHBOR
+from repro.gpu.views import HostCPUView
 from repro.query.pattern import WILDCARD_LABEL, QueryGraph
 from repro.query.plan import MatchPlan, _build_levels, EdgeVersion
-from repro.utils import require
 
-__all__ = ["RapidFlowSystem", "IndexMemoryError", "candidate_index_bytes"]
+__all__ = ["IndexedPlacement", "IndexMemoryError", "candidate_index_bytes"]
 
 #: Scaled analog of the paper platform's 512 GB host RAM: large enough for
 #: the AZ/LJ analogs' candidate indexes, exceeded by FR/SF3K/SF10K.
@@ -74,46 +64,30 @@ def candidate_index_bytes(
     return total
 
 
-class RapidFlowSystem:
-    """Candidate-indexed CPU CSM (RapidFlow analog)."""
+class IndexedPlacement(Placement):
+    """Candidate-indexed CPU CSM (RapidFlow analog).
 
-    name = "RapidFlow"
-    platform = "cpu"
+    Nothing is shipped; the kernel runs the host loops over
+    :class:`~repro.gpu.views.HostCPUView` with the candidate sets as
+    ``filters`` and candidate-aware matching orders.
+    """
 
-    def __init__(
-        self,
-        initial_graph: StaticGraph,
-        query: QueryGraph,
-        *,
-        device: DeviceConfig | None = None,
-        memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
-        executor: str = DEFAULT_EXECUTOR,
-        estimator: str = DEFAULT_ESTIMATOR,
-        conflict_mode: str = DEFAULT_CONFLICT_MODE,
-        prefilter: str = DEFAULT_PREFILTER,
-    ) -> None:
-        self.device = device or default_device()
-        self.graph = DynamicGraph(initial_graph)
-        self.query = query
-        self.executor = executor
-        self.conflict_mode = conflict_mode
-        # RapidFlow never estimates; recorded for uniform results JSON
-        self.estimator_name = estimator
-        self.prefilter_name = normalize_prefilter(prefilter)
-        self.prefilter_index = (
-            InvariantIndex(self.graph) if self.prefilter_name != "off" else None
+    def __init__(self, engine: GCSMEngine) -> None:
+        super().__init__(engine)
+        self.graph, self.query = engine.graph, engine.query
+        budget = engine.config.memory_budget_bytes
+        self.memory_budget_bytes = (
+            budget if budget is not None else DEFAULT_MEMORY_BUDGET_BYTES
         )
-        self.memory_budget_bytes = memory_budget_bytes
-        self.candidates = self._build_candidates()
-        self.index_bytes = candidate_index_bytes(self.graph, query, self.candidates)
-        if self.index_bytes > memory_budget_bytes:
+        #: ``C(u)`` per query vertex; patched in place by :meth:`maintain`,
+        #: and handed to the kernel as its candidate ``filters``
+        self.candidates = self.filters = self._build_candidates()
+        self.index_bytes = candidate_index_bytes(self.graph, self.query, self.candidates)
+        if self.index_bytes > self.memory_budget_bytes:
             raise IndexMemoryError(
                 f"candidate index needs {self.index_bytes} B, budget is "
-                f"{memory_budget_bytes} B (graph too large for RapidFlow)"
+                f"{self.memory_budget_bytes} B (graph too large for RapidFlow)"
             )
-        self.plans = self._optimized_plans()
-        self.batches_processed = 0
-        self.total_delta = 0
 
     # ------------------------------------------------------------------
     def _build_candidates(self) -> dict[int, np.ndarray]:
@@ -129,7 +103,7 @@ class RapidFlowSystem:
             out[u] = np.nonzero(mask)[0].astype(np.int64)
         return out
 
-    def _optimized_plans(self) -> list[MatchPlan]:
+    def compile_plans(self, query: QueryGraph) -> list[MatchPlan]:
         """RapidFlow's matching-order optimization.
 
         Reuses the plan compiler's level builder with a candidate-aware
@@ -173,12 +147,13 @@ class RapidFlowSystem:
                     root_edge_index=i,
                     levels=levels,
                     delta_index=i,
+                    root_predicate=self.query.predicate_for_index(i),
                 )
             )
         return plans
 
     # ------------------------------------------------------------------
-    def _maintain_index(self, batch: UpdateBatch, counters: AccessCounters) -> None:
+    def maintain(self, batch: UpdateBatch, counters: AccessCounters) -> None:
         """Refresh candidate membership of vertices the batch touched.
 
         Degree changes can move vertices across the deg ≥ deg_Q(u)
@@ -219,91 +194,8 @@ class RapidFlowSystem:
                 f"candidate index grew to {self.index_bytes} B over budget"
             )
 
-    def process_batch(self, batch: UpdateBatch) -> BatchResult:
-        require(len(batch) > 0, "empty batch")
-        graph = self.graph
-        breakdown = TimeBreakdown()
+    def view(self, graph, counters, shipped):
+        return HostCPUView(graph, self.engine.device, counters)
 
-        raw_len = len(batch)  # the CPU scans (and classifies) every raw update
-        batch = graph.apply_batch(batch, mode=self.conflict_mode)
-        upd = AccessCounters()
-        avg_deg = max(2.0, 2.0 * graph.num_edges / max(1, graph.num_vertices))
-        upd.record_compute(raw_len * int(2 * (1 + math.log2(avg_deg))))
-        self._maintain_index(batch, upd)
-        breakdown.update_ns = simulated_time_ns(upd, self.device, platform="cpu")
-
-        decision = None
-        if self.prefilter_index is not None:
-            pc = self.prefilter_index.apply_batch(batch)
-            decision = self.prefilter_index.evaluate(self.plans, batch)
-            pc.merge(decision.counters)
-            breakdown.prefilter_ns = simulated_time_ns(pc, self.device, platform="cpu")
-            if decision.skip_batch:
-                reorg = graph.reorganize()
-                rc = AccessCounters()
-                rc.record_compute(reorg.merged_elements + reorg.lists_touched)
-                rc.record_access(
-                    Channel.CPU_DRAM, 0, reorg.merged_elements * BYTES_PER_NEIGHBOR
-                )
-                breakdown.reorg_ns = simulated_time_ns(rc, self.device, platform="cpu")
-                self.prefilter_index.close_batch()
-                self.batches_processed += 1
-                return BatchResult(
-                    delta_count=0,
-                    match_stats=MatchStats(roots_skipped=decision.roots_total),
-                    breakdown=breakdown,
-                    match_counters=AccessCounters(),
-                    estimation=None,
-                    cached_vertices=np.empty(0, dtype=np.int64),
-                    cache_bytes=self.index_bytes,
-                    cache_hits=0,
-                    cache_misses=0,
-                    conflicts=graph.last_canonical_report,
-                    prefilter=decision.to_stats(breakdown.prefilter_ns),
-                )
-
-        from repro.gpu.views import HostCPUView
-
-        match_counters = AccessCounters()
-        view = HostCPUView(graph, self.device, match_counters)
-        # RapidFlow's own candidate filters shrink the roots before the
-        # prefilter, so the decision's precomputed masks would misalign —
-        # hand the live index instead (its masker recomputes per call)
-        stats = match_batch(
-            self.plans, batch, view, filters=self.candidates,
-            prefilter=self.prefilter_index, executor=self.executor,
-        )
-        breakdown.match_ns = simulated_time_ns(match_counters, self.device, platform="cpu")
-
-        reorg = graph.reorganize()
-        rc = AccessCounters()
-        rc.record_compute(reorg.merged_elements + reorg.lists_touched)
-        rc.record_access(Channel.CPU_DRAM, 0, reorg.merged_elements * BYTES_PER_NEIGHBOR)
-        breakdown.reorg_ns = simulated_time_ns(rc, self.device, platform="cpu")
-        if self.prefilter_index is not None:
-            self.prefilter_index.close_batch()
-
-        self.batches_processed += 1
-        self.total_delta += stats.signed_count
-        prefilter_stats = None
-        if decision is not None:
-            # report the drops the kernel actually saw (the candidate
-            # filters already removed some certified-skippable roots)
-            prefilter_stats = decision.to_stats(breakdown.prefilter_ns)
-            prefilter_stats.roots_skipped = stats.roots_skipped
-        return BatchResult(
-            delta_count=stats.signed_count,
-            match_stats=stats,
-            breakdown=breakdown,
-            match_counters=match_counters,
-            estimation=None,
-            cached_vertices=np.empty(0, dtype=np.int64),
-            cache_bytes=self.index_bytes,
-            cache_hits=0,
-            cache_misses=0,
-            conflicts=graph.last_canonical_report,
-            prefilter=prefilter_stats,
-        )
-
-    def snapshot(self) -> StaticGraph:
-        return self.graph.snapshot()
+    def bookkeeping(self, shipped, outcome):
+        return {"cache_bytes": self.index_bytes}

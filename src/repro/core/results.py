@@ -11,7 +11,7 @@ examples, and downstream notebooks reuse it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -47,8 +47,6 @@ class ExperimentRecord:
     num_batches_requested: int | None = None
     update_mix: str | None = None
     window: int | None = None
-    #: FE sampler the system was configured with (None for pre-PR-4 JSON)
-    estimator: str | None = None
     #: update-conflict policy the system ran with (None for older JSON)
     conflict_mode: str | None = None
     # -- multi-GPU extras (defaults keep old JSON files loadable) ----------
@@ -75,94 +73,23 @@ class ExperimentRecord:
 
     @classmethod
     def from_run(cls, run) -> "ExperimentRecord":
-        """Build from a :class:`repro.bench.harness.RunResult`."""
+        """Build from a :class:`repro.bench.harness.RunResult`: every field
+        is the run's same-named attribute, the ``*_ns`` phase times come
+        from its mean-per-batch breakdown."""
         bd = run.breakdown
-        return cls(
-            system=run.system,
-            dataset=run.dataset,
-            query=run.query,
-            batch_size=run.batch_size,
-            num_batches=run.num_batches,
-            total_ns=bd.total_ns,
-            match_ns=bd.match_ns,
-            estimate_ns=bd.estimate_ns,
-            pack_ns=bd.pack_ns,
-            reorg_ns=bd.reorg_ns,
-            update_ns=bd.update_ns,
-            cpu_access_bytes=run.cpu_access_bytes,
-            delta_total=run.delta_total,
-            embeddings_total=run.embeddings_total,
-            cache_hit_rate=run.cache_hit_rate,
-            coverage_top1=run.coverage_top1,
-            coverage_top5=run.coverage_top5,
-            batch_size_requested=getattr(run, "batch_size_requested", None),
-            num_batches_requested=getattr(run, "num_batches_requested", None),
-            update_mix=getattr(run, "update_mix", None),
-            window=getattr(run, "window", None),
-            estimator=getattr(run, "estimator", None),
-            conflict_mode=getattr(run, "conflict_mode", None),
-            num_devices=getattr(run, "num_devices", 1),
-            partitioner=getattr(run, "partitioner", None),
-            partitioner_opts=getattr(run, "partitioner_opts", None),
-            comm_ns=getattr(bd, "comm_ns", 0.0),
-            peer_bytes=getattr(run, "peer_bytes", 0),
-            imbalance=getattr(run, "imbalance", None),
-            load_balance=list(getattr(run, "load_balance", []) or []),
-            repartition=getattr(run, "repartition", None),
-            shared=getattr(run, "shared", None),
-            rulebook_size=getattr(run, "rulebook_size", None),
-            prefilter=getattr(run, "prefilter", None),
-            prefilter_ns=getattr(bd, "prefilter_ns", 0.0),
-            batches_skipped=getattr(run, "batches_skipped", 0),
-            roots_skipped=getattr(run, "roots_skipped", 0),
-            queries_skipped=getattr(run, "queries_skipped", 0),
-        )
+        return cls(**{
+            f.name: getattr(bd if f.name.endswith("_ns") else run, f.name)
+            for f in fields(cls)
+        })
 
     def to_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "dataset": self.dataset,
-            "query": self.query,
-            "batch_size": self.batch_size,
-            "num_batches": self.num_batches,
-            "total_ns": self.total_ns,
-            "match_ns": self.match_ns,
-            "estimate_ns": self.estimate_ns,
-            "pack_ns": self.pack_ns,
-            "reorg_ns": self.reorg_ns,
-            "update_ns": self.update_ns,
-            "cpu_access_bytes": self.cpu_access_bytes,
-            "delta_total": self.delta_total,
-            "embeddings_total": self.embeddings_total,
-            "cache_hit_rate": self.cache_hit_rate,
-            "coverage_top1": self.coverage_top1,
-            "coverage_top5": self.coverage_top5,
-            "batch_size_requested": self.batch_size_requested,
-            "num_batches_requested": self.num_batches_requested,
-            "update_mix": self.update_mix,
-            "window": self.window,
-            "estimator": self.estimator,
-            "conflict_mode": self.conflict_mode,
-            "num_devices": self.num_devices,
-            "partitioner": self.partitioner,
-            "partitioner_opts": self.partitioner_opts,
-            "comm_ns": self.comm_ns,
-            "peer_bytes": self.peer_bytes,
-            "imbalance": self.imbalance,
-            "load_balance": self.load_balance,
-            "repartition": self.repartition,
-            "shared": self.shared,
-            "rulebook_size": self.rulebook_size,
-            "prefilter": self.prefilter,
-            "prefilter_ns": self.prefilter_ns,
-            "batches_skipped": self.batches_skipped,
-            "roots_skipped": self.roots_skipped,
-            "queries_skipped": self.queries_skipped,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExperimentRecord":
-        return cls(**data)
+        # retired columns (e.g. ``estimator``) in older JSON are dropped
+        known = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in data.items() if k in known})
 
 
 @dataclass

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.baselines import make_system
+from repro.core.baselines import SYSTEMS, make_system
+from repro.core.engine import EngineConfig
 from repro.core.reference import count_embeddings
 from repro.graphs import generators
 from repro.graphs.static_graph import StaticGraph
@@ -52,10 +53,11 @@ class ConsistencyError(AssertionError):
 def _parse_system_spec(spec: str) -> tuple[str, dict]:
     """``"GCSM@2"`` → ``("GCSM", {"devices": 2})``; plain names pass through.
 
-    The ``@N`` suffix routes GCSM to the sharded multi-GPU engine so the
-    fuzzer exercises the shard-union matching path alongside single-device
-    systems; an optional ``@N:partitioner`` picks the placement strategy
-    (e.g. ``"GCSM@4:mincut"``), which must never change results.  A
+    The ``@N`` suffix fans a ``cached``-placement system (GCSM, Pipelined,
+    Naive) out over an N-device fleet so the fuzzer exercises the
+    shard-union matching path alongside single-device systems; an optional
+    ``@N:partitioner`` picks the placement strategy (e.g.
+    ``"GCSM@4:mincut"``), which must never change results.  A
     ``+prefilter`` suffix (before any ``@N``) enables the
     aggregate-invariant pre-filter on the system, e.g. ``"GCSM+prefilter"``
     or ``"GCSM+prefilter@2"`` — the fuzzer's exactness check then covers
@@ -74,7 +76,9 @@ def _parse_system_spec(spec: str) -> tuple[str, dict]:
         kwargs["repartition"] = True
     if "@" in spec:
         name, _, devices = spec.partition("@")
-        require(name == "GCSM", f"@N device suffix only applies to GCSM, got {spec!r}")
+        require(name in SYSTEMS
+                and EngineConfig(**SYSTEMS[name]).placement == "cached",
+                f"@N device suffix needs a cached-placement system, got {spec!r}")
         devices, _, partitioner = devices.partition(":")
         require(devices.isdigit() and int(devices) >= 1,
                 f"bad device count in system spec {spec!r}")
@@ -134,6 +138,7 @@ def verify_stream(
     conflict_mode: str | None = None,
     check_invariants: bool = False,
     system_kwargs: dict | None = None,
+    prepare=None,
 ) -> VerificationReport:
     """Run every system over the stream; raise on any ΔM disagreement.
 
@@ -145,8 +150,11 @@ def verify_stream(
     agree — all stores classify the same raw batch against the same state.
     ``check_invariants=True`` audits every system's dynamic store after each
     batch (i.e. after its reorganize).  System names accept the ``GCSM@N``
-    spec for the N-device sharded engine, and ``system_kwargs`` is forwarded
-    to every system constructor (e.g. ``{"executor": "recursive"}``).
+    spec for an N-device fleet, and ``system_kwargs`` is forwarded to every
+    system constructor (e.g. ``{"prefilter": "on"}``).  ``prepare`` is
+    applied to every constructed system before the run — parity suites pass
+    ``repro.testing.use_reference_kernels`` to put the whole system set on
+    the reference kernels.
     """
     require(len(system_names) >= 1, "need at least one system")
     require(len(batches) >= 1, "need at least one batch")
@@ -158,6 +166,8 @@ def verify_stream(
         if conflict_mode is not None:
             kwargs["conflict_mode"] = conflict_mode
         systems[spec] = make_system(name, initial_graph, query, seed=seed, **kwargs)
+        if prepare is not None:
+            prepare(systems[spec])
     report = VerificationReport(
         systems=list(system_names), query=query.name, num_batches=len(batches),
         oracle_checked=against_oracle, conflict_mode=conflict_mode,
@@ -171,16 +181,14 @@ def verify_stream(
         for name, system in systems.items():
             result = system.process_batch(batch)
             deltas[name] = result.delta_count
-            conflicts[name] = getattr(result, "conflicts", None)
+            conflicts[name] = result.conflicts
             if check_invariants:
-                store = getattr(system, "graph", None)
-                if store is not None:
-                    try:
-                        store.check_invariants()
-                    except ValueError as exc:
-                        raise ConsistencyError(
-                            f"batch {k}: {name} store invariant violated: {exc}"
-                        ) from exc
+                try:
+                    system.graph.check_invariants()
+                except ValueError as exc:
+                    raise ConsistencyError(
+                        f"batch {k}: {name} store invariant violated: {exc}"
+                    ) from exc
         distinct = set(deltas.values())
         if len(distinct) != 1:
             raise ConsistencyError(
@@ -220,7 +228,6 @@ class RulebookParityReport:
 
     num_queries: int
     num_batches: int
-    executors: list[str]
     aliases: dict[str, str] = field(default_factory=dict)
     delta_per_batch: list[int] = field(default_factory=list)
 
@@ -231,8 +238,8 @@ class RulebookParityReport:
     def describe(self) -> str:
         dedup = f", {len(self.aliases)} deduped as isomorphic aliases" if self.aliases else ""
         return (
-            f"shared trie matches {len(self.executors)} independent "
-            f"executor legs on {self.num_queries} queries over "
+            f"shared trie matches independent per-query execution on "
+            f"{self.num_queries} queries over "
             f"{self.num_batches} batches{dedup}; total ΔM = {self.total_delta:+d}"
         )
 
@@ -256,15 +263,18 @@ def verify_rulebook(
     *,
     seed: int = 0,
     conflict_mode: str | None = None,
-    executors: tuple[str, ...] = ("frontier", "recursive"),
     engine_kwargs: dict | None = None,
+    legs: dict | None = None,
 ) -> RulebookParityReport:
     """Shared-trie vs per-query-independent parity spec (the rulebook
     analog of :func:`verify_stream`).
 
     Runs one shared :class:`~repro.core.multiquery.MultiQueryEngine` and
-    one independent engine per executor over the same stream and raises
-    :class:`ConsistencyError` unless, per batch:
+    one independent (``shared=False``) engine per *leg* over the same stream
+    — ``legs`` maps a label to a function applied to the fresh independent
+    engine (default: one untouched leg; parity suites add one on the
+    reference kernels via ``repro.testing.use_reference_kernels``) — and
+    raises :class:`ConsistencyError` unless, per batch:
 
     * every query's signed ΔM is identical across all legs;
     * every *representative* query's ``MatchStats`` and attributed access
@@ -294,15 +304,14 @@ def verify_rulebook(
     shared_engine = MultiQueryEngine(
         initial_graph, queries, seed=seed, shared=True, **kwargs
     )
-    indep_engines = {
-        ex: MultiQueryEngine(
-            initial_graph, queries, seed=seed, shared=False, executor=ex, **kwargs
+    indep_engines = {}
+    for ex, setup in (legs or {"default": None}).items():
+        engine = MultiQueryEngine(
+            initial_graph, queries, seed=seed, shared=False, **kwargs
         )
-        for ex in executors
-    }
+        indep_engines[ex] = setup(engine) if setup is not None else engine
     report = RulebookParityReport(
         num_queries=len(queries), num_batches=len(batches),
-        executors=list(executors),
         aliases={
             n: r for n, r in shared_engine.canonical_of.items() if n != r
         },
@@ -532,16 +541,16 @@ def generate_adversarial_stream(
 # Differential fuzzing
 # ----------------------------------------------------------------------
 
-#: Every system the fuzzer cross-checks by default — both GCSM engines
-#: (single-GPU and 2-device sharded), the pipelined engine (same results,
-#: overlapped schedule), all four GPU baselines, the CPU loop, RapidFlow,
-#: the prefiltered GCSM/pipelined variants (certified skips must be
-#: invisible in ΔM), the min-cut-partitioned 4-device fleet, and the
+#: Every system the fuzzer cross-checks by default — GCSM on one device and
+#: on a 2-device fleet, the pipelined schedule (same results, overlapped
+#: stages) on one device and on a fleet, all four GPU baselines, the CPU
+#: loop, RapidFlow, the prefiltered GCSM/pipelined variants (certified skips
+#: must be invisible in ΔM), the min-cut-partitioned 4-device fleet, and the
 #: sticky-ownership online-repartitioning fleet (placement and migration
 #: must both be invisible in ΔM).
 DEFAULT_FUZZ_SYSTEMS = (
-    "GCSM", "GCSM@2", "Pipelined", "ZC", "UM", "Naive", "VSGM", "CPU",
-    "RapidFlow", "GCSM+prefilter", "Pipelined+prefilter",
+    "GCSM", "GCSM@2", "Pipelined", "Pipelined@2", "ZC", "UM", "Naive", "VSGM",
+    "CPU", "RapidFlow", "GCSM+prefilter", "Pipelined+prefilter",
     "GCSM@4:mincut", "GCSM+repart@2:mincut",
 )
 

@@ -17,7 +17,7 @@ Sec. II-C: "zero-copy access stalls the GPU kernel"), so they *add*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.gpu.counters import AccessCounters, Channel
 from repro.gpu.device import DeviceConfig
@@ -168,33 +168,11 @@ class TimeBreakdown:
 
     def __add__(self, other: "TimeBreakdown") -> "TimeBreakdown":
         return TimeBreakdown(
-            self.update_ns + other.update_ns,
-            self.estimate_ns + other.estimate_ns,
-            self.pack_ns + other.pack_ns,
-            self.match_ns + other.match_ns,
-            self.reorg_ns + other.reorg_ns,
-            self.comm_ns + other.comm_ns,
-            self.prefilter_ns + other.prefilter_ns,
-            self.repartition_ns + other.repartition_ns,
-            self.critical_path_ns + other.critical_path_ns,
-            self.fill_ns + other.fill_ns,
-            self.drain_ns + other.drain_ns,
+            *(getattr(self, f.name) + getattr(other, f.name) for f in fields(self))
         )
 
     def scaled(self, factor: float) -> "TimeBreakdown":
-        return TimeBreakdown(
-            self.update_ns * factor,
-            self.estimate_ns * factor,
-            self.pack_ns * factor,
-            self.match_ns * factor,
-            self.reorg_ns * factor,
-            self.comm_ns * factor,
-            self.prefilter_ns * factor,
-            self.repartition_ns * factor,
-            self.critical_path_ns * factor,
-            self.fill_ns * factor,
-            self.drain_ns * factor,
-        )
+        return TimeBreakdown(*(getattr(self, f.name) * factor for f in fields(self)))
 
 
 # ----------------------------------------------------------------------

@@ -49,7 +49,6 @@ __all__ = [
     "DynamicGraph",
     "FrozenDynamicGraph",
     "ReorganizeStats",
-    "merge_runs_reference",
 ]
 
 _EMPTY = np.empty(0, dtype=VERTEX_DTYPE)
@@ -66,31 +65,6 @@ def _decode(values: np.ndarray) -> np.ndarray:
     if neg.any():
         out[neg] = -out[neg] - 1
     return out
-
-
-def merge_runs_reference(kept: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Scalar two-pointer merge of the kept base run and the ΔN run.
-
-    The literal per-element loop of paper Sec. V-A step 4, retained as the
-    parity oracle for the vectorized merge :meth:`DynamicGraph.reorganize`
-    uses in production (``benchmarks/test_table3_reorg.py`` checks both the
-    output arrays and the wall-clock win).
-    """
-    merged = np.empty(kept.size + delta.size, dtype=VERTEX_DTYPE)
-    i = j = k = 0
-    while i < kept.size and j < delta.size:
-        if kept[i] <= delta[j]:
-            merged[k] = kept[i]
-            i += 1
-        else:
-            merged[k] = delta[j]
-            j += 1
-        k += 1
-    if i < kept.size:
-        merged[k:] = kept[i:]
-    elif j < delta.size:
-        merged[k:] = delta[j:]
-    return merged
 
 
 @dataclass
@@ -403,8 +377,9 @@ class DynamicGraph:
 
         For each touched list, drop deletion marks and merge the sorted
         appended run into the base run with the vectorized linear merge
-        (:func:`~repro.utils.merge_sorted`; :func:`merge_runs_reference` is
-        the retained scalar oracle), then close the batch.
+        (:func:`~repro.utils.merge_sorted`;
+        :func:`repro.testing.oracles.merge_runs_reference` is the scalar
+        oracle), then close the batch.
         """
         require(self._batch_open, "no open batch to reorganize")
         stats = ReorganizeStats()

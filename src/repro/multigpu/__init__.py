@@ -2,9 +2,9 @@
 
 Public surface:
 
-* :class:`~repro.multigpu.engine.MultiGpuEngine` — the sharded engine;
-  drop-in for :class:`~repro.core.engine.GCSMEngine` (``devices=1`` is
-  bit-identical to it).
+* :class:`~repro.multigpu.engine.FleetPlacement` — the fan-out plug of
+  :class:`~repro.core.engine.GCSMEngine`: what ``devices=N`` (``N > 1``)
+  runs for the pack and match stages.
 * :mod:`~repro.multigpu.partition` — hash / range / frequency-aware /
   min-cut vertex-ownership strategies.
 * :mod:`~repro.multigpu.repartition` — online repartitioning: sticky
@@ -17,12 +17,7 @@ Public surface:
 
 from repro.gpu.counters import Channel
 from repro.multigpu.comm import CommReport, allreduce_delta_ns, comm_report
-from repro.multigpu.engine import (
-    LoadBalanceReport,
-    MultiBatchResult,
-    MultiGpuEngine,
-    ShardBatchReport,
-)
+from repro.multigpu.engine import FleetBatchResult, FleetPlacement
 from repro.multigpu.partition import (
     PARTITIONER_NAMES,
     FrequencyPartitioner,
@@ -41,11 +36,16 @@ from repro.multigpu.repartition import (
     RepartitionReport,
     normalize_repartition,
 )
-from repro.multigpu.shard import Shard, ShardedDeviceView
+from repro.multigpu.shard import (
+    LoadBalanceReport,
+    Shard,
+    ShardBatchReport,
+    ShardedDeviceView,
+)
 
 __all__ = [
-    "MultiGpuEngine",
-    "MultiBatchResult",
+    "FleetPlacement",
+    "FleetBatchResult",
     "LoadBalanceReport",
     "ShardBatchReport",
     "Partitioner",

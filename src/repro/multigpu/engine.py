@@ -1,176 +1,63 @@
-"""Sharded execution of the five-step GCSM pipeline over N devices.
+"""The fan-out plug: the engine's pack and match stages over N devices.
 
-:class:`MultiGpuEngine` mirrors :class:`~repro.core.engine.GCSMEngine`
-batch-for-batch, but fans the device-side steps over a fleet:
+:class:`FleetPlacement` is what ``GCSMEngine(devices=N)`` runs for
+``N > 1``: the ``cached`` placement fanned out over a fleet.  Every host
+stage (update, prefilter, reorganize) and every schedule is the engine's own.
 
-1. **Update** — host-side, shared (one CPU store feeds every device).
-2. **Estimate** — host-side, shared: one random-walk pass; its estimates
-   drive both cache selection *and* the frequency-aware partitioner.
-3. **Pack** — per shard: each device selects the hot vertices *it owns*
-   within its own buffer budget, packs its DCSR slice, and uploads over its
-   own host link.  Phase time is the slowest shard (uploads overlap).
-4. **Match** — per shard: directed roots are routed to the shard owning
-   their first endpoint; each shard's kernel reads local cache / peer
-   caches / host zero-copy as the walk dictates.  Phase time is the slowest
-   shard, plus the ΔM all-reduce (reported separately as ``comm_ns``).
-5. **Reorganize** — host-side, shared.
+* **Estimate** — host-side, shared: one random-walk pass; its estimates
+  drive both cache selection *and* the frequency-aware partitioner.
+* **Pack** — per shard: each device selects the hot vertices *it owns*
+  within its own buffer budget, packs its DCSR slice, and uploads over its
+  own host link.  Phase time is the slowest shard (uploads overlap).
+* **Match** — per shard: directed roots are routed to the shard owning
+  their first endpoint; each kernel reads local cache / peer caches / host
+  zero-copy as the walk dictates.  Phase time is the slowest shard, plus
+  the ΔM all-reduce (reported separately as ``comm_ns``).
 
-Steps 3 and 4 reuse the factored single-GPU internals
-(:func:`~repro.core.engine.pack_step`, the shared matching executor) rather
-than forking them, and run under :func:`repro.parallel.parallel_map` for
-wall-clock speedup of the harness itself.
-
-**Invariant (enforced by tests):** with ``devices=1`` the engine takes the
-exact single-GPU code path — no owner map, no peer caches, no collective —
-and reproduces :class:`~repro.core.engine.GCSMEngine`'s match counts,
-channel byte counters, and simulated time bit-for-bit.  For ``N > 1`` the
-match counts stay identical (roots are a disjoint cover; per-root work is
-independent) while the timing shows sub-linear speedup dominated by
-cross-shard PEER traffic and the serial host phases.
+Pack and match reuse the single-device internals
+(:func:`~repro.core.engine.pack_step`, the shared matching kernel) under
+:func:`repro.parallel.parallel_map`.  With ``devices=1`` the engine never
+loads this module: the single-device body *is* the one-device fleet, by
+construction.  For ``N > 1`` match counts stay identical (roots are a
+disjoint cover; per-root work is independent) while timing shows sub-linear
+speedup dominated by PEER traffic and the serial host phases.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.cache import CachePolicy
-from repro.core.engine import (
-    BatchResult,
-    GCSMEngine,
-    make_policy,
-    reorganize_step,
-    update_step,
-)
-from repro.core.frequency import (
-    DEFAULT_ESTIMATOR,
-    EstimationResult,
-    make_estimator,
-)
-from repro.core.matching import DEFAULT_EXECUTOR, MatchStats, match_batch
-from repro.core.prefilter import (
-    DEFAULT_PREFILTER,
-    InvariantIndex,
-    normalize_prefilter,
-)
+from repro.core.engine import BatchResult, CachedPlacement, GCSMEngine, MatchOutcome
+from repro.core.matching import MatchStats
 from repro.graphs.dynamic_graph import DynamicGraph
-from repro.graphs.static_graph import StaticGraph
-from repro.graphs.stream import DEFAULT_CONFLICT_MODE, UpdateBatch
-from repro.gpu.clock import PipelineClock, ScheduleReport, TimeBreakdown, simulated_time_ns
+from repro.gpu.clock import simulated_time_ns
 from repro.gpu.counters import AccessCounters, Channel
-from repro.gpu.device import ClusterConfig, DeviceConfig, default_device
 from repro.multigpu.comm import CommReport, allreduce_delta_ns, comm_report
-from repro.multigpu.partition import Partitioner, _hash_owners, make_partitioner
+from repro.multigpu.partition import _hash_owners, make_partitioner
 from repro.multigpu.repartition import (
     OwnershipManager,
-    RepartitionConfig,
     RepartitionReport,
     normalize_repartition,
 )
-from repro.multigpu.shard import Shard, ShardedDeviceView
+from repro.multigpu.shard import (
+    LoadBalanceReport,
+    Shard,
+    ShardBatchReport,
+    ShardedDeviceView,
+)
 from repro.parallel import parallel_map
-from repro.query.pattern import QueryGraph
-from repro.query.plan import compile_delta_plans
-from repro.utils import as_generator, require, spawn_generator
 
-__all__ = ["MultiGpuEngine", "MultiBatchResult", "LoadBalanceReport", "ShardBatchReport"]
-
-
-@dataclass(frozen=True)
-class ShardBatchReport:
-    """What one shard did during one batch."""
-
-    shard_id: int
-    roots_processed: int
-    match_ns: float
-    pack_ns: float
-    cache_bytes: int
-    cached_vertices: int
-    local_hits: int
-    local_misses: int
-    remote_hits: int
-    remote_misses: int
-    peer_bytes: int
-
-    def to_dict(self) -> dict:
-        return {
-            "shard_id": self.shard_id,
-            "roots_processed": self.roots_processed,
-            "match_ns": self.match_ns,
-            "pack_ns": self.pack_ns,
-            "cache_bytes": self.cache_bytes,
-            "cached_vertices": self.cached_vertices,
-            "local_hits": self.local_hits,
-            "local_misses": self.local_misses,
-            "remote_hits": self.remote_hits,
-            "remote_misses": self.remote_misses,
-            "peer_bytes": self.peer_bytes,
-        }
-
-
-@dataclass(frozen=True)
-class LoadBalanceReport:
-    """Per-batch straggler diagnosis of the fleet (the scaling table's
-    imbalance column): max/mean shard match time and who the straggler is."""
-
-    shard_match_ns: tuple[float, ...]
-    shard_roots: tuple[int, ...]
-
-    @property
-    def num_devices(self) -> int:
-        return len(self.shard_match_ns)
-
-    @property
-    def max_ns(self) -> float:
-        return max(self.shard_match_ns) if self.shard_match_ns else 0.0
-
-    @property
-    def mean_ns(self) -> float:
-        return (
-            sum(self.shard_match_ns) / len(self.shard_match_ns)
-            if self.shard_match_ns
-            else 0.0
-        )
-
-    @property
-    def imbalance(self) -> float:
-        """max/mean shard match time; 1.0 is a perfectly balanced fleet.
-
-        An idle fleet (every shard's match time zero — e.g. all roots
-        masked away) is *defined* as perfectly balanced: 1.0, not 0/0.
-        """
-        return self.max_ns / self.mean_ns if self.mean_ns else 1.0
-
-    @property
-    def straggler(self) -> int | None:
-        """Shard id of the slowest device, or ``None`` on an idle fleet
-        (all shard match times zero: nobody straggled)."""
-        if not self.shard_match_ns or self.max_ns == 0.0:
-            return None
-        return int(max(range(len(self.shard_match_ns)),
-                       key=lambda i: self.shard_match_ns[i]))
-
-    def to_dict(self) -> dict:
-        return {
-            "num_devices": self.num_devices,
-            "shard_match_ns": list(self.shard_match_ns),
-            "shard_roots": list(self.shard_roots),
-            "max_ns": self.max_ns,
-            "mean_ns": self.mean_ns,
-            "imbalance": self.imbalance,
-            "straggler": self.straggler,
-        }
+__all__ = ["FleetPlacement", "FleetBatchResult"]
 
 
 @dataclass
-class MultiBatchResult(BatchResult):
+class FleetBatchResult(BatchResult):
     """A :class:`~repro.core.engine.BatchResult` plus fleet diagnostics.
 
-    Duck-type compatible with the single-GPU result, so the bench harness
-    drives both engines through the same aggregation loop; the extras carry
-    the per-shard load-balance report and cross-device traffic summary.
+    The extras carry the per-shard load-balance report and cross-device
+    traffic summary (defaults on a certified-skip batch: no shard ran).
     """
 
     shard_reports: list[ShardBatchReport] = field(default_factory=list)
@@ -179,344 +66,163 @@ class MultiBatchResult(BatchResult):
     repartition: RepartitionReport | None = None
 
 
-class _ShardMatchOutcome:
-    """Mutable per-shard match-step result (internal)."""
+@dataclass
+class FleetOutcome(MatchOutcome):
+    """The fleet-wide match: merged stats/counters, slowest-shard time, and
+    the per-shard outcomes the reports are built from."""
 
-    __slots__ = ("stats", "counters", "match_ns", "view")
-
-    def __init__(self, stats: MatchStats, counters: AccessCounters,
-                 match_ns: float, view: ShardedDeviceView) -> None:
-        self.stats = stats
-        self.counters = counters
-        self.match_ns = match_ns
-        self.view = view
+    shards: list[MatchOutcome] = field(default_factory=list)
 
 
-class MultiGpuEngine:
-    """Continuous subgraph matching sharded across N simulated devices.
+class FleetPlacement(CachedPlacement):
+    """The ``cached`` data path sharded across N simulated devices.
 
-    Parameters mirror :class:`~repro.core.engine.GCSMEngine` (``policy``,
-    ``num_walks``, ``adaptive_walks``, ``cache_budget_bytes``, ``survival``,
-    ``seed``, ``estimator``, ``executor``) plus:
-
-    devices:
-        Device count, or a full :class:`~repro.gpu.device.ClusterConfig`
-        (interconnect choice, all-reduce latency, base device).
-    partitioner:
-        ``"hash"`` | ``"range"`` | ``"freq"`` | ``"mincut"`` or a
-        :class:`~repro.multigpu.partition.Partitioner` instance.  The
-        frequency-aware partitioners re-run per batch on that batch's
-        random-walk estimates (the cache is rebuilt and re-shipped every
-        batch anyway, so re-homing is free) — unless ``repartition`` makes
-        ownership sticky.
-    partitioner_opts:
-        Optional mapping of tuning knobs for a *named* partitioner
-        (``balance_slack`` for freq/mincut; ``refine_passes`` / ``chunk``
-        / ``load_weight`` for mincut).  The resolved knobs are recorded in
-        the harness/results JSON.
-    repartition:
-        Online repartitioning (``None``/``False`` off, ``True`` defaults,
-        or a mapping / :class:`~repro.multigpu.repartition.RepartitionConfig`
-        of knobs).  When enabled the owner map becomes **sticky**: the
-        partitioner runs once on the first batch, new vertices get hash
-        homes, and an :class:`~repro.multigpu.repartition.OwnershipManager`
-        tracks per-vertex access heat (EWMA over the match counters),
-        detects drift, and migrates vertices whose move pays back within
-        the horizon — migration priced as PEER + DMA traffic in
-        ``breakdown.repartition_ns`` (its own host pipeline lane stage).
-        Results never change, only placement and timing.
-    device:
-        Base per-shard DeviceConfig; ignored when ``devices`` is a
-        ClusterConfig (use its ``base``).
-    workers:
-        Thread-pool width for fanning the per-shard pack/match steps
-        (wall-clock only — simulated time is unaffected).  ``None`` uses
-        :func:`repro.parallel.default_workers`.
-    cache_budget_bytes:
-        Per-device budget: every card in the fleet has its own buffer of
-        this size (aggregate fleet cache capacity grows with N).
-    pipeline:
-        Model the staged cross-batch schedule in simulated time: a
-        :class:`~repro.gpu.clock.PipelineClock` annotates every batch's
-        breakdown with ``critical_path_ns``/``fill_ns``/``drain_ns`` (the
-        fleet-wide match phase is one GPU-lane entry, the ΔM all-reduce
-        rides the PEER lane).  Results are unaffected — only the time
-        accounting changes, exactly as for
-        :class:`~repro.service.pipeline.PipelinedEngine`.
+    The fleet knobs (``partitioner``, ``partitioner_opts``, ``repartition``,
+    ``workers``, the per-device ``cache_budget_bytes``) are
+    :class:`~repro.core.engine.EngineConfig` fields, documented there.  The
+    frequency-aware partitioners re-run per batch on that batch's estimates
+    (the cache is rebuilt and re-shipped every batch anyway, so re-homing is
+    free) — unless ``repartition`` makes ownership **sticky**: then the
+    partitioner runs once, new vertices get hash homes, and an
+    :class:`~repro.multigpu.repartition.OwnershipManager` tracks per-vertex
+    access heat, detects drift, and migrates vertices whose move pays back
+    within the horizon — priced as PEER + DMA traffic in
+    ``breakdown.repartition_ns``.  Results never change, only placement and
+    timing.
     """
 
-    def __init__(
-        self,
-        initial_graph: StaticGraph,
-        query: QueryGraph,
-        *,
-        devices: int | ClusterConfig = 1,
-        partitioner: str | Partitioner = "hash",
-        partitioner_opts: Mapping | None = None,
-        repartition: RepartitionConfig | Mapping | bool | None = None,
-        device: DeviceConfig | None = None,
-        policy: str | CachePolicy = "frequency",
-        num_walks: int | None = None,
-        adaptive_walks: bool = False,
-        cache_budget_bytes: int | None = None,
-        survival: float | None = 1.0,
-        seed: int | np.random.Generator | None = 0,
-        workers: int | None = None,
-        executor: str = DEFAULT_EXECUTOR,
-        estimator: str = DEFAULT_ESTIMATOR,
-        conflict_mode: str = DEFAULT_CONFLICT_MODE,
-        prefilter: str = DEFAULT_PREFILTER,
-        pipeline: bool = False,
-    ) -> None:
-        if isinstance(devices, ClusterConfig):
-            self.cluster = devices
-        else:
-            self.cluster = ClusterConfig(
-                num_devices=int(devices), base=device or default_device()
-            )
-        self.num_devices = self.cluster.num_devices
-        self.device = self.cluster.device()
-        self.cache_budget_bytes = (
-            cache_budget_bytes
-            if cache_budget_bytes is not None
-            else self.device.cache_buffer_bytes
-        )
-        self.graph = DynamicGraph(initial_graph)
-        self.query = query
-        self.plans = compile_delta_plans(query)
-        self.num_walks = num_walks
-        self.adaptive_walks = adaptive_walks
-        # same RNG derivation as GCSMEngine: estimates are bit-identical
-        rng = as_generator(seed)
-        self.estimator = make_estimator(
-            estimator, self.graph, self.device,
-            seed=spawn_generator(rng), survival=survival,
-        )
-        self.estimator_name = estimator
-        self.policy = make_policy(policy)
-        self.executor = executor
-        self.conflict_mode = conflict_mode
-        # one shared host-side index for the whole fleet: maintenance is a
-        # host phase (like update/estimate), and the per-shard kernels only
-        # *read* it — so certified skips stay PEER-free
-        self.prefilter_name = normalize_prefilter(prefilter)
-        self.prefilter_index = (
-            InvariantIndex(self.graph) if self.prefilter_name != "off" else None
-        )
-        self.partitioner = make_partitioner(partitioner, partitioner_opts)
-        self.repartition_config = normalize_repartition(repartition)
-        # online repartitioning is a fleet concern: at N=1 there is no
-        # placement, so the manager is absent and the single-GPU code path
-        # (and its bit-identical invariant) is untouched
+    result_type = FleetBatchResult
+
+    def __init__(self, engine: GCSMEngine) -> None:
+        super().__init__(engine)
+        cfg = engine.config
+        self.partitioner = make_partitioner(cfg.partitioner, cfg.partitioner_opts)
+        self.repartition_config = normalize_repartition(cfg.repartition)
         self.ownership = (
-            OwnershipManager(self.num_devices, self.repartition_config, self.device)
-            if self.repartition_config is not None and self.num_devices > 1
+            OwnershipManager(engine.num_devices, self.repartition_config, engine.device)
+            if self.repartition_config is not None
             else None
         )
         self._owner: np.ndarray | None = None  # sticky map (repartition mode)
-        self.workers = workers
+        self.workers = cfg.workers
         self.shards = [
-            Shard(i, dev, self.cache_budget_bytes)
-            for i, dev in enumerate(self.cluster.devices())
+            Shard(i, dev, engine.cache_budget_bytes)
+            for i, dev in enumerate(engine.cluster.devices())
         ]
-        self.batches_processed = 0
-        self.total_delta = 0
-        self.clock: PipelineClock | None = PipelineClock() if pipeline else None
-
-    def schedule_report(self) -> ScheduleReport:
-        """Stream-level pipeline schedule summary (``pipeline=True`` only)."""
-        require(self.clock is not None, "engine built without pipeline=True")
-        return self.clock.report()
 
     # ------------------------------------------------------------------
-    def process_batch(self, batch: UpdateBatch) -> MultiBatchResult:
-        """Run the sharded five-step pipeline for one batch."""
-        require(len(batch) > 0, "empty batch")
-        graph = self.graph
-        breakdown = TimeBreakdown()
-
-        # -- step 1: dynamic graph update (host, shared) -------------------
-        # every later step runs on the canonicalized *effective* batch
-        batch, breakdown.update_ns = update_step(
-            graph, batch, self.device, self.conflict_mode
-        )
-
-        # -- step 1b: invariant maintenance + certified skips (host) -------
-        decision = None
-        if self.prefilter_index is not None:
-            pc = self.prefilter_index.apply_batch(batch)
-            decision = self.prefilter_index.evaluate(self.plans, batch)
-            pc.merge(decision.counters)
-            breakdown.prefilter_ns = simulated_time_ns(pc, self.device, platform="cpu")
-            if decision.skip_batch:
-                # certified ΔM = 0 fleet-wide: no estimation, no per-shard
-                # pack, no kernels, no all-reduce — only the host settles
-                breakdown.reorg_ns = reorganize_step(graph, self.device)
-                self.prefilter_index.close_batch()
-                if self.clock is not None:
-                    self.clock.annotate(breakdown)
-                self.batches_processed += 1
-                return MultiBatchResult(
-                    delta_count=0,
-                    match_stats=MatchStats(roots_skipped=decision.roots_total),
-                    breakdown=breakdown,
-                    match_counters=AccessCounters(),
-                    estimation=None,
-                    cached_vertices=np.empty(0, dtype=np.int64),
-                    cache_bytes=0,
-                    cache_hits=0,
-                    cache_misses=0,
-                    conflicts=graph.last_canonical_report,
-                    prefilter=decision.to_stats(breakdown.prefilter_ns),
-                )
-
-        # -- step 2: frequency estimation (host, shared) -------------------
-        # root-masked updates shrink the shared walk budget for the fleet
-        estimate_input = decision.estimate_batch if decision is not None else batch
-        estimation: EstimationResult | None = None
-        if self.policy.requires_estimation:
-            if self.adaptive_walks:
-                estimation = self.estimator.estimate_adaptive(
-                    self.plans, estimate_input, initial_walks=self.num_walks
-                )
-            else:
-                estimation = self.estimator.estimate(
-                    self.plans, estimate_input, num_walks=self.num_walks
-                )
-            breakdown.estimate_ns = simulated_time_ns(
-                estimation.counters, self.device, platform="cpu_estimator"
-            )
+    def prepare(self, batch, decision, breakdown):
+        """Shared estimate, host partition, per-shard select + pack + DMA."""
+        engine, graph = self.engine, self.engine.graph
+        estimation = self.estimate(batch, decision, breakdown)
         frequencies = estimation.frequencies if estimation is not None else None
 
-        # -- partition (host) ----------------------------------------------
         # per-batch re-placement folds into the pack phase; sticky ownership
         # (repartition mode) is its own host stage: repartition_ns
-        owner: np.ndarray | None = None
+        part_counters = AccessCounters()
         partition_ns = 0.0
         repart_report: RepartitionReport | None = None
-        if self.num_devices > 1:
-            part_counters = AccessCounters()
-            if self.ownership is None:
-                owner = self.partitioner.assign(
-                    graph, frequencies, self.num_devices, part_counters,
-                    roots=batch.edges,
+        if self.ownership is None:
+            owner = self.partitioner.assign(
+                graph, frequencies, self.engine.num_devices, part_counters,
+                roots=batch.edges,
+            )
+            partition_ns = simulated_time_ns(part_counters, engine.device, platform="cpu")
+        else:
+            owner, repart_report = self._sticky_owner_step(
+                graph, frequencies, part_counters, batch.edges
+            )
+            breakdown.repartition_ns = (
+                simulated_time_ns(part_counters, engine.device, platform="cpu")
+                + (repart_report.repartition_ns if repart_report else 0.0)
+            )
+            if repart_report is not None:
+                # surface the full stage cost (planning compute + migration
+                # traffic) to JSON consumers
+                repart_report = replace(
+                    repart_report, repartition_ns=breakdown.repartition_ns
                 )
-                partition_ns = simulated_time_ns(
-                    part_counters, self.device, platform="cpu"
-                )
-            else:
-                owner, repart_report = self._sticky_owner_step(
-                    graph, frequencies, part_counters, batch.edges
-                )
-                breakdown.repartition_ns = (
-                    simulated_time_ns(part_counters, self.device, platform="cpu")
-                    + (repart_report.repartition_ns if repart_report else 0.0)
-                )
-                if repart_report is not None:
-                    # surface the full stage cost (planning compute +
-                    # migration traffic) to JSON consumers
-                    repart_report = replace(
-                        repart_report, repartition_ns=breakdown.repartition_ns
-                    )
 
-        # -- step 3: per-shard select + pack + DMA (own links overlap) -----
-        ranked = self.policy.rank(graph, frequencies)
+        # own host links: uploads overlap, the phase is the slowest shard
+        ranked = engine.policy.rank(graph, frequencies)
         parallel_map(
             lambda shard: shard.select_and_pack(graph, ranked, owner),
             self.shards,
             workers=self.workers,
         )
         breakdown.pack_ns = partition_ns + max(s.pack_ns for s in self.shards)
+        return estimation, owner, repart_report
 
-        # -- step 4: per-shard incremental matching ------------------------
+    def match(self, batch, shipped, graph, decision):
+        """Per-shard kernels over the routed roots, then the ΔM all-reduce."""
+        engine = self.engine
+        owner = shipped[1]
         caches = [s.cache for s in self.shards]
 
-        def _match_one(shard: Shard) -> _ShardMatchOutcome:
+        def match_one(shard: Shard) -> MatchOutcome:
             counters = AccessCounters()
             view = ShardedDeviceView(
                 graph, shard.device, counters, shard.cache,
                 shard_id=shard.shard_id, owner=owner, peer_caches=caches,
             )
-            mask = None
-            if owner is not None:
-                sid = shard.shard_id
-                mask = lambda roots: owner[roots[:, 0]] == sid  # noqa: E731
-            # the live index masker recomputes per shard-routed subset, so
-            # skipped-root accounting partitions exactly across the fleet
-            stats = match_batch(
-                self.plans, batch, view, root_mask=mask,
-                prefilter=self.prefilter_index, executor=self.executor,
+            # the decision's masks are subset per routed root, so skipped-
+            # root accounting partitions exactly across the fleet
+            stats = engine.match(
+                engine.plans, batch, view,
+                root_mask=lambda roots: owner[roots[:, 0]] == shard.shard_id,
+                prefilter=decision, attributes=engine.attributes,
             )
-            match_ns = simulated_time_ns(counters, shard.device, platform="gpu")
-            return _ShardMatchOutcome(stats, counters, match_ns, view)
+            ns = simulated_time_ns(counters, shard.device, platform="gpu")
+            return MatchOutcome(stats, counters, ns, view)
 
-        outcomes = parallel_map(_match_one, self.shards, workers=self.workers)
-        breakdown.match_ns = max(o.match_ns for o in outcomes)
-        breakdown.comm_ns = (
-            allreduce_delta_ns(self.cluster, len(self.plans))
-            if self.num_devices > 1
-            else 0.0
-        )
-
-        # -- step 5: reorganize CPU lists (host, shared) -------------------
-        breakdown.reorg_ns = reorganize_step(graph, self.device)
-        if self.prefilter_index is not None:
-            self.prefilter_index.close_batch()
-
-        # -- aggregate across the fleet ------------------------------------
-        total_stats = MatchStats()
-        merged = AccessCounters()
+        outcomes = parallel_map(match_one, self.shards, workers=self.workers)
+        total, merged = MatchStats(), AccessCounters()
         for o in outcomes:
-            total_stats.merge(o.stats)
+            total.merge(o.stats)
             merged.merge(o.counters)
-        shard_reports = [
-            ShardBatchReport(
-                shard_id=s.shard_id,
-                roots_processed=o.stats.roots_processed,
-                match_ns=o.match_ns,
-                pack_ns=s.pack_ns,
-                cache_bytes=s.cache.total_bytes,
-                cached_vertices=s.cache.num_cached,
-                local_hits=o.view.hits,
-                local_misses=o.view.misses,
-                remote_hits=o.view.remote_hits,
-                remote_misses=o.view.remote_misses,
-                peer_bytes=o.counters.bytes_by_channel[Channel.PEER],
-            )
-            for s, o in zip(self.shards, outcomes)
-        ]
-        balance = LoadBalanceReport(
-            shard_match_ns=tuple(o.match_ns for o in outcomes),
-            shard_roots=tuple(o.stats.roots_processed for o in outcomes),
+        return FleetOutcome(
+            total, merged, max(o.match_ns for o in outcomes),
+            comm_ns=allreduce_delta_ns(self.engine.cluster, len(engine.plans)),
+            shards=outcomes,
         )
-        comm = comm_report([o.counters for o in outcomes], breakdown.comm_ns)
+
+    def bookkeeping(self, shipped, outcome):
+        if outcome is None:
+            return {}
+        estimation, _owner, repart_report = shipped
+        shards, outcomes = self.shards, outcome.shards
         if self.ownership is not None:
             # feed the heat EWMA with this batch's per-vertex read bytes
-            self.ownership.observe(merged.vertex_access_bytes(graph.num_vertices))
-
-        if self.clock is not None:
-            self.clock.annotate(breakdown)
-        self.batches_processed += 1
-        self.total_delta += total_stats.signed_count
-        return MultiBatchResult(
-            delta_count=total_stats.signed_count,
-            match_stats=total_stats,
-            breakdown=breakdown,
-            match_counters=merged,
+            self.ownership.observe(
+                outcome.counters.vertex_access_bytes(self.engine.graph.num_vertices)
+            )
+        return dict(
             estimation=estimation,
-            cached_vertices=np.concatenate([s.selected for s in self.shards])
-            if self.shards
-            else np.empty(0, dtype=np.int64),
-            cache_bytes=sum(s.cache.total_bytes for s in self.shards),
+            cached_vertices=np.concatenate([s.selected for s in shards]),
+            cache_bytes=sum(s.cache.total_bytes for s in shards),
             cache_hits=sum(o.view.total_hits for o in outcomes),
             cache_misses=sum(o.view.total_misses for o in outcomes),
-            conflicts=graph.last_canonical_report,
-            prefilter=decision.to_stats(breakdown.prefilter_ns)
-            if decision is not None
-            else None,
-            shard_reports=shard_reports,
-            load_balance=balance,
-            comm=comm,
+            shard_reports=[
+                ShardBatchReport(
+                    shard_id=s.shard_id,
+                    roots_processed=o.stats.roots_processed,
+                    match_ns=o.match_ns,
+                    pack_ns=s.pack_ns,
+                    cache_bytes=s.cache.total_bytes,
+                    cached_vertices=s.cache.num_cached,
+                    local_hits=o.view.hits,
+                    local_misses=o.view.misses,
+                    remote_hits=o.view.remote_hits,
+                    remote_misses=o.view.remote_misses,
+                    peer_bytes=o.counters.bytes_by_channel[Channel.PEER],
+                )
+                for s, o in zip(shards, outcomes)
+            ],
+            load_balance=LoadBalanceReport(
+                shard_match_ns=tuple(o.match_ns for o in outcomes),
+                shard_roots=tuple(o.stats.roots_processed for o in outcomes),
+            ),
+            comm=comm_report([o.counters for o in outcomes], outcome.comm_ns),
             repartition=repart_report,
         )
 
@@ -535,31 +241,15 @@ class MultiGpuEngine:
         """
         if self._owner is None:
             self._owner = self.partitioner.assign(
-                graph, frequencies, self.num_devices, counters, roots=roots
+                graph, frequencies, self.engine.num_devices, counters, roots=roots
             )
             return self._owner, None
         n = graph.num_vertices
         if n > self._owner.size:
             old = self._owner.size
-            grown = _hash_owners(n, self.num_devices)
+            grown = _hash_owners(n, self.engine.num_devices)
             grown[:old] = self._owner
             self._owner = grown
             counters.record_compute(n - old)
         self._owner, report = self.ownership.step(graph, self._owner, counters)
         return self._owner, report
-
-    def process_stream(self, batches: list[UpdateBatch]) -> list[MultiBatchResult]:
-        """Convenience: process a whole stream, returning per-batch results."""
-        return [self.process_batch(b) for b in batches]
-
-    def initial_match(self) -> tuple[int, float]:
-        """Static bootstrap pass — see :meth:`GCSMEngine.initial_match`.
-
-        Sharding the static pass is future work; it reuses the single-GPU
-        implementation (zero-copy path on one device).
-        """
-        return GCSMEngine.initial_match(self)  # type: ignore[arg-type]
-
-    def snapshot(self) -> StaticGraph:
-        """Current settled graph snapshot."""
-        return self.graph.snapshot()

@@ -330,7 +330,7 @@ class FrequencyPartitioner(Partitioner):
         # the raw packed runs minus deletion marks are the same *set* of
         # neighbors, and every consumer below (integer-weighted bincount
         # votes, boolean claims) is order-independent — so the claiming
-        # loop is bit-identical to :meth:`assign_reference`.
+        # loop is bit-identical to repro.testing.oracles.assign_reference.
         _, total_len, views = graph.packed_runs(hot)
         flat = (
             np.concatenate(views) if views else np.empty(0, dtype=np.int64)
@@ -344,54 +344,6 @@ class FrequencyPartitioner(Partitioner):
                 continue
             run = flat[bounds[i]:bounds[i + 1]]
             nbrs = run[run >= 0]
-            ops += nbrs.size + 1
-            group = nbrs[~claimed[nbrs]]
-            group = np.append(group, v)
-            votes = np.bincount(owners[group], weights=degrees[group] + 1,
-                                minlength=num_devices)
-            target = int(np.argmax(votes))
-            movers = group[owners[group] != target]
-            moved_mass = int(degrees[movers].sum())
-            if load[target] + moved_mass > cap:
-                claimed[v] = True
-                continue
-            np.subtract.at(load, owners[movers], degrees[movers])
-            load[target] += moved_mass
-            owners[group] = target
-            claimed[group] = True
-        if counters is not None:
-            counters.record_compute(ops)
-        return owners
-
-    def assign_reference(self, graph, frequencies, num_devices, counters=None,
-                         *, roots=None):
-        """Scalar parity oracle: the original per-hot-vertex loop.
-
-        Kept verbatim (one ``neighbors_new`` merge per hot vertex) so tests
-        can assert the vectorized :meth:`assign` reproduces its owner map
-        and charged ops bit-for-bit.
-        """
-        n = graph.num_vertices
-        owners = _hash_owners(n, num_devices)
-        if counters is not None:
-            counters.record_compute(n)
-        if frequencies is None or num_devices == 1:
-            return owners
-        hot = np.nonzero(frequencies[:n] > 0)[0]
-        if hot.size == 0:
-            return owners
-        order = np.argsort(-frequencies[hot], kind="stable")
-        hot = hot[order]
-
-        degrees = graph.degrees_new().astype(np.int64)
-        load = np.bincount(owners, weights=degrees, minlength=num_devices)
-        cap = (1.0 + self.balance_slack) * degrees.sum() / num_devices
-        claimed = np.zeros(n, dtype=bool)
-        ops = n
-        for v in hot.tolist():
-            if claimed[v]:
-                continue
-            nbrs = graph.neighbors_new(v)
             ops += nbrs.size + 1
             group = nbrs[~claimed[nbrs]]
             group = np.append(group, v)

@@ -151,7 +151,7 @@ class RepartitionReport:
 class OwnershipManager:
     """Sticky owner map + EWMA heat + drift-triggered migration planning.
 
-    One per :class:`~repro.multigpu.engine.MultiGpuEngine` fleet.  Call
+    One per :class:`~repro.multigpu.engine.FleetPlacement` fleet.  Call
     :meth:`step` at the start of every batch (after the graph update, before
     packing) with the current owner map — it returns the possibly-migrated
     map plus a report; call :meth:`observe` after matching with the merged

@@ -18,7 +18,7 @@ an uncached list never takes two hops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from repro.gpu.counters import AccessCounters, Channel
 from repro.gpu.device import DeviceConfig
 from repro.query.plan import EdgeVersion
 
-__all__ = ["Shard", "ShardedDeviceView"]
+__all__ = ["Shard", "ShardedDeviceView", "ShardBatchReport", "LoadBalanceReport"]
 
 
 @dataclass
@@ -45,30 +45,19 @@ class Shard:
     pack_ns: float = 0.0
 
     def select_and_pack(
-        self,
-        graph: DynamicGraph,
-        ranked: np.ndarray,
-        owner: np.ndarray | None,
+        self, graph: DynamicGraph, ranked: np.ndarray, owner: np.ndarray
     ) -> None:
         """Step 3 for this shard: keep the owned prefix of the global rank,
-        fit it to this device's budget, pack, and DMA (own link).
-
-        With ``owner is None`` (single device) the selection is exactly the
-        single-GPU engine's ``policy.select`` — same rank array, same greedy
-        budget prefix — which is what the N=1 equivalence invariant rests on.
-        """
-        if owner is not None:
-            ranked = ranked[owner[ranked] == self.shard_id]
-        self.selected = select_within_budget(graph, ranked, self.cache_budget_bytes)
+        fit it to this device's budget, pack, and DMA (own link)."""
+        owned = ranked[owner[ranked] == self.shard_id]
+        self.selected = select_within_budget(graph, owned, self.cache_budget_bytes)
         self.cache, self.pack_ns = pack_step(graph, self.selected, self.device)
 
 
 class ShardedDeviceView(CachedDeviceView):
-    """GCSM's cached view plus the remote-read path of a sharded fleet.
-
-    ``owner is None`` short-circuits every branch below and behaves exactly
-    like :class:`~repro.core.cache.CachedDeviceView` — the N=1 case.
-    """
+    """GCSM's cached view plus the remote-read path of a sharded fleet
+    (``devices > 1``; one device runs the plain
+    :class:`~repro.core.cache.CachedDeviceView`)."""
 
     def __init__(
         self,
@@ -77,21 +66,22 @@ class ShardedDeviceView(CachedDeviceView):
         counters: AccessCounters,
         cache: DcsrCache,
         *,
-        shard_id: int = 0,
-        owner: np.ndarray | None = None,
-        peer_caches: list[DcsrCache] | None = None,
+        shard_id: int,
+        owner: np.ndarray,
+        peer_caches: list[DcsrCache],
     ) -> None:
         super().__init__(graph, device, counters, cache)
         self.shard_id = shard_id
         self.owner = owner
-        self.peer_caches = peer_caches or []
+        self.peer_caches = peer_caches
         self.remote_hits = 0
         self.remote_misses = 0
 
     def fetch(self, v: int, version: EdgeVersion) -> tuple[np.ndarray, ...]:
-        if self.owner is None or int(self.owner[v]) == self.shard_id:
+        owner_shard = int(self.owner[v])
+        if owner_shard == self.shard_id:
             return super().fetch(v, version)
-        return self._fetch_remote(v, int(self.owner[v]), version)
+        return self._fetch_remote(v, owner_shard, version)
 
     def _fetch_remote(
         self, v: int, owner_shard: int, version: EdgeVersion
@@ -129,9 +119,6 @@ class ShardedDeviceView(CachedDeviceView):
         rowidx directory, and are charged to the peer interconnect (hit) or
         host zero-copy (miss) — summing to exactly the per-access counters.
         """
-        if self.owner is None:
-            super().fetch_block(vertices, version)
-            return
         owners = self.owner[vertices]
         local = owners == self.shard_id
         super().fetch_block(vertices[local], version)
@@ -167,3 +154,77 @@ class ShardedDeviceView(CachedDeviceView):
     def total_misses(self) -> int:
         """Reads that fell through to host memory."""
         return self.misses + self.remote_misses
+
+
+@dataclass(frozen=True)
+class ShardBatchReport:
+    """What one shard did during one batch."""
+
+    shard_id: int
+    roots_processed: int
+    match_ns: float
+    pack_ns: float
+    cache_bytes: int
+    cached_vertices: int
+    local_hits: int
+    local_misses: int
+    remote_hits: int
+    remote_misses: int
+    peer_bytes: int
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+@dataclass(frozen=True)
+class LoadBalanceReport:
+    """Per-batch straggler diagnosis of the fleet (the scaling table's
+    imbalance column): max/mean shard match time and who the straggler is."""
+
+    shard_match_ns: tuple[float, ...]
+    shard_roots: tuple[int, ...]
+
+    @property
+    def num_devices(self) -> int:
+        return len(self.shard_match_ns)
+
+    @property
+    def max_ns(self) -> float:
+        return max(self.shard_match_ns) if self.shard_match_ns else 0.0
+
+    @property
+    def mean_ns(self) -> float:
+        return (
+            sum(self.shard_match_ns) / len(self.shard_match_ns)
+            if self.shard_match_ns
+            else 0.0
+        )
+
+    @property
+    def imbalance(self) -> float:
+        """max/mean shard match time; 1.0 is a perfectly balanced fleet.
+
+        An idle fleet (every shard's match time zero — e.g. all roots
+        masked away) is *defined* as perfectly balanced: 1.0, not 0/0.
+        """
+        return self.max_ns / self.mean_ns if self.mean_ns else 1.0
+
+    @property
+    def straggler(self) -> int | None:
+        """Shard id of the slowest device, or ``None`` on an idle fleet
+        (all shard match times zero: nobody straggled)."""
+        if not self.shard_match_ns or self.max_ns == 0.0:
+            return None
+        return int(max(range(len(self.shard_match_ns)),
+                       key=lambda i: self.shard_match_ns[i]))
+
+    def to_dict(self) -> dict:
+        return {
+            "num_devices": self.num_devices,
+            "shard_match_ns": list(self.shard_match_ns),
+            "shard_roots": list(self.shard_roots),
+            "max_ns": self.max_ns,
+            "mean_ns": self.mean_ns,
+            "imbalance": self.imbalance,
+            "straggler": self.straggler,
+        }

@@ -1,13 +1,12 @@
-"""``repro.service``: the pipelined batch engine and the multi-tenant
+"""``repro.service``: the pipelined schedule and the multi-tenant
 continuous-ingest service layer built on top of it.
 
 Two layers (see ``docs/service.md``):
 
-* :mod:`repro.service.pipeline` — :class:`~repro.service.pipeline.PipelinedEngine`,
-  the staged/overlapped execution of the paper's five-step batch pipeline.
-  Bit-identical results to the serial :class:`~repro.core.engine.GCSMEngine`;
-  only the schedule (and therefore the time accounting and the wall clock)
-  changes.
+* :mod:`repro.service.pipeline` — :class:`~repro.service.pipeline.PipelinedSchedule`,
+  the staged/overlapped execution of the paper's five-step batch pipeline
+  (``GCSMEngine(schedule="pipelined")``).  Bit-identical results to the
+  serial schedule; only the time accounting and the wall clock change.
 * :mod:`repro.service.server` — :class:`~repro.service.server.MatchService`,
   a simulated-time serving stack: per-tenant bounded queues, open/closed-loop
   load generators, admission control, fair/priority scheduling over a device
@@ -20,7 +19,7 @@ from repro.service.load import (
     make_tenant_workloads,
 )
 from repro.service.metrics import LatencyStats, ServiceReport, TenantMetrics
-from repro.service.pipeline import PipelinedEngine
+from repro.service.pipeline import PipelinedSchedule
 from repro.service.server import (
     ADMISSION_POLICIES,
     SCHEDULERS,
@@ -30,7 +29,7 @@ from repro.service.server import (
 )
 
 __all__ = [
-    "PipelinedEngine",
+    "PipelinedSchedule",
     "MatchService",
     "TenantQueue",
     "QueueFullError",

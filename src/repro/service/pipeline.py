@@ -1,14 +1,16 @@
-"""The pipelined batch engine: staged, overlapped execution of Fig. 3.
+"""The pipelined schedule: staged, overlapped execution of Fig. 3.
 
-The serial :class:`~repro.core.engine.GCSMEngine` runs the five steps of
-every batch back to back.  The paper's system (and GPU batch-dynamic
-matchers generally) instead overlap host-side preparation with device-side
-matching: while the kernel matches batch *k*, the host already reorganizes
-batch *k*'s lists and updates/estimates/packs batch *k+1*.
+The serial schedule runs the five steps of every batch back to back.  The
+paper's system (and GPU batch-dynamic matchers generally) instead overlap
+host-side preparation with device-side matching: while the kernel matches
+batch *k*, the host already reorganizes batch *k*'s lists and
+updates/estimates/packs batch *k+1*.
 
-:class:`PipelinedEngine` implements that schedule on the stage methods the
-serial engine exposes (``_stage_update`` .. ``_stage_reorganize``), in two
-coupled ways:
+:class:`PipelinedSchedule` is the engine's schedule plug for
+``schedule="pipelined"``; it re-sequences the stage methods
+:class:`~repro.core.engine.GCSMEngine` exposes (``stage_host`` /
+``stage_match`` / ``stage_reorganize``), whatever match stage the placement
+and fan-out provide, in two coupled ways:
 
 * **Simulated time** — a :class:`~repro.gpu.clock.PipelineClock` places each
   batch's stage durations on FIFO CPU/GPU/PEER lanes and annotates the
@@ -23,7 +25,7 @@ coupled ways:
 
 **Bit-parity contract.**  Per-batch ΔM, ``MatchStats``, access counters,
 cache selection, estimator output, and the final store are identical to the
-serial engine on any stream, because
+serial schedule on any stream, because
 
 1. the frozen view the kernel reads *is* the store state the serial kernel
    would have read (captured after update/pack, before reorganize);
@@ -33,188 +35,94 @@ serial engine on any stream, because
    serialized on the host thread).
 
 Only the three pipeline fields of the breakdown differ from the serial
-engine (they are zero there); ``total_ns`` and every stage time are equal.
+schedule (they are zero there); ``total_ns`` and every stage time are equal.
 The differential stream fuzzer enforces this via the ``"Pipelined"`` system
-spec in :mod:`repro.core.validation`.
+specs in :mod:`repro.core.validation`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.engine import BatchResult, GCSMEngine
-from repro.core.matching import MatchStats
-from repro.gpu.clock import PipelineClock, ScheduleReport, TimeBreakdown
-from repro.gpu.counters import AccessCounters
+from repro.core.engine import BatchResult, GCSMEngine, SerialSchedule, StagedBatch
+from repro.gpu.clock import PipelineClock
 from repro.parallel import submit
-from repro.query.pattern import QueryGraph  # noqa: F401  (doc cross-ref)
-from repro.utils import VERTEX_DTYPE, require
 
-__all__ = ["PipelinedEngine"]
+__all__ = ["PipelinedSchedule"]
 
 
-class PipelinedEngine(GCSMEngine):
-    """GCSM with cross-batch stage overlap (same results, different clock).
+class PipelinedSchedule(SerialSchedule):
+    """Cross-batch stage overlap (same results, different clock).
 
-    Accepts every :class:`~repro.core.engine.GCSMEngine` parameter plus:
-
-    threaded:
-        Run the GPU match stage on a real worker thread overlapping the
-        host stages (the default).  ``False`` keeps execution single-
-        threaded — the simulated-time pipeline model still applies, so
-        results and annotated breakdowns are identical either way; only
-        the harness wall clock changes.
+    ``threaded=False`` keeps execution single-threaded — the simulated-time
+    pipeline model still applies, so results and annotated breakdowns are
+    identical either way; only the harness wall clock changes.
     """
 
-    name = "Pipelined"
-
-    def __init__(self, *args, threaded: bool = True, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, threaded: bool = True) -> None:
         self.threaded = threaded
         self.clock = PipelineClock()
 
-    # ------------------------------------------------------------------
-    def process_batch(self, batch) -> BatchResult:
-        """One batch through the staged pipeline.
+    def _overlaps(self, engine: GCSMEngine) -> bool:
+        # an explicit-weight overlay is mutated by the host stages while the
+        # kernel would still be reading it; plain streams (lookups reduce to
+        # the pure hash) are the case the overlap is safe — and built — for
+        overlay = engine.attributes
+        return self.threaded and not (overlay is not None and overlay.num_overrides)
 
-        Within the batch, reorganize overlaps the match (the kernel reads a
-        frozen epoch); across :meth:`process_batch` calls the pipeline
-        clock keeps modeling cross-batch overlap, because its lanes persist
-        on the engine.  For real cross-batch wall-clock overlap, feed whole
-        streams to :meth:`process_stream`.
-        """
-        require(len(batch) > 0, "empty batch")
-        breakdown = TimeBreakdown()
-        batch, breakdown.update_ns = self._stage_update(batch)
-        conflicts = self.graph.last_canonical_report
-        decision, breakdown.prefilter_ns = self._stage_prefilter(batch)
-        if decision is not None and decision.skip_batch:
-            breakdown.reorg_ns = self._stage_reorganize()
-            return self._finish_skipped(breakdown, decision, conflicts)
-        estimate_input = decision.estimate_batch if decision is not None else batch
-        estimation, breakdown.estimate_ns = self._stage_estimate(estimate_input)
-        selected, cache, breakdown.pack_ns = self._stage_pack(estimation)
-        if self.threaded:
-            with self.graph.freeze() as frozen:
-                task = submit(self._stage_match, batch, cache, frozen, decision)
-                breakdown.reorg_ns = self._stage_reorganize()
-                stats, match_counters, view, breakdown.match_ns = task.result()
-        else:
-            stats, match_counters, view, breakdown.match_ns = self._stage_match(
-                batch, cache, prefilter=decision
-            )
-            breakdown.reorg_ns = self._stage_reorganize()
-        return self._finish_batch(
-            breakdown, stats, match_counters, view, estimation,
-            selected, cache, conflicts, decision,
-        )
+    def run_device(self, engine: GCSMEngine, staged: StagedBatch) -> None:
+        """Within one batch, reorganize overlaps the match (the kernel reads
+        a frozen epoch); across calls the clock keeps modeling cross-batch
+        overlap, because its lanes persist on the engine."""
+        if not self._overlaps(engine):
+            return super().run_device(engine, staged)
+        with engine.graph.freeze() as frozen:
+            task = submit(engine.stage_match, staged, frozen)
+            staged.breakdown.reorg_ns = engine.stage_reorganize()
+            staged.land(task.result())
 
-    def process_stream(self, batches) -> list[BatchResult]:
+    def finish(self, engine: GCSMEngine, staged: StagedBatch) -> BatchResult:
+        self.clock.annotate(staged.breakdown)
+        return engine.finish(staged)
+
+    def run_stream(self, engine: GCSMEngine, batches) -> list[BatchResult]:
         """Software-pipelined stream execution.
 
         While the device lane matches batch *k* (on its worker thread,
         against the frozen epoch), the host thread reorganizes *k* and runs
-        update/estimate/pack of *k+1* — the schedule
-        :class:`~repro.gpu.clock.PipelineClock` models.  Results are
-        collected in batch order, so the returned list is exactly what the
-        serial engine would have produced.
+        update/estimate/pack of *k+1* — the schedule the clock models.
+        Results are collected in batch order, so the returned list is
+        exactly what the serial schedule would have produced.  A fleet's
+        shards and ownership heat are per-engine state the next batch's
+        prepare would overwrite, so fleets overlap within each batch only.
         """
-        if not self.threaded:
-            return [self.process_batch(b) for b in batches]
+        if not self._overlaps(engine) or engine.fleet is not None:
+            return super().run_stream(engine, batches)
         results: list[BatchResult] = []
         inflight = None
-        for raw in batches:
-            require(len(raw) > 0, "empty batch")
-            breakdown = TimeBreakdown()
-            batch, breakdown.update_ns = self._stage_update(raw)
-            conflicts = self.graph.last_canonical_report
-            decision, breakdown.prefilter_ns = self._stage_prefilter(batch)
-            if decision is not None and decision.skip_batch:
-                # certified ΔM = 0: nothing to ship to the device lane; the
-                # store still reorganizes, and the in-flight batch drains
-                # first so results stay in batch order
-                breakdown.reorg_ns = self._stage_reorganize()
-                if inflight is not None:
-                    results.append(self._collect(*inflight))
-                    inflight = None
-                results.append(self._finish_skipped(breakdown, decision, conflicts))
-                continue
-            estimate_input = decision.estimate_batch if decision is not None else batch
-            estimation, breakdown.estimate_ns = self._stage_estimate(estimate_input)
-            selected, cache, breakdown.pack_ns = self._stage_pack(estimation)
-            frozen = self.graph.freeze()
-            # the decision's masks are immutable, so the kernel thread never
-            # races the live index (maintained on this host thread)
-            task = submit(self._stage_match, batch, cache, frozen, decision)
-            # host continues immediately: the freeze isolates the kernel
-            breakdown.reorg_ns = self._stage_reorganize()
+
+        def drain() -> None:
+            nonlocal inflight
             if inflight is not None:
-                results.append(self._collect(*inflight))
-            inflight = (
-                task, frozen, breakdown, estimation, selected, cache, conflicts,
-                decision,
-            )
-        if inflight is not None:
-            results.append(self._collect(*inflight))
+                task, frozen, staged = inflight
+                inflight = None
+                try:
+                    staged.land(task.result())
+                finally:
+                    frozen.release()
+                results.append(self.finish(engine, staged))
+
+        for raw in batches:
+            staged = engine.stage_host(raw)
+            if staged.skipped:
+                # certified ΔM = 0: nothing to ship to the device lane; the
+                # in-flight batch drains first so results stay in batch order
+                drain()
+                results.append(self.finish(engine, staged))
+                continue
+            frozen = engine.graph.freeze()
+            task = submit(engine.stage_match, staged, frozen)
+            # host continues immediately: the freeze isolates the kernel
+            staged.breakdown.reorg_ns = engine.stage_reorganize()
+            drain()
+            inflight = (task, frozen, staged)
+        drain()
         return results
-
-    # ------------------------------------------------------------------
-    def _collect(
-        self, task, frozen, breakdown, estimation, selected, cache, conflicts,
-        decision=None,
-    ) -> BatchResult:
-        try:
-            stats, match_counters, view, breakdown.match_ns = task.result()
-        finally:
-            frozen.release()
-        return self._finish_batch(
-            breakdown, stats, match_counters, view, estimation,
-            selected, cache, conflicts, decision,
-        )
-
-    def _finish_batch(
-        self, breakdown, stats, match_counters, view, estimation,
-        selected, cache, conflicts, decision=None,
-    ) -> BatchResult:
-        self.clock.annotate(breakdown)
-        self.batches_processed += 1
-        self.total_delta += stats.signed_count
-        return BatchResult(
-            delta_count=stats.signed_count,
-            match_stats=stats,
-            breakdown=breakdown,
-            match_counters=match_counters,
-            estimation=estimation,
-            cached_vertices=selected,
-            cache_bytes=cache.total_bytes,
-            cache_hits=view.hits,
-            cache_misses=view.misses,
-            conflicts=conflicts,
-            prefilter=decision.to_stats(breakdown.prefilter_ns)
-            if decision is not None
-            else None,
-        )
-
-    def _finish_skipped(self, breakdown, decision, conflicts) -> BatchResult:
-        """Batch-level certified skip: annotate the (prefilter + reorganize)
-        schedule and return an all-zero result carrying the skip stats."""
-        self.clock.annotate(breakdown)
-        self.batches_processed += 1
-        return BatchResult(
-            delta_count=0,
-            match_stats=MatchStats(roots_skipped=decision.roots_total),
-            breakdown=breakdown,
-            match_counters=AccessCounters(),
-            estimation=None,
-            cached_vertices=np.empty(0, dtype=VERTEX_DTYPE),
-            cache_bytes=0,
-            cache_hits=0,
-            cache_misses=0,
-            conflicts=conflicts,
-            prefilter=decision.to_stats(breakdown.prefilter_ns),
-        )
-
-    # ------------------------------------------------------------------
-    def schedule_report(self) -> ScheduleReport:
-        """Stream-level pipeline schedule summary (makespan, overlap, fill/drain)."""
-        return self.clock.report()

@@ -24,9 +24,9 @@ Model
   are strictly ordered: batch k+1's update needs batch k reorganized).
 * **Service time**: a dispatched batch occupies its device for the
   engine-reported :attr:`~repro.gpu.clock.TimeBreakdown.pipelined_ns` —
-  the pipeline critical path for :class:`~repro.service.pipeline.PipelinedEngine`
-  (host prep of the next batch hides under the kernel), the serial
-  ``total_ns`` otherwise.  That single number is exactly what the ≥1.3x
+  the pipeline critical path under ``schedule="pipelined"`` (host prep of
+  the next batch hides under the kernel), the serial ``total_ns``
+  otherwise.  That single number is exactly what the ≥1.3x
   sustained-throughput benchmark measures.
 """
 
@@ -43,7 +43,6 @@ from repro.gpu.device import DeviceConfig
 from repro.parallel import default_workers
 from repro.service.load import TenantWorkload
 from repro.service.metrics import ServiceReport, TenantMetrics
-from repro.service.pipeline import PipelinedEngine
 from repro.utils import require
 
 __all__ = [
@@ -158,16 +157,11 @@ class MatchService:
         self.seed = seed
         kwargs = dict(engine_kwargs or {})
         self.tenants: dict[str, _TenantState] = {}
+        kwargs.update(schedule="pipelined" if pipeline else "serial", threaded=threaded)
         for w in workloads:
-            if pipeline:
-                engine: GCSMEngine = PipelinedEngine(
-                    w.initial_graph, w.query, seed=seed, device=device,
-                    threaded=threaded, **kwargs,
-                )
-            else:
-                engine = GCSMEngine(
-                    w.initial_graph, w.query, seed=seed, device=device, **kwargs
-                )
+            engine = GCSMEngine(
+                w.initial_graph, w.query, seed=seed, device=device, **kwargs
+            )
             self.tenants[w.name] = _TenantState(
                 w, engine, TenantQueue(w.name, queue_capacity),
                 TenantMetrics(w.name, w.priority),
@@ -314,7 +308,7 @@ class MatchService:
         if self.pipeline:
             agg: dict[str, float] = {}
             for state in self.tenants.values():
-                rep = state.engine.schedule_report().to_dict()  # type: ignore[attr-defined]
+                rep = state.engine.schedule_report().to_dict()
                 for key in ("serial_ns", "makespan_ns", "overlap_ns",
                             "fill_ns", "drain_ns"):
                     agg[key] = agg.get(key, 0.0) + rep[key]

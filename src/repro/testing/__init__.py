@@ -1,0 +1,38 @@
+"""Reference implementations used as parity oracles by the test suites.
+
+Nothing on the production path imports this package.  It holds the slow,
+obviously-correct twins of the vectorized production kernels:
+
+* :mod:`repro.testing.kernels` — the recursive depth-first matching
+  executor and the recursive merged-walk frequency estimator, plus
+  :func:`use_reference_kernels`, the one seam engine-level parity suites
+  reach them through (``engine.estimator`` and ``engine.match`` are plain
+  attributes; the function swaps both);
+* :mod:`repro.testing.oracles` — the scalar loops the vectorized DCSR pack,
+  reorganize merge and frequency partitioner are checked against.
+
+The brute-force embedding counter stays in :mod:`repro.core.reference`:
+``repro verify --oracle`` uses it in production.
+"""
+
+from repro.testing.kernels import (
+    RecursiveFrequencyEstimator,
+    match_batch_recursive,
+    match_static_recursive,
+    use_reference_kernels,
+)
+from repro.testing.oracles import (
+    assign_reference,
+    build_reference,
+    merge_runs_reference,
+)
+
+__all__ = [
+    "RecursiveFrequencyEstimator",
+    "match_batch_recursive",
+    "match_static_recursive",
+    "use_reference_kernels",
+    "build_reference",
+    "merge_runs_reference",
+    "assign_reference",
+]

@@ -1,0 +1,402 @@
+"""The recursive reference kernels (parity oracles).
+
+Two per-node depth-first implementations that the level-synchronous
+production kernels are checked against:
+
+* :class:`RecursivePlanExecutor` / :func:`match_batch_recursive` /
+  :func:`match_static_recursive` — one root at a time, one Python frame
+  per execution-tree node.  ``MatchStats``, per-channel counters, the
+  per-vertex access histogram and sink order must equal
+  :func:`repro.core.matching.match_batch` bit for bit.
+* :class:`RecursiveFrequencyEstimator` — the per-node merged random walk
+  of paper Sec. IV-B; the three-layer parity contract with the frontier
+  sampler is in ``docs/frequency.md``.
+
+Engine-level suites swap both in through :func:`use_reference_kernels`.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.frequency import (
+    EstimationResult,
+    FrequencyEstimator,
+    default_num_walks,
+)
+from repro.core.matching import (
+    EmbeddingSink,
+    MatchStats,
+    _merge_runs,
+    batch_roots,
+    delta_roots,
+    filter_root_predicate,
+    static_roots,
+)
+from repro.graphs.attributes import edge_weights
+from repro.graphs.stream import UpdateBatch
+from repro.gpu.counters import AccessCounters, Channel
+from repro.gpu.device import BYTES_PER_NEIGHBOR
+from repro.gpu.views import GraphView
+from repro.query.pattern import WILDCARD_LABEL
+from repro.query.plan import EdgeVersion, MatchPlan
+from repro.utils import VERTEX_DTYPE, intersect_sorted, merge_sorted
+
+__all__ = [
+    "RecursivePlanExecutor",
+    "match_batch_recursive",
+    "match_static_recursive",
+    "RecursiveFrequencyEstimator",
+    "use_reference_kernels",
+]
+
+
+class RecursivePlanExecutor:
+    """Depth-first execution of one plan over a set of roots."""
+
+    def __init__(
+        self,
+        plan: MatchPlan,
+        view: GraphView,
+        labels: np.ndarray,
+        sink: EmbeddingSink | None,
+        filters: dict[int, np.ndarray] | None = None,
+        attributes=None,
+    ) -> None:
+        self.plan = plan
+        self.view = view
+        self.labels = labels
+        self.sink = sink
+        #: optional per-query-vertex candidate sets (sorted arrays); used by
+        #: the RapidFlow baseline's candidate-index pruning
+        self.filters = filters or {}
+        #: optional edge-weight provider for predicate pushdown (an
+        #: ``EdgeAttributeStore``); None falls back to the hash default
+        self.attributes = attributes
+        #: per-level predicated constraints, in plan constraint order
+        self._preds = [
+            tuple(c for c in lvl.constraints if c.predicate is not None)
+            for lvl in plan.levels
+        ]
+        self.stats = MatchStats()
+        # merged-array memo: the kernel re-reads lists (recorded by the view)
+        # but we keep one merged Python object per (vertex, version family)
+        self._merged: dict[tuple[int, bool], np.ndarray] = {}
+        self._bound = np.empty(plan.depth, dtype=VERTEX_DTYPE)
+
+    def _versioned_list(self, v: int, version: EdgeVersion) -> np.ndarray:
+        runs = self.view.fetch(v, version)  # records the access every time
+        key = (v, version is EdgeVersion.OLD)
+        arr = self._merged.get(key)
+        if arr is None:
+            arr = _merge_runs(runs)
+            self._merged[key] = arr
+        return arr
+
+    def run_root(self, x_a: int, x_b: int, sign: int) -> None:
+        self.stats.roots_processed += 1
+        self.stats.tree_nodes += 1
+        self._bound[0] = x_a
+        self._bound[1] = x_b
+        if self.plan.depth == 2:
+            self._emit(2, 1, sign, leaf_candidates=None)
+            return
+        self._expand(0, sign)
+
+    # ------------------------------------------------------------------
+    def _candidates(self, level_index: int, bound_count: int) -> np.ndarray:
+        lvl = self.plan.levels[level_index]
+        counters = self.view.counters
+        # smallest constraint list first: maximal early pruning
+        cons = sorted(
+            lvl.constraints,
+            key=lambda c: self.view.degree_bound(int(self._bound[c.position]), c.version),
+        )
+        first = cons[0]
+        cand = self._versioned_list(int(self._bound[first.position]), first.version)
+        counters.record_compute(cand.size)
+        for c in cons[1:]:
+            if cand.size == 0:
+                break
+            other = self._versioned_list(int(self._bound[c.position]), c.version)
+            counters.record_compute(cand.size + other.size)
+            cand = intersect_sorted(cand, other)
+        if cand.size == 0:
+            return cand
+        cand_filter = self.filters.get(lvl.query_vertex)
+        if cand_filter is not None:
+            # candidate-index pruning (RapidFlow): the index already encodes
+            # the label constraint, so it subsumes the label check.  Real
+            # implementations keep membership bitmaps, so the probe is O(1)
+            # per candidate (charged 1 op each); this simulation uses a
+            # sorted-array intersection for the same result.
+            counters.record_compute(cand.size)
+            cand = intersect_sorted(cand, cand_filter)
+        elif lvl.label != WILDCARD_LABEL:
+            cand = cand[self.labels[cand] == lvl.label]
+        # predicate pushdown: one weight probe per surviving candidate, one
+        # predicated constraint at a time (plan constraint order) — the
+        # frontier executor reproduces these charges as per-level sums
+        for c in self._preds[level_index]:
+            if cand.size == 0:
+                break
+            counters.record_compute(cand.size)
+            anchor = int(self._bound[c.position])
+            if self.attributes is not None:
+                w = self.attributes.pair_weights(anchor, cand)
+            else:
+                w = edge_weights(anchor, cand)
+            lo, hi = c.predicate
+            cand = cand[(w >= lo) & (w <= hi)]
+        for i in range(bound_count):  # injectivity
+            if cand.size == 0:
+                break
+            cand = cand[cand != self._bound[i]]
+        counters.record_compute(cand.size)
+        return cand
+
+    def _expand(self, level_index: int, sign: int) -> None:
+        bound_count = level_index + 2
+        cand = self._candidates(level_index, bound_count)
+        if cand.size == 0:
+            return
+        last = level_index == len(self.plan.levels) - 1
+        if last:
+            self._emit(bound_count, cand.size, sign, leaf_candidates=cand)
+            return
+        for v in cand.tolist():
+            self.stats.tree_nodes += 1
+            self._bound[bound_count] = v
+            self._expand(level_index + 1, sign)
+
+    def _emit(self, bound_count: int, count: int, sign: int,
+              leaf_candidates: np.ndarray | None) -> None:
+        self.stats.signed_count += sign * count
+        self.stats.embeddings_found += count
+        self.stats.tree_nodes += count if leaf_candidates is not None else 0
+        self.view.counters.record_output(count)
+        self.view.counters.record_compute(count * self.plan.depth)
+        if self.sink is not None:
+            order = self.plan.order
+            inverse = np.empty(len(order), dtype=np.int64)
+            for pos, u in enumerate(order):
+                inverse[u] = pos
+            if leaf_candidates is None:
+                emb = tuple(int(self._bound[inverse[u]]) for u in range(len(order)))
+                self.sink(emb, sign)
+            else:
+                for v in leaf_candidates.tolist():
+                    self._bound[bound_count] = v
+                    emb = tuple(int(self._bound[inverse[u]]) for u in range(len(order)))
+                    self.sink(emb, sign)
+
+
+def _run_recursive(plan, view, labels, sink, filters, roots, signs, attributes):
+    ex = RecursivePlanExecutor(plan, view, labels, sink, filters, attributes)
+    for (x_a, x_b), sign in zip(roots.tolist(), signs.tolist()):
+        ex.run_root(int(x_a), int(x_b), int(sign))
+    return ex.stats
+
+
+def match_batch_recursive(
+    plans: list[MatchPlan],
+    batch: UpdateBatch,
+    view: GraphView,
+    *,
+    sink: EmbeddingSink | None = None,
+    filters: dict[int, np.ndarray] | None = None,
+    root_mask=None,
+    prefilter=None,
+    attributes=None,
+) -> MatchStats:
+    """:func:`repro.core.matching.match_batch` on the recursive executor."""
+    labels = view.graph.labels
+    total = MatchStats()
+    for plan, roots, signs in batch_roots(
+        plans, batch, labels, total, filters=filters, root_mask=root_mask,
+        prefilter=prefilter, attributes=attributes,
+    ):
+        total.merge(
+            _run_recursive(plan, view, labels, sink, filters, roots, signs, attributes)
+        )
+    return total
+
+
+def match_static_recursive(
+    plan: MatchPlan,
+    view: GraphView,
+    *,
+    sink: EmbeddingSink | None = None,
+    attributes=None,
+) -> MatchStats:
+    """:func:`repro.core.matching.match_static` on the recursive executor."""
+    labels = view.graph.labels
+    roots, signs = static_roots(plan, view.graph.edges_new_array(), labels)
+    roots, signs = filter_root_predicate(plan, roots, signs, attributes)
+    return _run_recursive(plan, view, labels, sink, None, roots, signs, attributes)
+
+
+class RecursiveFrequencyEstimator(FrequencyEstimator):
+    """Depth-first merged-binomial sampler over the ΔM_i execution trees."""
+
+    def estimate(
+        self,
+        plans: list[MatchPlan],
+        batch: UpdateBatch,
+        *,
+        num_walks: int | None = None,
+        max_degree: int | None = None,
+    ) -> EstimationResult:
+        """Run the merged sampler over all delta plans.
+
+        The walk budget is split evenly across the m plans (each ΔM_i tree
+        is sampled independently; their access frequencies add).
+        """
+        graph = self.graph
+        labels = graph.labels
+        n = graph.num_vertices
+        if max_degree is None:
+            max_degree = max(1, graph.max_degree())
+        if num_walks is None:
+            num_walks = default_num_walks(
+                len(batch), max_degree, plans[0].query.num_vertices
+            )
+        counters = AccessCounters()
+        freq = np.zeros(n, dtype=np.float64)
+        nodes_visited = 0
+        walks_per_plan = max(1, num_walks // max(1, len(plans)))
+        inv_d = 1.0 / max_degree
+
+        for plan in plans:
+            roots, _signs = delta_roots(plan, batch, labels)
+            num_roots = roots.shape[0]
+            if num_roots == 0:
+                continue
+            # B_root ~ Binomial(M, 1/|ΔR_i|) per root (merged execution)
+            b_roots = self.rng.binomial(walks_per_plan, 1.0 / num_roots, size=num_roots)
+            bound = np.empty(plan.depth, dtype=np.int64)
+            for r in np.nonzero(b_roots > 0)[0]:
+                bound[0], bound[1] = roots[r]
+                nodes_visited += self._walk(
+                    plan, bound, level_index=0, multiplicity=int(b_roots[r]),
+                    weight=float(num_roots), inv_d=inv_d, freq=freq,
+                    counters=counters, labels=labels,
+                )
+        if num_walks > 0:
+            freq /= walks_per_plan
+        return EstimationResult(freq, num_walks, nodes_visited, counters)
+
+    # ------------------------------------------------------------------
+    def _fetch(
+        self,
+        v: int,
+        version: EdgeVersion,
+        counters: AccessCounters,
+        multiplicity: int,
+        weight: float,
+        freq: np.ndarray,
+    ) -> np.ndarray:
+        """Read a versioned list on the CPU, recording the access for FE cost
+        and charging the frequency estimate for vertex ``v``."""
+        if version is EdgeVersion.OLD:
+            arr = self.graph.neighbors_old(v)
+        else:
+            base, delta = self.graph.neighbors_new_parts(v)
+            # both runs arrive sorted from the store, so the linear merge
+            # kernel replaces the O(n log n) concatenate-then-sort
+            arr = merge_sorted(base, delta) if delta.size else base
+        counters.record_access(Channel.CPU_DRAM, v, arr.size * BYTES_PER_NEIGHBOR)
+        counters.record_compute(arr.size + 1)
+        freq[v] += multiplicity * weight
+        return arr
+
+    def _walk(
+        self,
+        plan: MatchPlan,
+        bound: np.ndarray,
+        level_index: int,
+        multiplicity: int,
+        weight: float,
+        inv_d: float,
+        freq: np.ndarray,
+        counters: AccessCounters,
+        labels: np.ndarray,
+    ) -> int:
+        """Expand one execution-tree node with merged multiplicity ``B``.
+
+        ``weight`` is the inverse sampling probability of *this* node
+        (``|ΔE| · D^{level-1}``); accesses performed here are charged at that
+        weight times the node multiplicity (paper Eq. 3).
+        """
+        if level_index >= len(plan.levels):
+            return 1
+        lvl = plan.levels[level_index]
+        # mirror the executor: visit constraints smallest-list-first so the
+        # sampled accesses follow the exact kernel's access pattern
+        def _len_of(c):
+            v = int(bound[c.position])
+            return (self.graph.degree_old(v) if c.version is EdgeVersion.OLD
+                    else self.graph.degree_new(v))
+
+        cand: np.ndarray | None = None
+        for c in sorted(lvl.constraints, key=_len_of):
+            arr = self._fetch(
+                int(bound[c.position]), c.version, counters, multiplicity, weight, freq
+            )
+            if cand is None:
+                cand = arr
+            else:
+                counters.record_compute(cand.size + arr.size)
+                cand = np.intersect1d(cand, arr, assume_unique=True)
+            if cand.size == 0:
+                return 1
+        assert cand is not None
+        if lvl.label != WILDCARD_LABEL:
+            cand = cand[labels[cand] == lvl.label]
+        for i in range(level_index + 2):
+            cand = cand[cand != bound[i]]
+        counters.record_compute(cand.size)
+        if cand.size == 0:
+            return 1
+        nodes = 1
+        if self.survival is None:
+            child_p = inv_d  # paper schedule: 1/D per child
+        else:
+            child_p = min(1.0, self.survival / cand.size)
+        if child_p >= 1.0:
+            # saturated continuation: every child survives with its parent's
+            # full multiplicity.  Skipping the (degenerate) binomial draw
+            # keeps the RNG stream aligned with the frontier sampler, which
+            # is what makes the deterministic-regime parity *exact* across
+            # multiple plans (only root draws consume randomness there).
+            b_children = np.full(cand.size, multiplicity, dtype=np.int64)
+        else:
+            b_children = self.rng.binomial(multiplicity, child_p, size=cand.size)
+        live = np.nonzero(b_children > 0)[0]
+        child_weight = weight / child_p  # inverse sampling probability so far
+        for j in live:
+            bound[level_index + 2] = cand[j]
+            nodes += self._walk(
+                plan, bound, level_index + 1, int(b_children[j]), child_weight,
+                inv_d, freq, counters, labels,
+            )
+        return nodes
+
+
+def use_reference_kernels(engine, *, matcher: bool = True, estimator: bool = True):
+    """Swap ``engine``'s kernels for the recursive references; returns it.
+
+    The one seam parity suites use: ``engine.match`` and ``engine.estimator``
+    are plain attributes, so the engine under test runs the same staged
+    pipeline with only the kernel bodies replaced.  The estimator keeps the
+    production sampler's RNG (same seed derivation) and survival schedule.
+    """
+    if matcher:
+        engine.match = match_batch_recursive
+    if estimator:
+        current = engine.estimator
+        engine.estimator = RecursiveFrequencyEstimator(
+            current.graph, current.device, seed=current.rng,
+            survival=current.survival,
+        )
+    return engine

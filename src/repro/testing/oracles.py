@@ -1,0 +1,124 @@
+"""Scalar twins of vectorized production routines (parity oracles).
+
+Each function is the original per-element loop a vectorized production
+routine replaced, kept verbatim so tests can assert bit-identical output:
+
+* :func:`build_reference` ↔ :meth:`repro.core.dcsr.DcsrCache.build`
+* :func:`merge_runs_reference` ↔ :func:`repro.utils.merge_sorted` as used by
+  :meth:`repro.graphs.dynamic_graph.DynamicGraph.reorganize`
+* :func:`assign_reference` ↔
+  :meth:`repro.multigpu.partition.FrequencyPartitioner.assign`
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.dcsr import DcsrCache
+from repro.graphs.dynamic_graph import DynamicGraph
+from repro.multigpu.partition import FrequencyPartitioner, _hash_owners
+from repro.utils import VERTEX_DTYPE, require
+
+__all__ = ["build_reference", "merge_runs_reference", "assign_reference"]
+
+
+def build_reference(graph: DynamicGraph, vertices: np.ndarray) -> DcsrCache:
+    """The original per-vertex packing loop, kept as the parity oracle
+    for :meth:`DcsrCache.build` (and as the honest CPU-side cost baseline)."""
+    verts = np.unique(np.asarray(vertices, dtype=VERTEX_DTYPE))
+    if verts.size:
+        require(
+            bool(verts[0] >= 0 and verts[-1] < graph.num_vertices),
+            "cache vertex out of range",
+        )
+    k = verts.size
+    rowptr = np.empty((k + 1, 2), dtype=np.int64)
+    chunks: list[np.ndarray] = []
+    offset = 0
+    for i, v in enumerate(verts.tolist()):
+        base = graph.base_run_raw(v)
+        delta = graph.delta_neighbors(v)
+        rowptr[i, 0] = offset
+        rowptr[i, 1] = offset + base.size if delta.size else -1
+        chunks.append(base)
+        if delta.size:
+            chunks.append(delta)
+        offset += base.size + delta.size
+    rowptr[k, 0] = offset
+    rowptr[k, 1] = -1
+    colidx = np.concatenate(chunks) if chunks else np.empty(0, dtype=VERTEX_DTYPE)
+    return DcsrCache(verts, rowptr, colidx.astype(VERTEX_DTYPE, copy=False))
+
+
+def merge_runs_reference(kept: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Scalar two-pointer merge of the kept base run and the ΔN run.
+
+    The literal per-element loop of paper Sec. V-A step 4, retained as the
+    parity oracle for the vectorized merge :meth:`DynamicGraph.reorganize`
+    uses in production (``benchmarks/test_table3_reorg.py`` checks both the
+    output arrays and the wall-clock win).
+    """
+    merged = np.empty(kept.size + delta.size, dtype=VERTEX_DTYPE)
+    i = j = k = 0
+    while i < kept.size and j < delta.size:
+        if kept[i] <= delta[j]:
+            merged[k] = kept[i]
+            i += 1
+        else:
+            merged[k] = delta[j]
+            j += 1
+        k += 1
+    if i < kept.size:
+        merged[k:] = kept[i:]
+    elif j < delta.size:
+        merged[k:] = delta[j:]
+    return merged
+
+
+def assign_reference(partitioner: FrequencyPartitioner, graph, frequencies,
+                     num_devices, counters=None):
+    """Scalar parity oracle: the original per-hot-vertex loop.
+
+    Kept verbatim (one ``neighbors_new`` merge per hot vertex) so tests can
+    assert the vectorized :meth:`FrequencyPartitioner.assign` reproduces its
+    owner map and charged ops bit-for-bit.
+    """
+    n = graph.num_vertices
+    owners = _hash_owners(n, num_devices)
+    if counters is not None:
+        counters.record_compute(n)
+    if frequencies is None or num_devices == 1:
+        return owners
+    hot = np.nonzero(frequencies[:n] > 0)[0]
+    if hot.size == 0:
+        return owners
+    order = np.argsort(-frequencies[hot], kind="stable")
+    hot = hot[order]
+
+    degrees = graph.degrees_new().astype(np.int64)
+    load = np.bincount(owners, weights=degrees, minlength=num_devices)
+    cap = (1.0 + partitioner.balance_slack) * degrees.sum() / num_devices
+    claimed = np.zeros(n, dtype=bool)
+    ops = n
+    for v in hot.tolist():
+        if claimed[v]:
+            continue
+        nbrs = graph.neighbors_new(v)
+        ops += nbrs.size + 1
+        group = nbrs[~claimed[nbrs]]
+        group = np.append(group, v)
+        votes = np.bincount(owners[group], weights=degrees[group] + 1,
+                            minlength=num_devices)
+        target = int(np.argmax(votes))
+        movers = group[owners[group] != target]
+        moved_mass = int(degrees[movers].sum())
+        if load[target] + moved_mass > cap:
+            claimed[v] = True
+            continue
+        np.subtract.at(load, owners[movers], degrees[movers])
+        load[target] += moved_mass
+        owners[group] = target
+        claimed[group] = True
+    if counters is not None:
+        counters.record_compute(ops)
+    return owners

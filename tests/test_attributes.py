@@ -1,5 +1,7 @@
 """Edge weights/attributes and predicate-pushdown matching."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.graphs import DynamicGraph, EdgeAttributeStore, UpdateBatch, edge_wei
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.stream import derive_stream
 from repro.query import QueryGraph
+from repro.testing import use_reference_kernels
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 PRED_TRIANGLE = TRIANGLE.with_edge_predicates(
@@ -95,7 +98,10 @@ class TestPredicatePushdown:
                 report = verify_stream(
                     ["GCSM", "ZC"], g0, PRED_TRIANGLE, batches[:3],
                     against_oracle=True,
-                    system_kwargs={"executor": executor, "estimator": estimator},
+                    prepare=partial(
+                        use_reference_kernels, matcher=executor == "recursive",
+                        estimator=estimator == "recursive",
+                    ),
                 )
                 assert report.oracle_checked
 
@@ -163,3 +169,61 @@ class TestQueryGraphPredicates:
         assert not TRIANGLE.has_predicates()
         assert PRED_TRIANGLE.edge_predicate(1, 0) == (0.0, 0.6)
         assert PRED_TRIANGLE.edge_predicate(0, 2) is None
+
+
+class TestOverlayOnEveryConfiguration:
+    """The explicit-weight overlay lives in the engine core, so predicated
+    queries behave the same under every placement, schedule and fleet size."""
+
+    @staticmethod
+    def _flipping_overrides(g0):
+        """Two data edges whose explicit weights flip the predicate on the
+        triangles they close: the first is pushed out of range (count
+        drops), the second pulled into range (count rises again)."""
+        def count(overrides):
+            return count_embeddings(
+                g0, PRED_TRIANGLE, attributes=EdgeAttributeStore(overrides)
+            )
+
+        overrides: dict = {}
+        for weight, moves in ((0.99, lambda new, old: new < old),
+                              (0.3, lambda new, old: new > old)):
+            before = count(overrides)
+            edge = next(
+                (u, v) for u, v in g0.edge_array().tolist()
+                if (u, v) not in overrides
+                and moves(count({**overrides, (u, v): weight}), before)
+            )
+            overrides[edge] = weight
+        return overrides
+
+    @pytest.mark.parametrize(
+        "spec", ["GCSM", "Pipelined", "ZC", "UM", "Naive", "VSGM", "CPU",
+                 "RapidFlow", "GCSM@2", "Pipelined@2"],
+    )
+    def test_every_system_matches_the_attribute_oracle(self, spec):
+        from repro.core.baselines import SYSTEMS, make_system
+
+        assert set(SYSTEMS) <= {
+            "GCSM", "Pipelined", "ZC", "UM", "Naive", "VSGM", "CPU", "RapidFlow"
+        }  # a new system row must be added to the parametrisation above
+        g = erdos_renyi(40, 7.0, num_labels=1, seed=21)
+        g0, batches = derive_stream(g, update_fraction=0.4, batch_size=12, seed=21)
+        overrides = self._flipping_overrides(g0)
+        name, _, devices = spec.partition("@")
+        settings = {"devices": int(devices)} if devices else {}
+        engine = make_system(name, g0, PRED_TRIANGLE, seed=0, **settings)
+        oracle = EdgeAttributeStore(overrides)
+        for (u, v), w in overrides.items():
+            engine.attributes.set_weight(u, v, w)
+        prev = count_embeddings(g0, PRED_TRIANGLE, attributes=oracle)
+        for batch in batches[:4]:
+            result = engine.process_batch(batch)
+            oracle.apply_batch(batch)  # clean stream: effective == raw
+            oracle.close_batch()
+            now = count_embeddings(
+                engine.snapshot(), PRED_TRIANGLE, attributes=oracle
+            )
+            assert result.delta_count == now - prev, spec
+            prev = now
+        assert engine.attributes.num_overrides == oracle.num_overrides

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.baselines import (
     SYSTEM_NAMES,
+    SYSTEMS,
     VsgmCapacityError,
     make_system,
 )
@@ -50,8 +51,9 @@ class TestAgreement:
 
     def test_system_names_registry(self):
         assert set(SYSTEM_NAMES) == {
-            "GCSM", "Pipelined", "ZC", "UM", "Naive", "VSGM", "CPU",
+            "GCSM", "Pipelined", "ZC", "UM", "Naive", "VSGM", "CPU", "RapidFlow",
         }
+        assert SYSTEM_NAMES == tuple(SYSTEMS)
 
 
 class TestCostShape:

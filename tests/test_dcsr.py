@@ -7,6 +7,7 @@ from repro.core.dcsr import DcsrCache, packed_size_bytes
 from repro.graphs import DynamicGraph, StaticGraph, UpdateBatch
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.stream import derive_stream
+from repro.testing import build_reference
 
 
 def store_with_batch():
@@ -113,13 +114,13 @@ class TestBuildParity:
     def test_fig6_scenario(self):
         dg = store_with_batch()
         fast = DcsrCache.build(dg, np.array([3, 1]))
-        ref = DcsrCache.build_reference(dg, np.array([3, 1]))
+        ref = build_reference(dg, np.array([3, 1]))
         self.assert_identical(fast, ref)
 
     def test_empty_selection(self):
         dg = store_with_batch()
         fast = DcsrCache.build(dg, np.empty(0, dtype=np.int64))
-        ref = DcsrCache.build_reference(dg, np.empty(0, dtype=np.int64))
+        ref = build_reference(dg, np.empty(0, dtype=np.int64))
         self.assert_identical(fast, ref)
         assert fast.rowptr.tolist() == [[0, -1]]
 
@@ -135,11 +136,11 @@ class TestBuildParity:
             # mixed selections: random subsets, duplicates, isolated vertices
             verts = rng.choice(dg.num_vertices, size=50, replace=True)
             self.assert_identical(
-                DcsrCache.build(dg, verts), DcsrCache.build_reference(dg, verts)
+                DcsrCache.build(dg, verts), build_reference(dg, verts)
             )
             everything = np.arange(dg.num_vertices, dtype=np.int64)
             self.assert_identical(
                 DcsrCache.build(dg, everything),
-                DcsrCache.build_reference(dg, everything),
+                build_reference(dg, everything),
             )
             dg.reorganize()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs import BatchConflictError, DynamicGraph, StaticGraph, UpdateBatch
-from repro.graphs.dynamic_graph import merge_runs_reference
+from repro.testing import merge_runs_reference
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.stream import derive_stream
 

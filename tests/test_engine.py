@@ -152,3 +152,131 @@ class TestInitialMatch:
         delta = sum(engine.process_batch(b).delta_count for b in batches)
         final, _ = engine.initial_match()
         assert initial + delta == final
+
+
+class TestSettleOnFailure:
+    """Any exception raised after the update was applied leaves the store
+    reorganized and the overlays closed: the engine stays usable."""
+
+    @staticmethod
+    def _az_insert_stream():
+        from repro.graphs import datasets
+        from repro.query import query_by_name
+
+        graph = datasets.DATASETS["AZ"].build(0)
+        g0, batches = derive_stream(
+            graph, num_updates=128, batch_size=64, insert_probability=1.0, seed=1
+        )
+        return g0, batches, query_by_name("Q1")
+
+    @pytest.mark.parametrize("system", ["VSGM", "RapidFlow"])
+    @pytest.mark.parametrize("prefilter", ["off", "on"])
+    def test_failed_batch_leaves_engine_settled(self, system, prefilter):
+        from repro.core.baselines import VsgmCapacityError, make_system
+        from repro.core.rapidflow import IndexMemoryError
+        from repro.gpu import DeviceConfig
+
+        g0, batches, query = self._az_insert_stream()
+        if system == "VSGM":  # an undersized device buffer
+            settings = dict(device=DeviceConfig(
+                global_memory_bytes=20_000, kernel_reserve_bytes=10_000,
+                cache_buffer_bytes=10_000,
+            ))
+            error = VsgmCapacityError
+        else:  # a budget just above the initial index: inserts outgrow it
+            index_bytes = make_system(system, g0, query).placement.index_bytes
+            settings = dict(memory_budget_bytes=index_bytes + 8)
+            error = IndexMemoryError
+        engine = make_system(system, g0, query, prefilter=prefilter, **settings)
+        twin = GCSMEngine(g0, query)  # the post-batch graph
+        with pytest.raises(error):
+            engine.process_batch(batches[0])
+        twin.process_batch(batches[0])
+        assert engine.graph.batch_open is False
+        assert np.array_equal(
+            engine.snapshot().edge_array(), twin.snapshot().edge_array()
+        )
+        if engine.prefilter_index is not None:
+            engine.prefilter_index.assert_consistent()
+        # the next batch is accepted (it used to die with "previous batch
+        # not reorganized yet") and fails or succeeds on its own merits
+        try:
+            engine.process_batch(batches[1])
+        except error:
+            pass
+        assert engine.graph.batch_open is False
+
+
+class TestEngineConfig:
+    """One frozen, once-validated record of settings; one validation site."""
+
+    def test_contradictions_rejected_at_construction(self):
+        from repro.core.engine import EngineConfig
+
+        for bad in (
+            dict(placement="texture"),
+            dict(schedule="eager"),
+            dict(prefilter="maybe"),
+            dict(devices=0),
+            dict(partitioner_opts={"balance_slack": 0.1}),  # no fleet
+            dict(repartition=True),  # no fleet
+            dict(devices=2, placement="zero-copy"),
+            dict(devices=1, placement="khop"),
+            dict(schedule="pipelined", placement="indexed"),
+        ):
+            with pytest.raises(ValueError):
+                EngineConfig(**bad)
+        with pytest.raises(TypeError):  # the kernels are not options
+            EngineConfig(executor="recursive")
+
+    def test_frozen_and_overridable(self):
+        import dataclasses
+
+        from repro.core.engine import EngineConfig
+
+        config = EngineConfig(prefilter="on", seed=5)
+        assert config.prefilter == "invariant"  # normalized once
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.seed = 6
+        g = erdos_renyi(30, 4.0, num_labels=1, seed=1)
+        engine = GCSMEngine(g, TRIANGLE, config, schedule="pipelined")
+        assert engine.config.schedule == "pipelined" and engine.config.seed == 5
+        assert config.schedule == "serial"  # the caller's config is untouched
+
+    def test_dropped_engine_is_freed_without_the_cycle_collector(self):
+        """An engine holds the whole store; services and benchmarks build
+        engines in a loop, so no plug may keep one alive through a cycle."""
+        import gc
+        import weakref
+
+        g = erdos_renyi(30, 4.0, num_labels=1, seed=1)
+        g0, batches = derive_stream(g, update_fraction=0.3, batch_size=8, seed=1)
+        gc.disable()
+        try:
+            for settings in ({}, {"devices": 2}, {"schedule": "pipelined"},
+                             {"placement": "khop"}, {"placement": "indexed"}):
+                engine = GCSMEngine(g0, TRIANGLE, **settings)
+                engine.process_batch(batches[0])
+                ref = weakref.ref(engine)
+                del engine
+                assert ref() is None, settings
+        finally:
+            gc.enable()
+
+    def test_system_rows_compose_with_fleet_and_schedule(self):
+        from repro.core.baselines import SYSTEMS, make_system
+
+        g = erdos_renyi(40, 5.0, num_labels=1, seed=2)
+        g0, batches = derive_stream(g, update_fraction=0.3, batch_size=12, seed=2)
+        expected = [GCSMEngine(g0, TRIANGLE, seed=3).process_batch(b).delta_count
+                    for b in batches[:2]]
+        for name, row in SYSTEMS.items():
+            fans_out = row.get("placement", "cached") == "cached"
+            if not fans_out:
+                with pytest.raises(ValueError, match="placement='cached'"):
+                    make_system(name, g0, TRIANGLE, devices=2)
+                continue
+            engine = make_system(name, g0, TRIANGLE, seed=3, devices=2)
+            assert engine.num_devices == 2 and engine.fleet is not None
+            got = [r.delta_count for r in engine.process_stream(batches[:2])]
+            assert got == expected, name

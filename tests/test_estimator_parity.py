@@ -21,12 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import GCSMEngine
-from repro.core.frequency import (
-    DEFAULT_ESTIMATOR,
-    ESTIMATORS,
-    FrequencyEstimator,
-    make_estimator,
-)
+from repro.core.frequency import FrequencyEstimator
 from repro.core.frequency_frontier import FrontierFrequencyEstimator
 from repro.core.matching import match_batch
 from repro.graphs.dynamic_graph import DynamicGraph
@@ -37,8 +32,27 @@ from repro.gpu.views import HostCPUView
 from repro.gpu.device import default_device
 from repro.query import QueryGraph, query_by_name
 from repro.query.plan import compile_delta_plans
+from repro.testing import RecursiveFrequencyEstimator, use_reference_kernels
 
 DEVICE = default_device()
+
+#: the production sampler and its parity oracle (``repro.testing``)
+ESTIMATORS = {
+    "frontier": FrontierFrequencyEstimator,
+    "recursive": RecursiveFrequencyEstimator,
+}
+
+
+def make_estimator(name, graph, device, **kwargs):
+    return ESTIMATORS[name](graph, device, **kwargs)
+
+
+def with_estimator(engine, name: str):
+    """The engine on the named sampler (matching kernel untouched)."""
+    if name == "recursive":
+        use_reference_kernels(engine, matcher=False)
+    return engine
+
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 
@@ -75,26 +89,30 @@ def run_estimates(name, g0, batches, plans, *, survival, num_walks, seed=123):
 
 class TestFactory:
     def test_registry(self):
-        assert DEFAULT_ESTIMATOR == "frontier"
-        assert set(ESTIMATORS) == {"frontier", "recursive"}
-        g = erdos_renyi(10, 2.0, num_labels=1, seed=0)
-        graph = DynamicGraph(g)
-        assert isinstance(
-            make_estimator("frontier", graph, DEVICE), FrontierFrequencyEstimator
-        )
-        rec = make_estimator("recursive", graph, DEVICE)
-        assert isinstance(rec, FrequencyEstimator)
-        assert not isinstance(rec, FrontierFrequencyEstimator)
-        with pytest.raises(ValueError, match="unknown estimator"):
-            make_estimator("vectorized", graph, DEVICE)
+        """No production registry: the sampler is not a user option, and the
+        shared base cannot estimate on its own."""
+        import repro.core.frequency as production
+
+        assert not hasattr(production, "make_estimator")
+        assert not hasattr(production, "ESTIMATORS")
+        graph = DynamicGraph(erdos_renyi(10, 2.0, num_labels=1, seed=0))
+        for cls in ESTIMATORS.values():
+            assert issubclass(cls, FrequencyEstimator)
+        with pytest.raises(NotImplementedError):
+            FrequencyEstimator(graph, DEVICE).estimate([], None)
+        with pytest.raises(TypeError):
+            GCSMEngine(erdos_renyi(10, 2.0, seed=0), query_by_name("Q1"),
+                       estimator="recursive")
 
     def test_engine_uses_default(self):
         g = erdos_renyi(30, 3.0, num_labels=1, seed=1)
         engine = GCSMEngine(g, query_by_name("Q1"))
         assert isinstance(engine.estimator, FrontierFrequencyEstimator)
-        assert engine.estimator_name == "frontier"
-        rec = GCSMEngine(g, query_by_name("Q1"), estimator="recursive")
-        assert not isinstance(rec.estimator, FrontierFrequencyEstimator)
+        rng = engine.estimator.rng
+        rec = use_reference_kernels(engine)
+        assert rec is engine
+        assert isinstance(engine.estimator, RecursiveFrequencyEstimator)
+        assert engine.estimator.rng is rng  # same seed derivation
 
 
 class TestDeterministicExactParity:
@@ -180,9 +198,12 @@ class TestEngineEndToEnd:
         g0, batches = derive_stream(g, num_updates=96, batch_size=32, seed=4)
         prints = {}
         for name in ESTIMATORS:
-            engine = GCSMEngine(
-                g0, query_by_name(query_name),
-                estimator=name, survival=FULL_EXPANSION, seed=11,
+            engine = with_estimator(
+                GCSMEngine(
+                    g0, query_by_name(query_name),
+                    survival=FULL_EXPANSION, seed=11,
+                ),
+                name,
             )
             prints[name] = [
                 self.batch_fingerprint(engine.process_batch(b)) for b in batches
@@ -190,15 +211,16 @@ class TestEngineEndToEnd:
         assert prints["frontier"] == prints["recursive"]
 
     def test_multigpu_engine_identical(self):
-        from repro.multigpu import MultiGpuEngine
-
         g = powerlaw_graph(300, 5.0, max_degree=25, num_labels=2, seed=12)
         g0, batches = derive_stream(g, num_updates=64, batch_size=32, seed=13)
         prints = {}
         for name in ESTIMATORS:
-            engine = MultiGpuEngine(
-                g0, query_by_name("Q1"), devices=2,
-                estimator=name, survival=FULL_EXPANSION, seed=14,
+            engine = with_estimator(
+                GCSMEngine(
+                    g0, query_by_name("Q1"), devices=2,
+                    survival=FULL_EXPANSION, seed=14,
+                ),
+                name,
             )
             prints[name] = [
                 self.batch_fingerprint(engine.process_batch(b)) for b in batches

@@ -12,9 +12,13 @@ import pytest
 
 from repro.core.frequency import (
     EstimationResult,
-    FrequencyEstimator,
     default_num_walks,
     required_walks,
+)
+# the production sampler; its recursive oracle is covered by
+# tests/test_estimator_parity.py
+from repro.core.frequency_frontier import (
+    FrontierFrequencyEstimator as FrequencyEstimator,
 )
 from repro.core.matching import match_batch
 from repro.graphs import DynamicGraph

@@ -5,7 +5,8 @@ same ``MatchStats``, the same per-channel byte/transaction counters, the
 same compute/output ops, the same per-vertex access histograms, and the same
 sink emission order — across every view and engine in the reproduction.
 These tests drive randomized workloads (insertions AND deletions) through
-both executors and compare everything.
+both executors and compare everything.  The recursive reference lives in
+``repro.testing``; engines reach it through ``use_reference_kernels``.
 """
 
 from __future__ import annotations
@@ -15,11 +16,7 @@ import pytest
 
 from repro.core.cache import CachedDeviceView
 from repro.core.dcsr import DcsrCache
-from repro.core.matching import (
-    EXECUTORS,
-    match_batch,
-    match_static,
-)
+from repro.core.matching import match_batch, match_static
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.generators import powerlaw_graph
 from repro.graphs.stream import derive_stream
@@ -33,8 +30,24 @@ from repro.gpu.views import (
 )
 from repro.query import query_by_name
 from repro.query.plan import compile_delta_plans, compile_static_plan
+from repro.testing import (
+    match_batch_recursive,
+    match_static_recursive,
+    use_reference_kernels,
+)
 
 DEVICE = default_device()
+
+EXECUTORS = ("frontier", "recursive")
+MATCH_BATCH = {"frontier": match_batch, "recursive": match_batch_recursive}
+MATCH_STATIC = {"frontier": match_static, "recursive": match_static_recursive}
+
+
+def with_executor(engine, executor: str):
+    """The engine on the named matching kernel (estimator untouched)."""
+    if executor == "recursive":
+        use_reference_kernels(engine, estimator=False)
+    return engine
 
 
 def fingerprint(counters: AccessCounters, stats, num_vertices: int) -> dict:
@@ -84,13 +97,12 @@ def run_stream(view_kind: str, g0, batches, plans, executor, filters=None):
         graph.apply_batch(batch)
         counters = AccessCounters()
         view = make_view(view_kind, graph, counters)
-        stats = match_batch(
+        stats = MATCH_BATCH[executor](
             plans,
             batch,
             view,
             sink=lambda e, s: emitted.append((e, s)),
             filters=filters,
-            executor=executor,
         )
         graph.reorganize()
         prints.append(fingerprint(counters, stats, graph.num_vertices))
@@ -159,23 +171,11 @@ def test_match_static_identical():
         counters = AccessCounters()
         view = ZeroCopyView(graph, DEVICE, counters)
         emitted: list = []
-        stats = match_static(
+        stats = MATCH_STATIC[executor](
             plan, view, sink=lambda e, s: emitted.append((e, s)),
-            executor=executor,
         )
         results[executor] = (fingerprint(counters, stats, g.num_vertices), emitted)
     assert results["frontier"] == results["recursive"]
-
-
-def test_unknown_executor_rejected():
-    g = powerlaw_graph(50, 3.0, max_degree=10, num_labels=1, seed=0)
-    g0, batches = derive_stream(g, num_updates=8, batch_size=8, seed=0)
-    graph = DynamicGraph(g0)
-    graph.apply_batch(batches[0])
-    view = HostCPUView(graph, DEVICE, AccessCounters())
-    with pytest.raises(ValueError, match="unknown executor"):
-        match_batch(compile_delta_plans(query_by_name("Q1")), batches[0], view,
-                    executor="warp")
 
 
 # ----------------------------------------------------------------------
@@ -220,20 +220,20 @@ def test_systems_bit_identical(system_name):
     query = query_by_name("Q1")
     runs = {}
     for executor in EXECUTORS:
-        engine = make_system(system_name, g0, query, executor=executor)
+        engine = with_executor(make_system(system_name, g0, query), executor)
         runs[executor] = _engine_fingerprints(engine, batches)
     assert runs["frontier"] == runs["recursive"]
 
 
 def test_multigpu_engine_bit_identical():
-    from repro.multigpu import MultiGpuEngine
+    from repro.core.engine import GCSMEngine
 
     g0, batches = _workload(seed=13)
     query = query_by_name("Q1")
     runs = {}
     for executor in EXECUTORS:
-        engine = MultiGpuEngine(
-            g0, query, devices=2, partitioner="hash", executor=executor,
+        engine = with_executor(
+            GCSMEngine(g0, query, devices=2, partitioner="hash"), executor
         )
         runs[executor] = _engine_fingerprints(engine, batches)
     assert runs["frontier"] == runs["recursive"]
@@ -246,7 +246,7 @@ def test_multiquery_engine_bit_identical():
     queries = [query_by_name("Q1"), query_by_name("Q2")]
     runs = {}
     for executor in EXECUTORS:
-        engine = MultiQueryEngine(g0, queries, executor=executor)
+        engine = with_executor(MultiQueryEngine(g0, queries), executor)
         out = []
         for batch in batches:
             r = engine.process_batch(batch)
@@ -267,9 +267,14 @@ def test_multiquery_engine_bit_identical():
 def test_initial_match_identical():
     from repro.core.engine import GCSMEngine
 
+    from repro.gpu.clock import simulated_time_ns
+
     g = powerlaw_graph(300, 4.0, max_degree=25, num_labels=2, seed=23)
-    counts = {}
-    for executor in EXECUTORS:
-        engine = GCSMEngine(g, query_by_name("Q1"), executor=executor)
-        counts[executor] = engine.initial_match()
-    assert counts["frontier"] == counts["recursive"]
+    engine = GCSMEngine(g, query_by_name("Q1"))
+    counters = AccessCounters()
+    stats = match_static_recursive(
+        compile_static_plan(engine.query),
+        ZeroCopyView(engine.graph, engine.device, counters),
+    )
+    reference = (stats.signed_count, simulated_time_ns(counters, engine.device))
+    assert engine.initial_match() == reference

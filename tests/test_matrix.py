@@ -45,10 +45,13 @@ class TestScenarioSpec:
     def test_unknown_factor_rejected(self):
         with pytest.raises(ValueError, match="unknown factors"):
             matrix.ScenarioSpec(name="x", factors={"wat": (1,)})
+        for retired in ("executor", "estimator"):  # kernels are not options
+            with pytest.raises(ValueError, match="unknown factors"):
+                matrix.ScenarioSpec(name="x", factors={retired: ("frontier",)})
 
     def test_bad_level_rejected(self):
         with pytest.raises(ValueError, match="invalid level"):
-            matrix.ScenarioSpec(name="x", factors={"executor": ("warp",)})
+            matrix.ScenarioSpec(name="x", factors={"prefilter": ("maybe",)})
         with pytest.raises(ValueError, match="invalid level"):
             matrix.ScenarioSpec(name="x", factors={"batch_size": (0,)})
         with pytest.raises(ValueError):
@@ -56,7 +59,7 @@ class TestScenarioSpec:
 
     def test_empty_levels_rejected(self):
         with pytest.raises(ValueError, match="no levels"):
-            matrix.ScenarioSpec(name="x", factors={"executor": ()})
+            matrix.ScenarioSpec(name="x", factors={"prefilter": ()})
 
     def test_bad_sample_rejected(self):
         with pytest.raises(ValueError, match="sample"):
@@ -73,7 +76,7 @@ class TestExpansion:
         spec = matrix.ScenarioSpec(
             name="x",
             factors={
-                "executor": ("frontier", "recursive"),
+                "prefilter": ("off", "on"),
                 "conflict_mode": ("strict", "coalesce"),
                 "update_mix": ("mixed", "adversarial"),
             },
@@ -88,7 +91,7 @@ class TestExpansion:
         spec = matrix.ScenarioSpec(
             name="x",
             factors={
-                "system": ("GCSM", "ZC"),
+                "system": ("GCSM", "Pipelined", "Naive", "ZC"),
                 "devices": (None, 2),
                 "partitioner": ("hash", "mincut"),
             },
@@ -96,16 +99,23 @@ class TestExpansion:
         cells, pruned = matrix.expand_cells(spec)
         for cell in cells:
             if cell["devices"] is not None:
-                assert cell["system"] == "GCSM"
+                assert cell["system"] != "ZC"  # placement must be cached
             else:
                 assert cell["partitioner"] == "hash"
-        assert len(cells) + len(pruned) == 8
+        assert len(cells) + len(pruned) == 16
+        # schedule and fan-out compose: Pipelined x devices and Naive x
+        # devices run; only the non-cached placement is pruned, with the
+        # engine config's own message
+        fleet = {c["system"] for c in cells if c["devices"] is not None}
+        assert fleet == {"GCSM", "Pipelined", "Naive"}
+        reasons = {r for c, r in pruned if c["system"] == "ZC" and c["devices"]}
+        assert reasons == {"devices requires placement='cached', not 'zero-copy'"}
 
     def test_sampling_is_deterministic_and_sized(self):
         spec = matrix.ScenarioSpec(
             name="x",
             factors={
-                "executor": ("frontier", "recursive"),
+                "prefilter": ("off", "on"),
                 "update_mix": ("mixed", "churn", "insert-heavy", "delete-heavy"),
             },
         )
@@ -119,13 +129,13 @@ class TestExpansion:
 
     def test_filter_cells(self):
         spec = matrix.ScenarioSpec(
-            name="x", factors={"executor": ("frontier", "recursive"),
+            name="x", factors={"prefilter": ("off", "on"),
                                "window": (None, 2)},
         )
         cells, _ = matrix.expand_cells(spec)
-        kept = matrix.filter_cells(cells, {"executor": "recursive", "window": "-"})
+        kept = matrix.filter_cells(cells, {"prefilter": "on", "window": "-"})
         assert len(kept) == 1
-        assert kept[0]["executor"] == "recursive"
+        assert kept[0]["prefilter"] == "on"
         assert kept[0]["window"] is None
         with pytest.raises(ValueError, match="unknown filter factor"):
             matrix.filter_cells(cells, {"nope": "1"})

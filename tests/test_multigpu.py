@@ -1,10 +1,9 @@
-"""Tests for the multi-GPU sharded execution subsystem (``repro.multigpu``).
+"""Tests for the multi-GPU fan-out plug (``repro.multigpu``).
 
-The load-bearing property is the N=1 equivalence invariant: a one-device
-fleet must take the exact single-GPU code path and reproduce
-:class:`~repro.core.engine.GCSMEngine` bit-for-bit — match counts, channel
-byte counters, and simulated time.  Everything else (partitioners, the peer
-read path, the collective model, fleet reports) is tested on top of that.
+``GCSMEngine(devices=1)`` *is* the single-device engine — no fleet placement
+is loaded, so the N=1 equivalence holds by construction (asserted cheaply
+below).  Everything else (partitioners, the peer read path, the collective
+model, fleet reports) is tested on ``devices > 1``.
 """
 
 import numpy as np
@@ -21,8 +20,8 @@ from repro.multigpu import (
     FrequencyPartitioner,
     HashPartitioner,
     LoadBalanceReport,
+    FleetPlacement,
     MincutPartitioner,
-    MultiGpuEngine,
     RangePartitioner,
     ShardedDeviceView,
     adjacency_csr,
@@ -31,6 +30,7 @@ from repro.multigpu import (
 )
 from repro.multigpu.comm import allreduce_delta_ns, comm_report
 from repro.query import QueryGraph
+from repro.testing import assign_reference
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 TAILED = QueryGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)], [0, 0, 1, 1], name="tailed")
@@ -53,14 +53,15 @@ def _stream(build, *, batches=3, batch_size=24, seed=5):
 
 
 class TestSingleDeviceEquivalence:
-    """``MultiGpuEngine(devices=1)`` == ``GCSMEngine``, bit for bit."""
+    """``GCSMEngine(devices=1)`` == ``GCSMEngine()``: the same code path."""
 
     @pytest.mark.parametrize("name,build,query", WORKLOADS,
                              ids=[w[0] for w in WORKLOADS])
     def test_bit_identical(self, name, build, query):
         g0, batches = _stream(build)
         single = GCSMEngine(g0, query, seed=9)
-        fleet = MultiGpuEngine(g0, query, devices=1, seed=9)
+        fleet = GCSMEngine(g0, query, devices=1, seed=9)
+        assert fleet.fleet is None and type(fleet.placement) is type(single.placement)
         for batch in batches:
             a = single.process_batch(batch)
             b = fleet.process_batch(batch)
@@ -82,7 +83,7 @@ class TestSingleDeviceEquivalence:
     def test_adaptive_walks_also_equivalent(self):
         g0, batches = _stream(WORKLOADS[0][1], batches=2)
         single = GCSMEngine(g0, TRIANGLE, adaptive_walks=True, seed=4)
-        fleet = MultiGpuEngine(g0, TRIANGLE, devices=1, adaptive_walks=True, seed=4)
+        fleet = GCSMEngine(g0, TRIANGLE, devices=1, adaptive_walks=True, seed=4)
         for batch in batches:
             a, b = single.process_batch(batch), fleet.process_batch(batch)
             assert a.delta_count == b.delta_count
@@ -97,7 +98,7 @@ class TestMultiDeviceCorrectness:
     def test_delta_counts_match_single_gpu(self, devices, partitioner):
         g0, batches = _stream(WORKLOADS[1][1])
         single = GCSMEngine(g0, TAILED, seed=9)
-        fleet = MultiGpuEngine(
+        fleet = GCSMEngine(
             g0, TAILED, devices=devices, partitioner=partitioner, seed=9
         )
         for batch in batches:
@@ -108,7 +109,7 @@ class TestMultiDeviceCorrectness:
 
     def test_fleet_reports_populated(self):
         g0, batches = _stream(WORKLOADS[0][1], batches=1)
-        fleet = MultiGpuEngine(g0, TRIANGLE, devices=4, seed=9)
+        fleet = GCSMEngine(g0, TRIANGLE, devices=4, seed=9)
         result = fleet.process_batch(batches[0])
         assert len(result.shard_reports) == 4
         assert result.load_balance is not None
@@ -124,8 +125,8 @@ class TestMultiDeviceCorrectness:
 
     def test_peer_traffic_appears_only_when_sharded(self):
         g0, batches = _stream(WORKLOADS[0][1], batches=1)
-        one = MultiGpuEngine(g0, TRIANGLE, devices=1, seed=9)
-        four = MultiGpuEngine(g0, TRIANGLE, devices=4, seed=9)
+        one = GCSMEngine(g0, TRIANGLE, devices=1, seed=9)
+        four = GCSMEngine(g0, TRIANGLE, devices=4, seed=9)
         r1 = one.process_batch(batches[0])
         r4 = four.process_batch(batches[0])
         assert r1.match_counters.bytes_by_channel[Channel.PEER] == 0
@@ -138,15 +139,15 @@ class TestMultiDeviceCorrectness:
         )
         times = {}
         for n in (1, 8):
-            e = MultiGpuEngine(g0, TRIANGLE, devices=n, seed=9)
+            e = GCSMEngine(g0, TRIANGLE, devices=n, seed=9)
             times[n] = sum(e.process_batch(b).breakdown.match_ns for b in batches)
         assert times[8] < times[1]  # sharded kernel phase is faster...
         assert times[8] > times[1] / 8  # ...but sub-linearly (PEER stalls)
 
     def test_workers_do_not_change_results(self):
         g0, batches = _stream(WORKLOADS[0][1], batches=2)
-        a = MultiGpuEngine(g0, TRIANGLE, devices=4, seed=9, workers=1)
-        b = MultiGpuEngine(g0, TRIANGLE, devices=4, seed=9, workers=4)
+        a = GCSMEngine(g0, TRIANGLE, devices=4, seed=9, workers=1)
+        b = GCSMEngine(g0, TRIANGLE, devices=4, seed=9, workers=4)
         for batch in batches:
             ra, rb = a.process_batch(batch), b.process_batch(batch)
             assert ra.delta_count == rb.delta_count
@@ -206,7 +207,7 @@ class TestPartitioners:
         p = FrequencyPartitioner()
         for k in (2, 4, 7):
             assert np.array_equal(
-                p.assign(g, freqs, k), p.assign_reference(g, freqs, k)
+                p.assign(g, freqs, k), assign_reference(p, g, freqs, k)
             )
 
     def test_mincut_deterministic_with_roots(self):
@@ -285,10 +286,10 @@ class TestClusterConfig:
 
     def test_interconnect_changes_fleet_timing(self):
         g0, batches = _stream(WORKLOADS[0][1], batches=1)
-        nv = MultiGpuEngine(
+        nv = GCSMEngine(
             g0, TRIANGLE, devices=ClusterConfig(num_devices=4, interconnect="nvlink"),
             seed=9)
-        pc = MultiGpuEngine(
+        pc = GCSMEngine(
             g0, TRIANGLE, devices=ClusterConfig(num_devices=4, interconnect="pcie"),
             seed=9)
         rn, rp = nv.process_batch(batches[0]), pc.process_batch(batches[0])
@@ -354,12 +355,12 @@ class TestFactoryRouting:
     def test_devices_routes_to_fleet_engine(self):
         g0, _ = _stream(WORKLOADS[0][1], batches=1)
         system = make_system("GCSM", g0, TRIANGLE, devices=2, partitioner="range")
-        assert isinstance(system, MultiGpuEngine)
+        assert isinstance(system.fleet, FleetPlacement)
         assert system.num_devices == 2
-        assert system.partitioner.name == "range"
+        assert system.fleet.partitioner.name == "range"
 
     def test_default_stays_single_gpu(self):
         g0, _ = _stream(WORKLOADS[0][1], batches=1)
         system = make_system("GCSM", g0, TRIANGLE)
         assert isinstance(system, GCSMEngine)
-        assert not isinstance(system, MultiGpuEngine)
+        assert system.fleet is None and system.num_devices == 1

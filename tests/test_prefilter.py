@@ -40,6 +40,7 @@ from repro.graphs.static_graph import StaticGraph
 from repro.graphs.stream import UpdateBatch, derive_stream
 from repro.gpu.clock import PIPELINE_STAGES, TimeBreakdown
 from repro.query import QueryGraph
+from repro.testing import use_reference_kernels
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], [0, 1, 2], name="tri012")
 PATH = QueryGraph(3, [(0, 1), (1, 2)], [0, 0, 1], name="path001")
@@ -53,7 +54,8 @@ def adversarial(seed, *, num_batches=6, batch_size=24):
     )
 
 
-def run_pair(system, g0, query, batches, *, conflict_mode="coalesce", **kw):
+def run_pair(system, g0, query, batches, *, conflict_mode="coalesce",
+             reference_kernels=False, **kw):
     """Drive (prefilter=on, prefilter=off) twins and return result lists."""
     on = make_system(
         system, g0, query, seed=3, conflict_mode=conflict_mode,
@@ -62,6 +64,9 @@ def run_pair(system, g0, query, batches, *, conflict_mode="coalesce", **kw):
     off = make_system(
         system, g0, query, seed=3, conflict_mode=conflict_mode, **kw
     )
+    if reference_kernels:
+        use_reference_kernels(on, estimator=False)
+        use_reference_kernels(off, estimator=False)
     return (
         [on.process_batch(b) for b in batches],
         [off.process_batch(b) for b in batches],
@@ -165,7 +170,8 @@ class TestEngineParity:
     def test_parity_across_executors(self, executor):
         g0, batches = adversarial(23, num_batches=4)
         on_res, off_res, _ = run_pair(
-            "GCSM", g0, TRIANGLE, batches, executor=executor
+            "GCSM", g0, TRIANGLE, batches,
+            reference_kernels=executor == "recursive",
         )
         for r_on, r_off in zip(on_res, off_res):
             assert r_on.delta_count == r_off.delta_count
@@ -239,7 +245,7 @@ class TestAllSystems:
             s_on, s_off = r_on.match_stats, r_off.match_stats
             assert s_on.signed_count == s_off.signed_count
             assert s_on.roots_processed + s_on.roots_skipped == s_off.roots_processed
-        assert on.prefilter_name == "invariant"
+        assert on.config.prefilter == "invariant"
 
     def test_rapidflow_relaxed_identity(self):
         g0, batches = adversarial(37, num_batches=4)
@@ -254,13 +260,11 @@ class TestAllSystems:
             assert s_on.roots_processed <= s_off.roots_processed
 
     def test_multigpu_parity(self):
-        from repro.multigpu.engine import MultiGpuEngine
-
         g0, batches = adversarial(41, num_batches=4)
         single = GCSMEngine(g0, TRIANGLE, seed=3, prefilter="on")
-        fleet1 = MultiGpuEngine(g0, TRIANGLE, devices=1, seed=3, prefilter="on")
-        fleet2 = MultiGpuEngine(g0, TRIANGLE, devices=2, seed=3, prefilter="on")
-        off2 = MultiGpuEngine(g0, TRIANGLE, devices=2, seed=3)
+        fleet1 = GCSMEngine(g0, TRIANGLE, devices=1, seed=3, prefilter="on")
+        fleet2 = GCSMEngine(g0, TRIANGLE, devices=2, seed=3, prefilter="on")
+        off2 = GCSMEngine(g0, TRIANGLE, devices=2, seed=3)
         for batch in batches:
             r1 = single.process_batch(batch)
             f1 = fleet1.process_batch(batch)
@@ -278,11 +282,9 @@ class TestAllSystems:
 
 class TestPipelined:
     def test_stream_parity_with_serial(self):
-        from repro.service.pipeline import PipelinedEngine
-
         g0, batches = adversarial(43, num_batches=6)
         serial = GCSMEngine(g0, TRIANGLE, seed=3, prefilter="on")
-        piped = PipelinedEngine(g0, TRIANGLE, seed=3, prefilter="on")
+        piped = GCSMEngine(g0, TRIANGLE, seed=3, prefilter="on", schedule="pipelined")
         serial_res = [serial.process_batch(b) for b in batches]
         piped_res = piped.process_stream(batches)
         for r_s, r_p in zip(serial_res, piped_res):
@@ -295,8 +297,6 @@ class TestPipelined:
 
     def test_skip_batches_drain_in_order(self):
         """A certified skip between dense batches must not reorder results."""
-        from repro.service.pipeline import PipelinedEngine
-
         n = 90
         labels = np.array([i % 3 for i in range(n)], dtype=np.int64)
         g0 = StaticGraph.from_edges(
@@ -312,7 +312,7 @@ class TestPipelined:
             mk([(0, 10), (3, 13)]),                # label 0->1: certified skip
             mk([(8, 11), (2, 11)]),                # extends label-2 matches
         ]
-        piped = PipelinedEngine(g0, rare, seed=0, prefilter="on")
+        piped = GCSMEngine(g0, rare, seed=0, prefilter="on", schedule="pipelined")
         serial = GCSMEngine(g0, rare, seed=0, prefilter="on")
         piped_res = piped.process_stream(stream)
         serial_res = [serial.process_batch(b) for b in stream]

@@ -7,6 +7,7 @@ of the counters.
 """
 
 from collections import OrderedDict
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.gpu import AccessCounters, Channel, DeviceConfig, HostCPUView, defaul
 from repro.gpu.memory import UnifiedMemoryPager
 from repro.query import compile_static_plan
 from repro.query.generator import random_query
+from repro.testing import use_reference_kernels
 
 
 @settings(max_examples=25, deadline=None)
@@ -158,7 +160,10 @@ def test_adversarial_streams_are_total_and_oracle_exact(executor, estimator, see
         ["GCSM", "CPU"], g, query, batches,
         against_oracle=True, seed=int(rng.integers(0, 2**31)),
         conflict_mode=mode, check_invariants=True,
-        system_kwargs={"executor": executor, "estimator": estimator},
+        prepare=partial(
+            use_reference_kernels, matcher=executor == "recursive",
+            estimator=estimator == "recursive",
+        ),
     )
     assert report.anomalies is not None
     assert report.anomalies.input_size == sum(len(b) for b in batches)

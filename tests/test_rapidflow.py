@@ -1,13 +1,11 @@
-"""Tests for the RapidFlow-style CPU baseline (paper Fig. 14)."""
+"""Tests for the RapidFlow-style CPU baseline (paper Fig. 14): the engine's
+``indexed`` placement."""
 
 import numpy as np
 import pytest
 
-from repro.core.rapidflow import (
-    IndexMemoryError,
-    RapidFlowSystem,
-    candidate_index_bytes,
-)
+from repro.core.baselines import make_system
+from repro.core.rapidflow import IndexMemoryError
 from repro.core.reference import count_embeddings
 from repro.graphs.generators import erdos_renyi, powerlaw_graph
 from repro.graphs.stream import derive_stream
@@ -17,6 +15,10 @@ TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 TAILED = QueryGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)], [0, 0, 1, 1], name="tailed")
 
 
+def RapidFlowSystem(graph, query, **settings):
+    return make_system("RapidFlow", graph, query, **settings)
+
+
 class TestCandidateIndex:
     def test_candidates_filtered_by_label_and_degree(self):
         g = erdos_renyi(60, 5.0, num_labels=2, seed=1)
@@ -24,14 +26,14 @@ class TestCandidateIndex:
         degrees = sys.graph.degrees_new()
         labels = sys.graph.labels
         for u in range(TAILED.num_vertices):
-            cand = sys.candidates[u]
+            cand = sys.placement.candidates[u]
             assert bool(np.all(degrees[cand] >= TAILED.degree(u)))
             assert bool(np.all(labels[cand] == TAILED.label(u)))
 
     def test_index_bytes_positive_and_grows_with_graph(self):
         small = RapidFlowSystem(erdos_renyi(40, 4.0, seed=2), TRIANGLE)
         big = RapidFlowSystem(erdos_renyi(400, 4.0, seed=2), TRIANGLE)
-        assert 0 < small.index_bytes < big.index_bytes
+        assert 0 < small.placement.index_bytes < big.placement.index_bytes
 
     def test_oom_on_large_graph(self):
         """The paper's Sec. VI-C observation: index exhausts memory on the
@@ -45,7 +47,7 @@ class TestCandidateIndex:
         g0, batches = derive_stream(g, update_fraction=0.5, batch_size=50, seed=4)
         sys = RapidFlowSystem(g0, TRIANGLE)
         # shrink the budget well below the index size after construction
-        sys.memory_budget_bytes = sys.index_bytes // 2
+        sys.placement.memory_budget_bytes = sys.placement.index_bytes // 2
         with pytest.raises(IndexMemoryError):
             sys.process_batch(batches[0])
 
@@ -73,7 +75,7 @@ class TestCorrectness:
         degrees = sys.graph.degrees_new()
         labels = sys.graph.labels
         for u in range(TAILED.num_vertices):
-            cand = sys.candidates[u]
+            cand = sys.placement.candidates[u]
             assert bool(np.all(labels[cand] == TAILED.label(u)))
             # union-degree maintenance may retain slightly stale entries but
             # must never *miss* a valid candidate (soundness)
@@ -94,7 +96,7 @@ class TestOrderOptimization:
         g = StaticGraph(g.indptr, g.indices, labels)
         query = QueryGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [0, 0, 0, 1])
         sys = RapidFlowSystem(g, query)
-        assert sys.candidates[3].size < sys.candidates[0].size
+        assert sys.placement.candidates[3].size < sys.placement.candidates[0].size
         for plan in sys.plans:
             order = plan.order
             # vertex 3 (scarce) appears as early as connectivity permits:

@@ -17,7 +17,6 @@ from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.generators import powerlaw_graph
 from repro.graphs.stream import derive_stream
 from repro.multigpu import (
-    MultiGpuEngine,
     OwnershipManager,
     RepartitionConfig,
     normalize_repartition,
@@ -141,7 +140,7 @@ class TestEndToEnd:
     def test_repartitioning_fleet_matches_single_gpu(self):
         g0, batches = self._stream()
         single = GCSMEngine(g0, TRIANGLE, seed=9)
-        fleet = MultiGpuEngine(
+        fleet = GCSMEngine(
             g0, TRIANGLE, devices=2, partitioner="mincut", seed=9,
             repartition={"every": 1, "threshold": 0.0,
                          "imbalance_threshold": 1.0, "horizon": 100.0},
@@ -161,7 +160,7 @@ class TestEndToEnd:
 
     def test_cut_rate_recovers_after_drift(self):
         g0, batches = self._stream(batches=8)
-        fleet = MultiGpuEngine(
+        fleet = GCSMEngine(
             g0, TRIANGLE, devices=2, partitioner="mincut", seed=9,
             repartition={"every": 2, "threshold": 0.05, "horizon": 50.0},
         )
@@ -177,6 +176,6 @@ class TestEndToEnd:
 
     def test_repartition_off_keeps_report_none(self):
         g0, batches = self._stream(batches=2)
-        fleet = MultiGpuEngine(g0, TRIANGLE, devices=2, seed=9)
+        fleet = GCSMEngine(g0, TRIANGLE, devices=2, seed=9)
         for batch in batches:
             assert fleet.process_batch(batch).repartition is None

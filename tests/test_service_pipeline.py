@@ -15,11 +15,14 @@ from repro.gpu.clock import (
     PipelineClock,
     TimeBreakdown,
 )
-from repro.multigpu.engine import MultiGpuEngine
 from repro.query import QueryGraph
-from repro.service import PipelinedEngine
+from repro.service import PipelinedSchedule
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
+
+
+def PipelinedEngine(graph, query, **settings):
+    return GCSMEngine(graph, query, schedule="pipelined", **settings)
 
 
 def bd(update=0.0, estimate=0.0, pack=0.0, match=0.0, reorg=0.0, comm=0.0):
@@ -292,8 +295,8 @@ class TestEngineParity:
         assert "Pipelined" in SYSTEM_NAMES
         g, _ = parity_workload()
         system = make_system("Pipelined", g, TRIANGLE, seed=0)
-        assert isinstance(system, PipelinedEngine)
-        assert system.name == "Pipelined"
+        assert isinstance(system.schedule, PipelinedSchedule)
+        assert system.config.schedule == "pipelined"
 
     def test_empty_batch_rejected(self):
         g, _ = parity_workload()
@@ -305,8 +308,8 @@ class TestEngineParity:
 class TestMultiGpuPipeline:
     def test_pipeline_flag_annotates_breakdowns(self):
         g, batches = parity_workload(seed=31)
-        plain = MultiGpuEngine(g, TRIANGLE, devices=2, seed=1)
-        piped = MultiGpuEngine(g, TRIANGLE, devices=2, seed=1, pipeline=True)
+        plain = GCSMEngine(g, TRIANGLE, devices=2, seed=1)
+        piped = PipelinedEngine(g, TRIANGLE, devices=2, seed=1)
         for b in batches[:3]:
             rp = plain.process_batch(b)
             rq = piped.process_batch(b)
@@ -320,6 +323,6 @@ class TestMultiGpuPipeline:
 
     def test_schedule_report_requires_pipeline_flag(self):
         g, _ = parity_workload()
-        plain = MultiGpuEngine(g, TRIANGLE, devices=2, seed=1)
+        plain = GCSMEngine(g, TRIANGLE, devices=2, seed=1)
         with pytest.raises(ValueError):
             plain.schedule_report()

@@ -82,10 +82,16 @@ class TestSystemSpecs:
         assert _parse_system_spec("GCSM") == ("GCSM", {})
         assert _parse_system_spec("GCSM@2") == ("GCSM", {"devices": 2})
         assert _parse_system_spec("CPU") == ("CPU", {})
+        # any cached-placement row fans out, not just the one named GCSM
+        assert _parse_system_spec("Pipelined@2") == ("Pipelined", {"devices": 2})
+        assert _parse_system_spec("Naive@4:range") == (
+            "Naive", {"devices": 4, "partitioner": "range"}
+        )
 
     def test_bad_specs_rejected(self):
-        with pytest.raises(ValueError):
-            _parse_system_spec("ZC@2")
+        for not_cached in ("ZC@2", "VSGM@2", "RapidFlow@2", "Nope@2"):
+            with pytest.raises(ValueError):
+                _parse_system_spec(not_cached)
         with pytest.raises(ValueError):
             _parse_system_spec("GCSM@zero")
         with pytest.raises(ValueError):
@@ -94,7 +100,7 @@ class TestSystemSpecs:
     def test_multigpu_spec_participates(self):
         g0, batches = small_case(seed=5)
         report = verify_stream(
-            ["GCSM", "GCSM@2"], g0, TRIANGLE, batches[:2],
+            ["GCSM", "GCSM@2", "Pipelined@2", "Naive@2"], g0, TRIANGLE, batches[:2],
             check_invariants=True,
         )
         assert report.num_batches == 2

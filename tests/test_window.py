@@ -1,5 +1,7 @@
 """Temporal/windowed matching: TTL expiry as a stream-to-stream transform."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.graphs import UpdateBatch, apply_window
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.stream import DELETE, INSERT, derive_stream
 from repro.query import QueryGraph
+from repro.testing import use_reference_kernels
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 
@@ -109,7 +112,10 @@ class TestWindowedExactness:
                 rep = verify_stream(
                     ["GCSM", "ZC"], g0, TRIANGLE, windowed[:4],
                     against_oracle=True, conflict_mode="coalesce",
-                    system_kwargs={"executor": executor, "estimator": estimator},
+                    prepare=partial(
+                        use_reference_kernels, matcher=executor == "recursive",
+                        estimator=estimator == "recursive",
+                    ),
                 )
                 assert rep.oracle_checked
 
