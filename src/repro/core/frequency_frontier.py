@@ -14,11 +14,11 @@ expands the whole level.  This module is that execution shape in NumPy:
   ``B`` (Sec. IV-B), and the per-node inverse sampling probability (the
   Eq. 3 weight — a *column*, because the survival schedule makes the weight
   node-dependent).
-* Candidate sets are computed with the PR 3 sorted-set kernels: per-row
-  constraint lists are gathered once per distinct vertex
-  (:func:`~repro.utils.merge_sorted` replaces concatenate-and-sort) and
-  intersected with :func:`~repro.core.frontier.segmented_contains`, a
-  simultaneous binary search over all (candidate, list) lanes.
+* Candidate sets come from the matcher's own join,
+  :func:`~repro.core.frontier.intersect_level`, reading the same epoch arena
+  of merged lists (:meth:`~repro.graphs.dynamic_graph.DynamicGraph.gather`):
+  what a walk loads, the kernel that follows finds already in place.  The
+  estimator only supplies the per-read charges.
 * All surviving children of a level draw their continuation multiplicities
   in **one** vectorized ``rng.binomial`` call; saturated children
   (``p == 1``) skip the RNG entirely, mirroring the recursive reference.
@@ -47,14 +47,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.frequency import FrequencyEstimator, EstimationResult, default_num_walks
-from repro.core.frontier import segmented_contains
+from repro.core.frontier import intersect_level
 from repro.core.matching import delta_roots
 from repro.graphs.stream import UpdateBatch
 from repro.gpu.counters import AccessCounters, Channel
 from repro.gpu.device import BYTES_PER_NEIGHBOR
 from repro.query.pattern import WILDCARD_LABEL
-from repro.query.plan import EdgeVersion, MatchPlan
-from repro.utils import merge_sorted, segment_offsets
+from repro.query.plan import MatchPlan
 
 __all__ = ["FrontierFrequencyEstimator"]
 
@@ -70,9 +69,6 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
     execution shape is level-synchronous instead of recursive.
     """
 
-    #: touched-vertex snapshot of the batch being estimated (set per call)
-    _touched_now: frozenset = frozenset()
-
     # ------------------------------------------------------------------
     def estimate(
         self,
@@ -85,14 +81,8 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
         graph = self.graph
         labels = graph.labels
         n = graph.num_vertices
-        # versioned degree vectors for the smallest-list-first ordering; the
-        # adjacency is frozen between apply_batch and reorganize, so one
-        # snapshot serves every plan.  max_degree reuses the same snapshot
-        # (graph.max_degree() is exactly degrees_new().max()).
-        deg_old = graph.degrees_old()
-        deg_new = graph.degrees_new()
         if max_degree is None:
-            max_degree = max(1, int(deg_new.max()) if deg_new.size else 0)
+            max_degree = max(1, graph.max_degree())
         if num_walks is None:
             num_walks = default_num_walks(
                 len(batch), max_degree, plans[0].query.num_vertices
@@ -102,11 +92,6 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
         nodes_visited = 0
         walks_per_plan = max(1, num_walks // max(1, len(plans)))
         inv_d = 1.0 / max_degree
-        # merged-list pool shared across plans (it skips Python-side merges
-        # only — every *access* is still charged per plan); lists untouched
-        # by the open batch need no mark-decoding or delta merge at all
-        self._touched_now = graph.touched_vertices
-        pool: dict[tuple[int, bool], np.ndarray] = {}
 
         for plan in plans:
             roots, _signs = delta_roots(plan, batch, labels)
@@ -126,50 +111,12 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
                     break
                 rows, mult, weight = self._expand_level(
                     plan, level_index, rows, mult, weight, inv_d, freq,
-                    counters, labels, deg_old, deg_new, pool,
+                    counters, labels,
                 )
                 nodes_visited += int(rows.shape[0])
         if num_walks > 0:
             freq /= walks_per_plan
         return EstimationResult(freq, num_walks, nodes_visited, counters)
-
-    # ------------------------------------------------------------------
-    def _merged_list(
-        self, v: int, version: EdgeVersion, pool: dict[tuple[int, bool], np.ndarray]
-    ) -> np.ndarray:
-        """The merged versioned list of ``v`` (memoized; no charges here)."""
-        key = (v, version is EdgeVersion.OLD)
-        arr = pool.get(key)
-        if arr is None:
-            if v not in self._touched_now:
-                # untouched by the open batch: no deletion marks, no delta —
-                # both versions ARE the stored run, no decode/merge needed
-                arr = self.graph.base_run_raw(v)
-            elif version is EdgeVersion.OLD:
-                arr = self.graph.neighbors_old(v)
-            else:
-                base, delta = self.graph.neighbors_new_parts(v)
-                arr = merge_sorted(base, delta) if delta.size else base
-            pool[key] = arr
-        return arr
-
-    def _gather(
-        self,
-        verts: np.ndarray,
-        version: EdgeVersion,
-        pool: dict[tuple[int, bool], np.ndarray],
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat segment buffer of the merged lists of ``verts``.
-
-        Returns per-access ``(starts, lengths, flat)``; each distinct vertex's
-        list is merged and stored once (the Prealloc part), indexed per row.
-        """
-        uniq, inv = np.unique(verts, return_inverse=True)
-        arrays = [self._merged_list(int(v), version, pool) for v in uniq.tolist()]
-        lens_u = np.fromiter((a.size for a in arrays), count=len(arrays), dtype=np.int64)
-        starts_u = segment_offsets(lens_u)[:-1]
-        flat = np.concatenate(arrays) if arrays else _EMPTY
-        return starts_u[inv], lens_u[inv], flat
 
     # ------------------------------------------------------------------
     def _expand_level(
@@ -183,9 +130,6 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
         freq: np.ndarray,
         counters: AccessCounters,
         labels: np.ndarray,
-        deg_old: np.ndarray,
-        deg_new: np.ndarray,
-        pool: dict[tuple[int, bool], np.ndarray],
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Expand every frontier node by one tree level.
 
@@ -198,70 +142,24 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
         per-candidate charge covers the injectivity-filtered sets.
         """
         lvl = plan.levels[level_index]
-        cons = lvl.constraints
         n = rows.shape[0]
-        k = len(cons)
 
-        # per-row stable constraint order by versioned degree (the recursive
-        # reference's sorted(key=_len_of); stable argsort == stable sorted)
-        if k == 1:
-            order = np.zeros((n, 1), dtype=np.int64)
-        else:
-            keys = np.empty((n, k), dtype=np.int64)
-            for j, c in enumerate(cons):
-                degs = deg_old if c.version is EdgeVersion.OLD else deg_new
-                keys[:, j] = degs[rows[:, c.position]]
-            order = np.argsort(keys, axis=1, kind="stable")
+        def charge(sel, verts, version, lens, probes):
+            # the batched _fetch: every access recorded at this node's
+            # multiplicity × weight (paper Eq. 3) and charged len(list) + 1
+            counters.record_access_block(
+                Channel.CPU_DRAM, verts, lens * BYTES_PER_NEIGHBOR
+            )
+            read = int(lens.sum())
+            ops = read + int(verts.size)
+            if probes:  # a probed list also pays the merge: len(cand) + len(other)
+                ops += probes + read
+            counters.record_compute(ops)
+            np.add.at(freq, verts, mult[sel].astype(np.float64) * weight[sel])
 
-        cand_flat = _EMPTY
-        cand_cnt = np.zeros(n, dtype=np.int64)
-        for s in range(k):
-            cidx = order[:, s]
-            # rows whose running candidate set emptied stop fetching — the
-            # recursive early return
-            active = np.ones(n, dtype=bool) if s == 0 else cand_cnt > 0
-            starts = np.zeros(n, dtype=np.int64)
-            lens = np.zeros(n, dtype=np.int64)
-            flats: list[np.ndarray] = []
-            offset = 0
-            for j, c in enumerate(cons):
-                sel = active & (cidx == j)
-                if not sel.any():
-                    continue
-                verts = rows[sel, c.position]
-                g_starts, g_lens, g_flat = self._gather(verts, c.version, pool)
-                # the batched _fetch: every access recorded at this node's
-                # multiplicity × weight (paper Eq. 3)
-                counters.record_access_block(
-                    Channel.CPU_DRAM, verts, g_lens * BYTES_PER_NEIGHBOR
-                )
-                counters.record_compute(int(g_lens.sum()) + int(verts.size))
-                np.add.at(freq, verts, mult[sel].astype(np.float64) * weight[sel])
-                starts[sel] = g_starts + offset
-                lens[sel] = g_lens
-                flats.append(g_flat)
-                offset += int(g_flat.size)
-            flat = np.concatenate(flats) if flats else _EMPTY
-            if s == 0:
-                # first constraint: its list *is* the candidate set
-                cand_cnt = lens.copy()
-                offsets = segment_offsets(lens)
-                row_off, total = offsets[:-1], int(offsets[-1])
-                idx = (
-                    np.arange(total, dtype=np.int64)
-                    - np.repeat(row_off, lens)
-                    + np.repeat(starts, lens)
-                )
-                cand_flat = flat[idx]
-            else:
-                # merge-intersection charge: len(cand) + len(other), alive rows
-                counters.record_compute(int(cand_cnt.sum() + lens.sum()))
-                qstart = np.repeat(starts, cand_cnt)
-                qlen = np.repeat(lens, cand_cnt)
-                found = segmented_contains(flat, qstart, qlen, cand_flat)
-                qrow = np.repeat(np.arange(n, dtype=np.int64), cand_cnt)
-                cand_flat = cand_flat[found]
-                cand_cnt = np.bincount(qrow[found], minlength=n)
+        cand_flat, cand_cnt = intersect_level(
+            self.graph, lvl.constraints, rows, charge
+        )
 
         # label + injectivity filters (unmetered in the reference, mirrored)
         if lvl.label != WILDCARD_LABEL:

@@ -10,11 +10,13 @@ frontier by one query vertex.  This module is that execution shape in
 NumPy:
 
 * The frontier is an ``(n, depth)`` array of bound data vertices plus a
-  sign vector; extending a level gathers the constraint lists for **all**
-  rows, intersects them with vectorized sorted-set kernels (a segmented
-  binary search replaces per-node ``np.intersect1d``), applies
-  label/injectivity filters as flat masks, and emits the next frontier with
-  ``np.repeat`` — no Python recursion.
+  sign vector; extending a level reads the constraint lists of **all** rows
+  in place from the store's per-batch arena of merged lists
+  (:func:`intersect_level`, shared with the frequency estimator),
+  intersects them with vectorized sorted-set kernels (a segmented binary
+  search replaces per-node ``np.intersect1d``), applies label/injectivity
+  filters as flat masks, and emits the next frontier with ``np.repeat`` —
+  no Python recursion.
 * **Counter parity is exact.**  Every neighbor-list access is charged
   through :meth:`~repro.gpu.views.GraphView.fetch_block` (the batched
   equivalent of per-access ``fetch``), every ``record_compute`` /
@@ -38,13 +40,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.matching import MatchStats, _merge_runs
+from repro.core.matching import MatchStats
 from repro.graphs.attributes import edge_weights
 from repro.gpu.views import GraphView
 from repro.query.pattern import WILDCARD_LABEL
 from repro.query.plan import EdgeVersion, LevelPlan, MatchPlan
+from repro.utils import segment_offsets
 
-__all__ = ["FrontierKernel", "FrontierExecutor", "segmented_contains"]
+__all__ = ["FrontierKernel", "FrontierExecutor", "intersect_level", "segmented_contains"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -84,8 +87,76 @@ def segmented_contains(
     return out
 
 
+def intersect_level(graph, constraints, rows: np.ndarray, charge):
+    """The per-level join: intersect every row's constraint lists.
+
+    Returns ``(cand_flat, cand_cnt)`` *before* any label / injectivity
+    filtering: row ``r``'s running candidate set is the sorted slice of
+    ``cand_flat`` after ``cand_cnt[:r]`` elements.  Per row the constraints
+    are visited smallest-list-first (stable on the versioned degree, the
+    recursive kernels' ``sorted``); the first list is materialised as the
+    candidate set, the others are probed with :func:`segmented_contains`,
+    and a row stops reading once its set empties.  Lists are read in place
+    from the graph's epoch arena (:meth:`DynamicGraph.gather`), so nothing
+    is merged, concatenated or copied per level.
+
+    The join charges nothing itself.  For each slot and constraint it calls
+    ``charge(sel, verts, version, lens, probes)`` once with the row mask
+    ``sel`` that reads that constraint now, the vertices read, their list
+    lengths, and ``probes`` — the candidates about to be intersected
+    against those lists (0 on the first slot, where the list *is* the set).
+    """
+    n = rows.shape[0]
+    k = len(constraints)
+    if k == 1:
+        order = np.zeros((n, 1), dtype=np.int64)
+    else:
+        keys = np.empty((n, k), dtype=np.int64)
+        for j, c in enumerate(constraints):
+            table = (
+                graph.degrees_old() if c.version is EdgeVersion.OLD
+                else graph.degrees_new()
+            )
+            keys[:, j] = table[rows[:, c.position]]
+        order = np.argsort(keys, axis=1, kind="stable")
+
+    cand_flat = _EMPTY
+    cand_cnt = np.zeros(n, dtype=np.int64)
+    for s in range(k):
+        cidx = order[:, s]
+        live = np.ones(n, dtype=bool) if s == 0 else cand_cnt > 0
+        starts = np.zeros(n, dtype=np.int64)
+        lens = np.zeros(n, dtype=np.int64)
+        for j, c in enumerate(constraints):
+            sel = live & (cidx == j)
+            if not sel.any():
+                continue
+            verts = rows[sel, c.position]
+            g_starts, g_lens = graph.gather(verts, c.version is EdgeVersion.OLD)
+            starts[sel] = g_starts
+            lens[sel] = g_lens
+            charge(sel, verts, c.version, g_lens, int(cand_cnt[sel].sum()))
+        flat = graph.arena  # read after this slot's gathers
+        if s == 0:
+            cand_cnt = lens
+            offsets = segment_offsets(lens)
+            idx = (
+                np.arange(int(offsets[-1]), dtype=np.int64)
+                + np.repeat(starts - offsets[:-1], lens)
+            )
+            cand_flat = flat[idx]
+        else:
+            found = segmented_contains(
+                flat, np.repeat(starts, cand_cnt), np.repeat(lens, cand_cnt), cand_flat
+            )
+            qrow = np.repeat(np.arange(n, dtype=np.int64), cand_cnt)
+            cand_flat = cand_flat[found]
+            cand_cnt = np.bincount(qrow[found], minlength=n)
+    return cand_flat, cand_cnt
+
+
 class FrontierKernel:
-    """Plan-agnostic level-expansion context: view + labels + merge pool.
+    """Plan-agnostic level-expansion context: view + labels + filters.
 
     One kernel instance can expand levels of *any* plan against the same
     frozen adjacency — :class:`FrontierExecutor` binds one to a single plan,
@@ -99,7 +170,6 @@ class FrontierKernel:
         view: GraphView,
         labels: np.ndarray,
         filters: dict[int, np.ndarray] | None = None,
-        pool: dict[tuple[int, bool], np.ndarray] | None = None,
         attributes=None,
     ) -> None:
         self.view = view
@@ -108,40 +178,6 @@ class FrontierKernel:
         #: optional edge-weight provider for predicate pushdown; None falls
         #: back to the deterministic hash weights
         self.attributes = attributes
-        # merged-array memo: one merged object per (vertex, version family).
-        # ``pool`` may be shared across the plans of one batch — the graph is
-        # frozen between apply_batch and reorganize, so merged contents are
-        # plan-independent; the memo only skips Python-side merge work, every
-        # *access* is still charged per plan through fetch_block.
-        self._pool: dict[tuple[int, bool], np.ndarray] = (
-            pool if pool is not None else {}
-        )
-
-    # ------------------------------------------------------------------
-    def _gather(
-        self, verts: np.ndarray, version: EdgeVersion
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Materialize the merged lists of ``verts`` as one flat buffer.
-
-        Returns per-vertex ``(starts, lengths)`` into the concatenated
-        ``flat``; each distinct vertex's list is stored (and merged) once.
-        """
-        uniq, inv = np.unique(verts, return_inverse=True)
-        pool = self._pool
-        old = version is EdgeVersion.OLD
-        peek = self.view.peek_runs
-        arrays = []
-        for v in uniq.tolist():
-            arr = pool.get((v, old))
-            if arr is None:
-                arr = _merge_runs(peek(v, version))
-                pool[(v, old)] = arr
-            arrays.append(arr)
-        lens_u = np.fromiter((a.size for a in arrays), count=len(arrays), dtype=np.int64)
-        starts_u = np.zeros(lens_u.size, dtype=np.int64)
-        np.cumsum(lens_u[:-1], out=starts_u[1:])
-        flat = np.concatenate(arrays) if arrays else _EMPTY
-        return starts_u[inv], lens_u[inv], flat
 
     # ------------------------------------------------------------------
     def level_candidates(
@@ -154,10 +190,11 @@ class FrontierKernel:
 
         Returns ``(cand_flat, cand_cnt)``: row ``r``'s candidate set is the
         sorted slice of ``cand_flat`` after ``cand_cnt[:r]`` elements.
-        Reproduces the recursive ``_candidates`` charges row by row:
-        smallest-list-first constraint order, first-list materialization,
-        per-intersection ``len(a)+len(b)`` ops, filter/label/injectivity
-        masks, and the final per-candidate charge for surviving rows.
+        Reproduces the recursive ``_candidates`` charges row by row: every
+        list read goes through :meth:`GraphView.fetch_block`, the first list
+        charges its length, each intersection ``len(a)+len(b)`` ops, then the
+        filter/label/injectivity masks and the final per-candidate charge
+        for surviving rows.
 
         ``active`` is the mask hook for shared multi-query execution: a
         boolean row mask restricting expansion (and every recorded charge)
@@ -174,62 +211,12 @@ class FrontierKernel:
         view = self.view
         counters = view.counters
         n = rows.shape[0]
-        k = len(cons)
 
-        # per-row stable constraint order by versioned degree bound
-        if k == 1:
-            order = np.zeros((n, 1), dtype=np.int64)
-        else:
-            keys = np.empty((n, k), dtype=np.int64)
-            for j, c in enumerate(cons):
-                keys[:, j] = view.degree_bounds_block(rows[:, c.position], c.version)
-            order = np.argsort(keys, axis=1, kind="stable")
+        def charge(sel, verts, version, lens, probes):
+            view.fetch_block(verts, version)  # records every access
+            counters.record_compute(probes + int(lens.sum()))
 
-        cand_flat = _EMPTY
-        cand_cnt = np.zeros(n, dtype=np.int64)
-        for s in range(k):
-            cidx = order[:, s]
-            active = np.ones(n, dtype=bool) if s == 0 else cand_cnt > 0
-            # group rows by which constraint fills this slot; fetch (and
-            # charge) each group's lists, assemble one flat segment buffer
-            starts = np.zeros(n, dtype=np.int64)
-            lens = np.zeros(n, dtype=np.int64)
-            flats: list[np.ndarray] = []
-            offset = 0
-            for j, c in enumerate(cons):
-                sel = active & (cidx == j)
-                if not sel.any():
-                    continue
-                verts = rows[sel, c.position]
-                view.fetch_block(verts, c.version)  # records every access
-                g_starts, g_lens, g_flat = self._gather(verts, c.version)
-                starts[sel] = g_starts + offset
-                lens[sel] = g_lens
-                flats.append(g_flat)
-                offset += int(g_flat.size)
-            flat = np.concatenate(flats) if flats else _EMPTY
-            if s == 0:
-                # first constraint: the list *is* the candidate set
-                counters.record_compute(int(lens.sum()))
-                cand_cnt = lens.copy()
-                total = int(lens.sum())
-                row_off = np.zeros(n, dtype=np.int64)
-                np.cumsum(lens[:-1], out=row_off[1:])
-                idx = (
-                    np.arange(total, dtype=np.int64)
-                    - np.repeat(row_off, lens)
-                    + np.repeat(starts, lens)
-                )
-                cand_flat = flat[idx]
-            else:
-                # merge-intersection charge: len(cand) + len(other), active rows
-                counters.record_compute(int(cand_cnt.sum() + lens.sum()))
-                qstart = np.repeat(starts, cand_cnt)
-                qlen = np.repeat(lens, cand_cnt)
-                found = segmented_contains(flat, qstart, qlen, cand_flat)
-                qrow = np.repeat(np.arange(n, dtype=np.int64), cand_cnt)
-                cand_flat = cand_flat[found]
-                cand_cnt = np.bincount(qrow[found], minlength=n)
+        cand_flat, cand_cnt = intersect_level(view.graph, cons, rows, charge)
 
         # rows that survived every intersection reach the filtering stage
         # (zero-size rows contribute zero to every charge below, exactly
@@ -286,10 +273,9 @@ class FrontierExecutor(FrontierKernel):
         labels: np.ndarray,
         sink,
         filters: dict[int, np.ndarray] | None = None,
-        pool: dict[tuple[int, bool], np.ndarray] | None = None,
         attributes=None,
     ) -> None:
-        super().__init__(view, labels, filters, pool, attributes)
+        super().__init__(view, labels, filters, attributes)
         self.plan = plan
         self.sink = sink
         self.stats = MatchStats()

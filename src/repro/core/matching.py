@@ -6,16 +6,16 @@ binding one query vertex per level by intersecting the (versioned) neighbor
 lists of its bound query neighbors.  Faithful behaviours carried over from
 the paper's kernel:
 
-* **Split intersections.**  ``N'`` is handled as ``N ∪ ΔN``: the view
-  returns the base and delta runs separately and the executor merges them
-  once (both runs are sorted, so the merge is linear) — deleted neighbors
-  have already been dropped from the base run by the store, the analog of
-  "skip the negative indices".
-* **Every access counts.**  Each neighbor-list read goes through the
-  :class:`~repro.gpu.views.GraphView`, which records channel traffic and the
-  per-vertex access histogram.  Re-reads of the same list are recorded again
-  (the real kernel streams lists from memory on every use); the executor
-  only memoizes the *merged array object* to keep Python-side costs down.
+* **Split intersections.**  ``N'`` is handled as ``N ∪ ΔN``: the store
+  keeps the base and delta runs separately and merges them once per batch
+  into its epoch arena (both runs are sorted, so the merge is linear) —
+  deleted neighbors are dropped from the base run, the analog of "skip the
+  negative indices".
+* **Every access counts.**  Each neighbor-list read is recorded by the
+  :class:`~repro.gpu.views.GraphView` — channel traffic and the per-vertex
+  access histogram.  Re-reads of the same list are recorded again (the real
+  kernel streams lists from memory on every use); only the merged *bytes*
+  are shared, through the arena.
 * **Work accounting.**  Merge-intersections charge ``len(a) + len(b)``
   compute ops (the cost model of merge-based SIMD intersection), candidate
   filtering and output emission charge per element.
@@ -44,7 +44,7 @@ from repro.graphs.stream import UpdateBatch
 from repro.gpu.views import GraphView
 from repro.query.pattern import WILDCARD_LABEL
 from repro.query.plan import MatchPlan
-from repro.utils import VERTEX_DTYPE, merge_sorted
+from repro.utils import VERTEX_DTYPE
 
 __all__ = [
     "MatchStats",
@@ -87,22 +87,6 @@ class MatchStats:
         self.roots_processed += other.roots_processed
         self.tree_nodes += other.tree_nodes
         self.roots_skipped += other.roots_skipped
-
-
-def _merge_runs(runs: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Merge already-sorted runs into one sorted array (linear merge).
-
-    The runs arrive sorted from the store (base run, sorted ΔN), so a
-    concatenate-then-full-sort is wasted work — each pair is folded with the
-    linear :func:`~repro.utils.merge_sorted` kernel.  The single-run fast
-    path returns the stored array untouched (no copy).
-    """
-    if len(runs) == 1:
-        return runs[0]
-    merged = runs[0]
-    for r in runs[1:]:
-        merged = merge_sorted(merged, r)
-    return merged
 
 
 # ----------------------------------------------------------------------
@@ -264,16 +248,13 @@ def match_batch(
 
     labels = view.graph.labels
     total = MatchStats()
-    # merged-list memo shared across the plans of one batch (the adjacency
-    # is frozen in between; accesses are still charged per plan)
-    pool: dict = {}
     for plan, roots, signs in batch_roots(
         plans, batch, labels, total, filters=filters, root_mask=root_mask,
         prefilter=prefilter, attributes=attributes,
     ):
         total.merge(
             FrontierExecutor(
-                plan, view, labels, sink, filters, pool=pool, attributes=attributes
+                plan, view, labels, sink, filters, attributes=attributes
             ).run(roots, signs)
         )
     return total

@@ -81,16 +81,6 @@ class GraphView(ABC):
         self._record(v, self._nbytes(runs))
         return runs
 
-    def peek_runs(self, v: int, version: EdgeVersion) -> tuple[np.ndarray, ...]:
-        """Data-only run access for batched executors — no traffic recorded.
-
-        The frontier executor gathers list *contents* once per distinct
-        vertex through this hook while charging every individual access
-        through :meth:`fetch_block`; together the two reproduce exactly what
-        per-access :meth:`fetch` calls would record.
-        """
-        return self._runs(v, version)
-
     def degree_bound(self, v: int, version: EdgeVersion) -> int:
         """Length of the versioned list *without* charging an access (the
         kernel knows list lengths from its offset arrays)."""
@@ -100,26 +90,9 @@ class GraphView(ABC):
 
     def degree_bounds_block(self, vertices: np.ndarray, version: EdgeVersion) -> np.ndarray:
         """Vectorized :meth:`degree_bound` over a vertex array (uncharged)."""
-        return self._degree_table(version)[vertices]
-
-    def _degree_table(self, version: EdgeVersion) -> np.ndarray:
-        """Cached per-vertex versioned degrees.
-
-        Safe to cache per view: a view lives within one batch, during which
-        the store's adjacency is frozen (``apply_batch`` done, ``reorganize``
-        not yet).
-        """
-        if version is EdgeVersion.OLD:
-            table = getattr(self, "_deg_old", None)
-            if table is None:
-                table = self.graph.degrees_old()
-                self._deg_old = table
-            return table
-        table = getattr(self, "_deg_new", None)
-        if table is None:
-            table = self.graph.degrees_new()
-            self._deg_new = table
-        return table
+        graph = self.graph
+        table = graph.degrees_old() if version is EdgeVersion.OLD else graph.degrees_new()
+        return table[vertices]
 
     def fetch_block(self, vertices: np.ndarray, version: EdgeVersion) -> None:
         """Record one neighbor-list access per element of ``vertices``.
@@ -192,12 +165,9 @@ class UnifiedMemoryView(GraphView):
     def __init__(self, graph: DynamicGraph, device: DeviceConfig,
                  counters: AccessCounters) -> None:
         super().__init__(graph, device, counters)
-        lengths = np.array(
-            [graph.degree_old(v) + graph.delta_neighbors(v).size
-             for v in range(graph.num_vertices)],
-            dtype=np.int64,
-        )
-        self.layout = HostMemoryLayout(lengths)
+        # every list at its stored length, appended run included
+        _, stored = graph.run_lengths(np.arange(graph.num_vertices))
+        self.layout = HostMemoryLayout(stored)
         self.pager = UnifiedMemoryPager(device)
 
     def _record(self, v: int, nbytes: int) -> None:

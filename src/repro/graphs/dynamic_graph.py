@@ -31,19 +31,24 @@ runs — the store exposes the two adjacency versions of paper Fig. 2:
 ``pDevice`` indirection tables: synthetic addresses that the simulated GPU
 zero-copy channel dereferences, so the reproduction exercises the same
 data-path shape even without real pinned memory.
+
+Run lengths live in three int64 tables (base length, stored length, deletion
+marks in the base run), touched in O(|ΔE|) per batch.  Everything the kernels
+read in bulk hangs off one :class:`_Epoch` per store state — read-only
+versioned degree tables and a lazily filled CSR *arena* of merged lists
+(:meth:`DynamicGraph.gather`) — dropped by ``apply_batch`` and ``reorganize``.
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass, field
-from typing import Iterable
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.graphs.static_graph import StaticGraph
 from repro.graphs.stream import CanonicalReport, UpdateBatch
-from repro.utils import VERTEX_DTYPE, merge_sorted, require
+from repro.utils import VERTEX_DTYPE, merge_sorted, require, segment_offsets
 
 __all__ = [
     "DynamicGraph",
@@ -82,6 +87,44 @@ class ReorganizeStats:
     insertions_merged: int = 0
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+class _Epoch:
+    """Bulk read-side state of one store state (settled, or one open batch).
+
+    ``deg_old`` / ``deg_new`` are the versioned list lengths.  ``flat`` is the
+    arena: merged versioned lists appended on first use, ``start_old[v]`` /
+    ``start_new[v]`` their offsets (-1 until loaded).  A vertex the open
+    batch did not touch has one slot, shared by both versions, holding its
+    stored run verbatim.  ``flat[:used]`` is never rewritten and growth copies
+    it into the replacement buffer before publishing it, so a ``flat``
+    reference read after a :meth:`DynamicGraph.gather` covers every segment
+    that gather (or an earlier one) returned, whichever thread grew it.
+
+    Cheap to create (every mutation makes one); the O(n) tables are built by
+    the first reader.  ``lock`` serialises that build and every load: fleet
+    shards match one graph on worker threads.
+    """
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.flat: np.ndarray | None = None  # None until :meth:`build`
+
+    def build(self, base_len, total_len, marks, touched) -> None:
+        n = base_len.size
+        self.deg_old = _read_only(base_len.copy())
+        self.deg_new = _read_only(total_len - marks)
+        self.touched = np.zeros(n, dtype=bool)
+        self.touched[list(touched)] = True
+        self.start_old = np.full(n, -1, dtype=np.int64)
+        self.start_new = np.full(n, -1, dtype=np.int64)
+        self.used = 0
+        self.flat = np.empty(4096, dtype=VERTEX_DTYPE)
+
+
 class DynamicGraph:
     """Mutable adjacency-list graph with the paper's update protocol."""
 
@@ -89,8 +132,6 @@ class DynamicGraph:
         n = initial.num_vertices
         self._labels: np.ndarray = initial.labels.copy()
         self._arrays: list[np.ndarray] = []
-        self._base_len: list[int] = []
-        self._total_len: list[int] = []
         self._realloc_count = 0
         degs = initial.degrees()
         self._avg_degree = max(1, int(round(float(degs.mean())) if n else 1))
@@ -100,8 +141,12 @@ class DynamicGraph:
             arr = np.empty(cap, dtype=VERTEX_DTYPE)
             arr[: nbrs.size] = nbrs
             self._arrays.append(arr)
-            self._base_len.append(int(nbrs.size))
-            self._total_len.append(int(nbrs.size))
+        # per-vertex run lengths: base run, base + appended run, and the
+        # deletion marks inside the base run
+        self._base_len: np.ndarray = degs.astype(np.int64)
+        self._total_len: np.ndarray = self._base_len.copy()
+        self._marks: np.ndarray = np.zeros(n, dtype=np.int64)
+        self._epoch = _Epoch()
         # pHost / pDevice analogs: synthetic addresses into a flat pinned space.
         self.host_address = np.arange(n, dtype=np.int64)
         self.device_address = np.arange(n, dtype=np.int64)
@@ -154,31 +199,28 @@ class DynamicGraph:
 
     def degree_new(self, v: int) -> int:
         """Post-batch degree of ``v`` (deletions excluded, insertions included)."""
-        arr = self._arrays[v]
-        base = arr[: self._base_len[v]]
-        deleted = int(np.count_nonzero(base < 0))
-        return self._total_len[v] - deleted
+        return int(self._total_len[v] - self._marks[v])
 
     def degree_old(self, v: int) -> int:
         """Pre-batch degree of ``v`` (the base-run length)."""
-        return self._base_len[v]
+        return int(self._base_len[v])
+
+    def _epoch_state(self) -> _Epoch:
+        """The current epoch with its tables built."""
+        epoch = self._epoch
+        with epoch.lock:
+            if epoch.flat is None:
+                epoch.build(self._base_len, self._total_len, self._marks, self._touched)
+        return epoch
 
     def degrees_new(self) -> np.ndarray:
-        """Post-batch degrees of every vertex (vectorized).
-
-        Untouched vertices carry no deletion marks or deltas, so their
-        post-batch degree is just the stored length; only the (few) lists the
-        open batch touched need a mark recount.
-        """
-        degs = np.asarray(self._total_len, dtype=np.int64)
-        for v in self._touched:
-            base = self._arrays[v][: self._base_len[v]]
-            degs[v] -= int(np.count_nonzero(base < 0))
-        return degs
+        """Post-batch degrees of every vertex: a read-only table, one per
+        epoch (a later batch never changes a table already handed out)."""
+        return self._epoch_state().deg_new
 
     def degrees_old(self) -> np.ndarray:
-        """Pre-batch degrees of every vertex (the base-run lengths)."""
-        return np.asarray(self._base_len, dtype=np.int64)
+        """Pre-batch degrees of every vertex (read-only, one per epoch)."""
+        return self._epoch_state().deg_old
 
     def max_degree(self) -> int:
         if self.num_vertices == 0:
@@ -196,9 +238,7 @@ class DynamicGraph:
         are excluded.
         """
         base = self._arrays[v][: self._base_len[v]]
-        if base.size and base.min() < 0:
-            return _decode(base)
-        return base
+        return _decode(base) if self._marks[v] else base
 
     def neighbors_new_parts(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """``N'(v)`` as its two sorted runs ``(base_kept, delta)``.
@@ -209,7 +249,7 @@ class DynamicGraph:
         """
         arr = self._arrays[v]
         base = arr[: self._base_len[v]]
-        if base.size and base.min() < 0:
+        if self._marks[v]:
             base = base[base >= 0]
         delta = arr[self._base_len[v] : self._total_len[v]]
         return base, delta
@@ -248,26 +288,8 @@ class DynamicGraph:
         return self._arrays[v][: self._total_len[v]]
 
     def run_lengths(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(base_len, total_len)`` of the stored runs of ``vertices``.
-
-        Reads only the selected entries of the per-vertex length lists (an
-        ``np.asarray`` over all *n* lists would dwarf the packing cost when
-        few vertices are cached).  ``itemgetter`` does the fancy-indexing of
-        the Python lists in C.
-        """
-        vlist = vertices.tolist()
-        if not vlist:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
-        if len(vlist) == 1:
-            return (
-                np.array([self._base_len[vlist[0]]], dtype=np.int64),
-                np.array([self._total_len[vlist[0]]], dtype=np.int64),
-            )
-        pick = operator.itemgetter(*vlist)
-        base = np.array(pick(self._base_len), dtype=np.int64)
-        total = np.array(pick(self._total_len), dtype=np.int64)
-        return base, total
+        """``(base_len, total_len)`` of the stored runs of ``vertices``."""
+        return self._base_len[vertices], self._total_len[vertices]
 
     def packed_runs(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
         """``(base_len, total_len, views)`` for bulk packing of ``vertices``.
@@ -290,6 +312,59 @@ class DynamicGraph:
             if pos < run.size and run[pos] == v:
                 return True
         return False
+
+    # ------------------------------------------------------------------
+    # the epoch arena (what the join kernels read)
+    # ------------------------------------------------------------------
+    def gather(self, vertices: np.ndarray, old: bool) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, lengths)`` of the merged ``N`` (``old``) or ``N'`` lists
+        of ``vertices`` inside :attr:`arena`, loading the ones not there yet.
+
+        Read :attr:`arena` *after* the last gather whose segments it must
+        cover (see :class:`_Epoch`).  No traffic is charged here: callers
+        record every access themselves.
+        """
+        epoch = self._epoch_state()
+        start = epoch.start_old if old else epoch.start_new
+        with epoch.lock:
+            starts = start[vertices]
+            if starts.size and starts.min() < 0:
+                self._load(epoch, np.unique(vertices[starts < 0]), old)
+                starts = start[vertices]
+        return starts, (epoch.deg_old if old else epoch.deg_new)[vertices]
+
+    @property
+    def arena(self) -> np.ndarray:
+        """The flat buffer :meth:`gather` offsets point into."""
+        return self._epoch_state().flat
+
+    def _load(self, epoch: _Epoch, vertices: np.ndarray, old: bool) -> None:
+        """Append the lists of the distinct ``vertices`` to the arena (caller
+        holds ``epoch.lock``).  Offsets are published only once the bytes are
+        in place; lists come from *this* graph's arrays, so a frozen view that
+        adopted the epoch never dereferences the live store."""
+        touched = epoch.touched[vertices]
+        stored = epoch.deg_old[vertices]
+        arrays = self._arrays
+        merged = self.neighbors_old if old else self.neighbors_new
+        chunks = [
+            merged(v) if hit else arrays[v][:size]
+            for v, size, hit in zip(vertices.tolist(), stored.tolist(), touched.tolist())
+        ]
+        offsets = epoch.used + segment_offsets(
+            stored if old else epoch.deg_new[vertices]
+        )
+        end = int(offsets[-1])
+        if end > epoch.flat.size:
+            grown = np.empty(max(end, 2 * epoch.flat.size), dtype=VERTEX_DTYPE)
+            grown[: epoch.used] = epoch.flat[: epoch.used]
+            epoch.flat = grown
+        np.concatenate(chunks, out=epoch.flat[epoch.used : end])
+        epoch.used = end
+        (epoch.start_old if old else epoch.start_new)[vertices] = offsets[:-1]
+        # untouched: no marks, no ΔN — N and N' are the one stored run
+        shared = vertices[~touched]
+        (epoch.start_new if old else epoch.start_old)[shared] = offsets[:-1][~touched]
 
     # ------------------------------------------------------------------
     # copy-on-write freeze (pipelined execution support)
@@ -351,6 +426,7 @@ class DynamicGraph:
         require(not self._batch_open, "previous batch not reorganized yet")
         effective, report = batch.canonicalize(self, mode=mode)
         self.last_canonical_report = report
+        self._epoch = _Epoch()  # before the first mutation: also dropped if one raises
         self._batch_open = True
         self._touched = set()
         max_vertex = int(effective.max_vertex(default=-1))
@@ -382,12 +458,13 @@ class DynamicGraph:
         oracle), then close the batch.
         """
         require(self._batch_open, "no open batch to reorganize")
+        self._epoch = _Epoch()
         stats = ReorganizeStats()
         for v in sorted(self._touched):
             arr = self._arrays[v]
             base = arr[: self._base_len[v]]
             delta = arr[self._base_len[v] : self._total_len[v]]
-            kept = base[base >= 0] if (base.size and base.min() < 0) else base
+            kept = base[base >= 0] if self._marks[v] else base
             dropped = base.size - kept.size
             stats.lists_touched += 1
             stats.merged_elements += int(kept.size + delta.size)
@@ -401,8 +478,8 @@ class DynamicGraph:
             if new_len > arr.size:  # pragma: no cover - capacity always suffices
                 arr = self._reallocate(v, new_len)
             arr[:new_len] = merged
-            self._base_len[v] = new_len
-            self._total_len[v] = new_len
+            self._base_len[v] = self._total_len[v] = new_len
+            self._marks[v] = 0
         self._touched = set()
         self._batch_open = False
         return stats
@@ -415,10 +492,12 @@ class DynamicGraph:
         for v in range(old, new_count):
             cap = max(2, self._avg_degree)
             self._arrays.append(np.empty(cap, dtype=VERTEX_DTYPE))
-            self._base_len.append(0)
-            self._total_len.append(0)
             # fresh arrays are private: no frozen view references them
             self._owner_serial.append(self._freeze_serial)
+        zeros = np.zeros(new_count - old, dtype=np.int64)
+        self._base_len = np.concatenate([self._base_len, zeros])
+        self._total_len = np.concatenate([self._total_len, zeros])
+        self._marks = np.concatenate([self._marks, zeros])
         grown_labels = np.zeros(new_count, dtype=np.int64)
         grown_labels[:old] = self._labels
         if new_labels:
@@ -433,7 +512,7 @@ class DynamicGraph:
 
     def _append_neighbor(self, u: int, v: int) -> None:
         arr = self._cow(u)
-        pos = self._total_len[u]
+        pos = int(self._total_len[u])
         if pos >= arr.size:
             arr = self._reallocate(u, 2 * max(1, arr.size))
         arr[pos] = v
@@ -452,11 +531,12 @@ class DynamicGraph:
     def _mark_deleted(self, u: int, v: int) -> None:
         arr = self._cow(u)
         base = arr[: self._base_len[u]]
-        decoded = _decode(base) if (base.size and base.min() < 0) else base
+        decoded = _decode(base) if self._marks[u] else base
         pos = int(np.searchsorted(decoded, v))
         if pos < decoded.size and decoded[pos] == v:
             require(base[pos] >= 0, f"double deletion of edge ({u}, {v})")
             arr[pos] = _encode_deleted(v)
+            self._marks[u] += 1
             self._touched.add(u)
             return
         # Not in the base run: the neighbor may live in the ΔN run appended
@@ -464,7 +544,7 @@ class DynamicGraph:
         # batches cancel such pairs up front, but the store stays total for
         # raw callers: drop the appended entry in place.  ΔN is still
         # unsorted at this point, so scan it linearly.
-        lo, hi = self._base_len[u], self._total_len[u]
+        lo, hi = int(self._base_len[u]), int(self._total_len[u])
         for i in range(lo, hi):
             if arr[i] == v:
                 arr[i:hi - 1] = arr[i + 1:hi].copy()
@@ -555,6 +635,8 @@ class DynamicGraph:
                     f"base run of {v} not strictly sorted")
             delta = self._arrays[v][self._base_len[v] : self._total_len[v]]
             kept = base[base >= 0]
+            require(base.size - kept.size == self._marks[v],
+                    f"deletion-mark count of {v} out of step with its base run")
             degree_sum += int(kept.size + delta.size)
             if not self._batch_open:
                 require(delta.size == 0, f"closed batch but delta at {v}")
@@ -602,8 +684,12 @@ class FrozenDynamicGraph(DynamicGraph):
         self._released = False
         self._labels = parent._labels
         self._arrays = list(parent._arrays)  # shallow: shares the ndarrays
-        self._base_len = list(parent._base_len)
-        self._total_len = list(parent._total_len)
+        self._base_len = parent._base_len.copy()
+        self._total_len = parent._total_len.copy()
+        self._marks = parent._marks.copy()
+        # same store state, so the arena the estimator filled serves the
+        # kernel too; loads go through this view's own (COW-stable) arrays
+        self._epoch = parent._epoch
         self._realloc_count = parent._realloc_count
         self._avg_degree = parent._avg_degree
         self.host_address = parent.host_address

@@ -27,7 +27,6 @@ from repro.core.frequency import (
 from repro.core.matching import (
     EmbeddingSink,
     MatchStats,
-    _merge_runs,
     batch_roots,
     delta_roots,
     filter_root_predicate,
@@ -49,6 +48,22 @@ __all__ = [
     "RecursiveFrequencyEstimator",
     "use_reference_kernels",
 ]
+
+
+def _merge_runs(runs: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Merge already-sorted runs into one sorted array (linear merge).
+
+    The runs arrive sorted from the store (base run, sorted ΔN), so a
+    concatenate-then-full-sort is wasted work — each pair is folded with the
+    linear :func:`~repro.utils.merge_sorted` kernel.  The single-run fast
+    path returns the stored array untouched (no copy).
+    """
+    if len(runs) == 1:
+        return runs[0]
+    merged = runs[0]
+    for r in runs[1:]:
+        merged = merge_sorted(merged, r)
+    return merged
 
 
 class RecursivePlanExecutor:

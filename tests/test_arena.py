@@ -1,0 +1,303 @@
+"""The store's per-epoch length tables and adjacency arena.
+
+Exactness (the arena serves the same bytes the per-vertex accessors do, on
+dirty streams), lifetime (no epoch outlives ``apply_batch`` / ``reorganize``;
+a frozen epoch reads only its own arrays), and the concurrency contract
+(fleet shards and the pipelined worker share one arena).
+"""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.baselines import make_system
+from repro.core.engine import GCSMEngine
+from repro.core.validation import _counters_equal, generate_adversarial_stream
+from repro.graphs.datasets import DATASETS
+from repro.graphs.dynamic_graph import DynamicGraph
+from repro.graphs.generators import erdos_renyi
+from repro.graphs.stream import UpdateBatch, derive_stream
+from repro.gpu.counters import AccessCounters
+from repro.gpu.device import default_device
+from repro.gpu.memory import HostMemoryLayout
+from repro.gpu.views import UnifiedMemoryView, ZeroCopyView
+from repro.query import QueryGraph
+from repro.query.catalog import query_by_name
+from repro.query.plan import EdgeVersion
+from repro.testing.kernels import _merge_runs
+
+TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
+
+
+def inserts(*edges):
+    return UpdateBatch(np.array(edges), np.ones(len(edges), dtype=np.int64))
+
+
+def deletes(*edges):
+    return UpdateBatch(np.array(edges), -np.ones(len(edges), dtype=np.int64))
+
+
+def expected_list(graph, v, version):
+    view = ZeroCopyView(graph, default_device(), AccessCounters())
+    return _merge_runs(view._runs(v, version))
+
+
+def assert_arena_exact(graph):
+    """Every vertex, both versions: arena slice == merged store runs."""
+    verts = np.arange(graph.num_vertices, dtype=np.int64)
+    for version in (EdgeVersion.OLD, EdgeVersion.NEW):
+        # two overlapping gathers: the second must find the first's loads
+        graph.gather(verts[::2], version is EdgeVersion.OLD)
+        starts, lens = graph.gather(verts, version is EdgeVersion.OLD)
+        flat = graph.arena
+        for v in verts.tolist():
+            want = expected_list(graph, v, version)
+            got = flat[starts[v] : starts[v] + lens[v]]
+            assert got.tolist() == want.tolist(), (v, version)
+    assert graph.degrees_old().tolist() == [graph.degree_old(v) for v in verts.tolist()]
+    assert graph.degrees_new().tolist() == [graph.degree_new(v) for v in verts.tolist()]
+
+
+class TestArenaExactness:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), mode=st.sampled_from(["coalesce", "ignore"]))
+    def test_matches_merged_runs_on_adversarial_streams(self, seed, mode):
+        g0 = erdos_renyi(24, 4.0, num_labels=2, seed=seed)
+        graph = DynamicGraph(g0)
+        assert_arena_exact(graph)  # settled epoch: everything untouched
+        for batch in generate_adversarial_stream(
+            g0, num_batches=3, batch_size=12, seed=seed
+        ):
+            graph.apply_batch(batch, mode=mode)
+            assert_arena_exact(graph)
+            graph.check_invariants()
+            graph.reorganize()
+            assert_arena_exact(graph)
+
+    def test_hand_built_corner_cases(self):
+        # triangle 0-1-2, 3 isolated; the batch deletes inside a base run (1 is
+        # touched by a delete only), inserts beside it, and creates 4 and 5
+        g0 = erdos_renyi(4, 0.0, num_labels=1, seed=0)
+        graph = DynamicGraph(g0)
+        graph.apply_batch(inserts((0, 1), (1, 2), (0, 2)))
+        graph.reorganize()
+        batch = UpdateBatch(
+            np.array([(0, 1), (0, 3), (4, 5), (2, 4)]), np.array([-1, 1, 1, 1])
+        )
+        graph.apply_batch(batch)
+        assert graph.num_vertices == 6
+        assert_arena_exact(graph)
+        s_old, _ = graph.gather(np.arange(6), True)
+        s_new, _ = graph.gather(np.arange(6), False)
+        assert graph.touched_vertices == {0, 1, 2, 3, 4, 5}
+        assert (s_old != s_new).all()  # every list changed: one slot per version
+        assert graph.degrees_old().tolist() == [2, 2, 2, 0, 0, 0]
+        assert graph.degrees_new().tolist() == [2, 1, 3, 1, 2, 1]
+
+    def test_same_batch_insert_and_delete_nets_out(self):
+        g0 = erdos_renyi(12, 3.0, num_labels=1, seed=4)
+        graph = DynamicGraph(g0)
+        u, v = (int(x) for x in g0.edge_array()[0])
+        batch = UpdateBatch(
+            np.array([(u, v), (u, v), (u, v)]), np.array([-1, 1, -1])
+        )
+        graph.apply_batch(batch, mode="coalesce")
+        assert_arena_exact(graph)
+        assert graph.degree_new(u) == graph.degree_old(u) - 1
+
+    def test_untouched_vertices_share_one_slot(self):
+        g0 = erdos_renyi(30, 4.0, num_labels=1, seed=2)
+        graph = DynamicGraph(g0)
+        u, v = (int(x) for x in g0.edge_array()[0])
+        graph.apply_batch(deletes((u, v)))
+        verts = np.arange(30, dtype=np.int64)
+        s_old, lens_old = graph.gather(verts, True)
+        used = graph._epoch.used
+        s_new, lens_new = graph.gather(verts, False)
+        untouched = np.ones(30, dtype=bool)
+        untouched[[u, v]] = False
+        assert np.array_equal(s_old[untouched], s_new[untouched])
+        assert np.array_equal(lens_old[untouched], lens_new[untouched])
+        assert s_old[u] != s_new[u] and s_old[v] != s_new[v]
+        # the NEW gather loaded the two touched lists and nothing else
+        assert graph._epoch.used - used == int(lens_new[u] + lens_new[v])
+
+    def test_degree_tables_are_read_only_and_per_epoch(self):
+        g0 = erdos_renyi(20, 4.0, num_labels=1, seed=1)
+        graph = DynamicGraph(g0)
+        for table in (graph.degrees_old(), graph.degrees_new()):
+            with pytest.raises(ValueError):
+                table[0] = 99
+        held = graph.degrees_new()
+        before = held.copy()
+        assert graph.degrees_new() is held  # one table per epoch
+        u, v = (int(x) for x in g0.edge_array()[0])
+        graph.apply_batch(deletes((u, v)))
+        assert graph.degrees_new()[u] == before[u] - 1
+        assert np.array_equal(held, before)  # a handed-out table never moves
+
+    def test_no_epoch_survives_a_mutation(self):
+        g0 = erdos_renyi(20, 4.0, num_labels=1, seed=3)
+        graph = DynamicGraph(g0)
+        u, v = (int(x) for x in g0.edge_array()[0])
+        w = next(x for x in range(20) if x not in (u, v) and not g0.has_edge(u, x))
+        both = np.array([u, u], dtype=np.int64)
+
+        def served(old):
+            starts, lens = graph.gather(both, old)
+            return graph.arena[starts[0] : starts[0] + lens[0]].tolist()
+
+        settled = served(False)
+        graph.apply_batch(UpdateBatch(np.array([(u, v), (u, w)]), np.array([-1, 1])))
+        assert served(True) == settled
+        opened = served(False)
+        assert opened == sorted(set(settled) - {v} | {w})
+        graph.reorganize()
+        assert served(True) == served(False) == opened  # not the pre-batch bytes
+        graph.apply_batch(inserts((u, v)))
+        assert served(True) == opened
+        assert served(False) == sorted(opened + [v])
+
+    def test_frozen_epoch_reads_its_own_arrays(self):
+        g0 = erdos_renyi(30, 4.0, num_labels=1, seed=5)
+        batches = generate_adversarial_stream(g0, num_batches=3, batch_size=12, seed=5)
+        graph = DynamicGraph(g0)
+        graph.apply_batch(batches[0], mode="coalesce")
+        n = graph.num_vertices
+        want = {
+            version: [expected_list(graph, v, version).tolist() for v in range(n)]
+            for version in (EdgeVersion.OLD, EdgeVersion.NEW)
+        }
+        graph.gather(np.arange(0, n, 3), False)  # partly filled before freeze
+        with graph.freeze() as frozen:
+            assert frozen._epoch is graph._epoch  # adopted, not rebuilt
+            graph.reorganize()
+            graph.apply_batch(batches[1], mode="coalesce")
+            graph.gather(np.arange(graph.num_vertices), False)  # live epoch moves on
+            for version in (EdgeVersion.OLD, EdgeVersion.NEW):
+                starts, lens = frozen.gather(np.arange(n), version is EdgeVersion.OLD)
+                flat = frozen.arena
+                got = [flat[s : s + k].tolist() for s, k in zip(starts, lens)]
+                assert got == want[version]
+            assert frozen._epoch is not graph._epoch
+
+
+class TestArenaConcurrency:
+    REPS = 20
+
+    @pytest.fixture()
+    def fast_switching(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_concurrent_gathers_never_see_torn_or_stale_segments(self, fast_switching):
+        g0 = erdos_renyi(300, 8.0, num_labels=1, seed=9)
+        batch = generate_adversarial_stream(g0, num_batches=1, batch_size=64, seed=9)[0]
+        graph = DynamicGraph(g0)
+        graph.apply_batch(batch, mode="coalesce")
+        n = graph.num_vertices
+        want = {
+            old: [
+                expected_list(
+                    graph, v, EdgeVersion.OLD if old else EdgeVersion.NEW
+                ).tolist()
+                for v in range(n)
+            ]
+            for old in (True, False)
+        }
+        errors: list[str] = []
+
+        def reader(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            for _ in range(60):
+                old = bool(rng.integers(0, 2))
+                verts = rng.integers(0, n, size=int(rng.integers(1, 12)))
+                starts, lens = graph.gather(verts, old)
+                flat = graph.arena
+                for v, s, k in zip(verts.tolist(), starts.tolist(), lens.tolist()):
+                    if flat[s : s + k].tolist() != want[old][v]:
+                        errors.append(f"vertex {v} old={old}")
+
+        for _ in range(self.REPS):
+            graph = DynamicGraph(g0)  # a cold arena each repetition
+            graph.apply_batch(batch, mode="coalesce")
+            threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert not errors, errors[:5]
+            epoch = graph._epoch
+            loaded = np.flatnonzero((epoch.start_old >= 0) | (epoch.start_new >= 0))
+            # a lost update would double-load a list: the buffer holds each
+            # loaded (vertex, version) exactly once, shared slots once
+            expect = 0
+            for v in loaded.tolist():
+                so, sn = int(epoch.start_old[v]), int(epoch.start_new[v])
+                if so >= 0:
+                    expect += int(epoch.deg_old[v])
+                if sn >= 0 and epoch.touched[v]:  # untouched: the same slot
+                    expect += int(epoch.deg_new[v])
+            assert epoch.used == expect
+
+    def test_fleet_and_pipelined_equal_serial_single_device(self, fast_switching):
+        g0 = erdos_renyi(400, 12.0, num_labels=1, seed=11)
+        batches = generate_adversarial_stream(g0, num_batches=3, batch_size=64, seed=11)
+
+        def run(**settings):
+            # no estimation pass: the kernels meet a cold arena, so the
+            # shards' loads really race
+            engine = GCSMEngine(g0, TRIANGLE, seed=0, policy="degree", **settings)
+            return engine.process_stream(batches)
+
+        serial = run()
+        fleet_serial = run(devices=4, workers=1)
+        assert any(r.delta_count for r in serial)
+        for _ in range(self.REPS):
+            for results, counters_of in (
+                (run(schedule="pipelined"), serial),
+                (run(devices=4, workers=4, schedule="pipelined"), fleet_serial),
+            ):
+                for got, ref, cref in zip(results, serial, counters_of):
+                    assert got.delta_count == ref.delta_count
+                    assert got.match_stats == ref.match_stats
+                    assert _counters_equal(got.match_counters, cref.match_counters)
+
+
+class TestUnifiedMemoryLayout:
+    def test_layout_comes_from_the_length_table(self, monkeypatch):
+        g = DATASETS["AZ"].build(0)
+        g0, batches = derive_stream(g, num_updates=64, batch_size=64, seed=1)
+        graph = DynamicGraph(g0)
+        graph.apply_batch(batches[0])
+        reference = HostMemoryLayout(np.array(
+            [graph.degree_old(v) + graph.delta_neighbors(v).size
+             for v in range(graph.num_vertices)], dtype=np.int64,
+        ))
+        calls = []
+        for name in ("degree_old", "degree_new", "delta_neighbors"):
+            monkeypatch.setattr(
+                DynamicGraph, name, lambda self, v, _n=name: calls.append(_n)
+            )
+        view = UnifiedMemoryView(graph, default_device(), AccessCounters())
+        assert not calls  # no per-vertex Python at construction, whatever n is
+        assert np.array_equal(view.layout.offsets, reference.offsets)
+
+    def test_um_counters_on_az_q1_unchanged(self):
+        g = DATASETS["AZ"].build(0)
+        g0, batches = derive_stream(g, num_updates=3 * 64, batch_size=64, seed=1)
+        system = make_system("UM", g0, query_by_name("Q1"), seed=0)
+        seen = []
+        for batch in batches:
+            s = system.process_batch(batch).match_counters.summary()
+            seen.append((int(s["um_faults"]), int(s["um_hits"]), int(s["accesses"])))
+        # measured at the commit before the table-built layout
+        assert seen == [(61, 360, 435), (62, 383, 442), (58, 257, 314)]

@@ -141,20 +141,20 @@ class TestMergeRuns:
     frontier-kernel change: no more concatenate-then-full-sort)."""
 
     def test_single_run_fast_path_no_copy(self):
-        from repro.core.matching import _merge_runs
+        from repro.testing.kernels import _merge_runs
 
         run = np.array([2, 4, 6], dtype=np.int64)
         assert _merge_runs((run,)) is run
 
     def test_interleaved_runs(self):
-        from repro.core.matching import _merge_runs
+        from repro.testing.kernels import _merge_runs
 
         base = np.array([1, 4, 8, 12], dtype=np.int64)
         delta = np.array([2, 5, 9], dtype=np.int64)
         assert _merge_runs((base, delta)).tolist() == [1, 2, 4, 5, 8, 9, 12]
 
     def test_three_runs(self):
-        from repro.core.matching import _merge_runs
+        from repro.testing.kernels import _merge_runs
 
         runs = (
             np.array([0, 10], dtype=np.int64),
@@ -164,7 +164,7 @@ class TestMergeRuns:
         assert _merge_runs(runs).tolist() == [0, 3, 5, 7, 10, 15]
 
     def test_empty_runs(self):
-        from repro.core.matching import _merge_runs
+        from repro.testing.kernels import _merge_runs
 
         empty = np.empty(0, dtype=np.int64)
         run = np.array([1, 2], dtype=np.int64)
