@@ -16,7 +16,7 @@
 """
 
 from repro.core.matching import MatchStats, match_batch, match_static
-from repro.core.frontier import FrontierExecutor
+from repro.core.frontier import FrontierKernel
 from repro.core.frequency import (
     EstimationResult,
     FrequencyEstimator,
@@ -32,7 +32,7 @@ __all__ = [
     "MatchStats",
     "match_batch",
     "match_static",
-    "FrontierExecutor",
+    "FrontierKernel",
     "FrequencyEstimator",
     "FrontierFrequencyEstimator",
     "EstimationResult",

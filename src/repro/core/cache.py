@@ -175,7 +175,7 @@ class CachedDeviceView(GraphView):
         self.counters.record_access(Channel.ZERO_COPY, v, nbytes, transactions=lines)
         return runs
 
-    def fetch_block(self, vertices: np.ndarray, version: EdgeVersion) -> None:
+    def fetch_block(self, vertices: np.ndarray, lengths: np.ndarray) -> None:
         """Vectorized per-access recording: one rowidx probe per access, hits
         charged to GPU global memory, misses to zero-copy lines — the exact
         counter state of per-access :meth:`fetch` calls."""
@@ -185,7 +185,7 @@ class CachedDeviceView(GraphView):
         hit = self.cache.lookup_block(vertices)
         self.hits += int(np.count_nonzero(hit))
         self.misses += int(vertices.size - np.count_nonzero(hit))
-        nbytes = self._block_nbytes(vertices, version)
+        nbytes = lengths * BYTES_PER_NEIGHBOR
         self.counters.record_access_block(
             Channel.GPU_GLOBAL, vertices[hit], nbytes[hit]
         )

@@ -15,10 +15,12 @@ expands the whole level.  This module is that execution shape in NumPy:
   Eq. 3 weight — a *column*, because the survival schedule makes the weight
   node-dependent).
 * Candidate sets come from the matcher's own join,
-  :func:`~repro.core.frontier.intersect_level`, reading the same epoch arena
-  of merged lists (:meth:`~repro.graphs.dynamic_graph.DynamicGraph.gather`):
+  :func:`~repro.core.frontier.join_rows`, reading the same epoch arena of
+  merged lists (:meth:`~repro.graphs.dynamic_graph.DynamicGraph.gather`):
   what a walk loads, the kernel that follows finds already in place.  The
-  estimator only supplies the per-read charges.
+  estimator settles the join's access log once per level.  Plans are *not*
+  fused into one frontier here: the order of the RNG draws is part of the
+  parity contract.
 * All surviving children of a level draw their continuation multiplicities
   in **one** vectorized ``rng.binomial`` call; saturated children
   (``p == 1``) skip the RNG entirely, mirroring the recursive reference.
@@ -47,17 +49,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.frequency import FrequencyEstimator, EstimationResult, default_num_walks
-from repro.core.frontier import intersect_level
+from repro.core.frontier import join_rows, level_table
 from repro.core.matching import delta_roots
 from repro.graphs.stream import UpdateBatch
 from repro.gpu.counters import AccessCounters, Channel
 from repro.gpu.device import BYTES_PER_NEIGHBOR
 from repro.query.pattern import WILDCARD_LABEL
-from repro.query.plan import MatchPlan
+from repro.query.plan import LevelPlan, MatchPlan
 
 __all__ = ["FrontierFrequencyEstimator"]
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 
 class FrontierFrequencyEstimator(FrequencyEstimator):
@@ -110,8 +110,7 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
                 if rows.shape[0] == 0:
                     break
                 rows, mult, weight = self._expand_level(
-                    plan, level_index, rows, mult, weight, inv_d, freq,
-                    counters, labels,
+                    plan.levels[level_index], rows, mult, weight, inv_d, freq, counters
                 )
                 nodes_visited += int(rows.shape[0])
         if num_walks > 0:
@@ -121,15 +120,13 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
     # ------------------------------------------------------------------
     def _expand_level(
         self,
-        plan: MatchPlan,
-        level_index: int,
+        lvl: LevelPlan,
         rows: np.ndarray,
         mult: np.ndarray,
         weight: np.ndarray,
         inv_d: float,
         freq: np.ndarray,
         counters: AccessCounters,
-        labels: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Expand every frontier node by one tree level.
 
@@ -141,29 +138,28 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
         ``len(cand) + len(other)`` for rows still alive; the final
         per-candidate charge covers the injectivity-filtered sets.
         """
-        lvl = plan.levels[level_index]
         n = rows.shape[0]
-
-        def charge(sel, verts, version, lens, probes):
-            # the batched _fetch: every access recorded at this node's
-            # multiplicity × weight (paper Eq. 3) and charged len(list) + 1
-            counters.record_access_block(
-                Channel.CPU_DRAM, verts, lens * BYTES_PER_NEIGHBOR
-            )
-            read = int(lens.sum())
-            ops = read + int(verts.size)
-            if probes:  # a probed list also pays the merge: len(cand) + len(other)
-                ops += probes + read
-            counters.record_compute(ops)
-            np.add.at(freq, verts, mult[sel].astype(np.float64) * weight[sel])
-
-        cand_flat, cand_cnt = intersect_level(
-            self.graph, lvl.constraints, rows, charge
+        cand_flat, cand_cnt, log, compute = join_rows(
+            self.graph,
+            *level_table((lvl,)).operands(rows, np.zeros(n, dtype=np.int64)),
         )
+        # the batched _fetch, once per level in the join's (slot, constraint,
+        # row) order: every access is recorded at its node's multiplicity ×
+        # weight (paper Eq. 3) and charged len(list) + 1, and a probed list
+        # pays its merge len(cand) + len(list) on top.  The join's ``compute``
+        # holds the first lists and the merges; the rest is one op per read
+        # plus the probed lists' lengths.
+        counters.record_access_block(
+            Channel.CPU_DRAM, log.vertex, log.length * BYTES_PER_NEIGHBOR
+        )
+        counters.record_compute(
+            compute + int(log.vertex.size) + int(log.length[log.slot > 0].sum())
+        )
+        np.add.at(freq, log.vertex, (mult.astype(np.float64) * weight)[log.row])
 
         # label + injectivity filters (unmetered in the reference, mirrored)
         if lvl.label != WILDCARD_LABEL:
-            keep = labels[cand_flat] == lvl.label
+            keep = self.graph.labels[cand_flat] == lvl.label
         else:
             keep = np.ones(cand_flat.size, dtype=bool)
         qrow = np.repeat(np.arange(n, dtype=np.int64), cand_cnt)
@@ -171,9 +167,7 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
         cand_flat = cand_flat[keep]
         qrow = qrow[keep]
         cand_cnt = np.bincount(qrow, minlength=n)
-        counters.record_compute(int(cand_cnt.sum()))
-        if cand_flat.size == 0:
-            return np.empty((0, rows.shape[1] + 1), dtype=np.int64), _EMPTY, _EMPTY
+        counters.record_compute(int(cand_flat.size))
 
         # vectorized continuation draws for all children of the level
         child_mult = mult[qrow]
@@ -192,8 +186,6 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
         if stoch.any():
             b_children[stoch] = self.rng.binomial(child_mult[stoch], p_child[stoch])
         live = b_children > 0
-        if not live.any():
-            return np.empty((0, rows.shape[1] + 1), dtype=np.int64), _EMPTY, _EMPTY
         next_rows = np.concatenate(
             [rows[qrow[live]], cand_flat[live][:, None]], axis=1
         )

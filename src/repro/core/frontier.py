@@ -1,4 +1,4 @@
-"""Frontier-based batched WCOJ executor (the warp-centric kernel analog).
+"""Frontier-based batched WCOJ kernel (the warp-centric kernel analog).
 
 The recursive executor in :mod:`repro.testing.kernels` expands one root at a
 time, descending per candidate in Python — faithful, but the per-node
@@ -10,25 +10,27 @@ frontier by one query vertex.  This module is that execution shape in
 NumPy:
 
 * The frontier is an ``(n, depth)`` array of bound data vertices plus a
-  sign vector; extending a level reads the constraint lists of **all** rows
-  in place from the store's per-batch arena of merged lists
-  (:func:`intersect_level`, shared with the frequency estimator),
-  intersects them with vectorized sorted-set kernels (a segmented binary
-  search replaces per-node ``np.intersect1d``), applies label/injectivity
-  filters as flat masks, and emits the next frontier with ``np.repeat`` —
-  no Python recursion.
-* **Counter parity is exact.**  Every neighbor-list access is charged
-  through :meth:`~repro.gpu.views.GraphView.fetch_block` (the batched
-  equivalent of per-access ``fetch``), every ``record_compute`` /
-  ``record_output`` charge of the recursive executor is reproduced as a
-  vectorized sum over rows, and per-row constraint ordering replicates the
-  smallest-list-first heuristic with a stable argsort.  ``MatchStats``,
-  per-channel byte/transaction counters, and the per-vertex access
-  histogram are bit-identical to the recursive executor, so every
+  plan-id column: the rows of **all** ΔM plans advance together.  What a row
+  reads at a level comes from per-level operand tables indexed by its plan
+  (:class:`LevelTable`), so the join itself (:func:`join_rows`, shared with
+  the frequency estimator and the multi-query trie) is a plan-agnostic *row
+  program*: one gather per constraint slot for every row whatever plan it
+  belongs to, one ``searchsorted`` probe against the arena's rank keys, flat
+  label / candidate-filter / predicate / injectivity masks, ``np.repeat`` to
+  emit the next frontier — no Python recursion, no per-plan loop.
+* **Counter parity is exact.**  The join charges nothing: it returns an
+  :class:`AccessLog` of every list read in canonical ``(slot, constraint,
+  row)`` order plus its order-free compute total.  Callers settle the log —
+  the matcher once per batch through
+  :meth:`~repro.gpu.views.GraphView.fetch_block`, in the ``(plan, level,
+  slot, constraint, row)`` order a per-plan execution would issue — so
+  ``MatchStats``, per-channel byte/transaction counters and the per-vertex
+  access histogram are bit-identical to the recursive executor, and every
   simulated time in the reproduction is unchanged.
 * Embeddings reach the sink in the **same order** as the recursive
-  executor: the frontier preserves lexicographic (root, candidate…) order,
-  which is exactly depth-first emission order.
+  executor: roots are stacked plan-major and the frontier preserves
+  lexicographic (plan, root, candidate…) order, which is exactly
+  depth-first emission order.
 
 The one modeled divergence is access *order*: the frontier issues all of a
 level's reads before the next level's, while recursion interleaves levels
@@ -38,131 +40,167 @@ and only under eviction pressure — see ``docs/kernel.md``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
+
 import numpy as np
 
-from repro.core.matching import MatchStats
 from repro.graphs.attributes import edge_weights
+from repro.graphs.dynamic_graph import keyed_contains
 from repro.gpu.views import GraphView
 from repro.query.pattern import WILDCARD_LABEL
-from repro.query.plan import EdgeVersion, LevelPlan, MatchPlan
-from repro.utils import segment_offsets
+from repro.query.plan import EdgeVersion, LevelPlan
+from repro.utils import contains_sorted, segment_offsets
 
-__all__ = ["FrontierKernel", "FrontierExecutor", "intersect_level", "segmented_contains"]
+__all__ = ["AccessLog", "LevelTable", "level_table", "join_rows", "FrontierKernel"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
+_LAST = np.iinfo(np.int64).max  # sort key of a constraint column a row lacks
 
 
-def segmented_contains(
-    flat: np.ndarray,
-    starts: np.ndarray,
-    lengths: np.ndarray,
-    queries: np.ndarray,
-) -> np.ndarray:
-    """Vectorized membership of each query in its own sorted segment.
+class AccessLog(NamedTuple):
+    """Every list read of one :func:`join_rows` call, as parallel arrays in
+    ``(slot, constraint, row)`` order: frontier row, constraint slot (the
+    row's s-th smallest list), constraint column, vertex read, list length."""
 
-    ``queries[i]`` is looked up in ``flat[starts[i] : starts[i]+lengths[i]]``
-    (each segment sorted ascending) with a *simultaneous* binary search: all
-    lanes halve their ``[lo, hi)`` range per iteration, so the whole batch
-    costs ``O(len(queries) · log(max segment))`` NumPy ops — the batched
-    analog of one GPU thread per (candidate, list) probe.
+    row: np.ndarray
+    slot: np.ndarray
+    constraint: np.ndarray
+    vertex: np.ndarray
+    length: np.ndarray
+
+
+@dataclass(frozen=True)
+class LevelTable:
+    """One binding level of ``P`` plans as operand tables (``K`` = the widest
+    constraint list): constraint ``j`` of plan ``p`` reads the ``old[p, j]``
+    version of the list of the vertex bound at ``position[p, j]`` wherever
+    ``valid[p, j]``.  ``predicates`` lists ``(plan, position, (lo, hi))`` in
+    plan constraint order."""
+
+    position: np.ndarray
+    old: np.ndarray
+    valid: np.ndarray
+    label: np.ndarray
+    query_vertex: np.ndarray
+    predicates: tuple[tuple[int, int, tuple[float, float]], ...]
+
+    def operands(
+        self, rows: np.ndarray, plan: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``(n, K)`` matrices ``verts, old, valid`` of ``rows``, each
+        row taking the table line of its ``plan``."""
+        position = self.position[plan]
+        verts = rows[np.arange(rows.shape[0])[:, None], position]
+        return verts, self.old[plan], self.valid[plan]
+
+
+@lru_cache(maxsize=512)
+def level_table(levels: tuple[LevelPlan, ...]) -> LevelTable:
+    """The operand tables of one level across plans (built once per list)."""
+    shape = (len(levels), max(len(lvl.constraints) for lvl in levels))
+    position = np.zeros(shape, dtype=np.int64)
+    old = np.zeros(shape, dtype=bool)
+    valid = np.zeros(shape, dtype=bool)
+    for p, lvl in enumerate(levels):
+        for j, c in enumerate(lvl.constraints):
+            position[p, j] = c.position
+            old[p, j] = c.version is EdgeVersion.OLD
+            valid[p, j] = True
+    return LevelTable(
+        position, old, valid,
+        label=np.array([lvl.label for lvl in levels], dtype=np.int64),
+        query_vertex=np.array([lvl.query_vertex for lvl in levels], dtype=np.int64),
+        predicates=tuple(
+            (p, c.position, c.predicate)
+            for p, lvl in enumerate(levels)
+            for c in lvl.constraints
+            if c.predicate is not None
+        ),
+    )
+
+
+def join_rows(
+    graph, verts: np.ndarray, old: np.ndarray, valid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, AccessLog, int]:
+    """The per-level join as a row program: intersect every row's lists.
+
+    Row ``r`` intersects the lists of ``verts[r, j]`` (version ``old[r, j]``)
+    over its ``valid[r, j]`` columns.  Returns ``(cand_flat, cand_cnt, log,
+    compute)`` *before* any label / injectivity filtering: row ``r``'s
+    candidate set is the sorted slice of ``cand_flat`` after ``cand_cnt[:r]``
+    elements.  Per row the lists are visited smallest-first (stable on the
+    versioned degree in column order, the recursive kernels' ``sorted``); the
+    first is materialised as the candidate set, the others are probed through
+    the arena's rank keys (:func:`keyed_contains`), and a row stops
+    reading once its set empties.  Each slot is one
+    :meth:`DynamicGraph.gather` for all rows, read in place from the epoch
+    arena: nothing is merged, concatenated or copied per level.
+
+    The join charges nothing.  ``log`` holds every read for the caller to
+    settle; ``compute`` is the merge-intersection cost — the first list's
+    length, then ``len(set) + len(list)`` per probe — summed over rows.
     """
-    out = np.zeros(queries.size, dtype=bool)
-    if queries.size == 0 or flat.size == 0:
-        return out
-    lo = starts.astype(np.int64, copy=True)
-    hi = lo + lengths
-    while True:
-        active = lo < hi
-        if not active.any():
-            break
-        mid = (lo + hi) >> 1
-        vals = flat[np.where(active, mid, 0)]
-        go_right = active & (vals < queries)
-        lo = np.where(go_right, mid + 1, lo)
-        hi = np.where(active & ~go_right, mid, hi)
-    # lo is now the lower bound; a hit iff it is in range and matches
-    in_range = lo < starts + lengths
-    idx = np.where(in_range, lo, 0)
-    out = in_range & (flat[idx] == queries)
-    return out
-
-
-def intersect_level(graph, constraints, rows: np.ndarray, charge):
-    """The per-level join: intersect every row's constraint lists.
-
-    Returns ``(cand_flat, cand_cnt)`` *before* any label / injectivity
-    filtering: row ``r``'s running candidate set is the sorted slice of
-    ``cand_flat`` after ``cand_cnt[:r]`` elements.  Per row the constraints
-    are visited smallest-list-first (stable on the versioned degree, the
-    recursive kernels' ``sorted``); the first list is materialised as the
-    candidate set, the others are probed with :func:`segmented_contains`,
-    and a row stops reading once its set empties.  Lists are read in place
-    from the graph's epoch arena (:meth:`DynamicGraph.gather`), so nothing
-    is merged, concatenated or copied per level.
-
-    The join charges nothing itself.  For each slot and constraint it calls
-    ``charge(sel, verts, version, lens, probes)`` once with the row mask
-    ``sel`` that reads that constraint now, the vertices read, their list
-    lengths, and ``probes`` — the candidates about to be intersected
-    against those lists (0 on the first slot, where the list *is* the set).
-    """
-    n = rows.shape[0]
-    k = len(constraints)
+    n, k = verts.shape
     if k == 1:
         order = np.zeros((n, 1), dtype=np.int64)
+        count = np.ones(n, dtype=np.int64)
     else:
-        keys = np.empty((n, k), dtype=np.int64)
-        for j, c in enumerate(constraints):
-            table = (
-                graph.degrees_old() if c.version is EdgeVersion.OLD
-                else graph.degrees_new()
-            )
-            keys[:, j] = table[rows[:, c.position]]
-        order = np.argsort(keys, axis=1, kind="stable")
-
-    cand_flat = _EMPTY
-    cand_cnt = np.zeros(n, dtype=np.int64)
+        size = np.where(old, graph.degrees_old()[verts], graph.degrees_new()[verts])
+        size[~valid] = _LAST
+        order = np.argsort(size, axis=1, kind="stable")
+        count = valid.sum(axis=1)
+    num_vertices = graph.num_vertices
+    arange = np.arange(n, dtype=np.int64)
+    cand_flat, cand_cnt = _EMPTY, np.zeros(n, dtype=np.int64)
+    compute = 0
+    log = []
     for s in range(k):
-        cidx = order[:, s]
-        live = np.ones(n, dtype=bool) if s == 0 else cand_cnt > 0
-        starts = np.zeros(n, dtype=np.int64)
-        lens = np.zeros(n, dtype=np.int64)
-        for j, c in enumerate(constraints):
-            sel = live & (cidx == j)
-            if not sel.any():
-                continue
-            verts = rows[sel, c.position]
-            g_starts, g_lens = graph.gather(verts, c.version is EdgeVersion.OLD)
-            starts[sel] = g_starts
-            lens[sel] = g_lens
-            charge(sel, verts, c.version, g_lens, int(cand_cnt[sel].sum()))
-        flat = graph.arena  # read after this slot's gathers
+        reading = (count > s) & (cand_cnt > 0) if s else count > s
+        live = arange[reading]
+        if s and live.size == 0:
+            break
+        cons = order[live, s]
+        if k > 1:  # the log's canonical order: constraint-major inside a slot
+            by = np.argsort(cons, kind="stable")
+            live, cons = live[by], cons[by]
+        vertex = verts[live, cons]
+        starts, lens = graph.gather(vertex, old[live, cons])
+        log.append((live, np.full(live.size, s, dtype=np.int64), cons, vertex, lens))
+        row_start, row_len = np.zeros((2, n), dtype=np.int64)
+        row_start[live] = starts
+        row_len[live] = lens
         if s == 0:
-            cand_cnt = lens
-            offsets = segment_offsets(lens)
-            idx = (
+            cand_cnt = row_len
+            offsets = segment_offsets(cand_cnt)
+            compute += int(offsets[-1])
+            cand_flat = graph.arena[
                 np.arange(int(offsets[-1]), dtype=np.int64)
-                + np.repeat(starts - offsets[:-1], lens)
-            )
-            cand_flat = flat[idx]
-        else:
-            found = segmented_contains(
-                flat, np.repeat(starts, cand_cnt), np.repeat(lens, cand_cnt), cand_flat
-            )
-            qrow = np.repeat(np.arange(n, dtype=np.int64), cand_cnt)
-            cand_flat = cand_flat[found]
-            cand_cnt = np.bincount(qrow[found], minlength=n)
-    return cand_flat, cand_cnt
+                + np.repeat(row_start - offsets[:-1], cand_cnt)
+            ]
+            continue
+        compute += int(cand_cnt[live].sum() + lens.sum())
+        # the probe reads the rank keys after this slot's gather
+        found = keyed_contains(
+            graph.arena_keys, num_vertices,
+            np.repeat(row_start, cand_cnt), np.repeat(row_len, cand_cnt), cand_flat,
+        )
+        qrow = np.repeat(arange, cand_cnt)
+        found |= ~reading[qrow]  # a row out of constraints keeps its set
+        cand_flat = cand_flat[found]
+        cand_cnt = np.bincount(qrow[found], minlength=n)
+    return cand_flat, cand_cnt, AccessLog(*map(np.concatenate, zip(*log))), compute
 
 
 class FrontierKernel:
-    """Plan-agnostic level-expansion context: view + labels + filters.
+    """Level-expansion context: view + labels + filters.
 
-    One kernel instance can expand levels of *any* plan against the same
-    frozen adjacency — :class:`FrontierExecutor` binds one to a single plan,
-    while the multi-query execution trie
-    (:mod:`repro.core.querytrie`) drives one kernel across the whole
-    rulebook so a level shared by many plans is expanded exactly once.
+    One kernel instance expands levels of *any* plans against the same frozen
+    adjacency — :func:`repro.core.matching.match_batch` drives it with the
+    tables of all ΔM plans at once, while the multi-query execution trie
+    (:mod:`repro.core.querytrie`) calls it with one-node tables so a level
+    shared by many plans is expanded exactly once.
     """
 
     def __init__(
@@ -180,21 +218,70 @@ class FrontierKernel:
         self.attributes = attributes
 
     # ------------------------------------------------------------------
+    def expand(
+        self, table: LevelTable, rows: np.ndarray, plan: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, AccessLog]:
+        """One launch: the candidates of every row for its plan's level.
+
+        Returns ``(cand_flat, cand_cnt, log)``; ``log`` is the join's access
+        log, left for the caller to settle through
+        :meth:`GraphView.fetch_block`.  Everything order-free is charged
+        here, reproducing the recursive ``_candidates`` row by row: the first
+        list charges its length, each intersection ``len(a)+len(b)`` ops,
+        then the filter / label / predicate / injectivity masks and the final
+        per-candidate charge for surviving rows (zero-size rows contribute
+        zero to every charge, exactly like the recursive early return).
+        """
+        counters = self.view.counters
+        n = rows.shape[0]
+        cand_flat, cand_cnt, log, compute = join_rows(
+            self.view.graph, *table.operands(rows, plan)
+        )
+        counters.record_compute(compute)
+        qrow = np.repeat(np.arange(n, dtype=np.int64), cand_cnt)
+        qplan = plan[qrow]
+        want = table.label[qplan]
+        keep = (want == WILDCARD_LABEL) | (self.labels[cand_flat] == want)
+        if self.filters:
+            # a candidate index (RapidFlow) encodes the label, so it replaces
+            # the label check for its query vertex; one probe per candidate
+            query_vertex = table.query_vertex[qplan]
+            for u, allowed in self.filters.items():
+                sel = query_vertex == u
+                counters.record_compute(int(np.count_nonzero(sel)))
+                keep[sel] = contains_sorted(allowed, cand_flat[sel])
+        # predicate pushdown: mirrors the recursive executor — a plan's
+        # predicated constraints in order, each charging one weight probe per
+        # still-surviving candidate
+        for p, position, (lo, hi) in table.predicates:
+            alive = np.flatnonzero(keep & (qplan == p))
+            counters.record_compute(int(alive.size))
+            anchors = rows[qrow[alive], position]
+            if self.attributes is not None:
+                w = self.attributes.pair_weights(anchors, cand_flat[alive])
+            else:
+                w = edge_weights(anchors, cand_flat[alive])
+            keep[alive[~((w >= lo) & (w <= hi))]] = False
+        # injectivity: a candidate must differ from every bound vertex of
+        # its own row (sequential removal in the recursive executor — the
+        # same set either way)
+        keep &= (cand_flat[:, None] != rows[qrow]).all(axis=1)
+        cand_flat = cand_flat[keep]
+        cand_cnt = np.bincount(qrow[keep], minlength=n)
+        counters.record_compute(int(cand_flat.size))
+        return cand_flat, cand_cnt, log
+
     def level_candidates(
         self,
         lvl: LevelPlan,
         rows: np.ndarray,
         active: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Candidates for one level across the whole frontier.
+        """Candidates of one plan level across ``rows``, accesses settled.
 
-        Returns ``(cand_flat, cand_cnt)``: row ``r``'s candidate set is the
-        sorted slice of ``cand_flat`` after ``cand_cnt[:r]`` elements.
-        Reproduces the recursive ``_candidates`` charges row by row: every
-        list read goes through :meth:`GraphView.fetch_block`, the first list
-        charges its length, each intersection ``len(a)+len(b)`` ops, then the
-        filter/label/injectivity masks and the final per-candidate charge
-        for surviving rows.
+        The one-node-table form of :meth:`expand` the shared trie runs:
+        returns ``(cand_flat, cand_cnt)`` and records every list read at once,
+        in ``(slot, constraint, row)`` order.
 
         ``active`` is the mask hook for shared multi-query execution: a
         boolean row mask restricting expansion (and every recorded charge)
@@ -207,136 +294,8 @@ class FrontierKernel:
             cand_cnt = np.zeros(rows.shape[0], dtype=np.int64)
             cand_cnt[active] = sub_cnt
             return sub_flat, cand_cnt
-        cons = lvl.constraints
-        view = self.view
-        counters = view.counters
-        n = rows.shape[0]
-
-        def charge(sel, verts, version, lens, probes):
-            view.fetch_block(verts, version)  # records every access
-            counters.record_compute(probes + int(lens.sum()))
-
-        cand_flat, cand_cnt = intersect_level(view.graph, cons, rows, charge)
-
-        # rows that survived every intersection reach the filtering stage
-        # (zero-size rows contribute zero to every charge below, exactly
-        # like the recursive early return)
-        qv_filter = self.filters.get(lvl.query_vertex)
-        if qv_filter is not None:
-            counters.record_compute(int(cand_cnt.sum()))
-            pos = np.searchsorted(qv_filter, cand_flat)
-            ok = pos < qv_filter.size
-            keep = np.zeros(cand_flat.size, dtype=bool)
-            keep[ok] = qv_filter[pos[ok]] == cand_flat[ok]
-        elif lvl.label != WILDCARD_LABEL:
-            keep = self.labels[cand_flat] == lvl.label
-        else:
-            keep = np.ones(cand_flat.size, dtype=bool)
-        qrow = np.repeat(np.arange(n, dtype=np.int64), cand_cnt)
-        # predicate pushdown: mirrors the recursive executor — predicated
-        # constraints in plan order, each charging one weight probe per
-        # still-surviving candidate (the per-row sizes sum to exactly the
-        # recursive per-root charges)
-        for c in (c for c in cons if c.predicate is not None):
-            alive = np.flatnonzero(keep)
-            counters.record_compute(int(alive.size))
-            if alive.size == 0:
-                break
-            anchors = rows[qrow[alive], c.position]
-            if self.attributes is not None:
-                w = self.attributes.pair_weights(anchors, cand_flat[alive])
-            else:
-                w = edge_weights(anchors, cand_flat[alive])
-            lo, hi = c.predicate
-            keep[alive[~((w >= lo) & (w <= hi))]] = False
-        # injectivity: a candidate must differ from every bound vertex of
-        # its own row (sequential removal in the recursive executor — the
-        # same set either way)
-        keep &= (cand_flat[:, None] != rows[qrow]).all(axis=1)
-        cand_flat = cand_flat[keep]
-        cand_cnt = np.bincount(qrow[keep], minlength=n)
-        counters.record_compute(int(cand_cnt.sum()))
+        cand_flat, cand_cnt, log = self.expand(
+            level_table((lvl,)), rows, np.zeros(rows.shape[0], dtype=np.int64)
+        )
+        self.view.fetch_block(log.vertex, log.length)
         return cand_flat, cand_cnt
-
-
-class FrontierExecutor(FrontierKernel):
-    """Level-synchronous execution of one plan over all of its roots.
-
-    Drop-in peer of the recursive ``_PlanExecutor``: same constructor
-    signature, same view/counters contract, bit-identical stats.
-    """
-
-    def __init__(
-        self,
-        plan: MatchPlan,
-        view: GraphView,
-        labels: np.ndarray,
-        sink,
-        filters: dict[int, np.ndarray] | None = None,
-        attributes=None,
-    ) -> None:
-        super().__init__(view, labels, filters, attributes)
-        self.plan = plan
-        self.sink = sink
-        self.stats = MatchStats()
-
-    # ------------------------------------------------------------------
-    def _inverse_order(self) -> np.ndarray:
-        order = self.plan.order
-        inverse = np.empty(len(order), dtype=np.int64)
-        for pos, u in enumerate(order):
-            inverse[u] = pos
-        return inverse
-
-    def run(self, roots: np.ndarray, signs: np.ndarray) -> MatchStats:
-        """Execute the plan over all ``(n, 2)`` roots with their signs."""
-        stats = self.stats
-        counters = self.view.counters
-        n = int(roots.shape[0])
-        stats.roots_processed += n
-        stats.tree_nodes += n
-        if n == 0:
-            return stats
-        depth = self.plan.depth
-        signs = signs.astype(np.int64, copy=False)
-        if depth == 2:
-            stats.signed_count += int(signs.sum())
-            stats.embeddings_found += n
-            counters.record_output(n)
-            counters.record_compute(n * depth)
-            if self.sink is not None:
-                emb = roots[:, self._inverse_order()]
-                for e, s in zip(emb.tolist(), signs.tolist()):
-                    self.sink(tuple(e), s)
-            return stats
-
-        rows = roots.astype(np.int64, copy=False)
-        sign = signs
-        last_index = len(self.plan.levels) - 1
-        for li in range(len(self.plan.levels)):
-            cand_flat, cand_cnt = self.level_candidates(self.plan.levels[li], rows)
-            total = int(cand_cnt.sum())
-            if li == last_index:
-                stats.signed_count += int((sign * cand_cnt).sum())
-                stats.embeddings_found += total
-                stats.tree_nodes += total
-                counters.record_output(total)
-                counters.record_compute(total * depth)
-                if self.sink is not None and total:
-                    full = np.concatenate(
-                        [np.repeat(rows, cand_cnt, axis=0), cand_flat[:, None]],
-                        axis=1,
-                    )[:, self._inverse_order()]
-                    for e, s in zip(
-                        full.tolist(), np.repeat(sign, cand_cnt).tolist()
-                    ):
-                        self.sink(tuple(e), s)
-            else:
-                stats.tree_nodes += total
-                if total == 0:
-                    break
-                rows = np.concatenate(
-                    [np.repeat(rows, cand_cnt, axis=0), cand_flat[:, None]], axis=1
-                )
-                sign = np.repeat(sign, cand_cnt)
-        return stats

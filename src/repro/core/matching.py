@@ -24,12 +24,12 @@ The executor is shared verbatim by GCSM and every baseline — exactly the
 paper's "all the GPU versions use the same GPU kernel" setup — with only the
 view deciding where reads are served from.
 
-The kernel itself is the level-synchronous batched executor of
-:mod:`repro.core.frontier`: all roots expand one query-vertex level at a
-time across a partial-embedding frontier, with vectorized sorted-set
-kernels.  The per-root depth-first executor it replaced lives on as a
-parity oracle in :mod:`repro.testing.kernels`; both consume the roots
-:func:`batch_roots` generates, so they see identical inputs by construction.
+The kernel itself is the level-synchronous row program of
+:mod:`repro.core.frontier`: the roots of all ΔM plans are stacked into one
+frontier and every launch extends all of them by one query-vertex level.
+The per-root depth-first executor it replaced lives on as a parity oracle in
+:mod:`repro.testing.kernels`; both consume the roots :func:`batch_roots`
+generates, so they see identical inputs by construction.
 """
 
 from __future__ import annotations
@@ -39,12 +39,13 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from repro.core.frontier import FrontierKernel, level_table
 from repro.graphs.attributes import edge_weights
 from repro.graphs.stream import UpdateBatch
 from repro.gpu.views import GraphView
 from repro.query.pattern import WILDCARD_LABEL
 from repro.query.plan import MatchPlan
-from repro.utils import VERTEX_DTYPE
+from repro.utils import VERTEX_DTYPE, contains_sorted, require
 
 __all__ = [
     "MatchStats",
@@ -194,20 +195,73 @@ def batch_roots(
         if filters and roots.shape[0]:
             mask = np.ones(roots.shape[0], dtype=bool)
             for col, u in ((0, plan.order[0]), (1, plan.order[1])):
-                cand = filters.get(u)
-                if cand is None:
-                    continue
-                if cand.size == 0:
-                    mask[:] = False
-                    break
-                pos = np.minimum(np.searchsorted(cand, roots[:, col]), cand.size - 1)
-                mask &= cand[pos] == roots[:, col]
+                if u in filters:
+                    mask &= contains_sorted(filters[u], roots[:, col])
             roots, signs = roots[mask], signs[mask]
             keep = keep[mask] if keep is not None else None
         if keep is not None:
             total.roots_skipped += int(keep.size - np.count_nonzero(keep))
             roots, signs = roots[keep], signs[keep]
         yield (plan, *filter_root_predicate(plan, roots, signs, attributes))
+
+
+def _run_frontier(
+    kernel: FrontierKernel,
+    plans: list[MatchPlan],
+    roots: list[np.ndarray],
+    signs: list[np.ndarray],
+    sink: EmbeddingSink | None,
+) -> MatchStats:
+    """Execute ``plans`` over their ``roots`` as one frontier.
+
+    The roots are stacked plan-major with a plan-id column and every launch
+    of :meth:`FrontierKernel.expand` advances all plans one level, so the
+    frontier stays in lexicographic ``(plan, root, candidate…)`` order — the
+    depth-first emission order of running the plans one after another.  The
+    accesses are settled once, sorted by ``(plan, level)`` over each level's
+    ``(slot, constraint, row)`` log: the sequence those per-plan runs issue,
+    which is what an order-sensitive view (the UM pager) must be handed.
+    """
+    depth = plans[0].depth
+    require(all(p.depth == depth for p in plans), "plans must share one depth")
+    rows = np.concatenate(roots).astype(np.int64, copy=False)
+    sign = np.concatenate(signs).astype(np.int64, copy=False)
+    plan = np.repeat(np.arange(len(plans)), [r.shape[0] for r in roots])
+    counters = kernel.view.counters
+    found = int(rows.shape[0])
+    stats = MatchStats(roots_processed=found, tree_nodes=found)
+    num_levels = depth - 2
+    logs = []
+    for li in range(num_levels):
+        if found == 0:
+            break
+        table = level_table(tuple(p.levels[li] for p in plans))
+        cand_flat, cand_cnt, log = kernel.expand(table, rows, plan)
+        logs.append((plan[log.row] * num_levels + li, log.vertex, log.length))
+        found = int(cand_cnt.sum())
+        stats.tree_nodes += found
+        if li == num_levels - 1 and sink is None:
+            sign = sign * cand_cnt  # counted, not materialised
+            break
+        rows = np.concatenate(
+            [np.repeat(rows, cand_cnt, axis=0), cand_flat[:, None]], axis=1
+        )
+        sign = np.repeat(sign, cand_cnt)
+        plan = np.repeat(plan, cand_cnt)
+    stats.signed_count = int(sign.sum())
+    stats.embeddings_found = found
+    counters.record_output(found)
+    counters.record_compute(found * depth)
+    if logs:
+        key, vertex, length = map(np.concatenate, zip(*logs))
+        order = np.argsort(key, kind="stable")
+        kernel.view.fetch_block(vertex[order], length[order])
+    if sink is not None and found:
+        inverse = np.array([p.inverse_order for p in plans])
+        full = np.take_along_axis(rows, inverse[plan], axis=1)
+        for e, s in zip(full.tolist(), sign.tolist()):
+            sink(tuple(e), s)
+    return stats
 
 
 def match_batch(
@@ -244,19 +298,14 @@ def match_batch(
     query carries weight predicates; without one the deterministic hash
     weights are used.
     """
-    from repro.core.frontier import FrontierExecutor
-
     labels = view.graph.labels
     total = MatchStats()
-    for plan, roots, signs in batch_roots(
+    _, roots, signs = zip(*batch_roots(
         plans, batch, labels, total, filters=filters, root_mask=root_mask,
         prefilter=prefilter, attributes=attributes,
-    ):
-        total.merge(
-            FrontierExecutor(
-                plan, view, labels, sink, filters, attributes=attributes
-            ).run(roots, signs)
-        )
+    ))
+    kernel = FrontierKernel(view, labels, filters, attributes)
+    total.merge(_run_frontier(kernel, plans, roots, signs, sink))
     return total
 
 
@@ -274,11 +323,8 @@ def match_static(
     exported CSR-style from the dynamic store (vectorized v<w dedup), in the
     same source-major/ascending order as a per-vertex adjacency scan.
     """
-    from repro.core.frontier import FrontierExecutor
-
     labels = view.graph.labels
     roots, signs = static_roots(plan, view.graph.edges_new_array(), labels)
     roots, signs = filter_root_predicate(plan, roots, signs, attributes)
-    return FrontierExecutor(
-        plan, view, labels, sink, attributes=attributes
-    ).run(roots, signs)
+    kernel = FrontierKernel(view, labels, attributes=attributes)
+    return _run_frontier(kernel, [plan], [roots], [signs], sink)

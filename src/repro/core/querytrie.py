@@ -402,7 +402,7 @@ class SharedTrieExecutor:
         st.embeddings_found += n
         self._output_charges(ref, n)
         if ref.query_name in self.sinks and n:
-            emb = roots[:, _inverse_order(ref.plan)]
+            emb = roots[:, ref.plan.inverse_order]
             self._buffer(ref, emb, signs.astype(np.int64, copy=False))
 
     def _emit(
@@ -421,7 +421,7 @@ class SharedTrieExecutor:
         if ref.query_name in self.sinks and total:
             full = np.concatenate(
                 [np.repeat(rows, cand_cnt, axis=0), cand_flat[:, None]], axis=1
-            )[:, _inverse_order(ref.plan)]
+            )[:, ref.plan.inverse_order]
             self._buffer(ref, full, np.repeat(sign, cand_cnt))
 
     def _buffer(self, ref: PlanRef, emb: np.ndarray, signs: np.ndarray) -> None:
@@ -438,10 +438,3 @@ class SharedTrieExecutor:
                 for e, s in zip(emb.tolist(), signs.tolist()):
                     sink(tuple(e), int(s))
 
-
-def _inverse_order(plan: MatchPlan) -> np.ndarray:
-    order = plan.order
-    inverse = np.empty(len(order), dtype=np.int64)
-    for pos, u in enumerate(order):
-        inverse[u] = pos
-    return inverse

@@ -82,6 +82,11 @@ class TracingView(GraphView):
         self._nbytes.append(self._nbytes_of(runs))
         return runs
 
+    def fetch_block(self, vertices: np.ndarray, lengths: np.ndarray) -> None:
+        self.inner.fetch_block(vertices, lengths)
+        self._vertices.extend(vertices.tolist())
+        self._nbytes.extend((lengths * BYTES_PER_NEIGHBOR).tolist())
+
     @staticmethod
     def _nbytes_of(runs: tuple[np.ndarray, ...]) -> int:
         return sum(r.size for r in runs) * BYTES_PER_NEIGHBOR

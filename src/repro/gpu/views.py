@@ -34,6 +34,7 @@ from repro.gpu.counters import AccessCounters, Channel
 from repro.gpu.device import BYTES_PER_NEIGHBOR, DeviceConfig
 from repro.gpu.memory import HostMemoryLayout, UnifiedMemoryPager
 from repro.query.plan import EdgeVersion
+from repro.utils import contains_sorted
 
 __all__ = [
     "GraphView",
@@ -88,27 +89,19 @@ class GraphView(ABC):
             return self.graph.degree_old(v)
         return self.graph.degree_new(v)
 
-    def degree_bounds_block(self, vertices: np.ndarray, version: EdgeVersion) -> np.ndarray:
-        """Vectorized :meth:`degree_bound` over a vertex array (uncharged)."""
-        graph = self.graph
-        table = graph.degrees_old() if version is EdgeVersion.OLD else graph.degrees_new()
-        return table[vertices]
-
-    def fetch_block(self, vertices: np.ndarray, version: EdgeVersion) -> None:
-        """Record one neighbor-list access per element of ``vertices``.
+    def fetch_block(self, vertices: np.ndarray, lengths: np.ndarray) -> None:
+        """Record one neighbor-list access per element of ``vertices``, each
+        reading a list of the paired length, in array order.
 
         Counter-equivalent to calling :meth:`fetch` once per element (the
         returned runs discarded); subclasses override with vectorized
         recording where their channel model is order-insensitive.  The base
-        implementation simply loops, so any stateful view (e.g. the UM
-        pager) inherits exact per-access semantics.
+        implementation replays the accesses one by one, so a stateful view
+        (the UM pager) sees exactly the sequence it is handed.
         """
-        for v in vertices.tolist():
-            self.fetch(int(v), version)
-
-    def _block_nbytes(self, vertices: np.ndarray, version: EdgeVersion) -> np.ndarray:
-        """Per-access byte costs for a block: versioned degree × entry size."""
-        return self.degree_bounds_block(vertices, version) * BYTES_PER_NEIGHBOR
+        nbytes = lengths * BYTES_PER_NEIGHBOR
+        for v, b in zip(vertices.tolist(), nbytes.tolist()):
+            self._record(v, b)
 
     @abstractmethod
     def _record(self, v: int, nbytes: int) -> None:
@@ -123,11 +116,9 @@ class HostCPUView(GraphView):
     def _record(self, v: int, nbytes: int) -> None:
         self.counters.record_access(Channel.CPU_DRAM, v, nbytes)
 
-    def fetch_block(self, vertices: np.ndarray, version: EdgeVersion) -> None:
-        if vertices.size == 0:
-            return
+    def fetch_block(self, vertices: np.ndarray, lengths: np.ndarray) -> None:
         self.counters.record_access_block(
-            Channel.CPU_DRAM, vertices, self._block_nbytes(vertices, version)
+            Channel.CPU_DRAM, vertices, lengths * BYTES_PER_NEIGHBOR
         )
 
 
@@ -138,10 +129,8 @@ class ZeroCopyView(GraphView):
         lines = self.device.zero_copy_lines(nbytes)
         self.counters.record_access(Channel.ZERO_COPY, v, nbytes, transactions=lines)
 
-    def fetch_block(self, vertices: np.ndarray, version: EdgeVersion) -> None:
-        if vertices.size == 0:
-            return
-        nbytes = self._block_nbytes(vertices, version)
+    def fetch_block(self, vertices: np.ndarray, lengths: np.ndarray) -> None:
+        nbytes = lengths * BYTES_PER_NEIGHBOR
         # elementwise analog of device.zero_copy_lines (ceil division, 0 for 0)
         lines = -(-nbytes // self.device.zero_copy_line_bytes)
         self.counters.record_access_block(
@@ -157,9 +146,10 @@ class UnifiedMemoryView(GraphView):
     fresh kernel launch with cold device caches.
 
     This view keeps the base class's loop-based :meth:`fetch_block`: the LRU
-    pager is access-order sensitive, so batched recording must replay the
-    accesses one by one.  (Absent eviction pressure the fault/hit totals are
-    order-independent — see ``docs/kernel.md``.)
+    pager is access-order sensitive, so a block is replayed access by access
+    in the order it is handed over — the matcher's settle order, see
+    ``docs/kernel.md``.  (Absent eviction pressure the fault/hit totals are
+    order-independent.)
     """
 
     def __init__(self, graph: DynamicGraph, device: DeviceConfig,
@@ -204,19 +194,13 @@ class FullDeviceView(GraphView):
             lines = self.device.zero_copy_lines(nbytes)
             self.counters.record_access(Channel.ZERO_COPY, v, nbytes, transactions=lines)
 
-    def fetch_block(self, vertices: np.ndarray, version: EdgeVersion) -> None:
-        if vertices.size == 0:
-            return
+    def fetch_block(self, vertices: np.ndarray, lengths: np.ndarray) -> None:
         if self._resident_sorted is None:
             self._resident_sorted = np.sort(
                 np.fromiter(self.resident, dtype=np.int64, count=len(self.resident))
             )
-        res = self._resident_sorted
-        pos = np.searchsorted(res, vertices)
-        hit = np.zeros(vertices.size, dtype=bool)
-        in_range = pos < res.size
-        hit[in_range] = res[pos[in_range]] == vertices[in_range]
-        nbytes = self._block_nbytes(vertices, version)
+        hit = contains_sorted(self._resident_sorted, vertices)
+        nbytes = lengths * BYTES_PER_NEIGHBOR
         self.counters.record_access_block(
             Channel.GPU_GLOBAL, vertices[hit], nbytes[hit]
         )

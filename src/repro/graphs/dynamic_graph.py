@@ -51,6 +51,8 @@ from repro.graphs.stream import CanonicalReport, UpdateBatch
 from repro.utils import VERTEX_DTYPE, merge_sorted, require, segment_offsets
 
 __all__ = [
+    "rank_keys",
+    "keyed_contains",
     "DynamicGraph",
     "FrozenDynamicGraph",
     "ReorganizeStats",
@@ -92,17 +94,51 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     return table
 
 
+def rank_keys(
+    starts: np.ndarray, lengths: np.ndarray, values: np.ndarray, num_vertices: int
+) -> np.ndarray:
+    """Rank keys of sorted segments laid end to end: element ``values[i]`` of
+    the segment at offset ``start`` gets ``start * num_vertices + values[i]``.
+    Offsets increase and values stay below ``num_vertices``, so the keys of
+    the whole buffer are sorted."""
+    return np.repeat(starts * num_vertices, lengths) + values
+
+
+def keyed_contains(
+    keys: np.ndarray,
+    num_vertices: int,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    queries: np.ndarray,
+) -> np.ndarray:
+    """Membership of ``queries[i]`` in the segment ``(starts[i], lengths[i])``
+    of the buffer ranked by ``keys``: one binary search over all segments.
+
+    The range test is not optional: an empty segment shares its offset with
+    the next one, whose elements the key equality alone would report."""
+    probe = starts * num_vertices + queries
+    pos = np.searchsorted(keys, probe)
+    found = pos < starts + lengths
+    found[found] = keys[pos[found]] == probe[found]
+    return found
+
+
 class _Epoch:
     """Bulk read-side state of one store state (settled, or one open batch).
 
     ``deg_old`` / ``deg_new`` are the versioned list lengths.  ``flat`` is the
     arena: merged versioned lists appended on first use, ``start_old[v]`` /
-    ``start_new[v]`` their offsets (-1 until loaded).  A vertex the open
+    ``start_new[v]`` their offsets (-1 until loaded).  Both pairs are the rows
+    of one ``(2, n)`` table (``deg`` / ``start``, row 1 = OLD), so a gather
+    mixing versions is one indexed read.  A vertex the open
     batch did not touch has one slot, shared by both versions, holding its
-    stored run verbatim.  ``flat[:used]`` is never rewritten and growth copies
-    it into the replacement buffer before publishing it, so a ``flat``
-    reference read after a :meth:`DynamicGraph.gather` covers every segment
-    that gather (or an earlier one) returned, whichever thread grew it.
+    stored run verbatim.  ``keys`` holds the :func:`rank_keys` of the arena,
+    so ``keys[:used]`` is sorted and :func:`keyed_contains` probes any list
+    with one ``searchsorted``.  ``flat[:used]`` / ``keys[:used]`` are
+    never rewritten and growth copies them into the replacement buffers before
+    publishing those, so a reference read after a :meth:`DynamicGraph.gather`
+    covers every segment that gather (or an earlier one) returned, whichever
+    thread grew it.
 
     Cheap to create (every mutation makes one); the O(n) tables are built by
     the first reader.  ``lock`` serialises that build and every load: fleet
@@ -115,13 +151,14 @@ class _Epoch:
 
     def build(self, base_len, total_len, marks, touched) -> None:
         n = base_len.size
-        self.deg_old = _read_only(base_len.copy())
-        self.deg_new = _read_only(total_len - marks)
+        self.deg = _read_only(np.stack([total_len - marks, base_len]))
+        self.deg_new, self.deg_old = self.deg
         self.touched = np.zeros(n, dtype=bool)
         self.touched[list(touched)] = True
-        self.start_old = np.full(n, -1, dtype=np.int64)
-        self.start_new = np.full(n, -1, dtype=np.int64)
+        self.start = np.full((2, n), -1, dtype=np.int64)
+        self.start_new, self.start_old = self.start
         self.used = 0
+        self.keys = np.empty(4096, dtype=np.int64)
         self.flat = np.empty(4096, dtype=VERTEX_DTYPE)
 
 
@@ -316,27 +353,44 @@ class DynamicGraph:
     # ------------------------------------------------------------------
     # the epoch arena (what the join kernels read)
     # ------------------------------------------------------------------
-    def gather(self, vertices: np.ndarray, old: bool) -> tuple[np.ndarray, np.ndarray]:
-        """``(starts, lengths)`` of the merged ``N`` (``old``) or ``N'`` lists
-        of ``vertices`` inside :attr:`arena`, loading the ones not there yet.
+    def gather(
+        self, vertices: np.ndarray, old: bool | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, lengths)`` of the merged lists of ``vertices`` inside
+        :attr:`arena`, loading the ones not there yet.  ``old`` picks ``N``
+        (true) or ``N'`` per element; a scalar applies to all of them.
 
-        Read :attr:`arena` *after* the last gather whose segments it must
-        cover (see :class:`_Epoch`).  No traffic is charged here: callers
-        record every access themselves.
+        Read :attr:`arena` / :attr:`arena_keys` *after* the last gather whose
+        segments they must cover (see :class:`_Epoch`).  No traffic is charged
+        here: callers record every access themselves.
         """
         epoch = self._epoch_state()
-        start = epoch.start_old if old else epoch.start_new
         with epoch.lock:
-            starts = start[vertices]
+            version = np.asarray(old, dtype=np.intp)  # the tables' row: 1 = OLD
+            starts = epoch.start[version, vertices]
             if starts.size and starts.min() < 0:
-                self._load(epoch, np.unique(vertices[starts < 0]), old)
-                starts = start[vertices]
-        return starts, (epoch.deg_old if old else epoch.deg_new)[vertices]
+                for row in (1, 0):
+                    need = vertices[(starts < 0) & (version == row)]
+                    # retested: the OLD load also placed the shared slots of
+                    # the untouched vertices, which serve NEW
+                    need = need[epoch.start[row, need] < 0]
+                    if need.size:
+                        self._load(epoch, np.unique(need), bool(row))
+                starts = epoch.start[version, vertices]
+        return starts, epoch.deg[version, vertices]
 
     @property
     def arena(self) -> np.ndarray:
         """The flat buffer :meth:`gather` offsets point into."""
         return self._epoch_state().flat
+
+    @property
+    def arena_keys(self) -> np.ndarray:
+        """The :func:`rank_keys` of the filled arena, for
+        :func:`keyed_contains` probes of the lists :meth:`gather` returned."""
+        epoch = self._epoch_state()
+        with epoch.lock:
+            return epoch.keys[: epoch.used]
 
     def _load(self, epoch: _Epoch, vertices: np.ndarray, old: bool) -> None:
         """Append the lists of the distinct ``vertices`` to the arena (caller
@@ -351,15 +405,26 @@ class DynamicGraph:
             merged(v) if hit else arrays[v][:size]
             for v, size, hit in zip(vertices.tolist(), stored.tolist(), touched.tolist())
         ]
-        offsets = epoch.used + segment_offsets(
-            stored if old else epoch.deg_new[vertices]
-        )
+        lengths = stored if old else epoch.deg_new[vertices]
+        used = epoch.used
+        offsets = used + segment_offsets(lengths)
         end = int(offsets[-1])
+        require(
+            end * self.num_vertices < 2**62,
+            f"arena of {end} elements over {self.num_vertices} vertices "
+            "overflows the int64 rank keys (segment_start * num_vertices + value)",
+        )
         if end > epoch.flat.size:
-            grown = np.empty(max(end, 2 * epoch.flat.size), dtype=VERTEX_DTYPE)
-            grown[: epoch.used] = epoch.flat[: epoch.used]
-            epoch.flat = grown
-        np.concatenate(chunks, out=epoch.flat[epoch.used : end])
+            size = max(end, 2 * epoch.flat.size)
+            flat = np.empty(size, dtype=VERTEX_DTYPE)
+            keys = np.empty(size, dtype=np.int64)
+            flat[:used] = epoch.flat[:used]
+            keys[:used] = epoch.keys[:used]
+            epoch.flat, epoch.keys = flat, keys
+        np.concatenate(chunks, out=epoch.flat[used:end])
+        epoch.keys[used:end] = rank_keys(
+            offsets[:-1], lengths, epoch.flat[used:end], self.num_vertices
+        )
         epoch.used = end
         (epoch.start_old if old else epoch.start_new)[vertices] = offsets[:-1]
         # untouched: no marks, no ΔN — N and N' are the one stored run

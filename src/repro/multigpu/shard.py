@@ -27,7 +27,7 @@ from repro.core.dcsr import DcsrCache
 from repro.core.engine import pack_step
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.gpu.counters import AccessCounters, Channel
-from repro.gpu.device import DeviceConfig
+from repro.gpu.device import BYTES_PER_NEIGHBOR, DeviceConfig
 from repro.query.plan import EdgeVersion
 
 __all__ = ["Shard", "ShardedDeviceView", "ShardBatchReport", "LoadBalanceReport"]
@@ -111,7 +111,7 @@ class ShardedDeviceView(CachedDeviceView):
         self.counters.record_access(Channel.ZERO_COPY, v, nbytes, transactions=lines)
         return runs
 
-    def fetch_block(self, vertices: np.ndarray, version: EdgeVersion) -> None:
+    def fetch_block(self, vertices: np.ndarray, lengths: np.ndarray) -> None:
         """Vectorized recording with the sharded routing of :meth:`fetch`.
 
         Locally-owned accesses take the single-GPU cached path; remote-owned
@@ -121,17 +121,16 @@ class ShardedDeviceView(CachedDeviceView):
         """
         owners = self.owner[vertices]
         local = owners == self.shard_id
-        super().fetch_block(vertices[local], version)
-        remote_verts = vertices[~local]
-        remote_owners = owners[~local]
-        for sid in np.unique(remote_owners).tolist():
-            verts = remote_verts[remote_owners == sid]
+        super().fetch_block(vertices[local], lengths[local])
+        for sid in np.unique(owners[~local]).tolist():
+            routed = owners == sid
+            verts = vertices[routed]
             remote = self.peer_caches[int(sid)]
             self.counters.record_compute(remote.probe_cost_ops() * int(verts.size))
             hit = remote.lookup_block(verts)
             self.remote_hits += int(np.count_nonzero(hit))
             self.remote_misses += int(verts.size - np.count_nonzero(hit))
-            nbytes = self._block_nbytes(verts, version)
+            nbytes = lengths[routed] * BYTES_PER_NEIGHBOR
             hit_bytes = nbytes[hit]
             peer_lines = -(-hit_bytes // self.device.peer_line_bytes)
             self.counters.record_access_block(

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from repro.query.pattern import QueryGraph
@@ -114,6 +115,16 @@ class MatchPlan:
     @property
     def depth(self) -> int:
         return len(self.order)
+
+    @cached_property
+    def inverse_order(self) -> tuple[int, ...]:
+        """``inverse_order[u]`` is the matching-order position that binds
+        query vertex ``u`` — the column permutation from an execution row
+        (bound order) to an embedding (query numbering)."""
+        inverse = [0] * len(self.order)
+        for pos, u in enumerate(self.order):
+            inverse[u] = pos
+        return tuple(inverse)
 
     def root_labels(self) -> tuple[int, int]:
         """Labels required of the two root-edge endpoints (order[0], order[1])."""

@@ -4,7 +4,9 @@ Nothing on the production path imports this package.  It holds the slow,
 obviously-correct twins of the vectorized production kernels:
 
 * :mod:`repro.testing.kernels` — the recursive depth-first matching
-  executor and the recursive merged-walk frequency estimator, plus
+  executor and the recursive merged-walk frequency estimator, their
+  sorted-set primitives (``intersect_sorted*``, ``merge_sorted_unique``,
+  ``segmented_contains`` — the oracle of the arena's rank-key probe), plus
   :func:`use_reference_kernels`, the one seam engine-level parity suites
   reach them through (``engine.estimator`` and ``engine.match`` are plain
   attributes; the function swaps both);
@@ -16,9 +18,15 @@ The brute-force embedding counter stays in :mod:`repro.core.reference`:
 """
 
 from repro.testing.kernels import (
+    GALLOP_RATIO,
     RecursiveFrequencyEstimator,
+    intersect_sorted,
+    intersect_sorted_gallop,
+    intersect_sorted_merge,
     match_batch_recursive,
     match_static_recursive,
+    merge_sorted_unique,
+    segmented_contains,
     use_reference_kernels,
 )
 from repro.testing.oracles import (
@@ -32,6 +40,12 @@ __all__ = [
     "match_batch_recursive",
     "match_static_recursive",
     "use_reference_kernels",
+    "intersect_sorted",
+    "intersect_sorted_merge",
+    "intersect_sorted_gallop",
+    "merge_sorted_unique",
+    "GALLOP_RATIO",
+    "segmented_contains",
     "build_reference",
     "merge_runs_reference",
     "assign_reference",

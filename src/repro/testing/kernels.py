@@ -39,15 +39,124 @@ from repro.gpu.device import BYTES_PER_NEIGHBOR
 from repro.gpu.views import GraphView
 from repro.query.pattern import WILDCARD_LABEL
 from repro.query.plan import EdgeVersion, MatchPlan
-from repro.utils import VERTEX_DTYPE, intersect_sorted, merge_sorted
+from repro.utils import VERTEX_DTYPE, merge_sorted
 
 __all__ = [
+    "merge_sorted_unique",
+    "intersect_sorted",
+    "intersect_sorted_merge",
+    "intersect_sorted_gallop",
+    "GALLOP_RATIO",
+    "segmented_contains",
     "RecursivePlanExecutor",
     "match_batch_recursive",
     "match_static_recursive",
     "RecursiveFrequencyEstimator",
     "use_reference_kernels",
 ]
+
+
+# ----------------------------------------------------------------------
+# sorted-set reference kernels (the recursive executor's primitives)
+# ----------------------------------------------------------------------
+def merge_sorted_unique(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Merge two sorted unique 1-D arrays into one sorted unique array.
+
+    Mirrors the linear-time merge step the paper uses when reorganizing
+    updated neighbor lists (Sec. V-A step 4).
+    """
+    if a.size == 0:
+        return np.asarray(b, dtype=VERTEX_DTYPE).copy()
+    if b.size == 0:
+        return np.asarray(a, dtype=VERTEX_DTYPE).copy()
+    merged = np.union1d(a, b)
+    return merged.astype(VERTEX_DTYPE, copy=False)
+
+
+#: size ratio above which :func:`intersect_sorted` switches from the
+#: merge-based kernel to galloping probes of the smaller array into the
+#: larger one (the classic skewed-intersection crossover).
+GALLOP_RATIO = 8
+
+
+def intersect_sorted_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Merge-based intersection of two sorted unique arrays.
+
+    Equivalent to the unrolled SIMD set intersection in STMatch;
+    ``np.intersect1d(assume_unique=True)`` runs the same merge-based
+    algorithm vectorized in C.  Best when the inputs are of similar size.
+    """
+    if a.size == 0 or b.size == 0:
+        return np.empty(0, dtype=VERTEX_DTYPE)
+    return np.intersect1d(a, b, assume_unique=True).astype(VERTEX_DTYPE, copy=False)
+
+
+def intersect_sorted_gallop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Galloping intersection: binary-probe the smaller array into the larger.
+
+    ``O(min·log(max))`` instead of the merge kernel's ``O(min+max)`` — the
+    GPU matchers' binary-search intersection for skewed list sizes.
+    """
+    if a.size == 0 or b.size == 0:
+        return np.empty(0, dtype=VERTEX_DTYPE)
+    small, large = (a, b) if a.size <= b.size else (b, a)
+    pos = np.searchsorted(large, small)
+    in_range = pos < large.size
+    hit = np.zeros(small.size, dtype=bool)
+    hit[in_range] = large[pos[in_range]] == small[in_range]
+    return small[hit].astype(VERTEX_DTYPE, copy=False)
+
+
+def intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection of two sorted unique vertex arrays.
+
+    The WCOJ executor's innermost primitive.  Dispatches on the size ratio:
+    similar sizes take the linear merge kernel, skewed sizes gallop the
+    smaller array through the larger one.  Both return the identical sorted
+    unique intersection.
+    """
+    if a.size == 0 or b.size == 0:
+        return np.empty(0, dtype=VERTEX_DTYPE)
+    small, large = (a, b) if a.size <= b.size else (b, a)
+    if large.size >= GALLOP_RATIO * small.size:
+        return intersect_sorted_gallop(small, large)
+    return intersect_sorted_merge(small, large)
+
+
+def segmented_contains(
+    flat: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    queries: np.ndarray,
+) -> np.ndarray:
+    """Vectorized membership of each query in its own sorted segment — the
+    oracle of the production rank-key probe (``DynamicGraph.arena_keys``).
+
+    ``queries[i]`` is looked up in ``flat[starts[i] : starts[i]+lengths[i]]``
+    (each segment sorted ascending) with a *simultaneous* binary search: all
+    lanes halve their ``[lo, hi)`` range per iteration, so the whole batch
+    costs ``O(len(queries) · log(max segment))`` NumPy ops — the batched
+    analog of one GPU thread per (candidate, list) probe.
+    """
+    out = np.zeros(queries.size, dtype=bool)
+    if queries.size == 0 or flat.size == 0:
+        return out
+    lo = starts.astype(np.int64, copy=True)
+    hi = lo + lengths
+    while True:
+        active = lo < hi
+        if not active.any():
+            break
+        mid = (lo + hi) >> 1
+        vals = flat[np.where(active, mid, 0)]
+        go_right = active & (vals < queries)
+        lo = np.where(go_right, mid + 1, lo)
+        hi = np.where(active & ~go_right, mid, hi)
+    # lo is now the lower bound; a hit iff it is in range and matches
+    in_range = lo < starts + lengths
+    idx = np.where(in_range, lo, 0)
+    out = in_range & (flat[idx] == queries)
+    return out
 
 
 def _merge_runs(runs: tuple[np.ndarray, ...]) -> np.ndarray:

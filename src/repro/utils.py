@@ -21,11 +21,7 @@ __all__ = [
     "format_bytes",
     "format_time_ns",
     "merge_sorted",
-    "merge_sorted_unique",
-    "intersect_sorted",
-    "intersect_sorted_merge",
-    "intersect_sorted_gallop",
-    "GALLOP_RATIO",
+    "contains_sorted",
     "VERTEX_DTYPE",
 ]
 
@@ -100,68 +96,12 @@ def segment_offsets(lengths: np.ndarray) -> np.ndarray:
     return out
 
 
-def merge_sorted_unique(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Merge two sorted unique 1-D arrays into one sorted unique array.
-
-    Mirrors the linear-time merge step the paper uses when reorganizing
-    updated neighbor lists (Sec. V-A step 4).
-    """
-    if a.size == 0:
-        return np.asarray(b, dtype=VERTEX_DTYPE).copy()
-    if b.size == 0:
-        return np.asarray(a, dtype=VERTEX_DTYPE).copy()
-    merged = np.union1d(a, b)
-    return merged.astype(VERTEX_DTYPE, copy=False)
-
-
-#: size ratio above which :func:`intersect_sorted` switches from the
-#: merge-based kernel to galloping probes of the smaller array into the
-#: larger one (the classic skewed-intersection crossover).
-GALLOP_RATIO = 8
-
-
-def intersect_sorted_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Merge-based intersection of two sorted unique arrays.
-
-    Equivalent to the unrolled SIMD set intersection in STMatch;
-    ``np.intersect1d(assume_unique=True)`` runs the same merge-based
-    algorithm vectorized in C.  Best when the inputs are of similar size.
-    """
-    if a.size == 0 or b.size == 0:
-        return np.empty(0, dtype=VERTEX_DTYPE)
-    return np.intersect1d(a, b, assume_unique=True).astype(VERTEX_DTYPE, copy=False)
-
-
-def intersect_sorted_gallop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Galloping intersection: binary-probe the smaller array into the larger.
-
-    ``O(min·log(max))`` instead of the merge kernel's ``O(min+max)`` — the
-    GPU matchers' binary-search intersection for skewed list sizes.
-    """
-    if a.size == 0 or b.size == 0:
-        return np.empty(0, dtype=VERTEX_DTYPE)
-    small, large = (a, b) if a.size <= b.size else (b, a)
-    pos = np.searchsorted(large, small)
-    in_range = pos < large.size
-    hit = np.zeros(small.size, dtype=bool)
-    hit[in_range] = large[pos[in_range]] == small[in_range]
-    return small[hit].astype(VERTEX_DTYPE, copy=False)
-
-
-def intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Intersection of two sorted unique vertex arrays.
-
-    The WCOJ executor's innermost primitive.  Dispatches on the size ratio:
-    similar sizes take the linear merge kernel, skewed sizes gallop the
-    smaller array through the larger one.  Both return the identical sorted
-    unique intersection.
-    """
-    if a.size == 0 or b.size == 0:
-        return np.empty(0, dtype=VERTEX_DTYPE)
-    small, large = (a, b) if a.size <= b.size else (b, a)
-    if large.size >= GALLOP_RATIO * small.size:
-        return intersect_sorted_gallop(small, large)
-    return intersect_sorted_merge(small, large)
+def contains_sorted(values: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Membership of each query in the sorted 1-D ``values`` (binary search)."""
+    if values.size == 0:
+        return np.zeros(queries.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(values, queries), values.size - 1)
+    return values[pos] == queries
 
 
 def format_bytes(num_bytes: float) -> str:

@@ -17,7 +17,7 @@ from repro.core.baselines import make_system
 from repro.core.engine import GCSMEngine
 from repro.core.validation import _counters_equal, generate_adversarial_stream
 from repro.graphs.datasets import DATASETS
-from repro.graphs.dynamic_graph import DynamicGraph
+from repro.graphs.dynamic_graph import DynamicGraph, keyed_contains, rank_keys
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.stream import UpdateBatch, derive_stream
 from repro.gpu.counters import AccessCounters
@@ -27,6 +27,7 @@ from repro.gpu.views import UnifiedMemoryView, ZeroCopyView
 from repro.query import QueryGraph
 from repro.query.catalog import query_by_name
 from repro.query.plan import EdgeVersion
+from repro.testing import segmented_contains
 from repro.testing.kernels import _merge_runs
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
@@ -52,11 +53,14 @@ def assert_arena_exact(graph):
         # two overlapping gathers: the second must find the first's loads
         graph.gather(verts[::2], version is EdgeVersion.OLD)
         starts, lens = graph.gather(verts, version is EdgeVersion.OLD)
-        flat = graph.arena
+        flat, keys = graph.arena, graph.arena_keys
+        assert keys.size == graph._epoch.used  # one int64 per arena element
         for v in verts.tolist():
             want = expected_list(graph, v, version)
             got = flat[starts[v] : starts[v] + lens[v]]
             assert got.tolist() == want.tolist(), (v, version)
+            ranked = keys[starts[v] : starts[v] + lens[v]]
+            assert ranked.tolist() == (starts[v] * graph.num_vertices + got).tolist()
     assert graph.degrees_old().tolist() == [graph.degree_old(v) for v in verts.tolist()]
     assert graph.degrees_new().tolist() == [graph.degree_new(v) for v in verts.tolist()]
 
@@ -124,6 +128,26 @@ class TestArenaExactness:
         assert s_old[u] != s_new[u] and s_old[v] != s_new[v]
         # the NEW gather loaded the two touched lists and nothing else
         assert graph._epoch.used - used == int(lens_new[u] + lens_new[v])
+
+    def test_per_element_versions_in_one_gather(self):
+        g0 = erdos_renyi(30, 4.0, num_labels=2, seed=8)
+        graph = DynamicGraph(g0)
+        batch = generate_adversarial_stream(g0, num_batches=1, batch_size=12, seed=8)[0]
+        graph.apply_batch(batch, mode="coalesce")
+        # every vertex in both versions, interleaved, on a cold arena: an
+        # untouched vertex asked for twice must still get one shared slot
+        verts = np.repeat(np.arange(graph.num_vertices), 2)
+        old = np.tile([True, False], graph.num_vertices)
+        starts, lens = graph.gather(verts, old)
+        flat = graph.arena
+        for v, o, s, n in zip(verts.tolist(), old.tolist(), starts.tolist(), lens.tolist()):
+            version = EdgeVersion.OLD if o else EdgeVersion.NEW
+            assert flat[s : s + n].tolist() == expected_list(graph, v, version).tolist()
+        untouched = sorted(set(range(graph.num_vertices)) - graph.touched_vertices)
+        assert untouched and all(starts[2 * v] == starts[2 * v + 1] for v in untouched)
+        assert graph._epoch.used == int(
+            graph.degrees_old().sum() + graph.degrees_new()[sorted(graph.touched_vertices)].sum()
+        )
 
     def test_degree_tables_are_read_only_and_per_epoch(self):
         g0 = erdos_renyi(20, 4.0, num_labels=1, seed=1)
@@ -270,6 +294,56 @@ class TestArenaConcurrency:
                     assert got.delta_count == ref.delta_count
                     assert got.match_stats == ref.match_stats
                     assert _counters_equal(got.match_counters, cref.match_counters)
+
+
+class TestRankKeys:
+    """One ``searchsorted`` over the keyed arena == the per-segment binary
+    search it replaced (``repro.testing.segmented_contains``)."""
+
+    NUM_VERTICES = 12  # small alphabet: a vertex recurs across segments
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        segments=st.lists(
+            st.lists(st.integers(0, NUM_VERTICES - 1), max_size=5, unique=True).map(sorted),
+            min_size=1, max_size=8,
+        ),
+        data=st.data(),
+    )
+    def test_keyed_probe_equals_segmented_search(self, segments, data):
+        lengths = np.array([len(s) for s in segments], dtype=np.int64)
+        starts = np.cumsum(lengths) - lengths  # empty segments share offsets
+        flat = np.array([v for s in segments for v in s], dtype=np.int64)
+        keys = rank_keys(starts, lengths, flat, self.NUM_VERTICES)
+        assert np.all(keys[1:] > keys[:-1])
+        # every segment probed with every vertex: its own elements, and the
+        # first / last elements of the segments on either side
+        seg = np.repeat(np.arange(len(segments)), self.NUM_VERTICES)
+        queries = np.tile(np.arange(self.NUM_VERTICES), len(segments))
+        pick = data.draw(st.permutations(range(seg.size)))  # order-free
+        seg, queries = seg[list(pick)], queries[list(pick)]
+        got = keyed_contains(keys, self.NUM_VERTICES, starts[seg], lengths[seg], queries)
+        want = segmented_contains(flat, starts[seg], lengths[seg], queries)
+        assert got.tolist() == want.tolist()
+        assert got.tolist() == [int(q) in segments[s] for s, q in zip(seg, queries)]
+
+    def test_empty_list_does_not_report_its_neighbours_elements(self):
+        # segments [], [3, 5]: both start at offset 0, so key equality alone
+        # finds 3 and 5 "in" the empty list
+        starts, lengths = np.array([0, 0]), np.array([0, 2])
+        keys = rank_keys(starts, lengths, np.array([3, 5]), 8)
+        probe = keyed_contains(keys, 8, starts[[0, 0, 1, 1]], lengths[[0, 0, 1, 1]],
+                               np.array([3, 5, 3, 4]))
+        assert probe.tolist() == [False, False, True, False]
+
+    def test_key_headroom_is_checked_before_loading(self, monkeypatch):
+        graph = DynamicGraph(erdos_renyi(20, 4.0, num_labels=1, seed=5))
+        monkeypatch.setattr(
+            DynamicGraph, "num_vertices", property(lambda self: 2**61), raising=True
+        )
+        with pytest.raises(ValueError, match="int64 rank keys"):
+            graph._load(graph._epoch_state(), np.array([0, 1]), True)
+        assert graph._epoch.used == 0  # nothing published
 
 
 class TestUnifiedMemoryLayout:

@@ -1,0 +1,212 @@
+"""The fused launch: all ΔM plans advance in one frontier, settled once.
+
+Two contracts of ``match_batch`` that only show when plans differ or the
+view is order-sensitive:
+
+* every per-plan feature — ragged constraint counts, wildcard labels,
+  candidate filters, edge predicates, empty root sets, fleets routing roots
+  with ``root_mask`` — is served per row by the one fused path, bit-identical
+  (counters, ``MatchStats``, histograms, sink order) to the recursive oracle;
+* the batch's accesses reach the view in the order running the plans one
+  after another would issue them, which the LRU pager of
+  ``UnifiedMemoryView`` observes as soon as it evicts.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core.dcsr import DcsrCache
+from repro.core.matching import match_batch, match_static
+from repro.graphs.dynamic_graph import DynamicGraph
+from repro.graphs.generators import powerlaw_graph
+from repro.graphs.stream import derive_stream
+from repro.gpu.counters import AccessCounters
+from repro.gpu.device import default_device
+from repro.gpu.views import HostCPUView, UnifiedMemoryView, ZeroCopyView
+from repro.multigpu.shard import ShardedDeviceView
+from repro.query import query_by_name
+from repro.query.pattern import QueryGraph
+from repro.query.plan import compile_delta_plans, compile_static_plan
+from repro.testing import match_batch_recursive, match_static_recursive
+from tests.test_frontier_parity import fingerprint
+
+DEVICE = default_device()
+
+
+def both_kernels(g0, batches, plans, make_view=None, **options):
+    """Per batch, ``(fingerprint, sink trace)`` of the fused kernel and of
+    the recursive oracle on the same stream."""
+    make_view = make_view or (lambda graph, c: HostCPUView(graph, DEVICE, c))
+    runs = []
+    for kernel in (match_batch, match_batch_recursive):
+        graph = DynamicGraph(g0)
+        out = []
+        for batch in batches:
+            graph.apply_batch(batch)
+            counters = AccessCounters()
+            emitted: list = []
+            stats = kernel(
+                plans, batch, make_view(graph, counters),
+                sink=lambda e, s: emitted.append((e, s)), **options,
+            )
+            graph.reorganize()
+            out.append((fingerprint(counters, stats, graph.num_vertices), emitted))
+        runs.append(out)
+    return runs
+
+
+def stream(seed, num_labels=3, n=500):
+    g = powerlaw_graph(n, 6.0, max_degree=40, num_labels=num_labels, seed=seed)
+    return derive_stream(g, num_updates=96, batch_size=32, seed=seed + 1)
+
+
+class TestFusedPathsMatchTheOracle:
+    def test_ragged_constraint_counts_at_one_level(self):
+        plans = compile_delta_plans(query_by_name("Q1"))
+        widths = {len(p.levels[0].constraints) for p in plans}
+        assert widths == {1, 2}  # the case: rows of one launch differ in K
+        fused, oracle = both_kernels(*stream(3), plans)
+        assert fused == oracle
+        assert any(f["embeddings"] for f, _ in fused)
+
+    def test_wildcard_plan_beside_labelled_ones(self):
+        query = QueryGraph(
+            4, [(0, 1), (1, 2), (2, 3), (0, 2)], labels=[0, -1, 1, -1], name="mixed"
+        )
+        plans = compile_delta_plans(query)
+        first = {p.levels[0].label for p in plans}
+        assert -1 in first and len(first) > 1  # one launch, both label kinds
+        fused, oracle = both_kernels(*stream(5, num_labels=2), plans)
+        assert fused == oracle
+        assert any(f["embeddings"] for f, _ in fused)
+
+    def test_candidate_filters_on_a_subset_of_query_vertices(self):
+        g0, batches = stream(7)
+        query = query_by_name("Q1")
+        # only u2 and u4 are indexed; the other levels fall back to labels
+        filters = {
+            u: np.flatnonzero(g0.labels == query.label(u))[::2].astype(np.int64)
+            for u in (2, 4)
+        }
+        fused, oracle = both_kernels(
+            g0, batches, compile_delta_plans(query), filters=filters
+        )
+        assert fused == oracle
+        assert any(f["tree_nodes"] > f["roots"] for f, _ in fused)
+
+    def test_edge_predicate_on_one_plans_constraint_only(self):
+        # the predicated edge (0, 2) is the root of one plan and a level
+        # constraint of the others, at different levels
+        query = QueryGraph(
+            4, [(0, 1), (1, 2), (2, 3), (0, 2)], labels=[0, 0, 1, 1], name="pred",
+            edge_predicates={(0, 2): (0.0, 0.6)},
+        )
+        plans = compile_delta_plans(query)
+        predicated = [
+            sum(c.predicate is not None for lvl in p.levels for c in lvl.constraints)
+            for p in plans
+        ]
+        assert 0 in predicated and max(predicated) > 0
+        fused, oracle = both_kernels(*stream(9, num_labels=2), plans)
+        assert fused == oracle
+        assert any(f["embeddings"] for f, _ in fused)
+
+    def test_a_plan_whose_roots_are_empty(self):
+        # label 2 never occurs: every plan rooted at a u3 edge has no roots
+        query = QueryGraph(
+            4, [(0, 1), (1, 2), (0, 2), (2, 3)], labels=[0, 1, 0, 2], name="rare"
+        )
+        g0, batches = stream(11, num_labels=2)
+        assert not (g0.labels == 2).any()
+        fused, oracle = both_kernels(g0, batches, compile_delta_plans(query))
+        assert fused == oracle
+        assert any(f["roots"] for f, _ in fused)
+
+    def test_depth_two_query_has_no_level_to_launch(self):
+        plans = compile_delta_plans(QueryGraph(2, [(0, 1)], labels=[0, 1], name="edge"))
+        assert plans[0].depth == 2 and not plans[0].levels
+        fused, oracle = both_kernels(*stream(13, num_labels=2), plans)
+        assert fused == oracle
+        assert any(trace for _, trace in fused)
+
+    def test_two_device_fleet_with_root_mask(self):
+        g0, batches = stream(15)
+        plans = compile_delta_plans(query_by_name("Q1"))
+        owner = np.arange(g0.num_vertices) % 2
+        for shard in (0, 1):
+            def view(graph, counters, shard=shard):
+                caches = [
+                    DcsrCache.build(graph, np.flatnonzero(owner == s)[::3])
+                    for s in (0, 1)
+                ]
+                return ShardedDeviceView(
+                    graph, DEVICE, counters, caches[shard],
+                    shard_id=shard, owner=owner, peer_caches=caches,
+                )
+            fused, oracle = both_kernels(
+                g0, batches, plans, view,
+                root_mask=lambda roots, shard=shard: owner[roots[:, 0]] == shard,
+            )
+            assert fused == oracle
+            assert any(f["bytes"]["peer"] for f, _ in fused)
+
+    def test_match_static_is_the_one_plan_case(self):
+        g = powerlaw_graph(400, 5.0, max_degree=30, num_labels=2, seed=17)
+        plan = compile_static_plan(QueryGraph(
+            4, [(0, 1), (1, 2), (0, 2), (2, 3)], labels=[0, 1, 0, 1], name="tailed"
+        ))
+        runs = []
+        for kernel in (match_static, match_static_recursive):
+            counters = AccessCounters()
+            emitted: list = []
+            stats = kernel(
+                plan, ZeroCopyView(DynamicGraph(g), DEVICE, counters),
+                sink=lambda e, s: emitted.append((e, s)),
+            )
+            runs.append((fingerprint(counters, stats, g.num_vertices), emitted))
+        assert runs[0] == runs[1]
+        assert runs[0][1]
+
+
+class TestSettleOrderUnderEviction:
+    """The settle key is ``(plan, level, slot, constraint, row)``: on a pager
+    that evicts, fusing the plans must not change a single fault."""
+
+    def test_um_counters_equal_plan_by_plan_execution(self):
+        g = powerlaw_graph(3_000, 8.0, max_degree=80, num_labels=2, seed=21)
+        g0, batches = derive_stream(g, num_updates=192, batch_size=64, seed=22)
+        plans = compile_delta_plans(query_by_name("Q1"))
+        device = DEVICE.scaled(
+            um_cache_fraction=4.5 * DEVICE.um_page_bytes / DEVICE.global_memory_bytes
+        )
+        graph = DynamicGraph(g0)
+        evictions = 0
+        for batch in batches:
+            graph.apply_batch(batch)
+            fused = UnifiedMemoryView(graph, device, AccessCounters())
+            match_batch(plans, batch, fused)
+            serial = UnifiedMemoryView(graph, device, AccessCounters())
+            for plan in plans:  # one view, one pager
+                match_batch([plan], batch, serial)
+            graph.reorganize()
+            assert fused.counters.summary() == serial.counters.summary()
+            assert fused.counters.transactions_by_channel == (
+                serial.counters.transactions_by_channel
+            )
+            assert fused.pager.total_evictions == serial.pager.total_evictions
+            evictions += fused.pager.total_evictions
+        assert evictions > 0  # the gate has teeth only under pressure
+        assert fused.pager.capacity_pages == 4
+
+
+def test_plans_of_different_depth_are_refused():
+    g0, batches = stream(23)
+    graph = DynamicGraph(g0)
+    batch = graph.apply_batch(batches[0])
+    plans = compile_delta_plans(query_by_name("Q1")) + compile_delta_plans(
+        QueryGraph(3, [(0, 1), (1, 2)], labels=[0, 1, 0], name="path")
+    )
+    with pytest.raises(ValueError, match="share one depth"):
+        match_batch(plans, batch, HostCPUView(graph, DEVICE, AccessCounters()))

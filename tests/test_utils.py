@@ -5,18 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils import (
+from repro.testing import (
     GALLOP_RATIO,
+    intersect_sorted,
+    intersect_sorted_gallop,
+    intersect_sorted_merge,
+    merge_sorted_unique,
+)
+from repro.utils import (
     as_generator,
     format_bytes,
     format_time_ns,
     geometric_mean,
-    intersect_sorted,
-    intersect_sorted_gallop,
-    intersect_sorted_merge,
     is_sorted,
     merge_sorted,
-    merge_sorted_unique,
     require,
     spawn_generator,
 )
@@ -174,7 +176,7 @@ class TestMergeRuns:
 
 class TestSegmentedContains:
     def test_basic(self):
-        from repro.core.frontier import segmented_contains
+        from repro.testing import segmented_contains
 
         flat = np.array([1, 3, 5, 2, 4, 6, 8], dtype=np.int64)
         starts = np.array([0, 3, 3], dtype=np.int64)
@@ -184,7 +186,7 @@ class TestSegmentedContains:
         assert out.tolist() == [True, True, False]  # empty segment misses
 
     def test_empty_inputs(self):
-        from repro.core.frontier import segmented_contains
+        from repro.testing import segmented_contains
 
         empty = np.empty(0, dtype=np.int64)
         assert segmented_contains(empty, empty, empty, empty).size == 0
@@ -200,7 +202,7 @@ class TestSegmentedContains:
         data=st.data(),
     )
     def test_matches_python_membership(self, segments, data):
-        from repro.core.frontier import segmented_contains
+        from repro.testing import segmented_contains
 
         flat = np.array([x for seg in segments for x in seg], dtype=np.int64)
         lengths = np.array([len(s) for s in segments], dtype=np.int64)
