@@ -4,7 +4,7 @@
 Production CSM systems rarely watch a single pattern: a fraud team runs a
 *rule book*.  Running one engine per rule repeats the per-batch graph
 update, frequency estimation, cache packing, DMA, and reorganization for
-every rule.  The :class:`repro.MultiQueryEngine` extension shares all of
+every rule.  A :class:`repro.Rulebook` on the one engine shares all of
 that — one pooled random-walk estimate covers the union workload (the sum
 of unbiased per-rule estimates is unbiased for the union), one DCSR cache
 serves every rule's kernel.
@@ -13,7 +13,7 @@ This example monitors the full Q1-Q6 catalog on the LiveJournal analog and
 compares wall-of-simulated-time against six independent engines.
 """
 
-from repro import GCSMEngine, MultiQueryEngine, QUERIES, QUERY_ORDER
+from repro import GCSMEngine, QUERIES, QUERY_ORDER, Rulebook
 from repro.bench.harness import build_workload
 from repro.utils import format_time_ns
 
@@ -31,7 +31,7 @@ def main() -> None:
     print(f"rule book: {len(rules)} patterns ({', '.join(QUERY_ORDER)}) on {g0}\n")
 
     # --- shared pipeline ------------------------------------------------
-    shared = MultiQueryEngine(g0, rules, seed=5)
+    shared = GCSMEngine(g0, Rulebook(rules), seed=5)
     shared_ns = 0.0
     shared_phase_ns = 0.0
     print("multi-query engine (shared update/FE/cache/reorg):")
@@ -56,7 +56,7 @@ def main() -> None:
 
     # the shared pipeline computes exactly the same answers
     shared_totals = {name: 0 for name in QUERY_ORDER}
-    check = MultiQueryEngine(g0, rules, seed=5)
+    check = GCSMEngine(g0, Rulebook(rules), seed=5)
     for batch in batches:
         r = check.process_batch(batch)
         for name, d in r.delta_counts.items():

@@ -17,7 +17,7 @@ Top-level convenience re-exports cover the primary user workflow::
 """
 
 from repro.core.engine import BatchResult, EngineConfig, GCSMEngine
-from repro.core.multiquery import MultiQueryEngine
+from repro.core.multiquery import MultiQueryEngine, Rulebook
 from repro.graphs.generators import erdos_renyi, powerlaw_graph, road_network
 from repro.graphs.static_graph import StaticGraph
 from repro.graphs.dynamic_graph import DynamicGraph
@@ -33,6 +33,7 @@ __all__ = [
     "EngineConfig",
     "BatchResult",
     "MultiQueryEngine",
+    "Rulebook",
     "StaticGraph",
     "DynamicGraph",
     "UpdateBatch",

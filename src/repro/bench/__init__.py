@@ -10,7 +10,6 @@ from repro.bench.harness import (
     Workload,
     UPDATE_MIXES,
     run_stream,
-    run_rulebook_stream,
     run_service,
     build_workload,
     resolve_partitioner_opts,
@@ -23,7 +22,6 @@ __all__ = [
     "Workload",
     "UPDATE_MIXES",
     "run_stream",
-    "run_rulebook_stream",
     "run_service",
     "build_workload",
     "resolve_partitioner_opts",

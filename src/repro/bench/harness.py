@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.core.baselines import make_system
 from repro.core.engine import BatchResult
+from repro.core.multiquery import Rulebook
 from repro.graphs import datasets
 from repro.graphs.static_graph import StaticGraph
 from repro.graphs.stream import UpdateBatch, churn_stream, derive_stream
@@ -39,7 +40,6 @@ __all__ = [
     "Workload",
     "UPDATE_MIXES",
     "run_stream",
-    "run_rulebook_stream",
     "run_service",
     "build_workload",
     "resolve_partitioner_opts",
@@ -319,7 +319,7 @@ class RunResult:
 
 
 class _StreamTotals:
-    """What both stream drivers sum over the batches they drive, and the
+    """What :func:`run_stream` sums over the batches it drives, and the
     :class:`RunResult` fields that follow from it."""
 
     def __init__(self) -> None:
@@ -364,7 +364,7 @@ class _StreamTotals:
 def run_stream(
     system_name: str,
     dataset: str,
-    query: QueryGraph,
+    query: QueryGraph | Rulebook,
     *,
     batch_size: int | None = None,
     num_batches: int = 1,
@@ -374,7 +374,10 @@ def run_stream(
     window: int | None = None,
     **system_kwargs,
 ) -> RunResult:
-    """Build the workload, drive ``system_name`` over it, aggregate."""
+    """Build the workload, drive ``system_name`` over it, aggregate.
+
+    ``query`` is one pattern or a :class:`~repro.core.multiquery.Rulebook`:
+    ``delta_total`` / ``embeddings_total`` then sum over all its queries."""
     workload = build_workload(
         dataset, batch_size=batch_size, num_batches=num_batches, seed=seed,
         update_mix=update_mix, window=window,
@@ -400,7 +403,7 @@ def run_stream(
         result: BatchResult = system.process_batch(batch)
         totals.add(result)
         delta_total += result.delta_count
-        embeddings_total += result.match_stats.embeddings_found
+        embeddings_total += result.embeddings_found
         if result.cached_vertices.size and result.estimation is not None:
             cov1.append(result.coverage(0.01))
             cov5.append(result.coverage(0.05))
@@ -452,61 +455,9 @@ def run_stream(
             if fleet is not None and (cfg := fleet.repartition_config) is not None
             else None
         ),
+        shared=getattr(query, "shared", None),
+        rulebook_size=len(query.queries) if isinstance(query, Rulebook) else None,
         prefilter=config.prefilter if config.prefilter != "off" else None,
-        **totals.fields(workload, batches, num_batches),
-    )
-
-
-def run_rulebook_stream(
-    dataset: str,
-    queries: list[QueryGraph],
-    *,
-    shared: bool = True,
-    batch_size: int | None = None,
-    num_batches: int = 1,
-    seed: int = 0,
-    device: DeviceConfig | None = None,
-    update_mix: str = "mixed",
-    window: int | None = None,
-    **engine_kwargs,
-) -> RunResult:
-    """Drive a :class:`~repro.core.multiquery.MultiQueryEngine` rulebook.
-
-    The rulebook analog of :func:`run_stream`: one engine matches every
-    named query per batch, with ``shared`` selecting trie execution or the
-    per-query independent baseline.  ``delta_total`` / ``embeddings_total``
-    sum over all queries; ``query`` is labelled with the rulebook size.
-    """
-    from repro.core.multiquery import MultiQueryEngine
-
-    workload = build_workload(
-        dataset, batch_size=batch_size, num_batches=num_batches, seed=seed,
-        update_mix=update_mix, window=window,
-    )
-    batches = workload.batches[:num_batches]
-    engine = MultiQueryEngine(
-        workload.graph, queries, device=device, seed=seed, shared=shared,
-        **engine_kwargs,
-    )
-    totals = _StreamTotals()
-    delta_total = embeddings_total = 0
-    for batch in batches:
-        result = engine.process_batch(batch)
-        totals.add(result)
-        delta_total += result.total_delta
-        embeddings_total += sum(
-            st.embeddings_found for st in result.match_stats.values()
-        )
-    return RunResult(
-        system="GCSM-multi",
-        dataset=dataset,
-        query=f"rulebook[{len(queries)}]",
-        delta_total=delta_total,
-        embeddings_total=embeddings_total,
-        conflict_mode=engine.conflict_mode,
-        shared=shared,
-        rulebook_size=len(queries),
-        prefilter=engine.prefilter_index.name if engine.prefilter_index else None,
         **totals.fields(workload, batches, num_batches),
     )
 

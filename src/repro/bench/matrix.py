@@ -8,10 +8,9 @@ that are invalid by construction (e.g. ``devices`` with a system whose
 placement is not ``cached``, ``window`` under ``strict`` conflict handling),
 and optionally draws a deterministic fractional sample.  Each surviving
 *cell* is executed through the existing harness entry points
-(:func:`~repro.bench.harness.run_stream`,
-:func:`~repro.bench.harness.run_rulebook_stream`, and — for spec-level
-service scenarios — :func:`~repro.bench.harness.run_service`) with
-memoized workloads, producing one record per cell.
+(:func:`~repro.bench.harness.run_stream` and — for spec-level service
+scenarios — :func:`~repro.bench.harness.run_service`) with memoized
+workloads, producing one record per cell.
 
 The records plus provenance (seed, git SHA, spec, factor values) form a
 *trajectory* (``BENCH_matrix.json``).  :func:`compare_trajectories` diffs
@@ -38,6 +37,7 @@ import numpy as np
 
 from repro.core.baselines import SYSTEM_NAMES, SYSTEMS
 from repro.core.engine import EngineConfig
+from repro.core.multiquery import Rulebook
 from repro.graphs import datasets
 from repro.graphs.stream import CONFLICT_MODES
 from repro.multigpu.partition import PARTITIONER_NAMES
@@ -218,17 +218,14 @@ def _cell_invalid_reason(cell: Mapping) -> str | None:
     silently duplicate another cell (e.g. a partitioner choice with no
     fleet to partition).
     """
-    rulebook = str(cell["query"]).startswith("rulebook:")
     try:  # the engine's own validation is the one place contradictions live
-        EngineConfig(**{**SYSTEMS[cell["system"]], "devices": cell["devices"]})
+        config = EngineConfig(**{**SYSTEMS[cell["system"]], "devices": cell["devices"]})
+        if str(cell["query"]).startswith("rulebook:"):
+            Rulebook.check(config)
     except ValueError as exc:
         return str(exc)
     if cell["devices"] is None and cell["partitioner"] != "hash":
         return "partitioner choice is meaningless without a device fleet"
-    if rulebook and cell["system"] != "GCSM":
-        return "rulebook cells run the GCSM multi-query engine"
-    if rulebook and cell["devices"] is not None:
-        return "rulebook and devices are mutually exclusive"
     if cell["update_mix"] == "adversarial" and cell["conflict_mode"] == "strict":
         return "adversarial streams violate strict conflict handling"
     if cell["window"] is not None and cell["conflict_mode"] == "strict":
@@ -309,7 +306,7 @@ def _cell_queries(cell: Mapping) -> list:
 
 def run_cell(cell: Mapping, *, seed: int = 0) -> dict:
     """Execute one cell through the harness; return its trajectory record."""
-    from repro.bench.harness import run_rulebook_stream, run_stream
+    from repro.bench.harness import run_stream
     from repro.gpu.counters import Channel
     from repro.gpu.device import ClusterConfig
 
@@ -326,11 +323,11 @@ def run_cell(cell: Mapping, *, seed: int = 0) -> dict:
         kwargs["devices"] = ClusterConfig(num_devices=cell["devices"])
         kwargs["partitioner"] = cell["partitioner"]
     queries = _cell_queries(cell)
-    start = time.perf_counter()
+    query = queries[0]
     if str(cell["query"]).startswith("rulebook:"):
-        result = run_rulebook_stream(cell["dataset"], queries, **kwargs)
-    else:
-        result = run_stream(cell["system"], cell["dataset"], queries[0], **kwargs)
+        query = Rulebook(queries)
+    start = time.perf_counter()
+    result = run_stream(cell["system"], cell["dataset"], query, **kwargs)
     wall = time.perf_counter() - start
 
     bd = result.breakdown

@@ -27,12 +27,14 @@ from typing import Sequence
 from repro.bench import figures
 from repro.bench.harness import build_workload, print_table, run_stream
 from repro.core.baselines import SYSTEM_NAMES
+from repro.core.multiquery import Rulebook
 from repro.core.results import ExperimentRecord, save_records, summarize
 from repro.gpu.device import INTERCONNECTS, ClusterConfig
 from repro.graphs import datasets
 from repro.graphs.stream import CONFLICT_MODES
 from repro.multigpu.partition import PARTITIONER_NAMES
 from repro.query import QUERIES, QUERY_ORDER, query_by_name
+from repro.query.catalog import load_rulebook
 from repro.utils import format_bytes, format_time_ns
 
 __all__ = ["main", "build_parser"]
@@ -73,8 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="match a whole rulebook instead of --query: a "
                             "file (JSON or one entry per line) or an inline "
                             "comma list of catalog entries (Q1..Q6, "
-                            "motifs:K, motifs:A-B); runs the multi-query "
-                            "engine with shared trie execution")
+                            "motifs:K, motifs:A-B); matched with shared trie "
+                            "execution on any --system but RapidFlow, and on "
+                            "--devices fleets")
     run_p.add_argument("--no-shared", dest="shared", action="store_false",
                        help="with --rulebook: per-query independent "
                             "execution instead of the shared trie (the "
@@ -250,30 +253,6 @@ def _cmd_list_queries() -> int:
     return 0
 
 
-def _cmd_run_rulebook(args: argparse.Namespace) -> int:
-    from repro.bench.harness import run_rulebook_stream
-    from repro.query.catalog import load_rulebook
-
-    if args.system != "GCSM":
-        print(f"--rulebook only applies to GCSM, not {args.system}", file=sys.stderr)
-        return 2
-    if args.devices is not None:
-        print("--rulebook and --devices are mutually exclusive", file=sys.stderr)
-        return 2
-    try:
-        queries = load_rulebook(args.rulebook)
-        result = run_rulebook_stream(
-            args.dataset, queries, shared=args.shared,
-            batch_size=args.batch_size, num_batches=args.batches, seed=args.seed,
-            **_engine_settings(args),
-        )
-    except (KeyError, ValueError) as exc:
-        print(f"repro run: error: {exc}", file=sys.stderr)
-        return 2
-    _print_run(result, args)
-    return 0
-
-
 def _engine_settings(args: argparse.Namespace) -> dict:
     """The engine settings ``run`` passes through only when given."""
     settings = {"conflict_mode": args.conflict_mode, "prefilter": args.prefilter}
@@ -317,8 +296,6 @@ def _print_prefilter(result) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.rulebook is not None:
-        return _cmd_run_rulebook(args)
     extra: dict = {}
     if args.devices is not None:
         try:
@@ -356,12 +333,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
             rep["threshold"] = args.repartition_threshold
         extra["repartition"] = rep
     try:
+        if args.rulebook is not None:
+            query = Rulebook(load_rulebook(args.rulebook), shared=args.shared)
+        else:
+            query = query_by_name(args.query)
         result = run_stream(
-            args.system, args.dataset, query_by_name(args.query),
+            args.system, args.dataset, query,
             batch_size=args.batch_size, num_batches=args.batches, seed=args.seed,
             **extra, **_engine_settings(args),
         )
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         print(f"repro run: error: {exc}", file=sys.stderr)
         return 2
     _print_run(result, args)

@@ -1,4 +1,4 @@
-"""The GCSM engine: one staged per-batch pipeline, three plug points.
+"""The GCSM engine: one staged per-batch pipeline, four plug points.
 
 For every update batch ``ΔE_k`` (paper Fig. 3):
 
@@ -17,9 +17,10 @@ For every update batch ``ΔE_k`` (paper Fig. 3):
 Every step's work is counted and priced by the device cost model, giving
 the Table II / Fig. 13 phase breakdown per batch.
 
-:class:`GCSMEngine` is the only single-query engine class.  Its skeleton —
-update → prefilter → prepare → match → reorganize → result — is fixed; a
-frozen, once-validated :class:`EngineConfig` picks three narrow plugs:
+:class:`GCSMEngine` is the only engine class.  Its skeleton — update →
+prefilter → prepare → match → reorganize → result — is fixed; a frozen,
+once-validated :class:`EngineConfig` picks three narrow plugs and the
+constructor's ``query`` argument is the fourth:
 
 * **placement** (:class:`Placement`) — what *prepare* estimates, packs and
   ships, which :class:`~repro.gpu.views.GraphView` the kernel reads through,
@@ -30,6 +31,10 @@ frozen, once-validated :class:`EngineConfig` picks three narrow plugs:
   :class:`repro.service.pipeline.PipelinedSchedule` with its clock.
 * **fan-out** — ``devices > 1`` swaps the single-device pack/match body for
   :class:`repro.multigpu.engine.FleetPlacement`, imported lazily.
+* **query set** (:class:`QuerySet`) — what a batch is matched against: one
+  :class:`~repro.query.pattern.QueryGraph` on the fused one-launch-per-level
+  kernel, or a :class:`repro.core.multiquery.Rulebook` of standing patterns
+  on the shared execution trie.
 
 Every paper baseline is therefore a row of config overrides
 (:data:`repro.core.baselines.SYSTEMS`), not a class.
@@ -89,6 +94,7 @@ __all__ = [
     "BatchResult",
     "Placement",
     "CachedPlacement",
+    "QuerySet",
     "MatchOutcome",
     "StagedBatch",
     "SerialSchedule",
@@ -102,9 +108,9 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Shared batch-step internals.  The engine, the fleet's per-shard pack, the
-# rulebook engine and the benchmark's staged replay all compose these, so a
-# change here changes every caller identically.
+# Shared batch-step internals.  The engine, the fleet's per-shard pack and the
+# benchmark's staged replay all compose these, so a change here changes every
+# caller identically.
 # ----------------------------------------------------------------------
 _POLICIES = {
     cls.name: cls
@@ -206,6 +212,11 @@ class BatchResult:
     #: certified-skip accounting when the aggregate-invariant pre-filter is
     #: enabled (None with ``prefilter="off"``)
     prefilter: PrefilterStats | None = None
+
+    @property
+    def embeddings_found(self) -> int:
+        """Embeddings the kernel emitted, inserted and deleted alike."""
+        return self.match_stats.embeddings_found
 
     @property
     def cpu_access_bytes(self) -> int:
@@ -350,6 +361,7 @@ class StagedBatch:
     decision: PrefilterDecision | None = None
     shipped: object = None  #: whatever the placement's ``prepare`` produced
     outcome: MatchOutcome | None = None
+    sinks: dict | None = None  #: query name -> ``(embedding, sign)`` callback
 
     @property
     def skipped(self) -> bool:
@@ -399,7 +411,7 @@ class Placement:
 
     def match(
         self, batch: UpdateBatch, shipped: object, graph: DynamicGraph,
-        decision: PrefilterDecision | None,
+        decision: PrefilterDecision | None, sinks: dict | None = None,
     ) -> MatchOutcome:
         """The kernel stage.  ``graph`` is the store the view dereferences —
         the live one, or a frozen epoch under the pipelined schedule (the
@@ -407,9 +419,8 @@ class Placement:
         engine = self.engine
         counters = AccessCounters()
         view = self.view(graph, counters, shipped)
-        stats = engine.match(
-            engine.plans, batch, view, filters=self.filters, prefilter=decision,
-            attributes=engine.attributes,
+        stats = engine.query_set.match(
+            engine, batch, view, decision, sinks, filters=self.filters
         )
         ns = simulated_time_ns(counters, engine.device, platform=view.platform)
         return MatchOutcome(stats, counters, ns, view)
@@ -430,19 +441,10 @@ class CachedPlacement(Placement):
     ) -> EstimationResult | None:
         """CPU stage 2: merged-random-walk estimation (policy-gated); root-
         masked updates shrink the walk budget and the packed cache."""
-        engine, cfg = self.engine, self.engine.config
+        engine = self.engine
         if not engine.policy.requires_estimation:
             return None
-        if decision is not None:
-            batch = decision.estimate_batch
-        if cfg.adaptive_walks:
-            estimation = engine.estimator.estimate_adaptive(
-                engine.plans, batch, initial_walks=cfg.num_walks
-            )
-        else:
-            estimation = engine.estimator.estimate(
-                engine.plans, batch, num_walks=cfg.num_walks
-            )
+        estimation = engine.query_set.estimate(engine, batch, decision)
         breakdown.estimate_ns = simulated_time_ns(
             estimation.counters, engine.device, platform="cpu_estimator"
         )
@@ -473,6 +475,73 @@ class CachedPlacement(Placement):
 
 
 # ----------------------------------------------------------------------
+# the query-set plug
+# ----------------------------------------------------------------------
+class QuerySet:
+    """What a batch is matched against, as the handful of reads the
+    skeleton, the placements and the fleet make of it.  This base is the
+    single-query set: one ΔM plan list driven through ``engine.match``, the
+    fused one-launch-per-level kernel.  The many-pattern set is
+    :class:`repro.core.multiquery.Rulebook`."""
+
+    def __init__(self, query: QueryGraph) -> None:
+        self.query = query
+
+    @staticmethod
+    def check(config: EngineConfig) -> None:
+        """Raise ``ValueError`` for a config this query set cannot run on."""
+
+    def compile(self, placement: Placement) -> None:
+        """Compile (once) ``plans``, which the engine exposes as its own."""
+        self.plans = placement.compile_plans(self.query)
+
+    @property
+    def num_plans(self) -> int:
+        """Partial ΔM counters a fleet all-reduces per batch."""
+        return len(self.plans)
+
+    @staticmethod
+    def result_type(base: type[BatchResult]) -> type[BatchResult]:
+        """The result class, given the placement's."""
+        return base
+
+    def evaluate(self, index, batch: UpdateBatch):
+        """Certify skips: an object with ``skip_batch``, ``counters`` and
+        ``to_stats`` that :meth:`estimate` / :meth:`match` / :meth:`settle`
+        get back as ``decision``."""
+        return index.evaluate(self.plans, batch)
+
+    def estimate(self, engine: "GCSMEngine", batch: UpdateBatch, decision) -> EstimationResult:
+        cfg = engine.config
+        if decision is not None:
+            batch = decision.estimate_batch
+        if cfg.adaptive_walks:
+            return engine.estimator.estimate_adaptive(
+                self.plans, batch, initial_walks=cfg.num_walks
+            )
+        return engine.estimator.estimate(self.plans, batch, num_walks=cfg.num_walks)
+
+    def match(
+        self, engine: "GCSMEngine", batch: UpdateBatch, view: GraphView, decision,
+        sinks: dict | None = None, **routing,
+    ) -> MatchStats:
+        """Run the kernel through ``view``; ``routing`` is the placement's
+        ``filters`` / the fleet shard's ``root_mask``."""
+        return engine.match(
+            self.plans, batch, view, sink=(sinks or {}).get(self.query.name),
+            prefilter=decision, attributes=engine.attributes, **routing,
+        )
+
+    def settle(self, stats: MatchStats | None, decision) -> MatchStats:
+        """The batch's final stats; ``stats`` is ``None`` when the whole
+        batch was certified ΔM = 0 and no kernel ran."""
+        return stats if stats is not None else MatchStats(roots_skipped=decision.roots_total)
+
+    def result_fields(self, stats: MatchStats) -> dict:
+        return dict(delta_count=stats.signed_count, match_stats=stats)
+
+
+# ----------------------------------------------------------------------
 # the schedule plug
 # ----------------------------------------------------------------------
 class SerialSchedule:
@@ -480,8 +549,10 @@ class SerialSchedule:
 
     clock = None
 
-    def run_batch(self, engine: "GCSMEngine", raw: UpdateBatch) -> BatchResult:
-        staged = engine.stage_host(raw)
+    def run_batch(
+        self, engine: "GCSMEngine", raw: UpdateBatch, sinks: dict | None = None
+    ) -> BatchResult:
+        staged = engine.stage_host(raw, sinks)
         if not staged.skipped:
             with engine.settling():
                 self.run_device(engine, staged)
@@ -508,7 +579,8 @@ class GCSMEngine:
     system; ``settings`` are :class:`EngineConfig` fields (or pass a ready
     ``config`` and override fields of it).  ``initial_graph`` is the ``G_0``
     snapshot, copied into the dynamic store; ``query`` the pattern to
-    monitor continuously.
+    monitor continuously — or a :class:`~repro.core.multiquery.Rulebook` of
+    them, matched per batch over the same stages.
 
     ``estimator`` and ``match`` are plain attributes holding the two
     kernels, so a parity suite can run the same pipeline on reference
@@ -518,12 +590,15 @@ class GCSMEngine:
     def __init__(
         self,
         initial_graph: StaticGraph,
-        query: QueryGraph,
+        query: QueryGraph | QuerySet,
         config: EngineConfig | None = None,
         **overrides,
     ) -> None:
         config = EngineConfig(**overrides) if config is None else replace(config, **overrides)
         self.config = config
+        self.query = query
+        self.query_set = query if isinstance(query, QuerySet) else QuerySet(query)
+        self.query_set.check(config)
         if config.devices is None:
             self.cluster = None
             self.device = config.device or default_device()
@@ -544,7 +619,6 @@ class GCSMEngine:
             else self.device.cache_buffer_bytes
         )
         self.graph = DynamicGraph(initial_graph)
-        self.query = query
         #: explicit-weight overlay for predicate pushdown; None when the
         #: query carries no predicates (the common, weightless case)
         self.attributes = EdgeAttributeStore() if query.has_predicates() else None
@@ -564,7 +638,8 @@ class GCSMEngine:
         #: the fleet placement when ``devices > 1`` (shards, partitioner,
         #: ownership manager), else None
         self.fleet = self.placement if self.num_devices > 1 else None
-        self.plans = self.placement.compile_plans(query)
+        self.query_set.compile(self.placement)
+        self.result_type = self.query_set.result_type(self.placement.result_type)
         self.schedule = (
             _load("repro.service.pipeline:PipelinedSchedule")(config.threaded)
             if config.schedule == "pipelined"
@@ -572,6 +647,12 @@ class GCSMEngine:
         )
         self.batches_processed = 0
         self.total_delta = 0
+
+    @property
+    def plans(self):
+        """The query set's compiled ΔM plans (a list; per query name for a
+        rulebook)."""
+        return self.query_set.plans
 
     # ------------------------------------------------------------------
     # pipeline stages
@@ -616,12 +697,12 @@ class GCSMEngine:
         if index is None:
             return None
         counters = index.apply_batch(batch)
-        decision = index.evaluate(self.plans, batch)
+        decision = self.query_set.evaluate(index, batch)
         counters.merge(decision.counters)
         breakdown.prefilter_ns = simulated_time_ns(counters, self.device, platform="cpu")
         return decision
 
-    def stage_host(self, raw: UpdateBatch) -> StagedBatch:
+    def stage_host(self, raw: UpdateBatch, sinks: dict | None = None) -> StagedBatch:
         """CPU stages update → prefilter → prepare (or, for a certified
         ΔM = 0 batch, straight to reorganize — the update really happened)."""
         require(len(raw) > 0, "empty batch")
@@ -632,7 +713,9 @@ class GCSMEngine:
                 self.graph, raw, self.device, self.config.conflict_mode,
                 self._on_applied,
             )
-            staged = StagedBatch(batch, breakdown, self.graph.last_canonical_report)
+            staged = StagedBatch(
+                batch, breakdown, self.graph.last_canonical_report, sinks=sinks
+            )
             staged.decision = self._prefilter(batch, breakdown)
             if staged.skipped:
                 breakdown.reorg_ns = self.stage_reorganize()
@@ -650,6 +733,7 @@ class GCSMEngine:
         return self.placement.match(
             staged.batch, staged.shipped,
             graph if graph is not None else self.graph, staged.decision,
+            staged.sinks,
         )
 
     def stage_reorganize(self) -> float:
@@ -667,10 +751,10 @@ class GCSMEngine:
         the same code with no outcome)."""
         outcome, decision = staged.outcome, staged.decision
         if outcome is None:
-            stats = MatchStats(roots_skipped=decision.roots_total)
-            counters = AccessCounters()
+            stats, counters = None, AccessCounters()
         else:
             stats, counters = outcome.stats, outcome.counters
+        stats = self.query_set.settle(stats, decision)
         prefilter = None
         if decision is not None:
             prefilter = decision.to_stats(staged.breakdown.prefilter_ns)
@@ -679,9 +763,8 @@ class GCSMEngine:
             prefilter.roots_skipped = stats.roots_skipped
         self.batches_processed += 1
         self.total_delta += stats.signed_count
-        return self.placement.result_type(
-            delta_count=stats.signed_count,
-            match_stats=stats,
+        return self.result_type(
+            **self.query_set.result_fields(stats),
             breakdown=staged.breakdown,
             match_counters=counters,
             conflicts=staged.conflicts,
@@ -690,9 +773,14 @@ class GCSMEngine:
         )
 
     # ------------------------------------------------------------------
-    def process_batch(self, batch: UpdateBatch) -> BatchResult:
-        """Run the full pipeline for one batch under the configured schedule."""
-        return self.schedule.run_batch(self, batch)
+    def process_batch(
+        self, batch: UpdateBatch, *, sinks: dict | None = None
+    ) -> BatchResult:
+        """Run the full pipeline for one batch under the configured schedule.
+
+        ``sinks`` optionally maps query names to ``(embedding, sign)``
+        callbacks (a single query's sink is ``sinks[query.name]``)."""
+        return self.schedule.run_batch(self, batch, sinks)
 
     def process_stream(self, batches: list[UpdateBatch]) -> list[BatchResult]:
         """Process a whole stream, returning per-batch results in order."""
@@ -714,6 +802,7 @@ class GCSMEngine:
         graph lives on the CPU).  Returns ``(embedding_count, simulated_ns)``.
         """
         require(not self.graph.batch_open, "settle the open batch first")
+        require(isinstance(self.query, QueryGraph), "initial_match takes one query")
         counters = AccessCounters()
         view = ZeroCopyView(self.graph, self.device, counters)
         stats = match_static(

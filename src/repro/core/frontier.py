@@ -272,28 +272,14 @@ class FrontierKernel:
         return cand_flat, cand_cnt, log
 
     def level_candidates(
-        self,
-        lvl: LevelPlan,
-        rows: np.ndarray,
-        active: np.ndarray | None = None,
+        self, lvl: LevelPlan, rows: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Candidates of one plan level across ``rows``, accesses settled.
 
         The one-node-table form of :meth:`expand` the shared trie runs:
         returns ``(cand_flat, cand_cnt)`` and records every list read at once,
         in ``(slot, constraint, row)`` order.
-
-        ``active`` is the mask hook for shared multi-query execution: a
-        boolean row mask restricting expansion (and every recorded charge)
-        to the rows whose query-set bitmask covers this level's branch.
-        Inactive rows contribute zero candidates and zero charges — exactly
-        as if they had been filtered out of ``rows`` beforehand.
         """
-        if active is not None and not bool(active.all()):
-            sub_flat, sub_cnt = self.level_candidates(lvl, rows[active])
-            cand_cnt = np.zeros(rows.shape[0], dtype=np.int64)
-            cand_cnt[active] = sub_cnt
-            return sub_flat, cand_cnt
         cand_flat, cand_cnt, log = self.expand(
             level_table((lvl,)), rows, np.zeros(rows.shape[0], dtype=np.int64)
         )

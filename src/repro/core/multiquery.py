@@ -1,24 +1,21 @@
-"""Multi-query continuous matching (extension beyond the paper).
+"""Multi-query continuous matching: the rulebook query set (extension
+beyond the paper).
 
 Real CSM deployments monitor *many* patterns over one stream (the paper's
 motivating fraud scenarios watch whole rule books).  Running one
 :class:`~repro.core.engine.GCSMEngine` per pattern repeats the per-batch
 graph update, frequency estimation, DCSR packing, DMA, and reorganization
-once per pattern.  :class:`MultiQueryEngine` shares all of it:
+once per pattern.  ``GCSMEngine(graph, Rulebook(queries), **settings)``
+shares all of it — :class:`Rulebook` is the engine's query-set plug, so the
+stages, schedules, placements and fleet are the engine's own and this module
+holds only what is rulebook logic:
 
-* one dynamic graph, updated and reorganized once per batch;
 * one **pooled frequency estimate** — the walk budget is split exactly
   across all queries' delta plans and the per-vertex estimates summed,
   which is the right statistic because the kernel's total access frequency
   over the batch is the sum over queries (each estimate is unbiased for its
   query's accesses, so the pooled estimate is unbiased for the union
   workload);
-* one DCSR cache and one DMA, then the rulebook executes against the
-  shared cached view.
-
-Beyond the shared pre-kernel phases, the engine shares the **kernel**
-itself (``shared=True``, the default):
-
 * queries are lexsorted by name, then deduped by
   :func:`~repro.query.symmetry.canonical_form` — isomorphic standing
   patterns have identical ΔM on every batch, so only the lexicographically
@@ -27,12 +24,12 @@ itself (``shared=True``, the default):
   through :func:`~repro.query.symmetry.find_isomorphism`);
 * the representatives' ΔM plans are grouped into an
   :class:`~repro.core.querytrie.ExecutionTrie` by common signature
-  prefixes, and one masked frontier expansion per trie node serves every
-  plan sharing that prefix — candidate enumeration and its access charges
-  are paid once per *distinct* prefix, not once per query.
+  prefixes, and one frontier expansion per trie node serves every plan
+  sharing that prefix — candidate enumeration and its access charges are
+  paid once per *distinct* prefix, not once per query.
 
-``shared=False`` runs the classic per-query loop against the same shared
-cache — the baseline the trie is validated against.  Either way the result
+``shared=False`` runs the classic per-query loop against the same shipped
+view — the baseline the trie is validated against.  Either way the result
 carries **per-query attributed counters** that are bit-identical between
 the two modes for representatives (the sharing contract of
 :mod:`repro.core.querytrie`), while the engine-level ``match_counters``
@@ -48,31 +45,28 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.cache import CachedDeviceView, FrequencyCachePolicy
-from repro.core.engine import pack_step, reorganize_step, update_step
+from repro.core.engine import BatchResult, GCSMEngine, QuerySet
 from repro.core.frequency import EstimationResult, default_num_walks
-from repro.core.frequency_frontier import FrontierFrequencyEstimator
 from repro.core.frontier import FrontierKernel
-from repro.core.matching import MatchStats, match_batch
-from repro.core.prefilter import (
-    DEFAULT_PREFILTER,
-    PrefilterDecision,
-    PrefilterStats,
-    make_prefilter,
-)
+from repro.core.matching import MatchStats
+from repro.core.prefilter import PrefilterDecision, PrefilterStats
 from repro.core.querytrie import ExecutionTrie, SharedTrieExecutor, TrieStats
-from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.static_graph import StaticGraph
-from repro.graphs.stream import DEFAULT_CONFLICT_MODE, UpdateBatch
-from repro.gpu.clock import TimeBreakdown, simulated_time_ns
+from repro.graphs.stream import UpdateBatch
 from repro.gpu.counters import AccessCounters
-from repro.gpu.device import DeviceConfig, default_device
 from repro.query.pattern import QueryGraph
 from repro.query.plan import compile_delta_plans
 from repro.query.symmetry import canonical_form, find_isomorphism
-from repro.utils import VERTEX_DTYPE, as_generator, require, spawn_generator
+from repro.utils import require
 
-__all__ = ["MultiQueryEngine", "MultiBatchResult", "split_walk_budget"]
+__all__ = [
+    "Rulebook",
+    "MultiQueryEngine",
+    "MultiBatchResult",
+    "RulebookStats",
+    "RulebookDecision",
+    "split_walk_budget",
+]
 
 
 def split_walk_budget(total_walks: int, num_queries: int) -> list[int]:
@@ -92,43 +86,58 @@ def split_walk_budget(total_walks: int, num_queries: int) -> list[int]:
 
 
 @dataclass
-class MultiBatchResult:
-    """Per-batch outcome across all monitored queries.
+class MultiBatchResult(BatchResult):
+    """A :class:`~repro.core.engine.BatchResult` over a rulebook.
 
-    ``delta_counts[name]`` is each query's signed ΔM; the breakdown's
-    update/estimate/pack/reorg phases are *shared* (paid once).  Under
-    shared trie execution ``match_counters`` price each shared expansion
-    once (that is what ``match_ns`` is computed from), while
-    ``match_counters_by_query`` attribute every charge back to each member
-    query — bit-identical to what that query's independent execution would
-    record.  ``aliases`` maps deduped query names to the isomorphic
-    representative that was actually matched on their behalf.
+    ``delta_count`` is the rulebook total and ``match_stats`` the per-query
+    dict; ``delta_counts[name]`` is each query's signed ΔM.  Under shared
+    trie execution ``match_counters`` price each shared expansion once (that
+    is what ``match_ns`` is computed from), while ``match_counters_by_query``
+    attribute every charge back to each member query — bit-identical to
+    what that query's independent execution would record.  ``aliases`` maps
+    deduped query names to the isomorphic representative that was actually
+    matched on their behalf; ``prefilter.queries_skipped`` counts every
+    rulebook entry certified ΔM = 0 this batch, aliases included.
     """
 
-    delta_counts: dict[str, int]
-    match_stats: dict[str, MatchStats]
-    breakdown: TimeBreakdown
-    match_counters: AccessCounters
-    #: the shared cache (defaults: whole-rulebook certified skip, nothing shipped)
-    estimation: EstimationResult | None = None
-    cached_vertices: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=VERTEX_DTYPE)
-    )
-    cache_bytes: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    shared: bool = True
+    delta_counts: dict[str, int] = field(default_factory=dict)
     match_counters_by_query: dict[str, AccessCounters] | None = None
     aliases: dict[str, str] = field(default_factory=dict)
     trie_stats: TrieStats | None = None
-    #: certified-skip accounting when the aggregate-invariant pre-filter is
-    #: enabled (None with ``prefilter="off"``); ``queries_skipped`` counts
-    #: every rulebook entry certified ΔM = 0 this batch, aliases included
-    prefilter: PrefilterStats | None = None
+    shared: bool = True
 
     @property
-    def total_delta(self) -> int:
-        return sum(self.delta_counts.values())
+    def embeddings_found(self) -> int:
+        return sum(s.embeddings_found for s in self.match_stats.values())
+
+
+@dataclass
+class RulebookStats(MatchStats):
+    """Rulebook totals plus their per-query split (``merge`` keeps both, so
+    a fleet sums its shards' rulebook stats like any other)."""
+
+    by_query: dict[str, MatchStats] = field(default_factory=dict)
+    #: per-query attributed counters; None when attribution is off
+    counters_by_query: dict[str, AccessCounters] | None = None
+
+    def add(
+        self, name: str, stats: MatchStats, counters: AccessCounters | None = None
+    ) -> None:
+        """Adopt one query's stats (and counters, when attributing)."""
+        MatchStats.merge(self, stats)
+        self.by_query[name] = stats
+        if counters is not None and self.counters_by_query is not None:
+            self.counters_by_query[name] = counters
+
+    def merge(self, other: "RulebookStats") -> None:
+        MatchStats.merge(self, other)
+        for name, stats in other.by_query.items():
+            self.by_query.setdefault(name, MatchStats()).merge(stats)
+        if other.counters_by_query is not None:
+            if self.counters_by_query is None:
+                self.counters_by_query = {}
+            for name, counters in other.counters_by_query.items():
+                self.counters_by_query.setdefault(name, AccessCounters()).merge(counters)
 
 
 def _copy_counters(counters: AccessCounters) -> AccessCounters:
@@ -137,55 +146,53 @@ def _copy_counters(counters: AccessCounters) -> AccessCounters:
     return fresh
 
 
-class MultiQueryEngine:
-    """Continuously match a set of patterns with shared per-batch work.
+@dataclass
+class RulebookDecision:
+    """One batch's certified skips for a rulebook: a
+    :class:`~repro.core.prefilter.PrefilterDecision` per query that runs its
+    own plans (representatives; every query when ``shared=False``) and the
+    names — aliases included — certified ΔM = 0.  Aliases inherit their
+    representative's skip: feasibility and root counts are isomorphism
+    invariants, so the inheritance is exact."""
+
+    by_query: dict[str, PrefilterDecision]
+    skip_queries: frozenset[str]
+    skip_batch: bool
+    counters: AccessCounters
+
+    def to_stats(self, maintenance_ns: float = 0.0) -> PrefilterStats:
+        return PrefilterStats(
+            batches_skipped=int(self.skip_batch),
+            queries_skipped=len(self.skip_queries),
+            maintenance_ns=maintenance_ns,
+        )
+
+
+class Rulebook(QuerySet):
+    """A set of standing patterns matched with shared per-batch work.
 
     Queries are lexsorted by name at construction, so trie layout,
     execution order, result-dict order, and sink order are all independent
-    of the caller's dict/list insertion order.
+    of the caller's dict/list insertion order.  ``shared`` picks trie
+    execution or the per-query loop; ``attribute_counters=False`` drops the
+    per-query attribution of shared charges (benchmark legs that only need
+    the engine-level counters).
     """
 
     def __init__(
         self,
-        initial_graph: StaticGraph,
         queries: list[QueryGraph],
-        *,
-        device: DeviceConfig | None = None,
-        num_walks: int | None = None,
-        survival: float | None = 1.0,
-        cache_budget_bytes: int | None = None,
-        seed: int | np.random.Generator | None = 0,
-        conflict_mode: str = DEFAULT_CONFLICT_MODE,
         shared: bool = True,
         attribute_counters: bool = True,
-        prefilter: str = DEFAULT_PREFILTER,
     ) -> None:
         require(len(queries) >= 1, "need at least one query")
         names = [q.name for q in queries]
         require(len(set(names)) == len(names), "query names must be unique")
-        self.device = device or default_device()
-        self.cache_budget_bytes = (
-            cache_budget_bytes
-            if cache_budget_bytes is not None
-            else self.device.cache_buffer_bytes
-        )
-        self.graph = DynamicGraph(initial_graph)
         # deterministic rulebook order: lexsort by query name
         self.queries = sorted(queries, key=lambda q: q.name)
-        self.plans = {q.name: compile_delta_plans(q) for q in self.queries}
-        self.num_walks = num_walks
-        # the two kernels are plain attributes (the repro.testing seam)
-        self.estimator = FrontierFrequencyEstimator(
-            self.graph, self.device,
-            seed=spawn_generator(as_generator(seed)), survival=survival,
-        )
-        self.match = match_batch
-        self.policy = FrequencyCachePolicy()
-        self.conflict_mode = conflict_mode
         self.shared = shared
         self.attribute_counters = attribute_counters
-        self.prefilter_index = make_prefilter(prefilter, self.graph)
-        self.batches_processed = 0
+        self.plans = {q.name: compile_delta_plans(q) for q in self.queries}
 
         # -- symmetry dedupe: one representative per isomorphism class ------
         # (lexsorted order makes the representative the lexicographically
@@ -213,46 +220,83 @@ class MultiQueryEngine:
         self.representatives = [
             q for q in self.queries if self.canonical_of[q.name] == q.name
         ]
+        #: alias -> the representative matched on its behalf
+        self.aliases = {n: r for n, r in self.canonical_of.items() if n != r}
         self.trie = ExecutionTrie(
             {q.name: self.plans[q.name] for q in self.representatives}
         )
 
-    # ------------------------------------------------------------------
-    def _prefilter_batch(
-        self, batch: UpdateBatch
-    ) -> tuple[dict[str, PrefilterDecision] | None, frozenset[str], float]:
-        """Maintain the invariant index and certify per-query skips.
+    @property
+    def name(self) -> str:
+        return f"rulebook[{len(self.queries)}]"
 
-        Returns ``(decisions, skip_queries, prefilter_ns)``.  ``decisions``
-        maps each *representative* to its batch decision (per-plan root
-        masks, reduced estimate batch); ``skip_queries`` names every
-        rulebook entry — aliases included — certified ΔM = 0 for this
-        batch.  Aliases inherit their representative's decision: skip
-        feasibility and root counts are isomorphism invariants, so the
-        inheritance is exact.  ``(None, frozenset(), 0.0)`` when off.
-        """
-        if self.prefilter_index is None:
-            return None, frozenset(), 0.0
-        counters = self.prefilter_index.apply_batch(batch)
-        decisions: dict[str, PrefilterDecision] = {}
-        for query in self.representatives:
-            decision = self.prefilter_index.evaluate(self.plans[query.name], batch)
-            counters.merge(decision.counters)
-            decisions[query.name] = decision
+    # -- what the engine asks once ---------------------------------------
+    @staticmethod
+    def check(config) -> None:
+        require(config.placement != "indexed",
+                "a rulebook cannot run on placement='indexed': its candidate "
+                "index is per query vertex of one query")
+        require(not config.adaptive_walks,
+                "a rulebook pools one fixed walk budget; adaptive_walks "
+                "re-samples a single query")
+
+    def has_predicates(self) -> bool:
+        return any(q.has_predicates() for q in self.queries)
+
+    def diameter(self) -> int:
+        """The largest member's (the ``khop`` placement's radius)."""
+        return max(q.diameter() for q in self.queries)
+
+    def compile(self, placement) -> None:
+        """Nothing to do: ``plans`` are placement-independent (``indexed``,
+        the one placement that compiles its own, is refused)."""
+
+    @property
+    def num_plans(self) -> int:
+        return sum(len(self.plans[q.name]) for q in self._runners)
+
+    @staticmethod
+    def result_type(base: type[BatchResult]) -> type[MultiBatchResult]:
+        """The rulebook result on top of a placement's (a fleet's diagnostics)."""
+        if base is BatchResult:
+            return MultiBatchResult
+        # lazy like the engine's own fleet import: that module imports this one
+        from repro.multigpu.engine import MultiFleetBatchResult
+
+        return MultiFleetBatchResult
+
+    @property
+    def _runners(self) -> list[QueryGraph]:
+        """The queries that execute their own plans."""
+        return self.representatives if self.shared else self.queries
+
+    def _new_stats(self) -> RulebookStats:
+        # the per-query loop attributes by construction
+        attributing = self.attribute_counters or not self.shared
+        return RulebookStats(counters_by_query={} if attributing else None)
+
+    # -- per batch --------------------------------------------------------
+    def evaluate(self, index, batch: UpdateBatch) -> RulebookDecision:
+        """One decision per runner, materialized here so a concurrent match
+        stage never reads the index; only the representatives' evaluations
+        are charged (the per-query loop's aliases ride on them)."""
+        counters = AccessCounters()
+        by_query: dict[str, PrefilterDecision] = {}
+        for query in self._runners:
+            decision = index.evaluate(self.plans[query.name], batch)
+            if self.canonical_of[query.name] == query.name:
+                counters.merge(decision.counters)
+            by_query[query.name] = decision
         skip_queries = frozenset(
-            q.name
-            for q in self.queries
-            if decisions[self.canonical_of[q.name]].skip_batch
+            q.name for q in self.queries
+            if by_query[self.canonical_of[q.name]].skip_batch
         )
-        ns = simulated_time_ns(counters, self.device, platform="cpu")
-        return decisions, skip_queries, ns
+        return RulebookDecision(
+            by_query, skip_queries, len(skip_queries) == len(self.queries), counters
+        )
 
-    # ------------------------------------------------------------------
-    def _pooled_estimate(
-        self,
-        batch: UpdateBatch,
-        decisions: dict[str, PrefilterDecision] | None = None,
-        skip_queries: frozenset[str] = frozenset(),
+    def estimate(
+        self, engine: GCSMEngine, batch: UpdateBatch, decision: RulebookDecision | None
     ) -> EstimationResult:
         """Sum per-query unbiased estimates into one workload estimate.
 
@@ -267,25 +311,21 @@ class MultiQueryEngine:
         representative's *reduced* estimate batch.  This changes the
         estimate and therefore the cache — never results.
         """
-        active = [q for q in self.queries if q.name not in skip_queries]
-        require(len(active) >= 1, "estimation needs at least one active query")
-        max_degree = max(1, self.graph.max_degree())
+        skipped = decision.skip_queries if decision is not None else frozenset()
+        active = [q for q in self.queries if q.name not in skipped]
+        max_degree = max(1, engine.graph.max_degree())
         largest = max(q.num_vertices for q in active)
-        total_walks = self.num_walks or default_num_walks(
+        total_walks = engine.config.num_walks or default_num_walks(
             len(batch), max_degree, largest
         )
-        budget = split_walk_budget(total_walks, len(active))
         pooled: np.ndarray | None = None
         counters = AccessCounters()
-        nodes = 0
-        walks = 0
-        for query, query_walks in zip(active, budget):
+        nodes = walks = 0
+        for query, query_walks in zip(active, split_walk_budget(total_walks, len(active))):
             est_batch = batch
-            if decisions is not None:
-                reduced = decisions[self.canonical_of[query.name]].estimate_batch
-                if reduced is not None:
-                    est_batch = reduced
-            result = self.estimator.estimate(
+            if decision is not None:
+                est_batch = decision.by_query[self.canonical_of[query.name]].estimate_batch
+            result = engine.estimator.estimate(
                 self.plans[query.name], est_batch,
                 num_walks=query_walks, max_degree=max_degree,
             )
@@ -293,65 +333,52 @@ class MultiQueryEngine:
             counters.merge(result.counters)
             nodes += result.nodes_visited
             walks += result.num_walks
-        assert pooled is not None
         return EstimationResult(pooled, walks, nodes, counters)
 
-    # ------------------------------------------------------------------
+    def match(
+        self, engine: GCSMEngine, batch: UpdateBatch, view, decision: RulebookDecision | None,
+        sinks: dict | None = None, *, filters=None, root_mask=None,
+    ) -> RulebookStats:
+        """Match every query not certified away; ``view.counters`` receives
+        the work actually executed.  Skipped queries and (under the trie)
+        aliases are filled in once per batch by :meth:`settle`.  (``filters``
+        is the ``indexed`` placement's, which :meth:`check` refuses.)"""
+        run = self._match_shared if self.shared else self._match_independent
+        return run(engine, batch, view, decision, sinks or {}, root_mask)
+
     def _match_independent(
-        self,
-        batch: UpdateBatch,
-        view: CachedDeviceView,
-        match_counters: AccessCounters,
-        sinks: dict,
-        decisions: dict[str, PrefilterDecision] | None = None,
-        skip_queries: frozenset[str] = frozenset(),
-    ) -> tuple[dict[str, MatchStats], dict[str, AccessCounters]]:
+        self, engine, batch, view, decision, sinks, root_mask
+    ) -> RulebookStats:
         """Baseline: every query runs its own full plan execution.
 
         Each query's charges land in a private counter (swapped into the
-        shared view for the duration of its ``match_batch``) and are then
-        merged into the engine total — additive, so the totals equal the
-        classic single-counter accumulation exactly.  Skipped queries pay
-        nothing; active queries apply per-plan root masks straight from the
-        live invariant index (this mode is single-threaded, so no frozen
-        decision is needed — and aliases run their *own* plans, which the
-        representative's precomputed masks would not align with).
+        shared view for the duration of its ``engine.match``) and are then
+        merged into the view's — additive, so the totals equal the classic
+        single-counter accumulation exactly.
         """
-        match_stats: dict[str, MatchStats] = {}
-        per_query: dict[str, AccessCounters] = {}
-        saved = view.counters
+        out = self._new_stats()
+        shared_counters = view.counters
         try:
             for query in self.queries:
-                pq = AccessCounters()
-                if query.name in skip_queries:
-                    assert decisions is not None
-                    rep = self.canonical_of[query.name]
-                    match_stats[query.name] = MatchStats(
-                        roots_skipped=decisions[rep].roots_total
-                    )
-                    per_query[query.name] = pq
+                if decision is not None and query.name in decision.skip_queries:
                     continue
-                view.counters = pq
-                match_stats[query.name] = self.match(
+                view.counters = AccessCounters()
+                stats = engine.match(
                     self.plans[query.name], batch, view,
-                    sink=sinks.get(query.name), prefilter=self.prefilter_index,
+                    sink=sinks.get(query.name), root_mask=root_mask,
+                    prefilter=decision.by_query[query.name] if decision else None,
+                    attributes=engine.attributes,
                 )
-                per_query[query.name] = pq
-                match_counters.merge(pq)
+                out.add(query.name, stats, view.counters)
+                shared_counters.merge(view.counters)
         finally:
-            view.counters = saved
-        return match_stats, per_query
+            view.counters = shared_counters
+        return out
 
     def _match_shared(
-        self,
-        batch: UpdateBatch,
-        view: CachedDeviceView,
-        match_counters: AccessCounters,
-        sinks: dict,
-        decisions: dict[str, PrefilterDecision] | None = None,
-        skip_queries: frozenset[str] = frozenset(),
-    ) -> tuple[dict[str, MatchStats], dict[str, AccessCounters] | None]:
-        """One trie walk over the representatives; aliases copy results.
+        self, engine, batch, view, decision, sinks, root_mask
+    ) -> RulebookStats:
+        """One trie walk over the representatives.
 
         The trie always drives the frontier kernel; its per-query attributed
         counters and stats are bit-identical to an independent run.
@@ -380,159 +407,75 @@ class MultiQueryEngine:
                         sink(tuple(emb[u] for u in inv), sign)
             rep_sinks[rep] = _fan
 
-        per_query = (
-            {q.name: AccessCounters() for q in self.representatives}
-            if self.attribute_counters
-            else None
-        )
-        kernel = FrontierKernel(view, self.graph.labels)
-        shared_exec = SharedTrieExecutor(
-            self.trie, kernel, self.graph.labels,
-            shared_counters=match_counters,
+        skipped = decision.skip_queries if decision is not None else frozenset()
+        out = self._new_stats()
+        per_query = out.counters_by_query
+        if per_query is not None:
+            per_query.update(
+                (q.name, AccessCounters()) for q in self.representatives
+                if q.name not in skipped
+            )
+        rep_stats = SharedTrieExecutor(
+            self.trie,
+            FrontierKernel(view, view.graph.labels, attributes=engine.attributes),
+            shared_counters=view.counters,
             per_query_counters=per_query,
             sinks=rep_sinks,
-            skip_queries=skip_queries,
-            prefilter=decisions,
-        )
-        rep_stats = shared_exec.run(batch)
+            skip_queries=skipped,
+            prefilter=decision.by_query if decision is not None else None,
+            root_mask=root_mask,
+        ).run(batch)
+        for name, stats in rep_stats.items():
+            out.add(name, stats)
+        return out
 
-        match_stats: dict[str, MatchStats] = {}
+    def settle(
+        self, stats: RulebookStats | None, decision: RulebookDecision | None
+    ) -> RulebookStats:
+        """Per-query stats in rulebook order: what ran, then every certified
+        skip (``roots_total`` dropped, nothing charged) and, under the trie,
+        every alias as a copy of its representative — ΔM and embedding
+        counts are isomorphism invariants."""
+        ran = stats if stats is not None else RulebookStats()
+        attributed = ran.counters_by_query or {}
+        out = self._new_stats()
         for query in self.queries:
-            rep = self.canonical_of[query.name]
-            if query.name in skip_queries:
-                # certified ΔM = 0 (aliases inherit — an isomorphism
-                # invariant), pruned from the trie before expansion
-                assert decisions is not None
-                match_stats[query.name] = MatchStats(
-                    roots_skipped=decisions[rep].roots_total
-                )
-                if per_query is not None:
-                    per_query[query.name] = AccessCounters()
-            elif rep == query.name:
-                match_stats[query.name] = rep_stats[query.name]
+            name, rep = query.name, self.canonical_of[query.name]
+            if decision is not None and name in decision.skip_queries:
+                one = MatchStats(roots_skipped=decision.by_query[rep].roots_total)
+                counters = AccessCounters()
+            elif name in ran.by_query:
+                one, counters = ran.by_query[name], attributed.get(name)
             else:
-                # ΔM and embedding counts are isomorphism invariants;
-                # stats/counters mirror the representative's execution
-                match_stats[query.name] = replace(rep_stats[rep])
-                if per_query is not None:
-                    per_query[query.name] = _copy_counters(per_query[rep])
-        return match_stats, per_query
+                one = replace(ran.by_query[rep])
+                counters = _copy_counters(attributed[rep]) if rep in attributed else None
+            out.add(name, one, counters)
+        return out
 
-    # ------------------------------------------------------------------
-    def process_batch(
-        self, batch: UpdateBatch, *, sinks: dict | None = None
-    ) -> MultiBatchResult:
-        """One shared pipeline pass; every query matched incrementally.
-
-        ``sinks`` optionally maps query names to embedding sinks
-        ``(embedding, sign) -> None``; under shared execution an alias sink
-        receives the representative's embeddings remapped to the alias's
-        vertex numbering.
-        """
-        require(len(batch) > 0, "empty batch")
-        graph = self.graph
-        breakdown = TimeBreakdown()
-        sinks = sinks or {}
-
-        # -- shared step 1: update -----------------------------------------
-        batch, breakdown.update_ns = update_step(
-            graph, batch, self.device, self.conflict_mode
-        )
-
-        # -- shared step 1b: invariant maintenance + per-query skips ---------
-        decisions, skip_queries, breakdown.prefilter_ns = self._prefilter_batch(batch)
-        match_counters = AccessCounters()
-        whole_skip = decisions is not None and len(skip_queries) == len(self.queries)
-        if whole_skip:
-            # every rulebook entry certified ΔM = 0: skip estimation,
-            # packing, DMA, and the whole trie walk; reorganize only
-            match_stats = {
-                q.name: MatchStats(
-                    roots_skipped=decisions[self.canonical_of[q.name]].roots_total
-                )
-                for q in self.queries
-            }
-            per_query = (
-                {q.name: AccessCounters() for q in self.queries}
-                if self.attribute_counters or not self.shared
-                else None
-            )
-            cached = {}
-        else:
-            # -- shared step 2: pooled estimation ----------------------------
-            estimation = self._pooled_estimate(batch, decisions, skip_queries)
-            breakdown.estimate_ns = simulated_time_ns(
-                estimation.counters, self.device, platform="cpu_estimator"
-            )
-
-            # -- shared step 3: one cache, one DMA ---------------------------
-            selected = self.policy.select(
-                graph, estimation.frequencies, self.cache_budget_bytes
-            )
-            cache, breakdown.pack_ns = pack_step(graph, selected, self.device)
-
-            # -- step 4: rulebook matching against the shared cache ----------
-            view = CachedDeviceView(graph, self.device, match_counters, cache)
-            run = self._match_shared if self.shared else self._match_independent
-            match_stats, per_query = run(
-                batch, view, match_counters, sinks, decisions, skip_queries
-            )
-            breakdown.match_ns = simulated_time_ns(
-                match_counters, self.device, platform="gpu"
-            )
-            cached = dict(
-                estimation=estimation, cached_vertices=selected,
-                cache_bytes=cache.total_bytes, cache_hits=view.hits,
-                cache_misses=view.misses,
-            )
-
-        # -- shared step 5: reorganize ----------------------------------------
-        breakdown.reorg_ns = self._reorganize()
-
-        self.batches_processed += 1
-        return MultiBatchResult(
-            delta_counts={name: st.signed_count for name, st in match_stats.items()},
-            match_stats=match_stats,
-            breakdown=breakdown,
-            match_counters=match_counters,
-            shared=self.shared,
-            match_counters_by_query=per_query,
-            aliases={
-                name: rep for name, rep in self.canonical_of.items() if name != rep
-            },
+    def result_fields(self, stats: RulebookStats) -> dict:
+        return dict(
+            delta_count=stats.signed_count,
+            match_stats=stats.by_query,
+            delta_counts={n: st.signed_count for n, st in stats.by_query.items()},
+            match_counters_by_query=stats.counters_by_query,
+            aliases=self.aliases,
             trie_stats=self.trie.stats if self.shared else None,
-            prefilter=self._prefilter_stats(
-                breakdown, decisions, match_stats, whole_skip
-            ),
-            **cached,
+            shared=self.shared,
         )
 
-    # ------------------------------------------------------------------
-    def _reorganize(self) -> float:
-        ns = reorganize_step(self.graph, self.device)
-        if self.prefilter_index is not None:
-            # the batch is settled: OLD adjacency is gone, drop the overlay
-            self.prefilter_index.close_batch()
-        return ns
 
-    def _prefilter_stats(
-        self,
-        breakdown: TimeBreakdown,
-        decisions: dict[str, PrefilterDecision] | None,
-        match_stats: dict[str, MatchStats],
-        batch_skipped: bool,
-    ) -> PrefilterStats | None:
-        if decisions is None:
-            return None
-        return PrefilterStats(
-            enabled=True,
-            batches_skipped=int(batch_skipped),
-            roots_skipped=sum(st.roots_skipped for st in match_stats.values()),
-            queries_skipped=sum(
-                decisions[self.canonical_of[q.name]].skip_batch for q in self.queries
-            ),
-            maintenance_ns=breakdown.prefilter_ns,
-        )
-
-    def snapshot(self) -> StaticGraph:
-        return self.graph.snapshot()
+def MultiQueryEngine(
+    initial_graph: StaticGraph,
+    queries: list[QueryGraph],
+    *,
+    shared: bool = True,
+    attribute_counters: bool = True,
+    **settings,
+) -> GCSMEngine:
+    """``GCSMEngine(initial_graph, Rulebook(queries, ...), **settings)`` under
+    the name the repo benchmark constructs rulebook engines by."""
+    return GCSMEngine(
+        initial_graph,
+        Rulebook(queries, shared=shared, attribute_counters=attribute_counters),
+        **settings,
+    )

@@ -239,8 +239,6 @@ class InvariantIndex:
     :meth:`close_batch` drops the delete overlay once the store reorganizes.
     """
 
-    name = "invariant"
-
     def __init__(self, graph) -> None:
         self.graph = graph
         self._requirements: dict[int, QueryRequirement] = {}
@@ -483,10 +481,6 @@ class InvariantIndex:
         return self.vertex_dominates(roots[:, 0], req, u0) & self.vertex_dominates(
             roots[:, 1], req, u1
         )
-
-    def mask(self, plan_index: int, plan: MatchPlan, roots: np.ndarray) -> np.ndarray:
-        """Live masker protocol (recomputes; shard-subset safe)."""
-        return self.root_mask(plan, roots)
 
     # -- batch-level feasibility ---------------------------------------
     def query_feasible(self, query: QueryGraph) -> bool:

@@ -15,14 +15,6 @@ signatures** (:func:`repro.query.plan.plan_signature`) into a trie:
   frontier **once** (one gather, one sorted-set intersection pass, one
   ``record_access_block`` charge into the shared counters) and every
   member plan consumes the result.
-* Frontier rows carry interned **query-set bitmasks**
-  (:class:`QuerySetMasks`) that narrow at branch points: descending into a
-  child intersects each row's query set with the child's members, and only
-  rows whose mask still covers the branch stay active in
-  ``level_candidates`` (the ``active`` row mask).  Under strict structural
-  sharing — the only sharing this trie performs — every surviving row
-  covers the whole branch, so masks are uniform per node; the machinery is
-  what label-relaxed sharing would extend per row.
 
 Exactness contract (validated by ``tests/test_multiquery_shared.py`` and
 the adversarial-stream fuzzer):
@@ -54,11 +46,12 @@ coarser than the per-plan masks independent execution applies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from repro.core.frontier import FrontierKernel
-from repro.core.matching import MatchStats, delta_roots, filter_root_predicate
+from repro.core.matching import MatchStats, batch_roots
 from repro.gpu.counters import AccessCounters
 from repro.query.plan import LevelPlan, MatchPlan, level_signature, root_signature
 
@@ -67,7 +60,6 @@ __all__ = [
     "TrieNode",
     "ExecutionTrie",
     "TrieStats",
-    "QuerySetMasks",
     "SharedTrieExecutor",
 ]
 
@@ -183,53 +175,6 @@ class ExecutionTrie:
         return count
 
 
-class QuerySetMasks:
-    """Interned query-set bitmasks carried by shared-frontier rows.
-
-    A mask is an arbitrary-width Python integer with bit ``i`` set when the
-    row still serves query ``i`` (rulebook order), stored per row as an
-    index into an intern table so frontier columns stay plain ``int64``
-    arrays regardless of rulebook size.
-    """
-
-    def __init__(self, query_names: list[str]) -> None:
-        self._bit = {name: 1 << i for i, name in enumerate(query_names)}
-        self._table: list[int] = []
-        self._ids: dict[int, int] = {}
-
-    def bits_of(self, names: list[str]) -> int:
-        bits = 0
-        for name in names:
-            bits |= self._bit[name]
-        return bits
-
-    def intern(self, bits: int) -> int:
-        mid = self._ids.get(bits)
-        if mid is None:
-            mid = len(self._table)
-            self._table.append(bits)
-            self._ids[bits] = mid
-        return mid
-
-    def row_active(self, mask_ids: np.ndarray, branch_bits: int) -> np.ndarray:
-        """Boolean row mask: which rows' query sets intersect the branch."""
-        lut = np.fromiter(
-            ((m & branch_bits) != 0 for m in self._table),
-            dtype=bool,
-            count=len(self._table),
-        )
-        return lut[mask_ids]
-
-    def narrowed(self, mask_ids: np.ndarray, branch_bits: int) -> np.ndarray:
-        """Per-row mask ids after intersecting with the branch's query set."""
-        lut = np.fromiter(
-            (self.intern(m & branch_bits) for m in list(self._table)),
-            dtype=np.int64,
-            count=len(self._table),
-        )
-        return lut[mask_ids]
-
-
 class SharedTrieExecutor:
     """Execute a rulebook's trie with one shared frontier per path.
 
@@ -247,41 +192,42 @@ class SharedTrieExecutor:
     ``skip_queries`` names queries certified ΔM = 0 for this batch (the
     pre-filter's rulebook-level skip): they are excluded from every member
     set, and nodes left with no members are pruned without expansion.
-    ``prefilter`` optionally maps query names to their
+    ``prefilter`` optionally maps every live query's name to its
     :class:`~repro.core.prefilter.PrefilterDecision`; when present, each
     root group's frontier is masked by the OR of its surviving members'
     per-plan masks before descent (certified, so exactness is unaffected).
+    ``root_mask`` (a fleet shard keeps the roots it owns) and the kernel's
+    ``attributes`` go through :func:`repro.core.matching.batch_roots`, so a
+    group's roots are routed, masked and predicate-filtered exactly as a
+    single query's.
     """
 
     def __init__(
         self,
         trie: ExecutionTrie,
         kernel: FrontierKernel,
-        labels: np.ndarray,
         *,
         shared_counters: AccessCounters,
         per_query_counters: dict[str, AccessCounters] | None = None,
         sinks: dict[str, object] | None = None,
         skip_queries: frozenset[str] = frozenset(),
         prefilter: dict[str, object] | None = None,
+        root_mask=None,
     ) -> None:
         self.trie = trie
         self.kernel = kernel
-        self.labels = labels
         self.shared_counters = shared_counters
         self.per_query_counters = per_query_counters
         self.sinks = sinks or {}
         self.skip_queries = skip_queries
         self.prefilter = prefilter
-        self.stats: dict[str, MatchStats] = {}
+        self.root_mask = root_mask
+        self.stats: dict[str, MatchStats] = {
+            ref.query_name: MatchStats()
+            for root in trie.roots.values()
+            for ref in self._live(root.members)
+        }
         self._buffers: dict[tuple[str, int], list] = {}
-        query_names: list[str] = []
-        for root in trie.roots.values():
-            for ref in root.members:
-                if ref.query_name not in self.stats:
-                    self.stats[ref.query_name] = MatchStats()
-                    query_names.append(ref.query_name)
-        self.masks = QuerySetMasks(query_names)
 
     # ------------------------------------------------------------------
     def _live(self, refs: list[PlanRef]) -> list[PlanRef]:
@@ -289,12 +235,22 @@ class SharedTrieExecutor:
             return refs
         return [r for r in refs if r.query_name not in self.skip_queries]
 
-    def _member_mask(self, ref: PlanRef, roots: np.ndarray) -> np.ndarray:
-        """This member's certified root mask (all-True without a decision)."""
-        decision = self.prefilter.get(ref.query_name)
-        if decision is None:
-            return np.ones(roots.shape[0], dtype=bool)
-        return decision.mask(ref.plan.delta_index or 0, ref.plan, roots)
+    def _group_masker(self, live: list[PlanRef]):
+        """The group-level certified mask, as a ``batch_roots`` masker: keep
+        a root iff at least one surviving member's dominance test passes (a
+        row failing for every member provably yields no embedding for any)."""
+        if self.prefilter is None:
+            return None
+
+        def mask(_index, _plan, roots):
+            keep = np.zeros(roots.shape[0], dtype=bool)
+            for ref in live:
+                keep |= self.prefilter[ref.query_name].mask(
+                    ref.plan.delta_index or 0, ref.plan, roots
+                )
+            return keep
+
+        return SimpleNamespace(mask=mask)
 
     def run(self, batch) -> dict[str, MatchStats]:
         for node in self.trie.roots.values():
@@ -303,24 +259,16 @@ class SharedTrieExecutor:
                 # every member is certified ΔM = 0 for this batch — the
                 # whole subtree is skipped, delta_roots included
                 continue
-            roots, signs = delta_roots(live[0].plan, batch, self.labels)
-            n = int(roots.shape[0])
-            dropped = 0
-            if self.prefilter is not None and n:
-                # group-level certified mask: keep a root iff at least one
-                # surviving member's dominance test passes (a row failing
-                # for every member provably yields no embedding for any)
-                keep = np.zeros(n, dtype=bool)
-                for ref in live:
-                    keep |= self._member_mask(ref, roots)
-                dropped = n - int(np.count_nonzero(keep))
-                if dropped:
-                    roots, signs = roots[keep], signs[keep]
-                    n -= dropped
-            # root-predicate pushdown: the root signature includes the
-            # predicate, so every member of this group shares it; applied
-            # after the prefilter masks (which align with raw delta_roots)
-            roots, signs = filter_root_predicate(live[0].plan, roots, signs)
+            # one root pipeline for the whole group, the matcher's own: the
+            # root signature includes labels and predicate, so every member
+            # shares them; routing / masking / predicate order is batch_roots'
+            group = MatchStats()
+            ((_, roots, signs),) = batch_roots(
+                [live[0].plan], batch, self.kernel.labels, group,
+                root_mask=self.root_mask, prefilter=self._group_masker(live),
+                attributes=self.kernel.attributes,
+            )
+            dropped = group.roots_skipped
             n = int(roots.shape[0])
             for ref in live:
                 st = self.stats[ref.query_name]
@@ -330,11 +278,11 @@ class SharedTrieExecutor:
             for ref in self._live(node.terminal):  # depth-2: root edge is all
                 self._emit_root(ref, roots, signs)
             if n and node.children:
-                rows = roots.astype(np.int64, copy=False)
-                sign = signs.astype(np.int64, copy=False)
-                bits = self.masks.bits_of([r.query_name for r in live])
-                mask_ids = np.full(n, self.masks.intern(bits), dtype=np.int64)
-                self._descend(node, rows, sign, mask_ids)
+                self._descend(
+                    node,
+                    roots.astype(np.int64, copy=False),
+                    signs.astype(np.int64, copy=False),
+                )
         self._flush_sinks()
         return self.stats
 
@@ -346,27 +294,17 @@ class SharedTrieExecutor:
             for ref in refs:
                 self.per_query_counters[ref.query_name].merge(counters)
 
-    def _descend(
-        self,
-        node: TrieNode,
-        rows: np.ndarray,
-        sign: np.ndarray,
-        mask_ids: np.ndarray,
-    ) -> None:
+    def _descend(self, node: TrieNode, rows: np.ndarray, sign: np.ndarray) -> None:
         view = self.kernel.view
         for child in node.children.values():
             live = self._live(child.members)
             if not live:
                 continue  # all members certified ΔM = 0: prune the subtree
-            branch_bits = self.masks.bits_of([r.query_name for r in live])
-            active = self.masks.row_active(mask_ids, branch_bits)
             node_counters = AccessCounters()
             saved = view.counters
             view.counters = node_counters
             try:
-                cand_flat, cand_cnt = self.kernel.level_candidates(
-                    child.level, rows, active
-                )
+                cand_flat, cand_cnt = self.kernel.level_candidates(child.level, rows)
             finally:
                 view.counters = saved
             self._charge(live, node_counters)
@@ -379,11 +317,7 @@ class SharedTrieExecutor:
                 next_rows = np.concatenate(
                     [np.repeat(rows, cand_cnt, axis=0), cand_flat[:, None]], axis=1
                 )
-                next_sign = np.repeat(sign, cand_cnt)
-                next_mask = np.repeat(
-                    self.masks.narrowed(mask_ids, branch_bits), cand_cnt
-                )
-                self._descend(child, next_rows, next_sign, next_mask)
+                self._descend(child, next_rows, np.repeat(sign, cand_cnt))
 
     # ------------------------------------------------------------------
     def _output_charges(self, ref: PlanRef, total: int) -> None:

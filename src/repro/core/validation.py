@@ -269,7 +269,7 @@ def verify_rulebook(
     """Shared-trie vs per-query-independent parity spec (the rulebook
     analog of :func:`verify_stream`).
 
-    Runs one shared :class:`~repro.core.multiquery.MultiQueryEngine` and
+    Runs one engine on a shared :class:`~repro.core.multiquery.Rulebook` and
     one independent (``shared=False``) engine per *leg* over the same stream
     — ``legs`` maps a label to a function applied to the fresh independent
     engine (default: one untouched leg; parity suites add one on the
@@ -293,7 +293,8 @@ def verify_rulebook(
     roots_processed`` (the group OR keeps at least every root any member's
     own mask keeps).
     """
-    from repro.core.multiquery import MultiQueryEngine
+    from repro.core.engine import GCSMEngine
+    from repro.core.multiquery import Rulebook
     from repro.core.prefilter import normalize_prefilter
 
     require(len(batches) >= 1, "need at least one batch")
@@ -301,20 +302,16 @@ def verify_rulebook(
     prefilter_on = normalize_prefilter(kwargs.get("prefilter")) != "off"
     if conflict_mode is not None:
         kwargs["conflict_mode"] = conflict_mode
-    shared_engine = MultiQueryEngine(
-        initial_graph, queries, seed=seed, shared=True, **kwargs
-    )
+    shared_engine = GCSMEngine(initial_graph, Rulebook(queries), seed=seed, **kwargs)
     indep_engines = {}
     for ex, setup in (legs or {"default": None}).items():
-        engine = MultiQueryEngine(
-            initial_graph, queries, seed=seed, shared=False, **kwargs
+        engine = GCSMEngine(
+            initial_graph, Rulebook(queries, shared=False), seed=seed, **kwargs
         )
         indep_engines[ex] = setup(engine) if setup is not None else engine
     report = RulebookParityReport(
         num_queries=len(queries), num_batches=len(batches),
-        aliases={
-            n: r for n, r in shared_engine.canonical_of.items() if n != r
-        },
+        aliases=shared_engine.query.aliases,
     )
     for k, batch in enumerate(batches):
         shared_res = shared_engine.process_batch(batch)
@@ -364,7 +361,7 @@ def verify_rulebook(
                         f"batch {k}: attributed counters diverge for {name} "
                         f"vs independent[{ex}]"
                     )
-        report.delta_per_batch.append(shared_res.total_delta)
+        report.delta_per_batch.append(shared_res.delta_count)
     return report
 
 

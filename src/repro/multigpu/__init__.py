@@ -17,7 +17,7 @@ Public surface:
 
 from repro.gpu.counters import Channel
 from repro.multigpu.comm import CommReport, allreduce_delta_ns, comm_report
-from repro.multigpu.engine import FleetBatchResult, FleetPlacement
+from repro.multigpu.engine import FleetBatchResult, FleetPlacement, MultiFleetBatchResult
 from repro.multigpu.partition import (
     PARTITIONER_NAMES,
     FrequencyPartitioner,
@@ -46,6 +46,7 @@ from repro.multigpu.shard import (
 __all__ = [
     "FleetPlacement",
     "FleetBatchResult",
+    "MultiFleetBatchResult",
     "LoadBalanceReport",
     "ShardBatchReport",
     "Partitioner",

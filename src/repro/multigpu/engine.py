@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.core.engine import BatchResult, CachedPlacement, GCSMEngine, MatchOutcome
-from repro.core.matching import MatchStats
+from repro.core.multiquery import MultiBatchResult
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.gpu.clock import simulated_time_ns
 from repro.gpu.counters import AccessCounters, Channel
@@ -49,7 +49,7 @@ from repro.multigpu.shard import (
 )
 from repro.parallel import parallel_map
 
-__all__ = ["FleetPlacement", "FleetBatchResult"]
+__all__ = ["FleetPlacement", "FleetBatchResult", "MultiFleetBatchResult"]
 
 
 @dataclass
@@ -64,6 +64,12 @@ class FleetBatchResult(BatchResult):
     load_balance: LoadBalanceReport | None = None
     comm: CommReport | None = None
     repartition: RepartitionReport | None = None
+
+
+@dataclass
+class MultiFleetBatchResult(MultiBatchResult, FleetBatchResult):
+    """A rulebook's batch on a fleet: the per-query extras and the fleet
+    diagnostics on one result."""
 
 
 @dataclass
@@ -153,8 +159,10 @@ class FleetPlacement(CachedPlacement):
         breakdown.pack_ns = partition_ns + max(s.pack_ns for s in self.shards)
         return estimation, owner, repart_report
 
-    def match(self, batch, shipped, graph, decision):
-        """Per-shard kernels over the routed roots, then the ΔM all-reduce."""
+    def match(self, batch, shipped, graph, decision, sinks=None):
+        """Per-shard kernels over the routed roots, then the ΔM all-reduce
+        (with ``sinks`` the shards run in shard order, so emission order is
+        deterministic)."""
         engine = self.engine
         owner = shipped[1]
         caches = [s.cache for s in self.shards]
@@ -167,22 +175,23 @@ class FleetPlacement(CachedPlacement):
             )
             # the decision's masks are subset per routed root, so skipped-
             # root accounting partitions exactly across the fleet
-            stats = engine.match(
-                engine.plans, batch, view,
+            stats = engine.query_set.match(
+                engine, batch, view, decision, sinks,
                 root_mask=lambda roots: owner[roots[:, 0]] == shard.shard_id,
-                prefilter=decision, attributes=engine.attributes,
             )
             ns = simulated_time_ns(counters, shard.device, platform="gpu")
             return MatchOutcome(stats, counters, ns, view)
 
-        outcomes = parallel_map(match_one, self.shards, workers=self.workers)
-        total, merged = MatchStats(), AccessCounters()
+        outcomes = parallel_map(
+            match_one, self.shards, workers=1 if sinks else self.workers
+        )
+        total, merged = type(outcomes[0].stats)(), AccessCounters()
         for o in outcomes:
             total.merge(o.stats)
             merged.merge(o.counters)
         return FleetOutcome(
             total, merged, max(o.match_ns for o in outcomes),
-            comm_ns=allreduce_delta_ns(self.engine.cluster, len(engine.plans)),
+            comm_ns=allreduce_delta_ns(engine.cluster, engine.query_set.num_plans),
             shards=outcomes,
         )
 

@@ -176,43 +176,54 @@ class TestOverlayOnEveryConfiguration:
     queries behave the same under every placement, schedule and fleet size."""
 
     @staticmethod
-    def _flipping_overrides(g0):
-        """Two data edges whose explicit weights flip the predicate on the
-        triangles they close: the first is pushed out of range (count
-        drops), the second pulled into range (count rises again)."""
-        def count(overrides):
-            return count_embeddings(
-                g0, PRED_TRIANGLE, attributes=EdgeAttributeStore(overrides)
-            )
+    def _flipping_overrides(g0, batches):
+        """Two data edges whose explicit weights flip the predicate on
+        triangles the stream creates or destroys, so the stream's ΔM — not
+        only the initial count — depends on each override: the first is
+        pushed out of range, the second pulled into range."""
+        store = DynamicGraph(g0)
+        for batch in batches:
+            store.apply_batch(batch)
+            store.reorganize()
+        final = store.snapshot()
+
+        def stream_delta(overrides):
+            attributes = EdgeAttributeStore(overrides)
+            return (count_embeddings(final, PRED_TRIANGLE, attributes=attributes)
+                    - count_embeddings(g0, PRED_TRIANGLE, attributes=attributes))
 
         overrides: dict = {}
-        for weight, moves in ((0.99, lambda new, old: new < old),
-                              (0.3, lambda new, old: new > old)):
-            before = count(overrides)
+        seen = {stream_delta(overrides)}
+        for weight in (0.99, 0.3):
             edge = next(
-                (u, v) for u, v in g0.edge_array().tolist()
-                if (u, v) not in overrides
-                and moves(count({**overrides, (u, v): weight}), before)
+                (u, v) for u, v in final.edge_array().tolist()
+                if g0.has_edge(u, v) and (u, v) not in overrides
+                and stream_delta({**overrides, (u, v): weight}) not in seen
             )
             overrides[edge] = weight
+            seen.add(stream_delta(overrides))
         return overrides
 
     @pytest.mark.parametrize(
         "spec", ["GCSM", "Pipelined", "ZC", "UM", "Naive", "VSGM", "CPU",
-                 "RapidFlow", "GCSM@2", "Pipelined@2"],
+                 "RapidFlow", "GCSM@2", "Pipelined@2", "GCSM+rulebook",
+                 "GCSM+rulebook@2"],
     )
     def test_every_system_matches_the_attribute_oracle(self, spec):
         from repro.core.baselines import SYSTEMS, make_system
+        from repro.core.multiquery import Rulebook
 
         assert set(SYSTEMS) <= {
             "GCSM", "Pipelined", "ZC", "UM", "Naive", "VSGM", "CPU", "RapidFlow"
         }  # a new system row must be added to the parametrisation above
         g = erdos_renyi(40, 7.0, num_labels=1, seed=21)
         g0, batches = derive_stream(g, update_fraction=0.4, batch_size=12, seed=21)
-        overrides = self._flipping_overrides(g0)
+        overrides = self._flipping_overrides(g0, batches[:4])
         name, _, devices = spec.partition("@")
         settings = {"devices": int(devices)} if devices else {}
-        engine = make_system(name, g0, PRED_TRIANGLE, seed=0, **settings)
+        name, _, rulebook = name.partition("+")
+        query = Rulebook([PRED_TRIANGLE, TRIANGLE]) if rulebook else PRED_TRIANGLE
+        engine = make_system(name, g0, query, seed=0, **settings)
         oracle = EdgeAttributeStore(overrides)
         for (u, v), w in overrides.items():
             engine.attributes.set_weight(u, v, w)
@@ -224,6 +235,8 @@ class TestOverlayOnEveryConfiguration:
             now = count_embeddings(
                 engine.snapshot(), PRED_TRIANGLE, attributes=oracle
             )
-            assert result.delta_count == now - prev, spec
+            delta = (result.delta_counts[PRED_TRIANGLE.name] if rulebook
+                     else result.delta_count)
+            assert delta == now - prev, spec
             prev = now
         assert engine.attributes.num_overrides == oracle.num_overrides

@@ -156,5 +156,12 @@ class TestRulebookCommand:
         assert "unknown rulebook entry" in capsys.readouterr().err
 
     def test_rulebook_excludes_other_systems(self, capsys):
-        assert main(["run", "--rulebook", "Q1", "--system", "CPU"]) == 2
-        assert "--rulebook only applies to GCSM" in capsys.readouterr().err
+        """Only the candidate-indexed system refuses a rulebook, and the
+        message is the engine's; every other system / fleet composes."""
+        assert main(["run", "--rulebook", "Q1", "--system", "RapidFlow"]) == 2
+        assert "placement='indexed'" in capsys.readouterr().err
+        for extra in (["--system", "CPU"], ["--devices", "2"],
+                      ["--system", "Pipelined", "--devices", "2"]):
+            assert main(["run", "--rulebook", "Q1,Q3", "--dataset", "AZ",
+                         "--batch-size", "32", *extra]) == 0
+        assert "2 queries, shared=True" in capsys.readouterr().out

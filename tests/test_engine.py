@@ -206,6 +206,44 @@ class TestSettleOnFailure:
             pass
         assert engine.graph.batch_open is False
 
+    @pytest.mark.parametrize("stage", ["prepare", "match"])
+    @pytest.mark.parametrize("prefilter", ["off", "on"])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "independent"])
+    def test_failed_rulebook_batch_leaves_engine_settled(
+        self, shared, prefilter, stage, monkeypatch
+    ):
+        """The rulebook runs on the same skeleton, so a raise after the
+        update settles it too (its private pipeline used to leave the batch
+        open: "previous batch not reorganized yet")."""
+        from repro.core.frontier import FrontierKernel
+        from repro.core.multiquery import MultiQueryEngine
+        from repro.query import query_by_name
+
+        g0, batches, q1 = self._az_insert_stream()
+
+        def build():
+            return MultiQueryEngine(
+                g0, [q1, query_by_name("Q2")], shared=shared, prefilter=prefilter
+            )
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        engine, twin = build(), build()
+        with monkeypatch.context() as patch:
+            if stage == "prepare":
+                patch.setattr(engine.policy, "select", boom)
+            else:  # both match drivers expand levels through the kernel
+                patch.setattr(FrontierKernel, "expand", boom)
+            with pytest.raises(RuntimeError, match="injected"):
+                engine.process_batch(batches[0])
+        twin.process_batch(batches[0])
+        result = engine.process_batch(batches[1])  # accepted: the store settled
+        assert engine.graph.batch_open is False
+        if engine.prefilter_index is not None:
+            engine.prefilter_index.assert_consistent()  # equals a rebuild
+        assert result.delta_counts == twin.process_batch(batches[1]).delta_counts
+
 
 class TestEngineConfig:
     """One frozen, once-validated record of settings; one validation site."""
@@ -228,6 +266,20 @@ class TestEngineConfig:
                 EngineConfig(**bad)
         with pytest.raises(TypeError):  # the kernels are not options
             EngineConfig(executor="recursive")
+
+    def test_rulebook_refusals_and_khop_radius(self):
+        """What a rulebook cannot compose with is refused once, at
+        construction; the k-hop radius is the largest member diameter."""
+        from repro.core.multiquery import Rulebook
+
+        path4 = QueryGraph(4, [(0, 1), (1, 2), (2, 3)], name="path4")
+        g = erdos_renyi(30, 4.0, num_labels=1, seed=1)
+        with pytest.raises(ValueError, match="placement='indexed'"):
+            GCSMEngine(g, Rulebook([TRIANGLE, path4]), placement="indexed")
+        with pytest.raises(ValueError, match="adaptive_walks"):
+            GCSMEngine(g, Rulebook([TRIANGLE, path4]), adaptive_walks=True)
+        engine = GCSMEngine(g, Rulebook([TRIANGLE, path4]), placement="khop")
+        assert engine.placement.hops == path4.diameter() == 3 > TRIANGLE.diameter()
 
     def test_frozen_and_overridable(self):
         import dataclasses

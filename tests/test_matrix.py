@@ -111,6 +111,29 @@ class TestExpansion:
         reasons = {r for c, r in pruned if c["system"] == "ZC" and c["devices"]}
         assert reasons == {"devices requires placement='cached', not 'zero-copy'"}
 
+    def test_rulebook_cells_compose_with_systems_and_fleets(self):
+        spec = matrix.ScenarioSpec(
+            name="x",
+            factors={
+                "system": ("GCSM", "Pipelined", "ZC", "RapidFlow"),
+                "query": ("rulebook:Q1+Q3",),
+                "devices": (None, 2),
+            },
+        )
+        cells, pruned = matrix.expand_cells(spec)
+        ran = {(c["system"], c["devices"]) for c in cells}
+        assert ran == {("GCSM", None), ("GCSM", 2), ("Pipelined", None),
+                       ("Pipelined", 2), ("ZC", None)}
+        # the refusals are the engine's own: fleet x placement, rulebook x index
+        reasons = {c["system"]: r for c, r in pruned if c["devices"] is None}
+        assert list(reasons) == ["RapidFlow"] and "indexed" in reasons["RapidFlow"]
+        record = matrix.run_cell(
+            {**matrix.FACTOR_DEFAULTS, "query": "rulebook:Q1+Q3", "devices": 2}
+        )
+        single = matrix.run_cell({**matrix.FACTOR_DEFAULTS, "query": "rulebook:Q1+Q3"})
+        for metric in matrix.EXACT_METRICS:
+            assert record["metrics"][metric] == single["metrics"][metric]
+
     def test_sampling_is_deterministic_and_sized(self):
         spec = matrix.ScenarioSpec(
             name="x",

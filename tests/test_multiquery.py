@@ -24,11 +24,11 @@ class TestCorrectness:
     def test_per_query_deltas_match_oracle(self):
         g0, batches = small_case()
         engine = MultiQueryEngine(g0, [TRIANGLE, WEDGE, SQUARE], seed=2)
-        prev = {q.name: count_embeddings(g0, q) for q in engine.queries}
+        prev = {q.name: count_embeddings(g0, q) for q in engine.query.queries}
         for batch in batches[:3]:
             result = engine.process_batch(batch)
             snap = engine.snapshot()
-            for q in engine.queries:
+            for q in engine.query.queries:
                 now = count_embeddings(snap, q)
                 assert result.delta_counts[q.name] == now - prev[q.name], q.name
                 prev[q.name] = now
@@ -83,10 +83,45 @@ class TestAmortization:
         r = engine.process_batch(batches[0])
         assert set(r.delta_counts) == {"triangle", "wedge"}
         assert set(r.match_stats) == {"triangle", "wedge"}
-        assert r.total_delta == sum(r.delta_counts.values())
+        assert r.delta_count == sum(r.delta_counts.values())
         assert r.estimation is not None
         assert r.breakdown.total_ns > 0
         assert r.cache_hits + r.cache_misses > 0
+        # one result type: everything benchmarks/e2e/api.RESULT_FIELDS reads
+        # is on the rulebook result; the per-query extras only there
+        from repro.core.engine import BatchResult
+
+        assert isinstance(r, BatchResult)
+        for name in ("delta_count", "delta_counts", "breakdown", "match_counters",
+                     "match_stats", "estimation", "cached_vertices", "cache_bytes",
+                     "cache_hits", "cache_misses", "conflicts", "prefilter",
+                     "trie_stats"):
+            assert hasattr(r, name), name
+        single = GCSMEngine(g0, TRIANGLE, seed=8).process_batch(batches[0])
+        assert not hasattr(single, "delta_counts")
+        assert not hasattr(single, "trie_stats")
+
+    def test_result_carries_the_batch_conflict_report(self):
+        """One result type: a rulebook batch reports its CanonicalReport like
+        any other (the private pipeline dropped it)."""
+        from repro.core.engine import BatchResult
+        from repro.core.validation import generate_adversarial_stream
+        from repro.graphs.dynamic_graph import DynamicGraph
+
+        g0 = erdos_renyi(50, 6.0, num_labels=2, seed=11)
+        batches = generate_adversarial_stream(g0, num_batches=3, seed=12)
+        engine = MultiQueryEngine(g0, [TRIANGLE, WEDGE], conflict_mode="coalesce")
+        store = DynamicGraph(g0)
+        anomalies = 0
+        for batch in batches:
+            r = engine.process_batch(batch)
+            effective = store.apply_batch(batch, mode="coalesce")
+            store.reorganize()
+            assert isinstance(r, BatchResult)
+            assert r.conflicts.input_size == len(batch)
+            assert r.conflicts.output_size == len(effective)
+            anomalies += r.conflicts.anomalies
+        assert anomalies > 0  # the stream really was dirty
 
     def test_pooled_estimation_covers_all_queries(self):
         """The pooled frequency estimate must reflect accesses of every

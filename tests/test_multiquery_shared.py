@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.frontier import FrontierKernel
 from repro.core.multiquery import MultiQueryEngine, split_walk_budget
-from repro.core.querytrie import ExecutionTrie, QuerySetMasks
+from repro.core.querytrie import ExecutionTrie
 from repro.core.validation import (
     ConsistencyError,
     generate_adversarial_stream,
@@ -163,7 +164,7 @@ class TestSinkParity:
 
 
 # ----------------------------------------------------------------------
-# trie construction and masks
+# trie construction
 # ----------------------------------------------------------------------
 class TestTrieMechanics:
     def test_trie_counts_and_sharing_ratio(self):
@@ -194,51 +195,60 @@ class TestTrieMechanics:
         }
         assert len(sigs) > 6  # distinct structures stay distinct
 
-    def test_query_set_masks_narrow_and_intern(self):
-        masks = QuerySetMasks(["a", "b", "c"])
-        full = masks.intern(masks.bits_of(["a", "b", "c"]))
-        ids = np.array([full, full, full], dtype=np.int64)
-        ab = masks.bits_of(["a", "b"])
-        active = masks.row_active(ids, masks.bits_of(["c"]))
-        assert active.all()
-        narrowed = masks.narrowed(ids, ab)
-        assert len(set(narrowed.tolist())) == 1  # interned to one id
-        none = masks.row_active(narrowed, masks.bits_of(["c"]))
-        assert not none.any()
 
-    def test_masked_level_candidates_matches_compacted_rows(self):
-        g = powerlaw_graph(400, 6.0, max_degree=40, num_labels=2, seed=31)
-        from repro.core.cache import CachedDeviceView
-        from repro.core.dcsr import DcsrCache
-        from repro.core.matching import delta_roots
-        from repro.graphs.dynamic_graph import DynamicGraph
-        from repro.gpu.counters import AccessCounters
-        from repro.gpu.device import default_device
+# ----------------------------------------------------------------------
+# the rulebook is a plug: it composes with schedule, fan-out and placement
+# ----------------------------------------------------------------------
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    shared=st.booleans(),
+    prefilter=st.sampled_from(["off", "on"]),
+)
+def test_rulebook_compositions(seed, shared, prefilter):
+    """Per-query ΔM and embeddings under the pipelined schedule, a 2-device
+    fleet, both at once and the zero-copy placement equal the serial
+    single-device rulebook engine on adversarial streams.  On the fleet the
+    shards' roots are a disjoint cover (with the pre-filter on, a group
+    keep-mask evaluated after routing would misalign with its precomputed
+    decision and raise), and the pipelined fleet repeats the serial fleet's
+    counters and simulated time."""
+    rng = np.random.default_rng(seed)
+    g0 = erdos_renyi(
+        int(rng.integers(40, 70)), 6.0, num_labels=3, seed=np.random.default_rng(seed)
+    )
+    queries = rulebook_suite(int(rng.integers(4, 9)), num_labels=2, seed=seed + 10)
+    batches = generate_adversarial_stream(
+        g0, num_batches=3, batch_size=20, seed=seed + 20
+    )
 
-        g0, batches = derive_stream(g, num_updates=32, batch_size=32, seed=31)
-        graph = DynamicGraph(g0)
-        batch = graph.apply_batch(batches[0])
-        cache = DcsrCache.build(graph, np.arange(16))
-        plan = compile_delta_plans(QUERIES["Q1"])[0]
-        roots, _ = delta_roots(plan, batch, graph.labels)
-        if roots.shape[0] < 2:
-            pytest.skip("stream produced too few roots for this seed")
-        active = np.zeros(roots.shape[0], dtype=bool)
-        active[::2] = True
+    def run(**settings):
+        engine = MultiQueryEngine(
+            g0, queries, shared=shared, seed=seed, prefilter=prefilter, **settings
+        )
+        return engine.process_stream(batches)
 
-        def run(rows, mask):
-            counters = AccessCounters()
-            view = CachedDeviceView(graph, default_device(), counters, cache)
-            kernel = FrontierKernel(view, graph.labels)
-            flat, cnt = kernel.level_candidates(plan.levels[0], rows, mask)
-            return flat, cnt, counters
-
-        flat_m, cnt_m, ctr_m = run(roots.astype(np.int64), active)
-        flat_c, cnt_c, ctr_c = run(roots.astype(np.int64)[active], None)
-        assert np.array_equal(flat_m, flat_c)
-        assert np.array_equal(cnt_m[active], cnt_c)
-        assert not cnt_m[~active].any()
-        assert ctr_m.summary() == ctr_c.summary()  # inactive rows charge nothing
+    serial, fleet = run(), run(devices=2)
+    runs = {
+        "pipelined": run(schedule="pipelined"),
+        "fleet": fleet,
+        "pipelined fleet": run(devices=2, schedule="pipelined"),
+        "zero-copy": run(placement="zero-copy"),
+    }
+    for label, results in runs.items():
+        for want, got in zip(serial, results):
+            assert got.delta_counts == want.delta_counts, label
+            assert got.conflicts.output_size == want.conflicts.output_size
+            for name, stats in want.match_stats.items():
+                other = got.match_stats[name]
+                assert other.signed_count == stats.signed_count, (label, name)
+                assert other.embeddings_found == stats.embeddings_found, (label, name)
+                assert (other.roots_processed + other.roots_skipped
+                        == stats.roots_processed + stats.roots_skipped), (label, name)
+    for want, got in zip(fleet, runs["pipelined fleet"]):
+        assert got.match_counters.summary() == want.match_counters.summary()
+        assert got.breakdown.total_ns == want.breakdown.total_ns
+        assert got.breakdown.comm_ns == want.breakdown.comm_ns
 
 
 # ----------------------------------------------------------------------

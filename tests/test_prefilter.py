@@ -391,7 +391,7 @@ class TestMultiQuery:
         r = eng.process_batch(UpdateBatch(e, np.ones(3, dtype=np.int64)))
         assert r.prefilter.batches_skipped == 1
         assert r.prefilter.queries_skipped == 3  # aliases counted too
-        assert r.total_delta == 0
+        assert r.delta_count == 0
         assert r.estimation is None and r.cache_bytes == 0
         assert all(st.signed_count == 0 for st in r.match_stats.values())
         eng.prefilter_index.assert_consistent()
