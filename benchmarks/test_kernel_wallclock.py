@@ -1,11 +1,13 @@
 """Frontier vs recursive executor: real wall-clock comparison.
 
 Times both executors on the same workloads — incremental ``match_batch`` at
-several batch sizes plus a full-snapshot ``match_static`` pass — and prints
-a speedup table (teed to ``benchmarks/results/kernel_wallclock.txt``).  Both
-executors produce bit-identical counters (enforced by
-``tests/test_frontier_parity.py``); the only difference is Python-side
-wall-clock, which is exactly what this file measures.
+several batch sizes, a full-snapshot ``match_static`` pass and the match stage
+of a 24-pattern rulebook (the shared trie on the one driver against the
+per-query loop on the recursive oracle) — and prints a speedup table (teed
+to ``benchmarks/results/kernel_wallclock.txt``).  Both executors produce
+bit-identical counters (enforced by ``tests/test_frontier_parity.py``); the
+only difference is Python-side wall-clock, which is exactly what this file
+measures.
 
 The frontier executor's advantage grows with frontier width (roots per
 plan): its per-level NumPy costs are fixed while the recursive executor pays
@@ -21,8 +23,10 @@ from __future__ import annotations
 import time
 
 from conftest import run_once
+from repro.core.engine import GCSMEngine
 from repro.core.matching import match_batch, match_static
-from repro.graphs import DynamicGraph
+from repro.core.multiquery import Rulebook
+from repro.graphs import DynamicGraph, datasets
 from repro.graphs.generators import powerlaw_graph
 from repro.graphs.stream import derive_stream
 from repro.gpu import AccessCounters, ZeroCopyView, default_device
@@ -31,7 +35,12 @@ from repro.query import (
     compile_static_plan,
     query_by_name,
 )
-from repro.testing import match_batch_recursive, match_static_recursive
+from repro.query.generator import rulebook_suite
+from repro.testing import (
+    match_batch_recursive,
+    match_static_recursive,
+    use_reference_kernels,
+)
 from repro.utils import geometric_mean
 
 #: the production kernel vs its parity oracle (``repro.testing``)
@@ -67,6 +76,25 @@ def _time_static(executor: str, graph_static, plan) -> float:
     return time.perf_counter() - start
 
 
+def _time_rulebook(executor: str, g0, batches, queries) -> float:
+    """Match-stage seconds of a rulebook engine over a stream (the host
+    stages and the reorganize run untimed around it)."""
+    if executor == "frontier":
+        engine = GCSMEngine(g0, Rulebook(queries), seed=0)
+    else:
+        engine = use_reference_kernels(
+            GCSMEngine(g0, Rulebook(queries, shared=False), seed=0), estimator=False
+        )
+    total = 0.0
+    for batch in batches:
+        staged = engine.stage_host(batch)
+        start = time.perf_counter()
+        engine.stage_match(staged)
+        total += time.perf_counter() - start
+        engine.stage_reorganize()
+    return total
+
+
 def _measure(fn, *args) -> float:
     """Best-of-N wall-clock (minimum filters scheduler noise)."""
     return min(fn(*args) for _ in range(REPEATS))
@@ -89,6 +117,14 @@ def test_kernel_wallclock(benchmark, record_table):
         rec = _measure(_time_static, "recursive", graph, static_plan)
         fro = _measure(_time_static, "frontier", graph, static_plan)
         rows.append(("match_static", rec, fro))
+        # the repo benchmark's az_rulebook24 shape: AZ analog, 24 patterns
+        g0, batches = derive_stream(
+            datasets.DATASETS["AZ"].build(0), num_updates=2400, batch_size=24, seed=1
+        )
+        queries = rulebook_suite(24, num_labels=3, seed=0)
+        rec = _measure(_time_rulebook, "recursive", g0, batches, queries)
+        fro = _measure(_time_rulebook, "frontier", g0, batches, queries)
+        rows.append(("rulebook24/match", rec, fro))
         return rows
 
     rows = run_once(benchmark, run)

@@ -153,7 +153,7 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
             Channel.CPU_DRAM, log.vertex, log.length * BYTES_PER_NEIGHBOR
         )
         counters.record_compute(
-            compute + int(log.vertex.size) + int(log.length[log.slot > 0].sum())
+            int(compute.sum() + log.vertex.size + log.length[log.slot > 0].sum())
         )
         np.add.at(freq, log.vertex, (mult.astype(np.float64) * weight)[log.row])
 

@@ -10,27 +10,25 @@ frontier by one query vertex.  This module is that execution shape in
 NumPy:
 
 * The frontier is an ``(n, depth)`` array of bound data vertices plus a
-  plan-id column: the rows of **all** ΔM plans advance together.  What a row
-  reads at a level comes from per-level operand tables indexed by its plan
-  (:class:`LevelTable`), so the join itself (:func:`join_rows`, shared with
-  the frequency estimator and the multi-query trie) is a plan-agnostic *row
-  program*: one gather per constraint slot for every row whatever plan it
-  belongs to, one ``searchsorted`` probe against the arena's rank keys, flat
-  label / candidate-filter / predicate / injectivity masks, ``np.repeat`` to
-  emit the next frontier — no Python recursion, no per-plan loop.
-* **Counter parity is exact.**  The join charges nothing: it returns an
-  :class:`AccessLog` of every list read in canonical ``(slot, constraint,
-  row)`` order plus its order-free compute total.  Callers settle the log —
-  the matcher once per batch through
-  :meth:`~repro.gpu.views.GraphView.fetch_block`, in the ``(plan, level,
-  slot, constraint, row)`` order a per-plan execution would issue — so
-  ``MatchStats``, per-channel byte/transaction counters and the per-vertex
-  access histogram are bit-identical to the recursive executor, and every
-  simulated time in the reproduction is unchanged.
-* Embeddings reach the sink in the **same order** as the recursive
-  executor: roots are stacked plan-major and the frontier preserves
-  lexicographic (plan, root, candidate…) order, which is exactly
-  depth-first emission order.
+  node-line column: the rows of **every** node of one depth of a trie of
+  plans advance together (:func:`repro.core.matching.match_trie`, the one
+  driver).  What a row reads comes from the depth's operand table, indexed
+  by its node's line (:class:`LevelTable`), so the join itself
+  (:func:`join_rows`, shared with the frequency estimator) is a
+  plan-agnostic *row program*: one gather per constraint slot for every row
+  whatever node it belongs to, one ``searchsorted`` probe against the
+  arena's rank keys, flat label / candidate-filter / predicate /
+  injectivity masks — no Python recursion, no per-plan loop.
+* **Counter parity is exact.**  Neither the join nor the launch charges
+  anything: :meth:`FrontierKernel.expand` returns an :class:`AccessLog` of
+  every list read in canonical ``(slot, constraint, row)`` order plus its
+  order-free compute per table line.  The driver settles both once per
+  batch, the log through :meth:`~repro.gpu.views.GraphView.fetch_block` in
+  trie pre-order — ``(plan, level, slot, constraint, row)`` for a single
+  query, the order a plan-by-plan execution would issue — so ``MatchStats``,
+  per-channel byte/transaction counters and the per-vertex access histogram
+  are bit-identical to the recursive executor, and every simulated time in
+  the reproduction is unchanged.
 
 The one modeled divergence is access *order*: the frontier issues all of a
 level's reads before the next level's, while recursion interleaves levels
@@ -73,11 +71,11 @@ class AccessLog(NamedTuple):
 
 @dataclass(frozen=True)
 class LevelTable:
-    """One binding level of ``P`` plans as operand tables (``K`` = the widest
-    constraint list): constraint ``j`` of plan ``p`` reads the ``old[p, j]``
-    version of the list of the vertex bound at ``position[p, j]`` wherever
-    ``valid[p, j]``.  ``predicates`` lists ``(plan, position, (lo, hi))`` in
-    plan constraint order."""
+    """One binding level of ``P`` trie nodes as operand tables, one line per
+    node (``K`` = the widest constraint list): constraint ``j`` of line ``p``
+    reads the ``old[p, j]`` version of the list of the vertex bound at
+    ``position[p, j]`` wherever ``valid[p, j]``.  ``predicates`` lists
+    ``(line, position, (lo, hi))`` in constraint order."""
 
     position: np.ndarray
     old: np.ndarray
@@ -87,18 +85,18 @@ class LevelTable:
     predicates: tuple[tuple[int, int, tuple[float, float]], ...]
 
     def operands(
-        self, rows: np.ndarray, plan: np.ndarray
+        self, rows: np.ndarray, line: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The ``(n, K)`` matrices ``verts, old, valid`` of ``rows``, each
-        row taking the table line of its ``plan``."""
-        position = self.position[plan]
+        row taking its table ``line``."""
+        position = self.position[line]
         verts = rows[np.arange(rows.shape[0])[:, None], position]
-        return verts, self.old[plan], self.valid[plan]
+        return verts, self.old[line], self.valid[line]
 
 
 @lru_cache(maxsize=512)
 def level_table(levels: tuple[LevelPlan, ...]) -> LevelTable:
-    """The operand tables of one level across plans (built once per list)."""
+    """The operand tables of one level across nodes (built once per list)."""
     shape = (len(levels), max(len(lvl.constraints) for lvl in levels))
     position = np.zeros(shape, dtype=np.int64)
     old = np.zeros(shape, dtype=bool)
@@ -123,7 +121,7 @@ def level_table(levels: tuple[LevelPlan, ...]) -> LevelTable:
 
 def join_rows(
     graph, verts: np.ndarray, old: np.ndarray, valid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, AccessLog, int]:
+) -> tuple[np.ndarray, np.ndarray, AccessLog, np.ndarray]:
     """The per-level join as a row program: intersect every row's lists.
 
     Row ``r`` intersects the lists of ``verts[r, j]`` (version ``old[r, j]``)
@@ -139,8 +137,8 @@ def join_rows(
     arena: nothing is merged, concatenated or copied per level.
 
     The join charges nothing.  ``log`` holds every read for the caller to
-    settle; ``compute`` is the merge-intersection cost — the first list's
-    length, then ``len(set) + len(list)`` per probe — summed over rows.
+    settle; ``compute`` is each row's merge-intersection cost — the first
+    list's length, then ``len(set) + len(list)`` per probe.
     """
     n, k = verts.shape
     if k == 1:
@@ -154,7 +152,7 @@ def join_rows(
     num_vertices = graph.num_vertices
     arange = np.arange(n, dtype=np.int64)
     cand_flat, cand_cnt = _EMPTY, np.zeros(n, dtype=np.int64)
-    compute = 0
+    compute = np.zeros(n, dtype=np.int64)
     log = []
     for s in range(k):
         reading = (count > s) & (cand_cnt > 0) if s else count > s
@@ -174,13 +172,13 @@ def join_rows(
         if s == 0:
             cand_cnt = row_len
             offsets = segment_offsets(cand_cnt)
-            compute += int(offsets[-1])
+            compute += row_len
             cand_flat = graph.arena[
                 np.arange(int(offsets[-1]), dtype=np.int64)
                 + np.repeat(row_start - offsets[:-1], cand_cnt)
             ]
             continue
-        compute += int(cand_cnt[live].sum() + lens.sum())
+        compute[live] += cand_cnt[live] + lens
         # the probe reads the rank keys after this slot's gather
         found = keyed_contains(
             graph.arena_keys, num_vertices,
@@ -194,24 +192,23 @@ def join_rows(
 
 
 class FrontierKernel:
-    """Level-expansion context: view + labels + filters.
+    """Level-expansion context: view + filters + edge weights.
 
-    One kernel instance expands levels of *any* plans against the same frozen
-    adjacency — :func:`repro.core.matching.match_batch` drives it with the
-    tables of all ΔM plans at once, while the multi-query execution trie
-    (:mod:`repro.core.querytrie`) calls it with one-node tables so a level
-    shared by many plans is expanded exactly once.
+    One kernel instance expands every depth of a trie of plans against the
+    same frozen adjacency: :func:`repro.core.matching.match_trie` launches it
+    once per depth with the table of all that depth's nodes, so a level
+    shared by many plans of a rulebook is expanded exactly once and a single
+    query's ΔM plans advance together.
     """
 
     def __init__(
         self,
         view: GraphView,
-        labels: np.ndarray,
         filters: dict[int, np.ndarray] | None = None,
         attributes=None,
     ) -> None:
         self.view = view
-        self.labels = labels
+        self.labels = view.graph.labels
         self.filters = filters or {}
         #: optional edge-weight provider for predicate pushdown; None falls
         #: back to the deterministic hash weights
@@ -219,43 +216,43 @@ class FrontierKernel:
 
     # ------------------------------------------------------------------
     def expand(
-        self, table: LevelTable, rows: np.ndarray, plan: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, AccessLog]:
-        """One launch: the candidates of every row for its plan's level.
+        self, table: LevelTable, rows: np.ndarray, line: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, AccessLog, np.ndarray]:
+        """One launch: the candidates of every row for its node's level.
 
-        Returns ``(cand_flat, cand_cnt, log)``; ``log`` is the join's access
-        log, left for the caller to settle through
-        :meth:`GraphView.fetch_block`.  Everything order-free is charged
-        here, reproducing the recursive ``_candidates`` row by row: the first
-        list charges its length, each intersection ``len(a)+len(b)`` ops,
-        then the filter / label / predicate / injectivity masks and the final
-        per-candidate charge for surviving rows (zero-size rows contribute
-        zero to every charge, exactly like the recursive early return).
+        Returns ``(cand_flat, cand_cnt, log, compute)`` and charges nothing:
+        ``log`` is the join's access log, left for the caller to settle
+        through :meth:`GraphView.fetch_block`, and ``compute`` the order-free
+        work per table line, reproducing the recursive ``_candidates`` row by
+        row: the first list charges its length, each intersection
+        ``len(a)+len(b)`` ops, then the filter / label / predicate /
+        injectivity masks and the final per-candidate charge for surviving
+        rows (zero-size rows contribute zero to every charge, exactly like
+        the recursive early return).
         """
-        counters = self.view.counters
-        n = rows.shape[0]
-        cand_flat, cand_cnt, log, compute = join_rows(
-            self.view.graph, *table.operands(rows, plan)
+        n, lines = rows.shape[0], table.label.shape[0]
+        cand_flat, cand_cnt, log, work = join_rows(
+            self.view.graph, *table.operands(rows, line)
         )
-        counters.record_compute(compute)
+        compute = np.bincount(line, weights=work, minlength=lines)
         qrow = np.repeat(np.arange(n, dtype=np.int64), cand_cnt)
-        qplan = plan[qrow]
-        want = table.label[qplan]
+        qline = line[qrow]
+        want = table.label[qline]
         keep = (want == WILDCARD_LABEL) | (self.labels[cand_flat] == want)
         if self.filters:
             # a candidate index (RapidFlow) encodes the label, so it replaces
             # the label check for its query vertex; one probe per candidate
-            query_vertex = table.query_vertex[qplan]
+            query_vertex = table.query_vertex[qline]
             for u, allowed in self.filters.items():
                 sel = query_vertex == u
-                counters.record_compute(int(np.count_nonzero(sel)))
+                compute += np.bincount(qline[sel], minlength=lines)
                 keep[sel] = contains_sorted(allowed, cand_flat[sel])
-        # predicate pushdown: mirrors the recursive executor — a plan's
+        # predicate pushdown: mirrors the recursive executor — a node's
         # predicated constraints in order, each charging one weight probe per
         # still-surviving candidate
         for p, position, (lo, hi) in table.predicates:
-            alive = np.flatnonzero(keep & (qplan == p))
-            counters.record_compute(int(alive.size))
+            alive = np.flatnonzero(keep & (qline == p))
+            compute[p] += alive.size
             anchors = rows[qrow[alive], position]
             if self.attributes is not None:
                 w = self.attributes.pair_weights(anchors, cand_flat[alive])
@@ -268,20 +265,5 @@ class FrontierKernel:
         keep &= (cand_flat[:, None] != rows[qrow]).all(axis=1)
         cand_flat = cand_flat[keep]
         cand_cnt = np.bincount(qrow[keep], minlength=n)
-        counters.record_compute(int(cand_flat.size))
-        return cand_flat, cand_cnt, log
-
-    def level_candidates(
-        self, lvl: LevelPlan, rows: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Candidates of one plan level across ``rows``, accesses settled.
-
-        The one-node-table form of :meth:`expand` the shared trie runs:
-        returns ``(cand_flat, cand_cnt)`` and records every list read at once,
-        in ``(slot, constraint, row)`` order.
-        """
-        cand_flat, cand_cnt, log = self.expand(
-            level_table((lvl,)), rows, np.zeros(rows.shape[0], dtype=np.int64)
-        )
-        self.view.fetch_block(log.vertex, log.length)
-        return cand_flat, cand_cnt
+        compute += np.bincount(line, weights=cand_cnt, minlength=lines)
+        return cand_flat, cand_cnt, log, compute.astype(np.int64)

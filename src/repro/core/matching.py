@@ -24,34 +24,43 @@ The executor is shared verbatim by GCSM and every baseline — exactly the
 paper's "all the GPU versions use the same GPU kernel" setup — with only the
 view deciding where reads are served from.
 
-The kernel itself is the level-synchronous row program of
-:mod:`repro.core.frontier`: the roots of all ΔM plans are stacked into one
-frontier and every launch extends all of them by one query-vertex level.
-The per-root depth-first executor it replaced lives on as a parity oracle in
-:mod:`repro.testing.kernels`; both consume the roots :func:`batch_roots`
-generates, so they see identical inputs by construction.
+There is one driver, :func:`match_trie`: it advances a trie of plans
+(:mod:`repro.core.querytrie`) level-synchronously on the row program of
+:mod:`repro.core.frontier` — one launch per trie depth for all the depth's
+nodes, all accesses settled once in trie pre-order.  :func:`match_batch` is
+that driver over the trie of a query's ΔM plans that shares nothing,
+:func:`match_static` its one-chain case, and a rulebook hands it the
+prefix-merged trie of all its patterns.  The per-root depth-first executor
+it replaced lives on as a parity oracle in :mod:`repro.testing.kernels`;
+both route their roots through :func:`route_roots`, so they see identical
+inputs by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.core.frontier import FrontierKernel, level_table
+from repro.core.frontier import FrontierKernel
+from repro.core.querytrie import ExecutionTrie
 from repro.graphs.attributes import edge_weights
 from repro.graphs.stream import UpdateBatch
+from repro.gpu.counters import AccessCounters
 from repro.gpu.views import GraphView
 from repro.query.pattern import WILDCARD_LABEL
 from repro.query.plan import MatchPlan
-from repro.utils import VERTEX_DTYPE, contains_sorted, require
+from repro.utils import VERTEX_DTYPE, contains_sorted, segment_offsets
 
 __all__ = [
     "MatchStats",
+    "match_trie",
     "match_batch",
     "match_static",
     "batch_roots",
+    "route_roots",
     "delta_roots",
     "root_label_mask",
     "static_roots",
@@ -160,108 +169,228 @@ def filter_root_predicate(
 
 
 # ----------------------------------------------------------------------
-# public entry points
+# the root pipeline
 # ----------------------------------------------------------------------
-def batch_roots(
-    plans: list[MatchPlan],
-    batch: UpdateBatch,
-    labels: np.ndarray,
-    total: MatchStats,
+def route_roots(
+    plan: MatchPlan,
+    roots: np.ndarray,
+    signs: np.ndarray,
+    certify: Callable[[np.ndarray], np.ndarray] | None = None,
     *,
     filters: dict[int, np.ndarray] | None = None,
     root_mask: Callable[[np.ndarray], np.ndarray] | None = None,
-    prefilter=None,
     attributes=None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """A plan's label-filtered directed roots through shard routing
+    (``root_mask``), candidate filters, the certified-skip mask and the root
+    predicate: ``(roots, signs, skipped)``.  ``certify`` — the prefilter's
+    keep-mask — is *evaluated* on the raw :func:`delta_roots` output, so a
+    precomputed :class:`~repro.core.prefilter.PrefilterDecision` stays
+    aligned under any routing or filtering, but *applied* last: the roots it
+    drops among the survivors are the ``skipped`` count.
+    """
+    keep = certify(roots) if certify is not None and roots.shape[0] else None
+    if root_mask is not None and roots.shape[0]:
+        mask = root_mask(roots)
+        roots, signs = roots[mask], signs[mask]
+        keep = keep[mask] if keep is not None else None
+    if filters and roots.shape[0]:
+        mask = np.ones(roots.shape[0], dtype=bool)
+        for col, u in ((0, plan.order[0]), (1, plan.order[1])):
+            if u in filters:
+                mask &= contains_sorted(filters[u], roots[:, col])
+        roots, signs = roots[mask], signs[mask]
+        keep = keep[mask] if keep is not None else None
+    skipped = 0
+    if keep is not None:
+        skipped = int(keep.size - np.count_nonzero(keep))
+        roots, signs = roots[keep], signs[keep]
+    return (*filter_root_predicate(plan, roots, signs, attributes), skipped)
+
+
+def batch_roots(
+    plans: list[MatchPlan], batch: UpdateBatch, labels: np.ndarray, total: MatchStats,
+    *, prefilter=None, **routing,
 ) -> Iterator[tuple[MatchPlan, np.ndarray, np.ndarray]]:
-    """Yield ``(plan, roots, signs)`` for every ΔM_i plan of a signed batch.
+    """Yield ``(plan, roots, signs)`` for every ΔM_i plan of a signed batch:
+    the driver's root pipeline plan by plan, as the recursive oracle consumes
+    it.  ``prefilter.mask(plan_index, plan, roots)`` certifies; the drops are
+    added to ``total.roots_skipped``."""
+    for index, plan in enumerate(plans):
+        certify = None if prefilter is None else partial(prefilter.mask, index, plan)
+        roots, signs, skipped = route_roots(
+            plan, *delta_roots(plan, batch, labels), certify, **routing
+        )
+        total.roots_skipped += skipped
+        yield plan, roots, signs
 
-    The root pipeline shared by the kernel and its test oracle: label-
-    filtered directed roots, then shard routing (``root_mask``), candidate
-    filters, the certified-skip ``prefilter`` and the root predicate.  The
-    prefilter's keep-mask is *evaluated* on the raw :func:`delta_roots`
-    output — so a precomputed :class:`~repro.core.prefilter.PrefilterDecision`
-    stays aligned under any routing or filtering — but *applied* last:
-    roots it drops among the survivors are added to ``total.roots_skipped``.
+
+# ----------------------------------------------------------------------
+# the one driver
+# ----------------------------------------------------------------------
+def match_trie(
+    trie: ExecutionTrie,
+    batch: UpdateBatch | None,
+    view: GraphView,
+    *,
+    sinks: dict | None = None,
+    skip: frozenset = frozenset(),
+    prefilter: dict | None = None,
+    attributed: dict | None = None,
+    filters: dict[int, np.ndarray] | None = None,
+    root_mask: Callable[[np.ndarray], np.ndarray] | None = None,
+    attributes=None,
+) -> dict[str | None, MatchStats]:
+    """Advance a trie of plans level-synchronously; stats per member query.
+
+    Every root group runs one :func:`route_roots` pipeline (certified by the
+    OR of its live members' ``prefilter[query].mask`` — a row failing for
+    every member provably yields no embedding for any), then each depth is
+    **one** :meth:`FrontierKernel.expand` over the rows of all its nodes.  A
+    node's rows are handed to its live children by fan-out; queries in
+    ``skip`` (certified ΔM = 0) are dropped from every member set, so a
+    subtree left without members receives no rows.  Plans end at any depth:
+    the node counts its terminal plans' embeddings, and materialises them
+    only for a child or a sink.  The frontier stays node-major, i.e. in
+    lexicographic ``(node, root, candidate…)`` order, and sinks are flushed
+    in plan order after the walk — the depth-first emission order of running
+    the plans one after another.
+
+    All accesses are settled once, stably sorted by node pre-order over each
+    depth's ``(slot, constraint, row)`` log: ``(plan, level)`` order for a
+    single query, the node-by-node walk's order for a rulebook — the
+    sequence an order-sensitive view (the UM pager) must be handed.  With
+    ``attributed`` (per-query counters) each node's segment is settled into
+    a counter of its own, merged into the view's once and into every member
+    plan's query once; output charges always go to the terminal plan's query.
     """
-    for plan_index, plan in enumerate(plans):
-        roots, signs = delta_roots(plan, batch, labels)
-        keep = None
-        if prefilter is not None and roots.shape[0]:
-            keep = prefilter.mask(plan_index, plan, roots)
-        if root_mask is not None and roots.shape[0]:
-            mask = root_mask(roots)
-            roots, signs = roots[mask], signs[mask]
-            keep = keep[mask] if keep is not None else None
-        if filters and roots.shape[0]:
-            mask = np.ones(roots.shape[0], dtype=bool)
-            for col, u in ((0, plan.order[0]), (1, plan.order[1])):
-                if u in filters:
-                    mask &= contains_sorted(filters[u], roots[:, col])
-            roots, signs = roots[mask], signs[mask]
-            keep = keep[mask] if keep is not None else None
-        if keep is not None:
-            total.roots_skipped += int(keep.size - np.count_nonzero(keep))
-            roots, signs = roots[keep], signs[keep]
-        yield (plan, *filter_root_predicate(plan, roots, signs, attributes))
+    graph, labels = view.graph, view.graph.labels
+    kernel = FrontierKernel(view, filters, attributes)
+    shared, sinks = view.counters, sinks or {}
 
+    def alive(refs):
+        return [ref for ref in refs if ref.query_name not in skip] if skip else refs
 
-def _run_frontier(
-    kernel: FrontierKernel,
-    plans: list[MatchPlan],
-    roots: list[np.ndarray],
-    signs: list[np.ndarray],
-    sink: EmbeddingSink | None,
-) -> MatchStats:
-    """Execute ``plans`` over their ``roots`` as one frontier.
-
-    The roots are stacked plan-major with a plan-id column and every launch
-    of :meth:`FrontierKernel.expand` advances all plans one level, so the
-    frontier stays in lexicographic ``(plan, root, candidate…)`` order — the
-    depth-first emission order of running the plans one after another.  The
-    accesses are settled once, sorted by ``(plan, level)`` over each level's
-    ``(slot, constraint, row)`` log: the sequence those per-plan runs issue,
-    which is what an order-sensitive view (the UM pager) must be handed.
-    """
-    depth = plans[0].depth
-    require(all(p.depth == depth for p in plans), "plans must share one depth")
+    stats = {name: MatchStats() for name in trie.queries if name not in skip}
+    groups = []
+    for group, node in enumerate(trie.levels[0].nodes):
+        members = alive(node.members)
+        if not members:
+            continue  # every member certified ΔM = 0: no delta_roots either
+        certify = None
+        if prefilter is not None:
+            def certify(roots, members=members):
+                keep = np.zeros(roots.shape[0], dtype=bool)
+                for ref in members:
+                    keep |= prefilter[ref.query_name].mask(ref.index, ref.plan, roots)
+                return keep
+        # the root signature holds labels and predicate: one plan stands for all
+        plan = members[0].plan
+        if batch is None:  # the settled snapshot's edges (match_static)
+            raw = static_roots(plan, graph.edges_new_array(), labels)
+        else:
+            raw = delta_roots(plan, batch, labels)
+        roots, signs, skipped = route_roots(
+            plan, *raw, certify,
+            filters=filters, root_mask=root_mask, attributes=attributes,
+        )
+        for ref in members:
+            stats[ref.query_name].roots_processed += roots.shape[0]
+            stats[ref.query_name].roots_skipped += skipped
+        groups.append((group, roots, signs))
+    if not groups:
+        return stats
+    lines, roots, signs = zip(*groups)
+    # the root edge as a launch that already ran: one candidate per row
     rows = np.concatenate(roots).astype(np.int64, copy=False)
+    rows, cand_flat, cand_cnt = rows[:, :1], rows[:, 1], np.ones(rows.shape[0], np.int64)
     sign = np.concatenate(signs).astype(np.int64, copy=False)
-    plan = np.repeat(np.arange(len(plans)), [r.shape[0] for r in roots])
-    counters = kernel.view.counters
-    found = int(rows.shape[0])
-    stats = MatchStats(roots_processed=found, tree_nodes=found)
-    num_levels = depth - 2
-    logs = []
-    for li in range(num_levels):
-        if found == 0:
-            break
-        table = level_table(tuple(p.levels[li] for p in plans))
-        cand_flat, cand_cnt, log = kernel.expand(table, rows, plan)
-        logs.append((plan[log.row] * num_levels + li, log.vertex, log.length))
-        found = int(cand_cnt.sum())
-        stats.tree_nodes += found
-        if li == num_levels - 1 and sink is None:
-            sign = sign * cand_cnt  # counted, not materialised
-            break
+    line = np.repeat(lines, [r.shape[0] for r in roots])
+    work = np.zeros(len(trie.nodes), dtype=np.int64)  # order-free compute per node
+    logs, emitted = [], {}
+    for depth, level in enumerate(trie.levels):
+        if depth:
+            if skip or not level.chain:  # fan-out: each live child takes its parent's rows
+                live = np.flatnonzero([bool(alive(n.members)) for n in level.nodes])
+                parent = level.parent[live]
+                offsets, take = segment_offsets(held), held[parent]
+                starts = segment_offsets(take)
+                pick = np.repeat(offsets[parent] - starts[:-1], take) + np.arange(starts[-1])
+                rows, sign, line = rows[pick], sign[pick], np.repeat(live, take)
+            if rows.shape[0] == 0:
+                break
+            cand_flat, cand_cnt, log, compute = kernel.expand(level.table, rows, line)
+            work[level.order] = compute
+            logs.append((level.order[line[log.row]], log.vertex, log.length))
+        width = len(level.nodes)
+        total = np.bincount(line, weights=cand_cnt, minlength=width).astype(np.int64)
+        signed = np.bincount(line, weights=sign * cand_cnt, minlength=width)
+        need = np.zeros(width, dtype=bool)
+        sunk = []
+        for ln in np.flatnonzero(total).tolist():
+            node, found = level.nodes[ln], int(total[ln])
+            for ref in alive(node.members):
+                stats[ref.query_name].tree_nodes += found
+            for ref in alive(node.terminal):
+                name = ref.query_name
+                stats[name].signed_count += int(signed[ln])
+                stats[name].embeddings_found += found
+                for counters in (shared,) if attributed is None else (shared, attributed[name]):
+                    counters.record_output(found)
+                    counters.record_compute(found * ref.plan.depth)
+                if name in sinks:
+                    sunk.append((ref, ln))
+                    need[ln] = True
+            need[ln] |= any(alive(child.members) for child in node.children.values())
+        if not need.any():
+            break  # counted, not materialised
+        if not need[total > 0].all():  # some node's rows are wanted by no one
+            pick = need[line]
+            cand_flat = cand_flat[np.repeat(pick, cand_cnt)]
+            rows, sign, line, cand_cnt = rows[pick], sign[pick], line[pick], cand_cnt[pick]
         rows = np.concatenate(
             [np.repeat(rows, cand_cnt, axis=0), cand_flat[:, None]], axis=1
         )
-        sign = np.repeat(sign, cand_cnt)
-        plan = np.repeat(plan, cand_cnt)
-    stats.signed_count = int(sign.sum())
-    stats.embeddings_found = found
-    counters.record_output(found)
-    counters.record_compute(found * depth)
+        sign, line = np.repeat(sign, cand_cnt), np.repeat(line, cand_cnt)
+        held = np.where(need, total, 0)  # rows per line, for the fan-out
+        for ref, ln in sunk:
+            lo, hi = np.searchsorted(line, (ln, ln + 1))
+            emitted[ref] = rows[lo:hi][:, ref.plan.inverse_order], sign[lo:hi]
     if logs:
         key, vertex, length = map(np.concatenate, zip(*logs))
-        order = np.argsort(key, kind="stable")
-        kernel.view.fetch_block(vertex[order], length[order])
-    if sink is not None and found:
-        inverse = np.array([p.inverse_order for p in plans])
-        full = np.take_along_axis(rows, inverse[plan], axis=1)
-        for e, s in zip(full.tolist(), sign.tolist()):
-            sink(tuple(e), s)
+        by = np.argsort(key, kind="stable")
+        key, vertex, length = key[by], vertex[by], length[by]
+        if attributed is None:
+            shared.record_compute(int(work.sum()))
+            view.fetch_block(vertex, length)
+        else:  # one segment per node, attributed once per member plan
+            cuts = (np.flatnonzero(np.diff(key)) + 1).tolist()
+            try:
+                for lo, hi in zip([0, *cuts], [*cuts, key.size]):
+                    view.counters = one = AccessCounters()
+                    view.fetch_block(vertex[lo:hi], length[lo:hi])
+                    one.record_compute(int(work[key[lo]]))
+                    shared.merge(one)
+                    for ref in alive(trie.nodes[key[lo]].members):
+                        attributed[ref.query_name].merge(one)
+            finally:
+                view.counters = shared
+    for ref in trie.refs:  # plan order: each sink sees its own match_batch's order
+        if ref in emitted:
+            embeddings, sign = emitted[ref]
+            for e, s in zip(embeddings.tolist(), sign.tolist()):
+                sinks[ref.query_name](tuple(e), s)
     return stats
+
+
+# ----------------------------------------------------------------------
+# public entry points
+# ----------------------------------------------------------------------
+@lru_cache(maxsize=64)
+def _solo_trie(plans: tuple[MatchPlan, ...]) -> ExecutionTrie:
+    """``plans`` as the trie that shares nothing: one root group and one
+    chain per plan, all members of the one (unnamed) query."""
+    return ExecutionTrie({None: list(plans)}, merge=False)
 
 
 def match_batch(
@@ -279,7 +408,8 @@ def match_batch(
 
     The view's graph must hold the *open* batch (``apply_batch`` done,
     ``reorganize`` not yet), so OLD/NEW adjacency versions are available.
-    Returns aggregated stats whose ``signed_count`` is the exact ΔM.
+    Returns aggregated stats whose ``signed_count`` is the exact ΔM.  The
+    plans (of any depths) run as the no-sharing trie of :func:`match_trie`.
     ``filters`` optionally restricts each query vertex to a sorted candidate
     array (RapidFlow's index pruning); root endpoints are filtered too.
     ``root_mask`` optionally selects a subset of the directed roots — given
@@ -298,15 +428,12 @@ def match_batch(
     query carries weight predicates; without one the deterministic hash
     weights are used.
     """
-    labels = view.graph.labels
-    total = MatchStats()
-    _, roots, signs = zip(*batch_roots(
-        plans, batch, labels, total, filters=filters, root_mask=root_mask,
-        prefilter=prefilter, attributes=attributes,
-    ))
-    kernel = FrontierKernel(view, labels, filters, attributes)
-    total.merge(_run_frontier(kernel, plans, roots, signs, sink))
-    return total
+    return match_trie(
+        _solo_trie(tuple(plans)), batch, view,
+        sinks=None if sink is None else {None: sink},
+        prefilter=None if prefilter is None else {None: prefilter},
+        filters=filters, root_mask=root_mask, attributes=attributes,
+    )[None]
 
 
 def match_static(
@@ -316,15 +443,15 @@ def match_static(
     sink: EmbeddingSink | None = None,
     attributes=None,
 ) -> MatchStats:
-    """Match the query on the current snapshot (paper Fig. 2a).
+    """Match the query on the current snapshot (paper Fig. 2a): the
+    one-chain trie, rooted at every edge.
 
     Uses the post-batch adjacency (``CURRENT`` == ``NEW``), so on a settled
     graph it matches the settled snapshot.  The snapshot's edge relation is
     exported CSR-style from the dynamic store (vectorized v<w dedup), in the
     same source-major/ascending order as a per-vertex adjacency scan.
     """
-    labels = view.graph.labels
-    roots, signs = static_roots(plan, view.graph.edges_new_array(), labels)
-    roots, signs = filter_root_predicate(plan, roots, signs, attributes)
-    kernel = FrontierKernel(view, labels, attributes=attributes)
-    return _run_frontier(kernel, [plan], [roots], [signs], sink)
+    return match_trie(
+        _solo_trie((plan,)), None, view,
+        sinks=None if sink is None else {None: sink}, attributes=attributes,
+    )[None]

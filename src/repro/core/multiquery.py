@@ -24,12 +24,15 @@ holds only what is rulebook logic:
   through :func:`~repro.query.symmetry.find_isomorphism`);
 * the representatives' ΔM plans are grouped into an
   :class:`~repro.core.querytrie.ExecutionTrie` by common signature
-  prefixes, and one frontier expansion per trie node serves every plan
-  sharing that prefix — candidate enumeration and its access charges are
-  paid once per *distinct* prefix, not once per query.
+  prefixes and handed to the one match driver
+  (:func:`repro.core.matching.match_trie`): one launch per trie depth, and
+  each node's expansion serves every plan sharing that prefix — candidate
+  enumeration and its access charges are paid once per *distinct* prefix,
+  not once per query.
 
 ``shared=False`` runs the classic per-query loop against the same shipped
-view — the baseline the trie is validated against.  Either way the result
+view — ``engine.match``, the same driver over each query's own plans: the
+reference leg the trie is validated against.  Either way the result
 carries **per-query attributed counters** that are bit-identical between
 the two modes for representatives (the sharing contract of
 :mod:`repro.core.querytrie`), while the engine-level ``match_counters``
@@ -47,10 +50,9 @@ import numpy as np
 
 from repro.core.engine import BatchResult, GCSMEngine, QuerySet
 from repro.core.frequency import EstimationResult, default_num_walks
-from repro.core.frontier import FrontierKernel
-from repro.core.matching import MatchStats
+from repro.core.matching import MatchStats, match_trie
 from repro.core.prefilter import PrefilterDecision, PrefilterStats
-from repro.core.querytrie import ExecutionTrie, SharedTrieExecutor, TrieStats
+from repro.core.querytrie import ExecutionTrie, TrieStats
 from repro.graphs.static_graph import StaticGraph
 from repro.graphs.stream import UpdateBatch
 from repro.gpu.counters import AccessCounters
@@ -378,10 +380,8 @@ class Rulebook(QuerySet):
     def _match_shared(
         self, engine, batch, view, decision, sinks, root_mask
     ) -> RulebookStats:
-        """One trie walk over the representatives.
-
-        The trie always drives the frontier kernel; its per-query attributed
-        counters and stats are bit-identical to an independent run.
+        """The representatives' trie on the match driver; its per-query
+        attributed counters and stats are bit-identical to an independent run.
         """
         # aliases receive the representative's embeddings remapped through
         # the stored isomorphism; the representative's own sink (if any)
@@ -415,16 +415,11 @@ class Rulebook(QuerySet):
                 (q.name, AccessCounters()) for q in self.representatives
                 if q.name not in skipped
             )
-        rep_stats = SharedTrieExecutor(
-            self.trie,
-            FrontierKernel(view, view.graph.labels, attributes=engine.attributes),
-            shared_counters=view.counters,
-            per_query_counters=per_query,
-            sinks=rep_sinks,
-            skip_queries=skipped,
+        rep_stats = match_trie(
+            self.trie, batch, view, sinks=rep_sinks, skip=skipped,
             prefilter=decision.by_query if decision is not None else None,
-            root_mask=root_mask,
-        ).run(batch)
+            attributed=per_query, root_mask=root_mask, attributes=engine.attributes,
+        )
         for name, stats in rep_stats.items():
             out.add(name, stats)
         return out

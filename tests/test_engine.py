@@ -206,7 +206,7 @@ class TestSettleOnFailure:
             pass
         assert engine.graph.batch_open is False
 
-    @pytest.mark.parametrize("stage", ["prepare", "match"])
+    @pytest.mark.parametrize("stage", ["prepare", "match", "second-depth"])
     @pytest.mark.parametrize("prefilter", ["off", "on"])
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "independent"])
     def test_failed_rulebook_batch_leaves_engine_settled(
@@ -214,7 +214,9 @@ class TestSettleOnFailure:
     ):
         """The rulebook runs on the same skeleton, so a raise after the
         update settles it too (its private pipeline used to leave the batch
-        open: "previous batch not reorganized yet")."""
+        open: "previous batch not reorganized yet").  ``second-depth`` lets
+        the first launch through and fails the second: the one driver is
+        abandoned with a half-advanced frontier and an unsettled log."""
         from repro.core.frontier import FrontierKernel
         from repro.core.multiquery import MultiQueryEngine
         from repro.query import query_by_name
@@ -233,8 +235,16 @@ class TestSettleOnFailure:
         with monkeypatch.context() as patch:
             if stage == "prepare":
                 patch.setattr(engine.policy, "select", boom)
-            else:  # both match drivers expand levels through the kernel
+            elif stage == "match":  # the one driver expands through the kernel
                 patch.setattr(FrontierKernel, "expand", boom)
+            else:
+                expand, launches = FrontierKernel.expand, []
+
+                def second_raises(kernel, *args):
+                    launches.append(args)
+                    return boom() if len(launches) == 2 else expand(kernel, *args)
+
+                patch.setattr(FrontierKernel, "expand", second_raises)
             with pytest.raises(RuntimeError, match="injected"):
                 engine.process_batch(batches[0])
         twin.process_batch(batches[0])

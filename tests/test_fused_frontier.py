@@ -1,24 +1,31 @@
-"""The fused launch: all ΔM plans advance in one frontier, settled once.
+"""The fused launch: a trie of plans advances in one frontier, settled once.
 
-Two contracts of ``match_batch`` that only show when plans differ or the
-view is order-sensitive:
+Contracts of the one match driver (``match_trie``, under ``match_batch``
+and the rulebook alike) that only show when plans differ or the view is
+order-sensitive:
 
 * every per-plan feature — ragged constraint counts, wildcard labels,
-  candidate filters, edge predicates, empty root sets, fleets routing roots
-  with ``root_mask`` — is served per row by the one fused path, bit-identical
-  (counters, ``MatchStats``, histograms, sink order) to the recursive oracle;
-* the batch's accesses reach the view in the order running the plans one
-  after another would issue them, which the LRU pager of
-  ``UnifiedMemoryView`` observes as soon as it evicts.
+  candidate filters, edge predicates, empty root sets, plans of different
+  depths, fleets routing roots with ``root_mask`` — is served per row by the
+  one fused path, bit-identical (counters, ``MatchStats``, histograms, sink
+  order) to the recursive oracle;
+* the batch's accesses reach the view in trie pre-order — the order running
+  the plans one after another (a rulebook: node by node) would issue them —
+  which the LRU pager of ``UnifiedMemoryView`` observes as soon as it evicts.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.core.dcsr import DcsrCache
 from repro.core.matching import match_batch, match_static
+from repro.core.multiquery import MultiQueryEngine, Rulebook
+from repro.core.validation import verify_rulebook
+from repro.graphs import datasets
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.generators import powerlaw_graph
 from repro.graphs.stream import derive_stream
@@ -27,15 +34,24 @@ from repro.gpu.device import default_device
 from repro.gpu.views import HostCPUView, UnifiedMemoryView, ZeroCopyView
 from repro.multigpu.shard import ShardedDeviceView
 from repro.query import query_by_name
+from repro.query.generator import rulebook_suite
 from repro.query.pattern import QueryGraph
 from repro.query.plan import compile_delta_plans, compile_static_plan
-from repro.testing import match_batch_recursive, match_static_recursive
+from repro.testing import (
+    match_batch_recursive,
+    match_static_recursive,
+    use_reference_kernels,
+)
 from tests.test_frontier_parity import fingerprint
 
 DEVICE = default_device()
+#: a pager of four pages: every batch evicts
+TIGHT = DEVICE.scaled(
+    um_cache_fraction=4.5 * DEVICE.um_page_bytes / DEVICE.global_memory_bytes
+)
 
 
-def both_kernels(g0, batches, plans, make_view=None, **options):
+def both_kernels(g0, batches, plans, make_view=None, with_sink=True, **options):
     """Per batch, ``(fingerprint, sink trace)`` of the fused kernel and of
     the recursive oracle on the same stream."""
     make_view = make_view or (lambda graph, c: HostCPUView(graph, DEVICE, c))
@@ -47,10 +63,9 @@ def both_kernels(g0, batches, plans, make_view=None, **options):
             graph.apply_batch(batch)
             counters = AccessCounters()
             emitted: list = []
-            stats = kernel(
-                plans, batch, make_view(graph, counters),
-                sink=lambda e, s: emitted.append((e, s)), **options,
-            )
+            if with_sink:
+                options["sink"] = lambda e, s, emitted=emitted: emitted.append((e, s))
+            stats = kernel(plans, batch, make_view(graph, counters), **options)
             graph.reorganize()
             out.append((fingerprint(counters, stats, graph.num_vertices), emitted))
         runs.append(out)
@@ -170,24 +185,33 @@ class TestFusedPathsMatchTheOracle:
         assert runs[0][1]
 
 
+def mixed_depth_plans(order=1):
+    """Triangle, 4-path and Q1 ΔM plans in one list (depths 3, 4 and 5)."""
+    triangle = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], labels=[0, 1, 0], name="tri")
+    path = QueryGraph(4, [(0, 1), (1, 2), (2, 3)], labels=[0, 1, 0, 1], name="path4")
+    plans = [
+        p for q in (triangle, path, query_by_name("Q1"))[::order]
+        for p in compile_delta_plans(q)
+    ]
+    assert {p.depth for p in plans} == {3, 4, 5}
+    return plans
+
+
 class TestSettleOrderUnderEviction:
     """The settle key is ``(plan, level, slot, constraint, row)``: on a pager
     that evicts, fusing the plans must not change a single fault."""
 
-    def test_um_counters_equal_plan_by_plan_execution(self):
+    @staticmethod
+    def fused_equals_plan_by_plan(plans):
         g = powerlaw_graph(3_000, 8.0, max_degree=80, num_labels=2, seed=21)
         g0, batches = derive_stream(g, num_updates=192, batch_size=64, seed=22)
-        plans = compile_delta_plans(query_by_name("Q1"))
-        device = DEVICE.scaled(
-            um_cache_fraction=4.5 * DEVICE.um_page_bytes / DEVICE.global_memory_bytes
-        )
         graph = DynamicGraph(g0)
         evictions = 0
         for batch in batches:
             graph.apply_batch(batch)
-            fused = UnifiedMemoryView(graph, device, AccessCounters())
+            fused = UnifiedMemoryView(graph, TIGHT, AccessCounters())
             match_batch(plans, batch, fused)
-            serial = UnifiedMemoryView(graph, device, AccessCounters())
+            serial = UnifiedMemoryView(graph, TIGHT, AccessCounters())
             for plan in plans:  # one view, one pager
                 match_batch([plan], batch, serial)
             graph.reorganize()
@@ -200,13 +224,114 @@ class TestSettleOrderUnderEviction:
         assert evictions > 0  # the gate has teeth only under pressure
         assert fused.pager.capacity_pages == 4
 
+    def test_um_counters_equal_plan_by_plan_execution(self):
+        self.fused_equals_plan_by_plan(compile_delta_plans(query_by_name("Q1")))
 
-def test_plans_of_different_depth_are_refused():
-    g0, batches = stream(23)
-    graph = DynamicGraph(g0)
-    batch = graph.apply_batch(batches[0])
-    plans = compile_delta_plans(query_by_name("Q1")) + compile_delta_plans(
-        QueryGraph(3, [(0, 1), (1, 2)], labels=[0, 1, 0], name="path")
-    )
-    with pytest.raises(ValueError, match="share one depth"):
-        match_batch(plans, batch, HostCPUView(graph, DEVICE, AccessCounters()))
+    def test_plans_of_different_depths_settle_plan_by_plan(self):
+        self.fused_equals_plan_by_plan(mixed_depth_plans())
+
+
+class TestPlansEndAtAnyDepth:
+    """Plans of different depths share the launches they have in common;
+    a plan that ends early is emitted at its node while the rest go on."""
+
+    @pytest.mark.parametrize("with_sink", [True, False], ids=["sinks", "counted"])
+    def test_triangle_path_and_q1_in_one_list(self, with_sink):
+        for order in (1, -1):  # the deepest plans last, then first
+            fused, oracle = both_kernels(
+                *stream(23, num_labels=2), mixed_depth_plans(order),
+                lambda graph, c: UnifiedMemoryView(graph, DEVICE, c),
+                with_sink=with_sink,
+            )
+            assert fused == oracle
+            assert all(f["embeddings"] and f["um_faults"] for f, _ in fused)
+            assert any(trace for _, trace in fused) == with_sink
+
+    def test_rulebook_emits_at_inner_nodes(self):
+        """A 2-vertex query ends at a root group and a triangle at depth-1
+        nodes that a 5-vertex query's plans go on from."""
+        edge = QueryGraph(2, [(0, 1)], labels=[0, 1], name="edge")
+        tri = QueryGraph(3, [(0, 1), (0, 2), (1, 2)], labels=[0, 1, 0], name="tri")
+        tailed = QueryGraph(
+            5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)], labels=[0, 1, 0, 1, 0],
+            name="tailed",
+        )
+        queries = [edge, tri, tailed]
+        inner = [
+            (depth, ref.query_name)
+            for depth, level in enumerate(Rulebook(queries).trie.levels)
+            for node in level.nodes if node.children
+            for ref in node.terminal
+        ]
+        assert (0, "edge") in inner and (1, "tri") in inner
+        g0, batches = stream(25, num_labels=2)
+        report = verify_rulebook(
+            g0, queries, batches,
+            legs={
+                "production": None,
+                "reference": partial(use_reference_kernels, estimator=False),
+            },
+        )
+        assert report.total_delta != 0
+        traces = []
+        for shared in (True, False):
+            engine = MultiQueryEngine(g0, queries, shared=shared)
+            out = {q.name: [] for q in queries}
+            sinks = {
+                name: (lambda e, s, name=name: out[name].append((e, s))) for name in out
+            }
+            for batch in batches:
+                engine.process_batch(batch, sinks=sinks)
+            traces.append(out)
+        assert traces[0] == traces[1]  # order included
+        assert all(traces[0].values())
+
+
+class TestTrieSettleOrder:
+    """The rulebook's *shared* counters — what prices ``match_ns`` — pinned
+    as literals recorded before the node-by-node trie walk was replaced by
+    the per-depth launch (AZ × ``rulebook_suite(8, num_labels=3)`` × 6 mixed
+    batches, seed 0; columns are ``AccessCounters.summary()`` in key order).
+    Under the four-page pager every fault depends on the settle order being
+    the walk's: trie pre-order.  Both rows also pin that a node shared by k
+    plans is charged to the shared counters once, not k times."""
+
+    CACHED = [
+        (12116, 74236, 0, 0, 0, 0, 0, 0, 33128, 981, 10),
+        (9232, 40252, 0, 0, 0, 0, 0, 0, 20920, 752, 4),
+        (20432, 153904, 0, 0, 0, 0, 0, 0, 64009, 1587, 55),
+        (10436, 51660, 0, 0, 0, 0, 0, 0, 25598, 834, 106),
+        (20860, 61744, 0, 0, 0, 0, 0, 0, 33105, 1063, 6),
+        (5368, 17928, 0, 0, 0, 0, 0, 0, 9412, 356, 1),
+    ]
+    UNIFIED_TIGHT = [
+        (0, 86352, 0, 0, 608, 368, 0, 0, 26261, 981, 10),
+        (0, 49484, 0, 0, 524, 229, 0, 0, 15656, 752, 4),
+        (0, 174336, 0, 0, 933, 660, 0, 0, 52900, 1587, 55),
+        (0, 62096, 0, 0, 509, 323, 0, 0, 19760, 834, 106),
+        (0, 82604, 0, 0, 709, 350, 0, 0, 25664, 1063, 6),
+        (0, 23296, 0, 0, 232, 125, 0, 0, 7276, 356, 1),
+    ]
+
+    @staticmethod
+    def shared_counters(**settings):
+        graph = datasets.DATASETS["AZ"].build(0)
+        g0, batches = derive_stream(graph, num_updates=6 * 48, batch_size=48, seed=0)
+        engine = MultiQueryEngine(
+            g0, rulebook_suite(8, num_labels=3, seed=0), seed=0, **settings
+        )
+        return [
+            tuple(int(v) for v in engine.process_batch(b).match_counters.summary().values())
+            for b in batches
+        ]
+
+    def test_cached_placement(self):
+        assert self.shared_counters() == self.CACHED
+
+    def test_unified_placement_under_eviction(self):
+        assert self.shared_counters(placement="unified", device=TIGHT) == self.UNIFIED_TIGHT
+        roomy = self.shared_counters(placement="unified")
+        faults = list(AccessCounters().summary()).index("um_faults")
+        assert all(  # not vacuous: the pager really is under pressure
+            tight[faults] > easy[faults] for tight, easy in zip(self.UNIFIED_TIGHT, roomy)
+        )

@@ -197,6 +197,45 @@ class TestTrieMechanics:
 
 
 # ----------------------------------------------------------------------
+# one launch per trie depth
+# ----------------------------------------------------------------------
+class TestOneLaunchPerDepth:
+    """Every depth of the trie is one ``FrontierKernel.expand`` for all its
+    nodes, so a batch costs at most (deepest plan's depth − 2) launches —
+    for a rulebook as for a single query (the trie walked node by node paid
+    one launch per live node)."""
+
+    @pytest.mark.parametrize("rulebook", [True, False], ids=["rulebook", "single"])
+    def test_launches_per_batch_bounded_by_depth(self, rulebook, monkeypatch):
+        from repro.core.engine import GCSMEngine
+        from repro.core.frontier import FrontierKernel
+
+        g = powerlaw_graph(1_000, 7.0, max_degree=50, num_labels=3, seed=51)
+        g0, batches = derive_stream(g, num_updates=320, batch_size=32, seed=52)
+        if rulebook:
+            queries = rulebook_suite(10, num_labels=3, seed=53)
+            engine = MultiQueryEngine(g0, queries, seed=0)
+            assert engine.query_set.trie.stats.num_queries >= 8  # unique patterns
+            deepest = max(q.num_vertices for q in queries)
+        else:
+            engine = GCSMEngine(g0, QUERIES["Q1"], seed=0)
+            deepest = QUERIES["Q1"].num_vertices
+        launches = []
+        expand = FrontierKernel.expand
+
+        def counted(self, *args):
+            launches[-1] += 1
+            return expand(self, *args)
+
+        monkeypatch.setattr(FrontierKernel, "expand", counted)
+        for batch in batches[:10]:
+            launches.append(0)
+            engine.process_batch(batch)
+        assert len(launches) == 10 and max(launches) > 1
+        assert max(launches) <= deepest - 2, launches
+
+
+# ----------------------------------------------------------------------
 # the rulebook is a plug: it composes with schedule, fan-out and placement
 # ----------------------------------------------------------------------
 @settings(max_examples=10, deadline=None)
