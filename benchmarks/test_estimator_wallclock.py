@@ -20,6 +20,12 @@ regime is the largest budget below.
 The CI smoke asserts the frontier sampler is never slower; the >=3x target
 applies to the representative (largest-budget) configurations, and the
 vectorized DCSR pack must hold >=2x across all cache sizes.
+
+The ``rulebook24/estimate`` row is the other end of the range: the estimate
+stage of ``Rulebook(rulebook_suite(24, num_labels=3))`` on AZ at the default
+budget — 130 chains of one to three walks each, the repo benchmark's
+``az_rulebook24`` — where the frontier is narrow and what counts is the
+number of launches (one walk per batch).  It is reported, not gated.
 """
 
 from __future__ import annotations
@@ -30,13 +36,21 @@ import numpy as np
 
 from conftest import run_once
 from repro.core.dcsr import DcsrCache
+from repro.core.engine import GCSMEngine
 from repro.core.frequency_frontier import FrontierFrequencyEstimator
+from repro.core.multiquery import Rulebook
 from repro.graphs import DynamicGraph
+from repro.graphs.datasets import DATASETS
 from repro.graphs.generators import powerlaw_graph
 from repro.graphs.stream import derive_stream
 from repro.gpu import default_device
 from repro.query import compile_delta_plans, query_by_name
-from repro.testing import RecursiveFrequencyEstimator, build_reference
+from repro.query.generator import rulebook_suite
+from repro.testing import (
+    RecursiveFrequencyEstimator,
+    build_reference,
+    use_reference_kernels,
+)
 from repro.utils import geometric_mean
 
 #: the production sampler vs its parity oracle (``repro.testing``)
@@ -66,6 +80,21 @@ def _time_estimates(name: str, g0, batches, plans, num_walks: int) -> float:
         est.estimate(plans, batch, num_walks=num_walks)
         total += time.perf_counter() - start
         graph.reorganize()
+    return total
+
+
+def _time_rulebook_estimates(name: str, g0, batches, queries) -> float:
+    """Total seconds in a rulebook engine's estimate stage over a stream."""
+    engine = GCSMEngine(g0, Rulebook(queries), seed=7)
+    if name == "recursive":
+        use_reference_kernels(engine, matcher=False)
+    total = 0.0
+    for batch in batches:
+        engine.graph.apply_batch(batch)
+        start = time.perf_counter()
+        engine.query_set.estimate(engine, batch, None)
+        total += time.perf_counter() - start
+        engine.graph.reorganize()
     return total
 
 
@@ -99,6 +128,14 @@ def test_estimator_wallclock(benchmark, record_table):
                 )
                 est_rows.append((f"estimate/{query_name}/M={num_walks}",
                                  num_walks, rec, fro))
+        az0, az_batches = derive_stream(
+            DATASETS["AZ"].build(0), num_updates=50 * 24, batch_size=24, seed=1
+        )
+        book = rulebook_suite(24, num_labels=3, seed=0)
+        rulebook_row = ("rulebook24/estimate",) + tuple(
+            _measure(_time_rulebook_estimates, name, az0, az_batches, book)
+            for name in ("recursive", "frontier")
+        )
 
         # DCSR pack: vectorized build vs the per-vertex reference loop,
         # mid-batch (marks + deltas present) on the most frequent vertices.
@@ -118,9 +155,9 @@ def test_estimator_wallclock(benchmark, record_table):
             rec = _measure(_time_build, build_reference, dyn, verts)
             fro = _measure(_time_build, DcsrCache.build, dyn, verts)
             build_rows.append((f"dcsr_build/k={verts.size}", rec, fro))
-        return est_rows, build_rows
+        return est_rows, rulebook_row, build_rows
 
-    est_rows, build_rows = run_once(benchmark, run)
+    est_rows, rulebook_row, build_rows = run_once(benchmark, run)
 
     est_speedups = [rec / fro for *_, rec, fro in est_rows]
     representative = [rec / fro for _, nw, rec, fro in est_rows
@@ -134,6 +171,8 @@ def test_estimator_wallclock(benchmark, record_table):
               f"{'speedup':>8}")
         for (name, _, rec, fro), s in zip(est_rows, est_speedups):
             print(f"{name:<26} {rec:>12.3f} {fro:>12.3f} {s:>7.2f}x")
+        name, rec, fro = rulebook_row
+        print(f"{name:<26} {rec:>12.3f} {fro:>12.3f} {rec / fro:>7.2f}x")
         for (name, rec, fro), s in zip(build_rows, build_speedups):
             print(f"{name:<26} {rec:>12.3f} {fro:>12.3f} {s:>7.2f}x")
         print(f"{'geomean (estimate)':<26} {'':>12} {'':>12} "

@@ -125,10 +125,8 @@ class KhopPlacement(Placement):
         engine, graph, device = self.engine, self.engine.graph, self.engine.device
         gather_counters = AccessCounters()
         resident = self._khop_vertices(batch, gather_counters)
-        copy_bytes = sum(
-            (graph.degree_old(v) + graph.delta_neighbors(v).size) * BYTES_PER_NEIGHBOR
-            for v in resident
-        ) + len(resident) * 3 * BYTES_PER_NEIGHBOR
+        stored = graph.run_lengths(np.fromiter(resident, np.int64, len(resident)))[1]
+        copy_bytes = (int(stored.sum()) + len(resident) * 3) * BYTES_PER_NEIGHBOR
         if engine.config.strict_capacity and copy_bytes > device.cache_buffer_bytes:
             raise VsgmCapacityError(
                 f"k-hop working set ({copy_bytes} B) exceeds device buffer "

@@ -49,19 +49,14 @@ def select_within_budget(
 
     Greedy by rank: a vertex whose list alone exceeds the remaining budget
     stops the scan (keeping the selection a rank prefix, as the paper's
-    "nodes with the highest estimated frequency are cached" implies).
+    "nodes with the highest estimated frequency are cached" implies).  Sizes
+    are positive, so the running total is increasing and the scan is the
+    prefix before its first overflow; a list's packed length is its stored
+    run (base run with marks + appended ΔN), read from the store's table.
     """
-    chosen: list[int] = []
-    used = 0
-    for v in ranked_vertices.tolist():
-        size = packed_size_bytes(
-            graph.degree_old(v) + graph.delta_neighbors(v).size
-        )
-        if used + size > budget_bytes:
-            break
-        chosen.append(v)
-        used += size
-    return np.asarray(chosen, dtype=np.int64)
+    ranked = np.asarray(ranked_vertices, dtype=np.int64)
+    used = np.cumsum(packed_size_bytes(graph.run_lengths(ranked)[1]))
+    return ranked[: np.searchsorted(used, budget_bytes, side="right")]
 
 
 class CachePolicy(ABC):

@@ -625,7 +625,7 @@ class GCSMEngine:
         self.estimator = FrontierFrequencyEstimator(
             self.graph, self.device,
             seed=spawn_generator(as_generator(config.seed)),
-            survival=config.survival,
+            survival=config.survival, attributes=self.attributes,
         )
         self.match = match_batch
         self.policy: CachePolicy = make_policy(config.policy)

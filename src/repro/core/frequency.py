@@ -29,14 +29,15 @@ total time); Eq. (5)'s sample-size bound is exposed as
 :func:`required_walks` and drives the adaptive re-sampling loop of
 :meth:`FrequencyEstimator.estimate_adaptive`.
 
-The sampler the engines run is the level-synchronous merged-walk sampler of
-:mod:`repro.core.frequency_frontier` (one flat frontier of ``(bound_vertices,
-multiplicity, weight)`` rows per execution-tree level).  This module holds
-what it shares with its per-node depth-first parity oracle
-(:class:`repro.testing.kernels.RecursiveFrequencyEstimator`): the budget
-formulas, the result type, and the :class:`FrequencyEstimator` base with the
-adaptive re-sampling loop (see ``docs/frequency.md`` for the three-layer
-parity contract the two samplers must satisfy).
+Every estimate is one :meth:`FrequencyEstimator.walk` over a **no-sharing**
+:class:`~repro.core.querytrie.ExecutionTrie` — one chain per ΔM plan, the
+per-depth tables :func:`~repro.core.matching.match_trie` launches over: a
+query's plans (:meth:`FrequencyEstimator.estimate`) or all of a rulebook's
+(:meth:`repro.core.multiquery.Rulebook.estimate`).  A sampler supplies only
+the descent — level-synchronous in :mod:`repro.core.frequency_frontier`,
+per-node depth-first in its parity oracle
+(:class:`repro.testing.kernels.RecursiveFrequencyEstimator`); see
+``docs/frequency.md`` for the three-layer parity contract the two satisfy.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.matching import delta_roots, filter_root_predicate
+from repro.core.querytrie import ExecutionTrie, solo_trie
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.stream import UpdateBatch
 from repro.gpu.counters import AccessCounters
@@ -139,9 +142,9 @@ class EstimationResult:
 class FrequencyEstimator:
     """Merged-binomial random-walk estimator over the ΔM_i execution trees.
 
-    Base of the production sampler and its recursive oracle: subclasses
-    implement :meth:`estimate`; the walk-continuation schedule and the
-    Eq. (5) re-sampling loop are shared.
+    Base of the production sampler and its recursive oracle: the budget
+    arithmetic, the root draws, the normalisation and the Eq. (5) re-sampling
+    loop are written once here; a subclass supplies :meth:`_descend`.
     """
 
     def __init__(
@@ -151,6 +154,7 @@ class FrequencyEstimator:
         *,
         seed: int | np.random.Generator | None = 0,
         survival: float | None = None,
+        attributes=None,
     ) -> None:
         """``survival`` selects the walk-continuation schedule.
 
@@ -166,11 +170,17 @@ class FrequencyEstimator:
         **unbiased** (Theorem 1's argument only needs the per-node sampling
         probability to be known, and the inverse-probability weight is
         tracked exactly); only the variance/cost trade-off changes.
+
+        ``attributes`` is the engine's edge-weight overlay (``None``: the
+        hash weights): the walks prune by weight predicates as the kernel does.
         """
+        if type(self) is FrequencyEstimator:
+            raise NotImplementedError("the samplers' base has no _descend")
         self.graph = graph
         self.device = device
         self.rng = as_generator(seed)
         self.survival = survival
+        self.attributes = attributes
 
     # ------------------------------------------------------------------
     def estimate(
@@ -181,11 +191,69 @@ class FrequencyEstimator:
         num_walks: int | None = None,
         max_degree: int | None = None,
     ) -> EstimationResult:
-        """Run the merged sampler over all delta plans.
+        """Run the merged sampler over all delta plans of one query: the
+        budget split evenly across the m plans (each ΔM_i tree is sampled
+        independently; their access frequencies add), then one :meth:`walk`
+        of the trie :func:`~repro.core.matching.match_batch` launches over."""
+        if max_degree is None:
+            max_degree = max(1, self.graph.max_degree())
+        if num_walks is None:
+            num_walks = default_num_walks(
+                len(batch), max_degree, plans[0].query.num_vertices
+            )
+        per_chain = max(1, num_walks // max(1, len(plans)))
+        frequencies, nodes, counters = self.walk(
+            solo_trie(tuple(plans)), {None: batch}, {None: per_chain}, max_degree
+        )
+        return EstimationResult(frequencies, num_walks, nodes, counters)
 
-        The walk budget is split evenly across the m plans (each ΔM_i tree
-        is sampled independently; their access frequencies add).
+    def walk(
+        self, trie: ExecutionTrie, batches: dict, walks: dict, max_degree: int
+    ) -> tuple[np.ndarray, int, AccessCounters]:
+        """The one primitive: walk every chain of a **no-sharing** ``trie``
+        whose query is a key of ``batches`` — ``walks[query]`` merged walks
+        per chain over the roots of ``batches[query]`` — and return
+        ``(frequencies, nodes_visited, counters)``.
+
+        ``frequencies`` sums each chain's Eq. 3 tally over its own budget: a
+        query's estimate, or a rulebook's pooled one.  Chains of one budget
+        share an accumulator row, divided once after the walk: a row's
+        charges are integer-valued floats in the full-expansion regime, so
+        the samplers agree bit for bit in any charging order (``1/budget``
+        folded into the root weight would make every sum order-dependent).
         """
+        require(trie.stats.root_groups == len(trie.refs),
+                "walk takes the no-sharing trie (merge=False)")
+        budgets, rows = np.unique(list(walks.values()), return_inverse=True)
+        tally = np.zeros((budgets.size, self.graph.num_vertices), dtype=np.float64)
+        counters = AccessCounters()
+        nodes = self._descend(
+            trie, self._roots(trie, batches, walks, dict(zip(walks, rows.tolist()))),
+            max_degree, tally, counters,
+        )
+        return (tally / budgets[:, None]).sum(axis=0), nodes, counters
+
+    def _roots(self, trie, batches, walks, tally_row):
+        """Per walked chain, in ``trie.refs`` order: ``(chain, plan, roots,
+        multiplicity, num_roots, tally_row)`` — the roots the kernel would
+        process (label- and predicate-filtered) that drew ``B_root ~
+        Binomial(M, 1/|ΔR_i|) > 0`` (merged execution), lazily."""
+        labels = self.graph.labels
+        for chain, ref in enumerate(trie.refs):
+            name = ref.query_name
+            if name not in batches:
+                continue
+            roots, _ = filter_root_predicate(
+                ref.plan, *delta_roots(ref.plan, batches[name], labels), self.attributes
+            )
+            if num_roots := roots.shape[0]:
+                born = self.rng.binomial(walks[name], 1.0 / num_roots, size=num_roots)
+                live = np.flatnonzero(born)
+                yield chain, ref.plan, roots[live], born[live], num_roots, tally_row[name]
+
+    def _descend(self, trie, roots, max_degree, tally, counters) -> int:
+        """Walk down from ``roots`` (:meth:`_roots`): Eq. 3 charges go to
+        ``tally[tally_row]``, FE cost to ``counters``; returns nodes visited."""
         raise NotImplementedError
 
     def estimate_adaptive(

@@ -39,19 +39,21 @@ and only under eviction pressure — see ``docs/kernel.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.graphs.attributes import edge_weights
+from repro.graphs.attributes import pair_weights
 from repro.graphs.dynamic_graph import keyed_contains
 from repro.gpu.views import GraphView
 from repro.query.pattern import WILDCARD_LABEL
 from repro.query.plan import EdgeVersion, LevelPlan
 from repro.utils import contains_sorted, segment_offsets
 
-__all__ = ["AccessLog", "LevelTable", "level_table", "join_rows", "FrontierKernel"]
+__all__ = [
+    "AccessLog", "LevelTable", "level_table", "join_rows", "expand_rows",
+    "FrontierKernel",
+]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 _LAST = np.iinfo(np.int64).max  # sort key of a constraint column a row lacks
@@ -94,9 +96,8 @@ class LevelTable:
         return verts, self.old[line], self.valid[line]
 
 
-@lru_cache(maxsize=512)
 def level_table(levels: tuple[LevelPlan, ...]) -> LevelTable:
-    """The operand tables of one level across nodes (built once per list)."""
+    """The operand tables of one level across nodes (one line per node)."""
     shape = (len(levels), max(len(lvl.constraints) for lvl in levels))
     position = np.zeros(shape, dtype=np.int64)
     old = np.zeros(shape, dtype=bool)
@@ -191,8 +192,62 @@ def join_rows(
     return cand_flat, cand_cnt, AccessLog(*map(np.concatenate, zip(*log))), compute
 
 
+def expand_rows(
+    graph, table: LevelTable, rows: np.ndarray, line: np.ndarray,
+    filters: dict[int, np.ndarray] | None = None, attributes=None,
+) -> tuple[np.ndarray, np.ndarray, AccessLog, np.ndarray]:
+    """The level program: the candidates of every row for its node's level.
+
+    The one body under both kernels — the matcher launches it through
+    :meth:`FrontierKernel.expand`, the frequency estimator's walk directly —
+    so a sampled path prunes exactly as the executed one does.  Returns
+    ``(cand_flat, cand_cnt, log, compute)`` and charges nothing: ``log`` is
+    the join's access log, left for the caller to settle, and ``compute`` the
+    order-free work per table line, reproducing the recursive ``_candidates``
+    row by row: the first list charges its length, each intersection
+    ``len(a)+len(b)`` ops, then the filter / label / predicate / injectivity
+    masks and the final per-candidate charge for surviving rows (zero-size
+    rows contribute zero to every charge, exactly like the recursive early
+    return).  ``filters`` restricts query vertices to sorted candidate
+    arrays; ``attributes`` is an edge-weight provider for predicate pushdown
+    (``None`` falls back to the deterministic hash weights).
+    """
+    n, lines = rows.shape[0], table.label.shape[0]
+    cand_flat, cand_cnt, log, work = join_rows(graph, *table.operands(rows, line))
+    compute = np.bincount(line, weights=work, minlength=lines)
+    qrow = np.repeat(np.arange(n, dtype=np.int64), cand_cnt)
+    qline = line[qrow]
+    want = table.label[qline]
+    keep = (want == WILDCARD_LABEL) | (graph.labels[cand_flat] == want)
+    if filters:
+        # a candidate index (RapidFlow) encodes the label, so it replaces
+        # the label check for its query vertex; one probe per candidate
+        query_vertex = table.query_vertex[qline]
+        for u, allowed in filters.items():
+            sel = query_vertex == u
+            compute += np.bincount(qline[sel], minlength=lines)
+            keep[sel] = contains_sorted(allowed, cand_flat[sel])
+    # predicate pushdown: mirrors the recursive executor — a node's
+    # predicated constraints in order, each charging one weight probe per
+    # still-surviving candidate
+    for p, position, (lo, hi) in table.predicates:
+        alive = np.flatnonzero(keep & (qline == p))
+        compute[p] += alive.size
+        anchors = rows[qrow[alive], position]
+        w = pair_weights(attributes, anchors, cand_flat[alive])
+        keep[alive[~((w >= lo) & (w <= hi))]] = False
+    # injectivity: a candidate must differ from every bound vertex of
+    # its own row (sequential removal in the recursive executor — the
+    # same set either way)
+    keep &= (cand_flat[:, None] != rows[qrow]).all(axis=1)
+    cand_flat = cand_flat[keep]
+    cand_cnt = np.bincount(qrow[keep], minlength=n)
+    compute += np.bincount(line, weights=cand_cnt, minlength=lines)
+    return cand_flat, cand_cnt, log, compute.astype(np.int64)
+
+
 class FrontierKernel:
-    """Level-expansion context: view + filters + edge weights.
+    """The matcher's launch context: view + filters + edge weights.
 
     One kernel instance expands every depth of a trie of plans against the
     same frozen adjacency: :func:`repro.core.matching.match_trie` launches it
@@ -208,62 +263,14 @@ class FrontierKernel:
         attributes=None,
     ) -> None:
         self.view = view
-        self.labels = view.graph.labels
-        self.filters = filters or {}
-        #: optional edge-weight provider for predicate pushdown; None falls
-        #: back to the deterministic hash weights
+        self.filters = filters
         self.attributes = attributes
 
-    # ------------------------------------------------------------------
     def expand(
         self, table: LevelTable, rows: np.ndarray, line: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, AccessLog, np.ndarray]:
-        """One launch: the candidates of every row for its node's level.
-
-        Returns ``(cand_flat, cand_cnt, log, compute)`` and charges nothing:
-        ``log`` is the join's access log, left for the caller to settle
-        through :meth:`GraphView.fetch_block`, and ``compute`` the order-free
-        work per table line, reproducing the recursive ``_candidates`` row by
-        row: the first list charges its length, each intersection
-        ``len(a)+len(b)`` ops, then the filter / label / predicate /
-        injectivity masks and the final per-candidate charge for surviving
-        rows (zero-size rows contribute zero to every charge, exactly like
-        the recursive early return).
-        """
-        n, lines = rows.shape[0], table.label.shape[0]
-        cand_flat, cand_cnt, log, work = join_rows(
-            self.view.graph, *table.operands(rows, line)
+        """One launch of :func:`expand_rows`; the caller settles its log
+        through :meth:`GraphView.fetch_block`."""
+        return expand_rows(
+            self.view.graph, table, rows, line, self.filters, self.attributes
         )
-        compute = np.bincount(line, weights=work, minlength=lines)
-        qrow = np.repeat(np.arange(n, dtype=np.int64), cand_cnt)
-        qline = line[qrow]
-        want = table.label[qline]
-        keep = (want == WILDCARD_LABEL) | (self.labels[cand_flat] == want)
-        if self.filters:
-            # a candidate index (RapidFlow) encodes the label, so it replaces
-            # the label check for its query vertex; one probe per candidate
-            query_vertex = table.query_vertex[qline]
-            for u, allowed in self.filters.items():
-                sel = query_vertex == u
-                compute += np.bincount(qline[sel], minlength=lines)
-                keep[sel] = contains_sorted(allowed, cand_flat[sel])
-        # predicate pushdown: mirrors the recursive executor — a node's
-        # predicated constraints in order, each charging one weight probe per
-        # still-surviving candidate
-        for p, position, (lo, hi) in table.predicates:
-            alive = np.flatnonzero(keep & (qline == p))
-            compute[p] += alive.size
-            anchors = rows[qrow[alive], position]
-            if self.attributes is not None:
-                w = self.attributes.pair_weights(anchors, cand_flat[alive])
-            else:
-                w = edge_weights(anchors, cand_flat[alive])
-            keep[alive[~((w >= lo) & (w <= hi))]] = False
-        # injectivity: a candidate must differ from every bound vertex of
-        # its own row (sequential removal in the recursive executor — the
-        # same set either way)
-        keep &= (cand_flat[:, None] != rows[qrow]).all(axis=1)
-        cand_flat = cand_flat[keep]
-        cand_cnt = np.bincount(qrow[keep], minlength=n)
-        compute += np.bincount(line, weights=cand_cnt, minlength=lines)
-        return cand_flat, cand_cnt, log, compute.astype(np.int64)

@@ -39,14 +39,14 @@ inputs by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
 
 from repro.core.frontier import FrontierKernel
-from repro.core.querytrie import ExecutionTrie
-from repro.graphs.attributes import edge_weights
+from repro.core.querytrie import ExecutionTrie, solo_trie
+from repro.graphs.attributes import pair_weights
 from repro.graphs.stream import UpdateBatch
 from repro.gpu.counters import AccessCounters
 from repro.gpu.views import GraphView
@@ -159,10 +159,7 @@ def filter_root_predicate(
     """
     if plan.root_predicate is None or roots.shape[0] == 0:
         return roots, signs
-    if attributes is not None:
-        w = attributes.pair_weights(roots[:, 0], roots[:, 1])
-    else:
-        w = edge_weights(roots[:, 0], roots[:, 1])
+    w = pair_weights(attributes, roots[:, 0], roots[:, 1])
     lo, hi = plan.root_predicate
     keep = (w >= lo) & (w <= hi)
     return roots[keep], signs[keep]
@@ -386,13 +383,6 @@ def match_trie(
 # ----------------------------------------------------------------------
 # public entry points
 # ----------------------------------------------------------------------
-@lru_cache(maxsize=64)
-def _solo_trie(plans: tuple[MatchPlan, ...]) -> ExecutionTrie:
-    """``plans`` as the trie that shares nothing: one root group and one
-    chain per plan, all members of the one (unnamed) query."""
-    return ExecutionTrie({None: list(plans)}, merge=False)
-
-
 def match_batch(
     plans: list[MatchPlan],
     batch: UpdateBatch,
@@ -429,7 +419,7 @@ def match_batch(
     weights are used.
     """
     return match_trie(
-        _solo_trie(tuple(plans)), batch, view,
+        solo_trie(tuple(plans)), batch, view,
         sinks=None if sink is None else {None: sink},
         prefilter=None if prefilter is None else {None: prefilter},
         filters=filters, root_mask=root_mask, attributes=attributes,
@@ -452,6 +442,6 @@ def match_static(
     same source-major/ascending order as a per-vertex adjacency scan.
     """
     return match_trie(
-        _solo_trie((plan,)), None, view,
+        solo_trie((plan,)), None, view,
         sinks=None if sink is None else {None: sink}, attributes=attributes,
     )[None]

@@ -10,12 +10,13 @@ shares all of it — :class:`Rulebook` is the engine's query-set plug, so the
 stages, schedules, placements and fleet are the engine's own and this module
 holds only what is rulebook logic:
 
-* one **pooled frequency estimate** — the walk budget is split exactly
-  across all queries' delta plans and the per-vertex estimates summed,
-  which is the right statistic because the kernel's total access frequency
-  over the batch is the sum over queries (each estimate is unbiased for its
-  query's accesses, so the pooled estimate is unbiased for the union
-  workload);
+* one **pooled frequency estimate**, taken in ONE walk of every query's
+  chains (:meth:`~repro.core.frequency.FrequencyEstimator.walk`) — the walk
+  budget is split exactly across the queries' delta plans and the per-vertex
+  estimates summed, which is the right statistic because the kernel's total
+  access frequency over the batch is the sum over queries (each estimate is
+  unbiased for its query's accesses, so the pooled estimate is unbiased for
+  the union workload);
 * queries are lexsorted by name, then deduped by
   :func:`~repro.query.symmetry.canonical_form` — isomorphic standing
   patterns have identical ΔM on every batch, so only the lexicographically
@@ -45,8 +46,6 @@ bench quantifies it against per-pattern engines and across rulebook sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from repro.core.engine import BatchResult, GCSMEngine, QuerySet
 from repro.core.frequency import EstimationResult, default_num_walks
@@ -227,6 +226,9 @@ class Rulebook(QuerySet):
         self.trie = ExecutionTrie(
             {q.name: self.plans[q.name] for q in self.representatives}
         )
+        #: what the estimator walks: every query (the pooled statistic sums
+        #: over queries, aliases included), nothing merged
+        self.walk_trie = ExecutionTrie(self.plans, merge=False)
 
     @property
     def name(self) -> str:
@@ -300,12 +302,13 @@ class Rulebook(QuerySet):
     def estimate(
         self, engine: GCSMEngine, batch: UpdateBatch, decision: RulebookDecision | None
     ) -> EstimationResult:
-        """Sum per-query unbiased estimates into one workload estimate.
+        """Budget assignment plus ONE walk: the pooled workload estimate.
 
-        Iterates *all* queries (aliases included) in lexsorted order in both
-        execution modes, so the pooled frequencies — and therefore the cache
-        contents every downstream counter depends on — are bit-identical
-        between shared and independent runs.
+        Walks *all* queries' chains (aliases included) in lexsorted order in
+        both execution modes, so the pooled frequencies — and therefore the
+        cache contents every downstream counter depends on — are
+        bit-identical between shared and independent runs.  The budget is
+        split exactly across the queries, then evenly across a query's plans.
 
         Under the pre-filter, queries certified ΔM = 0 are excluded (their
         walks would estimate provably dead work) and the walk budget is
@@ -320,22 +323,20 @@ class Rulebook(QuerySet):
         total_walks = engine.config.num_walks or default_num_walks(
             len(batch), max_degree, largest
         )
-        pooled: np.ndarray | None = None
-        counters = AccessCounters()
-        nodes = walks = 0
-        for query, query_walks in zip(active, split_walk_budget(total_walks, len(active))):
-            est_batch = batch
-            if decision is not None:
-                est_batch = decision.by_query[self.canonical_of[query.name]].estimate_batch
-            result = engine.estimator.estimate(
-                self.plans[query.name], est_batch,
-                num_walks=query_walks, max_degree=max_degree,
-            )
-            pooled = result.frequencies if pooled is None else pooled + result.frequencies
-            counters.merge(result.counters)
-            nodes += result.nodes_visited
-            walks += result.num_walks
-        return EstimationResult(pooled, walks, nodes, counters)
+        budget = split_walk_budget(total_walks, len(active))
+        batches = {
+            q.name: batch if decision is None
+            else decision.by_query[self.canonical_of[q.name]].estimate_batch
+            for q in active
+        }
+        walks = {
+            q.name: max(1, share // len(self.plans[q.name]))
+            for q, share in zip(active, budget)
+        }
+        pooled, nodes, counters = engine.estimator.walk(
+            self.walk_trie, batches, walks, max_degree
+        )
+        return EstimationResult(pooled, sum(budget), nodes, counters)
 
     def match(
         self, engine: GCSMEngine, batch: UpdateBatch, view, decision: RulebookDecision | None,

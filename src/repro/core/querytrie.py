@@ -20,7 +20,9 @@ pre-order index — which is what :func:`repro.core.matching.match_trie`, the
 level-synchronous driver, launches the frontier kernel over: one
 ``expand`` per depth for all its nodes.  ``merge=False`` builds the
 no-sharing trie (every plan its own root group and chain) that a single
-query's ΔM plans run as; the driver does not tell the two apart.
+query's ΔM plans run as (:func:`solo_trie`); the driver does not tell the
+two apart, and the frequency estimator walks the same per-depth tables
+(:meth:`repro.core.frequency.FrequencyEstimator.walk`).
 
 Exactness contract (validated by ``tests/test_multiquery_shared.py`` and
 the adversarial-stream fuzzer):
@@ -52,13 +54,16 @@ masks independent execution applies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from repro.core.frontier import LevelTable, level_table
 from repro.query.plan import LevelPlan, MatchPlan, level_signature, root_signature
 
-__all__ = ["PlanRef", "TrieNode", "TrieLevel", "ExecutionTrie", "TrieStats"]
+__all__ = [
+    "PlanRef", "TrieNode", "TrieLevel", "ExecutionTrie", "TrieStats", "solo_trie",
+]
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,3 +204,10 @@ class ExecutionTrie:
             expanded_levels=len(self.nodes) - len(roots),
             root_groups=len(roots),
         )
+
+
+@lru_cache(maxsize=64)
+def solo_trie(plans: tuple[MatchPlan, ...]) -> ExecutionTrie:
+    """``plans`` as the trie that shares nothing: one root group and one
+    chain per plan, all members of the one (unnamed) query."""
+    return ExecutionTrie({None: list(plans)}, merge=False)

@@ -168,17 +168,13 @@ class IndexedPlacement(Placement):
         # an embedding may mix OLD and NEW edges, so its vertices' incident
         # edges live in G_k ∪ G_{k+1}.  Pruning per-term with a narrower
         # degree would break the IVM cancellation between terms.
-        degrees = np.array(
-            [self.graph.degree_old(v) + self.graph.delta_neighbors(v).size
-             for v in touched],
-            dtype=np.int64,
-        )
+        touched_arr = np.asarray(touched, dtype=np.int64)
+        degrees = self.graph.run_lengths(touched_arr)[1]
         labels = self.graph.labels
         counters.record_compute(len(touched) * (self.query.num_vertices + 2))
         counters.record_access(
             Channel.CPU_DRAM, int(touched[0]), len(touched) * BYTES_PER_NEIGHBOR
         )
-        touched_arr = np.asarray(touched, dtype=np.int64)
         for u in range(self.query.num_vertices):
             ok = degrees >= self.query.degree(u)
             ql = self.query.label(u)

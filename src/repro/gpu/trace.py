@@ -96,15 +96,11 @@ class TracingView(GraphView):
 
     def trace(self) -> AccessTrace:
         graph = self.graph
-        lengths = np.array(
-            [graph.degree_old(v) + graph.delta_neighbors(v).size
-             for v in range(graph.num_vertices)],
-            dtype=np.int64,
-        )
         return AccessTrace(
             vertices=np.asarray(self._vertices, dtype=np.int64),
             nbytes=np.asarray(self._nbytes, dtype=np.int64),
-            list_lengths=lengths,
+            # every list at its stored length, appended run included
+            list_lengths=graph.run_lengths(np.arange(graph.num_vertices))[1],
         )
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["edge_weight", "edge_weights", "EdgeAttributeStore"]
+__all__ = ["edge_weight", "edge_weights", "pair_weights", "EdgeAttributeStore"]
 
 # splitmix64 finalizer constants (Steele et al.) — applied over the packed
 # canonical pair so close-by vertex ids still give avalanche-mixed weights
@@ -67,6 +67,12 @@ def edge_weights(us, vs) -> np.ndarray:
 def edge_weight(u: int, v: int) -> float:
     """Scalar convenience wrapper over :func:`edge_weights`."""
     return float(edge_weights(np.int64(u), np.int64(v)))
+
+
+def pair_weights(attributes: "EdgeAttributeStore | None", us, vs) -> np.ndarray:
+    """Weights of the ``(us[i], vs[i])`` pairs as the executors read them:
+    through the overlay when there is one, else the hash default."""
+    return edge_weights(us, vs) if attributes is None else attributes.pair_weights(us, vs)
 
 
 class EdgeAttributeStore:

@@ -11,7 +11,8 @@ obviously-correct twins of the vectorized production kernels:
   reach them through (``engine.estimator`` and ``engine.match`` are plain
   attributes; the function swaps both);
 * :mod:`repro.testing.oracles` — the scalar loops the vectorized DCSR pack,
-  reorganize merge and frequency partitioner are checked against.
+  reorganize merge, frequency partitioner and cache-budget scan are checked
+  against.
 
 The brute-force embedding counter stays in :mod:`repro.core.reference`:
 ``repro verify --oracle`` uses it in production.
@@ -33,6 +34,7 @@ from repro.testing.oracles import (
     assign_reference,
     build_reference,
     merge_runs_reference,
+    select_within_budget_reference,
 )
 
 __all__ = [
@@ -49,4 +51,5 @@ __all__ = [
     "build_reference",
     "merge_runs_reference",
     "assign_reference",
+    "select_within_budget_reference",
 ]

@@ -19,20 +19,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.frequency import (
-    EstimationResult,
-    FrequencyEstimator,
-    default_num_walks,
-)
+from repro.core.frequency import FrequencyEstimator
 from repro.core.matching import (
     EmbeddingSink,
     MatchStats,
     batch_roots,
-    delta_roots,
     filter_root_predicate,
     static_roots,
 )
-from repro.graphs.attributes import edge_weights
+from repro.graphs.attributes import pair_weights
 from repro.graphs.stream import UpdateBatch
 from repro.gpu.counters import AccessCounters, Channel
 from repro.gpu.device import BYTES_PER_NEIGHBOR
@@ -265,11 +260,7 @@ class RecursivePlanExecutor:
             if cand.size == 0:
                 break
             counters.record_compute(cand.size)
-            anchor = int(self._bound[c.position])
-            if self.attributes is not None:
-                w = self.attributes.pair_weights(anchor, cand)
-            else:
-                w = edge_weights(anchor, cand)
+            w = pair_weights(self.attributes, int(self._bound[c.position]), cand)
             lo, hi = c.predicate
             cand = cand[(w >= lo) & (w <= hi)]
         for i in range(bound_count):  # injectivity
@@ -363,52 +354,20 @@ def match_static_recursive(
 class RecursiveFrequencyEstimator(FrequencyEstimator):
     """Depth-first merged-binomial sampler over the ΔM_i execution trees."""
 
-    def estimate(
-        self,
-        plans: list[MatchPlan],
-        batch: UpdateBatch,
-        *,
-        num_walks: int | None = None,
-        max_degree: int | None = None,
-    ) -> EstimationResult:
-        """Run the merged sampler over all delta plans.
-
-        The walk budget is split evenly across the m plans (each ΔM_i tree
-        is sampled independently; their access frequencies add).
-        """
-        graph = self.graph
-        labels = graph.labels
-        n = graph.num_vertices
-        if max_degree is None:
-            max_degree = max(1, graph.max_degree())
-        if num_walks is None:
-            num_walks = default_num_walks(
-                len(batch), max_degree, plans[0].query.num_vertices
-            )
-        counters = AccessCounters()
-        freq = np.zeros(n, dtype=np.float64)
-        nodes_visited = 0
-        walks_per_plan = max(1, num_walks // max(1, len(plans)))
-        inv_d = 1.0 / max_degree
-
-        for plan in plans:
-            roots, _signs = delta_roots(plan, batch, labels)
-            num_roots = roots.shape[0]
-            if num_roots == 0:
-                continue
-            # B_root ~ Binomial(M, 1/|ΔR_i|) per root (merged execution)
-            b_roots = self.rng.binomial(walks_per_plan, 1.0 / num_roots, size=num_roots)
+    def _descend(self, trie, roots, max_degree, tally, counters) -> int:
+        """Chain by chain, root by root: one :meth:`_walk` frame per node."""
+        labels = self.graph.labels
+        nodes = 0
+        for _chain, plan, found, mult, num_roots, tally_row in roots:
             bound = np.empty(plan.depth, dtype=np.int64)
-            for r in np.nonzero(b_roots > 0)[0]:
-                bound[0], bound[1] = roots[r]
-                nodes_visited += self._walk(
-                    plan, bound, level_index=0, multiplicity=int(b_roots[r]),
-                    weight=float(num_roots), inv_d=inv_d, freq=freq,
-                    counters=counters, labels=labels,
+            for root, multiplicity in zip(found, mult.tolist()):
+                bound[0], bound[1] = root
+                nodes += self._walk(
+                    plan, bound, level_index=0, multiplicity=multiplicity,
+                    weight=float(num_roots), inv_d=1.0 / max_degree,
+                    freq=tally[tally_row], counters=counters, labels=labels,
                 )
-        if num_walks > 0:
-            freq /= walks_per_plan
-        return EstimationResult(freq, num_walks, nodes_visited, counters)
+        return nodes
 
     # ------------------------------------------------------------------
     def _fetch(
@@ -477,6 +436,15 @@ class RecursiveFrequencyEstimator(FrequencyEstimator):
         assert cand is not None
         if lvl.label != WILDCARD_LABEL:
             cand = cand[labels[cand] == lvl.label]
+        # weight predicates, as the kernel pushes them down: one probe per
+        # surviving candidate per predicated constraint, in plan order
+        for c in lvl.constraints:
+            if c.predicate is None or cand.size == 0:
+                continue
+            counters.record_compute(cand.size)
+            w = pair_weights(self.attributes, int(bound[c.position]), cand)
+            lo, hi = c.predicate
+            cand = cand[(w >= lo) & (w <= hi)]
         for i in range(level_index + 2):
             cand = cand[cand != bound[i]]
         counters.record_compute(cand.size)
@@ -521,6 +489,6 @@ def use_reference_kernels(engine, *, matcher: bool = True, estimator: bool = Tru
         current = engine.estimator
         engine.estimator = RecursiveFrequencyEstimator(
             current.graph, current.device, seed=current.rng,
-            survival=current.survival,
+            survival=current.survival, attributes=current.attributes,
         )
     return engine

@@ -8,18 +8,23 @@ routine replaced, kept verbatim so tests can assert bit-identical output:
   :meth:`repro.graphs.dynamic_graph.DynamicGraph.reorganize`
 * :func:`assign_reference` ↔
   :meth:`repro.multigpu.partition.FrequencyPartitioner.assign`
+* :func:`select_within_budget_reference` ↔
+  :func:`repro.core.cache.select_within_budget`
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.dcsr import DcsrCache
+from repro.core.dcsr import DcsrCache, packed_size_bytes
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.multigpu.partition import FrequencyPartitioner, _hash_owners
 from repro.utils import VERTEX_DTYPE, require
 
-__all__ = ["build_reference", "merge_runs_reference", "assign_reference"]
+__all__ = [
+    "build_reference", "merge_runs_reference", "assign_reference",
+    "select_within_budget_reference",
+]
 
 
 def build_reference(graph: DynamicGraph, vertices: np.ndarray) -> DcsrCache:
@@ -122,3 +127,22 @@ def assign_reference(partitioner: FrequencyPartitioner, graph, frequencies,
     if counters is not None:
         counters.record_compute(ops)
     return owners
+
+
+def select_within_budget_reference(
+    graph: DynamicGraph, ranked_vertices: np.ndarray, budget_bytes: int
+) -> np.ndarray:
+    """The original rank-order scan of
+    :func:`repro.core.cache.select_within_budget`: one vertex at a time, its
+    size from two per-vertex store reads, stopping at the first overflow."""
+    chosen: list[int] = []
+    used = 0
+    for v in ranked_vertices.tolist():
+        size = packed_size_bytes(
+            graph.degree_old(v) + graph.delta_neighbors(v).size
+        )
+        if used + size > budget_bytes:
+            break
+        chosen.append(v)
+        used += size
+    return np.asarray(chosen, dtype=np.int64)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import (
     CachedDeviceView,
@@ -14,6 +15,7 @@ from repro.graphs import DynamicGraph, StaticGraph, UpdateBatch
 from repro.graphs.generators import erdos_renyi
 from repro.gpu import AccessCounters, Channel, default_device
 from repro.query.plan import EdgeVersion
+from repro.testing import select_within_budget_reference
 
 
 def settled_store(n=30, seed=0):
@@ -37,6 +39,31 @@ class TestSelectWithinBudget:
         dg = settled_store()
         chosen = select_within_budget(dg, np.arange(dg.num_vertices), 10**9)
         assert chosen.size == dg.num_vertices
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), budget_share=st.floats(0.0, 1.2))
+    def test_cumsum_prefix_equals_scalar_scan(self, seed, budget_share):
+        """The prefix before the first overflow is the scalar scan's
+        selection (kept in ``repro.testing``), on an open batch — marks and
+        an appended run count towards a list's packed size — over random
+        rankings and budgets, including a first vertex that alone overflows."""
+        rng = np.random.default_rng(seed)
+        g = erdos_renyi(40, 5.0, seed=seed % 7)
+        dg = DynamicGraph(g)
+        existing = g.edge_array()[:6]
+        fresh = np.array([[0, 39], [1, 38], [2, 37]])
+        fresh = fresh[[not g.has_edge(int(u), int(v)) for u, v in fresh]]
+        dg.apply_batch(UpdateBatch(
+            np.concatenate([existing, fresh]),
+            np.concatenate([-np.ones(len(existing), np.int64), np.ones(len(fresh), np.int64)]),
+        ))
+        ranked = rng.permutation(dg.num_vertices)[: int(rng.integers(0, 41))]
+        total = int(packed_size_bytes(dg.run_lengths(ranked)[1]).sum())
+        for budget in (int(budget_share * total), 0, packed_size_bytes(0) - 1):
+            expected = select_within_budget_reference(dg, ranked, budget)
+            chosen = select_within_budget(dg, ranked, budget)
+            assert chosen.dtype == expected.dtype
+            assert chosen.tolist() == expected.tolist()
 
 
 class TestPolicies:

@@ -1,0 +1,253 @@
+"""The estimator's one walk (``FrequencyEstimator.walk``) under both samplers.
+
+What ``tests/test_estimator_parity.py`` pins for one query through
+``estimate`` is pinned here for the shape underneath it: every chain of a
+no-sharing trie advances in one launch per depth, a rulebook's pooled
+estimate is a single walk that the oracle reproduces exactly, and the walk
+prunes by weight predicates the way the kernel does.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import repro.core.frontier as frontier
+from repro.core.engine import GCSMEngine
+from repro.core.frequency import default_num_walks
+from repro.core.matching import match_batch
+from repro.core.multiquery import MultiQueryEngine, Rulebook, split_walk_budget
+from repro.core.querytrie import ExecutionTrie
+from repro.graphs import datasets
+from repro.graphs.dynamic_graph import DynamicGraph
+from repro.graphs.generators import erdos_renyi, powerlaw_graph
+from repro.graphs.stream import derive_stream
+from repro.gpu.counters import AccessCounters
+from repro.gpu.device import default_device
+from repro.gpu.views import HostCPUView
+from repro.query import QueryGraph, query_by_name
+from repro.query.generator import rulebook_suite
+from repro.query.plan import compile_delta_plans
+from repro.testing import use_reference_kernels
+
+from tests.test_estimator_parity import (
+    ESTIMATORS,
+    FULL_EXPANSION,
+    TRIANGLE,
+    estimator_fingerprint,
+    run_estimates,
+)
+
+DEVICE = default_device()
+
+
+def az_stream(num_batches: int, batch_size: int = 24):
+    graph = datasets.DATASETS["AZ"].build(0)
+    return derive_stream(
+        graph, num_updates=num_batches * batch_size, batch_size=batch_size, seed=1
+    )
+
+
+class TestOneLaunchPerDepth:
+    """The walk issues one ``join_rows`` per trie depth for all chains: at
+    most the deepest plan's level count per batch (the per-plan loop issued
+    13.6 / 26.3 / 102 per batch on the benchmark's Q1 / Q3 / rulebook24)."""
+
+    @pytest.mark.parametrize("target", ["Q1", "Q3", "rulebook24"])
+    def test_joins_per_batch_bounded_by_depth(self, target, monkeypatch):
+        g0, batches = az_stream(8)
+        if target == "rulebook24":
+            query = Rulebook(rulebook_suite(24, num_labels=3, seed=0))
+            assert len(query.walk_trie.refs) > 100  # chains, aliases included
+            deepest = max(q.num_vertices for q in query.queries)
+        else:
+            query = query_by_name(target)
+            deepest = query.num_vertices
+        engine = GCSMEngine(g0, query, seed=0)
+        joins = []
+        join_rows = frontier.join_rows
+
+        def counted(*args):
+            joins[-1] += 1
+            return join_rows(*args)
+
+        monkeypatch.setattr(frontier, "join_rows", counted)
+        for batch in batches:
+            engine.graph.apply_batch(batch)
+            joins.append(0)
+            estimation = engine.query_set.estimate(engine, batch, None)
+            engine.graph.reorganize()
+            assert estimation.nodes_visited > 0
+        assert max(joins) > 1  # walks do get past the first level
+        assert max(joins) <= deepest - 2, joins
+
+
+class TestRulebookWalkParity:
+    """Layer (a) for a rulebook: in the full-expansion regime the production
+    walk and the oracle's chain loop agree **exactly** — ``nodes_visited``,
+    ``num_walks``, every FE counter and histogram, and the pooled
+    frequencies bit for bit.  Exactly, not ``allclose``: a chain's
+    ``1/budget`` is *not* folded into its root weight; chains of one budget
+    accumulate integer-valued charges into one row that the shared base
+    divides once after the walk, so no sum depends on the charging order.
+    """
+
+    def test_cached_rulebook_identical_under_the_oracle(self):
+        g0, batches = az_stream(5)
+        queries = rulebook_suite(8, num_labels=3, seed=0)
+        runs = {}
+        for name in ESTIMATORS:
+            engine = MultiQueryEngine(
+                g0, queries, placement="cached", survival=FULL_EXPANSION, seed=3
+            )
+            assert engine.query_set.aliases  # aliases walk too
+            if name == "recursive":
+                use_reference_kernels(engine, matcher=False)
+            assert type(engine.estimator) is ESTIMATORS[name]
+            runs[name] = []
+            for batch in batches:
+                result = engine.process_batch(batch)
+                runs[name].append({
+                    **estimator_fingerprint(result.estimation, g0.num_vertices),
+                    "cached": result.cached_vertices.tolist(),
+                    "estimate_ns": result.breakdown.estimate_ns,
+                    "delta": result.delta_counts,
+                })
+        assert runs["frontier"] == runs["recursive"]
+        assert all(r["nodes"] > 100 for r in runs["frontier"])
+        assert any(any(r["delta"].values()) for r in runs["frontier"])
+
+    def test_budgets_differ_between_chains(self):
+        """Not vacuous: the rulebook's chains really carry different
+        per-chain budgets (several accumulator rows) and end at different
+        depths."""
+        rulebook = Rulebook(rulebook_suite(8, num_labels=3, seed=0))
+        budget = split_walk_budget(default_num_walks(24, 50, 6), 8)
+        per_chain = {
+            max(1, share // len(rulebook.plans[q.name]))
+            for q, share in zip(rulebook.queries, budget)
+        }
+        assert len(per_chain) > 1
+        depths = {len(ref.plan.levels) for ref in rulebook.walk_trie.refs}
+        assert len(depths) > 1
+
+    def test_walk_refuses_a_merged_trie(self):
+        rulebook = Rulebook([query_by_name("Q1"), query_by_name("Q2")])
+        engine = GCSMEngine(erdos_renyi(20, 3.0, num_labels=3, seed=0), rulebook)
+        assert rulebook.trie.stats.root_groups < len(rulebook.trie.refs)
+        with pytest.raises(ValueError, match="no-sharing"):
+            engine.estimator.walk(rulebook.trie, {}, {}, 4)
+
+
+class TestPooledEstimateIsModeIndependent:
+    """Shared and ``shared=False`` engines pool the same walk: frequencies
+    (and so the shipped cache) are bit-identical, prefilter on or off."""
+
+    @pytest.mark.parametrize("prefilter", ["off", "on"])
+    def test_shared_equals_independent(self, prefilter):
+        g0, batches = az_stream(6)
+        queries = rulebook_suite(8, num_labels=3, seed=0)
+        pooled = {}
+        for shared in (True, False):
+            engine = MultiQueryEngine(
+                g0, queries, shared=shared, prefilter=prefilter, seed=5
+            )
+            pooled[shared] = [
+                (r.estimation.frequencies.tolist(), r.estimation.num_walks,
+                 r.estimation.nodes_visited, r.cached_vertices.tolist())
+                for r in map(engine.process_batch, batches)
+                if r.estimation is not None
+            ]
+        assert pooled[True] and pooled[True] == pooled[False]
+
+
+class TestMixedDepthChains:
+    """Chains that end early drop out through ``level.parent`` while the
+    deeper ones go on: plans of different depths in one walk."""
+
+    def test_mixed_depths_equal_the_oracle(self):
+        g = powerlaw_graph(400, 6.0, max_degree=30, num_labels=2, seed=2)
+        g0, batches = derive_stream(g, num_updates=96, batch_size=32, seed=3)
+        path = QueryGraph(4, [(0, 1), (1, 2), (2, 3)], name="path")
+        plans = (
+            compile_delta_plans(query_by_name("Q1"))[:2]
+            + compile_delta_plans(TRIANGLE)
+            + compile_delta_plans(path)[:1]
+        )
+        assert not all(
+            level.chain for level in ExecutionTrie({None: plans}, merge=False).levels[1:]
+        )
+        kwargs = dict(survival=FULL_EXPANSION, num_walks=500)
+        assert run_estimates("frontier", g0, batches, plans, **kwargs) == (
+            run_estimates("recursive", g0, batches, plans, **kwargs)
+        )
+
+
+# ----------------------------------------------------------------------
+# weight predicates
+# ----------------------------------------------------------------------
+PREDICATED = {
+    "triangle": TRIANGLE.with_edge_predicates(
+        {(0, 1): (0.0, 0.4), (1, 2): (0.0, 0.4), (0, 2): (0.0, 0.4)}
+    ),
+    "Q1": QueryGraph(5, query_by_name("Q1").edges, name="Q1w").with_edge_predicates(
+        {(0, 1): (0.2, 0.5), (1, 4): (0.2, 0.5)}
+    ),
+}
+
+
+class TestWalksHonourPredicates:
+    """The walk samples the tree the kernel *executes*: a root failing the
+    root predicate is never drawn, a candidate failing a level predicate
+    never descended into.  (Both samplers used to filter label and
+    injectivity only: unbiased for a tree that is never run, so biased high
+    for the one that is.)"""
+
+    @staticmethod
+    def exact_counts(query, seed):
+        g = erdos_renyi(60, 10.0, num_labels=1, seed=seed)
+        g0, batches = derive_stream(g, update_fraction=0.4, batch_size=24, seed=seed)
+        graph = DynamicGraph(g0)
+        graph.apply_batch(batches[0])
+        plans = compile_delta_plans(query)
+        counters = AccessCounters()
+        stats = match_batch(plans, batches[0], HostCPUView(graph, DEVICE, counters))
+        assert stats.embeddings_found > 0
+        exact = counters.vertex_access_counts(graph.num_vertices).astype(float)
+        return graph, batches[0], plans, exact
+
+    @pytest.mark.parametrize("case", list(PREDICATED))
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
+    def test_unbiased_for_the_executed_tree(self, name, case):
+        graph, batch, plans, exact = self.exact_counts(PREDICATED[case], seed=3)
+        est = ESTIMATORS[name](graph, DEVICE, seed=10, survival=1.0)
+        runs = 40
+        mean = sum(
+            est.estimate(plans, batch, num_walks=600).frequencies for _ in range(runs)
+        ) / runs
+        # total mass: walking pruned roots / branches inflates it 1.8x / 2.7x
+        assert abs(mean.sum() - exact.sum()) / exact.sum() < 0.1
+        heavy = exact >= np.percentile(exact[exact > 0], 70)
+        rel = np.abs(mean[heavy] - exact[heavy]) / exact[heavy]
+        assert float(np.median(rel)) < 0.35
+
+    @pytest.mark.parametrize("case", list(PREDICATED))
+    def test_exact_parity_with_predicates(self, case):
+        """Layer (a) holds with predicates: same roots drawn, same probes
+        charged (one per surviving candidate per predicated constraint)."""
+        g = powerlaw_graph(300, 6.0, max_degree=30, num_labels=1, seed=1)
+        g0, batches = derive_stream(g, num_updates=96, batch_size=32, seed=2)
+        plans = compile_delta_plans(PREDICATED[case])
+        kwargs = dict(survival=FULL_EXPANSION, num_walks=400)
+        frontier_run = run_estimates("frontier", g0, batches, plans, **kwargs)
+        assert frontier_run == run_estimates("recursive", g0, batches, plans, **kwargs)
+        assert any(p["nodes"] for p in frontier_run)
+
+    def test_engine_hands_its_weight_overlay_to_both_samplers(self):
+        g0 = erdos_renyi(30, 4.0, num_labels=1, seed=0)
+        engine = GCSMEngine(g0, PREDICATED["triangle"])
+        assert engine.attributes is not None
+        assert engine.estimator.attributes is engine.attributes
+        use_reference_kernels(engine, matcher=False)
+        assert engine.estimator.attributes is engine.attributes
+        assert GCSMEngine(g0, TRIANGLE).estimator.attributes is None

@@ -294,15 +294,19 @@ class TestTrieSettleOrder:
     batches, seed 0; columns are ``AccessCounters.summary()`` in key order).
     Under the four-page pager every fault depends on the settle order being
     the walk's: trie pre-order.  Both rows also pin that a node shared by k
-    plans is charged to the shared counters once, not k times."""
+    plans is charged to the shared counters once, not k times.  ``CACHED``'s
+    first two columns (zero-copy / global bytes) split by which lists the
+    *sampled* cache holds: re-recorded when the estimator's draw order
+    changed (PR 17) — per batch their sum and every other column are the
+    original literals; ``UNIFIED_TIGHT`` has no cache and did not move."""
 
     CACHED = [
-        (12116, 74236, 0, 0, 0, 0, 0, 0, 33128, 981, 10),
-        (9232, 40252, 0, 0, 0, 0, 0, 0, 20920, 752, 4),
-        (20432, 153904, 0, 0, 0, 0, 0, 0, 64009, 1587, 55),
-        (10436, 51660, 0, 0, 0, 0, 0, 0, 25598, 834, 106),
-        (20860, 61744, 0, 0, 0, 0, 0, 0, 33105, 1063, 6),
-        (5368, 17928, 0, 0, 0, 0, 0, 0, 9412, 356, 1),
+        (11812, 74540, 0, 0, 0, 0, 0, 0, 33128, 981, 10),
+        (11784, 37700, 0, 0, 0, 0, 0, 0, 20920, 752, 4),
+        (23252, 151084, 0, 0, 0, 0, 0, 0, 64009, 1587, 55),
+        (10516, 51580, 0, 0, 0, 0, 0, 0, 25598, 834, 106),
+        (16248, 66356, 0, 0, 0, 0, 0, 0, 33105, 1063, 6),
+        (5520, 17776, 0, 0, 0, 0, 0, 0, 9412, 356, 1),
     ]
     UNIFIED_TIGHT = [
         (0, 86352, 0, 0, 608, 368, 0, 0, 26261, 981, 10),
