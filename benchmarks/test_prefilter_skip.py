@@ -38,21 +38,24 @@ NUM_BATCHES = 20
 BATCH = 64
 
 
-def build_sparse_workload():
+def build_sparse_workload(n_cold=N_COLD, n_hot=N_HOT, num_batches=NUM_BATCHES, batch=BATCH):
     """Insert stream where 18/20 batches land in a dense label-{0,1}-only
     region.  Those roots *pass* the per-edge label check — the prefilter-off
     engine walks FE estimation and expands the frontier over the dense
     neighborhoods before failing — but every root endpoint is missing the
     label-2 neighbor the triangle's adjacency requirement demands, so the
-    invariant index certifies ΔM = 0 and skips the whole pipeline."""
+    invariant index certifies ΔM = 0 and skips the whole pipeline.  (The
+    sizes are arguments for ``test_store_wallclock.py``, which replays the
+    same shape at the repo benchmark's scale.)"""
     rng = np.random.default_rng(7)
-    labels = np.empty(N, dtype=np.int64)
-    labels[:N_COLD] = np.arange(N_COLD) % 2          # cold: labels 0/1
-    labels[N_COLD:] = np.arange(N_HOT) % 3           # hot: labels 0/1/2
-    cold_edges = rng.integers(0, N_COLD, size=(N_COLD * 15, 2))
-    hot_edges = rng.integers(N_COLD, N, size=(N_HOT * 4, 2))
+    n = n_cold + n_hot
+    labels = np.empty(n, dtype=np.int64)
+    labels[:n_cold] = np.arange(n_cold) % 2          # cold: labels 0/1
+    labels[n_cold:] = np.arange(n_hot) % 3           # hot: labels 0/1/2
+    cold_edges = rng.integers(0, n_cold, size=(n_cold * 15, 2))
+    hot_edges = rng.integers(n_cold, n, size=(n_hot * 4, 2))
     base = np.concatenate([cold_edges, hot_edges])
-    g0 = StaticGraph.from_edges(N, base[base[:, 0] != base[:, 1]], labels)
+    g0 = StaticGraph.from_edges(n, base[base[:, 0] != base[:, 1]], labels)
 
     def fresh_pairs(pool_a, pool_b, count, seen):
         out = []
@@ -65,20 +68,20 @@ def build_sparse_workload():
                 out.append(key)
         return np.array(out, dtype=np.int64)
 
-    idx = np.arange(N)
-    cold = [idx[(idx < N_COLD) & (labels == lab)] for lab in range(2)]
-    hot = [idx[(idx >= N_COLD) & (labels == lab)] for lab in range(3)]
+    idx = np.arange(n)
+    cold = [idx[(idx < n_cold) & (labels == lab)] for lab in range(2)]
+    hot = [idx[(idx >= n_cold) & (labels == lab)] for lab in range(3)]
     seen = {(int(u), int(v)) for u, v in g0.edge_array()}
     batches = []
-    for i in range(NUM_BATCHES):
+    for i in range(num_batches):
         if i % 10 == 9:  # hot batch: mixed-label edges, real ΔM work
             edges = np.concatenate([
-                fresh_pairs(hot[0], hot[1], BATCH // 3, seen),
-                fresh_pairs(hot[1], hot[2], BATCH // 3, seen),
-                fresh_pairs(hot[0], hot[2], BATCH // 3, seen),
+                fresh_pairs(hot[0], hot[1], batch // 3, seen),
+                fresh_pairs(hot[1], hot[2], batch // 3, seen),
+                fresh_pairs(hot[0], hot[2], batch // 3, seen),
             ])
         else:  # cold batch: (0,1) edges that label-match but cannot close
-            edges = fresh_pairs(cold[0], cold[1], BATCH, seen)
+            edges = fresh_pairs(cold[0], cold[1], batch, seen)
         batches.append(
             UpdateBatch(edges, np.ones(edges.shape[0], dtype=np.int64))
         )

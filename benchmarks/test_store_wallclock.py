@@ -1,0 +1,81 @@
+"""The CPU store alone: wall-clock of update, reorganize and set-up.
+
+Replays three of the repo benchmark's stream shapes through a bare
+``DynamicGraph`` — no estimator, no kernel, no engine — and times the two
+store stages separately, plus the FR set-up (dataset build, stream
+derivation, store construction).  Nothing is gated: the rows size the store
+for a before/after comparison (``benchmarks/results/store_wallclock.txt``
+holds parent/change rounds run alternately), and the file uses only names
+the parent commit has, so the same edition runs on both sides.
+
+* ``sparse`` — ``test_prefilter_skip.build_sparse_workload`` at the repo
+  benchmark's ``sparse_tri_skip`` scale (20 000 cold + 4 000 hot vertices,
+  240 insert-only batches of 256): every update touches two fresh lists.
+* ``fr`` — FR analog, 100 mixed batches of 96 (``derive_stream``).
+* ``sf3k_churn`` — SF3K analog, 100 batches of 64 (``churn_stream``): each
+  batch deletes the previous batch's inserts.
+"""
+
+from __future__ import annotations
+
+import time
+
+from conftest import run_once
+from test_prefilter_skip import build_sparse_workload
+
+from repro.graphs import DynamicGraph, datasets
+from repro.graphs.stream import churn_stream, derive_stream
+
+REPEATS = 5
+FR = (96, 100)
+SF3K = (64, 100)
+
+
+def _replay(g0, batches) -> tuple[float, float]:
+    """``(update_s, reorganize_s)`` over the stream on a fresh store."""
+    store = DynamicGraph(g0)
+    update = reorganize = 0.0
+    for batch in batches:
+        t0 = time.perf_counter()
+        store.apply_batch(batch)
+        t1 = time.perf_counter()
+        store.reorganize()
+        t2 = time.perf_counter()
+        update += t1 - t0
+        reorganize += t2 - t1
+    return update, reorganize
+
+
+def _fr_setup() -> float:
+    t0 = time.perf_counter()
+    graph = datasets.DATASETS["FR"].build(0)
+    g0, _ = derive_stream(graph, num_updates=FR[0] * FR[1], batch_size=FR[0], seed=0)
+    DynamicGraph(g0)
+    return time.perf_counter() - t0
+
+
+def test_store_wallclock(benchmark, record_table):
+    def run():
+        streams = {"sparse": build_sparse_workload(20_000, 4_000, 240, 256)}
+        for name, spec, (size, count), derive in (
+            ("fr", "FR", FR, derive_stream),
+            ("sf3k_churn", "SF3K", SF3K, churn_stream),
+        ):
+            graph = datasets.DATASETS[spec].build(0)
+            streams[name] = derive(graph, num_updates=size * count, batch_size=size, seed=0)
+        rows = []
+        for name, (g0, batches) in streams.items():
+            # best of N per stage (the minimum filters scheduler noise)
+            runs = [_replay(g0, batches) for _ in range(REPEATS)]
+            rows.append((f"{name}/update", len(batches), min(r[0] for r in runs)))
+            rows.append((f"{name}/reorganize", len(batches), min(r[1] for r in runs)))
+        rows.append(("fr/setup", 1, min(_fr_setup() for _ in range(REPEATS))))
+        return rows
+
+    rows = run_once(benchmark, run)
+    with record_table("store_wallclock"):
+        print(f"store wall-clock: a bare DynamicGraph (best of {REPEATS})")
+        print(f"{'row':<24} {'calls':>6} {'total s':>9} {'ms / call':>10}")
+        for name, calls, seconds in rows:
+            print(f"{name:<24} {calls:>6} {seconds:>9.3f} {seconds / calls * 1e3:>10.3f}")
+    assert all(seconds > 0 for _, _, seconds in rows)

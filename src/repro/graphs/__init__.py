@@ -8,7 +8,6 @@ from repro.graphs.stream import (
     DEFAULT_CONFLICT_MODE,
     BatchConflictError,
     CanonicalReport,
-    EdgeUpdate,
     UpdateBatch,
     churn_stream,
     derive_stream,
@@ -20,7 +19,6 @@ from repro.graphs import generators, datasets
 __all__ = [
     "StaticGraph",
     "DynamicGraph",
-    "EdgeUpdate",
     "UpdateBatch",
     "CanonicalReport",
     "BatchConflictError",

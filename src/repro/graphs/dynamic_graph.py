@@ -1,21 +1,22 @@
 """Dynamic CPU-side graph store (paper Sec. V-A, Fig. 5).
 
 The paper maintains the evolving data graph on the CPU as per-vertex
-neighbor arrays with four update rules:
+neighbor arrays with four update rules, each one whole-batch operation here:
 
-1. **Insertions append.**  New neighbors are appended to the end of the
-   (pinned) per-vertex array; arrays are pre-allocated at 2x and doubled when
-   full, giving O(1) amortized insertion.
+1. **Insertions append.**  Both orientations of the batch's inserts are
+   sorted by (source, neighbor), so each vertex's appended run ``ΔN(v)`` is
+   written already sorted, in one piece; arrays are pre-allocated at 2x and
+   doubled until the run fits, giving O(1) amortized insertion.
 2. **New vertices** get an array sized to the average degree, and their
-   host/device addresses are appended to ``pHost`` / ``pDevice`` (also with
-   doubling headroom).
+   host/device addresses are appended to ``pHost`` / ``pDevice``.
 3. **Deletions mark in place.**  A deleted neighbor ``v`` is found by binary
-   search in the sorted base run and overwritten with a negative sentinel.
-   We encode it as ``-(v + 1)`` so vertex 0 is representable; the encoding is
-   order-preserving under decode, so the base run stays logically sorted.
-4. **Reorganization** (step 5 of the pipeline, run *after* matching) removes
-   the deletion marks and merge-sorts the appended run back into the base run
-   so every list is sorted again for the next batch.
+   search in the sorted base run (one keyed search for the whole batch) and
+   overwritten with a negative sentinel, ``-(v + 1)`` so vertex 0 is
+   representable; the encoding is order-preserving under decode, so the base
+   run stays logically sorted.  No delete targets a ``ΔN`` run: batches are
+   netted against the store first and cannot open before reorganize.
+4. **Reorganization** (step 5 of the pipeline, run *after* matching) stores
+   every touched list's merged ``N'(v)`` as its one sorted base run.
 
 Between steps 1 and 4 — i.e. exactly while the incremental matching kernel
 runs — the store exposes the two adjacency versions of paper Fig. 2:
@@ -33,10 +34,15 @@ zero-copy channel dereferences, so the reproduction exercises the same
 data-path shape even without real pinned memory.
 
 Run lengths live in three int64 tables (base length, stored length, deletion
-marks in the base run), touched in O(|ΔE|) per batch.  Everything the kernels
-read in bulk hangs off one :class:`_Epoch` per store state — read-only
-versioned degree tables and a lazily filled CSR *arena* of merged lists
-(:meth:`DynamicGraph.gather`) — dropped by ``apply_batch`` and ``reorganize``.
+marks in the base run), touched in O(|ΔE|) per batch; ``touched`` is the
+sorted array of the open batch's distinct endpoints, the lists whose ``N``
+and ``N'`` differ.  Everything read in bulk hangs off one :class:`_Epoch` per
+store state — read-only versioned degree tables and a lazily filled CSR
+*arena* of merged lists with rank keys (:meth:`DynamicGraph.gather`) —
+dropped by ``apply_batch`` and ``reorganize``.  The store reads it too: "is
+``(u, v)`` an edge, and at which slot" is a keyed probe of the settled arena
+(:meth:`DynamicGraph.contains_edges`, the delete slots), and the ``N'``
+``reorganize`` stores is the one the open arena already merged.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ import numpy as np
 
 from repro.graphs.static_graph import StaticGraph
 from repro.graphs.stream import CanonicalReport, UpdateBatch
-from repro.utils import VERTEX_DTYPE, merge_sorted, require, segment_offsets
+from repro.utils import VERTEX_DTYPE, require, segment_offsets
 
 __all__ = [
     "rank_keys",
@@ -59,10 +65,6 @@ __all__ = [
 ]
 
 _EMPTY = np.empty(0, dtype=VERTEX_DTYPE)
-
-
-def _encode_deleted(v: int) -> int:
-    return -(v + 1)
 
 
 def _decode(values: np.ndarray) -> np.ndarray:
@@ -141,8 +143,9 @@ class _Epoch:
     thread grew it.
 
     Cheap to create (every mutation makes one); the O(n) tables are built by
-    the first reader.  ``lock`` serialises that build and every load: fleet
-    shards match one graph on worker threads.
+    the first reader (``apply_batch`` probes the settled epoch).  ``lock``
+    serialises that build and every load: fleet shards match one graph on
+    worker threads, a pipelined reader shares its epoch with ``reorganize``.
     """
 
     def __init__(self) -> None:
@@ -154,7 +157,7 @@ class _Epoch:
         self.deg = _read_only(np.stack([total_len - marks, base_len]))
         self.deg_new, self.deg_old = self.deg
         self.touched = np.zeros(n, dtype=bool)
-        self.touched[list(touched)] = True
+        self.touched[touched] = True
         self.start = np.full((2, n), -1, dtype=np.int64)
         self.start_new, self.start_old = self.start
         self.used = 0
@@ -187,7 +190,7 @@ class DynamicGraph:
         # pHost / pDevice analogs: synthetic addresses into a flat pinned space.
         self.host_address = np.arange(n, dtype=np.int64)
         self.device_address = np.arange(n, dtype=np.int64)
-        self._touched: set[int] = set()
+        self._touched: np.ndarray = _EMPTY  # sorted; replaced, never written
         self._batch_open = False
         self._num_edges = initial.num_edges
         #: classification of the most recent :meth:`apply_batch` input
@@ -229,7 +232,7 @@ class DynamicGraph:
     @property
     def touched_vertices(self) -> set[int]:
         """Vertices whose lists were modified by the open batch."""
-        return self._touched
+        return set(self._touched.tolist())
 
     def label(self, v: int) -> int:
         return int(self._labels[v])
@@ -342,13 +345,15 @@ class DynamicGraph:
         ]
         return base_len, total_len, views
 
+    def contains_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Whether each ``(us[i], vs[i])`` (endpoints in range) is an edge of
+        the current (post-batch) state: one keyed probe of the arena."""
+        starts, lengths = self.gather(us, old=False)
+        return keyed_contains(self.arena_keys, self.num_vertices, starts, lengths, vs)
+
     def has_edge_new(self, u: int, v: int) -> bool:
-        base, delta = self.neighbors_new_parts(u)
-        for run in (base, delta):
-            pos = np.searchsorted(run, v)
-            if pos < run.size and run[pos] == v:
-                return True
-        return False
+        """:meth:`contains_edges` for one edge."""
+        return bool(self.contains_edges(np.array([u]), np.array([v]))[0])
 
     # ------------------------------------------------------------------
     # the epoch arena (what the join kernels read)
@@ -438,8 +443,8 @@ class DynamicGraph:
         """Capture an immutable logical view of the current store state.
 
         The frozen view shares the per-vertex arrays with the live store;
-        any later in-place mutation (deletion marks, ΔN appends/sorts,
-        reorganize merges) first replaces the affected array with a private
+        any later in-place mutation (deletion marks, ΔN appends,
+        reorganize write-backs) first replaces the affected array with a private
         copy, so the view keeps reading the exact epoch it captured — at the
         cost of copying only the lists the subsequent batches actually
         touch.  This is what lets the pipelined engine run the matching
@@ -483,69 +488,76 @@ class DynamicGraph:
         the incremental matcher must use for root generation so ΔM equals
         the true state difference.
 
-        Insertions are appended per endpoint (and the appended runs sorted,
-        as the split intersections require sorted ``ΔN``); deletions are
-        binary-searched in the base run and marked negative.  The batch stays
-        "open" — :meth:`reorganize` must be called after matching.
+        Both orientations of the effective batch are placed at once: each
+        directed update gets its slot in its source's array — a delete the
+        base entry it marks (its position in the settled arena), an insert
+        its rank in the sorted ``ΔN`` run — and each touched vertex takes one
+        write.  Every check that can reject the batch precedes the first
+        write.  The batch stays "open" — :meth:`reorganize` must be called
+        after matching.
         """
         require(not self._batch_open, "previous batch not reorganized yet")
         effective, report = batch.canonicalize(self, mode=mode)
         self.last_canonical_report = report
+        edges, signs = effective.directed_updates()
+        # per source vertex: its deletes, then its inserts, each ascending
+        order = np.lexsort((edges[:, 1], signs, edges[:, 0]))
+        src, dst, deleted = edges[order, 0], edges[order, 1], signs[order] < 0
+        # a settled list's arena slot is its stored base run verbatim, so the
+        # keyed search's offset into the slot is the array index to mark
+        starts, _ = self.gather(src[deleted], old=False)
+        probe = starts * self.num_vertices + dst[deleted]
+        marked = np.searchsorted(self.arena_keys, probe) - starts
+
         self._epoch = _Epoch()  # before the first mutation: also dropped if one raises
         self._batch_open = True
-        self._touched = set()
-        max_vertex = int(effective.max_vertex(default=-1))
-        if max_vertex >= self.num_vertices:
-            self._grow_vertices(max_vertex + 1, effective.new_vertex_labels)
-        ins = effective.insert_edges()
-        dels = effective.delete_edges()
-        for u, v in ins.tolist():
-            self._append_neighbor(u, v)
-            self._append_neighbor(v, u)
-        for u, v in dels.tolist():
-            self._mark_deleted(u, v)
-            self._mark_deleted(v, u)
-        # Sort each appended run once so ΔN participates in merge intersections.
-        for v in self._touched:
-            lo, hi = self._base_len[v], self._total_len[v]
-            if hi - lo > 1:
-                self._arrays[v][lo:hi] = np.sort(self._arrays[v][lo:hi])
-        self._num_edges += int(ins.shape[0]) - int(dels.shape[0])
+        grown = effective.max_vertex() + 1
+        if grown > self.num_vertices:
+            self._grow_vertices(grown, effective.new_vertex_labels)
+        np.add.at(self._marks, src[deleted], 1)
+        np.add.at(self._total_len, src[~deleted], 1)
+        self._touched, first = np.unique(src, return_index=True)
+        bounds = np.append(first, src.size)
+        # an insert lands after the base run, at its rank among its source's inserts
+        run_start = np.repeat(first + self._marks[self._touched], np.diff(bounds))
+        slot = self._base_len[src] + np.arange(src.size) - run_start
+        slot[deleted] = marked
+        value = np.where(deleted, -(dst + 1), dst)  # the deletion mark of v is -(v+1)
+        for v, lo, hi, need in zip(
+            self._touched.tolist(), first.tolist(), bounds[1:].tolist(),
+            self._total_len[self._touched].tolist(),
+        ):
+            fits = need <= self._arrays[v].size
+            arr = self._cow(v) if fits else self._reallocate(v, need)
+            arr[slot[lo:hi]] = value[lo:hi]
+        self._num_edges += int(effective.signs.sum())  # inserts minus deletes
         return effective
 
     def reorganize(self) -> ReorganizeStats:
         """Step 5 of the pipeline: restore the sorted invariant.
 
-        For each touched list, drop deletion marks and merge the sorted
-        appended run into the base run with the vectorized linear merge
-        (:func:`~repro.utils.merge_sorted`;
-        :func:`repro.testing.oracles.merge_runs_reference` is the scalar
-        oracle), then close the batch.
+        Every touched list is replaced by its ``N'`` as the open epoch's
+        arena holds it (:meth:`gather` — merged once per batch, where the
+        kernels read it; :func:`repro.testing.oracles.merge_runs_reference`
+        is the scalar oracle) and the batch is closed; the work accounting
+        is four sums over the length tables.
         """
         require(self._batch_open, "no open batch to reorganize")
+        touched = self._touched
+        starts, lengths = self.gather(touched, old=False)
+        flat = self.arena
+        stats = ReorganizeStats(
+            lists_touched=int(touched.size),
+            merged_elements=int(lengths.sum()),
+            deletions_dropped=int(self._marks[touched].sum()),
+            insertions_merged=int((self._total_len[touched] - self._base_len[touched]).sum()),
+        )
+        for v, lo, hi in zip(touched.tolist(), starts.tolist(), (starts + lengths).tolist()):
+            self._cow(v)[: hi - lo] = flat[lo:hi]  # frozen kernels keep the old layout
+        self._base_len[touched] = self._total_len[touched] = lengths
+        self._marks[touched] = 0
         self._epoch = _Epoch()
-        stats = ReorganizeStats()
-        for v in sorted(self._touched):
-            arr = self._arrays[v]
-            base = arr[: self._base_len[v]]
-            delta = arr[self._base_len[v] : self._total_len[v]]
-            kept = base[base >= 0] if self._marks[v] else base
-            dropped = base.size - kept.size
-            stats.lists_touched += 1
-            stats.merged_elements += int(kept.size + delta.size)
-            stats.deletions_dropped += int(dropped)
-            stats.insertions_merged += int(delta.size)
-            if dropped == 0 and delta.size == 0:
-                continue  # list already settled (e.g. a cancelled ΔN delete)
-            merged = merge_sorted(kept, delta) if delta.size else kept
-            new_len = merged.size
-            arr = self._cow(v)  # frozen kernels keep reading the old layout
-            if new_len > arr.size:  # pragma: no cover - capacity always suffices
-                arr = self._reallocate(v, new_len)
-            arr[:new_len] = merged
-            self._base_len[v] = self._total_len[v] = new_len
-            self._marks[v] = 0
-        self._touched = set()
+        self._touched = _EMPTY
         self._batch_open = False
         return stats
 
@@ -575,48 +587,18 @@ class DynamicGraph:
         self.host_address = addr
         self.device_address = addr.copy()
 
-    def _append_neighbor(self, u: int, v: int) -> None:
-        arr = self._cow(u)
-        pos = int(self._total_len[u])
-        if pos >= arr.size:
-            arr = self._reallocate(u, 2 * max(1, arr.size))
-        arr[pos] = v
-        self._total_len[u] = pos + 1
-        self._touched.add(u)
-
-    def _reallocate(self, v: int, new_cap: int) -> np.ndarray:
+    def _reallocate(self, v: int, need: int) -> np.ndarray:
+        """Replace ``v``'s array by one doubled until ``need`` entries fit."""
         old = self._arrays[v]
-        arr = np.empty(max(new_cap, old.size), dtype=VERTEX_DTYPE)
-        arr[: self._total_len[v]] = old[: self._total_len[v]]
+        cap = max(1, old.size)
+        while cap < need:
+            cap *= 2
+        arr = np.empty(cap, dtype=VERTEX_DTYPE)
+        arr[: self._base_len[v]] = old[: self._base_len[v]]
         self._arrays[v] = arr
         self._owner_serial[v] = self._freeze_serial  # replacement is private
         self._realloc_count += 1
         return arr
-
-    def _mark_deleted(self, u: int, v: int) -> None:
-        arr = self._cow(u)
-        base = arr[: self._base_len[u]]
-        decoded = _decode(base) if self._marks[u] else base
-        pos = int(np.searchsorted(decoded, v))
-        if pos < decoded.size and decoded[pos] == v:
-            require(base[pos] >= 0, f"double deletion of edge ({u}, {v})")
-            arr[pos] = _encode_deleted(v)
-            self._marks[u] += 1
-            self._touched.add(u)
-            return
-        # Not in the base run: the neighbor may live in the ΔN run appended
-        # by this very batch (same-batch insert-then-delete).  Canonicalized
-        # batches cancel such pairs up front, but the store stays total for
-        # raw callers: drop the appended entry in place.  ΔN is still
-        # unsorted at this point, so scan it linearly.
-        lo, hi = int(self._base_len[u]), int(self._total_len[u])
-        for i in range(lo, hi):
-            if arr[i] == v:
-                arr[i:hi - 1] = arr[i + 1:hi].copy()
-                self._total_len[u] = hi - 1
-                self._touched.add(u)
-                return
-        require(False, f"deletion of non-existent edge ({u}, {v})")
 
     # ------------------------------------------------------------------
     # conversions / oracles
@@ -631,13 +613,8 @@ class DynamicGraph:
         """
         n = self.num_vertices
         chunks = [self.neighbors_new(v) for v in range(n)]
-        lengths = np.fromiter(
-            (c.size for c in chunks), count=n, dtype=np.int64
-        ) if n else np.empty(0, dtype=np.int64)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
         flat = np.concatenate(chunks) if n else _EMPTY.copy()
-        return indptr, flat
+        return segment_offsets(self._total_len - self._marks), flat
 
     def edges_new_array(self) -> np.ndarray:
         """Undirected post-batch edge list as an ``(m, 2)`` array.
@@ -657,11 +634,8 @@ class DynamicGraph:
         require(self._batch_open, "edges_old_array requires an open batch")
         n = self.num_vertices
         chunks = [self.neighbors_old(v) for v in range(n)]
-        lengths = np.fromiter(
-            (c.size for c in chunks), count=n, dtype=np.int64
-        ) if n else np.empty(0, dtype=np.int64)
         flat = np.concatenate(chunks) if n else _EMPTY.copy()
-        src = np.repeat(np.arange(n, dtype=VERTEX_DTYPE), lengths)
+        src = np.repeat(np.arange(n, dtype=VERTEX_DTYPE), self._base_len)
         keep = src < flat
         return np.stack([src[keep], flat[keep]], axis=1).astype(VERTEX_DTYPE, copy=False)
 
@@ -759,7 +733,7 @@ class FrozenDynamicGraph(DynamicGraph):
         self._avg_degree = parent._avg_degree
         self.host_address = parent.host_address
         self.device_address = parent.device_address
-        self._touched = set(parent._touched)
+        self._touched = parent._touched
         self._batch_open = parent._batch_open
         self._num_edges = parent._num_edges
         self.last_canonical_report = parent.last_canonical_report

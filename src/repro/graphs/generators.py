@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs.static_graph import StaticGraph
-from repro.utils import VERTEX_DTYPE, as_generator, require
+from repro.utils import VERTEX_DTYPE, as_generator, edge_keys, require
 
 __all__ = [
     "powerlaw_graph",
@@ -77,15 +77,11 @@ def powerlaw_graph(
     src = rng.choice(num_vertices, size=draws, p=p)
     dst = rng.choice(num_vertices, size=draws, p=p)
     mask = src != dst
-    edges = np.stack([src[mask], dst[mask]], axis=1)
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    edges = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    if edges.shape[0] > target_edges:
-        keep = rng.choice(edges.shape[0], size=target_edges, replace=False)
-        edges = edges[keep]
+    keys = np.unique(edge_keys(src[mask], dst[mask], num_vertices))
+    if keys.size > target_edges:
+        keys = keys[rng.choice(keys.size, size=target_edges, replace=False)]
     perm = rng.permutation(num_vertices).astype(VERTEX_DTYPE)
-    edges = perm[edges]
+    edges = perm[np.stack(np.divmod(keys, num_vertices), axis=1)]
     labels = assign_labels(num_vertices, num_labels, rng=rng)
     return StaticGraph.from_edges(num_vertices, edges, labels)
 
@@ -155,12 +151,10 @@ def erdos_renyi(
     src = rng.integers(0, num_vertices, size=draws)
     dst = rng.integers(0, num_vertices, size=draws)
     mask = src != dst
-    lo = np.minimum(src[mask], dst[mask])
-    hi = np.maximum(src[mask], dst[mask])
-    edges = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    if edges.shape[0] > target_edges:
-        keep = rng.choice(edges.shape[0], size=target_edges, replace=False)
-        edges = edges[keep]
+    keys = np.unique(edge_keys(src[mask], dst[mask], num_vertices))
+    if keys.size > target_edges:
+        keys = keys[rng.choice(keys.size, size=target_edges, replace=False)]
+    edges = np.stack(np.divmod(keys, num_vertices), axis=1)
     labels = assign_labels(num_vertices, num_labels, rng=rng)
     return StaticGraph.from_edges(num_vertices, edges, labels)
 

@@ -11,6 +11,10 @@ integer label per vertex — matching the paper's ``G = (V, E, L)`` definition
 (Sec. II-A).  Adjacency is stored CSR-style with each neighbor run sorted
 ascending, which is what both the WCOJ set intersections and the binary-search
 deletion marking rely on.
+
+An *edge set* is one sorted int64 array of :func:`repro.utils.edge_keys`
+(``lo * n + hi``): construction dedupes with it, ``without_edges`` subtracts
+with it, ``contains_edges`` probes it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.utils import VERTEX_DTYPE, is_sorted, require
+from repro.utils import VERTEX_DTYPE, contains_sorted, edge_keys, require, segment_offsets
 
 __all__ = ["StaticGraph"]
 
@@ -72,27 +76,27 @@ class StaticGraph:
         Each undirected edge is stored in both adjacency directions.
         """
         edge_arr = np.asarray(edges, dtype=VERTEX_DTYPE).reshape(-1, 2)
-        if edge_arr.size:
-            lo = np.minimum(edge_arr[:, 0], edge_arr[:, 1])
-            hi = np.maximum(edge_arr[:, 0], edge_arr[:, 1])
-            keep = lo != hi
-            lo, hi = lo[keep], hi[keep]
-            require(
-                bool(lo.size == 0 or (lo.min() >= 0 and hi.max() < num_vertices)),
-                "edge endpoint out of range",
-            )
-            canon = np.unique(np.stack([lo, hi], axis=1), axis=0)
-        else:
-            canon = np.empty((0, 2), dtype=VERTEX_DTYPE)
-        # symmetrize
-        src = np.concatenate([canon[:, 0], canon[:, 1]])
-        dst = np.concatenate([canon[:, 1], canon[:, 0]])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        counts = np.bincount(src, minlength=num_vertices)
-        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(indptr, dst, labels)
+        edge_arr = edge_arr[edge_arr[:, 0] != edge_arr[:, 1]]
+        require(
+            bool(edge_arr.size == 0 or (edge_arr.min() >= 0 and edge_arr.max() < num_vertices)),
+            "edge endpoint out of range",
+        )
+        keys = np.unique(edge_keys(edge_arr[:, 0], edge_arr[:, 1], num_vertices))
+        return cls._from_edge_keys(num_vertices, keys, labels)
+
+    @classmethod
+    def _from_edge_keys(
+        cls, num_vertices: int, keys: np.ndarray, labels: np.ndarray | None
+    ) -> "StaticGraph":
+        """CSR of the edge set ``keys`` (sorted, distinct): both orientations
+        as directed ``src * n + dst`` keys, one sort, one decode."""
+        if keys.size == 0:  # also the zero-vertex graph, which has no key base
+            return cls.empty(num_vertices, labels)
+        lo, hi = np.divmod(keys, num_vertices)
+        directed = np.concatenate([keys, hi * num_vertices + lo])
+        directed.sort()
+        src, dst = np.divmod(directed, num_vertices)
+        return cls(segment_offsets(np.bincount(src, minlength=num_vertices)), dst, labels)
 
     @classmethod
     def empty(cls, num_vertices: int, labels: np.ndarray | None = None) -> "StaticGraph":
@@ -136,12 +140,30 @@ class StaticGraph:
         pos = np.searchsorted(nbrs, v)
         return bool(pos < nbrs.size and nbrs[pos] == v)
 
+    def _row_ids(self) -> np.ndarray:
+        """The source vertex of every entry of ``indices``."""
+        return np.repeat(np.arange(self.num_vertices, dtype=VERTEX_DTYPE), self.degrees())
+
+    def sorted_edge_keys(self) -> np.ndarray:
+        """The edge set as its sorted :func:`~repro.utils.edge_keys` array
+        (the ``u < v`` entries of the CSR, already in key order)."""
+        rows = self._row_ids()
+        upper = rows < self.indices
+        return rows[upper] * self.num_vertices + self.indices[upper]
+
+    def contains_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Whether each ``(us[i], vs[i])`` (endpoints in range, either
+        orientation) is an edge: one binary search over the key array."""
+        return contains_sorted(
+            self.sorted_edge_keys(), edge_keys(us, vs, self.num_vertices)
+        )
+
     def label(self, v: int) -> int:
         return int(self.labels[v])
 
     def edge_array(self) -> np.ndarray:
         """Return the ``(m, 2)`` canonical (u < v) edge array."""
-        src = np.repeat(np.arange(self.num_vertices, dtype=VERTEX_DTYPE), self.degrees())
+        src = self._row_ids()
         mask = src < self.indices
         return np.stack([src[mask], self.indices[mask]], axis=1)
 
@@ -165,23 +187,16 @@ class StaticGraph:
     def without_edges(self, edges: np.ndarray) -> "StaticGraph":
         """Copy of the graph with the given undirected edges removed."""
         edge_arr = np.asarray(edges, dtype=VERTEX_DTYPE).reshape(-1, 2)
-        if edge_arr.size == 0:
-            return StaticGraph(self.indptr.copy(), self.indices.copy(), self.labels.copy())
-        lo = np.minimum(edge_arr[:, 0], edge_arr[:, 1])
-        hi = np.maximum(edge_arr[:, 0], edge_arr[:, 1])
-        remove = set(zip(lo.tolist(), hi.tolist()))
-        kept = [
-            (u, v)
-            for u, v in self.edge_array().tolist()
-            if (u, v) not in remove
-        ]
-        return StaticGraph.from_edges(self.num_vertices, kept, self.labels.copy())
+        n = self.num_vertices
+        # an endpoint outside the graph names no edge, and its key would alias one
+        edge_arr = edge_arr[(edge_arr.min(axis=1) >= 0) & (edge_arr.max(axis=1) < n)]
+        keys = self.sorted_edge_keys()
+        gone = np.isin(keys, edge_keys(edge_arr[:, 0], edge_arr[:, 1], n))
+        return StaticGraph._from_edge_keys(n, keys[~gone], self.labels.copy())
 
     def with_edges(self, edges: np.ndarray) -> "StaticGraph":
         """Copy of the graph with the given undirected edges added."""
         edge_arr = np.asarray(edges, dtype=VERTEX_DTYPE).reshape(-1, 2)
-        if edge_arr.size == 0:
-            return StaticGraph(self.indptr.copy(), self.indices.copy(), self.labels.copy())
         combined = np.concatenate([self.edge_array(), edge_arr], axis=0)
         return StaticGraph.from_edges(self.num_vertices, combined, self.labels.copy())
 
@@ -194,16 +209,23 @@ class StaticGraph:
         require(bool(np.all(np.diff(self.indptr) >= 0)), "indptr must be monotone")
         require(int(self.indptr[-1]) == int(self.indices.shape[0]), "indptr/indices mismatch")
         require(self.labels.shape[0] == self.num_vertices, "labels length mismatch")
-        n = self.num_vertices
-        if self.indices.size:
-            require(bool(self.indices.min() >= 0 and self.indices.max() < n), "neighbor out of range")
-        for v in range(n):
-            run = self.neighbors(v)
-            require(is_sorted(run), f"neighbors of {v} not sorted")
-            if run.size > 1:
-                require(bool(np.all(run[1:] != run[:-1])), f"duplicate neighbor at {v}")
-            pos = np.searchsorted(run, v)
-            require(not (pos < run.size and run[pos] == v), f"self loop at {v}")
+        if self.indices.size == 0:
+            return
+        require(
+            bool(self.indices.min() >= 0 and self.indices.max() < self.num_vertices),
+            "neighbor out of range",
+        )
+
+        def check(bad: np.ndarray, vertices: np.ndarray, what: str) -> None:
+            if bad.any():
+                raise ValueError(what.format(int(vertices[bad.argmax()])))
+
+        rows = self._row_ids()
+        step = np.diff(self.indices)
+        step[rows[1:] != rows[:-1]] = 1  # the next run may start anywhere
+        check(step < 0, rows[1:], "neighbors of {} not sorted")
+        check(step == 0, rows[1:], "duplicate neighbor at {}")
+        check(self.indices == rows, rows, "self loop at {}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StaticGraph):

@@ -19,10 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.graphs.static_graph import StaticGraph
-from repro.utils import VERTEX_DTYPE, as_generator, require
+from repro.utils import VERTEX_DTYPE, as_generator, edge_keys, require
 
 __all__ = [
-    "EdgeUpdate",
     "UpdateBatch",
     "CanonicalReport",
     "BatchConflictError",
@@ -113,18 +112,6 @@ class CanonicalReport:
         )
 
 
-@dataclass(frozen=True)
-class EdgeUpdate:
-    """A single signed edge update ``(e, ⊕)`` from the paper's stream model."""
-
-    u: int
-    v: int
-    sign: int  # INSERT (+1) or DELETE (-1)
-
-    def canonical(self) -> tuple[int, int]:
-        return (self.u, self.v) if self.u < self.v else (self.v, self.u)
-
-
 class UpdateBatch:
     """A batch ``ΔE`` of signed edge updates.
 
@@ -154,6 +141,8 @@ class UpdateBatch:
                 "signs must be +-1")
         require(bool(np.all(self.edges[:, 0] != self.edges[:, 1])) if self.edges.size else True,
                 "self-loop in batch")
+        require(bool(self.edges.min() >= 0) if self.edges.size else True,
+                "negative vertex id in batch")
         self.new_vertex_labels = dict(new_vertex_labels or {})
 
     def __len__(self) -> int:
@@ -191,11 +180,12 @@ class UpdateBatch:
         """Resolve intra-batch conflicts and classify against ``graph``.
 
         ``graph`` is the *pre-batch* store — anything exposing
-        ``num_vertices`` and ``has_edge_new`` (:class:`~repro.graphs.DynamicGraph`)
-        or ``has_edge`` (:class:`~repro.graphs.StaticGraph`).  Updates are
-        grouped by undirected edge (orientation-insensitive), netted within
-        the batch, and classified as new insert / duplicate insert / valid
-        delete / phantom delete:
+        ``num_vertices`` and ``contains_edges(us, vs)``
+        (:class:`~repro.graphs.DynamicGraph`, :class:`~repro.graphs.StaticGraph`),
+        which is asked once, for the batch's distinct edges whose endpoints it
+        knows.  Updates are grouped by undirected edge key
+        (orientation-insensitive), netted within the batch, and classified
+        as new insert / duplicate insert / valid delete / phantom delete:
 
         * ``strict`` — any same-edge repetition, duplicate insert, or
           phantom delete raises :class:`BatchConflictError` (nothing is
@@ -217,19 +207,16 @@ class UpdateBatch:
         if len(self) == 0:
             report.output_size = 0
             return self, report
-        has_edge = getattr(graph, "has_edge_new", None) or graph.has_edge
         n = graph.num_vertices
-        lo = np.minimum(self.edges[:, 0], self.edges[:, 1])
-        hi = np.maximum(self.edges[:, 0], self.edges[:, 1])
-        uniq, inverse = np.unique(
-            np.stack([lo, hi], axis=1), axis=0, return_inverse=True
+        span = max(n, self.max_vertex() + 1)  # new vertices need key room too
+        keys, inverse = np.unique(
+            edge_keys(self.edges[:, 0], self.edges[:, 1], span), return_inverse=True
         )
-        inverse = inverse.reshape(-1)  # numpy >= 2.0 keeps the (b, 1) shape
-        num_groups = uniq.shape[0]
-        present = np.fromiter(
-            (v < n and has_edge(int(u), int(v)) for u, v in uniq.tolist()),
-            count=num_groups, dtype=bool,
-        )
+        lo, hi = np.divmod(keys, span)
+        num_groups = keys.size
+        known = hi < n  # an endpoint the store never saw: absent, no probe
+        present = np.zeros(num_groups, dtype=bool)
+        present[known] = graph.contains_edges(lo[known], hi[known])
         positions = np.arange(len(self), dtype=np.int64)
         if mode == "ignore":
             winner = np.full(num_groups, len(self), dtype=np.int64)
@@ -250,7 +237,7 @@ class UpdateBatch:
 
         if mode == "strict" and report.anomalies:
             raise BatchConflictError(self._conflict_diagnostic(
-                uniq, group_sizes, winner_sign, present, report), report)
+                np.stack([lo, hi], axis=1), group_sizes, winner_sign, present, report), report)
 
         if report.output_size == len(self):
             return self, report  # clean batch: pass through untouched

@@ -4,8 +4,8 @@ Each function is the original per-element loop a vectorized production
 routine replaced, kept verbatim so tests can assert bit-identical output:
 
 * :func:`build_reference` ↔ :meth:`repro.core.dcsr.DcsrCache.build`
-* :func:`merge_runs_reference` ↔ :func:`repro.utils.merge_sorted` as used by
-  :meth:`repro.graphs.dynamic_graph.DynamicGraph.reorganize`
+* :func:`merge_runs_reference` ↔ the merged ``N'`` of the epoch arena that
+  :meth:`repro.graphs.dynamic_graph.DynamicGraph.reorganize` stores back
 * :func:`assign_reference` ↔
   :meth:`repro.multigpu.partition.FrequencyPartitioner.assign`
 * :func:`select_within_budget_reference` ↔
@@ -59,9 +59,9 @@ def merge_runs_reference(kept: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Scalar two-pointer merge of the kept base run and the ΔN run.
 
     The literal per-element loop of paper Sec. V-A step 4, retained as the
-    parity oracle for the vectorized merge :meth:`DynamicGraph.reorganize`
-    uses in production (``benchmarks/test_table3_reorg.py`` checks both the
-    output arrays and the wall-clock win).
+    parity oracle for the lists :meth:`DynamicGraph.reorganize` stores and
+    for :func:`repro.utils.merge_sorted` (``benchmarks/test_table3_reorg.py``
+    checks the stored arrays and the vectorized merge's wall-clock win).
     """
     merged = np.empty(kept.size + delta.size, dtype=VERTEX_DTYPE)
     i = j = k = 0

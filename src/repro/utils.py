@@ -22,6 +22,7 @@ __all__ = [
     "format_time_ns",
     "merge_sorted",
     "contains_sorted",
+    "edge_keys",
     "VERTEX_DTYPE",
 ]
 
@@ -102,6 +103,21 @@ def contains_sorted(values: np.ndarray, queries: np.ndarray) -> np.ndarray:
         return np.zeros(queries.shape, dtype=bool)
     pos = np.minimum(np.searchsorted(values, queries), values.size - 1)
     return values[pos] == queries
+
+
+def edge_keys(us: np.ndarray, vs: np.ndarray, num_vertices: int) -> np.ndarray:
+    """The undirected edge codec: ``min(u, v) * num_vertices + max(u, v)``.
+
+    Keys order exactly like their ``(lo, hi)`` pairs, so an edge *set* is one
+    sorted int64 array (dedupe is ``np.unique``, membership ``searchsorted``
+    / ``isin``) and ``np.divmod(keys, num_vertices)`` decodes it.  Endpoints
+    must lie in ``[0, num_vertices)``: anything else aliases another edge.
+    """
+    require(
+        num_vertices * num_vertices < 2**62,
+        f"{num_vertices} vertices overflow the int64 edge keys (lo * num_vertices + hi)",
+    )
+    return np.minimum(us, vs, dtype=np.int64) * num_vertices + np.maximum(us, vs)
 
 
 def format_bytes(num_bytes: float) -> str:

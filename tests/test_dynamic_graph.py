@@ -136,20 +136,6 @@ class TestConflictHardening:
         dg.check_invariants()
         assert dg.snapshot() == base_graph()
 
-    def test_delete_out_of_delta_run_directly(self):
-        # white-box: the ΔN-run delete path itself (an effective batch can
-        # legitimately delete an edge a previous batch left in ΔN)
-        dg = DynamicGraph(base_graph())
-        dg.apply_batch(UpdateBatch([(0, 3), (1, 3)], [1, 1]))
-        dg._mark_deleted(0, 3)
-        dg._mark_deleted(3, 0)
-        dg._num_edges -= 1
-        assert dg.neighbors_new(0).tolist() == [1, 2]
-        assert dg.neighbors_new(3).tolist() == [1, 2]
-        dg.reorganize()
-        dg.check_invariants()
-        assert dg.snapshot() == base_graph().with_edges(np.array([[1, 3]]))
-
     def test_duplicate_insert_is_idempotent_under_coalesce(self):
         dg = DynamicGraph(base_graph())
         eff = dg.apply_batch(UpdateBatch([(0, 1), (1, 3)], [1, 1]), mode="coalesce")
@@ -191,6 +177,17 @@ class TestConflictHardening:
         eff = dg.apply_batch(UpdateBatch([(0, 2), (0, 2)], [-1, 1]), mode="ignore")
         assert eff.signs.tolist() == [-1]
         assert dg.num_edges == 3
+        dg.reorganize()
+        dg.check_invariants()
+
+    def test_unkeyable_vertex_id_rejected_before_any_write(self):
+        # edge keys are lo * n + hi in int64: an id past 2**31 cannot be keyed
+        # (nor could the store ever grow to hold it)
+        dg = DynamicGraph(base_graph())
+        with pytest.raises(ValueError, match="overflow the int64 edge keys"):
+            dg.apply_batch(UpdateBatch([(0, 3), (1, 2**31)], [1, -1]), mode="coalesce")
+        assert not dg.batch_open and dg.snapshot() == base_graph()
+        dg.apply_batch(UpdateBatch([(0, 3)], [1]))
         dg.reorganize()
         dg.check_invariants()
 
@@ -276,3 +273,162 @@ def test_property_random_batches_roundtrip(seed):
         dg.reorganize()
         dg.check_invariants()
         assert dg.snapshot() == current
+
+
+class TestBulkWriteSide:
+    """The write side is whole-batch: the store asks the arena its two
+    questions ("is (u, v) an edge, and at which slot", "what is N'(v),
+    merged") once per batch, not once per edge and per list."""
+
+    @staticmethod
+    def mixed_batch(g, size, rng):
+        """``size`` updates: half deletes of present edges, half fresh inserts."""
+        edges = g.edge_array()
+        dels = edges[rng.choice(edges.shape[0], size=size // 2, replace=False)]
+        seen, ins = {tuple(e) for e in edges.tolist()}, []
+        while len(ins) < size - size // 2:
+            u, v = (int(x) for x in rng.integers(0, g.num_vertices, size=2))
+            if u != v and (min(u, v), max(u, v)) not in seen:
+                seen.add((min(u, v), max(u, v)))
+                ins.append((u, v))
+        ins = np.array(ins)
+        signs = np.concatenate([-np.ones(dels.shape[0]), np.ones(ins.shape[0])])
+        order = rng.permutation(size)
+        return UpdateBatch(np.concatenate([dels, ins])[order], signs[order])
+
+    def test_binary_searches_per_batch_do_not_grow_with_the_batch(self, monkeypatch):
+        g = erdos_renyi(600, 12.0, seed=3)
+        real, calls = np.searchsorted, []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[1]) if np.ndim(args[1]) else 1)
+            return real(*args, **kwargs)
+
+        counts = {}
+        for size in (32, 1024):
+            store = DynamicGraph(g)
+            batch = self.mixed_batch(g, size, np.random.default_rng(size))
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "searchsorted", counting)
+                calls.clear()
+                store.apply_batch(batch)
+                store.reorganize()
+                counts[size] = len(calls)
+                # every search is over a whole batch's worth of probes
+                assert min(calls) >= size // 2
+            store.check_invariants()
+            assert store.snapshot() == g.without_edges(batch.delete_edges()).with_edges(
+                batch.insert_edges()
+            )
+        # at the parent: >= 2 per update plus 2 per merged list
+        assert counts[32] == counts[1024] <= 4
+
+
+@st.composite
+def dirty_case(draw):
+    """A small graph and three dirty batches over it: duplicates, phantom
+    deletes (unknown vertex ids included), same-batch churn, both
+    orientations of one edge, labelled and unlabelled new vertices."""
+    n = draw(st.integers(3, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    base = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    vertex = st.integers(0, n + 2)
+    update = st.tuples(vertex, vertex, st.sampled_from([1, -1])).filter(lambda t: t[0] != t[1])
+    batches = draw(st.lists(
+        st.tuples(
+            st.lists(update, min_size=1, max_size=10),
+            st.dictionaries(st.integers(n, n + 2), st.integers(1, 3), max_size=2),
+        ),
+        min_size=3, max_size=3,
+    ))
+    return n, base, batches
+
+
+def classify(edge_set, updates, mode):
+    """Python-set twin of ``UpdateBatch.canonicalize``: the report's
+    counters and the surviving updates in stream order."""
+    groups = {}
+    for i, (u, v, s) in enumerate(updates):
+        groups.setdefault((min(u, v), max(u, v)), []).append((i, s))
+    counts = dict(new_inserts=0, duplicate_inserts=0, valid_deletes=0, phantom_deletes=0)
+    kept = []
+    for key, ops in groups.items():
+        i, s = ops[0] if mode == "ignore" else ops[-1]
+        effective = (key not in edge_set) if s > 0 else (key in edge_set)
+        name = ("new_inserts" if effective else "duplicate_inserts") if s > 0 else (
+            "valid_deletes" if effective else "phantom_deletes")
+        counts[name] += 1
+        if effective:
+            kept.append(i)
+    counts["intra_batch_dropped"] = len(updates) - len(groups)
+    return counts, [updates[i] for i in sorted(kept)]
+
+
+def adjacency(edge_set, n):
+    return [sorted({v for u, v in edge_set if u == w} | {u for u, v in edge_set if v == w})
+            for w in range(n)]
+
+
+def edge_set_of(graph):
+    return {tuple(e) for e in graph.edge_array().tolist()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=dirty_case(), mode=st.sampled_from(["coalesce", "ignore"]), hold=st.booleans())
+def test_property_dirty_batches_match_set_arithmetic(case, mode, hold):
+    """Report, both snapshots, the reorganize accounting and the invariants
+    against a model made of Python sets — optionally with a frozen view of
+    every open batch held across the live store's reorganize, next
+    ``apply_batch`` and next reorganize."""
+    n, base, batches = case
+    dg = DynamicGraph(StaticGraph.from_edges(n, base, np.zeros(n, dtype=np.int64)))
+    edges, labels = set(base), [0] * n
+    held = []  # (view, N of every vertex, N' of every vertex)
+
+    def check_held():
+        for view, want_old, want_new in held:
+            verts = np.arange(len(want_old))
+            for old, want in ((True, want_old), (False, want_new)):
+                one = view.neighbors_old if old else view.neighbors_new
+                assert [one(v).tolist() for v in verts.tolist()] == want
+                starts, lens = view.gather(verts, old)
+                flat = view.arena
+                assert [flat[s : s + k].tolist() for s, k in zip(starts, lens)] == want
+
+    for updates, new_labels in batches:
+        batch = UpdateBatch([(u, v) for u, v, _ in updates], [s for _, _, s in updates], new_labels)
+        counts, kept = classify(edges, updates, mode)
+        effective = dg.apply_batch(batch, mode=mode)
+        check_held()
+
+        report = dg.last_canonical_report
+        assert {name: getattr(report, name) for name in counts} == counts
+        assert (report.input_size, report.output_size) == (len(updates), len(kept))
+        assert list(zip(*effective.edges.T.tolist(), effective.signs.tolist())) == kept
+
+        inserts = {(min(u, v), max(u, v)) for u, v, s in kept if s > 0}
+        deletes = {(min(u, v), max(u, v)) for u, v, s in kept if s < 0}
+        after = (edges - deletes) | inserts
+        grown = max([len(labels)] + [max(u, v) + 1 for u, v, _ in kept])
+        labels += [new_labels.get(v, 0) for v in range(len(labels), grown)]
+        assert dg.num_vertices == grown and dg.labels.tolist() == labels
+        assert edge_set_of(dg.snapshot_old()) == edges
+        assert edge_set_of(dg.snapshot()) == after and dg.num_edges == len(after)
+        endpoints = {w for u, v, _ in kept for w in (u, v)}
+        assert dg.touched_vertices == endpoints
+        dg.check_invariants()
+        if hold:
+            held.append((dg.freeze(), adjacency(edges, grown), adjacency(after, grown)))
+
+        stats = dg.reorganize()
+        degree = adjacency(after, grown)
+        assert (stats.lists_touched, stats.merged_elements,
+                stats.deletions_dropped, stats.insertions_merged) == (
+            len(endpoints), sum(len(degree[w]) for w in endpoints),
+            2 * len(deletes), 2 * len(inserts))
+        assert edge_set_of(dg.snapshot()) == after and not dg.touched_vertices
+        dg.check_invariants()
+        check_held()
+        edges = after
+    for view, _, _ in held:
+        view.release()

@@ -50,6 +50,24 @@ class TestCorrectness:
         with pytest.raises(ValueError):
             GCSMEngine(g, TRIANGLE, policy="magic")
 
+    def test_negative_vertex_id_never_reaches_the_store(self):
+        # accepted, the batch wrote -1 into vertex 2's ΔN run (where it reads
+        # as the deletion mark of vertex 0) and the next reorganize left the
+        # mark count out of step
+        g = erdos_renyi(30, 4.0, num_labels=1, seed=8)
+        g0, batches = derive_stream(g, update_fraction=0.3, batch_size=12, seed=8)
+        engine, fresh = GCSMEngine(g0, TRIANGLE, seed=9), GCSMEngine(g0, TRIANGLE, seed=9)
+        with pytest.raises(ValueError, match="negative vertex id in batch"):
+            engine.process_batch(UpdateBatch([(-1, 2)], [1]))
+        assert engine.graph.batch_open is False
+        assert engine.snapshot() == g0
+        engine.graph.check_invariants()
+        assert (
+            engine.process_batch(batches[0]).delta_count
+            == fresh.process_batch(batches[0]).delta_count
+        )
+        engine.graph.check_invariants()
+
 
 class TestPipelineArtifacts:
     def make_result(self, **kwargs):

@@ -117,6 +117,22 @@ class TestDerivedGraphs:
         g = small_graph()
         assert g.without_edges(np.empty((0, 2), dtype=np.int64)) == g
 
+    def test_without_ignores_endpoints_outside_the_graph(self):
+        # n = 4: the key of (0, 6) is 6 = 1 * 4 + 2, the key of edge (1, 2)
+        g = small_graph()
+        assert g.without_edges(np.array([[0, 6], [6, 0], [-1, 2], [2, 1]])) == \
+            g.without_edges(np.array([[1, 2]]))
+
+    def test_contains_edges_is_has_edge_for_many(self):
+        g = erdos_renyi(40, 4.0, seed=9)
+        us, vs = (a.ravel() for a in np.meshgrid(np.arange(40), np.arange(40)))
+        want = [g.has_edge(u, v) for u, v in zip(us.tolist(), vs.tolist())]
+        assert g.contains_edges(us, vs).tolist() == want
+        assert g.sorted_edge_keys().tolist() == sorted(
+            u * 40 + v for u, v in g.edge_array().tolist()
+        )
+        assert StaticGraph.empty(3).contains_edges(np.array([0]), np.array([1])).tolist() == [False]
+
     def test_equality(self):
         assert small_graph() == small_graph()
         g2 = StaticGraph.from_edges(4, [(0, 1)], np.array([0, 1, 1, 2]))
@@ -131,6 +147,35 @@ class TestValidation:
     def test_unsorted_neighbors_rejected(self):
         with pytest.raises(ValueError):
             StaticGraph(np.array([0, 2, 3, 4]), np.array([2, 1, 0, 0]), None)
+
+    @pytest.mark.parametrize(
+        "indptr, indices, message",
+        [
+            # 0: [1, 3], 1: [0, 2, 2], 2: [1], 3: [0] — the repeat sits in row 1
+            ([0, 2, 5, 6, 7], [1, 3, 0, 2, 2, 1, 0], "duplicate neighbor at 1"),
+            # row 2 lists itself
+            ([0, 1, 2, 4], [1, 0, 1, 2], "self loop at 2"),
+            # row 1 descends (rows 0 and 2 are fine)
+            ([0, 1, 3, 4], [1, 2, 0, 1], "neighbors of 1 not sorted"),
+        ],
+    )
+    def test_each_failure_names_its_vertex(self, indptr, indices, message):
+        with pytest.raises(ValueError, match=message):
+            StaticGraph(np.array(indptr), np.array(indices))
+
+    def test_run_boundaries_are_not_descents(self):
+        # empty rows at the start, in the middle and at the end, and a run
+        # ending in a larger id (5) than the next one begins with (1)
+        #   0: []  1: [4, 5]  2: []  3: []  4: [1, 5]  5: [1, 4]  6: []
+        g = StaticGraph(
+            np.array([0, 0, 2, 2, 2, 4, 6, 6]), np.array([4, 5, 1, 5, 1, 4])
+        )
+        assert g.num_edges == 3
+        assert g == StaticGraph.from_edges(7, [(1, 4), (1, 5), (4, 5)])
+        # the zero-vertex graph and an edgeless one have nothing to scan
+        assert StaticGraph(np.array([0]), np.empty(0)).num_vertices == 0
+        assert StaticGraph.from_edges(0, []).num_edges == 0
+        assert StaticGraph.from_edges(3, np.empty((0, 2))).degrees().tolist() == [0, 0, 0]
 
     def test_random_graph_validates(self):
         g = erdos_renyi(200, 5.0, seed=3)

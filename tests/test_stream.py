@@ -37,6 +37,13 @@ class TestUpdateBatch:
         with pytest.raises(ValueError):
             UpdateBatch([(0, 1), (1, 2)], [1])
 
+    @pytest.mark.parametrize("edges", [[(-1, 2)], [(0, 1), (3, -4)]])
+    def test_negative_vertex_id_rejected(self, edges):
+        # a store indexes its per-vertex arrays by id: -1 would wrap to the
+        # last vertex's list and read back as vertex 0's deletion mark
+        with pytest.raises(ValueError, match="negative vertex id in batch"):
+            UpdateBatch(edges, [1] * len(edges))
+
 
 class TestCanonicalize:
     """Intra-batch netting + classification against the current store."""
