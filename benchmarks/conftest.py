@@ -17,11 +17,22 @@ from pathlib import Path
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
+#: a run owns the text after this line of a results file; what is above it —
+#: the hand-annotated before/after sections — is kept.  A file without the
+#: line is all the run's.
+LATEST_RUN = "== latest run: rewritten by every run of the benchmark; everything above is kept\n"
+
+
+def write_table(path: Path, table: str) -> None:
+    """Replace the run's own table in ``path``, leaving annotated history."""
+    history, marker, _ = (path.read_text() if path.exists() else "").partition(LATEST_RUN)
+    path.write_text((history + marker if marker else "") + table)
 
 
 @pytest.fixture()
 def record_table():
-    """Context manager teeing stdout to ``benchmarks/results/<name>.txt``."""
+    """Context manager teeing stdout to ``benchmarks/results/<name>.txt``
+    (through :func:`write_table`)."""
 
     @contextlib.contextmanager
     def _record(name: str):
@@ -43,7 +54,7 @@ def record_table():
             yield
         finally:
             sys.stdout = original
-            (RESULTS_DIR / f"{name}.txt").write_text(buffer.getvalue())
+            write_table(RESULTS_DIR / f"{name}.txt", buffer.getvalue())
 
     return _record
 

@@ -14,6 +14,8 @@ the parent commit has, so the same edition runs on both sides.
 * ``fr`` — FR analog, 100 mixed batches of 96 (``derive_stream``).
 * ``sf3k_churn`` — SF3K analog, 100 batches of 64 (``churn_stream``): each
   batch deletes the previous batch's inserts.
+* ``fr/freeze`` (one ``freeze()`` + ``release()``), ``fr/check_invariants``
+  and ``fr/csr_new`` run on the settled FR store the replay leaves behind.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ FR = (96, 100)
 SF3K = (64, 100)
 
 
-def _replay(g0, batches) -> tuple[float, float]:
-    """``(update_s, reorganize_s)`` over the stream on a fresh store."""
+def _replay(g0, batches) -> tuple[float, float, DynamicGraph]:
+    """``(update_s, reorganize_s, store)`` over the stream on a fresh store."""
     store = DynamicGraph(g0)
     update = reorganize = 0.0
     for batch in batches:
@@ -43,7 +45,14 @@ def _replay(g0, batches) -> tuple[float, float]:
         t2 = time.perf_counter()
         update += t1 - t0
         reorganize += t2 - t1
-    return update, reorganize
+    return update, reorganize, store
+
+
+def _timed(fn, calls: int) -> float:
+    t0 = time.perf_counter()
+    for _ in range(calls):
+        fn()
+    return time.perf_counter() - t0
 
 
 def _fr_setup() -> float:
@@ -66,9 +75,20 @@ def test_store_wallclock(benchmark, record_table):
         rows = []
         for name, (g0, batches) in streams.items():
             # best of N per stage (the minimum filters scheduler noise)
-            runs = [_replay(g0, batches) for _ in range(REPEATS)]
+            runs = []
+            for _ in range(REPEATS):
+                *stages, store = _replay(g0, batches)  # one store alive at a time
+                runs.append(stages)
             rows.append((f"{name}/update", len(batches), min(r[0] for r in runs)))
             rows.append((f"{name}/reorganize", len(batches), min(r[1] for r in runs)))
+            if name == "fr":
+                for row, calls, fn in (
+                    ("freeze", 20, lambda: store.freeze().release()),
+                    ("check_invariants", 1, store.check_invariants),
+                    ("csr_new", 5, store.csr_new),
+                ):
+                    best = min(_timed(fn, calls) for _ in range(REPEATS))
+                    rows.append((f"fr/{row}", calls, best))
         rows.append(("fr/setup", 1, min(_fr_setup() for _ in range(REPEATS))))
         return rows
 

@@ -60,7 +60,7 @@ class DcsrCache:
         then copies: ``rowptr`` comes from one prefix sum over the stored run
         lengths, and because each vertex's base and delta runs are adjacent
         in the store (:meth:`~repro.graphs.dynamic_graph.DynamicGraph.packed_run_raw`)
-        ``colidx`` is a single concatenate of per-vertex views — one bulk
+        ``colidx`` is a single gather from its pool — one bulk
         copy, no per-vertex Python bookkeeping.  Produces arrays bit-identical
         to :func:`repro.testing.oracles.build_reference` (enforced by
         ``tests/test_dcsr.py``).
@@ -79,15 +79,14 @@ class DcsrCache:
                 "cache vertex out of range",
             )
         k = verts.size
-        base_len, total_len, views = graph.packed_runs(verts)
+        base_len, total_len, colidx = graph.packed_runs(verts)
         offsets = segment_offsets(total_len)
         rowptr = np.empty((k + 1, 2), dtype=np.int64)
         rowptr[:k, 0] = offsets[:k]
         rowptr[:k, 1] = np.where(total_len > base_len, offsets[:k] + base_len, -1)
         rowptr[k, 0] = offsets[k]
         rowptr[k, 1] = -1
-        colidx = np.concatenate(views) if k else _EMPTY.copy()
-        return cls(verts, rowptr, colidx.astype(VERTEX_DTYPE, copy=False))
+        return cls(verts, rowptr, colidx)
 
     # ------------------------------------------------------------------
     @property

@@ -238,14 +238,16 @@ class FrequencyEstimator:
         multiplicity, num_roots, tally_row)`` — the roots the kernel would
         process (label- and predicate-filtered) that drew ``B_root ~
         Binomial(M, 1/|ΔR_i|) > 0`` (merged execution), lazily."""
-        labels = self.graph.labels
+        labels, raw = self.graph.labels, {}
         for chain, ref in enumerate(trie.refs):
             name = ref.query_name
             if name not in batches:
                 continue
-            roots, _ = filter_root_predicate(
-                ref.plan, *delta_roots(ref.plan, batches[name], labels), self.attributes
-            )
+            # label filtering depends on the root labels alone: once per signature
+            sig = (id(batches[name]), ref.plan.root_labels())
+            if sig not in raw:
+                raw[sig] = delta_roots(ref.plan, batches[name], labels)
+            roots, _ = filter_root_predicate(ref.plan, *raw[sig], self.attributes)
             if num_roots := roots.shape[0]:
                 born = self.rng.binomial(walks[name], 1.0 / num_roots, size=num_roots)
                 live = np.flatnonzero(born)

@@ -1,48 +1,56 @@
 """Dynamic CPU-side graph store (paper Sec. V-A, Fig. 5).
 
-The paper maintains the evolving data graph on the CPU as per-vertex
-neighbor arrays with four update rules, each one whole-batch operation here:
+The paper keeps the evolving data graph in pre-allocated pinned arrays
+reached through the ``pHost`` / ``pDevice`` tables: one flat address space.
+Here that is **one slab** — an int64 ``pool`` plus per-vertex ``offset`` /
+``cap`` tables (``host_address`` / ``device_address`` are the offset table)
+beside three length tables (base run, stored run, deletion marks).  Each
+list is a *window* ``pool[offset[v] : offset[v] + cap[v]]``, pre-allocated at
+2x, holding the sorted base run with its marks in place and, appended behind
+it, the open batch's sorted ``ΔN`` run.  The four update rules, each one
+whole-batch operation:
 
 1. **Insertions append.**  Both orientations of the batch's inserts are
-   sorted by (source, neighbor), so each vertex's appended run ``ΔN(v)`` is
-   written already sorted, in one piece; arrays are pre-allocated at 2x and
-   doubled until the run fits, giving O(1) amortized insertion.
-2. **New vertices** get an array sized to the average degree, and their
-   host/device addresses are appended to ``pHost`` / ``pDevice``.
-3. **Deletions mark in place.**  A deleted neighbor ``v`` is found by binary
-   search in the sorted base run (one keyed search for the whole batch) and
-   overwritten with a negative sentinel, ``-(v + 1)`` so vertex 0 is
-   representable; the encoding is order-preserving under decode, so the base
-   run stays logically sorted.  No delete targets a ``ΔN`` run: batches are
+   sorted by (source, neighbor), so every ``ΔN(v)`` is written already
+   sorted; a list that outgrows its window moves to one doubled until it
+   fits, giving O(1) amortized insertion.
+2. **New vertices** get a window sized to the average degree.
+3. **Deletions mark in place.**  A deleted neighbor ``v`` is found by one
+   keyed binary search for the whole batch and overwritten with ``-(v + 1)``
+   (vertex 0 stays representable); decoding preserves order, so the base run
+   stays logically sorted.  No delete targets a ``ΔN`` run: batches are
    netted against the store first and cannot open before reorganize.
 4. **Reorganization** (step 5 of the pipeline, run *after* matching) stores
    every touched list's merged ``N'(v)`` as its one sorted base run.
 
-Between steps 1 and 4 — i.e. exactly while the incremental matching kernel
-runs — the store exposes the two adjacency versions of paper Fig. 2:
+Between steps 1 and 4 — while the incremental matching kernel runs — the
+store exposes the two adjacency versions of paper Fig. 2: ``N(v)``, the base
+run with marks decoded (deleted edges existed before the batch), and
+``N'(v)``, the base run with marks skipped plus ``ΔN(v)``, kept as two
+sorted runs for the ``N' = N ∪ ΔN`` split intersections of Sec. V-C.
 
-* ``N(v)``  — the *pre-batch* list: the base run with deletion marks decoded
-  back to their original values (deleted edges existed before the batch).
-* ``N'(v)`` — the *post-batch* list as two sorted runs: the base run with
-  deletion marks skipped, plus the sorted appended run ``ΔN(v)``.  Keeping
-  the two runs separate is what lets the matching kernel perform the
-  ``N' = N ∪ ΔN`` split intersections described in Sec. V-C.
+**Allocator.**  Windows are bumped off the pool's tail and never reused in
+place: a window a list left behind is dead, and once the dead outweigh the
+live (``_COMPACT_RATIO``, decided at the end of ``reorganize``) the pool is
+rebuilt in vertex order.  A full pool is *replaced* by one ``_GROWTH`` times
+larger, never resized.  Both keep copy-on-write cheap as **move-before-
+write**: while a frozen view is live, a list it can still see is given a
+fresh window before ``apply_batch`` or ``reorganize`` writes it, so a view is
+a reference to the buffer it captured plus a copy of the tables.
 
-``host_address`` / ``device_address`` mirror the paper's ``pHost`` /
-``pDevice`` indirection tables: synthetic addresses that the simulated GPU
-zero-copy channel dereferences, so the reproduction exercises the same
-data-path shape even without real pinned memory.
+**One read, one write.**  :meth:`DynamicGraph._read` gathers any set of
+lists in either version as one flat block (marks decoded or dropped, the two
+runs of a touched list merged by one sort of ``segment * n + value`` keys);
+every bulk path — the arena fill, the edge probe and delete-slot search,
+reorganize, DCSR packing, the whole-graph exports, compaction — is that read
+plus one fancy-indexed write ``pool[offset[src] + slot] = value``.
 
-Run lengths live in three int64 tables (base length, stored length, deletion
-marks in the base run), touched in O(|ΔE|) per batch; ``touched`` is the
-sorted array of the open batch's distinct endpoints, the lists whose ``N``
-and ``N'`` differ.  Everything read in bulk hangs off one :class:`_Epoch` per
-store state — read-only versioned degree tables and a lazily filled CSR
-*arena* of merged lists with rank keys (:meth:`DynamicGraph.gather`) —
-dropped by ``apply_batch`` and ``reorganize``.  The store reads it too: "is
-``(u, v)`` an edge, and at which slot" is a keyed probe of the settled arena
-(:meth:`DynamicGraph.contains_edges`, the delete slots), and the ``N'``
-``reorganize`` stores is the one the open arena already merged.
+The per-epoch *arena* (:class:`_Epoch`, :meth:`DynamicGraph.gather`) is what
+the join kernels probe: the working set's merged lists with rank keys,
+dropped by ``apply_batch`` and ``reorganize``.  The store fills it and no
+longer reads it, and it stays: probing a whole-graph key pool instead of the
+working-set arena (≈ 19 k / 27 k elements against 662 k / 962 k directed
+entries on FR / SF3K) measured 1.55-1.7x slower keyed probes.
 """
 
 from __future__ import annotations
@@ -54,7 +62,9 @@ import numpy as np
 
 from repro.graphs.static_graph import StaticGraph
 from repro.graphs.stream import CanonicalReport, UpdateBatch
-from repro.utils import VERTEX_DTYPE, require, segment_offsets
+from repro.utils import (
+    VERTEX_DTYPE, contains_sorted, require, segment_indices, segment_offsets,
+)
 
 __all__ = [
     "rank_keys",
@@ -65,15 +75,22 @@ __all__ = [
 ]
 
 _EMPTY = np.empty(0, dtype=VERTEX_DTYPE)
+#: a window doubles until its run fits; a (re)built pool is this many times
+#: the largest tail the compaction rule lets its windows reach
+_GROWTH = 2
+#: dead windows are reclaimed once they outweigh the live ones this many times
+_COMPACT_RATIO = 1
 
 
 def _decode(values: np.ndarray) -> np.ndarray:
     """Decode a base run: deletion marks ``-(v+1)`` back to ``v``."""
-    out = values.copy()
-    neg = out < 0
-    if neg.any():
-        out[neg] = -out[neg] - 1
-    return out
+    return np.where(values < 0, -values - 1, values)
+
+
+def _each(ok: np.ndarray, message: str) -> None:
+    """Require a per-vertex verdict everywhere, naming the first offender."""
+    if not ok.all():
+        raise ValueError(message.format(int(np.argmin(ok))))
 
 
 @dataclass
@@ -94,6 +111,14 @@ class ReorganizeStats:
 def _read_only(table: np.ndarray) -> np.ndarray:
     table.flags.writeable = False
     return table
+
+
+def _key_room(elements: int, num_vertices: int) -> None:
+    require(
+        elements * num_vertices < 2**62,
+        f"{elements} list elements over {num_vertices} vertices "
+        "overflow the int64 rank keys (segment_start * num_vertices + value)",
+    )
 
 
 def rank_keys(
@@ -143,9 +168,10 @@ class _Epoch:
     thread grew it.
 
     Cheap to create (every mutation makes one); the O(n) tables are built by
-    the first reader (``apply_batch`` probes the settled epoch).  ``lock``
-    serialises that build and every load: fleet shards match one graph on
-    worker threads, a pipelined reader shares its epoch with ``reorganize``.
+    the first reader — a kernel or a degree query, never the store's own
+    update path.  ``lock`` serialises that build and every load: fleet shards
+    match one graph on worker threads, a pipelined reader fills the epoch it
+    froze.
     """
 
     def __init__(self) -> None:
@@ -171,44 +197,49 @@ class DynamicGraph:
     def __init__(self, initial: StaticGraph) -> None:
         n = initial.num_vertices
         self._labels: np.ndarray = initial.labels.copy()
-        self._arrays: list[np.ndarray] = []
         self._realloc_count = 0
         degs = initial.degrees()
         self._avg_degree = max(1, int(round(float(degs.mean())) if n else 1))
-        for v in range(n):
-            nbrs = initial.neighbors(v)
-            cap = max(2, 2 * nbrs.size)
-            arr = np.empty(cap, dtype=VERTEX_DTYPE)
-            arr[: nbrs.size] = nbrs
-            self._arrays.append(arr)
-        # per-vertex run lengths: base run, base + appended run, and the
-        # deletion marks inside the base run
-        self._base_len: np.ndarray = degs.astype(np.int64)
-        self._total_len: np.ndarray = self._base_len.copy()
-        self._marks: np.ndarray = np.zeros(n, dtype=np.int64)
+        # copy-on-write freeze support (see :meth:`freeze`): while any frozen
+        # view is live, a list whose window predates the latest freeze
+        # (``owner_serial < freeze_serial``) moves before it is written.
+        self._active_freezes = 0
+        self._freeze_serial = 0
+        self._bind(np.zeros((6, n), dtype=np.int64))
+        self._base_len[:] = self._total_len[:] = degs
+        self._lay_out(initial.indices)  # one scatter from the CSR
         self._epoch = _Epoch()
-        # pHost / pDevice analogs: synthetic addresses into a flat pinned space.
-        self.host_address = np.arange(n, dtype=np.int64)
-        self.device_address = np.arange(n, dtype=np.int64)
         self._touched: np.ndarray = _EMPTY  # sorted; replaced, never written
         self._batch_open = False
         self._num_edges = initial.num_edges
         #: classification of the most recent :meth:`apply_batch` input
         self.last_canonical_report: CanonicalReport | None = None
-        # copy-on-write freeze support (see :meth:`freeze`): while any
-        # frozen view is live, the first in-place mutation of a vertex's
-        # array since the latest freeze replaces it with a private copy so
-        # frozen readers keep seeing the epoch they captured.
-        self._active_freezes = 0
-        self._freeze_serial = 0
-        self._owner_serial: list[int] = [0] * n
+
+    def _bind(self, tables: np.ndarray) -> None:
+        """Name the rows of the per-vertex table: window offset and capacity,
+        base-run / stored-run lengths, deletion marks inside the base run,
+        and the freeze serial under which the window was allocated."""
+        self._tables = tables
+        (self._offset, self._cap, self._base_len, self._total_len,
+         self._marks, self._owner_serial) = tables
+
+    def _lay_out(self, block: np.ndarray) -> None:
+        """(Re)build the pool in vertex order from the settled lists laid end
+        to end in ``block``: fresh 2x windows, no dead ones, nothing a frozen
+        view can see."""
+        self._cap[:] = np.maximum(2, 2 * self._base_len)
+        bounds = segment_offsets(self._cap)
+        self._offset[:], self._tail, self._dead = bounds[:-1], int(bounds[-1]), 0
+        self._owner_serial[:] = self._freeze_serial
+        self._pool = np.empty(_GROWTH * (1 + _COMPACT_RATIO) * self._tail, dtype=VERTEX_DTYPE)
+        self._pool[segment_indices(self._offset, self._base_len)] = block
 
     # ------------------------------------------------------------------
     # basic accessors
     # ------------------------------------------------------------------
     @property
     def num_vertices(self) -> int:
-        return len(self._arrays)
+        return self._tables.shape[1]
 
     @property
     def num_edges(self) -> int:
@@ -218,6 +249,14 @@ class DynamicGraph:
     @property
     def labels(self) -> np.ndarray:
         return self._labels
+
+    @property
+    def host_address(self) -> np.ndarray:
+        """``pHost``: each list's address in the pinned pool (read-only)."""
+        return _read_only(self._offset.view())
+
+    #: ``pDevice``: zero-copy maps the same pinned pool into the device
+    device_address = host_address
 
     @property
     def realloc_count(self) -> int:
@@ -270,6 +309,11 @@ class DynamicGraph:
     # ------------------------------------------------------------------
     # Fig. 2 adjacency versions
     # ------------------------------------------------------------------
+    def _window(self, v: int, lo: int, hi: int) -> np.ndarray:
+        """Entries ``lo:hi`` of ``v``'s window, a view of the pool."""
+        start = self._offset[v]
+        return self._pool[start + lo : start + hi]
+
     def neighbors_old(self, v: int) -> np.ndarray:
         """``N(v)``: the sorted pre-batch neighbor list.
 
@@ -277,7 +321,7 @@ class DynamicGraph:
         the deleted edges were present before the batch; appended insertions
         are excluded.
         """
-        base = self._arrays[v][: self._base_len[v]]
+        base = self.base_run_raw(v)
         return _decode(base) if self._marks[v] else base
 
     def neighbors_new_parts(self, v: int) -> tuple[np.ndarray, np.ndarray]:
@@ -287,12 +331,10 @@ class DynamicGraph:
         ``delta`` is the sorted appended run ``ΔN(v)``.  The union of the two
         runs is exactly the post-batch adjacency of ``v``.
         """
-        arr = self._arrays[v]
-        base = arr[: self._base_len[v]]
+        base = self.base_run_raw(v)
         if self._marks[v]:
             base = base[base >= 0]
-        delta = arr[self._base_len[v] : self._total_len[v]]
-        return base, delta
+        return base, self.delta_neighbors(v)
 
     def neighbors_new(self, v: int) -> np.ndarray:
         """``N'(v)`` materialized as one sorted array (convenience/oracle)."""
@@ -307,7 +349,7 @@ class DynamicGraph:
 
     def delta_neighbors(self, v: int) -> np.ndarray:
         """``ΔN(v)``: the sorted neighbors appended by the open batch."""
-        return self._arrays[v][self._base_len[v] : self._total_len[v]]
+        return self._window(v, self._base_len[v], self._total_len[v])
 
     def base_run_raw(self, v: int) -> np.ndarray:
         """The base run *with* deletion marks (``-(w+1)`` entries) intact.
@@ -316,40 +358,72 @@ class DynamicGraph:
         ``colidx`` array for an updated list ("the deleted neighbors are
         marked, and the new neighbors are appended", Sec. V-B).
         """
-        return self._arrays[v][: self._base_len[v]]
+        return self._window(v, 0, self._base_len[v])
 
     def packed_run_raw(self, v: int) -> np.ndarray:
         """Both stored runs of ``v`` as one contiguous view.
 
         The base run (marks intact) and the appended delta run are adjacent
-        in the backing array, so the full DCSR payload of a vertex is a
-        single zero-copy slice — what bulk cache packing copies per vertex.
+        in the window, so the full DCSR payload of a vertex is a single
+        zero-copy slice — what bulk cache packing copies per vertex.
         """
-        return self._arrays[v][: self._total_len[v]]
+        return self._window(v, 0, self._total_len[v])
 
     def run_lengths(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(base_len, total_len)`` of the stored runs of ``vertices``."""
         return self._base_len[vertices], self._total_len[vertices]
 
-    def packed_runs(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-        """``(base_len, total_len, views)`` for bulk packing of ``vertices``.
-
-        ``views`` are zero-copy :meth:`packed_run_raw` slices; the loop binds
-        the stores to locals so per-vertex cost is one list index and one
-        slice — the Python-side floor for a list-of-arrays store.
-        """
+    def packed_runs(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(base_len, total_len, block)`` for bulk packing of ``vertices``:
+        ``block`` is their :meth:`packed_run_raw` slices laid end to end, one
+        gather from the pool."""
         base_len, total_len = self.run_lengths(vertices)
-        arrays = self._arrays
-        views = [
-            arrays[v][:t] for v, t in zip(vertices.tolist(), total_len.tolist())
-        ]
-        return base_len, total_len, views
+        return base_len, total_len, self._pool[segment_indices(self._offset[vertices], total_len)]
+
+    def _read(self, vertices: np.ndarray, old) -> tuple[np.ndarray, np.ndarray]:
+        """The store's one bulk read: ``(block, lengths)``, the lists of
+        ``vertices`` laid end to end — ``N`` where ``old`` (a scalar, or one
+        flag per vertex) is true, ``N'`` elsewhere.
+
+        One gather of the stored runs; marks are decoded for ``N`` and
+        dropped for ``N'``, whose two sorted runs are then merged by one sort
+        of ``segment * n + value`` keys.  Both passes run only if the length
+        tables say some list asked for has marks, or a ``ΔN`` run."""
+        old = np.full(vertices.shape, old, dtype=bool)
+        base, total = self._base_len[vertices], self._total_len[vertices]
+        marks = self._marks[vertices]
+        lengths = np.where(old, base, total)
+        block = self._pool[segment_indices(self._offset[vertices], lengths)]
+        if marks.any():
+            marked = block < 0
+            block[marked] = -block[marked] - 1
+            block = block[~marked | np.repeat(old, lengths)]
+            lengths = lengths - np.where(old, 0, marks)
+        merge = ~old & (total > base)
+        if merge.any():
+            picked = np.repeat(merge, lengths)
+            segment = np.repeat(np.flatnonzero(merge) * self.num_vertices, lengths[merge])
+            keys = segment + block[picked]
+            keys.sort(kind="stable")  # runs of sorted runs: what a merge sort is fast on
+            block[picked] = keys - segment
+        return block, lengths
+
+    def _keyed(self, us: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(keys, starts, lengths)``: the :func:`rank_keys` of ``N'(u)`` for
+        the distinct ``u`` of ``us``, read straight from the slab, and where
+        each ``us[i]``'s list lies in them."""
+        sources, which = np.unique(us, return_inverse=True)
+        block, lengths = self._read(sources, False)
+        _key_room(block.size, self.num_vertices)
+        starts = segment_offsets(lengths)[:-1]
+        keys = rank_keys(starts, lengths, block, self.num_vertices)
+        return keys, starts[which], lengths[which]
 
     def contains_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Whether each ``(us[i], vs[i])`` (endpoints in range) is an edge of
-        the current (post-batch) state: one keyed probe of the arena."""
-        starts, lengths = self.gather(us, old=False)
-        return keyed_contains(self.arena_keys, self.num_vertices, starts, lengths, vs)
+        the current (post-batch) state: one keyed probe of the lists read."""
+        keys, starts, lengths = self._keyed(us)
+        return keyed_contains(keys, self.num_vertices, starts, lengths, vs)
 
     def has_edge_new(self, u: int, v: int) -> bool:
         """:meth:`contains_edges` for one edge."""
@@ -371,16 +445,12 @@ class DynamicGraph:
         """
         epoch = self._epoch_state()
         with epoch.lock:
-            version = np.asarray(old, dtype=np.intp)  # the tables' row: 1 = OLD
+            # the tables' row: 1 = OLD
+            version = np.full(vertices.shape, old, dtype=np.intp)
             starts = epoch.start[version, vertices]
-            if starts.size and starts.min() < 0:
-                for row in (1, 0):
-                    need = vertices[(starts < 0) & (version == row)]
-                    # retested: the OLD load also placed the shared slots of
-                    # the untouched vertices, which serve NEW
-                    need = need[epoch.start[row, need] < 0]
-                    if need.size:
-                        self._load(epoch, np.unique(need), bool(row))
+            missing = starts < 0
+            if missing.any():
+                self._load(epoch, vertices[missing], version[missing])
                 starts = epoch.start[version, vertices]
         return starts, epoch.deg[version, vertices]
 
@@ -397,28 +467,20 @@ class DynamicGraph:
         with epoch.lock:
             return epoch.keys[: epoch.used]
 
-    def _load(self, epoch: _Epoch, vertices: np.ndarray, old: bool) -> None:
-        """Append the lists of the distinct ``vertices`` to the arena (caller
-        holds ``epoch.lock``).  Offsets are published only once the bytes are
-        in place; lists come from *this* graph's arrays, so a frozen view that
+    def _load(self, epoch: _Epoch, vertices: np.ndarray, old) -> None:
+        """Append the lists of ``vertices`` (``old`` as in :meth:`_read`) to
+        the arena with one read (caller holds ``epoch.lock``; none is loaded
+        yet).  Offsets are published only once the bytes are in place; lists
+        come from *this* graph's pool and tables, so a frozen view that
         adopted the epoch never dereferences the live store."""
-        touched = epoch.touched[vertices]
-        stored = epoch.deg_old[vertices]
-        arrays = self._arrays
-        merged = self.neighbors_old if old else self.neighbors_new
-        chunks = [
-            merged(v) if hit else arrays[v][:size]
-            for v, size, hit in zip(vertices.tolist(), stored.tolist(), touched.tolist())
-        ]
-        lengths = stored if old else epoch.deg_new[vertices]
+        # untouched: no marks, no ΔN — N and N' are one slot, filed under OLD
+        pairs = np.unique(2 * vertices + np.where(epoch.touched[vertices], old, 1))
+        vertices, row = pairs >> 1, pairs & 1
+        lengths = epoch.deg[row, vertices]
         used = epoch.used
         offsets = used + segment_offsets(lengths)
         end = int(offsets[-1])
-        require(
-            end * self.num_vertices < 2**62,
-            f"arena of {end} elements over {self.num_vertices} vertices "
-            "overflows the int64 rank keys (segment_start * num_vertices + value)",
-        )
+        _key_room(end, self.num_vertices)
         if end > epoch.flat.size:
             size = max(end, 2 * epoch.flat.size)
             flat = np.empty(size, dtype=VERTEX_DTYPE)
@@ -426,15 +488,13 @@ class DynamicGraph:
             flat[:used] = epoch.flat[:used]
             keys[:used] = epoch.keys[:used]
             epoch.flat, epoch.keys = flat, keys
-        np.concatenate(chunks, out=epoch.flat[used:end])
-        epoch.keys[used:end] = rank_keys(
-            offsets[:-1], lengths, epoch.flat[used:end], self.num_vertices
-        )
+        block, _ = self._read(vertices, row.astype(bool))
+        epoch.flat[used:end] = block
+        epoch.keys[used:end] = rank_keys(offsets[:-1], lengths, block, self.num_vertices)
         epoch.used = end
-        (epoch.start_old if old else epoch.start_new)[vertices] = offsets[:-1]
-        # untouched: no marks, no ΔN — N and N' are the one stored run
-        shared = vertices[~touched]
-        (epoch.start_new if old else epoch.start_old)[shared] = offsets[:-1][~touched]
+        epoch.start[row, vertices] = offsets[:-1]
+        shared = ~epoch.touched[vertices]
+        epoch.start_new[vertices[shared]] = offsets[:-1][shared]
 
     # ------------------------------------------------------------------
     # copy-on-write freeze (pipelined execution support)
@@ -442,11 +502,11 @@ class DynamicGraph:
     def freeze(self) -> "FrozenDynamicGraph":
         """Capture an immutable logical view of the current store state.
 
-        The frozen view shares the per-vertex arrays with the live store;
-        any later in-place mutation (deletion marks, ΔN appends,
-        reorganize write-backs) first replaces the affected array with a private
-        copy, so the view keeps reading the exact epoch it captured — at the
-        cost of copying only the lists the subsequent batches actually
+        The frozen view shares the pool with the live store and copies the
+        per-vertex tables; any later mutation (deletion marks, ΔN appends,
+        reorganize write-backs) first moves the affected list to a fresh
+        window, so the view keeps reading the exact epoch it captured — at
+        the cost of moving only the lists the subsequent batches actually
         touch.  This is what lets the pipelined engine run the matching
         kernel of batch *k* on a worker thread while the host reorganizes
         batch *k* and applies batch *k+1* (the software analog of the
@@ -454,7 +514,7 @@ class DynamicGraph:
 
         Call :meth:`FrozenDynamicGraph.release` (or use the view as a
         context manager) once the reader is done, so the store can drop the
-        copy-on-write guard and return to zero-overhead mutation.
+        copy-on-write guard and return to in-place mutation.
         """
         self._freeze_serial += 1
         self._active_freezes += 1
@@ -464,13 +524,27 @@ class DynamicGraph:
         require(self._active_freezes > 0, "no active freeze to release")
         self._active_freezes -= 1
 
-    def _cow(self, v: int) -> np.ndarray:
-        """Make ``v``'s array private to the live store if a freeze holds a
-        reference to it; returns the (possibly replaced) array."""
-        if self._active_freezes and self._owner_serial[v] < self._freeze_serial:
-            self._arrays[v] = self._arrays[v].copy()
-            self._owner_serial[v] = self._freeze_serial
-        return self._arrays[v]
+    def _move(self, vertices: np.ndarray, cap: np.ndarray, keep: np.ndarray) -> None:
+        """Give ``vertices`` fresh windows of ``cap`` entries bumped off the
+        tail, carrying over the first ``keep`` of each; the windows they
+        leave are dead.  A full pool is replaced, never resized: a frozen
+        view keeps reading the buffer it captured."""
+        bounds = self._tail + segment_offsets(cap)
+        if bounds[-1] > self._pool.size:
+            pool = np.empty(_GROWTH * int(bounds[-1]), dtype=VERTEX_DTYPE)
+            pool[: self._tail] = self._pool[: self._tail]
+            self._pool = pool
+        self._pool[segment_indices(bounds[:-1], keep)] = self._pool[
+            segment_indices(self._offset[vertices], keep)
+        ]
+        self._dead += int(self._cap[vertices].sum())
+        self._offset[vertices], self._cap[vertices] = bounds[:-1], cap
+        self._owner_serial[vertices] = self._freeze_serial
+        self._tail = int(bounds[-1])
+
+    def _seen(self, vertices: np.ndarray) -> np.ndarray:
+        """Which of ``vertices`` a live frozen view can still see."""
+        return self._owner_serial[vertices] < (self._freeze_serial if self._active_freezes else 0)
 
     # ------------------------------------------------------------------
     # update protocol
@@ -489,12 +563,11 @@ class DynamicGraph:
         the true state difference.
 
         Both orientations of the effective batch are placed at once: each
-        directed update gets its slot in its source's array — a delete the
-        base entry it marks (its position in the settled arena), an insert
-        its rank in the sorted ``ΔN`` run — and each touched vertex takes one
-        write.  Every check that can reject the batch precedes the first
-        write.  The batch stays "open" — :meth:`reorganize` must be called
-        after matching.
+        directed update gets its slot in its source's window — a delete the
+        base entry it marks, an insert its rank in the sorted ``ΔN`` run —
+        and the whole batch is one write.  Every check that can reject the
+        batch precedes the first write.  The batch stays "open" —
+        :meth:`reorganize` must be called after matching.
         """
         require(not self._batch_open, "previous batch not reorganized yet")
         effective, report = batch.canonicalize(self, mode=mode)
@@ -503,11 +576,10 @@ class DynamicGraph:
         # per source vertex: its deletes, then its inserts, each ascending
         order = np.lexsort((edges[:, 1], signs, edges[:, 0]))
         src, dst, deleted = edges[order, 0], edges[order, 1], signs[order] < 0
-        # a settled list's arena slot is its stored base run verbatim, so the
-        # keyed search's offset into the slot is the array index to mark
-        starts, _ = self.gather(src[deleted], old=False)
-        probe = starts * self.num_vertices + dst[deleted]
-        marked = np.searchsorted(self.arena_keys, probe) - starts
+        # the store is settled, so a neighbour's rank in N' is its index in
+        # the stored base run: the slot to mark
+        keys, starts, _ = self._keyed(src[deleted])
+        marked = np.searchsorted(keys, starts * self.num_vertices + dst[deleted]) - starts
 
         self._epoch = _Epoch()  # before the first mutation: also dropped if one raises
         self._batch_open = True
@@ -517,48 +589,58 @@ class DynamicGraph:
         np.add.at(self._marks, src[deleted], 1)
         np.add.at(self._total_len, src[~deleted], 1)
         self._touched, first = np.unique(src, return_index=True)
+        touched = self._touched
         bounds = np.append(first, src.size)
         # an insert lands after the base run, at its rank among its source's inserts
-        run_start = np.repeat(first + self._marks[self._touched], np.diff(bounds))
+        run_start = np.repeat(first + self._marks[touched], np.diff(bounds))
         slot = self._base_len[src] + np.arange(src.size) - run_start
         slot[deleted] = marked
-        value = np.where(deleted, -(dst + 1), dst)  # the deletion mark of v is -(v+1)
-        for v, lo, hi, need in zip(
-            self._touched.tolist(), first.tolist(), bounds[1:].tolist(),
-            self._total_len[self._touched].tolist(),
-        ):
-            fits = need <= self._arrays[v].size
-            arr = self._cow(v) if fits else self._reallocate(v, need)
-            arr[slot[lo:hi]] = value[lo:hi]
+        # a list that outgrew its window, or that a frozen view can see, moves first
+        cap, need = self._cap[touched], self._total_len[touched]
+        while (short := cap < need).any():
+            cap[short] *= _GROWTH
+        outgrown = cap > self._cap[touched]
+        self._realloc_count += int(np.count_nonzero(outgrown))
+        move = outgrown | self._seen(touched)
+        if move.any():
+            self._move(touched[move], cap[move], self._base_len[touched[move]])
+        # the one bulk write; the deletion mark of v is -(v+1)
+        self._pool[self._offset[src] + slot] = np.where(deleted, -(dst + 1), dst)
         self._num_edges += int(effective.signs.sum())  # inserts minus deletes
         return effective
 
     def reorganize(self) -> ReorganizeStats:
         """Step 5 of the pipeline: restore the sorted invariant.
 
-        Every touched list is replaced by its ``N'`` as the open epoch's
-        arena holds it (:meth:`gather` — merged once per batch, where the
-        kernels read it; :func:`repro.testing.oracles.merge_runs_reference`
-        is the scalar oracle) and the batch is closed; the work accounting
-        is four sums over the length tables.
+        Every touched list is replaced by its merged ``N'`` — one
+        :meth:`_read`, one scatter
+        (:func:`repro.testing.oracles.merge_runs_reference` is the scalar
+        oracle) — and the batch is closed; the work accounting is four sums
+        over the length tables.  Dead windows are compacted away here, once
+        they outweigh the live ones.
         """
         require(self._batch_open, "no open batch to reorganize")
         touched = self._touched
-        starts, lengths = self.gather(touched, old=False)
-        flat = self.arena
+        block, lengths = self._read(touched, False)
         stats = ReorganizeStats(
             lists_touched=int(touched.size),
             merged_elements=int(lengths.sum()),
             deletions_dropped=int(self._marks[touched].sum()),
             insertions_merged=int((self._total_len[touched] - self._base_len[touched]).sum()),
         )
-        for v, lo, hi in zip(touched.tolist(), starts.tolist(), (starts + lengths).tolist()):
-            self._cow(v)[: hi - lo] = flat[lo:hi]  # frozen kernels keep the old layout
+        # frozen kernels keep the old layout; the whole run is rewritten, so
+        # a moved list carries nothing over
+        seen = touched[self._seen(touched)]
+        if seen.size:
+            self._move(seen, self._cap[seen], np.zeros_like(seen))
+        self._pool[segment_indices(self._offset[touched], lengths)] = block
         self._base_len[touched] = self._total_len[touched] = lengths
         self._marks[touched] = 0
         self._epoch = _Epoch()
         self._touched = _EMPTY
         self._batch_open = False
+        if self._dead > _COMPACT_RATIO * (self._tail - self._dead):
+            self._lay_out(self._read(np.arange(self.num_vertices), False)[0])
         return stats
 
     # ------------------------------------------------------------------
@@ -566,15 +648,10 @@ class DynamicGraph:
     # ------------------------------------------------------------------
     def _grow_vertices(self, new_count: int, new_labels: dict[int, int] | None) -> None:
         old = self.num_vertices
-        for v in range(old, new_count):
-            cap = max(2, self._avg_degree)
-            self._arrays.append(np.empty(cap, dtype=VERTEX_DTYPE))
-            # fresh arrays are private: no frozen view references them
-            self._owner_serial.append(self._freeze_serial)
-        zeros = np.zeros(new_count - old, dtype=np.int64)
-        self._base_len = np.concatenate([self._base_len, zeros])
-        self._total_len = np.concatenate([self._total_len, zeros])
-        self._marks = np.concatenate([self._marks, zeros])
+        fresh = np.arange(old, new_count)
+        self._bind(np.pad(self._tables, ((0, 0), (0, fresh.size))))
+        cap = np.full(fresh.size, max(2, self._avg_degree), dtype=np.int64)
+        self._move(fresh, cap, np.zeros_like(fresh))  # no window yet: nothing to carry
         grown_labels = np.zeros(new_count, dtype=np.int64)
         grown_labels[:old] = self._labels
         if new_labels:
@@ -582,23 +659,6 @@ class DynamicGraph:
                 if old <= v < new_count:
                     grown_labels[v] = lab
         self._labels = grown_labels
-        addr = np.arange(new_count, dtype=np.int64)
-        addr[:old] = self.host_address
-        self.host_address = addr
-        self.device_address = addr.copy()
-
-    def _reallocate(self, v: int, need: int) -> np.ndarray:
-        """Replace ``v``'s array by one doubled until ``need`` entries fit."""
-        old = self._arrays[v]
-        cap = max(1, old.size)
-        while cap < need:
-            cap *= 2
-        arr = np.empty(cap, dtype=VERTEX_DTYPE)
-        arr[: self._base_len[v]] = old[: self._base_len[v]]
-        self._arrays[v] = arr
-        self._owner_serial[v] = self._freeze_serial  # replacement is private
-        self._realloc_count += 1
-        return arr
 
     # ------------------------------------------------------------------
     # conversions / oracles
@@ -607,37 +667,27 @@ class DynamicGraph:
         """CSR export of the *current* (post-batch) adjacency.
 
         Returns ``(indptr, flat)``: ``flat[indptr[v]:indptr[v+1]]`` is the
-        sorted post-batch neighbor list of ``v``.  Untouched vertices
-        contribute zero-copy views of their stored base run, so the export
-        costs one concatenation rather than a Python loop per edge.
+        sorted post-batch neighbor list of ``v`` — one bulk read.
         """
-        n = self.num_vertices
-        chunks = [self.neighbors_new(v) for v in range(n)]
-        flat = np.concatenate(chunks) if n else _EMPTY.copy()
-        return segment_offsets(self._total_len - self._marks), flat
+        block, lengths = self._read(np.arange(self.num_vertices), False)
+        return segment_offsets(lengths), block
+
+    def _edge_array(self, old: bool) -> np.ndarray:
+        """The undirected edge list (``v < w``) of one version, source-major
+        with ascending neighbors: the order of a per-vertex adjacency scan."""
+        block, lengths = self._read(np.arange(self.num_vertices), old)
+        src = np.repeat(np.arange(self.num_vertices, dtype=VERTEX_DTYPE), lengths)
+        keep = src < block
+        return np.stack([src[keep], block[keep]], axis=1)
 
     def edges_new_array(self) -> np.ndarray:
-        """Undirected post-batch edge list as an ``(m, 2)`` array.
-
-        Each edge appears once with ``v < w``, enumerated source-major with
-        ascending neighbors — the exact order of a per-vertex adjacency scan.
-        """
-        indptr, flat = self.csr_new()
-        src = np.repeat(
-            np.arange(self.num_vertices, dtype=VERTEX_DTYPE), np.diff(indptr)
-        )
-        keep = src < flat
-        return np.stack([src[keep], flat[keep]], axis=1).astype(VERTEX_DTYPE, copy=False)
+        """Undirected post-batch edge list as an ``(m, 2)`` array."""
+        return self._edge_array(False)
 
     def edges_old_array(self) -> np.ndarray:
         """Undirected pre-batch edge list (``v < w``), requires an open batch."""
         require(self._batch_open, "edges_old_array requires an open batch")
-        n = self.num_vertices
-        chunks = [self.neighbors_old(v) for v in range(n)]
-        flat = np.concatenate(chunks) if n else _EMPTY.copy()
-        src = np.repeat(np.arange(n, dtype=VERTEX_DTYPE), self._base_len)
-        keep = src < flat
-        return np.stack([src[keep], flat[keep]], axis=1).astype(VERTEX_DTYPE, copy=False)
+        return self._edge_array(True)
 
     def snapshot(self) -> StaticGraph:
         """Materialize the *current* state as a :class:`StaticGraph`.
@@ -657,38 +707,51 @@ class DynamicGraph:
         )
 
     def check_invariants(self) -> None:
-        """Validate store invariants (used by property tests and the fuzzer).
+        """Validate store invariants (used by property tests and the fuzzer),
+        one pass over the slab, each failure naming its first vertex.
 
-        Beyond the original sorted-run checks this validates that every ΔN
-        run is strictly sorted and disjoint from the surviving base run (a
-        duplicate-insert corruption shows up here as a repeated neighbor),
-        and that ``num_edges`` is exact: half the sum of post-batch degrees.
+        Windows lie inside the pool and live ones do not overlap; every base
+        run (decoded) and every ΔN run is strictly sorted; the marks in a
+        base run number ``marks[v]``; ΔN is disjoint from the surviving base
+        run (a duplicate-insert corruption shows up here as a repeated
+        neighbor); a closed batch has neither marks nor ΔN; and
+        ``num_edges`` is exact: half the sum of post-batch degrees.
         """
-        degree_sum = 0
-        for v in range(self.num_vertices):
-            require(self._base_len[v] <= self._total_len[v] <= self._arrays[v].size,
-                    f"run lengths of {v} out of bounds")
-            base = self._arrays[v][: self._base_len[v]]
-            decoded = _decode(base)
-            require(bool(np.all(decoded[1:] > decoded[:-1])) if decoded.size > 1 else True,
-                    f"base run of {v} not strictly sorted")
-            delta = self._arrays[v][self._base_len[v] : self._total_len[v]]
-            kept = base[base >= 0]
-            require(base.size - kept.size == self._marks[v],
-                    f"deletion-mark count of {v} out of step with its base run")
-            degree_sum += int(kept.size + delta.size)
-            if not self._batch_open:
-                require(delta.size == 0, f"closed batch but delta at {v}")
-                require(bool(base.size == 0 or base.min() >= 0),
-                        f"closed batch but deletion mark at {v}")
-            else:
-                require(bool(np.all(delta[1:] > delta[:-1])) if delta.size > 1 else True,
-                        f"delta run of {v} not strictly sorted (duplicate insert?)")
-                if delta.size and kept.size:
-                    pos = np.searchsorted(kept, delta)
-                    dup = (pos < kept.size) & (kept[np.minimum(pos, kept.size - 1)] == delta)
-                    require(not bool(dup.any()),
-                            f"delta run of {v} duplicates base neighbors")
+        n = self.num_vertices
+        offset, cap, base, total = self._offset, self._cap, self._base_len, self._total_len
+        _each((0 <= base) & (base <= total) & (total <= cap) & (0 <= offset)
+              & (offset + cap <= self._tail) & (self._tail <= self._pool.size),
+              "run lengths of {} out of bounds")
+        order = np.argsort(offset, kind="stable")
+        apart = np.ones(n, dtype=bool)
+        apart[order[1:]] = (offset + cap)[order[:-1]] <= offset[order[1:]]
+        _each(apart, "window of {} overlaps another live window")
+        block = self._pool[segment_indices(offset, total)]
+        owner = np.repeat(np.arange(n), total)
+        in_base = np.arange(block.size) - np.repeat(segment_offsets(total)[:-1] + base, total) < 0
+        marked = block < 0
+
+        def lists(elements: np.ndarray) -> np.ndarray:
+            return np.bincount(owner[elements], minlength=n) == 0
+
+        value = _decode(block)
+        unsorted = np.zeros(block.size, dtype=bool)  # against the entry before it in its run
+        unsorted[1:] = (
+            (owner[1:] == owner[:-1]) & (in_base[1:] == in_base[:-1]) & (value[1:] <= value[:-1])
+        )
+        _each(lists(unsorted & in_base), "base run of {} not strictly sorted")
+        _each(np.bincount(owner[marked & in_base], minlength=n) == self._marks,
+              "deletion-mark count of {} out of step with its base run")
+        if not self._batch_open:
+            _each(total == base, "closed batch but delta at {}")
+            _each(lists(marked), "closed batch but deletion mark at {}")
+        _each(lists((unsorted | marked) & ~in_base),  # a mark never sits in ΔN
+              "delta run of {} not strictly sorted (duplicate insert?)")
+        keys = owner * n + value
+        dup = np.zeros(block.size, dtype=bool)
+        dup[~in_base] = contains_sorted(keys[in_base & ~marked], keys[~in_base])
+        _each(lists(dup), "delta run of {} duplicates base neighbors")
+        degree_sum = int(total.sum()) - int(np.count_nonzero(marked))
         require(degree_sum == 2 * self._num_edges,
                 f"num_edges={self._num_edges} inconsistent with adjacency "
                 f"(degree sum {degree_sum})")
@@ -703,44 +766,37 @@ class DynamicGraph:
 class FrozenDynamicGraph(DynamicGraph):
     """Immutable logical snapshot of a :class:`DynamicGraph` epoch.
 
-    Created by :meth:`DynamicGraph.freeze`.  Shares the parent's per-vertex
-    arrays (zero copies at capture time) and relies on the parent's
-    copy-on-write guard to keep every shared array byte-stable: the parent
-    replaces an array with a private copy before its first post-freeze
-    mutation, so reads through this view always see the captured epoch.
+    Created by :meth:`DynamicGraph.freeze`.  Holds the pool buffer as
+    captured (zero list copies) and its own copy of the per-vertex tables,
+    and relies on the parent's move-before-write guard to keep every window
+    it can address byte-stable: the parent gives a list a fresh window
+    before its first post-freeze mutation, never reuses a window in place,
+    and replaces — never resizes — the pool when it grows or compacts, so
+    reads through this view always see the captured epoch.
 
     Every read-side accessor of :class:`DynamicGraph` (``neighbors_old`` /
     ``neighbors_new_parts`` / ``packed_runs`` / ``snapshot`` / ...) works
-    unchanged because the view carries its own copies of the length tables
-    and batch bookkeeping.  Mutators (:meth:`apply_batch`,
-    :meth:`reorganize`, :meth:`freeze`) are blocked.
+    unchanged because the view carries its own tables and batch
+    bookkeeping.  Mutators (:meth:`apply_batch`, :meth:`reorganize`,
+    :meth:`freeze`) are blocked.
     """
 
     def __init__(self, parent: DynamicGraph) -> None:
         # Deliberately does NOT chain to DynamicGraph.__init__: the view
-        # aliases the parent's arrays instead of building fresh ones.
+        # aliases the parent's pool instead of building a fresh one.
         self._parent = parent
         self._released = False
         self._labels = parent._labels
-        self._arrays = list(parent._arrays)  # shallow: shares the ndarrays
-        self._base_len = parent._base_len.copy()
-        self._total_len = parent._total_len.copy()
-        self._marks = parent._marks.copy()
+        self._pool, self._tail = parent._pool, parent._tail
+        self._bind(parent._tables.copy())
         # same store state, so the arena the estimator filled serves the
-        # kernel too; loads go through this view's own (COW-stable) arrays
+        # kernel too; loads go through this view's own pool and tables
         self._epoch = parent._epoch
         self._realloc_count = parent._realloc_count
-        self._avg_degree = parent._avg_degree
-        self.host_address = parent.host_address
-        self.device_address = parent.device_address
         self._touched = parent._touched
         self._batch_open = parent._batch_open
         self._num_edges = parent._num_edges
         self.last_canonical_report = parent.last_canonical_report
-        # the view itself never mutates, so its own COW machinery is inert
-        self._active_freezes = 0
-        self._freeze_serial = 0
-        self._owner_serial = []
 
     @property
     def released(self) -> bool:

@@ -84,10 +84,7 @@ def adjacency_csr(graph: DynamicGraph) -> tuple[np.ndarray, np.ndarray, int]:
     n = graph.num_vertices
     if n == 0:
         return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64), 0
-    _, total_len, views = graph.packed_runs(np.arange(n, dtype=np.int64))
-    flat = (
-        np.concatenate(views) if views else np.empty(0, dtype=np.int64)
-    ).astype(np.int64, copy=False)
+    _, total_len, flat = graph.packed_runs(np.arange(n, dtype=np.int64))
     rows = np.repeat(np.arange(n, dtype=np.int64), total_len)
     keep = flat >= 0
     flat = flat[keep]
@@ -331,10 +328,7 @@ class FrequencyPartitioner(Partitioner):
         # neighbors, and every consumer below (integer-weighted bincount
         # votes, boolean claims) is order-independent — so the claiming
         # loop is bit-identical to repro.testing.oracles.assign_reference.
-        _, total_len, views = graph.packed_runs(hot)
-        flat = (
-            np.concatenate(views) if views else np.empty(0, dtype=np.int64)
-        ).astype(np.int64, copy=False)
+        _, total_len, flat = graph.packed_runs(hot)
         bounds = np.zeros(hot.size + 1, dtype=np.int64)
         np.cumsum(total_len, out=bounds[1:])
 

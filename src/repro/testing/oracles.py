@@ -4,8 +4,8 @@ Each function is the original per-element loop a vectorized production
 routine replaced, kept verbatim so tests can assert bit-identical output:
 
 * :func:`build_reference` ↔ :meth:`repro.core.dcsr.DcsrCache.build`
-* :func:`merge_runs_reference` ↔ the merged ``N'`` of the epoch arena that
-  :meth:`repro.graphs.dynamic_graph.DynamicGraph.reorganize` stores back
+* :func:`merge_runs_reference` ↔ the merged ``N'`` of the store's bulk read
+  that :meth:`repro.graphs.dynamic_graph.DynamicGraph.reorganize` stores back
 * :func:`assign_reference` ↔
   :meth:`repro.multigpu.partition.FrequencyPartitioner.assign`
 * :func:`select_within_budget_reference` ↔

@@ -97,6 +97,13 @@ def segment_offsets(lengths: np.ndarray) -> np.ndarray:
     return out
 
 
+def segment_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat indices of the segments ``(starts[i], lengths[i])`` laid end to
+    end: the index list of one bulk gather from (or scatter into) a pool."""
+    offsets = segment_offsets(lengths)
+    return np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
+
+
 def contains_sorted(values: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Membership of each query in the sorted 1-D ``values`` (binary search)."""
     if values.size == 0:

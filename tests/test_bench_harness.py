@@ -276,3 +276,39 @@ class TestPrintTable:
         assert "2.500" in out  # float formatting
         lines = [l for l in out.splitlines() if l.strip()]
         assert len(lines) == 5  # title, header, rule, two rows
+
+
+class TestRecordTable:
+    """``benchmarks/conftest.py``: a benchmark run replaces only its own
+    table in a results file that carries hand-annotated history."""
+
+    @pytest.fixture()
+    def bench_conftest(self):
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "conftest.py"
+        spec = importlib.util.spec_from_file_location("bench_conftest", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_annotated_history_survives_a_run(self, bench_conftest, tmp_path):
+        path = tmp_path / "store_wallclock.txt"
+        history = "PR 19 before/after, by hand\nrow  parent  change\n\n"
+        path.write_text(history + bench_conftest.LATEST_RUN + "stale table\n")
+        for table in ("first run\n", "second run\n"):
+            bench_conftest.write_table(path, table)
+            assert path.read_text() == history + bench_conftest.LATEST_RUN + table
+
+    def test_file_without_the_marker_is_all_the_runs(self, bench_conftest, tmp_path):
+        path = tmp_path / "fig8_fr.txt"
+        bench_conftest.write_table(path, "table one\n")  # created
+        bench_conftest.write_table(path, "table two\n")  # replaced whole
+        assert path.read_text() == "table two\n"
+
+    def test_committed_annotated_files_carry_the_marker(self, bench_conftest):
+        for name in ("store_wallclock", "kernel_wallclock", "estimator_wallclock"):
+            text = (bench_conftest.RESULTS_DIR / f"{name}.txt").read_text()
+            assert text.count(bench_conftest.LATEST_RUN) == 1, name
+            assert text.index("before/after") < text.index(bench_conftest.LATEST_RUN), name
