@@ -15,7 +15,7 @@ Two policies reproduce the paper's comparison:
 :class:`CachedDeviceView` is GCSM's data path: every access binary-searches
 the DCSR ``rowidx``; hits read GPU global memory, misses fall back to
 zero-copy reads of CPU memory through the ``pDevice`` indirection
-(Sec. V-C).
+(Sec. V-C) — one ``classify`` of the block, like every view.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 
 from repro.core.dcsr import DcsrCache, packed_size_bytes
 from repro.graphs.dynamic_graph import DynamicGraph
-from repro.gpu.counters import AccessCounters, Channel
-from repro.gpu.device import BYTES_PER_NEIGHBOR, DeviceConfig
+from repro.gpu.counters import AccessCounters, Accesses
+from repro.gpu.device import DeviceConfig
 from repro.gpu.views import GraphView
 from repro.query.plan import EdgeVersion
 
@@ -131,7 +131,7 @@ class HybridCachePolicy(CachePolicy):
 class CachedDeviceView(GraphView):
     """GCSM's kernel data path: DCSR cache hit or zero-copy miss.
 
-    Every fetch pays the rowidx binary-search probe (compute ops).  Hits are
+    Every access pays the rowidx binary-search probe (compute ops).  Hits are
     GPU-global reads of the packed runs; misses dereference ``pDevice`` and
     zero-copy the CPU list.
     """
@@ -147,53 +147,28 @@ class CachedDeviceView(GraphView):
         self.cache = cache
         self.hits = 0
         self.misses = 0
-        self._probe_ops = cache.probe_cost_ops()
 
-    def fetch(self, v: int, version: EdgeVersion) -> tuple[np.ndarray, ...]:
-        self.counters.record_compute(self._probe_ops)
-        row = self.cache.lookup(v)
-        if row >= 0:
-            self.hits += 1
-            if version is EdgeVersion.OLD:
-                runs: tuple[np.ndarray, ...] = (self.cache.neighbors_old(row),)
-            else:
-                base, delta = self.cache.neighbors_new_parts(row)
-                runs = (base, delta) if delta.size else (base,)
-            self.counters.record_access(
-                Channel.GPU_GLOBAL, v, self._nbytes(runs)
-            )
-            return runs
-        self.misses += 1
-        runs = self._runs(v, version)
-        nbytes = self._nbytes(runs)
-        lines = self.device.zero_copy_lines(nbytes)
-        self.counters.record_access(Channel.ZERO_COPY, v, nbytes, transactions=lines)
-        return runs
+    def _cache_of(self, v: int) -> DcsrCache:
+        """The cache whose rowidx the kernel probes for ``v``."""
+        return self.cache
 
-    def fetch_block(self, vertices: np.ndarray, lengths: np.ndarray) -> None:
-        """Vectorized per-access recording: one rowidx probe per access, hits
-        charged to GPU global memory, misses to zero-copy lines — the exact
-        counter state of per-access :meth:`fetch` calls."""
-        if vertices.size == 0:
-            return
-        self.counters.record_compute(self._probe_ops * int(vertices.size))
+    def _runs(self, v: int, version: EdgeVersion) -> tuple[np.ndarray, ...]:
+        """A hit is served from the packed rows, a miss from the host store."""
+        cache = self._cache_of(v)
+        row = cache.lookup(v)
+        if row < 0:
+            return super()._runs(v, version)
+        if version is EdgeVersion.OLD:
+            return (cache.neighbors_old(row),)
+        base, delta = cache.neighbors_new_parts(row)
+        return (base, delta) if delta.size else (base,)
+
+    def classify(self, vertices: np.ndarray, lengths: np.ndarray) -> Accesses:
         hit = self.cache.lookup_block(vertices)
-        self.hits += int(np.count_nonzero(hit))
-        self.misses += int(vertices.size - np.count_nonzero(hit))
-        nbytes = lengths * BYTES_PER_NEIGHBOR
-        self.counters.record_access_block(
-            Channel.GPU_GLOBAL, vertices[hit], nbytes[hit]
-        )
-        miss = ~hit
-        if miss.any():
-            miss_bytes = nbytes[miss]
-            lines = -(-miss_bytes // self.device.zero_copy_line_bytes)
-            self.counters.record_access_block(
-                Channel.ZERO_COPY, vertices[miss], miss_bytes, transactions=lines
-            )
-
-    def _record(self, v: int, nbytes: int) -> None:  # pragma: no cover
-        raise AssertionError("CachedDeviceView overrides fetch() directly")
+        hits = int(np.count_nonzero(hit))
+        self.hits += hits
+        self.misses += hit.size - hits
+        return self._hit_or_zero_copy(hit, lengths, self.cache.probe_cost_ops())
 
     @property
     def hit_rate(self) -> float:

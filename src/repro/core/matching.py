@@ -48,7 +48,6 @@ from repro.core.frontier import FrontierKernel
 from repro.core.querytrie import ExecutionTrie, solo_trie
 from repro.graphs.attributes import pair_weights
 from repro.graphs.stream import UpdateBatch
-from repro.gpu.counters import AccessCounters
 from repro.gpu.views import GraphView
 from repro.query.pattern import WILDCARD_LABEL
 from repro.query.plan import MatchPlan
@@ -256,10 +255,12 @@ def match_trie(
     All accesses are settled once, stably sorted by node pre-order over each
     depth's ``(slot, constraint, row)`` log: ``(plan, level)`` order for a
     single query, the node-by-node walk's order for a rulebook — the
-    sequence an order-sensitive view (the UM pager) must be handed.  With
-    ``attributed`` (per-query counters) each node's segment is settled into
-    a counter of its own, merged into the view's once and into every member
-    plan's query once; output charges always go to the terminal plan's query.
+    sequence an order-sensitive view (the UM pager) must be handed.  The
+    view classifies and records that one block into its counters once; with
+    ``attributed`` (per-query counters) the classified block is also charged
+    to every member plan's query through the trie's node → member incidence
+    (:meth:`~repro.core.querytrie.ExecutionTrie.attribute`); output charges
+    always go to the terminal plan's query.
     """
     graph, labels = view.graph, view.graph.labels
     kernel = FrontierKernel(view, filters, attributes)
@@ -357,21 +358,10 @@ def match_trie(
         key, vertex, length = map(np.concatenate, zip(*logs))
         by = np.argsort(key, kind="stable")
         key, vertex, length = key[by], vertex[by], length[by]
-        if attributed is None:
-            shared.record_compute(int(work.sum()))
-            view.fetch_block(vertex, length)
-        else:  # one segment per node, attributed once per member plan
-            cuts = (np.flatnonzero(np.diff(key)) + 1).tolist()
-            try:
-                for lo, hi in zip([0, *cuts], [*cuts, key.size]):
-                    view.counters = one = AccessCounters()
-                    view.fetch_block(vertex[lo:hi], length[lo:hi])
-                    one.record_compute(int(work[key[lo]]))
-                    shared.merge(one)
-                    for ref in alive(trie.nodes[key[lo]].members):
-                        attributed[ref.query_name].merge(one)
-            finally:
-                view.counters = shared
+        shared.record_compute(int(work.sum()))
+        acc = view.fetch_block(vertex, length)
+        if attributed is not None:  # the same block, once per member plan's query
+            trie.attribute(skip, key, vertex, acc, work, attributed)
     for ref in trie.refs:  # plan order: each sink sees its own match_batch's order
         if ref in emitted:
             embeddings, sign = emitted[ref]

@@ -141,12 +141,6 @@ class RulebookStats(MatchStats):
                 self.counters_by_query.setdefault(name, AccessCounters()).merge(counters)
 
 
-def _copy_counters(counters: AccessCounters) -> AccessCounters:
-    fresh = AccessCounters()
-    fresh.merge(counters)
-    return fresh
-
-
 @dataclass
 class RulebookDecision:
     """One batch's certified skips for a rulebook: a
@@ -444,7 +438,7 @@ class Rulebook(QuerySet):
                 one, counters = ran.by_query[name], attributed.get(name)
             else:
                 one = replace(ran.by_query[rep])
-                counters = _copy_counters(attributed[rep]) if rep in attributed else None
+                counters = attributed[rep].copy() if rep in attributed else None
             out.add(name, one, counters)
         return out
 

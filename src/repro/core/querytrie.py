@@ -59,6 +59,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.core.frontier import LevelTable, level_table
+from repro.gpu.counters import OPS_COLUMN, AccessCounters, Accesses, tabulate
 from repro.query.plan import LevelPlan, MatchPlan, level_signature, root_signature
 
 __all__ = [
@@ -147,6 +148,10 @@ class TrieStats:
         }
 
 
+#: skip sets whose incidence a trie keeps before starting over
+_INCIDENCE_CACHE = 64
+
+
 class ExecutionTrie:
     """Prefix trie over the execution signatures of a rulebook's plans.
 
@@ -197,6 +202,7 @@ class ExecutionTrie:
             ))
             parent = [line for line, n in enumerate(nodes) for _ in n.children]
             nodes = [c for n in nodes for c in n.children.values()]
+        self._incidence: dict[frozenset, tuple[tuple, np.ndarray]] = {}
         self.stats = TrieStats(
             num_queries=len(plans_by_query),
             num_plans=len(self.refs),
@@ -204,6 +210,54 @@ class ExecutionTrie:
             expanded_levels=len(self.nodes) - len(roots),
             root_groups=len(roots),
         )
+
+    def incidence(self, skip: frozenset = frozenset()) -> tuple[tuple, np.ndarray]:
+        """Who pays for a node: the live queries (those not in ``skip`` —
+        certified ΔM = 0 this batch, so members of nothing) and the
+        ``(queries, nodes)`` count of each one's plans through each node.  A
+        query contributing two identically shaped plans to a node counts
+        twice, exactly as its independent execution is charged.  Built once
+        per skip set."""
+        found = self._incidence.get(skip)
+        if found is None:
+            if len(self._incidence) >= _INCIDENCE_CACHE:
+                self._incidence.clear()
+            queries = tuple(q for q in self.queries if q not in skip)
+            index = {q: i for i, q in enumerate(queries)}
+            member = np.zeros((len(queries), len(self.nodes)), dtype=np.int64)
+            for node in self.nodes:
+                for ref in node.members:
+                    if ref.query_name in index:
+                        member[index[ref.query_name], node.order] += 1
+            found = self._incidence[skip] = (queries, member)
+        return found
+
+    def attribute(
+        self, skip: frozenset, node: np.ndarray, vertex: np.ndarray, acc: Accesses,
+        work: np.ndarray, counters: dict[str | None, AccessCounters],
+    ) -> None:
+        """Charge one settled block — access ``i`` read ``vertex[i]``'s list
+        on behalf of trie node ``node[i]`` — and the nodes' order-free
+        ``work`` to ``counters[query]`` with the incidence's multiplicity:
+        the totals are one product with it, the two histograms one weighted
+        ``bincount`` each over ``(query, vertex)`` cells — no loop over nodes
+        or ``(node, member)`` pairs."""
+        queries, member = self.incidence(skip)
+        table = tabulate(acc, node, len(self.nodes))
+        table[:, OPS_COLUMN] += work
+        totals = member @ table
+        times = member[:, node]  # (query, access): plans of the query the access is charged to
+        # cells over the vertices the block touched, not the graph's: the
+        # work follows the log's size
+        touched, slot = np.unique(vertex, return_inverse=True)
+        cell = (np.arange(len(queries))[:, None] * touched.size + slot).ravel()
+        # float64 bincount weights are exact: one batch's sums are far below 2**53
+        hist = np.stack([
+            np.bincount(cell, weights.ravel(), len(queries) * touched.size)
+            for weights in (times, times * acc.nbytes)
+        ]).astype(np.int64).reshape(2, len(queries), touched.size)
+        for i, name in enumerate(queries):
+            counters[name].accumulate(totals[i], hist[:, i], touched)
 
 
 @lru_cache(maxsize=64)

@@ -26,6 +26,7 @@ from repro.gpu.views import (
 from repro.gpu.trace import (
     AccessTrace,
     TracingView,
+    replay,
     replay_zero_copy,
     replay_cached,
     replay_unified_memory,
@@ -50,6 +51,7 @@ __all__ = [
     "FullDeviceView",
     "AccessTrace",
     "TracingView",
+    "replay",
     "replay_zero_copy",
     "replay_cached",
     "replay_unified_memory",

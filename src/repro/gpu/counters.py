@@ -7,20 +7,30 @@ Fig. 15a (top 5 % of vertices absorb ≥ 80 % of accesses) and the cache
 coverage metric of Fig. 15b (``|S ∩ T| / |S|``); it is also the "exact
 access frequency" ``C_v`` that the random-walk estimator of Sec. IV is
 validated against.
+
+Accounting is arrays end to end: a view *classifies* a block of accesses
+into an :class:`Accesses` (one element per access), :func:`tabulate` sums
+it per owner with one ``bincount`` per column, and an
+:class:`AccessCounters` is one int64 totals vector plus one lazily
+allocated histogram that :meth:`AccessCounters.accumulate` adds such a sum
+into — ``record``, ``merge`` and the rulebook's per-query attribution are
+all that one call.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["Channel", "AccessCounters"]
+__all__ = ["Channel", "Accesses", "AccessCounters", "tabulate", "OPS_COLUMN"]
 
 
 class Channel(enum.Enum):
-    """Where a memory access was served from."""
+    """Where a memory access was served from.  ``slot`` is the member's
+    dense index (definition order) into the counters' per-channel vectors."""
 
     GPU_GLOBAL = "gpu_global"  # cached data in device memory
     ZERO_COPY = "zero_copy"  # CPU pinned memory over PCIe, 128 B lines
@@ -28,99 +38,184 @@ class Channel(enum.Enum):
     CPU_DRAM = "cpu_dram"  # host-side execution (CPU baselines)
     PEER = "peer"  # device-to-device reads (NVLink / PCIe P2P, multi-GPU)
 
+    def __init__(self, _value: str) -> None:
+        self.slot = len(type(self).__members__)
 
-@dataclass
+
+_C = len(Channel)
+#: the head of the totals vector — bytes per channel, transactions per
+#: channel, ``compute_ops``, ``um_faults``, ``um_hits`` — is what a block of
+#: classified accesses adds up to (:func:`tabulate`'s row layout)
+OPS_COLUMN, _FAULTS, _HITS = 2 * _C, 2 * _C + 1, 2 * _C + 2
+_TALLY = 2 * _C + 3
+_WIDTH = _TALLY + 3  # + dma_bytes, dma_requests, output_embeddings
+
+
+class Accesses(NamedTuple):
+    """A block of classified accesses, one array element per access: the
+    :attr:`Channel.slot` serving it, the bytes it moves, its transactions on
+    that channel and the compute ops of reaching it (a cache probe).  A
+    unified-memory view adds the pages that ``faults`` / ``hits`` per
+    access; bytes on its ``UM`` channel are charged to ``GPU_GLOBAL`` as
+    well (:func:`tabulate`)."""
+
+    channel: np.ndarray
+    nbytes: np.ndarray
+    transactions: np.ndarray
+    ops: np.ndarray
+    faults: np.ndarray | None = None
+    hits: np.ndarray | None = None
+
+
+def tabulate(acc: Accesses, owner: np.ndarray | None = None, owners: int = 1) -> np.ndarray:
+    """Sum a block per owner: an int64 ``(owners, 2·C + 3)`` table whose rows
+    are laid out like the head of an :class:`AccessCounters` totals vector.
+    ``owner`` gives each access's row (all row 0 without one)."""
+    if owner is None:
+        owner = np.zeros(acc.channel.shape[0], dtype=np.int64)
+    cell = owner * _C + acc.channel
+    table = np.zeros((owners, _TALLY), dtype=np.int64)
+    # bincount sums its weights in float64: exact, one block's totals are
+    # far below 2**53
+    table[:, :_C] = np.bincount(cell, acc.nbytes, owners * _C).reshape(owners, _C)
+    table[:, _C:2 * _C] = np.bincount(cell, acc.transactions, owners * _C).reshape(owners, _C)
+    scalars = (acc.ops,) if acc.faults is None else (acc.ops, acc.faults, acc.hits)
+    for at, values in enumerate(scalars, start=OPS_COLUMN):
+        table[:, at] = np.bincount(owner, values, owners)
+    # pages resident under unified memory are read at global-memory bandwidth
+    table[:, Channel.GPU_GLOBAL.slot] += table[:, Channel.UM.slot]
+    return table
+
+
+class _ChannelRow(Mapping):
+    """``{Channel: int}`` over the per-channel slots of a counters' totals
+    vector that start at ``at``."""
+
+    __slots__ = ("_counters", "_at")
+
+    def __init__(self, counters: "AccessCounters", at: int) -> None:
+        self._counters, self._at = counters, at
+
+    def __getitem__(self, channel: Channel) -> int:
+        return int(self._counters._totals[self._at + channel.slot])
+
+    def __iter__(self):
+        return iter(Channel)
+
+    def __len__(self) -> int:
+        return _C
+
+
+class _Scalar:
+    """One named slot of the totals vector, read as a Python ``int``."""
+
+    def __init__(self, slot: int) -> None:
+        self.slot = slot
+
+    def __get__(self, counters, owner=None) -> int:
+        return self if counters is None else int(counters._totals[self.slot])
+
+
 class AccessCounters:
     """Mutable per-run counters.
 
     ``bytes_by_channel`` / ``transactions_by_channel`` aggregate traffic;
     ``compute_ops`` counts inner-loop work (intersection element steps plus
     per-candidate bookkeeping); the vertex histogram counts *accesses to each
-    vertex's neighbor list* regardless of channel.
+    vertex's neighbor list* regardless of channel.  Every accessor returns
+    Python numbers, so results serialise as they are.
     """
 
-    bytes_by_channel: dict[Channel, int] = field(
-        default_factory=lambda: {c: 0 for c in Channel}
-    )
-    transactions_by_channel: dict[Channel, int] = field(
-        default_factory=lambda: {c: 0 for c in Channel}
-    )
-    um_faults: int = 0
-    um_hits: int = 0
-    dma_bytes: int = 0
-    dma_requests: int = 0
-    compute_ops: int = 0
-    output_embeddings: int = 0
+    compute_ops = _Scalar(OPS_COLUMN)
+    um_faults = _Scalar(_FAULTS)
+    um_hits = _Scalar(_HITS)
+    dma_bytes = _Scalar(_TALLY)
+    dma_requests = _Scalar(_TALLY + 1)
+    output_embeddings = _Scalar(_TALLY + 2)
 
-    def __post_init__(self) -> None:
-        self._vertex_counts = np.zeros(1024, dtype=np.int64)
-        self._vertex_bytes = np.zeros(1024, dtype=np.int64)
+    def __init__(self) -> None:
+        self._totals = np.zeros(_WIDTH, dtype=np.int64)
+        #: ``(2, size)`` access counts and bytes per vertex, on first use;
+        #: ``size`` is a power of two decided by the largest vertex seen
+        self._hist: np.ndarray | None = None
+
+    # (properties, not attributes: a stored row would tie every counters
+    # object into a reference cycle only the garbage collector frees)
+    @property
+    def bytes_by_channel(self) -> Mapping[Channel, int]:
+        return _ChannelRow(self, 0)
+
+    @property
+    def transactions_by_channel(self) -> Mapping[Channel, int]:
+        return _ChannelRow(self, _C)
 
     # ------------------------------------------------------------------
+    def _room(self, top: int) -> np.ndarray:
+        """The histogram, grown to hold vertex ``top``."""
+        hist = self._hist
+        if hist is None or top >= hist.shape[1]:
+            grown = np.zeros((2, max(1024, 1 << int(top).bit_length())), dtype=np.int64)
+            if hist is not None:
+                grown[:, : hist.shape[1]] = hist
+            self._hist = hist = grown
+        return hist
+
+    def accumulate(
+        self, totals: np.ndarray, hist: np.ndarray | None = None,
+        at: np.ndarray | None = None,
+    ) -> None:
+        """Add a totals vector (or its head: a :func:`tabulate` row) and,
+        with it, a ``(2, k)`` count / bytes histogram — of vertices
+        ``0 … k-1``, or of the ``k`` distinct ascending vertices ``at``."""
+        self._totals[: totals.shape[0]] += totals
+        if hist is not None:
+            top = hist.shape[1] - 1 if at is None else int(at[-1])
+            self._room(top)[:, slice(top + 1) if at is None else at] += hist
+
+    def record(self, vertices: np.ndarray, acc: Accesses) -> None:
+        """Record a classified block: one access to ``vertices[i]``'s list
+        per element — the counter state of one :meth:`record_access` each."""
+        if vertices.size == 0:
+            return
+        self.accumulate(tabulate(acc)[0])
+        hist = self._room(int(vertices.max()))
+        np.add.at(hist[0], vertices, 1)
+        np.add.at(hist[1], vertices, acc.nbytes)
+
     def record_access(self, channel: Channel, vertex: int, nbytes: int,
                       transactions: int = 1) -> None:
         """Record one neighbor-list access served by ``channel``."""
-        self.bytes_by_channel[channel] += nbytes
-        self.transactions_by_channel[channel] += transactions
-        if vertex >= self._vertex_counts.shape[0]:
-            size = max(vertex + 1, 2 * self._vertex_counts.shape[0])
-            grown = np.zeros(size, dtype=np.int64)
-            grown[: self._vertex_counts.shape[0]] = self._vertex_counts
-            self._vertex_counts = grown
-            grown_b = np.zeros(size, dtype=np.int64)
-            grown_b[: self._vertex_bytes.shape[0]] = self._vertex_bytes
-            self._vertex_bytes = grown_b
-        self._vertex_counts[vertex] += 1
-        self._vertex_bytes[vertex] += nbytes
-
-    def record_access_block(
-        self,
-        channel: Channel,
-        vertices: np.ndarray,
-        nbytes: np.ndarray,
-        transactions: np.ndarray | None = None,
-    ) -> None:
-        """Vectorized :meth:`record_access` for one access per array element.
-
-        Produces exactly the counter state that calling :meth:`record_access`
-        once per element would — bytes/transactions are summed, the per-vertex
-        histogram is bumped with an unbuffered scatter-add — but in O(1)
-        NumPy calls.  ``transactions=None`` charges one transaction per
-        access, matching the scalar default.
-        """
-        if vertices.size == 0:
-            return
-        self.bytes_by_channel[channel] += int(nbytes.sum())
-        self.transactions_by_channel[channel] += (
-            int(transactions.sum()) if transactions is not None else int(vertices.size)
-        )
-        top = int(vertices.max())
-        if top >= self._vertex_counts.shape[0]:
-            size = max(top + 1, 2 * self._vertex_counts.shape[0])
-            grown = np.zeros(size, dtype=np.int64)
-            grown[: self._vertex_counts.shape[0]] = self._vertex_counts
-            self._vertex_counts = grown
-            grown_b = np.zeros(size, dtype=np.int64)
-            grown_b[: self._vertex_bytes.shape[0]] = self._vertex_bytes
-            self._vertex_bytes = grown_b
-        np.add.at(self._vertex_counts, vertices, 1)
-        np.add.at(self._vertex_bytes, vertices, nbytes)
+        self._totals[channel.slot] += nbytes
+        self._totals[_C + channel.slot] += transactions
+        hist = self._room(vertex)
+        hist[0, vertex] += 1
+        hist[1, vertex] += nbytes
 
     def record_um_fault(self, pages: int) -> None:
-        self.um_faults += pages
+        self._totals[_FAULTS] += pages
 
     def record_um_hit(self, pages: int) -> None:
-        self.um_hits += pages
+        self._totals[_HITS] += pages
 
     def record_dma(self, nbytes: int, requests: int = 1) -> None:
-        self.dma_bytes += nbytes
-        self.dma_requests += requests
+        self._totals[_TALLY] += nbytes
+        self._totals[_TALLY + 1] += requests
 
     def record_compute(self, ops: int) -> None:
-        self.compute_ops += ops
+        self._totals[OPS_COLUMN] += ops
 
     def record_output(self, embeddings: int) -> None:
-        self.output_embeddings += embeddings
+        self._totals[_TALLY + 2] += embeddings
+
+    def merge(self, other: "AccessCounters") -> None:
+        """Accumulate ``other`` into ``self`` (multi-batch aggregation)."""
+        self.accumulate(other._totals, other._hist)
+
+    def copy(self) -> "AccessCounters":
+        """An independent counters object holding the same state."""
+        fresh = AccessCounters()
+        fresh.merge(self)
+        return fresh
 
     # ------------------------------------------------------------------
     def cpu_access_bytes(self, um_page_bytes: int = 4096) -> int:
@@ -135,25 +230,23 @@ class AccessCounters:
 
     @property
     def total_access_count(self) -> int:
-        return int(self._vertex_counts.sum())
+        return 0 if self._hist is None else int(self._hist[0].sum())
+
+    def _histogram(self, row: int, num_vertices: int | None) -> np.ndarray:
+        have = 0 if self._hist is None else self._hist.shape[1]
+        out = np.zeros(have if num_vertices is None else num_vertices, dtype=np.int64)
+        k = min(out.shape[0], have)
+        if k:
+            out[:k] = self._hist[row, :k]
+        return out
 
     def vertex_access_counts(self, num_vertices: int | None = None) -> np.ndarray:
         """Per-vertex access histogram, optionally padded/truncated to n."""
-        if num_vertices is None:
-            return self._vertex_counts.copy()
-        out = np.zeros(num_vertices, dtype=np.int64)
-        k = min(num_vertices, self._vertex_counts.shape[0])
-        out[:k] = self._vertex_counts[:k]
-        return out
+        return self._histogram(0, num_vertices)
 
     def vertex_access_bytes(self, num_vertices: int | None = None) -> np.ndarray:
         """Per-vertex byte histogram, optionally padded/truncated to n."""
-        if num_vertices is None:
-            return self._vertex_bytes.copy()
-        out = np.zeros(num_vertices, dtype=np.int64)
-        k = min(num_vertices, self._vertex_bytes.shape[0])
-        out[:k] = self._vertex_bytes[:k]
-        return out
+        return self._histogram(1, num_vertices)
 
     def top_fraction_share(self, fraction: float, *, weight: str = "count") -> float:
         """Share of memory access going to the top ``fraction`` of accessed
@@ -163,13 +256,10 @@ class AccessCounters:
         ranks and sums the *bytes* those accesses moved — the quantity PCIe
         actually carries, dominated by the large hub lists.
         """
-        if weight == "count":
-            values = self._vertex_counts
-        elif weight == "bytes":
-            values = self._vertex_bytes
-        else:
+        if weight not in ("count", "bytes"):
             raise ValueError(f"unknown weight {weight!r}")
-        values = values[self._vertex_counts > 0]
+        counts = self.vertex_access_counts()
+        values = (counts if weight == "count" else self.vertex_access_bytes())[counts > 0]
         total = values.sum()
         if total == 0:
             return 0.0
@@ -181,27 +271,6 @@ class AccessCounters:
     def access_cdf(self, fractions: list[float], *, weight: str = "count") -> list[float]:
         """The Fig. 15a curve: cumulative access share at each top-fraction."""
         return [self.top_fraction_share(f, weight=weight) for f in fractions]
-
-    def merge(self, other: "AccessCounters") -> None:
-        """Accumulate ``other`` into ``self`` (multi-batch aggregation)."""
-        for c in Channel:
-            self.bytes_by_channel[c] += other.bytes_by_channel[c]
-            self.transactions_by_channel[c] += other.transactions_by_channel[c]
-        self.um_faults += other.um_faults
-        self.um_hits += other.um_hits
-        self.dma_bytes += other.dma_bytes
-        self.dma_requests += other.dma_requests
-        self.compute_ops += other.compute_ops
-        self.output_embeddings += other.output_embeddings
-        if other._vertex_counts.shape[0] > self._vertex_counts.shape[0]:
-            grown = np.zeros(other._vertex_counts.shape[0], dtype=np.int64)
-            grown[: self._vertex_counts.shape[0]] = self._vertex_counts
-            self._vertex_counts = grown
-            grown_b = np.zeros(other._vertex_bytes.shape[0], dtype=np.int64)
-            grown_b[: self._vertex_bytes.shape[0]] = self._vertex_bytes
-            self._vertex_bytes = grown_b
-        self._vertex_counts[: other._vertex_counts.shape[0]] += other._vertex_counts
-        self._vertex_bytes[: other._vertex_bytes.shape[0]] += other._vertex_bytes
 
     def summary(self) -> dict[str, float]:
         return {

@@ -18,14 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gpu.counters import AccessCounters, Channel
+from repro.gpu.counters import AccessCounters, Accesses
 from repro.gpu.device import BYTES_PER_NEIGHBOR, DeviceConfig
-from repro.gpu.memory import HostMemoryLayout, UnifiedMemoryPager
-from repro.gpu.views import GraphView
+from repro.gpu.memory import HostMemoryLayout
+from repro.gpu.views import FullDeviceView, GraphView, UnifiedMemoryView, ZeroCopyView
 from repro.query.plan import EdgeVersion
 from repro.utils import require
 
-__all__ = ["AccessTrace", "TracingView", "replay_zero_copy", "replay_cached", "replay_unified_memory"]
+__all__ = [
+    "AccessTrace", "TracingView", "replay",
+    "replay_zero_copy", "replay_cached", "replay_unified_memory",
+]
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -67,84 +72,60 @@ class AccessTrace:
 
 
 class TracingView(GraphView):
-    """Wraps an inner view; records every access while delegating to it."""
+    """Wraps an inner view; records every block it classifies."""
 
     def __init__(self, inner: GraphView) -> None:
         super().__init__(inner.graph, inner.device, inner.counters)
         self.platform = inner.platform
         self.inner = inner
-        self._vertices: list[int] = []
-        self._nbytes: list[int] = []
+        self._chunks: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def fetch(self, v: int, version: EdgeVersion) -> tuple[np.ndarray, ...]:
-        runs = self.inner.fetch(v, version)
-        self._vertices.append(v)
-        self._nbytes.append(self._nbytes_of(runs))
-        return runs
+    def _runs(self, v: int, version: EdgeVersion) -> tuple[np.ndarray, ...]:
+        return self.inner._runs(v, version)
 
-    def fetch_block(self, vertices: np.ndarray, lengths: np.ndarray) -> None:
-        self.inner.fetch_block(vertices, lengths)
-        self._vertices.extend(vertices.tolist())
-        self._nbytes.extend((lengths * BYTES_PER_NEIGHBOR).tolist())
-
-    @staticmethod
-    def _nbytes_of(runs: tuple[np.ndarray, ...]) -> int:
-        return sum(r.size for r in runs) * BYTES_PER_NEIGHBOR
-
-    def _record(self, v: int, nbytes: int) -> None:  # pragma: no cover
-        raise AssertionError("TracingView delegates recording to its inner view")
+    def classify(self, vertices: np.ndarray, lengths: np.ndarray) -> Accesses:
+        self._chunks.append((vertices, lengths * BYTES_PER_NEIGHBOR))
+        return self.inner.classify(vertices, lengths)
 
     def trace(self) -> AccessTrace:
         graph = self.graph
+        vertices, nbytes = zip(*self._chunks) if self._chunks else ((), ())
         return AccessTrace(
-            vertices=np.asarray(self._vertices, dtype=np.int64),
-            nbytes=np.asarray(self._nbytes, dtype=np.int64),
+            vertices=np.concatenate([*vertices, _EMPTY]),
+            nbytes=np.concatenate([*nbytes, _EMPTY]),
             # every list at its stored length, appended run included
             list_lengths=graph.run_lengths(np.arange(graph.num_vertices))[1],
         )
 
 
 # ----------------------------------------------------------------------
-# replay pricers
+# replay: classify the recorded trace under another placement
 # ----------------------------------------------------------------------
+def replay(trace: AccessTrace, view: GraphView) -> AccessCounters:
+    """Price the trace as ``view`` would serve it.  Any placement will do,
+    and it needs no graph: classifying takes only vertices and lengths."""
+    view.fetch_block(trace.vertices, trace.nbytes // BYTES_PER_NEIGHBOR)
+    return view.counters
+
+
 def replay_zero_copy(trace: AccessTrace, device: DeviceConfig) -> AccessCounters:
     """Price the trace as the ZC baseline would serve it."""
-    counters = AccessCounters()
-    for v, nb in zip(trace.vertices.tolist(), trace.nbytes.tolist()):
-        lines = device.zero_copy_lines(nb)
-        counters.record_access(Channel.ZERO_COPY, v, nb, transactions=lines)
-    return counters
+    return replay(trace, ZeroCopyView(None, device, AccessCounters()))
 
 
 def replay_cached(
     trace: AccessTrace, device: DeviceConfig, cached: set[int] | np.ndarray
 ) -> AccessCounters:
     """Price the trace with an arbitrary cached vertex set (GCSM-style:
-    hits read device memory, misses zero-copy).  Passing
-    ``trace.top_vertices(k)`` gives the *oracle* cache of size k — the upper
-    bound any online policy (frequency, degree, hybrid) can approach."""
-    cached_set = set(np.asarray(cached).tolist()) if not isinstance(cached, set) else cached
-    counters = AccessCounters()
-    for v, nb in zip(trace.vertices.tolist(), trace.nbytes.tolist()):
-        if v in cached_set:
-            counters.record_access(Channel.GPU_GLOBAL, v, nb)
-        else:
-            lines = device.zero_copy_lines(nb)
-            counters.record_access(Channel.ZERO_COPY, v, nb, transactions=lines)
-    return counters
+    hits read device memory, misses zero-copy; the rowidx probe is not
+    charged).  Passing ``trace.top_vertices(k)`` gives the *oracle* cache of
+    size k — the upper bound any online policy (frequency, degree, hybrid)
+    can approach."""
+    return replay(trace, FullDeviceView(None, device, AccessCounters(), cached))
 
 
 def replay_unified_memory(trace: AccessTrace, device: DeviceConfig) -> AccessCounters:
     """Price the trace through a cold UM pager (the UM baseline)."""
     require(trace.list_lengths.size > 0 or len(trace) == 0, "trace missing layout")
     layout = HostMemoryLayout(trace.list_lengths)
-    pager = UnifiedMemoryPager(device)
-    counters = AccessCounters()
-    for v, nb in zip(trace.vertices.tolist(), trace.nbytes.tolist()):
-        pages = layout.pages_for(v, nb, device.um_page_bytes)
-        hits, faults = pager.access(pages)
-        counters.record_um_hit(hits)
-        counters.record_um_fault(faults)
-        counters.record_access(Channel.UM, v, nb, transactions=len(pages))
-        counters.bytes_by_channel[Channel.GPU_GLOBAL] += nb
-    return counters
+    return replay(trace, UnifiedMemoryView(None, device, AccessCounters(), layout))

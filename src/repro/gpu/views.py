@@ -1,9 +1,12 @@
 """Device graph views: where the matching kernel's reads are served from.
 
-The executor (:mod:`repro.core.matching`) is backend-agnostic: every
-neighbor-list access goes through a :class:`GraphView`, which returns the
-requested runs *and* records the traffic on the channel that system would
-use.  The four views here model the paper's baselines:
+The executor (:mod:`repro.core.matching`) is backend-agnostic — the
+paper's "all the GPU versions use the same GPU kernel" — and *where a list
+lives* is the whole of a :class:`GraphView`: its one :meth:`~GraphView.classify`
+says, per access of a block, which channel serves it, in how many
+transactions and at what probe cost; recording that
+(:meth:`~GraphView.fetch_block`) and the scalar :meth:`~GraphView.fetch` are
+the base class's.  The four views here model the paper's baselines:
 
 * :class:`HostCPUView`   — CPU baselines: everything is a host DRAM read.
 * :class:`ZeroCopyView`  — the ZC baseline: every access crosses PCIe in
@@ -30,7 +33,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.graphs.dynamic_graph import DynamicGraph
-from repro.gpu.counters import AccessCounters, Channel
+from repro.gpu.counters import AccessCounters, Accesses, Channel
 from repro.gpu.device import BYTES_PER_NEIGHBOR, DeviceConfig
 from repro.gpu.memory import HostMemoryLayout, UnifiedMemoryPager
 from repro.query.plan import EdgeVersion
@@ -44,7 +47,7 @@ __all__ = [
     "FullDeviceView",
 ]
 
-_EMPTY = np.empty(0, dtype=np.int64)
+_GLOBAL, _ZERO_COPY = Channel.GPU_GLOBAL.slot, Channel.ZERO_COPY.slot
 
 
 class GraphView(ABC):
@@ -72,14 +75,11 @@ class GraphView(ABC):
             return (base, delta)
         return (base,)
 
-    @staticmethod
-    def _nbytes(runs: tuple[np.ndarray, ...]) -> int:
-        return sum(r.size for r in runs) * BYTES_PER_NEIGHBOR
-
     # -- public API --------------------------------------------------------
     def fetch(self, v: int, version: EdgeVersion) -> tuple[np.ndarray, ...]:
+        """The scalar spelling: a block of one access."""
         runs = self._runs(v, version)
-        self._record(v, self._nbytes(runs))
+        self.fetch_block(np.array([v]), np.array([sum(r.size for r in runs)]))
         return runs
 
     def degree_bound(self, v: int, version: EdgeVersion) -> int:
@@ -89,23 +89,33 @@ class GraphView(ABC):
             return self.graph.degree_old(v)
         return self.graph.degree_new(v)
 
-    def fetch_block(self, vertices: np.ndarray, lengths: np.ndarray) -> None:
+    def fetch_block(self, vertices: np.ndarray, lengths: np.ndarray) -> Accesses:
         """Record one neighbor-list access per element of ``vertices``, each
-        reading a list of the paired length, in array order.
-
-        Counter-equivalent to calling :meth:`fetch` once per element (the
-        returned runs discarded); subclasses override with vectorized
-        recording where their channel model is order-insensitive.  The base
-        implementation replays the accesses one by one, so a stateful view
-        (the UM pager) sees exactly the sequence it is handed.
-        """
-        nbytes = lengths * BYTES_PER_NEIGHBOR
-        for v, b in zip(vertices.tolist(), nbytes.tolist()):
-            self._record(v, b)
+        reading a list of the paired length, in array order; returns the
+        block as classified, for a caller that attributes it further."""
+        acc = self.classify(vertices, lengths)
+        self.counters.record(vertices, acc)
+        return acc
 
     @abstractmethod
-    def _record(self, v: int, nbytes: int) -> None:
-        """Charge ``nbytes`` of neighbor-list traffic for vertex ``v``."""
+    def classify(self, vertices: np.ndarray, lengths: np.ndarray) -> Accesses:
+        """Where each access of the block is served from, in array order.
+
+        Pure but for the view's own tallies (hits / misses) and, under
+        unified memory, the pager — which is why a block is classified
+        exactly once, in the order the kernel issues it."""
+
+    def _hit_or_zero_copy(
+        self, hit: np.ndarray, lengths: np.ndarray, ops: int = 0
+    ) -> Accesses:
+        """Hits are one global-memory read each, misses cross PCIe in
+        zero-copy lines (ceil division, 0 for 0); ``ops`` per access."""
+        nbytes = lengths * BYTES_PER_NEIGHBOR
+        lines = -(-nbytes // self.device.zero_copy_line_bytes)
+        return Accesses(
+            np.where(hit, _GLOBAL, _ZERO_COPY), nbytes, np.where(hit, 1, lines),
+            np.full(hit.shape[0], ops, dtype=np.int64),
+        )
 
 
 class HostCPUView(GraphView):
@@ -113,29 +123,19 @@ class HostCPUView(GraphView):
 
     platform = "cpu"
 
-    def _record(self, v: int, nbytes: int) -> None:
-        self.counters.record_access(Channel.CPU_DRAM, v, nbytes)
-
-    def fetch_block(self, vertices: np.ndarray, lengths: np.ndarray) -> None:
-        self.counters.record_access_block(
-            Channel.CPU_DRAM, vertices, lengths * BYTES_PER_NEIGHBOR
+    def classify(self, vertices: np.ndarray, lengths: np.ndarray) -> Accesses:
+        n = vertices.shape[0]
+        return Accesses(
+            np.full(n, Channel.CPU_DRAM.slot), lengths * BYTES_PER_NEIGHBOR,
+            np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
         )
 
 
 class ZeroCopyView(GraphView):
     """The ZC baseline: all lists pinned on the host, read over PCIe."""
 
-    def _record(self, v: int, nbytes: int) -> None:
-        lines = self.device.zero_copy_lines(nbytes)
-        self.counters.record_access(Channel.ZERO_COPY, v, nbytes, transactions=lines)
-
-    def fetch_block(self, vertices: np.ndarray, lengths: np.ndarray) -> None:
-        nbytes = lengths * BYTES_PER_NEIGHBOR
-        # elementwise analog of device.zero_copy_lines (ceil division, 0 for 0)
-        lines = -(-nbytes // self.device.zero_copy_line_bytes)
-        self.counters.record_access_block(
-            Channel.ZERO_COPY, vertices, nbytes, transactions=lines
-        )
+    def classify(self, vertices: np.ndarray, lengths: np.ndarray) -> Accesses:
+        return self._hit_or_zero_copy(np.zeros(vertices.shape[0], dtype=bool), lengths)
 
 
 class UnifiedMemoryView(GraphView):
@@ -145,70 +145,56 @@ class UnifiedMemoryView(GraphView):
     between kernel accesses) and is reset per batch by default, matching a
     fresh kernel launch with cold device caches.
 
-    This view keeps the base class's loop-based :meth:`fetch_block`: the LRU
-    pager is access-order sensitive, so a block is replayed access by access
-    in the order it is handed over — the matcher's settle order, see
-    ``docs/kernel.md``.  (Absent eviction pressure the fault/hit totals are
-    order-independent.)
+    The LRU pager is access-order sensitive, so :meth:`classify` walks the
+    block access by access in the order it is handed over — the matcher's
+    settle order, see ``docs/kernel.md`` — and reports each access's faults
+    and hits.  (Absent eviction pressure the totals are order-independent.)
+    ``layout`` places the lists of a graph that is not at hand (a replayed
+    trace); by default every list sits at its stored length.
     """
 
     def __init__(self, graph: DynamicGraph, device: DeviceConfig,
-                 counters: AccessCounters) -> None:
+                 counters: AccessCounters, layout: HostMemoryLayout | None = None) -> None:
         super().__init__(graph, device, counters)
-        # every list at its stored length, appended run included
-        _, stored = graph.run_lengths(np.arange(graph.num_vertices))
-        self.layout = HostMemoryLayout(stored)
+        if layout is None:  # every list at its stored length, appended run included
+            layout = HostMemoryLayout(graph.run_lengths(np.arange(graph.num_vertices))[1])
+        self.layout = layout
         self.pager = UnifiedMemoryPager(device)
 
-    def _record(self, v: int, nbytes: int) -> None:
-        pages = self.layout.pages_for(v, nbytes, self.device.um_page_bytes)
-        hits, faults = self.pager.access(pages)
-        self.counters.record_um_hit(hits)
-        self.counters.record_um_fault(faults)
-        # resident-page reads still cost global-memory bandwidth
-        self.counters.record_access(Channel.UM, v, nbytes, transactions=len(pages))
-        self.counters.bytes_by_channel[Channel.GPU_GLOBAL] += nbytes
+    def classify(self, vertices: np.ndarray, lengths: np.ndarray) -> Accesses:
+        n, page = vertices.shape[0], self.device.um_page_bytes
+        nbytes = lengths * BYTES_PER_NEIGHBOR
+        start = self.layout.offsets[vertices]
+        first = start // page  # HostMemoryLayout.pages_for, for the block
+        stop = np.where(nbytes > 0, (start + nbytes - 1) // page + 1, first)
+        touched = np.zeros((n, 2), dtype=np.int64)
+        for i, (lo, hi) in enumerate(zip(first.tolist(), stop.tolist())):
+            touched[i] = self.pager.access(range(lo, hi))
+        # resident-page reads still cost global-memory bandwidth: tabulate
+        # charges the UM channel's bytes to GPU_GLOBAL as well
+        return Accesses(
+            np.full(n, Channel.UM.slot), nbytes, stop - first,
+            np.zeros(n, dtype=np.int64), faults=touched[:, 1], hits=touched[:, 0],
+        )
 
 
 class FullDeviceView(GraphView):
     """The VSGM baseline: the k-hop neighborhood was bulk-uploaded first.
 
-    ``resident`` is the set of vertices whose lists were copied; VSGM's
+    ``resident`` holds the vertices whose lists were copied, snapshotted at
+    construction (a set changed afterwards is not seen); VSGM's
     construction guarantees every matched vertex is within the query
     diameter of an updated edge, so fallthrough zero-copy reads indicate a
     modeling hole — they are still served (and charged) rather than crashing.
     """
 
     def __init__(self, graph: DynamicGraph, device: DeviceConfig,
-                 counters: AccessCounters, resident: set[int]) -> None:
+                 counters: AccessCounters, resident) -> None:
         super().__init__(graph, device, counters)
-        self.resident = resident
+        self._resident = np.unique(np.fromiter(resident, dtype=np.int64))
         self.fallthrough_accesses = 0
-        self._resident_sorted: np.ndarray | None = None
 
-    def _record(self, v: int, nbytes: int) -> None:
-        if v in self.resident:
-            self.counters.record_access(Channel.GPU_GLOBAL, v, nbytes)
-        else:  # pragma: no cover - guarded by VSGM's k-hop construction
-            self.fallthrough_accesses += 1
-            lines = self.device.zero_copy_lines(nbytes)
-            self.counters.record_access(Channel.ZERO_COPY, v, nbytes, transactions=lines)
-
-    def fetch_block(self, vertices: np.ndarray, lengths: np.ndarray) -> None:
-        if self._resident_sorted is None:
-            self._resident_sorted = np.sort(
-                np.fromiter(self.resident, dtype=np.int64, count=len(self.resident))
-            )
-        hit = contains_sorted(self._resident_sorted, vertices)
-        nbytes = lengths * BYTES_PER_NEIGHBOR
-        self.counters.record_access_block(
-            Channel.GPU_GLOBAL, vertices[hit], nbytes[hit]
-        )
-        miss = ~hit
-        if miss.any():  # pragma: no cover - guarded by VSGM's k-hop construction
-            self.fallthrough_accesses += int(miss.sum())
-            miss_bytes = nbytes[miss]
-            lines = -(-miss_bytes // self.device.zero_copy_line_bytes)
-            self.counters.record_access_block(
-                Channel.ZERO_COPY, vertices[miss], miss_bytes, transactions=lines
-            )
+    def classify(self, vertices: np.ndarray, lengths: np.ndarray) -> Accesses:
+        hit = contains_sorted(self._resident, vertices)
+        self.fallthrough_accesses += int(hit.size - np.count_nonzero(hit))
+        return self._hit_or_zero_copy(hit, lengths)

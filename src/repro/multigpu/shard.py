@@ -26,9 +26,8 @@ from repro.core.cache import CachedDeviceView, select_within_budget
 from repro.core.dcsr import DcsrCache
 from repro.core.engine import pack_step
 from repro.graphs.dynamic_graph import DynamicGraph
-from repro.gpu.counters import AccessCounters, Channel
-from repro.gpu.device import BYTES_PER_NEIGHBOR, DeviceConfig
-from repro.query.plan import EdgeVersion
+from repro.gpu.counters import AccessCounters, Accesses, Channel
+from repro.gpu.device import DeviceConfig
 
 __all__ = ["Shard", "ShardedDeviceView", "ShardBatchReport", "LoadBalanceReport"]
 
@@ -77,72 +76,40 @@ class ShardedDeviceView(CachedDeviceView):
         self.remote_hits = 0
         self.remote_misses = 0
 
-    def fetch(self, v: int, version: EdgeVersion) -> tuple[np.ndarray, ...]:
-        owner_shard = int(self.owner[v])
-        if owner_shard == self.shard_id:
-            return super().fetch(v, version)
-        return self._fetch_remote(v, owner_shard, version)
-
-    def _fetch_remote(
-        self, v: int, owner_shard: int, version: EdgeVersion
-    ) -> tuple[np.ndarray, ...]:
-        remote = self.peer_caches[owner_shard]
-        # the kernel probes the replicated remote rowidx directory the same
+    def _cache_of(self, v: int) -> DcsrCache:
+        # the kernel probes the owner's replicated rowidx directory the same
         # way it probes its own (Sec. V-C's binary search, remote copy)
-        self.counters.record_compute(remote.probe_cost_ops())
-        row = remote.lookup(v)
-        if row >= 0:
-            self.remote_hits += 1
-            if version is EdgeVersion.OLD:
-                runs: tuple[np.ndarray, ...] = (remote.neighbors_old(row),)
-            else:
-                base, delta = remote.neighbors_new_parts(row)
-                runs = (base, delta) if delta.size else (base,)
-            nbytes = self._nbytes(runs)
-            lines = self.device.peer_lines(nbytes)
-            self.counters.record_access(Channel.PEER, v, nbytes, transactions=lines)
-            return runs
-        # remote miss: the list lives only in pinned host memory, which every
-        # device reads directly — one zero-copy hop, never peer + host
-        self.remote_misses += 1
-        runs = self._runs(v, version)
-        nbytes = self._nbytes(runs)
-        lines = self.device.zero_copy_lines(nbytes)
-        self.counters.record_access(Channel.ZERO_COPY, v, nbytes, transactions=lines)
-        return runs
+        return self.peer_caches[int(self.owner[v])]
 
-    def fetch_block(self, vertices: np.ndarray, lengths: np.ndarray) -> None:
-        """Vectorized recording with the sharded routing of :meth:`fetch`.
-
-        Locally-owned accesses take the single-GPU cached path; remote-owned
-        ones are grouped per owner shard, probe that shard's replicated
-        rowidx directory, and are charged to the peer interconnect (hit) or
-        host zero-copy (miss) — summing to exactly the per-access counters.
-        """
+    def classify(self, vertices: np.ndarray, lengths: np.ndarray) -> Accesses:
+        """The sharded routing, per access: a locally-owned vertex takes the
+        single-GPU cached path; a remote-owned one probes its owner's rowidx
+        (at that cache's probe cost) and is served over the peer interconnect
+        on a hit, or from pinned host memory on a miss — every device reads
+        it directly: one zero-copy hop, never peer + host."""
         owners = self.owner[vertices]
+        hit = np.zeros(vertices.shape[0], dtype=bool)
+        ops = np.zeros(vertices.shape[0], dtype=np.int64)
+        for sid in np.unique(owners).tolist():
+            routed, cache = owners == sid, self.peer_caches[sid]
+            hit[routed] = cache.lookup_block(vertices[routed])
+            ops[routed] = cache.probe_cost_ops()
         local = owners == self.shard_id
-        super().fetch_block(vertices[local], lengths[local])
-        for sid in np.unique(owners[~local]).tolist():
-            routed = owners == sid
-            verts = vertices[routed]
-            remote = self.peer_caches[int(sid)]
-            self.counters.record_compute(remote.probe_cost_ops() * int(verts.size))
-            hit = remote.lookup_block(verts)
-            self.remote_hits += int(np.count_nonzero(hit))
-            self.remote_misses += int(verts.size - np.count_nonzero(hit))
-            nbytes = lengths[routed] * BYTES_PER_NEIGHBOR
-            hit_bytes = nbytes[hit]
-            peer_lines = -(-hit_bytes // self.device.peer_line_bytes)
-            self.counters.record_access_block(
-                Channel.PEER, verts[hit], hit_bytes, transactions=peer_lines
-            )
-            miss = ~hit
-            if miss.any():
-                miss_bytes = nbytes[miss]
-                zc_lines = -(-miss_bytes // self.device.zero_copy_line_bytes)
-                self.counters.record_access_block(
-                    Channel.ZERO_COPY, verts[miss], miss_bytes, transactions=zc_lines
-                )
+        peer = hit & ~local
+        mine, served = int(np.count_nonzero(local)), int(np.count_nonzero(hit & local))
+        remote = int(np.count_nonzero(peer))
+        self.hits += served
+        self.misses += mine - served
+        self.remote_hits += remote
+        self.remote_misses += hit.size - mine - remote
+        acc = self._hit_or_zero_copy(hit, lengths)
+        return acc._replace(
+            channel=np.where(peer, Channel.PEER.slot, acc.channel),
+            transactions=np.where(
+                peer, -(-acc.nbytes // self.device.peer_line_bytes), acc.transactions
+            ),
+            ops=ops,
+        )
 
     @property
     def total_hits(self) -> int:

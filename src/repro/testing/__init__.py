@@ -14,10 +14,14 @@ obviously-correct twins of the vectorized production kernels:
   reorganize merge, frequency partitioner and cache-budget scan are checked
   against.
 
+:mod:`repro.testing.calls` holds :func:`count_calls`, the clock that repeats
+(Python ``call`` events), for gates on per-vertex / per-node Python loops.
+
 The brute-force embedding counter stays in :mod:`repro.core.reference`:
 ``repro verify --oracle`` uses it in production.
 """
 
+from repro.testing.calls import count_calls
 from repro.testing.kernels import (
     GALLOP_RATIO,
     RecursiveFrequencyEstimator,
@@ -38,6 +42,7 @@ from repro.testing.oracles import (
 )
 
 __all__ = [
+    "count_calls",
     "RecursiveFrequencyEstimator",
     "match_batch_recursive",
     "match_static_recursive",

@@ -1,0 +1,426 @@
+"""Accounting as arrays: views classify, one accumulator counts, the rulebook
+attributes by incidence.
+
+* every view's ``classify`` + ``record`` adds up to what pricing the same
+  accesses one at a time in plain Python gives (the per-access ``_record``
+  code this replaced, kept here as the reference), the scalar ``fetch`` is a
+  block of one, and the unified-memory fault / hit *sequence* is the pager's;
+* the node → member-plan incidence counts a query's two identically shaped
+  plans twice and a skip set removes exactly its members;
+* attributed per-query counters equal the ``shared=False`` leg on a fleet,
+  and under unified memory in everything but who met a page first;
+* one ``process_batch`` of the 24-pattern rulebook makes less than half the
+  Python calls it made before, and the attribution's call count does not
+  move with the number of trie nodes, ``(node, member)`` pairs or accesses.
+"""
+
+from __future__ import annotations
+
+import json
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from repro.core.cache import CachedDeviceView
+from repro.core.dcsr import DcsrCache
+from repro.core.multiquery import MultiQueryEngine, Rulebook
+from repro.core.validation import verify_rulebook
+from repro.graphs import datasets
+from repro.graphs.dynamic_graph import DynamicGraph
+from repro.graphs.generators import powerlaw_graph
+from repro.graphs.stream import derive_stream
+from repro.gpu.counters import AccessCounters, Channel
+from repro.gpu.device import BYTES_PER_NEIGHBOR, default_device
+from repro.gpu.memory import UnifiedMemoryPager
+from repro.gpu.views import (
+    FullDeviceView,
+    HostCPUView,
+    UnifiedMemoryView,
+    ZeroCopyView,
+)
+from repro.multigpu.shard import ShardedDeviceView
+from repro.query import query_by_name
+from repro.query.generator import rulebook_suite
+from repro.query.plan import EdgeVersion
+from repro.testing import count_calls
+
+DEVICE = default_device()
+#: a pager of four pages: every block evicts
+TIGHT = DEVICE.scaled(
+    um_cache_fraction=4.5 * DEVICE.um_page_bytes / DEVICE.global_memory_bytes
+)
+N = 600
+
+
+def open_store(seed=3):
+    """A store holding an open batch, so NEW lists have appended runs."""
+    g = powerlaw_graph(N, 6.0, max_degree=40, num_labels=2, seed=seed)
+    g0, batches = derive_stream(g, num_updates=64, batch_size=64, seed=seed + 1)
+    graph = DynamicGraph(g0)
+    graph.apply_batch(batches[0])
+    return graph
+
+
+def make_sharded(graph, counters):
+    owner = np.arange(N) % 2
+    # caches of different sizes: the two shards' probes cost different ops
+    caches = [
+        DcsrCache.build(graph, np.arange(0, N, 6)),
+        DcsrCache.build(graph, np.arange(1, N // 8, 2)),
+    ]
+    assert caches[0].probe_cost_ops() != caches[1].probe_cost_ops()
+    return ShardedDeviceView(
+        graph, DEVICE, counters, caches[0], shard_id=0, owner=owner, peer_caches=caches
+    )
+
+
+RESIDENT = frozenset(range(0, N, 2))
+VIEWS = {
+    "host": lambda g, c: HostCPUView(g, DEVICE, c),
+    "zero_copy": lambda g, c: ZeroCopyView(g, DEVICE, c),
+    "unified": lambda g, c: UnifiedMemoryView(g, TIGHT, c),
+    "full_device": lambda g, c: FullDeviceView(g, DEVICE, c, set(RESIDENT)),
+    "cached": lambda g, c: CachedDeviceView(
+        g, DEVICE, c, DcsrCache.build(g, np.arange(0, N, 3))
+    ),
+    "sharded": make_sharded,
+}
+
+
+def scalar_model(view, vertices, lengths):
+    """The block priced one access at a time, in Python ints — each view's
+    per-access ``_record`` / ``fetch`` as it stood before ``classify``."""
+    dev = view.device
+    out = {
+        "bytes": Counter(), "tx": Counter(), "ops": 0, "faults": [], "hits": [],
+        "count": Counter(), "vertex_bytes": Counter(), "tally": Counter(),
+    }
+    pager = UnifiedMemoryPager(dev)
+
+    def serve(channel, nbytes, transactions):
+        out["bytes"][channel] += nbytes
+        out["tx"][channel] += transactions
+
+    def hit_or_zero_copy(hit, nbytes, name=""):
+        out["tally"][name + ("hits" if hit else "misses")] += 1
+        if hit:
+            serve(Channel.GPU_GLOBAL, nbytes, 1)
+        else:
+            serve(Channel.ZERO_COPY, nbytes, dev.zero_copy_lines(nbytes))
+
+    for v, length in zip(vertices.tolist(), lengths.tolist()):
+        nbytes = length * BYTES_PER_NEIGHBOR
+        out["count"][v] += 1
+        out["vertex_bytes"][v] += nbytes
+        if isinstance(view, ShardedDeviceView):
+            shard = int(view.owner[v])
+            cache = view.peer_caches[shard]
+            out["ops"] += cache.probe_cost_ops()
+            hit = cache.lookup(v) >= 0
+            if shard == view.shard_id:
+                hit_or_zero_copy(hit, nbytes)
+            elif hit:
+                out["tally"]["remote_hits"] += 1
+                serve(Channel.PEER, nbytes, dev.peer_lines(nbytes))
+            else:
+                hit_or_zero_copy(False, nbytes, "remote_")
+        elif isinstance(view, CachedDeviceView):
+            out["ops"] += view.cache.probe_cost_ops()
+            hit_or_zero_copy(view.cache.lookup(v) >= 0, nbytes)
+        elif isinstance(view, FullDeviceView):
+            hit_or_zero_copy(v in RESIDENT, nbytes)
+        elif isinstance(view, UnifiedMemoryView):
+            pages = view.layout.pages_for(v, nbytes, dev.um_page_bytes)
+            hits, faults = pager.access(pages)
+            out["hits"].append(hits)
+            out["faults"].append(faults)
+            serve(Channel.UM, nbytes, len(pages))
+            # resident-page reads still cost global-memory bandwidth
+            out["bytes"][Channel.GPU_GLOBAL] += nbytes
+        elif isinstance(view, ZeroCopyView):
+            serve(Channel.ZERO_COPY, nbytes, dev.zero_copy_lines(nbytes))
+        else:
+            assert isinstance(view, HostCPUView)
+            serve(Channel.CPU_DRAM, nbytes, 1)
+    return out
+
+
+def observed(view):
+    """The same quantities, read back through the public accessors."""
+    c = view.counters
+    tallies = {
+        "hits": getattr(view, "hits", 0), "misses": getattr(view, "misses", 0),
+        "remote_hits": getattr(view, "remote_hits", 0),
+        "remote_misses": getattr(view, "remote_misses", 0),
+    }
+    if isinstance(view, FullDeviceView):
+        tallies["misses"] = view.fallthrough_accesses
+    return {
+        "bytes": dict(c.bytes_by_channel.items()),
+        "tx": dict(c.transactions_by_channel.items()),
+        "ops": c.compute_ops, "um_faults": c.um_faults, "um_hits": c.um_hits,
+        "count": c.vertex_access_counts(N).tolist(),
+        "vertex_bytes": c.vertex_access_bytes(N).tolist(),
+        "accesses": c.total_access_count,
+        "tally": tallies,
+    }
+
+
+def assert_matches_model(view, model, kind):
+    got = observed(view)
+    assert got["bytes"] == {ch: model["bytes"][ch] for ch in Channel}
+    assert got["tx"] == {ch: model["tx"][ch] for ch in Channel}
+    assert got["ops"] == model["ops"]
+    assert got["um_faults"] == sum(model["faults"])
+    assert got["um_hits"] == sum(model["hits"])
+    assert got["count"] == [model["count"][v] for v in range(N)]
+    assert got["vertex_bytes"] == [model["vertex_bytes"][v] for v in range(N)]
+    assert got["accesses"] == sum(model["count"].values())
+    if kind in ("cached", "sharded", "full_device"):
+        if kind == "full_device":  # it tallies only its fallthrough reads
+            model["tally"].pop("hits", None)
+        assert {k: v for k, v in got["tally"].items() if v} == dict(model["tally"])
+
+
+def random_blocks(rng, graph):
+    """Blocks with repeated vertices, zero lengths and an empty block."""
+    for size in (40, 0, 1, 257, 0, 90):
+        vertices = rng.integers(0, N, size=size)
+        if size > 10:
+            vertices[size // 2:] = vertices[: size - size // 2]  # repeats
+        lengths = rng.integers(0, 3000, size=size)
+        lengths[rng.random(size) < 0.2] = 0
+        yield vertices, lengths
+
+
+@pytest.mark.parametrize("kind", list(VIEWS))
+class TestClassifyEqualsTheScalarLoop:
+    def test_blocks_add_up_to_the_per_access_model(self, kind):
+        graph = open_store()
+        view = VIEWS[kind](graph, AccessCounters())
+        blocks = list(random_blocks(np.random.default_rng(7), graph))
+        returned = [view.fetch_block(v, length) for v, length in blocks]
+        vertices, lengths = (np.concatenate(column) for column in zip(*blocks))
+        model = scalar_model(view, vertices, lengths)
+        assert_matches_model(view, model, kind)
+        assert sum(acc.channel.size for acc in returned) == vertices.size
+        if kind == "unified":  # the sequence, not just the totals
+            assert view.pager.capacity_pages == 4 and view.pager.total_evictions > 0
+            assert np.concatenate([a.faults for a in returned]).tolist() == model["faults"]
+            assert np.concatenate([a.hits for a in returned]).tolist() == model["hits"]
+        else:
+            assert all(acc.faults is None and acc.hits is None for acc in returned)
+
+    def test_scalar_fetch_is_a_block_of_one(self, kind):
+        graph = open_store()
+        rng = np.random.default_rng(11)
+        vertices = rng.integers(0, N, size=120)
+        vertices[60:] = vertices[:60]
+        one_by_one = VIEWS[kind](graph, AccessCounters())
+        lengths = []
+        for v in vertices.tolist():
+            version = EdgeVersion.NEW if v % 2 else EdgeVersion.OLD
+            runs = one_by_one.fetch(v, version)
+            want = (
+                (graph.neighbors_old(v),) if version is EdgeVersion.OLD
+                else graph.neighbors_new_parts(v)
+            )
+            assert np.array_equal(np.concatenate(runs), np.concatenate(want))
+            lengths.append(sum(r.size for r in runs))
+        block = VIEWS[kind](graph, AccessCounters())
+        block.fetch_block(vertices, np.array(lengths))
+        assert observed(one_by_one) == observed(block)
+        assert_matches_model(block, scalar_model(block, vertices, np.array(lengths)), kind)
+
+
+def test_full_device_view_owns_its_resident_snapshot():
+    """The set it was handed may change afterwards (``baselines.py`` hands it
+    the placement's own); both spellings keep pricing from the snapshot."""
+    graph = open_store()
+    resident = set(RESIDENT)
+    view = FullDeviceView(graph, DEVICE, AccessCounters(), resident)
+    vertices = np.arange(0, 40)
+    lengths = np.full(40, 5)
+    view.fetch_block(vertices[:20], lengths[:20])
+    resident.clear()  # at the parent: seen by the scalar path, not by the block path
+    resident.update(range(1, N, 2))
+    view.fetch_block(vertices[20:], lengths[20:])
+    for v in vertices.tolist():
+        view.fetch(v, EdgeVersion.OLD)
+    real = np.array([graph.neighbors_old(v).size for v in vertices.tolist()])
+    model = scalar_model(
+        view, np.concatenate([vertices, vertices]), np.concatenate([lengths, real])
+    )
+    assert_matches_model(view, model, "full_device")
+    assert view.fallthrough_accesses == 40  # the odd vertices, both times
+
+
+class TestAccessorsArePythonNumbers:
+    def test_summary_and_channel_maps_round_trip_through_json(self):
+        graph = open_store()
+        view = make_sharded(graph, AccessCounters())
+        view.fetch_block(np.arange(50), np.arange(50))
+        c = view.counters
+        c.record_dma(4096)
+        c.record_output(3)
+        for payload in (
+            c.summary(),
+            # json keys a mapping by str: the channel's value, as the results do
+            {ch.value: v for ch, v in c.bytes_by_channel.items()},
+            {ch.value: v for ch, v in c.transactions_by_channel.items()},
+        ):
+            assert json.loads(json.dumps(payload)) == payload
+        for mapping in (c.bytes_by_channel, c.transactions_by_channel):
+            assert all(type(v) is int for v in dict(mapping.items()).values())
+            assert mapping[Channel.PEER] == dict(mapping)[Channel.PEER]
+        scalars = (
+            c.compute_ops, c.um_faults, c.um_hits, c.dma_bytes, c.dma_requests,
+            c.output_embeddings, c.total_access_count, c.cpu_access_bytes(),
+        )
+        assert all(type(v) is int for v in scalars)
+        assert c.bytes_by_channel[Channel.PEER] > 0 and c.compute_ops > 0
+
+    def test_histograms_are_allocated_on_first_use(self):
+        c = AccessCounters()
+        assert c.vertex_access_counts().size == 0 and c.total_access_count == 0
+        assert c.vertex_access_counts(5).tolist() == [0] * 5
+        c.merge(AccessCounters())
+        assert c.vertex_access_bytes().size == 0
+        c.record_access(Channel.CPU_DRAM, 5000, 8)
+        twin = c.copy()
+        twin.record_access(Channel.CPU_DRAM, 5000, 8)
+        assert c.vertex_access_bytes(5001)[5000] == 8  # a copy, not an alias
+        assert twin.vertex_access_bytes(5001)[5000] == 16
+
+
+# ----------------------------------------------------------------------
+# the rulebook: incidence with multiplicity
+# ----------------------------------------------------------------------
+def az_stream(num_batches, batch_size, seed=0):
+    graph = datasets.DATASETS["AZ"].build(0)
+    return derive_stream(
+        graph, num_updates=num_batches * batch_size, batch_size=batch_size, seed=seed
+    )
+
+
+class TestIncidenceMultiplicity:
+    #: Q3 and Q4 each send two identically shaped ΔM plans through one node
+    QUERIES = [query_by_name("Q3"), query_by_name("Q4")]
+
+    def test_two_same_signature_plans_count_twice(self):
+        trie = Rulebook(self.QUERIES).trie
+        queries, member = trie.incidence()
+        assert queries == ("Q3", "Q4")
+        for node in trie.nodes:
+            for row, name in enumerate(queries):
+                plans = [ref for ref in node.members if ref.query_name == name]
+                assert member[row, node.order] == len(plans)
+        inner = np.array([node.level is not None for node in trie.nodes])
+        assert member[:, inner].max(axis=1).tolist() == [2, 2]  # not a boolean
+        assert member.sum() == sum(len(node.members) for node in trie.nodes)
+
+    def test_a_skip_set_removes_exactly_its_members(self):
+        trie = Rulebook(self.QUERIES).trie
+        queries, member = trie.incidence()
+        kept, reduced = trie.incidence(frozenset({"Q3"}))
+        assert kept == ("Q4",)
+        assert np.array_equal(reduced, member[1:])
+        assert trie.incidence(frozenset({"Q3"}))[1] is reduced  # built once
+        assert trie.incidence(frozenset({"Q3", "Q4"}))[1].shape == (0, len(trie.nodes))
+
+    def test_attribution_charges_each_plan(self):
+        """A boolean incidence would under-charge Q3 and Q4 against their
+        independent execution: counters and both histograms must agree."""
+        g0, batches = az_stream(4, 48)
+        report = verify_rulebook(g0, self.QUERIES, batches, seed=0)
+        assert report.num_batches == 4
+        engine = MultiQueryEngine(g0, self.QUERIES, seed=0)
+        result = engine.process_batch(batches[0])
+        by_query = result.match_counters_by_query
+        # both plans' reads of the shared node are attributed, so the
+        # attributed accesses exceed what the shared counters paid once
+        attributed = sum(c.total_access_count for c in by_query.values())
+        assert attributed > result.match_counters.total_access_count
+
+
+class TestAttributedCountersAcrossPlacements:
+    def test_fleet_attribution_equals_the_independent_leg(self):
+        g0, batches = az_stream(3, 48)
+        queries = rulebook_suite(8, num_labels=3, seed=0) + [query_by_name("Q3")]
+        verify_rulebook(g0, queries, batches, seed=0, engine_kwargs={"devices": 2})
+
+    def test_unified_attribution_equals_the_independent_leg_but_for_the_pager(self):
+        """Under unified memory the two legs differ only in which query met a
+        page first (``um_faults`` / ``um_hits``; ``verify_rulebook`` does not
+        hold there, at the parent either): every channel total, the compute
+        and output charges and both histograms are the independent leg's."""
+        g0, batches = az_stream(3, 48)
+        queries = rulebook_suite(8, num_labels=3, seed=0) + [query_by_name("Q3")]
+        settings = dict(seed=0, placement="unified", device=TIGHT)
+        shared = MultiQueryEngine(g0, queries, **settings)
+        independent = MultiQueryEngine(g0, queries, shared=False, **settings)
+        n = g0.num_vertices
+        faults = 0
+        for batch in batches:
+            a, b = shared.process_batch(batch), independent.process_batch(batch)
+            assert a.delta_counts == b.delta_counts
+            for name in a.match_counters_by_query:
+                got, want = a.match_counters_by_query[name], b.match_counters_by_query[name]
+                assert dict(got.bytes_by_channel) == dict(want.bytes_by_channel), name
+                assert dict(got.transactions_by_channel) == dict(want.transactions_by_channel)
+                assert got.compute_ops == want.compute_ops
+                assert got.output_embeddings == want.output_embeddings
+                assert np.array_equal(got.vertex_access_counts(n), want.vertex_access_counts(n))
+                assert np.array_equal(got.vertex_access_bytes(n), want.vertex_access_bytes(n))
+                # every page touched either faulted or hit, whoever came first
+                assert got.um_faults + got.um_hits == want.um_faults + want.um_hits
+                faults += got.um_faults
+        assert faults > 0
+
+
+# ----------------------------------------------------------------------
+# the clock that repeats
+# ----------------------------------------------------------------------
+class TestCallCounts:
+    #: Python ``call`` events of the fourth ``process_batch`` below at the
+    #: parent (5212da3 + re-anchor; CPython 3.11), where the settle built a
+    #: counter per trie node and merged it once per member plan
+    PARENT_CALLS = 11_677
+
+    def test_one_rulebook_batch_makes_under_half_the_parents_calls(self):
+        g0, batches = az_stream(4, 24, seed=1)
+        engine = MultiQueryEngine(g0, rulebook_suite(24, num_labels=3, seed=0), seed=0)
+        for batch in batches[:3]:
+            engine.process_batch(batch)
+        calls = count_calls(lambda: engine.process_batch(batches[3]))
+        assert calls <= 0.45 * self.PARENT_CALLS, calls
+
+    @staticmethod
+    def attribution_calls(trie, node, accesses_per_node):
+        queries, _ = trie.incidence()
+        view = ZeroCopyView(None, DEVICE, AccessCounters())
+        node = np.repeat(np.sort(node), accesses_per_node)
+        vertex = np.arange(node.size) % 50
+        acc = view.classify(vertex, vertex + 1)
+        work = np.ones(len(trie.nodes), dtype=np.int64)
+        counters = {name: AccessCounters() for name in queries}
+        calls = count_calls(
+            lambda: trie.attribute(frozenset(), node, vertex, acc, work, counters)
+        )
+        assert sum(c.total_access_count for c in counters.values()) >= node.size
+        return calls
+
+    def test_attribution_is_a_constant_per_query(self):
+        small = Rulebook(rulebook_suite(8, num_labels=3, seed=0)).trie
+        large = Rulebook(rulebook_suite(24, num_labels=3, seed=0)).trie
+        assert len(large.nodes) > len(small.nodes)
+        every = np.arange(len(large.nodes))
+        base = self.attribution_calls(large, every[:1], 1)
+        # neither the nodes touched, the (node, member) pairs nor the log's length
+        assert self.attribution_calls(large, every, 1) == base
+        assert self.attribution_calls(large, every, 40) == base
+        # only the number of queries, by a constant each
+        fewer = self.attribution_calls(small, np.arange(len(small.nodes)), 1)
+        queries = len(large.incidence()[0]) - len(small.incidence()[0])
+        assert queries > 0 and 0 < base - fewer <= 4 * queries

@@ -129,9 +129,9 @@ def test_counter_conservation(seed):
 
     match_batch(compile_delta_plans(QueryGraph(3, [(0, 1), (1, 2), (0, 2)])),
                 batches[0], view)
-    hist_bytes = int(counters._vertex_bytes.sum())
+    hist_bytes = int(counters.vertex_access_bytes().sum())
     assert hist_bytes == counters.bytes_by_channel[Channel.CPU_DRAM]
-    assert counters.total_access_count == int(counters._vertex_counts.sum())
+    assert counters.total_access_count == int(counters.vertex_access_counts().sum())
 
 
 @pytest.mark.parametrize("executor", ["frontier", "recursive"])

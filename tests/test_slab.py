@@ -7,33 +7,16 @@ compactions, the flat ``packed_runs`` block, and ``check_invariants`` shown
 to reject each corruption it exists for.
 """
 
-import sys
-
 import numpy as np
 import pytest
 
 from repro.graphs import DynamicGraph, StaticGraph, UpdateBatch
 from repro.graphs import dynamic_graph as store_module
 from repro.graphs.generators import erdos_renyi
+from repro.testing import count_calls
 from tests.test_dynamic_graph import TestBulkWriteSide, adjacency
 
 mixed_batch = TestBulkWriteSide.mixed_batch  # half deletes of present edges, half fresh inserts
-
-
-def count_calls(fn):
-    """Python-level ``call`` events while ``fn`` runs (C calls do not count)."""
-    calls = 0
-
-    def profiler(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-
-    sys.setprofile(profiler)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return calls
 
 
 class TestNoPerVertexPython:
