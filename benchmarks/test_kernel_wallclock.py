@@ -20,7 +20,11 @@ applies to the wide-frontier configurations (batch ≥ 512 and static).
 
 from __future__ import annotations
 
+import subprocess
 import time
+from pathlib import Path
+
+import numpy as np
 
 from conftest import run_once
 from repro.core.engine import GCSMEngine
@@ -95,6 +99,18 @@ def _time_rulebook(executor: str, g0, batches, queries) -> float:
     return total
 
 
+def _provenance() -> str:
+    """Which tree, streams and NumPy produced the table."""
+    def git(*args):
+        return subprocess.run(
+            ["git", *args], cwd=Path(__file__).parent, capture_output=True, text=True
+        ).stdout.strip()
+
+    sha = git("rev-parse", "--short", "HEAD") or "unknown"
+    dirty = "+uncommitted" if git("status", "--porcelain", "--untracked-files=no") else ""
+    return f"provenance: sha={sha}{dirty} graph/stream seed=0 (AZ stream seed=1) numpy={np.__version__}"
+
+
 def _measure(fn, *args) -> float:
     """Best-of-N wall-clock (minimum filters scheduler noise)."""
     return min(fn(*args) for _ in range(REPEATS))
@@ -135,6 +151,7 @@ def test_kernel_wallclock(benchmark, record_table):
     with record_table("kernel_wallclock"):
         print(f"kernel wall-clock: frontier vs recursive executor "
               f"(Q1, powerlaw n={GRAPH_N}, best of {REPEATS})")
+        print(_provenance())
         print(f"{'workload':<22} {'recursive s':>12} {'frontier s':>12} "
               f"{'speedup':>8}")
         for (name, rec, fro), s in zip(rows, speedups):

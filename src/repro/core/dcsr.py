@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.gpu.device import BYTES_PER_NEIGHBOR
-from repro.utils import VERTEX_DTYPE, require, segment_offsets
+from repro.utils import VERTEX_DTYPE, contains_sorted, require, segment_offsets
 
 __all__ = ["DcsrCache", "packed_size_bytes"]
 
@@ -119,11 +119,7 @@ class DcsrCache:
         One ``searchsorted`` replaces per-access :meth:`lookup` calls; the
         probe *cost* is still charged per access by the caller.
         """
-        pos = np.searchsorted(self.rowidx, vertices)
-        hit = np.zeros(vertices.size, dtype=bool)
-        ok = pos < self.rowidx.shape[0]
-        hit[ok] = self.rowidx[pos[ok]] == vertices[ok]
-        return hit
+        return contains_sorted(self.rowidx, vertices)
 
     def probe_cost_ops(self) -> int:
         """Comparison count of one rowidx binary search."""

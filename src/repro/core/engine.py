@@ -70,6 +70,7 @@ from repro.core.prefilter import (
     make_prefilter,
     normalize_prefilter,
 )
+from repro.core.querytrie import solo_trie
 from repro.graphs.attributes import EdgeAttributeStore
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.static_graph import StaticGraph
@@ -492,8 +493,11 @@ class QuerySet:
         """Raise ``ValueError`` for a config this query set cannot run on."""
 
     def compile(self, placement: Placement) -> None:
-        """Compile (once) ``plans``, which the engine exposes as its own."""
+        """Compile (once) ``plans``, which the engine exposes as its own, and
+        build ``trie``: what every batch's estimate and match advance, found
+        again from ``plans`` by identity (:func:`solo_trie`)."""
         self.plans = placement.compile_plans(self.query)
+        self.trie = solo_trie(self.plans)
 
     @property
     def num_plans(self) -> int:

@@ -203,7 +203,7 @@ class FrequencyEstimator:
             )
         per_chain = max(1, num_walks // max(1, len(plans)))
         frequencies, nodes, counters = self.walk(
-            solo_trie(tuple(plans)), {None: batch}, {None: per_chain}, max_degree
+            solo_trie(plans), {None: batch}, {None: per_chain}, max_degree
         )
         return EstimationResult(frequencies, num_walks, nodes, counters)
 

@@ -20,7 +20,7 @@ matcher itself runs on:
   :func:`~repro.core.frontier.expand_rows` — the join over the epoch arena
   plus the label, weight-predicate and injectivity masks — so a walk never
   descends where the kernel prunes, and what a walk loads the kernel that
-  follows finds in place.  The access log is settled once per depth.
+  follows finds in place.  The access log is settled once per walk.
 * All surviving children of a depth draw their continuation multiplicities
   in **one** vectorized ``rng.binomial`` call; saturated children
   (``p == 1``) skip the RNG entirely, mirroring the recursive reference.
@@ -59,8 +59,9 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
 
     def _descend(self, trie, roots, max_degree, tally, counters) -> int:
         """Advance every chain together: all root draws first (chain-major),
-        then per trie depth one launch, one settle and one survival draw
-        over the stacked ``(rows, line, mult, weight)`` frontier."""
+        then per trie depth one launch and one survival draw over the stacked
+        ``(rows, line, mult, weight)`` frontier, and one settle of the walk's
+        whole access log at the end."""
         seeds = list(roots)
         if not seeds:
             return 0
@@ -75,6 +76,7 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
         nodes = rows.shape[0]
         # host reads: every fetch of the walk is FE cost on the CPU's DRAM
         view = HostCPUView(self.graph, self.device, counters)
+        logs, ops = [], 0
         for above, level in zip(trie.levels, trie.levels[1:]):
             if not level.chain:  # chains that ended one depth up drop out
                 child = np.full(len(above.nodes), -1, dtype=np.int64)
@@ -88,15 +90,9 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
             cand_flat, cand_cnt, log, compute = expand_rows(
                 self.graph, level.table, rows, line, attributes=self.attributes
             )
-            # the batched _fetch: every access is recorded and charged
-            # len(list) + 1, a probed list len(list) again, on top of the
-            # launch's compute (first lists, merges, predicate probes,
-            # survivors); Eq. 3 charges its vertex the node's B × weight
-            view.fetch_block(log.vertex, log.length)
-            counters.record_compute(
-                int(compute.sum() + log.vertex.size + log.length[log.slot > 0].sum())
-            )
-            np.add.at(flat, base[log.row] + log.vertex, (mult * weight)[log.row])
+            charge = mult * weight  # Eq. 3: the node's B × weight, to each vertex it reads
+            logs.append((log.vertex, log.length, base[log.row] + log.vertex, charge[log.row]))
+            ops += int(compute.sum() + log.vertex.size + log.length[log.slot > 0].sum())
             # one continuation draw for all children of the depth; saturated
             # children (p == 1) keep their parent's multiplicity without
             # touching the RNG — in the full-expansion regime no sampler
@@ -116,4 +112,15 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
             line, base = line[parent], base[parent]
             mult, weight = born[live], weight[parent] / p_child[live]
             nodes += rows.shape[0]
+        if logs:
+            # the walk's one settle, depths in order: every access is recorded
+            # and charged len(list) + 1, a probed list len(list) again, on top
+            # of the launches' compute (first lists, merges, predicate probes,
+            # survivors).  The host view prices an access whatever came
+            # before it and ``np.add.at`` adds in index order, so counters
+            # and tallies are those of a settle per depth, bit for bit.
+            vertex, length, cell, charge = map(np.concatenate, zip(*logs))
+            view.fetch_block(vertex, length)
+            counters.record_compute(ops)
+            np.add.at(flat, cell, charge)
         return nodes

@@ -15,10 +15,11 @@ NumPy:
   driver).  What a row reads comes from the depth's operand table, indexed
   by its node's line (:class:`LevelTable`), so the join itself
   (:func:`join_rows`, shared with the frequency estimator) is a
-  plan-agnostic *row program*: one gather per constraint slot for every row
-  whatever node it belongs to, one ``searchsorted`` probe against the
-  arena's rank keys, flat label / candidate-filter / predicate /
-  injectivity masks — no Python recursion, no per-plan loop.
+  plan-agnostic *row program*: one gather per launch for every row and
+  constraint whatever node it belongs to, one ``searchsorted`` probe per
+  constraint slot against the arena's rank keys, flat label /
+  candidate-filter / predicate / injectivity masks — no Python recursion,
+  no per-plan loop.
 * **Counter parity is exact.**  Neither the join nor the launch charges
   anything: :meth:`FrontierKernel.expand` returns an :class:`AccessLog` of
   every list read in canonical ``(slot, constraint, row)`` order plus its
@@ -121,37 +122,51 @@ def level_table(levels: tuple[LevelPlan, ...]) -> LevelTable:
 
 
 def join_rows(
-    graph, verts: np.ndarray, old: np.ndarray, valid: np.ndarray
+    graph, verts: np.ndarray, old: np.ndarray, valid: np.ndarray,
+    label: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, AccessLog, np.ndarray]:
     """The per-level join as a row program: intersect every row's lists.
 
     Row ``r`` intersects the lists of ``verts[r, j]`` (version ``old[r, j]``)
     over its ``valid[r, j]`` columns.  Returns ``(cand_flat, cand_cnt, log,
-    compute)`` *before* any label / injectivity filtering: row ``r``'s
-    candidate set is the sorted slice of ``cand_flat`` after ``cand_cnt[:r]``
-    elements.  Per row the lists are visited smallest-first (stable on the
-    versioned degree in column order, the recursive kernels' ``sorted``); the
-    first is materialised as the candidate set, the others are probed through
-    the arena's rank keys (:func:`keyed_contains`), and a row stops
-    reading once its set empties.  Each slot is one
-    :meth:`DynamicGraph.gather` for all rows, read in place from the epoch
-    arena: nothing is merged, concatenated or copied per level.
+    compute)``: row ``r``'s candidate set is the sorted slice of ``cand_flat``
+    after ``cand_cnt[:r]`` elements.  Per row the lists are visited
+    smallest-first (stable on the versioned length in column order, the
+    recursive kernels' ``sorted``); the first is materialised as the
+    candidate set, the others are probed through the arena's rank keys
+    (:func:`keyed_contains`), and a row stops reading once its set empties.
+    The whole operand matrix is ONE :meth:`DynamicGraph.gather`, up front —
+    so the arena may hold a list no row went on to read; fills are free, the
+    log is what is charged — and the slot loop only indexes its ``(n, K)``
+    start / length matrices: nothing is merged, concatenated or copied per
+    level.
+
+    The sets are *pre-label*, with one exception: given ``label`` (each
+    row's wanted label), a row's candidates that cannot match it are dropped
+    ahead of the row's **final** probe — after that slot's log entry and
+    charge were taken from the unfiltered set.  What a row holds after its
+    last probe feeds only the masks of :func:`expand_rows`, which drops
+    those candidates anyway, so nothing observable moves; ahead of any
+    earlier probe it would change which lists the row still reads.
 
     The join charges nothing.  ``log`` holds every read for the caller to
     settle; ``compute`` is each row's merge-intersection cost — the first
     list's length, then ``len(set) + len(list)`` per probe.
     """
     n, k = verts.shape
+    starts, lens = np.zeros((2, n, k), dtype=np.int64)
+    starts[valid], lens[valid] = graph.gather(verts[valid], old[valid])
+    # the buffers are read after the launch's one gather: they cover it
+    arena, keys, num_vertices = graph.arena, graph.arena_keys, graph.num_vertices
+    arange = np.arange(n, dtype=np.int64)
     if k == 1:
         order = np.zeros((n, 1), dtype=np.int64)
         count = np.ones(n, dtype=np.int64)
     else:
-        size = np.where(old, graph.degrees_old()[verts], graph.degrees_new()[verts])
-        size[~valid] = _LAST
-        order = np.argsort(size, axis=1, kind="stable")
+        order = np.argsort(np.where(valid, lens, _LAST), axis=1, kind="stable")
         count = valid.sum(axis=1)
-    num_vertices = graph.num_vertices
-    arange = np.arange(n, dtype=np.int64)
+        # column s = slot s; a row out of constraints finds an empty segment
+        starts, lens = starts[arange[:, None], order], lens[arange[:, None], order]
     cand_flat, cand_cnt = _EMPTY, np.zeros(n, dtype=np.int64)
     compute = np.zeros(n, dtype=np.int64)
     log = []
@@ -164,28 +179,25 @@ def join_rows(
         if k > 1:  # the log's canonical order: constraint-major inside a slot
             by = np.argsort(cons, kind="stable")
             live, cons = live[by], cons[by]
-        vertex = verts[live, cons]
-        starts, lens = graph.gather(vertex, old[live, cons])
-        log.append((live, np.full(live.size, s, dtype=np.int64), cons, vertex, lens))
-        row_start, row_len = np.zeros((2, n), dtype=np.int64)
-        row_start[live] = starts
-        row_len[live] = lens
+        row_start, row_len = starts[:, s], lens[:, s]
+        length = row_len[live]
+        log.append((live, np.full(live.size, s, dtype=np.int64), cons, verts[live, cons], length))
         if s == 0:
             cand_cnt = row_len
             offsets = segment_offsets(cand_cnt)
-            compute += row_len
-            cand_flat = graph.arena[
+            compute += cand_cnt
+            cand_flat = arena[
                 np.arange(int(offsets[-1]), dtype=np.int64)
                 + np.repeat(row_start - offsets[:-1], cand_cnt)
             ]
             continue
-        compute[live] += cand_cnt[live] + lens
-        # the probe reads the rank keys after this slot's gather
-        found = keyed_contains(
-            graph.arena_keys, num_vertices,
-            np.repeat(row_start, cand_cnt), np.repeat(row_len, cand_cnt), cand_flat,
-        )
+        compute[live] += cand_cnt[live] + length
         qrow = np.repeat(arange, cand_cnt)
+        if label is not None:  # charged above on the unfiltered set
+            free = (count != s + 1) | (label == WILDCARD_LABEL)
+            keep = np.flatnonzero(free[qrow] | (graph.labels[cand_flat] == label[qrow]))
+            cand_flat, qrow = cand_flat[keep], qrow[keep]
+        found = keyed_contains(keys, num_vertices, row_start[qrow], row_len[qrow], cand_flat)
         found |= ~reading[qrow]  # a row out of constraints keeps its set
         cand_flat = cand_flat[found]
         cand_cnt = np.bincount(qrow[found], minlength=n)
@@ -213,7 +225,10 @@ def expand_rows(
     (``None`` falls back to the deterministic hash weights).
     """
     n, lines = rows.shape[0], table.label.shape[0]
-    cand_flat, cand_cnt, log, work = join_rows(graph, *table.operands(rows, line))
+    # a candidate filter's probe charge counts pre-label candidates
+    cand_flat, cand_cnt, log, work = join_rows(
+        graph, *table.operands(rows, line), label=None if filters else table.label[line]
+    )
     compute = np.bincount(line, weights=work, minlength=lines)
     qrow = np.repeat(np.arange(n, dtype=np.int64), cand_cnt)
     qline = line[qrow]

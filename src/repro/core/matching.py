@@ -409,7 +409,7 @@ def match_batch(
     weights are used.
     """
     return match_trie(
-        solo_trie(tuple(plans)), batch, view,
+        solo_trie(plans), batch, view,
         sinks=None if sink is None else {None: sink},
         prefilter=None if prefilter is None else {None: prefilter},
         filters=filters, root_mask=root_mask, attributes=attributes,

@@ -53,8 +53,8 @@ masks independent execution applies.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -260,8 +260,24 @@ class ExecutionTrie:
             counters[name].accumulate(totals[i], hist[:, i], touched)
 
 
-@lru_cache(maxsize=64)
-def solo_trie(plans: tuple[MatchPlan, ...]) -> ExecutionTrie:
+#: the tries :func:`solo_trie` has built (at most ``_INCIDENCE_CACHE``, then it
+#: starts over), keyed by the identities of their plans: a trie holds its
+#: plans, so a key cannot be recycled while it stands
+_SOLO: dict[tuple[int, ...], ExecutionTrie] = {}
+
+
+def solo_trie(plans: Sequence[MatchPlan]) -> ExecutionTrie:
     """``plans`` as the trie that shares nothing: one root group and one
-    chain per plan, all members of the one (unnamed) query."""
-    return ExecutionTrie({None: list(plans)}, merge=False)
+    chain per plan, all members of the one (unnamed) query.
+
+    Built once per plan list — a query set asks at ``compile`` — and found
+    again by the plan objects' identity, so the per-batch callers that are
+    handed ``plans`` (``match_batch``, ``FrequencyEstimator.estimate``) reach
+    it without hashing a frozen :class:`MatchPlan`."""
+    key = tuple(map(id, plans))
+    trie = _SOLO.get(key)
+    if trie is None:
+        if len(_SOLO) >= _INCIDENCE_CACHE:
+            _SOLO.clear()
+        trie = _SOLO[key] = ExecutionTrie({None: list(plans)}, merge=False)
+    return trie

@@ -126,7 +126,7 @@ class UpdateBatch:
         carry new vertices, per the paper's problem definition).
     """
 
-    __slots__ = ("edges", "signs", "new_vertex_labels")
+    __slots__ = ("edges", "signs", "new_vertex_labels", "_directed")
 
     def __init__(
         self,
@@ -144,6 +144,7 @@ class UpdateBatch:
         require(bool(self.edges.min() >= 0) if self.edges.size else True,
                 "negative vertex id in batch")
         self.new_vertex_labels = dict(new_vertex_labels or {})
+        self._directed = None
 
     def __len__(self) -> int:
         return int(self.edges.shape[0])
@@ -164,15 +165,17 @@ class UpdateBatch:
 
         The incremental nested loops of paper Fig. 2 iterate ``ΔE`` in both
         directions (the figure omits reverse edges only "for simplicity of
-        illustration").
+        illustration").  Computed once per batch and shared by every caller
+        — the estimator's and the matcher's roots are masks of this one pair
+        — so both arrays are read-only.
         """
-        if len(self) == 0:
-            return np.empty((0, 2), dtype=VERTEX_DTYPE), np.empty(0, dtype=np.int64)
-        fwd = self.edges
-        rev = self.edges[:, ::-1]
-        edges = np.concatenate([fwd, rev], axis=0)
-        signs = np.concatenate([self.signs, self.signs])
-        return edges, signs
+        if self._directed is None:
+            edges = np.concatenate([self.edges, self.edges[:, ::-1]], axis=0)
+            signs = np.concatenate([self.signs, self.signs])
+            edges.setflags(write=False)
+            signs.setflags(write=False)
+            self._directed = edges, signs
+        return self._directed
 
     def canonicalize(
         self, graph, mode: str = "strict"

@@ -11,12 +11,17 @@ attributes by incidence.
   and under unified memory in everything but who met a page first;
 * one ``process_batch`` of the 24-pattern rulebook makes less than half the
   Python calls it made before, and the attribution's call count does not
-  move with the number of trie nodes, ``(node, member)`` pairs or accesses.
+  move with the number of trie nodes, ``(node, member)`` pairs or accesses;
+* the same clock on the row program: one single-query batch (CA × Q3, the
+  SF3K analog × Q1) makes at most 80 % of the calls it made before one arena
+  fill per launch, one estimator settle per walk and the identity-keyed
+  ``solo_trie``, and no batch hashes a ``MatchPlan``.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 
 import numpy as np
@@ -24,12 +29,14 @@ import pytest
 
 from repro.core.cache import CachedDeviceView
 from repro.core.dcsr import DcsrCache
+from repro.core.engine import GCSMEngine
 from repro.core.multiquery import MultiQueryEngine, Rulebook
+from repro.core.querytrie import solo_trie
 from repro.core.validation import verify_rulebook
 from repro.graphs import datasets
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.generators import powerlaw_graph
-from repro.graphs.stream import derive_stream
+from repro.graphs.stream import churn_stream, derive_stream
 from repro.gpu.counters import AccessCounters, Channel
 from repro.gpu.device import BYTES_PER_NEIGHBOR, default_device
 from repro.gpu.memory import UnifiedMemoryPager
@@ -42,7 +49,7 @@ from repro.gpu.views import (
 from repro.multigpu.shard import ShardedDeviceView
 from repro.query import query_by_name
 from repro.query.generator import rulebook_suite
-from repro.query.plan import EdgeVersion
+from repro.query.plan import EdgeVersion, MatchPlan
 from repro.testing import count_calls
 
 DEVICE = default_device()
@@ -395,6 +402,49 @@ class TestCallCounts:
             engine.process_batch(batch)
         calls = count_calls(lambda: engine.process_batch(batches[3]))
         assert calls <= 0.45 * self.PARENT_CALLS, calls
+
+    #: the same clock on the row program: the fourth ``process_batch`` of
+    #: ``GCSMEngine(seed=0)`` at the parent (e0622e5; CPython 3.11), which
+    #: gathered once per constraint slot, settled the estimator's log once per
+    #: depth and hashed the plan tuple on every ``solo_trie`` lookup
+    @pytest.mark.parametrize("dataset, query, derive, parent, gate", [
+        ("CA", "Q3", derive_stream, 2_259, 0.80),
+        ("SF3K", "Q1", churn_stream, 1_785, 0.80),
+    ], ids=["CA-Q3", "SF3K-Q1"])
+    def test_one_single_query_batch_against_the_parent(
+        self, dataset, query, derive, parent, gate
+    ):
+        g0, batches = derive(
+            datasets.DATASETS[dataset].build(0), num_updates=256, batch_size=64, seed=1
+        )
+        engine = GCSMEngine(g0, query_by_name(query), seed=0)
+        for batch in batches[:3]:
+            engine.process_batch(batch)
+        calls = count_calls(lambda: engine.process_batch(batches[3]))
+        assert calls <= gate * parent, calls
+
+    def test_no_plan_is_hashed_on_the_batch_path(self):
+        """The query set's trie is built at ``compile`` and found again by
+        the plans' identity: after the first batch nothing calls the frozen
+        dataclass's generated ``MatchPlan.__hash__``."""
+        g0, batches = az_stream(3, 24, seed=1)
+        engine = GCSMEngine(g0, query_by_name("Q3"), seed=0)
+        assert solo_trie(engine.plans) is engine.query_set.trie
+        engine.process_batch(batches[0])
+        hashed = []
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code is MatchPlan.__hash__.__code__:
+                hashed.append(frame.f_back.f_code.co_name)
+
+        sys.setprofile(profiler)
+        try:
+            for batch in batches[1:]:
+                engine.process_batch(batch)
+            hash(engine.plans[0])  # the profiler does see one when it happens
+        finally:
+            sys.setprofile(None)
+        assert hashed == ["test_no_plan_is_hashed_on_the_batch_path"]
 
     @staticmethod
     def attribution_calls(trie, node, accesses_per_node):

@@ -53,25 +53,36 @@ class TestOneLaunchPerDepth:
     most the deepest plan's level count per batch (the per-plan loop issued
     13.6 / 26.3 / 102 per batch on the benchmark's Q1 / Q3 / rulebook24)."""
 
-    @pytest.mark.parametrize("target", ["Q1", "Q3", "rulebook24"])
-    def test_joins_per_batch_bounded_by_depth(self, target, monkeypatch):
-        g0, batches = az_stream(8)
+    TARGETS = ["Q1", "Q3", "rulebook24"]
+
+    @staticmethod
+    def engine_for(target, g0):
+        """``(engine, deepest plan's vertex count)``."""
         if target == "rulebook24":
             query = Rulebook(rulebook_suite(24, num_labels=3, seed=0))
             assert len(query.walk_trie.refs) > 100  # chains, aliases included
-            deepest = max(q.num_vertices for q in query.queries)
-        else:
-            query = query_by_name(target)
-            deepest = query.num_vertices
-        engine = GCSMEngine(g0, query, seed=0)
-        joins = []
-        join_rows = frontier.join_rows
+            return GCSMEngine(g0, query, seed=0), max(q.num_vertices for q in query.queries)
+        query = query_by_name(target)
+        return GCSMEngine(g0, query, seed=0), query.num_vertices
 
-        def counted(*args):
-            joins[-1] += 1
-            return join_rows(*args)
+    @staticmethod
+    def count(monkeypatch, owner, name):
+        """Patch ``owner.name`` to count its calls per batch: the list grows
+        by hand, one zero per batch."""
+        calls, fn = [], getattr(owner, name)
 
-        monkeypatch.setattr(frontier, "join_rows", counted)
+        def counted(*args, **kwargs):
+            calls[-1] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_joins_per_batch_bounded_by_depth(self, target, monkeypatch):
+        g0, batches = az_stream(8)
+        engine, deepest = self.engine_for(target, g0)
+        joins = self.count(monkeypatch, frontier, "join_rows")
         for batch in batches:
             engine.graph.apply_batch(batch)
             joins.append(0)
@@ -80,6 +91,21 @@ class TestOneLaunchPerDepth:
             assert estimation.nodes_visited > 0
         assert max(joins) > 1  # walks do get past the first level
         assert max(joins) <= deepest - 2, joins
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_one_arena_fill_per_launch(self, target, monkeypatch):
+        """Estimate and match together: the store is asked once per launch
+        for the whole operand matrix, not once per constraint slot."""
+        g0, batches = az_stream(8)
+        engine, _ = self.engine_for(target, g0)
+        joins = self.count(monkeypatch, frontier, "join_rows")
+        gathers = self.count(monkeypatch, DynamicGraph, "gather")
+        for batch in batches:
+            joins.append(0)
+            gathers.append(0)
+            engine.process_batch(batch)
+            assert gathers[-1] <= joins[-1], (gathers, joins)
+        assert sum(gathers) > 0
 
 
 class TestRulebookWalkParity:

@@ -21,6 +21,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import repro.core.frontier as frontier
 from repro.core.dcsr import DcsrCache
 from repro.core.matching import match_batch, match_static
 from repro.core.multiquery import MultiQueryEngine, Rulebook
@@ -31,6 +32,7 @@ from repro.graphs.generators import powerlaw_graph
 from repro.graphs.stream import derive_stream
 from repro.gpu.counters import AccessCounters
 from repro.gpu.device import default_device
+from repro.gpu.trace import TracingView
 from repro.gpu.views import HostCPUView, UnifiedMemoryView, ZeroCopyView
 from repro.multigpu.shard import ShardedDeviceView
 from repro.query import query_by_name
@@ -183,6 +185,128 @@ class TestFusedPathsMatchTheOracle:
             runs.append((fingerprint(counters, stats, g.num_vertices), emitted))
         assert runs[0] == runs[1]
         assert runs[0][1]
+
+
+# ----------------------------------------------------------------------
+# label pushdown ahead of a row's final probe
+# ----------------------------------------------------------------------
+def ragged_queries(**pred):
+    """4-path, chorded 4-cycle, K4 and a fan whose last vertex is a wildcard:
+    bound fourth, a vertex is intersected from 1, 2, 3 and 2 lists."""
+    path = QueryGraph(4, [(0, 1), (1, 2), (2, 3)], labels=[0, 1, 0, 1], name="path4")
+    diamond = QueryGraph(
+        4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)], labels=[0, 1, 0, 1], name="diamond",
+        **pred,
+    )
+    k4 = QueryGraph(
+        4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], labels=[0, 1, 0, 1], name="k4"
+    )
+    fan = QueryGraph(
+        4, [(0, 1), (1, 2), (0, 2), (1, 3), (2, 3)], labels=[0, 1, 0, -1], name="fan"
+    )
+    return path, diamond, k4, fan
+
+
+def ragged_plans(**pred):
+    return [p for q in ragged_queries(**pred) for p in compile_delta_plans(q)]
+
+
+def dense_stream(seed):
+    g = powerlaw_graph(260, 14.0, max_degree=60, num_labels=2, seed=seed)
+    return derive_stream(g, num_updates=72, batch_size=24, seed=seed + 1)
+
+
+class TestLabelPushdown:
+    """``join_rows`` drops label-mismatched candidates ahead of a row's
+    *final* probe only: each launch is replayed with the pushdown off and
+    must agree on everything that is charged, and the whole run — ΔM,
+    ``MatchStats``, channel totals, both histograms, sink order and the
+    multiset of accesses — equals the recursive oracle's."""
+
+    @pytest.fixture
+    def launches(self, monkeypatch):
+        """Per ``join_rows`` call of the fused kernel: ``(valid, label, what
+        it returned, what it returns with the pushdown off)``."""
+        seen = []
+        join_rows = frontier.join_rows
+
+        def recorded(graph, verts, old, valid, label=None):
+            out = join_rows(graph, verts, old, valid, label)
+            seen.append((graph.labels, valid, label, out, join_rows(graph, verts, old, valid)))
+            return out
+
+        monkeypatch.setattr(frontier, "join_rows", recorded)
+        return seen
+
+    @staticmethod
+    def check(launches):
+        """What the pushdown may and may not move; returns ``(constraint
+        counts seen in one launch, candidates dropped early, rows emptied at
+        their final probe, wildcard rows past a probe)``."""
+        counts, dropped, emptied, wild = set(), 0, 0, 0
+        for labels, valid, label, on, off in launches:
+            count = valid.sum(axis=1)
+            counts.add(frozenset(count.tolist()))
+            flat_on, cnt_on, log_on, compute_on = on
+            flat_off, cnt_off, log_off, compute_off = off
+            for a, b in zip(log_on, log_off):
+                assert np.array_equal(a, b)
+            assert np.array_equal(compute_on, compute_off)
+            if label is None:  # a launch with filters: nothing is pushed down
+                assert np.array_equal(flat_on, flat_off) and np.array_equal(cnt_on, cnt_off)
+                continue
+            row_on, row_off = (np.repeat(np.arange(c.size), c) for c in (cnt_on, cnt_off))
+            fits = (label[row_off] == -1) | (labels[flat_off] == label[row_off])
+            # a row with no probe keeps its pre-label set; past its final
+            # probe it holds exactly the label-matching part
+            keep = fits | (count[row_off] == 1)
+            assert np.array_equal(flat_on, flat_off[keep])
+            assert np.array_equal(row_on, row_off[keep])
+            dropped += int((~keep).sum())
+            final = np.zeros(count.size, dtype=bool)
+            final[log_on.row[log_on.slot == count[log_on.row] - 1]] = True
+            emptied += int((final & (count > 1) & (cnt_off == 0)).sum())
+            wild += int(((label == -1) & (count > 1) & (cnt_on > 0)).sum())
+        return counts, dropped, emptied, wild
+
+    def test_final_probe_differs_per_row(self, launches):
+        fused, oracle = both_kernels(*dense_stream(31), ragged_plans())
+        assert fused == oracle
+        assert any(f["embeddings"] for f, _ in fused)
+        counts, dropped, emptied, wild = self.check(launches)
+        assert frozenset({1, 2, 3}) in counts  # one launch, three final slots
+        assert dropped > 0 and emptied > 0 and wild > 0
+
+    def test_pushdown_is_off_under_candidate_filters(self, launches):
+        g0, batches = dense_stream(33)
+        filters = {3: np.flatnonzero(g0.labels == 1)[::2].astype(np.int64)}
+        fused, oracle = both_kernels(g0, batches, ragged_plans(), filters=filters)
+        assert fused == oracle
+        assert any(f["tree_nodes"] > f["roots"] for f, _ in fused)
+        assert launches and all(label is None for _, _, label, _, _ in launches)
+        self.check(launches)
+
+    def test_predicated_line(self, launches):
+        plans = ragged_plans(edge_predicates={(0, 3): (0.0, 0.6)})
+        assert any(c.predicate for p in plans for lvl in p.levels for c in lvl.constraints)
+        fused, oracle = both_kernels(*dense_stream(35), plans)
+        assert fused == oracle
+        assert any(f["embeddings"] for f, _ in fused)
+        assert self.check(launches)[1] > 0
+
+    def test_access_multiset_equals_the_oracle(self):
+        g0, batches = dense_stream(37)
+        traces = []
+        for kernel in (match_batch, match_batch_recursive):
+            graph = DynamicGraph(g0)
+            view = TracingView(ZeroCopyView(graph, DEVICE, AccessCounters()))
+            for batch in batches:
+                graph.apply_batch(batch)
+                kernel(ragged_plans(), batch, view)
+                graph.reorganize()
+            trace = view.trace()
+            traces.append(sorted(zip(trace.vertices.tolist(), trace.nbytes.tolist())))
+        assert traces[0] == traces[1] and len(traces[0]) > 1_000
 
 
 def mixed_depth_plans(order=1):

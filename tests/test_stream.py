@@ -29,6 +29,25 @@ class TestUpdateBatch:
         assert edges.tolist() == [[0, 1], [1, 0]]
         assert signs.tolist() == [-1, -1]
 
+    def test_directed_updates_are_one_read_only_pair(self):
+        # computed once per batch: the estimator's and the matcher's roots are
+        # masks of the same two arrays, so a caller writing into them must
+        # raise, not rewrite what the other stage is about to read
+        b = UpdateBatch([(0, 1), (2, 3)], [1, -1])
+        edges, signs = b.directed_updates()
+        again = b.directed_updates()
+        assert again[0] is edges and again[1] is signs
+        with pytest.raises(ValueError, match="read-only"):
+            edges[0, 0] = 7
+        with pytest.raises(ValueError, match="read-only"):
+            signs[:] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            edges.sort(axis=0)
+        assert b.directed_updates()[0].tolist() == [[0, 1], [2, 3], [1, 0], [3, 2]]
+        assert b.edges.flags.writeable  # the batch's own arrays are untouched
+        with pytest.raises(AttributeError):
+            b.scratch = 1  # still a __slots__ class
+
     def test_validation(self):
         with pytest.raises(ValueError):
             UpdateBatch([(0, 1)], [2])
