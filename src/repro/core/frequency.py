@@ -53,7 +53,7 @@ from repro.graphs.stream import UpdateBatch
 from repro.gpu.counters import AccessCounters
 from repro.gpu.device import DeviceConfig
 from repro.query.plan import MatchPlan
-from repro.utils import as_generator, require
+from repro.utils import VERTEX_DTYPE, as_generator, require, segment_offsets
 
 __all__ = [
     "EstimationResult",
@@ -234,28 +234,51 @@ class FrequencyEstimator:
         return (tally / budgets[:, None]).sum(axis=0), nodes, counters
 
     def _roots(self, trie, batches, walks, tally_row):
-        """Per walked chain, in ``trie.refs`` order: ``(chain, plan, roots,
-        multiplicity, num_roots, tally_row)`` — the roots the kernel would
-        process (label- and predicate-filtered) that drew ``B_root ~
-        Binomial(M, 1/|ΔR_i|) > 0`` (merged execution), lazily."""
-        labels, raw = self.graph.labels, {}
-        for chain, ref in enumerate(trie.refs):
-            name = ref.query_name
-            if name not in batches:
-                continue
-            # label filtering depends on the root labels alone: once per signature
-            sig = (id(batches[name]), ref.plan.root_labels())
-            if sig not in raw:
-                raw[sig] = delta_roots(ref.plan, batches[name], labels)
-            roots, _ = filter_root_predicate(ref.plan, *raw[sig], self.attributes)
-            if num_roots := roots.shape[0]:
-                born = self.rng.binomial(walks[name], 1.0 / num_roots, size=num_roots)
-                live = np.flatnonzero(born)
-                yield chain, ref.plan, roots[live], born[live], num_roots, tally_row[name]
+        """The root table: every walked chain's drawn roots stacked
+        chain-major (``trie.refs`` order) as ``(rows, line, mult, weight,
+        tally_row)`` — the roots the kernel would process (label- and
+        predicate-filtered) that drew ``B_root ~ Binomial(M, 1/|ΔR_i|) > 0``
+        (merged execution), each with its chain, ``|ΔR_i|`` and accumulator row.
+
+        A chain's roots depend on its batch and root signature alone: they
+        are filtered once per distinct ``(batch object, signature)`` into a
+        pool that chains gather from by index, and all chains draw in ONE
+        ``rng.binomial`` over the repeated ``(M, 1/|ΔR_i|)`` columns — the
+        generator fills an array argument element by element, exactly the
+        stream the chain-by-chain calls consume.
+        """
+        labels, width = self.graph.labels, len(trie.root_plans)
+        # the distinct batch objects: one, but for a prefilter's reduced ones
+        distinct = list({id(batch): batch for batch in batches.values()}.values())
+        at = {id(batch): i for i, batch in enumerate(distinct)}
+        batch_of = np.array([at[id(batches[q])] if q in batches else -1 for q in trie.queries])
+        budget = np.array([walks.get(q, 0) for q in trie.queries])
+        row = np.array([tally_row.get(q, 0) for q in trie.queries])
+        chain = np.flatnonzero(batch_of[trie.ref_query] >= 0)
+        query = trie.ref_query[chain]
+        used, entry = np.unique(batch_of[query] * width + trie.ref_root[chain], return_inverse=True)
+        pool = [np.empty((0, 2), dtype=VERTEX_DTYPE)]  # (a head: nothing walked still stacks)
+        for batch, signature in zip((used // width).tolist(), (used % width).tolist()):
+            plan = trie.root_plans[signature]
+            pool.append(filter_root_predicate(
+                plan, *delta_roots(plan, distinct[batch], labels), self.attributes
+            )[0])
+        offsets = segment_offsets(np.array([r.shape[0] for r in pool[1:]], dtype=np.int64))
+        size = np.diff(offsets)[entry]  # per chain: its |ΔR_i|
+        starts = segment_offsets(size)
+        # chain-major, one element per (chain, root): the chain's position and the pool row
+        of = np.repeat(np.arange(chain.size), size)
+        pick = np.repeat(offsets[entry] - starts[:-1], size) + np.arange(starts[-1])
+        born = self.rng.binomial(budget[query[of]], 1.0 / size[of])
+        live = np.flatnonzero(born)
+        of = of[live]
+        rows = np.concatenate(pool)[pick[live]].astype(np.int64, copy=False)
+        return rows, chain[of], born[live], size[of].astype(np.float64), row[query[of]]
 
     def _descend(self, trie, roots, max_degree, tally, counters) -> int:
-        """Walk down from ``roots`` (:meth:`_roots`): Eq. 3 charges go to
-        ``tally[tally_row]``, FE cost to ``counters``; returns nodes visited."""
+        """Walk down from the root table ``roots`` (:meth:`_roots`): Eq. 3
+        charges go to ``tally[tally_row]``, FE cost to ``counters``; returns
+        nodes visited."""
         raise NotImplementedError
 
     def estimate_adaptive(

@@ -15,7 +15,7 @@ matcher itself runs on:
   :class:`~repro.core.frontier.LevelTable`, the merged walk multiplicity
   ``B`` (Sec. IV-B) and the inverse sampling probability (the Eq. 3 weight —
   a *column*, because the survival schedule makes it node-dependent).  A
-  chain that ends early drops out through ``level.parent``.
+  chain that ends early drops out through ``level.child``.
 * Per depth there is ONE launch of the matcher's level program,
   :func:`~repro.core.frontier.expand_rows` — the join over the epoch arena
   plus the label, weight-predicate and injectivity masks — so a walk never
@@ -33,7 +33,7 @@ matcher itself runs on:
     frequencies, FE counters, and ``nodes_visited`` equal the recursive
     reference *exactly* (all charges are order-independent sums of
     integer-valued floats, and only the root draws, made by the shared base
-    in chain order, consume RNG);
+    chain-major in one call, consume RNG);
 (b) in the stochastic regimes the estimate has the same distribution (the
     per-node sampling probabilities are identical; only the RNG consumption
     order differs — here all roots, then one draw per depth), verified
@@ -58,30 +58,20 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
     in level-synchronous shape."""
 
     def _descend(self, trie, roots, max_degree, tally, counters) -> int:
-        """Advance every chain together: all root draws first (chain-major),
-        then per trie depth one launch and one survival draw over the stacked
-        ``(rows, line, mult, weight)`` frontier, and one settle of the walk's
-        whole access log at the end."""
-        seeds = list(roots)
-        if not seeds:
-            return 0
-        chain, _plans, found, mult, num_roots, tally_row = zip(*seeds)
-        size = [m.size for m in mult]
-        rows = np.concatenate(found).astype(np.int64, copy=False)
-        mult = np.concatenate(mult)
-        line = np.repeat(chain, size)
-        weight = np.repeat(np.asarray(num_roots, dtype=np.float64), size)
+        """Advance every chain together from the root table (all root draws
+        already made, chain-major, in one call): per trie depth one launch and
+        one survival draw over the stacked ``(rows, line, mult, weight)``
+        frontier, and one settle of the walk's whole access log at the end."""
+        rows, line, mult, weight, tally_row = roots
         # each row's offset into the flat tally: its chain's accumulator row
-        flat, base = tally.reshape(-1), np.repeat(tally_row, size) * tally.shape[1]
+        flat, base = tally.reshape(-1), tally_row * tally.shape[1]
         nodes = rows.shape[0]
         # host reads: every fetch of the walk is FE cost on the CPU's DRAM
         view = HostCPUView(self.graph, self.device, counters)
         logs, ops = [], 0
-        for above, level in zip(trie.levels, trie.levels[1:]):
+        for level in trie.levels[1:]:
             if not level.chain:  # chains that ended one depth up drop out
-                child = np.full(len(above.nodes), -1, dtype=np.int64)
-                child[level.parent] = np.arange(level.parent.size)
-                line = child[line]
+                line = level.child[line]
                 keep = line >= 0
                 rows, line, mult = rows[keep], line[keep], mult[keep]
                 weight, base = weight[keep], base[keep]

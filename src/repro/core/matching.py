@@ -122,13 +122,11 @@ def delta_roots(
 
     Both orientations of every update are considered (paper Fig. 2 includes
     the reverse edges); label filtering prunes orientations whose endpoint
-    labels cannot map to the root query vertices.
+    labels cannot map to the root query vertices.  The batch masks each label
+    pair once (:meth:`~repro.graphs.stream.UpdateBatch.labelled_roots`), so
+    every plan, chain and root group with the pair shares one read-only answer.
     """
-    edges, signs = batch.directed_updates()
-    if edges.shape[0] == 0:
-        return edges, signs
-    mask = root_label_mask(plan, edges, labels)
-    return edges[mask], signs[mask]
+    return batch.labelled_roots(labels, plan.root_labels())
 
 
 def static_roots(
@@ -252,6 +250,13 @@ def match_trie(
     in plan order after the walk — the depth-first emission order of running
     the plans one after another.
 
+    Nothing here loops over nodes or their member lists: who is live, who
+    hands rows to whom and whose plans pass through or end at a line are the
+    per-depth tables of :meth:`ExecutionTrie.incidence`, a depth's statistics
+    are products of those counts with its per-line candidate totals, and
+    ``MatchStats`` and the output charges are written once per query after
+    the last depth (integer sums, in any order).
+
     All accesses are settled once, stably sorted by node pre-order over each
     depth's ``(slot, constraint, row)`` log: ``(plan, level)`` order for a
     single query, the node-by-node walk's order for a rulebook — the
@@ -265,21 +270,19 @@ def match_trie(
     graph, labels = view.graph, view.graph.labels
     kernel = FrontierKernel(view, filters, attributes)
     shared, sinks = view.counters, sinks or {}
-
-    def alive(refs):
-        return [ref for ref in refs if ref.query_name not in skip] if skip else refs
-
-    stats = {name: MatchStats() for name in trie.queries if name not in skip}
+    queries, _, records = trie.incidence(skip, frozenset(sinks))
+    processed, dropped = np.zeros((2, len(trie.levels[0].nodes)), dtype=np.int64)
     groups = []
-    for group, node in enumerate(trie.levels[0].nodes):
-        members = alive(node.members)
-        if not members:
-            continue  # every member certified ΔM = 0: no delta_roots either
+    # a group whose every member is certified ΔM = 0 is not live: no roots either
+    for group in records[0].live.tolist():
+        members = trie.levels[0].nodes[group].members
         certify = None
         if prefilter is not None:
-            def certify(roots, members=members):
+            live = [ref for ref in members if ref.query_name not in skip]
+
+            def certify(roots, live=live):
                 keep = np.zeros(roots.shape[0], dtype=bool)
-                for ref in members:
+                for ref in live:
                     keep |= prefilter[ref.query_name].mask(ref.index, ref.plan, roots)
                 return keep
         # the root signature holds labels and predicate: one plan stands for all
@@ -288,33 +291,32 @@ def match_trie(
             raw = static_roots(plan, graph.edges_new_array(), labels)
         else:
             raw = delta_roots(plan, batch, labels)
-        roots, signs, skipped = route_roots(
+        roots, signs, dropped[group] = route_roots(
             plan, *raw, certify,
             filters=filters, root_mask=root_mask, attributes=attributes,
         )
-        for ref in members:
-            stats[ref.query_name].roots_processed += roots.shape[0]
-            stats[ref.query_name].roots_skipped += skipped
-        groups.append((group, roots, signs))
+        processed[group] = roots.shape[0]
+        groups.append((roots, signs))
     if not groups:
-        return stats
-    lines, roots, signs = zip(*groups)
+        return {name: MatchStats() for name in queries}
+    roots, signs = zip(*groups)
     # the root edge as a launch that already ran: one candidate per row
     rows = np.concatenate(roots).astype(np.int64, copy=False)
     rows, cand_flat, cand_cnt = rows[:, :1], rows[:, 1], np.ones(rows.shape[0], np.int64)
     sign = np.concatenate(signs).astype(np.int64, copy=False)
-    line = np.repeat(lines, [r.shape[0] for r in roots])
+    line = np.repeat(records[0].live, [r.shape[0] for r in roots])
+    # per live query, summed over the depths with each level's incidence
+    nodes, found, signed, output_ops = np.zeros((4, len(queries)), dtype=np.int64)
     work = np.zeros(len(trie.nodes), dtype=np.int64)  # order-free compute per node
     logs, emitted = [], {}
-    for depth, level in enumerate(trie.levels):
+    for depth, (level, record) in enumerate(zip(trie.levels, records)):
         if depth:
             if skip or not level.chain:  # fan-out: each live child takes its parent's rows
-                live = np.flatnonzero([bool(alive(n.members)) for n in level.nodes])
-                parent = level.parent[live]
+                parent = record.parent
                 offsets, take = segment_offsets(held), held[parent]
                 starts = segment_offsets(take)
                 pick = np.repeat(offsets[parent] - starts[:-1], take) + np.arange(starts[-1])
-                rows, sign, line = rows[pick], sign[pick], np.repeat(live, take)
+                rows, sign, line = rows[pick], sign[pick], np.repeat(record.live, take)
             if rows.shape[0] == 0:
                 break
             cand_flat, cand_cnt, log, compute = kernel.expand(level.table, rows, line)
@@ -322,24 +324,14 @@ def match_trie(
             logs.append((level.order[line[log.row]], log.vertex, log.length))
         width = len(level.nodes)
         total = np.bincount(line, weights=cand_cnt, minlength=width).astype(np.int64)
-        signed = np.bincount(line, weights=sign * cand_cnt, minlength=width)
-        need = np.zeros(width, dtype=bool)
-        sunk = []
-        for ln in np.flatnonzero(total).tolist():
-            node, found = level.nodes[ln], int(total[ln])
-            for ref in alive(node.members):
-                stats[ref.query_name].tree_nodes += found
-            for ref in alive(node.terminal):
-                name = ref.query_name
-                stats[name].signed_count += int(signed[ln])
-                stats[name].embeddings_found += found
-                for counters in (shared,) if attributed is None else (shared, attributed[name]):
-                    counters.record_output(found)
-                    counters.record_compute(found * ref.plan.depth)
-                if name in sinks:
-                    sunk.append((ref, ln))
-                    need[ln] = True
-            need[ln] |= any(alive(child.members) for child in node.children.values())
+        ended = record.terminal @ total  # embeddings of the plans that end here
+        nodes += record.member @ total
+        found += ended
+        signed += record.terminal @ np.bincount(
+            line, weights=sign * cand_cnt, minlength=width
+        ).astype(np.int64)
+        output_ops += ended * (depth + 2)  # a plan ending at this depth binds depth + 2 vertices
+        need = record.wanted & (total > 0)
         if not need.any():
             break  # counted, not materialised
         if not need[total > 0].all():  # some node's rows are wanted by no one
@@ -351,23 +343,35 @@ def match_trie(
         )
         sign, line = np.repeat(sign, cand_cnt), np.repeat(line, cand_cnt)
         held = np.where(need, total, 0)  # rows per line, for the fan-out
-        for ref, ln in sunk:
+        for ref, ln in record.sinks:
             lo, hi = np.searchsorted(line, (ln, ln + 1))
             emitted[ref] = rows[lo:hi][:, ref.plan.inverse_order], sign[lo:hi]
+    # every charge that is a sum, once: outputs go to the terminal plan's query
+    shared.record_output(int(found.sum()))
+    shared.record_compute(int(output_ops.sum() + work.sum()))
+    if attributed is not None:
+        for name, out, ops in zip(queries, found.tolist(), output_ops.tolist()):
+            attributed[name].record_output(out)
+            attributed[name].record_compute(ops)
     if logs:
         key, vertex, length = map(np.concatenate, zip(*logs))
         by = np.argsort(key, kind="stable")
         key, vertex, length = key[by], vertex[by], length[by]
-        shared.record_compute(int(work.sum()))
         acc = view.fetch_block(vertex, length)
         if attributed is not None:  # the same block, once per member plan's query
             trie.attribute(skip, key, vertex, acc, work, attributed)
-    for ref in trie.refs:  # plan order: each sink sees its own match_batch's order
-        if ref in emitted:
-            embeddings, sign = emitted[ref]
-            for e, s in zip(embeddings.tolist(), sign.tolist()):
-                sinks[ref.query_name](tuple(e), s)
-    return stats
+    if emitted:  # plan order: each sink sees its own match_batch's order
+        for ref in trie.refs:
+            if ref in emitted:
+                embeddings, sign = emitted[ref]
+                for e, s in zip(embeddings.tolist(), sign.tolist()):
+                    sinks[ref.query_name](tuple(e), s)
+    first = records[0].member  # root counts go to every member plan's query
+    columns = signed, found, first @ processed, nodes, first @ dropped  # MatchStats' fields
+    return {
+        name: MatchStats(*row)
+        for name, row in zip(queries, np.stack(columns, axis=1).tolist())
+    }
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ bench quantifies it against per-pattern engines and across rulebook sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.engine import BatchResult, GCSMEngine, QuerySet
 from repro.core.frequency import EstimationResult, default_num_walks
@@ -437,7 +437,7 @@ class Rulebook(QuerySet):
             elif name in ran.by_query:
                 one, counters = ran.by_query[name], attributed.get(name)
             else:
-                one = replace(ran.by_query[rep])
+                one = MatchStats(**vars(ran.by_query[rep]))
                 counters = attributed[rep].copy() if rep in attributed else None
             out.add(name, one, counters)
         return out

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +64,8 @@ from repro.gpu.counters import OPS_COLUMN, AccessCounters, Accesses, tabulate
 from repro.query.plan import LevelPlan, MatchPlan, level_signature, root_signature
 
 __all__ = [
-    "PlanRef", "TrieNode", "TrieLevel", "ExecutionTrie", "TrieStats", "solo_trie",
+    "PlanRef", "TrieNode", "TrieLevel", "LevelIncidence", "ExecutionTrie", "TrieStats",
+    "solo_trie",
 ]
 
 
@@ -106,13 +108,35 @@ class TrieLevel:
     depth), their one operand ``table`` (``None`` at depth 0, the root
     groups), each line's ``parent`` line one depth up and its pre-order index
     ``order`` over the whole trie.  ``chain`` says every node one depth up has
-    exactly one child here, line for line: handing rows down is the identity."""
+    exactly one child here, line for line: handing rows down is the identity.
+    ``child`` is ``parent`` read downwards — per line one depth up its (last)
+    child line here, -1 without one: the hand-down map of a trie whose nodes
+    have at most one child each (the estimator's)."""
 
     nodes: list[TrieNode]
     table: LevelTable | None
     parent: np.ndarray
     order: np.ndarray
     chain: bool
+    child: np.ndarray
+
+
+class LevelIncidence(NamedTuple):
+    """One trie depth under one skip set and one set of sink names, as the
+    driver tallies it (:meth:`ExecutionTrie.incidence`): the ``live`` lines
+    (some live plan passes through) and their ``parent`` lines (none at
+    depth 0), the
+    ``(queries, width)`` counts of each live query's plans through
+    (``member``) and ending at (``terminal``) each line, whether a line's
+    rows are ``wanted`` — by a live child or a sink — and the ``(plan,
+    line)`` pairs that have a sink, line-major."""
+
+    live: np.ndarray
+    parent: np.ndarray
+    member: np.ndarray
+    terminal: np.ndarray
+    wanted: np.ndarray
+    sinks: tuple[tuple[PlanRef, int], ...]
 
 
 @dataclass
@@ -191,18 +215,35 @@ class ExecutionTrie:
             stack.extend(reversed(node.children.values()))
         #: one :class:`TrieLevel` per depth, root groups first
         self.levels: list[TrieLevel] = []
+        #: the root table's layout, per plan in ``refs`` order: its query's
+        #: index and its root signature's (label pair + root predicate: what
+        #: decides its roots in a batch) into ``root_plans``, one plan each
+        query_at = {name: at for at, name in enumerate(self.queries)}
+        signature_at: dict[tuple, int] = {}
+        self.ref_query = np.array([query_at[ref.query_name] for ref in self.refs], dtype=np.int64)
+        self.ref_root = np.array([
+            signature_at.setdefault(root_signature(ref.plan), len(signature_at))
+            for ref in self.refs
+        ], dtype=np.int64)
+        self.root_plans = [
+            self.refs[at].plan for at in np.unique(self.ref_root, return_index=True)[1]
+        ]
         nodes, parent = list(roots.values()), []
         while nodes:
+            above = len(self.levels[-1].nodes) if self.levels else 0
+            child = np.full(above, -1, dtype=np.int64)
+            child[parent] = np.arange(len(parent))
             self.levels.append(TrieLevel(
                 nodes,
                 level_table(tuple(n.level for n in nodes)) if self.levels else None,
                 np.array(parent, dtype=np.int64),
                 np.array([n.order for n in nodes], dtype=np.int64),
-                chain=bool(self.levels) and parent == list(range(len(self.levels[-1].nodes))),
+                chain=bool(self.levels) and parent == list(range(above)),
+                child=child,
             ))
             parent = [line for line, n in enumerate(nodes) for _ in n.children]
             nodes = [c for n in nodes for c in n.children.values()]
-        self._incidence: dict[frozenset, tuple[tuple, np.ndarray]] = {}
+        self._incidence: dict[tuple[frozenset, frozenset], tuple] = {}
         self.stats = TrieStats(
             num_queries=len(plans_by_query),
             num_plans=len(self.refs),
@@ -211,25 +252,47 @@ class ExecutionTrie:
             root_groups=len(roots),
         )
 
-    def incidence(self, skip: frozenset = frozenset()) -> tuple[tuple, np.ndarray]:
+    def incidence(
+        self, skip: frozenset = frozenset(), sinks: frozenset = frozenset()
+    ) -> tuple[tuple, np.ndarray, tuple[LevelIncidence, ...]]:
         """Who pays for a node: the live queries (those not in ``skip`` —
         certified ΔM = 0 this batch, so members of nothing) and the
         ``(queries, nodes)`` count of each one's plans through each node.  A
         query contributing two identically shaped plans to a node counts
-        twice, exactly as its independent execution is charged.  Built once
-        per skip set."""
-        found = self._incidence.get(skip)
+        twice, exactly as its independent execution is charged.  Third, per
+        depth, everything the driver's tallies and fan-out read off the
+        nodes (:class:`LevelIncidence`; ``sinks`` names the queries whose
+        embeddings are materialised).  Built once per ``(skip, sinks)``."""
+        found = self._incidence.get((skip, sinks))
         if found is None:
             if len(self._incidence) >= _INCIDENCE_CACHE:
                 self._incidence.clear()
             queries = tuple(q for q in self.queries if q not in skip)
             index = {q: i for i, q in enumerate(queries)}
-            member = np.zeros((len(queries), len(self.nodes)), dtype=np.int64)
+            member, terminal = np.zeros((2, len(queries), len(self.nodes)), dtype=np.int64)
             for node in self.nodes:
-                for ref in node.members:
-                    if ref.query_name in index:
-                        member[index[ref.query_name], node.order] += 1
-            found = self._incidence[skip] = (queries, member)
+                for count, refs in ((member, node.members), (terminal, node.terminal)):
+                    for ref in refs:
+                        if ref.query_name in index:
+                            count[index[ref.query_name], node.order] += 1
+            through = member.any(axis=0)
+            levels = []
+            for depth, level in enumerate(self.levels):
+                live = np.flatnonzero(through[level.order])
+                sunk = tuple(
+                    (ref, line) for line in live.tolist() for ref in level.nodes[line].terminal
+                    if ref.query_name in index and ref.query_name in sinks
+                )
+                wanted = np.zeros(len(level.nodes), dtype=bool)
+                wanted[[line for _, line in sunk]] = True
+                if depth + 1 < len(self.levels):
+                    below = self.levels[depth + 1]
+                    wanted[below.parent[through[below.order]]] = True
+                levels.append(LevelIncidence(
+                    live, level.parent[live] if depth else level.parent,
+                    member[:, level.order], terminal[:, level.order], wanted, sunk,
+                ))
+            found = self._incidence[skip, sinks] = (queries, member, tuple(levels))
         return found
 
     def attribute(
@@ -242,7 +305,7 @@ class ExecutionTrie:
         the totals are one product with it, the two histograms one weighted
         ``bincount`` each over ``(query, vertex)`` cells — no loop over nodes
         or ``(node, member)`` pairs."""
-        queries, member = self.incidence(skip)
+        queries, member, _ = self.incidence(skip)
         table = tabulate(acc, node, len(self.nodes))
         table[:, OPS_COLUMN] += work
         totals = member @ table

@@ -138,6 +138,8 @@ class AccessCounters:
         #: ``(2, size)`` access counts and bytes per vertex, on first use;
         #: ``size`` is a power of two decided by the largest vertex seen
         self._hist: np.ndarray | None = None
+        #: the histogram is shared with a :meth:`copy`: copy it before writing
+        self._lent = False
 
     # (properties, not attributes: a stored row would tie every counters
     # object into a reference cycle only the garbage collector frees)
@@ -151,13 +153,17 @@ class AccessCounters:
 
     # ------------------------------------------------------------------
     def _room(self, top: int) -> np.ndarray:
-        """The histogram, grown to hold vertex ``top``."""
+        """The histogram to write into — the one write path: grown to hold
+        vertex ``top``, and this object's own (a lent one is copied first)."""
         hist = self._hist
         if hist is None or top >= hist.shape[1]:
             grown = np.zeros((2, max(1024, 1 << int(top).bit_length())), dtype=np.int64)
             if hist is not None:
                 grown[:, : hist.shape[1]] = hist
             self._hist = hist = grown
+        elif self._lent:
+            self._hist = hist = hist.copy()
+        self._lent = False
         return hist
 
     def accumulate(
@@ -212,9 +218,13 @@ class AccessCounters:
         self.accumulate(other._totals, other._hist)
 
     def copy(self) -> "AccessCounters":
-        """An independent counters object holding the same state."""
+        """An independent counters object holding the same state: the totals
+        copied, the histogram lent copy-on-write — each side copies it before
+        its next write, so a copy nobody writes to (a rulebook alias's) moves none."""
         fresh = AccessCounters()
-        fresh.merge(self)
+        fresh._totals[:] = self._totals
+        fresh._hist = self._hist
+        fresh._lent = self._lent = self._hist is not None
         return fresh
 
     # ------------------------------------------------------------------

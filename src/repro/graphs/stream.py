@@ -126,7 +126,7 @@ class UpdateBatch:
         carry new vertices, per the paper's problem definition).
     """
 
-    __slots__ = ("edges", "signs", "new_vertex_labels", "_directed")
+    __slots__ = ("edges", "signs", "new_vertex_labels", "_directed", "_labelled")
 
     def __init__(
         self,
@@ -145,6 +145,7 @@ class UpdateBatch:
                 "negative vertex id in batch")
         self.new_vertex_labels = dict(new_vertex_labels or {})
         self._directed = None
+        self._labelled = None
 
     def __len__(self) -> int:
         return int(self.edges.shape[0])
@@ -176,6 +177,35 @@ class UpdateBatch:
             signs.setflags(write=False)
             self._directed = edges, signs
         return self._directed
+
+    def labelled_roots(
+        self, labels: np.ndarray, pair: tuple[int, int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The directed updates whose two endpoints carry the labels ``pair``
+        under ``labels`` (a negative label matches anything), with their signs.
+
+        Both endpoints' labels are gathered once per batch and each pair is
+        masked once, whoever asks — the estimator's chains and the matcher's
+        root groups of one batch share the answers — so the arrays are
+        read-only.  Asking under another ``labels`` array starts over.
+        """
+        edges, signs = self.directed_updates()
+        if edges.shape[0] == 0:
+            return edges, signs
+        if self._labelled is None or self._labelled[0] is not labels:
+            self._labelled = labels, labels[edges[:, 0]], labels[edges[:, 1]], {}
+        _, head, tail, found = self._labelled
+        if pair not in found:
+            mask = np.ones(edges.shape[0], dtype=bool)
+            if pair[0] >= 0:
+                mask &= head == pair[0]
+            if pair[1] >= 0:
+                mask &= tail == pair[1]
+            roots = edges[mask], signs[mask]
+            for array in roots:
+                array.setflags(write=False)
+            found[pair] = roots
+        return found[pair]
 
     def canonicalize(
         self, graph, mode: str = "strict"

@@ -355,18 +355,19 @@ class RecursiveFrequencyEstimator(FrequencyEstimator):
     """Depth-first merged-binomial sampler over the ΔM_i execution trees."""
 
     def _descend(self, trie, roots, max_degree, tally, counters) -> int:
-        """Chain by chain, root by root: one :meth:`_walk` frame per node."""
+        """The root table row by row (chain-major): one :meth:`_walk` frame
+        per node."""
         labels = self.graph.labels
         nodes = 0
-        for _chain, plan, found, mult, num_roots, tally_row in roots:
+        for root, chain, multiplicity, num_roots, tally_row in zip(*map(np.ndarray.tolist, roots)):
+            plan = trie.refs[chain].plan
             bound = np.empty(plan.depth, dtype=np.int64)
-            for root, multiplicity in zip(found, mult.tolist()):
-                bound[0], bound[1] = root
-                nodes += self._walk(
-                    plan, bound, level_index=0, multiplicity=multiplicity,
-                    weight=float(num_roots), inv_d=1.0 / max_degree,
-                    freq=tally[tally_row], counters=counters, labels=labels,
-                )
+            bound[0], bound[1] = root
+            nodes += self._walk(
+                plan, bound, level_index=0, multiplicity=multiplicity,
+                weight=num_roots, inv_d=1.0 / max_degree,
+                freq=tally[tally_row], counters=counters, labels=labels,
+            )
         return nodes
 
     # ------------------------------------------------------------------

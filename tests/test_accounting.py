@@ -12,6 +12,12 @@ attributes by incidence.
 * one ``process_batch`` of the 24-pattern rulebook makes less than half the
   Python calls it made before, and the attribution's call count does not
   move with the number of trie nodes, ``(node, member)`` pairs or accesses;
+* the rulebook's bookkeeping follows the batch, not the rule count: one
+  24-pattern batch makes at most 55 % of the calls it made with one root draw
+  per chain and one stats update per node member, and four times the rules
+  cost at most 1.7× the calls;
+* ``AccessCounters.copy`` lends its histogram copy-on-write: whichever side
+  writes next copies first, so neither ever sees the other's writes;
 * the same clock on the row program: one single-query batch (CA × Q3, the
   SF3K analog × Q1) makes at most 80 % of the calls it made before one arena
   fill per launch, one estimator settle per walk and the identity-keyed
@@ -301,6 +307,99 @@ class TestAccessorsArePythonNumbers:
         assert twin.vertex_access_bytes(5001)[5000] == 16
 
 
+def classified(vertices, length=3):
+    """``(vertices, Accesses)`` of a zero-copy block, for ``record``."""
+    vertices = np.asarray(vertices)
+    view = ZeroCopyView(None, DEVICE, AccessCounters())
+    return vertices, view.classify(vertices, np.full(vertices.size, length))
+
+
+def seeded():
+    c = AccessCounters()
+    c.record(*classified([1, 2, 2, 900]))
+    c.record_compute(5)
+    return c
+
+
+_HIST = np.array([[2, 1], [64, 32]])
+#: every way a histogram is written
+MUTATORS = {
+    "record": lambda c: c.record(*classified([2, 7])),
+    "record_access": lambda c: c.record_access(Channel.PEER, 3, 16),
+    "accumulate": lambda c: c.accumulate(np.arange(4), _HIST),
+    "accumulate_at": lambda c: c.accumulate(np.arange(4), _HIST, np.array([5, 900])),
+    "merge": lambda c: c.merge(seeded()),
+    "growth": lambda c: c.record_access(Channel.CPU_DRAM, 5000, 8),  # past 2**10
+}
+
+
+class TestCopyIsCopyOnWrite:
+    """``copy()`` copies the totals and lends the histogram; every write to
+    it goes through ``_room``, which copies a lent histogram first."""
+
+    seeded = staticmethod(seeded)
+
+    @staticmethod
+    def state(c):
+        return c.summary(), c.vertex_access_counts().tolist(), c.vertex_access_bytes().tolist()
+
+    @pytest.mark.parametrize("how", list(MUTATORS))
+    def test_a_write_to_either_side_stays_on_that_side(self, how):
+        write = MUTATORS[how]
+        for writer in ("source", "copy"):
+            source = self.seeded()
+            twin = source.copy()
+            before = self.state(source)
+            assert self.state(twin) == before
+            first, second = (source, twin) if writer == "source" else (twin, source)
+            write(first)
+            assert self.state(first) != before
+            assert self.state(second) == before, (how, writer)
+            write(second)  # and the late writer does not reach back
+            assert self.state(second) == self.state(first)
+            write(first)
+            assert self.state(second) != self.state(first)
+
+    def test_a_copy_of_a_copy_is_independent_of_both(self):
+        source = self.seeded()
+        twin = source.copy()
+        third = twin.copy()
+        before = self.state(source)
+        third.record_access(Channel.PEER, 1, 8)
+        assert self.state(source) == self.state(twin) == before
+        source.record_access(Channel.PEER, 2, 8)
+        twin.merge(source)
+        assert self.state(third)[1][1] == before[1][1] + 1
+        assert self.state(third)[1][2] == before[1][2]
+        assert len({str(self.state(c)) for c in (source, twin, third)}) == 3
+
+    def test_merging_a_copy_back_into_its_source_doubles_it(self):
+        source = self.seeded()
+        counts = source.vertex_access_counts()
+        source.merge(source.copy())  # reads the lent histogram while writing its own
+        assert source.vertex_access_counts().tolist() == (2 * counts).tolist()
+        assert source.compute_ops == 10
+
+    def test_nothing_to_lend_without_a_histogram(self):
+        empty = AccessCounters()
+        empty.record_compute(3)
+        twin = empty.copy()
+        assert twin.compute_ops == 3 and twin.vertex_access_counts().size == 0
+        twin.record_access(Channel.CPU_DRAM, 4, 8)
+        assert empty.total_access_count == 0 and twin.total_access_count == 1
+
+    def test_an_unwritten_copy_moves_no_histogram(self):
+        """What ``Rulebook.settle`` does per alias per batch: the histogram's
+        bytes are never duplicated unless somebody writes (read off the
+        private array: no public accessor shows who holds the memory)."""
+        source = self.seeded()
+        twins = [source.copy() for _ in range(5)]
+        assert all(np.shares_memory(t._hist, source._hist) for t in twins)
+        twins[0].record_access(Channel.PEER, 1, 8)
+        assert not np.shares_memory(twins[0]._hist, source._hist)
+        assert all(np.shares_memory(t._hist, source._hist) for t in twins[1:])
+
+
 # ----------------------------------------------------------------------
 # the rulebook: incidence with multiplicity
 # ----------------------------------------------------------------------
@@ -317,7 +416,7 @@ class TestIncidenceMultiplicity:
 
     def test_two_same_signature_plans_count_twice(self):
         trie = Rulebook(self.QUERIES).trie
-        queries, member = trie.incidence()
+        queries, member, _ = trie.incidence()
         assert queries == ("Q3", "Q4")
         for node in trie.nodes:
             for row, name in enumerate(queries):
@@ -329,12 +428,65 @@ class TestIncidenceMultiplicity:
 
     def test_a_skip_set_removes_exactly_its_members(self):
         trie = Rulebook(self.QUERIES).trie
-        queries, member = trie.incidence()
-        kept, reduced = trie.incidence(frozenset({"Q3"}))
+        queries, member, _ = trie.incidence()
+        kept, reduced, _ = trie.incidence(frozenset({"Q3"}))
         assert kept == ("Q4",)
         assert np.array_equal(reduced, member[1:])
         assert trie.incidence(frozenset({"Q3"}))[1] is reduced  # built once
         assert trie.incidence(frozenset({"Q3", "Q4"}))[1].shape == (0, len(trie.nodes))
+
+    def test_level_records_are_the_node_lists_read_once(self):
+        """Per depth: live lines, member / terminal counts per line (a query's
+        two same-shaped plans counted twice), who wants a line's rows, and the
+        sink pairs — exactly what a loop over the nodes' lists reads."""
+        queries = self.QUERIES + [query_by_name("Q1")]
+        trie = Rulebook(queries).trie
+        sinks = frozenset({"Q3", "Q4"})
+        for skip in (frozenset(), frozenset({"Q3"}), frozenset({"Q1", "Q4"})):
+            names, _, records = trie.incidence(skip, sinks)
+            assert len(records) == len(trie.levels)
+            for level, record in zip(trie.levels, records):
+                for line, node in enumerate(level.nodes):
+                    for counts, refs in ((record.member, node.members),
+                                         (record.terminal, node.terminal)):
+                        assert counts[:, line].tolist() == [
+                            sum(ref.query_name == name for ref in refs) for name in names
+                        ]
+                    alive = any(ref.query_name in names for ref in node.members)
+                    assert (line in record.live) == alive
+                    sunk = [
+                        (ref, line) for ref in node.terminal
+                        if ref.query_name in names and ref.query_name in sinks
+                    ]
+                    assert [pair for pair in record.sinks if pair[1] == line] == sunk
+                    below = any(
+                        ref.query_name in names
+                        for child in node.children.values() for ref in child.members
+                    )
+                    assert bool(record.wanted[line]) == (below or bool(sunk))
+                assert np.array_equal(
+                    record.parent, level.parent[record.live] if level.table else []
+                )
+            assert max(r.member.max() for r in records[1:]) >= 2  # counted per plan
+
+    def test_the_cache_of_incidences_is_capped(self):
+        """65 distinct skip sets (a prefilter's, batch after batch), with and
+        without sinks: the per-``(skip, sinks)`` tables start over at the cap."""
+        from repro.core.querytrie import _INCIDENCE_CACHE
+
+        trie = Rulebook(rulebook_suite(24, num_labels=3, seed=0)).trie
+        names = trie.queries
+        assert 2 ** len(names) > _INCIDENCE_CACHE
+        seen = set()
+        for bits in range(_INCIDENCE_CACHE + 1):
+            skip = frozenset(n for i, n in enumerate(names) if bits >> i & 1)
+            sinks = frozenset(names[:1]) if bits % 2 else frozenset()
+            seen.add((skip, sinks))
+            record = trie.incidence(skip, sinks)
+            assert trie.incidence(skip, sinks) is record  # built once
+            assert len(trie._incidence) <= _INCIDENCE_CACHE
+        assert len(seen) == _INCIDENCE_CACHE + 1
+        assert len(trie._incidence) == 1  # started over at the 65th
 
     def test_attribution_charges_each_plan(self):
         """A boolean incidence would under-charge Q3 and Q4 against their
@@ -403,6 +555,27 @@ class TestCallCounts:
         calls = count_calls(lambda: engine.process_batch(batches[3]))
         assert calls <= 0.45 * self.PARENT_CALLS, calls
 
+    #: the same batch at the parent of the root table (28eee7d; CPython 3.11):
+    #: one ``rng.binomial`` + ``flatnonzero`` + predicate filter per chain, an
+    #: ``alive(...)`` list per node per level, a histogram copy per alias —
+    #: 3 381 calls at 24 rules, 9 181 at 96 (2.72×)
+    ROOT_TABLE_PARENT_CALLS = 3_381
+
+    @staticmethod
+    def fourth_batch_calls(rules):
+        g0, batches = az_stream(4, 24, seed=1)
+        engine = MultiQueryEngine(g0, rulebook_suite(rules, num_labels=3, seed=0), seed=0)
+        for batch in batches[:3]:
+            engine.process_batch(batch)
+        return count_calls(lambda: engine.process_batch(batches[3]))
+
+    def test_bookkeeping_follows_the_batch_not_the_rulebook(self):
+        """Scaling gate: per-batch calls at 24 rules against the parent, and
+        four times the rules (130 → 500+ chains) against 24."""
+        small, large = self.fourth_batch_calls(24), self.fourth_batch_calls(96)
+        assert small <= 0.55 * self.ROOT_TABLE_PARENT_CALLS, small
+        assert large <= 1.7 * small, (small, large)
+
     #: the same clock on the row program: the fourth ``process_batch`` of
     #: ``GCSMEngine(seed=0)`` at the parent (e0622e5; CPython 3.11), which
     #: gathered once per constraint slot, settled the estimator's log once per
@@ -448,7 +621,7 @@ class TestCallCounts:
 
     @staticmethod
     def attribution_calls(trie, node, accesses_per_node):
-        queries, _ = trie.incidence()
+        queries = trie.incidence()[0]
         view = ZeroCopyView(None, DEVICE, AccessCounters())
         node = np.repeat(np.sort(node), accesses_per_node)
         vertex = np.arange(node.size) % 50

@@ -9,9 +9,12 @@ prunes by weight predicates the way the kernel does.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+import repro.core.frequency as frequency
 import repro.core.frontier as frontier
 from repro.core.engine import GCSMEngine
 from repro.core.frequency import default_num_walks
@@ -21,7 +24,7 @@ from repro.core.querytrie import ExecutionTrie
 from repro.graphs import datasets
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.generators import erdos_renyi, powerlaw_graph
-from repro.graphs.stream import derive_stream
+from repro.graphs.stream import UpdateBatch, churn_stream, derive_stream
 from repro.gpu.counters import AccessCounters
 from repro.gpu.device import default_device
 from repro.gpu.views import HostCPUView
@@ -108,6 +111,122 @@ class TestOneLaunchPerDepth:
         assert sum(gathers) > 0
 
 
+class TestOneDrawForAllChains:
+    """The root table: every walked chain's roots stacked chain-major and
+    drawn in ONE ``rng.binomial`` over repeated ``(M, 1/|ΔR_i|)`` columns.
+    That this moves no number rests on one property of
+    ``numpy.random.Generator.binomial``, pinned first."""
+
+    def test_one_stacked_draw_equals_the_per_chain_calls(self):
+        """Element for element and generator state for state, sizes of 0
+        (chain skipped) and 1 (``p == 1.0``) included."""
+        for trial in range(120):
+            shape = np.random.default_rng(trial)
+            chains = int(shape.integers(1, 30))
+            sizes = shape.integers(0, 40, size=chains)
+            sizes[shape.integers(0, chains)] = 1
+            budgets = shape.integers(1, 3000, size=chains)
+            per_chain, stacked = np.random.default_rng(7 + trial), np.random.default_rng(7 + trial)
+            want = [
+                per_chain.binomial(int(m), 1.0 / int(k), size=int(k))
+                for m, k in zip(budgets, sizes) if k
+            ]
+            got = stacked.binomial(
+                np.repeat(budgets, sizes), np.repeat(1.0 / np.maximum(sizes, 1), sizes)
+            )
+            assert got.tolist() == np.concatenate(want).tolist()
+            assert got.dtype == want[0].dtype
+            assert stacked.bit_generator.state == per_chain.bit_generator.state
+
+    def test_an_empty_draw_leaves_the_generator_alone(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        assert rng.binomial(np.empty(0, dtype=np.int64), np.empty(0)).size == 0
+        assert rng.bit_generator.state == before
+
+    #: sha256 over the four batches' ``estimation`` — frequencies,
+    #: ``nodes_visited``, ``num_walks``, the FE counters' compute and channel
+    #: maps and both histograms — of ``GCSMEngine(seed=0)`` on
+    #: ``derive(DATASETS[d].build(0), 4 batches, seed=1)``, recorded at the
+    #: parent (28eee7d: one ``rng.binomial`` per chain) before ``src/`` moved
+    PARENT_DIGESTS = {
+        ("CA-Q3", 1.0): "00593b740d6cdd919e2d08aa896375da66dc94e2fff021fbf9388c67c39e09dc",
+        ("CA-Q3", None): "c979262ce9efb04596e28d0cbb7eb6cb0eb170fc03ade90194453a9da219a619",
+        ("SF3K-Q1", 1.0): "7cf21c3d7fe7a7bdee4606f0c874721d4a4e1642436d2f600cb9e8d6cd068431",
+        ("SF3K-Q1", None): "4cccde1ab2368b500585b1ee7a77c0f2e9e805d2af6b879cf77118bc39e5d5da",
+        ("AZ-rulebook24", 1.0): "a0bc260b9a9a70b9f3d736ce90145fe618e0e6d6724252906effc585d41db6de",
+        ("AZ-rulebook24", None): "29840c20ec155f50af6e36b1aacb8bedf944daeaf9ed8b0936ebe98167be505f",
+    }
+    CASES = {
+        "CA-Q3": ("CA", lambda: query_by_name("Q3"), derive_stream, 64),
+        "SF3K-Q1": ("SF3K", lambda: query_by_name("Q1"), churn_stream, 64),
+        "AZ-rulebook24": (
+            "AZ", lambda: Rulebook(rulebook_suite(24, num_labels=3, seed=0)), derive_stream, 24
+        ),
+    }
+
+    @pytest.mark.parametrize("survival", [1.0, None], ids=["default", "paper"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_estimates_are_the_parents_bit_for_bit(self, case, survival):
+        dataset, query, derive, size = self.CASES[case]
+        g0, batches = derive(
+            datasets.DATASETS[dataset].build(0), num_updates=4 * size, batch_size=size, seed=1
+        )
+        engine = GCSMEngine(g0, query(), seed=0, survival=survival)
+        digest, n = hashlib.sha256(), g0.num_vertices
+        for batch in batches:
+            est = engine.process_batch(batch).estimation
+            c = est.counters
+            scalars = [est.nodes_visited, est.num_walks, c.compute_ops,
+                       *c.bytes_by_channel.values(), *c.transactions_by_channel.values()]
+            for part in (est.frequencies, np.array(scalars, dtype=np.int64),
+                         c.vertex_access_counts(n), c.vertex_access_bytes(n)):
+                digest.update(np.ascontiguousarray(part).tobytes())
+        assert digest.hexdigest() == self.PARENT_DIGESTS[case, survival]
+
+    def test_a_rulebook_batch_draws_once_and_filters_once_per_signature(self, monkeypatch):
+        """Counts that repeat: one root draw per walk (110 at the parent, one
+        per chain with roots), the root predicate filter once per distinct
+        ``(labels, predicate)`` signature (one per chain at the parent), and
+        each label pair masked once per batch for the estimator *and* the
+        matcher together (once each at the parent)."""
+        g0, batches = az_stream(6)
+        rulebook = Rulebook(rulebook_suite(24, num_labels=3, seed=0))
+        engine = GCSMEngine(g0, rulebook, seed=0, survival=FULL_EXPANSION)
+        chains, signatures = len(rulebook.walk_trie.refs), len(rulebook.walk_trie.root_plans)
+        pairs = {ref.plan.root_labels() for ref in rulebook.walk_trie.refs}
+        assert chains > 100 and signatures < chains / 4 and len(pairs) <= signatures
+
+        class CountingRng:  # full expansion: only the root draw consumes randomness
+            def __init__(self, rng):
+                self.rng, self.draws = rng, []
+
+            def binomial(self, n, p, size=None):
+                self.draws[-1] += 1
+                return self.rng.binomial(n, p, size)
+
+        rng = engine.estimator.rng = CountingRng(engine.estimator.rng)
+        count = TestOneLaunchPerDepth.count
+        filtered = count(monkeypatch, frequency, "filter_root_predicate")
+        labelled, answers = UpdateBatch.labelled_roots, []
+
+        def kept(self, labels, pair):
+            roots = labelled(self, labels, pair)
+            answers[-1].append(roots[0])  # held, so ids stay distinct
+            return roots
+
+        monkeypatch.setattr(UpdateBatch, "labelled_roots", kept)
+        for batch in batches:
+            rng.draws.append(0)
+            filtered.append(0)
+            answers.append([])
+            assert engine.process_batch(batch).estimation.nodes_visited > 0
+        assert rng.draws == [1] * len(batches)
+        assert 0 < max(filtered) <= signatures
+        for asked in answers:  # asked by chains and root groups alike, masked once per pair
+            assert len(asked) > len(pairs) >= len({id(roots) for roots in asked}) > 0
+
+
 class TestRulebookWalkParity:
     """Layer (a) for a rulebook: in the full-expansion regime the production
     walk and the oracle's chain loop agree **exactly** — ``nodes_visited``,
@@ -142,6 +261,34 @@ class TestRulebookWalkParity:
         assert runs["frontier"] == runs["recursive"]
         assert all(r["nodes"] > 100 for r in runs["frontier"])
         assert any(any(r["delta"].values()) for r in runs["frontier"])
+
+    def test_reduced_estimate_batches_make_a_table_of_several_batches(self):
+        """Under the prefilter each representative walks its own *reduced*
+        batch: the root table pools roots per ``(batch object, signature)``,
+        and the oracle, fed the same table, agrees exactly."""
+        g0, batches = az_stream(5)
+        queries = rulebook_suite(8, num_labels=3, seed=0)
+        runs, objects = {}, 0
+        for name in ESTIMATORS:
+            engine = MultiQueryEngine(
+                g0, queries, survival=FULL_EXPANSION, seed=3, prefilter="on"
+            )
+            if name == "recursive":
+                use_reference_kernels(engine, matcher=False)
+            walk = engine.estimator.walk
+
+            def spying(trie, given, walks, max_degree, walk=walk):
+                nonlocal objects
+                objects = max(objects, len({id(b) for b in given.values()}))
+                return walk(trie, given, walks, max_degree)
+
+            engine.estimator.walk = spying
+            runs[name] = [
+                (estimator_fingerprint(r.estimation, g0.num_vertices), r.delta_counts)
+                for r in map(engine.process_batch, batches) if r.estimation is not None
+            ]
+        assert objects > 1
+        assert runs["frontier"] and runs["frontier"] == runs["recursive"]
 
     def test_budgets_differ_between_chains(self):
         """Not vacuous: the rulebook's chains really carry different

@@ -23,7 +23,7 @@ import pytest
 
 import repro.core.frontier as frontier
 from repro.core.dcsr import DcsrCache
-from repro.core.matching import match_batch, match_static
+from repro.core.matching import match_batch, match_static, match_trie
 from repro.core.multiquery import MultiQueryEngine, Rulebook
 from repro.core.validation import verify_rulebook
 from repro.graphs import datasets
@@ -463,3 +463,138 @@ class TestTrieSettleOrder:
         assert all(  # not vacuous: the pager really is under pressure
             tight[faults] > easy[faults] for tight, easy in zip(self.UNIFIED_TIGHT, roomy)
         )
+
+
+# ----------------------------------------------------------------------
+# the driver's statistics are products with the per-depth incidence
+# ----------------------------------------------------------------------
+class TestTalliesByIncidence:
+    """``match_trie`` reads no node's ``members`` / ``terminal`` list while it
+    walks: per depth, ``MatchStats`` and the output charges are the level's
+    ``(queries, width)`` incidence times the per-line candidate totals.  The
+    cases the tables must get right, each against independent execution:
+    a skip set that empties a whole subtree, plans ending at depth 0 and at
+    different depths, a query's two same-shaped plans through one node, and
+    sinks on a representative and on its alias."""
+
+    @staticmethod
+    def queries():
+        edge = QueryGraph(2, [(0, 1)], labels=[0, 1], name="edge")
+        tri = QueryGraph(3, [(0, 1), (0, 2), (1, 2)], labels=[0, 1, 0], name="tri")
+        twin = QueryGraph(3, [(0, 1), (0, 2), (1, 2)], labels=[0, 1, 0], name="tri_twin")
+        tailed = QueryGraph(
+            5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)], labels=[0, 1, 0, 1, 0],
+            name="tailed",
+        )
+        # unlabelled Q3: two of its ΔM plans have one shape, level for level
+        q3 = query_by_name("Q3")
+        square = QueryGraph(q3.num_vertices, q3.edges, name="q3_any")
+        return [edge, tri, twin, tailed, square]
+
+    def test_skip_sets_empty_subtrees_and_stats_stay_per_query(self):
+        """Straight at the driver: every skip set has its own fan-out tables
+        and member counts; the queries left are matched exactly as alone."""
+        rulebook = Rulebook(self.queries())
+        trie = rulebook.trie
+        names = trie.queries
+        assert "tri_twin" not in names  # an alias: never in the trie
+        inner = np.array([node.level is not None for node in trie.nodes])
+        twice = trie.incidence()[1][names.index("q3_any"), inner]
+        assert twice.max() == 2  # one node below the roots, two plans
+        g0, batches = stream(25, num_labels=2)
+        graph = DynamicGraph(g0)
+        emptied, sunk = 0, set()
+        for batch in batches:
+            graph.apply_batch(batch)
+            for skip in (frozenset(), frozenset({"tailed"}), frozenset({"tri", "q3_any"}),
+                         frozenset({"edge", "tailed", "q3_any"})):
+                live = trie.incidence(skip)[1].any(axis=0)
+                emptied += int((~live).sum())
+                out = {name: [] for name in names}
+                sinks = {
+                    name: (lambda e, s, name=name: out[name].append((e, s)))
+                    for name in ("tri", "tailed", "edge") if name not in skip
+                }
+                attributed = {name: AccessCounters() for name in names if name not in skip}
+                stats = match_trie(
+                    trie, batch, ZeroCopyView(graph, DEVICE, AccessCounters()),
+                    sinks=sinks, skip=skip, attributed=attributed,
+                )
+                assert list(stats) == [name for name in names if name not in skip]
+                for name in stats:
+                    alone, emitted = AccessCounters(), []
+                    want = match_batch_recursive(  # the oracle: no trie, no incidence
+                        rulebook.plans[name], batch, ZeroCopyView(graph, DEVICE, alone),
+                        sink=(lambda e, s: emitted.append((e, s))) if name in sinks else None,
+                    )
+                    n = graph.num_vertices
+                    assert fingerprint(attributed[name], stats[name], n) == (
+                        fingerprint(alone, want, n)
+                    ), (name, sorted(skip))
+                    assert out[name] == emitted
+                    if emitted:
+                        sunk.add((name, bool(skip)))
+            graph.reorganize()
+        assert emptied > 0  # some skip set left nodes no plan passes through
+        assert {(n, s) for n in ("tri", "tailed", "edge") for s in (True, False)} <= sunk
+
+    def test_engine_results_equal_the_per_query_loop(self):
+        """Through the engine, alias included: per-query ``MatchStats``,
+        attributed counters and sink traces of the trie equal ``shared=False``
+        on the recursive oracle (the production per-query loop runs the same
+        driver over chains, and would share a wrong table's mistake)."""
+        queries = self.queries()
+        g0, batches = stream(25, num_labels=2)
+        runs = []
+        for shared in (True, False):
+            engine = MultiQueryEngine(g0, queries, shared=shared, seed=2)
+            if not shared:  # the per-query loop on the recursive oracle
+                use_reference_kernels(engine, estimator=False)
+            out = {q.name: [] for q in queries}
+            sinks = {
+                name: (lambda e, s, name=name: out[name].append((e, s)))
+                for name in ("tri", "tri_twin", "edge", "q3_any")
+            }
+            per_batch = []
+            for batch in batches:
+                r = engine.process_batch(batch, sinks=sinks)
+                per_batch.append({
+                    name: fingerprint(
+                        r.match_counters_by_query[name], r.match_stats[name], g0.num_vertices
+                    )
+                    for name in out
+                })
+            runs.append((per_batch, out))
+        (shared_prints, shared_out), (indep_prints, indep_out) = runs
+        assert shared_prints == indep_prints
+        assert shared_out == indep_out  # order included: the twin's iso is the identity
+        assert all(shared_out[name] for name in ("tri", "tri_twin", "edge", "q3_any"))
+        assert shared_out["tri_twin"] == shared_out["tri"]
+
+    def test_no_sinks_no_flush(self):
+        """Without sinks nothing is materialised for emission and the plan
+        list is never walked: ``trie.refs`` is not iterated at all."""
+        rulebook = Rulebook(self.queries())
+        trie = rulebook.trie
+
+        class NeverIterated(list):
+            def __iter__(self):
+                raise AssertionError("the sink flush ran without a sink")
+
+        g0, batches = stream(25, num_labels=2)
+        graph = DynamicGraph(g0)
+        graph.apply_batch(batches[0])
+        plain = match_trie(trie, batches[0], ZeroCopyView(graph, DEVICE, AccessCounters()))
+        refs, trie.refs = trie.refs, NeverIterated(trie.refs)
+        try:
+            guarded = match_trie(
+                trie, batches[0], ZeroCopyView(graph, DEVICE, AccessCounters()), sinks={}
+            )
+            with pytest.raises(AssertionError, match="without a sink"):
+                match_trie(
+                    trie, batches[0], ZeroCopyView(graph, DEVICE, AccessCounters()),
+                    sinks={"edge": lambda e, s: None},
+                )
+        finally:
+            trie.refs = refs
+        assert guarded == plain and any(s.embeddings_found for s in plain.values())

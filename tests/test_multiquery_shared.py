@@ -115,6 +115,40 @@ class TestSharedParity:
         assert res.delta_counts["Q1clone"] == res.delta_counts["Q1"]
         assert res.delta_counts["Q1twist"] == res.delta_counts["Q1"]
 
+    def test_alias_counters_are_lent_copies_of_the_representatives(self):
+        """Every alias reports its representative's attributed counters as
+        an object of its own (copy-on-write: ``settle`` moves no histogram),
+        and writing to it never reaches the representative."""
+        from repro.gpu.counters import Channel
+
+        g = powerlaw_graph(800, 7.0, max_degree=50, num_labels=3, seed=61)
+        g0, batches = derive_stream(g, num_updates=96, batch_size=32, seed=62)
+        engine = MultiQueryEngine(g0, rulebook_suite(16, num_labels=3, seed=0), seed=1)
+        aliases = engine.query_set.aliases
+        assert len(aliases) >= 4
+        n, accesses = g0.num_vertices, 0
+        for batch in batches:
+            result = engine.process_batch(batch)
+            by_query, stats = result.match_counters_by_query, result.match_stats
+            for alias, rep in aliases.items():
+                mine, theirs = by_query[alias], by_query[rep]
+                assert mine is not theirs and stats[alias] is not stats[rep]
+                assert vars(stats[alias]) == vars(stats[rep])
+                assert mine.summary() == theirs.summary()
+                counts = theirs.vertex_access_counts(n)
+                assert np.array_equal(mine.vertex_access_counts(n), counts)
+                assert np.array_equal(mine.vertex_access_bytes(n), theirs.vertex_access_bytes(n))
+                before = theirs.summary()
+                mine.record_access(Channel.PEER, 0, 64)
+                mine.record_compute(7)
+                stats[alias].tree_nodes += 1
+                assert theirs.summary() == before
+                assert np.array_equal(theirs.vertex_access_counts(n), counts)
+                assert mine.vertex_access_counts(n)[0] == counts[0] + 1
+                assert stats[alias].tree_nodes == stats[rep].tree_nodes + 1
+                accesses += theirs.total_access_count
+        assert accesses > 0
+
     def test_consistency_error_carries_context(self):
         g0 = erdos_renyi(40, 5.0, num_labels=2, seed=9)
         batches = generate_adversarial_stream(g0, num_batches=1, seed=9)
