@@ -2,8 +2,10 @@
 
 Replays three of the repo benchmark's stream shapes through a bare
 ``DynamicGraph`` — no estimator, no kernel, no engine — and times the two
-store stages separately, plus the FR set-up (dataset build, stream
-derivation, store construction).  Nothing is gated: the rows size the store
+store stages separately, plus set-up by layer: ``fr/build`` (the dataset),
+``fr/derive`` (``derive_stream``: selection, ``without_edges``, batches),
+``fr/store_init`` (``DynamicGraph(g0)``) and ``sf3k/setup`` (all three, with
+``churn_stream``).  Nothing is gated: the rows size the store
 for a before/after comparison (``benchmarks/results/store_wallclock.txt``
 holds parent/change rounds run alternately), and the file uses only names
 the parent commit has, so the same edition runs on both sides.
@@ -55,12 +57,15 @@ def _timed(fn, calls: int) -> float:
     return time.perf_counter() - t0
 
 
-def _fr_setup() -> float:
+def _setup(spec, derive, size, count) -> tuple[float, float, float]:
+    """``(build_s, derive_s, store_init_s)`` of one cold set-up."""
     t0 = time.perf_counter()
-    graph = datasets.DATASETS["FR"].build(0)
-    g0, _ = derive_stream(graph, num_updates=FR[0] * FR[1], batch_size=FR[0], seed=0)
+    graph = datasets.DATASETS[spec].build(0)
+    t1 = time.perf_counter()
+    g0, _ = derive(graph, num_updates=size * count, batch_size=size, seed=0)
+    t2 = time.perf_counter()
     DynamicGraph(g0)
-    return time.perf_counter() - t0
+    return t1 - t0, t2 - t1, time.perf_counter() - t2
 
 
 def test_store_wallclock(benchmark, record_table):
@@ -89,7 +94,11 @@ def test_store_wallclock(benchmark, record_table):
                 ):
                     best = min(_timed(fn, calls) for _ in range(REPEATS))
                     rows.append((f"fr/{row}", calls, best))
-        rows.append(("fr/setup", 1, min(_fr_setup() for _ in range(REPEATS))))
+        fr = [_setup("FR", derive_stream, *FR) for _ in range(REPEATS)]
+        for at, layer in enumerate(("build", "derive", "store_init")):
+            rows.append((f"fr/{layer}", 1, min(run[at] for run in fr)))
+        sf3k = min(sum(_setup("SF3K", churn_stream, *SF3K)) for _ in range(REPEATS))
+        rows.append(("sf3k/setup", 1, sf3k))
         return rows
 
     rows = run_once(benchmark, run)

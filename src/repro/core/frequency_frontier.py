@@ -77,7 +77,7 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
                 weight, base = weight[keep], base[keep]
             if rows.shape[0] == 0:
                 break
-            cand_flat, cand_cnt, log, compute = expand_rows(
+            cand_flat, parent, cand_cnt, log, compute = expand_rows(
                 self.graph, level.table, rows, line, attributes=self.attributes
             )
             charge = mult * weight  # Eq. 3: the node's B × weight, to each vertex it reads
@@ -87,7 +87,6 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
             # children (p == 1) keep their parent's multiplicity without
             # touching the RNG — in the full-expansion regime no sampler
             # consumes randomness below the roots
-            parent = np.repeat(np.arange(rows.shape[0]), cand_cnt)
             if self.survival is None:
                 p_child = np.full(cand_flat.size, 1.0 / max_degree)
             else:

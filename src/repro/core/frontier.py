@@ -124,13 +124,15 @@ def level_table(levels: tuple[LevelPlan, ...]) -> LevelTable:
 def join_rows(
     graph, verts: np.ndarray, old: np.ndarray, valid: np.ndarray,
     label: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, AccessLog, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, AccessLog, np.ndarray]:
     """The per-level join as a row program: intersect every row's lists.
 
     Row ``r`` intersects the lists of ``verts[r, j]`` (version ``old[r, j]``)
-    over its ``valid[r, j]`` columns.  Returns ``(cand_flat, cand_cnt, log,
-    compute)``: row ``r``'s candidate set is the sorted slice of ``cand_flat``
-    after ``cand_cnt[:r]`` elements.  Per row the lists are visited
+    over its ``valid[r, j]`` columns.  Returns ``(cand_flat, cand_row,
+    cand_cnt, log, compute)``: row ``r``'s candidate set is the sorted slice
+    of ``cand_flat`` after ``cand_cnt[:r]`` elements, and ``cand_row`` maps
+    each candidate back to its row (built once, with the first list, then
+    filtered along with the candidates).  Per row the lists are visited
     smallest-first (stable on the versioned length in column order, the
     recursive kernels' ``sorted``); the first is materialised as the
     candidate set, the others are probed through the arena's rank keys
@@ -186,51 +188,51 @@ def join_rows(
             cand_cnt = row_len
             offsets = segment_offsets(cand_cnt)
             compute += cand_cnt
+            qrow = np.repeat(arange, cand_cnt)
             cand_flat = arena[
                 np.arange(int(offsets[-1]), dtype=np.int64)
                 + np.repeat(row_start - offsets[:-1], cand_cnt)
             ]
             continue
         compute[live] += cand_cnt[live] + length
-        qrow = np.repeat(arange, cand_cnt)
         if label is not None:  # charged above on the unfiltered set
             free = (count != s + 1) | (label == WILDCARD_LABEL)
             keep = np.flatnonzero(free[qrow] | (graph.labels[cand_flat] == label[qrow]))
             cand_flat, qrow = cand_flat[keep], qrow[keep]
         found = keyed_contains(keys, num_vertices, row_start[qrow], row_len[qrow], cand_flat)
         found |= ~reading[qrow]  # a row out of constraints keeps its set
-        cand_flat = cand_flat[found]
-        cand_cnt = np.bincount(qrow[found], minlength=n)
-    return cand_flat, cand_cnt, AccessLog(*map(np.concatenate, zip(*log))), compute
+        cand_flat, qrow = cand_flat[found], qrow[found]
+        cand_cnt = np.bincount(qrow, minlength=n)
+    return cand_flat, qrow, cand_cnt, AccessLog(*map(np.concatenate, zip(*log))), compute
 
 
 def expand_rows(
     graph, table: LevelTable, rows: np.ndarray, line: np.ndarray,
     filters: dict[int, np.ndarray] | None = None, attributes=None,
-) -> tuple[np.ndarray, np.ndarray, AccessLog, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, AccessLog, np.ndarray]:
     """The level program: the candidates of every row for its node's level.
 
     The one body under both kernels — the matcher launches it through
     :meth:`FrontierKernel.expand`, the frequency estimator's walk directly —
     so a sampled path prunes exactly as the executed one does.  Returns
-    ``(cand_flat, cand_cnt, log, compute)`` and charges nothing: ``log`` is
-    the join's access log, left for the caller to settle, and ``compute`` the
-    order-free work per table line, reproducing the recursive ``_candidates``
-    row by row: the first list charges its length, each intersection
-    ``len(a)+len(b)`` ops, then the filter / label / predicate / injectivity
-    masks and the final per-candidate charge for surviving rows (zero-size
-    rows contribute zero to every charge, exactly like the recursive early
-    return).  ``filters`` restricts query vertices to sorted candidate
+    ``(cand_flat, cand_row, cand_cnt, log, compute)`` — the surviving
+    candidates, the row of each, the count per row — and charges nothing:
+    ``log`` is the join's access log, left for the caller to settle, and
+    ``compute`` the order-free work per table line, reproducing the recursive
+    ``_candidates`` row by row: the first list charges its length, each
+    intersection ``len(a)+len(b)`` ops, then the filter / label / predicate /
+    injectivity masks and the final per-candidate charge for surviving rows
+    (zero-size rows contribute zero to every charge, exactly like the
+    recursive early return).  ``filters`` restricts query vertices to sorted candidate
     arrays; ``attributes`` is an edge-weight provider for predicate pushdown
     (``None`` falls back to the deterministic hash weights).
     """
     n, lines = rows.shape[0], table.label.shape[0]
     # a candidate filter's probe charge counts pre-label candidates
-    cand_flat, cand_cnt, log, work = join_rows(
+    cand_flat, qrow, cand_cnt, log, work = join_rows(
         graph, *table.operands(rows, line), label=None if filters else table.label[line]
     )
     compute = np.bincount(line, weights=work, minlength=lines)
-    qrow = np.repeat(np.arange(n, dtype=np.int64), cand_cnt)
     qline = line[qrow]
     want = table.label[qline]
     keep = (want == WILDCARD_LABEL) | (graph.labels[cand_flat] == want)
@@ -255,10 +257,10 @@ def expand_rows(
     # its own row (sequential removal in the recursive executor — the
     # same set either way)
     keep &= (cand_flat[:, None] != rows[qrow]).all(axis=1)
-    cand_flat = cand_flat[keep]
-    cand_cnt = np.bincount(qrow[keep], minlength=n)
+    cand_flat, qrow = cand_flat[keep], qrow[keep]
+    cand_cnt = np.bincount(qrow, minlength=n)
     compute += np.bincount(line, weights=cand_cnt, minlength=lines)
-    return cand_flat, cand_cnt, log, compute.astype(np.int64)
+    return cand_flat, qrow, cand_cnt, log, compute.astype(np.int64)
 
 
 class FrontierKernel:
@@ -283,7 +285,7 @@ class FrontierKernel:
 
     def expand(
         self, table: LevelTable, rows: np.ndarray, line: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, AccessLog, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, AccessLog, np.ndarray]:
         """One launch of :func:`expand_rows`; the caller settles its log
         through :meth:`GraphView.fetch_block`."""
         return expand_rows(

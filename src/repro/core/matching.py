@@ -47,9 +47,8 @@ import numpy as np
 from repro.core.frontier import FrontierKernel
 from repro.core.querytrie import ExecutionTrie, solo_trie
 from repro.graphs.attributes import pair_weights
-from repro.graphs.stream import UpdateBatch
+from repro.graphs.stream import UpdateBatch, label_pair_mask
 from repro.gpu.views import GraphView
-from repro.query.pattern import WILDCARD_LABEL
 from repro.query.plan import MatchPlan
 from repro.utils import VERTEX_DTYPE, contains_sorted, segment_offsets
 
@@ -61,7 +60,6 @@ __all__ = [
     "batch_roots",
     "route_roots",
     "delta_roots",
-    "root_label_mask",
     "static_roots",
     "filter_root_predicate",
 ]
@@ -101,20 +99,6 @@ class MatchStats:
 # ----------------------------------------------------------------------
 # root generation
 # ----------------------------------------------------------------------
-def root_label_mask(
-    plan: MatchPlan, directed: np.ndarray, labels: np.ndarray
-) -> np.ndarray:
-    """Which directed edges ``(r, 2)`` can map to the plan's root query edge
-    by endpoint label (wildcards match anything)."""
-    la, lb = plan.root_labels()
-    mask = np.ones(directed.shape[0], dtype=bool)
-    if la != WILDCARD_LABEL:
-        mask &= labels[directed[:, 0]] == la
-    if lb != WILDCARD_LABEL:
-        mask &= labels[directed[:, 1]] == lb
-    return mask
-
-
 def delta_roots(
     plan: MatchPlan, batch: UpdateBatch, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +121,7 @@ def static_roots(
         empty = np.empty((0, 2), dtype=VERTEX_DTYPE)
         return empty, np.empty(0, dtype=np.int64)
     directed = np.concatenate([edge_array, edge_array[:, ::-1]], axis=0)
-    directed = directed[root_label_mask(plan, directed, labels)]
+    directed = directed[label_pair_mask(*labels[directed.T], plan.root_labels())]
     return directed, np.ones(directed.shape[0], dtype=np.int64)
 
 
@@ -270,7 +254,7 @@ def match_trie(
     graph, labels = view.graph, view.graph.labels
     kernel = FrontierKernel(view, filters, attributes)
     shared, sinks = view.counters, sinks or {}
-    queries, _, records = trie.incidence(skip, frozenset(sinks))
+    queries, member, records = trie.incidence(skip, frozenset(sinks))
     processed, dropped = np.zeros((2, len(trie.levels[0].nodes)), dtype=np.int64)
     groups = []
     # a group whose every member is certified ΔM = 0 is not live: no roots either
@@ -303,6 +287,7 @@ def match_trie(
     # the root edge as a launch that already ran: one candidate per row
     rows = np.concatenate(roots).astype(np.int64, copy=False)
     rows, cand_flat, cand_cnt = rows[:, :1], rows[:, 1], np.ones(rows.shape[0], np.int64)
+    cand_row = np.arange(rows.shape[0])
     sign = np.concatenate(signs).astype(np.int64, copy=False)
     line = np.repeat(records[0].live, [r.shape[0] for r in roots])
     # per live query, summed over the depths with each level's incidence
@@ -319,7 +304,7 @@ def match_trie(
                 rows, sign, line = rows[pick], sign[pick], np.repeat(record.live, take)
             if rows.shape[0] == 0:
                 break
-            cand_flat, cand_cnt, log, compute = kernel.expand(level.table, rows, line)
+            cand_flat, cand_row, cand_cnt, log, compute = kernel.expand(level.table, rows, line)
             work[level.order] = compute
             logs.append((level.order[line[log.row]], log.vertex, log.length))
         width = len(level.nodes)
@@ -335,13 +320,10 @@ def match_trie(
         if not need.any():
             break  # counted, not materialised
         if not need[total > 0].all():  # some node's rows are wanted by no one
-            pick = need[line]
-            cand_flat = cand_flat[np.repeat(pick, cand_cnt)]
-            rows, sign, line, cand_cnt = rows[pick], sign[pick], line[pick], cand_cnt[pick]
-        rows = np.concatenate(
-            [np.repeat(rows, cand_cnt, axis=0), cand_flat[:, None]], axis=1
-        )
-        sign, line = np.repeat(sign, cand_cnt), np.repeat(line, cand_cnt)
+            pick = need[line[cand_row]]
+            cand_flat, cand_row = cand_flat[pick], cand_row[pick]
+        rows = np.concatenate([rows[cand_row], cand_flat[:, None]], axis=1)
+        sign, line = sign[cand_row], line[cand_row]
         held = np.where(need, total, 0)  # rows per line, for the fan-out
         for ref, ln in record.sinks:
             lo, hi = np.searchsorted(line, (ln, ln + 1))
@@ -359,7 +341,7 @@ def match_trie(
         key, vertex, length = key[by], vertex[by], length[by]
         acc = view.fetch_block(vertex, length)
         if attributed is not None:  # the same block, once per member plan's query
-            trie.attribute(skip, key, vertex, acc, work, attributed)
+            trie.attribute(queries, member, key, vertex, acc, work, attributed)
     if emitted:  # plan order: each sink sees its own match_batch's order
         for ref in trie.refs:
             if ref in emitted:

@@ -71,11 +71,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.core.matching import root_label_mask
-from repro.graphs.stream import UpdateBatch
+from repro.graphs.stream import UpdateBatch, label_pair_mask
 from repro.gpu.counters import AccessCounters, Channel
 from repro.query.pattern import WILDCARD_LABEL, QueryGraph
 from repro.query.plan import MatchPlan
+from repro.utils import sorted_unique
 
 __all__ = [
     "PREFILTERS",
@@ -361,7 +361,7 @@ class InvariantIndex:
             lo, hi = np.minimum(l0, l1), np.maximum(l0, l1)
             np.subtract.at(self.pair_counts, (lo, hi), 1)
             # delete overlay: union adjacency = post-batch + deleted-this-batch
-            vids = np.unique(dels.ravel())
+            vids = sorted_unique(dels)
             rows = np.zeros((vids.size, self.num_labels), dtype=np.int64)
             np.add.at(rows, (np.searchsorted(vids, dels[:, 0]), l1), 1)
             np.add.at(rows, (np.searchsorted(vids, dels[:, 1]), l0), 1)
@@ -381,7 +381,7 @@ class InvariantIndex:
         self.num_edges += int(ins.shape[0]) - int(dels.shape[0])
         touched = 0
         if touched_parts:
-            rows = np.unique(np.concatenate(touched_parts))
+            rows = sorted_unique(np.concatenate(touched_parts))
             self.sig[rows] = self._signature_rows(rows)
             touched = int(rows.size)
         # O(|ΔE|) scatter-adds + O(touched · L) exact signature refresh
@@ -524,7 +524,7 @@ class InvariantIndex:
         total = passing = 0
         keep_edge = np.zeros(b, dtype=bool)
         for plan in plans:
-            rows = np.nonzero(root_label_mask(plan, dir_edges, labels))[0]
+            rows = np.nonzero(label_pair_mask(*labels[dir_edges.T], plan.root_labels()))[0]
             roots = dir_edges[rows]
             if feasible:
                 m = self.root_mask(plan, roots)

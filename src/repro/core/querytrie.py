@@ -296,16 +296,16 @@ class ExecutionTrie:
         return found
 
     def attribute(
-        self, skip: frozenset, node: np.ndarray, vertex: np.ndarray, acc: Accesses,
-        work: np.ndarray, counters: dict[str | None, AccessCounters],
+        self, queries: tuple, member: np.ndarray, node: np.ndarray, vertex: np.ndarray,
+        acc: Accesses, work: np.ndarray, counters: dict[str | None, AccessCounters],
     ) -> None:
         """Charge one settled block — access ``i`` read ``vertex[i]``'s list
         on behalf of trie node ``node[i]`` — and the nodes' order-free
-        ``work`` to ``counters[query]`` with the incidence's multiplicity:
-        the totals are one product with it, the two histograms one weighted
-        ``bincount`` each over ``(query, vertex)`` cells — no loop over nodes
-        or ``(node, member)`` pairs."""
-        queries, member, _ = self.incidence(skip)
+        ``work`` to ``counters[query]`` with the multiplicity of the batch's
+        :meth:`incidence` (its ``queries`` and ``member``, as the driver
+        holds them): the totals are one product with it, the two histograms
+        one weighted ``bincount`` each over ``(query, vertex)`` cells — no
+        loop over nodes or ``(node, member)`` pairs."""
         table = tabulate(acc, node, len(self.nodes))
         table[:, OPS_COLUMN] += work
         totals = member @ table

@@ -23,7 +23,7 @@ from repro.gpu.device import BYTES_PER_NEIGHBOR, DeviceConfig
 from repro.gpu.memory import HostMemoryLayout
 from repro.gpu.views import FullDeviceView, GraphView, UnifiedMemoryView, ZeroCopyView
 from repro.query.plan import EdgeVersion
-from repro.utils import require
+from repro.utils import require, sorted_unique
 
 __all__ = [
     "AccessTrace", "TracingView", "replay",
@@ -53,7 +53,7 @@ class AccessTrace:
         return int(self.nbytes.sum())
 
     def distinct_vertices(self) -> np.ndarray:
-        return np.unique(self.vertices)
+        return sorted_unique(self.vertices)
 
     def access_counts(self) -> np.ndarray:
         """Per-vertex access counts (same histogram the live counters keep)."""

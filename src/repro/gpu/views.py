@@ -37,7 +37,7 @@ from repro.gpu.counters import AccessCounters, Accesses, Channel
 from repro.gpu.device import BYTES_PER_NEIGHBOR, DeviceConfig
 from repro.gpu.memory import HostMemoryLayout, UnifiedMemoryPager
 from repro.query.plan import EdgeVersion
-from repro.utils import contains_sorted
+from repro.utils import contains_sorted, sorted_unique
 
 __all__ = [
     "GraphView",
@@ -191,7 +191,7 @@ class FullDeviceView(GraphView):
     def __init__(self, graph: DynamicGraph, device: DeviceConfig,
                  counters: AccessCounters, resident) -> None:
         super().__init__(graph, device, counters)
-        self._resident = np.unique(np.fromiter(resident, dtype=np.int64))
+        self._resident = sorted_unique(np.fromiter(resident, dtype=np.int64))
         self.fallthrough_accesses = 0
 
     def classify(self, vertices: np.ndarray, lengths: np.ndarray) -> Accesses:

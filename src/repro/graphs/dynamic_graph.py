@@ -63,7 +63,7 @@ import numpy as np
 from repro.graphs.static_graph import StaticGraph
 from repro.graphs.stream import CanonicalReport, UpdateBatch
 from repro.utils import (
-    VERTEX_DTYPE, contains_sorted, require, segment_indices, segment_offsets,
+    VERTEX_DTYPE, contains_sorted, require, segment_indices, segment_offsets, sorted_unique,
 )
 
 __all__ = [
@@ -474,7 +474,7 @@ class DynamicGraph:
         come from *this* graph's pool and tables, so a frozen view that
         adopted the epoch never dereferences the live store."""
         # untouched: no marks, no ΔN — N and N' are one slot, filed under OLD
-        pairs = np.unique(2 * vertices + np.where(epoch.touched[vertices], old, 1))
+        pairs = sorted_unique(2 * vertices + np.where(epoch.touched[vertices], old, 1))
         vertices, row = pairs >> 1, pairs & 1
         lengths = epoch.deg[row, vertices]
         used = epoch.used

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs.static_graph import StaticGraph
-from repro.utils import VERTEX_DTYPE, as_generator, edge_keys, require
+from repro.utils import VERTEX_DTYPE, as_generator, edge_keys, require, sorted_unique
 
 __all__ = [
     "powerlaw_graph",
@@ -48,6 +48,27 @@ def _powerlaw_weights(n: int, exponent: float, max_degree: int, avg_degree: floa
     return w
 
 
+def _weighted_draws(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
+    """``rng.choice(p.size, size=size, p=p)``, value for value and generator
+    state for state (NumPy inverts the cdf at ``rng.random(size)``), without
+    its binary search per draw: a table of where each of ``k`` equal buckets
+    starts in the cdf, then a walk up the few entries one bucket holds.  ``k``
+    is a power of two, so ``u * k`` and ``b / k`` are exact and a bucket's
+    start never overshoots its draws; ``cdf[-1] == 1 > u`` ends every walk.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    k = 1 << (p.size - 1).bit_length()
+    starts = cdf.searchsorted(np.arange(k) / k, side="right")
+    u = rng.random(size)
+    at = starts[(u * k).astype(np.int64)]
+    low = np.flatnonzero(cdf[at] <= u)
+    while low.size:
+        at[low] += 1
+        low = low[cdf[at[low]] <= u[low]]
+    return at
+
+
 def powerlaw_graph(
     num_vertices: int,
     avg_degree: float,
@@ -74,10 +95,10 @@ def powerlaw_graph(
     target_edges = int(num_vertices * avg_degree / 2)
     # oversample to compensate for duplicate / self-loop rejection
     draws = int(target_edges * 1.35) + 16
-    src = rng.choice(num_vertices, size=draws, p=p)
-    dst = rng.choice(num_vertices, size=draws, p=p)
+    src = _weighted_draws(rng, p, draws)
+    dst = _weighted_draws(rng, p, draws)
     mask = src != dst
-    keys = np.unique(edge_keys(src[mask], dst[mask], num_vertices))
+    keys = sorted_unique(edge_keys(src[mask], dst[mask], num_vertices))
     if keys.size > target_edges:
         keys = keys[rng.choice(keys.size, size=target_edges, replace=False)]
     perm = rng.permutation(num_vertices).astype(VERTEX_DTYPE)
@@ -151,7 +172,7 @@ def erdos_renyi(
     src = rng.integers(0, num_vertices, size=draws)
     dst = rng.integers(0, num_vertices, size=draws)
     mask = src != dst
-    keys = np.unique(edge_keys(src[mask], dst[mask], num_vertices))
+    keys = sorted_unique(edge_keys(src[mask], dst[mask], num_vertices))
     if keys.size > target_edges:
         keys = keys[rng.choice(keys.size, size=target_edges, replace=False)]
     edges = np.stack(np.divmod(keys, num_vertices), axis=1)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.graphs.static_graph import StaticGraph
-from repro.utils import VERTEX_DTYPE, require
+from repro.utils import VERTEX_DTYPE, require, sorted_unique
 
 __all__ = ["load_edge_list", "save_edge_list", "save_npz", "load_npz"]
 
@@ -34,7 +34,7 @@ def load_edge_list(
     raw = np.loadtxt(path, comments=comments, dtype=np.int64, ndmin=2)
     require(raw.ndim == 2 and raw.shape[1] >= 2, "edge list must have two columns")
     edges = raw[:, :2]
-    ids = np.unique(edges)
+    ids = sorted_unique(edges)
     remap = {int(orig): new for new, orig in enumerate(ids.tolist())}
     compact = np.empty_like(edges)
     lookup = np.searchsorted(ids, edges)

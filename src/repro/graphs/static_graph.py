@@ -23,7 +23,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.utils import VERTEX_DTYPE, contains_sorted, edge_keys, require, segment_offsets
+from repro.utils import (
+    VERTEX_DTYPE, contains_sorted, edge_keys, require, segment_offsets, sorted_unique,
+)
 
 __all__ = ["StaticGraph"]
 
@@ -81,7 +83,7 @@ class StaticGraph:
             bool(edge_arr.size == 0 or (edge_arr.min() >= 0 and edge_arr.max() < num_vertices)),
             "edge endpoint out of range",
         )
-        keys = np.unique(edge_keys(edge_arr[:, 0], edge_arr[:, 1], num_vertices))
+        keys = sorted_unique(edge_keys(edge_arr[:, 0], edge_arr[:, 1], num_vertices))
         return cls._from_edge_keys(num_vertices, keys, labels)
 
     @classmethod
@@ -191,8 +193,10 @@ class StaticGraph:
         # an endpoint outside the graph names no edge, and its key would alias one
         edge_arr = edge_arr[(edge_arr.min(axis=1) >= 0) & (edge_arr.max(axis=1) < n)]
         keys = self.sorted_edge_keys()
-        gone = np.isin(keys, edge_keys(edge_arr[:, 0], edge_arr[:, 1], n))
-        return StaticGraph._from_edge_keys(n, keys[~gone], self.labels.copy())
+        removed = edge_keys(edge_arr[:, 0], edge_arr[:, 1], n)
+        keep = np.ones(keys.size, dtype=bool)  # the few removed keys probe the many, not the reverse
+        keep[np.searchsorted(keys, removed[contains_sorted(keys, removed)])] = False
+        return StaticGraph._from_edge_keys(n, keys[keep], self.labels.copy())
 
     def with_edges(self, edges: np.ndarray) -> "StaticGraph":
         """Copy of the graph with the given undirected edges added."""

@@ -25,6 +25,7 @@ __all__ = [
     "UpdateBatch",
     "CanonicalReport",
     "BatchConflictError",
+    "label_pair_mask",
     "CONFLICT_MODES",
     "DEFAULT_CONFLICT_MODE",
     "derive_stream",
@@ -112,6 +113,17 @@ class CanonicalReport:
         )
 
 
+def label_pair_mask(head: np.ndarray, tail: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
+    """Which directed edges, given their endpoints' label columns, carry the
+    labels ``pair`` (a negative label — the wildcard — matches anything)."""
+    mask = np.ones(head.shape[0], dtype=bool)
+    if pair[0] >= 0:
+        mask &= head == pair[0]
+    if pair[1] >= 0:
+        mask &= tail == pair[1]
+    return mask
+
+
 class UpdateBatch:
     """A batch ``ΔE`` of signed edge updates.
 
@@ -196,11 +208,7 @@ class UpdateBatch:
             self._labelled = labels, labels[edges[:, 0]], labels[edges[:, 1]], {}
         _, head, tail, found = self._labelled
         if pair not in found:
-            mask = np.ones(edges.shape[0], dtype=bool)
-            if pair[0] >= 0:
-                mask &= head == pair[0]
-            if pair[1] >= 0:
-                mask &= tail == pair[1]
+            mask = label_pair_mask(head, tail, pair)
             roots = edges[mask], signs[mask]
             for array in roots:
                 array.setflags(write=False)

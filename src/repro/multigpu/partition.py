@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.gpu.counters import AccessCounters
+from repro.utils import contains_sorted, sorted_unique
 
 __all__ = [
     "Partitioner",
@@ -627,7 +628,7 @@ class MincutPartitioner(Partitioner):
         ur = (keys // stride).astype(np.int64)
         ut = (keys % stride).astype(np.int64)
         # compact vertex space + symmetric CSR
-        verts = np.unique(np.concatenate([ur, ut]))
+        verts = sorted_unique(np.concatenate([ur, ut]))
         ri = np.searchsorted(verts, ur)
         ti = np.searchsorted(verts, ut)
         m = verts.size
@@ -641,7 +642,7 @@ class MincutPartitioner(Partitioner):
         rg_rowptr = np.cumsum(rg_rowptr)
         work = np.zeros(m, dtype=np.float64)
         np.add.at(work, ri, w)
-        is_reader = np.isin(verts, np.unique(reader))
+        is_reader = contains_sorted(sorted_unique(reader), verts)
         work[is_reader] += dmass[verts[is_reader]]
         ops += 6 * keys.size + 2 * m
         return rg_rowptr, v, ew, work, is_reader, verts, ops

@@ -28,6 +28,7 @@ from repro.core.engine import pack_step
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.gpu.counters import AccessCounters, Accesses, Channel
 from repro.gpu.device import DeviceConfig
+from repro.utils import sorted_unique
 
 __all__ = ["Shard", "ShardedDeviceView", "ShardBatchReport", "LoadBalanceReport"]
 
@@ -90,7 +91,7 @@ class ShardedDeviceView(CachedDeviceView):
         owners = self.owner[vertices]
         hit = np.zeros(vertices.shape[0], dtype=bool)
         ops = np.zeros(vertices.shape[0], dtype=np.int64)
-        for sid in np.unique(owners).tolist():
+        for sid in sorted_unique(owners).tolist():
             routed, cache = owners == sid, self.peer_caches[sid]
             hit[routed] = cache.lookup_block(vertices[routed])
             ops[routed] = cache.probe_cost_ops()

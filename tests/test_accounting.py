@@ -488,6 +488,17 @@ class TestIncidenceMultiplicity:
         assert len(seen) == _INCIDENCE_CACHE + 1
         assert len(trie._incidence) == 1  # started over at the 65th
 
+    def test_sinks_and_attribution_share_one_record_per_skip_set(self):
+        """The driver hands ``attribute`` the ``(queries, member)`` of the
+        incidence it already holds: with sinks *and* per-query counters on, a
+        batch builds one record, not a second one under ``(skip, no sinks)``."""
+        g0, batches = az_stream(2, 48)
+        engine = MultiQueryEngine(g0, self.QUERIES, seed=0)
+        for batch in batches:
+            result = engine.process_batch(batch, sinks={"Q3": lambda embedding, sign: None})
+            assert result.match_counters_by_query["Q4"].total_access_count > 0
+        assert list(engine.query_set.trie._incidence) == [(frozenset(), frozenset({"Q3"}))]
+
     def test_attribution_charges_each_plan(self):
         """A boolean incidence would under-charge Q3 and Q4 against their
         independent execution: counters and both histograms must agree."""
@@ -621,7 +632,7 @@ class TestCallCounts:
 
     @staticmethod
     def attribution_calls(trie, node, accesses_per_node):
-        queries = trie.incidence()[0]
+        queries, member, _ = trie.incidence()
         view = ZeroCopyView(None, DEVICE, AccessCounters())
         node = np.repeat(np.sort(node), accesses_per_node)
         vertex = np.arange(node.size) % 50
@@ -629,7 +640,7 @@ class TestCallCounts:
         work = np.ones(len(trie.nodes), dtype=np.int64)
         counters = {name: AccessCounters() for name in queries}
         calls = count_calls(
-            lambda: trie.attribute(frozenset(), node, vertex, acc, work, counters)
+            lambda: trie.attribute(queries, member, node, vertex, acc, work, counters)
         )
         assert sum(c.total_access_count for c in counters.values()) >= node.size
         return calls

@@ -149,6 +149,40 @@ class TestArenaExactness:
             graph.degrees_old().sum() + graph.degrees_new()[sorted(graph.touched_vertices)].sum()
         )
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_load_lays_out_what_np_unique_laid_out(self, seed, monkeypatch):
+        """``_load`` dedupes a gather's ``(vertex, slot)`` pairs with
+        ``sorted_unique``; with ``np.unique`` in its place (the spelling it
+        replaced) the same gathers — pairs repeated inside one gather and
+        across gathers, touched and untouched vertices in both versions —
+        fill the same arena, keys and offset tables, element for element."""
+        from repro.graphs import dynamic_graph
+
+        g0 = erdos_renyi(40, 5.0, num_labels=2, seed=seed)
+        batch = generate_adversarial_stream(g0, num_batches=1, batch_size=14, seed=seed)[0]
+        rng = np.random.default_rng(seed)
+        asks = [
+            (rng.integers(0, 40, size=k), rng.random(k) < 0.5)
+            for k in (1, 7, 64, 200, 64)
+        ]
+        filled = []
+        for dedupe in (dynamic_graph.sorted_unique, np.unique):
+            monkeypatch.setattr(dynamic_graph, "sorted_unique", dedupe)
+            graph = DynamicGraph(g0)
+            graph.apply_batch(batch, mode="coalesce")
+            assert 0 < len(graph.touched_vertices) < 40
+            answers = [graph.gather(verts, old) for verts, old in asks]
+            epoch = graph._epoch
+            assert epoch.used > 0
+            filled.append((answers, graph.arena[: epoch.used].copy(), graph.arena_keys.copy(),
+                           epoch.start.copy(), epoch.start_new.copy(), epoch.used))
+            assert_arena_exact(graph)
+        (ours, *tables), (theirs, *expected) = filled
+        for (s, n), (s2, n2) in zip(ours, theirs):
+            assert np.array_equal(s, s2) and np.array_equal(n, n2)
+        for got, want in zip(tables, expected):
+            assert np.array_equal(got, want)
+
     def test_degree_tables_are_read_only_and_per_epoch(self):
         g0 = erdos_renyi(20, 4.0, num_labels=1, seed=1)
         graph = DynamicGraph(g0)

@@ -247,15 +247,16 @@ class TestLabelPushdown:
         for labels, valid, label, on, off in launches:
             count = valid.sum(axis=1)
             counts.add(frozenset(count.tolist()))
-            flat_on, cnt_on, log_on, compute_on = on
-            flat_off, cnt_off, log_off, compute_off = off
+            flat_on, row_on, cnt_on, log_on, compute_on = on
+            flat_off, row_off, cnt_off, log_off, compute_off = off
+            for row, cnt in ((row_on, cnt_on), (row_off, cnt_off)):  # the threaded map
+                assert np.array_equal(row, np.repeat(np.arange(cnt.size), cnt))
             for a, b in zip(log_on, log_off):
                 assert np.array_equal(a, b)
             assert np.array_equal(compute_on, compute_off)
             if label is None:  # a launch with filters: nothing is pushed down
                 assert np.array_equal(flat_on, flat_off) and np.array_equal(cnt_on, cnt_off)
                 continue
-            row_on, row_off = (np.repeat(np.arange(c.size), c) for c in (cnt_on, cnt_off))
             fits = (label[row_off] == -1) | (labels[flat_off] == label[row_off])
             # a row with no probe keeps its pre-label set; past its final
             # probe it holds exactly the label-matching part

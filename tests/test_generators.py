@@ -5,6 +5,8 @@ import pytest
 
 from repro.graphs import datasets
 from repro.graphs.generators import (
+    _powerlaw_weights,
+    _weighted_draws,
     assign_labels,
     erdos_renyi,
     powerlaw_graph,
@@ -44,6 +46,53 @@ class TestPowerlaw:
             powerlaw_graph(1, 2.0)
         with pytest.raises(ValueError):
             powerlaw_graph(10, 2.0, exponent=1.5)
+
+
+class TestWeightedDraws:
+    """``powerlaw_graph`` draws each endpoint column by inverting the cdf
+    through a bucket table.  That this moves no graph rests on it equalling
+    ``Generator.choice(p=)`` — which is ``cdf.searchsorted(rng.random(size),
+    side="right")`` — value for value and generator state for state; the
+    pinned digests of :class:`TestIdentityPins` are the same claim end to end."""
+
+    @staticmethod
+    def both(p, sizes, seed=11):
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _weighted_draws(ours, p, sum(sizes))
+        want = [numpys.choice(p.size, size=k, p=p) for k in sizes]
+        assert got.dtype == want[0].dtype == np.int64
+        assert got.tolist() == np.concatenate(want).tolist()
+        assert ours.bit_generator.state == numpys.bit_generator.state
+        return got
+
+    def test_two_columns_of_the_fr_analog(self):
+        n = 48_000
+        w = _powerlaw_weights(n, 2.5, max(8, int(n ** 0.6)), 14.0)
+        got = self.both(w / w.sum(), (453_616, 453_616))
+        assert np.unique(got).size > n // 2
+
+    def test_sizes_zero_and_one(self):
+        p = np.array([0.2, 0.5, 0.3])
+        for sizes in ((0,), (1,), (0, 0), (1, 1), (7, 0, 2)):
+            self.both(p, sizes)
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        assert _weighted_draws(rng, p, 0).shape == (0,)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_any_weights(self, seed):
+        """Zero weights (at either end and inside), one vertex, a bucket
+        holding hundreds of cdf entries, sizes that are not powers of two."""
+        shape = np.random.default_rng(seed)
+        n = int(shape.integers(1, 700))
+        w = shape.random(n) ** 8  # most of the mass on a few entries
+        w[shape.random(n) < 0.2] = 0.0
+        w[shape.integers(0, n)] = 1.0
+        self.both(w / w.sum(), (2_000, 1), seed=seed)
+        self.both(np.ones(1), (5,), seed=seed)
+        edge = np.array([0.0, 0.0, 1.0, 0.0])
+        assert self.both(edge, (50,), seed=seed).tolist() == [2] * 50
 
 
 class TestRoadNetwork:

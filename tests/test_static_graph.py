@@ -123,6 +123,40 @@ class TestDerivedGraphs:
         assert g.without_edges(np.array([[0, 6], [6, 0], [-1, 2], [2, 1]])) == \
             g.without_edges(np.array([[1, 2]]))
 
+    @staticmethod
+    def without_by_isin(g, edges):
+        """``without_edges`` as it was spelled with ``np.isin``."""
+        n, keys = g.num_vertices, g.sorted_edge_keys()
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        edges = edges[(edges.min(axis=1) >= 0) & (edges.max(axis=1) < n)]
+        removed = edges.min(axis=1) * n + edges.max(axis=1)
+        left = keys[~np.isin(keys, removed)]
+        return StaticGraph.from_edges(n, np.stack(np.divmod(left, max(n, 1)), axis=1), g.labels)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_without_equals_the_isin_spelling(self, seed):
+        """The removed keys probe the sorted key array: absent edges (also
+        past the largest key), either orientation, duplicates in the list,
+        out-of-range endpoints, all of it and none of it."""
+        g = erdos_renyi(60, 5.0, seed=seed)
+        rng = np.random.default_rng(seed)
+        present = g.edge_array()
+        some = present[rng.choice(present.shape[0], 40, replace=False)]
+        absent = rng.integers(0, 60, size=(40, 2))
+        mixed = np.concatenate([some, some[:10, ::-1], absent, [[58, 59], [59, 59], [0, 60], [-1, 3]]])
+        for removal in (mixed, some, absent, present, present[:1], np.empty((0, 2), dtype=np.int64)):
+            out = g.without_edges(removal)
+            assert out == self.without_by_isin(g, removal)
+            assert out.labels is not g.labels
+        assert g.without_edges(np.concatenate([present, present[::-1]])).num_edges == 0
+        assert g.without_edges(absent[~g.contains_edges(absent[:, 0], absent[:, 1])]) == g
+
+    def test_without_on_the_empty_graph(self):
+        for n in (0, 3):
+            empty = StaticGraph.empty(n)
+            assert empty.without_edges(np.array([[0, 1], [2, 1]])) == empty
+            assert empty.without_edges(np.empty((0, 2), dtype=np.int64)) == empty
+
     def test_contains_edges_is_has_edge_for_many(self):
         g = erdos_renyi(40, 4.0, seed=9)
         us, vs = (a.ravel() for a in np.meshgrid(np.arange(40), np.arange(40)))

@@ -1,9 +1,13 @@
 """Tests for shared utilities."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.testing import (
     GALLOP_RATIO,
@@ -20,6 +24,7 @@ from repro.utils import (
     is_sorted,
     merge_sorted,
     require,
+    sorted_unique,
     spawn_generator,
 )
 
@@ -221,6 +226,101 @@ class TestSegmentedContains:
         )
         expected = [v in segments[r] for r, v in zip(qrows, qvals)]
         assert out.tolist() == expected
+
+
+class TestSortedUnique:
+    """The one set kernel: equal to a plain ``np.unique`` (NumPy 2.4 runs that
+    on a hash table, 7-70x slower than this sort + neighbour compare)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=hnp.arrays(
+        dtype=st.sampled_from([np.int32, np.int64, np.bool_]),
+        shape=hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=24),
+        elements={"min_value": -40, "max_value": 40},
+    ))
+    def test_equals_np_unique(self, x):
+        out = sorted_unique(x)
+        expected = np.unique(x)
+        assert out.dtype == x.dtype == expected.dtype
+        assert out.ndim == 1 and out.tolist() == expected.tolist()
+
+    def test_sizes_zero_and_one_and_the_int64_range(self):
+        assert sorted_unique(np.empty(0, dtype=np.int32)).dtype == np.int32
+        assert sorted_unique(np.empty((0, 2), dtype=np.int64)).shape == (0,)
+        assert sorted_unique(np.array([[7]])).tolist() == [7]
+        wide = np.array([2**62, -(2**62), 2**62, 0, -(2**62)], dtype=np.int64)
+        assert sorted_unique(wide).tolist() == [-(2**62), 0, 2**62]
+        assert sorted_unique(np.array([True, False, True])).tolist() == [False, True]
+
+    def test_input_is_left_alone(self):
+        for values in ([3, 1, 3, 2], [1, 2, 3], [5]):  # nothing dropped: a fresh array still
+            x = np.array(values, dtype=np.int64)
+            out = sorted_unique(x)
+            out[0] = 9
+            assert x.tolist() == values
+
+
+#: NumPy set routines whose plain form runs on a hash table since NumPy 2.3
+#: (``np.unique`` with a ``return_*`` keyword takes the sort path and is fine)
+_SET_ROUTINES = {"unique", "isin", "in1d", "union1d", "setdiff1d"}
+#: ``path under src/repro -> (routines, why they stay)``; anything else fails
+_SET_ROUTINES_KEPT = {
+    "core/cache.py": ({"isin"}, "assume_unique=True over two rank arrays of one policy "
+                                "decision per batch: no dedupe, so no hash table"),
+    "core/rapidflow.py": ({"isin", "union1d"}, "the RapidFlow baseline's candidate index "
+                                               "upkeep, off the GCSM path and the benchmark"),
+}
+
+
+def set_routine_calls(root: Path):
+    """``(relative path, line, routine)`` of every plain NumPy set-routine
+    call under ``root``, the oracle package and the reference matcher aside."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel.startswith("testing/") or rel == "core/reference.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            owner, name = node.func.value, node.func.attr
+            if not (isinstance(owner, ast.Name) and owner.id == "np" and name in _SET_ROUTINES):
+                continue
+            if name == "unique" and any((kw.arg or "").startswith("return_") for kw in node.keywords):
+                continue
+            found.append((rel, node.lineno, name))
+    return found
+
+
+def test_no_plain_unique_on_production_path():
+    """``repro.utils.sorted_unique`` / ``contains_sorted`` are the set kernels
+    of the production path; a plain ``np.unique(`` / ``np.isin(`` /
+    ``np.union1d(`` / ``np.setdiff1d(`` anywhere else under ``src/repro`` fails
+    here unless the allow-list names it, with the reason it stays."""
+    root = Path(__file__).resolve().parents[1] / "src" / "repro"
+    calls = set_routine_calls(root)
+    stray = [c for c in calls if c[2] not in _SET_ROUTINES_KEPT.get(c[0], (set(),))[0]]
+    assert not stray, f"plain NumPy set routines on the production path: {stray}"
+    kept = {rel for rel, _, _ in calls}
+    assert kept == set(_SET_ROUTINES_KEPT), "the allow-list names a file with nothing to allow"
+
+
+def test_the_guard_sees_what_it_guards(tmp_path):
+    (tmp_path / "core").mkdir()
+    (tmp_path / "testing").mkdir()
+    (tmp_path / "core" / "a.py").write_text(
+        "import numpy as np\n"
+        "x = np.unique(y)\n"
+        "i = np.unique(y, return_inverse=True)\n"
+        "m = np.isin(y, z)\n"
+        "u = np.setdiff1d(np.union1d(y, z), z)\n"
+    )
+    (tmp_path / "core" / "reference.py").write_text("import numpy as np\nx = np.unique(y)\n")
+    (tmp_path / "testing" / "b.py").write_text("import numpy as np\nx = np.unique(y)\n")
+    assert set_routine_calls(tmp_path) == [
+        ("core/a.py", 2, "unique"), ("core/a.py", 4, "isin"),
+        ("core/a.py", 5, "setdiff1d"), ("core/a.py", 5, "union1d"),
+    ]
 
 
 class TestFormatting:
