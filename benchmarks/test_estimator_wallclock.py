@@ -26,6 +26,14 @@ stage of ``Rulebook(rulebook_suite(24, num_labels=3))`` on AZ at the default
 budget — 130 chains of one to three walks each, the repo benchmark's
 ``az_rulebook24`` — where the frontier is narrow and what counts is the
 number of launches (one walk per batch).  It is reported, not gated.
+
+The ``engine/estimate`` rows time a single-query engine's estimate stage
+(``QuerySet.estimate``) on the repo benchmark's CA x Q3 and SF3K x Q1 shapes
+twice: the walk launching its own joins, and reading the matcher's expansion
+of the batch (``QuerySet.expand``, run untimed first, as the cached
+placement's ``prepare`` does).  Same estimate bit for bit
+(``tests/test_estimator_walk.py::TestWalkReadsTheExpansion``); reported, not
+gated.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from repro.core.multiquery import Rulebook
 from repro.graphs import DynamicGraph
 from repro.graphs.datasets import DATASETS
 from repro.graphs.generators import powerlaw_graph
-from repro.graphs.stream import derive_stream
+from repro.graphs.stream import churn_stream, derive_stream
 from repro.gpu import default_device
 from repro.query import compile_delta_plans, query_by_name
 from repro.query.generator import rulebook_suite
@@ -98,6 +106,22 @@ def _time_rulebook_estimates(name: str, g0, batches, queries) -> float:
     return total
 
 
+def _time_engine_estimates(read: bool, g0, batches, query) -> float:
+    """Total seconds in a single-query engine's estimate stage over a stream,
+    the walk reading the matcher's expansion of each batch (``read``) or
+    launching its own joins."""
+    engine = GCSMEngine(g0, query, seed=7)
+    total = 0.0
+    for batch in batches:
+        engine.graph.apply_batch(batch)
+        expansion = engine.query_set.expand(engine, batch, None) if read else None
+        start = time.perf_counter()
+        engine.query_set.estimate(engine, batch, None, expansion)
+        total += time.perf_counter() - start
+        engine.graph.reorganize()
+    return total
+
+
 def _time_build(builder, graph, vertices) -> float:
     start = time.perf_counter()
     builder(graph, vertices)
@@ -136,6 +160,17 @@ def test_estimator_wallclock(benchmark, record_table):
             _measure(_time_rulebook_estimates, name, az0, az_batches, book)
             for name in ("recursive", "frontier")
         )
+        engine_rows = []
+        for dataset, query_name, derive in (
+            ("CA", "Q3", derive_stream), ("SF3K", "Q1", churn_stream)
+        ):
+            e0, e_batches = derive(
+                DATASETS[dataset].build(0), num_updates=60 * 64, batch_size=64, seed=1
+            )
+            engine_rows.append((f"engine/estimate/{dataset}-{query_name}",) + tuple(
+                _measure(_time_engine_estimates, read, e0, e_batches, query_by_name(query_name))
+                for read in (False, True)
+            ))
 
         # DCSR pack: vectorized build vs the per-vertex reference loop,
         # mid-batch (marks + deltas present) on the most frequent vertices.
@@ -155,9 +190,9 @@ def test_estimator_wallclock(benchmark, record_table):
             rec = _measure(_time_build, build_reference, dyn, verts)
             fro = _measure(_time_build, DcsrCache.build, dyn, verts)
             build_rows.append((f"dcsr_build/k={verts.size}", rec, fro))
-        return est_rows, rulebook_row, build_rows
+        return est_rows, rulebook_row, engine_rows, build_rows
 
-    est_rows, rulebook_row, build_rows = run_once(benchmark, run)
+    est_rows, rulebook_row, engine_rows, build_rows = run_once(benchmark, run)
 
     est_speedups = [rec / fro for *_, rec, fro in est_rows]
     representative = [rec / fro for _, nw, rec, fro in est_rows
@@ -181,6 +216,12 @@ def test_estimator_wallclock(benchmark, record_table):
               f"{geometric_mean(representative):>7.2f}x")
         print(f"{'geomean (dcsr build)':<26} {'':>12} {'':>12} "
               f"{geometric_mean(build_speedups):>7.2f}x")
+        print(f"\nengine estimate stage, 60 batches of 64 updates: the walk "
+              f"launching vs reading the matcher's expansion (best of {REPEATS})")
+        print(f"{'workload':<26} {'launching s':>12} {'reading s':>12} {'speedup':>8}")
+        for name, launching, reading in engine_rows:
+            print(f"{name:<26} {launching:>12.3f} {reading:>12.3f} "
+                  f"{launching / reading:>7.2f}x")
 
     # CI smoke: the default sampler must never lose to the reference, must
     # deliver the headline >=3x at the paper's (large-budget) operating

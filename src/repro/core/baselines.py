@@ -120,7 +120,7 @@ class KhopPlacement(Placement):
                 break
         return visited
 
-    def prepare(self, batch, decision, breakdown):
+    def prepare(self, batch, decision, breakdown, sinks=None):
         """Gather + copy (VSGM's "DC" phase of Fig. 13)."""
         engine, graph, device = self.engine, self.engine.graph, self.engine.device
         gather_counters = AccessCounters()

@@ -62,7 +62,7 @@ from repro.core.cache import (
 from repro.core.dcsr import DcsrCache
 from repro.core.frequency import EstimationResult
 from repro.core.frequency_frontier import FrontierFrequencyEstimator
-from repro.core.matching import MatchStats, match_batch, match_static
+from repro.core.matching import Expansion, MatchStats, expand, match_batch, match_static, settle
 from repro.core.prefilter import (
     DEFAULT_PREFILTER,
     PrefilterDecision,
@@ -400,10 +400,10 @@ class Placement:
 
     def prepare(
         self, batch: UpdateBatch, decision: PrefilterDecision | None,
-        breakdown: TimeBreakdown,
+        breakdown: TimeBreakdown, sinks: dict | None = None,
     ) -> object:
-        """Estimate / pack / ship for ``batch``; fills ``estimate_ns`` and
-        ``pack_ns`` and returns the shipped state ``match`` reads."""
+        """Estimate / pack / ship for ``batch`` (and ``sinks``); fills
+        ``estimate_ns`` and ``pack_ns`` and returns what ``match`` reads."""
         return None
 
     def view(self, graph: DynamicGraph, counters: AccessCounters,
@@ -413,6 +413,7 @@ class Placement:
     def match(
         self, batch: UpdateBatch, shipped: object, graph: DynamicGraph,
         decision: PrefilterDecision | None, sinks: dict | None = None,
+        expansion: Expansion | None = None,
     ) -> MatchOutcome:
         """The kernel stage.  ``graph`` is the store the view dereferences —
         the live one, or a frozen epoch under the pipelined schedule (the
@@ -421,7 +422,7 @@ class Placement:
         counters = AccessCounters()
         view = self.view(graph, counters, shipped)
         stats = engine.query_set.match(
-            engine, batch, view, decision, sinks, filters=self.filters
+            engine, batch, view, decision, sinks, expansion, filters=self.filters
         )
         ns = simulated_time_ns(counters, engine.device, platform=view.platform)
         return MatchOutcome(stats, counters, ns, view)
@@ -434,32 +435,39 @@ class Placement:
 
 class CachedPlacement(Placement):
     """GCSM's data path: estimate, select, pack one DCSR buffer, single DMA;
-    the kernel hits the cache or falls back to zero-copy."""
+    the kernel hits the cache or falls back to zero-copy.  ``prepare`` runs
+    the kernel's joins first, the walk reads them, ``match`` settles them."""
 
     def estimate(
         self, batch: UpdateBatch, decision: PrefilterDecision | None,
-        breakdown: TimeBreakdown,
+        breakdown: TimeBreakdown, expansion: Expansion | None = None,
     ) -> EstimationResult | None:
         """CPU stage 2: merged-random-walk estimation (policy-gated); root-
         masked updates shrink the walk budget and the packed cache."""
         engine = self.engine
         if not engine.policy.requires_estimation:
             return None
-        estimation = engine.query_set.estimate(engine, batch, decision)
+        estimation = engine.query_set.estimate(engine, batch, decision, expansion)
         breakdown.estimate_ns = simulated_time_ns(
             estimation.counters, engine.device, platform="cpu_estimator"
         )
         return estimation
 
-    def prepare(self, batch, decision, breakdown):
+    def prepare(self, batch, decision, breakdown, sinks=None):
         engine = self.engine
-        estimation = self.estimate(batch, decision, breakdown)
+        expansion = None
+        if engine.policy.requires_estimation:
+            expansion = engine.query_set.expand(engine, batch, decision, sinks)
+        estimation = self.estimate(batch, decision, breakdown, expansion)
         frequencies = estimation.frequencies if estimation is not None else None
         selected = engine.policy.select(
             engine.graph, frequencies, engine.cache_budget_bytes
         )
         cache, breakdown.pack_ns = pack_step(engine.graph, selected, engine.device)
-        return estimation, selected, cache
+        return estimation, selected, cache, expansion
+
+    def match(self, batch, shipped, graph, decision, sinks=None):
+        return super().match(batch, shipped, graph, decision, sinks, shipped[3])
 
     def view(self, graph, counters, shipped):
         return CachedDeviceView(graph, self.engine.device, counters, shipped[2])
@@ -467,7 +475,7 @@ class CachedPlacement(Placement):
     def bookkeeping(self, shipped, outcome):
         if outcome is None:
             return {}
-        estimation, selected, cache = shipped
+        estimation, selected, cache, _ = shipped
         return dict(
             estimation=estimation, cached_vertices=selected,
             cache_bytes=cache.total_bytes, cache_hits=outcome.view.hits,
@@ -515,24 +523,42 @@ class QuerySet:
         get back as ``decision``."""
         return index.evaluate(self.plans, batch)
 
-    def estimate(self, engine: "GCSMEngine", batch: UpdateBatch, decision) -> EstimationResult:
+    def expand(
+        self, engine: "GCSMEngine", batch: UpdateBatch, decision, sinks: dict | None = None
+    ) -> Expansion | None:
+        """The kernel's view-free half (:func:`~repro.core.matching.expand`),
+        run ahead of the estimate; ``None`` under a reference matcher."""
+        if engine.match is not match_batch:
+            return None
+        sunk = frozenset([None] if (sinks or {}).get(self.query.name) else [])
+        prefilter = None if decision is None else {None: decision}
+        return expand(solo_trie(self.plans), batch, engine.graph, sinks=sunk,
+                      prefilter=prefilter, attributes=engine.attributes)
+
+    def estimate(self, engine: "GCSMEngine", batch: UpdateBatch, decision,
+                 expansion: Expansion | None = None) -> EstimationResult:
         cfg = engine.config
         if decision is not None:
             batch = decision.estimate_batch
         if cfg.adaptive_walks:
             return engine.estimator.estimate_adaptive(
-                self.plans, batch, initial_walks=cfg.num_walks
+                self.plans, batch, initial_walks=cfg.num_walks, expansion=expansion
             )
-        return engine.estimator.estimate(self.plans, batch, num_walks=cfg.num_walks)
+        return engine.estimator.estimate(
+            self.plans, batch, num_walks=cfg.num_walks, expansion=expansion
+        )
 
     def match(
         self, engine: "GCSMEngine", batch: UpdateBatch, view: GraphView, decision,
-        sinks: dict | None = None, **routing,
+        sinks: dict | None = None, expansion: Expansion | None = None, **routing,
     ) -> MatchStats:
-        """Run the kernel through ``view``; ``routing`` is the placement's
-        ``filters`` / the fleet shard's ``root_mask``."""
+        """Run the kernel (or settle :meth:`expand`'s) through ``view``;
+        ``routing``: the placement's ``filters`` / a shard's ``root_mask``."""
+        sink = (sinks or {}).get(self.query.name)
+        if expansion is not None:
+            return settle(expansion, view, sinks={None: sink})[None]
         return engine.match(
-            self.plans, batch, view, sink=(sinks or {}).get(self.query.name),
+            self.plans, batch, view, sink=sink,
             prefilter=decision, attributes=engine.attributes, **routing,
         )
 
@@ -725,7 +751,7 @@ class GCSMEngine:
                 breakdown.reorg_ns = self.stage_reorganize()
             else:
                 staged.shipped = self.placement.prepare(
-                    batch, staged.decision, breakdown
+                    batch, staged.decision, breakdown, sinks
                 )
         return staged
 

@@ -190,11 +190,13 @@ class FrequencyEstimator:
         *,
         num_walks: int | None = None,
         max_degree: int | None = None,
+        expansion=None,
     ) -> EstimationResult:
         """Run the merged sampler over all delta plans of one query: the
         budget split evenly across the m plans (each ΔM_i tree is sampled
         independently; their access frequencies add), then one :meth:`walk`
-        of the trie :func:`~repro.core.matching.match_batch` launches over."""
+        of the trie :func:`~repro.core.matching.match_batch` launches over
+        (reading ``expansion``, the matcher's run of it, where it can)."""
         if max_degree is None:
             max_degree = max(1, self.graph.max_degree())
         if num_walks is None:
@@ -203,17 +205,20 @@ class FrequencyEstimator:
             )
         per_chain = max(1, num_walks // max(1, len(plans)))
         frequencies, nodes, counters = self.walk(
-            solo_trie(plans), {None: batch}, {None: per_chain}, max_degree
+            solo_trie(plans), {None: batch}, {None: per_chain}, max_degree, expansion
         )
         return EstimationResult(frequencies, num_walks, nodes, counters)
 
     def walk(
-        self, trie: ExecutionTrie, batches: dict, walks: dict, max_degree: int
+        self, trie: ExecutionTrie, batches: dict, walks: dict, max_degree: int, expansion=None
     ) -> tuple[np.ndarray, int, AccessCounters]:
         """The one primitive: walk every chain of a **no-sharing** ``trie``
         whose query is a key of ``batches`` — ``walks[query]`` merged walks
         per chain over the roots of ``batches[query]`` — and return
         ``(frequencies, nodes_visited, counters)``.
+
+        Where ``expansion`` (the matcher's run of this batch) holds all the
+        drawn roots, the descent reads its launches instead of running its own.
 
         ``frequencies`` sums each chain's Eq. 3 tally over its own budget: a
         query's estimate, or a rulebook's pooled one.  Chains of one budget
@@ -227,16 +232,14 @@ class FrequencyEstimator:
         budgets, rows = np.unique(list(walks.values()), return_inverse=True)
         tally = np.zeros((budgets.size, self.graph.num_vertices), dtype=np.float64)
         counters = AccessCounters()
-        nodes = self._descend(
-            trie, self._roots(trie, batches, walks, dict(zip(walks, rows.tolist()))),
-            max_degree, tally, counters,
-        )
+        roots = self._roots(trie, batches, walks, dict(zip(walks, rows.tolist())), expansion)
+        nodes = self._descend(trie, roots, max_degree, tally, counters)
         return (tally / budgets[:, None]).sum(axis=0), nodes, counters
 
-    def _roots(self, trie, batches, walks, tally_row):
+    def _roots(self, trie, batches, walks, tally_row, expansion=None):
         """The root table: every walked chain's drawn roots stacked
         chain-major (``trie.refs`` order) as ``(rows, line, mult, weight,
-        tally_row)`` — the roots the kernel would process (label- and
+        tally_row, reading)`` — the roots the kernel would process (label- and
         predicate-filtered) that drew ``B_root ~ Binomial(M, 1/|ΔR_i|) > 0``
         (merged execution), each with its chain, ``|ΔR_i|`` and accumulator row.
 
@@ -246,6 +249,10 @@ class FrequencyEstimator:
         ``rng.binomial`` over the repeated ``(M, 1/|ΔR_i|)`` columns — the
         generator fills an array argument element by element, exactly the
         stream the chain-by-chain calls consume.
+
+        ``reading`` is ``(launches, twin)`` if every drawn root has a *twin*
+        in ``expansion``'s root table (same ``delta_roots`` position plus its
+        group's = chain's offset: this trie, this batch, the group kept whole).
         """
         labels, width = self.graph.labels, len(trie.root_plans)
         # the distinct batch objects: one, but for a prefilter's reduced ones
@@ -272,8 +279,15 @@ class FrequencyEstimator:
         born = self.rng.binomial(budget[query[of]], 1.0 / size[of])
         live = np.flatnonzero(born)
         of = of[live]
-        rows = np.concatenate(pool)[pick[live]].astype(np.int64, copy=False)
-        return rows, chain[of], born[live], size[of].astype(np.float64), row[query[of]]
+        pick, reading = pick[live], None
+        if expansion is not None and expansion.trie is trie and all(
+            batch is expansion.batch for batch in batches.values()
+        ):
+            at = expansion.root_at[chain][of]
+            if (at >= 0).all():
+                reading = expansion.launches, at + pick - offsets[entry][of]
+        rows = np.concatenate(pool)[pick].astype(np.int64, copy=False)
+        return rows, chain[of], born[live], size[of].astype(np.float64), row[query[of]], reading
 
     def _descend(self, trie, roots, max_degree, tally, counters) -> int:
         """Walk down from the root table ``roots`` (:meth:`_roots`): Eq. 3
@@ -291,15 +305,17 @@ class FrequencyEstimator:
         confidence: float = 0.9,
         max_walks: int = 1 << 20,
         max_rounds: int = 3,
+        expansion=None,
     ) -> EstimationResult:
         """Paper Sec. IV-A closing paragraph: start with a small M, then use
         the smallest estimated frequency as ``C_y`` in Eq. (5) to decide
         whether more walks are needed, and re-sample until M suffices (or a
-        hard cap is reached)."""
+        hard cap is reached).  Every round reads the same ``expansion``."""
         query = plans[0].query
         max_degree = max(1, self.graph.max_degree())
         result = self.estimate(
-            plans, batch, num_walks=initial_walks, max_degree=max_degree
+            plans, batch, num_walks=initial_walks, max_degree=max_degree,
+            expansion=expansion,
         )
         for _ in range(max_rounds - 1):
             nonzero = result.frequencies[result.frequencies > 0]
@@ -313,7 +329,7 @@ class FrequencyEstimator:
             if result.num_walks >= target:
                 break
             extra = self.estimate(
-                plans, batch, num_walks=target, max_degree=max_degree
+                plans, batch, num_walks=target, max_degree=max_degree, expansion=expansion
             )
             # average the two unbiased passes weighted by their walk counts
             w1, w2 = result.num_walks, extra.num_walks

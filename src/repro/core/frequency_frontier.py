@@ -19,8 +19,10 @@ matcher itself runs on:
 * Per depth there is ONE launch of the matcher's level program,
   :func:`~repro.core.frontier.expand_rows` — the join over the epoch arena
   plus the label, weight-predicate and injectivity masks — so a walk never
-  descends where the kernel prunes, and what a walk loads the kernel that
-  follows finds in place.  The access log is settled once per walk.
+  descends where the kernel prunes — or none: each depth is *read* from the
+  matcher's expansion when it holds every drawn root
+  (:meth:`~repro.core.matching.Launch.read`).  The access log is settled
+  once per walk.
 * All surviving children of a depth draw their continuation multiplicities
   in **one** vectorized ``rng.binomial`` call; saturated children
   (``p == 1``) skip the RNG entirely, mirroring the recursive reference.
@@ -59,27 +61,33 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
 
     def _descend(self, trie, roots, max_degree, tally, counters) -> int:
         """Advance every chain together from the root table (all root draws
-        already made, chain-major, in one call): per trie depth one launch and
-        one survival draw over the stacked ``(rows, line, mult, weight)``
-        frontier, and one settle of the walk's whole access log at the end."""
-        rows, line, mult, weight, tally_row = roots
+        already made, chain-major, in one call): per trie depth one launch —
+        or one read of the matcher's — and one survival draw over the stacked
+        ``(frontier, line, mult, weight)`` rows, and one settle of the walk's
+        whole access log at the end."""
+        rows, line, mult, weight, tally_row, reading = roots
+        # a row is its bound vertices — or, reading, its twin in the expansion
+        launches, frontier = reading or (None, rows)
         # each row's offset into the flat tally: its chain's accumulator row
         flat, base = tally.reshape(-1), tally_row * tally.shape[1]
-        nodes = rows.shape[0]
+        nodes = line.size
         # host reads: every fetch of the walk is FE cost on the CPU's DRAM
         view = HostCPUView(self.graph, self.device, counters)
         logs, ops = [], 0
-        for level in trie.levels[1:]:
+        for depth, level in enumerate(trie.levels[1:]):
             if not level.chain:  # chains that ended one depth up drop out
                 line = level.child[line]
                 keep = line >= 0
-                rows, line, mult = rows[keep], line[keep], mult[keep]
+                frontier, line, mult = frontier[keep], line[keep], mult[keep]
                 weight, base = weight[keep], base[keep]
-            if rows.shape[0] == 0:
+            if line.size == 0:
                 break
-            cand_flat, parent, cand_cnt, log, compute = expand_rows(
-                self.graph, level.table, rows, line, attributes=self.attributes
-            )
+            if launches is None:
+                cand_flat, parent, cand_cnt, log, compute = expand_rows(
+                    self.graph, level.table, frontier, line, attributes=self.attributes
+                )
+            else:
+                cand_flat, parent, cand_cnt, log, compute, twin = launches[depth].read(frontier)
             charge = mult * weight  # Eq. 3: the node's B × weight, to each vertex it reads
             logs.append((log.vertex, log.length, base[log.row] + log.vertex, charge[log.row]))
             ops += int(compute.sum() + log.vertex.size + log.length[log.slot > 0].sum())
@@ -96,11 +104,13 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
             if stoch.any():
                 born[stoch] = self.rng.binomial(born[stoch], p_child[stoch])
             live = born > 0
+            frontier = twin[live] if launches is not None else np.concatenate(
+                [frontier[parent[live]], cand_flat[live][:, None]], axis=1
+            )
             parent = parent[live]
-            rows = np.concatenate([rows[parent], cand_flat[live][:, None]], axis=1)
             line, base = line[parent], base[parent]
             mult, weight = born[live], weight[parent] / p_child[live]
-            nodes += rows.shape[0]
+            nodes += line.size
         if logs:
             # the walk's one settle, depths in order: every access is recorded
             # and charged len(list) + 1, a probed list len(list) again, on top

@@ -23,8 +23,8 @@ NumPy:
 * **Counter parity is exact.**  Neither the join nor the launch charges
   anything: :meth:`FrontierKernel.expand` returns an :class:`AccessLog` of
   every list read in canonical ``(slot, constraint, row)`` order plus its
-  order-free compute per table line.  The driver settles both once per
-  batch, the log through :meth:`~repro.gpu.views.GraphView.fetch_block` in
+  order-free compute per row.  The driver settles both once per batch, the
+  log through :meth:`~repro.gpu.views.GraphView.fetch_block` in
   trie pre-order — ``(plan, level, slot, constraint, row)`` for a single
   query, the order a plan-by-plan execution would issue — so ``MatchStats``,
   per-channel byte/transaction counters and the per-vertex access histogram
@@ -46,7 +46,6 @@ import numpy as np
 
 from repro.graphs.attributes import pair_weights
 from repro.graphs.dynamic_graph import keyed_contains
-from repro.gpu.views import GraphView
 from repro.query.pattern import WILDCARD_LABEL
 from repro.query.plan import EdgeVersion, LevelPlan
 from repro.utils import contains_sorted, segment_offsets
@@ -218,21 +217,23 @@ def expand_rows(
     ``(cand_flat, cand_row, cand_cnt, log, compute)`` — the surviving
     candidates, the row of each, the count per row — and charges nothing:
     ``log`` is the join's access log, left for the caller to settle, and
-    ``compute`` the order-free work per table line, reproducing the recursive
+    ``compute`` the order-free work per row, reproducing the recursive
     ``_candidates`` row by row: the first list charges its length, each
     intersection ``len(a)+len(b)`` ops, then the filter / label / predicate /
     injectivity masks and the final per-candidate charge for surviving rows
     (zero-size rows contribute zero to every charge, exactly like the
-    recursive early return).  ``filters`` restricts query vertices to sorted candidate
-    arrays; ``attributes`` is an edge-weight provider for predicate pushdown
+    recursive early return).  Everything a row gets depends on that row and
+    its line alone, so a reader of some of the rows (the walk, reading the
+    matcher's expansion) finds exactly what a launch over them returns.
+    ``filters`` restricts query vertices to sorted candidate arrays;
+    ``attributes`` is an edge-weight provider for predicate pushdown
     (``None`` falls back to the deterministic hash weights).
     """
-    n, lines = rows.shape[0], table.label.shape[0]
+    n = rows.shape[0]
     # a candidate filter's probe charge counts pre-label candidates
     cand_flat, qrow, cand_cnt, log, work = join_rows(
         graph, *table.operands(rows, line), label=None if filters else table.label[line]
     )
-    compute = np.bincount(line, weights=work, minlength=lines)
     qline = line[qrow]
     want = table.label[qline]
     keep = (want == WILDCARD_LABEL) | (graph.labels[cand_flat] == want)
@@ -242,14 +243,14 @@ def expand_rows(
         query_vertex = table.query_vertex[qline]
         for u, allowed in filters.items():
             sel = query_vertex == u
-            compute += np.bincount(qline[sel], minlength=lines)
+            work = work + np.bincount(qrow[sel], minlength=n)
             keep[sel] = contains_sorted(allowed, cand_flat[sel])
     # predicate pushdown: mirrors the recursive executor — a node's
     # predicated constraints in order, each charging one weight probe per
     # still-surviving candidate
     for p, position, (lo, hi) in table.predicates:
         alive = np.flatnonzero(keep & (qline == p))
-        compute[p] += alive.size
+        work = work + np.bincount(qrow[alive], minlength=n)
         anchors = rows[qrow[alive], position]
         w = pair_weights(attributes, anchors, cand_flat[alive])
         keep[alive[~((w >= lo) & (w <= hi))]] = False
@@ -259,15 +260,14 @@ def expand_rows(
     keep &= (cand_flat[:, None] != rows[qrow]).all(axis=1)
     cand_flat, qrow = cand_flat[keep], qrow[keep]
     cand_cnt = np.bincount(qrow, minlength=n)
-    compute += np.bincount(line, weights=cand_cnt, minlength=lines)
-    return cand_flat, qrow, cand_cnt, log, compute.astype(np.int64)
+    return cand_flat, qrow, cand_cnt, log, work + cand_cnt
 
 
 class FrontierKernel:
-    """The matcher's launch context: view + filters + edge weights.
+    """The matcher's launch context: graph + filters + edge weights.
 
     One kernel instance expands every depth of a trie of plans against the
-    same frozen adjacency: :func:`repro.core.matching.match_trie` launches it
+    same frozen adjacency: :func:`repro.core.matching.expand` launches it
     once per depth with the table of all that depth's nodes, so a level
     shared by many plans of a rulebook is expanded exactly once and a single
     query's ΔM plans advance together.
@@ -275,11 +275,11 @@ class FrontierKernel:
 
     def __init__(
         self,
-        view: GraphView,
+        graph,
         filters: dict[int, np.ndarray] | None = None,
         attributes=None,
     ) -> None:
-        self.view = view
+        self.graph = graph
         self.filters = filters
         self.attributes = attributes
 
@@ -287,7 +287,5 @@ class FrontierKernel:
         self, table: LevelTable, rows: np.ndarray, line: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, AccessLog, np.ndarray]:
         """One launch of :func:`expand_rows`; the caller settles its log
-        through :meth:`GraphView.fetch_block`."""
-        return expand_rows(
-            self.view.graph, table, rows, line, self.filters, self.attributes
-        )
+        through :meth:`~repro.gpu.views.GraphView.fetch_block`."""
+        return expand_rows(self.graph, table, rows, line, self.filters, self.attributes)

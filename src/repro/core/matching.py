@@ -40,20 +40,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from repro.core.frontier import FrontierKernel
+from repro.core.frontier import AccessLog, FrontierKernel
 from repro.core.querytrie import ExecutionTrie, solo_trie
 from repro.graphs.attributes import pair_weights
 from repro.graphs.stream import UpdateBatch, label_pair_mask
 from repro.gpu.views import GraphView
 from repro.query.plan import MatchPlan
-from repro.utils import VERTEX_DTYPE, contains_sorted, segment_offsets
+from repro.utils import VERTEX_DTYPE, contains_sorted, segment_indices, segment_offsets
 
 __all__ = [
     "MatchStats",
+    "Expansion",
+    "expand",
+    "settle",
     "match_trie",
     "match_batch",
     "match_static",
@@ -204,22 +207,67 @@ def batch_roots(
 
 
 # ----------------------------------------------------------------------
-# the one driver
+# the one driver: expand, then settle
 # ----------------------------------------------------------------------
-def match_trie(
+class Launch(NamedTuple):
+    """One depth's launch as :func:`expand` keeps it: what the kernel returned
+    and ``src``, each row's candidate one depth up (``None``: the identity)."""
+
+    src: np.ndarray | None
+    cand_flat: np.ndarray
+    cand_cnt: np.ndarray
+    log: AccessLog
+    compute: np.ndarray
+
+    def read(self, twin: np.ndarray) -> tuple:
+        """``expand_rows`` of the rows extending candidates ``twin`` (ascending:
+        the log keeps its order), read, plus each candidate's own index."""
+        row = twin if self.src is None else np.searchsorted(self.src, twin)
+        cnt, log = self.cand_cnt[row], self.log
+        pick = segment_indices(segment_offsets(self.cand_cnt)[row], cnt)
+        at = np.full(self.cand_cnt.size, -1)
+        at[row] = np.arange(row.size)
+        at = at[log.row]
+        mine = at >= 0
+        log = AccessLog(at[mine], log.slot[mine], log.constraint[mine], log.vertex[mine],
+                        log.length[mine])
+        parent = np.repeat(np.arange(row.size), cnt)
+        return self.cand_flat[pick], parent, cnt, log, self.compute[row], pick
+
+
+@dataclass
+class Expansion:
+    """:func:`expand`'s run, nothing charged, for :func:`settle` and the walk
+    (``launches[d - 1]``: depth ``d``).  ``root_at[group]``: its first root
+    row, -1 unless the root pipeline kept all the group's roots."""
+
+    trie: ExecutionTrie
+    batch: UpdateBatch | None
+    queries: tuple
+    member: np.ndarray
+    root_at: np.ndarray
+    launches: list[Launch]
+    logs: list  # (node, vertex, length) per launch
+    work: np.ndarray  # order-free compute per node
+    output_ops: np.ndarray  # per query: output compute
+    columns: np.ndarray  # per query: MatchStats' fields
+    emitted: dict  # PlanRef -> (embeddings, signs) of the sinks' plans
+
+
+def expand(
     trie: ExecutionTrie,
     batch: UpdateBatch | None,
-    view: GraphView,
+    graph,
     *,
-    sinks: dict | None = None,
+    sinks: frozenset = frozenset(),
     skip: frozenset = frozenset(),
     prefilter: dict | None = None,
-    attributed: dict | None = None,
     filters: dict[int, np.ndarray] | None = None,
     root_mask: Callable[[np.ndarray], np.ndarray] | None = None,
     attributes=None,
-) -> dict[str | None, MatchStats]:
-    """Advance a trie of plans level-synchronously; stats per member query.
+) -> Expansion:
+    """Advance a trie of plans level-synchronously over ``graph``, charging
+    nothing: roots, launches, counts, the ``sinks`` queries' rows, logs.
 
     Every root group runs one :func:`route_roots` pipeline (certified by the
     OR of its live members' ``prefilter[query].mask`` — a row failing for
@@ -230,33 +278,19 @@ def match_trie(
     subtree left without members receives no rows.  Plans end at any depth:
     the node counts its terminal plans' embeddings, and materialises them
     only for a child or a sink.  The frontier stays node-major, i.e. in
-    lexicographic ``(node, root, candidate…)`` order, and sinks are flushed
-    in plan order after the walk — the depth-first emission order of running
-    the plans one after another.
+    lexicographic ``(node, root, candidate…)`` order.
 
     Nothing here loops over nodes or their member lists: who is live, who
     hands rows to whom and whose plans pass through or end at a line are the
     per-depth tables of :meth:`ExecutionTrie.incidence`, a depth's statistics
-    are products of those counts with its per-line candidate totals, and
-    ``MatchStats`` and the output charges are written once per query after
-    the last depth (integer sums, in any order).
-
-    All accesses are settled once, stably sorted by node pre-order over each
-    depth's ``(slot, constraint, row)`` log: ``(plan, level)`` order for a
-    single query, the node-by-node walk's order for a rulebook — the
-    sequence an order-sensitive view (the UM pager) must be handed.  The
-    view classifies and records that one block into its counters once; with
-    ``attributed`` (per-query counters) the classified block is also charged
-    to every member plan's query through the trie's node → member incidence
-    (:meth:`~repro.core.querytrie.ExecutionTrie.attribute`); output charges
-    always go to the terminal plan's query.
+    are products of those counts with its per-line candidate totals, and the
+    per-query sums are kept for :func:`settle` (integer sums, in any order).
     """
-    graph, labels = view.graph, view.graph.labels
-    kernel = FrontierKernel(view, filters, attributes)
-    shared, sinks = view.counters, sinks or {}
-    queries, member, records = trie.incidence(skip, frozenset(sinks))
+    labels = graph.labels
+    kernel = FrontierKernel(graph, filters, attributes)
+    queries, member, records = trie.incidence(skip, sinks)
     processed, dropped = np.zeros((2, len(trie.levels[0].nodes)), dtype=np.int64)
-    groups = []
+    groups = [(np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64))]  # stacks if none
     # a group whose every member is certified ΔM = 0 is not live: no roots either
     for group in records[0].live.tolist():
         members = trie.levels[0].nodes[group].members
@@ -281,31 +315,33 @@ def match_trie(
         )
         processed[group] = roots.shape[0]
         groups.append((roots, signs))
-    if not groups:
-        return {name: MatchStats() for name in queries}
     roots, signs = zip(*groups)
+    root_at = np.full(processed.size, -1, dtype=np.int64)  # a group's first root row
+    root_at[records[0].live] = segment_offsets(processed)[:-1][records[0].live]
+    root_at[dropped > 0] = -1  # not every root routed
     # the root edge as a launch that already ran: one candidate per row
     rows = np.concatenate(roots).astype(np.int64, copy=False)
     rows, cand_flat, cand_cnt = rows[:, :1], rows[:, 1], np.ones(rows.shape[0], np.int64)
     cand_row = np.arange(rows.shape[0])
     sign = np.concatenate(signs).astype(np.int64, copy=False)
-    line = np.repeat(records[0].live, [r.shape[0] for r in roots])
+    line = np.repeat(records[0].live, [r.shape[0] for r in roots[1:]])
     # per live query, summed over the depths with each level's incidence
     nodes, found, signed, output_ops = np.zeros((4, len(queries)), dtype=np.int64)
     work = np.zeros(len(trie.nodes), dtype=np.int64)  # order-free compute per node
-    logs, emitted = [], {}
+    launches, logs, emitted = [], [], {}
+    src = None  # per row: the candidate one depth up it extends
     for depth, (level, record) in enumerate(zip(trie.levels, records)):
         if depth:
             if skip or not level.chain:  # fan-out: each live child takes its parent's rows
-                parent = record.parent
-                offsets, take = segment_offsets(held), held[parent]
-                starts = segment_offsets(take)
-                pick = np.repeat(offsets[parent] - starts[:-1], take) + np.arange(starts[-1])
+                take = held[record.parent]
+                pick = segment_indices(segment_offsets(held)[record.parent], take)
                 rows, sign, line = rows[pick], sign[pick], np.repeat(record.live, take)
+                src = pick if src is None else src[pick]
             if rows.shape[0] == 0:
                 break
             cand_flat, cand_row, cand_cnt, log, compute = kernel.expand(level.table, rows, line)
-            work[level.order] = compute
+            work[level.order] = np.bincount(line, weights=compute, minlength=len(level.nodes))
+            launches.append(Launch(src, cand_flat, cand_cnt, log, compute))
             logs.append((level.order[line[log.row]], log.vertex, log.length))
         width = len(level.nodes)
         total = np.bincount(line, weights=cand_cnt, minlength=width).astype(np.int64)
@@ -319,8 +355,10 @@ def match_trie(
         need = record.wanted & (total > 0)
         if not need.any():
             break  # counted, not materialised
+        src = None
         if not need[total > 0].all():  # some node's rows are wanted by no one
             pick = need[line[cand_row]]
+            src = np.flatnonzero(pick)
             cand_flat, cand_row = cand_flat[pick], cand_row[pick]
         rows = np.concatenate([rows[cand_row], cand_flat[:, None]], axis=1)
         sign, line = sign[cand_row], line[cand_row]
@@ -328,32 +366,76 @@ def match_trie(
         for ref, ln in record.sinks:
             lo, hi = np.searchsorted(line, (ln, ln + 1))
             emitted[ref] = rows[lo:hi][:, ref.plan.inverse_order], sign[lo:hi]
+    first = records[0].member  # root counts go to every member plan's query
+    columns = signed, found, first @ processed, nodes, first @ dropped  # MatchStats' fields
+    return Expansion(
+        trie, batch, queries, member, root_at, launches, logs, work, output_ops,
+        np.stack(columns, axis=1), emitted,
+    )
+
+
+def settle(
+    expansion: Expansion, view: GraphView, *, sinks: dict | None = None,
+    attributed: dict | None = None,
+) -> dict[str | None, MatchStats]:
+    """Price an :func:`expand` through ``view``; stats per member query.
+
+    All accesses are settled once, stably sorted by node pre-order over each
+    depth's ``(slot, constraint, row)`` log: ``(plan, level)`` order for a
+    single query, the node-by-node walk's order for a rulebook — the
+    sequence an order-sensitive view (the UM pager) must be handed.  The
+    view classifies and records that one block into its counters once; with
+    ``attributed`` (per-query counters) the classified block is also charged
+    to every member plan's query through the trie's node → member incidence
+    (:meth:`~repro.core.querytrie.ExecutionTrie.attribute`); output charges
+    always go to the terminal plan's query.  ``sinks`` are flushed in plan
+    order — the depth-first emission order of running the plans one after
+    another.
+    """
+    e, shared = expansion, view.counters
+    found = e.columns[:, 1]
     # every charge that is a sum, once: outputs go to the terminal plan's query
     shared.record_output(int(found.sum()))
-    shared.record_compute(int(output_ops.sum() + work.sum()))
+    shared.record_compute(int(e.output_ops.sum() + e.work.sum()))
     if attributed is not None:
-        for name, out, ops in zip(queries, found.tolist(), output_ops.tolist()):
+        for name, out, ops in zip(e.queries, found.tolist(), e.output_ops.tolist()):
             attributed[name].record_output(out)
             attributed[name].record_compute(ops)
-    if logs:
-        key, vertex, length = map(np.concatenate, zip(*logs))
+    if e.logs:
+        key, vertex, length = map(np.concatenate, zip(*e.logs))
         by = np.argsort(key, kind="stable")
         key, vertex, length = key[by], vertex[by], length[by]
         acc = view.fetch_block(vertex, length)
         if attributed is not None:  # the same block, once per member plan's query
-            trie.attribute(queries, member, key, vertex, acc, work, attributed)
-    if emitted:  # plan order: each sink sees its own match_batch's order
-        for ref in trie.refs:
-            if ref in emitted:
-                embeddings, sign = emitted[ref]
-                for e, s in zip(embeddings.tolist(), sign.tolist()):
-                    sinks[ref.query_name](tuple(e), s)
-    first = records[0].member  # root counts go to every member plan's query
-    columns = signed, found, first @ processed, nodes, first @ dropped  # MatchStats' fields
-    return {
-        name: MatchStats(*row)
-        for name, row in zip(queries, np.stack(columns, axis=1).tolist())
-    }
+            e.trie.attribute(e.queries, e.member, key, vertex, acc, e.work, attributed)
+    if e.emitted:  # plan order: each sink sees its own match_batch's order
+        for ref in e.trie.refs:
+            if ref in e.emitted:
+                embeddings, sign = e.emitted[ref]
+                for emb, s in zip(embeddings.tolist(), sign.tolist()):
+                    sinks[ref.query_name](tuple(emb), s)
+    return {name: MatchStats(*row) for name, row in zip(e.queries, e.columns.tolist())}
+
+
+def match_trie(
+    trie: ExecutionTrie,
+    batch: UpdateBatch | None,
+    view: GraphView,
+    *,
+    sinks: dict | None = None,
+    skip: frozenset = frozenset(),
+    prefilter: dict | None = None,
+    attributed: dict | None = None,
+    filters: dict[int, np.ndarray] | None = None,
+    root_mask: Callable[[np.ndarray], np.ndarray] | None = None,
+    attributes=None,
+) -> dict[str | None, MatchStats]:
+    """Advance a trie of plans level-synchronously over ``view``'s graph and
+    price it through ``view``: :func:`settle` ∘ :func:`expand`."""
+    expansion = expand(trie, batch, view.graph, sinks=frozenset(sinks or ()), skip=skip,
+                       prefilter=prefilter, filters=filters, root_mask=root_mask,
+                       attributes=attributes)
+    return settle(expansion, view, sinks=sinks, attributed=attributed)
 
 
 # ----------------------------------------------------------------------

@@ -293,8 +293,13 @@ class Rulebook(QuerySet):
             by_query, skip_queries, len(skip_queries) == len(self.queries), counters
         )
 
+    def expand(self, engine, batch, decision, sinks=None) -> None:
+        """Nothing: the walk's chains (aliases too) are not the trie's nodes."""
+        return None
+
     def estimate(
-        self, engine: GCSMEngine, batch: UpdateBatch, decision: RulebookDecision | None
+        self, engine: GCSMEngine, batch: UpdateBatch, decision: RulebookDecision | None,
+        expansion: None = None,
     ) -> EstimationResult:
         """Budget assignment plus ONE walk: the pooled workload estimate.
 
@@ -334,12 +339,13 @@ class Rulebook(QuerySet):
 
     def match(
         self, engine: GCSMEngine, batch: UpdateBatch, view, decision: RulebookDecision | None,
-        sinks: dict | None = None, *, filters=None, root_mask=None,
+        sinks: dict | None = None, expansion: None = None, *, filters=None, root_mask=None,
     ) -> RulebookStats:
         """Match every query not certified away; ``view.counters`` receives
         the work actually executed.  Skipped queries and (under the trie)
         aliases are filled in once per batch by :meth:`settle`.  (``filters``
-        is the ``indexed`` placement's, which :meth:`check` refuses.)"""
+        is the ``indexed`` placement's, which :meth:`check` refuses, and
+        ``expansion`` is never handed over: :meth:`expand` runs none.)"""
         run = self._match_shared if self.shared else self._match_independent
         return run(engine, batch, view, decision, sinks or {}, root_mask)
 

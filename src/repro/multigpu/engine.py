@@ -117,7 +117,7 @@ class FleetPlacement(CachedPlacement):
         ]
 
     # ------------------------------------------------------------------
-    def prepare(self, batch, decision, breakdown):
+    def prepare(self, batch, decision, breakdown, sinks=None):
         """Shared estimate, host partition, per-shard select + pack + DMA."""
         engine, graph = self.engine, self.engine.graph
         estimation = self.estimate(batch, decision, breakdown)

@@ -66,6 +66,7 @@ class TenantMetrics:
         self.arrived = 0
         self.rejected = 0      # dropped at admission (reject policy)
         self.shed = 0          # evicted from the queue (shed-oldest policy)
+        self.errors: list[str] = []  # traceback of each batch whose engine raised
         self.stall_ns = 0.0    # producer stall time (backpressure policy)
         self.delta_total = 0
         self.edges_completed = 0
@@ -120,6 +121,8 @@ class TenantMetrics:
             "completed": self.completed,
             "rejected": self.rejected,
             "shed": self.shed,
+            "failed": len(self.errors),
+            "errors": list(self.errors),
             "shed_rate": self.shed_rate,
             "stall_ns": self.stall_ns,
             "delta_total": self.delta_total,

@@ -356,10 +356,13 @@ class RecursiveFrequencyEstimator(FrequencyEstimator):
 
     def _descend(self, trie, roots, max_degree, tally, counters) -> int:
         """The root table row by row (chain-major): one :meth:`_walk` frame
-        per node."""
+        per node, each launching its own reads (the table's ``reading`` of a
+        matcher's expansion is not looked at)."""
         labels = self.graph.labels
         nodes = 0
-        for root, chain, multiplicity, num_roots, tally_row in zip(*map(np.ndarray.tolist, roots)):
+        for root, chain, multiplicity, num_roots, tally_row in zip(
+            *map(np.ndarray.tolist, roots[:5])
+        ):
             plan = trie.refs[chain].plan
             bound = np.empty(plan.depth, dtype=np.int64)
             bound[0], bound[1] = root

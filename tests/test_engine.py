@@ -273,6 +273,42 @@ class TestSettleOnFailure:
         assert result.delta_counts == twin.process_batch(batches[1]).delta_counts
 
 
+    @pytest.mark.parametrize("stage", ["match", "second-depth"])
+    @pytest.mark.parametrize("schedule", ["serial", "pipelined"])
+    @pytest.mark.parametrize("prefilter", ["off", "on"])
+    def test_failed_single_query_expansion_leaves_engine_settled(
+        self, prefilter, schedule, stage, monkeypatch
+    ):
+        """A single query's kernel joins run in ``prepare``, ahead of the
+        walk that reads them, and every launch still goes through the one
+        patchable ``FrontierKernel.expand``: a raise in the first launch or
+        the second is inside the settle guard, whatever the schedule."""
+        from repro.core.frontier import FrontierKernel
+
+        g0, batches, q1 = self._az_insert_stream()
+        engine = GCSMEngine(g0, q1, prefilter=prefilter, schedule=schedule)
+        twin = GCSMEngine(g0, q1, prefilter=prefilter)
+        expand, launches = FrontierKernel.expand, []
+
+        def failing(kernel, *args):
+            launches.append(args)
+            if len(launches) == (1 if stage == "match" else 2):
+                raise RuntimeError("injected")
+            return expand(kernel, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(FrontierKernel, "expand", failing)
+            with pytest.raises(RuntimeError, match="injected"):
+                engine.process_batch(batches[0])
+        twin.process_batch(batches[0])
+        result = engine.process_batch(batches[1])  # accepted: the store settled
+        assert engine.graph.batch_open is False
+        if engine.prefilter_index is not None:
+            engine.prefilter_index.assert_consistent()
+        assert result.delta_count == twin.process_batch(batches[1]).delta_count
+        assert np.array_equal(engine.snapshot().edge_array(), twin.snapshot().edge_array())
+
+
 class TestEngineConfig:
     """One frozen, once-validated record of settings; one validation site."""
 

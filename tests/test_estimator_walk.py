@@ -13,14 +13,20 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.frequency as frequency
+import repro.core.frequency_frontier as frequency_frontier
 import repro.core.frontier as frontier
 from repro.core.engine import GCSMEngine
 from repro.core.frequency import default_num_walks
-from repro.core.matching import match_batch
+from repro.core.frequency_frontier import FrontierFrequencyEstimator
+from repro.core.frontier import FrontierKernel
+from repro.core.matching import expand, match_batch
 from repro.core.multiquery import MultiQueryEngine, Rulebook, split_walk_budget
-from repro.core.querytrie import ExecutionTrie
+from repro.core.querytrie import ExecutionTrie, solo_trie
+from repro.core.validation import generate_adversarial_stream
 from repro.graphs import datasets
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.generators import erdos_renyi, powerlaw_graph
@@ -31,7 +37,7 @@ from repro.gpu.views import HostCPUView
 from repro.query import QueryGraph, query_by_name
 from repro.query.generator import rulebook_suite
 from repro.query.plan import compile_delta_plans
-from repro.testing import use_reference_kernels
+from repro.testing import count_calls, use_reference_kernels
 
 from tests.test_estimator_parity import (
     ESTIMATORS,
@@ -424,3 +430,264 @@ class TestWalksHonourPredicates:
         use_reference_kernels(engine, matcher=False)
         assert engine.estimator.attributes is engine.attributes
         assert GCSMEngine(g0, TRIANGLE).estimator.attributes is None
+
+
+# ----------------------------------------------------------------------
+# the walk reads the matcher's expansion
+# ----------------------------------------------------------------------
+READ_QUERIES = {"Q1": query_by_name("Q1"), "Q3": query_by_name("Q3"), "Q1w": PREDICATED["Q1"]}
+
+
+def launch_counters(patch) -> tuple[list, list, list]:
+    """Counts of ``join_rows`` (every launch), the walk's own ``expand_rows``
+    calls and ``FrontierKernel.expand`` (the matcher's), one zero to start:
+    append one per batch to count by batch."""
+    counters = []
+    for owner, name in (
+        (frontier, "join_rows"), (frequency_frontier, "expand_rows"), (FrontierKernel, "expand")
+    ):
+        counters.append(TestOneLaunchPerDepth.count(patch, owner, name))
+        counters[-1].append(0)
+    return tuple(counters)
+
+
+def dense_stream():
+    g = powerlaw_graph(1_000, 7.0, max_degree=50, num_labels=3, seed=51)
+    return derive_stream(g, num_updates=8 * 32, batch_size=32, seed=52)
+
+
+def without_expansion(engine):
+    """``engine`` with nothing expanded ahead: the walk launches its own joins
+    and ``match`` runs the whole kernel."""
+    engine.query_set.expand = lambda *args, **kwargs: None
+    return engine
+
+
+def engine_fingerprint(result, num_vertices):
+    return (
+        estimator_fingerprint(result.estimation, num_vertices), result.cached_vertices.tolist(),
+        result.delta_count, result.match_stats, result.match_counters.summary(),
+        result.match_counters.vertex_access_counts(num_vertices).tolist(),
+        result.breakdown.total_ns, result.cache_hits, result.cache_misses,
+    )
+
+
+class TestWalkReadsTheExpansion:
+    """Every node a walk visits is a row the matcher expands, so a walk
+    handed the matcher's expansion of its batch reads each depth from it
+    instead of launching — and nothing downstream can tell: frequencies, FE
+    counters and histograms, ``nodes_visited`` and the generator state
+    after the walk are the launching walk's, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        query=st.sampled_from(list(READ_QUERIES)),
+        survival=st.sampled_from([1.0, 2.5, None]),
+        mode=st.sampled_from(["coalesce", "ignore"]),
+    )
+    def test_reading_equals_launching(self, seed, query, survival, mode):
+        rng = np.random.default_rng(seed)
+        g = powerlaw_graph(400, 8.0, max_degree=40, num_labels=3, seed=rng)
+        batches = generate_adversarial_stream(g, num_batches=3, batch_size=24, seed=seed + 1)
+        plans = compile_delta_plans(READ_QUERIES[query])
+        graph = DynamicGraph(g)
+        read, launched = (
+            FrontierFrequencyEstimator(graph, DEVICE, seed=seed, survival=survival)
+            for _ in range(2)
+        )
+        for raw in batches:
+            batch = graph.apply_batch(raw, mode=mode)
+            expansion = expand(solo_trie(plans), batch, graph)
+            with pytest.MonkeyPatch.context() as patch:
+                _, walk, _ = launch_counters(patch)
+                got = read.estimate(plans, batch, num_walks=300, expansion=expansion)
+            assert walk == [0]
+            want = launched.estimate(plans, batch, num_walks=300)
+            n = graph.num_vertices
+            assert estimator_fingerprint(got, n) == estimator_fingerprint(want, n)
+            assert read.rng.bit_generator.state == launched.rng.bit_generator.state
+            graph.reorganize()
+
+    @pytest.mark.parametrize("survival", [1.0, 2.5, None])
+    def test_engine_batches_equal_the_launching_engine(self, survival, monkeypatch):
+        """End to end, not vacuous: the walks get past the roots, the
+        estimator launches nothing, the matcher once per depth, and every
+        estimate, cache set, counter and simulated ns is the launching
+        engine's."""
+        g0, batches = dense_stream()
+        read, launched = (
+            GCSMEngine(g0, query_by_name("Q1"), seed=0, survival=survival) for _ in range(2)
+        )
+        without_expansion(launched)
+        joins, walk, kernel = launch_counters(monkeypatch)
+        for batch in batches:
+            for count in (joins, walk, kernel):
+                count.append(0)
+            got = read.process_batch(batch)
+            assert walk[-1] == 0 and joins[-1] == kernel[-1] == 3
+            assert got.estimation.nodes_visited > got.estimation.num_walks // 100
+            assert engine_fingerprint(got, g0.num_vertices) == engine_fingerprint(
+                launched.process_batch(batch), g0.num_vertices
+            )
+            assert walk[-1] > 0  # the launching twin's walk did launch
+
+    def test_adaptive_rounds_read_one_expansion(self, monkeypatch):
+        g0, batches = dense_stream()
+        settings = dict(seed=0, adaptive_walks=True, num_walks=16)
+        read, launched = (GCSMEngine(g0, query_by_name("Q1"), **settings) for _ in range(2))
+        without_expansion(launched)
+        rounds = []
+        estimate = read.estimator.estimate
+
+        def counted(*args, **kwargs):
+            rounds[-1] += 1
+            return estimate(*args, **kwargs)
+
+        read.estimator.estimate = counted
+        joins, walk, kernel = launch_counters(monkeypatch)
+        for batch in batches:
+            for count in (joins, walk, kernel, rounds):
+                count.append(0)
+            got = read.process_batch(batch)
+            assert walk[-1] == 0 and joins[-1] == kernel[-1] == 3
+            assert engine_fingerprint(got, g0.num_vertices) == engine_fingerprint(
+                launched.process_batch(batch), g0.num_vertices
+            )
+        assert max(rounds) > 1  # re-sampled, every round reading
+
+    def test_a_root_certified_away_falls_back(self):
+        """A group the root pipeline did not keep whole has no twins: a walk
+        drawing from it launches, and stays the launching walk."""
+
+        class DropFirst:  # a masker certifying each group's first root away
+            def mask(self, index, plan, roots):
+                keep = np.ones(roots.shape[0], dtype=bool)
+                keep[:1] = False
+                return keep
+
+        g0, batches = dense_stream()
+        plans = compile_delta_plans(query_by_name("Q1"))
+        graph = DynamicGraph(g0)
+        graph.apply_batch(batches[0])
+        expansion = expand(solo_trie(plans), batches[0], graph, prefilter={None: DropFirst()})
+        assert (expansion.root_at < 0).all()
+        self.assert_falls_back(graph, plans, batches[0], expansion)
+
+    def test_a_reduced_estimate_batch_falls_back(self):
+        """The prefilter's reduced estimate batch is not the batch the
+        matcher expanded: the walk launches over it."""
+        g0, batches = dense_stream()
+        plans = compile_delta_plans(query_by_name("Q1"))
+        graph = DynamicGraph(g0)
+        batch = graph.apply_batch(batches[0])
+        expansion = expand(solo_trie(plans), batch, graph)
+        keep = np.arange(len(batch)) % 2 == 0
+        reduced = UpdateBatch(batch.edges[keep], batch.signs[keep], batch.new_vertex_labels)
+        self.assert_falls_back(graph, plans, reduced, expansion)
+
+    @staticmethod
+    def assert_falls_back(graph, plans, batch, expansion):
+        runs, launched = [], []
+        for given_expansion in (expansion, None):
+            estimator = FrontierFrequencyEstimator(graph, DEVICE, seed=4, survival=2.5)
+            with pytest.MonkeyPatch.context() as patch:
+                _, walk, _ = launch_counters(patch)
+                result = estimator.estimate(plans, batch, num_walks=400, expansion=given_expansion)
+            runs.append(estimator_fingerprint(result, graph.num_vertices))
+            launched.append(walk[0])
+        assert runs[0] == runs[1] and runs[0]["nodes"] > 0
+        assert launched[0] == launched[1] > 0
+
+    def test_prefilter_engine_equals_the_launching_engine(self):
+        g0, batches = dense_stream()
+        read, launched = (
+            GCSMEngine(g0, query_by_name("Q1"), seed=0, prefilter="on") for _ in range(2)
+        )
+        without_expansion(launched)
+        for batch in batches:
+            got, want = read.process_batch(batch), launched.process_batch(batch)
+            if got.estimation is None:  # a certified skip
+                assert want.estimation is None and got.delta_count == want.delta_count == 0
+                continue
+            assert engine_fingerprint(got, g0.num_vertices) == engine_fingerprint(
+                want, g0.num_vertices
+            )
+
+    def test_a_rulebook_walk_launches(self, monkeypatch):
+        """A rulebook's prepare expands nothing (its walk's chains, aliases
+        included, are not the merged trie's nodes), and a walk handed an
+        expansion of another trie does not read it."""
+        g0, batches = az_stream(3)
+        rulebook = Rulebook(rulebook_suite(8, num_labels=3, seed=0))
+        engine = GCSMEngine(g0, rulebook, seed=0)
+        assert rulebook.expand(engine, batches[0], None) is None
+        _, walk, _ = launch_counters(monkeypatch)
+        engine.process_batch(batches[0])
+        assert walk[0] > 0
+        graph = DynamicGraph(g0)
+        batch = graph.apply_batch(batches[1])
+        expansion = expand(solo_trie(rulebook.plans[rulebook.queries[0].name]), batch, graph)
+        walks = {q.name: 40 for q in rulebook.queries}
+        runs = [
+            FrontierFrequencyEstimator(graph, DEVICE, seed=2).walk(
+                rulebook.walk_trie, {q: batch for q in walks}, walks, 50, given
+            )
+            for given in (expansion, None)
+        ]
+        assert np.array_equal(runs[0][0], runs[1][0]) and runs[0][1] == runs[1][1]
+
+    @pytest.mark.parametrize("matcher", [True, False], ids=["reference-matcher", "production"])
+    @pytest.mark.parametrize("estimator", [True, False], ids=["reference-walk", "production-walk"])
+    def test_reference_kernel_combinations(self, matcher, estimator, monkeypatch):
+        """Every ``use_reference_kernels`` combination keeps its meaning: a
+        reference matcher expands nothing ahead, so a production walk
+        launches its own joins; a reference walk ignores the expansion.  In
+        the full-expansion regime all four equal the production pair."""
+        g0, batches = dense_stream()
+        settings = dict(seed=0, survival=FULL_EXPANSION, num_walks=64)
+        base = GCSMEngine(g0, query_by_name("Q1"), **settings)
+        engine = use_reference_kernels(
+            GCSMEngine(g0, query_by_name("Q1"), **settings), matcher=matcher, estimator=estimator
+        )
+        _, walk, kernel = launch_counters(monkeypatch)
+        for batch in batches[:3]:
+            walk.append(0)
+            kernel.append(0)
+            got = engine.process_batch(batch)
+            if not estimator:
+                assert (walk[-1] > 0) == matcher  # the walk launches iff no expansion
+            assert (kernel[-1] > 0) != matcher
+            want = base.process_batch(batch)
+            assert engine_fingerprint(got, g0.num_vertices) == engine_fingerprint(
+                want, g0.num_vertices
+            )
+
+
+class TestOneExpansionPerBatch:
+    """Clocks that repeat, on a small single-query stream: per batch the row
+    program launches once per plan depth — all of them the matcher's, the
+    estimator reads them (6 when the walk launches its own) — and the whole
+    batch stays under a Python-call ceiling (1 209 … 1 285 calls per batch
+    when the walk launches, 1 039 … 1 097 with it reading)."""
+
+    CALL_CEILING = 1_150
+
+    def test_launches_per_batch_are_the_plan_depth(self, monkeypatch):
+        g0, batches = dense_stream()
+        query = query_by_name("Q1")
+        engine = GCSMEngine(g0, query, seed=0)
+        joins, walk, kernel = launch_counters(monkeypatch)
+        for batch in batches:
+            for count in (joins, walk, kernel):
+                count.append(0)
+            engine.process_batch(batch)
+        depth = query.num_vertices - 2
+        assert joins[1:] == kernel[1:] == [depth] * len(batches)
+        assert walk[1:] == [0] * len(batches)
+
+    def test_python_calls_per_batch(self):
+        g0, batches = dense_stream()
+        engine = GCSMEngine(g0, query_by_name("Q1"), seed=0)
+        calls = [count_calls(lambda batch=batch: engine.process_batch(batch)) for batch in batches]
+        assert max(calls) <= self.CALL_CEILING, calls

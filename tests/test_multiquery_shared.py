@@ -234,15 +234,18 @@ class TestTrieMechanics:
 # one launch per trie depth
 # ----------------------------------------------------------------------
 class TestOneLaunchPerDepth:
-    """Every depth of the trie is one ``FrontierKernel.expand`` for all its
-    nodes, so a batch costs at most (deepest plan's depth − 2) launches —
-    for a rulebook as for a single query (the trie walked node by node paid
-    one launch per live node)."""
+    """Every depth of the trie is one launch of the row program
+    (``join_rows``) for all its nodes, so a batch costs at most (deepest
+    plan's depth − 2) launches — for a rulebook as for a single query (the
+    trie walked node by node paid one launch per live node).  Counted at
+    ``join_rows``, the estimate included: a single query's walk reads the
+    matcher's expansion and launches nothing, a rulebook's walks its own
+    chains, one launch per depth more."""
 
     @pytest.mark.parametrize("rulebook", [True, False], ids=["rulebook", "single"])
     def test_launches_per_batch_bounded_by_depth(self, rulebook, monkeypatch):
+        import repro.core.frontier as frontier
         from repro.core.engine import GCSMEngine
-        from repro.core.frontier import FrontierKernel
 
         g = powerlaw_graph(1_000, 7.0, max_degree=50, num_labels=3, seed=51)
         g0, batches = derive_stream(g, num_updates=320, batch_size=32, seed=52)
@@ -250,23 +253,23 @@ class TestOneLaunchPerDepth:
             queries = rulebook_suite(10, num_labels=3, seed=53)
             engine = MultiQueryEngine(g0, queries, seed=0)
             assert engine.query_set.trie.stats.num_queries >= 8  # unique patterns
-            deepest = max(q.num_vertices for q in queries)
+            deepest, kernels = max(q.num_vertices for q in queries), 2
         else:
             engine = GCSMEngine(g0, QUERIES["Q1"], seed=0)
-            deepest = QUERIES["Q1"].num_vertices
+            deepest, kernels = QUERIES["Q1"].num_vertices, 1
         launches = []
-        expand = FrontierKernel.expand
+        join_rows = frontier.join_rows
 
-        def counted(self, *args):
+        def counted(*args, **kwargs):
             launches[-1] += 1
-            return expand(self, *args)
+            return join_rows(*args, **kwargs)
 
-        monkeypatch.setattr(FrontierKernel, "expand", counted)
+        monkeypatch.setattr(frontier, "join_rows", counted)
         for batch in batches[:10]:
             launches.append(0)
             engine.process_batch(batch)
-        assert len(launches) == 10 and max(launches) > 1
-        assert max(launches) <= deepest - 2, launches
+        assert len(launches) == 10 and max(launches) > kernels
+        assert max(launches) <= kernels * (deepest - 2), launches
 
 
 # ----------------------------------------------------------------------

@@ -189,6 +189,43 @@ class TestClosedLoop:
             assert t["queue_depth_max"] <= 1
 
 
+class TestFaultIsolation:
+    """A tenant whose batch raises loses that batch, nobody else anything:
+    ``run()`` returns, the failure is counted in that tenant's report, and
+    every other tenant's ΔM and completions are a fault-free run's."""
+
+    @pytest.mark.parametrize("pipeline", [True, False], ids=["pipelined", "serial"])
+    @pytest.mark.parametrize("arrival", ["poisson", "closed"])
+    def test_a_raising_batch_is_that_tenants_loss_alone(self, pipeline, arrival):
+        from repro.graphs.stream import BatchConflictError
+
+        workloads = tiny_workloads(3, arrival=arrival, num_batches=4, think_ns=500.0)
+        clean = run(workloads, pipeline=pipeline)
+        service = MatchService(workloads, pipeline=pipeline, threaded=False)
+        victim = service.tenants["tenant1"].engine
+        prepare, calls = victim.placement.prepare, []
+
+        def second_raises(*args, **kwargs):  # after the update was applied
+            calls.append(args)
+            if len(calls) == 2:
+                raise BatchConflictError("injected", None)
+            return prepare(*args, **kwargs)
+
+        victim.placement.prepare = second_raises
+        report = service.run()
+        by_name = {t["name"]: t for t in report.tenants}
+        want = {t["name"]: t for t in clean.tenants}
+        assert by_name["tenant1"]["failed"] == 1
+        assert "BatchConflictError: injected" in by_name["tenant1"]["errors"][0]
+        assert by_name["tenant1"]["completed"] == want["tenant1"]["completed"] - 1
+        assert victim.graph.batch_open is False  # the engine settled
+        for name in ("tenant0", "tenant2"):
+            assert by_name[name]["failed"] == 0
+            for key in ("delta_total", "completed", "edges_completed"):
+                assert by_name[name][key] == want[name][key], (name, key)
+        assert json.loads(json.dumps(report.to_dict()))["tenants"][1]["failed"] == 1
+
+
 class TestMetricsAndReport:
     def test_latency_stats_percentiles(self):
         stats = LatencyStats.from_samples(list(map(float, range(1, 101))))
