@@ -23,9 +23,10 @@ vectorized DCSR pack must hold >=2x across all cache sizes.
 
 The ``rulebook24/estimate`` row is the other end of the range: the estimate
 stage of ``Rulebook(rulebook_suite(24, num_labels=3))`` on AZ at the default
-budget — 130 chains of one to three walks each, the repo benchmark's
+budget — its merged trie's 9 root groups, the repo benchmark's
 ``az_rulebook24`` — where the frontier is narrow and what counts is the
-number of launches (one walk per batch).  It is reported, not gated.
+number of launches (one walk per batch, launching: nothing is expanded
+ahead here).  It is reported, not gated.
 
 The ``engine/estimate`` rows time a single-query engine's estimate stage
 (``QuerySet.estimate``) on the repo benchmark's CA x Q3 and SF3K x Q1 shapes

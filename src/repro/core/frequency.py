@@ -29,12 +29,13 @@ total time); Eq. (5)'s sample-size bound is exposed as
 :func:`required_walks` and drives the adaptive re-sampling loop of
 :meth:`FrequencyEstimator.estimate_adaptive`.
 
-Every estimate is one :meth:`FrequencyEstimator.walk` over a **no-sharing**
-:class:`~repro.core.querytrie.ExecutionTrie` — one chain per ΔM plan, the
-per-depth tables :func:`~repro.core.matching.match_trie` launches over: a
-query's plans (:meth:`FrequencyEstimator.estimate`) or all of a rulebook's
-(:meth:`repro.core.multiquery.Rulebook.estimate`).  A sampler supplies only
-the descent — level-synchronous in :mod:`repro.core.frequency_frontier`,
+Every estimate is one :meth:`FrequencyEstimator.walk` over the
+:class:`~repro.core.querytrie.ExecutionTrie` its kernel runs: a query's ΔM
+plans (:meth:`FrequencyEstimator.estimate`) or a rulebook's merged trie
+(:meth:`repro.core.multiquery.Rulebook.estimate`), where a row enters each
+of a node's ``k`` live children with probability ``min(1, survival/k)``
+(:meth:`FrequencyEstimator._thinning`).  A sampler supplies only the
+descent — level-synchronous in :mod:`repro.core.frequency_frontier`,
 per-node depth-first in its parity oracle
 (:class:`repro.testing.kernels.RecursiveFrequencyEstimator`); see
 ``docs/frequency.md`` for the three-layer parity contract the two satisfy.
@@ -46,14 +47,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.matching import delta_roots, filter_root_predicate
+from repro.core.matching import trie_roots
 from repro.core.querytrie import ExecutionTrie, solo_trie
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.stream import UpdateBatch
 from repro.gpu.counters import AccessCounters
 from repro.gpu.device import DeviceConfig
 from repro.query.plan import MatchPlan
-from repro.utils import VERTEX_DTYPE, as_generator, require, segment_offsets
+from repro.utils import as_generator, require
 
 __all__ = [
     "EstimationResult",
@@ -205,94 +206,75 @@ class FrequencyEstimator:
             )
         per_chain = max(1, num_walks // max(1, len(plans)))
         frequencies, nodes, counters = self.walk(
-            solo_trie(plans), {None: batch}, {None: per_chain}, max_degree, expansion
+            solo_trie(plans), batch, np.full(len(plans), per_chain), max_degree, expansion
         )
         return EstimationResult(frequencies, num_walks, nodes, counters)
 
     def walk(
-        self, trie: ExecutionTrie, batches: dict, walks: dict, max_degree: int, expansion=None
+        self, trie: ExecutionTrie, batch: UpdateBatch, budget: np.ndarray, max_degree: int,
+        expansion=None, *, prefilter: dict | None = None, skip: frozenset = frozenset(),
     ) -> tuple[np.ndarray, int, AccessCounters]:
-        """The one primitive: walk every chain of a **no-sharing** ``trie``
-        whose query is a key of ``batches`` — ``walks[query]`` merged walks
-        per chain over the roots of ``batches[query]`` — and return
-        ``(frequencies, nodes_visited, counters)``.
+        """The one primitive: ``budget[g]`` merged walks from root group ``g``
+        of ``trie`` (0: none) down its live nodes — the queries in ``skip``
+        left out, the roots certified by ``prefilter`` as
+        :func:`~repro.core.matching.expand` takes them — and ``(frequencies,
+        nodes_visited, counters)``; the descent reads ``expansion``, the
+        matcher's run of this trie and batch under the same ``skip``, where it
+        has one.
 
-        Where ``expansion`` (the matcher's run of this batch) holds all the
-        drawn roots, the descent reads its launches instead of running its own.
-
-        ``frequencies`` sums each chain's Eq. 3 tally over its own budget: a
-        query's estimate, or a rulebook's pooled one.  Chains of one budget
-        share an accumulator row, divided once after the walk: a row's
-        charges are integer-valued floats in the full-expansion regime, so
-        the samplers agree bit for bit in any charging order (``1/budget``
-        folded into the root weight would make every sum order-dependent).
+        ``frequencies`` sums each group's Eq. 3 tally over its own budget.
+        Groups of one budget share an accumulator row, divided once after the
+        walk: a row's charges are integer-valued floats in the full-expansion
+        regime, so the samplers agree bit for bit in any charging order.
         """
-        require(trie.stats.root_groups == len(trie.refs),
-                "walk takes the no-sharing trie (merge=False)")
-        budgets, rows = np.unique(list(walks.values()), return_inverse=True)
+        if expansion is not None and (expansion.trie is not trie or expansion.batch is not batch):
+            expansion = None
+        budgets, row = np.unique(budget, return_inverse=True)
         tally = np.zeros((budgets.size, self.graph.num_vertices), dtype=np.float64)
         counters = AccessCounters()
-        roots = self._roots(trie, batches, walks, dict(zip(walks, rows.tolist())), expansion)
-        nodes = self._descend(trie, roots, max_degree, tally, counters)
-        return (tally / budgets[:, None]).sum(axis=0), nodes, counters
+        # the walk reads only ``live`` and ``parent``, which no sink set moves:
+        # the expansion's incidence serves, not a sink-free second record
+        records = trie.incidence(skip)[2] if expansion is None else expansion.records
+        roots = self._roots(trie, records, batch, budget, row, expansion, prefilter, skip)
+        nodes = self._descend(trie, records, roots, max_degree, tally, counters)
+        return (tally / np.maximum(budgets, 1)[:, None]).sum(axis=0), nodes, counters
 
-    def _roots(self, trie, batches, walks, tally_row, expansion=None):
-        """The root table: every walked chain's drawn roots stacked
-        chain-major (``trie.refs`` order) as ``(rows, line, mult, weight,
-        tally_row, reading)`` — the roots the kernel would process (label- and
-        predicate-filtered) that drew ``B_root ~ Binomial(M, 1/|ΔR_i|) > 0``
-        (merged execution), each with its chain, ``|ΔR_i|`` and accumulator row.
-
-        A chain's roots depend on its batch and root signature alone: they
-        are filtered once per distinct ``(batch object, signature)`` into a
-        pool that chains gather from by index, and all chains draw in ONE
-        ``rng.binomial`` over the repeated ``(M, 1/|ΔR_i|)`` columns — the
-        generator fills an array argument element by element, exactly the
-        stream the chain-by-chain calls consume.
-
-        ``reading`` is ``(launches, twin)`` if every drawn root has a *twin*
-        in ``expansion``'s root table (same ``delta_roots`` position plus its
-        group's = chain's offset: this trie, this batch, the group kept whole).
-        """
-        labels, width = self.graph.labels, len(trie.root_plans)
-        # the distinct batch objects: one, but for a prefilter's reduced ones
-        distinct = list({id(batch): batch for batch in batches.values()}.values())
-        at = {id(batch): i for i, batch in enumerate(distinct)}
-        batch_of = np.array([at[id(batches[q])] if q in batches else -1 for q in trie.queries])
-        budget = np.array([walks.get(q, 0) for q in trie.queries])
-        row = np.array([tally_row.get(q, 0) for q in trie.queries])
-        chain = np.flatnonzero(batch_of[trie.ref_query] >= 0)
-        query = trie.ref_query[chain]
-        used, entry = np.unique(batch_of[query] * width + trie.ref_root[chain], return_inverse=True)
-        pool = [np.empty((0, 2), dtype=VERTEX_DTYPE)]  # (a head: nothing walked still stacks)
-        for batch, signature in zip((used // width).tolist(), (used % width).tolist()):
-            plan = trie.root_plans[signature]
-            pool.append(filter_root_predicate(
-                plan, *delta_roots(plan, distinct[batch], labels), self.attributes
-            )[0])
-        offsets = segment_offsets(np.array([r.shape[0] for r in pool[1:]], dtype=np.int64))
-        size = np.diff(offsets)[entry]  # per chain: its |ΔR_i|
-        starts = segment_offsets(size)
-        # chain-major, one element per (chain, root): the chain's position and the pool row
-        of = np.repeat(np.arange(chain.size), size)
-        pick = np.repeat(offsets[entry] - starts[:-1], size) + np.arange(starts[-1])
-        born = self.rng.binomial(budget[query[of]], 1.0 / size[of])
+    def _roots(self, trie, records, batch, budget, tally_row, expansion, prefilter, skip):
+        """The root table ``(rows, line, mult, weight, tally_row, reading)``:
+        every group's roots that drew ``B_root ~ Binomial(M_g, 1/|ΔR_g|) > 0``,
+        group-major, all in ONE ``rng.binomial`` over the repeated ``(M_g,
+        1/|ΔR_g|)`` columns.  They are ``expansion``'s — ``reading`` is then
+        ``(launches, twin)``, each root's row there — when it certified its
+        roots alike (the same ``prefilter``, or no root dropped); else the
+        walk routes its own and launches."""
+        if expansion is None or (expansion.prefilter is not prefilter and expansion.dropped.any()):
+            expansion, (roots, _, size, _) = None, trie_roots(
+                trie, batch, self.graph, records[0].live, skip=skip, prefilter=prefilter,
+                attributes=self.attributes,
+            )
+        else:
+            roots, size = expansion.roots, np.diff(expansion.root_offsets)
+        group = np.repeat(np.arange(size.size), size)
+        born = self.rng.binomial(budget[group], 1.0 / size[group])
         live = np.flatnonzero(born)
-        of = of[live]
-        pick, reading = pick[live], None
-        if expansion is not None and expansion.trie is trie and all(
-            batch is expansion.batch for batch in batches.values()
-        ):
-            at = expansion.root_at[chain][of]
-            if (at >= 0).all():
-                reading = expansion.launches, at + pick - offsets[entry][of]
-        rows = np.concatenate(pool)[pick].astype(np.int64, copy=False)
-        return rows, chain[of], born[live], size[of].astype(np.float64), row[query[of]], reading
+        group = group[live]
+        reading = None if expansion is None else (expansion.launches, live)
+        weight = size[group].astype(np.float64)  # |ΔR_g|: a root's Eq. 3 weight
+        return roots[live], group, born[live], weight, tally_row[group], reading
 
-    def _descend(self, trie, roots, max_degree, tally, counters) -> int:
-        """Walk down from the root table ``roots`` (:meth:`_roots`): Eq. 3
-        charges go to ``tally[tally_row]``, FE cost to ``counters``; returns
-        nodes visited."""
+    def _thinning(self, k):
+        """The branch rule: a surviving row enters each of its node's ``k``
+        live children with probability ``min(1, survival / k)``, weight
+        ``× 1/p`` — every child without ``survival``, and an only child
+        always (a chain is never thinned)."""
+        if self.survival is None:
+            return np.ones(np.shape(k))
+        return np.where(k > 1, np.minimum(1.0, self.survival / np.maximum(k, 1)), 1.0)
+
+    def _descend(self, trie, records, roots, max_degree, tally, counters) -> int:
+        """Walk down the live nodes (``records``, the trie's incidence) from
+        the root table ``roots`` (:meth:`_roots`): Eq. 3 charges go to
+        ``tally[tally_row]``, FE cost to ``counters``; returns nodes visited."""
         raise NotImplementedError
 
     def estimate_adaptive(

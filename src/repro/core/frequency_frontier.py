@@ -8,19 +8,20 @@ tree level is a row of a flat frontier, and one "kernel launch" expands the
 whole level.  This module is that descent in NumPy, over the data the
 matcher itself runs on:
 
-* What is walked is a **no-sharing** :class:`~repro.core.querytrie.ExecutionTrie`
-  — one *chain* per ΔM plan, of one query or of every query of a rulebook —
-  and all chains advance together.  The frontier is ``(rows, line, mult,
+* What is walked is the :class:`~repro.core.querytrie.ExecutionTrie` the
+  kernel runs — a query's one *chain* per ΔM plan, or a rulebook's merged
+  trie — all root groups together.  The frontier is ``(rows, line, mult,
   weight)``: bound data vertices, each row's line in the depth's
   :class:`~repro.core.frontier.LevelTable`, the merged walk multiplicity
-  ``B`` (Sec. IV-B) and the inverse sampling probability (the Eq. 3 weight —
-  a *column*, because the survival schedule makes it node-dependent).  A
-  chain that ends early drops out through ``level.child``.
+  ``B`` (Sec. IV-B) and the inverse sampling probability (the Eq. 3 weight
+  — a *column*: it is node-dependent).  Rows fan out into their node's live
+  children as the kernel's do, a ``(row, child)`` pair entered with
+  probability ``min(1, survival/k)`` at weight ``× 1/p``, in one draw.
 * Per depth there is ONE launch of the matcher's level program,
   :func:`~repro.core.frontier.expand_rows` — the join over the epoch arena
   plus the label, weight-predicate and injectivity masks — so a walk never
   descends where the kernel prunes — or none: each depth is *read* from the
-  matcher's expansion when it holds every drawn root
+  matcher's expansion when it ran the drawn roots
   (:meth:`~repro.core.matching.Launch.read`).  The access log is settled
   once per walk.
 * All surviving children of a depth draw their continuation multiplicities
@@ -35,11 +36,12 @@ matcher itself runs on:
     frequencies, FE counters, and ``nodes_visited`` equal the recursive
     reference *exactly* (all charges are order-independent sums of
     integer-valued floats, and only the root draws, made by the shared base
-    chain-major in one call, consume RNG);
+    group-major in one call, consume RNG);
 (b) in the stochastic regimes the estimate has the same distribution (the
     per-node sampling probabilities are identical; only the RNG consumption
-    order differs — here all roots, then one draw per depth), verified
-    statistically against the recursive reference and the exact ``C_v``;
+    order differs — here all roots, then per depth the branch draw and the
+    survival draw), verified statistically against the recursive reference
+    and the exact ``C_v``;
 (c) the sampler plugs into ``estimate_adaptive`` unchanged (inherited).
 """
 
@@ -59,27 +61,35 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
     :class:`repro.testing.kernels.RecursiveFrequencyEstimator`, its oracle,
     in level-synchronous shape."""
 
-    def _descend(self, trie, roots, max_degree, tally, counters) -> int:
-        """Advance every chain together from the root table (all root draws
-        already made, chain-major, in one call): per trie depth one launch —
-        or one read of the matcher's — and one survival draw over the stacked
-        ``(frontier, line, mult, weight)`` rows, and one settle of the walk's
-        whole access log at the end."""
+    def _descend(self, trie, records, roots, max_degree, tally, counters) -> int:
+        """Advance every root group together from the root table: per trie
+        depth the fan-out and its branch draw, one launch — or one read of
+        the matcher's — and one survival draw over the stacked rows; one
+        settle of the walk's whole access log at the end."""
         rows, line, mult, weight, tally_row, reading = roots
         # a row is its bound vertices — or, reading, its twin in the expansion
         launches, frontier = reading or (None, rows)
-        # each row's offset into the flat tally: its chain's accumulator row
+        # each row's offset into the flat tally: its group's accumulator row
         flat, base = tally.reshape(-1), tally_row * tally.shape[1]
         nodes = line.size
         # host reads: every fetch of the walk is FE cost on the CPU's DRAM
         view = HostCPUView(self.graph, self.device, counters)
         logs, ops = [], 0
-        for depth, level in enumerate(trie.levels[1:]):
-            if not level.chain:  # chains that ended one depth up drop out
-                line = level.child[line]
-                keep = line >= 0
-                frontier, line, mult = frontier[keep], line[keep], mult[keep]
-                weight, base = weight[keep], base[keep]
+        for depth, (level, record) in enumerate(zip(trie.levels[1:], records[1:])):
+            if record.fans:
+                # the kernel's fan-out: each row into every live child of its
+                # node (none: the row's plans ended above), then thinned
+                held = np.bincount(line, minlength=len(trie.levels[depth].nodes))
+                k = np.bincount(record.parent, minlength=held.size)[line]  # live children
+                pick, line = record.fan_out(held)
+                p = self._thinning(k[pick])
+                frontier, mult, weight, base = frontier[pick], mult[pick], weight[pick], base[pick]
+                thin = p < 1.0
+                if thin.any():  # one branch draw over the thinned pairs
+                    mult[thin] = self.rng.binomial(mult[thin], p[thin])
+                    keep = mult > 0
+                    frontier, line, mult = frontier[keep], line[keep], mult[keep]
+                    weight, base = (weight / p)[keep], base[keep]
             if line.size == 0:
                 break
             if launches is None:
@@ -87,7 +97,9 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
                     self.graph, level.table, frontier, line, attributes=self.attributes
                 )
             else:
-                cand_flat, parent, cand_cnt, log, compute, twin = launches[depth].read(frontier)
+                cand_flat, parent, cand_cnt, log, compute, twin = launches[depth].read(
+                    frontier, line
+                )
             charge = mult * weight  # Eq. 3: the node's B × weight, to each vertex it reads
             logs.append((log.vertex, log.length, base[log.row] + log.vertex, charge[log.row]))
             ops += int(compute.sum() + log.vertex.size + log.length[log.slot > 0].sum())

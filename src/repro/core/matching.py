@@ -39,8 +39,7 @@ inputs by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,7 +59,6 @@ __all__ = [
     "match_trie",
     "match_batch",
     "match_static",
-    "batch_roots",
     "route_roots",
     "delta_roots",
     "static_roots",
@@ -189,40 +187,65 @@ def route_roots(
     return (*filter_root_predicate(plan, roots, signs, attributes), skipped)
 
 
-def batch_roots(
-    plans: list[MatchPlan], batch: UpdateBatch, labels: np.ndarray, total: MatchStats,
-    *, prefilter=None, **routing,
-) -> Iterator[tuple[MatchPlan, np.ndarray, np.ndarray]]:
-    """Yield ``(plan, roots, signs)`` for every ΔM_i plan of a signed batch:
-    the driver's root pipeline plan by plan, as the recursive oracle consumes
-    it.  ``prefilter.mask(plan_index, plan, roots)`` certifies; the drops are
-    added to ``total.roots_skipped``."""
-    for index, plan in enumerate(plans):
-        certify = None if prefilter is None else partial(prefilter.mask, index, plan)
-        roots, signs, skipped = route_roots(
-            plan, *delta_roots(plan, batch, labels), certify, **routing
-        )
-        total.roots_skipped += skipped
-        yield plan, roots, signs
-
-
 # ----------------------------------------------------------------------
 # the one driver: expand, then settle
 # ----------------------------------------------------------------------
+def trie_roots(
+    trie: ExecutionTrie, batch: UpdateBatch | None, graph, live: np.ndarray, *,
+    skip: frozenset = frozenset(), prefilter: dict | None = None, **routing,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ``live`` root groups' roots, one :func:`route_roots` pipeline each
+    (``routing``: its keywords; certified by the OR of the group's live
+    members' ``prefilter[query].mask`` — a row failing for every member
+    provably yields no embedding for any), stacked group-major: ``(roots,
+    signs, processed, dropped)``, the last two per root group.  ``batch=None``
+    roots at the settled snapshot's edges."""
+    labels = graph.labels
+    processed, dropped = np.zeros((2, len(trie.levels[0].nodes)), dtype=np.int64)
+    groups = [(np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64))]  # stacks if none
+    for group in live.tolist():
+        members = trie.levels[0].nodes[group].members
+        certify = None
+        if prefilter is not None:
+            alive = [ref for ref in members if ref.query_name not in skip]
+
+            def certify(roots, alive=alive):
+                keep = np.zeros(roots.shape[0], dtype=bool)
+                for ref in alive:
+                    keep |= prefilter[ref.query_name].mask(ref.index, ref.plan, roots)
+                return keep
+        # the root signature holds labels and predicate: one plan stands for all
+        plan = members[0].plan
+        if batch is None:
+            raw = static_roots(plan, graph.edges_new_array(), labels)
+        else:
+            raw = delta_roots(plan, batch, labels)
+        roots, signs, dropped[group] = route_roots(plan, *raw, certify, **routing)
+        processed[group] = roots.shape[0]
+        groups.append((roots, signs))
+    roots, signs = (np.concatenate(part).astype(np.int64, copy=False) for part in zip(*groups))
+    return roots, signs, processed, dropped
+
+
 class Launch(NamedTuple):
-    """One depth's launch as :func:`expand` keeps it: what the kernel returned
-    and ``src``, each row's candidate one depth up (``None``: the identity)."""
+    """One depth's launch as :func:`expand` keeps it: what the kernel returned,
+    each row's node ``line`` and ``src``, its candidate one depth up (``None``:
+    the identity, line for line)."""
 
     src: np.ndarray | None
+    line: np.ndarray
     cand_flat: np.ndarray
     cand_cnt: np.ndarray
     log: AccessLog
     compute: np.ndarray
 
-    def read(self, twin: np.ndarray) -> tuple:
-        """``expand_rows`` of the rows extending candidates ``twin`` (ascending:
-        the log keeps its order), read, plus each candidate's own index."""
-        row = twin if self.src is None else np.searchsorted(self.src, twin)
+    def read(self, twin: np.ndarray, line: np.ndarray) -> tuple:
+        """``expand_rows`` of the rows extending candidate ``twin`` into node
+        ``line`` — found by both, as a fan-out extends a candidate once per
+        child; line-major, twins ascending: the launch's row order, which the
+        log keeps — read, plus each candidate's own index."""
+        key = None if self.src is None else (self.line << 32) + self.src
+        row = twin if key is None else np.searchsorted(key, (line << 32) + twin)
         cnt, log = self.cand_cnt[row], self.log
         pick = segment_indices(segment_offsets(self.cand_cnt)[row], cnt)
         at = np.full(self.cand_cnt.size, -1)
@@ -238,14 +261,21 @@ class Launch(NamedTuple):
 @dataclass
 class Expansion:
     """:func:`expand`'s run, nothing charged, for :func:`settle` and the walk
-    (``launches[d - 1]``: depth ``d``).  ``root_at[group]``: its first root
-    row, -1 unless the root pipeline kept all the group's roots."""
+    (``launches[d - 1]``: depth ``d``).  ``roots`` is the root table the
+    kernel ran, root group ``g``'s routed rows from ``root_offsets[g]`` on;
+    ``dropped[g]`` of its roots were certified away by ``prefilter``.
+    ``queries``, ``member`` and ``records`` are the trie's incidence it ran
+    under (:meth:`~repro.core.querytrie.ExecutionTrie.incidence`)."""
 
     trie: ExecutionTrie
     batch: UpdateBatch | None
+    prefilter: dict | None
     queries: tuple
     member: np.ndarray
-    root_at: np.ndarray
+    records: tuple
+    roots: np.ndarray
+    root_offsets: np.ndarray
+    dropped: np.ndarray
     launches: list[Launch]
     logs: list  # (node, vertex, length) per launch
     work: np.ndarray  # order-free compute per node
@@ -269,10 +299,9 @@ def expand(
     """Advance a trie of plans level-synchronously over ``graph``, charging
     nothing: roots, launches, counts, the ``sinks`` queries' rows, logs.
 
-    Every root group runs one :func:`route_roots` pipeline (certified by the
-    OR of its live members' ``prefilter[query].mask`` — a row failing for
-    every member provably yields no embedding for any), then each depth is
-    **one** :meth:`FrontierKernel.expand` over the rows of all its nodes.  A
+    Every live root group runs one :func:`route_roots` pipeline
+    (:func:`trie_roots`), then each depth is **one**
+    :meth:`FrontierKernel.expand` over the rows of all its nodes.  A
     node's rows are handed to its live children by fan-out; queries in
     ``skip`` (certified ΔM = 0) are dropped from every member set, so a
     subtree left without members receives no rows.  Plans end at any depth:
@@ -286,45 +315,17 @@ def expand(
     are products of those counts with its per-line candidate totals, and the
     per-query sums are kept for :func:`settle` (integer sums, in any order).
     """
-    labels = graph.labels
     kernel = FrontierKernel(graph, filters, attributes)
     queries, member, records = trie.incidence(skip, sinks)
-    processed, dropped = np.zeros((2, len(trie.levels[0].nodes)), dtype=np.int64)
-    groups = [(np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64))]  # stacks if none
     # a group whose every member is certified ΔM = 0 is not live: no roots either
-    for group in records[0].live.tolist():
-        members = trie.levels[0].nodes[group].members
-        certify = None
-        if prefilter is not None:
-            live = [ref for ref in members if ref.query_name not in skip]
-
-            def certify(roots, live=live):
-                keep = np.zeros(roots.shape[0], dtype=bool)
-                for ref in live:
-                    keep |= prefilter[ref.query_name].mask(ref.index, ref.plan, roots)
-                return keep
-        # the root signature holds labels and predicate: one plan stands for all
-        plan = members[0].plan
-        if batch is None:  # the settled snapshot's edges (match_static)
-            raw = static_roots(plan, graph.edges_new_array(), labels)
-        else:
-            raw = delta_roots(plan, batch, labels)
-        roots, signs, dropped[group] = route_roots(
-            plan, *raw, certify,
-            filters=filters, root_mask=root_mask, attributes=attributes,
-        )
-        processed[group] = roots.shape[0]
-        groups.append((roots, signs))
-    roots, signs = zip(*groups)
-    root_at = np.full(processed.size, -1, dtype=np.int64)  # a group's first root row
-    root_at[records[0].live] = segment_offsets(processed)[:-1][records[0].live]
-    root_at[dropped > 0] = -1  # not every root routed
+    roots, sign, processed, dropped = trie_roots(
+        trie, batch, graph, records[0].live, skip=skip, prefilter=prefilter,
+        filters=filters, root_mask=root_mask, attributes=attributes,
+    )
     # the root edge as a launch that already ran: one candidate per row
-    rows = np.concatenate(roots).astype(np.int64, copy=False)
-    rows, cand_flat, cand_cnt = rows[:, :1], rows[:, 1], np.ones(rows.shape[0], np.int64)
-    cand_row = np.arange(rows.shape[0])
-    sign = np.concatenate(signs).astype(np.int64, copy=False)
-    line = np.repeat(records[0].live, [r.shape[0] for r in roots[1:]])
+    rows, cand_flat, cand_cnt = roots[:, :1], roots[:, 1], np.ones(roots.shape[0], np.int64)
+    cand_row = np.arange(roots.shape[0])
+    line = np.repeat(np.arange(processed.size), processed)
     # per live query, summed over the depths with each level's incidence
     nodes, found, signed, output_ops = np.zeros((4, len(queries)), dtype=np.int64)
     work = np.zeros(len(trie.nodes), dtype=np.int64)  # order-free compute per node
@@ -332,16 +333,15 @@ def expand(
     src = None  # per row: the candidate one depth up it extends
     for depth, (level, record) in enumerate(zip(trie.levels, records)):
         if depth:
-            if skip or not level.chain:  # fan-out: each live child takes its parent's rows
-                take = held[record.parent]
-                pick = segment_indices(segment_offsets(held)[record.parent], take)
-                rows, sign, line = rows[pick], sign[pick], np.repeat(record.live, take)
+            if record.fans:  # each live child takes its parent's rows
+                pick, line = record.fan_out(held)
+                rows, sign = rows[pick], sign[pick]
                 src = pick if src is None else src[pick]
             if rows.shape[0] == 0:
                 break
             cand_flat, cand_row, cand_cnt, log, compute = kernel.expand(level.table, rows, line)
             work[level.order] = np.bincount(line, weights=compute, minlength=len(level.nodes))
-            launches.append(Launch(src, cand_flat, cand_cnt, log, compute))
+            launches.append(Launch(src, line, cand_flat, cand_cnt, log, compute))
             logs.append((level.order[line[log.row]], log.vertex, log.length))
         width = len(level.nodes)
         total = np.bincount(line, weights=cand_cnt, minlength=width).astype(np.int64)
@@ -369,8 +369,8 @@ def expand(
     first = records[0].member  # root counts go to every member plan's query
     columns = signed, found, first @ processed, nodes, first @ dropped  # MatchStats' fields
     return Expansion(
-        trie, batch, queries, member, root_at, launches, logs, work, output_ops,
-        np.stack(columns, axis=1), emitted,
+        trie, batch, prefilter, queries, member, records, roots, segment_offsets(processed),
+        dropped, launches, logs, work, output_ops, np.stack(columns, axis=1), emitted,
     )
 
 

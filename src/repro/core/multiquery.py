@@ -10,13 +10,14 @@ shares all of it — :class:`Rulebook` is the engine's query-set plug, so the
 stages, schedules, placements and fleet are the engine's own and this module
 holds only what is rulebook logic:
 
-* one **pooled frequency estimate**, taken in ONE walk of every query's
-  chains (:meth:`~repro.core.frequency.FrequencyEstimator.walk`) — the walk
-  budget is split exactly across the queries' delta plans and the per-vertex
-  estimates summed, which is the right statistic because the kernel's total
-  access frequency over the batch is the sum over queries (each estimate is
-  unbiased for its query's accesses, so the pooled estimate is unbiased for
-  the union workload);
+* one **pooled frequency estimate**, taken in ONE walk of the trie the
+  kernel runs (:meth:`~repro.core.frequency.FrequencyEstimator.walk`) — the
+  walk budget is split exactly across the live root groups and a row enters
+  each of a node's ``k`` live children with probability
+  ``min(1, survival/k)`` at weight ``× 1/p``, so the estimate is unbiased
+  for the merged kernel's own accesses (a shared node once, an alias never);
+  on the cached placement the walk reads the kernel's expansion, run ahead
+  of it, and launches nothing;
 * queries are lexsorted by name, then deduped by
   :func:`~repro.query.symmetry.canonical_form` — isomorphic standing
   patterns have identical ΔM on every batch, so only the lexicographically
@@ -47,9 +48,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.engine import BatchResult, GCSMEngine, QuerySet
 from repro.core.frequency import EstimationResult, default_num_walks
-from repro.core.matching import MatchStats, match_trie
+from repro.core.matching import Expansion, MatchStats, expand, settle
 from repro.core.prefilter import PrefilterDecision, PrefilterStats
 from repro.core.querytrie import ExecutionTrie, TrieStats
 from repro.graphs.static_graph import StaticGraph
@@ -217,12 +220,10 @@ class Rulebook(QuerySet):
         ]
         #: alias -> the representative matched on its behalf
         self.aliases = {n: r for n, r in self.canonical_of.items() if n != r}
+        #: what the kernel runs and the estimator walks
         self.trie = ExecutionTrie(
             {q.name: self.plans[q.name] for q in self.representatives}
         )
-        #: what the estimator walks: every query (the pooled statistic sums
-        #: over queries, aliases included), nothing merged
-        self.walk_trie = ExecutionTrie(self.plans, merge=False)
 
     @property
     def name(self) -> str:
@@ -293,61 +294,67 @@ class Rulebook(QuerySet):
             by_query, skip_queries, len(skip_queries) == len(self.queries), counters
         )
 
-    def expand(self, engine, batch, decision, sinks=None) -> None:
-        """Nothing: the walk's chains (aliases too) are not the trie's nodes."""
-        return None
+    @staticmethod
+    def _routing(decision: RulebookDecision | None) -> dict:
+        """What the trie's root pipeline certifies with: the skip set and the
+        per-query decisions, one dict object per batch."""
+        if decision is None:
+            return dict(skip=frozenset(), prefilter=None)
+        return dict(skip=decision.skip_queries, prefilter=decision.by_query)
+
+    def expand(self, engine, batch, decision, sinks=None) -> Expansion | None:
+        """The trie's view-free half, run ahead of the estimate (``None`` for
+        the per-query loop, which runs each query's own plans)."""
+        if not self.shared:
+            return None
+        return expand(
+            self.trie, batch, engine.graph,
+            sinks=frozenset(self.canonical_of[name] for name in sinks or ()),
+            attributes=engine.attributes, **self._routing(decision),
+        )
 
     def estimate(
         self, engine: GCSMEngine, batch: UpdateBatch, decision: RulebookDecision | None,
-        expansion: None = None,
+        expansion: Expansion | None = None,
     ) -> EstimationResult:
-        """Budget assignment plus ONE walk: the pooled workload estimate.
-
-        Walks *all* queries' chains (aliases included) in lexsorted order in
-        both execution modes, so the pooled frequencies — and therefore the
-        cache contents every downstream counter depends on — are
-        bit-identical between shared and independent runs.  The budget is
-        split exactly across the queries, then evenly across a query's plans.
-
-        Under the pre-filter, queries certified ΔM = 0 are excluded (their
-        walks would estimate provably dead work) and the walk budget is
-        split across the active queries only, each walking its
-        representative's *reduced* estimate batch.  This changes the
-        estimate and therefore the cache — never results.
-        """
-        skipped = decision.skip_queries if decision is not None else frozenset()
-        active = [q for q in self.queries if q.name not in skipped]
+        """Budget assignment — split exactly across the live root groups —
+        plus ONE walk of the merged trie the kernel runs, over the roots it
+        routes: unbiased for the merged kernel's accesses.  Both execution
+        modes walk it (reading the shared kernel's expansion, or launching),
+        so the pooled frequencies and the cache are bit-identical between
+        them."""
+        routing = self._routing(decision)
+        active = [q for q in self.queries if q.name not in routing["skip"]]
         max_degree = max(1, engine.graph.max_degree())
         largest = max(q.num_vertices for q in active)
         total_walks = engine.config.num_walks or default_num_walks(
             len(batch), max_degree, largest
         )
-        budget = split_walk_budget(total_walks, len(active))
-        batches = {
-            q.name: batch if decision is None
-            else decision.by_query[self.canonical_of[q.name]].estimate_batch
-            for q in active
-        }
-        walks = {
-            q.name: max(1, share // len(self.plans[q.name]))
-            for q, share in zip(active, budget)
-        }
-        pooled, nodes, counters = engine.estimator.walk(
-            self.walk_trie, batches, walks, max_degree
+        # the expansion's incidence, if it ran: its skip set's only record
+        records = self.trie.incidence(routing["skip"])[2] if expansion is None else (
+            expansion.records
         )
-        return EstimationResult(pooled, sum(budget), nodes, counters)
+        groups = records[0].live
+        budget = np.zeros(len(self.trie.levels[0].nodes), dtype=np.int64)
+        budget[groups] = split_walk_budget(total_walks, groups.size)
+        pooled, nodes, counters = engine.estimator.walk(
+            self.trie, batch, budget, max_degree, expansion, **routing
+        )
+        return EstimationResult(pooled, int(budget.sum()), nodes, counters)
 
     def match(
         self, engine: GCSMEngine, batch: UpdateBatch, view, decision: RulebookDecision | None,
-        sinks: dict | None = None, expansion: None = None, *, filters=None, root_mask=None,
+        sinks: dict | None = None, expansion: Expansion | None = None, *, filters=None,
+        root_mask=None,
     ) -> RulebookStats:
-        """Match every query not certified away; ``view.counters`` receives
-        the work actually executed.  Skipped queries and (under the trie)
-        aliases are filled in once per batch by :meth:`settle`.  (``filters``
-        is the ``indexed`` placement's, which :meth:`check` refuses, and
-        ``expansion`` is never handed over: :meth:`expand` runs none.)"""
-        run = self._match_shared if self.shared else self._match_independent
-        return run(engine, batch, view, decision, sinks or {}, root_mask)
+        """Match every query not certified away (or settle :meth:`expand`'s
+        run); ``view.counters`` receives the work actually executed.  Skipped
+        queries and (under the trie) aliases are filled in once per batch by
+        :meth:`settle`.  (``filters`` is the ``indexed`` placement's, which
+        :meth:`check` refuses.)"""
+        if not self.shared:
+            return self._match_independent(engine, batch, view, decision, sinks or {}, root_mask)
+        return self._match_shared(engine, batch, view, decision, sinks or {}, root_mask, expansion)
 
     def _match_independent(
         self, engine, batch, view, decision, sinks, root_mask
@@ -379,10 +386,11 @@ class Rulebook(QuerySet):
         return out
 
     def _match_shared(
-        self, engine, batch, view, decision, sinks, root_mask
+        self, engine, batch, view, decision, sinks, root_mask, expansion
     ) -> RulebookStats:
-        """The representatives' trie on the match driver; its per-query
-        attributed counters and stats are bit-identical to an independent run.
+        """The representatives' trie on the match driver (settling
+        ``expansion`` when :meth:`expand` ran it); its per-query attributed
+        counters and stats are bit-identical to an independent run.
         """
         # aliases receive the representative's embeddings remapped through
         # the stored isomorphism; the representative's own sink (if any)
@@ -408,19 +416,20 @@ class Rulebook(QuerySet):
                         sink(tuple(emb[u] for u in inv), sign)
             rep_sinks[rep] = _fan
 
-        skipped = decision.skip_queries if decision is not None else frozenset()
+        routing = self._routing(decision)
         out = self._new_stats()
         per_query = out.counters_by_query
         if per_query is not None:
             per_query.update(
                 (q.name, AccessCounters()) for q in self.representatives
-                if q.name not in skipped
+                if q.name not in routing["skip"]
             )
-        rep_stats = match_trie(
-            self.trie, batch, view, sinks=rep_sinks, skip=skipped,
-            prefilter=decision.by_query if decision is not None else None,
-            attributed=per_query, root_mask=root_mask, attributes=engine.attributes,
-        )
+        if expansion is None:
+            expansion = expand(
+                self.trie, batch, view.graph, sinks=frozenset(rep_sinks), root_mask=root_mask,
+                attributes=engine.attributes, **routing,
+            )
+        rep_stats = settle(expansion, view, sinks=rep_sinks, attributed=per_query)
         for name, stats in rep_stats.items():
             out.add(name, stats)
         return out

@@ -20,9 +20,9 @@ pre-order index — which is what :func:`repro.core.matching.match_trie`, the
 level-synchronous driver, launches the frontier kernel over: one
 ``expand`` per depth for all its nodes.  ``merge=False`` builds the
 no-sharing trie (every plan its own root group and chain) that a single
-query's ΔM plans run as (:func:`solo_trie`); the driver does not tell the
-two apart, and the frequency estimator walks the same per-depth tables
-(:meth:`repro.core.frequency.FrequencyEstimator.walk`).
+query's ΔM plans run as (:func:`solo_trie`); neither the driver nor the
+frequency estimator, which walks the trie its kernel runs
+(:meth:`repro.core.frequency.FrequencyEstimator.walk`), tells the two apart.
 
 Exactness contract (validated by ``tests/test_multiquery_shared.py`` and
 the adversarial-stream fuzzer):
@@ -62,6 +62,7 @@ import numpy as np
 from repro.core.frontier import LevelTable, level_table
 from repro.gpu.counters import OPS_COLUMN, AccessCounters, Accesses, tabulate
 from repro.query.plan import LevelPlan, MatchPlan, level_signature, root_signature
+from repro.utils import segment_indices, segment_offsets
 
 __all__ = [
     "PlanRef", "TrieNode", "TrieLevel", "LevelIncidence", "ExecutionTrie", "TrieStats",
@@ -109,16 +110,14 @@ class TrieLevel:
     groups), each line's ``parent`` line one depth up and its pre-order index
     ``order`` over the whole trie.  ``chain`` says every node one depth up has
     exactly one child here, line for line: handing rows down is the identity.
-    ``child`` is ``parent`` read downwards — per line one depth up its (last)
-    child line here, -1 without one: the hand-down map of a trie whose nodes
-    have at most one child each (the estimator's)."""
+    Anywhere else the driver and the walk alike fan rows out through the
+    live lines' ``parent`` (:meth:`LevelIncidence.fan_out`)."""
 
     nodes: list[TrieNode]
     table: LevelTable | None
     parent: np.ndarray
     order: np.ndarray
     chain: bool
-    child: np.ndarray
 
 
 class LevelIncidence(NamedTuple):
@@ -129,7 +128,9 @@ class LevelIncidence(NamedTuple):
     ``(queries, width)`` counts of each live query's plans through
     (``member``) and ending at (``terminal``) each line, whether a line's
     rows are ``wanted`` — by a live child or a sink — and the ``(plan,
-    line)`` pairs that have a sink, line-major."""
+    line)`` pairs that have a sink, line-major.  ``fans``: rows reach the
+    depth by :meth:`fan_out` — not a chain, or a skipped query left a line
+    dead — and by the identity, line for line, everywhere else."""
 
     live: np.ndarray
     parent: np.ndarray
@@ -137,6 +138,16 @@ class LevelIncidence(NamedTuple):
     terminal: np.ndarray
     wanted: np.ndarray
     sinks: tuple[tuple[PlanRef, int], ...]
+    fans: bool
+
+    def fan_out(self, held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Hand line-major rows down, ``held[l]`` of them on line ``l`` one
+        depth up: each to every live child of its line, line-major again —
+        ``(pick, line)``, every new row's row above and its line here.  The
+        one hand-down order of the driver and the walk alike."""
+        take = held[self.parent]
+        pick = segment_indices(segment_offsets(held)[self.parent], take)
+        return pick, np.repeat(self.live, take)
 
 
 @dataclass
@@ -215,31 +226,15 @@ class ExecutionTrie:
             stack.extend(reversed(node.children.values()))
         #: one :class:`TrieLevel` per depth, root groups first
         self.levels: list[TrieLevel] = []
-        #: the root table's layout, per plan in ``refs`` order: its query's
-        #: index and its root signature's (label pair + root predicate: what
-        #: decides its roots in a batch) into ``root_plans``, one plan each
-        query_at = {name: at for at, name in enumerate(self.queries)}
-        signature_at: dict[tuple, int] = {}
-        self.ref_query = np.array([query_at[ref.query_name] for ref in self.refs], dtype=np.int64)
-        self.ref_root = np.array([
-            signature_at.setdefault(root_signature(ref.plan), len(signature_at))
-            for ref in self.refs
-        ], dtype=np.int64)
-        self.root_plans = [
-            self.refs[at].plan for at in np.unique(self.ref_root, return_index=True)[1]
-        ]
         nodes, parent = list(roots.values()), []
         while nodes:
             above = len(self.levels[-1].nodes) if self.levels else 0
-            child = np.full(above, -1, dtype=np.int64)
-            child[parent] = np.arange(len(parent))
             self.levels.append(TrieLevel(
                 nodes,
                 level_table(tuple(n.level for n in nodes)) if self.levels else None,
                 np.array(parent, dtype=np.int64),
                 np.array([n.order for n in nodes], dtype=np.int64),
                 chain=bool(self.levels) and parent == list(range(above)),
-                child=child,
             ))
             parent = [line for line, n in enumerate(nodes) for _ in n.children]
             nodes = [c for n in nodes for c in n.children.values()]
@@ -291,6 +286,7 @@ class ExecutionTrie:
                 levels.append(LevelIncidence(
                     live, level.parent[live] if depth else level.parent,
                     member[:, level.order], terminal[:, level.order], wanted, sunk,
+                    depth > 0 and (not level.chain or live.size < len(level.nodes)),
                 ))
             found = self._incidence[skip, sinks] = (queries, member, tuple(levels))
         return found

@@ -4,7 +4,8 @@ Nothing on the production path imports this package.  It holds the slow,
 obviously-correct twins of the vectorized production kernels:
 
 * :mod:`repro.testing.kernels` — the recursive depth-first matching
-  executor and the recursive merged-walk frequency estimator, their
+  executor and the recursive merged-walk frequency estimator (with
+  :func:`chain_estimate`, the rulebook statistic its walk replaced), their
   sorted-set primitives (``intersect_sorted*``, ``merge_sorted_unique``,
   ``segmented_contains`` — the oracle of the arena's rank-key probe), plus
   :func:`use_reference_kernels`, the one seam engine-level parity suites
@@ -25,6 +26,7 @@ from repro.testing.calls import count_calls
 from repro.testing.kernels import (
     GALLOP_RATIO,
     RecursiveFrequencyEstimator,
+    chain_estimate,
     intersect_sorted,
     intersect_sorted_gallop,
     intersect_sorted_merge,
@@ -44,6 +46,7 @@ from repro.testing.oracles import (
 __all__ = [
     "count_calls",
     "RecursiveFrequencyEstimator",
+    "chain_estimate",
     "match_batch_recursive",
     "match_static_recursive",
     "use_reference_kernels",

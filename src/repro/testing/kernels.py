@@ -9,24 +9,31 @@ production kernels are checked against:
   per-vertex access histogram and sink order must equal
   :func:`repro.core.matching.match_batch` bit for bit.
 * :class:`RecursiveFrequencyEstimator` — the per-node merged random walk
-  of paper Sec. IV-B; the three-layer parity contract with the frontier
-  sampler is in ``docs/frequency.md``.
+  of paper Sec. IV-B, down any trie of plans; the three-layer parity
+  contract with the frontier sampler is in ``docs/frequency.md``.
+* :func:`chain_estimate` — a rulebook's estimate over every query's own
+  chains, the biased foil its merged-trie walk is measured against.
 
 Engine-level suites swap both in through :func:`use_reference_kernels`.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from repro.core.frequency import FrequencyEstimator
+from repro.core.frequency import EstimationResult, FrequencyEstimator, default_num_walks
 from repro.core.matching import (
     EmbeddingSink,
     MatchStats,
-    batch_roots,
+    delta_roots,
     filter_root_predicate,
+    route_roots,
     static_roots,
 )
+from repro.core.multiquery import split_walk_budget
+from repro.core.querytrie import ExecutionTrie
 from repro.graphs.attributes import pair_weights
 from repro.graphs.stream import UpdateBatch
 from repro.gpu.counters import AccessCounters, Channel
@@ -34,7 +41,7 @@ from repro.gpu.device import BYTES_PER_NEIGHBOR
 from repro.gpu.views import GraphView
 from repro.query.pattern import WILDCARD_LABEL
 from repro.query.plan import EdgeVersion, MatchPlan
-from repro.utils import VERTEX_DTYPE, merge_sorted
+from repro.utils import VERTEX_DTYPE, merge_sorted, require
 
 __all__ = [
     "merge_sorted_unique",
@@ -47,6 +54,7 @@ __all__ = [
     "match_batch_recursive",
     "match_static_recursive",
     "RecursiveFrequencyEstimator",
+    "chain_estimate",
     "use_reference_kernels",
 ]
 
@@ -324,13 +332,18 @@ def match_batch_recursive(
     prefilter=None,
     attributes=None,
 ) -> MatchStats:
-    """:func:`repro.core.matching.match_batch` on the recursive executor."""
+    """:func:`repro.core.matching.match_batch` on the recursive executor: the
+    driver's root pipeline plan by plan, certified by
+    ``prefilter.mask(plan_index, plan, roots)``."""
     labels = view.graph.labels
     total = MatchStats()
-    for plan, roots, signs in batch_roots(
-        plans, batch, labels, total, filters=filters, root_mask=root_mask,
-        prefilter=prefilter, attributes=attributes,
-    ):
+    for index, plan in enumerate(plans):
+        certify = None if prefilter is None else partial(prefilter.mask, index, plan)
+        roots, signs, skipped = route_roots(
+            plan, *delta_roots(plan, batch, labels), certify,
+            filters=filters, root_mask=root_mask, attributes=attributes,
+        )
+        total.roots_skipped += skipped
         total.merge(
             _run_recursive(plan, view, labels, sink, filters, roots, signs, attributes)
         )
@@ -352,24 +365,26 @@ def match_static_recursive(
 
 
 class RecursiveFrequencyEstimator(FrequencyEstimator):
-    """Depth-first merged-binomial sampler over the ΔM_i execution trees."""
+    """Depth-first merged-binomial sampler over the ΔM_i execution trees,
+    node by node down any trie of plans."""
 
-    def _descend(self, trie, roots, max_degree, tally, counters) -> int:
-        """The root table row by row (chain-major): one :meth:`_walk` frame
-        per node, each launching its own reads (the table's ``reading`` of a
+    def _descend(self, trie, records, roots, max_degree, tally, counters) -> int:
+        """The root table row by row (group-major): one :meth:`_walk` frame
+        per node, each entering its trie node's live children under the
+        branch rule and launching its own reads (the table's ``reading`` of a
         matcher's expansion is not looked at)."""
-        labels = self.graph.labels
+        live = np.zeros(len(trie.nodes), dtype=bool)
+        for level, record in zip(trie.levels, records):
+            live[level.order[record.live]] = True
         nodes = 0
-        for root, chain, multiplicity, num_roots, tally_row in zip(
+        for root, group, multiplicity, num_roots, tally_row in zip(
             *map(np.ndarray.tolist, roots[:5])
         ):
-            plan = trie.refs[chain].plan
-            bound = np.empty(plan.depth, dtype=np.int64)
+            bound = np.empty(len(trie.levels) + 1, dtype=np.int64)
             bound[0], bound[1] = root
             nodes += self._walk(
-                plan, bound, level_index=0, multiplicity=multiplicity,
-                weight=num_roots, inv_d=1.0 / max_degree,
-                freq=tally[tally_row], counters=counters, labels=labels,
+                trie.levels[0].nodes[group], bound, 0, multiplicity, num_roots,
+                (live, 1.0 / max_degree, tally[tally_row], counters),
             )
         return nodes
 
@@ -397,27 +412,34 @@ class RecursiveFrequencyEstimator(FrequencyEstimator):
         freq[v] += multiplicity * weight
         return arr
 
-    def _walk(
-        self,
-        plan: MatchPlan,
-        bound: np.ndarray,
-        level_index: int,
-        multiplicity: int,
-        weight: float,
-        inv_d: float,
-        freq: np.ndarray,
-        counters: AccessCounters,
-        labels: np.ndarray,
-    ) -> int:
-        """Expand one execution-tree node with merged multiplicity ``B``.
+    def _walk(self, node, bound: np.ndarray, depth: int, multiplicity: int, weight: float,
+              context: tuple) -> int:
+        """One execution-tree node: ``depth + 2`` bound vertices at trie node
+        ``node``, carried by ``multiplicity`` merged walks at inverse sampling
+        probability ``weight``.  It enters each live child of ``node`` under
+        the branch rule (:meth:`_thinning`) and expands there; returns the
+        nodes visited at and below it."""
+        live = context[0]
+        children = [child for child in node.children.values() if live[child.order]]
+        p = float(self._thinning(len(children)))
+        nodes = 1
+        for child in children:
+            entered = multiplicity if p >= 1.0 else int(self.rng.binomial(multiplicity, p))
+            if entered:
+                nodes += self._expand(child, bound, depth, entered, weight / p, context)
+        return nodes
 
-        ``weight`` is the inverse sampling probability of *this* node
-        (``|ΔE| · D^{level-1}``); accesses performed here are charged at that
-        weight times the node multiplicity (paper Eq. 3).
+    def _expand(self, node, bound: np.ndarray, depth: int, multiplicity: int, weight: float,
+                context: tuple) -> int:
+        """Expand trie node ``node``'s level at the row ``bound[:depth + 2]``
+        with merged multiplicity ``B``; returns the child nodes visited.
+
+        ``weight`` is the inverse sampling probability of this expansion;
+        accesses performed here are charged at that weight times the
+        multiplicity (paper Eq. 3).
         """
-        if level_index >= len(plan.levels):
-            return 1
-        lvl = plan.levels[level_index]
+        _, inv_d, freq, counters = context
+        lvl, labels = node.level, self.graph.labels
         # mirror the executor: visit constraints smallest-list-first so the
         # sampled accesses follow the exact kernel's access pattern
         def _len_of(c):
@@ -436,7 +458,7 @@ class RecursiveFrequencyEstimator(FrequencyEstimator):
                 counters.record_compute(cand.size + arr.size)
                 cand = np.intersect1d(cand, arr, assume_unique=True)
             if cand.size == 0:
-                return 1
+                return 0
         assert cand is not None
         if lvl.label != WILDCARD_LABEL:
             cand = cand[labels[cand] == lvl.label]
@@ -449,12 +471,11 @@ class RecursiveFrequencyEstimator(FrequencyEstimator):
             w = pair_weights(self.attributes, int(bound[c.position]), cand)
             lo, hi = c.predicate
             cand = cand[(w >= lo) & (w <= hi)]
-        for i in range(level_index + 2):
+        for i in range(depth + 2):
             cand = cand[cand != bound[i]]
         counters.record_compute(cand.size)
         if cand.size == 0:
-            return 1
-        nodes = 1
+            return 0
         if self.survival is None:
             child_p = inv_d  # paper schedule: 1/D per child
         else:
@@ -468,15 +489,35 @@ class RecursiveFrequencyEstimator(FrequencyEstimator):
             b_children = np.full(cand.size, multiplicity, dtype=np.int64)
         else:
             b_children = self.rng.binomial(multiplicity, child_p, size=cand.size)
-        live = np.nonzero(b_children > 0)[0]
         child_weight = weight / child_p  # inverse sampling probability so far
-        for j in live:
-            bound[level_index + 2] = cand[j]
-            nodes += self._walk(
-                plan, bound, level_index + 1, int(b_children[j]), child_weight,
-                inv_d, freq, counters, labels,
-            )
+        nodes = 0
+        for j in np.nonzero(b_children > 0)[0]:
+            bound[depth + 2] = cand[j]
+            nodes += self._walk(node, bound, depth + 1, int(b_children[j]), child_weight, context)
         return nodes
+
+
+def chain_estimate(rulebook, engine, batch, decision=None, expansion=None) -> EstimationResult:
+    """A rulebook's pooled estimate over every query's ΔM plans as chains of
+    one no-sharing trie, aliases included: the budget split exactly across
+    the queries, then evenly over a query's plans, and one walk of all the
+    chains (pre-filter off).  Unbiased for the summed accesses of running
+    every query on its own — a shared prefix once per chain, an alias's
+    accesses though it never runs — so ``≈ 3×`` the merged kernel's on
+    ``az_rulebook24``: the statistic :meth:`Rulebook.estimate
+    <repro.core.multiquery.Rulebook.estimate>` is measured against, with its
+    signature so a test can patch it in."""
+    require(decision is None, "the chain statistic is taken with the pre-filter off")
+    chains = ExecutionTrie(rulebook.plans, merge=False)
+    max_degree = max(1, engine.graph.max_degree())
+    total = engine.config.num_walks or default_num_walks(
+        len(batch), max_degree, max(q.num_vertices for q in rulebook.queries)
+    )
+    shares = split_walk_budget(total, len(rulebook.queries))
+    plans = [len(rulebook.plans[q.name]) for q in rulebook.queries]
+    budget = np.repeat([max(1, s // n) for s, n in zip(shares, plans)], plans)
+    frequencies, nodes, counters = engine.estimator.walk(chains, batch, budget, max_degree)
+    return EstimationResult(frequencies, sum(shares), nodes, counters)
 
 
 def use_reference_kernels(engine, *, matcher: bool = True, estimator: bool = True):

@@ -491,7 +491,8 @@ class TestIncidenceMultiplicity:
     def test_sinks_and_attribution_share_one_record_per_skip_set(self):
         """The driver hands ``attribute`` the ``(queries, member)`` of the
         incidence it already holds: with sinks *and* per-query counters on, a
-        batch builds one record, not a second one under ``(skip, no sinks)``."""
+        batch builds one record, not a second one under ``(skip, no sinks)``
+        — the walk reads the expansion's."""
         g0, batches = az_stream(2, 48)
         engine = MultiQueryEngine(g0, self.QUERIES, seed=0)
         for batch in batches:

@@ -1,24 +1,27 @@
 """The estimator's one walk (``FrequencyEstimator.walk``) under both samplers.
 
 What ``tests/test_estimator_parity.py`` pins for one query through
-``estimate`` is pinned here for the shape underneath it: every chain of a
-no-sharing trie advances in one launch per depth, a rulebook's pooled
-estimate is a single walk that the oracle reproduces exactly, and the walk
-prunes by weight predicates the way the kernel does.
+``estimate`` is pinned here for the shape underneath it: every root group of
+a trie advances in one launch per depth, a rulebook's pooled estimate is a
+single walk of its kernel's merged trie that the oracle reproduces exactly
+and that is unbiased for the merged kernel's accesses, and the walk prunes
+by weight predicates the way the kernel does.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.frequency as frequency
 import repro.core.frequency_frontier as frequency_frontier
 import repro.core.frontier as frontier
+import repro.core.matching as matching
 from repro.core.engine import GCSMEngine
 from repro.core.frequency import default_num_walks
 from repro.core.frequency_frontier import FrontierFrequencyEstimator
@@ -37,7 +40,7 @@ from repro.gpu.views import HostCPUView
 from repro.query import QueryGraph, query_by_name
 from repro.query.generator import rulebook_suite
 from repro.query.plan import compile_delta_plans
-from repro.testing import count_calls, use_reference_kernels
+from repro.testing import chain_estimate, count_calls, use_reference_kernels
 
 from tests.test_estimator_parity import (
     ESTIMATORS,
@@ -58,9 +61,10 @@ def az_stream(num_batches: int, batch_size: int = 24):
 
 
 class TestOneLaunchPerDepth:
-    """The walk issues one ``join_rows`` per trie depth for all chains: at
-    most the deepest plan's level count per batch (the per-plan loop issued
-    13.6 / 26.3 / 102 per batch on the benchmark's Q1 / Q3 / rulebook24)."""
+    """The walk issues one ``join_rows`` per trie depth for all root groups:
+    at most the deepest plan's level count per batch (the per-plan loop
+    issued 13.6 / 26.3 / 102 per batch on the benchmark's Q1 / Q3 /
+    rulebook24)."""
 
     TARGETS = ["Q1", "Q3", "rulebook24"]
 
@@ -69,7 +73,7 @@ class TestOneLaunchPerDepth:
         """``(engine, deepest plan's vertex count)``."""
         if target == "rulebook24":
             query = Rulebook(rulebook_suite(24, num_labels=3, seed=0))
-            assert len(query.walk_trie.refs) > 100  # chains, aliases included
+            assert query.trie.stats.expanded_levels > 100  # the merged trie's level nodes
             return GCSMEngine(g0, query, seed=0), max(q.num_vertices for q in query.queries)
         query = query_by_name(target)
         return GCSMEngine(g0, query, seed=0), query.num_vertices
@@ -118,9 +122,9 @@ class TestOneLaunchPerDepth:
 
 
 class TestOneDrawForAllChains:
-    """The root table: every walked chain's roots stacked chain-major and
-    drawn in ONE ``rng.binomial`` over repeated ``(M, 1/|ΔR_i|)`` columns.
-    That this moves no number rests on one property of
+    """The root table: every walked root group's roots stacked group-major
+    and drawn in ONE ``rng.binomial`` over repeated ``(M, 1/|ΔR_g|)``
+    columns.  That this moves no number rests on one property of
     ``numpy.random.Generator.binomial``, pinned first."""
 
     def test_one_stacked_draw_equals_the_per_chain_calls(self):
@@ -154,7 +158,9 @@ class TestOneDrawForAllChains:
     #: ``nodes_visited``, ``num_walks``, the FE counters' compute and channel
     #: maps and both histograms — of ``GCSMEngine(seed=0)`` on
     #: ``derive(DATASETS[d].build(0), 4 batches, seed=1)``, recorded at the
-    #: parent (28eee7d: one ``rng.binomial`` per chain) before ``src/`` moved
+    #: parent (28eee7d: one ``rng.binomial`` per chain) before ``src/`` moved.
+    #: A rulebook's are its chain statistic's (:func:`chain_estimate`, what
+    #: ``Rulebook.estimate`` walked then), patched in
     PARENT_DIGESTS = {
         ("CA-Q3", 1.0): "00593b740d6cdd919e2d08aa896375da66dc94e2fff021fbf9388c67c39e09dc",
         ("CA-Q3", None): "c979262ce9efb04596e28d0cbb7eb6cb0eb170fc03ade90194453a9da219a619",
@@ -171,9 +177,13 @@ class TestOneDrawForAllChains:
         ),
     }
 
-    @pytest.mark.parametrize("survival", [1.0, None], ids=["default", "paper"])
-    @pytest.mark.parametrize("case", list(CASES))
-    def test_estimates_are_the_parents_bit_for_bit(self, case, survival):
+    #: the same digests of the merged-trie walk (``Rulebook.estimate``)
+    MERGED_DIGESTS = {
+        1.0: "4d0a1076e7d409917337258c53724244d6718adda74642b9f2c85719baa0a098",
+        None: "b5c167700460414737353ab2e902734a6db9c25aa61539d0e69f0d7da55f9ac4",
+    }
+
+    def digest(self, case, survival):
         dataset, query, derive, size = self.CASES[case]
         g0, batches = derive(
             datasets.DATASETS[dataset].build(0), num_updates=4 * size, batch_size=size, seed=1
@@ -188,20 +198,30 @@ class TestOneDrawForAllChains:
             for part in (est.frequencies, np.array(scalars, dtype=np.int64),
                          c.vertex_access_counts(n), c.vertex_access_bytes(n)):
                 digest.update(np.ascontiguousarray(part).tobytes())
-        assert digest.hexdigest() == self.PARENT_DIGESTS[case, survival]
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("survival", [1.0, None], ids=["default", "paper"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_estimates_are_the_parents_bit_for_bit(self, case, survival, monkeypatch):
+        monkeypatch.setattr(Rulebook, "estimate", chain_estimate)
+        assert self.digest(case, survival) == self.PARENT_DIGESTS[case, survival]
+
+    @pytest.mark.parametrize("survival", [1.0, None], ids=["default", "paper"])
+    def test_merged_trie_estimates_are_pinned(self, survival):
+        assert self.digest("AZ-rulebook24", survival) == self.MERGED_DIGESTS[survival]
 
     def test_a_rulebook_batch_draws_once_and_filters_once_per_signature(self, monkeypatch):
-        """Counts that repeat: one root draw per walk (110 at the parent, one
-        per chain with roots), the root predicate filter once per distinct
-        ``(labels, predicate)`` signature (one per chain at the parent), and
-        each label pair masked once per batch for the estimator *and* the
-        matcher together (once each at the parent)."""
+        """Counts that repeat: one root draw per walk (110 before the root
+        table, one per chain with roots), the root predicate filter once per
+        live root group — the matcher's, which the walk reads — and each label
+        pair masked once per batch for the estimator *and* the matcher
+        together."""
         g0, batches = az_stream(6)
         rulebook = Rulebook(rulebook_suite(24, num_labels=3, seed=0))
         engine = GCSMEngine(g0, rulebook, seed=0, survival=FULL_EXPANSION)
-        chains, signatures = len(rulebook.walk_trie.refs), len(rulebook.walk_trie.root_plans)
-        pairs = {ref.plan.root_labels() for ref in rulebook.walk_trie.refs}
-        assert chains > 100 and signatures < chains / 4 and len(pairs) <= signatures
+        groups = rulebook.trie.stats.root_groups
+        pairs = {ref.plan.root_labels() for ref in rulebook.trie.refs}
+        assert len(pairs) <= groups < len(rulebook.trie.refs)
 
         class CountingRng:  # full expansion: only the root draw consumes randomness
             def __init__(self, rng):
@@ -212,8 +232,7 @@ class TestOneDrawForAllChains:
                 return self.rng.binomial(n, p, size)
 
         rng = engine.estimator.rng = CountingRng(engine.estimator.rng)
-        count = TestOneLaunchPerDepth.count
-        filtered = count(monkeypatch, frequency, "filter_root_predicate")
+        filtered = TestOneLaunchPerDepth.count(monkeypatch, matching, "filter_root_predicate")
         labelled, answers = UpdateBatch.labelled_roots, []
 
         def kept(self, labels, pair):
@@ -228,19 +247,20 @@ class TestOneDrawForAllChains:
             answers.append([])
             assert engine.process_batch(batch).estimation.nodes_visited > 0
         assert rng.draws == [1] * len(batches)
-        assert 0 < max(filtered) <= signatures
-        for asked in answers:  # asked by chains and root groups alike, masked once per pair
-            assert len(asked) > len(pairs) >= len({id(roots) for roots in asked}) > 0
+        assert 0 < max(filtered) <= groups
+        for asked in answers:  # asked once per root group, masked once per pair
+            assert groups >= len(asked) >= len(pairs) >= len({id(roots) for roots in asked}) > 0
 
 
 class TestRulebookWalkParity:
     """Layer (a) for a rulebook: in the full-expansion regime the production
-    walk and the oracle's chain loop agree **exactly** — ``nodes_visited``,
-    ``num_walks``, every FE counter and histogram, and the pooled
-    frequencies bit for bit.  Exactly, not ``allclose``: a chain's
-    ``1/budget`` is *not* folded into its root weight; chains of one budget
-    accumulate integer-valued charges into one row that the shared base
-    divides once after the walk, so no sum depends on the charging order.
+    walk of the merged trie and the oracle's node-by-node recursion agree
+    **exactly** — ``nodes_visited``, ``num_walks``, every FE counter and
+    histogram, and the pooled frequencies bit for bit.  Exactly, not
+    ``allclose``: a group's ``1/budget`` is *not* folded into its root
+    weight; groups of one budget accumulate integer-valued charges into one
+    row that the shared base divides once after the walk, so no sum depends
+    on the charging order.
     """
 
     def test_cached_rulebook_identical_under_the_oracle(self):
@@ -251,7 +271,7 @@ class TestRulebookWalkParity:
             engine = MultiQueryEngine(
                 g0, queries, placement="cached", survival=FULL_EXPANSION, seed=3
             )
-            assert engine.query_set.aliases  # aliases walk too
+            assert engine.query_set.aliases  # aliases are not walked: never run
             if name == "recursive":
                 use_reference_kernels(engine, matcher=False)
             assert type(engine.estimator) is ESTIMATORS[name]
@@ -268,54 +288,80 @@ class TestRulebookWalkParity:
         assert all(r["nodes"] > 100 for r in runs["frontier"])
         assert any(any(r["delta"].values()) for r in runs["frontier"])
 
-    def test_reduced_estimate_batches_make_a_table_of_several_batches(self):
-        """Under the prefilter each representative walks its own *reduced*
-        batch: the root table pools roots per ``(batch object, signature)``,
-        and the oracle, fed the same table, agrees exactly."""
+    def test_prefilter_rulebook_identical_under_the_oracle(self):
+        """Under the pre-filter the walk draws over the roots the kernel
+        routes — certified per root group, skipped queries out of every
+        member set — read from the expansion; the oracle, fed the same root
+        table, descends the same live nodes and agrees exactly."""
         g0, batches = az_stream(5)
         queries = rulebook_suite(8, num_labels=3, seed=0)
-        runs, objects = {}, 0
+        runs, dropped = {}, 0
         for name in ESTIMATORS:
             engine = MultiQueryEngine(
                 g0, queries, survival=FULL_EXPANSION, seed=3, prefilter="on"
             )
             if name == "recursive":
                 use_reference_kernels(engine, matcher=False)
-            walk = engine.estimator.walk
+            expand_ahead = engine.query_set.expand
 
-            def spying(trie, given, walks, max_degree, walk=walk):
-                nonlocal objects
-                objects = max(objects, len({id(b) for b in given.values()}))
-                return walk(trie, given, walks, max_degree)
+            def spying(*args, expand_ahead=expand_ahead, **kwargs):
+                nonlocal dropped
+                expansion = expand_ahead(*args, **kwargs)
+                dropped += int(expansion.dropped.sum())
+                return expansion
 
-            engine.estimator.walk = spying
+            engine.query_set.expand = spying
             runs[name] = [
                 (estimator_fingerprint(r.estimation, g0.num_vertices), r.delta_counts)
                 for r in map(engine.process_batch, batches) if r.estimation is not None
             ]
-        assert objects > 1
+        assert dropped > 0  # roots were certified away
         assert runs["frontier"] and runs["frontier"] == runs["recursive"]
 
     def test_budgets_differ_between_chains(self):
-        """Not vacuous: the rulebook's chains really carry different
-        per-chain budgets (several accumulator rows) and end at different
-        depths."""
+        """Not vacuous: the rulebook's root groups really carry different
+        budgets (several accumulator rows) and its plans — the trie's
+        root-to-terminal chains — end at different depths."""
         rulebook = Rulebook(rulebook_suite(8, num_labels=3, seed=0))
-        budget = split_walk_budget(default_num_walks(24, 50, 6), 8)
-        per_chain = {
-            max(1, share // len(rulebook.plans[q.name]))
-            for q, share in zip(rulebook.queries, budget)
-        }
-        assert len(per_chain) > 1
-        depths = {len(ref.plan.levels) for ref in rulebook.walk_trie.refs}
+        groups = rulebook.trie.stats.root_groups
+        assert len(set(split_walk_budget(default_num_walks(24, 50, 6), groups))) > 1
+        depths = {len(ref.plan.levels) for ref in rulebook.trie.refs}
         assert len(depths) > 1
 
-    def test_walk_refuses_a_merged_trie(self):
-        rulebook = Rulebook([query_by_name("Q1"), query_by_name("Q2")])
-        engine = GCSMEngine(erdos_renyi(20, 3.0, num_labels=3, seed=0), rulebook)
-        assert rulebook.trie.stats.root_groups < len(rulebook.trie.refs)
-        with pytest.raises(ValueError, match="no-sharing"):
-            engine.estimator.walk(rulebook.trie, {}, {}, 4)
+    @pytest.mark.parametrize("prefilter", ["off", "on"])
+    def test_oracle_walks_the_merged_trie(self, prefilter):
+        """The oracle recurses node by node with fan-out under the same
+        branch rule, so on the merged trie — nodes with several live
+        children, a skip set under the pre-filter — it equals the production
+        walk bit for bit in the full-expansion regime, launching or reading."""
+        g0, batches = az_stream(6)
+        rulebook = Rulebook(rulebook_suite(12, num_labels=3, seed=4))
+        assert max(np.bincount(level.parent).max() for level in rulebook.trie.levels[1:]) > 1
+        engine = GCSMEngine(g0, rulebook, seed=0, prefilter=prefilter)
+        n = g0.num_vertices
+        for batch in batches:
+            applied = engine.graph.apply_batch(batch)
+            decision = None
+            if engine.prefilter_index is not None:
+                engine.prefilter_index.apply_batch(applied)
+                decision = rulebook.evaluate(engine.prefilter_index, applied)
+            routing = Rulebook._routing(decision)
+            budget = np.zeros(rulebook.trie.stats.root_groups, dtype=np.int64)
+            budget[rulebook.trie.incidence(routing["skip"])[2][0].live] = 50
+            expansion = rulebook.expand(engine, applied, decision)
+            runs = [
+                sampler(engine.graph, DEVICE, seed=1, survival=FULL_EXPANSION).walk(
+                    rulebook.trie, applied, budget, 30, given, **routing
+                )
+                for sampler in ESTIMATORS.values() for given in (expansion, None)
+            ]
+            for frequencies, nodes, counters in runs[1:]:
+                assert np.array_equal(frequencies, runs[0][0]) and nodes == runs[0][1]
+                assert counters.summary() == runs[0][2].summary()
+                assert np.array_equal(counters.vertex_access_counts(n),
+                                      runs[0][2].vertex_access_counts(n))
+            assert runs[0][2].total_access_count > 0  # past the roots
+            engine.stage_reorganize()
 
 
 class TestPooledEstimateIsModeIndependent:
@@ -338,6 +384,60 @@ class TestPooledEstimateIsModeIndependent:
                 if r.estimation is not None
             ]
         assert pooled[True] and pooled[True] == pooled[False]
+
+
+def mutated(function, old: str, new: str):
+    """``function`` recompiled with the one occurrence of ``old`` in its
+    source replaced by ``new`` — a mutant, to show a gate fails on it."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, f"mutation site not found once: {old!r}"
+    namespace: dict = {}
+    code = compile(source.replace(old, new), inspect.getsourcefile(function), "exec")
+    exec(code, function.__globals__, namespace)
+    return namespace[function.__name__]
+
+
+class TestTheoremOneOnTheRulebook:
+    """Paper Theorem 1 on a rulebook, in the stochastic regime
+    (``survival=1.0``, the engines' default: thinning draws at every branch,
+    survival draws below): over 200 seeded batches of an 8-rule book on AZ,
+    the mean of estimated ÷ exact access mass — exact being the kernel's own
+    histogram, a shared node's reads once and an alias's never — lies within
+    ``BOUND`` of 1 (0.999 when recorded, standard error 0.018: the bound is
+    5.6 of them).  Two mutants leave it: the branch weight without its
+    ``× 1/p`` (``× k``) reads 0.271, and walking every query's chains again,
+    aliases included — the statistic the merged walk replaced — reads 2.130."""
+
+    BOUND = 0.1
+
+    @staticmethod
+    def mean_ratio() -> float:
+        graph, ratios = datasets.DATASETS["AZ"].build(0), []
+        for seed in (0, 1):
+            g0, batches = derive_stream(graph, num_updates=100 * 24, batch_size=24, seed=seed + 1)
+            engine = MultiQueryEngine(g0, rulebook_suite(8, num_labels=3, seed=0), seed=seed)
+            for batch in batches:
+                r = engine.process_batch(batch)
+                exact = r.match_counters.vertex_access_counts(g0.num_vertices).sum()
+                if exact:
+                    ratios.append(r.estimation.frequencies.sum() / exact)
+        assert len(ratios) >= 200
+        return float(np.mean(ratios))
+
+    def test_estimated_mass_is_the_kernels(self):
+        assert abs(self.mean_ratio() - 1) < self.BOUND
+
+    def test_fails_without_the_branch_weight(self, monkeypatch):
+        monkeypatch.setattr(FrontierFrequencyEstimator, "_descend", mutated(
+            FrontierFrequencyEstimator._descend,
+            "weight, base = (weight / p)[keep], base[keep]",
+            "weight, base = weight[keep], base[keep]",
+        ))
+        assert self.mean_ratio() < 1 - self.BOUND
+
+    def test_fails_walking_the_alias_chains(self, monkeypatch):
+        monkeypatch.setattr(Rulebook, "estimate", chain_estimate)
+        assert self.mean_ratio() > 1 + self.BOUND
 
 
 class TestMixedDepthChains:
@@ -509,6 +609,40 @@ class TestWalkReadsTheExpansion:
             assert read.rng.bit_generator.state == launched.rng.bit_generator.state
             graph.reorganize()
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        rules=st.integers(min_value=3, max_value=12),
+        survival=st.sampled_from([1.0, 2.5, None]),
+    )
+    def test_a_rulebook_reading_equals_launching(self, seed, rules, survival):
+        """On a merged trie a fan-out launch extends one candidate once per
+        child, so rows are read by ``(line, candidate)``: thinning and
+        survival draws, frequencies, FE counters, ``nodes_visited`` and the
+        generator state are the launching walk's."""
+        rng = np.random.default_rng(seed)
+        g = powerlaw_graph(400, 8.0, max_degree=40, num_labels=3, seed=rng)
+        batches = generate_adversarial_stream(g, num_batches=3, batch_size=24, seed=seed + 1)
+        trie = Rulebook(rulebook_suite(rules, num_labels=3, seed=seed)).trie
+        graph = DynamicGraph(g)
+        read, launched = (
+            FrontierFrequencyEstimator(graph, DEVICE, seed=seed, survival=survival)
+            for _ in range(2)
+        )
+        budget = np.full(trie.stats.root_groups, 60)
+        for raw in batches:
+            batch = graph.apply_batch(raw, mode="coalesce")
+            expansion = expand(trie, batch, graph)
+            with pytest.MonkeyPatch.context() as patch:
+                _, walk, _ = launch_counters(patch)
+                got = read.walk(trie, batch, budget, 40, expansion)
+            assert walk == [0]
+            want = launched.walk(trie, batch, budget, 40)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+            assert got[2].summary() == want[2].summary()
+            assert read.rng.bit_generator.state == launched.rng.bit_generator.state
+            graph.reorganize()
+
     @pytest.mark.parametrize("survival", [1.0, 2.5, None])
     def test_engine_batches_equal_the_launching_engine(self, survival, monkeypatch):
         """End to end, not vacuous: the walks get past the roots, the
@@ -571,7 +705,7 @@ class TestWalkReadsTheExpansion:
         graph = DynamicGraph(g0)
         graph.apply_batch(batches[0])
         expansion = expand(solo_trie(plans), batches[0], graph, prefilter={None: DropFirst()})
-        assert (expansion.root_at < 0).all()
+        assert (expansion.dropped > 0).all()
         self.assert_falls_back(graph, plans, batches[0], expansion)
 
     def test_a_reduced_estimate_batch_falls_back(self):
@@ -614,28 +748,68 @@ class TestWalkReadsTheExpansion:
                 want, g0.num_vertices
             )
 
-    def test_a_rulebook_walk_launches(self, monkeypatch):
-        """A rulebook's prepare expands nothing (its walk's chains, aliases
-        included, are not the merged trie's nodes), and a walk handed an
-        expansion of another trie does not read it."""
-        g0, batches = az_stream(3)
+    @pytest.mark.parametrize("prefilter", ["off", "on"])
+    def test_a_rulebook_walk_reads(self, prefilter, monkeypatch):
+        """A rulebook's prepare expands its merged trie, the walk reads it —
+        no launch of its own, under the pre-filter too — and the kernel's
+        launches are all the batch pays; a walk handed an expansion of
+        another trie does not read it."""
+        g0, batches = az_stream(6)
         rulebook = Rulebook(rulebook_suite(8, num_labels=3, seed=0))
-        engine = GCSMEngine(g0, rulebook, seed=0)
-        assert rulebook.expand(engine, batches[0], None) is None
-        _, walk, _ = launch_counters(monkeypatch)
-        engine.process_batch(batches[0])
-        assert walk[0] > 0
+        engine = GCSMEngine(g0, rulebook, seed=0, prefilter=prefilter)
+        joins, walk, kernel = launch_counters(monkeypatch)
+        for batch in batches:
+            for count in (joins, walk, kernel):
+                count.append(0)
+            if engine.process_batch(batch).estimation is not None:
+                assert joins[-1] == kernel[-1] > 0
+        assert sum(walk) == 0 and sum(kernel) > len(batches)
         graph = DynamicGraph(g0)
         batch = graph.apply_batch(batches[1])
         expansion = expand(solo_trie(rulebook.plans[rulebook.queries[0].name]), batch, graph)
-        walks = {q.name: 40 for q in rulebook.queries}
+        budget = np.full(rulebook.trie.stats.root_groups, 40)
         runs = [
             FrontierFrequencyEstimator(graph, DEVICE, seed=2).walk(
-                rulebook.walk_trie, {q: batch for q in walks}, walks, 50, given
+                rulebook.trie, batch, budget, 50, given
             )
             for given in (expansion, None)
         ]
         assert np.array_equal(runs[0][0], runs[1][0]) and runs[0][1] == runs[1][1]
+
+    @pytest.mark.parametrize("attribute", [True, False], ids=["attributed", "shared-only"])
+    @pytest.mark.parametrize("sinks", [True, False], ids=["sinks", "no-sinks"])
+    @pytest.mark.parametrize("prefilter", ["off", "on"])
+    def test_rulebook_reading_equals_launching(self, prefilter, sinks, attribute):
+        """End to end on a rulebook, thinning draws included (default
+        survival): the engine whose walk reads the expansion ``prepare`` ran
+        and whose match settles it equals the one that launches both — every
+        estimate, cache set, counter, per-query stat and attributed counter,
+        simulated ns and sink emission."""
+        g0, batches = az_stream(6)
+        queries = rulebook_suite(10, num_labels=3, seed=2)
+        read, launched = (
+            MultiQueryEngine(g0, queries, seed=1, prefilter=prefilter,
+                             attribute_counters=attribute)
+            for _ in range(2)
+        )
+        without_expansion(launched)
+        n, emitted = g0.num_vertices, {}
+        for batch in batches:
+            results = []
+            for side, engine in (("read", read), ("launched", launched)):
+                out = emitted.setdefault(side, [])
+                hooks = {q.name: (lambda emb, sign, q=q.name: out.append((q, emb, sign)))
+                         for q in queries} if sinks else None
+                r = engine.process_batch(batch, sinks=hooks)
+                by_query = r.match_counters_by_query or {}
+                results.append((
+                    engine_fingerprint(r, n) if r.estimation is not None else None,
+                    r.delta_counts, r.match_stats,
+                    {q: c.summary() for q, c in by_query.items()},
+                ))
+            assert results[0] == results[1]
+        assert emitted["read"] == emitted["launched"]
+        assert not sinks or emitted["read"]
 
     @pytest.mark.parametrize("matcher", [True, False], ids=["reference-matcher", "production"])
     @pytest.mark.parametrize("estimator", [True, False], ids=["reference-walk", "production-walk"])

@@ -422,16 +422,18 @@ class TestTrieSettleOrder:
     plans is charged to the shared counters once, not k times.  ``CACHED``'s
     first two columns (zero-copy / global bytes) split by which lists the
     *sampled* cache holds: re-recorded when the estimator's draw order
-    changed (PR 17) — per batch their sum and every other column are the
-    original literals; ``UNIFIED_TIGHT`` has no cache and did not move."""
+    changed, and again when the rulebook's walk moved from every query's
+    chains to the merged trie — per batch their sum and every other
+    column are the original literals; ``UNIFIED_TIGHT`` has no cache and did
+    not move."""
 
     CACHED = [
-        (11812, 74540, 0, 0, 0, 0, 0, 0, 33128, 981, 10),
-        (11784, 37700, 0, 0, 0, 0, 0, 0, 20920, 752, 4),
-        (23252, 151084, 0, 0, 0, 0, 0, 0, 64009, 1587, 55),
-        (10516, 51580, 0, 0, 0, 0, 0, 0, 25598, 834, 106),
-        (16248, 66356, 0, 0, 0, 0, 0, 0, 33105, 1063, 6),
-        (5520, 17776, 0, 0, 0, 0, 0, 0, 9412, 356, 1),
+        (14256, 72096, 0, 0, 0, 0, 0, 0, 33128, 981, 10),
+        (12856, 36628, 0, 0, 0, 0, 0, 0, 20920, 752, 4),
+        (57792, 116544, 0, 0, 0, 0, 0, 0, 64009, 1587, 55),
+        (9772, 52324, 0, 0, 0, 0, 0, 0, 25598, 834, 106),
+        (26480, 56124, 0, 0, 0, 0, 0, 0, 33105, 1063, 6),
+        (5740, 17556, 0, 0, 0, 0, 0, 0, 9412, 356, 1),
     ]
     UNIFIED_TIGHT = [
         (0, 86352, 0, 0, 608, 368, 0, 0, 26261, 981, 10),

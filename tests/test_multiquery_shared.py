@@ -238,9 +238,8 @@ class TestOneLaunchPerDepth:
     (``join_rows``) for all its nodes, so a batch costs at most (deepest
     plan's depth − 2) launches — for a rulebook as for a single query (the
     trie walked node by node paid one launch per live node).  Counted at
-    ``join_rows``, the estimate included: a single query's walk reads the
-    matcher's expansion and launches nothing, a rulebook's walks its own
-    chains, one launch per depth more."""
+    ``join_rows``, the estimate included: the walk reads the matcher's
+    expansion and launches nothing, a rulebook's as a single query's."""
 
     @pytest.mark.parametrize("rulebook", [True, False], ids=["rulebook", "single"])
     def test_launches_per_batch_bounded_by_depth(self, rulebook, monkeypatch):
@@ -253,10 +252,10 @@ class TestOneLaunchPerDepth:
             queries = rulebook_suite(10, num_labels=3, seed=53)
             engine = MultiQueryEngine(g0, queries, seed=0)
             assert engine.query_set.trie.stats.num_queries >= 8  # unique patterns
-            deepest, kernels = max(q.num_vertices for q in queries), 2
+            deepest = max(q.num_vertices for q in queries)
         else:
             engine = GCSMEngine(g0, QUERIES["Q1"], seed=0)
-            deepest, kernels = QUERIES["Q1"].num_vertices, 1
+            deepest = QUERIES["Q1"].num_vertices
         launches = []
         join_rows = frontier.join_rows
 
@@ -268,8 +267,8 @@ class TestOneLaunchPerDepth:
         for batch in batches[:10]:
             launches.append(0)
             engine.process_batch(batch)
-        assert len(launches) == 10 and max(launches) > kernels
-        assert max(launches) <= kernels * (deepest - 2), launches
+        assert len(launches) == 10 and max(launches) > 1
+        assert max(launches) <= deepest - 2, launches
 
 
 # ----------------------------------------------------------------------
