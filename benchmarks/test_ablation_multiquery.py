@@ -124,9 +124,7 @@ def sweep_rulebook(dataset="SF3K", batch=256, sizes=(10, 30, 100)):
     for size in sizes:
         queries = book[:size]
         shared_res, shared_wall = _timed_batch(
-            lambda: MultiQueryEngine(
-                g0, queries, seed=1, shared=True, attribute_counters=False),
-            batch0)
+            lambda: MultiQueryEngine(g0, queries, seed=1, shared=True), batch0)
         indep_res, indep_wall = _timed_batch(
             lambda: MultiQueryEngine(g0, queries, seed=1, shared=False),
             batch0)
@@ -204,6 +202,6 @@ def test_ablation_multiquery_sweep(benchmark, record_table):
     big = by_size[100]
     assert big["shared_wall"] <= 0.6 * big["indep_wall"], big
     assert engines_wall >= by_size[10]["indep_wall"]
-    # bookkeeping follows the batch, not the rulebook: 10x the rules (with
-    # attribution on) costs well under 3x the Python calls of a warm batch
+    # bookkeeping follows the batch, not the rulebook: 10x the rules costs
+    # well under 3x the Python calls of a warm batch
     assert by_size[100]["calls"] < 3 * by_size[10]["calls"], by_size

@@ -6,7 +6,7 @@ Paper shape: a few milliseconds at most — negligible against matching time
 Also covers the merge itself: the lists reorganize() stores (the open
 epoch arena's N') against the scalar two-pointer reference
 (``repro.testing.merge_runs_reference``) with the work accounting pinned, and
-the wall-clock win of the vectorized ``repro.utils.merge_sorted`` (the
+the wall-clock win of the vectorized ``repro.testing.merge_sorted`` (the
 reference kernels' merge) on long adjacency lists.
 """
 
@@ -19,7 +19,7 @@ from repro.bench import figures
 from repro.graphs import datasets
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.stream import derive_stream
-from repro.utils import merge_sorted
+from repro.testing import merge_sorted
 
 
 def test_table3_reorg_time(benchmark, record_table):

@@ -556,7 +556,7 @@ class QuerySet:
         ``routing``: the placement's ``filters`` / a shard's ``root_mask``."""
         sink = (sinks or {}).get(self.query.name)
         if expansion is not None:
-            return settle(expansion, view, sinks={None: sink})[None]
+            return settle(expansion, view, sinks={None: sink})[0][None]
         return engine.match(
             self.plans, batch, view, sink=sink,
             prefilter=decision, attributes=engine.attributes, **routing,

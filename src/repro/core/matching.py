@@ -47,6 +47,7 @@ from repro.core.frontier import AccessLog, FrontierKernel
 from repro.core.querytrie import ExecutionTrie, solo_trie
 from repro.graphs.attributes import pair_weights
 from repro.graphs.stream import UpdateBatch, label_pair_mask
+from repro.gpu.counters import AccessCounters, Accesses
 from repro.gpu.views import GraphView
 from repro.query.plan import MatchPlan
 from repro.utils import VERTEX_DTYPE, contains_sorted, segment_indices, segment_offsets
@@ -54,6 +55,7 @@ from repro.utils import VERTEX_DTYPE, contains_sorted, segment_indices, segment_
 __all__ = [
     "MatchStats",
     "Expansion",
+    "Attribution",
     "expand",
     "settle",
     "match_trie",
@@ -374,47 +376,73 @@ def expand(
     )
 
 
+class Attribution(NamedTuple):
+    """One settled block as :func:`settle` holds it, for a reader of per-query
+    counters (:meth:`charge`): the incidence it ran under (``queries``,
+    ``member``), each access's pre-order ``node``, its ``vertex`` and its
+    classification ``acc`` (``None``: nothing was read), the nodes'
+    order-free ``work``, and per query the embeddings ``found`` and their
+    ``output_ops``."""
+
+    trie: ExecutionTrie
+    queries: tuple
+    member: np.ndarray
+    node: np.ndarray | None
+    vertex: np.ndarray | None
+    acc: Accesses | None
+    work: np.ndarray
+    found: np.ndarray
+    output_ops: np.ndarray
+
+    def charge(self, counters: dict[str | None, AccessCounters]) -> None:
+        """Charge the block to ``counters[query]`` as each query's own
+        execution records it: output charges to the terminal plan's query,
+        every access and node's work once per member plan's query
+        (:meth:`~repro.core.querytrie.ExecutionTrie.attribute`)."""
+        for name, out, ops in zip(self.queries, self.found.tolist(), self.output_ops.tolist()):
+            counters[name].record_output(out)
+            counters[name].record_compute(ops)
+        if self.acc is not None:
+            self.trie.attribute(self.queries, self.member, self.node, self.vertex, self.acc,
+                                self.work, counters)
+
+
 def settle(
     expansion: Expansion, view: GraphView, *, sinks: dict | None = None,
-    attributed: dict | None = None,
-) -> dict[str | None, MatchStats]:
-    """Price an :func:`expand` through ``view``; stats per member query.
+) -> tuple[dict[str | None, MatchStats], Attribution]:
+    """Price an :func:`expand` through ``view``: stats per member query, and
+    the settled block as an :class:`Attribution` — nothing is charged per
+    query until someone asks (:meth:`Attribution.charge`).
 
     All accesses are settled once, stably sorted by node pre-order over each
     depth's ``(slot, constraint, row)`` log: ``(plan, level)`` order for a
     single query, the node-by-node walk's order for a rulebook — the
     sequence an order-sensitive view (the UM pager) must be handed.  The
-    view classifies and records that one block into its counters once; with
-    ``attributed`` (per-query counters) the classified block is also charged
-    to every member plan's query through the trie's node → member incidence
-    (:meth:`~repro.core.querytrie.ExecutionTrie.attribute`); output charges
-    always go to the terminal plan's query.  ``sinks`` are flushed in plan
-    order — the depth-first emission order of running the plans one after
-    another.
+    view classifies and records that one block into its counters once.
+    ``sinks`` are flushed in plan order — the depth-first emission order of
+    running the plans one after another.
     """
     e, shared = expansion, view.counters
     found = e.columns[:, 1]
     # every charge that is a sum, once: outputs go to the terminal plan's query
     shared.record_output(int(found.sum()))
     shared.record_compute(int(e.output_ops.sum() + e.work.sum()))
-    if attributed is not None:
-        for name, out, ops in zip(e.queries, found.tolist(), e.output_ops.tolist()):
-            attributed[name].record_output(out)
-            attributed[name].record_compute(ops)
+    key = vertex = acc = None
     if e.logs:
         key, vertex, length = map(np.concatenate, zip(*e.logs))
         by = np.argsort(key, kind="stable")
         key, vertex, length = key[by], vertex[by], length[by]
         acc = view.fetch_block(vertex, length)
-        if attributed is not None:  # the same block, once per member plan's query
-            e.trie.attribute(e.queries, e.member, key, vertex, acc, e.work, attributed)
     if e.emitted:  # plan order: each sink sees its own match_batch's order
         for ref in e.trie.refs:
             if ref in e.emitted:
                 embeddings, sign = e.emitted[ref]
                 for emb, s in zip(embeddings.tolist(), sign.tolist()):
                     sinks[ref.query_name](tuple(emb), s)
-    return {name: MatchStats(*row) for name, row in zip(e.queries, e.columns.tolist())}
+    stats = {name: MatchStats(*row) for name, row in zip(e.queries, e.columns.tolist())}
+    return stats, Attribution(
+        e.trie, e.queries, e.member, key, vertex, acc, e.work, found, e.output_ops
+    )
 
 
 def match_trie(
@@ -425,17 +453,16 @@ def match_trie(
     sinks: dict | None = None,
     skip: frozenset = frozenset(),
     prefilter: dict | None = None,
-    attributed: dict | None = None,
     filters: dict[int, np.ndarray] | None = None,
     root_mask: Callable[[np.ndarray], np.ndarray] | None = None,
     attributes=None,
 ) -> dict[str | None, MatchStats]:
     """Advance a trie of plans level-synchronously over ``view``'s graph and
-    price it through ``view``: :func:`settle` ∘ :func:`expand`."""
+    price it through ``view``: :func:`settle` ∘ :func:`expand`, its stats."""
     expansion = expand(trie, batch, view.graph, sinks=frozenset(sinks or ()), skip=skip,
                        prefilter=prefilter, filters=filters, root_mask=root_mask,
                        attributes=attributes)
-    return settle(expansion, view, sinks=sinks, attributed=attributed)
+    return settle(expansion, view, sinks=sinks)[0]
 
 
 # ----------------------------------------------------------------------

@@ -39,6 +39,10 @@ carries **per-query attributed counters** that are bit-identical between
 the two modes for representatives (the sharing contract of
 :mod:`repro.core.querytrie`), while the engine-level ``match_counters``
 price only the work actually executed — their gap is the modeled saving.
+Under the trie they are computed when read: a batch keeps the block it
+settled (:class:`~repro.core.matching.Attribution`, one per shard) and the
+first read of ``match_counters_by_query`` charges it per query; a batch
+nobody asks about attributes nothing.
 
 Amortization grows with the number of patterns; the multi-query ablation
 bench quantifies it against per-pattern engines and across rulebook sizes.
@@ -46,13 +50,15 @@ bench quantifies it against per-pattern engines and across rulebook sizes.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.core.engine import BatchResult, GCSMEngine, QuerySet
 from repro.core.frequency import EstimationResult, default_num_walks
-from repro.core.matching import Expansion, MatchStats, expand, settle
+from repro.core.matching import Attribution, Expansion, MatchStats, expand, settle
 from repro.core.prefilter import PrefilterDecision, PrefilterStats
 from repro.core.querytrie import ExecutionTrie, TrieStats
 from repro.graphs.static_graph import StaticGraph
@@ -90,6 +96,51 @@ def split_walk_budget(total_walks: int, num_queries: int) -> list[int]:
 
 
 @dataclass
+class RulebookStats(MatchStats):
+    """Rulebook totals plus their per-query split (``merge`` keeps both, so
+    a fleet sums its shards' rulebook stats like any other), and what
+    per-query counters are read from: the per-query loop's own
+    ``counters_by_query``, or the trie's settled blocks ``attributions``
+    (one per shard), charged per query only when read
+    (:meth:`per_query_counters`)."""
+
+    by_query: dict[str, MatchStats] = field(default_factory=dict)
+    #: the per-query loop's counters, each query's own execution
+    counters_by_query: dict[str, AccessCounters] = field(default_factory=dict)
+    attributions: list[Attribution] = field(default_factory=list)
+
+    def add(self, name: str, stats: MatchStats) -> None:
+        """Adopt one query's stats."""
+        MatchStats.merge(self, stats)
+        self.by_query[name] = stats
+
+    def merge(self, other: "RulebookStats") -> None:
+        MatchStats.merge(self, other)
+        for name, stats in other.by_query.items():
+            self.by_query.setdefault(name, MatchStats()).merge(stats)
+        for name, counters in other.counters_by_query.items():
+            self.counters_by_query.setdefault(name, AccessCounters()).merge(counters)
+        self.attributions += other.attributions
+
+    def per_query_counters(self, aliases: dict[str, str]) -> dict[str, AccessCounters]:
+        """Counters per query in ``by_query``'s order: what each query ran —
+        the per-query loop's own, or the trie's blocks charged to the
+        queries they ran for (:meth:`~repro.core.matching.Attribution.charge`)
+        — an alias a copy-on-write copy of its representative's, and a query
+        certified ΔM = 0 empty ones."""
+        ran = defaultdict(AccessCounters, self.counters_by_query)
+        for record in self.attributions:
+            record.charge(ran)
+        out = {}
+        for name in self.by_query:
+            rep = aliases.get(name, name)
+            out[name] = ran[name] if name in ran else (
+                ran[rep].copy() if rep in ran else AccessCounters()
+            )
+        return out
+
+
+@dataclass
 class MultiBatchResult(BatchResult):
     """A :class:`~repro.core.engine.BatchResult` over a rulebook.
 
@@ -98,50 +149,27 @@ class MultiBatchResult(BatchResult):
     trie execution ``match_counters`` price each shared expansion once (that
     is what ``match_ns`` is computed from), while ``match_counters_by_query``
     attribute every charge back to each member query — bit-identical to
-    what that query's independent execution would record.  ``aliases`` maps
-    deduped query names to the isomorphic representative that was actually
-    matched on their behalf; ``prefilter.queries_skipped`` counts every
-    rulebook entry certified ΔM = 0 this batch, aliases included.
+    what that query's independent execution would record, computed from
+    ``rulebook_stats`` when first read.  ``aliases`` maps deduped query
+    names to the isomorphic representative that was actually matched on
+    their behalf; ``prefilter.queries_skipped`` counts every rulebook entry
+    certified ΔM = 0 this batch, aliases included.
     """
 
     delta_counts: dict[str, int] = field(default_factory=dict)
-    match_counters_by_query: dict[str, AccessCounters] | None = None
     aliases: dict[str, str] = field(default_factory=dict)
     trie_stats: TrieStats | None = None
     shared: bool = True
+    rulebook_stats: RulebookStats = field(default_factory=RulebookStats, repr=False, compare=False)
 
     @property
     def embeddings_found(self) -> int:
         return sum(s.embeddings_found for s in self.match_stats.values())
 
-
-@dataclass
-class RulebookStats(MatchStats):
-    """Rulebook totals plus their per-query split (``merge`` keeps both, so
-    a fleet sums its shards' rulebook stats like any other)."""
-
-    by_query: dict[str, MatchStats] = field(default_factory=dict)
-    #: per-query attributed counters; None when attribution is off
-    counters_by_query: dict[str, AccessCounters] | None = None
-
-    def add(
-        self, name: str, stats: MatchStats, counters: AccessCounters | None = None
-    ) -> None:
-        """Adopt one query's stats (and counters, when attributing)."""
-        MatchStats.merge(self, stats)
-        self.by_query[name] = stats
-        if counters is not None and self.counters_by_query is not None:
-            self.counters_by_query[name] = counters
-
-    def merge(self, other: "RulebookStats") -> None:
-        MatchStats.merge(self, other)
-        for name, stats in other.by_query.items():
-            self.by_query.setdefault(name, MatchStats()).merge(stats)
-        if other.counters_by_query is not None:
-            if self.counters_by_query is None:
-                self.counters_by_query = {}
-            for name, counters in other.counters_by_query.items():
-                self.counters_by_query.setdefault(name, AccessCounters()).merge(counters)
+    @cached_property
+    def match_counters_by_query(self) -> dict[str, AccessCounters]:
+        """Per-query counters, in rulebook order (computed once, when read)."""
+        return self.rulebook_stats.per_query_counters(self.aliases)
 
 
 @dataclass
@@ -172,24 +200,16 @@ class Rulebook(QuerySet):
     Queries are lexsorted by name at construction, so trie layout,
     execution order, result-dict order, and sink order are all independent
     of the caller's dict/list insertion order.  ``shared`` picks trie
-    execution or the per-query loop; ``attribute_counters=False`` drops the
-    per-query attribution of shared charges (benchmark legs that only need
-    the engine-level counters).
+    execution or the per-query loop.
     """
 
-    def __init__(
-        self,
-        queries: list[QueryGraph],
-        shared: bool = True,
-        attribute_counters: bool = True,
-    ) -> None:
+    def __init__(self, queries: list[QueryGraph], shared: bool = True) -> None:
         require(len(queries) >= 1, "need at least one query")
         names = [q.name for q in queries]
         require(len(set(names)) == len(names), "query names must be unique")
         # deterministic rulebook order: lexsort by query name
         self.queries = sorted(queries, key=lambda q: q.name)
         self.shared = shared
-        self.attribute_counters = attribute_counters
         self.plans = {q.name: compile_delta_plans(q) for q in self.queries}
 
         # -- symmetry dedupe: one representative per isomorphism class ------
@@ -268,11 +288,6 @@ class Rulebook(QuerySet):
     def _runners(self) -> list[QueryGraph]:
         """The queries that execute their own plans."""
         return self.representatives if self.shared else self.queries
-
-    def _new_stats(self) -> RulebookStats:
-        # the per-query loop attributes by construction
-        attributing = self.attribute_counters or not self.shared
-        return RulebookStats(counters_by_query={} if attributing else None)
 
     # -- per batch --------------------------------------------------------
     def evaluate(self, index, batch: UpdateBatch) -> RulebookDecision:
@@ -366,7 +381,7 @@ class Rulebook(QuerySet):
         merged into the view's — additive, so the totals equal the classic
         single-counter accumulation exactly.
         """
-        out = self._new_stats()
+        out = RulebookStats()
         shared_counters = view.counters
         try:
             for query in self.queries:
@@ -379,7 +394,8 @@ class Rulebook(QuerySet):
                     prefilter=decision.by_query[query.name] if decision else None,
                     attributes=engine.attributes,
                 )
-                out.add(query.name, stats, view.counters)
+                out.add(query.name, stats)
+                out.counters_by_query[query.name] = view.counters
                 shared_counters.merge(view.counters)
         finally:
             view.counters = shared_counters
@@ -389,8 +405,9 @@ class Rulebook(QuerySet):
         self, engine, batch, view, decision, sinks, root_mask, expansion
     ) -> RulebookStats:
         """The representatives' trie on the match driver (settling
-        ``expansion`` when :meth:`expand` ran it); its per-query attributed
-        counters and stats are bit-identical to an independent run.
+        ``expansion`` when :meth:`expand` ran it); its stats, and the per-query
+        counters read from the settled block it keeps, are bit-identical to an
+        independent run.
         """
         # aliases receive the representative's embeddings remapped through
         # the stored isomorphism; the representative's own sink (if any)
@@ -416,20 +433,13 @@ class Rulebook(QuerySet):
                         sink(tuple(emb[u] for u in inv), sign)
             rep_sinks[rep] = _fan
 
-        routing = self._routing(decision)
-        out = self._new_stats()
-        per_query = out.counters_by_query
-        if per_query is not None:
-            per_query.update(
-                (q.name, AccessCounters()) for q in self.representatives
-                if q.name not in routing["skip"]
-            )
         if expansion is None:
             expansion = expand(
                 self.trie, batch, view.graph, sinks=frozenset(rep_sinks), root_mask=root_mask,
-                attributes=engine.attributes, **routing,
+                attributes=engine.attributes, **self._routing(decision),
             )
-        rep_stats = settle(expansion, view, sinks=rep_sinks, attributed=per_query)
+        rep_stats, attribution = settle(expansion, view, sinks=rep_sinks)
+        out = RulebookStats(attributions=[attribution])
         for name, stats in rep_stats.items():
             out.add(name, stats)
         return out
@@ -440,21 +450,20 @@ class Rulebook(QuerySet):
         """Per-query stats in rulebook order: what ran, then every certified
         skip (``roots_total`` dropped, nothing charged) and, under the trie,
         every alias as a copy of its representative — ΔM and embedding
-        counts are isomorphism invariants."""
+        counts are isomorphism invariants.  What ran keeps its counters or
+        settled blocks for :meth:`RulebookStats.per_query_counters`."""
         ran = stats if stats is not None else RulebookStats()
-        attributed = ran.counters_by_query or {}
-        out = self._new_stats()
+        out = RulebookStats(counters_by_query=ran.counters_by_query,
+                            attributions=ran.attributions)
         for query in self.queries:
             name, rep = query.name, self.canonical_of[query.name]
             if decision is not None and name in decision.skip_queries:
                 one = MatchStats(roots_skipped=decision.by_query[rep].roots_total)
-                counters = AccessCounters()
             elif name in ran.by_query:
-                one, counters = ran.by_query[name], attributed.get(name)
+                one = ran.by_query[name]
             else:
                 one = MatchStats(**vars(ran.by_query[rep]))
-                counters = attributed[rep].copy() if rep in attributed else None
-            out.add(name, one, counters)
+            out.add(name, one)
         return out
 
     def result_fields(self, stats: RulebookStats) -> dict:
@@ -462,7 +471,7 @@ class Rulebook(QuerySet):
             delta_count=stats.signed_count,
             match_stats=stats.by_query,
             delta_counts={n: st.signed_count for n, st in stats.by_query.items()},
-            match_counters_by_query=stats.counters_by_query,
+            rulebook_stats=stats,
             aliases=self.aliases,
             trie_stats=self.trie.stats if self.shared else None,
             shared=self.shared,
@@ -474,13 +483,8 @@ def MultiQueryEngine(
     queries: list[QueryGraph],
     *,
     shared: bool = True,
-    attribute_counters: bool = True,
     **settings,
 ) -> GCSMEngine:
-    """``GCSMEngine(initial_graph, Rulebook(queries, ...), **settings)`` under
-    the name the repo benchmark constructs rulebook engines by."""
-    return GCSMEngine(
-        initial_graph,
-        Rulebook(queries, shared=shared, attribute_counters=attribute_counters),
-        **settings,
-    )
+    """``GCSMEngine(initial_graph, Rulebook(queries, shared), **settings)``
+    under the name the repo benchmark constructs rulebook engines by."""
+    return GCSMEngine(initial_graph, Rulebook(queries, shared=shared), **settings)

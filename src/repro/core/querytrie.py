@@ -31,8 +31,8 @@ the adversarial-stream fuzzer):
   independent execution, because two plans sharing a prefix produce
   bit-identical frontiers over that prefix (that is what the signatures
   capture), and emissions stay per-plan.
-* **Attributed per-query counters are bit-identical**: every node charge
-  is additionally merged into the counters of each member plan's query,
+* **Attributed per-query counters are bit-identical**: when they are read,
+  every node charge goes to the counters of each member plan's query,
   reproducing exactly what that query's independent ``match_batch`` would
   have recorded.  The *shared* counters — which price the kernel's
   simulated time — receive each node charge once; their gap to the summed

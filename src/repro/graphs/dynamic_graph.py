@@ -425,10 +425,6 @@ class DynamicGraph:
         keys, starts, lengths = self._keyed(us)
         return keyed_contains(keys, self.num_vertices, starts, lengths, vs)
 
-    def has_edge_new(self, u: int, v: int) -> bool:
-        """:meth:`contains_edges` for one edge."""
-        return bool(self.contains_edges(np.array([u]), np.array([v]))[0])
-
     # ------------------------------------------------------------------
     # the epoch arena (what the join kernels read)
     # ------------------------------------------------------------------

@@ -13,7 +13,8 @@ obviously-correct twins of the vectorized production kernels:
   attributes; the function swaps both);
 * :mod:`repro.testing.oracles` — the scalar loops the vectorized DCSR pack,
   reorganize merge, frequency partitioner and cache-budget scan are checked
-  against.
+  against, and the two-run ``merge_sorted`` / ``is_sorted`` helpers only
+  the oracles and tests use.
 
 :mod:`repro.testing.calls` holds :func:`count_calls`, the clock that repeats
 (Python ``call`` events), for gates on per-vertex / per-node Python loops.
@@ -39,7 +40,9 @@ from repro.testing.kernels import (
 from repro.testing.oracles import (
     assign_reference,
     build_reference,
+    is_sorted,
     merge_runs_reference,
+    merge_sorted,
     select_within_budget_reference,
 )
 
@@ -58,6 +61,8 @@ __all__ = [
     "segmented_contains",
     "build_reference",
     "merge_runs_reference",
+    "merge_sorted",
+    "is_sorted",
     "assign_reference",
     "select_within_budget_reference",
 ]

@@ -41,7 +41,8 @@ from repro.gpu.device import BYTES_PER_NEIGHBOR
 from repro.gpu.views import GraphView
 from repro.query.pattern import WILDCARD_LABEL
 from repro.query.plan import EdgeVersion, MatchPlan
-from repro.utils import VERTEX_DTYPE, merge_sorted, require
+from repro.testing.oracles import merge_sorted
+from repro.utils import VERTEX_DTYPE, require
 
 __all__ = [
     "merge_sorted_unique",
@@ -167,8 +168,8 @@ def _merge_runs(runs: tuple[np.ndarray, ...]) -> np.ndarray:
 
     The runs arrive sorted from the store (base run, sorted ΔN), so a
     concatenate-then-full-sort is wasted work — each pair is folded with the
-    linear :func:`~repro.utils.merge_sorted` kernel.  The single-run fast
-    path returns the stored array untouched (no copy).
+    linear :func:`~repro.testing.oracles.merge_sorted` kernel.  The
+    single-run fast path returns the stored array untouched (no copy).
     """
     if len(runs) == 1:
         return runs[0]

@@ -5,7 +5,9 @@ routine replaced, kept verbatim so tests can assert bit-identical output:
 
 * :func:`build_reference` ↔ :meth:`repro.core.dcsr.DcsrCache.build`
 * :func:`merge_runs_reference` ↔ the merged ``N'`` of the store's bulk read
-  that :meth:`repro.graphs.dynamic_graph.DynamicGraph.reorganize` stores back
+  that :meth:`repro.graphs.dynamic_graph.DynamicGraph.reorganize` stores back,
+  and ↔ :func:`merge_sorted`, the vectorized two-run merge the recursive
+  executor reads ``N'`` with (:func:`is_sorted` checks runs in the tests)
 * :func:`assign_reference` ↔
   :meth:`repro.multigpu.partition.FrequencyPartitioner.assign`
 * :func:`select_within_budget_reference` ↔
@@ -22,8 +24,8 @@ from repro.multigpu.partition import FrequencyPartitioner, _hash_owners
 from repro.utils import VERTEX_DTYPE, require
 
 __all__ = [
-    "build_reference", "merge_runs_reference", "assign_reference",
-    "select_within_budget_reference",
+    "build_reference", "merge_runs_reference", "merge_sorted", "is_sorted",
+    "assign_reference", "select_within_budget_reference",
 ]
 
 
@@ -60,8 +62,8 @@ def merge_runs_reference(kept: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
     The literal per-element loop of paper Sec. V-A step 4, retained as the
     parity oracle for the lists :meth:`DynamicGraph.reorganize` stores and
-    for :func:`repro.utils.merge_sorted` (``benchmarks/test_table3_reorg.py``
-    checks the stored arrays and the vectorized merge's wall-clock win).
+    for :func:`merge_sorted` (``benchmarks/test_table3_reorg.py`` checks the
+    stored arrays and the vectorized merge's wall-clock win).
     """
     merged = np.empty(kept.size + delta.size, dtype=VERTEX_DTYPE)
     i = j = k = 0
@@ -78,6 +80,33 @@ def merge_runs_reference(kept: np.ndarray, delta: np.ndarray) -> np.ndarray:
     elif j < delta.size:
         merged[k:] = delta[j:]
     return merged
+
+
+def merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stable linear merge of two sorted 1-D arrays, duplicates preserved.
+
+    The vectorized analog of a two-pointer merge: each element's output slot
+    is its own rank plus the number of elements of the *other* run that
+    precede it, obtained with two ``searchsorted`` passes instead of the
+    concatenate-then-full-sort that :func:`numpy.sort` would run.  Elements
+    of ``a`` win ties (``side='left'``/``'right'``), matching a two-pointer
+    merge that pops from ``a`` on ``<=``.
+    """
+    if a.size == 0:
+        return np.asarray(b, dtype=VERTEX_DTYPE).copy()
+    if b.size == 0:
+        return np.asarray(a, dtype=VERTEX_DTYPE).copy()
+    out = np.empty(a.size + b.size, dtype=VERTEX_DTYPE)
+    out[np.arange(a.size) + np.searchsorted(b, a, side="left")] = a
+    out[np.arange(b.size) + np.searchsorted(a, b, side="right")] = b
+    return out
+
+
+def is_sorted(values: np.ndarray) -> bool:
+    """Return True when 1-D ``values`` is non-decreasing."""
+    if values.size <= 1:
+        return True
+    return bool(np.all(values[:-1] <= values[1:]))
 
 
 def assign_reference(partitioner: FrequencyPartitioner, graph, frequencies,

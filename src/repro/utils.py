@@ -17,10 +17,8 @@ __all__ = [
     "as_generator",
     "spawn_generator",
     "require",
-    "is_sorted",
     "format_bytes",
     "format_time_ns",
-    "merge_sorted",
     "contains_sorted",
     "sorted_unique",
     "edge_keys",
@@ -56,33 +54,6 @@ def require(condition: bool, message: str) -> None:
     """Raise :class:`ValueError` with ``message`` unless ``condition`` holds."""
     if not condition:
         raise ValueError(message)
-
-
-def is_sorted(values: np.ndarray) -> bool:
-    """Return True when 1-D ``values`` is non-decreasing."""
-    if values.size <= 1:
-        return True
-    return bool(np.all(values[:-1] <= values[1:]))
-
-
-def merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stable linear merge of two sorted 1-D arrays, duplicates preserved.
-
-    The vectorized analog of a two-pointer merge: each element's output slot
-    is its own rank plus the number of elements of the *other* run that
-    precede it, obtained with two ``searchsorted`` passes instead of the
-    concatenate-then-full-sort that :func:`numpy.sort` would run.  Elements
-    of ``a`` win ties (``side='left'``/``'right'``), matching a two-pointer
-    merge that pops from ``a`` on ``<=``.
-    """
-    if a.size == 0:
-        return np.asarray(b, dtype=VERTEX_DTYPE).copy()
-    if b.size == 0:
-        return np.asarray(a, dtype=VERTEX_DTYPE).copy()
-    out = np.empty(a.size + b.size, dtype=VERTEX_DTYPE)
-    out[np.arange(a.size) + np.searchsorted(b, a, side="left")] = a
-    out[np.arange(b.size) + np.searchsorted(a, b, side="right")] = b
-    return out
 
 
 def segment_offsets(lengths: np.ndarray) -> np.ndarray:

@@ -9,6 +9,9 @@ attributes by incidence.
   plans twice and a skip set removes exactly its members;
 * attributed per-query counters equal the ``shared=False`` leg on a fleet,
   and under unified memory in everything but who met a page first;
+* they are computed when read: the values equal eager attribution's, digest
+  for digest, an unread batch never calls ``ExecutionTrie.attribute`` and an
+  unread result holds no per-query histogram;
 * one ``process_batch`` of the 24-pattern rulebook makes less than half the
   Python calls it made before, and the attribution's call count does not
   move with the number of trie nodes, ``(node, member)`` pairs or accesses;
@@ -26,8 +29,11 @@ attributes by incidence.
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import json
 import sys
+import types
 from collections import Counter
 
 import numpy as np
@@ -37,7 +43,7 @@ from repro.core.cache import CachedDeviceView
 from repro.core.dcsr import DcsrCache
 from repro.core.engine import GCSMEngine
 from repro.core.multiquery import MultiQueryEngine, Rulebook
-from repro.core.querytrie import solo_trie
+from repro.core.querytrie import ExecutionTrie, solo_trie
 from repro.core.validation import verify_rulebook
 from repro.graphs import datasets
 from repro.graphs.dynamic_graph import DynamicGraph
@@ -548,6 +554,116 @@ class TestAttributedCountersAcrossPlacements:
                 assert got.um_faults + got.um_hits == want.um_faults + want.um_hits
                 faults += got.um_faults
         assert faults > 0
+
+
+# ----------------------------------------------------------------------
+# per-query counters on demand
+# ----------------------------------------------------------------------
+#: a rulebook engine per configuration of the digests below
+CONFIGS = {
+    "cached": {},
+    "devices2": {"devices": 2},
+    "unified-tight": {"placement": "unified", "device": TIGHT},
+}
+
+
+def smoke_rulebook(prefilter, config):
+    """``az_rulebook24`` at smoke size: its stream, rulebook and engine."""
+    g0, batches = az_stream(10, 24, seed=1)
+    queries = rulebook_suite(24, num_labels=3, seed=0)
+    return batches, MultiQueryEngine(g0, queries, seed=0, prefilter=prefilter, **CONFIGS[config])
+
+
+def counters_digest(results) -> str:
+    """sha256 over every result's per-query counters in rulebook order: each
+    slot of the totals vector, ``um_faults`` / ``um_hits`` included, and both
+    histograms at their own size."""
+    h = hashlib.sha256()
+    for result in results:
+        for name, c in result.match_counters_by_query.items():
+            h.update(json.dumps([
+                name, list(c.bytes_by_channel.values()),
+                list(c.transactions_by_channel.values()), c.compute_ops, c.um_faults,
+                c.um_hits, c.dma_bytes, c.dma_requests, c.output_embeddings,
+            ]).encode())
+            h.update(c.vertex_access_counts().tobytes())
+            h.update(c.vertex_access_bytes().tobytes())
+    return h.hexdigest()
+
+
+def reachable(root):
+    """Every object ``root`` reaches through references (modules, types and
+    functions not followed)."""
+    seen, stack, out = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return out
+
+
+class TestPerQueryCountersOnDemand:
+    """A rulebook batch keeps the block it settled and charges it per query
+    only when ``match_counters_by_query`` is first read."""
+
+    #: :func:`counters_digest` of the ten smoke batches per ``(prefilter,
+    #: configuration)``, recorded at 2f3fe8d, where every batch attributed
+    #: eagerly; sinks on a representative or an alias do not move them
+    DIGESTS = {
+        ("off", "cached"):
+            "b0dad0415e080be00ef532de12170458bcf071b87bde6010dac29c61e082ad68",
+        ("off", "devices2"):
+            "186f5e1a4acacbec9f8ca16e6630bc2b2c9a61472e742f1e91e8a8e2189279e9",
+        ("off", "unified-tight"):
+            "3c3c0c6cc490f333d55bf40f03432b437f71af6ef061a3ff52ddb0bd1e22fe6a",
+        ("on", "cached"):
+            "01863530b754db2ee879bd4d6e10accce831a928a0fbdbe7a9484788af2b166c",
+        ("on", "devices2"):
+            "85c5efd91819bdb119c4d993e9de3d9866aa53e604c891647b14215c532b3621",
+        ("on", "unified-tight"):
+            "233800dc39d6d17720ea4f77b7d96adf7ee3ba8fc1a885fb0813753799b5b568",
+    }
+
+    @pytest.mark.parametrize("sink", [None, "R000", "R001"], ids=["no-sinks", "rep", "alias"])
+    @pytest.mark.parametrize("config", list(CONFIGS))
+    @pytest.mark.parametrize("prefilter", ["off", "on"])
+    def test_read_counters_equal_the_eager_digests(self, prefilter, config, sink):
+        batches, engine = smoke_rulebook(prefilter, config)
+        assert engine.query_set.aliases["R001"] == "R000"
+        sinks = None if sink is None else {sink: lambda embedding, sign: None}
+        results = [engine.process_batch(batch, sinks=sinks) for batch in batches]
+        assert counters_digest(results) == self.DIGESTS[prefilter, config]
+
+    @pytest.mark.parametrize("config", ["cached", "devices2"])
+    def test_attribute_runs_once_per_record_on_the_first_read(self, config, monkeypatch):
+        calls = []
+        attribute = ExecutionTrie.attribute
+        monkeypatch.setattr(
+            ExecutionTrie, "attribute", lambda *args: calls.append(1) or attribute(*args)
+        )
+        batches, engine = smoke_rulebook("off", config)
+        for batch in batches[:3]:
+            result = engine.process_batch(batch)
+            assert calls == []  # nobody asked
+            first = result.match_counters_by_query
+            records = result.rulebook_stats.attributions
+            assert len(records) == (2 if config == "devices2" else 1)
+            assert len(calls) == len(records)
+            assert result.match_counters_by_query is first and len(calls) == len(records)
+            calls.clear()
+
+    def test_an_unread_result_holds_no_per_query_histogram(self):
+        """The only histograms an unread result reaches are the batch's shared
+        match counters' and the estimator's, not one per query."""
+        batches, engine = smoke_rulebook("off", "cached")
+        result = engine.process_batch(batches[0])
+        held = [obj for obj in reachable(result) if isinstance(obj, AccessCounters)]
+        with_histogram = {id(c) for c in held if c.total_access_count}
+        assert with_histogram == {id(result.match_counters), id(result.estimation.counters)}
+        assert len(result.match_counters_by_query) == 24
 
 
 # ----------------------------------------------------------------------

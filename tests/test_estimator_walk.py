@@ -776,10 +776,9 @@ class TestWalkReadsTheExpansion:
         ]
         assert np.array_equal(runs[0][0], runs[1][0]) and runs[0][1] == runs[1][1]
 
-    @pytest.mark.parametrize("attribute", [True, False], ids=["attributed", "shared-only"])
     @pytest.mark.parametrize("sinks", [True, False], ids=["sinks", "no-sinks"])
     @pytest.mark.parametrize("prefilter", ["off", "on"])
-    def test_rulebook_reading_equals_launching(self, prefilter, sinks, attribute):
+    def test_rulebook_reading_equals_launching(self, prefilter, sinks):
         """End to end on a rulebook, thinning draws included (default
         survival): the engine whose walk reads the expansion ``prepare`` ran
         and whose match settles it equals the one that launches both — every
@@ -788,9 +787,7 @@ class TestWalkReadsTheExpansion:
         g0, batches = az_stream(6)
         queries = rulebook_suite(10, num_labels=3, seed=2)
         read, launched = (
-            MultiQueryEngine(g0, queries, seed=1, prefilter=prefilter,
-                             attribute_counters=attribute)
-            for _ in range(2)
+            MultiQueryEngine(g0, queries, seed=1, prefilter=prefilter) for _ in range(2)
         )
         without_expansion(launched)
         n, emitted = g0.num_vertices, {}
@@ -801,7 +798,7 @@ class TestWalkReadsTheExpansion:
                 hooks = {q.name: (lambda emb, sign, q=q.name: out.append((q, emb, sign)))
                          for q in queries} if sinks else None
                 r = engine.process_batch(batch, sinks=hooks)
-                by_query = r.match_counters_by_query or {}
+                by_query = r.match_counters_by_query
                 results.append((
                     engine_fingerprint(r, n) if r.estimation is not None else None,
                     r.delta_counts, r.match_stats,

@@ -23,7 +23,7 @@ import pytest
 
 import repro.core.frontier as frontier
 from repro.core.dcsr import DcsrCache
-from repro.core.matching import match_batch, match_static, match_trie
+from repro.core.matching import expand, match_batch, match_static, match_trie, settle
 from repro.core.multiquery import MultiQueryEngine, Rulebook
 from repro.core.validation import verify_rulebook
 from repro.graphs import datasets
@@ -518,11 +518,12 @@ class TestTalliesByIncidence:
                     name: (lambda e, s, name=name: out[name].append((e, s)))
                     for name in ("tri", "tailed", "edge") if name not in skip
                 }
-                attributed = {name: AccessCounters() for name in names if name not in skip}
-                stats = match_trie(
-                    trie, batch, ZeroCopyView(graph, DEVICE, AccessCounters()),
-                    sinks=sinks, skip=skip, attributed=attributed,
+                stats, attribution = settle(
+                    expand(trie, batch, graph, sinks=frozenset(sinks), skip=skip),
+                    ZeroCopyView(graph, DEVICE, AccessCounters()), sinks=sinks,
                 )
+                attributed = {name: AccessCounters() for name in attribution.queries}
+                attribution.charge(attributed)
                 assert list(stats) == [name for name in names if name not in skip]
                 for name in stats:
                     alone, emitted = AccessCounters(), []

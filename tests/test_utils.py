@@ -14,6 +14,8 @@ from repro.testing import (
     intersect_sorted,
     intersect_sorted_gallop,
     intersect_sorted_merge,
+    is_sorted,
+    merge_sorted,
     merge_sorted_unique,
 )
 from repro.utils import (
@@ -21,8 +23,6 @@ from repro.utils import (
     format_bytes,
     format_time_ns,
     geometric_mean,
-    is_sorted,
-    merge_sorted,
     require,
     sorted_unique,
     spawn_generator,
