@@ -27,7 +27,7 @@ BATCH = 256
 NUM_BATCHES = 3
 
 OVERLOAD = dict(
-    num_batches=6, batch_size=8, rate_per_sec=1e9, threaded=False,
+    num_batches=6, batch_size=8, rate_per_sec=1e9,
     num_devices=1, admission="shed-oldest", seed=3,
     workload_kwargs={"graph_size": 24, "avg_degree": 5.0},
 )

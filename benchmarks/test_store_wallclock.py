@@ -16,8 +16,8 @@ the parent commit has, so the same edition runs on both sides.
 * ``fr`` — FR analog, 100 mixed batches of 96 (``derive_stream``).
 * ``sf3k_churn`` — SF3K analog, 100 batches of 64 (``churn_stream``): each
   batch deletes the previous batch's inserts.
-* ``fr/freeze`` (one ``freeze()`` + ``release()``), ``fr/check_invariants``
-  and ``fr/csr_new`` run on the settled FR store the replay leaves behind.
+* ``fr/check_invariants`` and ``fr/csr_new`` run on the settled FR store the
+  replay leaves behind.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ def test_store_wallclock(benchmark, record_table):
             rows.append((f"{name}/reorganize", len(batches), min(r[1] for r in runs)))
             if name == "fr":
                 for row, calls, fn in (
-                    ("freeze", 20, lambda: store.freeze().release()),
                     ("check_invariants", 1, store.check_invariants),
                     ("csr_new", 5, store.csr_new),
                 ):

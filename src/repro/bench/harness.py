@@ -476,7 +476,6 @@ def run_service(
     scheduler: str = "fair",
     admission: str = "reject",
     pipeline: bool = True,
-    threaded: bool = True,
     seed: int = 0,
     device: DeviceConfig | None = None,
     json_path: str | None = None,
@@ -504,7 +503,7 @@ def run_service(
         workloads,
         num_devices=num_devices, queue_capacity=queue_capacity,
         scheduler=scheduler, admission=admission,
-        pipeline=pipeline, threaded=threaded,
+        pipeline=pipeline,
         device=device, seed=seed, engine_kwargs=engine_kwargs,
     )
     report = service.run()

@@ -108,10 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--interconnect", default="nvlink",
                        choices=sorted(INTERCONNECTS),
                        help="peer-link cost preset for --devices (default: nvlink)")
-    run_p.add_argument("--workers", type=int, default=None, metavar="W",
-                       help="host thread-pool width for per-shard work "
-                            "(default: repro.parallel.default_workers() — "
-                            "min(cpu_count, 8)); simulated time is unaffected")
     run_p.add_argument("--conflict-mode", default=None, choices=CONFLICT_MODES,
                        help="update-conflict policy for duplicate inserts / "
                             "phantom deletes / same-batch churn: strict "
@@ -306,7 +302,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"repro run: error: {exc}", file=sys.stderr)
             return 2
         extra["partitioner"] = args.partitioner
-        extra["workers"] = args.workers
     # fleet-only knobs are passed through as given: EngineConfig rejects them
     # without --devices (and --devices on a non-cached placement)
     if args.partitioner_opts:

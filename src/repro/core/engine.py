@@ -27,8 +27,9 @@ constructor's ``query`` argument is the fourth:
   and the result bookkeeping.  ``cached`` is the paper's system; the
   baselines' data paths (:mod:`repro.core.baselines`,
   :mod:`repro.core.rapidflow`) are loaded on first use.
-* **schedule** — :class:`SerialSchedule`, or the stage-overlapping
-  :class:`repro.service.pipeline.PipelinedSchedule` with its clock.
+* **schedule** — ``serial``, or ``pipelined``: the same stages in the same
+  order, with a :class:`~repro.gpu.clock.PipelineClock` placing each batch's
+  stage times on overlapping CPU / GPU lanes in simulated time.
 * **fan-out** — ``devices > 1`` swaps the single-device pack/match body for
   :class:`repro.multigpu.engine.FleetPlacement`, imported lazily.
 * **query set** (:class:`QuerySet`) — what a batch is matched against: one
@@ -75,7 +76,7 @@ from repro.graphs.attributes import EdgeAttributeStore
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.static_graph import StaticGraph
 from repro.graphs.stream import DEFAULT_CONFLICT_MODE, CanonicalReport, UpdateBatch
-from repro.gpu.clock import ScheduleReport, TimeBreakdown, simulated_time_ns
+from repro.gpu.clock import PipelineClock, ScheduleReport, TimeBreakdown, simulated_time_ns
 from repro.gpu.counters import AccessCounters, Channel
 from repro.gpu.device import (
     BYTES_PER_NEIGHBOR,
@@ -98,7 +99,6 @@ __all__ = [
     "QuerySet",
     "MatchOutcome",
     "StagedBatch",
-    "SerialSchedule",
     "PLACEMENTS",
     "SCHEDULES",
     "make_policy",
@@ -287,19 +287,17 @@ class EngineConfig:
     strict_capacity / memory_budget_bytes:
         ``khop``: raise when the working set exceeds the device buffer.
         ``indexed``: host memory for the candidate index.
-    schedule, threaded:
-        ``"serial"`` or ``"pipelined"`` (cross-batch stage overlap, same
-        results, annotated breakdowns); ``threaded=False`` keeps the
-        pipelined schedule on one thread.
+    schedule:
+        ``"serial"`` or ``"pipelined"`` (cross-batch stage overlap in
+        simulated time: same results, annotated breakdowns).
     devices:
         The fan-out: a count or a :class:`~repro.gpu.device.ClusterConfig`;
         ``devices > 1`` shards pack and match over a fleet.
-    partitioner, partitioner_opts, repartition, workers:
+    partitioner, partitioner_opts, repartition:
         Fleet only: vertex-ownership strategy (``hash`` | ``range`` |
         ``freq`` | ``mincut`` or an instance) and its tuning knobs; online
         repartitioning (``True`` or a mapping /
-        :class:`~repro.multigpu.repartition.RepartitionConfig`); thread-pool
-        width for the per-shard steps (wall clock only).
+        :class:`~repro.multigpu.repartition.RepartitionConfig`).
     """
 
     device: DeviceConfig | None = None
@@ -315,12 +313,10 @@ class EngineConfig:
     strict_capacity: bool = True
     memory_budget_bytes: int | None = None
     schedule: str = "serial"
-    threaded: bool = True
     devices: int | ClusterConfig | None = None
     partitioner: object = "hash"
     partitioner_opts: Mapping | None = None
     repartition: object = None
-    workers: int | None = None
 
     def __post_init__(self) -> None:
         cached = self.placement == "cached"
@@ -343,7 +339,7 @@ class EngineConfig:
 # ----------------------------------------------------------------------
 @dataclass
 class MatchOutcome:
-    """What the match stage hands back to the host thread."""
+    """What the match stage hands back."""
 
     stats: MatchStats
     counters: AccessCounters
@@ -370,7 +366,7 @@ class StagedBatch:
         return self.decision is not None and self.decision.skip_batch
 
     def land(self, outcome: MatchOutcome) -> None:
-        """Record the joined match stage (host thread)."""
+        """Record the match stage's outcome."""
         self.outcome = outcome
         self.breakdown.match_ns = outcome.match_ns
         self.breakdown.comm_ns = outcome.comm_ns
@@ -411,16 +407,14 @@ class Placement:
         raise NotImplementedError
 
     def match(
-        self, batch: UpdateBatch, shipped: object, graph: DynamicGraph,
+        self, batch: UpdateBatch, shipped: object,
         decision: PrefilterDecision | None, sinks: dict | None = None,
         expansion: Expansion | None = None,
     ) -> MatchOutcome:
-        """The kernel stage.  ``graph`` is the store the view dereferences —
-        the live one, or a frozen epoch under the pipelined schedule (the
-        decision's masks are immutable, so this is safe to overlap)."""
+        """The kernel stage, reading the engine's store through :meth:`view`."""
         engine = self.engine
         counters = AccessCounters()
-        view = self.view(graph, counters, shipped)
+        view = self.view(engine.graph, counters, shipped)
         stats = engine.query_set.match(
             engine, batch, view, decision, sinks, expansion, filters=self.filters
         )
@@ -466,8 +460,8 @@ class CachedPlacement(Placement):
         cache, breakdown.pack_ns = pack_step(engine.graph, selected, engine.device)
         return estimation, selected, cache, expansion
 
-    def match(self, batch, shipped, graph, decision, sinks=None):
-        return super().match(batch, shipped, graph, decision, sinks, shipped[3])
+    def match(self, batch, shipped, decision, sinks=None):
+        return super().match(batch, shipped, decision, sinks, shipped[3])
 
     def view(self, graph, counters, shipped):
         return CachedDeviceView(graph, self.engine.device, counters, shipped[2])
@@ -572,34 +566,6 @@ class QuerySet:
 
 
 # ----------------------------------------------------------------------
-# the schedule plug
-# ----------------------------------------------------------------------
-class SerialSchedule:
-    """Match, then reorganize, one batch at a time (the paper's Fig. 3)."""
-
-    clock = None
-
-    def run_batch(
-        self, engine: "GCSMEngine", raw: UpdateBatch, sinks: dict | None = None
-    ) -> BatchResult:
-        staged = engine.stage_host(raw, sinks)
-        if not staged.skipped:
-            with engine.settling():
-                self.run_device(engine, staged)
-        return self.finish(engine, staged)
-
-    def run_device(self, engine: "GCSMEngine", staged: StagedBatch) -> None:
-        staged.land(engine.stage_match(staged))
-        staged.breakdown.reorg_ns = engine.stage_reorganize()
-
-    def finish(self, engine: "GCSMEngine", staged: StagedBatch) -> BatchResult:
-        return engine.finish(staged)
-
-    def run_stream(self, engine: "GCSMEngine", batches) -> list[BatchResult]:
-        return [self.run_batch(engine, b) for b in batches]
-
-
-# ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
 class GCSMEngine:
@@ -670,11 +636,8 @@ class GCSMEngine:
         self.fleet = self.placement if self.num_devices > 1 else None
         self.query_set.compile(self.placement)
         self.result_type = self.query_set.result_type(self.placement.result_type)
-        self.schedule = (
-            _load("repro.service.pipeline:PipelinedSchedule")(config.threaded)
-            if config.schedule == "pipelined"
-            else SerialSchedule()
-        )
+        #: the pipelined schedule's simulated-time model (None when serial)
+        self.clock = PipelineClock() if config.schedule == "pipelined" else None
         self.batches_processed = 0
         self.total_delta = 0
 
@@ -687,11 +650,10 @@ class GCSMEngine:
     # ------------------------------------------------------------------
     # pipeline stages
     #
-    # The stages only communicate through the StagedBatch, never through
-    # hidden instance state, so a schedule can legally re-sequence them —
-    # running the GPU match of batch *k* concurrently with the CPU stages
-    # of batch *k+1* — without changing any stage's inputs.  Resource
-    # classes are declared in :data:`repro.gpu.clock.PIPELINE_STAGES`.
+    # The stages communicate through the StagedBatch and run in Fig. 3
+    # order under either schedule; the pipelined schedule's clock only
+    # re-times them on the resource lanes declared in
+    # :data:`repro.gpu.clock.PIPELINE_STAGES`.
     # ------------------------------------------------------------------
     @contextmanager
     def settling(self):
@@ -721,8 +683,8 @@ class GCSMEngine:
     def _prefilter(self, batch: UpdateBatch, breakdown: TimeBreakdown):
         """CPU stage 1b: maintain the aggregate-invariant index and certify
         skips for this (effective) batch.  The decision's per-plan root
-        masks are fully materialized here, so the (possibly concurrent)
-        match stage never reads the live index."""
+        masks are fully materialized here, so the match stage never reads
+        the live index."""
         index = self.prefilter_index
         if index is None:
             return None
@@ -755,15 +717,10 @@ class GCSMEngine:
                 )
         return staged
 
-    def stage_match(
-        self, staged: StagedBatch, graph: DynamicGraph | None = None
-    ) -> MatchOutcome:
-        """GPU stage 4: the incremental WCOJ kernel (``graph`` overrides the
-        store the views dereference with a frozen epoch)."""
+    def stage_match(self, staged: StagedBatch) -> MatchOutcome:
+        """GPU stage 4: the incremental WCOJ kernel."""
         return self.placement.match(
-            staged.batch, staged.shipped,
-            graph if graph is not None else self.graph, staged.decision,
-            staged.sinks,
+            staged.batch, staged.shipped, staged.decision, staged.sinks
         )
 
     def stage_reorganize(self) -> float:
@@ -806,21 +763,29 @@ class GCSMEngine:
     def process_batch(
         self, batch: UpdateBatch, *, sinks: dict | None = None
     ) -> BatchResult:
-        """Run the full pipeline for one batch under the configured schedule.
+        """Run the full pipeline for one batch: match, then reorganize (the
+        paper's Fig. 3); the pipelined schedule's clock annotates the
+        breakdown with the batch's overlapped timing.
 
         ``sinks`` optionally maps query names to ``(embedding, sign)``
         callbacks (a single query's sink is ``sinks[query.name]``)."""
-        return self.schedule.run_batch(self, batch, sinks)
+        staged = self.stage_host(batch, sinks)
+        if not staged.skipped:
+            with self.settling():
+                staged.land(self.stage_match(staged))
+                staged.breakdown.reorg_ns = self.stage_reorganize()
+        if self.clock is not None:
+            self.clock.annotate(staged.breakdown)
+        return self.finish(staged)
 
     def process_stream(self, batches: list[UpdateBatch]) -> list[BatchResult]:
         """Process a whole stream, returning per-batch results in order."""
-        return self.schedule.run_stream(self, batches)
+        return [self.process_batch(b) for b in batches]
 
     def schedule_report(self) -> ScheduleReport:
         """Stream-level pipeline summary (``schedule="pipelined"`` only)."""
-        require(self.schedule.clock is not None,
-                "engine built without schedule='pipelined'")
-        return self.schedule.clock.report()
+        require(self.clock is not None, "engine built without schedule='pipelined'")
+        return self.clock.report()
 
     def initial_match(self) -> tuple[int, float]:
         """Match the query on the current settled snapshot (paper Fig. 2a).

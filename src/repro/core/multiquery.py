@@ -291,8 +291,8 @@ class Rulebook(QuerySet):
 
     # -- per batch --------------------------------------------------------
     def evaluate(self, index, batch: UpdateBatch) -> RulebookDecision:
-        """One decision per runner, materialized here so a concurrent match
-        stage never reads the index; only the representatives' evaluations
+        """One decision per runner, materialized here so the match stage
+        never reads the index; only the representatives' evaluations
         are charged (the per-query loop's aliases ride on them)."""
         counters = AccessCounters()
         by_query: dict[str, PrefilterDecision] = {}

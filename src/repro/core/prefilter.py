@@ -194,9 +194,9 @@ class PrefilterDecision:
 
     ``masks`` are per-plan boolean arrays aligned with the output of
     :func:`repro.core.matching.delta_roots` for the same (plan, batch) —
-    engines that compute the decision on the host thread can hand it to
-    ``match_batch(prefilter=...)`` and the (possibly concurrent) match stage
-    never reads the live index.  ``estimate_batch`` keeps only updates with
+    an engine computes the decision in its host stages and hands it to
+    ``match_batch(prefilter=...)``, so the match stage never reads the live
+    index.  ``estimate_batch`` keeps only updates with
     at least one surviving orientation, shrinking walks and packing.
     """
 

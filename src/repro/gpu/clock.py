@@ -194,9 +194,9 @@ class StageSpec:
 
 #: The five paper steps plus the multi-GPU collective, with their resource
 #: classes.  ``reorganize`` is declared *independent of the kernel*: the
-#: pipelined engine gives the reorganizer a shadow copy of the touched lists
-#: (copy-on-write store freeze) so the host can re-sort while the device is
-#: still matching the same batch — see ``docs/service.md``.
+#: modeled system keeps the epoch the kernel reads double-buffered, so the
+#: host can re-sort while the device is still matching the same batch — see
+#: ``docs/service.md``.
 PIPELINE_STAGES = (
     StageSpec("update", "cpu"),
     StageSpec("prefilter", "cpu"),
@@ -234,9 +234,10 @@ class BatchSchedule:
 class PipelineClock:
     """Incremental scheduler for the staged per-batch pipeline.
 
-    Models the overlapped execution the real engine performs: batch *k+1*'s
-    CPU stages (update → estimate → pack) run while batch *k* is still
-    matching on the device.  Dependencies:
+    Models the overlapped execution of a host–device pipeline: batch
+    *k+1*'s CPU stages (update → estimate → pack) run while batch *k* is
+    still matching on the device.  The engine runs the stages in order; only
+    this clock overlaps them.  Dependencies:
 
     * CPU lane, FIFO: ``update(k) → prefilter(k) → estimate(k) →
       repartition(k) → pack(k) → reorganize(k)`` then ``update(k+1)`` —
@@ -244,10 +245,9 @@ class PipelineClock:
     * ``match(k)`` starts after ``pack(k)`` (its cache must be shipped) and
       after ``match(k-1)`` (one in-order kernel lane per device fleet).
     * ``comm(k)`` (ΔM all-reduce) follows ``match(k)`` on the PEER lane.
-    * ``reorganize(k)`` does **not** wait for ``match(k)``: the store
-      freeze hands the kernel an immutable view, so the host re-sorts
-      immediately after packing (the same order the threaded engine
-      executes for real).
+    * ``reorganize(k)`` does **not** wait for ``match(k)``: the kernel
+      reads a double-buffered epoch, so the host re-sorts immediately after
+      packing.
 
     Feed each batch's serial stage durations to :meth:`advance`; it returns
     the batch's placement and mutates nothing outside the clock.  All times

@@ -29,20 +29,17 @@ run with marks decoded (deleted edges existed before the batch), and
 ``N'(v)``, the base run with marks skipped plus ``ΔN(v)``, kept as two
 sorted runs for the ``N' = N ∪ ΔN`` split intersections of Sec. V-C.
 
-**Allocator.**  Windows are bumped off the pool's tail and never reused in
-place: a window a list left behind is dead, and once the dead outweigh the
-live (``_COMPACT_RATIO``, decided at the end of ``reorganize``) the pool is
-rebuilt in vertex order.  A full pool is *replaced* by one ``_GROWTH`` times
-larger, never resized.  Both keep copy-on-write cheap as **move-before-
-write**: while a frozen view is live, a list it can still see is given a
-fresh window before ``apply_batch`` or ``reorganize`` writes it, so a view is
-a reference to the buffer it captured plus a copy of the tables.
+**Allocator.**  Windows are bumped off the pool's tail and never reused: a
+list that outgrows its window moves to one at least twice as large and
+leaves the old one dead.  A list's dead windows therefore never outweigh its
+live one, so the tail stays under twice the live windows and nothing is
+compacted.  A full pool is replaced by one ``_GROWTH`` times larger.
 
 **One read, one write.**  :meth:`DynamicGraph._read` gathers any set of
 lists in either version as one flat block (marks decoded or dropped, the two
 runs of a touched list merged by one sort of ``segment * n + value`` keys);
 every bulk path — the arena fill, the edge probe and delete-slot search,
-reorganize, DCSR packing, the whole-graph exports, compaction — is that read
+reorganize, DCSR packing, the whole-graph exports — is that read
 plus one fancy-indexed write ``pool[offset[src] + slot] = value``.
 
 The per-epoch *arena* (:class:`_Epoch`, :meth:`DynamicGraph.gather`) is what
@@ -55,7 +52,6 @@ entries on FR / SF3K) measured 1.55-1.7x slower keyed probes.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,16 +66,13 @@ __all__ = [
     "rank_keys",
     "keyed_contains",
     "DynamicGraph",
-    "FrozenDynamicGraph",
     "ReorganizeStats",
 ]
 
 _EMPTY = np.empty(0, dtype=VERTEX_DTYPE)
-#: a window doubles until its run fits; a (re)built pool is this many times
-#: the largest tail the compaction rule lets its windows reach
+#: a window doubles until its run fits; a full pool is replaced by one this
+#: many times the tail it must hold
 _GROWTH = 2
-#: dead windows are reclaimed once they outweigh the live ones this many times
-_COMPACT_RATIO = 1
 
 
 def _decode(values: np.ndarray) -> np.ndarray:
@@ -162,20 +155,16 @@ class _Epoch:
     stored run verbatim.  ``keys`` holds the :func:`rank_keys` of the arena,
     so ``keys[:used]`` is sorted and :func:`keyed_contains` probes any list
     with one ``searchsorted``.  ``flat[:used]`` / ``keys[:used]`` are
-    never rewritten and growth copies them into the replacement buffers before
-    publishing those, so a reference read after a :meth:`DynamicGraph.gather`
-    covers every segment that gather (or an earlier one) returned, whichever
-    thread grew it.
+    never rewritten and growth copies them into the replacement buffers, so a
+    reference read after a :meth:`DynamicGraph.gather` covers every segment
+    that gather (or an earlier one) returned.
 
     Cheap to create (every mutation makes one); the O(n) tables are built by
     the first reader — a kernel or a degree query, never the store's own
-    update path.  ``lock`` serialises that build and every load: fleet shards
-    match one graph on worker threads, a pipelined reader fills the epoch it
-    froze.
+    update path.
     """
 
     def __init__(self) -> None:
-        self.lock = threading.Lock()
         self.flat: np.ndarray | None = None  # None until :meth:`build`
 
     def build(self, base_len, total_len, marks, touched) -> None:
@@ -200,14 +189,16 @@ class DynamicGraph:
         self._realloc_count = 0
         degs = initial.degrees()
         self._avg_degree = max(1, int(round(float(degs.mean())) if n else 1))
-        # copy-on-write freeze support (see :meth:`freeze`): while any frozen
-        # view is live, a list whose window predates the latest freeze
-        # (``owner_serial < freeze_serial``) moves before it is written.
-        self._active_freezes = 0
-        self._freeze_serial = 0
-        self._bind(np.zeros((6, n), dtype=np.int64))
+        self._bind(np.zeros((5, n), dtype=np.int64))
         self._base_len[:] = self._total_len[:] = degs
-        self._lay_out(initial.indices)  # one scatter from the CSR
+        # fresh 2x windows in vertex order, filled by one scatter from the
+        # CSR; the pool has room for the tail to double twice (it stays under
+        # twice the live windows, see the module docstring)
+        self._cap[:] = np.maximum(2, 2 * self._base_len)
+        bounds = segment_offsets(self._cap)
+        self._offset[:], self._tail = bounds[:-1], int(bounds[-1])
+        self._pool = np.empty(2 * _GROWTH * self._tail, dtype=VERTEX_DTYPE)
+        self._pool[segment_indices(self._offset, self._base_len)] = initial.indices
         self._epoch = _Epoch()
         self._touched: np.ndarray = _EMPTY  # sorted; replaced, never written
         self._batch_open = False
@@ -217,22 +208,10 @@ class DynamicGraph:
 
     def _bind(self, tables: np.ndarray) -> None:
         """Name the rows of the per-vertex table: window offset and capacity,
-        base-run / stored-run lengths, deletion marks inside the base run,
-        and the freeze serial under which the window was allocated."""
+        base-run / stored-run lengths, and deletion marks inside the base
+        run."""
         self._tables = tables
-        (self._offset, self._cap, self._base_len, self._total_len,
-         self._marks, self._owner_serial) = tables
-
-    def _lay_out(self, block: np.ndarray) -> None:
-        """(Re)build the pool in vertex order from the settled lists laid end
-        to end in ``block``: fresh 2x windows, no dead ones, nothing a frozen
-        view can see."""
-        self._cap[:] = np.maximum(2, 2 * self._base_len)
-        bounds = segment_offsets(self._cap)
-        self._offset[:], self._tail, self._dead = bounds[:-1], int(bounds[-1]), 0
-        self._owner_serial[:] = self._freeze_serial
-        self._pool = np.empty(_GROWTH * (1 + _COMPACT_RATIO) * self._tail, dtype=VERTEX_DTYPE)
-        self._pool[segment_indices(self._offset, self._base_len)] = block
+        self._offset, self._cap, self._base_len, self._total_len, self._marks = tables
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -287,9 +266,8 @@ class DynamicGraph:
     def _epoch_state(self) -> _Epoch:
         """The current epoch with its tables built."""
         epoch = self._epoch
-        with epoch.lock:
-            if epoch.flat is None:
-                epoch.build(self._base_len, self._total_len, self._marks, self._touched)
+        if epoch.flat is None:
+            epoch.build(self._base_len, self._total_len, self._marks, self._touched)
         return epoch
 
     def degrees_new(self) -> np.ndarray:
@@ -440,14 +418,13 @@ class DynamicGraph:
         here: callers record every access themselves.
         """
         epoch = self._epoch_state()
-        with epoch.lock:
-            # the tables' row: 1 = OLD
-            version = np.full(vertices.shape, old, dtype=np.intp)
+        # the tables' row: 1 = OLD
+        version = np.full(vertices.shape, old, dtype=np.intp)
+        starts = epoch.start[version, vertices]
+        missing = starts < 0
+        if missing.any():
+            self._load(epoch, vertices[missing], version[missing])
             starts = epoch.start[version, vertices]
-            missing = starts < 0
-            if missing.any():
-                self._load(epoch, vertices[missing], version[missing])
-                starts = epoch.start[version, vertices]
         return starts, epoch.deg[version, vertices]
 
     @property
@@ -460,15 +437,11 @@ class DynamicGraph:
         """The :func:`rank_keys` of the filled arena, for
         :func:`keyed_contains` probes of the lists :meth:`gather` returned."""
         epoch = self._epoch_state()
-        with epoch.lock:
-            return epoch.keys[: epoch.used]
+        return epoch.keys[: epoch.used]
 
     def _load(self, epoch: _Epoch, vertices: np.ndarray, old) -> None:
         """Append the lists of ``vertices`` (``old`` as in :meth:`_read`) to
-        the arena with one read (caller holds ``epoch.lock``; none is loaded
-        yet).  Offsets are published only once the bytes are in place; lists
-        come from *this* graph's pool and tables, so a frozen view that
-        adopted the epoch never dereferences the live store."""
+        the arena with one read (none is loaded yet)."""
         # untouched: no marks, no ΔN — N and N' are one slot, filed under OLD
         pairs = sorted_unique(2 * vertices + np.where(epoch.touched[vertices], old, 1))
         vertices, row = pairs >> 1, pairs & 1
@@ -492,39 +465,10 @@ class DynamicGraph:
         shared = ~epoch.touched[vertices]
         epoch.start_new[vertices[shared]] = offsets[:-1][shared]
 
-    # ------------------------------------------------------------------
-    # copy-on-write freeze (pipelined execution support)
-    # ------------------------------------------------------------------
-    def freeze(self) -> "FrozenDynamicGraph":
-        """Capture an immutable logical view of the current store state.
-
-        The frozen view shares the pool with the live store and copies the
-        per-vertex tables; any later mutation (deletion marks, ΔN appends,
-        reorganize write-backs) first moves the affected list to a fresh
-        window, so the view keeps reading the exact epoch it captured — at
-        the cost of moving only the lists the subsequent batches actually
-        touch.  This is what lets the pipelined engine run the matching
-        kernel of batch *k* on a worker thread while the host reorganizes
-        batch *k* and applies batch *k+1* (the software analog of the
-        double-buffered pinned arrays a real host-device pipeline uses).
-
-        Call :meth:`FrozenDynamicGraph.release` (or use the view as a
-        context manager) once the reader is done, so the store can drop the
-        copy-on-write guard and return to in-place mutation.
-        """
-        self._freeze_serial += 1
-        self._active_freezes += 1
-        return FrozenDynamicGraph(self)
-
-    def _release_freeze(self) -> None:
-        require(self._active_freezes > 0, "no active freeze to release")
-        self._active_freezes -= 1
-
     def _move(self, vertices: np.ndarray, cap: np.ndarray, keep: np.ndarray) -> None:
         """Give ``vertices`` fresh windows of ``cap`` entries bumped off the
         tail, carrying over the first ``keep`` of each; the windows they
-        leave are dead.  A full pool is replaced, never resized: a frozen
-        view keeps reading the buffer it captured."""
+        leave are dead.  A full pool is replaced by a larger one."""
         bounds = self._tail + segment_offsets(cap)
         if bounds[-1] > self._pool.size:
             pool = np.empty(_GROWTH * int(bounds[-1]), dtype=VERTEX_DTYPE)
@@ -533,14 +477,8 @@ class DynamicGraph:
         self._pool[segment_indices(bounds[:-1], keep)] = self._pool[
             segment_indices(self._offset[vertices], keep)
         ]
-        self._dead += int(self._cap[vertices].sum())
         self._offset[vertices], self._cap[vertices] = bounds[:-1], cap
-        self._owner_serial[vertices] = self._freeze_serial
         self._tail = int(bounds[-1])
-
-    def _seen(self, vertices: np.ndarray) -> np.ndarray:
-        """Which of ``vertices`` a live frozen view can still see."""
-        return self._owner_serial[vertices] < (self._freeze_serial if self._active_freezes else 0)
 
     # ------------------------------------------------------------------
     # update protocol
@@ -591,14 +529,13 @@ class DynamicGraph:
         run_start = np.repeat(first + self._marks[touched], np.diff(bounds))
         slot = self._base_len[src] + np.arange(src.size) - run_start
         slot[deleted] = marked
-        # a list that outgrew its window, or that a frozen view can see, moves first
+        # a list that outgrew its window moves first
         cap, need = self._cap[touched], self._total_len[touched]
         while (short := cap < need).any():
             cap[short] *= _GROWTH
-        outgrown = cap > self._cap[touched]
-        self._realloc_count += int(np.count_nonzero(outgrown))
-        move = outgrown | self._seen(touched)
+        move = cap > self._cap[touched]
         if move.any():
+            self._realloc_count += int(np.count_nonzero(move))
             self._move(touched[move], cap[move], self._base_len[touched[move]])
         # the one bulk write; the deletion mark of v is -(v+1)
         self._pool[self._offset[src] + slot] = np.where(deleted, -(dst + 1), dst)
@@ -612,8 +549,7 @@ class DynamicGraph:
         :meth:`_read`, one scatter
         (:func:`repro.testing.oracles.merge_runs_reference` is the scalar
         oracle) — and the batch is closed; the work accounting is four sums
-        over the length tables.  Dead windows are compacted away here, once
-        they outweigh the live ones.
+        over the length tables.
         """
         require(self._batch_open, "no open batch to reorganize")
         touched = self._touched
@@ -624,19 +560,12 @@ class DynamicGraph:
             deletions_dropped=int(self._marks[touched].sum()),
             insertions_merged=int((self._total_len[touched] - self._base_len[touched]).sum()),
         )
-        # frozen kernels keep the old layout; the whole run is rewritten, so
-        # a moved list carries nothing over
-        seen = touched[self._seen(touched)]
-        if seen.size:
-            self._move(seen, self._cap[seen], np.zeros_like(seen))
         self._pool[segment_indices(self._offset[touched], lengths)] = block
         self._base_len[touched] = self._total_len[touched] = lengths
         self._marks[touched] = 0
         self._epoch = _Epoch()
         self._touched = _EMPTY
         self._batch_open = False
-        if self._dead > _COMPACT_RATIO * (self._tail - self._dead):
-            self._lay_out(self._read(np.arange(self.num_vertices), False)[0])
         return stats
 
     # ------------------------------------------------------------------
@@ -758,73 +687,3 @@ class DynamicGraph:
             f"open_batch={self._batch_open}, touched={len(self._touched)})"
         )
 
-
-class FrozenDynamicGraph(DynamicGraph):
-    """Immutable logical snapshot of a :class:`DynamicGraph` epoch.
-
-    Created by :meth:`DynamicGraph.freeze`.  Holds the pool buffer as
-    captured (zero list copies) and its own copy of the per-vertex tables,
-    and relies on the parent's move-before-write guard to keep every window
-    it can address byte-stable: the parent gives a list a fresh window
-    before its first post-freeze mutation, never reuses a window in place,
-    and replaces — never resizes — the pool when it grows or compacts, so
-    reads through this view always see the captured epoch.
-
-    Every read-side accessor of :class:`DynamicGraph` (``neighbors_old`` /
-    ``neighbors_new_parts`` / ``packed_runs`` / ``snapshot`` / ...) works
-    unchanged because the view carries its own tables and batch
-    bookkeeping.  Mutators (:meth:`apply_batch`, :meth:`reorganize`,
-    :meth:`freeze`) are blocked.
-    """
-
-    def __init__(self, parent: DynamicGraph) -> None:
-        # Deliberately does NOT chain to DynamicGraph.__init__: the view
-        # aliases the parent's pool instead of building a fresh one.
-        self._parent = parent
-        self._released = False
-        self._labels = parent._labels
-        self._pool, self._tail = parent._pool, parent._tail
-        self._bind(parent._tables.copy())
-        # same store state, so the arena the estimator filled serves the
-        # kernel too; loads go through this view's own pool and tables
-        self._epoch = parent._epoch
-        self._realloc_count = parent._realloc_count
-        self._touched = parent._touched
-        self._batch_open = parent._batch_open
-        self._num_edges = parent._num_edges
-        self.last_canonical_report = parent.last_canonical_report
-
-    @property
-    def released(self) -> bool:
-        return self._released
-
-    def release(self) -> None:
-        """Drop the parent's copy-on-write guard for this view (idempotent)."""
-        if not self._released:
-            self._released = True
-            self._parent._release_freeze()
-
-    def __enter__(self) -> "FrozenDynamicGraph":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.release()
-
-    # -- mutators are blocked ------------------------------------------
-    def apply_batch(self, batch: UpdateBatch, mode: str = "strict") -> UpdateBatch:
-        require(False, "frozen view is immutable (apply_batch)")
-        raise AssertionError  # pragma: no cover - require always raises
-
-    def reorganize(self) -> ReorganizeStats:
-        require(False, "frozen view is immutable (reorganize)")
-        raise AssertionError  # pragma: no cover - require always raises
-
-    def freeze(self) -> "FrozenDynamicGraph":
-        require(False, "cannot freeze a frozen view; freeze the live store")
-        raise AssertionError  # pragma: no cover - require always raises
-
-    def __repr__(self) -> str:
-        return (
-            f"FrozenDynamicGraph(n={self.num_vertices}, m={self.num_edges}, "
-            f"open_batch={self._batch_open}, released={self._released})"
-        )

@@ -15,8 +15,8 @@ stage (update, prefilter, reorganize) and every schedule is the engine's own.
   the ΔM all-reduce (reported separately as ``comm_ns``).
 
 Pack and match reuse the single-device internals
-(:func:`~repro.core.engine.pack_step`, the shared matching kernel) under
-:func:`repro.parallel.parallel_map`.  With ``devices=1`` the engine never
+(:func:`~repro.core.engine.pack_step`, the shared matching kernel), shard by
+shard in shard order.  With ``devices=1`` the engine never
 loads this module: the single-device body *is* the one-device fleet, by
 construction.  For ``N > 1`` match counts stay identical (roots are a
 disjoint cover; per-root work is independent) while timing shows sub-linear
@@ -47,7 +47,6 @@ from repro.multigpu.shard import (
     ShardBatchReport,
     ShardedDeviceView,
 )
-from repro.parallel import parallel_map
 
 __all__ = ["FleetPlacement", "FleetBatchResult", "MultiFleetBatchResult"]
 
@@ -84,7 +83,7 @@ class FleetPlacement(CachedPlacement):
     """The ``cached`` data path sharded across N simulated devices.
 
     The fleet knobs (``partitioner``, ``partitioner_opts``, ``repartition``,
-    ``workers``, the per-device ``cache_budget_bytes``) are
+    the per-device ``cache_budget_bytes``) are
     :class:`~repro.core.engine.EngineConfig` fields, documented there.  The
     frequency-aware partitioners re-run per batch on that batch's estimates
     (the cache is rebuilt and re-shipped every batch anyway, so re-homing is
@@ -110,7 +109,6 @@ class FleetPlacement(CachedPlacement):
             else None
         )
         self._owner: np.ndarray | None = None  # sticky map (repartition mode)
-        self.workers = cfg.workers
         self.shards = [
             Shard(i, dev, engine.cache_budget_bytes)
             for i, dev in enumerate(engine.cluster.devices())
@@ -151,19 +149,15 @@ class FleetPlacement(CachedPlacement):
 
         # own host links: uploads overlap, the phase is the slowest shard
         ranked = engine.policy.rank(graph, frequencies)
-        parallel_map(
-            lambda shard: shard.select_and_pack(graph, ranked, owner),
-            self.shards,
-            workers=self.workers,
-        )
+        for shard in self.shards:
+            shard.select_and_pack(graph, ranked, owner)
         breakdown.pack_ns = partition_ns + max(s.pack_ns for s in self.shards)
         return estimation, owner, repart_report
 
-    def match(self, batch, shipped, graph, decision, sinks=None):
-        """Per-shard kernels over the routed roots, then the ΔM all-reduce
-        (with ``sinks`` the shards run in shard order, so emission order is
-        deterministic)."""
-        engine = self.engine
+    def match(self, batch, shipped, decision, sinks=None):
+        """Per-shard kernels over the routed roots in shard order (so a
+        sink's emission order is deterministic), then the ΔM all-reduce."""
+        engine, graph = self.engine, self.engine.graph
         owner = shipped[1]
         caches = [s.cache for s in self.shards]
 
@@ -182,9 +176,7 @@ class FleetPlacement(CachedPlacement):
             ns = simulated_time_ns(counters, shard.device, platform="gpu")
             return MatchOutcome(stats, counters, ns, view)
 
-        outcomes = parallel_map(
-            match_one, self.shards, workers=1 if sinks else self.workers
-        )
+        outcomes = [match_one(shard) for shard in self.shards]
         total, merged = type(outcomes[0].stats)(), AccessCounters()
         for o in outcomes:
             total.merge(o.stats)

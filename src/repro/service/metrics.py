@@ -145,8 +145,6 @@ class ServiceReport:
     pipeline: bool
     num_devices: int
     queue_capacity: int
-    workers: int
-    workers_env: str | None
     seed: int
     makespan_ns: float
     wall_clock_s: float
@@ -181,8 +179,6 @@ class ServiceReport:
             "pipeline": self.pipeline,
             "num_devices": self.num_devices,
             "queue_capacity": self.queue_capacity,
-            "workers": self.workers,
-            "workers_env": self.workers_env,
             "seed": self.seed,
             "makespan_ns": self.makespan_ns,
             "wall_clock_s": self.wall_clock_s,
@@ -202,8 +198,6 @@ class ServiceReport:
             pipeline=data["pipeline"],
             num_devices=data["num_devices"],
             queue_capacity=data["queue_capacity"],
-            workers=data["workers"],
-            workers_env=data.get("workers_env"),
             seed=data["seed"],
             makespan_ns=data["makespan_ns"],
             wall_clock_s=data["wall_clock_s"],

@@ -35,7 +35,6 @@ Model
 from __future__ import annotations
 
 import heapq
-import os
 import time
 import traceback
 from collections import deque
@@ -43,7 +42,6 @@ from collections import deque
 from repro.core.engine import GCSMEngine
 from repro.gpu.counters import AccessCounters
 from repro.gpu.device import DeviceConfig
-from repro.parallel import default_workers
 from repro.service.load import TenantWorkload
 from repro.service.metrics import ServiceReport, TenantMetrics
 from repro.utils import require
@@ -140,7 +138,6 @@ class MatchService:
         scheduler: str = "fair",
         admission: str = "reject",
         pipeline: bool = True,
-        threaded: bool = True,
         device: DeviceConfig | None = None,
         seed: int = 0,
         engine_kwargs: dict | None = None,
@@ -160,7 +157,7 @@ class MatchService:
         self.seed = seed
         kwargs = dict(engine_kwargs or {})
         self.tenants: dict[str, _TenantState] = {}
-        kwargs.update(schedule="pipelined" if pipeline else "serial", threaded=threaded)
+        kwargs.update(schedule="pipelined" if pipeline else "serial")
         for w in workloads:
             engine = GCSMEngine(
                 w.initial_graph, w.query, seed=seed, device=device, **kwargs
@@ -331,8 +328,6 @@ class MatchService:
             pipeline=self.pipeline,
             num_devices=self.num_devices,
             queue_capacity=self.queue_capacity,
-            workers=default_workers(),
-            workers_env=os.environ.get("REPRO_WORKERS") or None,
             seed=self.seed,
             makespan_ns=makespan,
             wall_clock_s=wall,

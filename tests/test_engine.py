@@ -359,6 +359,29 @@ class TestEngineConfig:
         assert engine.config.schedule == "pipelined" and engine.config.seed == 5
         assert config.schedule == "serial"  # the caller's config is untouched
 
+    def test_settable_options_are_pinned(self):
+        """17 engine fields plus the rulebook's ``shared``: an option added or
+        brought back shows up here.  Execution runs on one thread, so neither
+        the engine nor the service takes a threading knob."""
+        import dataclasses
+        import inspect
+
+        from repro.bench.harness import run_service
+        from repro.core.engine import EngineConfig
+        from repro.core.multiquery import Rulebook
+        from repro.service import MatchService
+
+        fields = [f.name for f in dataclasses.fields(EngineConfig)]
+        assert fields == [
+            "device", "placement", "policy", "num_walks", "adaptive_walks",
+            "cache_budget_bytes", "survival", "seed", "conflict_mode", "prefilter",
+            "strict_capacity", "memory_budget_bytes", "schedule", "devices",
+            "partitioner", "partitioner_opts", "repartition",
+        ]
+        assert list(inspect.signature(Rulebook).parameters) == ["queries", "shared"]
+        for fn in (MatchService, run_service):
+            assert not {"threaded", "workers"} & set(inspect.signature(fn).parameters)
+
     def test_dropped_engine_is_freed_without_the_cycle_collector(self):
         """An engine holds the whole store; services and benchmarks build
         engines in a loop, so no plug may keep one alive through a cycle."""

@@ -1,4 +1,4 @@
-"""Pipelined execution: schedule math, COW store freeze, engine parity."""
+"""Pipelined execution: schedule math and engine parity."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.core.engine import GCSMEngine
 from repro.core.reference import count_embeddings
 from repro.core.validation import generate_adversarial_stream
-from repro.graphs.dynamic_graph import DynamicGraph, FrozenDynamicGraph
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.stream import UpdateBatch, derive_stream
 from repro.gpu.clock import (
@@ -16,7 +15,6 @@ from repro.gpu.clock import (
     TimeBreakdown,
 )
 from repro.query import QueryGraph
-from repro.service import PipelinedSchedule
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 
@@ -78,7 +76,7 @@ class TestPipelineClockSchedule:
         # match waits for pack, fill = full prep time
         assert sched.start_ns["match"] == 6.0
         assert sched.fill_ns == 6.0
-        # reorganize does NOT wait for match (COW freeze isolation)
+        # reorganize does NOT wait for match (the kernel's epoch is double-buffered)
         assert sched.start_ns["reorganize"] == 6.0
         assert sched.end_ns["reorganize"] == 10.0
         assert sched.finish_ns == 16.0
@@ -144,79 +142,6 @@ class TestPipelineClockSchedule:
         assert s.finish_ns == s.end_ns["comm"]
 
 
-def make_store(seed=0):
-    g = erdos_renyi(30, 5.0, num_labels=2, seed=seed)
-    return DynamicGraph(g)
-
-
-class TestFreeze:
-    def test_frozen_view_preserves_epoch_across_mutation(self):
-        store = make_store()
-        before = store.snapshot()
-        frozen = store.freeze()
-        assert isinstance(frozen, FrozenDynamicGraph)
-        # mutate the live store: apply + reorganize
-        batch = store.apply_batch(
-            UpdateBatch([(0, 2), (1, 4), (3, 7)], [1, 1, 1]), mode="coalesce"
-        )
-        assert len(batch) >= 1
-        store.reorganize()
-        # the view still reads the captured epoch
-        view_snap = frozen.snapshot()
-        assert np.array_equal(view_snap.labels, before.labels)
-        assert sorted(map(tuple, view_snap.edge_array())) == \
-            sorted(map(tuple, before.edge_array()))
-        frozen.release()
-
-    def test_frozen_view_mutators_blocked(self):
-        store = make_store()
-        with store.freeze() as frozen:
-            with pytest.raises(ValueError, match="immutable"):
-                frozen.apply_batch(UpdateBatch([(0, 1)], [1]))
-            with pytest.raises(ValueError, match="immutable"):
-                frozen.reorganize()
-            with pytest.raises(ValueError, match="freeze"):
-                frozen.freeze()
-        assert frozen.released
-
-    def test_release_is_idempotent_and_context_managed(self):
-        store = make_store()
-        frozen = store.freeze()
-        assert store._active_freezes == 1
-        frozen.release()
-        frozen.release()  # idempotent
-        assert store._active_freezes == 0
-        with pytest.raises(ValueError):
-            store._release_freeze()  # no active freeze
-
-    def test_new_vertex_growth_does_not_leak_into_view(self):
-        store = make_store()
-        n0 = store.num_vertices
-        with store.freeze() as frozen:
-            store.apply_batch(UpdateBatch(
-                [(0, n0), (n0, n0 + 1)], [1, 1],
-                new_vertex_labels={n0: 0, n0 + 1: 1},
-            ), mode="coalesce")
-            assert store.num_vertices == n0 + 2
-            assert frozen.num_vertices == n0
-
-    def test_stacked_freezes(self):
-        store = make_store()
-        f1 = store.freeze()
-        store.apply_batch(UpdateBatch([(0, 3)], [1]), mode="coalesce")
-        store.reorganize()
-        f2 = store.freeze()
-        store.apply_batch(UpdateBatch([(1, 5)], [1]), mode="coalesce")
-        store.reorganize()
-        e1 = sorted(map(tuple, f1.snapshot().edge_array()))
-        e2 = sorted(map(tuple, f2.snapshot().edge_array()))
-        assert e1 != e2  # distinct epochs
-        f1.release()
-        f2.release()
-        assert store._active_freezes == 0
-        store.check_invariants()
-
-
 def parity_workload(seed=0, num_batches=4):
     g = erdos_renyi(36, 6.0, num_labels=2, seed=seed)
     batches = generate_adversarial_stream(
@@ -239,11 +164,10 @@ def assert_results_equal(a, b):
 
 
 class TestEngineParity:
-    @pytest.mark.parametrize("threaded", [True, False], ids=["threaded", "inline"])
-    def test_stream_bit_parity_with_serial_engine(self, threaded):
+    def test_stream_bit_parity_with_serial_engine(self):
         g, batches = parity_workload(seed=11)
         serial = GCSMEngine(g, TRIANGLE, seed=3)
-        piped = PipelinedEngine(g, TRIANGLE, seed=3, threaded=threaded)
+        piped = PipelinedEngine(g, TRIANGLE, seed=3)
         ser = [serial.process_batch(b) for b in batches]
         pip = piped.process_stream(batches)
         for a, b in zip(ser, pip):
@@ -295,7 +219,7 @@ class TestEngineParity:
         assert "Pipelined" in SYSTEM_NAMES
         g, _ = parity_workload()
         system = make_system("Pipelined", g, TRIANGLE, seed=0)
-        assert isinstance(system.schedule, PipelinedSchedule)
+        assert system.clock is not None and GCSMEngine(g, TRIANGLE).clock is None
         assert system.config.schedule == "pipelined"
 
     def test_empty_batch_rejected(self):

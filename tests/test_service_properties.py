@@ -45,10 +45,8 @@ def _final_state(engine):
     executor=st.sampled_from(KERNELS),
     estimator=st.sampled_from(KERNELS),
     conflict_mode=st.sampled_from([m for m in CONFLICT_MODES if m != "strict"]),
-    threaded=st.booleans(),
 )
-def test_pipelined_engine_bit_parity(seed, executor, estimator, conflict_mode,
-                                     threaded):
+def test_pipelined_engine_bit_parity(seed, executor, estimator, conflict_mode):
     rng = np.random.default_rng(seed)
     g = erdos_renyi(30, 5.0, num_labels=2, seed=rng)
     batches = generate_adversarial_stream(
@@ -56,7 +54,7 @@ def test_pipelined_engine_bit_parity(seed, executor, estimator, conflict_mode,
     )
     kwargs = dict(conflict_mode=conflict_mode, seed=seed)
     serial = GCSMEngine(g, TRIANGLE, **kwargs)
-    piped = PipelinedEngine(g, TRIANGLE, threaded=threaded, **kwargs)
+    piped = PipelinedEngine(g, TRIANGLE, **kwargs)
     for engine in (serial, piped):
         use_reference_kernels(
             engine, matcher=executor == "recursive",
@@ -75,7 +73,6 @@ def test_pipelined_engine_bit_parity(seed, executor, estimator, conflict_mode,
         assert a.breakdown.total_ns == b.breakdown.total_ns
     assert _final_state(serial) == _final_state(piped)
     piped.graph.check_invariants()
-    assert piped.graph._active_freezes == 0  # no leaked COW epochs
 
 
 @settings(max_examples=10, deadline=None)
@@ -153,10 +150,9 @@ def _assert_same_results(serial_single, serial_fleet, composed):
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     conflict_mode=st.sampled_from([m for m in CONFLICT_MODES if m != "strict"]),
-    threaded=st.booleans(),
     prefilter=st.sampled_from(["off", "on"]),
 )
-def test_pipelined_fleet_parity(seed, conflict_mode, threaded, prefilter):
+def test_pipelined_fleet_parity(seed, conflict_mode, prefilter):
     rng = np.random.default_rng(seed)
     g = erdos_renyi(30, 5.0, num_labels=2, seed=rng)
     batches = generate_adversarial_stream(
@@ -165,9 +161,7 @@ def test_pipelined_fleet_parity(seed, conflict_mode, threaded, prefilter):
     kwargs = dict(conflict_mode=conflict_mode, seed=seed, prefilter=prefilter)
     single = GCSMEngine(g, TRIANGLE, **kwargs)
     fleet = GCSMEngine(g, TRIANGLE, devices=2, **kwargs)
-    piped = GCSMEngine(
-        g, TRIANGLE, schedule="pipelined", devices=2, threaded=threaded, **kwargs
-    )
+    piped = GCSMEngine(g, TRIANGLE, schedule="pipelined", devices=2, **kwargs)
     results = piped.process_stream(batches)
     _assert_same_results(
         single.process_stream(batches), fleet.process_stream(batches), results
@@ -178,7 +172,6 @@ def test_pipelined_fleet_parity(seed, conflict_mode, threaded, prefilter):
     assert sum(r.breakdown.critical_path_ns for r in results) == \
         pytest.approx(report.makespan_ns, rel=1e-12)
     assert _final_state(single) == _final_state(piped)
-    assert piped.graph._active_freezes == 0
 
 
 @settings(max_examples=12, deadline=None)

@@ -32,7 +32,6 @@ def tiny_workloads(num_tenants=2, *, rate_per_sec=50.0, arrival="poisson",
 
 
 def run(workloads, **kwargs):
-    kwargs.setdefault("threaded", False)
     return MatchService(workloads, **kwargs).run()
 
 
@@ -201,7 +200,7 @@ class TestFaultIsolation:
 
         workloads = tiny_workloads(3, arrival=arrival, num_batches=4, think_ns=500.0)
         clean = run(workloads, pipeline=pipeline)
-        service = MatchService(workloads, pipeline=pipeline, threaded=False)
+        service = MatchService(workloads, pipeline=pipeline)
         victim = service.tenants["tenant1"].engine
         prepare, calls = victim.placement.prepare, []
 
@@ -260,15 +259,6 @@ class TestMetricsAndReport:
         serial = run(tiny_workloads(2), pipeline=False)
         assert serial.schedule is None
 
-    def test_workers_env_recorded(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        report = run(tiny_workloads(1))
-        assert report.workers == 3
-        assert report.workers_env == "3"
-        monkeypatch.delenv("REPRO_WORKERS")
-        report = run(tiny_workloads(1))
-        assert report.workers_env is None
-
     def test_counters_totaled_across_tenants(self):
         report = run(tiny_workloads(2))
         assert report.counters  # non-empty summary dict
@@ -287,7 +277,7 @@ class TestHarness:
     def test_run_service_persists_json(self, tmp_path):
         path = tmp_path / "report.json"
         report = run_service(
-            2, num_batches=3, batch_size=8, threaded=False,
+            2, num_batches=3, batch_size=8,
             json_path=str(path),
             workload_kwargs={"graph_size": 24, "avg_degree": 5.0},
         )

@@ -305,6 +305,51 @@ def test_no_plain_unique_on_production_path():
     assert kept == set(_SET_ROUTINES_KEPT), "the allow-list names a file with nothing to allow"
 
 
+#: modules that run code on other threads or processes
+_CONCURRENCY_MODULES = {"threading", "concurrent", "multiprocessing"}
+
+
+def concurrency_imports(root: Path):
+    """``(relative path, line, module)`` of every import of a concurrency
+    module (or of one of its submodules) under ``root``."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.relative_to(root).as_posix(), node.lineno, name) for name in names
+                      if name.split(".")[0] in _CONCURRENCY_MODULES]
+    return found
+
+
+def test_no_threads_under_src():
+    """The engine runs on one thread: the pipelined schedule's overlap and a
+    fleet's shards are simulated time, and real threads measured slower than
+    one thread on every configuration tried on a two-core box.  No module
+    under ``src/repro`` imports ``threading``, ``concurrent.futures`` or
+    ``multiprocessing``."""
+    root = Path(__file__).resolve().parents[1] / "src" / "repro"
+    assert concurrency_imports(root) == []
+
+
+def test_the_thread_guard_sees_what_it_guards(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import threading\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import multiprocessing.pool as mp, os\n"
+        "from . import threading\n"
+        "import threadingx\n"
+    )
+    assert concurrency_imports(tmp_path) == [
+        ("a.py", 1, "threading"), ("a.py", 2, "concurrent.futures"),
+        ("a.py", 3, "multiprocessing.pool"),
+    ]
+
+
 def test_the_guard_sees_what_it_guards(tmp_path):
     (tmp_path / "core").mkdir()
     (tmp_path / "testing").mkdir()
