@@ -25,6 +25,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.core.dcsr import DcsrCache, packed_size_bytes
+from repro.core.frequency import EstimationResult, rank_support
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.gpu.counters import AccessCounters, Accesses
 from repro.gpu.device import DeviceConfig
@@ -67,13 +68,14 @@ class CachePolicy(ABC):
     requires_estimation: bool = False
 
     @abstractmethod
-    def rank(self, graph: DynamicGraph, frequencies: np.ndarray | None) -> np.ndarray:
+    def rank(self, graph: DynamicGraph,
+             frequencies: EstimationResult | np.ndarray | None) -> np.ndarray:
         """Return candidate vertices, best first."""
 
     def select(
         self,
         graph: DynamicGraph,
-        frequencies: np.ndarray | None,
+        frequencies: EstimationResult | np.ndarray | None,
         budget_bytes: int,
     ) -> np.ndarray:
         return select_within_budget(graph, self.rank(graph, frequencies), budget_bytes)
@@ -90,12 +92,14 @@ class FrequencyCachePolicy(CachePolicy):
     name = "frequency"
     requires_estimation = True
 
-    def rank(self, graph: DynamicGraph, frequencies: np.ndarray | None) -> np.ndarray:
+    def rank(self, graph: DynamicGraph,
+             frequencies: EstimationResult | np.ndarray | None) -> np.ndarray:
         if frequencies is None:
             return np.empty(0, dtype=np.int64)
-        nonzero = np.nonzero(frequencies > 0)[0]
-        order = np.argsort(-frequencies[nonzero], kind="stable")
-        return nonzero[order]
+        if isinstance(frequencies, EstimationResult):
+            return rank_support(frequencies.support, frequencies.values)
+        support = np.flatnonzero(frequencies > 0)
+        return rank_support(support, frequencies[support])
 
 
 class DegreeCachePolicy(CachePolicy):

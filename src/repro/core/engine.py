@@ -453,10 +453,7 @@ class CachedPlacement(Placement):
         if engine.policy.requires_estimation:
             expansion = engine.query_set.expand(engine, batch, decision, sinks)
         estimation = self.estimate(batch, decision, breakdown, expansion)
-        frequencies = estimation.frequencies if estimation is not None else None
-        selected = engine.policy.select(
-            engine.graph, frequencies, engine.cache_budget_bytes
-        )
+        selected = engine.policy.select(engine.graph, estimation, engine.cache_budget_bytes)
         cache, breakdown.pack_ns = pack_step(engine.graph, selected, engine.device)
         return estimation, selected, cache, expansion
 

@@ -44,6 +44,7 @@ per-node depth-first in its parity oracle
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,11 +55,12 @@ from repro.graphs.stream import UpdateBatch
 from repro.gpu.counters import AccessCounters
 from repro.gpu.device import DeviceConfig
 from repro.query.plan import MatchPlan
-from repro.utils import as_generator, require
+from repro.utils import as_generator, require, sorted_unique
 
 __all__ = [
     "EstimationResult",
     "FrequencyEstimator",
+    "rank_support",
     "required_walks",
     "default_num_walks",
 ]
@@ -101,43 +103,62 @@ def default_num_walks(batch_size: int, max_degree: int, pattern_size: int) -> in
     return max(256, int(2 * batch_size * depth_boost))
 
 
+def _tally(vertex: np.ndarray, row: np.ndarray, charge: np.ndarray,
+           budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(support, values)``: the charges summed per ``(vertex, row)`` cell
+    in charging order, each cell over its row's budget, then a vertex's
+    cells in ascending row order (``np.add.at`` adds in index order)."""
+    rows = budgets.size
+    cells, at = np.unique(vertex * rows + row, return_inverse=True)
+    sums = np.zeros(cells.size, dtype=np.float64)
+    np.add.at(sums, at, charge)
+    owner = cells // rows  # sorted: a vertex's cells are adjacent
+    lead = np.ones(cells.size, dtype=bool)
+    lead[1:] = owner[1:] != owner[:-1]
+    values = np.zeros(np.count_nonzero(lead), dtype=np.float64)
+    np.add.at(values, lead.cumsum() - 1, sums / np.maximum(budgets, 1)[cells % rows])
+    return owner[lead], values
+
+
+def rank_support(support: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``support`` (ascending ids) by descending ``values``, ties by ascending
+    id (the sort is stable), so any prefix is deterministic."""
+    return support[(-values).argsort(kind="stable")]
+
+
 @dataclass
 class EstimationResult:
     """Output of one estimation pass.
 
-    ``frequencies[v]`` is the unbiased estimate of vertex ``v``'s access
-    count during exact matching of this batch (average of Eq. (3) over the
-    walks).  ``sampled_vertices`` are the vertices with nonzero estimates —
-    the candidate cache set.  ``counters`` holds the CPU-side cost of the
+    ``support`` holds the vertices with a nonzero estimate, ascending (the
+    candidate cache set), ``values`` the unbiased estimate of each one's
+    access count during exact matching of this batch (average of Eq. (3) over
+    the walks); ``frequencies`` is the dense vector over ``num_vertices``,
+    built on first read.  ``counters`` holds the CPU-side cost of the
     estimation itself (priced as Table II's "FE" column).
     """
 
-    frequencies: np.ndarray
+    support: np.ndarray
+    values: np.ndarray
+    num_vertices: int
     num_walks: int
     nodes_visited: int
     counters: AccessCounters
 
+    @cached_property
+    def frequencies(self) -> np.ndarray:
+        dense = np.zeros(self.num_vertices, dtype=np.float64)
+        dense[self.support] = self.values
+        return dense
+
     @property
     def sampled_vertices(self) -> np.ndarray:
-        return np.nonzero(self.frequencies > 0)[0]
+        return self.support
 
     def top_vertices(self, k: int) -> np.ndarray:
-        """The k highest-estimated vertices, ties broken by ascending vertex id.
-
-        ``lexsort`` keys on (vertex id, -frequency): the primary order is
-        descending frequency, and equal-frequency runs — including ties that
-        straddle the ``k`` boundary — resolve to the smallest vertex ids, so
-        the returned prefix is fully deterministic.
-        """
-        if k <= 0:
-            return np.empty(0, dtype=np.int64)
-        freq = self.frequencies
-        nonzero = np.nonzero(freq > 0)[0]
-        k = min(k, int(nonzero.size))
-        if k == 0:
-            return np.empty(0, dtype=np.int64)
-        order = np.lexsort((nonzero, -freq[nonzero]))
-        return nonzero[order[:k]]
+        """The k highest-estimated vertices, ties broken by ascending vertex
+        id (:func:`rank_support`)."""
+        return rank_support(self.support, self.values)[: max(k, 0)]
 
 
 class FrequencyEstimator:
@@ -205,39 +226,39 @@ class FrequencyEstimator:
                 len(batch), max_degree, plans[0].query.num_vertices
             )
         per_chain = max(1, num_walks // max(1, len(plans)))
-        frequencies, nodes, counters = self.walk(
+        estimate, nodes, counters = self.walk(
             solo_trie(plans), batch, np.full(len(plans), per_chain), max_degree, expansion
         )
-        return EstimationResult(frequencies, num_walks, nodes, counters)
+        return EstimationResult(*estimate, self.graph.num_vertices, num_walks, nodes, counters)
 
     def walk(
         self, trie: ExecutionTrie, batch: UpdateBatch, budget: np.ndarray, max_degree: int,
         expansion=None, *, prefilter: dict | None = None, skip: frozenset = frozenset(),
-    ) -> tuple[np.ndarray, int, AccessCounters]:
+    ) -> tuple[tuple[np.ndarray, np.ndarray], int, AccessCounters]:
         """The one primitive: ``budget[g]`` merged walks from root group ``g``
         of ``trie`` (0: none) down its live nodes — the queries in ``skip``
         left out, the roots certified by ``prefilter`` as
-        :func:`~repro.core.matching.expand` takes them — and ``(frequencies,
-        nodes_visited, counters)``; the descent reads ``expansion``, the
-        matcher's run of this trie and batch under the same ``skip``, where it
-        has one.
+        :func:`~repro.core.matching.expand` takes them — and ``((support,
+        values), nodes_visited, counters)``; the descent reads ``expansion``,
+        the matcher's run of this trie and batch under the same ``skip``,
+        where it has one.
 
-        ``frequencies`` sums each group's Eq. 3 tally over its own budget.
+        The estimate sums each group's Eq. 3 tally over its own budget.
         Groups of one budget share an accumulator row, divided once after the
-        walk: a row's charges are integer-valued floats in the full-expansion
-        regime, so the samplers agree bit for bit in any charging order.
+        walk (:func:`_tally`, over the cells charged): a row's charges are
+        integer-valued floats in the full-expansion regime, so the samplers
+        agree bit for bit in any charging order.
         """
         if expansion is not None and (expansion.trie is not trie or expansion.batch is not batch):
             expansion = None
         budgets, row = np.unique(budget, return_inverse=True)
-        tally = np.zeros((budgets.size, self.graph.num_vertices), dtype=np.float64)
         counters = AccessCounters()
         # the walk reads only ``live`` and ``parent``, which no sink set moves:
         # the expansion's incidence serves, not a sink-free second record
         records = trie.incidence(skip)[2] if expansion is None else expansion.records
         roots = self._roots(trie, records, batch, budget, row, expansion, prefilter, skip)
-        nodes = self._descend(trie, records, roots, max_degree, tally, counters)
-        return (tally / np.maximum(budgets, 1)[:, None]).sum(axis=0), nodes, counters
+        nodes, charges = self._descend(trie, records, roots, max_degree, counters)
+        return _tally(*charges, budgets), nodes, counters
 
     def _roots(self, trie, records, batch, budget, tally_row, expansion, prefilter, skip):
         """The root table ``(rows, line, mult, weight, tally_row, reading)``:
@@ -271,10 +292,11 @@ class FrequencyEstimator:
             return np.ones(np.shape(k))
         return np.where(k > 1, np.minimum(1.0, self.survival / np.maximum(k, 1)), 1.0)
 
-    def _descend(self, trie, records, roots, max_degree, tally, counters) -> int:
+    def _descend(self, trie, records, roots, max_degree, counters) -> tuple[int, tuple]:
         """Walk down the live nodes (``records``, the trie's incidence) from
-        the root table ``roots`` (:meth:`_roots`): Eq. 3 charges go to
-        ``tally[tally_row]``, FE cost to ``counters``; returns nodes visited."""
+        the root table ``roots`` (:meth:`_roots`), FE cost to ``counters``;
+        returns the nodes visited and the Eq. 3 charges as ``(vertex,
+        tally_row, charge)`` arrays in charging order."""
         raise NotImplementedError
 
     def estimate_adaptive(
@@ -300,12 +322,11 @@ class FrequencyEstimator:
             expansion=expansion,
         )
         for _ in range(max_rounds - 1):
-            nonzero = result.frequencies[result.frequencies > 0]
-            if nonzero.size == 0:
+            if result.values.size == 0:
                 break
             needed = required_walks(
                 query.num_vertices, len(batch), max_degree,
-                float(nonzero.min()), alpha=alpha, confidence=confidence,
+                float(result.values.min()), alpha=alpha, confidence=confidence,
             )
             target = min(max_walks, int(min(needed, float(max_walks))))
             if result.num_walks >= target:
@@ -313,12 +334,16 @@ class FrequencyEstimator:
             extra = self.estimate(
                 plans, batch, num_walks=target, max_degree=max_degree, expansion=expansion
             )
-            # average the two unbiased passes weighted by their walk counts
+            # the walk-weighted average of the passes, on their supports' union
             w1, w2 = result.num_walks, extra.num_walks
-            merged_freq = (result.frequencies * w1 + extra.frequencies * w2) / (w1 + w2)
+            support = sorted_unique(np.concatenate([result.support, extra.support]))
+            passes = np.zeros((2, support.size), dtype=np.float64)
+            for at, one in enumerate((result, extra)):
+                passes[at, np.searchsorted(support, one.support)] = one.values
             extra.counters.merge(result.counters)
             result = EstimationResult(
-                merged_freq, w1 + w2, result.nodes_visited + extra.nodes_visited,
-                extra.counters,
+                support, (passes[0] * w1 + passes[1] * w2) / (w1 + w2),
+                self.graph.num_vertices, w1 + w2,
+                result.nodes_visited + extra.nodes_visited, extra.counters,
             )
         return result

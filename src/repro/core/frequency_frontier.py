@@ -55,22 +55,22 @@ from repro.gpu.views import HostCPUView
 
 __all__ = ["FrontierFrequencyEstimator"]
 
+_NONE = np.empty(0, dtype=np.int64)
+
 
 class FrontierFrequencyEstimator(FrequencyEstimator):
     """The production sampler: the descent of
     :class:`repro.testing.kernels.RecursiveFrequencyEstimator`, its oracle,
     in level-synchronous shape."""
 
-    def _descend(self, trie, records, roots, max_degree, tally, counters) -> int:
+    def _descend(self, trie, records, roots, max_degree, counters) -> tuple[int, tuple]:
         """Advance every root group together from the root table: per trie
         depth the fan-out and its branch draw, one launch — or one read of
         the matcher's — and one survival draw over the stacked rows; one
         settle of the walk's whole access log at the end."""
-        rows, line, mult, weight, tally_row, reading = roots
+        rows, line, mult, weight, base, reading = roots  # base: each row's tally row
         # a row is its bound vertices — or, reading, its twin in the expansion
         launches, frontier = reading or (None, rows)
-        # each row's offset into the flat tally: its group's accumulator row
-        flat, base = tally.reshape(-1), tally_row * tally.shape[1]
         nodes = line.size
         # host reads: every fetch of the walk is FE cost on the CPU's DRAM
         view = HostCPUView(self.graph, self.device, counters)
@@ -101,7 +101,7 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
                     frontier, line
                 )
             charge = mult * weight  # Eq. 3: the node's B × weight, to each vertex it reads
-            logs.append((log.vertex, log.length, base[log.row] + log.vertex, charge[log.row]))
+            logs.append((log.vertex, log.length, base[log.row], charge[log.row]))
             ops += int(compute.sum() + log.vertex.size + log.length[log.slot > 0].sum())
             # one continuation draw for all children of the depth; saturated
             # children (p == 1) keep their parent's multiplicity without
@@ -123,15 +123,15 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
             line, base = line[parent], base[parent]
             mult, weight = born[live], weight[parent] / p_child[live]
             nodes += line.size
-        if logs:
-            # the walk's one settle, depths in order: every access is recorded
-            # and charged len(list) + 1, a probed list len(list) again, on top
-            # of the launches' compute (first lists, merges, predicate probes,
-            # survivors).  The host view prices an access whatever came
-            # before it and ``np.add.at`` adds in index order, so counters
-            # and tallies are those of a settle per depth, bit for bit.
-            vertex, length, cell, charge = map(np.concatenate, zip(*logs))
-            view.fetch_block(vertex, length)
-            counters.record_compute(ops)
-            np.add.at(flat, cell, charge)
-        return nodes
+        if not logs:
+            return nodes, (_NONE, _NONE, _NONE)
+        # the walk's one settle, depths in order: every access is recorded
+        # and charged len(list) + 1, a probed list len(list) again, on top
+        # of the launches' compute (first lists, merges, predicate probes,
+        # survivors).  The host view prices an access whatever came before
+        # it and the charges keep their log order, so counters and tallies
+        # are those of a settle per depth, bit for bit.
+        vertex, length, row, charge = map(np.concatenate, zip(*logs))
+        view.fetch_block(vertex, length)
+        counters.record_compute(ops)
+        return nodes, (vertex, row, charge)

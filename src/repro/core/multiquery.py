@@ -355,7 +355,8 @@ class Rulebook(QuerySet):
         pooled, nodes, counters = engine.estimator.walk(
             self.trie, batch, budget, max_degree, expansion, **routing
         )
-        return EstimationResult(pooled, int(budget.sum()), nodes, counters)
+        return EstimationResult(*pooled, engine.graph.num_vertices, int(budget.sum()),
+                                nodes, counters)
 
     def match(
         self, engine: GCSMEngine, batch: UpdateBatch, view, decision: RulebookDecision | None,

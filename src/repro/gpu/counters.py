@@ -11,10 +11,10 @@ validated against.
 Accounting is arrays end to end: a view *classifies* a block of accesses
 into an :class:`Accesses` (one element per access), :func:`tabulate` sums
 it per owner with one ``bincount`` per column, and an
-:class:`AccessCounters` is one int64 totals vector plus one lazily
-allocated histogram that :meth:`AccessCounters.accumulate` adds such a sum
-into — ``record``, ``merge`` and the rulebook's per-query attribution are
-all that one call.
+:class:`AccessCounters` is one int64 totals vector plus a histogram built
+when read from the blocks ``record`` keeps (an unread batch allocates none);
+:meth:`AccessCounters.accumulate` adds a built histogram — ``merge`` and the
+rulebook's per-query attribution are that one call.
 """
 
 from __future__ import annotations
@@ -135,9 +135,12 @@ class AccessCounters:
 
     def __init__(self) -> None:
         self._totals = np.zeros(_WIDTH, dtype=np.int64)
-        #: ``(2, size)`` access counts and bytes per vertex, on first use;
-        #: ``size`` is a power of two decided by the largest vertex seen
+        #: ``(2, _size)`` access counts and bytes per vertex, built when read
+        #: from the ``(vertices, nbytes)`` blocks recorded since (``_pending``
+        #: accesses); ``_size``: 0, or a power of two >= 1 024 above them all
         self._hist: np.ndarray | None = None
+        self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
+        self._pending = self._size = 0
         #: the histogram is shared with a :meth:`copy`: copy it before writing
         self._lent = False
 
@@ -155,9 +158,10 @@ class AccessCounters:
     def _room(self, top: int) -> np.ndarray:
         """The histogram to write into — the one write path: grown to hold
         vertex ``top``, and this object's own (a lent one is copied first)."""
+        self._size = max(self._size, 1024, 1 << top.bit_length())
         hist = self._hist
-        if hist is None or top >= hist.shape[1]:
-            grown = np.zeros((2, max(1024, 1 << int(top).bit_length())), dtype=np.int64)
+        if hist is None or self._size > hist.shape[1]:
+            grown = np.zeros((2, self._size), dtype=np.int64)
             if hist is not None:
                 grown[:, : hist.shape[1]] = hist
             self._hist = hist = grown
@@ -165,6 +169,25 @@ class AccessCounters:
             self._hist = hist = hist.copy()
         self._lent = False
         return hist
+
+    def _pend(self, blocks: list, pending: int, top: int) -> None:
+        """Keep recorded blocks for the first read, folding them in once they
+        outweigh the histogram they add up to."""
+        self._blocks = self._blocks + blocks  # not in place: a copy may share the list
+        self._pending += pending
+        self._size = max(self._size, 1024, 1 << top.bit_length())
+        if self._pending > self._size:
+            self._built()
+
+    def _built(self) -> np.ndarray | None:
+        """The histogram, with every pending block added (the read path)."""
+        if self._blocks:
+            hist = self._room(self._size - 1)
+            vertices, nbytes = map(np.concatenate, zip(*self._blocks))
+            np.add.at(hist[0], vertices, 1)
+            np.add.at(hist[1], vertices, nbytes)
+            self._blocks, self._pending = [], 0
+        return self._hist
 
     def accumulate(
         self, totals: np.ndarray, hist: np.ndarray | None = None,
@@ -180,22 +203,19 @@ class AccessCounters:
 
     def record(self, vertices: np.ndarray, acc: Accesses) -> None:
         """Record a classified block: one access to ``vertices[i]``'s list
-        per element — the counter state of one :meth:`record_access` each."""
+        per element — the counter state of one :meth:`record_access` each.
+        Totals are added now; the block joins the histogram when it is read."""
         if vertices.size == 0:
             return
-        self.accumulate(tabulate(acc)[0])
-        hist = self._room(int(vertices.max()))
-        np.add.at(hist[0], vertices, 1)
-        np.add.at(hist[1], vertices, acc.nbytes)
+        self._totals[:_TALLY] += tabulate(acc)[0]
+        self._pend([(vertices, acc.nbytes)], vertices.size, int(vertices.max()))
 
     def record_access(self, channel: Channel, vertex: int, nbytes: int,
                       transactions: int = 1) -> None:
         """Record one neighbor-list access served by ``channel``."""
         self._totals[channel.slot] += nbytes
         self._totals[_C + channel.slot] += transactions
-        hist = self._room(vertex)
-        hist[0, vertex] += 1
-        hist[1, vertex] += nbytes
+        self._pend([(np.array([vertex]), np.array([nbytes]))], 1, int(vertex))
 
     def record_um_fault(self, pages: int) -> None:
         self._totals[_FAULTS] += pages
@@ -214,17 +234,22 @@ class AccessCounters:
         self._totals[_TALLY + 2] += embeddings
 
     def merge(self, other: "AccessCounters") -> None:
-        """Accumulate ``other`` into ``self`` (multi-batch aggregation)."""
+        """Accumulate ``other`` into ``self`` (multi-batch aggregation): its
+        built histogram now, its pending blocks as pending blocks."""
+        pending = other._blocks, other._pending, other._size - 1  # ``other`` may be ``self``
         self.accumulate(other._totals, other._hist)
+        if pending[0]:
+            self._pend(*pending)
 
     def copy(self) -> "AccessCounters":
         """An independent counters object holding the same state: the totals
-        copied, the histogram lent copy-on-write — each side copies it before
-        its next write, so a copy nobody writes to (a rulebook alias's) moves none."""
+        copied, the pending blocks shared, the histogram lent copy-on-write —
+        each side copies it before its next write (an unwritten copy moves none)."""
         fresh = AccessCounters()
         fresh._totals[:] = self._totals
         fresh._hist = self._hist
         fresh._lent = self._lent = self._hist is not None
+        fresh._blocks, fresh._pending, fresh._size = self._blocks, self._pending, self._size
         return fresh
 
     # ------------------------------------------------------------------
@@ -240,14 +265,16 @@ class AccessCounters:
 
     @property
     def total_access_count(self) -> int:
-        return 0 if self._hist is None else int(self._hist[0].sum())
+        """Accesses recorded (the histogram is not built to count them)."""
+        return self._pending + (0 if self._hist is None else int(self._hist[0].sum()))
 
     def _histogram(self, row: int, num_vertices: int | None) -> np.ndarray:
-        have = 0 if self._hist is None else self._hist.shape[1]
+        hist = self._built()
+        have = 0 if hist is None else hist.shape[1]
         out = np.zeros(have if num_vertices is None else num_vertices, dtype=np.int64)
         k = min(out.shape[0], have)
         if k:
-            out[:k] = self._hist[row, :k]
+            out[:k] = hist[row, :k]
         return out
 
     def vertex_access_counts(self, num_vertices: int | None = None) -> np.ndarray:

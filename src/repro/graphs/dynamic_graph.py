@@ -4,7 +4,8 @@ The paper keeps the evolving data graph in pre-allocated pinned arrays
 reached through the ``pHost`` / ``pDevice`` tables: one flat address space.
 Here that is **one slab** — an int64 ``pool`` plus per-vertex ``offset`` /
 ``cap`` tables (``host_address`` / ``device_address`` are the offset table)
-beside three length tables (base run, stored run, deletion marks).  Each
+beside four length tables (post-batch degree, base run, stored run,
+deletion marks).  Each
 list is a *window* ``pool[offset[v] : offset[v] + cap[v]]``, pre-allocated at
 2x, holding the sorted base run with its marks in place and, appended behind
 it, the open batch's sorted ``ΔN`` run.  The four update rules, each one
@@ -44,10 +45,14 @@ plus one fancy-indexed write ``pool[offset[src] + slot] = value``.
 
 The per-epoch *arena* (:class:`_Epoch`, :meth:`DynamicGraph.gather`) is what
 the join kernels probe: the working set's merged lists with rank keys,
-dropped by ``apply_batch`` and ``reorganize``.  The store fills it and no
+emptied by ``apply_batch`` and ``reorganize``.  The store fills it and no
 longer reads it, and it stays: probing a whole-graph key pool instead of the
 working-set arena (≈ 19 k / 27 k elements against 662 k / 962 k directed
 entries on FR / SF3K) measured 1.55-1.7x slower keyed probes.
+
+**A batch costs what it touches**: the versioned degrees are rows of the
+length table, the arena's buffers are kept across epochs and every
+mutation rewrites only what it touched (:class:`_Epoch`).
 """
 
 from __future__ import annotations
@@ -144,40 +149,40 @@ def keyed_contains(
 
 
 class _Epoch:
-    """Bulk read-side state of one store state (settled, or one open batch).
+    """The arena of one store state (settled, or one open batch).
 
-    ``deg_old`` / ``deg_new`` are the versioned list lengths.  ``flat`` is the
-    arena: merged versioned lists appended on first use, ``start_old[v]`` /
-    ``start_new[v]`` their offsets (-1 until loaded).  Both pairs are the rows
-    of one ``(2, n)`` table (``deg`` / ``start``, row 1 = OLD), so a gather
-    mixing versions is one indexed read.  A vertex the open
-    batch did not touch has one slot, shared by both versions, holding its
-    stored run verbatim.  ``keys`` holds the :func:`rank_keys` of the arena,
-    so ``keys[:used]`` is sorted and :func:`keyed_contains` probes any list
-    with one ``searchsorted``.  ``flat[:used]`` / ``keys[:used]`` are
+    ``flat`` is the arena: merged versioned lists appended on first use,
+    ``start_old[v]`` / ``start_new[v]`` their offsets plus ``base`` (below
+    ``base``: not loaded this epoch), the rows of one ``(2, n)`` table
+    ``start`` (row 1 = OLD, as in the store's ``_deg``), so a gather mixing
+    versions is one indexed read.  A vertex the open batch did not touch has
+    one slot, shared by both versions, holding its stored run verbatim.
+    ``keys`` holds the :func:`rank_keys` of the arena, so ``keys[:used]`` is
+    sorted and :func:`keyed_contains` probes any list with one
+    ``searchsorted``.  Within an epoch ``flat[:used]`` / ``keys[:used]`` are
     never rewritten and growth copies them into the replacement buffers, so a
     reference read after a :meth:`DynamicGraph.gather` covers every segment
-    that gather (or an earlier one) returned.
+    it returned.
 
-    Cheap to create (every mutation makes one); the O(n) tables are built by
-    the first reader — a kernel or a degree query, never the store's own
-    update path.
+    The first gather — never the update path — builds ``start``.  The buffers
+    persist, their contents die with the epoch: :meth:`open` raises ``base``
+    past every offset handed out, which unloads them all in O(1).
     """
 
     def __init__(self) -> None:
         self.flat: np.ndarray | None = None  # None until :meth:`build`
+        self.base = self.used = 0
 
-    def build(self, base_len, total_len, marks, touched) -> None:
-        n = base_len.size
-        self.deg = _read_only(np.stack([total_len - marks, base_len]))
-        self.deg_new, self.deg_old = self.deg
-        self.touched = np.zeros(n, dtype=bool)
-        self.touched[touched] = True
+    def build(self, n: int) -> None:
         self.start = np.full((2, n), -1, dtype=np.int64)
         self.start_new, self.start_old = self.start
-        self.used = 0
         self.keys = np.empty(4096, dtype=np.int64)
         self.flat = np.empty(4096, dtype=VERTEX_DTYPE)
+
+    def open(self) -> None:
+        """Begin a new epoch: no list is loaded, the arena is empty."""
+        self.base += self.used + 1  # past every offset, an empty list's at ``used`` too
+        self.used = 0
 
 
 class DynamicGraph:
@@ -189,8 +194,8 @@ class DynamicGraph:
         self._realloc_count = 0
         degs = initial.degrees()
         self._avg_degree = max(1, int(round(float(degs.mean())) if n else 1))
-        self._bind(np.zeros((5, n), dtype=np.int64))
-        self._base_len[:] = self._total_len[:] = degs
+        self._bind(np.zeros((7, n), dtype=np.int64))
+        self._new_len[:] = self._base_len[:] = self._total_len[:] = degs
         # fresh 2x windows in vertex order, filled by one scatter from the
         # CSR; the pool has room for the tail to double twice (it stays under
         # twice the live windows, see the module docstring)
@@ -203,15 +208,19 @@ class DynamicGraph:
         self._touched: np.ndarray = _EMPTY  # sorted; replaced, never written
         self._batch_open = False
         self._num_edges = initial.num_edges
+        self._max_degree = int(degs.max(initial=0))
         #: classification of the most recent :meth:`apply_batch` input
         self.last_canonical_report: CanonicalReport | None = None
 
     def _bind(self, tables: np.ndarray) -> None:
         """Name the rows of the per-vertex table: window offset and capacity,
-        base-run / stored-run lengths, and deletion marks inside the base
-        run."""
+        post-batch degree, base-run / stored-run lengths, deletion marks in the
+        base run, 1 where the open batch touched the list; ``_deg`` is the two
+        versioned degrees (row 1 = OLD: the base run)."""
         self._tables = tables
-        self._offset, self._cap, self._base_len, self._total_len, self._marks = tables
+        (self._offset, self._cap, self._new_len, self._base_len, self._total_len,
+         self._marks, self._in_batch) = tables
+        self._deg = tables[2:4]
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -257,32 +266,32 @@ class DynamicGraph:
 
     def degree_new(self, v: int) -> int:
         """Post-batch degree of ``v`` (deletions excluded, insertions included)."""
-        return int(self._total_len[v] - self._marks[v])
+        return int(self._new_len[v])
 
     def degree_old(self, v: int) -> int:
         """Pre-batch degree of ``v`` (the base-run length)."""
         return int(self._base_len[v])
 
     def _epoch_state(self) -> _Epoch:
-        """The current epoch with its tables built."""
+        """The current epoch with its offset table built."""
         epoch = self._epoch
         if epoch.flat is None:
-            epoch.build(self._base_len, self._total_len, self._marks, self._touched)
+            epoch.build(self._new_len.size)
         return epoch
 
     def degrees_new(self) -> np.ndarray:
-        """Post-batch degrees of every vertex: a read-only table, one per
-        epoch (a later batch never changes a table already handed out)."""
-        return self._epoch_state().deg_new
+        """Post-batch degrees of every vertex: a read-only view of the live
+        table, which every mutation rewrites — copy it to keep it."""
+        return _read_only(self._new_len.view())
 
     def degrees_old(self) -> np.ndarray:
-        """Pre-batch degrees of every vertex (read-only, one per epoch)."""
-        return self._epoch_state().deg_old
+        """Pre-batch degrees of every vertex (a view, as :meth:`degrees_new`)."""
+        return _read_only(self._base_len.view())
 
     def max_degree(self) -> int:
-        if self.num_vertices == 0:
-            return 0
-        return int(self.degrees_new().max())
+        """The largest post-batch degree, kept by :meth:`apply_batch` (recounted
+        only when a vertex holding it lost edges)."""
+        return self._max_degree
 
     # ------------------------------------------------------------------
     # Fig. 2 adjacency versions
@@ -420,12 +429,12 @@ class DynamicGraph:
         epoch = self._epoch_state()
         # the tables' row: 1 = OLD
         version = np.full(vertices.shape, old, dtype=np.intp)
-        starts = epoch.start[version, vertices]
+        starts = epoch.start[version, vertices] - epoch.base
         missing = starts < 0
         if missing.any():
             self._load(epoch, vertices[missing], version[missing])
-            starts = epoch.start[version, vertices]
-        return starts, epoch.deg[version, vertices]
+            starts = epoch.start[version, vertices] - epoch.base
+        return starts, self._deg[version, vertices]
 
     @property
     def arena(self) -> np.ndarray:
@@ -442,10 +451,12 @@ class DynamicGraph:
     def _load(self, epoch: _Epoch, vertices: np.ndarray, old) -> None:
         """Append the lists of ``vertices`` (``old`` as in :meth:`_read`) to
         the arena with one read (none is loaded yet)."""
-        # untouched: no marks, no ΔN — N and N' are one slot, filed under OLD
-        pairs = sorted_unique(2 * vertices + np.where(epoch.touched[vertices], old, 1))
-        vertices, row = pairs >> 1, pairs & 1
-        lengths = epoch.deg[row, vertices]
+        # untouched: no marks, no ΔN — N and N' are one slot, filed under OLD;
+        # a key packs (vertex, touched, row)
+        touched = self._in_batch[vertices]
+        pairs = sorted_unique(4 * vertices + 2 * touched + np.where(touched, old, 1))
+        vertices, row, shared = pairs >> 2, pairs & 1, (pairs & 2) == 0
+        lengths = self._deg[row, vertices]
         used = epoch.used
         offsets = used + segment_offsets(lengths)
         end = int(offsets[-1])
@@ -461,9 +472,9 @@ class DynamicGraph:
         epoch.flat[used:end] = block
         epoch.keys[used:end] = rank_keys(offsets[:-1], lengths, block, self.num_vertices)
         epoch.used = end
-        epoch.start[row, vertices] = offsets[:-1]
-        shared = ~epoch.touched[vertices]
-        epoch.start_new[vertices[shared]] = offsets[:-1][shared]
+        offsets = epoch.base + offsets[:-1]
+        epoch.start[row, vertices] = offsets
+        epoch.start_new[vertices[shared]] = offsets[shared]
 
     def _move(self, vertices: np.ndarray, cap: np.ndarray, keep: np.ndarray) -> None:
         """Give ``vertices`` fresh windows of ``cap`` entries bumped off the
@@ -515,7 +526,7 @@ class DynamicGraph:
         keys, starts, _ = self._keyed(src[deleted])
         marked = np.searchsorted(keys, starts * self.num_vertices + dst[deleted]) - starts
 
-        self._epoch = _Epoch()  # before the first mutation: also dropped if one raises
+        self._epoch.open()  # before the first mutation: also dropped if one raises
         self._batch_open = True
         grown = effective.max_vertex() + 1
         if grown > self.num_vertices:
@@ -524,6 +535,15 @@ class DynamicGraph:
         np.add.at(self._total_len, src[~deleted], 1)
         self._touched, first = np.unique(src, return_index=True)
         touched = self._touched
+        self._in_batch[touched] = 1
+        # the store was settled: a list's degree before the batch is its base run
+        before, after = self._base_len[touched], self._total_len[touched] - self._marks[touched]
+        self._new_len[touched] = after
+        top = int(np.maximum.reduce(after, initial=0))
+        if top >= self._max_degree:
+            self._max_degree = top
+        elif self._max_degree in before:
+            self._max_degree = int(np.maximum.reduce(self._new_len, initial=0))
         bounds = np.append(first, src.size)
         # an insert lands after the base run, at its rank among its source's inserts
         run_start = np.repeat(first + self._marks[touched], np.diff(bounds))
@@ -561,9 +581,9 @@ class DynamicGraph:
             insertions_merged=int((self._total_len[touched] - self._base_len[touched]).sum()),
         )
         self._pool[segment_indices(self._offset[touched], lengths)] = block
+        self._epoch.open()
         self._base_len[touched] = self._total_len[touched] = lengths
-        self._marks[touched] = 0
-        self._epoch = _Epoch()
+        self._marks[touched] = self._in_batch[touched] = 0
         self._touched = _EMPTY
         self._batch_open = False
         return stats
@@ -575,6 +595,7 @@ class DynamicGraph:
         old = self.num_vertices
         fresh = np.arange(old, new_count)
         self._bind(np.pad(self._tables, ((0, 0), (0, fresh.size))))
+        self._epoch = _Epoch()  # the offset table is rebuilt at the new width
         cap = np.full(fresh.size, max(2, self._avg_degree), dtype=np.int64)
         self._move(fresh, cap, np.zeros_like(fresh))  # no window yet: nothing to carry
         grown_labels = np.zeros(new_count, dtype=np.int64)
@@ -639,8 +660,9 @@ class DynamicGraph:
         run (decoded) and every ΔN run is strictly sorted; the marks in a
         base run number ``marks[v]``; ΔN is disjoint from the surviving base
         run (a duplicate-insert corruption shows up here as a repeated
-        neighbor); a closed batch has neither marks nor ΔN; and
-        ``num_edges`` is exact: half the sum of post-batch degrees.
+        neighbor); a closed batch has neither marks nor ΔN; the post-batch
+        degrees (and their maximum) are exact; and ``num_edges`` is exact:
+        half the sum of post-batch degrees.
         """
         n = self.num_vertices
         offset, cap, base, total = self._offset, self._cap, self._base_len, self._total_len
@@ -676,6 +698,10 @@ class DynamicGraph:
         dup = np.zeros(block.size, dtype=bool)
         dup[~in_base] = contains_sorted(keys[in_base & ~marked], keys[~in_base])
         _each(lists(dup), "delta run of {} duplicates base neighbors")
+        _each(self._new_len == total - self._marks, "post-batch degree of {} out of step")
+        _each(self._in_batch == np.bincount(self._touched, minlength=n), "touched flag of {} wrong")
+        require(self._max_degree == int(self._new_len.max(initial=0)),
+                f"max_degree={self._max_degree} is not the largest post-batch degree")
         degree_sum = int(total.sum()) - int(np.count_nonzero(marked))
         require(degree_sum == 2 * self._num_edges,
                 f"num_edges={self._num_edges} inconsistent with adjacency "

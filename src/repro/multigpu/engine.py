@@ -148,7 +148,7 @@ class FleetPlacement(CachedPlacement):
                 )
 
         # own host links: uploads overlap, the phase is the slowest shard
-        ranked = engine.policy.rank(graph, frequencies)
+        ranked = engine.policy.rank(graph, estimation)
         for shard in self.shards:
             shard.select_and_pack(graph, ranked, owner)
         breakdown.pack_ns = partition_ns + max(s.pack_ns for s in self.shards)

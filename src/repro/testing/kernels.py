@@ -369,7 +369,7 @@ class RecursiveFrequencyEstimator(FrequencyEstimator):
     """Depth-first merged-binomial sampler over the ΔM_i execution trees,
     node by node down any trie of plans."""
 
-    def _descend(self, trie, records, roots, max_degree, tally, counters) -> int:
+    def _descend(self, trie, records, roots, max_degree, counters) -> tuple[int, tuple]:
         """The root table row by row (group-major): one :meth:`_walk` frame
         per node, each entering its trie node's live children under the
         branch rule and launching its own reads (the table's ``reading`` of a
@@ -377,7 +377,7 @@ class RecursiveFrequencyEstimator(FrequencyEstimator):
         live = np.zeros(len(trie.nodes), dtype=bool)
         for level, record in zip(trie.levels, records):
             live[level.order[record.live]] = True
-        nodes = 0
+        nodes, charges = 0, []
         for root, group, multiplicity, num_roots, tally_row in zip(
             *map(np.ndarray.tolist, roots[:5])
         ):
@@ -385,9 +385,10 @@ class RecursiveFrequencyEstimator(FrequencyEstimator):
             bound[0], bound[1] = root
             nodes += self._walk(
                 trie.levels[0].nodes[group], bound, 0, multiplicity, num_roots,
-                (live, 1.0 / max_degree, tally[tally_row], counters),
+                (live, 1.0 / max_degree, (charges, tally_row), counters),
             )
-        return nodes
+        table = np.array(charges, dtype=np.float64).reshape(-1, 3)  # (vertex, row, charge)
+        return nodes, (table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table[:, 2])
 
     # ------------------------------------------------------------------
     def _fetch(
@@ -397,10 +398,11 @@ class RecursiveFrequencyEstimator(FrequencyEstimator):
         counters: AccessCounters,
         multiplicity: int,
         weight: float,
-        freq: np.ndarray,
+        tally: tuple[list, int],
     ) -> np.ndarray:
         """Read a versioned list on the CPU, recording the access for FE cost
-        and charging the frequency estimate for vertex ``v``."""
+        and charging the frequency estimate for vertex ``v`` (to ``tally``:
+        the walk's charge list and the root's tally row)."""
         if version is EdgeVersion.OLD:
             arr = self.graph.neighbors_old(v)
         else:
@@ -410,7 +412,8 @@ class RecursiveFrequencyEstimator(FrequencyEstimator):
             arr = merge_sorted(base, delta) if delta.size else base
         counters.record_access(Channel.CPU_DRAM, v, arr.size * BYTES_PER_NEIGHBOR)
         counters.record_compute(arr.size + 1)
-        freq[v] += multiplicity * weight
+        charges, row = tally
+        charges.append((v, row, multiplicity * weight))
         return arr
 
     def _walk(self, node, bound: np.ndarray, depth: int, multiplicity: int, weight: float,
@@ -439,7 +442,7 @@ class RecursiveFrequencyEstimator(FrequencyEstimator):
         accesses performed here are charged at that weight times the
         multiplicity (paper Eq. 3).
         """
-        _, inv_d, freq, counters = context
+        _, inv_d, tally, counters = context
         lvl, labels = node.level, self.graph.labels
         # mirror the executor: visit constraints smallest-list-first so the
         # sampled accesses follow the exact kernel's access pattern
@@ -451,7 +454,7 @@ class RecursiveFrequencyEstimator(FrequencyEstimator):
         cand: np.ndarray | None = None
         for c in sorted(lvl.constraints, key=_len_of):
             arr = self._fetch(
-                int(bound[c.position]), c.version, counters, multiplicity, weight, freq
+                int(bound[c.position]), c.version, counters, multiplicity, weight, tally
             )
             if cand is None:
                 cand = arr
@@ -517,8 +520,10 @@ def chain_estimate(rulebook, engine, batch, decision=None, expansion=None) -> Es
     shares = split_walk_budget(total, len(rulebook.queries))
     plans = [len(rulebook.plans[q.name]) for q in rulebook.queries]
     budget = np.repeat([max(1, s // n) for s, n in zip(shares, plans)], plans)
-    frequencies, nodes, counters = engine.estimator.walk(chains, batch, budget, max_degree)
-    return EstimationResult(frequencies, sum(shares), nodes, counters)
+    estimate, nodes, counters = engine.estimator.walk(chains, batch, budget, max_degree)
+    return EstimationResult(
+        *estimate, engine.graph.num_vertices, sum(shares), nodes, counters
+    )
 
 
 def use_reference_kernels(engine, *, matcher: bool = True, estimator: bool = True):

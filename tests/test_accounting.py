@@ -38,6 +38,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import CachedDeviceView
 from repro.core.dcsr import DcsrCache
@@ -397,13 +398,112 @@ class TestCopyIsCopyOnWrite:
     def test_an_unwritten_copy_moves_no_histogram(self):
         """What ``Rulebook.settle`` does per alias per batch: the histogram's
         bytes are never duplicated unless somebody writes (read off the
-        private array: no public accessor shows who holds the memory)."""
+        private array: no public accessor shows who holds the memory).
+        Unread, the copies share the recorded blocks and nobody holds a
+        histogram; once the source's is built, the copies borrow it."""
         source = self.seeded()
+        twins = [source.copy() for _ in range(5)]
+        assert source._hist is None and all(t._blocks is source._blocks for t in twins)
+        source.vertex_access_counts()  # built by the first read
         twins = [source.copy() for _ in range(5)]
         assert all(np.shares_memory(t._hist, source._hist) for t in twins)
         twins[0].record_access(Channel.PEER, 1, 8)
+        twins[0].vertex_access_counts()
         assert not np.shares_memory(twins[0]._hist, source._hist)
         assert all(np.shares_memory(t._hist, source._hist) for t in twins[1:])
+
+
+def histograms(root):
+    """The ``(2, size)`` int64 arrays ``root`` reaches."""
+    return [
+        obj for obj in reachable(root)
+        if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.shape[0] == 2
+        and obj.dtype == np.int64
+    ]
+
+
+class TestHistogramsBuiltWhenRead:
+    """``record`` adds a block's totals and keeps the block; the per-vertex
+    histogram is allocated by its first read and reads exactly as if every
+    block had been added as it came — through copies, merges and blocks
+    recorded after a read."""
+
+    @pytest.mark.parametrize("rulebook", [False, True], ids=["single-query", "rulebook"])
+    def test_an_unread_batch_holds_no_histogram(self, rulebook):
+        g0, batches = az_stream(3, 24, seed=1)
+        query = rulebook_suite(24, num_labels=3, seed=0) if rulebook else query_by_name("Q1")
+        engine = (MultiQueryEngine if rulebook else GCSMEngine)(g0, query, seed=0)
+        for batch in batches:
+            result = engine.process_batch(batch)
+        for counters in (result.match_counters, result.estimation.counters):
+            assert counters.total_access_count > 0
+            assert not histograms(counters)
+            counts = counters.vertex_access_counts()
+            assert counts.sum() == counters.total_access_count
+            assert [h.shape for h in histograms(counters)] == [(2, counts.size)]
+
+    def test_pending_blocks_fold_once_they_outweigh_the_histogram(self):
+        c = AccessCounters()
+        c.record(*classified([3, 9]))
+        assert c._hist is None and c._pending == 2
+        c.record(*classified(np.full(1100, 7)))  # 1 102 accesses > 1 024 columns
+        assert c._blocks == [] and c._hist.shape == (2, 1024)
+        assert c.total_access_count == 1102 and c.vertex_access_counts()[7] == 1100
+
+    OPS = st.lists(
+        st.tuples(
+            st.sampled_from(["record", "scalar", "bulk", "read", "copy", "merge"]),
+            st.integers(0, 7),
+            st.lists(st.integers(0, 3000), min_size=1, max_size=5),
+        ),
+        max_size=16,
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=OPS)
+    def test_reads_equal_an_eager_histogram(self, ops):
+        """A model adding every access as it comes: counts, bytes and the
+        width — ``max(1024, 2^⌈log₂(top + 1)⌉)`` of the largest vertex ever
+        written — equal the lazy counters' at every read."""
+        objects = [(AccessCounters(), {})]  # counters, {vertex: [count, bytes]}
+
+        def add(model, vertices, nbytes):
+            for v, b in zip(np.asarray(vertices).tolist(), np.asarray(nbytes).tolist()):
+                cell = model.setdefault(v, [0, 0])
+                cell[0] += 1
+                cell[1] += b
+
+        def check(counters, model):
+            width = max(1024, 1 << max(model).bit_length()) if model else 0
+            want = np.zeros((2, width), dtype=np.int64)
+            for v, cell in model.items():
+                want[:, v] = cell
+            assert counters.total_access_count == int(want[0].sum())
+            assert counters.vertex_access_counts().tolist() == want[0].tolist()
+            assert counters.vertex_access_bytes().tolist() == want[1].tolist()
+
+        for op, at, vertices in ops:
+            counters, model = objects[at % len(objects)]
+            if op in ("record", "bulk"):
+                block = classified(np.repeat(vertices, 300) if op == "bulk" else vertices)
+                counters.record(*block)
+                add(model, block[0], block[1].nbytes)
+            elif op == "scalar":
+                counters.record_access(Channel.PEER, vertices[0], 16)
+                add(model, vertices[:1], [16])
+            elif op == "read":
+                check(counters, model)
+            elif op == "copy":
+                objects.append((counters.copy(), {v: list(c) for v, c in model.items()}))
+            else:  # merge the next object in (itself, when it is the only one)
+                other, theirs = objects[(at + 1) % len(objects)]
+                for v, (count, nbytes) in [(v, tuple(c)) for v, c in theirs.items()]:
+                    cell = model.setdefault(v, [0, 0])
+                    cell[0] += count
+                    cell[1] += nbytes
+                counters.merge(other)
+        for counters, model in objects:
+            check(counters, model)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The store's per-epoch length tables and adjacency arena.
+"""The store's versioned length tables and per-epoch adjacency arena.
 
 Exactness (the arena serves the same bytes the per-vertex accessors do, on
 dirty streams), lifetime (no epoch outlives ``apply_batch`` / ``reorganize``),
@@ -179,19 +179,36 @@ class TestArenaExactness:
         for got, want in zip(tables, expected):
             assert np.array_equal(got, want)
 
-    def test_degree_tables_are_read_only_and_per_epoch(self):
+    def test_degree_tables_are_read_only_views_of_the_live_tables(self):
+        """A handed-out degree table is the store's own, read-only: it follows
+        every mutation in place, so a holder copies what it must keep."""
         g0 = erdos_renyi(20, 4.0, num_labels=1, seed=1)
         graph = DynamicGraph(g0)
         for table in (graph.degrees_old(), graph.degrees_new()):
             with pytest.raises(ValueError):
                 table[0] = 99
-        held = graph.degrees_new()
-        before = held.copy()
-        assert graph.degrees_new() is held  # one table per epoch
+        held, held_old = graph.degrees_new(), graph.degrees_old()
+        kept = held.copy()
         u, v = (int(x) for x in g0.edge_array()[0])
         graph.apply_batch(deletes((u, v)))
-        assert graph.degrees_new()[u] == before[u] - 1
-        assert np.array_equal(held, before)  # a handed-out table never moves
+        assert np.shares_memory(graph.degrees_new(), held)
+        assert held[u] == kept[u] - 1 and held_old[u] == kept[u]  # moved in place
+        graph.reorganize()
+        assert held_old[u] == held[u] == kept[u] - 1
+        assert np.array_equal(kept, g0.degrees())  # the copy did not move
+        assert_arena_exact(graph)
+
+    def test_degree_tables_follow_new_vertices(self):
+        graph = DynamicGraph(erdos_renyi(6, 2.0, num_labels=1, seed=2))
+        assert_arena_exact(graph)  # the offset table is built before the store grows
+        graph.apply_batch(inserts((0, 9), (9, 7)))
+        assert graph.degrees_new().size == graph.degrees_old().size == 10
+        assert graph.degrees_new()[6:].tolist() == [0, 1, 0, 2]
+        assert graph.degrees_old()[6:].tolist() == [0, 0, 0, 0]
+        assert_arena_exact(graph)
+        graph.reorganize()
+        assert graph.degrees_old()[6:].tolist() == [0, 1, 0, 2]
+        assert_arena_exact(graph)
 
     def test_no_epoch_survives_a_mutation(self):
         g0 = erdos_renyi(20, 4.0, num_labels=1, seed=3)
@@ -214,6 +231,131 @@ class TestArenaExactness:
         graph.apply_batch(inserts((u, v)))
         assert served(True) == opened
         assert served(False) == sorted(opened + [v])
+
+
+def assert_no_stale_epoch(graph):
+    """A fresh epoch: nothing loaded — every offset an earlier epoch handed
+    out lies below ``base`` — and the degree state exact."""
+    epoch = graph._epoch_state()
+    assert epoch.used == 0 and (epoch.start < epoch.base).all()
+    graph.check_invariants()  # the degree table and its maximum
+
+
+def stream_batch(kind, graph, rng):
+    """One batch of a churn, delete-heavy or new-vertex stream on ``graph``."""
+    n = graph.num_vertices
+    if kind == "churn":
+        return generate_adversarial_stream(
+            graph.snapshot(), num_batches=1, batch_size=10, seed=rng
+        )[0]
+    if kind == "delete_heavy":  # most of the top vertex's list, plus a few others
+        degrees = [graph.degree_new(v) for v in range(n)]
+        hub = int(np.argmax(degrees))
+        nbrs = graph.neighbors_new(hub)
+        drop = nbrs[rng.random(nbrs.size) < 0.7]
+        edges = graph.edges_new_array()
+        others = edges[rng.random(len(edges)) < 0.1]
+        pairs = np.concatenate([np.stack([np.full(drop.size, hub), drop], axis=1), others])
+        return UpdateBatch(pairs, -np.ones(len(pairs), dtype=np.int64))
+    # new vertices: a fresh star that may overtake the maximum, plus inserts
+    fresh = n + int(rng.integers(1, 4))
+    leaves = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+    pairs = np.stack([np.full(leaves.size, fresh), leaves], axis=1)
+    return UpdateBatch(pairs, np.ones(len(pairs), dtype=np.int64))
+
+
+class TestStoreOwnsItsTables:
+    """The read side's tables live as long as the store: every mutation
+    keeps them — and ``max_degree`` — exact at the vertices it touched, and
+    the next epoch finds no offset the last one filled."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kinds=st.lists(st.sampled_from(["churn", "delete_heavy", "new_vertices"]),
+                       min_size=1, max_size=5),
+        built=st.booleans(),
+    )
+    def test_max_degree_is_exact_after_every_mutation(self, seed, kinds, built):
+        rng = np.random.default_rng(seed)
+        graph = DynamicGraph(erdos_renyi(14, 3.0, num_labels=2, seed=seed))
+
+        def check():
+            scalar = [graph.degree_new(v) for v in range(graph.num_vertices)]
+            assert graph.max_degree() == max(scalar, default=0)  # before any table read
+            if built:
+                assert graph.degrees_new().tolist() == scalar
+                assert graph.max_degree() == int(graph.degrees_new().max())
+
+        if built:
+            graph.degrees_new()  # tables kept from here on, else never built
+        for kind in kinds:
+            graph.apply_batch(stream_batch(kind, graph, rng), mode="coalesce")
+            check()
+            if built:
+                assert_arena_exact(graph)  # fills the arena the next epoch must forget
+            graph.reorganize()
+            check()
+            if built:
+                assert_no_stale_epoch(graph)
+        assert (graph._epoch.flat is not None) == built
+
+    def test_the_top_vertex_losing_edges_recounts(self):
+        g0 = erdos_renyi(12, 0.0, num_labels=1, seed=0)
+        graph = DynamicGraph(g0)
+        graph.apply_batch(inserts(*[(0, v) for v in range(1, 7)], (1, 2), (2, 3)))
+        graph.reorganize()
+        assert graph.max_degree() == 6
+        graph.degrees_new()
+        graph.apply_batch(deletes((0, 1), (0, 2), (0, 3), (0, 4)))
+        assert graph.max_degree() == 2 == int(graph.degrees_new().max())
+        graph.reorganize()
+        graph.apply_batch(inserts((5, 9), (5, 10), (5, 11)))
+        assert graph.max_degree() == 4 == graph.degree_new(5)
+
+    def test_reorganize_leaves_no_stale_start(self):
+        g0 = erdos_renyi(40, 4.0, num_labels=2, seed=5)
+        graph = DynamicGraph(g0)
+        assert_arena_exact(graph)  # the settled epoch fills every list
+        for batch in generate_adversarial_stream(g0, num_batches=3, batch_size=12, seed=5):
+            graph.apply_batch(batch, mode="coalesce")
+            assert_no_stale_epoch(graph)  # the settled epoch's fills are gone
+            assert_arena_exact(graph)
+            graph.reorganize()
+            assert_no_stale_epoch(graph)
+            assert_arena_exact(graph)
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_a_failed_batch_settled_by_the_engine_leaves_no_stale_entry(
+        self, depth, monkeypatch
+    ):
+        """A kernel raising mid-expansion, after the arena was filled: the
+        engine's settle reorganizes, and the next epoch starts clean."""
+        from repro.core.frontier import FrontierKernel
+
+        g0 = DATASETS["AZ"].build(0)
+        g0, batches = derive_stream(g0, num_updates=128, batch_size=64, seed=1)
+        engine = GCSMEngine(g0, query_by_name("Q1"), seed=0)
+        twin = GCSMEngine(g0, query_by_name("Q1"), seed=0)
+        expand, launches = FrontierKernel.expand, []
+
+        def failing(kernel, *args):
+            launches.append(args)
+            if len(launches) == depth:
+                assert engine.graph._epoch.used > 0 or depth == 1
+                raise RuntimeError("injected")
+            return expand(kernel, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(FrontierKernel, "expand", failing)
+            with pytest.raises(RuntimeError, match="injected"):
+                engine.process_batch(batches[0])
+        assert engine.graph.batch_open is False
+        assert_no_stale_epoch(engine.graph)
+        twin.process_batch(batches[0])
+        got, want = engine.process_batch(batches[1]), twin.process_batch(batches[1])
+        assert got.delta_count == want.delta_count
+        assert_arena_exact(engine.graph)
 
 
 class TestArenaConcurrency:

@@ -223,9 +223,9 @@ class TestTopVerticesTieBreak:
     the boundary order arbitrary)."""
 
     def _result(self, freq):
-        return EstimationResult(
-            np.asarray(freq, dtype=np.float64), 1, 0, AccessCounters()
-        )
+        freq = np.asarray(freq, dtype=np.float64)
+        support = np.flatnonzero(freq)
+        return EstimationResult(support, freq[support], freq.size, 1, 0, AccessCounters())
 
     def test_tie_at_boundary_picks_smallest_ids(self):
         # four vertices tied at 5.0; top-2 must be the two smallest ids
