@@ -2,17 +2,19 @@
 
 Drives the repo benchmark's workloads (``benchmarks/e2e``'s own set-up,
 read-only) at smoke size and prints, per batch on average, the row
-program's launches (``join_rows`` calls), how many of them the frequency
-walk issued itself, and the Python ``call`` events of ``process_batch``
-(:func:`repro.testing.count_calls`).  Neither number moves between runs or
-machines with the same NumPy, so CI can gate them and a change can quote
-them.  By default: the three single-query workloads and ``az_rulebook24``.
+program's launches (``join_rows`` calls) and the Python ``call`` events of
+``process_batch`` (:func:`repro.testing.count_calls`).  Neither number
+moves between runs or machines with the same NumPy, so CI can gate them and
+a change can quote them.  By default: the three single-query workloads and
+``az_rulebook24``, each on one device and under every configuration of
+:data:`VARIANTS`, plus ``sparse_tri_skip``.
 
-``--check`` exits non-zero if the walk launched anything on a workload of
-:data:`READS` — there it reads the kernel's expansion and pays no launch of
-its own — or if a workload of :data:`CALLS` made more Python calls per batch
-than its bound.  (``sparse_tri_skip``'s walk launches over a
-prefilter-reduced estimate batch; it is not gated.)
+A batch expands once — the kernel's joins, in ``prepare`` — and everything
+else reads that expansion: the frequency walk, a fleet's shards, the
+pipelined schedule's match.  ``--check`` exits non-zero if any row launched
+anything outside the kernel's ``matching.expand_rows``, if a configuration's
+launches per batch differ from its workload's single-device row, or if a
+workload of :data:`CALLS` made more Python calls per batch than its bound.
 
     PYTHONPATH=src python benchmarks/launch_counts.py [--check] [workload ...]
 """
@@ -27,12 +29,20 @@ sys.path.insert(0, str(Path(__file__).parent / "e2e"))
 
 import workloads as W  # noqa: E402
 
-import repro.core.frequency_frontier as frequency_frontier  # noqa: E402
 import repro.core.frontier as frontier  # noqa: E402
+import repro.core.matching as matching  # noqa: E402
+from repro.core.engine import GCSMEngine  # noqa: E402
+from repro.core.multiquery import MultiQueryEngine  # noqa: E402
 from repro.testing import count_calls  # noqa: E402
 
-#: the workloads whose walk must launch nothing of its own
-READS = ("ca_q3_narrow", "fr_q1_mixed", "sf3k_q1_churn", "az_rulebook24")
+#: the workloads run under every configuration of :data:`VARIANTS`
+WORKLOADS = ("ca_q3_narrow", "fr_q1_mixed", "sf3k_q1_churn", "az_rulebook24")
+#: configurations whose launches per batch must equal the single-device row
+VARIANTS = {
+    "devices=2": {"devices": 2},
+    'prefilter="on"': {"prefilter": "on"},
+    'schedule="pipelined"': {"schedule": "pipelined"},
+}
 #: Python calls per batch a workload may make, about 3 % above what the
 #: workload makes (CPython 3.11, NumPy 2.4.6): ``fr_q1_mixed`` 929, and
 #: ``az_rulebook24`` 1 243, with per-batch work sized by what the batch
@@ -53,36 +63,56 @@ def counting(owner, name: str, tally: dict) -> None:
     setattr(owner, name, counted)
 
 
+def variant(w: W.Workload, inputs: W.Inputs, settings: dict):
+    """The workload's engine under test with ``settings`` on top."""
+    if w.kind == "rulebook":
+        return MultiQueryEngine(inputs.graph, inputs.query, seed=0, shared=True, **settings)
+    return GCSMEngine(inputs.graph, inputs.query, seed=0, **settings)
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("workloads", nargs="*", default=list(READS))
+    ap.add_argument("workloads", nargs="*", default=[*WORKLOADS, "sparse_tri_skip"])
     ap.add_argument("--check", action="store_true",
-                    help=f"fail if the walk launched on any of {', '.join(READS)}, "
-                         "or calls per batch exceed CALLS")
+                    help="fail on a launch outside the kernel, on a configuration "
+                         "launching more or less than one device, or on calls "
+                         "per batch over CALLS")
     args = ap.parse_args(argv)
     tally = {"join_rows": 0, "expand_rows": 0}
     counting(frontier, "join_rows", tally)
-    counting(frequency_frontier, "expand_rows", tally)
-    launched, over = [], []
-    print(f"{'workload':<16} {'launches':>9} {'by walk':>8} {'calls':>8}   (per batch, smoke size)")
+    counting(matching, "expand_rows", tally)
+    failures = []
+    print(f"{'workload':<16} {'configuration':<22} {'launches':>9} {'calls':>8}"
+          "   (per batch, smoke size)")
     for name in args.workloads:
-        inputs, engine = W.setup(W.WORKLOADS[name], 0, smoke=True)
-        for key in tally:
-            tally[key] = 0
-        calls = count_calls(lambda: [engine.process_batch(b) for b in inputs.batches])
-        n = len(inputs.batches)
-        print(f"{name:<16} {tally['join_rows'] / n:>9.1f} {tally['expand_rows'] / n:>8.1f} "
-              f"{calls / n:>8.1f}")
-        if name in READS and tally["expand_rows"]:
-            launched.append(name)
-        if calls / n > CALLS.get(name, float("inf")):
-            over.append(f"{name} ({calls / n:.1f} > {CALLS[name]})")
-    if args.check and launched:
-        print(f"FAIL: the walk launched its own joins on {', '.join(launched)}", file=sys.stderr)
-    if args.check and over:
-        print(f"FAIL: Python calls per batch over the bound on {', '.join(over)}",
-              file=sys.stderr)
-    return int(args.check and bool(launched or over))
+        w = W.WORKLOADS[name]
+        inputs, engine = W.setup(w, 0, smoke=True)
+        rows = [("one device", engine)]
+        if name in WORKLOADS:
+            rows += [(label, variant(w, inputs, settings)) for label, settings in VARIANTS.items()]
+        single = None
+        for label, engine in rows:
+            for key in tally:
+                tally[key] = 0
+            calls = count_calls(lambda: [engine.process_batch(b) for b in inputs.batches])
+            n = len(inputs.batches)
+            launches = tally["join_rows"] / n
+            print(f"{name:<16} {label:<22} {launches:>9.1f} {calls / n:>8.1f}")
+            if tally["join_rows"] != tally["expand_rows"]:
+                failures.append(f"{name} {label}: {tally['join_rows'] - tally['expand_rows']} "
+                                "launches outside the kernel's expand")
+            if single is None:
+                single = launches
+                if calls / n > CALLS.get(name, float("inf")):
+                    failures.append(f"{name}: {calls / n:.1f} Python calls per batch "
+                                    f"> {CALLS[name]}")
+            elif launches != single:
+                failures.append(f"{name} {label}: {launches:.1f} launches per batch, "
+                                f"{single:.1f} on one device")
+    if args.check:
+        for failure in failures:
+            print(f"FAIL: {failure}", file=sys.stderr)
+    return int(args.check and bool(failures))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@
 """
 
 from repro.core.matching import MatchStats, match_batch, match_static
-from repro.core.frontier import FrontierKernel
 from repro.core.frequency import (
     EstimationResult,
     FrequencyEstimator,
@@ -32,7 +31,6 @@ __all__ = [
     "MatchStats",
     "match_batch",
     "match_static",
-    "FrontierKernel",
     "FrequencyEstimator",
     "FrontierFrequencyEstimator",
     "EstimationResult",

@@ -430,7 +430,8 @@ class Placement:
 class CachedPlacement(Placement):
     """GCSM's data path: estimate, select, pack one DCSR buffer, single DMA;
     the kernel hits the cache or falls back to zero-copy.  ``prepare`` runs
-    the kernel's joins first, the walk reads them, ``match`` settles them."""
+    the kernel's joins first (:meth:`QuerySet.expand`), the walk reads them,
+    ``match`` settles them."""
 
     def estimate(
         self, batch: UpdateBatch, decision: PrefilterDecision | None,
@@ -449,9 +450,7 @@ class CachedPlacement(Placement):
 
     def prepare(self, batch, decision, breakdown, sinks=None):
         engine = self.engine
-        expansion = None
-        if engine.policy.requires_estimation:
-            expansion = engine.query_set.expand(engine, batch, decision, sinks)
+        expansion = engine.query_set.expand(engine, batch, decision, sinks)
         estimation = self.estimate(batch, decision, breakdown, expansion)
         selected = engine.policy.select(engine.graph, estimation, engine.cache_budget_bytes)
         cache, breakdown.pack_ns = pack_step(engine.graph, selected, engine.device)
@@ -528,6 +527,8 @@ class QuerySet:
 
     def estimate(self, engine: "GCSMEngine", batch: UpdateBatch, decision,
                  expansion: Expansion | None = None) -> EstimationResult:
+        """One walk of ``expansion``; under the pre-filter the reduced
+        ``estimate_batch`` only sizes the budget."""
         cfg = engine.config
         if decision is not None:
             batch = decision.estimate_batch
@@ -541,16 +542,18 @@ class QuerySet:
 
     def match(
         self, engine: "GCSMEngine", batch: UpdateBatch, view: GraphView, decision,
-        sinks: dict | None = None, expansion: Expansion | None = None, **routing,
+        sinks: dict | None = None, expansion: Expansion | None = None, *,
+        filters: dict[int, np.ndarray] | None = None, root_mask: Callable | None = None,
     ) -> MatchStats:
-        """Run the kernel (or settle :meth:`expand`'s) through ``view``;
-        ``routing``: the placement's ``filters`` / a shard's ``root_mask``."""
+        """Run the kernel (or settle :meth:`expand`'s) through ``view``:
+        ``filters`` are the placement's, ``root_mask`` a shard's restriction
+        (:func:`~repro.core.matching.settle`)."""
         sink = (sinks or {}).get(self.query.name)
         if expansion is not None:
-            return settle(expansion, view, sinks={None: sink})[0][None]
+            return settle(expansion, view, sinks={None: sink}, root_mask=root_mask)[0][None]
         return engine.match(
-            self.plans, batch, view, sink=sink,
-            prefilter=decision, attributes=engine.attributes, **routing,
+            self.plans, batch, view, sink=sink, prefilter=decision,
+            attributes=engine.attributes, filters=filters, root_mask=root_mask,
         )
 
     def settle(self, stats: MatchStats | None, decision) -> MatchStats:

@@ -29,12 +29,14 @@ total time); Eq. (5)'s sample-size bound is exposed as
 :func:`required_walks` and drives the adaptive re-sampling loop of
 :meth:`FrequencyEstimator.estimate_adaptive`.
 
-Every estimate is one :meth:`FrequencyEstimator.walk` over the
-:class:`~repro.core.querytrie.ExecutionTrie` its kernel runs: a query's ΔM
-plans (:meth:`FrequencyEstimator.estimate`) or a rulebook's merged trie
+Every estimate is one :meth:`FrequencyEstimator.walk` of the kernel's own
+run, :func:`repro.core.matching.expand` of the
+:class:`~repro.core.querytrie.ExecutionTrie` it matches: a query's ΔM plans
+(:meth:`FrequencyEstimator.estimate`) or a rulebook's merged trie
 (:meth:`repro.core.multiquery.Rulebook.estimate`), where a row enters each
 of a node's ``k`` live children with probability ``min(1, survival/k)``
-(:meth:`FrequencyEstimator._thinning`).  A sampler supplies only the
+(:meth:`FrequencyEstimator._thinning`).  The walk only reads: its roots are
+the kernel's, its rows the kernel's rows.  A sampler supplies only the
 descent — level-synchronous in :mod:`repro.core.frequency_frontier`,
 per-node depth-first in its parity oracle
 (:class:`repro.testing.kernels.RecursiveFrequencyEstimator`); see
@@ -48,8 +50,8 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.core.matching import trie_roots
-from repro.core.querytrie import ExecutionTrie, solo_trie
+from repro.core.matching import Expansion, expand
+from repro.core.querytrie import solo_trie
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.stream import UpdateBatch
 from repro.gpu.counters import AccessCounters
@@ -212,36 +214,36 @@ class FrequencyEstimator:
         *,
         num_walks: int | None = None,
         max_degree: int | None = None,
-        expansion=None,
+        expansion: Expansion | None = None,
     ) -> EstimationResult:
         """Run the merged sampler over all delta plans of one query: the
         budget split evenly across the m plans (each ΔM_i tree is sampled
         independently; their access frequencies add), then one :meth:`walk`
-        of the trie :func:`~repro.core.matching.match_batch` launches over
-        (reading ``expansion``, the matcher's run of it, where it can)."""
+        of ``expansion``, the matcher's run of ``solo_trie(plans)`` (handed
+        none, expanded here over ``batch``, which also sizes the default
+        budget); ``num_walks`` reports the walks spent."""
         if max_degree is None:
             max_degree = max(1, self.graph.max_degree())
         if num_walks is None:
             num_walks = default_num_walks(
                 len(batch), max_degree, plans[0].query.num_vertices
             )
-        per_chain = max(1, num_walks // max(1, len(plans)))
-        estimate, nodes, counters = self.walk(
-            solo_trie(plans), batch, np.full(len(plans), per_chain), max_degree, expansion
+        if expansion is None:
+            expansion = expand(solo_trie(plans), batch, self.graph, attributes=self.attributes)
+        per_plan = max(1, num_walks // max(1, len(plans)))
+        estimate, nodes, counters = self.walk(expansion, np.full(len(plans), per_plan), max_degree)
+        return EstimationResult(
+            *estimate, self.graph.num_vertices, per_plan * len(plans), nodes, counters
         )
-        return EstimationResult(*estimate, self.graph.num_vertices, num_walks, nodes, counters)
 
     def walk(
-        self, trie: ExecutionTrie, batch: UpdateBatch, budget: np.ndarray, max_degree: int,
-        expansion=None, *, prefilter: dict | None = None, skip: frozenset = frozenset(),
+        self, expansion: Expansion, budget: np.ndarray, max_degree: int
     ) -> tuple[tuple[np.ndarray, np.ndarray], int, AccessCounters]:
         """The one primitive: ``budget[g]`` merged walks from root group ``g``
-        of ``trie`` (0: none) down its live nodes — the queries in ``skip``
-        left out, the roots certified by ``prefilter`` as
-        :func:`~repro.core.matching.expand` takes them — and ``((support,
-        values), nodes_visited, counters)``; the descent reads ``expansion``,
-        the matcher's run of this trie and batch under the same ``skip``,
-        where it has one.
+        (0: none) down the live nodes of ``expansion``, the matcher's run
+        (:func:`~repro.core.matching.expand`) — its trie, incidence, root
+        table and launches — and ``((support, values), nodes_visited,
+        counters)``.
 
         The estimate sums each group's Eq. 3 tally over its own budget.
         Groups of one budget share an accumulator row, divided once after the
@@ -249,39 +251,24 @@ class FrequencyEstimator:
         integer-valued floats in the full-expansion regime, so the samplers
         agree bit for bit in any charging order.
         """
-        if expansion is not None and (expansion.trie is not trie or expansion.batch is not batch):
-            expansion = None
         budgets, row = np.unique(budget, return_inverse=True)
         counters = AccessCounters()
-        # the walk reads only ``live`` and ``parent``, which no sink set moves:
-        # the expansion's incidence serves, not a sink-free second record
-        records = trie.incidence(skip)[2] if expansion is None else expansion.records
-        roots = self._roots(trie, records, batch, budget, row, expansion, prefilter, skip)
-        nodes, charges = self._descend(trie, records, roots, max_degree, counters)
+        roots = self._roots(expansion, budget, row)
+        nodes, charges = self._descend(expansion, roots, max_degree, counters)
         return _tally(*charges, budgets), nodes, counters
 
-    def _roots(self, trie, records, batch, budget, tally_row, expansion, prefilter, skip):
-        """The root table ``(rows, line, mult, weight, tally_row, reading)``:
+    def _roots(self, expansion, budget, tally_row):
+        """The root table ``(rows, line, mult, weight, tally_row, frontier)``:
         every group's roots that drew ``B_root ~ Binomial(M_g, 1/|ΔR_g|) > 0``,
         group-major, all in ONE ``rng.binomial`` over the repeated ``(M_g,
-        1/|ΔR_g|)`` columns.  They are ``expansion``'s — ``reading`` is then
-        ``(launches, twin)``, each root's row there — when it certified its
-        roots alike (the same ``prefilter``, or no root dropped); else the
-        walk routes its own and launches."""
-        if expansion is None or (expansion.prefilter is not prefilter and expansion.dropped.any()):
-            expansion, (roots, _, size, _) = None, trie_roots(
-                trie, batch, self.graph, records[0].live, skip=skip, prefilter=prefilter,
-                attributes=self.attributes,
-            )
-        else:
-            roots, size = expansion.roots, np.diff(expansion.root_offsets)
-        group = np.repeat(np.arange(size.size), size)
+        1/|ΔR_g|)`` columns; a root's ``frontier`` entry is its row in the
+        expansion's root table."""
+        group, *_, size = expansion.tiers[0]  # each root's group, roots per group
         born = self.rng.binomial(budget[group], 1.0 / size[group])
         live = np.flatnonzero(born)
         group = group[live]
-        reading = None if expansion is None else (expansion.launches, live)
         weight = size[group].astype(np.float64)  # |ΔR_g|: a root's Eq. 3 weight
-        return roots[live], group, born[live], weight, tally_row[group], reading
+        return expansion.roots[live], group, born[live], weight, tally_row[group], live
 
     def _thinning(self, k):
         """The branch rule: a surviving row enters each of its node's ``k``
@@ -292,11 +279,11 @@ class FrequencyEstimator:
             return np.ones(np.shape(k))
         return np.where(k > 1, np.minimum(1.0, self.survival / np.maximum(k, 1)), 1.0)
 
-    def _descend(self, trie, records, roots, max_degree, counters) -> tuple[int, tuple]:
-        """Walk down the live nodes (``records``, the trie's incidence) from
-        the root table ``roots`` (:meth:`_roots`), FE cost to ``counters``;
-        returns the nodes visited and the Eq. 3 charges as ``(vertex,
-        tally_row, charge)`` arrays in charging order."""
+    def _descend(self, expansion, roots, max_degree, counters) -> tuple[int, tuple]:
+        """Walk down the live nodes of ``expansion`` (its trie and incidence)
+        from the root table ``roots`` (:meth:`_roots`), FE cost to
+        ``counters``; returns the nodes visited and the Eq. 3 charges as
+        ``(vertex, tally_row, charge)`` arrays in charging order."""
         raise NotImplementedError
 
     def estimate_adaptive(
@@ -309,14 +296,18 @@ class FrequencyEstimator:
         confidence: float = 0.9,
         max_walks: int = 1 << 20,
         max_rounds: int = 3,
-        expansion=None,
+        expansion: Expansion | None = None,
     ) -> EstimationResult:
         """Paper Sec. IV-A closing paragraph: start with a small M, then use
         the smallest estimated frequency as ``C_y`` in Eq. (5) to decide
         whether more walks are needed, and re-sample until M suffices (or a
-        hard cap is reached).  Every round reads the same ``expansion``."""
+        hard cap is reached).  Every round reads the same ``expansion`` (one
+        of its own when handed none), and the passes weigh by the walks they
+        spent."""
         query = plans[0].query
         max_degree = max(1, self.graph.max_degree())
+        if expansion is None:
+            expansion = expand(solo_trie(plans), batch, self.graph, attributes=self.attributes)
         result = self.estimate(
             plans, batch, num_walks=initial_walks, max_degree=max_degree,
             expansion=expansion,

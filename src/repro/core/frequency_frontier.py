@@ -5,25 +5,26 @@ tree node per Python frame: faithful to the paper's description but
 interpreter-bound.  GPU samplers (GSI's BFS-style joins, batch-dynamic
 matchers) run level-synchronous instead: every surviving walk node of one
 tree level is a row of a flat frontier, and one "kernel launch" expands the
-whole level.  This module is that descent in NumPy, over the data the
-matcher itself runs on:
+whole level.  This module is that descent in NumPy, and it only reads: every
+walk node is a row the matcher's :func:`~repro.core.matching.expand` ran.
 
 * What is walked is the :class:`~repro.core.querytrie.ExecutionTrie` the
   kernel runs — a query's one *chain* per ΔM plan, or a rulebook's merged
-  trie — all root groups together.  The frontier is ``(rows, line, mult,
-  weight)``: bound data vertices, each row's line in the depth's
+  trie — all root groups together, from the roots the kernel ran.  The
+  frontier is ``(twin, line, mult, weight)``: each row's twin in the
+  expansion, its line in the depth's
   :class:`~repro.core.frontier.LevelTable`, the merged walk multiplicity
   ``B`` (Sec. IV-B) and the inverse sampling probability (the Eq. 3 weight
   — a *column*: it is node-dependent).  Rows fan out into their node's live
   children as the kernel's do, a ``(row, child)`` pair entered with
   probability ``min(1, survival/k)`` at weight ``× 1/p``, in one draw.
-* Per depth there is ONE launch of the matcher's level program,
+* Each depth is *read* from the matcher's launch of the level program,
   :func:`~repro.core.frontier.expand_rows` — the join over the epoch arena
-  plus the label, weight-predicate and injectivity masks — so a walk never
-  descends where the kernel prunes — or none: each depth is *read* from the
-  matcher's expansion when it ran the drawn roots
-  (:meth:`~repro.core.matching.Launch.read`).  The access log is settled
-  once per walk.
+  plus the label, weight-predicate and injectivity masks
+  (:meth:`~repro.core.matching.Launch.read`) — so a walk never descends
+  where the kernel prunes, and launches nothing.  The access log is settled
+  once per walk.  (The launching walk it replaced lives on in
+  :class:`repro.testing.kernels.LaunchingFrequencyEstimator`.)
 * All surviving children of a depth draw their continuation multiplicities
   in **one** vectorized ``rng.binomial`` call; saturated children
   (``p == 1``) skip the RNG entirely, mirroring the recursive reference.
@@ -50,7 +51,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.frequency import FrequencyEstimator
-from repro.core.frontier import expand_rows
 from repro.gpu.views import HostCPUView
 
 __all__ = ["FrontierFrequencyEstimator"]
@@ -63,14 +63,16 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
     :class:`repro.testing.kernels.RecursiveFrequencyEstimator`, its oracle,
     in level-synchronous shape."""
 
-    def _descend(self, trie, records, roots, max_degree, counters) -> tuple[int, tuple]:
+    def _descend(self, expansion, roots, max_degree, counters) -> tuple[int, tuple]:
         """Advance every root group together from the root table: per trie
-        depth the fan-out and its branch draw, one launch — or one read of
-        the matcher's — and one survival draw over the stacked rows; one
-        settle of the walk's whole access log at the end."""
-        rows, line, mult, weight, base, reading = roots  # base: each row's tally row
-        # a row is its bound vertices — or, reading, its twin in the expansion
-        launches, frontier = reading or (None, rows)
+        depth the fan-out and its branch draw, one read of the matcher's
+        launch (:meth:`~repro.core.matching.Launch.read`) and one survival
+        draw over the stacked rows; one settle of the walk's whole access log
+        at the end."""
+        trie, records = expansion.trie, expansion.records
+        # a row is its twin in the expansion: its row in the root table, then
+        # its candidate in the launch one depth up
+        _, line, mult, weight, base, frontier = roots  # base: each row's tally row
         nodes = line.size
         # host reads: every fetch of the walk is FE cost on the CPU's DRAM
         view = HostCPUView(self.graph, self.device, counters)
@@ -92,14 +94,9 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
                     weight, base = (weight / p)[keep], base[keep]
             if line.size == 0:
                 break
-            if launches is None:
-                cand_flat, parent, cand_cnt, log, compute = expand_rows(
-                    self.graph, level.table, frontier, line, attributes=self.attributes
-                )
-            else:
-                cand_flat, parent, cand_cnt, log, compute, twin = launches[depth].read(
-                    frontier, line
-                )
+            cand_flat, parent, cand_cnt, log, compute, twin = expansion.launches[depth].read(
+                frontier, line
+            )
             charge = mult * weight  # Eq. 3: the node's B × weight, to each vertex it reads
             logs.append((log.vertex, log.length, base[log.row], charge[log.row]))
             ops += int(compute.sum() + log.vertex.size + log.length[log.slot > 0].sum())
@@ -116,10 +113,7 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
             if stoch.any():
                 born[stoch] = self.rng.binomial(born[stoch], p_child[stoch])
             live = born > 0
-            frontier = twin[live] if launches is not None else np.concatenate(
-                [frontier[parent[live]], cand_flat[live][:, None]], axis=1
-            )
-            parent = parent[live]
+            frontier, parent = twin[live], parent[live]
             line, base = line[parent], base[parent]
             mult, weight = born[live], weight[parent] / p_child[live]
             nodes += line.size

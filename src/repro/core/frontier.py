@@ -14,16 +14,15 @@ NumPy:
   plans advance together (:func:`repro.core.matching.match_trie`, the one
   driver).  What a row reads comes from the depth's operand table, indexed
   by its node's line (:class:`LevelTable`), so the join itself
-  (:func:`join_rows`, shared with the frequency estimator) is a
-  plan-agnostic *row program*: one gather per launch for every row and
-  constraint whatever node it belongs to, one ``searchsorted`` probe per
-  constraint slot against the arena's rank keys, flat label /
-  candidate-filter / predicate / injectivity masks — no Python recursion,
-  no per-plan loop.
+  (:func:`join_rows`) is a plan-agnostic *row program*: one gather per
+  launch for every row and constraint whatever node it belongs to, one
+  ``searchsorted`` probe per constraint slot against the arena's rank keys,
+  flat label / candidate-filter / predicate / injectivity masks — no Python
+  recursion, no per-plan loop.
 * **Counter parity is exact.**  Neither the join nor the launch charges
-  anything: :meth:`FrontierKernel.expand` returns an :class:`AccessLog` of
-  every list read in canonical ``(slot, constraint, row)`` order plus its
-  order-free compute per row.  The driver settles both once per batch, the
+  anything: :func:`expand_rows` returns an :class:`AccessLog` of every list
+  read in canonical ``(slot, constraint, row)`` order plus its order-free
+  compute per row.  The driver settles both once per batch, the
   log through :meth:`~repro.gpu.views.GraphView.fetch_block` in
   trie pre-order — ``(plan, level, slot, constraint, row)`` for a single
   query, the order a plan-by-plan execution would issue — so ``MatchStats``,
@@ -50,10 +49,7 @@ from repro.query.pattern import WILDCARD_LABEL
 from repro.query.plan import EdgeVersion, LevelPlan
 from repro.utils import contains_sorted, segment_offsets
 
-__all__ = [
-    "AccessLog", "LevelTable", "level_table", "join_rows", "expand_rows",
-    "FrontierKernel",
-]
+__all__ = ["AccessLog", "LevelTable", "level_table", "join_rows", "expand_rows"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 _LAST = np.iinfo(np.int64).max  # sort key of a constraint column a row lacks
@@ -211,9 +207,9 @@ def expand_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, AccessLog, np.ndarray]:
     """The level program: the candidates of every row for its node's level.
 
-    The one body under both kernels — the matcher launches it through
-    :meth:`FrontierKernel.expand`, the frequency estimator's walk directly —
-    so a sampled path prunes exactly as the executed one does.  Returns
+    One launch of the matcher, :func:`repro.core.matching.expand`'s per
+    depth; the frequency walk reads its rows, so a sampled path prunes
+    exactly as the executed one does.  Returns
     ``(cand_flat, cand_row, cand_cnt, log, compute)`` — the surviving
     candidates, the row of each, the count per row — and charges nothing:
     ``log`` is the join's access log, left for the caller to settle, and
@@ -223,8 +219,9 @@ def expand_rows(
     injectivity masks and the final per-candidate charge for surviving rows
     (zero-size rows contribute zero to every charge, exactly like the
     recursive early return).  Everything a row gets depends on that row and
-    its line alone, so a reader of some of the rows (the walk, reading the
-    matcher's expansion) finds exactly what a launch over them returns.
+    its line alone, so a reader of some of the rows (the walk, or a shard
+    settling the rows of its roots) finds exactly what a launch over them
+    returns.
     ``filters`` restricts query vertices to sorted candidate arrays;
     ``attributes`` is an edge-weight provider for predicate pushdown
     (``None`` falls back to the deterministic hash weights).
@@ -262,30 +259,3 @@ def expand_rows(
     cand_cnt = np.bincount(qrow, minlength=n)
     return cand_flat, qrow, cand_cnt, log, work + cand_cnt
 
-
-class FrontierKernel:
-    """The matcher's launch context: graph + filters + edge weights.
-
-    One kernel instance expands every depth of a trie of plans against the
-    same frozen adjacency: :func:`repro.core.matching.expand` launches it
-    once per depth with the table of all that depth's nodes, so a level
-    shared by many plans of a rulebook is expanded exactly once and a single
-    query's ΔM plans advance together.
-    """
-
-    def __init__(
-        self,
-        graph,
-        filters: dict[int, np.ndarray] | None = None,
-        attributes=None,
-    ) -> None:
-        self.graph = graph
-        self.filters = filters
-        self.attributes = attributes
-
-    def expand(
-        self, table: LevelTable, rows: np.ndarray, line: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, AccessLog, np.ndarray]:
-        """One launch of :func:`expand_rows`; the caller settles its log
-        through :meth:`~repro.gpu.views.GraphView.fetch_block`."""
-        return expand_rows(self.graph, table, rows, line, self.filters, self.attributes)

@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.core.frontier import AccessLog, FrontierKernel
+from repro.core.frontier import AccessLog, expand_rows
 from repro.core.querytrie import ExecutionTrie, solo_trie
 from repro.graphs.attributes import pair_weights
 from repro.graphs.stream import UpdateBatch, label_pair_mask
@@ -159,22 +159,18 @@ def route_roots(
     certify: Callable[[np.ndarray], np.ndarray] | None = None,
     *,
     filters: dict[int, np.ndarray] | None = None,
-    root_mask: Callable[[np.ndarray], np.ndarray] | None = None,
     attributes=None,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """A plan's label-filtered directed roots through shard routing
-    (``root_mask``), candidate filters, the certified-skip mask and the root
-    predicate: ``(roots, signs, skipped)``.  ``certify`` — the prefilter's
-    keep-mask — is *evaluated* on the raw :func:`delta_roots` output, so a
-    precomputed :class:`~repro.core.prefilter.PrefilterDecision` stays
-    aligned under any routing or filtering, but *applied* last: the roots it
-    drops among the survivors are the ``skipped`` count.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A plan's label-filtered directed roots through candidate filters, the
+    certified-skip mask and the root predicate: ``(roots, signs, dropped)``.
+    ``certify`` — the prefilter's keep-mask — is *evaluated* on the raw
+    :func:`delta_roots` output, so a precomputed
+    :class:`~repro.core.prefilter.PrefilterDecision` stays aligned under any
+    filtering, but *applied* last: ``dropped`` are the roots it certified
+    away among the survivors.  Every step is per root, so a restriction of
+    the roots (a shard's) commutes with all of them.
     """
     keep = certify(roots) if certify is not None and roots.shape[0] else None
-    if root_mask is not None and roots.shape[0]:
-        mask = root_mask(roots)
-        roots, signs = roots[mask], signs[mask]
-        keep = keep[mask] if keep is not None else None
     if filters and roots.shape[0]:
         mask = np.ones(roots.shape[0], dtype=bool)
         for col, u in ((0, plan.order[0]), (1, plan.order[1])):
@@ -182,11 +178,11 @@ def route_roots(
                 mask &= contains_sorted(filters[u], roots[:, col])
         roots, signs = roots[mask], signs[mask]
         keep = keep[mask] if keep is not None else None
-    skipped = 0
+    dropped = roots[:0]
     if keep is not None:
-        skipped = int(keep.size - np.count_nonzero(keep))
+        dropped = roots[~keep]
         roots, signs = roots[keep], signs[keep]
-    return (*filter_root_predicate(plan, roots, signs, attributes), skipped)
+    return (*filter_root_predicate(plan, roots, signs, attributes), dropped)
 
 
 # ----------------------------------------------------------------------
@@ -195,16 +191,18 @@ def route_roots(
 def trie_roots(
     trie: ExecutionTrie, batch: UpdateBatch | None, graph, live: np.ndarray, *,
     skip: frozenset = frozenset(), prefilter: dict | None = None, **routing,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The ``live`` root groups' roots, one :func:`route_roots` pipeline each
     (``routing``: its keywords; certified by the OR of the group's live
     members' ``prefilter[query].mask`` — a row failing for every member
     provably yields no embedding for any), stacked group-major: ``(roots,
-    signs, processed, dropped)``, the last two per root group.  ``batch=None``
-    roots at the settled snapshot's edges."""
+    signs, processed, dropped, skipped)``: the certified-away roots as a
+    table, also group-major, and per root group the counts of both.
+    ``batch=None`` roots at the settled snapshot's edges."""
     labels = graph.labels
-    processed, dropped = np.zeros((2, len(trie.levels[0].nodes)), dtype=np.int64)
-    groups = [(np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64))]  # stacks if none
+    processed, skipped = np.zeros((2, len(trie.levels[0].nodes)), dtype=np.int64)
+    none = np.empty((0, 2), dtype=np.int64)
+    kept, gone = [(none, none[:, 0])], [none]  # stacks if none
     for group in live.tolist():
         members = trie.levels[0].nodes[group].members
         certify = None
@@ -222,11 +220,12 @@ def trie_roots(
             raw = static_roots(plan, graph.edges_new_array(), labels)
         else:
             raw = delta_roots(plan, batch, labels)
-        roots, signs, dropped[group] = route_roots(plan, *raw, certify, **routing)
-        processed[group] = roots.shape[0]
-        groups.append((roots, signs))
-    roots, signs = (np.concatenate(part).astype(np.int64, copy=False) for part in zip(*groups))
-    return roots, signs, processed, dropped
+        roots, signs, dropped = route_roots(plan, *raw, certify, **routing)
+        processed[group], skipped[group] = roots.shape[0], dropped.shape[0]
+        kept.append((roots, signs))
+        gone.append(dropped)
+    roots, signs = (np.concatenate(part).astype(np.int64, copy=False) for part in zip(*kept))
+    return roots, signs, processed, np.concatenate(gone), skipped
 
 
 class Launch(NamedTuple):
@@ -262,28 +261,28 @@ class Launch(NamedTuple):
 
 @dataclass
 class Expansion:
-    """:func:`expand`'s run, nothing charged, for :func:`settle` and the walk
-    (``launches[d - 1]``: depth ``d``).  ``roots`` is the root table the
-    kernel ran, root group ``g``'s routed rows from ``root_offsets[g]`` on;
-    ``dropped[g]`` of its roots were certified away by ``prefilter``.
-    ``queries``, ``member`` and ``records`` are the trie's incidence it ran
-    under (:meth:`~repro.core.querytrie.ExecutionTrie.incidence`)."""
+    """:func:`expand`'s run, nothing charged, for :func:`settle` and the walk:
+    ``roots`` / ``signs`` is the root table the kernel ran, group-major;
+    ``dropped`` the roots certified away, ``skipped`` their count per root
+    group; ``tiers[d]`` is depth ``d`` as counted — per row its ``(line,
+    cand_cnt, origin, compute)`` (``origin``: its root's row; ``compute``:
+    ``None`` at the roots) and the candidates per line, ``total`` — and
+    ``launches[d - 1]`` / ``logs[d - 1]`` its launch.  ``queries``,
+    ``member`` and ``records`` are the trie's incidence it ran under
+    (:meth:`~repro.core.querytrie.ExecutionTrie.incidence`)."""
 
     trie: ExecutionTrie
-    batch: UpdateBatch | None
-    prefilter: dict | None
     queries: tuple
     member: np.ndarray
     records: tuple
     roots: np.ndarray
-    root_offsets: np.ndarray
+    signs: np.ndarray
     dropped: np.ndarray
+    skipped: np.ndarray
+    tiers: list[tuple]
     launches: list[Launch]
     logs: list  # (node, vertex, length) per launch
-    work: np.ndarray  # order-free compute per node
-    output_ops: np.ndarray  # per query: output compute
-    columns: np.ndarray  # per query: MatchStats' fields
-    emitted: dict  # PlanRef -> (embeddings, signs) of the sinks' plans
+    emitted: dict  # PlanRef -> (embeddings, origins) of the sinks' plans
 
 
 def expand(
@@ -295,84 +294,71 @@ def expand(
     skip: frozenset = frozenset(),
     prefilter: dict | None = None,
     filters: dict[int, np.ndarray] | None = None,
-    root_mask: Callable[[np.ndarray], np.ndarray] | None = None,
     attributes=None,
 ) -> Expansion:
     """Advance a trie of plans level-synchronously over ``graph``, charging
-    nothing: roots, launches, counts, the ``sinks`` queries' rows, logs.
+    nothing: roots, launches, the ``sinks`` queries' rows, logs.
 
     Every live root group runs one :func:`route_roots` pipeline
     (:func:`trie_roots`), then each depth is **one**
-    :meth:`FrontierKernel.expand` over the rows of all its nodes.  A
-    node's rows are handed to its live children by fan-out; queries in
-    ``skip`` (certified ΔM = 0) are dropped from every member set, so a
-    subtree left without members receives no rows.  Plans end at any depth:
-    the node counts its terminal plans' embeddings, and materialises them
-    only for a child or a sink.  The frontier stays node-major, i.e. in
-    lexicographic ``(node, root, candidate…)`` order.
+    :func:`~repro.core.frontier.expand_rows` launch over the rows of all its
+    nodes.  A node's rows are handed to its live children by fan-out;
+    queries in ``skip`` (certified ΔM = 0) are dropped from every member set,
+    so a subtree left without members receives no rows.  Plans end at any
+    depth: a node's rows are materialised only for a child or a sink.  The
+    frontier stays node-major, i.e. in lexicographic ``(node, root,
+    candidate…)`` order, and every row keeps its root's row in the root table
+    (``origin``), so :func:`settle` can restrict the run to any subset of the
+    roots.
 
-    Nothing here loops over nodes or their member lists: who is live, who
-    hands rows to whom and whose plans pass through or end at a line are the
-    per-depth tables of :meth:`ExecutionTrie.incidence`, a depth's statistics
-    are products of those counts with its per-line candidate totals, and the
-    per-query sums are kept for :func:`settle` (integer sums, in any order).
+    Nothing here loops over nodes or their member lists: who is live and
+    who hands rows to whom are the per-depth tables of
+    :meth:`ExecutionTrie.incidence`.
     """
-    kernel = FrontierKernel(graph, filters, attributes)
     queries, member, records = trie.incidence(skip, sinks)
     # a group whose every member is certified ΔM = 0 is not live: no roots either
-    roots, sign, processed, dropped = trie_roots(
+    roots, signs, total, dropped, skipped = trie_roots(
         trie, batch, graph, records[0].live, skip=skip, prefilter=prefilter,
-        filters=filters, root_mask=root_mask, attributes=attributes,
+        filters=filters, attributes=attributes,
     )
     # the root edge as a launch that already ran: one candidate per row
     rows, cand_flat, cand_cnt = roots[:, :1], roots[:, 1], np.ones(roots.shape[0], np.int64)
-    cand_row = np.arange(roots.shape[0])
-    line = np.repeat(np.arange(processed.size), processed)
-    # per live query, summed over the depths with each level's incidence
-    nodes, found, signed, output_ops = np.zeros((4, len(queries)), dtype=np.int64)
-    work = np.zeros(len(trie.nodes), dtype=np.int64)  # order-free compute per node
-    launches, logs, emitted = [], [], {}
+    cand_row = origin = np.arange(roots.shape[0])
+    line, compute = np.repeat(np.arange(total.size), total), None
+    tiers, launches, logs, emitted = [], [], [], {}
     src = None  # per row: the candidate one depth up it extends
     for depth, (level, record) in enumerate(zip(trie.levels, records)):
         if depth:
             if record.fans:  # each live child takes its parent's rows
                 pick, line = record.fan_out(held)
-                rows, sign = rows[pick], sign[pick]
+                rows, origin = rows[pick], origin[pick]
                 src = pick if src is None else src[pick]
             if rows.shape[0] == 0:
                 break
-            cand_flat, cand_row, cand_cnt, log, compute = kernel.expand(level.table, rows, line)
-            work[level.order] = np.bincount(line, weights=compute, minlength=len(level.nodes))
+            cand_flat, cand_row, cand_cnt, log, compute = expand_rows(
+                graph, level.table, rows, line, filters, attributes
+            )
             launches.append(Launch(src, line, cand_flat, cand_cnt, log, compute))
             logs.append((level.order[line[log.row]], log.vertex, log.length))
-        width = len(level.nodes)
-        total = np.bincount(line, weights=cand_cnt, minlength=width).astype(np.int64)
-        ended = record.terminal @ total  # embeddings of the plans that end here
-        nodes += record.member @ total
-        found += ended
-        signed += record.terminal @ np.bincount(
-            line, weights=sign * cand_cnt, minlength=width
-        ).astype(np.int64)
-        output_ops += ended * (depth + 2)  # a plan ending at this depth binds depth + 2 vertices
+            total = np.bincount(line, weights=cand_cnt, minlength=len(level.nodes)).astype(np.int64)
+        tiers.append((line, cand_cnt, origin, compute, total))
         need = record.wanted & (total > 0)
         if not need.any():
-            break  # counted, not materialised
+            break  # counted by settle, not materialised
         src = None
         if not need[total > 0].all():  # some node's rows are wanted by no one
             pick = need[line[cand_row]]
             src = np.flatnonzero(pick)
             cand_flat, cand_row = cand_flat[pick], cand_row[pick]
         rows = np.concatenate([rows[cand_row], cand_flat[:, None]], axis=1)
-        sign, line = sign[cand_row], line[cand_row]
+        origin, line = origin[cand_row], line[cand_row]
         held = np.where(need, total, 0)  # rows per line, for the fan-out
         for ref, ln in record.sinks:
             lo, hi = np.searchsorted(line, (ln, ln + 1))
-            emitted[ref] = rows[lo:hi][:, ref.plan.inverse_order], sign[lo:hi]
-    first = records[0].member  # root counts go to every member plan's query
-    columns = signed, found, first @ processed, nodes, first @ dropped  # MatchStats' fields
+            emitted[ref] = rows[lo:hi][:, ref.plan.inverse_order], origin[lo:hi]
     return Expansion(
-        trie, batch, prefilter, queries, member, records, roots, segment_offsets(processed),
-        dropped, launches, logs, work, output_ops, np.stack(columns, axis=1), emitted,
+        trie, queries, member, records, roots, signs, dropped, skipped, tiers, launches,
+        logs, emitted,
     )
 
 
@@ -409,39 +395,84 @@ class Attribution(NamedTuple):
 
 def settle(
     expansion: Expansion, view: GraphView, *, sinks: dict | None = None,
+    root_mask: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[dict[str | None, MatchStats], Attribution]:
     """Price an :func:`expand` through ``view``: stats per member query, and
     the settled block as an :class:`Attribution` — nothing is charged per
     query until someone asks (:meth:`Attribution.charge`).
 
-    All accesses are settled once, stably sorted by node pre-order over each
-    depth's ``(slot, constraint, row)`` log: ``(plan, level)`` order for a
-    single query, the node-by-node walk's order for a rulebook — the
-    sequence an order-sensitive view (the UM pager) must be handed.  The
-    view classifies and records that one block into its counters once.
-    ``sinks`` are flushed in plan order — the depth-first emission order of
-    running the plans one after another.
+    ``root_mask`` restricts the run to the roots it keeps (given an ``(r,
+    2)`` root array, a boolean mask; a fleet's shard keeps those whose first
+    endpoint it owns).  Rows are independent in the join, so the rows the
+    kept roots grew, their log entries and sink rows are what a launch over
+    those roots alone returns, in the same relative order; any disjoint
+    cover of the roots sums to the unrestricted settle.
+
+    The statistics are products of each depth's per-line candidate totals
+    with its incidence (integer sums, in any order).  All accesses are
+    settled once, stably sorted by node pre-order over each depth's ``(slot,
+    constraint, row)`` log: ``(plan, level)`` order for a single query, the
+    node-by-node walk's order for a rulebook — the sequence an
+    order-sensitive view (the UM pager) must be handed.  The view classifies
+    and records that one block into its counters once.  ``sinks`` are
+    flushed in plan order — the depth-first emission order of running the
+    plans one after another.
     """
     e, shared = expansion, view.counters
-    found = e.columns[:, 1]
+    keep = None if root_mask is None else root_mask(e.roots)
+    skipped = e.skipped
+    if keep is not None:
+        group = np.repeat(np.arange(skipped.size), skipped)
+        skipped = np.bincount(group[root_mask(e.dropped)], minlength=skipped.size)
+    nodes, found, signed, output_ops = np.zeros((4, len(e.queries)), dtype=np.int64)
+    work = np.zeros(len(e.trie.nodes), dtype=np.int64)  # order-free compute per node
+    for depth, (level, record, tier) in enumerate(zip(e.trie.levels, e.records, e.tiers)):
+        line, cand_cnt, origin, compute, total = tier
+        if keep is not None:  # the rows the kept roots grew, counted again
+            kept = keep[origin]
+            line, cand_cnt, origin = line[kept], cand_cnt[kept], origin[kept]
+            compute = None if compute is None else compute[kept]
+            total = np.bincount(line, weights=cand_cnt, minlength=total.size).astype(np.int64)
+        if compute is None:
+            processed = total  # the roots: one row per root, counted per group
+        else:
+            work[level.order] = np.bincount(line, weights=compute, minlength=total.size)
+        ended = record.terminal @ total  # embeddings of the plans that end here
+        nodes += record.member @ total
+        found += ended
+        signed += record.terminal @ np.bincount(
+            line, weights=e.signs[origin] * cand_cnt, minlength=total.size
+        ).astype(np.int64)
+        output_ops += ended * (depth + 2)  # a plan ending at this depth binds depth + 2 vertices
+    first = e.records[0].member  # root counts go to every member plan's query
+    columns = np.stack([signed, found, first @ processed, nodes, first @ skipped], axis=1)
     # every charge that is a sum, once: outputs go to the terminal plan's query
     shared.record_output(int(found.sum()))
-    shared.record_compute(int(e.output_ops.sum() + e.work.sum()))
+    shared.record_compute(int(output_ops.sum() + work.sum()))
     key = vertex = acc = None
     if e.logs:
-        key, vertex, length = map(np.concatenate, zip(*e.logs))
+        logs = e.logs
+        if keep is not None:  # each log entry kept by its row's root
+            logs = []
+            for log, launch, tier in zip(e.logs, e.launches, e.tiers[1:]):
+                kept = keep[tier[2][launch.log.row]]
+                logs.append(tuple(part[kept] for part in log))
+        key, vertex, length = map(np.concatenate, zip(*logs))
         by = np.argsort(key, kind="stable")
         key, vertex, length = key[by], vertex[by], length[by]
-        acc = view.fetch_block(vertex, length)
+        acc = view.fetch_block(vertex, length) if key.size else None  # a slice may read nothing
     if e.emitted:  # plan order: each sink sees its own match_batch's order
         for ref in e.trie.refs:
             if ref in e.emitted:
-                embeddings, sign = e.emitted[ref]
-                for emb, s in zip(embeddings.tolist(), sign.tolist()):
+                embeddings, origin = e.emitted[ref]
+                if keep is not None:
+                    mine = keep[origin]
+                    embeddings, origin = embeddings[mine], origin[mine]
+                for emb, s in zip(embeddings.tolist(), e.signs[origin].tolist()):
                     sinks[ref.query_name](tuple(emb), s)
-    stats = {name: MatchStats(*row) for name, row in zip(e.queries, e.columns.tolist())}
+    stats = {name: MatchStats(*row) for name, row in zip(e.queries, columns.tolist())}
     return stats, Attribution(
-        e.trie, e.queries, e.member, key, vertex, acc, e.work, found, e.output_ops
+        e.trie, e.queries, e.member, key, vertex, acc, work, found, output_ops
     )
 
 
@@ -458,11 +489,11 @@ def match_trie(
     attributes=None,
 ) -> dict[str | None, MatchStats]:
     """Advance a trie of plans level-synchronously over ``view``'s graph and
-    price it through ``view``: :func:`settle` ∘ :func:`expand`, its stats."""
+    price it through ``view``: :func:`settle` ∘ :func:`expand`, its stats
+    (``root_mask``: :func:`settle`'s restriction)."""
     expansion = expand(trie, batch, view.graph, sinks=frozenset(sinks or ()), skip=skip,
-                       prefilter=prefilter, filters=filters, root_mask=root_mask,
-                       attributes=attributes)
-    return settle(expansion, view, sinks=sinks)[0]
+                       prefilter=prefilter, filters=filters, attributes=attributes)
+    return settle(expansion, view, sinks=sinks, root_mask=root_mask)[0]
 
 
 # ----------------------------------------------------------------------
@@ -488,16 +519,16 @@ def match_batch(
     ``filters`` optionally restricts each query vertex to a sorted candidate
     array (RapidFlow's index pruning); root endpoints are filtered too.
     ``root_mask`` optionally selects a subset of the directed roots — given
-    the ``(r, 2)`` root array it returns a boolean mask; multi-GPU sharding
-    uses it to route each root to the shard owning its first endpoint.
-    Per-root work is independent (counters are sums over roots), so any
-    disjoint cover of the roots reproduces the unsharded counters exactly.
+    the ``(r, 2)`` root array it returns a boolean mask — as :func:`settle`'s
+    restriction: per-root work is independent, so any disjoint cover of the
+    roots reproduces the unrestricted counters exactly.
     ``prefilter`` optionally supplies a certified-skip masker
     (``repro.core.prefilter``): an object whose ``mask(plan_index, plan,
     roots)`` returns a boolean keep-mask; dropped roots are counted in
-    ``MatchStats.roots_skipped``.  It is applied *last* — after routing and
-    candidate filters — so the skip accounting composes with both, and
-    exactness is certified (only provably-ΔM=0 roots are dropped).
+    ``MatchStats.roots_skipped``.  It is applied *last* — after candidate
+    filters — so the skip accounting composes with them and with the
+    restriction, and exactness is certified (only provably-ΔM=0 roots are
+    dropped).
     ``attributes`` optionally supplies an edge-weight provider
     (:class:`~repro.graphs.attributes.EdgeAttributeStore`) for plans whose
     query carries weight predicates; without one the deterministic hash

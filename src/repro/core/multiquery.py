@@ -16,8 +16,8 @@ holds only what is rulebook logic:
   each of a node's ``k`` live children with probability
   ``min(1, survival/k)`` at weight ``× 1/p``, so the estimate is unbiased
   for the merged kernel's own accesses (a shared node once, an alias never);
-  on the cached placement the walk reads the kernel's expansion, run ahead
-  of it, and launches nothing;
+  the walk reads the kernel's expansion, run ahead of it, and launches
+  nothing;
 * queries are lexsorted by name, then deduped by
   :func:`~repro.query.symmetry.canonical_form` — isomorphic standing
   patterns have identical ΔM on every batch, so only the lexicographically
@@ -333,28 +333,24 @@ class Rulebook(QuerySet):
         expansion: Expansion | None = None,
     ) -> EstimationResult:
         """Budget assignment — split exactly across the live root groups —
-        plus ONE walk of the merged trie the kernel runs, over the roots it
-        routes: unbiased for the merged kernel's accesses.  Both execution
-        modes walk it (reading the shared kernel's expansion, or launching),
-        so the pooled frequencies and the cache are bit-identical between
-        them."""
+        plus ONE walk of the merged trie the kernel runs, reading its
+        expansion (the shared kernel's, or one run here for the per-query
+        loop): unbiased for the merged kernel's accesses, and bit-identical
+        between the two execution modes."""
         routing = self._routing(decision)
+        if expansion is None:
+            expansion = expand(self.trie, batch, engine.graph, attributes=engine.attributes,
+                               **routing)
         active = [q for q in self.queries if q.name not in routing["skip"]]
         max_degree = max(1, engine.graph.max_degree())
         largest = max(q.num_vertices for q in active)
         total_walks = engine.config.num_walks or default_num_walks(
             len(batch), max_degree, largest
         )
-        # the expansion's incidence, if it ran: its skip set's only record
-        records = self.trie.incidence(routing["skip"])[2] if expansion is None else (
-            expansion.records
-        )
-        groups = records[0].live
+        groups = expansion.records[0].live
         budget = np.zeros(len(self.trie.levels[0].nodes), dtype=np.int64)
         budget[groups] = split_walk_budget(total_walks, groups.size)
-        pooled, nodes, counters = engine.estimator.walk(
-            self.trie, batch, budget, max_degree, expansion, **routing
-        )
+        pooled, nodes, counters = engine.estimator.walk(expansion, budget, max_degree)
         return EstimationResult(*pooled, engine.graph.num_vertices, int(budget.sum()),
                                 nodes, counters)
 
@@ -436,10 +432,10 @@ class Rulebook(QuerySet):
 
         if expansion is None:
             expansion = expand(
-                self.trie, batch, view.graph, sinks=frozenset(rep_sinks), root_mask=root_mask,
+                self.trie, batch, view.graph, sinks=frozenset(rep_sinks),
                 attributes=engine.attributes, **self._routing(decision),
             )
-        rep_stats, attribution = settle(expansion, view, sinks=rep_sinks)
+        rep_stats, attribution = settle(expansion, view, sinks=rep_sinks, root_mask=root_mask)
         out = RulebookStats(attributions=[attribution])
         for name, stats in rep_stats.items():
             out.add(name, stats)

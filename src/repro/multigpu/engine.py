@@ -4,22 +4,28 @@
 ``N > 1``: the ``cached`` placement fanned out over a fleet.  Every host
 stage (update, prefilter, reorganize) and every schedule is the engine's own.
 
-* **Estimate** — host-side, shared: one random-walk pass; its estimates
-  drive both cache selection *and* the frequency-aware partitioner.
+* **Expand** — view-free, shared: the kernel's joins run once for the
+  whole batch, ahead of the estimate (the single-device ``prepare``'s).
+* **Estimate** — host-side, shared: one random-walk pass reading that
+  expansion; its estimates drive both cache selection *and* the
+  frequency-aware partitioner.
 * **Pack** — per shard: each device selects the hot vertices *it owns*
   within its own buffer budget, packs its DCSR slice, and uploads over its
   own host link.  Phase time is the slowest shard (uploads overlap).
 * **Match** — per shard: directed roots are routed to the shard owning
-  their first endpoint; each kernel reads local cache / peer caches / host
-  zero-copy as the walk dictates.  Phase time is the slowest shard, plus
-  the ΔM all-reduce (reported separately as ``comm_ns``).
+  their first endpoint, and each shard settles the slice of the one
+  expansion its roots grew (:func:`~repro.core.matching.settle` with a
+  ``root_mask``), reading local cache / peer caches / host zero-copy.
+  Phase time is the slowest shard, plus the ΔM all-reduce (reported
+  separately as ``comm_ns``).
 
 Pack and match reuse the single-device internals
 (:func:`~repro.core.engine.pack_step`, the shared matching kernel), shard by
 shard in shard order.  With ``devices=1`` the engine never
 loads this module: the single-device body *is* the one-device fleet, by
 construction.  For ``N > 1`` match counts stay identical (roots are a
-disjoint cover; per-root work is independent) while timing shows sub-linear
+disjoint cover; rows are independent in the join, so a shard's slice is
+what a launch over its roots alone returns) while timing shows sub-linear
 speedup dominated by PEER traffic and the serial host phases.
 """
 
@@ -116,9 +122,10 @@ class FleetPlacement(CachedPlacement):
 
     # ------------------------------------------------------------------
     def prepare(self, batch, decision, breakdown, sinks=None):
-        """Shared estimate, host partition, per-shard select + pack + DMA."""
+        """Shared expansion and estimate, host partition, per-shard pack."""
         engine, graph = self.engine, self.engine.graph
-        estimation = self.estimate(batch, decision, breakdown)
+        expansion = engine.query_set.expand(engine, batch, decision, sinks)
+        estimation = self.estimate(batch, decision, breakdown, expansion)
         frequencies = estimation.frequencies if estimation is not None else None
 
         # per-batch re-placement folds into the pack phase; sticky ownership
@@ -152,13 +159,14 @@ class FleetPlacement(CachedPlacement):
         for shard in self.shards:
             shard.select_and_pack(graph, ranked, owner)
         breakdown.pack_ns = partition_ns + max(s.pack_ns for s in self.shards)
-        return estimation, owner, repart_report
+        return estimation, owner, repart_report, expansion
 
     def match(self, batch, shipped, decision, sinks=None):
-        """Per-shard kernels over the routed roots in shard order (so a
-        sink's emission order is deterministic), then the ΔM all-reduce."""
+        """Per-shard settles of the expansion's slices for the routed roots,
+        in shard order (so a sink's emission order is deterministic), then
+        the ΔM all-reduce."""
         engine, graph = self.engine, self.engine.graph
-        owner = shipped[1]
+        owner, expansion = shipped[1], shipped[3]
         caches = [s.cache for s in self.shards]
 
         def match_one(shard: Shard) -> MatchOutcome:
@@ -167,10 +175,10 @@ class FleetPlacement(CachedPlacement):
                 graph, shard.device, counters, shard.cache,
                 shard_id=shard.shard_id, owner=owner, peer_caches=caches,
             )
-            # the decision's masks are subset per routed root, so skipped-
-            # root accounting partitions exactly across the fleet
+            # certified-away roots are restricted alike, so skipped-root
+            # accounting partitions exactly across the fleet
             stats = engine.query_set.match(
-                engine, batch, view, decision, sinks,
+                engine, batch, view, decision, sinks, expansion,
                 root_mask=lambda roots: owner[roots[:, 0]] == shard.shard_id,
             )
             ns = simulated_time_ns(counters, shard.device, platform="gpu")
@@ -190,7 +198,7 @@ class FleetPlacement(CachedPlacement):
     def bookkeeping(self, shipped, outcome):
         if outcome is None:
             return {}
-        estimation, _owner, repart_report = shipped
+        estimation, _owner, repart_report, _ = shipped
         shards, outcomes = self.shards, outcome.shards
         if self.ownership is not None:
             # feed the heat EWMA with this batch's per-vertex read bytes

@@ -5,7 +5,9 @@ obviously-correct twins of the vectorized production kernels:
 
 * :mod:`repro.testing.kernels` — the recursive depth-first matching
   executor and the recursive merged-walk frequency estimator (with
-  :func:`chain_estimate`, the rulebook statistic its walk replaced), their
+  :func:`chain_estimate`, the rulebook statistic its walk replaced, and
+  :class:`LaunchingFrequencyEstimator`, the walk that launches its own joins
+  where production reads the matcher's), their
   sorted-set primitives (``intersect_sorted*``, ``merge_sorted_unique``,
   ``segmented_contains`` — the oracle of the arena's rank-key probe), plus
   :func:`use_reference_kernels`, the one seam engine-level parity suites
@@ -26,6 +28,7 @@ The brute-force embedding counter stays in :mod:`repro.core.reference`:
 from repro.testing.calls import count_calls
 from repro.testing.kernels import (
     GALLOP_RATIO,
+    LaunchingFrequencyEstimator,
     RecursiveFrequencyEstimator,
     chain_estimate,
     intersect_sorted,
@@ -49,6 +52,7 @@ from repro.testing.oracles import (
 __all__ = [
     "count_calls",
     "RecursiveFrequencyEstimator",
+    "LaunchingFrequencyEstimator",
     "chain_estimate",
     "match_batch_recursive",
     "match_static_recursive",

@@ -11,6 +11,9 @@ production kernels are checked against:
 * :class:`RecursiveFrequencyEstimator` — the per-node merged random walk
   of paper Sec. IV-B, down any trie of plans; the three-layer parity
   contract with the frontier sampler is in ``docs/frequency.md``.
+* :class:`LaunchingFrequencyEstimator` — the level-synchronous walk that
+  launches its own joins per depth, which the production walk's reads of
+  the matcher's expansion must equal.
 * :func:`chain_estimate` — a rulebook's estimate over every query's own
   chains, the biased foil its merged-trie walk is measured against.
 
@@ -19,15 +22,20 @@ Engine-level suites swap both in through :func:`use_reference_kernels`.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.frequency import EstimationResult, FrequencyEstimator, default_num_walks
+from repro.core.frequency_frontier import FrontierFrequencyEstimator
+from repro.core.frontier import expand_rows
 from repro.core.matching import (
     EmbeddingSink,
     MatchStats,
     delta_roots,
+    expand,
     filter_root_predicate,
     route_roots,
     static_roots,
@@ -55,6 +63,7 @@ __all__ = [
     "match_batch_recursive",
     "match_static_recursive",
     "RecursiveFrequencyEstimator",
+    "LaunchingFrequencyEstimator",
     "chain_estimate",
     "use_reference_kernels",
 ]
@@ -335,16 +344,20 @@ def match_batch_recursive(
 ) -> MatchStats:
     """:func:`repro.core.matching.match_batch` on the recursive executor: the
     driver's root pipeline plan by plan, certified by
-    ``prefilter.mask(plan_index, plan, roots)``."""
+    ``prefilter.mask(plan_index, plan, roots)``, then restricted to the roots
+    ``root_mask`` keeps (the certified-away ones too, for ``roots_skipped``)."""
     labels = view.graph.labels
     total = MatchStats()
     for index, plan in enumerate(plans):
         certify = None if prefilter is None else partial(prefilter.mask, index, plan)
-        roots, signs, skipped = route_roots(
+        roots, signs, dropped = route_roots(
             plan, *delta_roots(plan, batch, labels), certify,
-            filters=filters, root_mask=root_mask, attributes=attributes,
+            filters=filters, attributes=attributes,
         )
-        total.roots_skipped += skipped
+        if root_mask is not None:
+            mine = root_mask(roots)
+            roots, signs, dropped = roots[mine], signs[mine], dropped[root_mask(dropped)]
+        total.roots_skipped += dropped.shape[0]
         total.merge(
             _run_recursive(plan, view, labels, sink, filters, roots, signs, attributes)
         )
@@ -369,11 +382,12 @@ class RecursiveFrequencyEstimator(FrequencyEstimator):
     """Depth-first merged-binomial sampler over the ΔM_i execution trees,
     node by node down any trie of plans."""
 
-    def _descend(self, trie, records, roots, max_degree, counters) -> tuple[int, tuple]:
+    def _descend(self, expansion, roots, max_degree, counters) -> tuple[int, tuple]:
         """The root table row by row (group-major): one :meth:`_walk` frame
         per node, each entering its trie node's live children under the
-        branch rule and launching its own reads (the table's ``reading`` of a
-        matcher's expansion is not looked at)."""
+        branch rule and launching its own reads (of the expansion only its
+        trie, incidence and roots are looked at)."""
+        trie, records = expansion.trie, expansion.records
         live = np.zeros(len(trie.nodes), dtype=bool)
         for level, record in zip(trie.levels, records):
             live[level.order[record.live]] = True
@@ -501,6 +515,41 @@ class RecursiveFrequencyEstimator(FrequencyEstimator):
         return nodes
 
 
+class _Launcher(NamedTuple):
+    """A depth the walk launches instead of reading: :meth:`read` runs the
+    level program over the walk's own rows, and a candidate's twin is its
+    row of bound vertices one depth down."""
+
+    estimator: FrequencyEstimator
+    table: object
+
+    def read(self, rows: np.ndarray, line: np.ndarray) -> tuple:
+        est = self.estimator
+        cand_flat, parent, cand_cnt, log, compute = expand_rows(
+            est.graph, self.table, rows, line, attributes=est.attributes
+        )
+        grown = np.concatenate([rows[parent], cand_flat[:, None]], axis=1)
+        return cand_flat, parent, cand_cnt, log, compute, grown
+
+
+class LaunchingFrequencyEstimator(FrontierFrequencyEstimator):
+    """The production sampler with the descent it had before it read the
+    matcher's expansion: the same draws in the same order, each depth one
+    launch of :func:`~repro.core.frontier.expand_rows` over the walk's own
+    rows (bound vertices, not twins).  Reading equals launching bit for bit
+    — frequencies, FE counters, ``nodes_visited`` and generator state — and
+    this is what that is checked against."""
+
+    def _roots(self, expansion, budget, tally_row):
+        table = super()._roots(expansion, budget, tally_row)
+        return (*table[:5], table[0])  # a row is its bound vertices
+
+    def _descend(self, expansion, roots, max_degree, counters) -> tuple[int, tuple]:
+        launchers = [_Launcher(self, level.table) for level in expansion.trie.levels[1:]]
+        return super()._descend(replace(expansion, launches=launchers), roots, max_degree,
+                                counters)
+
+
 def chain_estimate(rulebook, engine, batch, decision=None, expansion=None) -> EstimationResult:
     """A rulebook's pooled estimate over every query's ΔM plans as chains of
     one no-sharing trie, aliases included: the budget split exactly across
@@ -520,7 +569,8 @@ def chain_estimate(rulebook, engine, batch, decision=None, expansion=None) -> Es
     shares = split_walk_budget(total, len(rulebook.queries))
     plans = [len(rulebook.plans[q.name]) for q in rulebook.queries]
     budget = np.repeat([max(1, s // n) for s, n in zip(shares, plans)], plans)
-    estimate, nodes, counters = engine.estimator.walk(chains, batch, budget, max_degree)
+    expansion = expand(chains, batch, engine.graph, attributes=engine.attributes)
+    estimate, nodes, counters = engine.estimator.walk(expansion, budget, max_degree)
     return EstimationResult(
         *estimate, engine.graph.num_vertices, sum(shares), nodes, counters
     )

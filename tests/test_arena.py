@@ -331,23 +331,23 @@ class TestStoreOwnsItsTables:
     ):
         """A kernel raising mid-expansion, after the arena was filled: the
         engine's settle reorganizes, and the next epoch starts clean."""
-        from repro.core.frontier import FrontierKernel
+        import repro.core.matching as matching
 
         g0 = DATASETS["AZ"].build(0)
         g0, batches = derive_stream(g0, num_updates=128, batch_size=64, seed=1)
         engine = GCSMEngine(g0, query_by_name("Q1"), seed=0)
         twin = GCSMEngine(g0, query_by_name("Q1"), seed=0)
-        expand, launches = FrontierKernel.expand, []
+        expand_rows, launches = matching.expand_rows, []
 
-        def failing(kernel, *args):
+        def failing(*args):
             launches.append(args)
             if len(launches) == depth:
                 assert engine.graph._epoch.used > 0 or depth == 1
                 raise RuntimeError("injected")
-            return expand(kernel, *args)
+            return expand_rows(*args)
 
         with monkeypatch.context() as patch:
-            patch.setattr(FrontierKernel, "expand", failing)
+            patch.setattr(matching, "expand_rows", failing)
             with pytest.raises(RuntimeError, match="injected"):
                 engine.process_batch(batches[0])
         assert engine.graph.batch_open is False

@@ -122,7 +122,7 @@ class TestEstimatorEdgeCases:
         g0, batches = derive_stream(g, update_fraction=0.3, batch_size=8, seed=10)
         engine = GCSMEngine(g0, TRIANGLE, num_walks=1, seed=11)
         result = engine.process_batch(batches[0])  # must not crash
-        assert result.estimation.num_walks == 1
+        assert result.estimation.num_walks == 3  # the floor: one walk per ΔM plan
 
     def test_dense_tiny_graph(self):
         # complete graph: every walk survives everywhere

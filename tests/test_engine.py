@@ -235,7 +235,7 @@ class TestSettleOnFailure:
         open: "previous batch not reorganized yet").  ``second-depth`` lets
         the first launch through and fails the second: the one driver is
         abandoned with a half-advanced frontier and an unsettled log."""
-        from repro.core.frontier import FrontierKernel
+        import repro.core.matching as matching
         from repro.core.multiquery import MultiQueryEngine
         from repro.query import query_by_name
 
@@ -254,15 +254,15 @@ class TestSettleOnFailure:
             if stage == "prepare":
                 patch.setattr(engine.policy, "select", boom)
             elif stage == "match":  # the one driver expands through the kernel
-                patch.setattr(FrontierKernel, "expand", boom)
+                patch.setattr(matching, "expand_rows", boom)
             else:
-                expand, launches = FrontierKernel.expand, []
+                expand_rows, launches = matching.expand_rows, []
 
-                def second_raises(kernel, *args):
+                def second_raises(*args):
                     launches.append(args)
-                    return boom() if len(launches) == 2 else expand(kernel, *args)
+                    return boom() if len(launches) == 2 else expand_rows(*args)
 
-                patch.setattr(FrontierKernel, "expand", second_raises)
+                patch.setattr(matching, "expand_rows", second_raises)
             with pytest.raises(RuntimeError, match="injected"):
                 engine.process_batch(batches[0])
         twin.process_batch(batches[0])
@@ -281,23 +281,23 @@ class TestSettleOnFailure:
     ):
         """A single query's kernel joins run in ``prepare``, ahead of the
         walk that reads them, and every launch still goes through the one
-        patchable ``FrontierKernel.expand``: a raise in the first launch or
+        patchable ``matching.expand_rows``: a raise in the first launch or
         the second is inside the settle guard, whatever the schedule."""
-        from repro.core.frontier import FrontierKernel
+        import repro.core.matching as matching
 
         g0, batches, q1 = self._az_insert_stream()
         engine = GCSMEngine(g0, q1, prefilter=prefilter, schedule=schedule)
         twin = GCSMEngine(g0, q1, prefilter=prefilter)
-        expand, launches = FrontierKernel.expand, []
+        expand_rows, launches = matching.expand_rows, []
 
-        def failing(kernel, *args):
+        def failing(*args):
             launches.append(args)
             if len(launches) == (1 if stage == "match" else 2):
                 raise RuntimeError("injected")
-            return expand(kernel, *args)
+            return expand_rows(*args)
 
         with monkeypatch.context() as patch:
-            patch.setattr(FrontierKernel, "expand", failing)
+            patch.setattr(matching, "expand_rows", failing)
             with pytest.raises(RuntimeError, match="injected"):
                 engine.process_batch(batches[0])
         twin.process_batch(batches[0])

@@ -20,13 +20,14 @@ from repro.core.frequency import (
 from repro.core.frequency_frontier import (
     FrontierFrequencyEstimator as FrequencyEstimator,
 )
+from repro.core.engine import GCSMEngine
 from repro.core.matching import match_batch
 from repro.graphs import DynamicGraph
 from repro.graphs.generators import erdos_renyi, powerlaw_graph
 from repro.graphs.stream import derive_stream
 from repro.gpu import AccessCounters, HostCPUView, default_device
 from repro.gpu.counters import Channel
-from repro.query import QueryGraph, compile_delta_plans
+from repro.query import QueryGraph, compile_delta_plans, query_by_name
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 
@@ -262,7 +263,7 @@ class TestAdaptiveCornerCases:
         single = FrequencyEstimator(dg, default_device(), seed=3).estimate(
             plans, batch, num_walks=128
         )
-        assert adaptive.num_walks == 128
+        assert adaptive.num_walks == single.num_walks == 128 // 3 * 3  # spent, per plan
         assert np.array_equal(adaptive.frequencies, single.frequencies)
         assert adaptive.nodes_visited == single.nodes_visited
         assert adaptive.counters.compute_ops == single.counters.compute_ops
@@ -293,7 +294,7 @@ class TestAdaptiveCornerCases:
             plans, batch, initial_walks=32, alpha=1e-160,
             max_walks=256, max_rounds=2,
         )
-        assert adaptive.num_walks == 32 + 256  # two passes happened
+        assert adaptive.num_walks == (32 // 3 + 256 // 3) * 3  # two passes happened
 
         # replay both passes with an identically-seeded estimator
         replay = FrequencyEstimator(dg, default_device(), seed=5)
@@ -316,6 +317,24 @@ class TestAdaptiveCornerCases:
             adaptive.counters.vertex_access_counts(n),
             p1.counters.vertex_access_counts(n) + p2.counters.vertex_access_counts(n),
         )
-        # and the merged frequencies are the walk-weighted average
-        expected = (p1.frequencies * 32 + p2.frequencies * 256) / (32 + 256)
-        assert np.allclose(adaptive.frequencies, expected)
+        # and the merged frequencies are the average weighted by the walks
+        # each pass spent (``// 3 * 3``: whole walks per plan, as reported)
+        assert (p1.num_walks, p2.num_walks) == (30, 255)
+        expected = (p1.frequencies * 30 + p2.frequencies * 255) / (30 + 255)
+        assert np.array_equal(adaptive.frequencies, expected)
+
+
+class TestWalksSpent:
+    """``num_walks`` reports the walks an estimate spent — ``num_walks // m``
+    per ΔM plan, times ``m`` — not the budget it was asked for (256 reported
+    but 252 walked on Q1's six plans and Q3's seven), so the adaptive loop
+    weighs its passes (``test_merged_counters_equal_sum_of_passes``) and
+    tests its target with real counts."""
+
+    @pytest.mark.parametrize("name, plans", [("Q1", 6), ("Q3", 7)])
+    def test_the_default_budget_reports_its_whole_walks_per_plan(self, name, plans):
+        g = powerlaw_graph(300, 6.0, max_degree=30, num_labels=1, seed=1)
+        g0, batches = derive_stream(g, num_updates=64, batch_size=32, seed=2)
+        engine = GCSMEngine(g0, query_by_name(name), seed=0)
+        assert len(engine.plans) == plans
+        assert engine.process_batch(batches[0]).estimation.num_walks == 252

@@ -392,3 +392,23 @@ class TestGeometricMean:
             geometric_mean([])
         with pytest.raises(ValueError):
             geometric_mean([1.0, -2.0])
+
+
+def test_one_launch_site_on_the_production_path():
+    """The level program runs where the kernel expands a batch and nowhere
+    else: under ``src/repro``, outside the oracle package, only
+    ``matching.expand`` calls ``expand_rows`` — the frequency walk, a fleet's
+    shards and the pipelined schedule read that one expansion."""
+    root = Path(__file__).resolve().parents[1] / "src" / "repro"
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel.startswith("testing/"):
+            continue
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                sites += [(rel, fn.name) for node in ast.walk(fn) if isinstance(node, ast.Call)
+                          and getattr(node.func, "id", getattr(node.func, "attr", None))
+                          == "expand_rows"]
+    assert sites == [("core/matching.py", "expand")]
