@@ -1,14 +1,11 @@
 #!/usr/bin/env python3
 """Multi-GPU scaling study: how far does sharding the GCSM pipeline go?
 
-Sweeps the simulated fleet size (1/2/4/8 devices) and the vertex
-partitioner (hash / range / frequency-aware) on one workload, and prints
+Sweeps the simulated fleet size (1/2/4/8 devices) on one workload, with
+vertex ``v`` owned by shard ``hash(v) mod N``, and prints
 
 * the device-scaling table — end-to-end and kernel-phase speedup,
   cross-device (PEER) traffic, all-reduce cost, and load imbalance;
-* the partitioner ablation at a fixed fleet size — how much PEER traffic
-  the frequency-aware partitioner removes, and what it costs in host-side
-  partitioning time and balance;
 * the interconnect sensitivity — the same fleet on NVLink vs PCIe-P2P.
 
 Everything is simulated and deterministic; see docs/multigpu.md.
@@ -24,12 +21,11 @@ from repro.query import QueryGraph
 from repro.utils import format_bytes, format_time_ns
 
 
-def run_fleet(g0, batches, query, *, devices, partitioner="hash",
-              interconnect="nvlink"):
+def run_fleet(g0, batches, query, *, devices, interconnect="nvlink"):
     engine = GCSMEngine(
         g0, query,
         devices=ClusterConfig(num_devices=devices, interconnect=interconnect),
-        partitioner=partitioner, seed=7,
+        seed=7,
     )
     results = [engine.process_batch(b) for b in batches]
     # devices=1 is the single-device engine itself: plain BatchResults,
@@ -42,7 +38,6 @@ def run_fleet(g0, batches, query, *, devices, partitioner="hash",
         "comm_ns": sum(r.breakdown.comm_ns for r in results),
         "peer_bytes": sum(r.comm.peer_bytes for r in fleet),
         "imbalance": max((r.load_balance.imbalance for r in fleet), default=1.0),
-        "straggler": fleet[-1].load_balance.straggler if fleet else None,
     }
 
 
@@ -56,7 +51,7 @@ def main() -> None:
     single = GCSMEngine(g0, query, seed=7)
     expected = sum(single.process_batch(b).delta_count for b in batches)
 
-    print("== device scaling (NVLink fleet, hash partitioner)")
+    print("== device scaling (NVLink fleet)")
     print(f"{'devices':>8} {'total':>10} {'speedup':>8} {'match':>10} "
           f"{'peer':>10} {'comm':>10} {'imbalance':>9}")
     base = None
@@ -69,18 +64,7 @@ def main() -> None:
               f"{format_bytes(r['peer_bytes']):>10} "
               f"{format_time_ns(r['comm_ns']):>10} {r['imbalance']:>9.2f}")
 
-    print("\n== partitioner ablation (4 devices, NVLink)")
-    print(f"{'partitioner':>12} {'total':>10} {'peer':>10} "
-          f"{'imbalance':>9} {'straggler':>9}")
-    for part in ("hash", "range", "freq", "mincut"):
-        r = run_fleet(g0, batches, query, devices=4, partitioner=part)
-        assert r["delta"] == expected
-        straggler = "-" if r["straggler"] is None else str(r["straggler"])
-        print(f"{part:>12} {format_time_ns(r['total_ns']):>10} "
-              f"{format_bytes(r['peer_bytes']):>10} {r['imbalance']:>9.2f} "
-              f"shard {straggler:>3}")
-
-    print("\n== interconnect sensitivity (4 devices, hash partitioner)")
+    print("\n== interconnect sensitivity (4 devices)")
     for link in ("nvlink", "pcie"):
         r = run_fleet(g0, batches, query, devices=4, interconnect=link)
         assert r["delta"] == expected
@@ -90,9 +74,7 @@ def main() -> None:
 
     print("\nTakeaway: speedup is monotone but sub-linear — serial host "
           "phases,\npeer-read stalls, and the ΔM all-reduce all grow their "
-          "share with N;\nthe frequency-aware and min-cut partitioners trade "
-          "host-side placement\ntime for less interconnect traffic (mincut "
-          "cutting the most).")
+          "share with N.")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from repro.bench.harness import (
     run_stream,
     run_service,
     build_workload,
-    resolve_partitioner_opts,
     clear_caches,
 )
 from repro.bench import figures, matrix
@@ -24,7 +23,6 @@ __all__ = [
     "run_stream",
     "run_service",
     "build_workload",
-    "resolve_partitioner_opts",
     "clear_caches",
     "figures",
     "matrix",

@@ -42,7 +42,6 @@ __all__ = [
     "run_stream",
     "run_service",
     "build_workload",
-    "resolve_partitioner_opts",
     "clear_caches",
     "print_table",
 ]
@@ -221,25 +220,6 @@ def _derive_workload(
     )
 
 
-def resolve_partitioner_opts(system) -> dict | None:
-    """Resolved tuning knobs of ``system``'s partitioner, if any.
-
-    Normalizes the two legitimate shapes a partitioner may expose —
-    ``options`` as a zero-arg callable or as a plain mapping attribute —
-    and preserves the distinction between ``{}`` (configured with no
-    overrides) and ``None`` (no partitioner / no options surface).
-    """
-    partitioner = getattr(system, "partitioner", None)
-    if partitioner is None:
-        return None
-    opts = getattr(partitioner, "options", None)
-    if callable(opts):
-        opts = opts()
-    if opts is None:
-        return None
-    return dict(opts)
-
-
 @dataclass
 class RunResult:
     """Aggregated outcome of one system over a stream prefix.
@@ -273,15 +253,10 @@ class RunResult:
     conflict_mode: str | None = None  # update-conflict policy (Sec. V-A hardening)
     # -- multi-GPU extras (left at defaults for single-device systems) -----
     num_devices: int = 1
-    partitioner: str | None = None
-    partitioner_opts: dict | None = None  # resolved tuning knobs
     peer_bytes: int = 0  # summed over batches
     allreduce_ns: float = 0.0  # summed over batches
     imbalance: float | None = None  # mean per-batch max/mean shard time
     load_balance: list[dict] = field(default_factory=list)  # per-batch reports
-    #: online-repartitioning summary: resolved config + trigger/migration
-    #: totals over the stream (None when sticky ownership is off)
-    repartition: dict | None = None
     # -- multi-query (rulebook) extras -------------------------------------
     shared: bool | None = None  # shared trie execution vs per-query loop
     rulebook_size: int | None = None  # number of standing queries
@@ -396,9 +371,6 @@ def run_stream(
     allreduce_ns = 0.0
     imbalances: list[float] = []
     lb_reports: list[dict] = []
-    rep_evaluated = rep_triggered = rep_moved = rep_bytes = 0
-    rep_ns = 0.0
-    rep_last: dict | None = None
     for batch in batches:
         result: BatchResult = system.process_batch(batch)
         totals.add(result)
@@ -416,15 +388,6 @@ def run_stream(
         if result.comm is not None:
             peer_bytes += result.comm.peer_bytes
             allreduce_ns += result.comm.allreduce_ns
-        rep = result.repartition
-        if rep is not None:
-            rep_evaluated += int(rep.evaluated)
-            rep_triggered += int(rep.triggered)
-            rep_moved += rep.moved
-            rep_bytes += rep.migration_bytes
-            rep_ns += rep.repartition_ns
-            if rep.evaluated or rep_last is None:
-                rep_last = rep.to_dict()  # last *drift evaluation*, not no-op
 
     return RunResult(
         system=system_name,
@@ -436,25 +399,10 @@ def run_stream(
         coverage_top5=float(np.mean(cov5)) if cov5 else None,
         conflict_mode=config.conflict_mode,
         num_devices=system.num_devices,
-        partitioner=fleet.partitioner.name if fleet is not None else None,
-        partitioner_opts=resolve_partitioner_opts(fleet),
         peer_bytes=peer_bytes,
         allreduce_ns=allreduce_ns,
         imbalance=float(np.mean(imbalances)) if imbalances else None,
         load_balance=lb_reports,
-        repartition=(
-            {
-                "config": cfg.to_dict(),
-                "evaluated": rep_evaluated,
-                "triggered": rep_triggered,
-                "moved": rep_moved,
-                "migration_bytes": rep_bytes,
-                "repartition_ns": rep_ns,
-                "last": rep_last,
-            }
-            if fleet is not None and (cfg := fleet.repartition_config) is not None
-            else None
-        ),
         shared=getattr(query, "shared", None),
         rulebook_size=len(query.queries) if isinstance(query, Rulebook) else None,
         prefilter=config.prefilter if config.prefilter != "off" else None,

@@ -1,7 +1,7 @@
 """Declarative factorial scenario-matrix runner with regression gates.
 
 A :class:`ScenarioSpec` declares *factors* — graph family, update mix,
-batch size, conflict mode, device-fleet size, partitioner, pre-filter,
+batch size, conflict mode, device-fleet size, pre-filter,
 edge predicate, TTL window — each with one or more levels.
 :func:`expand_cells` takes the full cartesian product, prunes combinations
 that are invalid by construction (e.g. ``devices`` with a system whose
@@ -40,7 +40,6 @@ from repro.core.engine import EngineConfig
 from repro.core.multiquery import Rulebook
 from repro.graphs import datasets
 from repro.graphs.stream import CONFLICT_MODES
-from repro.multigpu.partition import PARTITIONER_NAMES
 from repro.query import QUERY_ORDER, query_by_name
 
 __all__ = [
@@ -75,7 +74,6 @@ FACTOR_DEFAULTS: dict[str, object] = {
     "num_batches": 2,
     "conflict_mode": "coalesce",
     "devices": None,  # single-GPU engine
-    "partitioner": "hash",
     "prefilter": "off",
     "predicate": None,  # weight predicate applied to every query edge
     "window": None,  # TTL expiry in batches
@@ -140,7 +138,6 @@ def _check_level(factor: str, value: object) -> None:
         "num_batches": lambda v: isinstance(v, int) and v > 0,
         "conflict_mode": lambda v: v in CONFLICT_MODES,
         "devices": lambda v: v is None or (isinstance(v, int) and v >= 1),
-        "partitioner": lambda v: v in PARTITIONER_NAMES,
         "prefilter": lambda v: v in ("on", "off", "invariant"),
         "predicate": lambda v: v is None or bool(parse_predicate(v)),
         "window": lambda v: v is None or (isinstance(v, int) and v > 0),
@@ -214,9 +211,7 @@ def _cell_invalid_reason(cell: Mapping) -> str | None:
     """Why this factor combination cannot run, or None if it can.
 
     These prune rules drop combinations that are contradictory or
-    degenerate *by construction* — they would either raise downstream or
-    silently duplicate another cell (e.g. a partitioner choice with no
-    fleet to partition).
+    degenerate *by construction* — they would raise downstream.
     """
     try:  # the engine's own validation is the one place contradictions live
         config = EngineConfig(**{**SYSTEMS[cell["system"]], "devices": cell["devices"]})
@@ -224,8 +219,6 @@ def _cell_invalid_reason(cell: Mapping) -> str | None:
             Rulebook.check(config)
     except ValueError as exc:
         return str(exc)
-    if cell["devices"] is None and cell["partitioner"] != "hash":
-        return "partitioner choice is meaningless without a device fleet"
     if cell["update_mix"] == "adversarial" and cell["conflict_mode"] == "strict":
         return "adversarial streams violate strict conflict handling"
     if cell["window"] is not None and cell["conflict_mode"] == "strict":
@@ -284,7 +277,7 @@ def filter_cells(cells: Iterable[dict], filters: Mapping[str, str]) -> list[dict
             )
     return [
         cell for cell in cells
-        if all(_fmt_level(cell[f]) == str(v) for f, v in filters.items())
+        if all(f in cell and _fmt_level(cell[f]) == str(v) for f, v in filters.items())
     ]
 
 
@@ -321,7 +314,6 @@ def run_cell(cell: Mapping, *, seed: int = 0) -> dict:
     )
     if cell["devices"] is not None:
         kwargs["devices"] = ClusterConfig(num_devices=cell["devices"])
-        kwargs["partitioner"] = cell["partitioner"]
     queries = _cell_queries(cell)
     query = queries[0]
     if str(cell["query"]).startswith("rulebook:"):
@@ -465,7 +457,10 @@ class RegressionReport:
 
     @property
     def ok(self) -> bool:
-        return not self.regressions and not self.mismatches
+        """No regression, no mismatch, no baseline cell left unrun, and at
+        least one cell compared (a renamed factor compares nothing)."""
+        return (self.compared > 0 and not self.missing_cells
+                and not self.regressions and not self.mismatches)
 
     def describe(self) -> str:
         lines = [
@@ -483,6 +478,10 @@ class RegressionReport:
                 f"  MISMATCH {metric} {base:,.0f} -> {cur:,.0f} "
                 f"(must be exact)\n    in {cid}"
             )
+        for cid in self.missing_cells:
+            lines.append(f"  MISSING baseline cell not run\n    {cid}")
+        if not self.compared:
+            lines.append("  NOTHING COMPARED: no cell is in both trajectories")
         if self.ok:
             lines.append("  OK: no regressions beyond tolerance")
         return "\n".join(lines)
@@ -495,13 +494,18 @@ def compare_trajectories(
 
     Simulated-time and counter metrics (:data:`GATED_METRICS`) may grow by
     at most ``max_regress_pct`` percent; determinism metrics
-    (:data:`EXACT_METRICS`) must be bit-identical.  Improvements and
-    wall-clock changes never fail the gate.
+    (:data:`EXACT_METRICS`) must be bit-identical.  Every baseline cell
+    within ``current``'s ``filters`` must have been run.  Improvements, new
+    cells and wall-clock changes never fail the gate.
     """
     if max_regress_pct < 0:
         raise ValueError("max_regress_pct must be >= 0")
     cur_by_id = {r["cell_id"]: r["metrics"] for r in current["records"]}
-    base_by_id = {r["cell_id"]: r["metrics"] for r in baseline["records"]}
+    filters = current.get("filters") or {}
+    base_by_id = {
+        r["cell_id"]: r["metrics"] for r in baseline["records"]
+        if not filters or filter_cells([r.get("factors", {})], filters)
+    }
     report = RegressionReport(max_regress_pct=max_regress_pct)
     report.missing_cells = sorted(set(base_by_id) - set(cur_by_id))
     report.new_cells = sorted(set(cur_by_id) - set(base_by_id))

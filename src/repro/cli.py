@@ -32,7 +32,6 @@ from repro.core.results import ExperimentRecord, save_records, summarize
 from repro.gpu.device import INTERCONNECTS, ClusterConfig
 from repro.graphs import datasets
 from repro.graphs.stream import CONFLICT_MODES
-from repro.multigpu.partition import PARTITIONER_NAMES
 from repro.query import QUERIES, QUERY_ORDER, query_by_name
 from repro.query.catalog import load_rulebook
 from repro.utils import format_bytes, format_time_ns
@@ -89,22 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulate an N-GPU fleet (cached-placement systems: "
                             "GCSM, Pipelined, Naive; N=1 is the single-GPU "
                             "engine itself)")
-    run_p.add_argument("--partitioner", default="hash",
-                       choices=list(PARTITIONER_NAMES),
-                       help="vertex-ownership strategy for --devices (default: hash)")
-    run_p.add_argument("--partitioner-opt", action="append", default=[],
-                       metavar="KEY=VALUE", dest="partitioner_opts",
-                       help="tuning knob for --partitioner (repeatable), e.g. "
-                            "--partitioner-opt balance_slack=0.15")
-    run_p.add_argument("--repartition-every", type=int, default=None, metavar="N",
-                       help="enable sticky ownership + online repartitioning, "
-                            "evaluating drift every N batches (--devices > 1 "
-                            "only)")
-    run_p.add_argument("--repartition-threshold", type=float, default=None,
-                       metavar="R",
-                       help="heat-weighted cut-rate that triggers a replan "
-                            "(default 0.25; implies --repartition-every 4 "
-                            "when set alone)")
     run_p.add_argument("--interconnect", default="nvlink",
                        choices=sorted(INTERCONNECTS),
                        help="peer-link cost preset for --devices (default: nvlink)")
@@ -301,32 +284,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"repro run: error: {exc}", file=sys.stderr)
             return 2
-        extra["partitioner"] = args.partitioner
-    # fleet-only knobs are passed through as given: EngineConfig rejects them
-    # without --devices (and --devices on a non-cached placement)
-    if args.partitioner_opts:
-        opts: dict = {}
-        for item in args.partitioner_opts:
-            key, sep, value = item.partition("=")
-            if not sep or not key:
-                print(f"bad --partitioner-opt {item!r}: expected KEY=VALUE",
-                      file=sys.stderr)
-                return 2
-            try:
-                opts[key] = int(value)
-            except ValueError:
-                try:
-                    opts[key] = float(value)
-                except ValueError:
-                    opts[key] = value
-        extra["partitioner_opts"] = opts
-    if args.repartition_every is not None or args.repartition_threshold is not None:
-        rep: dict = {}
-        if args.repartition_every is not None:
-            rep["every"] = args.repartition_every
-        if args.repartition_threshold is not None:
-            rep["threshold"] = args.repartition_threshold
-        extra["repartition"] = rep
     try:
         if args.rulebook is not None:
             query = Rulebook(load_rulebook(args.rulebook), shared=args.shared)
@@ -347,7 +304,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _print_fleet(result, interconnect: str) -> None:
     last = result.load_balance[-1] if result.load_balance else {}
     print(f"  fleet             : {result.num_devices} devices "
-          f"({interconnect}), partitioner={result.partitioner}")
+          f"({interconnect}), vertices owned by hash")
     print(f"  comm              : peer {format_bytes(result.peer_bytes)}, "
           f"all-reduce {format_time_ns(result.allreduce_ns)}")
     if result.imbalance is not None:
@@ -356,12 +313,6 @@ def _print_fleet(result, interconnect: str) -> None:
                 if straggler is not None else "(idle fleet: no straggler)")
         print(f"  load balance      : mean imbalance {result.imbalance:.2f} "
               f"{tail}")
-    if result.repartition is not None:
-        rep = result.repartition
-        print(f"  repartition       : {rep['triggered']}/{rep['evaluated']} "
-              f"replans, {rep['moved']} vertices moved "
-              f"({format_bytes(rep['migration_bytes'])} migrated, "
-              f"{format_time_ns(rep['repartition_ns'])})")
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:

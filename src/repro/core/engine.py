@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from importlib import import_module
@@ -292,12 +291,8 @@ class EngineConfig:
         simulated time: same results, annotated breakdowns).
     devices:
         The fan-out: a count or a :class:`~repro.gpu.device.ClusterConfig`;
-        ``devices > 1`` shards pack and match over a fleet.
-    partitioner, partitioner_opts, repartition:
-        Fleet only: vertex-ownership strategy (``hash`` | ``range`` |
-        ``freq`` | ``mincut`` or an instance) and its tuning knobs; online
-        repartitioning (``True`` or a mapping /
-        :class:`~repro.multigpu.repartition.RepartitionConfig`).
+        ``devices > 1`` shards pack and match over a fleet whose shards own
+        vertices by hash.
     """
 
     device: DeviceConfig | None = None
@@ -314,19 +309,13 @@ class EngineConfig:
     memory_budget_bytes: int | None = None
     schedule: str = "serial"
     devices: int | ClusterConfig | None = None
-    partitioner: object = "hash"
-    partitioner_opts: Mapping | None = None
-    repartition: object = None
 
     def __post_init__(self) -> None:
         cached = self.placement == "cached"
         require(self.placement in PLACEMENTS, f"unknown placement {self.placement!r}")
         require(self.schedule in SCHEDULES, f"unknown schedule {self.schedule!r}")
         object.__setattr__(self, "prefilter", normalize_prefilter(self.prefilter))
-        if self.devices is None:
-            require(not (self.partitioner_opts or self.repartition),
-                    "partitioner_opts/repartition require a fleet (pass devices=N)")
-        else:
+        if self.devices is not None:
             require(isinstance(self.devices, ClusterConfig) or int(self.devices) >= 1,
                     "devices must be >= 1")
             require(cached, f"devices requires placement='cached', not {self.placement!r}")
@@ -631,8 +620,7 @@ class GCSMEngine:
         self.placement: Placement = _load(
             _FLEET if self.num_devices > 1 else PLACEMENTS[config.placement]
         )(self)
-        #: the fleet placement when ``devices > 1`` (shards, partitioner,
-        #: ownership manager), else None
+        #: the fleet placement when ``devices > 1`` (its shards), else None
         self.fleet = self.placement if self.num_devices > 1 else None
         self.query_set.compile(self.placement)
         self.result_type = self.query_set.result_type(self.placement.result_type)

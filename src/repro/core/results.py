@@ -51,16 +51,11 @@ class ExperimentRecord:
     conflict_mode: str | None = None
     # -- multi-GPU extras (defaults keep old JSON files loadable) ----------
     num_devices: int = 1
-    partitioner: str | None = None
-    #: resolved partitioner tuning knobs (None for default/hash placements)
-    partitioner_opts: dict | None = None
     comm_ns: float = 0.0
     peer_bytes: int = 0
     imbalance: float | None = None
     #: per-batch shard load-balance reports (``LoadBalanceReport.to_dict()``)
     load_balance: list = field(default_factory=list)
-    #: online-repartitioning summary (config + migration totals), None = off
-    repartition: dict | None = None
     # -- multi-query (rulebook) extras (None for single-query records) -----
     shared: bool | None = None
     rulebook_size: int | None = None

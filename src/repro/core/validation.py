@@ -51,42 +51,30 @@ class ConsistencyError(AssertionError):
 
 
 def _parse_system_spec(spec: str) -> tuple[str, dict]:
-    """``"GCSM@2"`` → ``("GCSM", {"devices": 2})``; plain names pass through.
+    """``"GCSM@2"`` → ``("GCSM", {"devices": 2})``; plain names map to ``{}``.
 
     The ``@N`` suffix fans a ``cached``-placement system (GCSM, Pipelined,
     Naive) out over an N-device fleet so the fuzzer exercises the
-    shard-union matching path alongside single-device systems; an optional
-    ``@N:partitioner`` picks the placement strategy (e.g.
-    ``"GCSM@4:mincut"``), which must never change results.  A
+    shard-union matching path alongside single-device systems.  A
     ``+prefilter`` suffix (before any ``@N``) enables the
     aggregate-invariant pre-filter on the system, e.g. ``"GCSM+prefilter"``
     or ``"GCSM+prefilter@2"`` — the fuzzer's exactness check then covers
-    the certified-skip path against every unfiltered system.  A ``+repart``
-    suffix (requires ``@N``) turns on sticky ownership with online
-    repartitioning, e.g. ``"GCSM+repart@2:mincut"`` — drift-triggered
-    migration must also leave ΔM bit-identical.
+    the certified-skip path against every unfiltered system.  Specs come
+    from the command line, so anything else is a :class:`ValueError` naming
+    the spec.
     """
     kwargs: dict = {}
     if "+prefilter" in spec:
-        spec = spec.replace("+prefilter", "", 1)
         kwargs["prefilter"] = "invariant"
-    if "+repart" in spec:
-        spec = spec.replace("+repart", "", 1)
-        require("@" in spec, f"+repart requires an @N device suffix, got {spec!r}")
-        kwargs["repartition"] = True
-    if "@" in spec:
-        name, _, devices = spec.partition("@")
-        require(name in SYSTEMS
-                and EngineConfig(**SYSTEMS[name]).placement == "cached",
+    name, at, devices = spec.replace("+prefilter", "", 1).partition("@")
+    require(name in SYSTEMS, f"unknown system spec {spec!r}")
+    if at:
+        require(EngineConfig(**SYSTEMS[name]).placement == "cached",
                 f"@N device suffix needs a cached-placement system, got {spec!r}")
-        devices, _, partitioner = devices.partition(":")
         require(devices.isdigit() and int(devices) >= 1,
                 f"bad device count in system spec {spec!r}")
         kwargs["devices"] = int(devices)
-        if partitioner:
-            kwargs["partitioner"] = partitioner
-        return name, kwargs
-    return spec, kwargs
+    return name, kwargs
 
 
 def _conflict_key(report: CanonicalReport | None) -> tuple | None:
@@ -542,13 +530,10 @@ def generate_adversarial_stream(
 #: on a 2-device fleet, the pipelined schedule (same results, overlapped
 #: stages) on one device and on a fleet, all four GPU baselines, the CPU
 #: loop, RapidFlow, the prefiltered GCSM/pipelined variants (certified skips
-#: must be invisible in ΔM), the min-cut-partitioned 4-device fleet, and the
-#: sticky-ownership online-repartitioning fleet (placement and migration
-#: must both be invisible in ΔM).
+#: must be invisible in ΔM), and a 4-device fleet (a 4-way root cover).
 DEFAULT_FUZZ_SYSTEMS = (
     "GCSM", "GCSM@2", "Pipelined", "Pipelined@2", "ZC", "UM", "Naive", "VSGM",
-    "CPU", "RapidFlow", "GCSM+prefilter", "Pipelined+prefilter",
-    "GCSM@4:mincut", "GCSM+repart@2:mincut",
+    "CPU", "RapidFlow", "GCSM+prefilter", "Pipelined+prefilter", "GCSM@4",
 )
 
 #: Queries the fuzz cases rotate through (kept small: the oracle recounts

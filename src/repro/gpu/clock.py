@@ -94,11 +94,6 @@ class TimeBreakdown:
     * ``prefilter_ns`` — aggregate-invariant index maintenance + the
       certified-skip decision (``repro.core.prefilter``); a host-side step
       between update and estimate, always 0 with ``prefilter="off"``
-    * ``repartition_ns`` — multi-GPU online repartitioning
-      (``repro.multigpu.repartition``): drift evaluation + migration
-      planning on the host, plus the PEER/DMA bytes of any accepted
-      migration; a host-side step between estimate and pack, always 0
-      without ``repartition=``
 
     The three pipeline fields are 0 for serially executed batches and are
     filled in by :class:`PipelineClock` when the engine models cross-batch
@@ -123,7 +118,6 @@ class TimeBreakdown:
     reorg_ns: float = 0.0
     comm_ns: float = 0.0
     prefilter_ns: float = 0.0
-    repartition_ns: float = 0.0
     critical_path_ns: float = 0.0
     fill_ns: float = 0.0
     drain_ns: float = 0.0
@@ -139,7 +133,6 @@ class TimeBreakdown:
             + self.reorg_ns
             + self.comm_ns
             + self.prefilter_ns
-            + self.repartition_ns
         )
 
     @property
@@ -201,7 +194,6 @@ PIPELINE_STAGES = (
     StageSpec("update", "cpu"),
     StageSpec("prefilter", "cpu"),
     StageSpec("estimate", "cpu"),
-    StageSpec("repartition", "cpu"),
     StageSpec("pack", "cpu"),
     StageSpec("match", "gpu"),
     StageSpec("reorganize", "cpu"),
@@ -240,7 +232,7 @@ class PipelineClock:
     this clock overlaps them.  Dependencies:
 
     * CPU lane, FIFO: ``update(k) → prefilter(k) → estimate(k) →
-      repartition(k) → pack(k) → reorganize(k)`` then ``update(k+1)`` —
+      pack(k) → reorganize(k)`` then ``update(k+1)`` —
       the host store is serial.
     * ``match(k)`` starts after ``pack(k)`` (its cache must be shipped) and
       after ``match(k-1)`` (one in-order kernel lane per device fleet).
@@ -276,7 +268,6 @@ class PipelineClock:
             ("update", breakdown.update_ns),
             ("prefilter", breakdown.prefilter_ns),
             ("estimate", breakdown.estimate_ns),
-            ("repartition", breakdown.repartition_ns),
             ("pack", breakdown.pack_ns),
         ):
             start[name] = t

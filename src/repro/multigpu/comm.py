@@ -2,8 +2,8 @@
 
 Two kinds of cross-device traffic exist in the sharded pipeline:
 
-* **fine-grained peer reads** — when a shard's matching walk crosses a
-  partition boundary into a remote shard's *cached* list.  These are
+* **fine-grained peer reads** — when a shard's matching walk crosses an
+  ownership boundary into a remote shard's *cached* list.  These are
   recorded per access on :data:`~repro.gpu.counters.Channel.PEER` by
   :class:`~repro.multigpu.shard.ShardedDeviceView` and priced as kernel
   stalls by :func:`~repro.gpu.clock.simulated_time_ns` (same reasoning as

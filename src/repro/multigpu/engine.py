@@ -7,8 +7,9 @@ stage (update, prefilter, reorganize) and every schedule is the engine's own.
 * **Expand** — view-free, shared: the kernel's joins run once for the
   whole batch, ahead of the estimate (the single-device ``prepare``'s).
 * **Estimate** — host-side, shared: one random-walk pass reading that
-  expansion; its estimates drive both cache selection *and* the
-  frequency-aware partitioner.
+  expansion; its estimates drive cache selection.
+* **Own** — host-side, folded into the pack phase: vertex ``v`` belongs to
+  shard ``hash(v) mod N`` (:func:`hash_owners`).
 * **Pack** — per shard: each device selects the hot vertices *it owns*
   within its own buffer budget, packs its DCSR slice, and uploads over its
   own host link.  Phase time is the slowest shard (uploads overlap).
@@ -31,22 +32,15 @@ speedup dominated by PEER traffic and the serial host phases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.engine import BatchResult, CachedPlacement, GCSMEngine, MatchOutcome
 from repro.core.multiquery import MultiBatchResult
-from repro.graphs.dynamic_graph import DynamicGraph
 from repro.gpu.clock import simulated_time_ns
 from repro.gpu.counters import AccessCounters, Channel
 from repro.multigpu.comm import CommReport, allreduce_delta_ns, comm_report
-from repro.multigpu.partition import _hash_owners, make_partitioner
-from repro.multigpu.repartition import (
-    OwnershipManager,
-    RepartitionReport,
-    normalize_repartition,
-)
 from repro.multigpu.shard import (
     LoadBalanceReport,
     Shard,
@@ -54,7 +48,7 @@ from repro.multigpu.shard import (
     ShardedDeviceView,
 )
 
-__all__ = ["FleetPlacement", "FleetBatchResult", "MultiFleetBatchResult"]
+__all__ = ["FleetPlacement", "FleetBatchResult", "MultiFleetBatchResult", "hash_owners"]
 
 
 @dataclass
@@ -68,7 +62,6 @@ class FleetBatchResult(BatchResult):
     shard_reports: list[ShardBatchReport] = field(default_factory=list)
     load_balance: LoadBalanceReport | None = None
     comm: CommReport | None = None
-    repartition: RepartitionReport | None = None
 
 
 @dataclass
@@ -85,36 +78,33 @@ class FleetOutcome(MatchOutcome):
     shards: list[MatchOutcome] = field(default_factory=list)
 
 
+#: Knuth's multiplicative hash constant (2^32 / phi), mod 2^32.
+_HASH_MULT = np.uint64(2654435761)
+_HASH_MASK = np.uint64(0xFFFFFFFF)
+
+
+def hash_owners(num_vertices: int, num_devices: int) -> np.ndarray:
+    """The owner map: multiplicative hash of the vertex id, mod ``num_devices``."""
+    ids = np.arange(num_vertices, dtype=np.uint64)
+    mixed = (ids * _HASH_MULT) & _HASH_MASK
+    return (mixed % np.uint64(num_devices)).astype(np.int64)
+
+
 class FleetPlacement(CachedPlacement):
     """The ``cached`` data path sharded across N simulated devices.
 
-    The fleet knobs (``partitioner``, ``partitioner_opts``, ``repartition``,
-    the per-device ``cache_budget_bytes``) are
-    :class:`~repro.core.engine.EngineConfig` fields, documented there.  The
-    frequency-aware partitioners re-run per batch on that batch's estimates
-    (the cache is rebuilt and re-shipped every batch anyway, so re-homing is
-    free) — unless ``repartition`` makes ownership **sticky**: then the
-    partitioner runs once, new vertices get hash homes, and an
-    :class:`~repro.multigpu.repartition.OwnershipManager` tracks per-vertex
-    access heat, detects drift, and migrates vertices whose move pays back
-    within the horizon — priced as PEER + DMA traffic in
-    ``breakdown.repartition_ns``.  Results never change, only placement and
-    timing.
+    Vertex ``v`` is owned by shard :func:`hash_owners` ``(v)``: balanced and
+    oblivious, so neighbours land on random shards.  The owner map routes
+    roots and decides which shard caches a hot list; it never changes
+    results, only where the bytes flow.  The per-device
+    ``cache_budget_bytes`` is an :class:`~repro.core.engine.EngineConfig`
+    field, documented there.
     """
 
     result_type = FleetBatchResult
 
     def __init__(self, engine: GCSMEngine) -> None:
         super().__init__(engine)
-        cfg = engine.config
-        self.partitioner = make_partitioner(cfg.partitioner, cfg.partitioner_opts)
-        self.repartition_config = normalize_repartition(cfg.repartition)
-        self.ownership = (
-            OwnershipManager(engine.num_devices, self.repartition_config, engine.device)
-            if self.repartition_config is not None
-            else None
-        )
-        self._owner: np.ndarray | None = None  # sticky map (repartition mode)
         self.shards = [
             Shard(i, dev, engine.cache_budget_bytes)
             for i, dev in enumerate(engine.cluster.devices())
@@ -122,51 +112,30 @@ class FleetPlacement(CachedPlacement):
 
     # ------------------------------------------------------------------
     def prepare(self, batch, decision, breakdown, sinks=None):
-        """Shared expansion and estimate, host partition, per-shard pack."""
+        """Shared expansion and estimate, the owner map, per-shard pack."""
         engine, graph = self.engine, self.engine.graph
         expansion = engine.query_set.expand(engine, batch, decision, sinks)
         estimation = self.estimate(batch, decision, breakdown, expansion)
-        frequencies = estimation.frequencies if estimation is not None else None
 
-        # per-batch re-placement folds into the pack phase; sticky ownership
-        # (repartition mode) is its own host stage: repartition_ns
-        part_counters = AccessCounters()
-        partition_ns = 0.0
-        repart_report: RepartitionReport | None = None
-        if self.ownership is None:
-            owner = self.partitioner.assign(
-                graph, frequencies, self.engine.num_devices, part_counters,
-                roots=batch.edges,
-            )
-            partition_ns = simulated_time_ns(part_counters, engine.device, platform="cpu")
-        else:
-            owner, repart_report = self._sticky_owner_step(
-                graph, frequencies, part_counters, batch.edges
-            )
-            breakdown.repartition_ns = (
-                simulated_time_ns(part_counters, engine.device, platform="cpu")
-                + (repart_report.repartition_ns if repart_report else 0.0)
-            )
-            if repart_report is not None:
-                # surface the full stage cost (planning compute + migration
-                # traffic) to JSON consumers
-                repart_report = replace(
-                    repart_report, repartition_ns=breakdown.repartition_ns
-                )
+        # the owner map is host work folded into the pack phase
+        owner_counters = AccessCounters()
+        owner_counters.record_compute(graph.num_vertices)
+        owner = hash_owners(graph.num_vertices, engine.num_devices)
+        owner_ns = simulated_time_ns(owner_counters, engine.device, platform="cpu")
 
         # own host links: uploads overlap, the phase is the slowest shard
         ranked = engine.policy.rank(graph, estimation)
         for shard in self.shards:
             shard.select_and_pack(graph, ranked, owner)
-        breakdown.pack_ns = partition_ns + max(s.pack_ns for s in self.shards)
-        return estimation, owner, repart_report, expansion
+        breakdown.pack_ns = owner_ns + max(s.pack_ns for s in self.shards)
+        return estimation, owner, expansion
 
     def match(self, batch, shipped, decision, sinks=None):
         """Per-shard settles of the expansion's slices for the routed roots,
         in shard order (so a sink's emission order is deterministic), then
         the ΔM all-reduce."""
         engine, graph = self.engine, self.engine.graph
-        owner, expansion = shipped[1], shipped[3]
+        _, owner, expansion = shipped
         caches = [s.cache for s in self.shards]
 
         def match_one(shard: Shard) -> MatchOutcome:
@@ -198,13 +167,8 @@ class FleetPlacement(CachedPlacement):
     def bookkeeping(self, shipped, outcome):
         if outcome is None:
             return {}
-        estimation, _owner, repart_report, _ = shipped
+        estimation = shipped[0]
         shards, outcomes = self.shards, outcome.shards
-        if self.ownership is not None:
-            # feed the heat EWMA with this batch's per-vertex read bytes
-            self.ownership.observe(
-                outcome.counters.vertex_access_bytes(self.engine.graph.num_vertices)
-            )
         return dict(
             estimation=estimation,
             cached_vertices=np.concatenate([s.selected for s in shards]),
@@ -232,33 +196,4 @@ class FleetPlacement(CachedPlacement):
                 shard_roots=tuple(o.stats.roots_processed for o in outcomes),
             ),
             comm=comm_report([o.counters for o in outcomes], outcome.comm_ns),
-            repartition=repart_report,
         )
-
-    def _sticky_owner_step(
-        self,
-        graph: DynamicGraph,
-        frequencies: np.ndarray | None,
-        counters: AccessCounters,
-        roots: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, RepartitionReport | None]:
-        """Owner map under online repartitioning (sticky across batches).
-
-        First batch: one full partitioner placement.  Later batches: grow
-        the map with hash homes for new vertices, then let the ownership
-        manager evaluate drift and maybe migrate.
-        """
-        if self._owner is None:
-            self._owner = self.partitioner.assign(
-                graph, frequencies, self.engine.num_devices, counters, roots=roots
-            )
-            return self._owner, None
-        n = graph.num_vertices
-        if n > self._owner.size:
-            old = self._owner.size
-            grown = _hash_owners(n, self.engine.num_devices)
-            grown[:old] = self._owner
-            self._owner = grown
-            counters.record_compute(n - old)
-        self._owner, report = self.ownership.step(graph, self._owner, counters)
-        return self._owner, report

@@ -14,7 +14,7 @@ obviously-correct twins of the vectorized production kernels:
   reach them through (``engine.estimator`` and ``engine.match`` are plain
   attributes; the function swaps both);
 * :mod:`repro.testing.oracles` — the scalar loops the vectorized DCSR pack,
-  reorganize merge, frequency partitioner and cache-budget scan are checked
+  reorganize merge and cache-budget scan are checked
   against, and the two-run ``merge_sorted`` / ``is_sorted`` helpers only
   the oracles and tests use.
 
@@ -41,7 +41,6 @@ from repro.testing.kernels import (
     use_reference_kernels,
 )
 from repro.testing.oracles import (
-    assign_reference,
     build_reference,
     is_sorted,
     merge_runs_reference,
@@ -67,6 +66,5 @@ __all__ = [
     "merge_runs_reference",
     "merge_sorted",
     "is_sorted",
-    "assign_reference",
     "select_within_budget_reference",
 ]

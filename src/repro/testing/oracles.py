@@ -8,8 +8,6 @@ routine replaced, kept verbatim so tests can assert bit-identical output:
   that :meth:`repro.graphs.dynamic_graph.DynamicGraph.reorganize` stores back,
   and ↔ :func:`merge_sorted`, the vectorized two-run merge the recursive
   executor reads ``N'`` with (:func:`is_sorted` checks runs in the tests)
-* :func:`assign_reference` ↔
-  :meth:`repro.multigpu.partition.FrequencyPartitioner.assign`
 * :func:`select_within_budget_reference` ↔
   :func:`repro.core.cache.select_within_budget`
 """
@@ -20,12 +18,11 @@ import numpy as np
 
 from repro.core.dcsr import DcsrCache, packed_size_bytes
 from repro.graphs.dynamic_graph import DynamicGraph
-from repro.multigpu.partition import FrequencyPartitioner, _hash_owners
 from repro.utils import VERTEX_DTYPE, require
 
 __all__ = [
     "build_reference", "merge_runs_reference", "merge_sorted", "is_sorted",
-    "assign_reference", "select_within_budget_reference",
+    "select_within_budget_reference",
 ]
 
 
@@ -107,55 +104,6 @@ def is_sorted(values: np.ndarray) -> bool:
     if values.size <= 1:
         return True
     return bool(np.all(values[:-1] <= values[1:]))
-
-
-def assign_reference(partitioner: FrequencyPartitioner, graph, frequencies,
-                     num_devices, counters=None):
-    """Scalar parity oracle: the original per-hot-vertex loop.
-
-    Kept verbatim (one ``neighbors_new`` merge per hot vertex) so tests can
-    assert the vectorized :meth:`FrequencyPartitioner.assign` reproduces its
-    owner map and charged ops bit-for-bit.
-    """
-    n = graph.num_vertices
-    owners = _hash_owners(n, num_devices)
-    if counters is not None:
-        counters.record_compute(n)
-    if frequencies is None or num_devices == 1:
-        return owners
-    hot = np.nonzero(frequencies[:n] > 0)[0]
-    if hot.size == 0:
-        return owners
-    order = np.argsort(-frequencies[hot], kind="stable")
-    hot = hot[order]
-
-    degrees = graph.degrees_new().astype(np.int64)
-    load = np.bincount(owners, weights=degrees, minlength=num_devices)
-    cap = (1.0 + partitioner.balance_slack) * degrees.sum() / num_devices
-    claimed = np.zeros(n, dtype=bool)
-    ops = n
-    for v in hot.tolist():
-        if claimed[v]:
-            continue
-        nbrs = graph.neighbors_new(v)
-        ops += nbrs.size + 1
-        group = nbrs[~claimed[nbrs]]
-        group = np.append(group, v)
-        votes = np.bincount(owners[group], weights=degrees[group] + 1,
-                            minlength=num_devices)
-        target = int(np.argmax(votes))
-        movers = group[owners[group] != target]
-        moved_mass = int(degrees[movers].sum())
-        if load[target] + moved_mass > cap:
-            claimed[v] = True
-            continue
-        np.subtract.at(load, owners[movers], degrees[movers])
-        load[target] += moved_mass
-        owners[group] = target
-        claimed[group] = True
-    if counters is not None:
-        counters.record_compute(ops)
-    return owners
 
 
 def select_within_budget_reference(

@@ -11,7 +11,6 @@ from repro.bench.harness import (
     build_workload,
     clear_caches,
     print_table,
-    resolve_partitioner_opts,
     run_stream,
 )
 from repro.query import query_by_name
@@ -117,59 +116,6 @@ class TestSizeValidation:
     def test_bad_update_mix_rejected(self):
         with pytest.raises(ValueError, match="update_mix"):
             build_workload("AZ", batch_size=32, update_mix="chaotic", seed=0)
-
-
-class TestResolvePartitionerOpts:
-    """Options may be a zero-arg callable OR a mapping attribute; ``{}``
-    (configured, no overrides) must stay distinct from ``None``."""
-
-    class _System:
-        def __init__(self, partitioner):
-            self.partitioner = partitioner
-
-    class _Holder:
-        pass
-
-    def test_no_partitioner(self):
-        assert resolve_partitioner_opts(self._System(None)) is None
-
-    def test_callable_options(self):
-        p = self._Holder()
-        p.options = lambda: {"balance_slack": 0.15}
-        assert resolve_partitioner_opts(self._System(p)) == {"balance_slack": 0.15}
-
-    def test_mapping_attribute_options(self):
-        p = self._Holder()
-        p.options = {"refine_passes": 3}
-        assert resolve_partitioner_opts(self._System(p)) == {"refine_passes": 3}
-
-    def test_empty_dict_preserved(self):
-        p = self._Holder()
-        p.options = {}
-        opts = resolve_partitioner_opts(self._System(p))
-        assert opts == {} and opts is not None
-
-    def test_no_options_surface(self):
-        assert resolve_partitioner_opts(self._System(self._Holder())) is None
-
-    def test_returns_a_copy(self):
-        p = self._Holder()
-        p.options = {"k": 1}
-        out = resolve_partitioner_opts(self._System(p))
-        out["k"] = 2
-        assert p.options == {"k": 1}
-
-    def test_end_to_end_through_run_stream(self):
-        from repro.gpu.device import ClusterConfig
-
-        r = run_stream(
-            "GCSM", "AZ", query_by_name("Q1"), batch_size=32, seed=0,
-            devices=ClusterConfig(num_devices=2), partitioner="mincut",
-            partitioner_opts={"refine_passes": 2},
-        )
-        assert r.partitioner == "mincut"
-        assert r.partitioner_opts is not None
-        assert r.partitioner_opts.get("refine_passes") == 2
 
 
 class TestStreamCacheAliasing:

@@ -320,8 +320,6 @@ class TestEngineConfig:
             dict(schedule="eager"),
             dict(prefilter="maybe"),
             dict(devices=0),
-            dict(partitioner_opts={"balance_slack": 0.1}),  # no fleet
-            dict(repartition=True),  # no fleet
             dict(devices=2, placement="zero-copy"),
             dict(devices=1, placement="khop"),
             dict(schedule="pipelined", placement="indexed"),
@@ -360,7 +358,7 @@ class TestEngineConfig:
         assert config.schedule == "serial"  # the caller's config is untouched
 
     def test_settable_options_are_pinned(self):
-        """17 engine fields plus the rulebook's ``shared``: an option added or
+        """14 engine fields plus the rulebook's ``shared``: an option added or
         brought back shows up here.  Execution runs on one thread, so neither
         the engine nor the service takes a threading knob."""
         import dataclasses
@@ -376,7 +374,6 @@ class TestEngineConfig:
             "device", "placement", "policy", "num_walks", "adaptive_walks",
             "cache_budget_bytes", "survival", "seed", "conflict_mode", "prefilter",
             "strict_capacity", "memory_budget_bytes", "schedule", "devices",
-            "partitioner", "partitioner_opts", "repartition",
         ]
         assert list(inspect.signature(Rulebook).parameters) == ["queries", "shared"]
         for fn in (MatchService, run_service):

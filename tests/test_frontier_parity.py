@@ -232,9 +232,7 @@ def test_multigpu_engine_bit_identical():
     query = query_by_name("Q1")
     runs = {}
     for executor in EXECUTORS:
-        engine = with_executor(
-            GCSMEngine(g0, query, devices=2, partitioner="hash"), executor
-        )
+        engine = with_executor(GCSMEngine(g0, query, devices=2), executor)
         runs[executor] = _engine_fingerprints(engine, batches)
     assert runs["frontier"] == runs["recursive"]
 

@@ -93,16 +93,13 @@ class TestExpansion:
             factors={
                 "system": ("GCSM", "Pipelined", "Naive", "ZC"),
                 "devices": (None, 2),
-                "partitioner": ("hash", "mincut"),
             },
         )
         cells, pruned = matrix.expand_cells(spec)
         for cell in cells:
             if cell["devices"] is not None:
                 assert cell["system"] != "ZC"  # placement must be cached
-            else:
-                assert cell["partitioner"] == "hash"
-        assert len(cells) + len(pruned) == 16
+        assert len(cells) + len(pruned) == 8
         # schedule and fan-out compose: Pipelined x devices and Naive x
         # devices run; only the non-cached placement is pruned, with the
         # engine config's own message
@@ -244,12 +241,40 @@ class TestCompareTrajectories:
         traj = self._trajectory()
         baseline = copy.deepcopy(traj)
         baseline["records"][0]["metrics"]["total_ns"] *= 10  # we got faster
-        baseline["records"].append(
-            {"cell_id": "retired-cell", "metrics": {"total_ns": 1.0}}
-        )
+        traj["records"].append({"cell_id": "new-cell", "metrics": {"total_ns": 1.0}})
         report = matrix.compare_trajectories(traj, baseline)
         assert report.ok
+        assert report.new_cells == ["new-cell"] and not report.missing_cells
+
+    def test_a_missing_baseline_cell_fails(self):
+        traj = self._trajectory()
+        baseline = copy.deepcopy(traj)
+        baseline["records"].append(
+            {"cell_id": "retired-cell", "factors": {}, "metrics": {"total_ns": 1.0}}
+        )
+        report = matrix.compare_trajectories(traj, baseline)
+        assert not report.ok
         assert report.missing_cells == ["retired-cell"]
+        assert "MISSING" in report.describe()
+
+    def test_a_renamed_factor_compares_nothing_and_fails(self):
+        traj = self._trajectory()
+        baseline = copy.deepcopy(traj)
+        for rec in baseline["records"]:
+            rec["cell_id"] = rec["cell_id"].replace("devices=", "fleet=")
+        report = matrix.compare_trajectories(traj, baseline)
+        assert report.compared == 0 and not report.ok
+        assert "NOTHING COMPARED" in report.describe()
+
+    def test_filters_scope_the_missing_cells(self):
+        spec = matrix.ScenarioSpec.from_dict(
+            {**TINY_SPEC, "factors": {**TINY_SPEC["factors"], "devices": [None, 2]}}
+        )
+        baseline = matrix.run_matrix(spec)
+        assert baseline["cells_run"] == 2
+        current = matrix.run_matrix(spec, filters={"devices": "2"})
+        report = matrix.compare_trajectories(current, baseline)
+        assert report.ok and report.compared == 1 and not report.missing_cells
 
 
 class TestMatrixCLI:

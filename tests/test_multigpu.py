@@ -2,7 +2,7 @@
 
 ``GCSMEngine(devices=1)`` *is* the single-device engine — no fleet placement
 is loaded, so the N=1 equivalence holds by construction (asserted cheaply
-below).  Everything else (partitioners, the peer read path, the collective
+below).  Everything else (the owner map, the peer read path, the collective
 model, fleet reports) is tested on ``devices > 1``.
 """
 
@@ -16,21 +16,11 @@ from repro.graphs.generators import erdos_renyi, powerlaw_graph
 from repro.graphs.stream import derive_stream
 from repro.gpu.counters import AccessCounters, Channel
 from repro.gpu.device import ClusterConfig, DeviceConfig, default_cluster
-from repro.multigpu import (
-    FrequencyPartitioner,
-    HashPartitioner,
-    LoadBalanceReport,
-    FleetPlacement,
-    MincutPartitioner,
-    RangePartitioner,
-    ShardedDeviceView,
-    adjacency_csr,
-    make_partitioner,
-    weighted_cut,
-)
+from repro.graphs.datasets import DATASETS
+from repro.gpu.clock import simulated_time_ns
+from repro.multigpu import FleetPlacement, LoadBalanceReport, ShardedDeviceView, hash_owners
 from repro.multigpu.comm import allreduce_delta_ns, comm_report
-from repro.query import QueryGraph
-from repro.testing import assign_reference
+from repro.query import QueryGraph, query_by_name
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 TAILED = QueryGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)], [0, 0, 1, 1], name="tailed")
@@ -91,16 +81,13 @@ class TestSingleDeviceEquivalence:
 
 
 class TestMultiDeviceCorrectness:
-    """Sharding must never change ΔM, for any N or partitioner."""
+    """Sharding must never change ΔM, for any N."""
 
-    @pytest.mark.parametrize("partitioner", ["hash", "range", "freq", "mincut"])
     @pytest.mark.parametrize("devices", [2, 4])
-    def test_delta_counts_match_single_gpu(self, devices, partitioner):
+    def test_delta_counts_match_single_gpu(self, devices):
         g0, batches = _stream(WORKLOADS[1][1])
         single = GCSMEngine(g0, TAILED, seed=9)
-        fleet = GCSMEngine(
-            g0, TAILED, devices=devices, partitioner=partitioner, seed=9
-        )
+        fleet = GCSMEngine(g0, TAILED, devices=devices, seed=9)
         for batch in batches:
             a, b = single.process_batch(batch), fleet.process_batch(batch)
             assert a.delta_count == b.delta_count
@@ -145,96 +132,35 @@ class TestMultiDeviceCorrectness:
         assert times[8] > times[1] / 8  # ...but sub-linearly (PEER stalls)
 
 
-class TestPartitioners:
-    def _graph(self):
-        return DynamicGraph(powerlaw_graph(400, 8.0, max_degree=60, seed=3))
+class TestOwnerMap:
+    def test_deterministic_balanced_cover(self):
+        owner = hash_owners(400, 4)
+        assert owner.dtype == np.int64 and owner.shape == (400,)
+        assert np.array_equal(owner, hash_owners(400, 4))
+        # an odd multiplier permutes the low bits: every shard gets n / 4
+        assert np.bincount(owner, minlength=4).tolist() == [100] * 4
 
-    @pytest.mark.parametrize("name", ["hash", "range", "freq", "mincut"])
-    def test_complete_cover(self, name):
-        g = self._graph()
-        freqs = np.zeros(g.num_vertices)
-        freqs[::7] = 1.0
-        owner = make_partitioner(name).assign(g, freqs, 4)
-        assert owner.shape == (g.num_vertices,)
-        assert owner.min() >= 0 and owner.max() < 4
-        assert owner.dtype == np.int64
-
-    def test_hash_deterministic(self):
-        g = self._graph()
-        a = HashPartitioner().assign(g, None, 4)
-        b = HashPartitioner().assign(g, None, 4)
-        assert np.array_equal(a, b)
-
-    def test_range_is_contiguous(self):
-        g = self._graph()
-        owner = RangePartitioner().assign(g, None, 4)
-        assert np.all(np.diff(owner) >= 0)  # non-decreasing == contiguous ranges
-
-    def test_freq_without_estimates_falls_back_to_hash(self):
-        g = self._graph()
-        assert np.array_equal(
-            FrequencyPartitioner().assign(g, None, 4),
-            HashPartitioner().assign(g, None, 4),
-        )
-
-    def test_freq_respects_load_cap(self):
-        g = self._graph()
-        freqs = g.degrees_new().astype(float)  # everything is hot
-        owner = FrequencyPartitioner(balance_slack=0.25).assign(g, freqs, 4)
-        degrees = g.degrees_new().astype(np.int64)
-        load = np.bincount(owner, weights=degrees, minlength=4)
-        cap = 1.25 * degrees.sum() / 4
-        assert load.max() <= cap + degrees.max()  # cap enforced pre-move
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            make_partitioner("metis")
-
-    def test_freq_vectorized_matches_reference(self):
-        g = self._graph()
-        rng = np.random.default_rng(41)
-        freqs = rng.random(g.num_vertices)
-        freqs[rng.random(g.num_vertices) < 0.6] = 0.0  # mixed hot/cold
-        p = FrequencyPartitioner()
-        for k in (2, 4, 7):
-            assert np.array_equal(
-                p.assign(g, freqs, k), assign_reference(p, g, freqs, k)
-            )
-
-    def test_mincut_deterministic_with_roots(self):
-        g = self._graph()
-        freqs = g.degrees_new().astype(float)
-        rng = np.random.default_rng(17)
-        roots = rng.integers(0, g.num_vertices, size=(64, 2)).astype(np.int64)
-        a = MincutPartitioner().assign(g, freqs, 4, roots=roots)
-        b = MincutPartitioner().assign(g, freqs, 4, roots=roots)
-        assert np.array_equal(a, b)
-        assert a.min() >= 0 and a.max() < 4
-
-    def test_mincut_respects_degree_mass_cap(self):
-        g = self._graph()
-        freqs = g.degrees_new().astype(float)
-        owner = MincutPartitioner(balance_slack=0.20).assign(g, freqs, 4)
-        degrees = g.degrees_new().astype(np.int64)
-        load = np.bincount(owner, weights=degrees, minlength=4)
-        cap = 1.20 * degrees.sum() / 4
-        assert load.max() <= cap + degrees.max()  # cap enforced pre-move
-
-    def test_mincut_cuts_fewer_weighted_edges_than_hash(self):
-        g = self._graph()
-        freqs = g.degrees_new().astype(float)
-        rowptr, cols, _ = adjacency_csr(g)
-        hash_owner = HashPartitioner().assign(g, None, 4)
-        cut_owner = MincutPartitioner().assign(g, freqs, 4)
-        hash_cut, _ = weighted_cut(rowptr, cols, hash_owner, freqs)
-        mc_cut, _ = weighted_cut(rowptr, cols, cut_owner, freqs)
-        assert mc_cut < hash_cut
-
-    def test_counters_priced(self):
-        g = self._graph()
+    def test_owner_map_is_charged_to_pack(self):
+        g0, batches = _stream(WORKLOADS[0][1], batches=1)
+        engine = GCSMEngine(g0, TRIANGLE, devices=2, seed=9)
+        result = engine.process_batch(batches[0])
         counters = AccessCounters()
-        HashPartitioner().assign(g, None, 2, counters)
-        assert counters.compute_ops > 0
+        counters.record_compute(engine.graph.num_vertices)
+        owner_ns = simulated_time_ns(counters, engine.device, platform="cpu")
+        assert owner_ns > 0
+        assert result.breakdown.pack_ns == \
+            owner_ns + max(s.pack_ns for s in engine.fleet.shards)
+
+    def test_fleet_builds_no_dense_frequency_vector(self):
+        """The owner map reads no estimate, so a fleet batch leaves the
+        estimate's dense ``|V|`` vector unbuilt (it is built when read)."""
+        g0, batches = derive_stream(
+            DATASETS["FR"].build(0), num_updates=96, batch_size=96, seed=1
+        )
+        engine = GCSMEngine(g0, query_by_name("Q1"), devices=2, seed=0)
+        result = engine.process_batch(batches[0])
+        assert result.estimation is not None
+        assert "frequencies" not in vars(result.estimation)
 
 
 class TestLoadBalanceReport:
@@ -345,10 +271,9 @@ class TestCommModel:
 class TestFactoryRouting:
     def test_devices_routes_to_fleet_engine(self):
         g0, _ = _stream(WORKLOADS[0][1], batches=1)
-        system = make_system("GCSM", g0, TRIANGLE, devices=2, partitioner="range")
+        system = make_system("GCSM", g0, TRIANGLE, devices=2)
         assert isinstance(system.fleet, FleetPlacement)
         assert system.num_devices == 2
-        assert system.fleet.partitioner.name == "range"
 
     def test_default_stays_single_gpu(self):
         g0, _ = _stream(WORKLOADS[0][1], batches=1)

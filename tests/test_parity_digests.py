@@ -11,11 +11,16 @@ fleet's ``shard_reports`` / ``load_balance`` / ``comm`` — plus the
 ``ScheduleReport`` of a pipelined run.  Two ``MatchService`` reports are
 hashed as JSON without their ``wall_clock_s``.
 
-The digests were recorded at c5baebc, whose pipelined schedule ran the
-kernel on a worker thread against a frozen copy of the store and whose
+The digests were first recorded at c5baebc, whose pipelined schedule ran
+the kernel on a worker thread against a frozen copy of the store and whose
 fleet ran its shards on a thread pool; there ``threaded=False`` and
-``workers=1`` / ``2`` gave these same digests.  The schedule and the fleet
-now run in order on one thread.
+``workers=1`` / ``2`` gave the same digests.  The schedule and the fleet
+now run in order on one thread.  The 16 run digests were re-recorded at
+b9356b5 without the two online-repartitioning entries, which were 0.0 and
+None on every batch of every run there (``TimeBreakdown.repartition_ns`` and
+the fleet's ``repartition`` report); the owner map is ``hash(v) mod N``
+since.  That run's log, with the old and new digest of each run, is kept
+under ``benchmarks/results/``.
 """
 
 import dataclasses
@@ -52,37 +57,37 @@ SMOKE_BATCHES = 10
 
 DIGESTS = {
     ("fr", "serial"):
-        "66a1f568824a46ebcda3ae765ed54fa4fab40e8c2e88bf967c89a3a56456b983",
+        "04ab87fd77b3a6a3c4dd7ccadd4cdee234edc11882fa223d3a0679b93f6f8cec",
     ("fr", "pipelined"):
-        "1bae22e4809943056786d4eacdf62c7089dfc238cde75a7ccad43e4c790a11b5",
+        "c35ed752eb57bd59a8024c1b5794f768d87515aead6b11d1c1814b1612c0264d",
     ("fr", "devices2"):
-        "41a7f64794c58088503ec329a80881713dc1c745e1b573568e6e4e3367358bef",
+        "136f3c4d9e3e4660cc5032e3729bf8355e5241f1ff5db71ec5918574fc18279c",
     ("fr", "devices2-pipelined"):
-        "a92bb25d0faa50930fc1ebe225e2d2b348f1a89d1d46f11f18c8a8136243580f",
+        "e2d21956647da24f11af6ef374add29b4934d689c46bdb5e318723bbf4427a8b",
     ("ca", "serial"):
-        "200cf6ecc47831e50cf8662e2d6a3e63a19fcb3f53f96a2cbc8efdb954e49514",
+        "2af5411d841b929562269f0ea3d7e304ab67d4cbcd5dfe86afcb7619c28efb62",
     ("ca", "pipelined"):
-        "b4e296c75530c528c70294591b4259904305d88d9be35b46a9f6c37bad4fca32",
+        "2b83ee9ed023dfba45da3213a4526970a1e075536e77225ad75aa1fd37d82e77",
     ("ca", "devices2"):
-        "6699c7a37627fac3dbe2577b2acb31b0fdb7d0aea2ed57795be86b35f2fcb732",
+        "d9cc3d9e6ecbd05cd99be3537b249a315c58aebf37987982a7008ab871e42943",
     ("ca", "devices2-pipelined"):
-        "9c1fb9c26b92f9d24c9413b3271ff0ac6cb968a9b0bb4c2935db3450d5370549",
+        "bbef9c59e2427805ef45932a0ccb949bf6882815c05673aa0c0cb2f62b66e7f4",
     ("sf3k", "serial"):
-        "6ec1b54365fcaac8b476ed2b639769765ea58d8f8e37b3e75a2e7d29e2e06274",
+        "ff9a1d9686cccf524d4cb6dc2b034d918ef4b63815865e9593093b20cf6390ef",
     ("sf3k", "pipelined"):
-        "95d2b05afed86490eb71175eb46ef80087a094cfbfef9f41a04723d0d1443881",
+        "04654c5fc0e7549a5cbb73ee5eeddf426d8ce11c58745835c762295e071aa13d",
     ("sf3k", "devices2"):
-        "c3fa5d4f30707d4e9ff22a12ff1ffd3a384cfc0e6e7ad0a9ba520f15ddd6b527",
+        "c11dc8261edf4afc35161e6947c223cccc6dcc6c40aa0f1528289971ec823cd0",
     ("sf3k", "devices2-pipelined"):
-        "23dcf684592e663f8120ef37243beaadfbd539c6bd0ae6be516fe998635aa67d",
+        "22e46586b49f53ff5d6b25dfa900421e361436b137016093473fc5a3979b58dd",
     ("az24", "serial"):
-        "07addf3f75e9a2bbb3e35774d93cb07bd6b283c652d8eb408449f145ef1716ca",
+        "e93736ef3b3e3aa87180bd1a61205c29be5a454fa86d7e6b952aacd138735400",
     ("az24", "pipelined"):
-        "ded068c8e737b761dc750dbecb2e0ab47e51708eac70885033292ce5fe9931ec",
+        "a0d17df2671c88715d5c00e0802e6697b82c354fe54b8cc8b9997e06bc678fa7",
     ("az24", "devices2"):
-        "cc8a516ed2abdf68aa05f5126cd4a3eae5f7595d0f62cc20bc766b5ad330e5ad",
+        "0607d871eef5f8cdf14f5db25af56d22e0a1797d1316008635da62ae50dfc75d",
     ("az24", "devices2-pipelined"):
-        "5bf29c0d43e71118236ed03e4a043e0f39af01c54aeb24568674e606767ebcd0",
+        "c9ca94dcd74492e16ad76120aaee1deb8c8ad1302abbf89f566758bcf18d4dfd",
 }
 
 #: ``run_service`` arguments: the throughput benchmark's overload run, and a
@@ -130,7 +135,7 @@ def batch_record(result) -> list:
         result.cached_vertices, result.cache_bytes, result.cache_hits, result.cache_misses,
         getattr(result, "trie_stats", None),
     ]
-    for name in ("shard_reports", "load_balance", "comm", "repartition"):
+    for name in ("shard_reports", "load_balance", "comm"):
         record.append(getattr(result, name, None))
     return canonical(record)
 

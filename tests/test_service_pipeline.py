@@ -61,10 +61,9 @@ class TestPipelineClockSchedule:
     def test_stage_resource_classes(self):
         assert STAGE_RESOURCES["match"] == "gpu"
         assert STAGE_RESOURCES["comm"] == "peer"
-        for name in ("update", "prefilter", "estimate", "repartition", "pack",
-                     "reorganize"):
+        for name in ("update", "prefilter", "estimate", "pack", "reorganize"):
             assert STAGE_RESOURCES[name] == "cpu"
-        assert len(PIPELINE_STAGES) == 8
+        assert len(PIPELINE_STAGES) == 7
 
     def test_single_batch_has_no_overlap_benefit_beyond_reorg(self):
         # one batch: match overlaps only reorganize

@@ -1,5 +1,7 @@
 """Tests for the cross-system consistency checker and the stream fuzzer."""
 
+import re
+
 import pytest
 
 from repro.core.validation import (
@@ -84,8 +86,9 @@ class TestSystemSpecs:
         assert _parse_system_spec("CPU") == ("CPU", {})
         # any cached-placement row fans out, not just the one named GCSM
         assert _parse_system_spec("Pipelined@2") == ("Pipelined", {"devices": 2})
-        assert _parse_system_spec("Naive@4:range") == (
-            "Naive", {"devices": 4, "partitioner": "range"}
+        assert _parse_system_spec("Naive@4") == ("Naive", {"devices": 4})
+        assert _parse_system_spec("GCSM+prefilter@2") == (
+            "GCSM", {"devices": 2, "prefilter": "invariant"}
         )
 
     def test_bad_specs_rejected(self):
@@ -96,6 +99,16 @@ class TestSystemSpecs:
             _parse_system_spec("GCSM@zero")
         with pytest.raises(ValueError):
             _parse_system_spec("GCSM@0")
+
+    @pytest.mark.parametrize("spec", [
+        "GCSM@4:mincut", "GCSM+repart@2:mincut", "GCSM+repart@2", "GCSM@2:hash",
+        "GCSM+repart", "Nope",
+    ])
+    def test_placement_suffixes_rejected_naming_the_spec(self, spec):
+        """Ownership is ``hash(v) mod N``: a ``:partitioner`` or ``+repart``
+        suffix is command-line input that no longer parses."""
+        with pytest.raises(ValueError, match=re.escape(repr(spec))):
+            _parse_system_spec(spec)
 
     def test_multigpu_spec_participates(self):
         g0, batches = small_case(seed=5)
