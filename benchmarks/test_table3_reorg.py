@@ -54,7 +54,7 @@ def test_reorganize_merge_parity_with_scalar_reference(benchmark):
     the ``(base_kept, ΔN)`` runs it replaced, and ``ReorganizeStats`` equals
     the recorded per-batch tuples."""
     from repro.graphs import DynamicGraph
-    from repro.testing import merge_runs_reference
+    from repro.testing import merge_runs_reference, neighbors_new_parts, neighbors_old, stored_runs
 
     g = erdos_renyi(400, 8.0, num_labels=2, seed=21)
     g0, batches = derive_stream(g, update_fraction=0.4, batch_size=64, seed=21)
@@ -64,14 +64,14 @@ def test_reorganize_merge_parity_with_scalar_reference(benchmark):
         stats = []
         for batch in batches:
             store.apply_batch(batch)
-            runs = {v: store.neighbors_new_parts(v) for v in store.touched_vertices}
+            runs = {v: neighbors_new_parts(store, v) for v in store.touched_vertices}
             want = {v: merge_runs_reference(kept, delta) for v, (kept, delta) in runs.items()}
             s = store.reorganize()
             stats.append((s.lists_touched, s.merged_elements,
                           s.deletions_dropped, s.insertions_merged))
             for v, merged in want.items():
-                assert store.neighbors_old(v).tolist() == merged.tolist(), v
-                assert store.delta_neighbors(v).size == 0
+                assert neighbors_old(store, v).tolist() == merged.tolist(), v
+                assert stored_runs(store, v)[1].size == 0
         return stats
 
     assert run_once(benchmark, replay) == PARITY_STATS  # bit-for-bit counter parity
@@ -80,7 +80,7 @@ def test_reorganize_merge_parity_with_scalar_reference(benchmark):
 def test_reorganize_vectorized_merge_wallclock(benchmark):
     """The numpy two-searchsorted merge beats the scalar two-pointer loop
     on long adjacency lists (where reorganize time actually accrues)."""
-    from repro.testing import merge_runs_reference
+    from repro.testing import merge_runs_reference, neighbors_new_parts, neighbors_old, stored_runs
 
     rng = np.random.default_rng(7)
     pool = rng.choice(2_000_000, size=120_000, replace=False)

@@ -61,7 +61,7 @@ def main() -> None:
     print(f"GCSM cached {k} vertices ({format_bytes(gcsm.cache_bytes)})\n")
 
     # 3. replay the trace under competing cache selections of the same size
-    degrees = np.array([dg.degree_new(v) for v in range(dg.num_vertices)])
+    degrees = dg.degrees_new()
     contenders = {
         "no cache (ZC)": set(),
         f"degree top-{k} (Naive)": set(np.argsort(-degrees)[:k].tolist()),

@@ -20,11 +20,10 @@ import numpy as np
 
 from repro.bench.harness import RunResult, build_workload, print_table, run_stream
 from repro.core.baselines import VsgmCapacityError, make_system
+from repro.core.engine import reorganize_step
 from repro.core.rapidflow import IndexMemoryError
 from repro.graphs import DynamicGraph, datasets
-from repro.gpu.clock import simulated_time_ns
-from repro.gpu.counters import AccessCounters, Channel
-from repro.gpu.device import BYTES_PER_NEIGHBOR, default_device
+from repro.gpu.device import default_device
 from repro.query import QUERIES, QUERY_ORDER, motifs, query_by_name
 
 __all__ = [
@@ -419,8 +418,9 @@ def table3_reorg_time(
 ) -> dict[tuple[str, int], float]:
     """Table III: CPU graph-reorganization time per batch (simulated ms).
 
-    Pure dynamic-store exercise (no matching): apply a batch, reorganize,
-    price the merge work with the CPU model."""
+    Pure dynamic-store exercise (no matching): apply a batch, then the
+    engine's step 5 (:func:`~repro.core.engine.reorganize_step`) reorganizes
+    and prices the merge work with the CPU model."""
     out: dict[tuple[str, int], float] = {}
     rows = []
     for dataset in graphs:
@@ -429,13 +429,7 @@ def table3_reorg_time(
             g0, batches = build_workload(dataset, batch_size=bs, seed=seed)
             dg = DynamicGraph(g0)
             dg.apply_batch(batches[0])
-            stats = dg.reorganize()
-            counters = AccessCounters()
-            counters.record_compute(stats.merged_elements + stats.lists_touched)
-            counters.record_access(
-                Channel.CPU_DRAM, 0, stats.merged_elements * BYTES_PER_NEIGHBOR
-            )
-            ms = simulated_time_ns(counters, default_device(), platform="cpu") / 1e6
+            ms = reorganize_step(dg, default_device()) / 1e6
             out[(dataset, bs)] = ms
             row.append(ms)
         rows.append(row)

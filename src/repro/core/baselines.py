@@ -30,7 +30,7 @@ from repro.core.engine import GCSMEngine, Placement
 from repro.graphs.static_graph import StaticGraph
 from repro.graphs.stream import UpdateBatch
 from repro.gpu.clock import simulated_time_ns
-from repro.gpu.counters import AccessCounters, Channel
+from repro.gpu.counters import AccessCounters
 from repro.gpu.device import BYTES_PER_NEIGHBOR
 from repro.gpu.transfer import DmaEngine
 from repro.gpu.views import (
@@ -40,6 +40,7 @@ from repro.gpu.views import (
     ZeroCopyView,
 )
 from repro.query.pattern import QueryGraph
+from repro.utils import contains_sorted, sorted_unique
 
 __all__ = [
     "DirectPlacement",
@@ -101,23 +102,22 @@ class KhopPlacement(Placement):
         super().__init__(engine)
         self.hops = engine.query.diameter()
 
-    def _khop_vertices(self, batch: UpdateBatch, counters: AccessCounters) -> set[int]:
+    def _khop_vertices(self, batch: UpdateBatch, counters: AccessCounters) -> np.ndarray:
+        """The sorted vertices within ``k`` hops of an update endpoint, by a
+        level-synchronous BFS: one store read of ``N'`` per hop for the whole
+        frontier, each list charged as one host-DRAM read."""
         graph = self.engine.graph
-        frontier = set(batch.edges.reshape(-1).tolist())
-        visited = set(frontier)
+        host = HostCPUView(graph, self.engine.device, counters)
+        frontier = visited = sorted_unique(batch.edges)
         for _ in range(self.hops):
-            nxt: set[int] = set()
-            for v in frontier:
-                nbrs = graph.neighbors_new(v)
-                counters.record_compute(nbrs.size + 1)
-                counters.record_access(
-                    Channel.CPU_DRAM, v, nbrs.size * BYTES_PER_NEIGHBOR
-                )
-                nxt.update(int(w) for w in nbrs.tolist() if w not in visited)
-            visited |= nxt
-            frontier = nxt
-            if not frontier:
+            block, lengths = graph.read(frontier, False)
+            counters.record_compute(int(lengths.sum()) + frontier.size)
+            host.fetch_block(frontier, lengths)
+            frontier = sorted_unique(block)
+            frontier = frontier[~contains_sorted(visited, frontier)]
+            if not frontier.size:
                 break
+            visited = sorted_unique(np.concatenate([visited, frontier]))
         return visited
 
     def prepare(self, batch, decision, breakdown, sinks=None):
@@ -125,8 +125,8 @@ class KhopPlacement(Placement):
         engine, graph, device = self.engine, self.engine.graph, self.engine.device
         gather_counters = AccessCounters()
         resident = self._khop_vertices(batch, gather_counters)
-        stored = graph.run_lengths(np.fromiter(resident, np.int64, len(resident)))[1]
-        copy_bytes = (int(stored.sum()) + len(resident) * 3) * BYTES_PER_NEIGHBOR
+        stored = graph.run_lengths(resident)[1]
+        copy_bytes = (int(stored.sum()) + resident.size * 3) * BYTES_PER_NEIGHBOR
         if engine.config.strict_capacity and copy_bytes > device.cache_buffer_bytes:
             raise VsgmCapacityError(
                 f"k-hop working set ({copy_bytes} B) exceeds device buffer "
@@ -144,9 +144,8 @@ class KhopPlacement(Placement):
         if outcome is None:
             return {}
         resident, copy_bytes = shipped
-        cached = np.fromiter(resident, dtype=np.int64, count=len(resident))
         return dict(
-            cached_vertices=np.sort(cached), cache_bytes=copy_bytes,
+            cached_vertices=resident, cache_bytes=copy_bytes,
             cache_hits=outcome.stats.roots_processed,
             cache_misses=outcome.view.fallthrough_accesses,
         )

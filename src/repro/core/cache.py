@@ -30,7 +30,6 @@ from repro.graphs.dynamic_graph import DynamicGraph
 from repro.gpu.counters import AccessCounters, Accesses
 from repro.gpu.device import DeviceConfig
 from repro.gpu.views import GraphView
-from repro.query.plan import EdgeVersion
 
 __all__ = [
     "CachePolicy",
@@ -151,21 +150,6 @@ class CachedDeviceView(GraphView):
         self.cache = cache
         self.hits = 0
         self.misses = 0
-
-    def _cache_of(self, v: int) -> DcsrCache:
-        """The cache whose rowidx the kernel probes for ``v``."""
-        return self.cache
-
-    def _runs(self, v: int, version: EdgeVersion) -> tuple[np.ndarray, ...]:
-        """A hit is served from the packed rows, a miss from the host store."""
-        cache = self._cache_of(v)
-        row = cache.lookup(v)
-        if row < 0:
-            return super()._runs(v, version)
-        if version is EdgeVersion.OLD:
-            return (cache.neighbors_old(row),)
-        base, delta = cache.neighbors_new_parts(row)
-        return (base, delta) if delta.size else (base,)
 
     def classify(self, vertices: np.ndarray, lengths: np.ndarray) -> Accesses:
         hit = self.cache.lookup_block(vertices)

@@ -31,8 +31,6 @@ from repro.utils import VERTEX_DTYPE, contains_sorted, require, segment_offsets
 
 __all__ = ["DcsrCache", "packed_size_bytes"]
 
-_EMPTY = np.empty(0, dtype=VERTEX_DTYPE)
-
 
 def packed_size_bytes(list_length: int) -> int:
     """Buffer bytes one cached vertex costs: its colidx entries plus its
@@ -42,7 +40,7 @@ def packed_size_bytes(list_length: int) -> int:
 
 @dataclass(frozen=True)
 class DcsrCache:
-    """Immutable packed cache, plus lookup helpers used by the cached view."""
+    """Immutable packed cache; the cached view probes its ``rowidx``."""
 
     rowidx: np.ndarray  # (k,) sorted selected vertices
     rowptr: np.ndarray  # (k+1, 2) [base_start, delta_start|-1]; sentinel row
@@ -59,7 +57,7 @@ class DcsrCache:
         The paper's single-DMA packing (Sec. V-B) sizes the buffer first and
         then copies: ``rowptr`` comes from one prefix sum over the stored run
         lengths, and because each vertex's base and delta runs are adjacent
-        in the store (:meth:`~repro.graphs.dynamic_graph.DynamicGraph.packed_run_raw`)
+        in the store (:meth:`~repro.graphs.dynamic_graph.DynamicGraph.packed_runs`)
         ``colidx`` is a single gather from its pool — one bulk
         copy, no per-vertex Python bookkeeping.  Produces arrays bit-identical
         to :func:`repro.testing.oracles.build_reference` (enforced by
@@ -102,22 +100,12 @@ class DcsrCache:
             + self.colidx.shape[0] * BYTES_PER_NEIGHBOR
         )
 
-    def lookup(self, v: int) -> int:
-        """Binary-search ``rowidx``; returns the row or ``-1`` on miss.
-
-        This is the per-access probe the paper's kernel performs before every
-        neighbor-list read (Sec. V-C).
-        """
-        pos = int(np.searchsorted(self.rowidx, v))
-        if pos < self.rowidx.shape[0] and self.rowidx[pos] == v:
-            return pos
-        return -1
-
     def lookup_block(self, vertices: np.ndarray) -> np.ndarray:
         """Vectorized hit test: boolean per vertex, True where cached.
 
-        One ``searchsorted`` replaces per-access :meth:`lookup` calls; the
-        probe *cost* is still charged per access by the caller.
+        This is the probe the paper's kernel performs before every
+        neighbor-list read (Sec. V-C), one ``searchsorted`` for the block; its
+        *cost* is charged per access by the caller (:meth:`probe_cost_ops`).
         """
         return contains_sorted(self.rowidx, vertices)
 
@@ -125,29 +113,3 @@ class DcsrCache:
         """Comparison count of one rowidx binary search."""
         k = self.num_cached
         return max(1, int(np.ceil(np.log2(k + 1))))
-
-    # ------------------------------------------------------------------
-    def runs(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        """The stored ``(base_with_marks, delta)`` runs of cached row ``row``."""
-        base_start, delta_start = int(self.rowptr[row, 0]), int(self.rowptr[row, 1])
-        end = int(self.rowptr[row + 1, 0])
-        if delta_start == -1:
-            return self.colidx[base_start:end], _EMPTY
-        return self.colidx[base_start:delta_start], self.colidx[delta_start:end]
-
-    def neighbors_old(self, row: int) -> np.ndarray:
-        """``N(v)`` from the cache: decode deletion marks, drop the delta run."""
-        base, _ = self.runs(row)
-        if base.size and base.min() < 0:
-            out = base.copy()
-            neg = out < 0
-            out[neg] = -out[neg] - 1
-            return out
-        return base
-
-    def neighbors_new_parts(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        """``N'(v)`` from the cache: skip negative marks, keep the delta run."""
-        base, delta = self.runs(row)
-        if base.size and base.min() < 0:
-            base = base[base >= 0]
-        return base, delta

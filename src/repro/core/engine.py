@@ -283,9 +283,8 @@ class EngineConfig:
         Estimator budget (``None``:
         :func:`~repro.core.frequency.default_num_walks`), the Eq. (5)
         re-sampling loop, and the walk-continuation schedule.
-    strict_capacity / memory_budget_bytes:
+    strict_capacity:
         ``khop``: raise when the working set exceeds the device buffer.
-        ``indexed``: host memory for the candidate index.
     schedule:
         ``"serial"`` or ``"pipelined"`` (cross-batch stage overlap in
         simulated time: same results, annotated breakdowns).
@@ -306,7 +305,6 @@ class EngineConfig:
     conflict_mode: str = DEFAULT_CONFLICT_MODE
     prefilter: str = DEFAULT_PREFILTER
     strict_capacity: bool = True
-    memory_budget_bytes: int | None = None
     schedule: str = "serial"
     devices: int | ClusterConfig | None = None
 

@@ -13,7 +13,7 @@ against.  Its two relevant characteristics are reproduced:
    candidate adjacency, whose footprint grows with Σ_{v∈C(u)} deg(v) per
    query edge.  On the paper's large graphs this exhausts 512 GB of RAM and
    crashes the system; here the same footprint is computed against a scaled
-   ``memory_budget_bytes`` and :class:`IndexMemoryError` is raised — which
+   budget (:data:`DEFAULT_MEMORY_BUDGET_BYTES`) and :class:`IndexMemoryError` is raised — which
    is why Fig. 14 only covers AZ and LJ.
 
 It is the staged engine's ``indexed`` placement: matching reuses the shared
@@ -75,10 +75,7 @@ class IndexedPlacement(Placement):
     def __init__(self, engine: GCSMEngine) -> None:
         super().__init__(engine)
         self.graph, self.query = engine.graph, engine.query
-        budget = engine.config.memory_budget_bytes
-        self.memory_budget_bytes = (
-            budget if budget is not None else DEFAULT_MEMORY_BUDGET_BYTES
-        )
+        self.memory_budget_bytes = DEFAULT_MEMORY_BUDGET_BYTES
         #: ``C(u)`` per query vertex; patched in place by :meth:`maintain`,
         #: and handed to the kernel as its candidate ``filters``
         self.candidates = self.filters = self._build_candidates()

@@ -43,8 +43,8 @@ def simulated_time_ns(
     """Price one kernel's counted work as nanoseconds.
 
     ``platform`` selects the executing processor: ``"gpu"`` (82x1024-thread
-    kernel), ``"cpu"`` (32-thread host baseline) or ``"cpu_scalar"``
-    (single-threaded host-side steps such as frequency estimation).
+    kernel), ``"cpu"`` (32-thread host baseline) or ``"cpu_estimator"``
+    (the 32-thread frequency-estimation walks).
     """
     if platform == "gpu":
         compute = counters.compute_ops / device.gpu_compute_ops_per_ns
@@ -67,10 +67,6 @@ def simulated_time_ns(
         return overlap + stalls + dma
     if platform == "cpu":
         compute = counters.compute_ops / device.cpu_compute_ops_per_ns
-        mem = device.cpu_read_time_ns(counters.bytes_by_channel[Channel.CPU_DRAM])
-        return max(compute, mem)
-    if platform == "cpu_scalar":
-        compute = counters.compute_ops / device.cpu_scalar_ops_per_ns
         mem = device.cpu_read_time_ns(counters.bytes_by_channel[Channel.CPU_DRAM])
         return max(compute, mem)
     if platform == "cpu_estimator":

@@ -99,8 +99,6 @@ class DeviceConfig:
     #: branchy inner loop — latency-bound with far less parallelism to hide
     #: it, hence the large gap to the GPU figure
     cpu_compute_ops_per_ns: float = 1.5
-    #: single-threaded CPU throughput (host-side scalar steps)
-    cpu_scalar_ops_per_ns: float = 0.5
     #: 32-thread CPU throughput for the frequency-estimation walks: straight
     #: sequential list scans with trivial control flow, far friendlier to
     #: prefetchers and SIMD than the matching loops — hence the higher figure

@@ -22,7 +22,6 @@ from repro.gpu.counters import AccessCounters, Accesses
 from repro.gpu.device import BYTES_PER_NEIGHBOR, DeviceConfig
 from repro.gpu.memory import HostMemoryLayout
 from repro.gpu.views import FullDeviceView, GraphView, UnifiedMemoryView, ZeroCopyView
-from repro.query.plan import EdgeVersion
 from repro.utils import require, sorted_unique
 
 __all__ = [
@@ -79,9 +78,6 @@ class TracingView(GraphView):
         self.platform = inner.platform
         self.inner = inner
         self._chunks: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def _runs(self, v: int, version: EdgeVersion) -> tuple[np.ndarray, ...]:
-        return self.inner._runs(v, version)
 
     def classify(self, vertices: np.ndarray, lengths: np.ndarray) -> Accesses:
         self._chunks.append((vertices, lengths * BYTES_PER_NEIGHBOR))

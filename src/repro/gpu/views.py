@@ -5,8 +5,11 @@ paper's "all the GPU versions use the same GPU kernel" — and *where a list
 lives* is the whole of a :class:`GraphView`: its one :meth:`~GraphView.classify`
 says, per access of a block, which channel serves it, in how many
 transactions and at what probe cost; recording that
-(:meth:`~GraphView.fetch_block`) and the scalar :meth:`~GraphView.fetch` are
-the base class's.  The four views here model the paper's baselines:
+(:meth:`~GraphView.fetch_block`) is the base class's.  A view only
+classifies: every list the kernel reads comes from the store's one bulk read
+(:meth:`~repro.graphs.dynamic_graph.DynamicGraph.read`, through the epoch
+arena), whichever channel the view says serves it.  The four views here
+model the paper's baselines:
 
 * :class:`HostCPUView`   — CPU baselines: everything is a host DRAM read.
 * :class:`ZeroCopyView`  — the ZC baseline: every access crosses PCIe in
@@ -19,11 +22,6 @@ the base class's.  The four views here model the paper's baselines:
 
 GCSM's cached view (DCSR cache + zero-copy fallback) lives with the cache
 logic in :mod:`repro.core.cache`.
-
-The returned arrays follow the Fig. 2 version semantics of
-:class:`~repro.query.plan.EdgeVersion`: ``OLD`` yields the single sorted
-pre-batch run, ``NEW``/``CURRENT`` yield the (base-kept, delta) pair of
-sorted runs whose union is the post-batch list.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from repro.graphs.dynamic_graph import DynamicGraph
 from repro.gpu.counters import AccessCounters, Accesses, Channel
 from repro.gpu.device import BYTES_PER_NEIGHBOR, DeviceConfig
 from repro.gpu.memory import HostMemoryLayout, UnifiedMemoryPager
-from repro.query.plan import EdgeVersion
 from repro.utils import contains_sorted, sorted_unique
 
 __all__ = [
@@ -51,11 +48,7 @@ _GLOBAL, _ZERO_COPY = Channel.GPU_GLOBAL.slot, Channel.ZERO_COPY.slot
 
 
 class GraphView(ABC):
-    """Backend-routing wrapper around the dynamic graph.
-
-    ``fetch(v, version)`` returns a tuple of sorted runs whose union is the
-    requested adjacency version of ``v``, recording the access.
-    """
+    """Where each neighbor-list access of the kernel is served from."""
 
     #: which platform prices this view's counters (see clock.simulated_time_ns)
     platform: str = "gpu"
@@ -65,29 +58,6 @@ class GraphView(ABC):
         self.graph = graph
         self.device = device
         self.counters = counters
-
-    # -- data plumbing ---------------------------------------------------
-    def _runs(self, v: int, version: EdgeVersion) -> tuple[np.ndarray, ...]:
-        if version is EdgeVersion.OLD:
-            return (self.graph.neighbors_old(v),)
-        base, delta = self.graph.neighbors_new_parts(v)
-        if delta.size:
-            return (base, delta)
-        return (base,)
-
-    # -- public API --------------------------------------------------------
-    def fetch(self, v: int, version: EdgeVersion) -> tuple[np.ndarray, ...]:
-        """The scalar spelling: a block of one access."""
-        runs = self._runs(v, version)
-        self.fetch_block(np.array([v]), np.array([sum(r.size for r in runs)]))
-        return runs
-
-    def degree_bound(self, v: int, version: EdgeVersion) -> int:
-        """Length of the versioned list *without* charging an access (the
-        kernel knows list lengths from its offset arrays)."""
-        if version is EdgeVersion.OLD:
-            return self.graph.degree_old(v)
-        return self.graph.degree_new(v)
 
     def fetch_block(self, vertices: np.ndarray, lengths: np.ndarray) -> Accesses:
         """Record one neighbor-list access per element of ``vertices``, each

@@ -36,7 +36,7 @@ leaves the old one dead.  A list's dead windows therefore never outweigh its
 live one, so the tail stays under twice the live windows and nothing is
 compacted.  A full pool is replaced by one ``_GROWTH`` times larger.
 
-**One read, one write.**  :meth:`DynamicGraph._read` gathers any set of
+**One read, one write.**  :meth:`DynamicGraph.read` gathers any set of
 lists in either version as one flat block (marks decoded or dropped, the two
 runs of a touched list merged by one sort of ``segment * n + value`` keys);
 every bulk path — the arena fill, the edge probe and delete-slot search,
@@ -264,14 +264,6 @@ class DynamicGraph:
     def label(self, v: int) -> int:
         return int(self._labels[v])
 
-    def degree_new(self, v: int) -> int:
-        """Post-batch degree of ``v`` (deletions excluded, insertions included)."""
-        return int(self._new_len[v])
-
-    def degree_old(self, v: int) -> int:
-        """Pre-batch degree of ``v`` (the base-run length)."""
-        return int(self._base_len[v])
-
     def _epoch_state(self) -> _Epoch:
         """The current epoch with its offset table built."""
         epoch = self._epoch
@@ -294,80 +286,20 @@ class DynamicGraph:
         return self._max_degree
 
     # ------------------------------------------------------------------
-    # Fig. 2 adjacency versions
+    # Fig. 2 adjacency versions: the one bulk read
     # ------------------------------------------------------------------
-    def _window(self, v: int, lo: int, hi: int) -> np.ndarray:
-        """Entries ``lo:hi`` of ``v``'s window, a view of the pool."""
-        start = self._offset[v]
-        return self._pool[start + lo : start + hi]
-
-    def neighbors_old(self, v: int) -> np.ndarray:
-        """``N(v)``: the sorted pre-batch neighbor list.
-
-        Deletion marks are decoded back to their original vertex ids because
-        the deleted edges were present before the batch; appended insertions
-        are excluded.
-        """
-        base = self.base_run_raw(v)
-        return _decode(base) if self._marks[v] else base
-
-    def neighbors_new_parts(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """``N'(v)`` as its two sorted runs ``(base_kept, delta)``.
-
-        ``base_kept`` is the base run with deletion marks skipped;
-        ``delta`` is the sorted appended run ``ΔN(v)``.  The union of the two
-        runs is exactly the post-batch adjacency of ``v``.
-        """
-        base = self.base_run_raw(v)
-        if self._marks[v]:
-            base = base[base >= 0]
-        return base, self.delta_neighbors(v)
-
-    def neighbors_new(self, v: int) -> np.ndarray:
-        """``N'(v)`` materialized as one sorted array (convenience/oracle)."""
-        base, delta = self.neighbors_new_parts(v)
-        if delta.size == 0:
-            return base
-        merged = np.empty(base.size + delta.size, dtype=VERTEX_DTYPE)
-        merged[: base.size] = base
-        merged[base.size :] = delta
-        merged.sort()
-        return merged
-
-    def delta_neighbors(self, v: int) -> np.ndarray:
-        """``ΔN(v)``: the sorted neighbors appended by the open batch."""
-        return self._window(v, self._base_len[v], self._total_len[v])
-
-    def base_run_raw(self, v: int) -> np.ndarray:
-        """The base run *with* deletion marks (``-(w+1)`` entries) intact.
-
-        This is exactly the byte layout the paper copies into the DCSR
-        ``colidx`` array for an updated list ("the deleted neighbors are
-        marked, and the new neighbors are appended", Sec. V-B).
-        """
-        return self._window(v, 0, self._base_len[v])
-
-    def packed_run_raw(self, v: int) -> np.ndarray:
-        """Both stored runs of ``v`` as one contiguous view.
-
-        The base run (marks intact) and the appended delta run are adjacent
-        in the window, so the full DCSR payload of a vertex is a single
-        zero-copy slice — what bulk cache packing copies per vertex.
-        """
-        return self._window(v, 0, self._total_len[v])
-
     def run_lengths(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(base_len, total_len)`` of the stored runs of ``vertices``."""
         return self._base_len[vertices], self._total_len[vertices]
 
     def packed_runs(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(base_len, total_len, block)`` for bulk packing of ``vertices``:
-        ``block`` is their :meth:`packed_run_raw` slices laid end to end, one
-        gather from the pool."""
+        ``block`` is their stored runs (base run with its marks, then ``ΔN``)
+        laid end to end, one gather from the pool."""
         base_len, total_len = self.run_lengths(vertices)
         return base_len, total_len, self._pool[segment_indices(self._offset[vertices], total_len)]
 
-    def _read(self, vertices: np.ndarray, old) -> tuple[np.ndarray, np.ndarray]:
+    def read(self, vertices: np.ndarray, old) -> tuple[np.ndarray, np.ndarray]:
         """The store's one bulk read: ``(block, lengths)``, the lists of
         ``vertices`` laid end to end — ``N`` where ``old`` (a scalar, or one
         flag per vertex) is true, ``N'`` elsewhere.
@@ -400,7 +332,7 @@ class DynamicGraph:
         the distinct ``u`` of ``us``, read straight from the slab, and where
         each ``us[i]``'s list lies in them."""
         sources, which = np.unique(us, return_inverse=True)
-        block, lengths = self._read(sources, False)
+        block, lengths = self.read(sources, False)
         _key_room(block.size, self.num_vertices)
         starts = segment_offsets(lengths)[:-1]
         keys = rank_keys(starts, lengths, block, self.num_vertices)
@@ -449,7 +381,7 @@ class DynamicGraph:
         return epoch.keys[: epoch.used]
 
     def _load(self, epoch: _Epoch, vertices: np.ndarray, old) -> None:
-        """Append the lists of ``vertices`` (``old`` as in :meth:`_read`) to
+        """Append the lists of ``vertices`` (``old`` as in :meth:`read`) to
         the arena with one read (none is loaded yet)."""
         # untouched: no marks, no ΔN — N and N' are one slot, filed under OLD;
         # a key packs (vertex, touched, row)
@@ -468,7 +400,7 @@ class DynamicGraph:
             flat[:used] = epoch.flat[:used]
             keys[:used] = epoch.keys[:used]
             epoch.flat, epoch.keys = flat, keys
-        block, _ = self._read(vertices, row.astype(bool))
+        block, _ = self.read(vertices, row.astype(bool))
         epoch.flat[used:end] = block
         epoch.keys[used:end] = rank_keys(offsets[:-1], lengths, block, self.num_vertices)
         epoch.used = end
@@ -566,14 +498,14 @@ class DynamicGraph:
         """Step 5 of the pipeline: restore the sorted invariant.
 
         Every touched list is replaced by its merged ``N'`` — one
-        :meth:`_read`, one scatter
+        :meth:`read`, one scatter
         (:func:`repro.testing.oracles.merge_runs_reference` is the scalar
         oracle) — and the batch is closed; the work accounting is four sums
         over the length tables.
         """
         require(self._batch_open, "no open batch to reorganize")
         touched = self._touched
-        block, lengths = self._read(touched, False)
+        block, lengths = self.read(touched, False)
         stats = ReorganizeStats(
             lists_touched=int(touched.size),
             merged_elements=int(lengths.sum()),
@@ -615,13 +547,13 @@ class DynamicGraph:
         Returns ``(indptr, flat)``: ``flat[indptr[v]:indptr[v+1]]`` is the
         sorted post-batch neighbor list of ``v`` — one bulk read.
         """
-        block, lengths = self._read(np.arange(self.num_vertices), False)
+        block, lengths = self.read(np.arange(self.num_vertices), False)
         return segment_offsets(lengths), block
 
     def _edge_array(self, old: bool) -> np.ndarray:
         """The undirected edge list (``v < w``) of one version, source-major
         with ascending neighbors: the order of a per-vertex adjacency scan."""
-        block, lengths = self._read(np.arange(self.num_vertices), old)
+        block, lengths = self.read(np.arange(self.num_vertices), old)
         src = np.repeat(np.arange(self.num_vertices, dtype=VERTEX_DTYPE), lengths)
         keep = src < block
         return np.stack([src[keep], block[keep]], axis=1)

@@ -77,11 +77,6 @@ class ShardedDeviceView(CachedDeviceView):
         self.remote_hits = 0
         self.remote_misses = 0
 
-    def _cache_of(self, v: int) -> DcsrCache:
-        # the kernel probes the owner's replicated rowidx directory the same
-        # way it probes its own (Sec. V-C's binary search, remote copy)
-        return self.peer_caches[int(self.owner[v])]
-
     def classify(self, vertices: np.ndarray, lengths: np.ndarray) -> Accesses:
         """The sharded routing, per access: a locally-owned vertex takes the
         single-GPU cached path; a remote-owned one probes its owner's rowidx

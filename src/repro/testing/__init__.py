@@ -13,10 +13,12 @@ obviously-correct twins of the vectorized production kernels:
   :func:`use_reference_kernels`, the one seam engine-level parity suites
   reach them through (``engine.estimator`` and ``engine.match`` are plain
   attributes; the function swaps both);
-* :mod:`repro.testing.oracles` — the scalar loops the vectorized DCSR pack,
-  reorganize merge and cache-budget scan are checked
-  against, and the two-run ``merge_sorted`` / ``is_sorted`` helpers only
-  the oracles and tests use.
+* :mod:`repro.testing.oracles` — the per-vertex slab decode the store's
+  bulk read is checked against (``neighbors_old`` / ``neighbors_new_parts`` /
+  ``neighbors_new``: every list the recursive kernels read), the scalar loops
+  the vectorized DCSR pack, reorganize merge and cache-budget scan are
+  checked against, and the two-run ``merge_sorted`` / ``is_sorted`` helpers
+  only the oracles and tests use.
 
 :mod:`repro.testing.calls` holds :func:`count_calls`, the clock that repeats
 (Python ``call`` events), for gates on per-vertex / per-node Python loops.
@@ -45,7 +47,13 @@ from repro.testing.oracles import (
     is_sorted,
     merge_runs_reference,
     merge_sorted,
+    neighbors_new,
+    neighbors_new_parts,
+    neighbors_old,
     select_within_budget_reference,
+    stored_runs,
+    versioned_degree,
+    versioned_runs,
 )
 
 __all__ = [
@@ -62,6 +70,12 @@ __all__ = [
     "merge_sorted_unique",
     "GALLOP_RATIO",
     "segmented_contains",
+    "stored_runs",
+    "neighbors_old",
+    "neighbors_new_parts",
+    "neighbors_new",
+    "versioned_runs",
+    "versioned_degree",
     "build_reference",
     "merge_runs_reference",
     "merge_sorted",

@@ -49,7 +49,7 @@ from repro.gpu.device import BYTES_PER_NEIGHBOR
 from repro.gpu.views import GraphView
 from repro.query.pattern import WILDCARD_LABEL
 from repro.query.plan import EdgeVersion, MatchPlan
-from repro.testing.oracles import merge_sorted
+from repro.testing.oracles import merge_sorted, versioned_degree, versioned_runs
 from repro.utils import VERTEX_DTYPE, require
 
 __all__ = [
@@ -222,7 +222,9 @@ class RecursivePlanExecutor:
         self._bound = np.empty(plan.depth, dtype=VERTEX_DTYPE)
 
     def _versioned_list(self, v: int, version: EdgeVersion) -> np.ndarray:
-        runs = self.view.fetch(v, version)  # records the access every time
+        runs = versioned_runs(self.view.graph, v, version)
+        # records the access every time
+        self.view.fetch_block(np.array([v]), np.array([sum(r.size for r in runs)]))
         key = (v, version is EdgeVersion.OLD)
         arr = self._merged.get(key)
         if arr is None:
@@ -247,7 +249,9 @@ class RecursivePlanExecutor:
         # smallest constraint list first: maximal early pruning
         cons = sorted(
             lvl.constraints,
-            key=lambda c: self.view.degree_bound(int(self._bound[c.position]), c.version),
+            key=lambda c: versioned_degree(
+                self.view.graph, int(self._bound[c.position]), c.version
+            ),
         )
         first = cons[0]
         cand = self._versioned_list(int(self._bound[first.position]), first.version)
@@ -417,13 +421,9 @@ class RecursiveFrequencyEstimator(FrequencyEstimator):
         """Read a versioned list on the CPU, recording the access for FE cost
         and charging the frequency estimate for vertex ``v`` (to ``tally``:
         the walk's charge list and the root's tally row)."""
-        if version is EdgeVersion.OLD:
-            arr = self.graph.neighbors_old(v)
-        else:
-            base, delta = self.graph.neighbors_new_parts(v)
-            # both runs arrive sorted from the store, so the linear merge
-            # kernel replaces the O(n log n) concatenate-then-sort
-            arr = merge_sorted(base, delta) if delta.size else base
+        # both runs of N' arrive sorted from the store, so the linear merge
+        # kernel replaces the O(n log n) concatenate-then-sort
+        arr = _merge_runs(versioned_runs(self.graph, v, version))
         counters.record_access(Channel.CPU_DRAM, v, arr.size * BYTES_PER_NEIGHBOR)
         counters.record_compute(arr.size + 1)
         charges, row = tally
@@ -461,9 +461,7 @@ class RecursiveFrequencyEstimator(FrequencyEstimator):
         # mirror the executor: visit constraints smallest-list-first so the
         # sampled accesses follow the exact kernel's access pattern
         def _len_of(c):
-            v = int(bound[c.position])
-            return (self.graph.degree_old(v) if c.version is EdgeVersion.OLD
-                    else self.graph.degree_new(v))
+            return versioned_degree(self.graph, int(bound[c.position]), c.version)
 
         cand: np.ndarray | None = None
         for c in sorted(lvl.constraints, key=_len_of):

@@ -3,6 +3,11 @@
 Each function is the original per-element loop a vectorized production
 routine replaced, kept verbatim so tests can assert bit-identical output:
 
+* :func:`stored_runs` / :func:`neighbors_old` / :func:`neighbors_new_parts` /
+  :func:`neighbors_new` / :func:`versioned_runs` ↔
+  :meth:`repro.graphs.dynamic_graph.DynamicGraph.read`: one vertex's list
+  decoded straight from the store's slab, never through ``read`` — the
+  recursive matcher and estimator read every list this way
 * :func:`build_reference` ↔ :meth:`repro.core.dcsr.DcsrCache.build`
 * :func:`merge_runs_reference` ↔ the merged ``N'`` of the store's bulk read
   that :meth:`repro.graphs.dynamic_graph.DynamicGraph.reorganize` stores back,
@@ -18,12 +23,57 @@ import numpy as np
 
 from repro.core.dcsr import DcsrCache, packed_size_bytes
 from repro.graphs.dynamic_graph import DynamicGraph
+from repro.query.plan import EdgeVersion
 from repro.utils import VERTEX_DTYPE, require
 
 __all__ = [
+    "stored_runs", "neighbors_old", "neighbors_new_parts", "neighbors_new",
+    "versioned_runs", "versioned_degree",
     "build_reference", "merge_runs_reference", "merge_sorted", "is_sorted",
     "select_within_budget_reference",
 ]
+
+
+def stored_runs(graph: DynamicGraph, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """``v``'s two stored runs, views of the slab: the base run with its
+    deletion marks ``-(w+1)`` in place, and the open batch's ``ΔN`` run."""
+    start, base, total = graph._offset[v], graph._base_len[v], graph._total_len[v]
+    return graph._pool[start : start + base], graph._pool[start + base : start + total]
+
+
+def neighbors_old(graph: DynamicGraph, v: int) -> np.ndarray:
+    """``N(v)``: the base run with its marks decoded (the deleted edges
+    existed before the batch), the appended run left out."""
+    base, _ = stored_runs(graph, v)
+    return np.where(base < 0, -base - 1, base) if graph._marks[v] else base
+
+
+def neighbors_new_parts(graph: DynamicGraph, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """``N'(v)`` as its two sorted runs ``(base_kept, ΔN)``: the base run with
+    its marks skipped, and the appended run."""
+    base, delta = stored_runs(graph, v)
+    return (base[base >= 0] if graph._marks[v] else base), delta
+
+
+def neighbors_new(graph: DynamicGraph, v: int) -> np.ndarray:
+    """``N'(v)`` as one sorted array."""
+    base, delta = neighbors_new_parts(graph, v)
+    return merge_sorted(base, delta) if delta.size else base
+
+
+def versioned_runs(graph: DynamicGraph, v: int, version: EdgeVersion) -> tuple[np.ndarray, ...]:
+    """The sorted runs whose union is ``v``'s list in ``version`` (Fig. 2):
+    ``N`` for ``OLD``; the kept base run, then ``ΔN`` if any, otherwise."""
+    if version is EdgeVersion.OLD:
+        return (neighbors_old(graph, v),)
+    base, delta = neighbors_new_parts(graph, v)
+    return (base, delta) if delta.size else (base,)
+
+
+def versioned_degree(graph: DynamicGraph, v: int, version: EdgeVersion) -> int:
+    """The length of ``v``'s list in ``version``, from the degree tables."""
+    degrees = graph.degrees_old() if version is EdgeVersion.OLD else graph.degrees_new()
+    return int(degrees[v])
 
 
 def build_reference(graph: DynamicGraph, vertices: np.ndarray) -> DcsrCache:
@@ -40,8 +90,7 @@ def build_reference(graph: DynamicGraph, vertices: np.ndarray) -> DcsrCache:
     chunks: list[np.ndarray] = []
     offset = 0
     for i, v in enumerate(verts.tolist()):
-        base = graph.base_run_raw(v)
-        delta = graph.delta_neighbors(v)
+        base, delta = stored_runs(graph, v)
         rowptr[i, 0] = offset
         rowptr[i, 1] = offset + base.size if delta.size else -1
         chunks.append(base)
@@ -115,9 +164,8 @@ def select_within_budget_reference(
     chosen: list[int] = []
     used = 0
     for v in ranked_vertices.tolist():
-        size = packed_size_bytes(
-            graph.degree_old(v) + graph.delta_neighbors(v).size
-        )
+        base, delta = stored_runs(graph, v)
+        size = packed_size_bytes(base.size + delta.size)
         if used + size > budget_bytes:
             break
         chosen.append(v)

@@ -3,8 +3,8 @@ attributes by incidence.
 
 * every view's ``classify`` + ``record`` adds up to what pricing the same
   accesses one at a time in plain Python gives (the per-access ``_record``
-  code this replaced, kept here as the reference), the scalar ``fetch`` is a
-  block of one, and the unified-memory fault / hit *sequence* is the pager's;
+  code this replaced, kept here as the reference), one block of a read per
+  vertex adds up to one block of them all, and the unified-memory fault / hit *sequence* is the pager's;
 * the node → member-plan incidence counts a query's two identically shaped
   plans twice and a skip set removes exactly its members;
 * attributed per-query counters equal the ``shared=False`` leg on a fleet,
@@ -62,8 +62,9 @@ from repro.gpu.views import (
 from repro.multigpu.shard import ShardedDeviceView
 from repro.query import query_by_name
 from repro.query.generator import rulebook_suite
-from repro.query.plan import EdgeVersion, MatchPlan
-from repro.testing import count_calls
+from repro.query.plan import MatchPlan
+from repro.testing import count_calls, neighbors_new, neighbors_old
+from tests.test_views_semantics import read_list
 
 DEVICE = default_device()
 #: a pager of four pages: every block evicts
@@ -137,7 +138,7 @@ def scalar_model(view, vertices, lengths):
             shard = int(view.owner[v])
             cache = view.peer_caches[shard]
             out["ops"] += cache.probe_cost_ops()
-            hit = cache.lookup(v) >= 0
+            hit = bool(np.any(cache.rowidx == v))
             if shard == view.shard_id:
                 hit_or_zero_copy(hit, nbytes)
             elif hit:
@@ -147,7 +148,7 @@ def scalar_model(view, vertices, lengths):
                 hit_or_zero_copy(False, nbytes, "remote_")
         elif isinstance(view, CachedDeviceView):
             out["ops"] += view.cache.probe_cost_ops()
-            hit_or_zero_copy(view.cache.lookup(v) >= 0, nbytes)
+            hit_or_zero_copy(bool(np.any(view.cache.rowidx == v)), nbytes)
         elif isinstance(view, FullDeviceView):
             hit_or_zero_copy(v in RESIDENT, nbytes)
         elif isinstance(view, UnifiedMemoryView):
@@ -240,14 +241,10 @@ class TestClassifyEqualsTheScalarLoop:
         one_by_one = VIEWS[kind](graph, AccessCounters())
         lengths = []
         for v in vertices.tolist():
-            version = EdgeVersion.NEW if v % 2 else EdgeVersion.OLD
-            runs = one_by_one.fetch(v, version)
-            want = (
-                (graph.neighbors_old(v),) if version is EdgeVersion.OLD
-                else graph.neighbors_new_parts(v)
-            )
-            assert np.array_equal(np.concatenate(runs), np.concatenate(want))
-            lengths.append(sum(r.size for r in runs))
+            old = not v % 2
+            arr = read_list(one_by_one, v, old)
+            assert np.array_equal(arr, (neighbors_old if old else neighbors_new)(graph, v))
+            lengths.append(arr.size)
         block = VIEWS[kind](graph, AccessCounters())
         block.fetch_block(vertices, np.array(lengths))
         assert observed(one_by_one) == observed(block)
@@ -266,9 +263,7 @@ def test_full_device_view_owns_its_resident_snapshot():
     resident.clear()  # at the parent: seen by the scalar path, not by the block path
     resident.update(range(1, N, 2))
     view.fetch_block(vertices[20:], lengths[20:])
-    for v in vertices.tolist():
-        view.fetch(v, EdgeVersion.OLD)
-    real = np.array([graph.neighbors_old(v).size for v in vertices.tolist()])
+    real = np.array([read_list(view, v, True).size for v in vertices.tolist()])
     model = scalar_model(
         view, np.concatenate([vertices, vertices]), np.concatenate([lengths, real])
     )

@@ -1,7 +1,7 @@
 """The store's versioned length tables and per-epoch adjacency arena.
 
-Exactness (the arena serves the same bytes the per-vertex accessors do, on
-dirty streams), lifetime (no epoch outlives ``apply_batch`` / ``reorganize``),
+Exactness (the arena serves the same lists the per-vertex slab decode of
+``repro.testing`` does, on dirty streams), lifetime (no epoch outlives ``apply_batch`` / ``reorganize``),
 and one arena serving a fleet's shards and the pipelined schedule alike.
 """
 
@@ -19,11 +19,13 @@ from repro.graphs.stream import UpdateBatch, derive_stream
 from repro.gpu.counters import AccessCounters
 from repro.gpu.device import default_device
 from repro.gpu.memory import HostMemoryLayout
-from repro.gpu.views import UnifiedMemoryView, ZeroCopyView
+from repro.gpu.views import UnifiedMemoryView
 from repro.query import QueryGraph
 from repro.query.catalog import query_by_name
 from repro.query.plan import EdgeVersion
-from repro.testing import segmented_contains
+from repro.testing import (
+    neighbors_new, neighbors_old, segmented_contains, stored_runs, versioned_runs,
+)
 from repro.testing.kernels import _merge_runs
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
@@ -38,8 +40,7 @@ def deletes(*edges):
 
 
 def expected_list(graph, v, version):
-    view = ZeroCopyView(graph, default_device(), AccessCounters())
-    return _merge_runs(view._runs(v, version))
+    return _merge_runs(versioned_runs(graph, v, version))
 
 
 def assert_arena_exact(graph):
@@ -57,8 +58,8 @@ def assert_arena_exact(graph):
             assert got.tolist() == want.tolist(), (v, version)
             ranked = keys[starts[v] : starts[v] + lens[v]]
             assert ranked.tolist() == (starts[v] * graph.num_vertices + got).tolist()
-    assert graph.degrees_old().tolist() == [graph.degree_old(v) for v in verts.tolist()]
-    assert graph.degrees_new().tolist() == [graph.degree_new(v) for v in verts.tolist()]
+    assert graph.degrees_old().tolist() == [neighbors_old(graph, v).size for v in verts.tolist()]
+    assert graph.degrees_new().tolist() == [neighbors_new(graph, v).size for v in verts.tolist()]
 
 
 class TestArenaExactness:
@@ -106,7 +107,7 @@ class TestArenaExactness:
         )
         graph.apply_batch(batch, mode="coalesce")
         assert_arena_exact(graph)
-        assert graph.degree_new(u) == graph.degree_old(u) - 1
+        assert graph.degrees_new()[u] == graph.degrees_old()[u] - 1
 
     def test_untouched_vertices_share_one_slot(self):
         g0 = erdos_renyi(30, 4.0, num_labels=1, seed=2)
@@ -249,9 +250,8 @@ def stream_batch(kind, graph, rng):
             graph.snapshot(), num_batches=1, batch_size=10, seed=rng
         )[0]
     if kind == "delete_heavy":  # most of the top vertex's list, plus a few others
-        degrees = [graph.degree_new(v) for v in range(n)]
-        hub = int(np.argmax(degrees))
-        nbrs = graph.neighbors_new(hub)
+        hub = int(np.argmax(graph.degrees_new()))
+        nbrs = neighbors_new(graph, hub)
         drop = nbrs[rng.random(nbrs.size) < 0.7]
         edges = graph.edges_new_array()
         others = edges[rng.random(len(edges)) < 0.1]
@@ -281,7 +281,7 @@ class TestStoreOwnsItsTables:
         graph = DynamicGraph(erdos_renyi(14, 3.0, num_labels=2, seed=seed))
 
         def check():
-            scalar = [graph.degree_new(v) for v in range(graph.num_vertices)]
+            scalar = [neighbors_new(graph, v).size for v in range(graph.num_vertices)]
             assert graph.max_degree() == max(scalar, default=0)  # before any table read
             if built:
                 assert graph.degrees_new().tolist() == scalar
@@ -311,7 +311,7 @@ class TestStoreOwnsItsTables:
         assert graph.max_degree() == 2 == int(graph.degrees_new().max())
         graph.reorganize()
         graph.apply_batch(inserts((5, 9), (5, 10), (5, 11)))
-        assert graph.max_degree() == 4 == graph.degree_new(5)
+        assert graph.max_degree() == 4 == graph.degrees_new()[5]
 
     def test_reorganize_leaves_no_stale_start(self):
         g0 = erdos_renyi(40, 4.0, num_labels=2, seed=5)
@@ -436,22 +436,16 @@ class TestRankKeys:
 
 
 class TestUnifiedMemoryLayout:
-    def test_layout_comes_from_the_length_table(self, monkeypatch):
+    def test_layout_comes_from_the_length_table(self):
         g = DATASETS["AZ"].build(0)
         g0, batches = derive_stream(g, num_updates=64, batch_size=64, seed=1)
         graph = DynamicGraph(g0)
         graph.apply_batch(batches[0])
         reference = HostMemoryLayout(np.array(
-            [graph.degree_old(v) + graph.delta_neighbors(v).size
-             for v in range(graph.num_vertices)], dtype=np.int64,
+            [sum(run.size for run in stored_runs(graph, v)) for v in range(graph.num_vertices)],
+            dtype=np.int64,
         ))
-        calls = []
-        for name in ("degree_old", "degree_new", "delta_neighbors"):
-            monkeypatch.setattr(
-                DynamicGraph, name, lambda self, v, _n=name: calls.append(_n)
-            )
         view = UnifiedMemoryView(graph, default_device(), AccessCounters())
-        assert not calls  # no per-vertex Python at construction, whatever n is
         assert np.array_equal(view.layout.offsets, reference.offsets)
 
     def test_um_counters_on_az_q1_unchanged(self):

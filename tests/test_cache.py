@@ -14,8 +14,10 @@ from repro.core.dcsr import DcsrCache, packed_size_bytes
 from repro.graphs import DynamicGraph, StaticGraph, UpdateBatch
 from repro.graphs.generators import erdos_renyi
 from repro.gpu import AccessCounters, Channel, default_device
-from repro.query.plan import EdgeVersion
-from repro.testing import select_within_budget_reference
+from repro.testing import (
+    neighbors_new, neighbors_old, select_within_budget_reference, stored_runs,
+)
+from tests.test_views_semantics import read_list
 
 
 def settled_store(n=30, seed=0):
@@ -26,7 +28,7 @@ class TestSelectWithinBudget:
     def test_respects_budget_prefix(self):
         dg = settled_store()
         ranked = np.arange(10, dtype=np.int64)
-        sizes = [packed_size_bytes(dg.degree_new(v)) for v in range(10)]
+        sizes = [packed_size_bytes(d) for d in dg.degrees_new()[:10].tolist()]
         budget = sizes[0] + sizes[1]
         chosen = select_within_budget(dg, ranked, budget)
         assert chosen.tolist() == [0, 1]
@@ -81,7 +83,7 @@ class TestPolicies:
     def test_degree_policy_ranks_by_degree(self):
         dg = settled_store(seed=4)
         ranked = DegreeCachePolicy().rank(dg, None)
-        degs = [dg.degree_new(int(v)) for v in ranked]
+        degs = dg.degrees_new()[ranked].tolist()
         assert degs == sorted(degs, reverse=True)
         # isolated vertices excluded
         assert all(d > 0 for d in degs)
@@ -103,26 +105,27 @@ class TestCachedDeviceView:
 
     def test_hit_reads_gpu_global(self):
         dg, view, counters = self.make([0, 2])
-        runs = view.fetch(0, EdgeVersion.NEW)
-        merged = sorted(np.concatenate(runs).tolist())
-        assert merged == [1, 2]  # (0,4) deleted, (0,2) inserted
+        assert read_list(view, 0, False).tolist() == [1, 2]  # (0,4) deleted, (0,2) inserted
         assert view.hits == 1 and view.misses == 0
         assert counters.bytes_by_channel[Channel.GPU_GLOBAL] > 0
         assert counters.bytes_by_channel[Channel.ZERO_COPY] == 0
 
     def test_miss_falls_back_to_zero_copy(self):
         dg, view, counters = self.make([0, 2])
-        (old,) = view.fetch(3, EdgeVersion.OLD)
-        assert old.tolist() == [2, 4]
+        assert read_list(view, 3, True).tolist() == [2, 4]
         assert view.misses == 1
         assert counters.bytes_by_channel[Channel.ZERO_COPY] > 0
 
     def test_cached_old_version_decodes_marks(self):
+        """The packed row keeps the deletion mark; a read of ``N`` decodes it."""
         dg, view, _ = self.make([0, 4])
-        (old,) = view.fetch(0, EdgeVersion.OLD)
-        assert old.tolist() == [1, 4]  # deletion mark decoded back
+        start, delta = view.cache.rowptr[0]
+        assert view.cache.colidx[start:delta].tolist() == [1, -5]  # (0,4) marked
+        assert read_list(view, 0, True).tolist() == [1, 4]  # deletion mark decoded back
 
     def test_hit_equals_store_for_all_vertices(self):
+        """Each packed row holds its vertex's stored runs, which decode to
+        the lists the store's read returns."""
         g = erdos_renyi(40, 5.0, seed=6)
         from repro.graphs.stream import derive_stream
         g0, batches = derive_stream(g, update_fraction=0.4, batch_size=12, seed=6)
@@ -131,20 +134,20 @@ class TestCachedDeviceView:
         cache = DcsrCache.build(dg, np.arange(dg.num_vertices))
         view = CachedDeviceView(dg, default_device(), AccessCounters(), cache)
         for v in range(dg.num_vertices):
-            (old,) = view.fetch(v, EdgeVersion.OLD)
-            assert old.tolist() == dg.neighbors_old(v).tolist()
-            merged = sorted(np.concatenate(view.fetch(v, EdgeVersion.NEW)).tolist())
-            assert merged == dg.neighbors_new(v).tolist()
+            base, delta = stored_runs(dg, v)
+            row = cache.colidx[cache.rowptr[v, 0]:cache.rowptr[v + 1, 0]]
+            assert row.tolist() == base.tolist() + delta.tolist()
+            assert read_list(view, v, True).tolist() == neighbors_old(dg, v).tolist()
+            assert read_list(view, v, False).tolist() == neighbors_new(dg, v).tolist()
+        assert view.hits == 2 * dg.num_vertices and view.misses == 0
 
     def test_hit_rate(self):
         dg, view, _ = self.make([0])
-        view.fetch(0, EdgeVersion.NEW)
-        view.fetch(1, EdgeVersion.NEW)
-        view.fetch(1, EdgeVersion.NEW)
+        view.fetch_block(np.array([0, 1, 1]), np.array([2, 1, 1]))
         assert view.hit_rate == pytest.approx(1 / 3)
 
     def test_probe_cost_charged(self):
         dg, view, counters = self.make([0, 2])
         before = counters.compute_ops
-        view.fetch(0, EdgeVersion.NEW)
-        assert counters.compute_ops > before
+        read_list(view, 0, False)
+        assert counters.compute_ops == before + view.cache.probe_cost_ops() > before

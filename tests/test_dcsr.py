@@ -7,7 +7,15 @@ from repro.core.dcsr import DcsrCache, packed_size_bytes
 from repro.graphs import DynamicGraph, StaticGraph, UpdateBatch
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.stream import derive_stream
-from repro.testing import build_reference
+from repro.testing import build_reference, neighbors_new_parts, neighbors_old
+
+
+def packed_row(cache: DcsrCache, row: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(base with marks, delta)`` runs of a packed row, from ``rowptr``."""
+    (start, delta), end = cache.rowptr[row], cache.rowptr[row + 1, 0]
+    if delta == -1:
+        return cache.colidx[start:end], cache.colidx[end:end]
+    return cache.colidx[start:delta], cache.colidx[delta:end]
 
 
 def store_with_batch():
@@ -24,12 +32,12 @@ class TestBuild:
         cache = DcsrCache.build(dg, np.array([3, 1]))  # unsorted input
         assert cache.rowidx.tolist() == [1, 3]  # sorted
         # vertex 1: base [0, 2, -(4+1)] (deletion mark), no delta
-        base1, delta1 = cache.runs(0)
+        base1, delta1 = packed_row(cache, 0)
         assert base1.tolist() == [0, 2, -5]
         assert delta1.size == 0
         assert cache.rowptr[0].tolist() == [0, -1]
         # vertex 3: base [2, 4], delta [0]
-        base3, delta3 = cache.runs(1)
+        base3, delta3 = packed_row(cache, 1)
         assert base3.tolist() == [2, 4]
         assert delta3.tolist() == [0]
         assert cache.rowptr[1, 0] == 3
@@ -41,7 +49,7 @@ class TestBuild:
         dg = store_with_batch()
         cache = DcsrCache.build(dg, np.empty(0, dtype=np.int64))
         assert cache.num_cached == 0
-        assert cache.lookup(1) == -1
+        assert cache.lookup_block(np.array([1])).tolist() == [False]
         assert cache.total_bytes == 2 * 4  # sentinel rowptr only
 
     def test_duplicate_vertices_deduped(self):
@@ -59,27 +67,25 @@ class TestLookupAndRuns:
     def test_lookup_hit_and_miss(self):
         dg = store_with_batch()
         cache = DcsrCache.build(dg, np.array([1, 3]))
-        assert cache.lookup(1) == 0
-        assert cache.lookup(3) == 1
-        assert cache.lookup(0) == -1
-        assert cache.lookup(4) == -1
+        hit = cache.lookup_block(np.array([1, 3, 0, 4, 3]))
+        assert hit.tolist() == [True, True, False, False, True]
 
     def test_version_semantics_match_store(self):
-        """Cached OLD/NEW views must equal the dynamic store's."""
+        """Each packed row decodes to the store's OLD / NEW lists: marks
+        decoded for N, skipped for N' (whose delta run follows)."""
         g = erdos_renyi(60, 5.0, seed=3)
         g0, batches = derive_stream(g, update_fraction=0.4, batch_size=20, seed=3)
         dg = DynamicGraph(g0)
         dg.apply_batch(batches[0])
         verts = np.arange(dg.num_vertices, dtype=np.int64)
         cache = DcsrCache.build(dg, verts)
+        assert cache.lookup_block(verts).all()
         for v in range(dg.num_vertices):
-            row = cache.lookup(v)
-            assert row >= 0
-            assert cache.neighbors_old(row).tolist() == dg.neighbors_old(v).tolist()
-            cb, cd = cache.neighbors_new_parts(row)
-            sb, sd = dg.neighbors_new_parts(v)
-            assert cb.tolist() == sb.tolist()
-            assert cd.tolist() == sd.tolist()
+            base, delta = packed_row(cache, v)
+            assert np.where(base < 0, -base - 1, base).tolist() == neighbors_old(dg, v).tolist()
+            sb, sd = neighbors_new_parts(dg, v)
+            assert base[base >= 0].tolist() == sb.tolist()
+            assert delta.tolist() == sd.tolist()
 
     def test_probe_cost_logarithmic(self):
         dg = store_with_batch()

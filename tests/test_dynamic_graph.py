@@ -5,9 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs import BatchConflictError, DynamicGraph, StaticGraph, UpdateBatch
-from repro.testing import merge_runs_reference
+from repro.testing import (
+    merge_runs_reference, neighbors_new, neighbors_new_parts, neighbors_old, stored_runs,
+)
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.stream import derive_stream
+
+
+def lists(dg, v):
+    """``(N(v), N'(v))`` as lists, from the store's bulk read, each equal to
+    the per-vertex slab decode of ``repro.testing``."""
+    old, new = (dg.read(np.array([v]), version)[0].tolist() for version in (True, False))
+    assert old == neighbors_old(dg, v).tolist() and new == neighbors_new(dg, v).tolist()
+    return old, new
 
 
 def base_graph():
@@ -19,17 +29,17 @@ class TestInsertions:
     def test_insert_appends_to_delta(self):
         dg = DynamicGraph(base_graph())
         dg.apply_batch(UpdateBatch([(0, 3)], [1]))
-        assert dg.delta_neighbors(0).tolist() == [3]
-        assert dg.delta_neighbors(3).tolist() == [0]
-        assert dg.neighbors_old(0).tolist() == [1, 2]
-        base, delta = dg.neighbors_new_parts(0)
+        assert stored_runs(dg, 0)[1].tolist() == [3]
+        assert stored_runs(dg, 3)[1].tolist() == [0]
+        base, delta = neighbors_new_parts(dg, 0)
         assert base.tolist() == [1, 2] and delta.tolist() == [3]
-        assert dg.neighbors_new(0).tolist() == [1, 2, 3]
+        assert lists(dg, 0) == ([1, 2], [1, 2, 3])
 
     def test_delta_run_sorted(self):
         dg = DynamicGraph(StaticGraph.empty(6))
         dg.apply_batch(UpdateBatch([(0, 5), (0, 2), (0, 4)], [1, 1, 1]))
-        assert dg.delta_neighbors(0).tolist() == [2, 4, 5]
+        assert stored_runs(dg, 0)[1].tolist() == [2, 4, 5]
+        assert lists(dg, 0) == ([], [2, 4, 5])
 
     def test_edge_count_updated(self):
         dg = DynamicGraph(base_graph())
@@ -43,7 +53,7 @@ class TestInsertions:
         assert dg.label(6) == 7
         assert dg.label(5) == 3
         assert dg.label(4) == 0  # implicit new vertex gets default label
-        assert dg.neighbors_new(6).tolist() == [2]
+        assert lists(dg, 6) == ([], [2])
         assert dg.host_address.shape[0] == 7
         assert dg.device_address.shape[0] == 7
 
@@ -62,18 +72,18 @@ class TestDeletions:
         dg = DynamicGraph(base_graph())
         dg.apply_batch(UpdateBatch([(0, 2)], [-1]))
         # N still sees the deleted edge; N' does not
-        assert dg.neighbors_old(0).tolist() == [1, 2]
-        base, delta = dg.neighbors_new_parts(0)
+        assert stored_runs(dg, 0)[0].tolist() == [1, -3]  # the mark of 2
+        base, delta = neighbors_new_parts(dg, 0)
         assert base.tolist() == [1] and delta.size == 0
+        assert lists(dg, 0) == ([1, 2], [1])
         assert dg.contains_edges(np.array([0, 0]), np.array([2, 1])).tolist() == [False, True]
 
     def test_delete_vertex_zero_neighbor(self):
         # the -(v+1) encoding must represent deletion of neighbor 0
         dg = DynamicGraph(base_graph())
         dg.apply_batch(UpdateBatch([(0, 1)], [-1]))
-        assert dg.neighbors_old(1).tolist() == [0, 2]
-        base, _ = dg.neighbors_new_parts(1)
-        assert base.tolist() == [2]
+        assert stored_runs(dg, 1)[0].tolist() == [-1, 2]
+        assert lists(dg, 1) == ([0, 2], [2])
 
     def test_delete_missing_edge_rejected(self):
         dg = DynamicGraph(base_graph())
@@ -83,10 +93,13 @@ class TestDeletions:
     def test_degrees_old_new(self):
         dg = DynamicGraph(base_graph())
         dg.apply_batch(UpdateBatch([(0, 2), (0, 3)], [-1, 1]))
-        assert dg.degree_old(0) == 2
-        assert dg.degree_new(0) == 2  # -1 +1
-        assert dg.degree_old(3) == 1
-        assert dg.degree_new(3) == 2
+        assert dg.degrees_old()[0] == 2
+        assert dg.degrees_new()[0] == 2  # -1 +1
+        assert dg.degrees_old()[3] == 1
+        assert dg.degrees_new()[3] == 2
+        everyone = np.arange(dg.num_vertices)
+        assert dg.read(everyone, True)[1].tolist() == dg.degrees_old().tolist()
+        assert dg.read(everyone, False)[1].tolist() == dg.degrees_new().tolist()
 
 
 class TestReorganize:
@@ -140,7 +153,7 @@ class TestConflictHardening:
         eff = dg.apply_batch(UpdateBatch([(0, 1), (1, 3)], [1, 1]), mode="coalesce")
         assert eff.edges.tolist() == [[1, 3]]
         assert dg.num_edges == 5  # exact: the duplicate did not double-count
-        assert dg.neighbors_new(0).tolist() == [1, 2]  # no duplicate entry
+        assert lists(dg, 0)[1] == [1, 2]  # no duplicate entry
         dg.reorganize()
         dg.check_invariants()
 

@@ -189,7 +189,8 @@ class TestSettleOnFailure:
 
     @pytest.mark.parametrize("system", ["VSGM", "RapidFlow"])
     @pytest.mark.parametrize("prefilter", ["off", "on"])
-    def test_failed_batch_leaves_engine_settled(self, system, prefilter):
+    def test_failed_batch_leaves_engine_settled(self, system, prefilter, monkeypatch):
+        from repro.core import rapidflow
         from repro.core.baselines import VsgmCapacityError, make_system
         from repro.core.rapidflow import IndexMemoryError
         from repro.gpu import DeviceConfig
@@ -203,7 +204,8 @@ class TestSettleOnFailure:
             error = VsgmCapacityError
         else:  # a budget just above the initial index: inserts outgrow it
             index_bytes = make_system(system, g0, query).placement.index_bytes
-            settings = dict(memory_budget_bytes=index_bytes + 8)
+            monkeypatch.setattr(rapidflow, "DEFAULT_MEMORY_BUDGET_BYTES", index_bytes + 8)
+            settings = {}
             error = IndexMemoryError
         engine = make_system(system, g0, query, prefilter=prefilter, **settings)
         twin = GCSMEngine(g0, query)  # the post-batch graph
@@ -358,7 +360,7 @@ class TestEngineConfig:
         assert config.schedule == "serial"  # the caller's config is untouched
 
     def test_settable_options_are_pinned(self):
-        """14 engine fields plus the rulebook's ``shared``: an option added or
+        """13 engine fields plus the rulebook's ``shared``: an option added or
         brought back shows up here.  Execution runs on one thread, so neither
         the engine nor the service takes a threading knob."""
         import dataclasses
@@ -373,7 +375,7 @@ class TestEngineConfig:
         assert fields == [
             "device", "placement", "policy", "num_walks", "adaptive_walks",
             "cache_budget_bytes", "survival", "seed", "conflict_mode", "prefilter",
-            "strict_capacity", "memory_budget_bytes", "schedule", "devices",
+            "strict_capacity", "schedule", "devices",
         ]
         assert list(inspect.signature(Rulebook).parameters) == ["queries", "shared"]
         for fn in (MatchService, run_service):

@@ -128,13 +128,15 @@ class TestSimulatedTime:
         c = AccessCounters()
         c.record_compute(1_000_000)
         assert simulated_time_ns(c, d, platform="cpu") > simulated_time_ns(c, d, platform="gpu")
-        assert simulated_time_ns(c, d, platform="cpu_scalar") > simulated_time_ns(
-            c, d, platform="cpu"
+        assert simulated_time_ns(c, d, platform="cpu") > simulated_time_ns(
+            c, d, platform="cpu_estimator"
         )
 
     def test_unknown_platform(self):
         with pytest.raises(ValueError):
             simulated_time_ns(AccessCounters(), default_device(), platform="tpu")
+        with pytest.raises(ValueError, match="cpu_scalar"):  # the retired single-thread pricing
+            simulated_time_ns(AccessCounters(), default_device(), platform="cpu_scalar")
 
     def test_dma_included_for_gpu(self):
         d = default_device()

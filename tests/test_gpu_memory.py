@@ -17,7 +17,7 @@ from repro.gpu import (
     ZeroCopyView,
     default_device,
 )
-from repro.query.plan import EdgeVersion
+from tests.test_views_semantics import read_list
 
 
 class TestHostMemoryLayout:
@@ -105,19 +105,16 @@ class TestViews:
         d = default_device()
         for cls in (HostCPUView, ZeroCopyView, UnifiedMemoryView):
             view = cls(dg, d, AccessCounters())
-            (old,) = view.fetch(1, EdgeVersion.OLD)
-            assert old.tolist() == [0, 2]  # deletion still visible in N
-            runs = view.fetch(1, EdgeVersion.NEW)
-            merged = sorted(np.concatenate(runs).tolist())
-            assert merged == [0]  # (1,2) deleted
-            runs0 = view.fetch(0, EdgeVersion.NEW)
-            assert sorted(np.concatenate(runs0).tolist()) == [1, 2, 3]
+            assert read_list(view, 1, True).tolist() == [0, 2]  # deletion still visible in N
+            assert read_list(view, 1, False).tolist() == [0]  # (1,2) deleted
+            assert read_list(view, 0, False).tolist() == [1, 2, 3]
+            assert view.counters.vertex_access_counts(5).tolist() == [1, 2, 0, 0, 0]
 
     def test_host_cpu_channel(self):
         dg = _store_with_batch()
         c = AccessCounters()
         view = HostCPUView(dg, default_device(), c)
-        view.fetch(0, EdgeVersion.OLD)
+        read_list(view, 0, True)
         assert c.bytes_by_channel[Channel.CPU_DRAM] == 2 * 4
         assert c.bytes_by_channel[Channel.ZERO_COPY] == 0
 
@@ -125,7 +122,7 @@ class TestViews:
         dg = _store_with_batch()
         c = AccessCounters()
         view = ZeroCopyView(dg, default_device(), c)
-        view.fetch(0, EdgeVersion.NEW)  # 3 neighbors = 12 bytes -> 1 line
+        read_list(view, 0, False)  # 3 neighbors = 12 bytes -> 1 line
         assert c.transactions_by_channel[Channel.ZERO_COPY] == 1
         assert c.bytes_by_channel[Channel.ZERO_COPY] == 12
 
@@ -133,10 +130,10 @@ class TestViews:
         dg = _store_with_batch()
         c = AccessCounters()
         view = UnifiedMemoryView(dg, default_device(), c)
-        view.fetch(0, EdgeVersion.NEW)
+        read_list(view, 0, False)
         first_faults = c.um_faults
         assert first_faults >= 1
-        view.fetch(0, EdgeVersion.NEW)
+        read_list(view, 0, False)
         assert c.um_faults == first_faults  # now resident
         assert c.um_hits >= 1
 
@@ -144,25 +141,25 @@ class TestViews:
         dg = _store_with_batch()
         c = AccessCounters()
         view = FullDeviceView(dg, default_device(), c, resident={0, 1, 2, 3})
-        view.fetch(0, EdgeVersion.NEW)
+        read_list(view, 0, False)
         assert c.bytes_by_channel[Channel.GPU_GLOBAL] > 0
         assert c.bytes_by_channel[Channel.ZERO_COPY] == 0
-        view.fetch(4, EdgeVersion.NEW)
+        read_list(view, 4, False)
         assert view.fallthrough_accesses == 1
         assert c.bytes_by_channel[Channel.ZERO_COPY] > 0
 
     def test_degree_bound_free(self):
         dg = _store_with_batch()
         c = AccessCounters()
-        view = ZeroCopyView(dg, default_device(), c)
-        assert view.degree_bound(0, EdgeVersion.OLD) == 2
-        assert view.degree_bound(0, EdgeVersion.NEW) == 3
-        assert c.total_access_count == 0  # length lookups are free
+        ZeroCopyView(dg, default_device(), c)
+        assert dg.degrees_old()[0] == 2 == dg.read(np.array([0]), True)[1][0]
+        assert dg.degrees_new()[0] == 3 == dg.read(np.array([0]), False)[1][0]
+        assert c.total_access_count == 0  # lengths and store reads are free: views charge
 
     def test_vertex_histogram_counts_fetches(self):
         dg = _store_with_batch()
         c = AccessCounters()
         view = ZeroCopyView(dg, default_device(), c)
         for _ in range(5):
-            view.fetch(2, EdgeVersion.OLD)
+            read_list(view, 2, True)
         assert c.vertex_access_counts(5)[2] == 5

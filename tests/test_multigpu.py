@@ -21,6 +21,7 @@ from repro.gpu.clock import simulated_time_ns
 from repro.multigpu import FleetPlacement, LoadBalanceReport, ShardedDeviceView, hash_owners
 from repro.multigpu.comm import allreduce_delta_ns, comm_report
 from repro.query import QueryGraph, query_by_name
+from tests.test_views_semantics import read_list
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 TAILED = QueryGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)], [0, 0, 1, 1], name="tailed")
@@ -232,21 +233,16 @@ class TestShardedView:
         return g, view, counters
 
     def test_remote_cached_read_uses_peer_channel(self):
-        from repro.query.plan import EdgeVersion
-
         g, view, counters = self._setup()
         v = 1  # remote-owned, cached at shard 1
-        runs = view.fetch(v, EdgeVersion.NEW)
-        assert sum(r.size for r in runs) == g.neighbors_new(v).size
-        assert counters.bytes_by_channel[Channel.PEER] > 0
+        size = read_list(view, v, False).size
+        assert counters.bytes_by_channel[Channel.PEER] == 4 * size > 0
         assert view.remote_hits == 1 and view.remote_misses == 0
         assert view.total_hits == 1
 
     def test_local_read_unchanged(self):
-        from repro.query.plan import EdgeVersion
-
         g, view, counters = self._setup()
-        view.fetch(0, EdgeVersion.NEW)  # owned + cached locally
+        read_list(view, 0, False)  # owned + cached locally
         assert counters.bytes_by_channel[Channel.PEER] == 0
         assert view.hits == 1
 

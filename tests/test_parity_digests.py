@@ -21,6 +21,9 @@ None on every batch of every run there (``TimeBreakdown.repartition_ns`` and
 the fleet's ``repartition`` report); the owner map is ``hash(v) mod N``
 since.  That run's log, with the old and new digest of each run, is kept
 under ``benchmarks/results/``.
+
+Every baseline placement — ZC, UM, CPU, Naive, VSGM and RapidFlow — is pinned
+the same way on the CA smoke inputs, VSGM on FR too.
 """
 
 import dataclasses
@@ -32,6 +35,7 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import run_service
+from repro.core.baselines import make_system
 from repro.core.engine import GCSMEngine
 from repro.core.multiquery import MultiQueryEngine
 from repro.graphs.datasets import DATASETS
@@ -88,6 +92,20 @@ DIGESTS = {
         "0607d871eef5f8cdf14f5db25af56d22e0a1797d1316008635da62ae50dfc75d",
     ("az24", "devices2-pipelined"):
         "c9ca94dcd74492e16ad76120aaee1deb8c8ad1302abbf89f566758bcf18d4dfd",
+}
+
+#: every baseline placement on the ``ca`` smoke inputs (and VSGM on ``fr``):
+#: ``make_system(system, g0, query, seed=0)``, VSGM with
+#: ``strict_capacity=False``; recorded at 4998f3c, where VSGM's k-hop gather
+#: still read one list at a time (log under ``benchmarks/results/``)
+PLACEMENT_DIGESTS = {
+    ("ca", "ZC"): "aef4fc4e468630a6419deb62d39f58252bae87a32d5d831ce734ed4ccade0442",
+    ("ca", "UM"): "cc17a12bc3be83bf5ec2ef7abda90649a1d307c15ba213fcc3445ddeb52b3613",
+    ("ca", "CPU"): "5bb0c9dab5340cba31ad2ba98b17e269d0255beefed50faf3639bb44c901986d",
+    ("ca", "Naive"): "51e305498a2e88185560ac3347864f1744abeeb774e561a9a07095b9bd45bb9e",
+    ("ca", "VSGM"): "966090e0f240fd17e35e4545b70559c0913da4926a7746a860760f2a88d43c35",
+    ("ca", "RapidFlow"): "b2d45c0224c5a81c5761a8ca45dba7c565e0158f31d89b20b59a1d0fb71565bf",
+    ("fr", "VSGM"): "5d9920629b16936a1e14e742cb3314306734a8eb2fa311cf28f2840dcc97f928",
 }
 
 #: ``run_service`` arguments: the throughput benchmark's overload run, and a
@@ -169,6 +187,21 @@ def run_digest(name, config) -> str:
 @pytest.mark.parametrize("name", list(WORKLOADS))
 def test_run_digest_unchanged(name, config):
     assert run_digest(name, config) == DIGESTS[name, config]
+
+
+def placement_digest(name, system) -> str:
+    g0, batches = smoke_inputs(name)
+    settings = {"strict_capacity": False} if system == "VSGM" else {}
+    engine = make_system(system, g0, query_by_name(WORKLOADS[name][1]), seed=0, **settings)
+    h = hashlib.sha256()
+    for batch in batches:
+        h.update(json.dumps(batch_record(engine.process_batch(batch))).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name, system", list(PLACEMENT_DIGESTS))
+def test_placement_digest_unchanged(name, system):
+    assert placement_digest(name, system) == PLACEMENT_DIGESTS[name, system]
 
 
 @pytest.mark.parametrize("run", list(SERVICE_RUNS))

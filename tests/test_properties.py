@@ -23,7 +23,8 @@ from repro.gpu import AccessCounters, Channel, DeviceConfig, HostCPUView, defaul
 from repro.gpu.memory import UnifiedMemoryPager
 from repro.query import compile_static_plan
 from repro.query.generator import random_query
-from repro.testing import use_reference_kernels
+from repro.testing import neighbors_new_parts, neighbors_old, use_reference_kernels
+from tests.test_dcsr import packed_row
 
 
 @settings(max_examples=25, deadline=None)
@@ -43,17 +44,22 @@ def test_dcsr_equals_store_for_random_batches(seed):
     k = int(rng.integers(0, n + 1))
     subset = rng.choice(n, size=k, replace=False) if k else np.empty(0, dtype=np.int64)
     cache = DcsrCache.build(dg, subset)
-    for v in np.unique(subset).tolist():
-        row = cache.lookup(int(v))
-        assert row >= 0
-        assert cache.neighbors_old(row).tolist() == dg.neighbors_old(v).tolist()
-        cb, cd = cache.neighbors_new_parts(row)
-        sb, sd = dg.neighbors_new_parts(v)
-        assert cb.tolist() == sb.tolist() and cd.tolist() == sd.tolist()
+    verts = np.unique(subset).astype(np.int64)
+    assert cache.lookup_block(verts).all()
+    old, old_len = dg.read(verts, True)
+    new, new_len = dg.read(verts, False)
+    old_at, new_at = np.cumsum(old_len) - old_len, np.cumsum(new_len) - new_len
+    for row, v in enumerate(verts.tolist()):
+        base, delta = packed_row(cache, row)
+        decoded = np.where(base < 0, -base - 1, base).tolist()
+        assert decoded == neighbors_old(dg, v).tolist()
+        assert decoded == old[old_at[row]:old_at[row] + old_len[row]].tolist()
+        sb, sd = neighbors_new_parts(dg, v)
+        assert base[base >= 0].tolist() == sb.tolist() and delta.tolist() == sd.tolist()
+        assert sorted(sb.tolist() + sd.tolist()) == new[new_at[row]:new_at[row] + new_len[row]].tolist()
     # vertices outside the subset always miss
     outside = np.setdiff1d(np.arange(n), subset)
-    for v in outside[: min(5, outside.size)].tolist():
-        assert cache.lookup(int(v)) == -1
+    assert not cache.lookup_block(outside).any()
 
 
 class _ReferenceLru:

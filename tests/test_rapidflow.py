@@ -4,6 +4,7 @@
 import numpy as np
 import pytest
 
+from repro.core import rapidflow
 from repro.core.baselines import make_system
 from repro.core.rapidflow import IndexMemoryError
 from repro.core.reference import count_embeddings
@@ -35,12 +36,13 @@ class TestCandidateIndex:
         big = RapidFlowSystem(erdos_renyi(400, 4.0, seed=2), TRIANGLE)
         assert 0 < small.placement.index_bytes < big.placement.index_bytes
 
-    def test_oom_on_large_graph(self):
+    def test_oom_on_large_graph(self, monkeypatch):
         """The paper's Sec. VI-C observation: index exhausts memory on the
         large graphs, so Fig. 14 only covers AZ and LJ."""
         g = powerlaw_graph(5000, 20.0, max_degree=300, num_labels=1, seed=3)
+        monkeypatch.setattr(rapidflow, "DEFAULT_MEMORY_BUDGET_BYTES", 100_000)
         with pytest.raises(IndexMemoryError):
-            RapidFlowSystem(g, TRIANGLE, memory_budget_bytes=100_000)
+            RapidFlowSystem(g, TRIANGLE)
 
     def test_oom_during_maintenance(self):
         g = erdos_renyi(100, 4.0, num_labels=1, seed=4)

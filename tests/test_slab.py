@@ -12,7 +12,7 @@ import pytest
 from repro.graphs import DynamicGraph, StaticGraph, UpdateBatch
 from repro.graphs import dynamic_graph as store_module
 from repro.graphs.generators import erdos_renyi
-from repro.testing import count_calls
+from repro.testing import count_calls, neighbors_new, neighbors_old, stored_runs
 from tests.test_dynamic_graph import TestBulkWriteSide, adjacency
 
 mixed_batch = TestBulkWriteSide.mixed_batch  # half deletes of present edges, half fresh inserts
@@ -71,11 +71,15 @@ class TestNoPerVertexPython:
 # set model
 # ----------------------------------------------------------------------
 def lists_of(view, old):
-    """Every list of ``view`` in one version, through the scalar accessors
-    and through ``gather`` + ``arena``; the two must agree."""
+    """Every list of ``view`` in one version, through the per-vertex slab
+    decode of ``repro.testing``, through the bulk ``read`` and through
+    ``gather`` + ``arena``; the three must agree."""
     verts = np.arange(view.num_vertices)
-    one = view.neighbors_old if old else view.neighbors_new
-    scalar = [one(v).tolist() for v in verts.tolist()]
+    one = neighbors_old if old else neighbors_new
+    scalar = [one(view, v).tolist() for v in verts.tolist()]
+    block, lens = view.read(verts, old)
+    bounds = np.cumsum(lens).tolist()
+    assert [block[e - k : e].tolist() for e, k in zip(bounds, lens.tolist())] == scalar
     starts, lens = view.gather(verts, old)
     flat = view.arena
     assert [flat[s : s + k].tolist() for s, k in zip(starts.tolist(), lens.tolist())] == scalar
@@ -132,10 +136,10 @@ class TestPackedRuns:
         store.apply_batch(mixed_batch(g, 40, np.random.default_rng(4)))
         for vs in (np.arange(60), np.array([], dtype=np.int64), np.array([59, 3, 3, 17])):
             base_len, total_len, block = store.packed_runs(vs)
-            raw = [store.packed_run_raw(v) for v in vs.tolist()]
-            assert block.tolist() == [x for run in raw for x in run.tolist()]
-            assert total_len.tolist() == [run.size for run in raw]
-            assert base_len.tolist() == [store.base_run_raw(v).size for v in vs.tolist()]
+            runs = [stored_runs(store, v) for v in vs.tolist()]
+            assert block.tolist() == [x for pair in runs for run in pair for x in run.tolist()]
+            assert total_len.tolist() == [base.size + delta.size for base, delta in runs]
+            assert base_len.tolist() == [base.size for base, _ in runs]
         assert (block < 0).any()  # marks travel intact
         block[:] = 0  # a copy: the pool is not exposed
         store.check_invariants()
@@ -160,17 +164,18 @@ class TestInvariantsBite:
 
     def test_unsorted_base_run(self):
         store = self.open_store()
-        store.base_run_raw(2)[:2] = store.base_run_raw(2)[1::-1].copy()
+        base, _ = stored_runs(store, 2)
+        base[:2] = base[1::-1].copy()
         self.rejects(store, "base run of 2 not strictly sorted")
 
     def test_unsorted_delta_run(self):
         store = self.open_store()
-        store.delta_neighbors(1)[:] = [4, 3]
+        stored_runs(store, 1)[1][:] = [4, 3]
         self.rejects(store, "delta run of 1 not strictly sorted")
 
     def test_delta_entry_duplicating_a_base_neighbour(self):
         store = self.open_store()
-        store.delta_neighbors(1)[0] = 0  # 0 survives in the base run of 1
+        stored_runs(store, 1)[1][0] = 0  # 0 survives in the base run of 1
         self.rejects(store, "delta run of 1 duplicates base neighbors")
 
     def test_marks_off_by_one(self):
@@ -182,7 +187,7 @@ class TestInvariantsBite:
         store = self.open_store()
         store.reorganize()
         store.check_invariants()
-        run = store.base_run_raw(3)
+        run, _ = stored_runs(store, 3)
         run[0] = -(run[0] + 1)  # order-preserving under decode, like a real mark
         store._marks[3] = 1
         self.rejects(store, "closed batch but deletion mark at 3")

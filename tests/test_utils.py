@@ -412,3 +412,61 @@ def test_one_launch_site_on_the_production_path():
                           and getattr(node.func, "id", getattr(node.func, "attr", None))
                           == "expand_rows"]
     assert sites == [("core/matching.py", "expand")]
+
+
+#: the per-vertex list readers the store, the views and the DCSR cache once
+#: served lists through, beside the one bulk read (``DynamicGraph.read``);
+#: ``lookup`` is ``DcsrCache.lookup`` (``lookup_block`` stays)
+_PER_VERTEX_READERS = {
+    "neighbors_old", "neighbors_new", "neighbors_new_parts", "delta_neighbors",
+    "base_run_raw", "packed_run_raw", "degree_old", "degree_new", "fetch", "_runs",
+    "degree_bound", "lookup",
+}
+
+
+def per_vertex_readers(root: Path):
+    """``(relative path, line, name)`` of every definition or call of a
+    per-vertex list reader under ``root``, the oracle package aside."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel.startswith("testing/"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            else:
+                continue
+            if name in _PER_VERTEX_READERS:
+                found.append((rel, node.lineno, name))
+    return found
+
+
+def test_one_read_path_on_the_production_path():
+    """Every list comes from the store's one bulk read: views and the DCSR
+    cache only classify.  Under ``src/repro``, outside the oracle package
+    (whose per-vertex slab decode is the reference the bulk read is checked
+    against), nothing defines or calls a per-vertex list reader."""
+    root = Path(__file__).resolve().parents[1] / "src" / "repro"
+    assert per_vertex_readers(root) == []
+
+
+def test_the_read_guard_sees_what_it_guards(tmp_path):
+    (tmp_path / "core").mkdir()
+    (tmp_path / "testing").mkdir()
+    (tmp_path / "core" / "a.py").write_text(
+        "class DcsrCache:\n"
+        "    def lookup(self, v): ...\n"
+        "    def lookup_block(self, vs): ...\n"
+        "runs = view.fetch(v, version)\n"
+        "n = graph.degree_new(v) + degree_old(v)\n"
+        "block = graph.read(vs, False)\n"
+        "view.fetch_block(vs, lengths)\n"
+    )
+    (tmp_path / "testing" / "b.py").write_text("def neighbors_old(graph, v): ...\n")
+    assert per_vertex_readers(tmp_path) == [
+        ("core/a.py", 2, "lookup"), ("core/a.py", 4, "fetch"),
+        ("core/a.py", 5, "degree_new"), ("core/a.py", 5, "degree_old"),
+    ]
