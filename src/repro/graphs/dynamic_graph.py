@@ -196,14 +196,17 @@ class DynamicGraph:
         self._avg_degree = max(1, int(round(float(degs.mean())) if n else 1))
         self._bind(np.zeros((7, n), dtype=np.int64))
         self._new_len[:] = self._base_len[:] = self._total_len[:] = degs
-        # fresh 2x windows in vertex order, filled by one scatter from the
-        # CSR; the pool has room for the tail to double twice (it stays under
-        # twice the live windows, see the module docstring)
+        # fresh 2x windows in vertex order, each run in its window's first
+        # deg(v) slots, written in order from the CSR through a one-byte
+        # mask of the windows (no index per entry); the pool has room for
+        # the tail to double twice (it stays under twice the live windows,
+        # see the module docstring)
         self._cap[:] = np.maximum(2, 2 * self._base_len)
         bounds = segment_offsets(self._cap)
         self._offset[:], self._tail = bounds[:-1], int(bounds[-1])
         self._pool = np.empty(2 * _GROWTH * self._tail, dtype=VERTEX_DTYPE)
-        self._pool[segment_indices(self._offset, self._base_len)] = initial.indices
+        slots = np.stack([degs, self._cap - degs], axis=1).ravel()  # filled, free, ...
+        self._pool[: self._tail][np.repeat(np.tile([True, False], n), slots)] = initial.indices
         self._epoch = _Epoch()
         self._touched: np.ndarray = _EMPTY  # sorted; replaced, never written
         self._batch_open = False

@@ -98,13 +98,19 @@ def powerlaw_graph(
     src = _weighted_draws(rng, p, draws)
     dst = _weighted_draws(rng, p, draws)
     mask = src != dst
-    keys = sorted_unique(edge_keys(src[mask], dst[mask], num_vertices))
+    src, dst = src[mask], dst[mask]
+    keys = edge_keys(src, dst, num_vertices)
+    del src, dst, mask  # the draws die before the keys are deduped and the CSR built
+    keys = sorted_unique(keys)
     if keys.size > target_edges:
         keys = keys[rng.choice(keys.size, size=target_edges, replace=False)]
     perm = rng.permutation(num_vertices).astype(VERTEX_DTYPE)
-    edges = perm[np.stack(np.divmod(keys, num_vertices), axis=1)]
+    # a permutation relabels the edge set without a loop or a repeat: the
+    # relabelled keys only need sorting
+    keys = edge_keys(perm[keys // num_vertices], perm[keys % num_vertices], num_vertices)
+    keys.sort()
     labels = assign_labels(num_vertices, num_labels, rng=rng)
-    return StaticGraph.from_edges(num_vertices, edges, labels)
+    return StaticGraph._from_edge_keys(num_vertices, keys, labels)
 
 
 def road_network(
@@ -153,7 +159,7 @@ def road_network(
         if 0 <= r2 < rows and 0 <= c2 < cols and (dr, dc) != (0, 0):
             edges.append((vid(r, c), vid(r2, c2)))
     labels = assign_labels(n, num_labels, rng=rng)
-    return StaticGraph.from_edges(n, edges, labels)
+    return StaticGraph.from_edges(n, np.array(edges, dtype=VERTEX_DTYPE), labels)
 
 
 def erdos_renyi(

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.utils import (
-    VERTEX_DTYPE, contains_sorted, edge_keys, require, segment_offsets, sorted_unique,
+    VERTEX_DTYPE, as_vertex_ids, contains_sorted, edge_keys, require, sorted_unique,
 )
 
 __all__ = ["StaticGraph"]
@@ -54,7 +54,7 @@ class StaticGraph:
         validate: bool = True,
     ) -> None:
         self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=VERTEX_DTYPE)
+        self.indices = as_vertex_ids(indices)
         n = self.indptr.shape[0] - 1
         if labels is None:
             labels = np.zeros(n, dtype=np.int64)
@@ -75,10 +75,13 @@ class StaticGraph:
     ) -> "StaticGraph":
         """Build from an ``(m, 2)`` edge array; duplicates/self-loops dropped.
 
-        Each undirected edge is stored in both adjacency directions.
+        Each undirected edge is stored in both adjacency directions.  An
+        int64 ``edges`` is read in place, copied only to drop self loops.
         """
-        edge_arr = np.asarray(edges, dtype=VERTEX_DTYPE).reshape(-1, 2)
-        edge_arr = edge_arr[edge_arr[:, 0] != edge_arr[:, 1]]
+        edge_arr = as_vertex_ids(edges).reshape(-1, 2)
+        loops = edge_arr[:, 0] == edge_arr[:, 1]
+        if loops.any():
+            edge_arr = edge_arr[~loops]
         require(
             bool(edge_arr.size == 0 or (edge_arr.min() >= 0 and edge_arr.max() < num_vertices)),
             "edge endpoint out of range",
@@ -90,15 +93,27 @@ class StaticGraph:
     def _from_edge_keys(
         cls, num_vertices: int, keys: np.ndarray, labels: np.ndarray | None
     ) -> "StaticGraph":
-        """CSR of the edge set ``keys`` (sorted, distinct): both orientations
-        as directed ``src * n + dst`` keys, one sort, one decode."""
+        """CSR of the edge set ``keys`` (sorted, distinct), built in the one
+        ``2m`` buffer that becomes ``indices``: both orientations written as
+        directed ``src * n + dst`` keys, one sort in place, the row pointer
+        found by a binary search per row, the keys decoded in place."""
         if keys.size == 0:  # also the zero-vertex graph, which has no key base
             return cls.empty(num_vertices, labels)
-        lo, hi = np.divmod(keys, num_vertices)
-        directed = np.concatenate([keys, hi * num_vertices + lo])
+        n, m = num_vertices, keys.size
+        directed = np.empty(2 * m, dtype=VERTEX_DTYPE)
+        forward, flipped = directed[:m], directed[m:]
+        # the flipped half is lo, then hi * n + lo; the forward half is its
+        # scratch (lo * n, hi, hi * n) until it takes the keys themselves
+        np.floor_divide(keys, n, out=flipped)
+        np.multiply(flipped, n, out=forward)
+        np.subtract(keys, forward, out=forward)
+        forward *= n
+        flipped += forward
+        forward[:] = keys
         directed.sort()
-        src, dst = np.divmod(directed, num_vertices)
-        return cls(segment_offsets(np.bincount(src, minlength=num_vertices)), dst, labels)
+        indptr = directed.searchsorted(np.arange(n + 1) * n)
+        np.remainder(directed, n, out=directed)
+        return cls(indptr, directed, labels)
 
     @classmethod
     def empty(cls, num_vertices: int, labels: np.ndarray | None = None) -> "StaticGraph":
@@ -143,15 +158,21 @@ class StaticGraph:
         return bool(pos < nbrs.size and nbrs[pos] == v)
 
     def _row_ids(self) -> np.ndarray:
-        """The source vertex of every entry of ``indices``."""
-        return np.repeat(np.arange(self.num_vertices, dtype=VERTEX_DTYPE), self.degrees())
+        """The source vertex of every entry of ``indices``, in the narrowest
+        unsigned dtype that holds ``n - 1`` (two bytes an entry up to 65 536
+        vertices), not an int64 the size of ``indices``."""
+        n = self.num_vertices
+        return np.repeat(np.arange(n, dtype=np.min_scalar_type(max(n - 1, 0))), self.degrees())
 
     def sorted_edge_keys(self) -> np.ndarray:
         """The edge set as its sorted :func:`~repro.utils.edge_keys` array
         (the ``u < v`` entries of the CSR, already in key order)."""
         rows = self._row_ids()
         upper = rows < self.indices
-        return rows[upper] * self.num_vertices + self.indices[upper]
+        keys = rows[upper].astype(np.int64)
+        keys *= self.num_vertices
+        keys += self.indices[upper]
+        return keys
 
     def contains_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Whether each ``(us[i], vs[i])`` (endpoints in range, either
@@ -165,9 +186,12 @@ class StaticGraph:
 
     def edge_array(self) -> np.ndarray:
         """Return the ``(m, 2)`` canonical (u < v) edge array."""
-        src = self._row_ids()
-        mask = src < self.indices
-        return np.stack([src[mask], self.indices[mask]], axis=1)
+        rows = self._row_ids()
+        upper = rows < self.indices
+        edges = np.empty((int(np.count_nonzero(upper)), 2), dtype=VERTEX_DTYPE)
+        edges[:, 0] = rows[upper]
+        edges[:, 1] = self.indices[upper]
+        return edges
 
     def iter_edges(self) -> Iterator[tuple[int, int]]:
         for u, v in self.edge_array():
@@ -188,7 +212,7 @@ class StaticGraph:
     # ------------------------------------------------------------------
     def without_edges(self, edges: np.ndarray) -> "StaticGraph":
         """Copy of the graph with the given undirected edges removed."""
-        edge_arr = np.asarray(edges, dtype=VERTEX_DTYPE).reshape(-1, 2)
+        edge_arr = as_vertex_ids(edges).reshape(-1, 2)
         n = self.num_vertices
         # an endpoint outside the graph names no edge, and its key would alias one
         edge_arr = edge_arr[(edge_arr.min(axis=1) >= 0) & (edge_arr.max(axis=1) < n)]
@@ -196,11 +220,12 @@ class StaticGraph:
         removed = edge_keys(edge_arr[:, 0], edge_arr[:, 1], n)
         keep = np.ones(keys.size, dtype=bool)  # the few removed keys probe the many, not the reverse
         keep[np.searchsorted(keys, removed[contains_sorted(keys, removed)])] = False
-        return StaticGraph._from_edge_keys(n, keys[keep], self.labels.copy())
+        keys = keys[keep]  # the whole key array dies before the build
+        return StaticGraph._from_edge_keys(n, keys, self.labels.copy())
 
     def with_edges(self, edges: np.ndarray) -> "StaticGraph":
         """Copy of the graph with the given undirected edges added."""
-        edge_arr = np.asarray(edges, dtype=VERTEX_DTYPE).reshape(-1, 2)
+        edge_arr = as_vertex_ids(edges).reshape(-1, 2)
         combined = np.concatenate([self.edge_array(), edge_arr], axis=0)
         return StaticGraph.from_edges(self.num_vertices, combined, self.labels.copy())
 
@@ -220,16 +245,26 @@ class StaticGraph:
             "neighbor out of range",
         )
 
-        def check(bad: np.ndarray, vertices: np.ndarray, what: str) -> None:
-            if bad.any():
-                raise ValueError(what.format(int(vertices[bad.argmax()])))
+        indptr, indices = self.indptr, self.indices
+        starts = indptr[1:-1]
+        starts = starts[starts < indices.size]  # entries that open a run
+        bad = np.zeros(indices.size, dtype=bool)  # per entry, shared by the checks
 
-        rows = self._row_ids()
-        step = np.diff(self.indices)
-        step[rows[1:] != rows[:-1]] = 1  # the next run may start anywhere
-        check(step < 0, rows[1:], "neighbors of {} not sorted")
-        check(step == 0, rows[1:], "duplicate neighbor at {}")
-        check(self.indices == rows, rows, "self loop at {}")
+        def check(what: str) -> None:
+            if bad.any():
+                row = indptr.searchsorted(bad.argmax(), side="right") - 1
+                raise ValueError(what.format(int(row)))
+
+        # each entry against the one before it, unless it opens a run: the
+        # next run may start anywhere
+        np.less(indices[1:], indices[:-1], out=bad[1:])
+        bad[starts] = False
+        check("neighbors of {} not sorted")
+        np.equal(indices[1:], indices[:-1], out=bad[1:])
+        bad[starts] = False
+        check("duplicate neighbor at {}")
+        np.equal(indices, self._row_ids(), out=bad)
+        check("self loop at {}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StaticGraph):

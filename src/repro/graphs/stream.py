@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.graphs.static_graph import StaticGraph
-from repro.utils import VERTEX_DTYPE, as_generator, edge_keys, require
+from repro.utils import as_generator, as_vertex_ids, edge_keys, require
 
 __all__ = [
     "UpdateBatch",
@@ -146,7 +146,7 @@ class UpdateBatch:
         signs: np.ndarray | Sequence[int],
         new_vertex_labels: dict[int, int] | None = None,
     ) -> None:
-        self.edges = np.asarray(edges, dtype=VERTEX_DTYPE).reshape(-1, 2)
+        self.edges = as_vertex_ids(edges).reshape(-1, 2)
         self.signs = np.asarray(signs, dtype=np.int64).reshape(-1)
         require(self.edges.shape[0] == self.signs.shape[0], "edges/signs length mismatch")
         require(bool(np.all(np.abs(self.signs) == 1)) if self.signs.size else True,
@@ -356,8 +356,8 @@ def derive_stream(
         count = int(num_updates)
     require(count <= m, f"cannot select {count} updates from {m} edges")
 
-    chosen = rng.choice(m, size=count, replace=False)
-    chosen_edges = all_edges[chosen]
+    chosen_edges = all_edges[rng.choice(m, size=count, replace=False)]
+    del all_edges  # the edge list dies before G_0 is built
     signs = np.where(rng.random(count) < insert_probability, INSERT, DELETE).astype(np.int64)
 
     initial = graph.without_edges(chosen_edges[signs > 0])
@@ -421,8 +421,8 @@ def derive_localized_stream(
     weights = np.where(is_hot[all_edges[:, 0]] | is_hot[all_edges[:, 1]],
                        hotspot_weight, 1.0)
     weights /= weights.sum()
-    chosen = rng.choice(m, size=num_updates, replace=False, p=weights)
-    chosen_edges = all_edges[chosen]
+    chosen_edges = all_edges[rng.choice(m, size=num_updates, replace=False, p=weights)]
+    del all_edges, weights  # both die before G_0 is built
     signs = np.where(rng.random(num_updates) < insert_probability,
                      INSERT, DELETE).astype(np.int64)
     initial = graph.without_edges(chosen_edges[signs > 0])
@@ -446,8 +446,8 @@ def insert_only_stream(
     rng = as_generator(seed)
     all_edges = graph.edge_array()
     require(num_updates <= all_edges.shape[0], "not enough edges")
-    chosen = rng.choice(all_edges.shape[0], size=num_updates, replace=False)
-    chosen_edges = all_edges[chosen]
+    chosen_edges = all_edges[rng.choice(all_edges.shape[0], size=num_updates, replace=False)]
+    del all_edges  # the edge list dies before G_0 is built
     initial = graph.without_edges(chosen_edges)
     signs = np.full(num_updates, INSERT, dtype=np.int64)
     batches = [
@@ -482,8 +482,8 @@ def churn_stream(
     chunk = max(1, batch_size // 2)
     # f fresh edges produce f + (f - last_chunk) ≈ 2f - chunk total updates
     fresh = min(m, max(chunk, (int(num_updates) + chunk) // 2))
-    chosen = rng.choice(m, size=fresh, replace=False)
-    chosen_edges = all_edges[chosen]
+    chosen_edges = all_edges[rng.choice(m, size=fresh, replace=False)]
+    del all_edges  # the edge list dies before G_0 is built
     initial = graph.without_edges(chosen_edges)
 
     batches: list[UpdateBatch] = []

@@ -22,6 +22,7 @@ __all__ = [
     "contains_sorted",
     "sorted_unique",
     "edge_keys",
+    "as_vertex_ids",
     "VERTEX_DTYPE",
 ]
 
@@ -108,7 +109,27 @@ def edge_keys(us: np.ndarray, vs: np.ndarray, num_vertices: int) -> np.ndarray:
         num_vertices * num_vertices < 2**62,
         f"{num_vertices} vertices overflow the int64 edge keys (lo * num_vertices + hi)",
     )
-    return np.minimum(us, vs, dtype=np.int64) * num_vertices + np.maximum(us, vs)
+    keys = np.minimum(us, vs, dtype=np.int64)
+    keys *= num_vertices
+    keys += np.maximum(us, vs)
+    return keys
+
+
+def as_vertex_ids(values) -> np.ndarray:
+    """``values`` as a :data:`VERTEX_DTYPE` array, the same array when it
+    already is one.  A value the cast would change is refused rather than
+    truncated or wrapped: ``1.9``, ``nan``, ``1e30``; ``2.0`` is vertex 2.
+    """
+    values = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        ids = values.astype(VERTEX_DTYPE, copy=False)
+    if ids is not values:
+        changed = ids != values
+        if changed.any():
+            raise ValueError(
+                f"vertex id {values[changed][0].item()} is not a whole number in int64 range"
+            )
+    return ids
 
 
 def format_bytes(num_bytes: float) -> str:

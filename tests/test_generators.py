@@ -244,3 +244,49 @@ class TestIdentityPins:
         ]
         assert seen["derive_localized_stream"][:2] == ["c8f628ed9052a880", "f8d6de8d85cbd55a"]
         assert seen["insert_only_stream"][:2] == ["f38efd9714fab0ed", "4cc5036f033b8ad8"]
+
+    @pytest.mark.parametrize("name, pinned", [
+        ("AZ", "8b942ed2bddb6bb3"),
+        ("PA", "bc9743b53c0edeec"),
+        ("CA", "cc1680223cd83819"),
+        ("LJ", "558b36027ce5b142"),
+        ("FR", "439ce434a513b916"),
+        ("SF3K", "8843112ef59a240d"),
+        ("SF10K", "b87f59c8753d7df2"),
+    ])
+    def test_every_dataset_and_its_draws(self, name, pinned):
+        """Each Table I analog bit for bit, and the generator state it leaves
+        behind (a builder may neither skip nor add a draw).  Recorded when the
+        builders still materialised graph-sized temporaries."""
+        rng = np.random.default_rng(0)
+        g = datasets.DATASETS[name].build(rng)
+        after = rng.integers(0, 2**62, size=4)
+        assert self.digest(g.indptr, g.indices, g.labels, after) == pinned
+
+    def test_every_stream_on_fr(self):
+        """``G_0``, every batch and the generator state after, for each
+        deriver on the FR analog at the repo benchmark's ``fr_q1_mixed`` size
+        (recorded at the same commit as the datasets above)."""
+        from repro.graphs.stream import (
+            churn_stream,
+            derive_localized_stream,
+            derive_stream,
+            insert_only_stream,
+        )
+
+        fr = datasets.DATASETS["FR"].build(0)
+        seen = {}
+        for derive in (derive_stream, churn_stream, insert_only_stream, derive_localized_stream):
+            rng = np.random.default_rng(1)
+            g0, batches = derive(fr, num_updates=9600, batch_size=96, seed=rng)
+            arrays = [g0.indptr, g0.indices, g0.labels]
+            for b in batches:
+                arrays += [b.edges, b.signs]
+            after = rng.integers(0, 2**62, size=4)
+            seen[derive.__name__] = (len(batches), self.digest(*arrays, after))
+        assert seen == {
+            "derive_stream": (100, "a0600d4b2b223cf7"),
+            "churn_stream": (101, "dcf0e13d9522f123"),
+            "insert_only_stream": (100, "9e2d5de43fd4baaa"),
+            "derive_localized_stream": (100, "8651f963c3fcd4d1"),
+        }

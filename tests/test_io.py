@@ -1,6 +1,7 @@
 """Tests for edge-list / npz graph I/O."""
 
 import numpy as np
+import pytest
 
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.io import load_edge_list, load_npz, save_edge_list, save_npz
@@ -41,3 +42,13 @@ def test_npz_roundtrip(tmp_path):
     save_npz(g, path)
     g2 = load_npz(path)
     assert g2 == g
+
+
+def test_npz_with_fractional_neighbors_rejected(tmp_path):
+    # a float file would otherwise load as the edge (0, 1)
+    path = tmp_path / "float.npz"
+    np.savez(path, indptr=[0, 1, 2], indices=[1.9, 0.4], labels=[0, 0])
+    with pytest.raises(ValueError, match="vertex id 1.9 is not a whole number"):
+        load_npz(path)
+    np.savez(path, indptr=[0, 1, 2], indices=[1.0, 0.0], labels=[0, 0])
+    assert load_npz(path).num_edges == 1

@@ -1,10 +1,12 @@
 """Unit tests for repro.graphs.static_graph."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.graphs import StaticGraph
-from repro.graphs.generators import erdos_renyi
+from repro.graphs import DynamicGraph, StaticGraph
+from repro.graphs.generators import erdos_renyi, powerlaw_graph
 
 
 def small_graph():
@@ -52,6 +54,33 @@ class TestConstruction:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             StaticGraph.from_edges(2, [(0, 5)])
+
+    def test_fractional_vertex_ids_rejected(self):
+        # int64 casts would have truncated these to the edge (0, 2)
+        with pytest.raises(ValueError, match="vertex id 0.6 is not a whole number"):
+            StaticGraph.from_edges(3, [(0.6, 2.7)])
+        with pytest.raises(ValueError, match="vertex id nan is not a whole number"):
+            StaticGraph.from_edges(3, np.array([[0.0, np.nan]]))
+        # ... and this CSR to the edge (0, 1)
+        with pytest.raises(ValueError, match="vertex id 1.9 is not a whole number"):
+            StaticGraph([0, 1, 2], [1.9, 0.4])
+        with pytest.raises(ValueError, match="vertex id 0.5 is not a whole number"):
+            small_graph().without_edges([(0.5, 1)])
+
+    def test_whole_float_vertex_ids_accepted(self):
+        g = StaticGraph.from_edges(3, [(0.0, 2.0), (1, 2)])
+        assert g == StaticGraph.from_edges(3, [(0, 2), (1, 2)])
+        assert StaticGraph([0, 1, 2], [1.0, 0.0]) == StaticGraph.from_edges(2, [(0, 1)])
+        assert g.indices.dtype == np.int64
+
+    def test_int64_edges_are_read_in_place(self):
+        edges = np.array([[0, 1], [1, 2], [2, 0]], dtype=np.int64)
+        before = edges.copy()
+        g = StaticGraph.from_edges(3, edges)
+        assert g.num_edges == 3 and np.array_equal(edges, before)
+        with_loop = np.array([[0, 1], [1, 1], [2, 0]], dtype=np.int64)
+        assert StaticGraph.from_edges(3, with_loop) == StaticGraph.from_edges(3, [(0, 1), (0, 2)])
+        assert with_loop.tolist() == [[0, 1], [1, 1], [2, 0]]
 
     def test_empty_graph(self):
         g = StaticGraph.empty(5)
@@ -191,10 +220,29 @@ class TestValidation:
             ([0, 1, 2, 4], [1, 0, 1, 2], "self loop at 2"),
             # row 1 descends (rows 0 and 2 are fine)
             ([0, 1, 3, 4], [1, 2, 0, 1], "neighbors of 1 not sorted"),
+            # the first vertex: 0: [2, 1] / [1, 1] / [0, 1]
+            ([0, 2, 3, 4], [2, 1, 0, 0], "neighbors of 0 not sorted"),
+            ([0, 2, 3], [1, 1, 0], "duplicate neighbor at 0"),
+            ([0, 2, 3], [0, 1, 0], "self loop at 0"),
+            # the last vertex, its run opening below the one before it ends
+            ([0, 1, 2, 4], [2, 2, 1, 0], "neighbors of 2 not sorted"),
+            ([0, 1, 1, 3], [2, 0, 0], "duplicate neighbor at 2"),
+            ([0, 1, 2, 3], [1, 0, 2], "self loop at 2"),
+            # isolated vertices first: 0: [], 1: [], 2: [4, 3] / [3, 3] / [2, 3]
+            ([0, 0, 0, 2, 3, 4], [4, 3, 2, 2], "neighbors of 2 not sorted"),
+            ([0, 0, 0, 2, 3, 4], [3, 3, 2, 2], "duplicate neighbor at 2"),
+            ([0, 0, 0, 2, 3, 4], [2, 3, 2, 2], "self loop at 2"),
+            # isolated vertices last: 0: [1], 1: [2, 0] / [0, 0] / [0, 1], 2: [], 3: []
+            ([0, 1, 3, 3, 3], [1, 2, 0], "neighbors of 1 not sorted"),
+            ([0, 1, 3, 3, 3], [1, 0, 0], "duplicate neighbor at 1"),
+            ([0, 1, 3, 3, 3], [1, 0, 1], "self loop at 1"),
+            # an isolated vertex between the offender and the run before it
+            ([0, 1, 1, 3, 4], [3, 3, 1, 2], "neighbors of 2 not sorted"),
+            ([0, 1, 1, 2], [2, 2], "self loop at 2"),
         ],
     )
     def test_each_failure_names_its_vertex(self, indptr, indices, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             StaticGraph(np.array(indptr), np.array(indices))
 
     def test_run_boundaries_are_not_descents(self):
@@ -217,3 +265,54 @@ class TestValidation:
         for u in range(0, 200, 17):
             for v in g.neighbors(u).tolist():
                 assert g.has_edge(v, u)
+
+
+class TestSetUpMemory:
+    """A builder allocates its output plus at most one graph-sized scratch
+    buffer: both orientations are written into the one ``2m`` buffer that
+    becomes ``indices``, validation marks one byte an entry, and the store's
+    pool is filled through a one-byte mask of its windows.  Measured by
+    tracemalloc over entry on a power-law graph of 200 k edges, where
+    builders that materialised graph-sized temporaries peaked at 5.9x to
+    7.3x what they return."""
+
+    @staticmethod
+    def peak(build):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            out = build()
+            return out, tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def csr_bytes(g):
+        return g.indptr.nbytes + g.indices.nbytes
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        g = powerlaw_graph(20_000, 20.0, exponent=2.2, max_degree=200, seed=0)
+        assert 190_000 <= g.num_edges <= 200_000
+        return g
+
+    def test_builders_peak_within_three_times_their_output(self, graph):
+        n, keys, edges = graph.num_vertices, graph.sorted_edge_keys(), graph.edge_array()
+        removed = edges[::7].copy()
+        outputs = {}
+        for name, build in {
+            "_from_edge_keys": lambda: StaticGraph._from_edge_keys(n, keys, graph.labels),
+            "from_edges": lambda: StaticGraph.from_edges(n, edges, graph.labels),
+            "without_edges": lambda: graph.without_edges(removed),
+        }.items():
+            outputs[name], peak = self.peak(build)
+            ratio = peak / self.csr_bytes(outputs[name])
+            assert ratio <= 3, (name, round(ratio, 2))
+        assert outputs["_from_edge_keys"] == outputs["from_edges"] == graph
+        assert outputs["without_edges"].num_edges == graph.num_edges - removed.shape[0]
+
+    def test_the_store_fills_its_pool_without_an_index_per_entry(self, graph):
+        store, peak = self.peak(lambda: DynamicGraph(graph))
+        scratch = 2 * graph.num_edges * 8  # one 2m int64 buffer
+        assert peak <= store._pool.nbytes + store._tables.nbytes + scratch
+        assert store.snapshot() == graph

@@ -77,6 +77,12 @@ class TestUpdateBatch:
         with pytest.raises(ValueError):
             UpdateBatch([(0, 1), (1, 2)], [1])
 
+    def test_fractional_vertex_id_rejected(self):
+        # an int64 cast would have made this the insert of (0, 2)
+        with pytest.raises(ValueError, match="vertex id 0.7 is not a whole number"):
+            UpdateBatch([(0.7, 2.2)], [1])
+        assert UpdateBatch([(0.0, 2.0)], [1]).edges.tolist() == [[0, 2]]
+
     @pytest.mark.parametrize("edges", [[(-1, 2)], [(0, 1), (3, -4)]])
     def test_negative_vertex_id_rejected(self, edges):
         # a store indexes its per-vertex arrays by id: -1 would wrap to the

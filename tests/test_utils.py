@@ -1,6 +1,7 @@
 """Tests for shared utilities."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.testing import (
 )
 from repro.utils import (
     as_generator,
+    as_vertex_ids,
     format_bytes,
     format_time_ns,
     geometric_mean,
@@ -226,6 +228,30 @@ class TestSegmentedContains:
         )
         expected = [v in segments[r] for r, v in zip(qrows, qvals)]
         assert out.tolist() == expected
+
+
+class TestAsVertexIds:
+    def test_int64_passes_through_uncopied(self):
+        ids = np.array([3, 1, 2], dtype=np.int64)
+        assert as_vertex_ids(ids) is ids
+
+    def test_whole_values_of_other_dtypes_are_cast(self):
+        for values in ([2.0, 0.0], np.array([2, 0], dtype=np.int32), np.array([2, 0], np.uint64)):
+            out = as_vertex_ids(values)
+            assert out.dtype == np.int64 and out.tolist() == [2, 0]
+        assert as_vertex_ids([]).dtype == np.int64
+
+    @pytest.mark.parametrize("values, shown", [
+        ([0.0, 1.9], "1.9"),
+        ([[0.0, 1.0], [-0.5, 2.0]], "-0.5"),
+        ([np.nan], "nan"),
+        ([np.inf], "inf"),
+        ([1e30], "1e+30"),
+        (np.array([2**63], dtype=np.uint64), str(2**63)),
+    ])
+    def test_a_value_the_cast_would_change_is_refused(self, values, shown):
+        with pytest.raises(ValueError, match=f"^vertex id {re.escape(shown)} is not a whole"):
+            as_vertex_ids(values)
 
 
 class TestSortedUnique:
