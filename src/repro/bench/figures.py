@@ -19,12 +19,13 @@ from typing import Sequence
 import numpy as np
 
 from repro.bench.harness import RunResult, build_workload, print_table, run_stream
-from repro.core.baselines import VsgmCapacityError, make_system
+from repro.core.baselines import make_system
 from repro.core.engine import reorganize_step
 from repro.core.rapidflow import IndexMemoryError
 from repro.graphs import DynamicGraph, datasets
 from repro.gpu.device import default_device
 from repro.query import QUERIES, QUERY_ORDER, motifs, query_by_name
+from repro.query.pattern import QueryGraph
 
 __all__ = [
     "table1_datasets",
@@ -47,13 +48,17 @@ SCALED_BATCH_8192 = 512
 _RUN_CACHE: dict[tuple, RunResult] = {}
 
 
-def _run(system: str, dataset: str, query_name: str, *, batch_size: int,
+def _run(system: str, dataset: str, query: str | QueryGraph, *, batch_size: int,
          num_batches: int = 1, seed: int = 0, **kwargs) -> RunResult:
-    key = (system, dataset, query_name, batch_size, num_batches, seed,
+    """Memoized :func:`run_stream`; ``query`` is a catalog name or a pattern
+    (memoized by its name)."""
+    if isinstance(query, str):
+        query = query_by_name(query)
+    key = (system, dataset, query.name, batch_size, num_batches, seed,
            tuple(sorted(kwargs.items())))
     if key not in _RUN_CACHE:
         _RUN_CACHE[key] = run_stream(
-            system, dataset, query_by_name(query_name),
+            system, dataset, query,
             batch_size=batch_size, num_batches=num_batches, seed=seed, **kwargs,
         )
     return _RUN_CACHE[key]
@@ -158,15 +163,12 @@ def fig11_roadnet_motifs(
     out: dict[tuple[str, int], dict[str, float]] = {}
     rows = []
     for dataset in graphs:
-        g0, batches = build_workload(dataset, batch_size=batch_size, seed=seed)
-        batch = batches[0]
         for size in sizes:
             totals = {s: 0.0 for s in systems}
             for motif in motifs(size):
                 for system in systems:
-                    sys_obj = make_system(system, g0, motif, seed=seed)
-                    result = sys_obj.process_batch(batch)
-                    totals[system] += result.breakdown.total_ns
+                    r = _run(system, dataset, motif, batch_size=batch_size, seed=seed)
+                    totals[system] += r.breakdown.total_ns
             out[(dataset, size)] = totals
             zc = totals.get("ZC")
             for system in systems:
@@ -248,23 +250,21 @@ def fig13_vsgm_breakdown(
     rows = []
     device = default_device()
     for dataset, qname, bs in cases:
-        g0, batches = build_workload(dataset, batch_size=bs, seed=seed)
-        vsgm = make_system("VSGM", g0, query_by_name(qname), seed=seed,
-                           strict_capacity=False)
-        vsgm_result = vsgm.process_batch(batches[0])
+        vsgm = _run("VSGM", dataset, qname, batch_size=bs, seed=seed,
+                    strict_capacity=False)
         gcsm = _run("GCSM", dataset, qname, batch_size=bs, seed=seed)
-        vsgm_dc = vsgm_result.breakdown.pack_ns / 1e6
-        vsgm_match = vsgm_result.breakdown.match_ns / 1e6
-        overflow = vsgm_result.cache_bytes / device.cache_buffer_bytes
+        vsgm_dc = vsgm.breakdown.pack_ns / 1e6
+        vsgm_match = vsgm.match_ms
+        overflow = vsgm.cache_bytes / device.cache_buffer_bytes
         out[dataset] = {
             "VSGM": {"dc_ms": vsgm_dc, "match_ms": vsgm_match, "batch": bs,
-                     "copy_bytes": float(vsgm_result.cache_bytes),
+                     "copy_bytes": float(vsgm.cache_bytes),
                      "buffer_overflow_x": overflow},
             "GCSM": {"dc_ms": gcsm.dc_ms, "match_ms": gcsm.match_ms, "batch": bs,
                      "copy_bytes": float(gcsm.cache_bytes)},
         }
         rows.append([dataset, qname, bs, "VSGM", vsgm_dc, vsgm_match,
-                     int(vsgm_result.cache_bytes), f"{overflow:.1f}x"])
+                     int(vsgm.cache_bytes), f"{overflow:.1f}x"])
         rows.append([dataset, qname, bs, "GCSM", gcsm.dc_ms, gcsm.match_ms,
                      int(gcsm.cache_bytes), "fits"])
     print_table(

@@ -4,7 +4,10 @@
 (cached at module level — the bench suite reuses graphs across queries and
 systems, as the paper does).  ``run_stream`` drives one system over one or
 more batches and aggregates simulated timings, traffic, and GCSM-specific
-artifacts into a :class:`RunResult`.
+artifacts into a :class:`RunResult` — the one record of a run: the figure
+runners read it, ``RunResult.to_dict`` is what ``repro run --json`` exports
+and the scenario matrix gates, and :func:`summarize` turns a set of them
+into the paper's speedup statistics.
 
 Workloads span several *update mixes* (the axis batch-dynamic systems are
 regime-sensitive to): the paper's balanced ``mixed`` stream, skewed
@@ -19,7 +22,8 @@ records requested vs delivered sizes and a ``RuntimeWarning`` is emitted.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Iterable
 
 import numpy as np
 
@@ -33,13 +37,15 @@ from repro.gpu.clock import TimeBreakdown
 from repro.gpu.counters import AccessCounters, Channel
 from repro.gpu.device import DeviceConfig
 from repro.query.pattern import QueryGraph
-from repro.utils import format_time_ns
+from repro.utils import format_time_ns, geometric_mean, require
 
 __all__ = [
     "RunResult",
+    "ComparisonSummary",
     "Workload",
     "UPDATE_MIXES",
     "run_stream",
+    "summarize",
     "run_service",
     "build_workload",
     "clear_caches",
@@ -284,6 +290,17 @@ class RunResult:
         """Data-preparation time: FE + packing/DMA (Fig. 13's 'DC')."""
         return (self.breakdown.estimate_ns + self.breakdown.pack_ns) / 1e6
 
+    def to_dict(self) -> dict:
+        """The run as one flat, JSON-ready row: every field but
+        ``breakdown`` and ``counters``, plus the breakdown's per-batch
+        ``*_ns`` columns and ``total_ns``."""
+        row = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("breakdown", "counters")}
+        bd = self.breakdown
+        row.update({f.name: getattr(bd, f.name) for f in fields(bd)})
+        row["total_ns"] = bd.total_ns
+        return row
+
     def describe(self) -> str:
         return (
             f"{self.system:>9} {self.dataset:>6} {self.query:>10} "
@@ -408,6 +425,62 @@ def run_stream(
         prefilter=config.prefilter if config.prefilter != "off" else None,
         **totals.fields(workload, batches, num_batches),
     )
+
+
+@dataclass
+class ComparisonSummary:
+    """Speedup statistics of one system against a baseline.
+
+    ``speedups`` maps (dataset, query) to baseline_time / system_time — the
+    paper's convention (values > 1 mean the system wins).
+    """
+
+    system: str
+    baseline: str
+    speedups: dict[tuple[str, str], float] = field(default_factory=dict)
+
+    @property
+    def min(self) -> float:
+        return min(self.speedups.values())
+
+    @property
+    def max(self) -> float:
+        return max(self.speedups.values())
+
+    @property
+    def geomean(self) -> float:
+        return geometric_mean(self.speedups.values())
+
+    @property
+    def wins(self) -> int:
+        return sum(1 for v in self.speedups.values() if v > 1.0)
+
+    def describe(self) -> str:
+        return (
+            f"{self.system} vs {self.baseline}: "
+            f"{self.min:.2f}x-{self.max:.2f}x "
+            f"(geomean {self.geomean:.2f}x, wins {self.wins}/{len(self.speedups)})"
+        )
+
+
+def summarize(
+    runs: Iterable[RunResult], system: str, baseline: str
+) -> ComparisonSummary:
+    """Pairwise speedup summary over matching (dataset, query) legs."""
+    by_key = {(r.system, r.dataset, r.query): r for r in runs}
+    summary = ComparisonSummary(system=system, baseline=baseline)
+    for (sys_name, dataset, query), run in by_key.items():
+        if sys_name != system:
+            continue
+        base = by_key.get((baseline, dataset, query))
+        if base is None:
+            continue
+        require(run.breakdown.total_ns > 0, "non-positive system time")
+        summary.speedups[(dataset, query)] = (
+            base.breakdown.total_ns / run.breakdown.total_ns
+        )
+    require(bool(summary.speedups), f"no overlapping legs for {system} vs {baseline}")
+    return summary
 
 
 def run_service(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -35,9 +36,12 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
+from repro.bench.harness import UPDATE_MIXES, run_service, run_stream
 from repro.core.baselines import SYSTEM_NAMES, SYSTEMS
 from repro.core.engine import EngineConfig
 from repro.core.multiquery import Rulebook
+from repro.gpu.counters import Channel
+from repro.gpu.device import ClusterConfig
 from repro.graphs import datasets
 from repro.graphs.stream import CONFLICT_MODES
 from repro.query import QUERY_ORDER, query_by_name
@@ -94,8 +98,6 @@ GATED_METRICS: tuple[str, ...] = (
 #: determinism metrics that must be *identical* run-to-run
 EXACT_METRICS: tuple[str, ...] = ("delta_total", "embeddings_total")
 
-_UPDATE_MIXES = ("mixed", "insert-heavy", "delete-heavy", "churn", "adversarial")
-
 
 def parse_predicate(text: str) -> tuple[float, float]:
     """Parse a weight-predicate factor value into ``(lo, hi)`` bounds.
@@ -133,7 +135,7 @@ def _check_level(factor: str, value: object) -> None:
                  or (v.startswith("rulebook:")
                      and all(n in QUERY_ORDER for n in v[9:].split("+"))))
         ),
-        "update_mix": lambda v: v in _UPDATE_MIXES,
+        "update_mix": lambda v: v in UPDATE_MIXES,
         "batch_size": lambda v: v is None or (isinstance(v, int) and v > 0),
         "num_batches": lambda v: isinstance(v, int) and v > 0,
         "conflict_mode": lambda v: v in CONFLICT_MODES,
@@ -298,11 +300,9 @@ def _cell_queries(cell: Mapping) -> list:
 
 
 def run_cell(cell: Mapping, *, seed: int = 0) -> dict:
-    """Execute one cell through the harness; return its trajectory record."""
-    from repro.bench.harness import run_stream
-    from repro.gpu.counters import Channel
-    from repro.gpu.device import ClusterConfig
-
+    """Execute one cell through the harness; return its trajectory record:
+    the run's :meth:`~repro.bench.harness.RunResult.to_dict` row plus its
+    counters' totals (summed over the run) and the wall clock."""
     kwargs: dict = dict(
         batch_size=cell["batch_size"],
         num_batches=cell["num_batches"],
@@ -322,38 +322,22 @@ def run_cell(cell: Mapping, *, seed: int = 0) -> dict:
     result = run_stream(cell["system"], cell["dataset"], query, **kwargs)
     wall = time.perf_counter() - start
 
-    bd = result.breakdown
     counters = result.counters
     return {
         "cell_id": cell_id(cell),
         "factors": dict(cell),
         "metrics": {
             "wall_clock_s": wall,  # recorded, never gated
-            "total_ns": bd.total_ns,
-            "match_ns": bd.match_ns,
-            "estimate_ns": bd.estimate_ns,
-            "pack_ns": bd.pack_ns,
-            "update_ns": bd.update_ns,
-            "reorg_ns": bd.reorg_ns,
+            **result.to_dict(),
             "compute_ops": int(counters.compute_ops),
-            "cpu_access_bytes": int(result.cpu_access_bytes),
             "zero_copy_bytes": int(counters.bytes_by_channel[Channel.ZERO_COPY]),
             "gpu_global_bytes": int(counters.bytes_by_channel[Channel.GPU_GLOBAL]),
-            "delta_total": int(result.delta_total),
-            "embeddings_total": int(result.embeddings_total),
-            "batch_size": result.batch_size,
-            "batch_size_requested": result.batch_size_requested,
-            "num_batches": result.num_batches,
-            "batches_skipped": result.batches_skipped,
-            "roots_skipped": result.roots_skipped,
         },
     }
 
 
 def _run_service_cell(svc: Mapping, *, seed: int) -> dict:
     """Execute one spec-level service scenario into a trajectory record."""
-    from repro.bench.harness import run_service
-
     kwargs = dict(svc)
     num_tenants = int(kwargs.pop("num_tenants", 2))
     kwargs.setdefault("seed", seed)
@@ -493,7 +477,8 @@ def compare_trajectories(
     """Gate ``current`` against ``baseline`` over their shared cells.
 
     Simulated-time and counter metrics (:data:`GATED_METRICS`) may grow by
-    at most ``max_regress_pct`` percent; determinism metrics
+    at most ``max_regress_pct`` percent, and not at all from a baseline of
+    0; determinism metrics
     (:data:`EXACT_METRICS`) must be bit-identical.  Every baseline cell
     within ``current``'s ``filters`` must have been run.  Improvements, new
     cells and wall-clock changes never fail the gate.
@@ -516,9 +501,10 @@ def compare_trajectories(
             if metric not in cur or metric not in base:
                 continue
             b, c = float(base[metric]), float(cur[metric])
-            if b <= 0:
-                continue  # nothing measured to regress against
-            pct = (c - b) / b * 100.0
+            if c <= b:
+                continue
+            # growth from a zero baseline is unbounded: always a regression
+            pct = (c - b) / b * 100.0 if b > 0 else math.inf
             if pct > max_regress_pct:
                 report.regressions.append((cid, metric, b, c, pct))
         for metric in EXACT_METRICS:

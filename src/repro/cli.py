@@ -21,14 +21,15 @@ Commands
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from pathlib import Path
 from typing import Sequence
 
 from repro.bench import figures
-from repro.bench.harness import build_workload, print_table, run_stream
+from repro.bench.harness import build_workload, print_table, run_stream, summarize
 from repro.core.baselines import SYSTEM_NAMES
 from repro.core.multiquery import Rulebook
-from repro.core.results import ExperimentRecord, save_records, summarize
 from repro.gpu.device import INTERCONNECTS, ClusterConfig
 from repro.graphs import datasets
 from repro.graphs.stream import CONFLICT_MODES
@@ -257,7 +258,7 @@ def _print_run(result, args: argparse.Namespace) -> None:
     if result.num_devices > 1:
         _print_fleet(result, args.interconnect)
     if args.json:
-        save_records([ExperimentRecord.from_run(result)], args.json)
+        Path(args.json).write_text(json.dumps([result.to_dict()], indent=2))
         print(f"  record written to {args.json}")
 
 
@@ -317,14 +318,14 @@ def _print_fleet(result, interconnect: str) -> None:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     systems = [s.strip() for s in args.systems.split(",") if s.strip()]
-    records = []
+    runs = []
     rows = []
     for system in systems:
         result = run_stream(
             system, args.dataset, query_by_name(args.query),
             batch_size=args.batch_size, num_batches=args.batches, seed=args.seed,
         )
-        records.append(ExperimentRecord.from_run(result))
+        runs.append(result)
         rows.append([system, result.total_ms, result.match_ms,
                      result.cpu_access_bytes, result.delta_total])
     print_table(
@@ -333,7 +334,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     baseline = systems[-1]
     for system in systems[:-1]:
-        print(summarize(records, system, baseline).describe())
+        print(summarize(runs, system, baseline).describe())
     return 0
 
 

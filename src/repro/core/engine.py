@@ -638,8 +638,8 @@ class GCSMEngine:
     #
     # The stages communicate through the StagedBatch and run in Fig. 3
     # order under either schedule; the pipelined schedule's clock only
-    # re-times them on the resource lanes declared in
-    # :data:`repro.gpu.clock.PIPELINE_STAGES`.
+    # re-times them on the resource lanes of
+    # :meth:`repro.gpu.clock.PipelineClock.advance`.
     # ------------------------------------------------------------------
     @contextmanager
     def settling(self):

@@ -24,6 +24,8 @@ maintenance rides on the update stage and is charged into ``update_ns``.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.core.engine import GCSMEngine, Placement
@@ -33,7 +35,7 @@ from repro.gpu.counters import AccessCounters, Channel
 from repro.gpu.device import BYTES_PER_NEIGHBOR
 from repro.gpu.views import HostCPUView
 from repro.query.pattern import WILDCARD_LABEL, QueryGraph
-from repro.query.plan import MatchPlan, _build_levels, EdgeVersion
+from repro.query.plan import MatchPlan, compile_delta_plans, greedy_matching_order
 
 __all__ = ["IndexedPlacement", "IndexMemoryError", "candidate_index_bytes"]
 
@@ -103,51 +105,21 @@ class IndexedPlacement(Placement):
     def compile_plans(self, query: QueryGraph) -> list[MatchPlan]:
         """RapidFlow's matching-order optimization.
 
-        Reuses the plan compiler's level builder with a candidate-aware
-        order: connectivity to the bound prefix stays the primary criterion
-        (every dropped constraint multiplies the search tree), and among
-        equally-connected vertices the one with the *scarcest* candidate set
-        is bound first — the index-informed refinement that lets RapidFlow
-        beat the plain nested-loop order on selective queries.
+        The plan compiler with a candidate-aware order: connectivity to the
+        bound prefix stays the primary criterion (every dropped constraint
+        multiplies the search tree), and among equally-connected vertices
+        the one with the *scarcest* candidate set is bound first — the
+        index-informed refinement that lets RapidFlow beat the plain
+        nested-loop order on selective queries.
         """
-        sizes = {u: self.candidates[u].size for u in range(self.query.num_vertices)}
-        plans: list[MatchPlan] = []
-        for i, (u_a, u_b) in enumerate(self.query.edges):
-            order = [u_a, u_b]
-            bound = {u_a, u_b}
-            while len(order) < self.query.num_vertices:
-                best = min(
-                    (
-                        u
-                        for u in range(self.query.num_vertices)
-                        if u not in bound and self.query.neighbors(u) & bound
-                    ),
-                    key=lambda u: (
-                        -len(self.query.neighbors(u) & bound),
-                        sizes[u],
-                        -self.query.degree(u),
-                        u,
-                    ),
-                )
-                order.append(best)
-                bound.add(best)
+        sizes = {u: c.size for u, c in self.candidates.items()}
 
-            def version(j: int, i: int = i) -> EdgeVersion:
-                return EdgeVersion.OLD if j < i else EdgeVersion.NEW
+        def rank(u: int, connectivity: int) -> tuple:
+            return (connectivity, -sizes[u], query.degree(u), -u)
 
-            levels = _build_levels(self.query, order, version)
-            plans.append(
-                MatchPlan(
-                    query=self.query,
-                    order=tuple(order),
-                    root_edge=(u_a, u_b),
-                    root_edge_index=i,
-                    levels=levels,
-                    delta_index=i,
-                    root_predicate=self.query.predicate_for_index(i),
-                )
-            )
-        return plans
+        return compile_delta_plans(
+            query, functools.partial(greedy_matching_order, rank=rank)
+        )
 
     # ------------------------------------------------------------------
     def maintain(self, batch: UpdateBatch, counters: AccessCounters) -> None:

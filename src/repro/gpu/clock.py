@@ -25,9 +25,6 @@ from repro.gpu.device import DeviceConfig
 __all__ = [
     "simulated_time_ns",
     "TimeBreakdown",
-    "StageSpec",
-    "PIPELINE_STAGES",
-    "STAGE_RESOURCES",
     "BatchSchedule",
     "PipelineClock",
     "ScheduleReport",
@@ -168,39 +165,6 @@ class TimeBreakdown:
 # Pipelined stage scheduling
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class StageSpec:
-    """One pipeline stage and the resource class that executes it.
-
-    ``resource`` is one of ``"cpu"`` (the host), ``"gpu"`` (the device
-    kernel lane), or ``"peer"`` (the cross-device collective lane).  Each
-    resource executes at most one stage at a time, in batch order (FIFO
-    lanes) — the model behind :class:`PipelineClock`.
-    """
-
-    name: str
-    resource: str
-
-
-#: The five paper steps plus the multi-GPU collective, with their resource
-#: classes.  ``reorganize`` is declared *independent of the kernel*: the
-#: modeled system keeps the epoch the kernel reads double-buffered, so the
-#: host can re-sort while the device is still matching the same batch — see
-#: ``docs/service.md``.
-PIPELINE_STAGES = (
-    StageSpec("update", "cpu"),
-    StageSpec("prefilter", "cpu"),
-    StageSpec("estimate", "cpu"),
-    StageSpec("pack", "cpu"),
-    StageSpec("match", "gpu"),
-    StageSpec("reorganize", "cpu"),
-    StageSpec("comm", "peer"),
-)
-
-#: resource class by stage name (convenience for reporting)
-STAGE_RESOURCES = {spec.name: spec.resource for spec in PIPELINE_STAGES}
-
-
-@dataclass(frozen=True)
 class BatchSchedule:
     """Where one batch's stages landed on the pipelined timeline."""
 
@@ -225,7 +189,10 @@ class PipelineClock:
     Models the overlapped execution of a host–device pipeline: batch
     *k+1*'s CPU stages (update → estimate → pack) run while batch *k* is
     still matching on the device.  The engine runs the stages in order; only
-    this clock overlaps them.  Dependencies:
+    this clock overlaps them.  It has three FIFO lanes — ``cpu`` (the host),
+    ``gpu`` (the device kernel) and ``peer`` (the cross-device collective)
+    — each running one stage at a time in batch order, and :meth:`advance`
+    is the one place a stage is given its lane.  Dependencies:
 
     * CPU lane, FIFO: ``update(k) → prefilter(k) → estimate(k) →
       pack(k) → reorganize(k)`` then ``update(k+1)`` —

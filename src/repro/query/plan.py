@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.query.pattern import QueryGraph
 from repro.utils import require
@@ -203,7 +203,10 @@ def plan_signature(plan: MatchPlan) -> tuple:
 
 
 def greedy_matching_order(
-    query: QueryGraph, first: int, second: int
+    query: QueryGraph,
+    first: int,
+    second: int,
+    rank: Callable[[int, int], tuple] | None = None,
 ) -> tuple[int, ...]:
     """Connectivity-greedy matching order starting from a root edge.
 
@@ -213,6 +216,10 @@ def greedy_matching_order(
     heuristic family STMatch/GraphPi use.  Every chosen vertex has at least
     one bound neighbor (patterns are connected), so every level of the
     resulting plan has at least one constraint.
+
+    ``rank(u, connectivity)``, when given, replaces that key (the largest
+    is bound next); it must keep ``connectivity`` first and end in a unique
+    tie-break.
     """
     require(query.has_edge(first, second), "root vertices must share a query edge")
     order = [first, second]
@@ -226,7 +233,8 @@ def greedy_matching_order(
             connectivity = len(query.neighbors(u) & bound)
             if connectivity == 0:
                 continue
-            key = (connectivity, query.degree(u), -u)
+            key = (rank(u, connectivity) if rank is not None
+                   else (connectivity, query.degree(u), -u))
             if best_key is None or key > best_key:
                 best, best_key = u, key
         assert best is not None, "pattern connectivity violated"
@@ -291,17 +299,21 @@ def compile_static_plan(query: QueryGraph, root_edge: tuple[int, int] | None = N
     )
 
 
-def compile_delta_plans(query: QueryGraph) -> list[MatchPlan]:
+def compile_delta_plans(
+    query: QueryGraph,
+    order_of: Callable[[QueryGraph, int, int], tuple[int, ...]] = greedy_matching_order,
+) -> list[MatchPlan]:
     """Compile the m incremental plans ΔM_1..ΔM_m (paper Fig. 2b–f).
 
     Plan ``i`` (0-based ``delta_index``) roots at query edge ``e_i``; other
     query edges read OLD when their global index is below ``i`` and NEW when
     above.  Executing all plans against a signed batch and summing the
     per-embedding signs yields exactly ``ΔM = M(G_{k+1}) − M(G_k)``.
+    ``order_of(query, u_a, u_b)`` gives each plan's matching order.
     """
     plans: list[MatchPlan] = []
     for i, (u_a, u_b) in enumerate(query.edges):
-        order = greedy_matching_order(query, u_a, u_b)
+        order = order_of(query, u_a, u_b)
 
         def version(j: int, i: int = i) -> EdgeVersion:
             require(j != i, "root edge must not appear as a constraint")

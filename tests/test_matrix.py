@@ -2,12 +2,17 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench import matrix
 from repro.bench.harness import clear_caches
 from repro.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+SMOKE_SPEC = ROOT / "benchmarks" / "specs" / "matrix_smoke.json"
+SMOKE_BASELINE = ROOT / "benchmarks" / "results" / "BENCH_matrix.json"
 
 TINY_SPEC = {
     "name": "tiny",
@@ -228,6 +233,19 @@ class TestCompareTrajectories:
         # a looser tolerance lets the same pair through
         assert matrix.compare_trajectories(traj, baseline, max_regress_pct=150.0).ok
 
+    def test_growth_from_a_zero_baseline_fails(self):
+        traj = self._trajectory()
+        baseline = copy.deepcopy(traj)
+        baseline["records"][0]["metrics"]["match_ns"] = 0.0
+        assert traj["records"][0]["metrics"]["match_ns"] > 0
+        report = matrix.compare_trajectories(traj, baseline, max_regress_pct=1e9)
+        assert not report.ok
+        assert [m for _, m, *_ in report.regressions] == ["match_ns"]
+        assert "REGRESSION match_ns" in report.describe()
+        # zero staying zero is no regression
+        traj["records"][0]["metrics"]["match_ns"] = 0.0
+        assert matrix.compare_trajectories(traj, baseline).ok
+
     def test_exact_metric_must_match(self):
         traj = self._trajectory()
         baseline = copy.deepcopy(traj)
@@ -275,6 +293,26 @@ class TestCompareTrajectories:
         current = matrix.run_matrix(spec, filters={"devices": "2"})
         report = matrix.compare_trajectories(current, baseline)
         assert report.ok and report.compared == 1 and not report.missing_cells
+
+
+class TestCommittedSmokeBaseline:
+    """The CI gate compares against cells that can regress: engine cells
+    with ΔM != 0 and with pre-filter root skips, from the committed spec."""
+
+    def _engine_records(self):
+        return [r for r in matrix.load_trajectory(SMOKE_BASELINE)["records"]
+                if "service" not in r["factors"]]
+
+    def test_baseline_runs_the_committed_spec(self):
+        cells, _ = matrix.expand_cells(matrix.ScenarioSpec.from_json(SMOKE_SPEC))
+        assert sorted(r["cell_id"] for r in self._engine_records()) == sorted(
+            matrix.cell_id(c) for c in cells
+        )
+
+    def test_baseline_cells_bite(self):
+        records = self._engine_records()
+        assert any(r["metrics"]["delta_total"] != 0 for r in records)
+        assert any(r["metrics"]["roots_skipped"] > 0 for r in records)
 
 
 class TestMatrixCLI:

@@ -1,6 +1,8 @@
 """Tests for the RapidFlow-style CPU baseline (paper Fig. 14): the engine's
 ``indexed`` placement."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -119,3 +121,55 @@ class TestOrderOptimization:
             covered.append(plan.root_edge_index)
             assert sorted(covered) == list(range(TAILED.num_edges))
             assert plan.delta_index == i
+
+    #: candidate-aware orders and a digest of every plan's signature, order,
+    #: root edge and delta index on AZ, recorded when RapidFlow compiled its
+    #: plans with a private copy of the plan compiler's per-edge loop
+    AZ_PLANS = {
+        "Q1": (
+            [(0, 1, 4, 3, 2), (1, 2, 4, 0, 3), (2, 3, 1, 0, 4), (0, 3, 4, 1, 2),
+             (0, 4, 1, 3, 2), (1, 4, 0, 3, 2)],
+            "0512a7d06c041725",
+        ),
+        "Q2": (
+            [(0, 1, 4, 3, 2), (1, 2, 3, 4, 0), (2, 3, 1, 4, 0), (3, 4, 2, 1, 0),
+             (0, 4, 1, 3, 2), (1, 3, 2, 4, 0)],
+            "c33a86ef6350de9b",
+        ),
+        "Q3": (
+            [(0, 1, 2, 3, 5, 4), (1, 2, 0, 3, 5, 4), (0, 2, 1, 3, 5, 4), (2, 3, 5, 4, 1, 0),
+             (3, 4, 5, 2, 1, 0), (4, 5, 3, 2, 1, 0), (3, 5, 4, 2, 1, 0)],
+            "a8c656b3cad61436",
+        ),
+        "Q4": (
+            [(0, 1, 3, 4, 5, 2), (1, 2, 3, 0, 4, 5), (2, 3, 1, 0, 4, 5), (3, 4, 1, 0, 5, 2),
+             (4, 5, 1, 0, 3, 2), (0, 5, 1, 4, 3, 2), (0, 3, 1, 4, 5, 2),
+             (1, 4, 3, 0, 5, 2)],
+            "8f2becefcd837f95",
+        ),
+        "Q5": (
+            [(0, 1, 2, 4, 3, 6, 5), (1, 2, 0, 4, 3, 6, 5), (0, 2, 1, 4, 3, 6, 5),
+             (2, 3, 4, 1, 0, 6, 5), (3, 4, 2, 1, 0, 6, 5), (2, 4, 3, 1, 0, 6, 5),
+             (4, 5, 6, 2, 3, 1, 0), (4, 6, 5, 2, 3, 1, 0), (5, 6, 4, 2, 3, 1, 0)],
+            "29fc5389f3a72032",
+        ),
+        "Q6": (
+            [(0, 1, 3, 2, 4, 6, 5), (1, 2, 4, 3, 0, 6, 5), (2, 3, 4, 1, 0, 6, 5),
+             (0, 3, 4, 2, 1, 6, 5), (2, 4, 3, 1, 0, 6, 5), (3, 4, 2, 1, 0, 6, 5),
+             (4, 5, 6, 3, 2, 1, 0), (5, 6, 4, 3, 2, 1, 0), (4, 6, 5, 3, 2, 1, 0)],
+            "845ab23984e470fc",
+        ),
+    }
+
+    def test_plans_pinned_on_az(self):
+        from repro.bench.harness import build_workload
+        from repro.query import query_by_name
+        from repro.query.plan import plan_signature
+
+        g0, _ = build_workload("AZ", seed=0)
+        for name, (orders, digest) in self.AZ_PLANS.items():
+            plans = RapidFlowSystem(g0, query_by_name(name)).plans
+            assert [p.order for p in plans] == orders, name
+            sig = repr([(plan_signature(p), p.order, p.root_edge, p.delta_index)
+                        for p in plans])
+            assert hashlib.sha256(sig.encode()).hexdigest()[:16] == digest, name

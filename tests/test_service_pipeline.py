@@ -8,12 +8,7 @@ from repro.core.reference import count_embeddings
 from repro.core.validation import generate_adversarial_stream
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.stream import UpdateBatch, derive_stream
-from repro.gpu.clock import (
-    PIPELINE_STAGES,
-    STAGE_RESOURCES,
-    PipelineClock,
-    TimeBreakdown,
-)
+from repro.gpu.clock import PipelineClock, TimeBreakdown
 from repro.query import QueryGraph
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
@@ -59,11 +54,24 @@ class TestTimeBreakdown:
 
 class TestPipelineClockSchedule:
     def test_stage_resource_classes(self):
-        assert STAGE_RESOURCES["match"] == "gpu"
-        assert STAGE_RESOURCES["comm"] == "peer"
-        for name in ("update", "prefilter", "estimate", "pack", "reorganize"):
-            assert STAGE_RESOURCES[name] == "cpu"
-        assert len(PIPELINE_STAGES) == 7
+        # two batches of equal stages: the host stages of a batch run back
+        # to back on one lane, batch 1's host prep overlaps batch 0's match
+        # (gpu lane) and batch 0's all-reduce overlaps batch 1's match (peer)
+        clock = PipelineClock()
+        stages = dict(update=1, estimate=1, pack=1, match=10, reorg=1, comm=5)
+        first = clock.advance(bd(**stages))
+        second = clock.advance(bd(**stages))
+        assert len(first.start_ns) == 7
+        host = ("update", "prefilter", "estimate", "pack", "reorganize")
+        for sched in (first, second):
+            for a, b in zip(host, host[1:]):
+                assert sched.end_ns[a] == sched.start_ns[b]
+        assert second.start_ns["update"] == first.end_ns["reorganize"]
+        assert second.end_ns["pack"] < first.end_ns["match"]
+        assert second.start_ns["match"] == first.end_ns["match"]
+        assert first.start_ns["comm"] == first.end_ns["match"]
+        assert first.end_ns["comm"] > second.start_ns["match"]
+        assert second.start_ns["comm"] == second.end_ns["match"]
 
     def test_single_batch_has_no_overlap_benefit_beyond_reorg(self):
         # one batch: match overlaps only reorganize
