@@ -129,37 +129,62 @@ def road_network(
     small max degree (9–12) of the SNAP road networks.  Road networks are
     the paper's stress test for the claim that CSM locality comes from small
     update batches, not only from degree skew (Fig. 11 discussion).
+
+    The draws follow a per-cell loop's order, and the graph and the generator
+    state after the call are pinned (``tests/test_generators.py``): cell by
+    cell, a row above the last draws one uniform for its down-right diagonal
+    (every column but the last) and then one for its down-left diagonal (every
+    column but the first); then four ``integers`` per extra link — row,
+    column, row offset, column offset in ``[-2, 2]``; then the labels.
     """
     rng = as_generator(seed)
     require(rows >= 2 and cols >= 2, "lattice needs at least 2x2")
     n = rows * cols
-
-    def vid(r: int, c: int) -> int:
-        return r * cols + c
-
-    edges: list[tuple[int, int]] = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((vid(r, c), vid(r, c + 1)))
-            if r + 1 < rows:
-                edges.append((vid(r, c), vid(r + 1, c)))
-            if r + 1 < rows and c + 1 < cols and rng.random() < diagonal_fraction:
-                edges.append((vid(r, c), vid(r + 1, c + 1)))
-            if r + 1 < rows and c - 1 >= 0 and rng.random() < diagonal_fraction:
-                edges.append((vid(r, c), vid(r + 1, c - 1)))
+    cell = np.arange(n, dtype=VERTEX_DTYPE).reshape(rows, cols)
+    # a row's draws are d1(0), d1(1), d2(1), ..., d1(cols-2), d2(cols-2), d2(cols-1)
+    draws = rng.random((rows - 1, 2 * (cols - 1)))
+    col = np.arange(cols - 1)
+    d1 = draws[:, np.maximum(2 * col - 1, 0)] < diagonal_fraction  # down-right
+    d2 = draws[:, np.minimum(2 * col + 2, 2 * cols - 3)] < diagonal_fraction  # down-left
+    del draws
+    # a lattice edge is (v, v + step) with v < v + step: its key is v * (n + 1) + step
+    keys = [
+        v.ravel() * (n + 1) + step
+        for v, step in ((cell[:, :-1], 1), (cell[:-1], cols),
+                        (cell[:-1, :-1][d1], cols + 1), (cell[:-1, 1:][d2], cols - 1))
+    ]
+    del cell, d1, d2  # only the keys outlive the lattice
     # extra short-range links create the occasional degree-9..12 junction
     extra = int(n * extra_edge_fraction)
-    for _ in range(extra):
-        r = int(rng.integers(0, rows))
-        c = int(rng.integers(0, cols))
-        dr = int(rng.integers(-2, 3))
-        dc = int(rng.integers(-2, 3))
+    if extra > 0:
+        r, c, dr, dc = _link_draws(rng, extra, rows, cols).T
         r2, c2 = r + dr, c + dc
-        if 0 <= r2 < rows and 0 <= c2 < cols and (dr, dc) != (0, 0):
-            edges.append((vid(r, c), vid(r2, c2)))
+        ok = (r2 >= 0) & (r2 < rows) & (c2 >= 0) & (c2 < cols) & ((dr != 0) | (dc != 0))
+        keys.append(edge_keys(r[ok] * cols + c[ok], r2[ok] * cols + c2[ok], n))
+    keys = sorted_unique(np.concatenate(keys))
     labels = assign_labels(n, num_labels, rng=rng)
-    return StaticGraph.from_edges(n, np.array(edges, dtype=VERTEX_DTYPE), labels)
+    return StaticGraph._from_edge_keys(n, keys, labels)
+
+
+def _link_draws(rng: np.random.Generator, extra: int, rows: int, cols: int) -> np.ndarray:
+    """``extra`` rows of ``(r, c, dr, dc)``: ``rng.integers(0, rows)``,
+    ``(0, cols)``, ``(-2, 3)``, ``(-2, 3)`` per link, value for value and
+    generator state for state.  ``Generator.integers`` maps one 32-bit word
+    ``x`` to ``[0, span)`` as ``(x * span) >> 32`` (Lemire), rejecting ``x``
+    and drawing again when ``(x * span) mod 2**32 < (2**32 - span) mod span``;
+    so one block of raw words gives every value unless a word would be
+    rejected, when the links are drawn again call by call."""
+    state = rng.bit_generator.state
+    span = np.array([rows, cols, 5, 5], dtype=np.uint64)
+    scaled = rng.integers(0, 2**32, size=(extra, 4), dtype=np.uint64) * span
+    if ((scaled & 0xFFFFFFFF) < (2**32 - span) % span).any():
+        rng.bit_generator.state = state
+        return np.array([
+            (rng.integers(0, rows), rng.integers(0, cols),
+             rng.integers(-2, 3), rng.integers(-2, 3))
+            for _ in range(extra)
+        ], dtype=np.int64)
+    return (scaled >> 32).astype(np.int64) - np.array([0, 0, 2, 2])
 
 
 def erdos_renyi(

@@ -13,8 +13,9 @@ ascending, which is what both the WCOJ set intersections and the binary-search
 deletion marking rely on.
 
 An *edge set* is one sorted int64 array of :func:`repro.utils.edge_keys`
-(``lo * n + hi``): construction dedupes with it, ``without_edges`` subtracts
-with it, ``contains_edges`` probes it.
+(``lo * n + hi``): construction dedupes with it, ``contains_edges`` probes it.
+``without_edges`` masks the CSR itself: each removed edge's two directed
+entries are found by a binary search in their rows' runs and dropped.
 """
 
 from __future__ import annotations
@@ -211,17 +212,41 @@ class StaticGraph:
     # derived graphs
     # ------------------------------------------------------------------
     def without_edges(self, edges: np.ndarray) -> "StaticGraph":
-        """Copy of the graph with the given undirected edges removed."""
+        """Copy of the graph with the given undirected edges removed: one mask
+        over the CSR, no rebuild.  The two directed entries of each removed
+        edge are found by one probe of the CSR and cleared, the kept entries
+        compressed and ``indptr`` recounted."""
         edge_arr = as_vertex_ids(edges).reshape(-1, 2)
         n = self.num_vertices
         # an endpoint outside the graph names no edge, and its key would alias one
         edge_arr = edge_arr[(edge_arr.min(axis=1) >= 0) & (edge_arr.max(axis=1) < n)]
-        keys = self.sorted_edge_keys()
-        removed = edge_keys(edge_arr[:, 0], edge_arr[:, 1], n)
-        keep = np.ones(keys.size, dtype=bool)  # the few removed keys probe the many, not the reverse
-        keep[np.searchsorted(keys, removed[contains_sorted(keys, removed)])] = False
-        keys = keys[keep]  # the whole key array dies before the build
-        return StaticGraph._from_edge_keys(n, keys, self.labels.copy())
+        lo, hi = np.divmod(sorted_unique(edge_keys(edge_arr[:, 0], edge_arr[:, 1], n)), n)
+        rows, cols = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+        at = self._entries(rows, cols)
+        found = at >= 0
+        keep = np.ones(self.indices.size, dtype=bool)
+        keep[at[found]] = False
+        indptr = self.indptr.copy()
+        indptr[1:] -= np.bincount(rows[found], minlength=n).cumsum()
+        return StaticGraph(indptr, self.indices[keep], self.labels.copy(), validate=False)
+
+    def _entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Where each directed entry ``(rows[i], cols[i])`` sits in ``indices``,
+        ``-1`` if absent: the CSR's directed keys ``row * n + col`` are sorted,
+        so one binary search probes them, run by run without materialising
+        them — every query takes its step at once, the few probe the many."""
+        lo, end = self.indptr[rows], self.indptr[rows + 1]
+        hi = end.copy()
+        live = np.flatnonzero(lo < hi)
+        while live.size:
+            mid = (lo[live] + hi[live]) >> 1
+            right = self.indices[mid] < cols[live]
+            lo[live[right]] = mid[right] + 1
+            hi[live[~right]] = mid[~right]
+            live = live[lo[live] < hi[live]]
+        hit = lo < end
+        hit[hit] = self.indices[lo[hit]] == cols[hit]
+        return np.where(hit, lo, -1)
 
     def with_edges(self, edges: np.ndarray) -> "StaticGraph":
         """Copy of the graph with the given undirected edges added."""

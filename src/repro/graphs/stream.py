@@ -396,7 +396,8 @@ def derive_localized_stream(
     ``hotspot_bias`` controls who gets hot: ``"uniform"`` picks random
     vertices (geographic locality), ``"degree"`` picks
     popularity-proportionally (activity concentrates on already-popular
-    accounts, the common case for social/transaction streams).  Locality
+    accounts, the common case for social/transaction streams; at most the
+    vertices that have an edge get hot).  Locality
     concentrates the matcher's accesses — quantified by the locality
     ablation bench.
     """
@@ -412,7 +413,10 @@ def derive_localized_stream(
     num_hot = max(1, int(n * hotspot_fraction))
     if hotspot_bias == "degree":
         degs = graph.degrees().astype(np.float64)
-        p = degs / degs.sum() if degs.sum() > 0 else None
+        p = None
+        if degs.sum() > 0:  # only a vertex with an edge can be drawn by popularity
+            p = degs / degs.sum()
+            num_hot = min(num_hot, int(np.count_nonzero(degs)))
         hot = rng.choice(n, size=num_hot, replace=False, p=p)
     else:
         hot = rng.choice(n, size=num_hot, replace=False)

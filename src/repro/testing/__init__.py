@@ -17,8 +17,10 @@ obviously-correct twins of the vectorized production kernels:
   bulk read is checked against (``neighbors_old`` / ``neighbors_new_parts`` /
   ``neighbors_new``: every list the recursive kernels read), the scalar loops
   the vectorized DCSR pack, reorganize merge and cache-budget scan are
-  checked against, and the two-run ``merge_sorted`` / ``is_sorted`` helpers
-  only the oracles and tests use.
+  checked against, the per-cell road lattice and the key-subtracting
+  ``without_edges`` the set-up builders are checked against, and the
+  two-run ``merge_sorted`` / ``is_sorted`` helpers only the oracles and
+  tests use.
 
 :mod:`repro.testing.calls` holds :func:`count_calls`, the clock that repeats
 (Python ``call`` events), for gates on per-vertex / per-node Python loops.
@@ -50,10 +52,12 @@ from repro.testing.oracles import (
     neighbors_new,
     neighbors_new_parts,
     neighbors_old,
+    road_network_reference,
     select_within_budget_reference,
     stored_runs,
     versioned_degree,
     versioned_runs,
+    without_edges_reference,
 )
 
 __all__ = [
@@ -81,4 +85,6 @@ __all__ = [
     "merge_sorted",
     "is_sorted",
     "select_within_budget_reference",
+    "road_network_reference",
+    "without_edges_reference",
 ]

@@ -15,6 +15,11 @@ routine replaced, kept verbatim so tests can assert bit-identical output:
   executor reads ``N'`` with (:func:`is_sorted` checks runs in the tests)
 * :func:`select_within_budget_reference` ↔
   :func:`repro.core.cache.select_within_budget`
+* :func:`road_network_reference` ↔ :func:`repro.graphs.generators.road_network`:
+  the per-cell loop whose draw order the whole-array lattice keeps
+* :func:`without_edges_reference` ↔
+  :meth:`repro.graphs.static_graph.StaticGraph.without_edges`: the edge-key
+  subtraction and CSR rebuild the mask over the CSR replaced
 """
 
 from __future__ import annotations
@@ -23,14 +28,18 @@ import numpy as np
 
 from repro.core.dcsr import DcsrCache, packed_size_bytes
 from repro.graphs.dynamic_graph import DynamicGraph
+from repro.graphs.generators import assign_labels
+from repro.graphs.static_graph import StaticGraph
 from repro.query.plan import EdgeVersion
-from repro.utils import VERTEX_DTYPE, require
+from repro.utils import (
+    VERTEX_DTYPE, as_generator, as_vertex_ids, contains_sorted, edge_keys, require,
+)
 
 __all__ = [
     "stored_runs", "neighbors_old", "neighbors_new_parts", "neighbors_new",
     "versioned_runs", "versioned_degree",
     "build_reference", "merge_runs_reference", "merge_sorted", "is_sorted",
-    "select_within_budget_reference",
+    "select_within_budget_reference", "road_network_reference", "without_edges_reference",
 ]
 
 
@@ -171,3 +180,63 @@ def select_within_budget_reference(
         chosen.append(v)
         used += size
     return np.asarray(chosen, dtype=np.int64)
+
+
+def road_network_reference(
+    rows: int,
+    cols: int,
+    *,
+    diagonal_fraction: float = 0.3,
+    extra_edge_fraction: float = 0.02,
+    num_labels: int = 3,
+    seed: int | np.random.Generator | None = 0,
+) -> StaticGraph:
+    """The original per-cell loop of
+    :func:`repro.graphs.generators.road_network`: one ``rng.random()`` per
+    candidate diagonal, four scalar ``rng.integers`` per extra link."""
+    rng = as_generator(seed)
+    require(rows >= 2 and cols >= 2, "lattice needs at least 2x2")
+    n = rows * cols
+
+    def vid(r: int, c: int) -> int:
+        return r * cols + c
+
+    edges: list[tuple[int, int]] = []
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                edges.append((vid(r, c), vid(r, c + 1)))
+            if r + 1 < rows:
+                edges.append((vid(r, c), vid(r + 1, c)))
+            if r + 1 < rows and c + 1 < cols and rng.random() < diagonal_fraction:
+                edges.append((vid(r, c), vid(r + 1, c + 1)))
+            if r + 1 < rows and c - 1 >= 0 and rng.random() < diagonal_fraction:
+                edges.append((vid(r, c), vid(r + 1, c - 1)))
+    # extra short-range links create the occasional degree-9..12 junction
+    extra = int(n * extra_edge_fraction)
+    for _ in range(extra):
+        r = int(rng.integers(0, rows))
+        c = int(rng.integers(0, cols))
+        dr = int(rng.integers(-2, 3))
+        dc = int(rng.integers(-2, 3))
+        r2, c2 = r + dr, c + dc
+        if 0 <= r2 < rows and 0 <= c2 < cols and (dr, dc) != (0, 0):
+            edges.append((vid(r, c), vid(r2, c2)))
+    labels = assign_labels(n, num_labels, rng=rng)
+    return StaticGraph.from_edges(n, np.array(edges, dtype=VERTEX_DTYPE), labels)
+
+
+def without_edges_reference(graph: StaticGraph, edges: np.ndarray) -> StaticGraph:
+    """The original :meth:`StaticGraph.without_edges`: the removed edges'
+    keys subtracted from the sorted edge-key array, the CSR rebuilt from the
+    rest."""
+    edge_arr = as_vertex_ids(edges).reshape(-1, 2)
+    n = graph.num_vertices
+    # an endpoint outside the graph names no edge, and its key would alias one
+    edge_arr = edge_arr[(edge_arr.min(axis=1) >= 0) & (edge_arr.max(axis=1) < n)]
+    keys = graph.sorted_edge_keys()
+    removed = edge_keys(edge_arr[:, 0], edge_arr[:, 1], n)
+    keep = np.ones(keys.size, dtype=bool)  # the few removed keys probe the many, not the reverse
+    keep[np.searchsorted(keys, removed[contains_sorted(keys, removed)])] = False
+    keys = keys[keep]  # the whole key array dies before the build
+    return StaticGraph._from_edge_keys(n, keys, graph.labels.copy())

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graphs import datasets
 from repro.graphs.generators import (
@@ -12,6 +13,7 @@ from repro.graphs.generators import (
     powerlaw_graph,
     road_network,
 )
+from repro.testing import road_network_reference
 
 
 class TestPowerlaw:
@@ -110,6 +112,80 @@ class TestRoadNetwork:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             road_network(1, 5)
+
+
+FRACTIONS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class Rejecting(np.random.Generator):
+    """A generator whose raw 32-bit blocks are all zeros: a zero word scaled to
+    any span that is not a power of two leaves a remainder below the Lemire
+    threshold, so every block would be rejected."""
+
+    blocks = 0
+
+    def integers(self, low, high=None, size=None, **kwargs):
+        out = super().integers(low, high, size=size, **kwargs)
+        if size is not None and high == 2**32:
+            type(self).blocks += 1
+            out[...] = 0
+        return out
+
+
+class TestRoadNetworkOracle:
+    """The whole-array lattice is the per-cell loop it replaced: the same
+    graph and the same generator state after the call."""
+
+    @staticmethod
+    def both(rows, cols, seed, *, pending=False, generator=np.random.default_rng, **kwargs):
+        ours, theirs = generator(seed), generator(seed)
+        if pending:  # one 32-bit draw leaves half of a 64-bit word buffered
+            for rng in (ours, theirs):
+                rng.integers(0, 2**32, dtype=np.uint32)
+                assert rng.bit_generator.state["has_uint32"] == 1
+        got = road_network(rows, cols, seed=ours, **kwargs)
+        want = road_network_reference(rows, cols, seed=theirs, **kwargs)
+        assert got == want
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        return got
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        rows=st.integers(2, 40),
+        cols=st.integers(2, 40),
+        diagonal_fraction=FRACTIONS,
+        extra_edge_fraction=st.one_of(FRACTIONS, st.floats(-1.0, 0.0), st.floats(1.0, 1.5)),
+        num_labels=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        pending=st.booleans(),
+    )
+    def test_equals_the_per_cell_loop(
+        self, rows, cols, diagonal_fraction, extra_edge_fraction, num_labels, seed, pending
+    ):
+        self.both(rows, cols, seed, pending=pending, diagonal_fraction=diagonal_fraction,
+                  extra_edge_fraction=extra_edge_fraction, num_labels=num_labels)
+
+    def test_negative_extra_fraction_draws_no_links(self):
+        g = self.both(6, 7, 3, extra_edge_fraction=-0.4)
+        assert g == self.both(6, 7, 3, extra_edge_fraction=0.0)
+
+    @pytest.mark.parametrize("name", ["PA", "CA"])
+    def test_the_road_analogs(self, name):
+        spec = datasets.DATASETS[name]
+        ours, theirs = np.random.default_rng(0), np.random.default_rng(0)
+        got = spec.build(ours)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(datasets, "road_network", road_network_reference)
+            assert spec.build(theirs) == got
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_a_rejected_block_falls_back_to_one_call_per_draw(self, pending):
+        """The oracle draws one value a call, which the stub leaves alone."""
+        Rejecting.blocks = 0
+        self.both(9, 7, 8, pending=pending, extra_edge_fraction=0.5,
+                  generator=lambda seed: Rejecting(np.random.PCG64(seed)))
+        assert Rejecting.blocks == 1
 
 
 class TestErdosRenyi:
@@ -216,8 +292,11 @@ class TestIdentityPins:
             (lambda: powerlaw_graph(300, 6.0, seed=3), "53a375d7fad74c2a"),
             (lambda: road_network(12, 9, seed=4), "1688ff17adc31c57"),
             (lambda: erdos_renyi(200, 5.0, seed=5), "36b499925598e700"),
+            (lambda: datasets.DATASETS["PA"].build(0), "27b7ffcf785e008a"),
+            (lambda: datasets.DATASETS["FR"].build(0), "ea9e83befcfe70db"),
+            (lambda: datasets.DATASETS["SF3K"].build(0), "6eb1c0117f1b36ad"),
         ],
-        ids=["AZ", "CA", "powerlaw", "road", "erdos_renyi"],
+        ids=["AZ", "CA", "powerlaw", "road", "erdos_renyi", "PA", "FR", "SF3K"],
     )
     def test_graphs(self, build, pinned):
         g = build()
@@ -290,3 +369,28 @@ class TestIdentityPins:
             "insert_only_stream": (100, "9e2d5de43fd4baaa"),
             "derive_localized_stream": (100, "8651f963c3fcd4d1"),
         }
+
+    @pytest.mark.parametrize("name, derive, updates, batch_size, seed, pinned", [
+        ("CA", "derive_stream", 9600, 64, 0, (150, "02cb901fe3aef8aa")),
+        ("CA", "derive_stream", 9600, 64, 1, (150, "0041454266a5cbd1")),
+        ("FR", "derive_stream", 9600, 96, 0, (100, "c61276fb40d05e1c")),
+        ("FR", "derive_stream", 9600, 96, 1, (100, "a0600d4b2b223cf7")),
+        ("SF3K", "churn_stream", 6400, 64, 0, (101, "e4c4f6cd1a1dbe2e")),
+        ("SF3K", "churn_stream", 6400, 64, 1, (101, "58225d34841a3df4")),
+    ])
+    def test_benchmark_streams(self, name, derive, updates, batch_size, seed, pinned):
+        """``G_0``, every batch and the generator state after, for the repo
+        benchmark's three dataset workloads at their sizes (recorded before
+        ``without_edges`` became a mask of the CSR)."""
+        from repro.graphs import stream
+
+        rng = np.random.default_rng(seed)
+        g0, batches = getattr(stream, derive)(
+            datasets.DATASETS[name].build(0), num_updates=updates, batch_size=batch_size,
+            seed=rng,
+        )
+        arrays = [g0.indptr, g0.indices, g0.labels]
+        for b in batches:
+            arrays += [b.edges, b.signs]
+        after = rng.integers(0, 2**62, size=4)
+        assert (len(batches), self.digest(*arrays, after)) == pinned

@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graphs import DynamicGraph, StaticGraph
-from repro.graphs.generators import erdos_renyi, powerlaw_graph
+from repro.graphs.generators import erdos_renyi, powerlaw_graph, road_network
+from repro.testing import without_edges_reference
 
 
 def small_graph():
@@ -180,6 +182,37 @@ class TestDerivedGraphs:
         assert g.without_edges(np.concatenate([present, present[::-1]])).num_edges == 0
         assert g.without_edges(absent[~g.contains_edges(absent[:, 0], absent[:, 1])]) == g
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 40))
+    def test_without_equals_the_rebuild_oracle(self, data, n):
+        """One mask over the CSR is the key subtraction and CSR rebuild it
+        replaced: duplicate removals, both orientations, absent edges, self
+        pairs and endpoints outside the graph, in any order."""
+        vertex = st.integers(0, max(n - 1, 0))
+        g = StaticGraph.from_edges(
+            n,
+            np.array(data.draw(st.lists(st.tuples(vertex, vertex), max_size=250)),
+                     dtype=np.int64).reshape(-1, 2),
+            np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+                     dtype=np.int64),
+        )
+        before = StaticGraph(g.indptr.copy(), g.indices.copy(), g.labels.copy())
+        present = g.edge_array()
+        picks = data.draw(st.lists(
+            st.tuples(st.integers(0, max(present.shape[0] - 1, 0)), st.booleans()), max_size=80,
+        )) if present.size else []
+        removal = [present[i][::-1] if flip else present[i] for i, flip in picks]
+        removal += data.draw(st.lists(
+            st.tuples(st.integers(-3, n + 3), st.integers(-3, n + 3)), max_size=30
+        ))
+        removal += [(v, v) for v in data.draw(st.lists(vertex, max_size=4))]
+        removal = np.array(removal, dtype=np.int64).reshape(-1, 2)
+        removal = removal[data.draw(st.permutations(range(removal.shape[0])))]
+        out = g.without_edges(removal)
+        assert out == without_edges_reference(g, removal)
+        assert StaticGraph(out.indptr, out.indices, out.labels) == out  # a valid CSR
+        assert out.labels is not g.labels and g == before
+
     def test_without_on_the_empty_graph(self):
         for n in (0, 3):
             empty = StaticGraph.empty(n)
@@ -310,6 +343,16 @@ class TestSetUpMemory:
             assert ratio <= 3, (name, round(ratio, 2))
         assert outputs["_from_edge_keys"] == outputs["from_edges"] == graph
         assert outputs["without_edges"].num_edges == graph.num_edges - removed.shape[0]
+
+    def test_road_network_peaks_within_three_times_its_output(self):
+        """The CA analog's lattice: the edge keys are drawn as arrays, not a
+        list of tuples (the per-cell loop peaked at 9.9x)."""
+        road_network(3, 3, extra_edge_fraction=1.0)  # lazy imports are not the builder's
+        g, peak = self.peak(lambda: road_network(
+            130, 160, diagonal_fraction=0.35, extra_edge_fraction=0.08, seed=0
+        ))
+        ratio = peak / self.csr_bytes(g)
+        assert ratio <= 3, round(ratio, 2)
 
     def test_the_store_fills_its_pool_without_an_index_per_entry(self, graph):
         store, peak = self.peak(lambda: DynamicGraph(graph))

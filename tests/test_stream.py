@@ -328,6 +328,23 @@ class TestLocalizedStream:
 
         assert hub_touch("degree") > hub_touch("uniform")
 
+    def test_degree_bias_with_fewer_active_vertices_than_hot(self):
+        """Four of ten vertices have an edge and ``hotspot_fraction`` asks for
+        eight hot ones: the popularity draw takes the four (it raised
+        ``Fewer non-zero entries in p than size`` before)."""
+        from repro.graphs.stream import derive_localized_stream
+
+        g = StaticGraph.from_edges(10, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+        g0, batches = derive_localized_stream(
+            g, num_updates=4, batch_size=2, hotspot_fraction=0.8,
+            hotspot_bias="degree", seed=0,
+        )
+        assert [len(b) for b in batches] == [2, 2]
+        for b in batches:
+            assert g.contains_edges(b.edges[:, 0], b.edges[:, 1]).all()
+            assert g0.contains_edges(*b.delete_edges().T).all()
+            assert not g0.contains_edges(*b.insert_edges().T).any()
+
     def test_bad_bias_rejected(self):
         from repro.graphs.stream import derive_localized_stream
 
