@@ -14,7 +14,7 @@ else reads that expansion: the frequency walk, a fleet's shards, the
 pipelined schedule's match.  ``--check`` exits non-zero if any row launched
 anything outside the kernel's ``matching.expand_rows``, if a configuration's
 launches per batch differ from its workload's single-device row, or if a
-workload of :data:`CALLS` made more Python calls per batch than its bound.
+row of :data:`CALLS` made more Python calls per batch than its bound.
 
     PYTHONPATH=src python benchmarks/launch_counts.py [--check] [workload ...]
 """
@@ -43,13 +43,21 @@ VARIANTS = {
     'prefilter="on"': {"prefilter": "on"},
     'schedule="pipelined"': {"schedule": "pipelined"},
 }
-#: Python calls per batch a workload may make, about 3 % above what the
-#: workload makes (CPython 3.11, NumPy 2.4.6): ``fr_q1_mixed`` 929, and
-#: ``az_rulebook24`` 1 243, with per-batch work sized by what the batch
+#: Python calls per batch a ``(workload, configuration)`` row may make, about
+#: 3 % above what it makes (CPython 3.11, NumPy 2.4.6): ``fr_q1_mixed`` 929,
+#: and ``az_rulebook24`` 1 243, with per-batch work sized by what the batch
 #: touches (940 / 1 254 when every batch rebuilt its O(|V|) epoch tables,
 #: tallied the walk densely and allocated each counters' histogram; AZ made
-#: 1 369 when every batch charged per-query counters)
-CALLS = {"fr_q1_mixed": 960, "az_rulebook24": 1_280}
+#: 1 369 when every batch charged per-query counters); ``az_rulebook24`` under
+#: the pre-filter 1 401 and ``sparse_tri_skip`` 325, with each batch decided
+#: by one array program (4 651.5 / 372.4 when the index decided plan by plan,
+#: rulebook query by query, and refreshed a label-signature word per vertex)
+CALLS = {
+    ("fr_q1_mixed", "one device"): 960,
+    ("az_rulebook24", "one device"): 1_280,
+    ("az_rulebook24", 'prefilter="on"'): 1_443,
+    ("sparse_tri_skip", "one device"): 335,
+}
 
 
 def counting(owner, name: str, tally: dict) -> None:
@@ -101,11 +109,11 @@ def main(argv: list[str] | None = None) -> int:
             if tally["join_rows"] != tally["expand_rows"]:
                 failures.append(f"{name} {label}: {tally['join_rows'] - tally['expand_rows']} "
                                 "launches outside the kernel's expand")
+            if calls / n > CALLS.get((name, label), float("inf")):
+                failures.append(f"{name} {label}: {calls / n:.1f} Python calls per batch "
+                                f"> {CALLS[name, label]}")
             if single is None:
                 single = launches
-                if calls / n > CALLS.get(name, float("inf")):
-                    failures.append(f"{name}: {calls / n:.1f} Python calls per batch "
-                                    f"> {CALLS[name]}")
             elif launches != single:
                 failures.append(f"{name} {label}: {launches:.1f} launches per batch, "
                                 f"{single:.1f} on one device")

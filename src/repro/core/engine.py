@@ -508,9 +508,9 @@ class QuerySet:
         if engine.match is not match_batch:
             return None
         sunk = frozenset([None] if (sinks or {}).get(self.query.name) else [])
-        prefilter = None if decision is None else {None: decision}
         return expand(solo_trie(self.plans), batch, engine.graph, sinks=sunk,
-                      prefilter=prefilter, attributes=engine.attributes)
+                      prefilter=None if decision is None else decision.masks,
+                      attributes=engine.attributes)
 
     def estimate(self, engine: "GCSMEngine", batch: UpdateBatch, decision,
                  expansion: Expansion | None = None) -> EstimationResult:

@@ -156,21 +156,20 @@ def route_roots(
     plan: MatchPlan,
     roots: np.ndarray,
     signs: np.ndarray,
-    certify: Callable[[np.ndarray], np.ndarray] | None = None,
+    keep: np.ndarray | None = None,
     *,
     filters: dict[int, np.ndarray] | None = None,
     attributes=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A plan's label-filtered directed roots through candidate filters, the
     certified-skip mask and the root predicate: ``(roots, signs, dropped)``.
-    ``certify`` — the prefilter's keep-mask — is *evaluated* on the raw
+    ``keep`` — the prefilter's keep-mask — is aligned with the raw
     :func:`delta_roots` output, so a precomputed
     :class:`~repro.core.prefilter.PrefilterDecision` stays aligned under any
     filtering, but *applied* last: ``dropped`` are the roots it certified
     away among the survivors.  Every step is per root, so a restriction of
     the roots (a shard's) commutes with all of them.
     """
-    keep = certify(roots) if certify is not None and roots.shape[0] else None
     if filters and roots.shape[0]:
         mask = np.ones(roots.shape[0], dtype=bool)
         for col, u in ((0, plan.order[0]), (1, plan.order[1])):
@@ -190,37 +189,29 @@ def route_roots(
 # ----------------------------------------------------------------------
 def trie_roots(
     trie: ExecutionTrie, batch: UpdateBatch | None, graph, live: np.ndarray, *,
-    skip: frozenset = frozenset(), prefilter: dict | None = None, **routing,
+    prefilter: list[np.ndarray] | None = None, **routing,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The ``live`` root groups' roots, one :func:`route_roots` pipeline each
-    (``routing``: its keywords; certified by the OR of the group's live
-    members' ``prefilter[query].mask`` — a row failing for every member
-    provably yields no embedding for any), stacked group-major: ``(roots,
-    signs, processed, dropped, skipped)``: the certified-away roots as a
-    table, also group-major, and per root group the counts of both.
-    ``batch=None`` roots at the settled snapshot's edges."""
+    (``routing``: its keywords; certified by ``prefilter[group]``, the
+    group's keep-mask over its :func:`delta_roots` — the OR of its live
+    members' masks, :meth:`~repro.core.prefilter.InvariantIndex.decide`),
+    stacked group-major: ``(roots, signs, processed, dropped, skipped)``: the
+    certified-away roots as a table, also group-major, and per root group
+    the counts of both.  ``batch=None`` roots at the settled snapshot's
+    edges."""
     labels = graph.labels
     processed, skipped = np.zeros((2, len(trie.levels[0].nodes)), dtype=np.int64)
     none = np.empty((0, 2), dtype=np.int64)
     kept, gone = [(none, none[:, 0])], [none]  # stacks if none
     for group in live.tolist():
-        members = trie.levels[0].nodes[group].members
-        certify = None
-        if prefilter is not None:
-            alive = [ref for ref in members if ref.query_name not in skip]
-
-            def certify(roots, alive=alive):
-                keep = np.zeros(roots.shape[0], dtype=bool)
-                for ref in alive:
-                    keep |= prefilter[ref.query_name].mask(ref.index, ref.plan, roots)
-                return keep
         # the root signature holds labels and predicate: one plan stands for all
-        plan = members[0].plan
+        plan = trie.levels[0].nodes[group].members[0].plan
         if batch is None:
             raw = static_roots(plan, graph.edges_new_array(), labels)
         else:
             raw = delta_roots(plan, batch, labels)
-        roots, signs, dropped = route_roots(plan, *raw, certify, **routing)
+        keep = None if prefilter is None else prefilter[group]
+        roots, signs, dropped = route_roots(plan, *raw, keep, **routing)
         processed[group], skipped[group] = roots.shape[0], dropped.shape[0]
         kept.append((roots, signs))
         gone.append(dropped)
@@ -292,7 +283,7 @@ def expand(
     *,
     sinks: frozenset = frozenset(),
     skip: frozenset = frozenset(),
-    prefilter: dict | None = None,
+    prefilter: list[np.ndarray] | None = None,
     filters: dict[int, np.ndarray] | None = None,
     attributes=None,
 ) -> Expansion:
@@ -300,7 +291,8 @@ def expand(
     nothing: roots, launches, the ``sinks`` queries' rows, logs.
 
     Every live root group runs one :func:`route_roots` pipeline
-    (:func:`trie_roots`), then each depth is **one**
+    (:func:`trie_roots`; ``prefilter``: one keep-mask per root group), then
+    each depth is **one**
     :func:`~repro.core.frontier.expand_rows` launch over the rows of all its
     nodes.  A node's rows are handed to its live children by fan-out;
     queries in ``skip`` (certified ΔM = 0) are dropped from every member set,
@@ -318,7 +310,7 @@ def expand(
     queries, member, records = trie.incidence(skip, sinks)
     # a group whose every member is certified ΔM = 0 is not live: no roots either
     roots, signs, total, dropped, skipped = trie_roots(
-        trie, batch, graph, records[0].live, skip=skip, prefilter=prefilter,
+        trie, batch, graph, records[0].live, prefilter=prefilter,
         filters=filters, attributes=attributes,
     )
     # the root edge as a launch that already ran: one candidate per row
@@ -483,7 +475,7 @@ def match_trie(
     *,
     sinks: dict | None = None,
     skip: frozenset = frozenset(),
-    prefilter: dict | None = None,
+    prefilter: list[np.ndarray] | None = None,
     filters: dict[int, np.ndarray] | None = None,
     root_mask: Callable[[np.ndarray], np.ndarray] | None = None,
     attributes=None,
@@ -522,10 +514,10 @@ def match_batch(
     the ``(r, 2)`` root array it returns a boolean mask — as :func:`settle`'s
     restriction: per-root work is independent, so any disjoint cover of the
     roots reproduces the unrestricted counters exactly.
-    ``prefilter`` optionally supplies a certified-skip masker
-    (``repro.core.prefilter``): an object whose ``mask(plan_index, plan,
-    roots)`` returns a boolean keep-mask; dropped roots are counted in
-    ``MatchStats.roots_skipped``.  It is applied *last* — after candidate
+    ``prefilter`` optionally supplies a certified-skip decision
+    (:class:`~repro.core.prefilter.PrefilterDecision`): its per-plan
+    ``masks`` are the keep-masks of the plans' root groups; dropped roots are
+    counted in ``MatchStats.roots_skipped``.  It is applied *last* — after candidate
     filters — so the skip accounting composes with them and with the
     restriction, and exactness is certified (only provably-ΔM=0 roots are
     dropped).
@@ -537,7 +529,7 @@ def match_batch(
     return match_trie(
         solo_trie(plans), batch, view,
         sinks=None if sink is None else {None: sink},
-        prefilter=None if prefilter is None else {None: prefilter},
+        prefilter=None if prefilter is None else prefilter.masks,
         filters=filters, root_mask=root_mask, attributes=attributes,
     )[None]
 

@@ -59,7 +59,7 @@ import numpy as np
 from repro.core.engine import BatchResult, GCSMEngine, QuerySet
 from repro.core.frequency import EstimationResult, default_num_walks
 from repro.core.matching import Attribution, Expansion, MatchStats, expand, settle
-from repro.core.prefilter import PrefilterDecision, PrefilterStats
+from repro.core.prefilter import PrefilterDecision, PrefilterStats, RequirementTable
 from repro.core.querytrie import ExecutionTrie, TrieStats
 from repro.graphs.static_graph import StaticGraph
 from repro.graphs.stream import UpdateBatch
@@ -176,8 +176,9 @@ class MultiBatchResult(BatchResult):
 class RulebookDecision:
     """One batch's certified skips for a rulebook: a
     :class:`~repro.core.prefilter.PrefilterDecision` per query that runs its
-    own plans (representatives; every query when ``shared=False``) and the
-    names — aliases included — certified ΔM = 0.  Aliases inherit their
+    own plans (representatives; every query when ``shared=False``), the
+    names — aliases included — certified ΔM = 0, and the trie's root groups'
+    keep-masks (``masks``, one per group).  Aliases inherit their
     representative's skip: feasibility and root counts are isomorphism
     invariants, so the inheritance is exact."""
 
@@ -185,6 +186,7 @@ class RulebookDecision:
     skip_queries: frozenset[str]
     skip_batch: bool
     counters: AccessCounters
+    masks: list[np.ndarray]
 
     def to_stats(self, maintenance_ns: float = 0.0) -> PrefilterStats:
         return PrefilterStats(
@@ -289,33 +291,38 @@ class Rulebook(QuerySet):
         """The queries that execute their own plans."""
         return self.representatives if self.shared else self.queries
 
+    @cached_property
+    def requirements(self) -> RequirementTable:
+        """What the pre-filter decides, built for its first batch: the
+        queries running their own plans and the trie's root groups (the
+        per-query loop's estimate walks the trie too)."""
+        return RequirementTable({q.name: self.plans[q.name] for q in self._runners}, self.trie)
+
     # -- per batch --------------------------------------------------------
     def evaluate(self, index, batch: UpdateBatch) -> RulebookDecision:
-        """One decision per runner, materialized here so the match stage
-        never reads the index; only the representatives' evaluations
-        are charged (the per-query loop's aliases ride on them)."""
+        """Every runner's decision and the trie's root-group masks from one
+        :meth:`~repro.core.prefilter.InvariantIndex.decide`, materialized
+        here so the match stage never reads the index; only the
+        representatives' decisions are charged (the per-query loop's aliases
+        ride on them)."""
+        by_query, masks = index.decide(self.requirements, batch)
         counters = AccessCounters()
-        by_query: dict[str, PrefilterDecision] = {}
-        for query in self._runners:
-            decision = index.evaluate(self.plans[query.name], batch)
-            if self.canonical_of[query.name] == query.name:
-                counters.merge(decision.counters)
-            by_query[query.name] = decision
-        skip_queries = frozenset(
-            q.name for q in self.queries
-            if by_query[self.canonical_of[q.name]].skip_batch
-        )
+        counters.record_compute(sum([by_query[q.name].counters.compute_ops
+                                     for q in self.representatives]))
+        skip_queries = frozenset([
+            q.name for q in self.queries if by_query[self.canonical_of[q.name]].skip_batch
+        ])
         return RulebookDecision(
-            by_query, skip_queries, len(skip_queries) == len(self.queries), counters
+            by_query, skip_queries, len(skip_queries) == len(self.queries), counters, masks
         )
 
     @staticmethod
     def _routing(decision: RulebookDecision | None) -> dict:
         """What the trie's root pipeline certifies with: the skip set and the
-        per-query decisions, one dict object per batch."""
+        root groups' keep-masks."""
         if decision is None:
             return dict(skip=frozenset(), prefilter=None)
-        return dict(skip=decision.skip_queries, prefilter=decision.by_query)
+        return dict(skip=decision.skip_queries, prefilter=decision.masks)
 
     def expand(self, engine, batch, decision, sinks=None) -> Expansion | None:
         """The trie's view-free half, run ahead of the estimate (``None`` for

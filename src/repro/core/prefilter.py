@@ -18,10 +18,7 @@ churn can never desynchronize the index from the store):
 * **global edge label-pair histogram** ``pair_counts[ℓ₁ ≤ ℓ₂]`` — edges per
   unordered endpoint-label pair;
 * **per-vertex degree-by-label vectors** ``deg_label[v, ℓ]`` — distinct
-  neighbors of ``v`` carrying label ``ℓ`` (plus the total ``deg_total[v]``);
-* **k-bit neighborhood label-signature bitmasks** ``sig[v]`` — bit
-  ``ℓ mod 64`` set iff ``deg_label[v, ℓ] > 0``; a one-word necessary
-  condition tested before the exact count dominance.
+  neighbors of ``v`` carrying label ``ℓ`` (plus the total ``deg_total[v]``).
 
 The index stores the **post-batch** state (so a from-scratch rebuild on the
 settled store reproduces it exactly — the consistency contract tested under
@@ -49,6 +46,13 @@ bit-identical to ``prefilter="off"``):
     frontiers are masked at group granularity (a root is dropped when it
     fails dominance for *every* member sharing the prefix).
 
+A batch is decided by one array program (:meth:`InvariantIndex.decide`),
+however many queries and plans are decided together: both endpoint labels
+are gathered once, one dominance table ``dom[r, v]`` is built over the
+deduplicated requirement rows of every plan's two root query vertices and
+the batch's endpoints (the delete overlay added once), and each plan's root
+mask is two lookups into it.
+
 The dominance test is a necessary condition for embedding existence: an
 embedding maps root query vertex ``u`` to data vertex ``v`` injectively, so
 ``v`` must have at least ``adj_need[u][ℓ]`` distinct neighbors of each
@@ -67,11 +71,12 @@ argument.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro.graphs.stream import UpdateBatch, label_pair_mask
+from repro.graphs.stream import UpdateBatch
 from repro.gpu.counters import AccessCounters, Channel
 from repro.query.pattern import WILDCARD_LABEL, QueryGraph
 from repro.query.plan import MatchPlan
@@ -80,7 +85,6 @@ from repro.utils import sorted_unique
 __all__ = [
     "PREFILTERS",
     "DEFAULT_PREFILTER",
-    "SIGNATURE_BITS",
     "normalize_prefilter",
     "QueryRequirement",
     "InvariantIndex",
@@ -92,8 +96,6 @@ __all__ = [
 PREFILTERS = ("off", "invariant")
 #: engines default to no pre-filtering (bit-compatible with pre-PR-8 runs)
 DEFAULT_PREFILTER = "off"
-#: width of the neighborhood label-signature bitmask (one machine word)
-SIGNATURE_BITS = 64
 #: cost-model size of one histogram/counter entry touched by maintenance
 _BYTES_PER_ENTRY = 8
 
@@ -150,12 +152,11 @@ class QueryRequirement:
 
     Precomputed once per query: per-vertex neighbor-label count vectors
     (wildcard-labeled neighbors contribute only to the total-degree bound),
-    total degree bounds, signature bitmasks, and the query's own global
-    label/pair histograms for batch-level feasibility.
+    total degree bounds, and the query's own global label/pair histograms
+    for batch-level feasibility.
     """
 
     def __init__(self, query: QueryGraph) -> None:
-        self.query = query  # strong ref keeps the id()-keyed cache sound
         labels = [query.label(u) for u in range(query.num_vertices)]
         self.vertex_need: dict[int, int] = {}
         for lab in labels:
@@ -170,7 +171,6 @@ class QueryRequirement:
                 self.pair_need[key] = self.pair_need.get(key, 0) + 1
         self.adj_need: list[dict[int, int]] = []
         self.deg_need: list[int] = []
-        self.sig_need: list[np.uint64] = []
         for u in range(query.num_vertices):
             need: dict[int, int] = {}
             for w in query.neighbors(u):
@@ -179,43 +179,132 @@ class QueryRequirement:
                     need[lw] = need.get(lw, 0) + 1
             self.adj_need.append(need)
             self.deg_need.append(query.degree(u))
-            sig = np.uint64(0)
-            for lw in need:
-                sig |= np.uint64(1 << (lw % SIGNATURE_BITS))
-            self.sig_need.append(sig)
+
+
+class RequirementTable:
+    """Everything a decision needs of the queries decided together, stacked
+    once: per plan (query-major, each query's plans in order) its ``query``,
+    root label ``pair`` and the requirement ``row`` of each root query
+    vertex; the deduplicated rows as a degree bound ``deg`` and a count
+    matrix ``need`` over the required neighbor ``labels``; the queries'
+    label and label-pair histograms as ``(query, label(s), count)`` entries
+    and their edge counts; and, given the trie they run in, each root
+    group's plans — ``group_rows`` from ``group_starts`` on, group by group.
+    Built once by whoever owns the plans (a rulebook for its first batch,
+    an index for the plan list it is handed) and passed to every decision."""
+
+    def __init__(self, plans_by_query: dict, trie=None) -> None:
+        self.names = list(plans_by_query)
+        self.grouped = trie is not None
+        rows: dict[tuple, int] = {}
+        query, pair, row, starts = [], [], [], [0]
+        vertex, pairs, edges = [], [], []
+        for q, plans in enumerate(plans_by_query.values()):
+            starts.append(starts[-1] + len(plans))
+            req = QueryRequirement(plans[0].query)
+            edges.append(req.num_edges)
+            vertex += [(q, lab, cnt) for lab, cnt in req.vertex_need.items()]
+            pairs += [(q, lo, hi, cnt) for (lo, hi), cnt in req.pair_need.items()]
+            for plan in plans:
+                query.append(q)
+                pair.append(plan.root_labels())
+                row.append([
+                    rows.setdefault((req.deg_need[u], tuple(sorted(req.adj_need[u].items()))),
+                                    len(rows))
+                    for u in plan.order[:2]
+                ])
+        self.query = np.array(query, dtype=np.int64)
+        self.pair = np.array(pair, dtype=np.int64).reshape(-1, 2)
+        self.row = np.array(row, dtype=np.int64).reshape(-1, 2)
+        self.starts = np.array(starts, dtype=np.int64)
+        self.num_plans = np.diff(self.starts)
+        self.labels = np.array(sorted({lab for _, need in rows for lab, _ in need}),
+                               dtype=np.int64)
+        self.deg = np.array([deg for deg, _ in rows], dtype=np.int64)
+        self.need = np.zeros((len(rows), self.labels.size), dtype=np.int64)
+        for r, (_, need) in enumerate(rows):
+            for lab, cnt in need:
+                self.need[r, np.searchsorted(self.labels, lab)] = cnt
+        self.vertex_need = np.array(vertex, dtype=np.int64).reshape(-1, 3)
+        self.pair_need = np.array(pairs, dtype=np.int64).reshape(-1, 4)
+        self.num_edges = np.array(edges, dtype=np.int64)
+        if self.grouped:
+            first = dict(zip(self.names, starts))
+            groups = [[first[ref.query_name] + ref.index for ref in node.members]
+                      for node in trie.levels[0].nodes]
+            self.group_rows = np.array([r for group in groups for r in group], dtype=np.int64)
+            self.group_starts = np.cumsum([0] + [len(group) for group in groups[:-1]])
+
+
+def dominance(
+    total: np.ndarray, counts: np.ndarray, deg: np.ndarray, need: np.ndarray
+) -> np.ndarray:
+    """``dom[r, v]``: can vertex ``v`` — union degree ``total[v]``, union
+    neighbor counts ``counts[:, v]`` of the table's labels — host a query
+    vertex with requirement row ``r``?  A necessary condition: the degree
+    bound and every per-label count (injectivity makes counts, not just
+    presence, the requirement — a simple graph's ``deg_label`` counts are
+    distinct neighbors, so the comparison is sound).  Vertices run along
+    the last axis, so every comparison is a long contiguous loop."""
+    return (total >= deg[:, None]) & np.logical_and.reduce(counts >= need[:, :, None], axis=1)
+
+
+def reverse(rows: np.ndarray, b: int) -> np.ndarray:
+    """Per directed update (the last axis), its reverse's entry: of ``2b``
+    directed updates, update ``i``'s reverse is ``b`` rows away."""
+    return np.concatenate([rows[..., b:], rows[..., :b]], axis=-1)
+
+
+def or_by_group(keep: np.ndarray, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per root group, the OR of its member plans' keep rows: a root failing
+    for every member provably yields no embedding for any.  A query certified
+    ΔM = 0 keeps no root, so the OR over all members is the OR over the live
+    ones."""
+    return np.logical_or.reduceat(keep[rows], starts, axis=0)
 
 
 # ----------------------------------------------------------------------
 # per-batch decision
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(eq=False)
 class PrefilterDecision:
     """Outcome of one batch-level evaluation for one query's ΔM plans.
 
-    ``masks`` are per-plan boolean arrays aligned with the output of
+    ``keep`` / ``match`` are ``(plans, 2b)`` over the batch's directed
+    updates (:meth:`~repro.graphs.stream.UpdateBatch.directed_updates`): the
+    updates carrying each plan's root labels, and those of them certified
+    live.  ``masks`` are per-plan boolean arrays aligned with the output of
     :func:`repro.core.matching.delta_roots` for the same (plan, batch) —
     an engine computes the decision in its host stages and hands it to
     ``match_batch(prefilter=...)``, so the match stage never reads the live
-    index.  ``estimate_batch`` keeps only updates with
-    at least one surviving orientation, shrinking walks and packing.
+    index.  ``estimate_batch`` keeps only the updates with at least one
+    surviving orientation (``keep_edge``), shrinking walks and packing; it
+    is charged with the decision and built when first read.
     """
 
     skip_batch: bool
     reason: str  # "" | "no-roots" | "infeasible"
-    masks: list[np.ndarray] = field(default_factory=list)
-    roots_total: int = 0
-    roots_passing: int = 0
-    estimate_batch: UpdateBatch | None = None
-    counters: AccessCounters = field(default_factory=AccessCounters)
+    roots_total: int
+    roots_passing: int
+    counters: AccessCounters
+    batch: UpdateBatch
+    keep: np.ndarray
+    match: np.ndarray
+    keep_edge: np.ndarray
 
-    def mask(self, plan_index: int, plan: MatchPlan, roots: np.ndarray) -> np.ndarray:
-        """Precomputed root mask for ``plan`` (the masker protocol)."""
-        m = self.masks[plan_index]
-        if m.shape[0] != roots.shape[0]:
-            raise ValueError(
-                f"prefilter mask misaligned with roots: {m.shape[0]} != {roots.shape[0]}"
-            )
-        return m
+    @cached_property
+    def masks(self) -> list[np.ndarray]:
+        return [keep[match] for keep, match in zip(self.keep, self.match)]
+
+    @cached_property
+    def estimate_batch(self) -> UpdateBatch | None:
+        if self.skip_batch:
+            return None
+        if self.keep_edge.all():
+            return self.batch
+        batch = self.batch
+        return UpdateBatch(batch.edges[self.keep_edge], batch.signs[self.keep_edge],
+                           batch.new_vertex_labels)
 
     def to_stats(self, maintenance_ns: float = 0.0) -> PrefilterStats:
         skipped = self.roots_total - (0 if self.skip_batch else self.roots_passing)
@@ -235,13 +324,14 @@ class InvariantIndex:
 
     Construction performs a full build from the store's current (settled)
     adjacency; :meth:`apply_batch` then maintains every invariant from the
-    effective batch in O(|ΔE| + touched·L) vectorized work, and
-    :meth:`close_batch` drops the delete overlay once the store reorganizes.
+    effective batch in O(|ΔE|) vectorized work, and :meth:`close_batch`
+    drops the delete overlay once the store reorganizes.
     """
 
     def __init__(self, graph) -> None:
         self.graph = graph
-        self._requirements: dict[int, QueryRequirement] = {}
+        #: the plan list :meth:`evaluate` was last handed and its table
+        self._solo: tuple[list[MatchPlan], RequirementTable] | None = None
         self.rebuild()
 
     # -- construction / consistency ------------------------------------
@@ -254,17 +344,11 @@ class InvariantIndex:
         self.num_labels = L
         self.label_counts = np.bincount(labels, minlength=L).astype(np.int64)
         self.deg_label = np.zeros((n, L), dtype=np.int64)
+        self.deg_total = np.zeros(n, dtype=np.int64)
         self.pair_counts = np.zeros((L, L), dtype=np.int64)
         edges = g.edges_new_array()
-        if edges.shape[0]:
-            l0 = labels[edges[:, 0]]
-            l1 = labels[edges[:, 1]]
-            np.add.at(self.deg_label, (edges[:, 0], l1), 1)
-            np.add.at(self.deg_label, (edges[:, 1], l0), 1)
-            np.add.at(self.pair_counts, (np.minimum(l0, l1), np.maximum(l0, l1)), 1)
-        self.deg_total = self.deg_label.sum(axis=1)
+        self._scatter(edges, 1)
         self.num_edges = int(edges.shape[0])
-        self.sig = self._signature_rows(np.arange(n, dtype=np.int64))
         self._clear_overlay()
 
     def assert_consistent(self) -> None:
@@ -275,7 +359,7 @@ class InvariantIndex:
         across every conflict mode.
         """
         fresh = InvariantIndex(self.graph)
-        for name in ("label_counts", "deg_label", "deg_total", "pair_counts", "sig"):
+        for name in ("label_counts", "deg_label", "deg_total", "pair_counts"):
             a, b = getattr(self, name), getattr(fresh, name)
             if a.shape != b.shape or not np.array_equal(a, b):
                 raise AssertionError(f"invariant index desync in {name!r}")
@@ -291,33 +375,27 @@ class InvariantIndex:
         self._del_vids = np.empty(0, dtype=np.int64)
         self._del_rows = np.empty((0, self.num_labels), dtype=np.int64)
         self._del_total = np.empty(0, dtype=np.int64)
-        self._del_sig = np.empty(0, dtype=np.uint64)
         self._del_pair_counts: np.ndarray | None = None
         self._del_edges = 0
 
     def _grow(self, n_new: int, L_new: int) -> None:
-        n_old, L_old = self.deg_label.shape
-        if L_new > L_old:
-            grown = np.zeros((n_old, L_new), dtype=np.int64)
-            grown[:, :L_old] = self.deg_label
-            self.deg_label = grown
-            pc = np.zeros((L_new, L_new), dtype=np.int64)
-            pc[:L_old, :L_old] = self.pair_counts
-            self.pair_counts = pc
-            lc = np.zeros(L_new, dtype=np.int64)
-            lc[:L_old] = self.label_counts
-            self.label_counts = lc
-            self.num_labels = L_new
-        if n_new > n_old:
-            grown = np.zeros((n_new, self.num_labels), dtype=np.int64)
-            grown[:n_old] = self.deg_label
-            self.deg_label = grown
-            self.deg_total = np.concatenate(
-                [self.deg_total, np.zeros(n_new - n_old, dtype=np.int64)]
-            )
-            self.sig = np.concatenate(
-                [self.sig, np.zeros(n_new - n_old, dtype=np.uint64)]
-            )
+        """Zero rows for new vertices, zero columns for new labels."""
+        n, L = n_new - self.deg_label.shape[0], L_new - self.num_labels
+        self.deg_label = np.pad(self.deg_label, ((0, n), (0, L)))
+        self.deg_total = np.pad(self.deg_total, (0, n))
+        self.pair_counts = np.pad(self.pair_counts, (0, L))
+        self.label_counts = np.pad(self.label_counts, (0, L))
+        self.num_labels = L_new
+
+    def _scatter(self, edges: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
+        """Add ``sign`` per edge to both endpoints' label counts and degrees
+        and to its label pair; returns the endpoints' label columns."""
+        l0, l1 = self.graph.labels[edges.T]
+        np.add.at(self.deg_label, (edges[:, 0], l1), sign)
+        np.add.at(self.deg_label, (edges[:, 1], l0), sign)
+        np.add.at(self.deg_total, edges.ravel(), sign)
+        np.add.at(self.pair_counts, (np.minimum(l0, l1), np.maximum(l0, l1)), sign)
+        return l0, l1
 
     def apply_batch(self, batch: UpdateBatch) -> AccessCounters:
         """Maintain every invariant from the *effective* batch.
@@ -330,36 +408,19 @@ class InvariantIndex:
         g = self.graph
         c = AccessCounters()
         self._clear_overlay()
-        labels = g.labels
         n = g.num_vertices
         n_old = self.deg_label.shape[0]
         if n > n_old:
-            new_labels = np.asarray(labels[n_old:n], dtype=np.int64)
-            L_new = max(self.num_labels, int(new_labels.max()) + 1 if new_labels.size else 1)
-            self._grow(n, L_new)
+            new_labels = np.asarray(g.labels[n_old:n], dtype=np.int64)
+            self._grow(n, max(self.num_labels, int(new_labels.max()) + 1))
             self.label_counts += np.bincount(new_labels, minlength=self.num_labels)
             c.record_compute(n - n_old)
         ins = batch.insert_edges()
         dels = batch.delete_edges()
-        touched_parts = []
         if ins.shape[0]:
-            l0 = labels[ins[:, 0]]
-            l1 = labels[ins[:, 1]]
-            np.add.at(self.deg_label, (ins[:, 0], l1), 1)
-            np.add.at(self.deg_label, (ins[:, 1], l0), 1)
-            np.add.at(self.deg_total, ins[:, 0], 1)
-            np.add.at(self.deg_total, ins[:, 1], 1)
-            np.add.at(self.pair_counts, (np.minimum(l0, l1), np.maximum(l0, l1)), 1)
-            touched_parts.append(ins.ravel())
+            self._scatter(ins, 1)
         if dels.shape[0]:
-            l0 = labels[dels[:, 0]]
-            l1 = labels[dels[:, 1]]
-            np.subtract.at(self.deg_label, (dels[:, 0], l1), 1)
-            np.subtract.at(self.deg_label, (dels[:, 1], l0), 1)
-            np.subtract.at(self.deg_total, dels[:, 0], 1)
-            np.subtract.at(self.deg_total, dels[:, 1], 1)
-            lo, hi = np.minimum(l0, l1), np.maximum(l0, l1)
-            np.subtract.at(self.pair_counts, (lo, hi), 1)
+            l0, l1 = self._scatter(dels, -1)
             # delete overlay: union adjacency = post-batch + deleted-this-batch
             vids = sorted_unique(dels)
             rows = np.zeros((vids.size, self.num_labels), dtype=np.int64)
@@ -368,28 +429,14 @@ class InvariantIndex:
             self._del_vids = vids.astype(np.int64)
             self._del_rows = rows
             self._del_total = rows.sum(axis=1)
-            sig = np.zeros(vids.size, dtype=np.uint64)
-            present = rows > 0
-            for lab in range(self.num_labels):
-                sig[present[:, lab]] |= np.uint64(1 << (lab % SIGNATURE_BITS))
-            self._del_sig = sig
             dp = np.zeros_like(self.pair_counts)
-            np.add.at(dp, (lo, hi), 1)
+            np.add.at(dp, (np.minimum(l0, l1), np.maximum(l0, l1)), 1)
             self._del_pair_counts = dp
             self._del_edges = int(dels.shape[0])
-            touched_parts.append(dels.ravel())
         self.num_edges += int(ins.shape[0]) - int(dels.shape[0])
-        touched = 0
-        if touched_parts:
-            rows = sorted_unique(np.concatenate(touched_parts))
-            self.sig[rows] = self._signature_rows(rows)
-            touched = int(rows.size)
-        # O(|ΔE|) scatter-adds + O(touched · L) exact signature refresh
-        c.record_compute(4 * len(batch) + touched * self.num_labels)
-        c.record_access(
-            Channel.CPU_DRAM, 0,
-            (2 * len(batch) + touched * self.num_labels) * _BYTES_PER_ENTRY,
-        )
+        # O(|ΔE|) scatter-adds
+        c.record_compute(4 * len(batch))
+        c.record_access(Channel.CPU_DRAM, 0, 2 * len(batch) * _BYTES_PER_ENTRY)
         return c
 
     def close_batch(self) -> None:
@@ -397,167 +444,109 @@ class InvariantIndex:
         self._clear_overlay()
 
     # -- invariant lookups (union bounds) ------------------------------
-    def _signature_rows(self, rows: np.ndarray) -> np.ndarray:
-        present = self.deg_label[rows] > 0
-        out = np.zeros(rows.shape[0], dtype=np.uint64)
-        for lab in range(self.num_labels):
-            out[present[:, lab]] |= np.uint64(1 << (lab % SIGNATURE_BITS))
-        return out
-
-    def _overlay_hits(self, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        if self._del_vids.size == 0:
-            return None
-        pos = np.minimum(
-            np.searchsorted(self._del_vids, verts), self._del_vids.size - 1
-        )
-        hit = self._del_vids[pos] == verts
-        if not hit.any():
-            return None
-        return hit, pos
-
-    def _union_label_col(self, verts: np.ndarray, label: int) -> np.ndarray:
-        if label >= self.num_labels or label < 0:
-            return np.zeros(verts.shape[0], dtype=np.int64)
-        col = self.deg_label[verts, label]
-        ov = self._overlay_hits(verts)
-        if ov is not None:
-            hit, pos = ov
-            col = col + np.where(hit, self._del_rows[pos, label], 0)
-        return col
-
-    def _union_total(self, verts: np.ndarray) -> np.ndarray:
+    def _union(self, verts: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Union degree per vertex of ``verts`` and union neighbor counts
+        ``(labels, verts)`` (0 for a label the graph lacks): the post-batch
+        state plus the delete overlay, added once."""
+        col = np.minimum(labels, self.num_labels - 1)[:, None]
+        have = ((labels >= 0) & (labels < self.num_labels))[:, None]
         total = self.deg_total[verts]
-        ov = self._overlay_hits(verts)
-        if ov is not None:
-            hit, pos = ov
-            total = total + np.where(hit, self._del_total[pos], 0)
-        return total
+        counts = self.deg_label[verts, col] * have
+        if self._del_vids.size:
+            pos = np.minimum(np.searchsorted(self._del_vids, verts), self._del_vids.size - 1)
+            hit = self._del_vids[pos] == verts
+            total = total + self._del_total[pos] * hit
+            counts = counts + self._del_rows[pos, col] * (have & hit)
+        return total, counts
 
-    def _union_sig(self, verts: np.ndarray) -> np.ndarray:
-        sig = self.sig[verts]
-        ov = self._overlay_hits(verts)
-        if ov is not None:
-            hit, pos = ov
-            sig = sig | np.where(hit, self._del_sig[pos], np.uint64(0))
-        return sig
-
-    # -- dominance ------------------------------------------------------
-    def requirement(self, query: QueryGraph) -> QueryRequirement:
-        req = self._requirements.get(id(query))
-        if req is None or req.query is not query:
-            req = QueryRequirement(query)
-            self._requirements[id(query)] = req
-        return req
-
-    def vertex_dominates(
-        self, verts: np.ndarray, req: QueryRequirement, u: int
-    ) -> np.ndarray:
-        """Boolean mask: can each data vertex host query vertex ``u``?
-
-        A necessary condition over the union adjacency: total degree,
-        signature superset (the one-word fast path), then exact per-label
-        neighbor counts (injectivity makes counts, not just presence, the
-        requirement — a simple graph's ``deg_label`` counts are distinct
-        neighbors, so the comparison is sound).
-        """
-        if verts.shape[0] == 0:
-            return np.zeros(0, dtype=bool)
-        ok = self._union_total(verts) >= req.deg_need[u]
-        sig_need = req.sig_need[u]
-        if sig_need:
-            ok &= (self._union_sig(verts) & sig_need) == sig_need
-        for lab, cnt in req.adj_need[u].items():
-            if not ok.any():
-                break
-            ok &= self._union_label_col(verts, lab) >= cnt
-        return ok
-
-    def root_mask(self, plan: MatchPlan, roots: np.ndarray) -> np.ndarray:
-        """Dominance mask over directed roots ``(r, 2)`` for one ΔM plan."""
-        if roots.shape[0] == 0:
-            return np.zeros(0, dtype=bool)
-        req = self.requirement(plan.query)
-        u0, u1 = plan.order[0], plan.order[1]
-        return self.vertex_dominates(roots[:, 0], req, u0) & self.vertex_dominates(
-            roots[:, 1], req, u1
+    def _feasible(self, table: RequirementTable) -> np.ndarray:
+        """Per query, can the union graph host *any* embedding?  Necessary
+        conditions only: the graph's vertex-label histogram dominates the
+        query's (injectivity), the union edge count covers the query's, and
+        the union label-pair histogram dominates the query's."""
+        L = self.num_labels
+        q, lab, cnt = table.vertex_need.T
+        short = q[self.label_counts[np.minimum(lab, L - 1)] * (lab < L) < cnt]
+        pairs = self.pair_counts
+        if self._del_pair_counts is not None:
+            pairs = pairs + self._del_pair_counts
+        q, lo, hi, cnt = table.pair_need.T
+        short = np.concatenate(
+            [short, q[pairs[np.minimum(lo, L - 1), np.minimum(hi, L - 1)] * (hi < L) < cnt]]
+        )
+        return (np.bincount(short, minlength=len(table.names)) == 0) & (
+            self.num_edges + self._del_edges >= table.num_edges
         )
 
-    # -- batch-level feasibility ---------------------------------------
-    def query_feasible(self, query: QueryGraph) -> bool:
-        """Global dominance: can the union graph host *any* embedding of Q?
+    # -- the decision ---------------------------------------------------
+    def decide(
+        self, table: RequirementTable, batch: UpdateBatch
+    ) -> tuple[dict, list[np.ndarray] | None]:
+        """Certify skips for every ``table`` query's ΔM plans against one
+        open batch, in one array program: ``({query: PrefilterDecision},
+        group masks)``.
 
-        Necessary conditions only: the graph's vertex-label histogram must
-        dominate the query's (injectivity), the union edge count must cover
-        the query's edge count, and the union label-pair histogram must
-        dominate the query's per-pair edge counts.
-        """
-        req = self.requirement(query)
-        for lab, cnt in req.vertex_need.items():
-            if lab >= self.num_labels or self.label_counts[lab] < cnt:
-                return False
-        if self.num_edges + self._del_edges < req.num_edges:
-            return False
-        for (lo, hi), cnt in req.pair_need.items():
-            if hi >= self.num_labels:
-                return False
-            have = int(self.pair_counts[lo, hi])
-            if self._del_pair_counts is not None:
-                have += int(self._del_pair_counts[lo, hi])
-            if have < cnt:
-                return False
-        return True
+        The directed updates' head labels are gathered once (an update's tail
+        is its reverse's head) and the dominance table built once over those
+        heads and every plan's requirement rows; a plan keeps an update when
+        its labels match the plan's root labels (as
+        :func:`repro.core.matching.delta_roots` filters, in its order), both
+        endpoints dominate and the query is feasible.  For a table built with
+        the trie the plans run in, the second value is one keep-mask per root
+        group: the OR of its members' (``None`` otherwise).  Each
+        decision is charged ``2b + 4·rows`` per plan plus ``b`` when its
+        estimate batch is reduced.  Called after :meth:`apply_batch` with the
+        same effective batch."""
+        b = len(batch)
+        heads = batch.directed_updates()[0][:, 0]
+        labels = self.graph.labels[heads]
+        dom = dominance(*self._union(heads, table.labels), table.deg, table.need)
+        first, second = table.pair[:, :1], table.pair[:, 1:]
+        match = ((labels == first) | (first < 0)) & ((reverse(labels, b) == second) | (second < 0))
+        feasible = self._feasible(table)
+        keep = (match & dom[table.row[:, 0]] & reverse(dom, b)[table.row[:, 1]]
+                & feasible[table.query][:, None])
+        queries = len(table.names)
+        by_query = np.zeros((queries, 2 * b), dtype=bool)
+        np.logical_or.at(by_query, table.query, keep)
+        keep_edge = by_query[:, :b] | by_query[:, b:]
+        total = np.bincount(table.query, np.add.reduce(match, axis=1), queries).astype(np.int64)
+        passing = np.bincount(table.query, np.add.reduce(keep, axis=1), queries).astype(np.int64)
+        reduced = (passing > 0) & ~np.logical_and.reduce(keep_edge, axis=1)
+        ops = 2 * b * table.num_plans + 4 * total + b * reduced
+        starts = table.starts.tolist()
+        decisions = {}
+        for q, (name, ok, ops_q, total_q, passing_q) in enumerate(zip(
+            table.names, feasible.tolist(), ops.tolist(), total.tolist(), passing.tolist()
+        )):
+            c = AccessCounters()
+            c.record_compute(ops_q)
+            skip = not passing_q
+            lo, hi = starts[q], starts[q + 1]
+            decisions[name] = PrefilterDecision(
+                skip_batch=skip,
+                reason="" if not skip else ("no-roots" if ok else "infeasible"),
+                roots_total=total_q,
+                roots_passing=passing_q,
+                counters=c,
+                batch=batch,
+                keep=keep[lo:hi],
+                match=match[lo:hi],
+                keep_edge=keep_edge[q],
+            )
+        masks = None
+        if table.grouped:
+            groups = or_by_group(keep, table.group_rows, table.group_starts)
+            masks = [g[m] for g, m in zip(groups, match[table.group_rows[table.group_starts]])]
+        return decisions, masks
 
     def evaluate(self, plans: list[MatchPlan], batch: UpdateBatch) -> PrefilterDecision:
-        """Certify skips for one query's ΔM plans against one open batch.
-
-        Mirrors :func:`repro.core.matching.delta_roots` exactly (same
-        directed order, same label filter) so the per-plan masks align with
-        the roots the executor will compute.  Called after
-        :meth:`apply_batch` with the same effective batch.
-        """
-        c = AccessCounters()
-        labels = self.graph.labels
-        b = len(batch)
-        feasible = bool(plans) and self.query_feasible(plans[0].query)
-        dir_edges, _dir_signs = batch.directed_updates()
-        masks: list[np.ndarray] = []
-        total = passing = 0
-        keep_edge = np.zeros(b, dtype=bool)
-        for plan in plans:
-            rows = np.nonzero(label_pair_mask(*labels[dir_edges.T], plan.root_labels()))[0]
-            roots = dir_edges[rows]
-            if feasible:
-                m = self.root_mask(plan, roots)
-            else:
-                m = np.zeros(rows.size, dtype=bool)
-            masks.append(m)
-            total += int(rows.size)
-            passing += int(m.sum())
-            if m.any():
-                keep_edge[rows[m] % b] = True
-            c.record_compute(int(dir_edges.shape[0]) + 4 * int(rows.size))
-        skip = passing == 0
-        reason = "" if not skip else ("infeasible" if not feasible else "no-roots")
-        estimate_batch: UpdateBatch | None = None
-        if not skip:
-            if keep_edge.all():
-                estimate_batch = batch
-            else:
-                estimate_batch = UpdateBatch(
-                    batch.edges[keep_edge],
-                    batch.signs[keep_edge],
-                    batch.new_vertex_labels,
-                )
-                c.record_compute(b)
-        return PrefilterDecision(
-            skip_batch=skip,
-            reason=reason,
-            masks=masks,
-            roots_total=total,
-            roots_passing=passing,
-            estimate_batch=estimate_batch,
-            counters=c,
-        )
+        """One query's decision: the one-query case of :meth:`decide`, its
+        table built when the plan list changes (a query set hands the same
+        list every batch)."""
+        if self._solo is None or self._solo[0] is not plans:
+            self._solo = plans, RequirementTable({None: plans})
+        return self.decide(self._solo[1], batch)[0][None]
 
 
 def make_prefilter(name: object, graph) -> InvariantIndex | None:

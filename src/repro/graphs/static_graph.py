@@ -60,6 +60,10 @@ class StaticGraph:
         if labels is None:
             labels = np.zeros(n, dtype=np.int64)
         self.labels = np.asarray(labels, dtype=np.int64)
+        if self.labels.size and self.labels.min() < 0:
+            v = int(self.labels.argmin())
+            raise ValueError(f"vertex {v} has label {int(self.labels[v])}: vertex labels "
+                             f"must be >= 0 (-1 is the query wildcard)")
         self._num_edges = int(self.indices.shape[0]) // 2
         if validate:
             self._validate()

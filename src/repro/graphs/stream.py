@@ -156,6 +156,9 @@ class UpdateBatch:
         require(bool(self.edges.min() >= 0) if self.edges.size else True,
                 "negative vertex id in batch")
         self.new_vertex_labels = dict(new_vertex_labels or {})
+        for v, label in self.new_vertex_labels.items():
+            require(label >= 0, f"new vertex {v} has label {label}: vertex labels must "
+                                "be >= 0 (-1 is the query wildcard)")
         self._directed = None
         self._labelled = None
 

@@ -18,8 +18,9 @@ obviously-correct twins of the vectorized production kernels:
   ``neighbors_new``: every list the recursive kernels read), the scalar loops
   the vectorized DCSR pack, reorganize merge and cache-budget scan are
   checked against, the per-cell road lattice and the key-subtracting
-  ``without_edges`` the set-up builders are checked against, and the
-  two-run ``merge_sorted`` / ``is_sorted`` helpers only the oracles and
+  ``without_edges`` the set-up builders are checked against, the
+  pre-filter's per-plan decision loop (signature included) and ref-by-ref
+  root-group OR the array program is checked against, and the two-run ``merge_sorted`` / ``is_sorted`` helpers only the oracles and
   tests use.
 
 :mod:`repro.testing.calls` holds :func:`count_calls`, the clock that repeats
@@ -45,13 +46,16 @@ from repro.testing.kernels import (
     use_reference_kernels,
 )
 from repro.testing.oracles import (
+    ReferenceDecision,
     build_reference,
+    group_masks_reference,
     is_sorted,
     merge_runs_reference,
     merge_sorted,
     neighbors_new,
     neighbors_new_parts,
     neighbors_old,
+    prefilter_decision_reference,
     road_network_reference,
     select_within_budget_reference,
     stored_runs,
@@ -87,4 +91,7 @@ __all__ = [
     "select_within_budget_reference",
     "road_network_reference",
     "without_edges_reference",
+    "ReferenceDecision",
+    "prefilter_decision_reference",
+    "group_masks_reference",
 ]

@@ -23,7 +23,6 @@ Engine-level suites swap both in through :func:`use_reference_kernels`.
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -347,16 +346,16 @@ def match_batch_recursive(
     attributes=None,
 ) -> MatchStats:
     """:func:`repro.core.matching.match_batch` on the recursive executor: the
-    driver's root pipeline plan by plan, certified by
-    ``prefilter.mask(plan_index, plan, roots)``, then restricted to the roots
+    driver's root pipeline plan by plan, certified by the decision's
+    ``prefilter.masks[plan_index]``, then restricted to the roots
     ``root_mask`` keeps (the certified-away ones too, for ``roots_skipped``)."""
     labels = view.graph.labels
     total = MatchStats()
     for index, plan in enumerate(plans):
-        certify = None if prefilter is None else partial(prefilter.mask, index, plan)
+        raw = delta_roots(plan, batch, labels)
+        keep = None if prefilter is None else prefilter.masks[index]
         roots, signs, dropped = route_roots(
-            plan, *delta_roots(plan, batch, labels), certify,
-            filters=filters, attributes=attributes,
+            plan, *raw, keep, filters=filters, attributes=attributes,
         )
         if root_mask is not None:
             mine = root_mask(roots)

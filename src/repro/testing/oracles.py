@@ -20,16 +20,27 @@ routine replaced, kept verbatim so tests can assert bit-identical output:
 * :func:`without_edges_reference` ↔
   :meth:`repro.graphs.static_graph.StaticGraph.without_edges`: the edge-key
   subtraction and CSR rebuild the mask over the CSR replaced
+* :func:`prefilter_decision_reference` ↔
+  :meth:`repro.core.prefilter.InvariantIndex.evaluate`: the per-plan,
+  per-label dominance loop with the one-word label signature the array
+  program replaced, and :func:`group_masks_reference` ↔ the root-group masks
+  of :meth:`~repro.core.prefilter.InvariantIndex.decide`: the ref-by-ref OR
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from repro.core.dcsr import DcsrCache, packed_size_bytes
+from repro.core.matching import delta_roots
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.generators import assign_labels
 from repro.graphs.static_graph import StaticGraph
+from repro.graphs.stream import UpdateBatch, label_pair_mask
+from repro.gpu.counters import AccessCounters
+from repro.query.pattern import WILDCARD_LABEL, QueryGraph
 from repro.query.plan import EdgeVersion
 from repro.utils import (
     VERTEX_DTYPE, as_generator, as_vertex_ids, contains_sorted, edge_keys, require,
@@ -40,6 +51,7 @@ __all__ = [
     "versioned_runs", "versioned_degree",
     "build_reference", "merge_runs_reference", "merge_sorted", "is_sorted",
     "select_within_budget_reference", "road_network_reference", "without_edges_reference",
+    "ReferenceDecision", "prefilter_decision_reference", "group_masks_reference",
 ]
 
 
@@ -240,3 +252,228 @@ def without_edges_reference(graph: StaticGraph, edges: np.ndarray) -> StaticGrap
     keep[np.searchsorted(keys, removed[contains_sorted(keys, removed)])] = False
     keys = keys[keep]  # the whole key array dies before the build
     return StaticGraph._from_edge_keys(n, keys, graph.labels.copy())
+
+
+# ----------------------------------------------------------------------
+# the pre-filter's per-plan decision, as it was before the array program
+# ----------------------------------------------------------------------
+#: width of the neighborhood label-signature bitmask (one machine word)
+SIGNATURE_BITS = 64
+
+
+class _ReferenceRequirement:
+    """The per-query requirement vectors, signature bitmasks included."""
+
+    def __init__(self, query: QueryGraph) -> None:
+        labels = [query.label(u) for u in range(query.num_vertices)]
+        self.vertex_need: dict[int, int] = {}
+        for lab in labels:
+            if lab != WILDCARD_LABEL:
+                self.vertex_need[lab] = self.vertex_need.get(lab, 0) + 1
+        self.num_edges = query.num_edges
+        self.pair_need: dict[tuple[int, int], int] = {}
+        for u, w in query.edges:
+            lu, lw = labels[u], labels[w]
+            if lu != WILDCARD_LABEL and lw != WILDCARD_LABEL:
+                key = (min(lu, lw), max(lu, lw))
+                self.pair_need[key] = self.pair_need.get(key, 0) + 1
+        self.adj_need: list[dict[int, int]] = []
+        self.deg_need: list[int] = []
+        self.sig_need: list[np.uint64] = []
+        for u in range(query.num_vertices):
+            need: dict[int, int] = {}
+            for w in query.neighbors(u):
+                lw = labels[w]
+                if lw != WILDCARD_LABEL:
+                    need[lw] = need.get(lw, 0) + 1
+            self.adj_need.append(need)
+            self.deg_need.append(query.degree(u))
+            sig = np.uint64(0)
+            for lw in need:
+                sig |= np.uint64(1 << (lw % SIGNATURE_BITS))
+            self.sig_need.append(sig)
+
+
+@dataclass
+class ReferenceDecision:
+    """The decision's fields as :func:`prefilter_decision_reference` builds
+    them: per-plan ``masks``, the estimate batch, the charged counters."""
+
+    skip_batch: bool
+    reason: str
+    masks: list[np.ndarray] = field(default_factory=list)
+    roots_total: int = 0
+    roots_passing: int = 0
+    estimate_batch: UpdateBatch | None = None
+    counters: AccessCounters = field(default_factory=AccessCounters)
+
+    def mask(self, plan_index: int, plan, roots: np.ndarray) -> np.ndarray:
+        m = self.masks[plan_index]
+        if m.shape[0] != roots.shape[0]:
+            raise ValueError(
+                f"prefilter mask misaligned with roots: {m.shape[0]} != {roots.shape[0]}"
+            )
+        return m
+
+
+class _ReferenceLookups:
+    """The union-bound lookups over an index's maintained arrays, vertex set
+    by vertex set and label by label, with the one-word signature tested
+    ahead of the exact counts (``sig`` recomputed from ``deg_label``, as the
+    index once maintained it)."""
+
+    def __init__(self, index) -> None:
+        self.index = index
+        self.sig = self._signature_rows(index.deg_label)
+        self.del_sig = self._signature_rows(index._del_rows)
+
+    def _signature_rows(self, rows: np.ndarray) -> np.ndarray:
+        present = rows > 0
+        out = np.zeros(rows.shape[0], dtype=np.uint64)
+        for lab in range(rows.shape[1]):
+            out[present[:, lab]] |= np.uint64(1 << (lab % SIGNATURE_BITS))
+        return out
+
+    def _overlay_hits(self, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        del_vids = self.index._del_vids
+        if del_vids.size == 0:
+            return None
+        pos = np.minimum(np.searchsorted(del_vids, verts), del_vids.size - 1)
+        hit = del_vids[pos] == verts
+        if not hit.any():
+            return None
+        return hit, pos
+
+    def _union_label_col(self, verts: np.ndarray, label: int) -> np.ndarray:
+        if label >= self.index.num_labels or label < 0:
+            return np.zeros(verts.shape[0], dtype=np.int64)
+        col = self.index.deg_label[verts, label]
+        ov = self._overlay_hits(verts)
+        if ov is not None:
+            hit, pos = ov
+            col = col + np.where(hit, self.index._del_rows[pos, label], 0)
+        return col
+
+    def _union_total(self, verts: np.ndarray) -> np.ndarray:
+        total = self.index.deg_total[verts]
+        ov = self._overlay_hits(verts)
+        if ov is not None:
+            hit, pos = ov
+            total = total + np.where(hit, self.index._del_total[pos], 0)
+        return total
+
+    def _union_sig(self, verts: np.ndarray) -> np.ndarray:
+        sig = self.sig[verts]
+        ov = self._overlay_hits(verts)
+        if ov is not None:
+            hit, pos = ov
+            sig = sig | np.where(hit, self.del_sig[pos], np.uint64(0))
+        return sig
+
+    def vertex_dominates(
+        self, verts: np.ndarray, req: _ReferenceRequirement, u: int
+    ) -> np.ndarray:
+        if verts.shape[0] == 0:
+            return np.zeros(0, dtype=bool)
+        ok = self._union_total(verts) >= req.deg_need[u]
+        sig_need = req.sig_need[u]
+        if sig_need:
+            ok &= (self._union_sig(verts) & sig_need) == sig_need
+        for lab, cnt in req.adj_need[u].items():
+            if not ok.any():
+                break
+            ok &= self._union_label_col(verts, lab) >= cnt
+        return ok
+
+    def root_mask(self, plan, roots: np.ndarray) -> np.ndarray:
+        if roots.shape[0] == 0:
+            return np.zeros(0, dtype=bool)
+        req = _ReferenceRequirement(plan.query)
+        u0, u1 = plan.order[0], plan.order[1]
+        return self.vertex_dominates(roots[:, 0], req, u0) & self.vertex_dominates(
+            roots[:, 1], req, u1
+        )
+
+    def query_feasible(self, query: QueryGraph) -> bool:
+        index = self.index
+        req = _ReferenceRequirement(query)
+        for lab, cnt in req.vertex_need.items():
+            if lab >= index.num_labels or index.label_counts[lab] < cnt:
+                return False
+        if index.num_edges + index._del_edges < req.num_edges:
+            return False
+        for (lo, hi), cnt in req.pair_need.items():
+            if hi >= index.num_labels:
+                return False
+            have = int(index.pair_counts[lo, hi])
+            if index._del_pair_counts is not None:
+                have += int(index._del_pair_counts[lo, hi])
+            if have < cnt:
+                return False
+        return True
+
+
+def prefilter_decision_reference(index, plans: list, batch: UpdateBatch) -> ReferenceDecision:
+    """:meth:`repro.core.prefilter.InvariantIndex.evaluate` as a per-plan
+    loop: feasibility query by query, then each plan's label rows and each
+    root endpoint's dominance — total degree, the one-word label signature,
+    then the exact per-label counts, label by label."""
+    lookups = _ReferenceLookups(index)
+    c = AccessCounters()
+    labels = index.graph.labels
+    b = len(batch)
+    feasible = bool(plans) and lookups.query_feasible(plans[0].query)
+    dir_edges, _dir_signs = batch.directed_updates()
+    masks: list[np.ndarray] = []
+    total = passing = 0
+    keep_edge = np.zeros(b, dtype=bool)
+    for plan in plans:
+        rows = np.nonzero(label_pair_mask(*labels[dir_edges.T], plan.root_labels()))[0]
+        roots = dir_edges[rows]
+        if feasible:
+            m = lookups.root_mask(plan, roots)
+        else:
+            m = np.zeros(rows.size, dtype=bool)
+        masks.append(m)
+        total += int(rows.size)
+        passing += int(m.sum())
+        if m.any():
+            keep_edge[rows[m] % b] = True
+        c.record_compute(int(dir_edges.shape[0]) + 4 * int(rows.size))
+    skip = passing == 0
+    reason = "" if not skip else ("infeasible" if not feasible else "no-roots")
+    estimate_batch: UpdateBatch | None = None
+    if not skip:
+        if keep_edge.all():
+            estimate_batch = batch
+        else:
+            estimate_batch = UpdateBatch(
+                batch.edges[keep_edge],
+                batch.signs[keep_edge],
+                batch.new_vertex_labels,
+            )
+            c.record_compute(b)
+    return ReferenceDecision(
+        skip_batch=skip,
+        reason=reason,
+        masks=masks,
+        roots_total=total,
+        roots_passing=passing,
+        estimate_batch=estimate_batch,
+        counters=c,
+    )
+
+
+def group_masks_reference(trie, decisions: dict, skip: frozenset, batch: UpdateBatch,
+                          labels: np.ndarray) -> list[np.ndarray]:
+    """Each root group's keep-mask as the trie's root pipeline once certified
+    it: the OR, ref by ref, of the group's live members' ``mask``."""
+    out = []
+    for node in trie.levels[0].nodes:
+        roots = delta_roots(node.members[0].plan, batch, labels)[0]
+        keep = np.zeros(roots.shape[0], dtype=bool)
+        for ref in node.members:
+            if ref.query_name not in skip:
+                keep |= decisions[ref.query_name].mask(ref.index, ref.plan, roots)
+        out.append(keep)
+    return out

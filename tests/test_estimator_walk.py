@@ -25,7 +25,7 @@ import repro.testing.kernels as kernels
 from repro.core.engine import GCSMEngine
 from repro.core.frequency import default_num_walks
 from repro.core.frequency_frontier import FrontierFrequencyEstimator
-from repro.core.matching import expand, match_batch
+from repro.core.matching import delta_roots, expand, match_batch
 from repro.core.multiquery import MultiQueryEngine, Rulebook, split_walk_budget
 from repro.core.querytrie import ExecutionTrie, solo_trie
 from repro.core.validation import generate_adversarial_stream
@@ -711,17 +711,16 @@ class TestWalkReadsTheExpansion:
         table, so no walk draws it: the walk reads the roots the kernel ran,
         launches nothing, and equals the launching walk over them."""
 
-        class DropFirst:  # a masker certifying each group's first root away
-            def mask(self, index, plan, roots):
-                keep = np.ones(roots.shape[0], dtype=bool)
-                keep[:1] = False
-                return keep
-
         g0, batches = dense_stream()
         plans = compile_delta_plans(query_by_name("Q1"))
         graph = DynamicGraph(g0)
         graph.apply_batch(batches[0])
-        expansion = expand(solo_trie(plans), batches[0], graph, prefilter={None: DropFirst()})
+        drop_first = []  # each group's keep-mask certifies its first root away
+        for plan in plans:
+            keep = np.ones(delta_roots(plan, batches[0], graph.labels)[0].shape[0], dtype=bool)
+            keep[:1] = False
+            drop_first.append(keep)
+        expansion = expand(solo_trie(plans), batches[0], graph, prefilter=drop_first)
         assert expansion.skipped.tolist() == [1] * 6 and expansion.dropped.shape == (6, 2)
         self.assert_reads(graph, plans, batches[0], expansion)
 

@@ -1,0 +1,108 @@
+"""Mutants: each plants one plausible bug by monkeypatch and names the gate
+that must go red on it.
+
+A gate that no mutant turns red proves nothing; these pin that the
+pre-filter's oracle tests (``tests/test_prefilter_oracle.py``) and the
+index's rebuild check (``InvariantIndex.assert_consistent``) see the bugs
+an array rewrite of the decision is most likely to carry.  Every gate runs
+the same fixed cases under the mutant and unmutated, so a red gate is the
+mutant's doing.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import repro.core.prefilter as prefilter
+from tests.test_prefilter_oracle import check_query, check_rulebook, random_case
+
+SEEDS = range(40)
+
+
+def query_gate():
+    """``check_query`` over the fixed cases: decisions equal the oracle and
+    the index equals a rebuild after every batch."""
+    for seed in SEEDS:
+        g0, (query,), batches = random_case(seed)
+        check_query(g0, query, batches)
+
+
+def rulebook_gate():
+    """``check_rulebook`` (shared trie) over the fixed cases: runners equal
+    the oracle and each root group's mask the ref-by-ref OR."""
+    for seed in SEEDS:
+        g0, queries, batches = random_case(seed, 4)
+        check_rulebook(g0, queries, batches, shared=True)
+
+
+def ignore_the_overlay(patch):
+    """Union counts read the post-batch state only: a deleted edge's roots
+    lose the neighbours the batch removed."""
+
+    def union(self, verts, labels):
+        col = np.minimum(labels, self.num_labels - 1)[:, None]
+        have = ((labels >= 0) & (labels < self.num_labels))[:, None]
+        return self.deg_total[verts], self.deg_label[verts, col] * have
+
+    patch.setattr(prefilter.InvariantIndex, "_union", union)
+
+
+def drop_a_required_label(patch):
+    """The stacked table loses its last required label column."""
+    build = prefilter.RequirementTable.__init__
+
+    def init(self, plans_by_query, trie=None):
+        build(self, plans_by_query, trie)
+        self.labels, self.need = self.labels[:-1], self.need[:, :-1]
+
+    patch.setattr(prefilter.RequirementTable, "__init__", init)
+
+
+def strict_degree_bound(patch):
+    """``>=`` becomes ``>`` on the degree bound."""
+
+    def dominance(total, counts, deg, need):
+        return (total > deg[:, None]) & np.logical_and.reduce(counts >= need[:, :, None], axis=1)
+
+    patch.setattr(prefilter, "dominance", dominance)
+
+
+def first_member_only(patch):
+    """A root group's mask is its first member's, not the OR of all."""
+    patch.setattr(prefilter, "or_by_group", lambda keep, rows, starts: keep[rows[starts]])
+
+
+def skip_the_delete_scatter(patch):
+    """``apply_batch`` leaves the counts of deleted edges in place."""
+    scatter = prefilter.InvariantIndex._scatter
+
+    def skipping(self, edges, sign):
+        if sign < 0:
+            return self.graph.labels[edges.T]
+        return scatter(self, edges, sign)
+
+    patch.setattr(prefilter.InvariantIndex, "_scatter", skipping)
+
+
+#: mutant -> (the gate that kills it, what its failure says if it names it)
+MUTANTS = {
+    ignore_the_overlay: (query_gate, None),
+    drop_a_required_label: (query_gate, None),
+    strict_degree_bound: (query_gate, None),
+    first_member_only: (rulebook_gate, None),
+    skip_the_delete_scatter: (query_gate, "invariant index desync"),
+}
+
+
+@pytest.mark.parametrize("gate", [query_gate, rulebook_gate], ids=lambda g: g.__name__)
+def test_the_gates_pass_unmutated(gate):
+    gate()
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS), ids=lambda m: m.__name__)
+def test_the_named_gate_kills_the_mutant(mutant, monkeypatch):
+    gate, says = MUTANTS[mutant]
+    mutant(monkeypatch)
+    with pytest.raises(AssertionError, match=says):
+        gate()

@@ -146,6 +146,38 @@ class TestIndexMaintenance:
         assert req.adj_need[1] == {0: 1, 1: 1}
 
 
+class TestNegativeLabelsRefused:
+    """A vertex label is >= 0 (-1 is the query wildcard).  Both inputs that
+    bring labels in refuse a negative one, naming the vertex, before anything
+    is mutated: the index once failed on it *after* the store had applied
+    the batch, and its recovery rebuild failed again, out of step with the
+    store."""
+
+    def test_static_graph_refuses_a_negative_label(self):
+        with pytest.raises(ValueError, match="vertex 2 has label -1"):
+            StaticGraph.from_edges(3, np.array([(0, 1), (1, 2)]), [0, 1, -1])
+
+    def test_batch_refuses_a_negative_new_vertex_label(self):
+        with pytest.raises(ValueError, match="new vertex 4 has label -1"):
+            UpdateBatch([(3, 4)], [1], {4: -1})
+
+    def test_a_refused_batch_leaves_the_engine_usable(self):
+        """The batch is refused where it is built, so no engine ever holds
+        it: that is what keeps the store and the index in step.  The engine
+        it was meant for goes on as if it had never been sent."""
+        g0 = StaticGraph.from_edges(4, np.array([(0, 1), (1, 2), (2, 3), (0, 2)]), [0, 1, 2, 1])
+        on = GCSMEngine(g0, TRIANGLE, seed=0, prefilter="on")
+        off = GCSMEngine(g0, TRIANGLE, seed=0)
+        with pytest.raises(ValueError, match="new vertex 4"):
+            UpdateBatch([(3, 4)], [1], {4: -1})
+        on.prefilter_index.assert_consistent()
+        assert not on.graph.batch_open and on.graph.num_vertices == 4
+        batch = UpdateBatch([(3, 4), (1, 4), (0, 3)], [1, 1, 1], {4: 2})
+        r_on, r_off = on.process_batch(batch), off.process_batch(batch)
+        assert r_on.delta_count == r_off.delta_count == 1
+        on.prefilter_index.assert_consistent()
+
+
 class TestEngineParity:
     """Skip levels (a) + (b): bit-identical results, shrunken work."""
 

@@ -27,7 +27,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.matching import MatchStats, expand, settle
+from repro.core.matching import MatchStats, delta_roots, expand, settle
 from repro.core.multiquery import Rulebook
 from repro.core.prefilter import InvariantIndex
 from repro.core.querytrie import solo_trie
@@ -54,17 +54,15 @@ QUERIES = {
 RULEBOOK = Rulebook(rulebook_suite(8, num_labels=3, seed=0))
 
 
-class Shard:
-    """A shard folded into the certify mask: the kernel launched over the
-    shard's roots alone (its other roots certified away), under the
-    pre-filter's decision where there is one."""
-
-    def __init__(self, decision, own):
-        self.decision, self.own = decision, own
-
-    def mask(self, index, plan, roots):
-        keep = self.own(roots)
-        return keep if self.decision is None else keep & self.decision.mask(index, plan, roots)
+def shard_masks(trie, batch, graph, own, masks):
+    """A shard folded into each root group's keep-mask: the kernel launched
+    over the shard's roots alone (its other roots certified away), under the
+    pre-filter's group masks where there are some."""
+    out = []
+    for group, node in enumerate(trie.levels[0].nodes):
+        keep = own(delta_roots(node.members[0].plan, batch, graph.labels)[0])
+        out.append(keep if masks is None else keep & masks[group])
+    return out
 
 
 class Settled(NamedTuple):
@@ -141,8 +139,8 @@ def assert_cover(whole: Settled, parts: list[Settled], n: int) -> None:
 def query_batch(graph, plans, batch, decision, owner, shards, sinks) -> MatchStats:
     trie = solo_trie(plans)
     names = [None] if sinks else []
-    expansion = expand(trie, batch, graph, sinks=frozenset(names),
-                       prefilter=None if decision is None else {None: decision})
+    masks = None if decision is None else decision.masks
+    expansion = expand(trie, batch, graph, sinks=frozenset(names), prefilter=masks)
     n, parts = graph.num_vertices, []
     for shard in range(shards):
         def own(roots, shard=shard):
@@ -154,7 +152,7 @@ def query_batch(graph, plans, batch, decision, owner, shards, sinks) -> MatchSta
         assert prints(got.counters, n) == prints(counters, n) == prints(got.charged[None], n)
         assert got.emitted == emitted
         assert sorted(zip(*got.accesses)) == sorted(zip(*seen))
-        launch = expand(trie, batch, graph, prefilter={None: Shard(decision, own)})
+        launch = expand(trie, batch, graph, prefilter=shard_masks(trie, batch, graph, own, masks))
         assert got.accesses == issue_order(launch)
         parts.append(got)
     whole = settle_slice(expansion, graph, None, names)
@@ -185,8 +183,7 @@ def rulebook_batch(graph, batch, decision, owner, shards, sinks) -> MatchStats:
             if decision is None:
                 assert mine == stats
                 assert prints(got.charged[q], n) == prints(counters, n)
-        certify = {q.name: Shard(None if decision is None else decision.by_query[q.name], own)
-                   for q in RULEBOOK.representatives}
+        certify = shard_masks(RULEBOOK.trie, batch, graph, own, routing["prefilter"])
         launch = expand(RULEBOOK.trie, batch, graph, skip=routing["skip"], prefilter=certify)
         assert got.accesses == issue_order(launch)
         assert prints(got.counters, n) == prints(settle_slice(launch, graph, None, []).counters, n)
