@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import subprocess
 import sys
 from pathlib import Path
 
@@ -21,6 +22,23 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: the hand-annotated before/after sections — is kept.  A file without the
 #: line is all the run's.
 LATEST_RUN = "== latest run: rewritten by every run of the benchmark; everything above is kept\n"
+
+
+def provenance(script: str, details: str) -> str:
+    """Header of a script's results table: the tree's commit (noting
+    uncommitted ``src/`` changes), ``details`` (seed, size, versions) and
+    the command that wrote it."""
+    root = Path(__file__).resolve().parents[1]
+    try:
+        sha = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=root,
+                             capture_output=True, text=True, check=True).stdout.strip()
+        dirty = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=root,
+                               capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha, dirty = "unknown", ""
+    return (f"tree {sha}{' + uncommitted src/ changes' if dirty else ''}, {details}\n"
+            f"command: PYTHONPATH=src python benchmarks/{script} "
+            f"{' '.join(sys.argv[1:])}".rstrip())
 
 
 def write_table(path: Path, table: str) -> None:

@@ -28,7 +28,6 @@ import gc
 import json
 import platform
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -38,7 +37,7 @@ sys.path.insert(0, str(Path(__file__).parent / "e2e"))
 import measure  # noqa: E402
 import numpy as np  # noqa: E402
 import workloads as W  # noqa: E402
-from conftest import RESULTS_DIR, write_table  # noqa: E402
+from conftest import RESULTS_DIR, provenance, write_table  # noqa: E402
 
 from repro.core.engine import GCSMEngine  # noqa: E402
 from repro.core.multiquery import MultiQueryEngine  # noqa: E402
@@ -102,22 +101,6 @@ def measure_workload(name: str, seed: int) -> dict:
     return row
 
 
-def provenance(args) -> str:
-    root = Path(__file__).resolve().parents[1]
-    try:
-        sha = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=root,
-                             capture_output=True, text=True, check=True).stdout.strip()
-        dirty = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=root,
-                               capture_output=True, text=True, check=True).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        sha, dirty = "unknown", ""
-    return (f"tree {sha}{' + uncommitted src/ changes' if dirty else ''}, seed {args.seed}, "
-            f"{PASSES} passes, full size, "
-            f"NumPy {np.__version__}, CPython {platform.python_version()}\n"
-            f"command: PYTHONPATH=src python benchmarks/prefilter_cost.py "
-            f"{' '.join(sys.argv[1:])}".rstrip())
-
-
 def table(rows: list[dict], header: str) -> str:
     lines = [header, "",
              f"{'workload':<16} {'sim_batch_us on/off':>22} {'ratio':>6}   "
@@ -142,7 +125,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--json", type=Path, help="also write the rows, per-pass samples included")
     args = ap.parse_args(argv)
     rows = [measure_workload(name, args.seed) for name in args.workloads]
-    out = table(rows, provenance(args))
+    details = (f"seed {args.seed}, {PASSES} passes, full size, "
+               f"NumPy {np.__version__}, CPython {platform.python_version()}")
+    out = table(rows, provenance("prefilter_cost.py", details))
     print(out, end="")
     write_table(RESULTS_DIR / "prefilter_cost.txt", out)
     if args.json:

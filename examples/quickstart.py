@@ -50,8 +50,9 @@ def main() -> None:
 
     print(f"\nnet match-count change over the stream: {running_total:+d}")
 
-    # 5. Sanity: replaying the stream from scratch gives the same number.
-    from repro.core.reference import count_embeddings
+    # 5. Sanity: replaying the stream from scratch gives the same number
+    #    (the brute-force oracle lives with the tests, in repro.testing).
+    from repro.testing.reference import count_embeddings
 
     expected = count_embeddings(engine.snapshot(), triangle) - count_embeddings(g0, triangle)
     assert running_total == expected, (running_total, expected)

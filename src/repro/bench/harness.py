@@ -32,7 +32,12 @@ from repro.core.engine import BatchResult
 from repro.core.multiquery import Rulebook
 from repro.graphs import datasets
 from repro.graphs.static_graph import StaticGraph
-from repro.graphs.stream import UpdateBatch, churn_stream, derive_stream
+from repro.graphs.stream import (
+    UpdateBatch,
+    churn_stream,
+    derive_stream,
+    generate_adversarial_stream,
+)
 from repro.gpu.clock import TimeBreakdown
 from repro.gpu.counters import AccessCounters, Channel
 from repro.gpu.device import DeviceConfig
@@ -193,8 +198,6 @@ def _derive_workload(
     requested = bs * nb
     capped = min(requested, graph.num_edges // 2)
     if update_mix == "adversarial":
-        from repro.core.validation import generate_adversarial_stream
-
         # synthesized anomalies (duplicates, phantom deletes, flapping)
         # don't consume distinct dataset edges, so no cap applies
         g0, batches = graph, generate_adversarial_stream(

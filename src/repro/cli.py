@@ -16,6 +16,10 @@ Commands
 ``matrix``
     Expand and run a declarative scenario matrix (``repro.bench.matrix``),
     persist its trajectory, and optionally gate it against a baseline.
+``verify``
+    Cross-check every system's ΔM (optionally against the brute-force
+    oracle) or fuzz adversarial streams; the one production caller of
+    :mod:`repro.testing`.
 """
 
 from __future__ import annotations
@@ -32,10 +36,10 @@ from repro.core.baselines import SYSTEM_NAMES
 from repro.core.multiquery import Rulebook
 from repro.gpu.device import INTERCONNECTS, ClusterConfig
 from repro.graphs import datasets
-from repro.graphs.stream import CONFLICT_MODES
+from repro.graphs.stream import CONFLICT_MODES, DEFAULT_CONFLICT_MODE
 from repro.query import QUERIES, QUERY_ORDER, query_by_name
 from repro.query.catalog import load_rulebook
-from repro.utils import format_bytes, format_time_ns
+from repro.utils import format_bytes, format_time_ns, require
 
 __all__ = ["main", "build_parser"]
 
@@ -187,11 +191,16 @@ def build_parser() -> argparse.ArgumentParser:
     ver_p = sub.add_parser(
         "verify",
         help="cross-check that all systems agree on ΔM (optionally vs the oracle)",
+        description="Cross-check that all systems agree on ΔM, batch by batch. "
+                    "The default workload, AZ x Q2 in two batches of 256, "
+                    "changes the match count in both batches (ΔM +5, +8 at "
+                    "seed 0), so the default run compares real matches; the "
+                    "oracle recount on it takes about a second.",
     )
     ver_p.add_argument("--systems", default="GCSM,ZC,UM,Naive,CPU")
     ver_p.add_argument("--dataset", default="AZ", choices=datasets.TABLE1_ORDER)
-    ver_p.add_argument("--query", default="Q1", choices=QUERY_ORDER)
-    ver_p.add_argument("--batch-size", type=int, default=64)
+    ver_p.add_argument("--query", default="Q2", choices=QUERY_ORDER)
+    ver_p.add_argument("--batch-size", type=int, default=256)
     ver_p.add_argument("--batches", type=int, default=2)
     ver_p.add_argument("--oracle", action="store_true",
                        help="also recount from scratch (small graphs only)")
@@ -454,34 +463,37 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.core.validation import ConsistencyError, fuzz_verify, verify_stream
-    from repro.graphs.stream import DEFAULT_CONFLICT_MODE
+    from repro.testing import validation
 
-    if args.fuzz is not None:
-        try:
-            report = fuzz_verify(
+    systems = [s.strip() for s in args.systems.split(",") if s.strip()]
+    try:
+        require(args.fuzz is None or args.fuzz >= 1,
+                f"--fuzz needs at least one case, got {args.fuzz}")
+        require(bool(systems), f"--systems names no system: {args.systems!r}")
+        for spec in systems:
+            validation._parse_system_spec(spec)
+        if args.fuzz is None:
+            g0, batches = build_workload(
+                args.dataset, batch_size=args.batch_size, num_batches=args.batches,
+                seed=args.seed,
+            )
+    except ValueError as exc:
+        print(f"repro verify: error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        if args.fuzz is not None:
+            report = validation.fuzz_verify(
                 args.fuzz, seed=args.seed,
                 conflict_mode=args.conflict_mode or DEFAULT_CONFLICT_MODE,
                 verbose=True,
             )
-        except ConsistencyError as exc:
-            print(f"FAILED: {exc}")
-            return 1
-        print(report.describe())
-        return 0
-
-    systems = [s.strip() for s in args.systems.split(",") if s.strip()]
-    g0, batches = build_workload(
-        args.dataset, batch_size=args.batch_size, num_batches=args.batches,
-        seed=args.seed,
-    )
-    try:
-        report = verify_stream(
-            systems, g0, query_by_name(args.query), batches[: args.batches],
-            against_oracle=args.oracle, seed=args.seed,
-            conflict_mode=args.conflict_mode,
-        )
-    except ConsistencyError as exc:
+        else:
+            report = validation.verify_stream(
+                systems, g0, query_by_name(args.query), batches[: args.batches],
+                against_oracle=args.oracle, seed=args.seed,
+                conflict_mode=args.conflict_mode,
+            )
+    except validation.ConsistencyError as exc:
         print(f"FAILED: {exc}")
         return 1
     print(report.describe())

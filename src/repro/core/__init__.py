@@ -12,7 +12,9 @@
 * :mod:`repro.core.baselines` — the UM / ZC / VSGM / CPU placements and the
   ``SYSTEMS`` table that makes every baseline a config row.
 * :mod:`repro.core.rapidflow` — the RapidFlow-style candidate-index placement.
-* :mod:`repro.core.reference` — brute-force oracle for correctness tests.
+
+The brute-force oracle and the cross-system checkers are not production
+code: they live in :mod:`repro.testing` (``reference`` and ``validation``).
 """
 
 from repro.core.matching import MatchStats, match_batch, match_static
@@ -25,7 +27,6 @@ from repro.core.frequency_frontier import FrontierFrequencyEstimator
 from repro.core.dcsr import DcsrCache
 from repro.core.cache import CachePolicy, FrequencyCachePolicy, DegreeCachePolicy, CachedDeviceView
 from repro.core.engine import GCSMEngine, EngineConfig, BatchResult
-from repro.core.reference import count_embeddings, find_embeddings
 
 __all__ = [
     "MatchStats",
@@ -43,6 +44,4 @@ __all__ = [
     "GCSMEngine",
     "EngineConfig",
     "BatchResult",
-    "count_embeddings",
-    "find_embeddings",
 ]

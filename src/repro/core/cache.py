@@ -112,25 +112,6 @@ class DegreeCachePolicy(CachePolicy):
         return order[degrees[order] > 0]
 
 
-class HybridCachePolicy(CachePolicy):
-    """Extension (not in the paper): frequency-ranked first, then fill the
-    *remaining* buffer with degree-ranked vertices.
-
-    The paper leaves the buffer beyond the sampled set unused; at scaled-down
-    graph sizes the degree tail still catches real traffic, so backfilling is
-    nearly free bandwidth.  Evaluated by the cache-policy ablation bench.
-    """
-
-    name = "hybrid"
-    requires_estimation = True
-
-    def rank(self, graph: DynamicGraph, frequencies: np.ndarray | None) -> np.ndarray:
-        freq_rank = FrequencyCachePolicy().rank(graph, frequencies)
-        degree_rank = DegreeCachePolicy().rank(graph, None)
-        backfill = degree_rank[~np.isin(degree_rank, freq_rank, assume_unique=True)]
-        return np.concatenate([freq_rank, backfill])
-
-
 class CachedDeviceView(GraphView):
     """GCSM's kernel data path: DCSR cache hit or zero-copy miss.
 

@@ -57,7 +57,6 @@ from repro.core.cache import (
     CachePolicy,
     DegreeCachePolicy,
     FrequencyCachePolicy,
-    HybridCachePolicy,
 )
 from repro.core.dcsr import DcsrCache
 from repro.core.frequency import EstimationResult
@@ -112,16 +111,11 @@ __all__ = [
 # benchmark's staged replay all compose these, so a change here changes every
 # caller identically.
 # ----------------------------------------------------------------------
-_POLICIES = {
-    cls.name: cls
-    for cls in (FrequencyCachePolicy, DegreeCachePolicy, HybridCachePolicy)
-}
+_POLICIES = {cls.name: cls for cls in (FrequencyCachePolicy, DegreeCachePolicy)}
 
 
-def make_policy(policy: str | CachePolicy) -> CachePolicy:
-    """Resolve a policy name to a CachePolicy instance."""
-    if isinstance(policy, CachePolicy):
-        return policy
+def make_policy(policy: str) -> CachePolicy:
+    """Resolve a policy name (``"frequency"`` | ``"degree"``) to a CachePolicy."""
     require(policy in _POLICIES, f"unknown cache policy {policy!r}")
     return _POLICIES[policy]()
 
@@ -296,7 +290,7 @@ class EngineConfig:
 
     device: DeviceConfig | None = None
     placement: str = "cached"
-    policy: str | CachePolicy = "frequency"
+    policy: str = "frequency"
     num_walks: int | None = None
     adaptive_walks: bool = False
     cache_budget_bytes: int | None = None

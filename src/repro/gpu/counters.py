@@ -220,9 +220,6 @@ class AccessCounters:
     def record_um_fault(self, pages: int) -> None:
         self._totals[_FAULTS] += pages
 
-    def record_um_hit(self, pages: int) -> None:
-        self._totals[_HITS] += pages
-
     def record_dma(self, nbytes: int, requests: int = 1) -> None:
         self._totals[_TALLY] += nbytes
         self._totals[_TALLY + 1] += requests

@@ -115,7 +115,7 @@ def replay_cached(
     """Price the trace with an arbitrary cached vertex set (GCSM-style:
     hits read device memory, misses zero-copy; the rowidx probe is not
     charged).  Passing ``trace.top_vertices(k)`` gives the *oracle* cache of
-    size k — the upper bound any online policy (frequency, degree, hybrid)
+    size k — the upper bound any online policy (frequency or degree)
     can approach."""
     return replay(trace, FullDeviceView(None, device, AccessCounters(), cached))
 

@@ -28,10 +28,3 @@ class DmaEngine:
         """Move ``nbytes`` host→device in one request; returns simulated ns."""
         self.counters.record_dma(int(nbytes), requests=1)
         return self.device.dma_time_ns(int(nbytes), requests=1)
-
-    def transfer_many(self, sizes: list[int]) -> float:
-        """One request per buffer (the unpacked alternative GCSM avoids)."""
-        total = 0.0
-        for nbytes in sizes:
-            total += self.transfer(nbytes)
-        return total

@@ -20,7 +20,7 @@ entries are found by a binary search in their rows' runs and dropped.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -197,10 +197,6 @@ class StaticGraph:
         edges[:, 0] = rows[upper]
         edges[:, 1] = self.indices[upper]
         return edges
-
-    def iter_edges(self) -> Iterator[tuple[int, int]]:
-        for u, v in self.edge_array():
-            yield int(u), int(v)
 
     def size_bytes(self) -> int:
         """Approximate in-memory footprint of the adjacency structure.

@@ -9,6 +9,12 @@ probability, edges marked for insertion are removed from the initial graph
 :func:`derive_stream` reproduces that methodology and returns the initial
 snapshot plus a list of :class:`UpdateBatch` objects.  Batches are the unit
 the whole pipeline operates on (``ΔE_k`` in paper Fig. 3).
+
+:func:`generate_adversarial_stream` is the dirty counterpart: batches mixing
+clean updates with every anomaly class real streams carry (duplicate
+inserts, phantom deletes, same-batch churn, flapping), the input of the
+``adversarial`` update mix, the service's tenants and the differential
+fuzzer.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ __all__ = [
     "derive_localized_stream",
     "insert_only_stream",
     "churn_stream",
+    "generate_adversarial_stream",
 ]
 
 #: sign conventions for update operations
@@ -509,3 +516,168 @@ def churn_stream(
         batches.append(UpdateBatch(edges, signs))
         prev = cur
     return initial, batches
+
+
+#: Anomaly classes the generator cycles through.  ``clean_*`` keep the
+#: stream making progress; the rest reproduce the real-world pathologies
+#: the update protocol must be total over.
+_OP_CLASSES = (
+    "clean_insert",
+    "clean_delete",
+    "dup_insert",
+    "phantom_delete",
+    "churn",
+    "double_delete",
+    "new_vertex",
+    "flap",
+)
+
+
+def generate_adversarial_stream(
+    initial: StaticGraph,
+    *,
+    num_batches: int = 4,
+    batch_size: int = 16,
+    seed: int | np.random.Generator | None = 0,
+) -> list[UpdateBatch]:
+    """Batches exhibiting every update-anomaly class (fuzzer input).
+
+    Each batch mixes clean inserts/deletes with duplicate inserts, phantom
+    deletes (including deletes of never-introduced vertices), same-batch
+    insert+delete churn pairs, double deletes, new-vertex bursts (with
+    labels), and hot-edge flapping (the same edge toggled several times in
+    one batch).  Orientation of every emitted update is randomized, so the
+    store's orientation-insensitive netting is exercised too.
+
+    Presence is tracked under **coalesce** (last-occurrence-wins) netting so
+    later batches stay plausible; under other conflict modes the class mix
+    drifts slightly but every batch remains a legal input.
+    """
+    require(num_batches >= 1, "need at least one batch")
+    require(batch_size >= 4, "adversarial batches need at least 4 updates")
+    rng = as_generator(seed)
+    num_labels = int(initial.labels.max()) + 1 if initial.num_vertices else 1
+    present: set[tuple[int, int]] = {
+        (int(u), int(v)) for u, v in initial.edge_array()
+    }
+    materialized = initial.num_vertices
+    next_fresh = initial.num_vertices
+    assigned_labels: dict[int, int] = {}
+    hot: list[tuple[int, int]] = []
+
+    def orient(e: tuple[int, int]) -> tuple[int, int]:
+        return e if rng.random() < 0.5 else (e[1], e[0])
+
+    def pick_present() -> tuple[int, int] | None:
+        if not present:
+            return None
+        pool = sorted(present)
+        return pool[int(rng.integers(0, len(pool)))]
+
+    def pick_absent() -> tuple[int, int] | None:
+        for _ in range(64):
+            u = int(rng.integers(0, materialized))
+            v = int(rng.integers(0, materialized))
+            if u == v:
+                continue
+            e = (min(u, v), max(u, v))
+            if e not in present:
+                return e
+        return None
+
+    def fresh_vertex() -> int:
+        nonlocal next_fresh
+        v = next_fresh
+        next_fresh += 1
+        assigned_labels[v] = int(rng.integers(0, num_labels))
+        return v
+
+    batches: list[UpdateBatch] = []
+    for _ in range(num_batches):
+        ops: list[tuple[int, int, int]] = []
+
+        def emit(e: tuple[int, int], sign: int) -> None:
+            u, v = orient(e)
+            ops.append((u, v, sign))
+
+        classes = list(_OP_CLASSES)
+        rng.shuffle(classes)
+        ci = 0
+        while len(ops) < batch_size:
+            cls = classes[ci % len(classes)]
+            ci += 1
+            if cls == "clean_insert":
+                e = pick_absent()
+                if e:
+                    emit(e, +1)
+            elif cls == "clean_delete":
+                e = pick_present()
+                if e:
+                    emit(e, -1)
+            elif cls == "dup_insert":
+                e = pick_present()
+                if e:
+                    emit(e, +1)
+            elif cls == "phantom_delete":
+                if rng.random() < 0.5:
+                    e = pick_absent()
+                else:
+                    # delete an edge of a vertex id nobody ever introduced
+                    u = int(rng.integers(0, max(1, materialized)))
+                    e = (u, next_fresh + int(rng.integers(1, 4)))
+                if e:
+                    emit(e, -1)
+            elif cls == "churn":
+                # insert-then-delete of the same edge inside one batch; the
+                # delete must hit the unsorted ΔN run, then net to nothing
+                e = pick_absent()
+                if e:
+                    emit(e, +1)
+                    emit(e, -1)
+            elif cls == "double_delete":
+                e = pick_present()
+                if e:
+                    emit(e, -1)
+                    emit(e, -1)
+            elif cls == "new_vertex":
+                # burst: a fresh vertex attached to the graph, sometimes
+                # chained to a second fresh vertex
+                if materialized == 0:
+                    continue
+                anchor = int(rng.integers(0, materialized))
+                v = fresh_vertex()
+                emit((anchor, v), +1)
+                if rng.random() < 0.3:
+                    emit((v, fresh_vertex()), +1)
+            elif cls == "flap":
+                if not hot:
+                    e = pick_present() or pick_absent()
+                    if e is None:
+                        continue
+                    hot.append(e)
+                e = hot[int(rng.integers(0, len(hot)))]
+                for _ in range(int(rng.integers(2, 4))):
+                    emit(e, +1 if rng.random() < 0.5 else -1)
+        ops = ops[:batch_size]
+        if not ops:  # pragma: no cover - batch_size >= 4 always yields ops
+            continue
+
+        # settle presence under coalesce (last occurrence wins per edge)
+        final: dict[tuple[int, int], int] = {}
+        for u, v, sign in ops:
+            final[(min(u, v), max(u, v))] = sign
+        for e, sign in final.items():
+            if sign > 0 and e not in present:
+                present.add(e)
+                materialized = max(materialized, e[1] + 1)
+            elif sign < 0:
+                present.discard(e)
+
+        edges = np.array([(u, v) for u, v, _ in ops], dtype=np.int64)
+        signs = np.array([s for _, _, s in ops], dtype=np.int64)
+        labels = {
+            v: lbl for v, lbl in assigned_labels.items()
+            if v >= initial.num_vertices
+        }
+        batches.append(UpdateBatch(edges, signs, labels))
+    return batches

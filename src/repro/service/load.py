@@ -3,7 +3,7 @@
 A tenant is one standing (graph, query) registration plus a stream of
 :class:`~repro.graphs.stream.UpdateBatch` es arriving over *simulated* time.
 Batches come from the PR 5 adversarial stream families
-(:func:`~repro.core.validation.generate_adversarial_stream`), so the service
+(:func:`~repro.graphs.stream.generate_adversarial_stream`), so the service
 layer is exercised on exactly the dirty real-world inputs the update
 protocol was hardened against.
 
@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.validation import generate_adversarial_stream
 from repro.graphs.static_graph import StaticGraph
-from repro.graphs.stream import UpdateBatch
+from repro.graphs.stream import UpdateBatch, generate_adversarial_stream
 from repro.query.pattern import QueryGraph
 from repro.utils import as_generator, require
 

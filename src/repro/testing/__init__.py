@@ -1,7 +1,8 @@
 """Reference implementations used as parity oracles by the test suites.
 
-Nothing on the production path imports this package.  It holds the slow,
-obviously-correct twins of the vectorized production kernels:
+Nothing on the production path imports this package; ``repro verify`` (the
+command-line self-check) is its one caller outside the tests.  It holds the
+slow, obviously-correct twins of the vectorized production kernels:
 
 * :mod:`repro.testing.kernels` — the recursive depth-first matching
   executor and the recursive merged-walk frequency estimator (with
@@ -26,8 +27,13 @@ obviously-correct twins of the vectorized production kernels:
 :mod:`repro.testing.calls` holds :func:`count_calls`, the clock that repeats
 (Python ``call`` events), for gates on per-vertex / per-node Python loops.
 
-The brute-force embedding counter stays in :mod:`repro.core.reference`:
-``repro verify --oracle`` uses it in production.
+:mod:`repro.testing.reference` is the brute-force embedding counter
+(:func:`count_embeddings` / :func:`find_embeddings`), the ground truth every
+signed ΔM is checked against, and :mod:`repro.testing.validation` the
+checkers built on it: :func:`verify_stream` (every system agrees on ΔM,
+batch by batch, optionally with the oracle recount), :func:`verify_rulebook`
+(a shared trie against per-query engines) and :func:`fuzz_verify` (the
+differential fuzzer over adversarial streams).
 """
 
 from repro.testing.calls import count_calls

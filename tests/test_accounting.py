@@ -45,7 +45,6 @@ from repro.core.dcsr import DcsrCache
 from repro.core.engine import GCSMEngine
 from repro.core.multiquery import MultiQueryEngine, Rulebook
 from repro.core.querytrie import ExecutionTrie, solo_trie
-from repro.core.validation import verify_rulebook
 from repro.graphs import datasets
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.generators import powerlaw_graph
@@ -64,6 +63,7 @@ from repro.query import query_by_name
 from repro.query.generator import rulebook_suite
 from repro.query.plan import MatchPlan
 from repro.testing import count_calls, neighbors_new, neighbors_old
+from repro.testing.validation import verify_rulebook
 from tests.test_views_semantics import read_list
 
 DEVICE = default_device()

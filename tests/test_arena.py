@@ -11,11 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.baselines import make_system
 from repro.core.engine import GCSMEngine
-from repro.core.validation import _counters_equal, generate_adversarial_stream
 from repro.graphs.datasets import DATASETS
 from repro.graphs.dynamic_graph import DynamicGraph, keyed_contains, rank_keys
 from repro.graphs.generators import erdos_renyi
-from repro.graphs.stream import UpdateBatch, derive_stream
+from repro.graphs.stream import UpdateBatch, derive_stream, generate_adversarial_stream
 from repro.gpu.counters import AccessCounters
 from repro.gpu.device import default_device
 from repro.gpu.memory import HostMemoryLayout
@@ -27,6 +26,7 @@ from repro.testing import (
     neighbors_new, neighbors_old, segmented_contains, stored_runs, versioned_runs,
 )
 from repro.testing.kernels import _merge_runs
+from repro.testing.validation import _counters_equal
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 

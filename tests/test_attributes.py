@@ -5,13 +5,13 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.core.reference import count_embeddings
-from repro.core.validation import verify_stream
 from repro.graphs import DynamicGraph, EdgeAttributeStore, UpdateBatch, edge_weight, edge_weights
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.stream import derive_stream
 from repro.query import QueryGraph
 from repro.testing import use_reference_kernels
+from repro.testing.reference import count_embeddings
+from repro.testing.validation import verify_stream
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 PRED_TRIANGLE = TRIANGLE.with_edge_predicates(

@@ -15,11 +15,11 @@ from repro.core.baselines import (
     VsgmCapacityError,
     make_system,
 )
-from repro.core.reference import count_embeddings
 from repro.graphs.generators import erdos_renyi, powerlaw_graph
 from repro.graphs.stream import derive_stream
 from repro.gpu import DeviceConfig, default_device
 from repro.query import QueryGraph
+from repro.testing.reference import count_embeddings
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 TAILED = QueryGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)], [0, 0, 1, 1], name="tailed")

@@ -80,6 +80,40 @@ class TestVerifyCommand:
         assert code == 0
         assert "systems agree" in capsys.readouterr().out
 
+    def test_default_verify_compares_real_matches(self, capsys, monkeypatch):
+        """With no arguments every batch changes the match count, so the
+        systems agreeing (and ``--oracle`` agreeing with them) means
+        something."""
+        import repro.testing.validation as validation
+
+        real, reports = validation.verify_stream, []
+
+        def recording(*args, **kwargs):
+            reports.append(real(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(validation, "verify_stream", recording)
+        assert main(["verify"]) == 0
+        (report,) = reports
+        assert report.num_batches == 2
+        assert all(d != 0 for d in report.delta_per_batch), report.delta_per_batch
+        assert "systems agree" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--systems", "GCSM,Bogus"], "unknown system spec 'Bogus'"),
+        (["--systems", " , "], "--systems names no system"),
+        (["--batches", "0"], "num_batches must be positive"),
+        (["--fuzz", "0"], "--fuzz needs at least one case"),
+    ])
+    def test_bad_input_is_a_usage_error(self, capsys, argv, message):
+        """Bad input exits 2 with one line on stderr, as ``run`` / ``matrix``
+        / ``serve`` do; exit 1 stays the code of a real ΔM disagreement."""
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro verify: error: ")
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_verify_fuzz(self, capsys):
         code = main(["verify", "--fuzz", "2"])
         assert code == 0

@@ -10,12 +10,12 @@ import pytest
 
 from repro.core.engine import GCSMEngine
 from repro.core.baselines import make_system
-from repro.core.reference import count_embeddings
 from repro.graphs import DynamicGraph, StaticGraph, UpdateBatch
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.stream import derive_stream
 from repro.gpu import DeviceConfig
 from repro.query import QueryGraph
+from repro.testing.reference import count_embeddings
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.cache import FrequencyCachePolicy
 from repro.core.engine import GCSMEngine
-from repro.core.reference import count_embeddings
 from repro.graphs import StaticGraph, UpdateBatch
 from repro.graphs.generators import erdos_renyi, powerlaw_graph
 from repro.graphs.stream import derive_stream
 from repro.query import QueryGraph
+from repro.testing.reference import count_embeddings
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 TAILED = QueryGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)], [0, 0, 1, 1], name="tailed")
@@ -49,6 +50,14 @@ class TestCorrectness:
         g = erdos_renyi(10, 3.0, seed=5)
         with pytest.raises(ValueError):
             GCSMEngine(g, TRIANGLE, policy="magic")
+
+    def test_policy_is_one_of_the_papers_two_names(self):
+        """``"frequency"`` (GCSM) or ``"degree"`` (Naive): the hybrid extension
+        is gone, and a policy object is refused like an unknown name."""
+        g = erdos_renyi(10, 3.0, seed=5)
+        for policy in ("hybrid", FrequencyCachePolicy()):
+            with pytest.raises(ValueError, match="unknown cache policy"):
+                GCSMEngine(g, TRIANGLE, policy=policy)
 
     def test_negative_vertex_id_never_reaches_the_store(self):
         # accepted, the batch wrote -1 into vertex 2's ΔN run (where it reads

@@ -28,11 +28,15 @@ from repro.core.frequency_frontier import FrontierFrequencyEstimator
 from repro.core.matching import delta_roots, expand, match_batch
 from repro.core.multiquery import MultiQueryEngine, Rulebook, split_walk_budget
 from repro.core.querytrie import ExecutionTrie, solo_trie
-from repro.core.validation import generate_adversarial_stream
 from repro.graphs import datasets
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.generators import erdos_renyi, powerlaw_graph
-from repro.graphs.stream import UpdateBatch, churn_stream, derive_stream
+from repro.graphs.stream import (
+    UpdateBatch,
+    churn_stream,
+    derive_stream,
+    generate_adversarial_stream,
+)
 from repro.gpu.counters import AccessCounters
 from repro.gpu.device import default_device
 from repro.gpu.views import HostCPUView

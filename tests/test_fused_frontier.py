@@ -25,7 +25,6 @@ import repro.core.frontier as frontier
 from repro.core.dcsr import DcsrCache
 from repro.core.matching import expand, match_batch, match_static, match_trie, settle
 from repro.core.multiquery import MultiQueryEngine, Rulebook
-from repro.core.validation import verify_rulebook
 from repro.graphs import datasets
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.generators import powerlaw_graph
@@ -44,6 +43,7 @@ from repro.testing import (
     match_static_recursive,
     use_reference_kernels,
 )
+from repro.testing.validation import verify_rulebook
 from tests.test_frontier_parity import fingerprint
 
 DEVICE = default_device()

@@ -5,10 +5,10 @@ import pytest
 
 from repro.core.engine import GCSMEngine
 from repro.core.multiquery import MultiQueryEngine
-from repro.core.reference import count_embeddings
 from repro.graphs.generators import erdos_renyi, powerlaw_graph
 from repro.graphs.stream import derive_stream
 from repro.query import QueryGraph
+from repro.testing.reference import count_embeddings
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 WEDGE = QueryGraph(3, [(0, 1), (1, 2)], [0, 1, 0], name="wedge")
@@ -105,7 +105,7 @@ class TestAmortization:
         """One result type: a rulebook batch reports its CanonicalReport like
         any other (the private pipeline dropped it)."""
         from repro.core.engine import BatchResult
-        from repro.core.validation import generate_adversarial_stream
+        from repro.graphs.stream import generate_adversarial_stream
         from repro.graphs.dynamic_graph import DynamicGraph
 
         g0 = erdos_renyi(50, 6.0, num_labels=2, seed=11)

@@ -18,17 +18,13 @@ from hypothesis import strategies as st
 
 from repro.core.multiquery import MultiQueryEngine, split_walk_budget
 from repro.core.querytrie import ExecutionTrie
-from repro.core.validation import (
-    ConsistencyError,
-    generate_adversarial_stream,
-    verify_rulebook,
-)
 from repro.graphs.generators import erdos_renyi, powerlaw_graph
-from repro.graphs.stream import derive_stream
+from repro.graphs.stream import derive_stream, generate_adversarial_stream
 from repro.query.catalog import QUERIES, QUERY_ORDER
 from repro.query.generator import rulebook_suite
 from repro.query.pattern import QueryGraph
 from repro.query.plan import compile_delta_plans, plan_signature
+from repro.testing.validation import ConsistencyError, verify_rulebook
 
 
 def _catalog() -> list[QueryGraph]:

@@ -28,21 +28,20 @@ from repro.core.prefilter import (
     QueryRequirement,
     normalize_prefilter,
 )
-from repro.core.validation import (
-    DEFAULT_FUZZ_SYSTEMS,
-    _parse_system_spec,
-    fuzz_verify,
-    generate_adversarial_stream,
-    verify_rulebook,
-    verify_stream,
-)
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.static_graph import StaticGraph
-from repro.graphs.stream import UpdateBatch, derive_stream
+from repro.graphs.stream import UpdateBatch, derive_stream, generate_adversarial_stream
 from repro.gpu.clock import PipelineClock, TimeBreakdown
 from repro.query import QueryGraph
 from repro.testing import use_reference_kernels
+from repro.testing.validation import (
+    DEFAULT_FUZZ_SYSTEMS,
+    _parse_system_spec,
+    fuzz_verify,
+    verify_rulebook,
+    verify_stream,
+)
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], [0, 1, 2], name="tri012")
 PATH = QueryGraph(3, [(0, 1), (1, 2)], [0, 0, 1], name="path001")

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.dcsr import DcsrCache
 from repro.core.matching import match_static
-from repro.core.reference import count_embeddings
 from repro.graphs import DynamicGraph, UpdateBatch
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.stream import derive_stream
@@ -24,6 +23,7 @@ from repro.gpu.memory import UnifiedMemoryPager
 from repro.query import compile_static_plan
 from repro.query.generator import random_query
 from repro.testing import neighbors_new_parts, neighbors_old, use_reference_kernels
+from repro.testing.reference import count_embeddings
 from tests.test_dcsr import packed_row
 
 
@@ -150,7 +150,8 @@ def test_adversarial_streams_are_total_and_oracle_exact(executor, estimator, see
     pipeline without error, every system's ΔM matches the brute-force
     oracle recount, and the store invariants hold after every reorganize —
     for both executors and both estimators."""
-    from repro.core.validation import generate_adversarial_stream, verify_stream
+    from repro.graphs.stream import generate_adversarial_stream
+    from repro.testing.validation import verify_stream
     from repro.query.pattern import QueryGraph
 
     rng = np.random.default_rng(seed)

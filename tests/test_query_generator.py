@@ -59,7 +59,7 @@ class TestSuite:
         assert len({q.name for q in suite}) == 10
 
     def test_suite_usable_by_matcher(self):
-        from repro.core.reference import count_embeddings
+        from repro.testing.reference import count_embeddings
         from repro.graphs.generators import erdos_renyi
 
         g = erdos_renyi(25, 4.0, num_labels=3, seed=8)

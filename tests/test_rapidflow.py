@@ -9,10 +9,10 @@ import pytest
 from repro.core import rapidflow
 from repro.core.baselines import make_system
 from repro.core.rapidflow import IndexMemoryError
-from repro.core.reference import count_embeddings
 from repro.graphs.generators import erdos_renyi, powerlaw_graph
 from repro.graphs.stream import derive_stream
 from repro.query import QueryGraph
+from repro.testing.reference import count_embeddings
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 TAILED = QueryGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)], [0, 0, 1, 1], name="tailed")

@@ -3,11 +3,11 @@
 import networkx as nx
 import numpy as np
 
-from repro.core.reference import count_embeddings, find_embeddings
 from repro.graphs import StaticGraph
 from repro.graphs.generators import erdos_renyi
 from repro.query import QueryGraph
 from repro.query.symmetry import automorphism_count
+from repro.testing.reference import count_embeddings, find_embeddings
 
 
 def triangle_query(labels=None):

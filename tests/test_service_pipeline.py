@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.engine import GCSMEngine
-from repro.core.reference import count_embeddings
-from repro.core.validation import generate_adversarial_stream
 from repro.graphs.generators import erdos_renyi
-from repro.graphs.stream import UpdateBatch, derive_stream
+from repro.graphs.stream import UpdateBatch, derive_stream, generate_adversarial_stream
 from repro.gpu.clock import PipelineClock, TimeBreakdown
 from repro.query import QueryGraph
+from repro.testing.reference import count_embeddings
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 

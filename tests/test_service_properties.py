@@ -15,16 +15,11 @@ from hypothesis import strategies as st
 
 from repro.core.baselines import make_system
 from repro.core.engine import GCSMEngine
-from repro.core.validation import (
-    DEFAULT_FUZZ_SYSTEMS,
-    fuzz_verify,
-    generate_adversarial_stream,
-    verify_stream,
-)
 from repro.graphs.generators import erdos_renyi
-from repro.graphs.stream import CONFLICT_MODES
+from repro.graphs.stream import CONFLICT_MODES, generate_adversarial_stream
 from repro.query import QUERIES, QueryGraph
 from repro.testing import use_reference_kernels
+from repro.testing.validation import DEFAULT_FUZZ_SYSTEMS, fuzz_verify, verify_stream
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 KERNELS = ("frontier", "recursive")

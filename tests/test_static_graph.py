@@ -111,10 +111,6 @@ class TestQueries:
         assert bool(np.all(edges[:, 0] < edges[:, 1]))
         assert set(map(tuple, edges.tolist())) == {(0, 1), (0, 2), (0, 3), (1, 2)}
 
-    def test_iter_edges_matches_edge_array(self):
-        g = small_graph()
-        assert sorted(g.iter_edges()) == sorted(map(tuple, g.edge_array().tolist()))
-
     def test_size_bytes_positive_and_monotone(self):
         small = StaticGraph.from_edges(4, [(0, 1)])
         big = small_graph()

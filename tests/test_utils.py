@@ -291,8 +291,6 @@ class TestSortedUnique:
 _SET_ROUTINES = {"unique", "isin", "in1d", "union1d", "setdiff1d"}
 #: ``path under src/repro -> (routines, why they stay)``; anything else fails
 _SET_ROUTINES_KEPT = {
-    "core/cache.py": ({"isin"}, "assume_unique=True over two rank arrays of one policy "
-                                "decision per batch: no dedupe, so no hash table"),
     "core/rapidflow.py": ({"isin", "union1d"}, "the RapidFlow baseline's candidate index "
                                                "upkeep, off the GCSM path and the benchmark"),
 }
@@ -300,11 +298,11 @@ _SET_ROUTINES_KEPT = {
 
 def set_routine_calls(root: Path):
     """``(relative path, line, routine)`` of every plain NumPy set-routine
-    call under ``root``, the oracle package and the reference matcher aside."""
+    call under ``root``, the oracle package aside."""
     found = []
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root).as_posix()
-        if rel.startswith("testing/") or rel == "core/reference.py":
+        if rel.startswith("testing/"):
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
@@ -386,11 +384,90 @@ def test_the_guard_sees_what_it_guards(tmp_path):
         "m = np.isin(y, z)\n"
         "u = np.setdiff1d(np.union1d(y, z), z)\n"
     )
-    (tmp_path / "core" / "reference.py").write_text("import numpy as np\nx = np.unique(y)\n")
     (tmp_path / "testing" / "b.py").write_text("import numpy as np\nx = np.unique(y)\n")
     assert set_routine_calls(tmp_path) == [
         ("core/a.py", 2, "unique"), ("core/a.py", 4, "isin"),
         ("core/a.py", 5, "setdiff1d"), ("core/a.py", 5, "union1d"),
+    ]
+
+
+#: what lives in ``repro.testing`` and nowhere else under ``src/repro``: the
+#: brute-force oracle and the cross-system checkers built on it
+_ORACLE_NAMES = {
+    "count_embeddings", "find_embeddings", "verify_stream", "verify_rulebook", "fuzz_verify",
+    "VerificationReport", "RulebookParityReport", "FuzzReport", "ConsistencyError",
+    "DEFAULT_FUZZ_SYSTEMS", "_parse_system_spec", "_counters_equal",
+}
+
+
+def oracle_leaks(root: Path):
+    """``(relative path, line, name)`` of every import of ``repro.testing`` and
+    every definition of an oracle or checker name under ``root``, outside the
+    oracle package and the body of ``cli.py``'s ``_cmd_verify`` (``repro
+    verify`` is the one production caller of the checkers)."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel.startswith("testing/"):
+            continue
+        tree = ast.parse(path.read_text())
+        verify = [fn for fn in tree.body if rel == "cli.py"
+                  and isinstance(fn, ast.FunctionDef) and fn.name == "_cmd_verify"]
+        allowed = {id(node) for fn in verify for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            names = [name for name in names if name in _ORACLE_NAMES
+                     or name.split(".")[:2] == ["repro", "testing"]]
+            if names and id(node) not in allowed:
+                found.append((rel, node.lineno, names[0]))
+    return found
+
+
+def test_the_oracle_stays_with_the_tests():
+    """Production runs what it ships: no module under ``src/repro`` outside
+    ``repro.testing`` imports the oracle package or defines the brute-force
+    matcher or a cross-system checker, ``repro verify`` aside."""
+    root = Path(__file__).resolve().parents[1] / "src" / "repro"
+    assert oracle_leaks(root) == []
+
+
+def test_the_oracle_guard_sees_what_it_guards(tmp_path):
+    (tmp_path / "core").mkdir()
+    (tmp_path / "testing").mkdir()
+    (tmp_path / "core" / "a.py").write_text(
+        "import repro.testing\n"
+        "from repro.testing.reference import find_embeddings\n"
+        "from repro import testing\n"
+        "import repro.testingx, repro.core\n"
+        "def count_embeddings(graph, query): ...\n"
+        "class ConsistencyError(AssertionError): ...\n"
+        "DEFAULT_FUZZ_SYSTEMS = ('GCSM',)\n"
+    )
+    (tmp_path / "cli.py").write_text(
+        "from repro.testing import count_calls\n"
+        "def _cmd_verify(args):\n"
+        "    from repro.testing.validation import verify_stream\n"
+        "def _cmd_run(args):\n"
+        "    import repro.testing\n"
+    )
+    (tmp_path / "testing" / "b.py").write_text(
+        "from repro.testing.reference import count_embeddings\n"
+        "def verify_stream(): ...\n"
+    )
+    assert oracle_leaks(tmp_path) == [
+        ("cli.py", 1, "repro.testing"), ("cli.py", 5, "repro.testing"),
+        ("core/a.py", 1, "repro.testing"), ("core/a.py", 2, "repro.testing.reference"),
+        ("core/a.py", 3, "repro.testing"), ("core/a.py", 5, "count_embeddings"),
+        ("core/a.py", 6, "ConsistencyError"), ("core/a.py", 7, "DEFAULT_FUZZ_SYSTEMS"),
     ]
 
 

@@ -4,17 +4,21 @@ import re
 
 import pytest
 
-from repro.core.validation import (
+from repro.graphs import DynamicGraph, UpdateBatch
+from repro.graphs.generators import erdos_renyi
+from repro.graphs.stream import (
+    BatchConflictError,
+    CanonicalReport,
+    derive_stream,
+    generate_adversarial_stream,
+)
+from repro.query import QueryGraph
+from repro.testing.validation import (
     ConsistencyError,
     _parse_system_spec,
     fuzz_verify,
-    generate_adversarial_stream,
     verify_stream,
 )
-from repro.graphs import DynamicGraph, UpdateBatch
-from repro.graphs.generators import erdos_renyi
-from repro.graphs.stream import BatchConflictError, CanonicalReport, derive_stream
-from repro.query import QueryGraph
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 
@@ -74,7 +78,7 @@ def test_detects_injected_disagreement(monkeypatch):
         system = real_make(name, *args, **kwargs)
         return Liar(system) if name == "ZC" else system
 
-    monkeypatch.setattr("repro.core.validation.make_system", tampered)
+    monkeypatch.setattr("repro.testing.validation.make_system", tampered)
     with pytest.raises(ConsistencyError):
         verify_stream(["GCSM", "ZC"], g0, TRIANGLE, batches[:1])
 
@@ -209,7 +213,7 @@ class TestFuzzVerify:
             fuzz_verify(0)
 
     def test_fuzz_failure_names_the_case(self, monkeypatch):
-        from repro.core import validation
+        from repro.testing import validation
 
         def broken(*args, **kwargs):
             raise ConsistencyError("injected")

@@ -5,12 +5,12 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.core.validation import verify_stream
 from repro.graphs import UpdateBatch, apply_window
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.stream import DELETE, INSERT, derive_stream
 from repro.query import QueryGraph
 from repro.testing import use_reference_kernels
+from repro.testing.validation import verify_stream
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 
