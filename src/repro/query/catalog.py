@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import networkx as nx
-
 from repro.query.pattern import QueryGraph
 from repro.utils import require
 
@@ -119,6 +117,8 @@ def motifs(size: int) -> tuple[QueryGraph, ...]:
     they match any data-vertex labeling — the configuration of the paper's
     road-network motif-counting experiments.
     """
+    import networkx as nx  # the atlas's one caller; the engine never loads it
+
     require(2 <= size <= 7, "motif size must be in 2..7")
     out: list[QueryGraph] = []
     for g in nx.graph_atlas_g():

@@ -18,9 +18,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import networkx as nx
-import numpy as np
-
 from repro.utils import require
 
 __all__ = ["QueryGraph", "WILDCARD_LABEL"]
@@ -123,8 +120,16 @@ class QueryGraph:
             raise KeyError(f"pattern has no edge {e}") from None
 
     def diameter(self) -> int:
-        """Graph diameter ``k`` — the hop radius VSGM copies (paper Sec. I)."""
-        return int(nx.diameter(self.to_networkx()))
+        """Graph diameter ``k`` — the hop radius VSGM copies (paper Sec. I):
+        the largest eccentricity, one level-synchronous BFS per vertex."""
+        longest = 0
+        for source in range(self.num_vertices):
+            seen, frontier, depth = {source}, {source}, 0
+            while frontier := {v for u in frontier for v in self._adj[u]} - seen:
+                seen |= frontier
+                depth += 1
+            longest = max(longest, depth)
+        return longest
 
     def is_labeled(self) -> bool:
         return any(l != WILDCARD_LABEL for l in self.labels)
@@ -159,8 +164,11 @@ class QueryGraph:
         return {self.edges[j]: bounds for j, bounds in self.edge_predicates}
 
     # ------------------------------------------------------------------
-    def to_networkx(self) -> nx.Graph:
-        """Convert to a :mod:`networkx` graph with a ``label`` node attribute."""
+    def to_networkx(self):
+        """Convert to a :mod:`networkx` graph with a ``label`` node attribute
+        (an interop helper: networkx is imported here, not with the package)."""
+        import networkx as nx
+
         g = nx.Graph()
         for u in range(self.num_vertices):
             g.add_node(u, label=self.labels[u])
@@ -168,9 +176,10 @@ class QueryGraph:
         return g
 
     @classmethod
-    def from_networkx(cls, g: nx.Graph, name: str = "query") -> "QueryGraph":
+    def from_networkx(cls, g, name: str = "query") -> "QueryGraph":
         """Build from a networkx graph (nodes relabeled to 0..n-1; a ``label``
-        node attribute is honored, otherwise wildcard)."""
+        node attribute is honored, otherwise wildcard).  ``g`` is read through
+        ``nodes()``, ``edges()`` and ``nodes[v]`` only, so no import is needed."""
         nodes = sorted(g.nodes())
         remap = {v: i for i, v in enumerate(nodes)}
         edges = [(remap[u], remap[v]) for u, v in g.edges()]

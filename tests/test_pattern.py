@@ -2,9 +2,13 @@
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.baselines import make_system
+from repro.graphs.generators import erdos_renyi
 from repro.query import QUERIES, QueryGraph, WILDCARD_LABEL, motifs, query_by_name
 from repro.query.catalog import QUERY_ORDER, all_motifs_3_4_5
+from repro.query.generator import random_query
 
 
 def triangle(labels=None):
@@ -69,6 +73,34 @@ class TestQueryGraph:
         assert triangle([0, 1, 2]) == triangle([0, 1, 2])
         assert triangle([0, 1, 2]) != triangle([0, 1, 1])
         assert len({triangle([0, 1, 2]), triangle([0, 1, 2])}) == 1
+
+
+class TestDiameter:
+    """``diameter()`` is a BFS over the pattern's own adjacency, and VSGM's
+    hop radius; ``networkx.diameter`` is the reference it must equal."""
+
+    def test_catalog_queries_and_the_vsgm_radius(self):
+        g = erdos_renyi(30, 4.0, num_labels=3, seed=1)
+        for name in QUERY_ORDER:
+            q = QUERIES[name]
+            assert q.diameter() == nx.diameter(q.to_networkx())
+            assert make_system("VSGM", g, q).placement.hops == q.diameter()
+        assert [QUERIES[n].diameter() for n in QUERY_ORDER] == [2, 2, 3, 3, 3, 3]
+
+    @pytest.mark.parametrize("size", range(2, 8))
+    def test_every_motif(self, size):
+        ms = motifs(size)
+        assert [q.diameter() for q in ms] == [nx.diameter(q.to_networkx()) for q in ms]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=9),
+        density=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_random_queries(self, n, density, seed):
+        q = random_query(n, density=density, seed=seed)
+        assert q.diameter() == nx.diameter(q.to_networkx())
 
 
 class TestCatalog:

@@ -1,7 +1,10 @@
 """Tests for shared utilities."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -331,23 +334,32 @@ def test_no_plain_unique_on_production_path():
 
 #: modules that run code on other threads or processes
 _CONCURRENCY_MODULES = {"threading", "concurrent", "multiprocessing"}
+#: ``(path under src/repro, function)`` of the only places that may import
+#: networkx: the graph atlas's one reader and the interop helper the tests use
+_NETWORKX_IMPORTERS = {("query/catalog.py", "motifs"), ("query/pattern.py", "to_networkx")}
 
 
-def concurrency_imports(root: Path):
-    """``(relative path, line, module)`` of every import of a concurrency
-    module (or of one of its submodules) under ``root``."""
+def module_imports(root: Path, modules: set[str], allowed=frozenset()):
+    """``(relative path, line, module)`` of every import of one of ``modules``
+    (or of one of their submodules) under ``root``, except inside a function
+    whose ``(relative path, name)`` is ``allowed``."""
     found = []
     for path in sorted(root.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        rel = path.relative_to(root).as_posix()
+        tree = ast.parse(path.read_text())
+        exempt = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and (rel, fn.name) in allowed for node in ast.walk(fn)}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names = [node.module or ""]
             else:
                 continue
-            found += [(path.relative_to(root).as_posix(), node.lineno, name) for name in names
-                      if name.split(".")[0] in _CONCURRENCY_MODULES]
-    return found
+            found += [(rel, node.lineno, name) for name in names
+                      if name.split(".")[0] in modules and id(node) not in exempt]
+    return sorted(found)
 
 
 def test_no_threads_under_src():
@@ -357,7 +369,7 @@ def test_no_threads_under_src():
     under ``src/repro`` imports ``threading``, ``concurrent.futures`` or
     ``multiprocessing``."""
     root = Path(__file__).resolve().parents[1] / "src" / "repro"
-    assert concurrency_imports(root) == []
+    assert module_imports(root, _CONCURRENCY_MODULES) == []
 
 
 def test_the_thread_guard_sees_what_it_guards(tmp_path):
@@ -368,10 +380,90 @@ def test_the_thread_guard_sees_what_it_guards(tmp_path):
         "from . import threading\n"
         "import threadingx\n"
     )
-    assert concurrency_imports(tmp_path) == [
+    assert module_imports(tmp_path, _CONCURRENCY_MODULES) == [
         ("a.py", 1, "threading"), ("a.py", 2, "concurrent.futures"),
         ("a.py", 3, "multiprocessing.pool"),
     ]
+
+
+def test_networkx_stays_off_the_import_path():
+    """No engine, placement, rulebook or fleet path runs networkx, so no
+    module under ``src/repro`` imports it at module level: only
+    ``catalog.motifs`` (the graph atlas) and ``QueryGraph.to_networkx``
+    import it, inside the function."""
+    root = Path(__file__).resolve().parents[1] / "src" / "repro"
+    assert module_imports(root, {"networkx"}, _NETWORKX_IMPORTERS) == []
+
+
+def test_the_networkx_guard_sees_what_it_guards(tmp_path):
+    (tmp_path / "query").mkdir()
+    (tmp_path / "query" / "catalog.py").write_text(
+        "import networkx as nx\n"
+        "def motifs(size):\n"
+        "    import networkx as nx\n"
+        "def other():\n"
+        "    from networkx.algorithms import diameter\n"
+    )
+    (tmp_path / "query" / "pattern.py").write_text(
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    import networkx\n"
+        "class QueryGraph:\n"
+        "    def to_networkx(self):\n"
+        "        import networkx as nx\n"
+        "    def diameter(self):\n"
+        "        import networkx as nx\n"
+    )
+    (tmp_path / "a.py").write_text("import networkxx, numpy\ndef motifs():\n    import networkx\n")
+    assert module_imports(tmp_path, {"networkx"}, _NETWORKX_IMPORTERS) == [
+        ("a.py", 3, "networkx"),
+        ("query/catalog.py", 1, "networkx"), ("query/catalog.py", 5, "networkx.algorithms"),
+        ("query/pattern.py", 3, "networkx"), ("query/pattern.py", 8, "networkx"),
+    ]
+
+
+#: runs in a fresh interpreter: import the package and its CLI, then drive a
+#: few batches through every engine shape production builds
+_ENGINE_TOUR = """
+import sys
+import repro, repro.cli
+from repro.core.baselines import make_system
+from repro.core.engine import GCSMEngine
+from repro.core.multiquery import MultiQueryEngine
+from repro.graphs.generators import erdos_renyi
+from repro.graphs.stream import derive_stream
+from repro.query.catalog import query_by_name
+from repro.query.generator import rulebook_suite
+
+g0, batches = derive_stream(erdos_renyi(400, 8.0, num_labels=3, seed=1),
+                            update_fraction=0.2, batch_size=64, seed=0)
+q = query_by_name("Q1")
+engines = [
+    GCSMEngine(g0, q, seed=0),
+    MultiQueryEngine(g0, rulebook_suite(6, num_labels=3, seed=0), seed=0, shared=True),
+    GCSMEngine(g0, q, seed=0, devices=2),
+    GCSMEngine(g0, q, seed=0, schedule="pipelined"),
+    GCSMEngine(g0, q, seed=0, prefilter="on"),
+    make_system("VSGM", g0, q, seed=0),
+]
+for engine in engines:
+    engine.process_stream(batches[:3])
+print(sorted(name for name in sys.modules if name.split(".")[0] == "networkx"))
+"""
+
+
+def test_no_engine_loads_networkx():
+    """In a fresh interpreter, importing ``repro`` and ``repro.cli`` and
+    running the default engine, a shared rulebook, a two-device fleet, the
+    pipelined schedule, the prefilter and VSGM leave networkx unloaded."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", _ENGINE_TOUR], env=env,
+                           capture_output=True, text=True, check=True)
+    assert child.stdout.splitlines()[-1] == "[]"
 
 
 def test_the_guard_sees_what_it_guards(tmp_path):
