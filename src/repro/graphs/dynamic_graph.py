@@ -38,10 +38,9 @@ compacted.  A full pool is replaced by one ``_GROWTH`` times larger.
 
 **One read, one write.**  :meth:`DynamicGraph.read` gathers any set of
 lists in either version as one flat block (marks decoded or dropped, the two
-runs of a touched list merged by one sort of ``segment * n + value`` keys);
-every bulk path — the arena fill, the edge probe and delete-slot search,
-reorganize, DCSR packing, the whole-graph exports — is that read
-plus one fancy-indexed write ``pool[offset[src] + slot] = value``.
+runs of a touched list merged by one sort of ``segment * n + value`` keys):
+the arena fill, the edge probe, DCSR packing and the exports are that read,
+and a batch is one fancy-indexed write ``pool[offset[src] + slot] = value``.
 
 The per-epoch *arena* (:class:`_Epoch`, :meth:`DynamicGraph.gather`) is what
 the join kernels probe: the working set's merged lists with rank keys,
@@ -64,7 +63,8 @@ import numpy as np
 from repro.graphs.static_graph import StaticGraph
 from repro.graphs.stream import CanonicalReport, UpdateBatch
 from repro.utils import (
-    VERTEX_DTYPE, contains_sorted, require, segment_indices, segment_offsets, sorted_unique,
+    VERTEX_DTYPE, contains_sorted, equal_runs, require, segment_indices, segment_offsets,
+    sorted_unique,
 )
 
 __all__ = [
@@ -111,12 +111,22 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _key_room(elements: int, num_vertices: int) -> None:
-    require(
-        elements * num_vertices < 2**62,
-        f"{elements} list elements over {num_vertices} vertices "
-        "overflow the int64 rank keys (segment_start * num_vertices + value)",
-    )
+def _sort_runs(block: np.ndarray, lengths: np.ndarray, num_vertices: int) -> np.ndarray:
+    """Each segment of ``block`` sorted by one stable sort of ``segment * n +
+    value`` keys: sorted runs end to end are what a merge sort is fast on."""
+    segment = np.repeat(np.arange(lengths.size) * num_vertices, lengths)
+    keys = segment + block
+    keys.sort(kind="stable")
+    return keys - segment
+
+
+def _sorted_updates(edges: np.ndarray, signs: np.ndarray, span: int):
+    """``(src, dst, deleted)``: directed updates per source, deletes first, then
+    by neighbour — one sort of ``(2 * src + is_insert) * span + dst`` keys."""
+    require(span * span < 2**62, f"{span} vertices overflow the int64 update keys")
+    keys = (2 * edges[:, 0] + (signs > 0)) * span + edges[:, 1]
+    high, dst = np.divmod(np.sort(keys), span)
+    return high >> 1, dst, (high & 1) == 0
 
 
 def rank_keys(
@@ -324,28 +334,26 @@ class DynamicGraph:
         merge = ~old & (total > base)
         if merge.any():
             picked = np.repeat(merge, lengths)
-            segment = np.repeat(np.flatnonzero(merge) * self.num_vertices, lengths[merge])
-            keys = segment + block[picked]
-            keys.sort(kind="stable")  # runs of sorted runs: what a merge sort is fast on
-            block[picked] = keys - segment
+            block[picked] = _sort_runs(block[picked], lengths[merge], self.num_vertices)
         return block, lengths
 
-    def _keyed(self, us: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(keys, starts, lengths)``: the :func:`rank_keys` of ``N'(u)`` for
-        the distinct ``u`` of ``us``, read straight from the slab, and where
-        each ``us[i]``'s list lies in them."""
-        sources, which = np.unique(us, return_inverse=True)
-        block, lengths = self.read(sources, False)
-        _key_room(block.size, self.num_vertices)
-        starts = segment_offsets(lengths)[:-1]
-        keys = rank_keys(starts, lengths, block, self.num_vertices)
-        return keys, starts[which], lengths[which]
+    def _keyed(self, us: np.ndarray, vs: np.ndarray):
+        """``(keys, probes, lengths, which)`` for the ascending ``us``: the keys
+        ``j * n + w`` of ``N'`` of the ``j``-th distinct ``u`` (they ascend), each
+        ``(us[i], vs[i])``'s key, the lists' lengths and each ``us[i]``'s ``j``."""
+        first, which = equal_runs(us)
+        block, lengths = self.read(us[first], False)
+        keys = np.repeat(np.arange(lengths.size) * self.num_vertices, lengths) + block
+        return keys, which * self.num_vertices + vs, lengths, which
 
     def contains_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Whether each ``(us[i], vs[i])`` (endpoints in range) is an edge of
-        the current (post-batch) state: one keyed probe of the lists read."""
-        keys, starts, lengths = self._keyed(us)
-        return keyed_contains(keys, self.num_vertices, starts, lengths, vs)
+        """Whether each ``(us[i], vs[i])`` (endpoints in range) is an edge of the
+        current state: one probe of the lists read, ``us`` sorted first unless it ascends."""
+        if (us[1:] < us[:-1]).any():
+            order = np.argsort(us, kind="stable")
+            return self.contains_edges(us[order], vs[order])[np.argsort(order)]
+        keys, probes, _, _ = self._keyed(us, vs)
+        return contains_sorted(keys, probes)
 
     # ------------------------------------------------------------------
     # the epoch arena (what the join kernels read)
@@ -395,7 +403,7 @@ class DynamicGraph:
         used = epoch.used
         offsets = used + segment_offsets(lengths)
         end = int(offsets[-1])
-        _key_room(end, self.num_vertices)
+        require(end * self.num_vertices < 2**62, f"{end} elements overflow the int64 rank keys")
         if end > epoch.flat.size:
             size = max(end, 2 * epoch.flat.size)
             flat = np.empty(size, dtype=VERTEX_DTYPE)
@@ -442,34 +450,34 @@ class DynamicGraph:
         the incremental matcher must use for root generation so ΔM equals
         the true state difference.
 
-        Both orientations of the effective batch are placed at once: each
-        directed update gets its slot in its source's window — a delete the
-        base entry it marks, an insert its rank in the sorted ``ΔN`` run —
-        and the whole batch is one write.  Every check that can reject the
-        batch precedes the first write.  The batch stays "open" —
-        :meth:`reorganize` must be called after matching.
+        Both orientations of the effective batch are sorted once, per source
+        (its runs are the touched lists), and placed at once: a delete at the
+        base entry it marks (one binary search, run only if the batch
+        deletes), an insert at its rank in the sorted ``ΔN`` run — one write.
+        Every check that can reject the batch precedes the first write.  The
+        batch stays "open" — :meth:`reorganize` must be called after matching.
         """
         require(not self._batch_open, "previous batch not reorganized yet")
         effective, report = batch.canonicalize(self, mode=mode)
         self.last_canonical_report = report
-        edges, signs = effective.directed_updates()
-        # per source vertex: its deletes, then its inserts, each ascending
-        order = np.lexsort((edges[:, 1], signs, edges[:, 0]))
-        src, dst, deleted = edges[order, 0], edges[order, 1], signs[order] < 0
-        # the store is settled, so a neighbour's rank in N' is its index in
-        # the stored base run: the slot to mark
-        keys, starts, _ = self._keyed(src[deleted])
-        marked = np.searchsorted(keys, starts * self.num_vertices + dst[deleted]) - starts
+        grown = effective.max_vertex() + 1
+        src, dst, deleted = _sorted_updates(
+            *effective.directed_updates(), max(self.num_vertices, grown)
+        )
+        some_deleted = deleted.any()
+        if some_deleted:
+            # the store is settled: a neighbour's rank in N' is its base-run slot
+            keys, probes, lengths, which = self._keyed(src[deleted], dst[deleted])
+            marked = np.searchsorted(keys, probes) - segment_offsets(lengths)[which]
 
         self._epoch.open()  # before the first mutation: also dropped if one raises
         self._batch_open = True
-        grown = effective.max_vertex() + 1
         if grown > self.num_vertices:
             self._grow_vertices(grown, effective.new_vertex_labels)
+        first, run = equal_runs(src)
+        self._touched = touched = src[first]
         np.add.at(self._marks, src[deleted], 1)
         np.add.at(self._total_len, src[~deleted], 1)
-        self._touched, first = np.unique(src, return_index=True)
-        touched = self._touched
         self._in_batch[touched] = 1
         # the store was settled: a list's degree before the batch is its base run
         before, after = self._base_len[touched], self._total_len[touched] - self._marks[touched]
@@ -479,11 +487,10 @@ class DynamicGraph:
             self._max_degree = top
         elif self._max_degree in before:
             self._max_degree = int(np.maximum.reduce(self._new_len, initial=0))
-        bounds = np.append(first, src.size)
         # an insert lands after the base run, at its rank among its source's inserts
-        run_start = np.repeat(first + self._marks[touched], np.diff(bounds))
-        slot = self._base_len[src] + np.arange(src.size) - run_start
-        slot[deleted] = marked
+        slot = self._base_len[src] + np.arange(src.size) - (first + self._marks[touched])[run]
+        if some_deleted:
+            slot[deleted] = marked
         # a list that outgrew its window moves first
         cap, need = self._cap[touched], self._total_len[touched]
         while (short := cap < need).any():
@@ -500,22 +507,27 @@ class DynamicGraph:
     def reorganize(self) -> ReorganizeStats:
         """Step 5 of the pipeline: restore the sorted invariant.
 
-        Every touched list is replaced by its merged ``N'`` — one
-        :meth:`read`, one scatter
+        Every touched list is replaced by its merged ``N'`` — one gather, the
+        marks dropped if any, one sort, one scatter
         (:func:`repro.testing.oracles.merge_runs_reference` is the scalar
         oracle) — and the batch is closed; the work accounting is four sums
         over the length tables.
         """
         require(self._batch_open, "no open batch to reorganize")
         touched = self._touched
-        block, lengths = self.read(touched, False)
+        total, lengths = self._total_len[touched], self._new_len[touched]
         stats = ReorganizeStats(
             lists_touched=int(touched.size),
             merged_elements=int(lengths.sum()),
             deletions_dropped=int(self._marks[touched].sum()),
-            insertions_merged=int((self._total_len[touched] - self._base_len[touched]).sum()),
+            insertions_merged=int((total - self._base_len[touched]).sum()),
         )
-        self._pool[segment_indices(self._offset[touched], lengths)] = block
+        slots = segment_indices(self._offset[touched], total)
+        block = self._pool[slots]
+        if stats.deletions_dropped:
+            block = block[block >= 0]
+            slots = segment_indices(self._offset[touched], lengths)
+        self._pool[slots] = _sort_runs(block, lengths, self.num_vertices)
         self._epoch.open()
         self._base_len[touched] = self._total_len[touched] = lengths
         self._marks[touched] = self._in_batch[touched] = 0

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.graphs.static_graph import StaticGraph
-from repro.utils import as_generator, as_vertex_ids, edge_keys, require
+from repro.utils import as_generator, as_vertex_ids, edge_keys, equal_runs, require
 
 __all__ = [
     "UpdateBatch",
@@ -260,24 +260,21 @@ class UpdateBatch:
             return self, report
         n = graph.num_vertices
         span = max(n, self.max_vertex() + 1)  # new vertices need key room too
-        keys, inverse = np.unique(
-            edge_keys(self.edges[:, 0], self.edges[:, 1], span), return_inverse=True
-        )
-        lo, hi = np.divmod(keys, span)
-        num_groups = keys.size
+        keys = edge_keys(self.edges[:, 0], self.edges[:, 1], span)
+        # each edge's updates, winner first: ignore keeps the first, strict / coalesce the last
+        if mode == "ignore":
+            order = np.argsort(keys, kind="stable")
+        else:
+            order = len(self) - 1 - np.argsort(keys[::-1], kind="stable")
+        first, _ = equal_runs(keys[order])
+        winner = order[first]
+        lo, hi = np.divmod(keys[winner], span)  # lo ascends: the store's probe order
+        num_groups = first.size
         known = hi < n  # an endpoint the store never saw: absent, no probe
         present = np.zeros(num_groups, dtype=bool)
         present[known] = graph.contains_edges(lo[known], hi[known])
-        positions = np.arange(len(self), dtype=np.int64)
-        if mode == "ignore":
-            winner = np.full(num_groups, len(self), dtype=np.int64)
-            np.minimum.at(winner, inverse, positions)
-        else:  # strict validates, coalesce nets — both look at the last op
-            winner = np.full(num_groups, -1, dtype=np.int64)
-            np.maximum.at(winner, inverse, positions)
         winner_sign = self.signs[winner]
         keep = np.where(winner_sign > 0, ~present, present)
-        group_sizes = np.bincount(inverse, minlength=num_groups)
 
         report.intra_batch_dropped = int(len(self) - num_groups)
         report.new_inserts = int(np.count_nonzero((winner_sign > 0) & keep))
@@ -288,7 +285,8 @@ class UpdateBatch:
 
         if mode == "strict" and report.anomalies:
             raise BatchConflictError(self._conflict_diagnostic(
-                np.stack([lo, hi], axis=1), group_sizes, winner_sign, present, report), report)
+                np.stack([lo, hi], axis=1), np.diff(first, append=len(self)), winner_sign,
+                present, report), report)
 
         if report.output_size == len(self):
             return self, report  # clean batch: pass through untouched

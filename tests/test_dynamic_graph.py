@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs import BatchConflictError, DynamicGraph, StaticGraph, UpdateBatch
+from repro.graphs.dynamic_graph import _sorted_updates
 from repro.testing import (
     merge_runs_reference, neighbors_new, neighbors_new_parts, neighbors_old, stored_runs,
 )
@@ -424,3 +425,144 @@ def test_property_dirty_batches_match_set_arithmetic(case, mode):
         assert edge_set_of(dg.snapshot()) == after and not dg.touched_vertices
         dg.check_invariants()
         edges = after
+
+
+# ----------------------------------------------------------------------
+# the batch path's order and settle against their oracles
+# ----------------------------------------------------------------------
+def settle_case(seed: int):
+    """``(g0, batches)``: a small graph and five ``(updates, new_labels,
+    mode)`` batches, one of each shape the batch path branches on, in a
+    seeded order — deletes only (lists with marks and no ``ΔN``), inserts
+    only with a star that may outgrow its window, a mixed batch growing new
+    vertices (``span > n``), a ``coalesce`` batch of duplicates and phantoms
+    that nets to nothing, and a ``strict`` batch updating one edge twice."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 12))
+    pairs = rng.integers(0, n, size=(2 * n, 2))
+    g0 = StaticGraph.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]], np.zeros(n, dtype=np.int64))
+    edges = {tuple(e) for e in g0.edge_array().tolist()}
+
+    def some(pool, k):
+        return [pool[i] for i in rng.permutation(len(pool))[:k]]
+
+    batches = []
+    for shape in rng.permutation(["deletes", "inserts", "grow", "nets", "reject"]):
+        present = sorted(edges)
+        absent = sorted({(u, w) for u in range(n) for w in range(u + 1, n)} - edges)
+        labels, mode = {}, "coalesce"
+        if shape == "deletes":
+            updates = [(e, -1) for e in some(present, int(rng.integers(1, 4)))]
+        elif shape == "inserts":
+            hub = int(rng.integers(0, n))
+            star = [e for e in absent if hub in e]
+            updates = [(e, 1) for e in star + some(absent, 2)]
+        elif shape == "grow":
+            new = [(int(rng.integers(0, n)), n + i) for i in range(int(rng.integers(1, 3)))]
+            updates = [(e, -1) for e in some(present, 2)] + [(e, 1) for e in some(absent, 2) + new]
+            labels = {w: int(rng.integers(1, 4)) for _, w in new}
+            n += len(new)
+        elif shape == "nets":
+            updates = [(e, 1) for e in some(present, 2)] + [(e, -1) for e in some(absent, 2)]
+        else:
+            updates, mode = [((0, 1), 1), ((0, 1), -1)], "strict"
+        batches.append((updates, labels, mode))
+        if shape in ("deletes", "inserts", "grow"):  # the model steers later batches
+            edges -= {e for e, s in updates if s < 0}
+            edges |= {e for e, s in updates if s > 0}
+    return g0, batches
+
+
+def check_settle(g0, batches) -> set[str]:
+    """Replay ``batches`` on a store and a set model: after each apply the
+    two versions of every list (and an unsorted ``contains_edges`` probe)
+    equal the model; after reorganize each list's one stored run equals
+    ``merge_runs_reference`` of its runs before, ``ReorganizeStats`` equals
+    the model's counts and the invariants hold.  A rejected batch leaves the
+    store's tables and pool as they were.  Returns the shapes it met."""
+    dg = DynamicGraph(g0)
+    edges, met = {tuple(e) for e in g0.edge_array().tolist()}, set()
+    for updates, new_labels, mode in batches:
+        batch = UpdateBatch([e for e, _ in updates], [s for _, s in updates], new_labels)
+        tables, pool, moves = dg._tables.copy(), dg._pool[: dg._tail].copy(), dg.realloc_count
+        try:
+            effective = dg.apply_batch(batch, mode=mode)
+        except BatchConflictError:
+            assert mode == "strict" and not dg.batch_open
+            assert np.array_equal(dg._tables, tables)
+            assert np.array_equal(dg._pool[: dg._tail], pool)
+            met.add("rejected")
+            continue
+        inserts = {tuple(sorted(e)) for e in effective.insert_edges().tolist()}
+        deletes = {tuple(sorted(e)) for e in effective.delete_edges().tolist()}
+        after = (edges - deletes) | inserts
+        n = dg.num_vertices
+        old, new = adjacency(edges, n), adjacency(after, n)
+        for v in range(n):
+            assert neighbors_old(dg, v).tolist() == old[v]
+            assert neighbors_new(dg, v).tolist() == new[v]
+        us, vs = np.random.default_rng(len(after)).integers(0, n, size=(2, 4 * n))
+        assert dg.contains_edges(us, vs).tolist() == [
+            (min(u, w), max(u, w)) in after for u, w in zip(us.tolist(), vs.tolist())
+        ]
+        touched = sorted(dg.touched_vertices)
+        runs = [stored_runs(dg, v) for v in touched]
+        shapes = {
+            "marks only": any((base < 0).any() and not delta.size for base, delta in runs),
+            "inserts only": any((base >= 0).all() and delta.size for base, delta in runs),
+            "moved": dg.realloc_count > moves,
+            "grown": n > tables.shape[1],
+            "nets to nothing": len(batch) and not len(effective),
+        }
+        met |= {shape for shape, seen in shapes.items() if seen}
+        want = {v: merge_runs_reference(*neighbors_new_parts(dg, v)).tolist() for v in touched}
+        stats = dg.reorganize()
+        for v in range(n):
+            base, delta = stored_runs(dg, v)
+            assert delta.size == 0 and base.tolist() == want.get(v, new[v])
+        assert (stats.lists_touched, stats.merged_elements, stats.deletions_dropped,
+                stats.insertions_merged) == (
+            len(touched), sum(len(new[v]) for v in touched), 2 * len(deletes), 2 * len(inserts))
+        dg.check_invariants()
+        edges = after
+    return met
+
+
+#: the fixed cases ``tests/test_mutants.py`` replays
+SETTLE_SEEDS = range(40)
+
+
+class TestSettleAndOrder:
+    """``apply_batch`` orders a batch with one sort of composite keys and
+    searches only when it deletes; ``reorganize`` settles the touched lists
+    with one gather, one sort and one scatter.  Both against their oracles:
+    the three-key ``lexsort`` the order replaced and the scalar merge."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_store_equals_the_merge_oracle(self, seed):
+        check_settle(*settle_case(seed))
+
+    def test_the_fixed_cases_meet_every_shape(self):
+        met = set().union(*(check_settle(*settle_case(seed)) for seed in SETTLE_SEEDS))
+        assert met == {"rejected", "marks only", "inserts only", "moved", "grown",
+                       "nets to nothing"}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda span: st.tuples(st.just(span), st.lists(
+        st.tuples(st.integers(0, span - 1), st.integers(0, span - 1), st.sampled_from([1, -1])),
+        max_size=30,
+    ))))
+    def test_composite_key_order_equals_the_lexsort(self, case):
+        span, updates = case
+        edges = np.array([(u, w) for u, w, _ in updates], dtype=np.int64).reshape(-1, 2)
+        signs = np.array([s for *_, s in updates], dtype=np.int64)
+        order = np.lexsort((edges[:, 1], signs, edges[:, 0]))
+        src, dst, deleted = _sorted_updates(edges, signs, span)
+        assert src.tolist() == edges[order, 0].tolist()
+        assert dst.tolist() == edges[order, 1].tolist()
+        assert deleted.tolist() == (signs[order] < 0).tolist()
+
+    def test_composite_keys_refuse_to_overflow(self):
+        with pytest.raises(ValueError, match="overflow the int64 update keys"):
+            _sorted_updates(np.zeros((1, 2), dtype=np.int64), np.ones(1), 2**31)

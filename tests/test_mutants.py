@@ -4,9 +4,10 @@ that must go red on it.
 A gate that no mutant turns red proves nothing; these pin that the
 pre-filter's oracle tests (``tests/test_prefilter_oracle.py``) and the
 index's rebuild check (``InvariantIndex.assert_consistent``) see the bugs
-an array rewrite of the decision is most likely to carry.  Every gate runs
-the same fixed cases under the mutant and unmutated, so a red gate is the
-mutant's doing.
+an array rewrite of the decision is most likely to carry, and that the
+store's settle oracle (``tests/test_dynamic_graph.py::check_settle``) sees
+the bugs of its batch path.  Every gate runs the same fixed cases under the
+mutant and unmutated, so a red gate is the mutant's doing.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ import numpy as np
 import pytest
 
 import repro.core.prefilter as prefilter
+from repro.graphs.dynamic_graph import DynamicGraph
+from tests.test_dynamic_graph import SETTLE_SEEDS, check_settle, settle_case
+from tests.test_estimator_walk import mutated
 from tests.test_prefilter_oracle import check_query, check_rulebook, random_case
 
 SEEDS = range(40)
@@ -34,6 +38,14 @@ def rulebook_gate():
     for seed in SEEDS:
         g0, queries, batches = random_case(seed, 4)
         check_rulebook(g0, queries, batches, shared=True)
+
+
+def settle_gate():
+    """``check_settle`` over the fixed cases: both versions after apply and
+    the settled runs after reorganize equal the set model and the merge
+    oracle."""
+    for seed in SETTLE_SEEDS:
+        check_settle(*settle_case(seed))
 
 
 def ignore_the_overlay(patch):
@@ -85,6 +97,30 @@ def skip_the_delete_scatter(patch):
     patch.setattr(prefilter.InvariantIndex, "_scatter", skipping)
 
 
+def reorganize_keeps_the_marks(patch):
+    """``reorganize`` skips the drop: marked entries stay in the settled run."""
+    patch.setattr(DynamicGraph, "reorganize", mutated(
+        DynamicGraph.reorganize, "block = block[block >= 0]", "lengths = total"))
+
+
+def reorganize_skips_the_sort(patch):
+    """``reorganize`` writes the base run and ``ΔN`` back as they lie."""
+    patch.setattr(DynamicGraph, "reorganize", mutated(
+        DynamicGraph.reorganize,
+        "self._pool[slots] = _sort_runs(block, lengths, self.num_vertices)",
+        "self._pool[slots] = block",
+    ))
+
+
+def apply_skips_the_delete_search(patch):
+    """``apply_batch`` decides whether to search from the first update only
+    (deletes sort first per source, not overall)."""
+    patch.setattr(DynamicGraph, "apply_batch", mutated(
+        DynamicGraph.apply_batch, "some_deleted = deleted.any()",
+        "some_deleted = deleted[:1].any()",
+    ))
+
+
 #: mutant -> (the gate that kills it, what its failure says if it names it)
 MUTANTS = {
     ignore_the_overlay: (query_gate, None),
@@ -92,10 +128,15 @@ MUTANTS = {
     strict_degree_bound: (query_gate, None),
     first_member_only: (rulebook_gate, None),
     skip_the_delete_scatter: (query_gate, "invariant index desync"),
+    reorganize_keeps_the_marks: (settle_gate, None),
+    reorganize_skips_the_sort: (settle_gate, None),
+    apply_skips_the_delete_search: (settle_gate, None),
 }
 
 
-@pytest.mark.parametrize("gate", [query_gate, rulebook_gate], ids=lambda g: g.__name__)
+@pytest.mark.parametrize(
+    "gate", [query_gate, rulebook_gate, settle_gate], ids=lambda g: g.__name__
+)
 def test_the_gates_pass_unmutated(gate):
     gate()
 
