@@ -9,9 +9,9 @@ a change can quote them.  By default: the three single-query workloads and
 ``az_rulebook24``, each on one device and under every configuration of
 :data:`VARIANTS`, plus ``sparse_tri_skip``.
 
-A batch expands once — the kernel's joins, in ``prepare`` — and everything
-else reads that expansion: the frequency walk, a fleet's shards, the
-pipelined schedule's match.  ``--check`` exits non-zero if any row launched
+A batch expands once — the kernel's joins, in ``process_batch`` ahead of
+the placement's ``prepare`` — and everything else reads that expansion: the
+frequency walk, every placement's match, a fleet's shards.  ``--check`` exits non-zero if any row launched
 anything outside the kernel's ``matching.expand_rows``, if a configuration's
 launches per batch differ from its workload's single-device row, or if a
 row of :data:`CALLS` made more Python calls per batch than its bound.
@@ -44,8 +44,12 @@ VARIANTS = {
     'schedule="pipelined"': {"schedule": "pipelined"},
 }
 #: Python calls per batch a ``(workload, configuration)`` row may make, about
-#: 3 % above what it makes (CPython 3.11, NumPy 2.4.6): ``fr_q1_mixed`` 929,
-#: and ``az_rulebook24`` 1 243, with per-batch work sized by what the batch
+#: 3 % above what it makes (CPython 3.11, NumPy 2.4.6): ``fr_q1_mixed`` 875.8,
+#: ``az_rulebook24`` 1 190.1 (1 357.6 under the pre-filter) and
+#: ``sparse_tri_skip`` 259.3 since one batch body runs the stages in one
+#: settle scope (896.8 / 1 210.1 / 1 377.6 / 271.3 with the staged hand-off
+#: and a placement expanding in ``prepare``).  Before that: ``fr_q1_mixed``
+#: 929, and ``az_rulebook24`` 1 243, with per-batch work sized by what the batch
 #: touches (940 / 1 254 when every batch rebuilt its O(|V|) epoch tables,
 #: tallied the walk densely and allocated each counters' histogram; AZ made
 #: 1 369 when every batch charged per-query counters); ``az_rulebook24`` under
@@ -55,10 +59,10 @@ VARIANTS = {
 #: ``sparse_tri_skip`` 271.3 once the store sorts a batch once, searches only
 #: for deletes and settles without its read (324 before)
 CALLS = {
-    ("fr_q1_mixed", "one device"): 960,
-    ("az_rulebook24", "one device"): 1_280,
-    ("az_rulebook24", 'prefilter="on"'): 1_443,
-    ("sparse_tri_skip", "one device"): 280,
+    ("fr_q1_mixed", "one device"): 902,
+    ("az_rulebook24", "one device"): 1_226,
+    ("az_rulebook24", 'prefilter="on"'): 1_398,
+    ("sparse_tri_skip", "one device"): 267,
 }
 
 

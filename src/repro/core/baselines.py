@@ -120,7 +120,7 @@ class KhopPlacement(Placement):
             visited = sorted_unique(np.concatenate([visited, frontier]))
         return visited
 
-    def prepare(self, batch, decision, breakdown, sinks=None):
+    def prepare(self, batch, decision, breakdown, expansion):
         """Gather + copy (VSGM's "DC" phase of Fig. 13)."""
         engine, graph, device = self.engine, self.engine.graph, self.engine.device
         gather_counters = AccessCounters()

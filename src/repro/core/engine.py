@@ -18,13 +18,15 @@ Every step's work is counted and priced by the device cost model, giving
 the Table II / Fig. 13 phase breakdown per batch.
 
 :class:`GCSMEngine` is the only engine class.  Its skeleton — update →
-prefilter → prepare → match → reorganize → result — is fixed; a frozen,
+prefilter → expand → prepare → match → reorganize → result, one body in
+:meth:`GCSMEngine.process_batch` — is fixed; a frozen,
 once-validated :class:`EngineConfig` picks three narrow plugs and the
 constructor's ``query`` argument is the fourth:
 
 * **placement** (:class:`Placement`) — what *prepare* estimates, packs and
-  ships, which :class:`~repro.gpu.views.GraphView` the kernel reads through,
-  and the result bookkeeping.  ``cached`` is the paper's system; the
+  ships from the kernel's one expansion, which
+  :class:`~repro.gpu.views.GraphView` the kernel reads through, and the
+  result bookkeeping.  ``cached`` is the paper's system; the
   baselines' data paths (:mod:`repro.core.baselines`,
   :mod:`repro.core.rapidflow`) are loaded on first use.
 * **schedule** — ``serial``, or ``pipelined``: the same stages in the same
@@ -45,7 +47,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from importlib import import_module
 from typing import Callable
@@ -96,7 +97,6 @@ __all__ = [
     "CachedPlacement",
     "QuerySet",
     "MatchOutcome",
-    "StagedBatch",
     "PLACEMENTS",
     "SCHEDULES",
     "make_policy",
@@ -329,30 +329,6 @@ class MatchOutcome:
     comm_ns: float = 0.0  #: collective after the kernels drain (fleets only)
 
 
-@dataclass
-class StagedBatch:
-    """One batch in flight between the host stages and its result."""
-
-    batch: UpdateBatch  #: the canonicalized *effective* batch
-    breakdown: TimeBreakdown
-    conflicts: CanonicalReport | None
-    decision: PrefilterDecision | None = None
-    shipped: object = None  #: whatever the placement's ``prepare`` produced
-    outcome: MatchOutcome | None = None
-    sinks: dict | None = None  #: query name -> ``(embedding, sign)`` callback
-
-    @property
-    def skipped(self) -> bool:
-        """Certified ΔM = 0: estimation, packing and the kernel never run."""
-        return self.decision is not None and self.decision.skip_batch
-
-    def land(self, outcome: MatchOutcome) -> None:
-        """Record the match stage's outcome."""
-        self.outcome = outcome
-        self.breakdown.match_ns = outcome.match_ns
-        self.breakdown.comm_ns = outcome.comm_ns
-
-
 class Placement:
     """Where the kernel's reads are served from, and what has to be shipped
     there first.  The base class is the "nothing shipped, nothing cached"
@@ -377,10 +353,11 @@ class Placement:
 
     def prepare(
         self, batch: UpdateBatch, decision: PrefilterDecision | None,
-        breakdown: TimeBreakdown, sinks: dict | None = None,
+        breakdown: TimeBreakdown, expansion: Expansion | None,
     ) -> object:
-        """Estimate / pack / ship for ``batch`` (and ``sinks``); fills
-        ``estimate_ns`` and ``pack_ns`` and returns what ``match`` reads."""
+        """Estimate / pack / ship for ``batch``, reading the kernel's
+        ``expansion``; fills ``estimate_ns`` and ``pack_ns`` and returns what
+        ``match`` reads."""
         return None
 
     def view(self, graph: DynamicGraph, counters: AccessCounters,
@@ -389,10 +366,11 @@ class Placement:
 
     def match(
         self, batch: UpdateBatch, shipped: object,
-        decision: PrefilterDecision | None, sinks: dict | None = None,
-        expansion: Expansion | None = None,
+        decision: PrefilterDecision | None, sinks: dict | None,
+        expansion: Expansion | None,
     ) -> MatchOutcome:
-        """The kernel stage, reading the engine's store through :meth:`view`."""
+        """The kernel stage through :meth:`view`: settle ``expansion`` (or,
+        handed none, run the kernel whole)."""
         engine = self.engine
         counters = AccessCounters()
         view = self.view(engine.graph, counters, shipped)
@@ -410,9 +388,9 @@ class Placement:
 
 class CachedPlacement(Placement):
     """GCSM's data path: estimate, select, pack one DCSR buffer, single DMA;
-    the kernel hits the cache or falls back to zero-copy.  ``prepare`` runs
-    the kernel's joins first (:meth:`QuerySet.expand`), the walk reads them,
-    ``match`` settles them."""
+    the kernel hits the cache or falls back to zero-copy.  The walk reads
+    the kernel's joins (the skeleton's :meth:`QuerySet.expand`), ``match``
+    settles them."""
 
     def estimate(
         self, batch: UpdateBatch, decision: PrefilterDecision | None,
@@ -429,16 +407,12 @@ class CachedPlacement(Placement):
         )
         return estimation
 
-    def prepare(self, batch, decision, breakdown, sinks=None):
+    def prepare(self, batch, decision, breakdown, expansion):
         engine = self.engine
-        expansion = engine.query_set.expand(engine, batch, decision, sinks)
         estimation = self.estimate(batch, decision, breakdown, expansion)
         selected = engine.policy.select(engine.graph, estimation, engine.cache_budget_bytes)
         cache, breakdown.pack_ns = pack_step(engine.graph, selected, engine.device)
-        return estimation, selected, cache, expansion
-
-    def match(self, batch, shipped, decision, sinks=None):
-        return super().match(batch, shipped, decision, sinks, shipped[3])
+        return estimation, selected, cache
 
     def view(self, graph, counters, shipped):
         return CachedDeviceView(graph, self.engine.device, counters, shipped[2])
@@ -446,7 +420,7 @@ class CachedPlacement(Placement):
     def bookkeeping(self, shipped, outcome):
         if outcome is None:
             return {}
-        estimation, selected, cache, _ = shipped
+        estimation, selected, cache = shipped
         return dict(
             estimation=estimation, cached_vertices=selected,
             cache_bytes=cache.total_bytes, cache_hits=outcome.view.hits,
@@ -497,14 +471,15 @@ class QuerySet:
     def expand(
         self, engine: "GCSMEngine", batch: UpdateBatch, decision, sinks: dict | None = None
     ) -> Expansion | None:
-        """The kernel's view-free half (:func:`~repro.core.matching.expand`),
-        run ahead of the estimate; ``None`` under a reference matcher."""
+        """The kernel's view-free half (:func:`~repro.core.matching.expand`)
+        under the placement's candidate ``filters``, run ahead of the
+        estimate; ``None`` under a reference matcher."""
         if engine.match is not match_batch:
             return None
         sunk = frozenset([None] if (sinks or {}).get(self.query.name) else [])
-        return expand(solo_trie(self.plans), batch, engine.graph, sinks=sunk,
+        return expand(self.trie, batch, engine.graph, sinks=sunk,
                       prefilter=None if decision is None else decision.masks,
-                      attributes=engine.attributes)
+                      filters=engine.placement.filters, attributes=engine.attributes)
 
     def estimate(self, engine: "GCSMEngine", batch: UpdateBatch, decision,
                  expansion: Expansion | None = None) -> EstimationResult:
@@ -628,31 +603,8 @@ class GCSMEngine:
         return self.query_set.plans
 
     # ------------------------------------------------------------------
-    # pipeline stages
-    #
-    # The stages communicate through the StagedBatch and run in Fig. 3
-    # order under either schedule; the pipelined schedule's clock only
-    # re-times them on the resource lanes of
-    # :meth:`repro.gpu.clock.PipelineClock.advance`.
+    # the batch
     # ------------------------------------------------------------------
-    @contextmanager
-    def settling(self):
-        """Settle on failure, once: if a stage raises after the update was
-        applied, reorganize the store and close the prefilter and attribute
-        overlays before re-raising, so the next batch finds a usable engine.
-        (The index is rebuilt from the settled store — the failed stage may
-        have run before or after its own ``apply_batch``.)"""
-        try:
-            yield
-        except BaseException:
-            if self.graph.batch_open:
-                self.graph.reorganize()
-                if self.prefilter_index is not None:
-                    self.prefilter_index.rebuild()
-            if self.attributes is not None:
-                self.attributes.close_batch()
-            raise
-
     def _on_applied(self, batch: UpdateBatch, counters: AccessCounters) -> None:
         if self.attributes is not None:
             # track override lifecycle against the effective batch (delete
@@ -674,36 +626,7 @@ class GCSMEngine:
         breakdown.prefilter_ns = simulated_time_ns(counters, self.device, platform="cpu")
         return decision
 
-    def stage_host(self, raw: UpdateBatch, sinks: dict | None = None) -> StagedBatch:
-        """CPU stages update → prefilter → prepare (or, for a certified
-        ΔM = 0 batch, straight to reorganize — the update really happened)."""
-        require(len(raw) > 0, "empty batch")
-        breakdown = TimeBreakdown()
-        with self.settling():
-            # every later step runs on the canonicalized *effective* batch
-            batch, breakdown.update_ns = update_step(
-                self.graph, raw, self.device, self.config.conflict_mode,
-                self._on_applied,
-            )
-            staged = StagedBatch(
-                batch, breakdown, self.graph.last_canonical_report, sinks=sinks
-            )
-            staged.decision = self._prefilter(batch, breakdown)
-            if staged.skipped:
-                breakdown.reorg_ns = self.stage_reorganize()
-            else:
-                staged.shipped = self.placement.prepare(
-                    batch, staged.decision, breakdown, sinks
-                )
-        return staged
-
-    def stage_match(self, staged: StagedBatch) -> MatchOutcome:
-        """GPU stage 4: the incremental WCOJ kernel."""
-        return self.placement.match(
-            staged.batch, staged.shipped, staged.decision, staged.sinks
-        )
-
-    def stage_reorganize(self) -> float:
+    def _reorganize(self) -> float:
         """CPU stage 5: re-sort updated lists, close the batch."""
         ns = reorganize_step(self.graph, self.device)
         if self.prefilter_index is not None:
@@ -713,10 +636,50 @@ class GCSMEngine:
             self.attributes.close_batch()
         return ns
 
-    def finish(self, staged: StagedBatch) -> BatchResult:
-        """Fold a staged batch into its result (the skipped-batch result is
-        the same code with no outcome)."""
-        outcome, decision = staged.outcome, staged.decision
+    def process_batch(
+        self, batch: UpdateBatch, *, sinks: dict | None = None
+    ) -> BatchResult:
+        """Run the full pipeline for one batch (the paper's Fig. 3): update →
+        prefilter → the kernel's one expansion → prepare → match →
+        reorganize; a batch certified ΔM = 0 goes from prefilter straight to
+        reorganize (its update really happened).  Every placement and
+        schedule runs this body; the pipelined schedule's clock only
+        annotates the breakdown with the batch's overlapped timing.
+
+        If a stage raises, the engine settles before re-raising, so the next
+        batch finds it usable: the store is reorganized if still open, the
+        prefilter index rebuilt from the settled store (the stage may have
+        failed before or after the index's ``apply_batch``, or after the
+        store settled) and the attribute overlay closed.
+
+        ``sinks`` optionally maps query names to ``(embedding, sign)``
+        callbacks (a single query's sink is ``sinks[query.name]``)."""
+        require(len(batch) > 0, "empty batch")
+        breakdown = TimeBreakdown()
+        shipped = outcome = None
+        try:
+            # every later step runs on the canonicalized *effective* batch
+            batch, breakdown.update_ns = update_step(
+                self.graph, batch, self.device, self.config.conflict_mode,
+                self._on_applied,
+            )
+            decision = self._prefilter(batch, breakdown)
+            if decision is None or not decision.skip_batch:
+                expansion = self.query_set.expand(self, batch, decision, sinks)
+                shipped = self.placement.prepare(batch, decision, breakdown, expansion)
+                outcome = self.placement.match(batch, shipped, decision, sinks, expansion)
+                breakdown.match_ns, breakdown.comm_ns = outcome.match_ns, outcome.comm_ns
+            breakdown.reorg_ns = self._reorganize()
+        except BaseException:
+            if self.graph.batch_open:
+                self.graph.reorganize()
+            if self.prefilter_index is not None:
+                self.prefilter_index.rebuild()
+            if self.attributes is not None:
+                self.attributes.close_batch()
+            raise
+        if self.clock is not None:
+            self.clock.annotate(breakdown)
         if outcome is None:
             stats, counters = None, AccessCounters()
         else:
@@ -724,7 +687,7 @@ class GCSMEngine:
         stats = self.query_set.settle(stats, decision)
         prefilter = None
         if decision is not None:
-            prefilter = decision.to_stats(staged.breakdown.prefilter_ns)
+            prefilter = decision.to_stats(breakdown.prefilter_ns)
             # report the drops the kernel actually saw (candidate filters may
             # have removed certified-skippable roots first)
             prefilter.roots_skipped = stats.roots_skipped
@@ -732,31 +695,12 @@ class GCSMEngine:
         self.total_delta += stats.signed_count
         return self.result_type(
             **self.query_set.result_fields(stats),
-            breakdown=staged.breakdown,
+            breakdown=breakdown,
             match_counters=counters,
-            conflicts=staged.conflicts,
+            conflicts=self.graph.last_canonical_report,
             prefilter=prefilter,
-            **self.placement.bookkeeping(staged.shipped, outcome),
+            **self.placement.bookkeeping(shipped, outcome),
         )
-
-    # ------------------------------------------------------------------
-    def process_batch(
-        self, batch: UpdateBatch, *, sinks: dict | None = None
-    ) -> BatchResult:
-        """Run the full pipeline for one batch: match, then reorganize (the
-        paper's Fig. 3); the pipelined schedule's clock annotates the
-        breakdown with the batch's overlapped timing.
-
-        ``sinks`` optionally maps query names to ``(embedding, sign)``
-        callbacks (a single query's sink is ``sinks[query.name]``)."""
-        staged = self.stage_host(batch, sinks)
-        if not staged.skipped:
-            with self.settling():
-                staged.land(self.stage_match(staged))
-                staged.breakdown.reorg_ns = self.stage_reorganize()
-        if self.clock is not None:
-            self.clock.annotate(staged.breakdown)
-        return self.finish(staged)
 
     def process_stream(self, batches: list[UpdateBatch]) -> list[BatchResult]:
         """Process a whole stream, returning per-batch results in order."""

@@ -366,14 +366,14 @@ class Rulebook(QuerySet):
         sinks: dict | None = None, expansion: Expansion | None = None, *, filters=None,
         root_mask=None,
     ) -> RulebookStats:
-        """Match every query not certified away (or settle :meth:`expand`'s
-        run); ``view.counters`` receives the work actually executed.  Skipped
-        queries and (under the trie) aliases are filled in once per batch by
-        :meth:`settle`.  (``filters`` is the ``indexed`` placement's, which
+        """Settle :meth:`expand`'s run (the per-query loop: match every query
+        not certified away); ``view.counters`` receives the work actually
+        executed.  Skipped queries and (under the trie) aliases are filled in
+        once per batch by :meth:`settle`.  (``filters`` is the ``indexed`` placement's, which
         :meth:`check` refuses.)"""
         if not self.shared:
             return self._match_independent(engine, batch, view, decision, sinks or {}, root_mask)
-        return self._match_shared(engine, batch, view, decision, sinks or {}, root_mask, expansion)
+        return self._match_shared(view, sinks or {}, root_mask, expansion)
 
     def _match_independent(
         self, engine, batch, view, decision, sinks, root_mask
@@ -405,13 +405,10 @@ class Rulebook(QuerySet):
             view.counters = shared_counters
         return out
 
-    def _match_shared(
-        self, engine, batch, view, decision, sinks, root_mask, expansion
-    ) -> RulebookStats:
-        """The representatives' trie on the match driver (settling
-        ``expansion`` when :meth:`expand` ran it); its stats, and the per-query
-        counters read from the settled block it keeps, are bit-identical to an
-        independent run.
+    def _match_shared(self, view, sinks, root_mask, expansion) -> RulebookStats:
+        """The representatives' trie: settle :meth:`expand`'s run; its stats,
+        and the per-query counters read from the settled block it keeps, are
+        bit-identical to an independent run.
         """
         # aliases receive the representative's embeddings remapped through
         # the stored isomorphism; the representative's own sink (if any)
@@ -437,11 +434,6 @@ class Rulebook(QuerySet):
                         sink(tuple(emb[u] for u in inv), sign)
             rep_sinks[rep] = _fan
 
-        if expansion is None:
-            expansion = expand(
-                self.trie, batch, view.graph, sinks=frozenset(rep_sinks),
-                attributes=engine.attributes, **self._routing(decision),
-            )
         rep_stats, attribution = settle(expansion, view, sinks=rep_sinks, root_mask=root_mask)
         out = RulebookStats(attributions=[attribution])
         for name, stats in rep_stats.items():

@@ -5,7 +5,8 @@
 stage (update, prefilter, reorganize) and every schedule is the engine's own.
 
 * **Expand** — view-free, shared: the kernel's joins run once for the
-  whole batch, ahead of the estimate (the single-device ``prepare``'s).
+  whole batch, ahead of the estimate (the engine skeleton's, as on one
+  device).
 * **Estimate** — host-side, shared: one random-walk pass reading that
   expansion; its estimates drive cache selection.
 * **Own** — host-side, folded into the pack phase: vertex ``v`` belongs to
@@ -111,10 +112,9 @@ class FleetPlacement(CachedPlacement):
         ]
 
     # ------------------------------------------------------------------
-    def prepare(self, batch, decision, breakdown, sinks=None):
-        """Shared expansion and estimate, the owner map, per-shard pack."""
+    def prepare(self, batch, decision, breakdown, expansion):
+        """Shared estimate, the owner map, per-shard pack."""
         engine, graph = self.engine, self.engine.graph
-        expansion = engine.query_set.expand(engine, batch, decision, sinks)
         estimation = self.estimate(batch, decision, breakdown, expansion)
 
         # the owner map is host work folded into the pack phase
@@ -128,14 +128,14 @@ class FleetPlacement(CachedPlacement):
         for shard in self.shards:
             shard.select_and_pack(graph, ranked, owner)
         breakdown.pack_ns = owner_ns + max(s.pack_ns for s in self.shards)
-        return estimation, owner, expansion
+        return estimation, owner
 
-    def match(self, batch, shipped, decision, sinks=None):
+    def match(self, batch, shipped, decision, sinks, expansion):
         """Per-shard settles of the expansion's slices for the routed roots,
         in shard order (so a sink's emission order is deterministic), then
         the ΔM all-reduce."""
         engine, graph = self.engine, self.engine.graph
-        _, owner, expansion = shipped
+        _, owner = shipped
         caches = [s.cache for s in self.shards]
 
         def match_one(shard: Shard) -> MatchOutcome:

@@ -1,9 +1,12 @@
 """End-to-end tests for the GCSM engine (the five-step pipeline of Fig. 3)."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from repro.core.cache import FrequencyCachePolicy
+from repro.core.cache import CachedDeviceView, FrequencyCachePolicy
+from repro.core.dcsr import DcsrCache
 from repro.core.engine import GCSMEngine
 from repro.graphs import StaticGraph, UpdateBatch
 from repro.graphs.generators import erdos_renyi, powerlaw_graph
@@ -181,6 +184,76 @@ class TestInitialMatch:
         assert initial + delta == final
 
 
+@functools.lru_cache(maxsize=None)
+def az_mixed_stream():
+    """AZ under a stream that inserts and deletes in every batch, so a raise
+    after the pre-filter's ``apply_batch`` leaves a delete overlay behind."""
+    from repro.graphs import datasets
+
+    return derive_stream(datasets.DATASETS["AZ"].build(0), num_updates=128,
+                         batch_size=64, seed=1)
+
+
+#: where a batch raises: after the update (in the pre-filter decision),
+#: inside pack, inside the kernel's settle (the device views' reads; the
+#: walk reads through the host view), after the store reorganized
+FAULT_STAGES = ("update", "pack", "settle", "reorganized")
+#: the configurations the one batch body runs under
+FAULT_CONFIGS = ("serial", "pipelined", "devices=2", "rulebook")
+
+
+def inject_fault(stage: str, engine: GCSMEngine, patch) -> None:
+    def boom(*args):
+        raise RuntimeError("injected")
+
+    if stage == "update":
+        decide = engine._prefilter
+        patch.setattr(engine, "_prefilter", lambda *args: (decide(*args), boom()))
+    elif stage == "pack":
+        patch.setattr(DcsrCache, "build", boom)
+    elif stage == "settle":
+        patch.setattr(CachedDeviceView, "fetch_block", boom)
+    else:
+        reorganize = engine.graph.reorganize
+        patch.setattr(engine.graph, "reorganize", lambda: (reorganize(), boom()))
+
+
+def fault_engine(config: str, prefilter: str) -> GCSMEngine:
+    from repro.core.multiquery import Rulebook
+    from repro.query import query_by_name
+
+    g0, _ = az_mixed_stream()
+    q1 = query_by_name("Q1")
+    if config == "rulebook":
+        return GCSMEngine(g0, Rulebook([q1, query_by_name("Q2")]), prefilter=prefilter)
+    settings = {"pipelined": {"schedule": "pipelined"}, "devices=2": {"devices": 2}}
+    return GCSMEngine(g0, q1, prefilter=prefilter, **settings.get(config, {}))
+
+
+def check_fault_settles(stage: str, config: str, prefilter: str) -> None:
+    """A batch that raises at ``stage`` leaves the engine settled and usable:
+    the store closed and valid, the index equal to a rebuild, the graph a
+    twin's that ran the batch, the next batch's ΔM the twin's, and a
+    pipelined clock counting only the batches that completed."""
+    _, batches = az_mixed_stream()
+    engine, twin = fault_engine(config, prefilter), fault_engine(config, prefilter)
+    with pytest.MonkeyPatch.context() as patch:
+        inject_fault(stage, engine, patch)
+        with pytest.raises(RuntimeError, match="injected"):
+            engine.process_batch(batches[0])
+    first = twin.process_batch(batches[0])
+    assert first.prefilter is None or not first.prefilter.batches_skipped
+    assert engine.graph.batch_open is False
+    engine.graph.check_invariants()
+    if engine.prefilter_index is not None:
+        engine.prefilter_index.assert_consistent()
+    assert np.array_equal(engine.snapshot().edge_array(), twin.snapshot().edge_array())
+    delta = engine.process_batch(batches[1]).delta_count
+    assert delta == twin.process_batch(batches[1]).delta_count
+    if engine.clock is not None:
+        assert engine.schedule_report().num_batches == 1
+
+
 class TestSettleOnFailure:
     """Any exception raised after the update was applied leaves the store
     reorganized and the overlays closed: the engine stays usable."""
@@ -318,6 +391,12 @@ class TestSettleOnFailure:
             engine.prefilter_index.assert_consistent()
         assert result.delta_count == twin.process_batch(batches[1]).delta_count
         assert np.array_equal(engine.snapshot().edge_array(), twin.snapshot().edge_array())
+
+    @pytest.mark.parametrize("prefilter", ["off", "on"])
+    @pytest.mark.parametrize("config", FAULT_CONFIGS)
+    @pytest.mark.parametrize("stage", FAULT_STAGES)
+    def test_a_raise_at_any_stage_boundary_settles(self, stage, config, prefilter):
+        check_fault_settles(stage, config, prefilter)
 
 
 class TestEngineConfig:

@@ -373,7 +373,7 @@ class TestRulebookWalkParity:
                 assert np.array_equal(counters.vertex_access_counts(n),
                                       runs[0][2].vertex_access_counts(n))
             assert runs[0][2].total_access_count > 0  # past the roots
-            engine.stage_reorganize()
+            engine._reorganize()
 
 
 class TestPooledEstimateIsModeIndependent:

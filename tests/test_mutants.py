@@ -4,9 +4,11 @@ that must go red on it.
 A gate that no mutant turns red proves nothing; these pin that the
 pre-filter's oracle tests (``tests/test_prefilter_oracle.py``) and the
 index's rebuild check (``InvariantIndex.assert_consistent``) see the bugs
-an array rewrite of the decision is most likely to carry, and that the
+an array rewrite of the decision is most likely to carry, that the
 store's settle oracle (``tests/test_dynamic_graph.py::check_settle``) sees
-the bugs of its batch path.  Every gate runs the same fixed cases under the
+the bugs of its batch path, and that the engine's fault injection
+(``tests/test_engine.py::check_fault_settles``) and certified-skip test see
+the bugs of the one batch body.  Every gate runs the same fixed cases under the
 mutant and unmutated, so a red gate is the mutant's doing.
 """
 
@@ -16,8 +18,11 @@ import numpy as np
 import pytest
 
 import repro.core.prefilter as prefilter
+import tests.test_prefilter as prefilter_tests
+from repro.core.engine import GCSMEngine
 from repro.graphs.dynamic_graph import DynamicGraph
 from tests.test_dynamic_graph import SETTLE_SEEDS, check_settle, settle_case
+from tests.test_engine import FAULT_STAGES, check_fault_settles
 from tests.test_estimator_walk import mutated
 from tests.test_prefilter_oracle import check_query, check_rulebook, random_case
 
@@ -46,6 +51,19 @@ def settle_gate():
     oracle."""
     for seed in SETTLE_SEEDS:
         check_settle(*settle_case(seed))
+
+
+def fault_gate():
+    """``check_fault_settles`` at every stage boundary, serial schedule, the
+    pre-filter on: a failed batch leaves the engine settled and usable."""
+    for stage in FAULT_STAGES:
+        check_fault_settles(stage, "serial", "on")
+
+
+def skip_gate():
+    """A certified ΔM = 0 batch reaches no placement stage
+    (``tests/test_prefilter.py``, the default system)."""
+    prefilter_tests.TestEngineParity().test_a_certified_skip_reaches_no_placement_stage("GCSM")
 
 
 def ignore_the_overlay(patch):
@@ -121,6 +139,32 @@ def apply_skips_the_delete_search(patch):
     ))
 
 
+def settle_skips_the_rebuild(patch):
+    """A failed batch is settled without rebuilding the pre-filter index."""
+    patch.setattr(GCSMEngine, "process_batch", mutated(
+        GCSMEngine.process_batch, "self.prefilter_index.rebuild()", "None"))
+
+
+def settle_rebuilds_an_open_store_only(patch):
+    """The index is rebuilt only if the failure found the store open: a raise
+    after the store settled leaves the delete overlay in place."""
+    patch.setattr(GCSMEngine, "process_batch", mutated(
+        GCSMEngine.process_batch,
+        "self.graph.reorganize()\n"
+        "        if self.prefilter_index is not None:\n"
+        "            self.prefilter_index.rebuild()",
+        "self.graph.reorganize()\n"
+        "            if self.prefilter_index is not None:\n"
+        "                self.prefilter_index.rebuild()",
+    ))
+
+
+def skipped_batch_prepares(patch):
+    """A certified-skip batch still runs expand, prepare and match."""
+    patch.setattr(GCSMEngine, "process_batch", mutated(
+        GCSMEngine.process_batch, "if decision is None or not decision.skip_batch:", "if True:"))
+
+
 #: mutant -> (the gate that kills it, what its failure says if it names it)
 MUTANTS = {
     ignore_the_overlay: (query_gate, None),
@@ -131,11 +175,15 @@ MUTANTS = {
     reorganize_keeps_the_marks: (settle_gate, None),
     reorganize_skips_the_sort: (settle_gate, None),
     apply_skips_the_delete_search: (settle_gate, None),
+    settle_skips_the_rebuild: (fault_gate, "delete overlay not cleared"),
+    settle_rebuilds_an_open_store_only: (fault_gate, "delete overlay not cleared"),
+    skipped_batch_prepares: (skip_gate, "reached a placement stage"),
 }
 
 
 @pytest.mark.parametrize(
-    "gate", [query_gate, rulebook_gate, settle_gate], ids=lambda g: g.__name__
+    "gate", [query_gate, rulebook_gate, settle_gate, fault_gate, skip_gate],
+    ids=lambda g: g.__name__,
 )
 def test_the_gates_pass_unmutated(gate):
     gate()

@@ -225,19 +225,25 @@ class TestEngineParity:
         assert r_on.delta_count == r_off.delta_count == -1
         assert r_on.match_stats.signed_count == -1
 
-    def test_batch_level_skip_saves_the_pipeline(self):
-        """Inserts that can never touch the query skip estimate/pack/match
-        entirely, and the skip is visible in stats and the breakdown."""
+    @staticmethod
+    def rare_skip_case():
+        """A graph, a triangle over its rarest label, and a batch of inserts
+        that can never touch it."""
         n = 90
         labels = np.array([i % 3 for i in range(n)], dtype=np.int64)
         g0 = StaticGraph.from_edges(
             n, np.array([(i, i + 1) for i in range(0, n - 1, 3)]), labels
         )
         rare = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], [2, 2, 2], name="rare")
+        e = np.array([(i, i + 10) for i in range(0, 9, 3)], dtype=np.int64)
+        return g0, rare, UpdateBatch(e, np.ones(e.shape[0], dtype=np.int64))
+
+    def test_batch_level_skip_saves_the_pipeline(self):
+        """Inserts that can never touch the query skip estimate/pack/match
+        entirely, and the skip is visible in stats and the breakdown."""
+        g0, rare, batch = self.rare_skip_case()
         on = GCSMEngine(g0, rare, seed=0, prefilter="on")
         off = GCSMEngine(g0, rare, seed=0)
-        e = np.array([(i, i + 10) for i in range(0, 9, 3)], dtype=np.int64)
-        batch = UpdateBatch(e, np.ones(e.shape[0], dtype=np.int64))
         r_on, r_off = on.process_batch(batch), off.process_batch(batch)
         assert r_on.delta_count == r_off.delta_count == 0
         assert r_on.prefilter.batches_skipped == 1
@@ -250,6 +256,20 @@ class TestEngineParity:
         assert np.array_equal(
             on.snapshot().edge_array(), off.snapshot().edge_array()
         )
+
+    @pytest.mark.parametrize("system", ["GCSM", "Naive", "ZC", "VSGM", "RapidFlow"])
+    def test_a_certified_skip_reaches_no_placement_stage(self, system):
+        """A certified ΔM = 0 batch runs update, pre-filter and reorganize
+        only: the kernel's expansion and the placement's prepare and match
+        never run, whatever the placement."""
+        g0, rare, batch = self.rare_skip_case()
+        engine = make_system(system, g0, rare, seed=0, prefilter="on")
+
+        def never(*args):
+            raise AssertionError("a certified skip reached a placement stage")
+
+        engine.query_set.expand = engine.placement.prepare = engine.placement.match = never
+        assert engine.process_batch(batch).prefilter.batches_skipped == 1
 
     def test_sink_order_identical(self):
         g0, batches = adversarial(29, num_batches=4)

@@ -665,3 +665,69 @@ def test_the_read_guard_sees_what_it_guards(tmp_path):
         ("core/a.py", 2, "lookup"), ("core/a.py", 4, "fetch"),
         ("core/a.py", 5, "degree_new"), ("core/a.py", 5, "degree_old"),
     ]
+
+
+#: ``(owner, method)`` of the skeleton's calls: the kernel's one expansion and
+#: the placement's two stages
+_SKELETON_CALLS = {("query_set", "expand"), ("placement", "prepare"), ("placement", "match")}
+#: the hand-off the batch body replaced
+_STAGE_HANDOFF = {"StagedBatch", "stage_host", "stage_match", "finish"}
+
+
+def skeleton_calls(root: Path):
+    """``(relative path, line, name)`` of every call of a skeleton stage
+    outside ``GCSMEngine.process_batch``, and every definition of a stage
+    hand-off name, under ``root``, the oracle package aside."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel.startswith("testing/"):
+            continue
+        tree = ast.parse(path.read_text())
+        body = {id(node) for cls in tree.body
+                if isinstance(cls, ast.ClassDef) and cls.name == "GCSMEngine"
+                for fn in cls.body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "process_batch"
+                for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in _STAGE_HANDOFF:
+                found.append((rel, node.lineno, node.name))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner = node.func.value
+                owner = getattr(owner, "attr", getattr(owner, "id", None))
+                if (owner, node.func.attr) in _SKELETON_CALLS and id(node) not in body:
+                    found.append((rel, node.lineno, f"{owner}.{node.func.attr}"))
+    return sorted(found)
+
+
+def test_one_batch_body_on_the_production_path():
+    """``GCSMEngine.process_batch`` is the one batch body: under
+    ``src/repro``, outside the oracle package, nothing else calls
+    ``query_set.expand``, ``placement.prepare`` or ``placement.match``, and
+    the staged hand-off (``StagedBatch``, ``stage_host``, ``stage_match``,
+    ``finish``) is not defined."""
+    root = Path(__file__).resolve().parents[1] / "src" / "repro"
+    assert skeleton_calls(root) == []
+
+
+def test_the_skeleton_guard_sees_what_it_guards(tmp_path):
+    (tmp_path / "core").mkdir()
+    (tmp_path / "testing").mkdir()
+    (tmp_path / "core" / "a.py").write_text(
+        "class GCSMEngine:\n"
+        "    def process_batch(self, batch):\n"
+        "        x = self.query_set.expand(self, batch, None)\n"
+        "        self.placement.match(batch, self.placement.prepare(batch), x)\n"
+        "    def stage_host(self, batch):\n"
+        "        return self.placement.prepare(batch)\n"
+        "class StagedBatch: ...\n"
+        "def prepare(engine, batch):\n"
+        "    return engine.query_set.expand(engine, batch, None), placement.match(batch)\n"
+        "expand(trie, batch, graph)\n"
+    )
+    (tmp_path / "testing" / "b.py").write_text("engine.placement.match(batch)\n")
+    assert skeleton_calls(tmp_path) == [
+        ("core/a.py", 5, "stage_host"), ("core/a.py", 6, "placement.prepare"),
+        ("core/a.py", 7, "StagedBatch"), ("core/a.py", 9, "placement.match"),
+        ("core/a.py", 9, "query_set.expand"),
+    ]
