@@ -2,8 +2,9 @@
 
 The paper keeps the evolving data graph in pre-allocated pinned arrays
 reached through the ``pHost`` / ``pDevice`` tables: one flat address space.
-Here that is **one slab** — an int64 ``pool`` plus per-vertex ``offset`` /
-``cap`` tables (``host_address`` / ``device_address`` are the offset table)
+Here that is **one slab** — a ``pool`` of 4-byte entries (:data:`SLAB_DTYPE`,
+the ``BYTES_PER_NEIGHBOR`` the cost model prices) plus per-vertex ``offset``
+/ ``cap`` tables (``host_address`` / ``device_address`` are the offset table)
 beside four length tables (post-batch degree, base run, stored run,
 deletion marks).  Each
 list is a *window* ``pool[offset[v] : offset[v] + cap[v]]``, pre-allocated at
@@ -41,6 +42,11 @@ lists in either version as one flat block (marks decoded or dropped, the two
 runs of a touched list merged by one sort of ``segment * n + value`` keys):
 the arena fill, the edge probe, DCSR packing and the exports are that read,
 and a batch is one fancy-indexed write ``pool[offset[src] + slot] = value``.
+The slab's 4-byte entries are widened to :data:`~repro.utils.VERTEX_DTYPE`
+once, on the way out (:meth:`DynamicGraph.read`, :meth:`DynamicGraph.packed_runs`),
+so no key (``segment * n + value``, rank keys, edge keys) is ever computed in
+32 bits; a write narrows only ids the update keys' ``span² < 2^62`` guard
+already bounds (``v ≤ 2^31 − 2``, so a mark ``-(v + 1) ≥ −(2^31 − 1)``).
 
 The per-epoch *arena* (:class:`_Epoch`, :meth:`DynamicGraph.gather`) is what
 the join kernels probe: the working set's merged lists with rank keys,
@@ -75,6 +81,9 @@ __all__ = [
 ]
 
 _EMPTY = np.empty(0, dtype=VERTEX_DTYPE)
+#: the slab's entry: a neighbour id or a deletion mark, in the 4 bytes the cost
+#: model prices per stored neighbour
+SLAB_DTYPE = np.int32
 #: a window doubles until its run fits; a full pool is replaced by one this
 #: many times the tail it must hold
 _GROWTH = 2
@@ -214,7 +223,7 @@ class DynamicGraph:
         self._cap[:] = np.maximum(2, 2 * self._base_len)
         bounds = segment_offsets(self._cap)
         self._offset[:], self._tail = bounds[:-1], int(bounds[-1])
-        self._pool = np.empty(2 * _GROWTH * self._tail, dtype=VERTEX_DTYPE)
+        self._pool = np.empty(2 * _GROWTH * self._tail, dtype=SLAB_DTYPE)
         slots = np.stack([degs, self._cap - degs], axis=1).ravel()  # filled, free, ...
         self._pool[: self._tail][np.repeat(np.tile([True, False], n), slots)] = initial.indices
         self._epoch = _Epoch()
@@ -308,24 +317,26 @@ class DynamicGraph:
     def packed_runs(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(base_len, total_len, block)`` for bulk packing of ``vertices``:
         ``block`` is their stored runs (base run with its marks, then ``ΔN``)
-        laid end to end, one gather from the pool."""
+        laid end to end, one gather from the pool, widened."""
         base_len, total_len = self.run_lengths(vertices)
-        return base_len, total_len, self._pool[segment_indices(self._offset[vertices], total_len)]
+        block = self._pool[segment_indices(self._offset[vertices], total_len)]
+        return base_len, total_len, block.astype(VERTEX_DTYPE)
 
     def read(self, vertices: np.ndarray, old) -> tuple[np.ndarray, np.ndarray]:
         """The store's one bulk read: ``(block, lengths)``, the lists of
         ``vertices`` laid end to end — ``N`` where ``old`` (a scalar, or one
         flag per vertex) is true, ``N'`` elsewhere.
 
-        One gather of the stored runs; marks are decoded for ``N`` and
-        dropped for ``N'``, whose two sorted runs are then merged by one sort
-        of ``segment * n + value`` keys.  Both passes run only if the length
-        tables say some list asked for has marks, or a ``ΔN`` run."""
+        One gather of the stored runs, widened to ``VERTEX_DTYPE``; marks are
+        decoded for ``N`` and dropped for ``N'``, whose two sorted runs are
+        then merged by one sort of ``segment * n + value`` keys.  Both passes
+        run only if the length tables say some list asked for has marks, or a
+        ``ΔN`` run."""
         old = np.full(vertices.shape, old, dtype=bool)
         base, total = self._base_len[vertices], self._total_len[vertices]
         marks = self._marks[vertices]
         lengths = np.where(old, base, total)
-        block = self._pool[segment_indices(self._offset[vertices], lengths)]
+        block = self._pool[segment_indices(self._offset[vertices], lengths)].astype(VERTEX_DTYPE)
         if marks.any():
             marked = block < 0
             block[marked] = -block[marked] - 1
@@ -425,7 +436,7 @@ class DynamicGraph:
         leave are dead.  A full pool is replaced by a larger one."""
         bounds = self._tail + segment_offsets(cap)
         if bounds[-1] > self._pool.size:
-            pool = np.empty(_GROWTH * int(bounds[-1]), dtype=VERTEX_DTYPE)
+            pool = np.empty(_GROWTH * int(bounds[-1]), dtype=SLAB_DTYPE)
             pool[: self._tail] = self._pool[: self._tail]
             self._pool = pool
         self._pool[segment_indices(bounds[:-1], keep)] = self._pool[

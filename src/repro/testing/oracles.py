@@ -56,8 +56,9 @@ __all__ = [
 
 
 def stored_runs(graph: DynamicGraph, v: int) -> tuple[np.ndarray, np.ndarray]:
-    """``v``'s two stored runs, views of the slab: the base run with its
-    deletion marks ``-(w+1)`` in place, and the open batch's ``ΔN`` run."""
+    """``v``'s two stored runs, views of the slab (its 4-byte entries, not
+    widened): the base run with its deletion marks ``-(w+1)`` in place, and
+    the open batch's ``ΔN`` run."""
     start, base, total = graph._offset[v], graph._base_len[v], graph._total_len[v]
     return graph._pool[start : start + base], graph._pool[start + base : start + total]
 

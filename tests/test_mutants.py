@@ -6,10 +6,14 @@ pre-filter's oracle tests (``tests/test_prefilter_oracle.py``) and the
 index's rebuild check (``InvariantIndex.assert_consistent``) see the bugs
 an array rewrite of the decision is most likely to carry, that the
 store's settle oracle (``tests/test_dynamic_graph.py::check_settle``) sees
-the bugs of its batch path, and that the engine's fault injection
+the bugs of its batch path, that the engine's fault injection
 (``tests/test_engine.py::check_fault_settles``) and certified-skip test see
-the bugs of the one batch body.  Every gate runs the same fixed cases under the
-mutant and unmutated, so a red gate is the mutant's doing.
+the bugs of the one batch body, that the store's reader contract
+(``tests/test_slab.py::check_handed_out_dtypes``) sees a read left 4 bytes
+wide, and that ``without_edges``' rebuild oracle
+(``tests/test_static_graph.py::check_without``) sees the bugs of the CSR mask.
+Every gate runs the same fixed cases under the mutant and unmutated, so a red
+gate is the mutant's doing.
 """
 
 from __future__ import annotations
@@ -21,10 +25,13 @@ import repro.core.prefilter as prefilter
 import tests.test_prefilter as prefilter_tests
 from repro.core.engine import GCSMEngine
 from repro.graphs.dynamic_graph import DynamicGraph
+from repro.graphs.static_graph import StaticGraph
 from tests.test_dynamic_graph import SETTLE_SEEDS, check_settle, settle_case
 from tests.test_engine import FAULT_STAGES, check_fault_settles
 from tests.test_estimator_walk import mutated
 from tests.test_prefilter_oracle import check_query, check_rulebook, random_case
+from tests.test_slab import check_handed_out_dtypes
+from tests.test_static_graph import check_without, without_case
 
 SEEDS = range(40)
 
@@ -64,6 +71,13 @@ def skip_gate():
     """A certified ΔM = 0 batch reaches no placement stage
     (``tests/test_prefilter.py``, the default system)."""
     prefilter_tests.TestEngineParity().test_a_certified_skip_reaches_no_placement_stage("GCSM")
+
+
+def without_gate():
+    """``check_without`` over the fixed cases: ``without_edges`` equals the
+    rebuild oracle and returns a valid CSR."""
+    for seed in SEEDS:
+        check_without(*without_case(seed))
 
 
 def ignore_the_overlay(patch):
@@ -139,6 +153,29 @@ def apply_skips_the_delete_search(patch):
     ))
 
 
+def read_hands_out_the_slab(patch):
+    """``read`` hands out the slab's 4-byte block as gathered, unwidened."""
+    patch.setattr(DynamicGraph, "read", mutated(
+        DynamicGraph.read, ".astype(VERTEX_DTYPE)", ""))
+
+
+def without_keeps_duplicate_removals(patch):
+    """``without_edges`` probes every removal as listed: an edge named twice
+    is cleared once but subtracted twice from its rows' counts."""
+    patch.setattr(StaticGraph, "without_edges", mutated(
+        StaticGraph.without_edges,
+        "sorted_unique(edge_keys(edge_arr[:, 0], edge_arr[:, 1], n))",
+        "edge_keys(edge_arr[:, 0], edge_arr[:, 1], n)",
+    ))
+
+
+def without_admits_vertex_n(patch):
+    """The range check lets an endpoint equal to ``n`` through, whose key
+    aliases an edge of the next row."""
+    patch.setattr(StaticGraph, "without_edges", mutated(
+        StaticGraph.without_edges, "(edge_arr.max(axis=1) < n)", "(edge_arr.max(axis=1) <= n)"))
+
+
 def settle_skips_the_rebuild(patch):
     """A failed batch is settled without rebuilding the pre-filter index."""
     patch.setattr(GCSMEngine, "process_batch", mutated(
@@ -178,11 +215,15 @@ MUTANTS = {
     settle_skips_the_rebuild: (fault_gate, "delete overlay not cleared"),
     settle_rebuilds_an_open_store_only: (fault_gate, "delete overlay not cleared"),
     skipped_batch_prepares: (skip_gate, "reached a placement stage"),
+    read_hands_out_the_slab: (check_handed_out_dtypes, "int32"),
+    without_keeps_duplicate_removals: (without_gate, None),
+    without_admits_vertex_n: (without_gate, None),
 }
 
 
 @pytest.mark.parametrize(
-    "gate", [query_gate, rulebook_gate, settle_gate, fault_gate, skip_gate],
+    "gate", [query_gate, rulebook_gate, settle_gate, fault_gate, skip_gate,
+             check_handed_out_dtypes, without_gate],
     ids=lambda g: g.__name__,
 )
 def test_the_gates_pass_unmutated(gate):

@@ -2,17 +2,19 @@
 
 No per-vertex Python on the batch path (a call count that does not move with
 the batch), a set model driven through window overflows and pool
-replacements, the flat ``packed_runs`` block, and ``check_invariants`` shown
-to reject each corruption it exists for.
+replacements, the flat ``packed_runs`` block, the 4-byte slab behind a wide
+read, and ``check_invariants`` shown to reject each corruption it exists for.
 """
 
 import numpy as np
 import pytest
 
+from repro.gpu.device import BYTES_PER_NEIGHBOR
 from repro.graphs import DynamicGraph, StaticGraph, UpdateBatch
 from repro.graphs import dynamic_graph as store_module
 from repro.graphs.generators import erdos_renyi
 from repro.testing import count_calls, neighbors_new, neighbors_old, stored_runs
+from repro.utils import VERTEX_DTYPE
 from tests.test_dynamic_graph import TestBulkWriteSide, adjacency
 
 mixed_batch = TestBulkWriteSide.mixed_batch  # half deletes of present edges, half fresh inserts
@@ -143,6 +145,57 @@ class TestPackedRuns:
         assert (block < 0).any()  # marks travel intact
         block[:] = 0  # a copy: the pool is not exposed
         store.check_invariants()
+
+
+def check_handed_out_dtypes():
+    """Every array the store hands out is ``VERTEX_DTYPE``, whatever the slab
+    holds: both versions of lists with marks and ``ΔN`` runs, the raw runs,
+    the arena and its keys, and the exports."""
+    g = erdos_renyi(60, 6.0, seed=4)
+    store = DynamicGraph(g)
+    store.apply_batch(mixed_batch(g, 40, np.random.default_rng(4)))
+    assert store._marks.any() and (store._total_len > store._base_len).any()
+    vs = np.arange(store.num_vertices)
+    handed = {
+        "read N": store.read(vs, True)[0],
+        "read N'": store.read(vs, False)[0],
+        "read mixed": store.read(vs, vs % 2 == 0)[0],
+        "packed_runs": store.packed_runs(vs)[2],
+        "csr_new": store.csr_new()[1],
+        "edges_new_array": store.edges_new_array(),
+        "edges_old_array": store.edges_old_array(),
+        "snapshot": store.snapshot().indices,
+    }
+    store.gather(np.tile(vs, 2), np.repeat([True, False], vs.size))
+    handed.update(arena=store.arena, arena_keys=store.arena_keys)
+    narrow = {name: str(a.dtype) for name, a in handed.items() if a.dtype != VERTEX_DTYPE}
+    assert not narrow, narrow
+
+
+class TestFourByteSlab:
+    """The slab holds what the cost model prices; every reader gets ids wide
+    enough for key arithmetic; an id the slab cannot hold never reaches it."""
+
+    def test_a_slab_entry_is_the_bytes_of_a_priced_neighbour(self):
+        store = DynamicGraph(erdos_renyi(30, 4.0, seed=0))
+        assert store._pool.itemsize == BYTES_PER_NEIGHBOR
+
+    def test_every_array_handed_out_is_wide(self):
+        check_handed_out_dtypes()
+
+    def test_an_id_past_the_slab_is_refused_before_any_write(self, monkeypatch):
+        store = DynamicGraph(erdos_renyi(20, 3.0, seed=1))
+        pool, tables = store._pool.copy(), store._tables.copy()
+
+        def grow(*_):  # a table growth sized by the id would take gigabytes
+            raise AssertionError("reached a table growth")
+
+        monkeypatch.setattr(DynamicGraph, "_grow_vertices", grow)
+        with pytest.raises(ValueError, match="overflow"):
+            store.apply_batch(UpdateBatch([(0, 2**31 - 1)], [1]))
+        assert store._pool.tobytes() == pool.tobytes()
+        assert store._tables.tobytes() == tables.tobytes()
+        assert not store.batch_open
 
 
 class TestInvariantsBite:

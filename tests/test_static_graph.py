@@ -117,6 +117,35 @@ class TestQueries:
         assert 0 < small.size_bytes() < big.size_bytes()
 
 
+def check_without(g, removal):
+    """``g.without_edges(removal)`` equals the rebuild oracle, is a valid CSR
+    and leaves ``g`` as it was."""
+    before = StaticGraph(g.indptr.copy(), g.indices.copy(), g.labels.copy())
+    out = g.without_edges(removal)
+    assert out == without_edges_reference(g, removal)
+    assert StaticGraph(out.indptr, out.indices, out.labels) == out  # a valid CSR
+    assert out.labels is not g.labels and g == before
+
+
+def without_case(seed):
+    """``(g, removal)`` drawn as :meth:`TestDerivedGraphs.
+    test_without_equals_the_rebuild_oracle` draws them, from a seeded
+    generator: a fixed case for a gate that must repeat."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 41))
+    edges = rng.integers(0, max(n, 1), size=(int(rng.integers(0, 251)) if n else 0, 2))
+    g = StaticGraph.from_edges(n, edges, rng.integers(0, 4, size=n))
+    present = g.edge_array()
+    picks = np.empty((0, 2), dtype=np.int64)
+    if present.size:
+        picks = present[rng.integers(0, present.shape[0], size=int(rng.integers(0, 81)))]
+    flip = rng.random(picks.shape[0]) < 0.5
+    picks[flip] = picks[flip, ::-1]
+    stray = rng.integers(-3, n + 4, size=(int(rng.integers(0, 31)), 2))
+    self_pairs = np.repeat(rng.integers(0, max(n, 1), size=(int(rng.integers(0, 5)), 1)), 2, axis=1)
+    return g, rng.permutation(np.concatenate([picks, stray, self_pairs]))
+
+
 class TestDerivedGraphs:
     def test_without_edges(self):
         g = small_graph()
@@ -192,7 +221,6 @@ class TestDerivedGraphs:
             np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
                      dtype=np.int64),
         )
-        before = StaticGraph(g.indptr.copy(), g.indices.copy(), g.labels.copy())
         present = g.edge_array()
         picks = data.draw(st.lists(
             st.tuples(st.integers(0, max(present.shape[0] - 1, 0)), st.booleans()), max_size=80,
@@ -203,11 +231,7 @@ class TestDerivedGraphs:
         ))
         removal += [(v, v) for v in data.draw(st.lists(vertex, max_size=4))]
         removal = np.array(removal, dtype=np.int64).reshape(-1, 2)
-        removal = removal[data.draw(st.permutations(range(removal.shape[0])))]
-        out = g.without_edges(removal)
-        assert out == without_edges_reference(g, removal)
-        assert StaticGraph(out.indptr, out.indices, out.labels) == out  # a valid CSR
-        assert out.labels is not g.labels and g == before
+        check_without(g, removal[data.draw(st.permutations(range(removal.shape[0])))])
 
     def test_without_on_the_empty_graph(self):
         for n in (0, 3):
