@@ -44,11 +44,15 @@ VARIANTS = {
     'schedule="pipelined"': {"schedule": "pipelined"},
 }
 #: Python calls per batch a ``(workload, configuration)`` row may make, about
-#: 3 % above what it makes (CPython 3.11, NumPy 2.4.6): ``fr_q1_mixed`` 875.8,
-#: ``az_rulebook24`` 1 190.1 (1 357.6 under the pre-filter) and
-#: ``sparse_tri_skip`` 259.3 since one batch body runs the stages in one
-#: settle scope (896.8 / 1 210.1 / 1 377.6 / 271.3 with the staged hand-off
-#: and a placement expanding in ``prepare``).  Before that: ``fr_q1_mixed``
+#: 3 % above what it makes (CPython 3.11, NumPy 2.4.6): ``fr_q1_mixed`` 782.5,
+#: ``az_rulebook24`` 1 036.5 (1 198.6 under the pre-filter) and
+#: ``sparse_tri_skip`` 247.3 since the segment helpers call the ndarray
+#: methods, not NumPy's Python wrappers (with the wrappers, once a fresh
+#: store's windows hold their runs exactly and every list's first insert
+#: moves it: 887.8 / 1 197.3 / 1 364.8 / 271.3); 875.8 / 1 190.1 / 1 357.6 /
+#: 259.3 since one batch body runs the stages in one settle scope (896.8 /
+#: 1 210.1 / 1 377.6 / 271.3 with the staged hand-off and a placement
+#: expanding in ``prepare``).  Before that: ``fr_q1_mixed``
 #: 929, and ``az_rulebook24`` 1 243, with per-batch work sized by what the batch
 #: touches (940 / 1 254 when every batch rebuilt its O(|V|) epoch tables,
 #: tallied the walk densely and allocated each counters' histogram; AZ made
@@ -59,10 +63,10 @@ VARIANTS = {
 #: ``sparse_tri_skip`` 271.3 once the store sorts a batch once, searches only
 #: for deletes and settles without its read (324 before)
 CALLS = {
-    ("fr_q1_mixed", "one device"): 902,
-    ("az_rulebook24", "one device"): 1_226,
-    ("az_rulebook24", 'prefilter="on"'): 1_398,
-    ("sparse_tri_skip", "one device"): 267,
+    ("fr_q1_mixed", "one device"): 806,
+    ("az_rulebook24", "one device"): 1_068,
+    ("az_rulebook24", 'prefilter="on"'): 1_235,
+    ("sparse_tri_skip", "one device"): 255,
 }
 
 

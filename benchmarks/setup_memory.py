@@ -6,7 +6,8 @@ workload:
 
 * the tracemalloc peak over entry of the three set-up phases that allocate
   graph-sized arrays — the dataset build, the stream derivation and the
-  engine's construction (the store's pool reserve is most of the last);
+  engine's construction (the store's pool, its untouched reserve included,
+  is most of the last);
 * ``ru_maxrss`` at import, after one cold set-up and after a second one
   that overlaps the first (its inputs and engine still live), which is how
   the benchmark's ``peak_rss_mb`` is reached: ``benchmarks/e2e/measure.py``'s
@@ -50,13 +51,15 @@ PHASES = {"build": "graphs.datasets.build", "derive": "graphs.stream.derive",
 #: build 10.6, derive 2.7 and growth 20.0, and the derive peaks of SF3K / FR
 #: were 16.5 / 12.3; while the store's slab held 8-byte entries, init read
 #: 67.8 / 48.4 / 8.9 / 66.9 on SF3K / FR / CA / sparse and growth 66.7 / 52.4
-#: on SF3K / FR (``benchmarks/results/setup_memory.txt``).  CA's growth
-#: reads 13.3 or 16.8 from run to run; its bound is the higher.
+#: on SF3K / FR; while every window was pre-allocated at twice its list's
+#: degree, init read 37.0 / 27.2 / 5.6 / 45.6 and growth 52.5-53.1 /
+#: 40.0-43.3 (``benchmarks/results/setup_memory.txt``).  CA's growth read
+#: 13.3 or 16.8 from run to run; its bound is the higher.
 BOUNDS = {
-    "sf3k_q1_churn": {"build": 23.1, "derive": 14.5, "init": 37.0, "growth": 52.5},
-    "fr_q1_mixed": {"build": 16.6, "derive": 10.1, "init": 27.2, "growth": 40.0},
-    "ca_q3_narrow": {"build": 2.5, "derive": 2.0, "init": 5.6, "growth": 16.8},
-    "sparse_tri_skip": {"init": 45.6},
+    "sf3k_q1_churn": {"build": 23.1, "derive": 14.5, "init": 18.6, "growth": 46.8},
+    "fr_q1_mixed": {"build": 16.6, "derive": 10.1, "init": 14.1, "growth": 35.7},
+    "ca_q3_narrow": {"build": 2.5, "derive": 2.0, "init": 3.2, "growth": 16.8},
+    "sparse_tri_skip": {"init": 35.0},
 }
 #: ``ru_maxrss`` at import, in MB, held for every workload: the program and
 #: ``numpy.random`` (which loads ``secrets`` / ``hashlib`` / OpenSSL, and

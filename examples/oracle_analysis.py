@@ -4,7 +4,7 @@
 The random-walk policy predicts access frequencies *before* matching; the
 best any same-size cache could do is known only *after* matching.  This
 example captures the exact access trace of one batch with
-:class:`repro.gpu.TracingView`, then replays the identical trace under:
+:class:`repro.testing.trace.TracingView`, then replays the identical trace under:
 
 * the empty cache (= the ZC baseline),
 * degree-ranked caches (the Naive policy),
@@ -25,14 +25,13 @@ from repro.core.matching import match_batch
 from repro.gpu import (
     AccessCounters,
     Channel,
-    TracingView,
     ZeroCopyView,
     default_device,
-    replay_cached,
     simulated_time_ns,
 )
 from repro.graphs import DynamicGraph
 from repro.query import compile_delta_plans, query_by_name
+from repro.testing.trace import TracingView, replay_cached
 from repro.utils import format_bytes, format_time_ns
 
 

@@ -23,14 +23,6 @@ from repro.gpu.views import (
     UnifiedMemoryView,
     FullDeviceView,
 )
-from repro.gpu.trace import (
-    AccessTrace,
-    TracingView,
-    replay,
-    replay_zero_copy,
-    replay_cached,
-    replay_unified_memory,
-)
 
 __all__ = [
     "DeviceConfig",
@@ -49,10 +41,4 @@ __all__ = [
     "ZeroCopyView",
     "UnifiedMemoryView",
     "FullDeviceView",
-    "AccessTrace",
-    "TracingView",
-    "replay",
-    "replay_zero_copy",
-    "replay_cached",
-    "replay_unified_memory",
 ]

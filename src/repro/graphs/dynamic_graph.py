@@ -7,15 +7,17 @@ the ``BYTES_PER_NEIGHBOR`` the cost model prices) plus per-vertex ``offset``
 / ``cap`` tables (``host_address`` / ``device_address`` are the offset table)
 beside four length tables (post-batch degree, base run, stored run,
 deletion marks).  Each
-list is a *window* ``pool[offset[v] : offset[v] + cap[v]]``, pre-allocated at
-2x, holding the sorted base run with its marks in place and, appended behind
-it, the open batch's sorted ``ΔN`` run.  The four update rules, each one
-whole-batch operation:
+list is a *window* ``pool[offset[v] : offset[v] + cap[v]]`` holding the sorted
+base run with its marks in place and, appended behind it, the open batch's
+sorted ``ΔN`` run.  A fresh store is its graph's CSR, narrowed in one copy:
+every window holds its run exactly (``offset = indptr[:-1]``, ``cap`` the
+degree, 0 for an isolated vertex), so room is given only to the lists that
+grow.  The four update rules, each one whole-batch operation:
 
 1. **Insertions append.**  Both orientations of the batch's inserts are
    sorted by (source, neighbor), so every ``ΔN(v)`` is written already
-   sorted; a list that outgrows its window moves to one doubled until it
-   fits, giving O(1) amortized insertion.
+   sorted; a list that outgrows its window (an empty one included) moves to
+   one of ``max(need, 2 * cap)`` entries, giving O(1) amortized insertion.
 2. **New vertices** get a window sized to the average degree.
 3. **Deletions mark in place.**  A deleted neighbor ``v`` is found by one
    keyed binary search for the whole batch and overwritten with ``-(v + 1)``
@@ -33,9 +35,12 @@ sorted runs for the ``N' = N ∪ ΔN`` split intersections of Sec. V-C.
 
 **Allocator.**  Windows are bumped off the pool's tail and never reused: a
 list that outgrows its window moves to one at least twice as large and
-leaves the old one dead.  A list's dead windows therefore never outweigh its
-live one, so the tail stays under twice the live windows and nothing is
-compacted.  A full pool is replaced by one ``_GROWTH`` times larger.
+leaves the old one dead.  Each dead window is thus at most half the next one
+its list held, so a list's dead windows sum to less than its live one (an
+empty window leaves nothing dead), the tail stays under twice the live
+windows and nothing is compacted.  The CSR start only shortens the chains:
+a list that never grows has no dead window.  A full pool is replaced by one
+``_GROWTH`` times larger.
 
 **One read, one write.**  :meth:`DynamicGraph.read` gathers any set of
 lists in either version as one flat block (marks decoded or dropped, the two
@@ -84,8 +89,8 @@ _EMPTY = np.empty(0, dtype=VERTEX_DTYPE)
 #: the slab's entry: a neighbour id or a deletion mark, in the 4 bytes the cost
 #: model prices per stored neighbour
 SLAB_DTYPE = np.int32
-#: a window doubles until its run fits; a full pool is replaced by one this
-#: many times the tail it must hold
+#: a list that outgrows its window moves to one at least this many times as
+#: large; a full pool is replaced by one this many times the tail it must hold
 _GROWTH = 2
 
 
@@ -214,18 +219,14 @@ class DynamicGraph:
         degs = initial.degrees()
         self._avg_degree = max(1, int(round(float(degs.mean())) if n else 1))
         self._bind(np.zeros((7, n), dtype=np.int64))
-        self._new_len[:] = self._base_len[:] = self._total_len[:] = degs
-        # fresh 2x windows in vertex order, each run in its window's first
-        # deg(v) slots, written in order from the CSR through a one-byte
-        # mask of the windows (no index per entry); the pool has room for
-        # the tail to double twice (it stays under twice the live windows,
-        # see the module docstring)
-        self._cap[:] = np.maximum(2, 2 * self._base_len)
-        bounds = segment_offsets(self._cap)
-        self._offset[:], self._tail = bounds[:-1], int(bounds[-1])
+        self._new_len[:] = self._base_len[:] = self._total_len[:] = self._cap[:] = degs
+        # the slab starts as the CSR, narrowed in one copy: each window holds
+        # its run exactly (an isolated vertex's is empty); the pool has room
+        # for the tail to double twice (it stays under twice the live
+        # windows, see the module docstring)
+        self._offset[:], self._tail = initial.indptr[:-1], int(initial.indptr[-1])
         self._pool = np.empty(2 * _GROWTH * self._tail, dtype=SLAB_DTYPE)
-        slots = np.stack([degs, self._cap - degs], axis=1).ravel()  # filled, free, ...
-        self._pool[: self._tail][np.repeat(np.tile([True, False], n), slots)] = initial.indices
+        self._pool[: self._tail] = initial.indices
         self._epoch = _Epoch()
         self._touched: np.ndarray = _EMPTY  # sorted; replaced, never written
         self._batch_open = False
@@ -439,9 +440,9 @@ class DynamicGraph:
             pool = np.empty(_GROWTH * int(bounds[-1]), dtype=SLAB_DTYPE)
             pool[: self._tail] = self._pool[: self._tail]
             self._pool = pool
-        self._pool[segment_indices(bounds[:-1], keep)] = self._pool[
-            segment_indices(self._offset[vertices], keep)
-        ]
+        offset = self._offset[vertices]
+        source = segment_indices(offset, keep)  # one gather, one scatter
+        self._pool[source + (bounds[:-1] - offset).repeat(keep)] = self._pool[source]
         self._offset[vertices], self._cap[vertices] = bounds[:-1], cap
         self._tail = int(bounds[-1])
 
@@ -502,14 +503,14 @@ class DynamicGraph:
         slot = self._base_len[src] + np.arange(src.size) - (first + self._marks[touched])[run]
         if some_deleted:
             slot[deleted] = marked
-        # a list that outgrew its window moves first
+        # a list that outgrew its window moves first, to one at least
+        # doubled (a zero-capacity window too) that fits its stored runs
         cap, need = self._cap[touched], self._total_len[touched]
-        while (short := cap < need).any():
-            cap[short] *= _GROWTH
-        move = cap > self._cap[touched]
+        move = need > cap
         if move.any():
-            self._realloc_count += int(np.count_nonzero(move))
-            self._move(touched[move], cap[move], self._base_len[touched[move]])
+            moved = touched[move]
+            self._realloc_count += moved.size
+            self._move(moved, np.maximum(need[move], _GROWTH * cap[move]), self._base_len[moved])
         # the one bulk write; the deletion mark of v is -(v+1)
         self._pool[self._offset[src] + slot] = np.where(deleted, -(dst + 1), dst)
         self._num_edges += int(effective.signs.sum())  # inserts minus deletes
@@ -614,7 +615,8 @@ class DynamicGraph:
         """Validate store invariants (used by property tests and the fuzzer),
         one pass over the slab, each failure naming its first vertex.
 
-        Windows lie inside the pool and live ones do not overlap; every base
+        Windows lie inside the pool and live non-empty ones do not overlap
+        (an isolated vertex's empty window may share an offset); every base
         run (decoded) and every ΔN run is strictly sorted; the marks in a
         base run number ``marks[v]``; ΔN is disjoint from the surviving base
         run (a duplicate-insert corruption shows up here as a repeated
@@ -627,7 +629,8 @@ class DynamicGraph:
         _each((0 <= base) & (base <= total) & (total <= cap) & (0 <= offset)
               & (offset + cap <= self._tail) & (self._tail <= self._pool.size),
               "run lengths of {} out of bounds")
-        order = np.argsort(offset, kind="stable")
+        held = np.flatnonzero(cap)  # an empty window holds nothing to overlap
+        order = held[np.argsort(offset[held], kind="stable")]
         apart = np.ones(n, dtype=bool)
         apart[order[1:]] = (offset + cap)[order[:-1]] <= offset[order[1:]]
         _each(apart, "window of {} overlaps another live window")

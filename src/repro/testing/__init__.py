@@ -25,7 +25,10 @@ slow, obviously-correct twins of the vectorized production kernels:
   tests use.
 
 :mod:`repro.testing.calls` holds :func:`count_calls`, the clock that repeats
-(Python ``call`` events), for gates on per-vertex / per-node Python loops.
+(Python ``call`` events), for gates on per-vertex / per-node Python loops,
+and :mod:`repro.testing.trace` the access-trace capture and what-if replay
+(:class:`~repro.testing.trace.TracingView`, ``replay_*``) the view parity
+tests and ``examples/oracle_analysis.py`` price a recorded run with.
 
 :mod:`repro.testing.reference` is the brute-force embedding counter
 (:func:`count_embeddings` / :func:`find_embeddings`), the ground truth every

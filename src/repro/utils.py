@@ -67,7 +67,7 @@ def segment_offsets(lengths: np.ndarray) -> np.ndarray:
     candidate buffers).
     """
     out = np.zeros(lengths.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=out[1:])
+    lengths.cumsum(out=out[1:])  # the methods: NumPy's wrappers are Python calls
     return out
 
 
@@ -75,7 +75,7 @@ def segment_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Flat indices of the segments ``(starts[i], lengths[i])`` laid end to
     end: the index list of one bulk gather from (or scatter into) a pool."""
     offsets = segment_offsets(lengths)
-    return np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
+    return (starts - offsets[:-1]).repeat(lengths) + np.arange(offsets[-1])
 
 
 def contains_sorted(values: np.ndarray, queries: np.ndarray) -> np.ndarray:

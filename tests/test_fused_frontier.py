@@ -31,7 +31,6 @@ from repro.graphs.generators import powerlaw_graph
 from repro.graphs.stream import derive_stream
 from repro.gpu.counters import AccessCounters
 from repro.gpu.device import default_device
-from repro.gpu.trace import TracingView
 from repro.gpu.views import HostCPUView, UnifiedMemoryView, ZeroCopyView
 from repro.multigpu.shard import ShardedDeviceView
 from repro.query import query_by_name
@@ -43,6 +42,7 @@ from repro.testing import (
     match_static_recursive,
     use_reference_kernels,
 )
+from repro.testing.trace import TracingView
 from repro.testing.validation import verify_rulebook
 from tests.test_frontier_parity import fingerprint
 

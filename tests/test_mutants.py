@@ -6,7 +6,7 @@ pre-filter's oracle tests (``tests/test_prefilter_oracle.py``) and the
 index's rebuild check (``InvariantIndex.assert_consistent``) see the bugs
 an array rewrite of the decision is most likely to carry, that the
 store's settle oracle (``tests/test_dynamic_graph.py::check_settle``) sees
-the bugs of its batch path, that the engine's fault injection
+the bugs of its batch path and of a window's move, that the engine's fault injection
 (``tests/test_engine.py::check_fault_settles``) and certified-skip test see
 the bugs of the one batch body, that the store's reader contract
 (``tests/test_slab.py::check_handed_out_dtypes``) sees a read left 4 bytes
@@ -153,6 +153,14 @@ def apply_skips_the_delete_search(patch):
     ))
 
 
+def move_carries_nothing(patch):
+    """A list that outgrows its window moves without its base run: the
+    new window's first ``keep`` entries are left as the pool held them."""
+    patch.setattr(DynamicGraph, "_move", mutated(
+        DynamicGraph._move, "offset = self._offset[vertices]",
+        "offset, keep = self._offset[vertices], 0 * keep"))
+
+
 def read_hands_out_the_slab(patch):
     """``read`` hands out the slab's 4-byte block as gathered, unwidened."""
     patch.setattr(DynamicGraph, "read", mutated(
@@ -212,6 +220,7 @@ MUTANTS = {
     reorganize_keeps_the_marks: (settle_gate, None),
     reorganize_skips_the_sort: (settle_gate, None),
     apply_skips_the_delete_search: (settle_gate, None),
+    move_carries_nothing: (settle_gate, None),
     settle_skips_the_rebuild: (fault_gate, "delete overlay not cleared"),
     settle_rebuilds_an_open_store_only: (fault_gate, "delete overlay not cleared"),
     skipped_batch_prepares: (skip_gate, "reached a placement stage"),

@@ -36,12 +36,12 @@ from repro.graphs.generators import powerlaw_graph
 from repro.graphs.stream import derive_stream
 from repro.gpu.counters import AccessCounters
 from repro.gpu.device import BYTES_PER_NEIGHBOR, default_device
-from repro.gpu.trace import TracingView
 from repro.gpu.views import HostCPUView
 from repro.query import QueryGraph, query_by_name
 from repro.query.generator import rulebook_suite
 from repro.query.plan import compile_delta_plans
 from repro.testing import match_batch_recursive
+from repro.testing.trace import TracingView
 
 DEVICE = default_device()
 QUERIES = {

@@ -37,9 +37,10 @@ class TestNoPerVertexPython:
                 store.reorganize()
 
             counts[size] = count_calls(batch_path)
-            # both sizes took the same branches: no window overflowed, the
-            # pool was neither replaced nor compacted
-            assert store.realloc_count == 0 and store._pool is pool
+            # both sizes took the same branches: windows hold their runs
+            # exactly, so every list the batch inserts into moved, and the
+            # pool's reserve took the moves (never replaced nor compacted)
+            assert store.realloc_count > 0 and store._pool is pool
             store.check_invariants()
         # at the parent: >= 3 more per touched vertex
         assert counts[32] == counts[1024]
@@ -90,14 +91,15 @@ def lists_of(view, old):
 
 def run_slab_model(seed):
     """48 steps of apply / gather / reorganize against a model made of Python
-    sets; returns ``(windows outgrown, pools replaced)``.  The pool is never
-    compacted, so its tail is checked against twice the live windows."""
+    sets; returns ``(windows outgrown, pools replaced, empty windows grown)``.
+    The pool is never compacted, so its tail is checked against twice the
+    live windows."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(6, 41))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = {pairs[i] for i in rng.choice(len(pairs), size=min(len(pairs), 2 * n), replace=False)}
     store = DynamicGraph(StaticGraph.from_edges(n, sorted(edges), np.zeros(n, dtype=np.int64)))
-    replacements = 0
+    replacements = emptied = 0
     before = edges  # the pre-batch edge set while a batch is open
     for _ in range(48):
         if store.batch_open:
@@ -110,9 +112,10 @@ def run_slab_model(seed):
                 np.stack([us, vs], axis=1)[us != vs],
                 rng.choice([1, 1, 1, -1], size=int((us != vs).sum())),
             )
-            before, pool = set(edges), store._pool
+            before, pool, empty = set(edges), store._pool, np.flatnonzero(store._cap == 0)
             effective = store.apply_batch(batch, mode="coalesce")
             replacements += store._pool is not pool
+            emptied += int((store._cap[empty] > 0).sum())
             for (u, v), sign in zip(effective.edges.tolist(), effective.signs.tolist()):
                 (edges.add if sign > 0 else edges.discard)((min(u, v), max(u, v)))
             n = store.num_vertices
@@ -121,14 +124,57 @@ def run_slab_model(seed):
         assert lists_of(store, False) == adjacency(edges, n)
         if store.batch_open:
             assert lists_of(store, True) == adjacency(before, n)
-    return np.array([store.realloc_count, replacements])
+    return np.array([store.realloc_count, replacements, emptied])
 
 
 def test_slab_model_against_python_sets():
-    # together the runs must exercise the whole allocator: windows outgrown
-    # and the pool replaced
-    overflows, replacements = sum(run_slab_model(seed) for seed in range(4)).tolist()
-    assert overflows and replacements, (overflows, replacements)
+    # together the runs must exercise the whole allocator: windows outgrown,
+    # isolated vertices' empty windows among them, and the pool replaced
+    overflows, replacements, emptied = sum(run_slab_model(seed) for seed in range(4)).tolist()
+    assert overflows and replacements and emptied, (overflows, replacements, emptied)
+
+
+class TestWindowsStartAsTheCsr:
+    """A fresh store is its graph's CSR, narrowed: each window holds its run
+    exactly, and only a list that receives inserts moves to a larger one."""
+
+    def test_a_fresh_store_holds_the_csr_verbatim(self):
+        # 3, 5, 6 and 8 are isolated
+        g = StaticGraph.from_edges(9, [(0, 1), (0, 4), (1, 4), (2, 4), (4, 7)])
+        store = DynamicGraph(g)
+        assert store._pool[: g.indices.size].tolist() == g.indices.tolist()
+        assert store._offset.tolist() == g.indptr[:-1].tolist()
+        assert store._cap.tolist() == g.degrees().tolist()
+        assert store._tail == g.indices.size
+        store.check_invariants()
+
+    def test_an_isolated_vertex_grows_out_of_its_empty_window(self):
+        g = StaticGraph.from_edges(6, [(0, 1), (1, 2), (4, 5)])  # 3 isolated, window at 4's
+        store = DynamicGraph(g)
+        assert store._cap[3] == 0 and store._offset[3] == store._offset[4]
+        edges = {(0, 1), (1, 2), (4, 5)}
+        for batch in ([(3, 0)], [(3, 2), (3, 5)], [(3, 4), (1, 3)]):
+            moves = store.realloc_count
+            store.apply_batch(UpdateBatch(batch, [1] * len(batch)))
+            store.check_invariants()
+            assert store.realloc_count > moves
+            assert lists_of(store, True) == adjacency(edges, 6)
+            edges |= {(min(e), max(e)) for e in batch}
+            assert lists_of(store, False) == adjacency(edges, 6)
+            store.reorganize()
+            store.check_invariants()
+            assert lists_of(store, False) == adjacency(edges, 6)
+        assert store._cap[3] >= 5 and store._tail < 2 * store._cap.sum()
+
+    def test_a_list_that_only_loses_edges_stays_in_place(self):
+        g = erdos_renyi(50, 6.0, seed=5)
+        store = DynamicGraph(g)
+        offset, cap = store._offset.copy(), store._cap.copy()
+        store.apply_batch(UpdateBatch(g.edge_array()[:10], -np.ones(10, dtype=np.int64)))
+        store.reorganize()
+        store.check_invariants()
+        assert store.realloc_count == 0
+        assert np.array_equal(store._offset, offset) and np.array_equal(store._cap, cap)
 
 
 class TestPackedRuns:

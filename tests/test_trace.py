@@ -5,17 +5,17 @@ import pytest
 
 from repro.core.matching import match_batch
 from repro.gpu import AccessCounters, Channel, ZeroCopyView, UnifiedMemoryView, default_device
-from repro.gpu.trace import (
+from repro.graphs import DynamicGraph
+from repro.graphs.generators import powerlaw_graph
+from repro.graphs.stream import derive_stream
+from repro.query import QueryGraph, compile_delta_plans
+from repro.testing.trace import (
     AccessTrace,
     TracingView,
     replay_cached,
     replay_unified_memory,
     replay_zero_copy,
 )
-from repro.graphs import DynamicGraph
-from repro.graphs.generators import powerlaw_graph
-from repro.graphs.stream import derive_stream
-from repro.query import QueryGraph, compile_delta_plans
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 
