@@ -18,7 +18,7 @@ resident set moves by a few MB.  ``--check`` exits non-zero if a figure
 exceeds its bound by more than 10 %: every workload's resident set at import
 (:data:`IMPORT`), the phase peaks and the resident growth over import of
 ``fr_q1_mixed``, ``sf3k_q1_churn`` and ``ca_q3_narrow``, and the engine
-construction peak of ``sparse_tri_skip`` (:data:`BOUNDS`).
+construction peak and resident growth of ``sparse_tri_skip`` (:data:`BOUNDS`).
 
     PYTHONPATH=src python benchmarks/setup_memory.py [--check] [workload ...]
 """
@@ -53,13 +53,16 @@ PHASES = {"build": "graphs.datasets.build", "derive": "graphs.stream.derive",
 #: 67.8 / 48.4 / 8.9 / 66.9 on SF3K / FR / CA / sparse and growth 66.7 / 52.4
 #: on SF3K / FR; while every window was pre-allocated at twice its list's
 #: degree, init read 37.0 / 27.2 / 5.6 / 45.6 and growth 52.5-53.1 /
-#: 40.0-43.3 (``benchmarks/results/setup_memory.txt``).  CA's growth read
-#: 13.3 or 16.8 from run to run; its bound is the higher.
+#: 40.0-43.3; while the pre-filter index was built from a whole edge list,
+#: sparse read init 35.0 and growth 58.7-60.5 (``benchmarks/results/
+#: setup_memory.txt``).  CA's growth once read 13.3 or 16.8 from run to run;
+#: fourteen runs since read 8.7-8.9, and its bound is the highest, as is
+#: sparse's growth (55.9-57.7 over seven runs).
 BOUNDS = {
     "sf3k_q1_churn": {"build": 23.1, "derive": 14.5, "init": 18.6, "growth": 46.8},
     "fr_q1_mixed": {"build": 16.6, "derive": 10.1, "init": 14.1, "growth": 35.7},
-    "ca_q3_narrow": {"build": 2.5, "derive": 2.0, "init": 3.2, "growth": 16.8},
-    "sparse_tri_skip": {"init": 35.0},
+    "ca_q3_narrow": {"build": 2.5, "derive": 2.0, "init": 3.2, "growth": 8.9},
+    "sparse_tri_skip": {"init": 13.6, "growth": 57.7},
 }
 #: ``ru_maxrss`` at import, in MB, held for every workload: the program and
 #: ``numpy.random`` (which loads ``secrets`` / ``hashlib`` / OpenSSL, and

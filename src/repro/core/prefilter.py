@@ -336,7 +336,11 @@ class InvariantIndex:
 
     # -- construction / consistency ------------------------------------
     def rebuild(self) -> None:
-        """Full from-scratch build (also the test oracle for maintenance)."""
+        """Full from-scratch build (also the test oracle for maintenance),
+        counted from the store's post-batch lists block by block (``read_blocks``):
+        one ``bincount`` of ``v · L + label(w)`` is a block's rows of ``deg_label``,
+        one of ``label(v) · L + label(w)`` adds its directed label pairs, whose
+        upper triangle, diagonal halved (both ends count), is ``pair_counts``."""
         g = self.graph
         n = g.num_vertices
         labels = np.asarray(g.labels[:n], dtype=np.int64)
@@ -344,11 +348,17 @@ class InvariantIndex:
         self.num_labels = L
         self.label_counts = np.bincount(labels, minlength=L).astype(np.int64)
         self.deg_label = np.zeros((n, L), dtype=np.int64)
-        self.deg_total = np.zeros(n, dtype=np.int64)
-        self.pair_counts = np.zeros((L, L), dtype=np.int64)
-        edges = g.edges_new_array()
-        self._scatter(edges, 1)
-        self.num_edges = int(edges.shape[0])
+        directed = np.zeros(L * L, dtype=np.int64)
+        for vertices, block, lengths in g.read_blocks(False):
+            lo, to = vertices[0], labels[block]
+            rows = np.repeat(vertices - lo, lengths) * L + to
+            self.deg_label[lo : lo + vertices.size] = np.bincount(
+                rows, minlength=vertices.size * L).reshape(-1, L)
+            directed += np.bincount(np.repeat(labels[vertices], lengths) * L + to, minlength=L * L)
+        self.deg_total = g.degrees_new().astype(np.int64)
+        self.pair_counts = np.triu(directed.reshape(L, L))
+        self.pair_counts[np.diag_indices(L)] //= 2
+        self.num_edges = g.num_edges
         self._clear_overlay()
 
     def assert_consistent(self) -> None:

@@ -45,8 +45,9 @@ a list that never grows has no dead window.  A full pool is replaced by one
 **One read, one write.**  :meth:`DynamicGraph.read` gathers any set of
 lists in either version as one flat block (marks decoded or dropped, the two
 runs of a touched list merged by one sort of ``segment * n + value`` keys):
-the arena fill, the edge probe, DCSR packing and the exports are that read,
-and a batch is one fancy-indexed write ``pool[offset[src] + slot] = value``.
+the arena fill, the edge probe, DCSR packing and the whole-store readers (in
+bounded blocks, :meth:`DynamicGraph.read_blocks`) are that read, and a batch is
+one fancy-indexed write ``pool[offset[src] + slot] = value``.
 The slab's 4-byte entries are widened to :data:`~repro.utils.VERTEX_DTYPE`
 once, on the way out (:meth:`DynamicGraph.read`, :meth:`DynamicGraph.packed_runs`),
 so no key (``segment * n + value``, rank keys, edge keys) is ever computed in
@@ -92,6 +93,9 @@ SLAB_DTYPE = np.int32
 #: a list that outgrows its window moves to one at least this many times as
 #: large; a full pool is replaced by one this many times the tail it must hold
 _GROWTH = 2
+#: the whole-store reader's block: at most this many entries per read (a list
+#: is never split, so one longer than this is a block of its own)
+_BLOCK = 1 << 14
 
 
 def _decode(values: np.ndarray) -> np.ndarray:
@@ -349,6 +353,21 @@ class DynamicGraph:
             block[picked] = _sort_runs(block[picked], lengths[merge], self.num_vertices)
         return block, lengths
 
+    def read_blocks(self, old: bool):
+        """The whole store in one version, in ascending vertex blocks: yields
+        ``(vertices, block, lengths)``, one :meth:`read` each, so a reader of
+        every list holds at most ``_BLOCK`` entries (or one longer list) at a
+        time.  A block ends before and after each list that reaches a multiple
+        of ``_BLOCK`` in the concatenated lists, so every other block lies
+        within one such stride."""
+        ends = segment_offsets(self._deg[int(old)]) // _BLOCK
+        at = np.flatnonzero(ends[1:] > ends[:-1])
+        cuts = np.concatenate([[0], np.stack([at, at + 1], axis=1).ravel(), [ends.size - 1]])
+        for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            if hi > lo:  # cuts repeat around adjacent such lists: no empty block
+                vertices = np.arange(lo, hi)
+                yield (vertices, *self.read(vertices, old))
+
     def _keyed(self, us: np.ndarray, vs: np.ndarray):
         """``(keys, probes, lengths, which)`` for the ascending ``us``: the keys
         ``j * n + w`` of ``N'`` of the ``j``-th distinct ``u`` (they ascend), each
@@ -579,11 +598,18 @@ class DynamicGraph:
 
     def _edge_array(self, old: bool) -> np.ndarray:
         """The undirected edge list (``v < w``) of one version, source-major
-        with ascending neighbors: the order of a per-vertex adjacency scan."""
-        block, lengths = self.read(np.arange(self.num_vertices), old)
-        src = np.repeat(np.arange(self.num_vertices, dtype=VERTEX_DTYPE), lengths)
-        keep = src < block
-        return np.stack([src[keep], block[keep]], axis=1)
+        with ascending neighbors: the order of a per-vertex adjacency scan,
+        written block by block (:meth:`read_blocks`) into the ``(m, 2)``
+        output, ``m`` half the version's degree sum."""
+        out = np.empty((int(self._deg[int(old)].sum()) // 2, 2), dtype=VERTEX_DTYPE)
+        at = 0
+        for vertices, block, lengths in self.read_blocks(old):
+            src = np.repeat(vertices, lengths)
+            keep = src < block
+            end = at + int(np.count_nonzero(keep))
+            out[at:end, 0], out[at:end, 1] = src[keep], block[keep]
+            at = end
+        return out
 
     def edges_new_array(self) -> np.ndarray:
         """Undirected post-batch edge list as an ``(m, 2)`` array."""

@@ -19,7 +19,9 @@ slow, obviously-correct twins of the vectorized production kernels:
   ``neighbors_new``: every list the recursive kernels read), the scalar loops
   the vectorized DCSR pack, reorganize merge and cache-budget scan are
   checked against, the per-cell road lattice and the key-subtracting
-  ``without_edges`` the set-up builders are checked against, the
+  ``without_edges`` the set-up builders are checked against, the one-read
+  edge export and the ``np.add.at`` index build the store's block reader is
+  checked against, the
   pre-filter's per-plan decision loop (signature included) and ref-by-ref
   root-group OR the array program is checked against, and the two-run ``merge_sorted`` / ``is_sorted`` helpers only the oracles and
   tests use.
@@ -55,9 +57,12 @@ from repro.testing.kernels import (
     use_reference_kernels,
 )
 from repro.testing.oracles import (
+    IndexFields,
     ReferenceDecision,
     build_reference,
+    edge_array_reference,
     group_masks_reference,
+    invariant_index_reference,
     is_sorted,
     merge_runs_reference,
     merge_sorted,
@@ -100,6 +105,9 @@ __all__ = [
     "select_within_budget_reference",
     "road_network_reference",
     "without_edges_reference",
+    "edge_array_reference",
+    "IndexFields",
+    "invariant_index_reference",
     "ReferenceDecision",
     "prefilter_decision_reference",
     "group_masks_reference",

@@ -20,6 +20,11 @@ routine replaced, kept verbatim so tests can assert bit-identical output:
 * :func:`without_edges_reference` ↔
   :meth:`repro.graphs.static_graph.StaticGraph.without_edges`: the edge-key
   subtraction and CSR rebuild the mask over the CSR replaced
+* :func:`edge_array_reference` ↔ :meth:`DynamicGraph.edges_new_array` /
+  :meth:`~DynamicGraph.edges_old_array`: the export as one read of the
+  whole store, before it was written block by block, and
+  :func:`invariant_index_reference` ↔ :meth:`repro.core.prefilter.InvariantIndex.rebuild`:
+  that edge list ``np.add.at``-scattered into the index's counts
 * :func:`prefilter_decision_reference` ↔
   :meth:`repro.core.prefilter.InvariantIndex.evaluate`: the per-plan,
   per-label dominance loop with the one-word label signature the array
@@ -51,6 +56,7 @@ __all__ = [
     "versioned_runs", "versioned_degree",
     "build_reference", "merge_runs_reference", "merge_sorted", "is_sorted",
     "select_within_budget_reference", "road_network_reference", "without_edges_reference",
+    "edge_array_reference", "IndexFields", "invariant_index_reference",
     "ReferenceDecision", "prefilter_decision_reference", "group_masks_reference",
 ]
 
@@ -253,6 +259,56 @@ def without_edges_reference(graph: StaticGraph, edges: np.ndarray) -> StaticGrap
     keep[np.searchsorted(keys, removed[contains_sorted(keys, removed)])] = False
     keys = keys[keep]  # the whole key array dies before the build
     return StaticGraph._from_edge_keys(n, keys, graph.labels.copy())
+
+
+def edge_array_reference(graph: DynamicGraph, old: bool) -> np.ndarray:
+    """The original edge export: the whole store in one :meth:`DynamicGraph.read`,
+    each entry ``(v, w)`` with ``v < w`` kept, source-major."""
+    block, lengths = graph.read(np.arange(graph.num_vertices), old)
+    src = np.repeat(np.arange(graph.num_vertices, dtype=VERTEX_DTYPE), lengths)
+    keep = src < block
+    return np.stack([src[keep], block[keep]], axis=1)
+
+
+@dataclass
+class IndexFields:
+    """The counts :meth:`repro.core.prefilter.InvariantIndex.rebuild` sets."""
+
+    num_labels: int
+    label_counts: np.ndarray
+    deg_label: np.ndarray
+    deg_total: np.ndarray
+    pair_counts: np.ndarray
+    num_edges: int
+
+    @classmethod
+    def of(cls, index) -> "IndexFields":
+        return cls(**{name: getattr(index, name) for name in cls.__dataclass_fields__})
+
+    def differences(self, other: "IndexFields") -> list[str]:
+        """The fields whose shape or values differ from ``other``'s."""
+        return [name for name in self.__dataclass_fields__
+                if not np.array_equal(getattr(self, name), getattr(other, name))]
+
+
+def invariant_index_reference(graph: DynamicGraph) -> IndexFields:
+    """The original index build: the post-batch edge list
+    (:func:`edge_array_reference`), every edge ``np.add.at``-scattered into
+    both endpoints' label counts and degrees and into its label pair."""
+    n = graph.num_vertices
+    labels = np.asarray(graph.labels[:n], dtype=np.int64)
+    L = int(labels.max()) + 1 if n else 1
+    deg_label = np.zeros((n, L), dtype=np.int64)
+    deg_total = np.zeros(n, dtype=np.int64)
+    pair_counts = np.zeros((L, L), dtype=np.int64)
+    edges = edge_array_reference(graph, False)
+    l0, l1 = graph.labels[edges.T]
+    np.add.at(deg_label, (edges[:, 0], l1), 1)
+    np.add.at(deg_label, (edges[:, 1], l0), 1)
+    np.add.at(deg_total, edges.ravel(), 1)
+    np.add.at(pair_counts, (np.minimum(l0, l1), np.maximum(l0, l1)), 1)
+    return IndexFields(L, np.bincount(labels, minlength=L).astype(np.int64), deg_label,
+                       deg_total, pair_counts, int(edges.shape[0]))
 
 
 # ----------------------------------------------------------------------

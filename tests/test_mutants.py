@@ -10,8 +10,12 @@ the bugs of its batch path and of a window's move, that the engine's fault injec
 (``tests/test_engine.py::check_fault_settles``) and certified-skip test see
 the bugs of the one batch body, that the store's reader contract
 (``tests/test_slab.py::check_handed_out_dtypes``) sees a read left 4 bytes
-wide, and that ``without_edges``' rebuild oracle
-(``tests/test_static_graph.py::check_without``) sees the bugs of the CSR mask.
+wide, that ``without_edges``' rebuild oracle
+(``tests/test_static_graph.py::check_without``) sees the bugs of the CSR mask,
+that the index-build oracle (``tests/test_prefilter.py::check_index_builds``)
+sees a build that loses a block, and that the eviction tests of
+``tests/test_fused_frontier.py`` see a settle order that is not the trie's
+pre-order.
 Every gate runs the same fixed cases under the mutant and unmutated, so a red
 gate is the mutant's doing.
 """
@@ -21,7 +25,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.engine as engine
+import repro.core.matching as matching
+import repro.core.multiquery as multiquery
 import repro.core.prefilter as prefilter
+import tests.test_fused_frontier as fused_tests
 import tests.test_prefilter as prefilter_tests
 from repro.core.engine import GCSMEngine
 from repro.graphs.dynamic_graph import DynamicGraph
@@ -29,6 +37,7 @@ from repro.graphs.static_graph import StaticGraph
 from tests.test_dynamic_graph import SETTLE_SEEDS, check_settle, settle_case
 from tests.test_engine import FAULT_STAGES, check_fault_settles
 from tests.test_estimator_walk import mutated
+from tests.test_prefilter import check_index_builds
 from tests.test_prefilter_oracle import check_query, check_rulebook, random_case
 from tests.test_slab import check_handed_out_dtypes
 from tests.test_static_graph import check_without, without_case
@@ -78,6 +87,14 @@ def without_gate():
     rebuild oracle and returns a valid CSR."""
     for seed in SEEDS:
         check_without(*without_case(seed))
+
+
+def settle_order_gate():
+    """Under a pager that evicts, fused plans fault exactly as plan by plan
+    and a rulebook's unified counters equal their recorded literals
+    (``tests/test_fused_frontier.py``)."""
+    fused_tests.TestSettleOrderUnderEviction().test_um_counters_equal_plan_by_plan_execution()
+    fused_tests.TestTrieSettleOrder().test_unified_placement_under_eviction()
 
 
 def ignore_the_overlay(patch):
@@ -210,6 +227,22 @@ def skipped_batch_prepares(patch):
         GCSMEngine.process_batch, "if decision is None or not decision.skip_batch:", "if True:"))
 
 
+def rebuild_drops_the_last_block(patch):
+    """The index build stops one block short of the store's last list."""
+    patch.setattr(prefilter.InvariantIndex, "rebuild", mutated(
+        prefilter.InvariantIndex.rebuild, "g.read_blocks(False)",
+        "list(g.read_blocks(False))[:-1]"))
+
+
+def settle_key_by_depth(patch):
+    """``expand`` keys each access by its node's BFS number (depth, then
+    line) instead of its trie pre-order, so a depth settles before the next."""
+    bfs = mutated(matching.expand, "logs.append((level.order[line[log.row]],",
+                  "logs.append((sum(len(lv.nodes) for lv in trie.levels[:depth]) + line[log.row],")
+    for module in (matching, engine, multiquery):  # the two importers hold their own name
+        patch.setattr(module, "expand", bfs)
+
+
 #: mutant -> (the gate that kills it, what its failure says if it names it)
 MUTANTS = {
     ignore_the_overlay: (query_gate, None),
@@ -227,12 +260,14 @@ MUTANTS = {
     read_hands_out_the_slab: (check_handed_out_dtypes, "int32"),
     without_keeps_duplicate_removals: (without_gate, None),
     without_admits_vertex_n: (without_gate, None),
+    rebuild_drops_the_last_block: (check_index_builds, "index build differs"),
+    settle_key_by_depth: (settle_order_gate, None),
 }
 
 
 @pytest.mark.parametrize(
     "gate", [query_gate, rulebook_gate, settle_gate, fault_gate, skip_gate,
-             check_handed_out_dtypes, without_gate],
+             check_handed_out_dtypes, without_gate, check_index_builds, settle_order_gate],
     ids=lambda g: g.__name__,
 )
 def test_the_gates_pass_unmutated(gate):

@@ -19,6 +19,7 @@ import json
 import numpy as np
 import pytest
 
+import repro.graphs.dynamic_graph as dynamic_graph
 from repro.core.baselines import make_system
 from repro.core.engine import GCSMEngine
 from repro.core.multiquery import MultiQueryEngine
@@ -34,7 +35,9 @@ from repro.graphs.static_graph import StaticGraph
 from repro.graphs.stream import UpdateBatch, derive_stream, generate_adversarial_stream
 from repro.gpu.clock import PipelineClock, TimeBreakdown
 from repro.query import QueryGraph
-from repro.testing import use_reference_kernels
+from repro.testing import (
+    IndexFields, edge_array_reference, invariant_index_reference, use_reference_kernels,
+)
 from repro.testing.validation import (
     DEFAULT_FUZZ_SYSTEMS,
     _parse_system_spec,
@@ -143,6 +146,99 @@ class TestIndexMaintenance:
         assert req.adj_need[0] == {}
         assert req.deg_need[0] == 1
         assert req.adj_need[1] == {0: 1, 1: 1}
+
+
+# ----------------------------------------------------------------------
+# the build: counted from the store's runs in blocks, against the edge list
+# ----------------------------------------------------------------------
+def _store(n, edges, labels):
+    return DynamicGraph(StaticGraph.from_edges(n, np.array(edges).reshape(-1, 2), labels))
+
+
+def _open(store, batch):
+    store.apply_batch(batch, mode="coalesce")
+    return store
+
+
+def index_cases():
+    """``{name: store}``, each in the state whose index is built: lists that
+    cut blocks in every way the reader must get right.  The hub's run is
+    longer than two blocks of whatever size the store's reader is set to."""
+    rng = np.random.default_rng(43)
+    er = erdos_renyi(60, 5.0, num_labels=3, seed=43)
+    leaves = 2 * dynamic_graph._BLOCK + 3
+    star = [(0, v) for v in range(1, leaves + 1)] + [(v, v + 1) for v in range(1, leaves, 2)[:20]]
+    some = er.edge_array()
+    return {
+        # isolated vertices at both ends
+        "isolated": _store(70, some[some.min(axis=1) >= 3] + 2,
+                           rng.integers(0, 3, 70)),
+        "hub": _store(leaves + 1, star, rng.integers(0, 3, leaves + 1)),
+        "zero_edges": _store(9, np.empty((0, 2), np.int64), rng.integers(0, 2, 9)),
+        # vertices 60, 61 arrive with label 7, which nothing carried before
+        "new_label": _open(DynamicGraph(er), UpdateBatch(
+            [(60, 0), (61, 60), (61, 5)], [1, 1, 1], {60: 7, 61: 7})),
+        # N' is counted: the deleted edges are gone, the inserted ones in
+        "open_deletes": _open(DynamicGraph(er), UpdateBatch(
+            np.concatenate([some[::4], [(0, 59), (1, 58), (2, 57)]]),
+            [-1] * some[::4].shape[0] + [1, 1, 1])),
+    }
+
+
+def check_index_builds(blocks=(None, 1, 3, 7)):
+    """Under each block size (``None``: the module's), every case's
+    :class:`InvariantIndex` equals the edge-list build of
+    :func:`repro.testing.invariant_index_reference`, and both edge exports
+    equal the one-read export."""
+    default = dynamic_graph._BLOCK
+    try:
+        for size in blocks:
+            dynamic_graph._BLOCK = size or default
+            for name, store in index_cases().items():
+                wrong = IndexFields.of(InvariantIndex(store)).differences(
+                    invariant_index_reference(store))
+                assert not wrong, f"index build differs in {wrong} ({name}, block {size})"
+                exports = {False: store.edges_new_array}
+                if store.batch_open:
+                    exports[True] = store.edges_old_array
+                for old, export in exports.items():
+                    got, want = export(), edge_array_reference(store, old)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (name, size, old)
+    finally:
+        dynamic_graph._BLOCK = default
+
+
+class TestBuildFromRuns:
+    """The index is counted from the store's runs block by block, and the
+    edge exports are written block by block; both equal the edge-list
+    forms they replaced, whatever the block size."""
+
+    def test_index_and_exports_equal_the_edge_list_build(self):
+        check_index_builds()
+
+    def test_the_cases_cut_blocks_as_named(self):
+        """The hub's run spans several blocks, the ``isolated`` case has empty
+        lists at both ends and the open cases delete and add a label."""
+        cases = index_cases()
+        assert cases["hub"].degrees_new()[0] > 2 * dynamic_graph._BLOCK
+        degrees = cases["isolated"].degrees_new()
+        assert degrees[0] == degrees[-1] == 0 and (degrees > 0).any()
+        assert cases["zero_edges"].num_edges == 0
+        assert cases["new_label"].labels.max() == 7 and cases["new_label"].batch_open
+        store = cases["open_deletes"]
+        assert store.batch_open and (store.degrees_old() > store.degrees_new()).any()
+
+    def test_each_list_read_once_in_ascending_blocks(self, monkeypatch):
+        monkeypatch.setattr(dynamic_graph, "_BLOCK", 3)
+        store = index_cases()["hub"]
+        sizes, seen = [], []
+        for vertices, block, lengths in store.read_blocks(False):
+            assert block.size == lengths.sum()
+            assert block.size <= 3 or vertices.size == 1  # only a long list stands alone
+            sizes.append(block.size)
+            seen.append(vertices)
+        assert np.array_equal(np.concatenate(seen), np.arange(store.num_vertices))
+        assert max(sizes) == store.degrees_new()[0]
 
 
 class TestNegativeLabelsRefused:

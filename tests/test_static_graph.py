@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.prefilter import InvariantIndex
 from repro.graphs import DynamicGraph, StaticGraph
 from repro.graphs.generators import erdos_renyi, powerlaw_graph, road_network
 from repro.testing import without_edges_reference
@@ -379,3 +380,20 @@ class TestSetUpMemory:
         scratch = 2 * graph.num_edges * 8  # one 2m int64 buffer
         assert peak <= store._pool.nbytes + store._tables.nbytes + scratch
         assert store.snapshot() == graph
+
+    def test_the_index_is_counted_without_an_edge_list(self, graph):
+        """The pre-filter index is counted from the store's runs in bounded
+        blocks: 17.7x its output while it scattered the whole edge list."""
+        store = DynamicGraph(graph)
+        index, peak = self.peak(lambda: InvariantIndex(store))
+        out = sum(getattr(index, name).nbytes
+                  for name in ("label_counts", "deg_label", "deg_total", "pair_counts"))
+        assert peak <= 3 * out, round(peak / out, 2)
+
+    def test_the_edge_export_is_written_in_blocks(self, graph):
+        """``edges_new_array`` fills its ``(m, 2)`` output block by block:
+        4.2x its output as one read of the whole store."""
+        store = DynamicGraph(graph)
+        edges, peak = self.peak(store.edges_new_array)
+        assert peak <= 2 * edges.nbytes, round(peak / edges.nbytes, 2)
+        assert np.array_equal(edges, graph.edge_array())
