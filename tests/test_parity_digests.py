@@ -24,6 +24,14 @@ under ``benchmarks/results/``.
 
 Every baseline placement — ZC, UM, CPU, Naive, VSGM and RapidFlow — is pinned
 the same way on the CA smoke inputs, VSGM on FR too.
+
+A predicated query is pinned on the FR smoke inputs: Q1 with ``w <= 0.9`` on
+every edge, built as the matrix's ``predicate`` factor builds it, under the
+cached system, its pipelined schedule, a two-device fleet, RapidFlow
+(candidate filters and predicates in one launch) and a two-member rulebook
+with one predicated member.  These digests were recorded while the engines
+still carried an explicit-weight overlay next to the hash weights; an empty
+overlay read the hash, so they pin that the hash alone gives the same runs.
 """
 
 import dataclasses
@@ -35,9 +43,11 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import run_service
+from repro.bench.matrix import parse_predicate
+from repro.core import rapidflow
 from repro.core.baselines import make_system
 from repro.core.engine import GCSMEngine
-from repro.core.multiquery import MultiQueryEngine
+from repro.core.multiquery import MultiQueryEngine, Rulebook
 from repro.graphs.datasets import DATASETS
 from repro.graphs.stream import churn_stream, derive_stream
 from repro.query.catalog import query_by_name
@@ -106,6 +116,34 @@ PLACEMENT_DIGESTS = {
     ("ca", "VSGM"): "966090e0f240fd17e35e4545b70559c0913da4926a7746a860760f2a88d43c35",
     ("ca", "RapidFlow"): "b2d45c0224c5a81c5761a8ca45dba7c565e0158f31d89b20b59a1d0fb71565bf",
     ("fr", "VSGM"): "5d9920629b16936a1e14e742cb3314306734a8eb2fa311cf28f2840dcc97f928",
+}
+
+#: the weight predicate on every edge of Q1: at the matrix smoke's
+#: ``w<=0.6`` (0.6 ** 6 of Q1's embeddings survive) ΔM is 0 on all ten FR
+#: smoke batches, at ``w<=0.9`` it is non-zero on five and differs from
+#: the unpredicated run's
+PREDICATE = "w<=0.9"
+#: Q1~w on the ``fr`` smoke inputs: ``make_system(system, g0, query, seed=0,
+#: **settings)``; the rulebook row is ``Rulebook([Q1~w, Q3])`` under GCSM,
+#: RapidFlow runs with a 16 MiB index budget (FR's index is ~9.8 MB)
+PREDICATED_RUNS = {
+    "GCSM": ("GCSM", {}),
+    "Pipelined": ("Pipelined", {}),
+    "GCSM@2": ("GCSM", {"devices": 2}),
+    "RapidFlow": ("RapidFlow", {}),
+    "rulebook": ("GCSM", {}),
+}
+PREDICATED_DIGESTS = {
+    "GCSM":
+        "185bcc2932309060cb07b949b848bb6afe54d7f454cf75b4db1acb805c45f2f2",
+    "Pipelined":
+        "baeadf44848f705a601420256292f594fbdd7c1ee0f212e92a89711ad650d4c0",
+    "GCSM@2":
+        "0ec7bd55489dffc35e4661336a7ce333fbb2d7c13bcefd20724f63537872a87b",
+    "RapidFlow":
+        "b8fa3b1b1f035528a6a0dc85438947af27f032b789bc0543768263327c4404ef",
+    "rulebook":
+        "ca940378682545fd53cbbcc92da839da12480a1ffa3e7ee575214a3d44c250ac",
 }
 
 #: ``run_service`` arguments: the throughput benchmark's overload run, and a
@@ -202,6 +240,39 @@ def placement_digest(name, system) -> str:
 @pytest.mark.parametrize("name, system", list(PLACEMENT_DIGESTS))
 def test_placement_digest_unchanged(name, system):
     assert placement_digest(name, system) == PLACEMENT_DIGESTS[name, system]
+
+
+def predicated_q1():
+    q = query_by_name("Q1")
+    bounds = parse_predicate(PREDICATE)
+    return q.with_edge_predicates({e: bounds for e in q.edges}, name=f"{q.name}~w")
+
+
+def predicated_digest(run) -> tuple[str, list[int]]:
+    """The run's digest and the predicated query's ΔM per batch."""
+    g0, batches = smoke_inputs("fr")
+    system, settings = PREDICATED_RUNS[run]
+    pred = predicated_q1()
+    query = Rulebook([pred, query_by_name("Q3")]) if run == "rulebook" else pred
+    engine = make_system(system, g0, query, seed=0, **settings)
+    h = hashlib.sha256()
+    deltas = []
+    for batch in batches:
+        result = engine.process_batch(batch)
+        deltas.append(result.delta_counts[pred.name] if run == "rulebook"
+                      else result.delta_count)
+        h.update(json.dumps(batch_record(result)).encode())
+    if engine.config.schedule == "pipelined":
+        h.update(json.dumps(canonical(engine.schedule_report())).encode())
+    return h.hexdigest(), deltas
+
+
+@pytest.mark.parametrize("run", list(PREDICATED_RUNS))
+def test_predicated_digest_unchanged(run, monkeypatch):
+    monkeypatch.setattr(rapidflow, "DEFAULT_MEMORY_BUDGET_BYTES", 1 << 24)
+    digest, deltas = predicated_digest(run)
+    assert any(deltas), "the predicated run must match something"
+    assert digest == PREDICATED_DIGESTS[run]
 
 
 @pytest.mark.parametrize("run", list(SERVICE_RUNS))
