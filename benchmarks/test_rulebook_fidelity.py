@@ -65,9 +65,7 @@ def engine_for(statistic: str, inputs, queries, seed: int, num_walks=None):
     engine = MultiQueryEngine(inputs.graph, queries, seed=seed, num_walks=num_walks)
     if statistic == "full fan-out":
         e = engine.estimator
-        engine.estimator = FullFanOut(
-            e.graph, e.device, seed=e.rng, survival=e.survival, attributes=e.attributes
-        )
+        engine.estimator = FullFanOut(e.graph, e.device, seed=e.rng, survival=e.survival)
     return engine
 
 

@@ -71,7 +71,6 @@ from repro.core.prefilter import (
     normalize_prefilter,
 )
 from repro.core.querytrie import solo_trie
-from repro.graphs.attributes import EdgeAttributeStore
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.static_graph import StaticGraph
 from repro.graphs.stream import DEFAULT_CONFLICT_MODE, CanonicalReport, UpdateBatch
@@ -479,7 +478,7 @@ class QuerySet:
         sunk = frozenset([None] if (sinks or {}).get(self.query.name) else [])
         return expand(self.trie, batch, engine.graph, sinks=sunk,
                       prefilter=None if decision is None else decision.masks,
-                      filters=engine.placement.filters, attributes=engine.attributes)
+                      filters=engine.placement.filters)
 
     def estimate(self, engine: "GCSMEngine", batch: UpdateBatch, decision,
                  expansion: Expansion | None = None) -> EstimationResult:
@@ -509,7 +508,7 @@ class QuerySet:
             return settle(expansion, view, sinks={None: sink}, root_mask=root_mask)[0][None]
         return engine.match(
             self.plans, batch, view, sink=sink, prefilter=decision,
-            attributes=engine.attributes, filters=filters, root_mask=root_mask,
+            filters=filters, root_mask=root_mask,
         )
 
     def settle(self, stats: MatchStats | None, decision) -> MatchStats:
@@ -571,13 +570,9 @@ class GCSMEngine:
             else self.device.cache_buffer_bytes
         )
         self.graph = DynamicGraph(initial_graph)
-        #: explicit-weight overlay for predicate pushdown; None when the
-        #: query carries no predicates (the common, weightless case)
-        self.attributes = EdgeAttributeStore() if query.has_predicates() else None
         self.estimator = FrontierFrequencyEstimator(
             self.graph, self.device,
-            seed=spawn_generator(as_generator(config.seed)),
-            survival=config.survival, attributes=self.attributes,
+            seed=spawn_generator(as_generator(config.seed)), survival=config.survival,
         )
         self.match = match_batch
         self.policy: CachePolicy = make_policy(config.policy)
@@ -605,13 +600,6 @@ class GCSMEngine:
     # ------------------------------------------------------------------
     # the batch
     # ------------------------------------------------------------------
-    def _on_applied(self, batch: UpdateBatch, counters: AccessCounters) -> None:
-        if self.attributes is not None:
-            # track override lifecycle against the effective batch (delete
-            # removal is deferred to close_batch so OLD reads stay correct)
-            self.attributes.apply_batch(batch)
-        self.placement.maintain(batch, counters)
-
     def _prefilter(self, batch: UpdateBatch, breakdown: TimeBreakdown):
         """CPU stage 1b: maintain the aggregate-invariant index and certify
         skips for this (effective) batch.  The decision's per-plan root
@@ -632,8 +620,6 @@ class GCSMEngine:
         if self.prefilter_index is not None:
             # the batch is settled: OLD adjacency is gone, drop the overlay
             self.prefilter_index.close_batch()
-        if self.attributes is not None:
-            self.attributes.close_batch()
         return ns
 
     def process_batch(
@@ -650,7 +636,8 @@ class GCSMEngine:
         batch finds it usable: the store is reorganized if still open, the
         prefilter index rebuilt from the settled store (the stage may have
         failed before or after the index's ``apply_batch``, or after the
-        store settled) and the attribute overlay closed.
+        store settled).  Nothing else holds batch state: a predicate reads
+        each edge's weight as its hash.
 
         ``sinks`` optionally maps query names to ``(embedding, sign)``
         callbacks (a single query's sink is ``sinks[query.name]``)."""
@@ -661,7 +648,7 @@ class GCSMEngine:
             # every later step runs on the canonicalized *effective* batch
             batch, breakdown.update_ns = update_step(
                 self.graph, batch, self.device, self.config.conflict_mode,
-                self._on_applied,
+                self.placement.maintain,
             )
             decision = self._prefilter(batch, breakdown)
             if decision is None or not decision.skip_batch:
@@ -675,8 +662,6 @@ class GCSMEngine:
                 self.graph.reorganize()
             if self.prefilter_index is not None:
                 self.prefilter_index.rebuild()
-            if self.attributes is not None:
-                self.attributes.close_batch()
             raise
         if self.clock is not None:
             self.clock.annotate(breakdown)
@@ -724,9 +709,7 @@ class GCSMEngine:
         require(isinstance(self.query, QueryGraph), "initial_match takes one query")
         counters = AccessCounters()
         view = ZeroCopyView(self.graph, self.device, counters)
-        stats = match_static(
-            compile_static_plan(self.query), view, attributes=self.attributes
-        )
+        stats = match_static(compile_static_plan(self.query), view)
         return stats.signed_count, simulated_time_ns(counters, self.device, platform="gpu")
 
     def snapshot(self) -> StaticGraph:

@@ -178,7 +178,6 @@ class FrequencyEstimator:
         *,
         seed: int | np.random.Generator | None = 0,
         survival: float | None = None,
-        attributes=None,
     ) -> None:
         """``survival`` selects the walk-continuation schedule.
 
@@ -195,8 +194,8 @@ class FrequencyEstimator:
         probability to be known, and the inverse-probability weight is
         tracked exactly); only the variance/cost trade-off changes.
 
-        ``attributes`` is the engine's edge-weight overlay (``None``: the
-        hash weights): the walks prune by weight predicates as the kernel does.
+        The walks prune by weight predicates as the kernel does, on each
+        edge's hash weight.
         """
         if type(self) is FrequencyEstimator:
             raise NotImplementedError("the samplers' base has no _descend")
@@ -204,7 +203,6 @@ class FrequencyEstimator:
         self.device = device
         self.rng = as_generator(seed)
         self.survival = survival
-        self.attributes = attributes
 
     # ------------------------------------------------------------------
     def estimate(
@@ -229,7 +227,7 @@ class FrequencyEstimator:
                 len(batch), max_degree, plans[0].query.num_vertices
             )
         if expansion is None:
-            expansion = expand(solo_trie(plans), batch, self.graph, attributes=self.attributes)
+            expansion = expand(solo_trie(plans), batch, self.graph)
         per_plan = max(1, num_walks // max(1, len(plans)))
         estimate, nodes, counters = self.walk(expansion, np.full(len(plans), per_plan), max_degree)
         return EstimationResult(
@@ -307,7 +305,7 @@ class FrequencyEstimator:
         query = plans[0].query
         max_degree = max(1, self.graph.max_degree())
         if expansion is None:
-            expansion = expand(solo_trie(plans), batch, self.graph, attributes=self.attributes)
+            expansion = expand(solo_trie(plans), batch, self.graph)
         result = self.estimate(
             plans, batch, num_walks=initial_walks, max_degree=max_degree,
             expansion=expansion,

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.graphs.attributes import pair_weights
+from repro.graphs.attributes import edge_weights
 from repro.graphs.dynamic_graph import keyed_contains
 from repro.query.pattern import WILDCARD_LABEL
 from repro.query.plan import EdgeVersion, LevelPlan
@@ -203,7 +203,7 @@ def join_rows(
 
 def expand_rows(
     graph, table: LevelTable, rows: np.ndarray, line: np.ndarray,
-    filters: dict[int, np.ndarray] | None = None, attributes=None,
+    filters: dict[int, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, AccessLog, np.ndarray]:
     """The level program: the candidates of every row for its node's level.
 
@@ -222,9 +222,9 @@ def expand_rows(
     its line alone, so a reader of some of the rows (the walk, or a shard
     settling the rows of its roots) finds exactly what a launch over them
     returns.
-    ``filters`` restricts query vertices to sorted candidate arrays;
-    ``attributes`` is an edge-weight provider for predicate pushdown
-    (``None`` falls back to the deterministic hash weights).
+    ``filters`` restricts query vertices to sorted candidate arrays; a
+    predicate reads an edge's weight as its hash,
+    :func:`~repro.graphs.attributes.edge_weights`.
     """
     n = rows.shape[0]
     # a candidate filter's probe charge counts pre-label candidates
@@ -249,7 +249,7 @@ def expand_rows(
         alive = np.flatnonzero(keep & (qline == p))
         work = work + np.bincount(qrow[alive], minlength=n)
         anchors = rows[qrow[alive], position]
-        w = pair_weights(attributes, anchors, cand_flat[alive])
+        w = edge_weights(anchors, cand_flat[alive])
         keep[alive[~((w >= lo) & (w <= hi))]] = False
     # injectivity: a candidate must differ from every bound vertex of
     # its own row (sequential removal in the recursive executor — the

@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.core.frontier import AccessLog, expand_rows
 from repro.core.querytrie import ExecutionTrie, solo_trie
-from repro.graphs.attributes import pair_weights
+from repro.graphs.attributes import edge_weights
 from repro.graphs.stream import UpdateBatch, label_pair_mask
 from repro.gpu.counters import AccessCounters, Accesses
 from repro.gpu.views import GraphView
@@ -132,7 +132,6 @@ def filter_root_predicate(
     plan: MatchPlan,
     roots: np.ndarray,
     signs: np.ndarray,
-    attributes=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drop roots whose data-edge weight violates the plan's root predicate.
 
@@ -143,7 +142,7 @@ def filter_root_predicate(
     """
     if plan.root_predicate is None or roots.shape[0] == 0:
         return roots, signs
-    w = pair_weights(attributes, roots[:, 0], roots[:, 1])
+    w = edge_weights(roots[:, 0], roots[:, 1])
     lo, hi = plan.root_predicate
     keep = (w >= lo) & (w <= hi)
     return roots[keep], signs[keep]
@@ -159,7 +158,6 @@ def route_roots(
     keep: np.ndarray | None = None,
     *,
     filters: dict[int, np.ndarray] | None = None,
-    attributes=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A plan's label-filtered directed roots through candidate filters, the
     certified-skip mask and the root predicate: ``(roots, signs, dropped)``.
@@ -181,7 +179,7 @@ def route_roots(
     if keep is not None:
         dropped = roots[~keep]
         roots, signs = roots[keep], signs[keep]
-    return (*filter_root_predicate(plan, roots, signs, attributes), dropped)
+    return (*filter_root_predicate(plan, roots, signs), dropped)
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +283,6 @@ def expand(
     skip: frozenset = frozenset(),
     prefilter: list[np.ndarray] | None = None,
     filters: dict[int, np.ndarray] | None = None,
-    attributes=None,
 ) -> Expansion:
     """Advance a trie of plans level-synchronously over ``graph``, charging
     nothing: roots, launches, the ``sinks`` queries' rows, logs.
@@ -310,8 +307,7 @@ def expand(
     queries, member, records = trie.incidence(skip, sinks)
     # a group whose every member is certified ΔM = 0 is not live: no roots either
     roots, signs, total, dropped, skipped = trie_roots(
-        trie, batch, graph, records[0].live, prefilter=prefilter,
-        filters=filters, attributes=attributes,
+        trie, batch, graph, records[0].live, prefilter=prefilter, filters=filters,
     )
     # the root edge as a launch that already ran: one candidate per row
     rows, cand_flat, cand_cnt = roots[:, :1], roots[:, 1], np.ones(roots.shape[0], np.int64)
@@ -328,7 +324,7 @@ def expand(
             if rows.shape[0] == 0:
                 break
             cand_flat, cand_row, cand_cnt, log, compute = expand_rows(
-                graph, level.table, rows, line, filters, attributes
+                graph, level.table, rows, line, filters
             )
             launches.append(Launch(src, line, cand_flat, cand_cnt, log, compute))
             logs.append((level.order[line[log.row]], log.vertex, log.length))
@@ -478,13 +474,12 @@ def match_trie(
     prefilter: list[np.ndarray] | None = None,
     filters: dict[int, np.ndarray] | None = None,
     root_mask: Callable[[np.ndarray], np.ndarray] | None = None,
-    attributes=None,
 ) -> dict[str | None, MatchStats]:
     """Advance a trie of plans level-synchronously over ``view``'s graph and
     price it through ``view``: :func:`settle` ∘ :func:`expand`, its stats
     (``root_mask``: :func:`settle`'s restriction)."""
     expansion = expand(trie, batch, view.graph, sinks=frozenset(sinks or ()), skip=skip,
-                       prefilter=prefilter, filters=filters, attributes=attributes)
+                       prefilter=prefilter, filters=filters)
     return settle(expansion, view, sinks=sinks, root_mask=root_mask)[0]
 
 
@@ -500,7 +495,6 @@ def match_batch(
     filters: dict[int, np.ndarray] | None = None,
     root_mask: Callable[[np.ndarray], np.ndarray] | None = None,
     prefilter=None,
-    attributes=None,
 ) -> MatchStats:
     """Run all ΔM_i plans against a signed batch (paper Fig. 2b-f).
 
@@ -521,16 +515,14 @@ def match_batch(
     filters — so the skip accounting composes with them and with the
     restriction, and exactness is certified (only provably-ΔM=0 roots are
     dropped).
-    ``attributes`` optionally supplies an edge-weight provider
-    (:class:`~repro.graphs.attributes.EdgeAttributeStore`) for plans whose
-    query carries weight predicates; without one the deterministic hash
-    weights are used.
+    A query's weight predicates read each edge's hash weight
+    (:func:`~repro.graphs.attributes.edge_weights`).
     """
     return match_trie(
         solo_trie(plans), batch, view,
         sinks=None if sink is None else {None: sink},
         prefilter=None if prefilter is None else prefilter.masks,
-        filters=filters, root_mask=root_mask, attributes=attributes,
+        filters=filters, root_mask=root_mask,
     )[None]
 
 
@@ -539,7 +531,6 @@ def match_static(
     view: GraphView,
     *,
     sink: EmbeddingSink | None = None,
-    attributes=None,
 ) -> MatchStats:
     """Match the query on the current snapshot (paper Fig. 2a): the
     one-chain trie, rooted at every edge.
@@ -551,5 +542,5 @@ def match_static(
     """
     return match_trie(
         solo_trie((plan,)), None, view,
-        sinks=None if sink is None else {None: sink}, attributes=attributes,
+        sinks=None if sink is None else {None: sink},
     )[None]

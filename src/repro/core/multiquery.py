@@ -261,9 +261,6 @@ class Rulebook(QuerySet):
                 "a rulebook pools one fixed walk budget; adaptive_walks "
                 "re-samples a single query")
 
-    def has_predicates(self) -> bool:
-        return any(q.has_predicates() for q in self.queries)
-
     def diameter(self) -> int:
         """The largest member's (the ``khop`` placement's radius)."""
         return max(q.diameter() for q in self.queries)
@@ -332,7 +329,7 @@ class Rulebook(QuerySet):
         return expand(
             self.trie, batch, engine.graph,
             sinks=frozenset(self.canonical_of[name] for name in sinks or ()),
-            attributes=engine.attributes, **self._routing(decision),
+            **self._routing(decision),
         )
 
     def estimate(
@@ -346,8 +343,7 @@ class Rulebook(QuerySet):
         between the two execution modes."""
         routing = self._routing(decision)
         if expansion is None:
-            expansion = expand(self.trie, batch, engine.graph, attributes=engine.attributes,
-                               **routing)
+            expansion = expand(self.trie, batch, engine.graph, **routing)
         active = [q for q in self.queries if q.name not in routing["skip"]]
         max_degree = max(1, engine.graph.max_degree())
         largest = max(q.num_vertices for q in active)
@@ -396,7 +392,6 @@ class Rulebook(QuerySet):
                     self.plans[query.name], batch, view,
                     sink=sinks.get(query.name), root_mask=root_mask,
                     prefilter=decision.by_query[query.name] if decision else None,
-                    attributes=engine.attributes,
                 )
                 out.add(query.name, stats)
                 out.counters_by_query[query.name] = view.counters

@@ -178,10 +178,6 @@ class BatchSchedule:
     #: schedule tail past this batch's reorganize if the stream stopped here
     drain_ns: float
 
-    @property
-    def finish_ns(self) -> float:
-        return max(self.end_ns.values())
-
 
 class PipelineClock:
     """Incremental scheduler for the staged per-batch pipeline.

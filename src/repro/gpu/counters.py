@@ -217,9 +217,6 @@ class AccessCounters:
         self._totals[_C + channel.slot] += transactions
         self._pend([(np.array([vertex]), np.array([nbytes]))], 1, int(vertex))
 
-    def record_um_fault(self, pages: int) -> None:
-        self._totals[_FAULTS] += pages
-
     def record_dma(self, nbytes: int, requests: int = 1) -> None:
         self._totals[_TALLY] += nbytes
         self._totals[_TALLY + 1] += requests
@@ -250,16 +247,6 @@ class AccessCounters:
         return fresh
 
     # ------------------------------------------------------------------
-    def cpu_access_bytes(self, um_page_bytes: int = 4096) -> int:
-        """Bytes read from CPU memory by the GPU — the quantity labeled on
-        the bars of paper Fig. 8-10 ("data access sizes from CPU").  For the
-        zero-copy-based systems this is the PCIe line traffic; UM faults are
-        charged at page granularity."""
-        return (
-            self.bytes_by_channel[Channel.ZERO_COPY]
-            + self.um_faults * um_page_bytes
-        )
-
     @property
     def total_access_count(self) -> int:
         """Accesses recorded (the histogram is not built to count them)."""

@@ -14,7 +14,7 @@ import numpy as np
 from repro.query.pattern import WILDCARD_LABEL, QueryGraph
 from repro.utils import as_generator, require
 
-__all__ = ["random_query", "random_query_suite", "rulebook_suite"]
+__all__ = ["random_query", "rulebook_suite"]
 
 
 def random_query(
@@ -71,33 +71,6 @@ def random_query(
         labels,
         name or f"rand{num_vertices}v{num_edges}e",
     )
-
-
-def random_query_suite(
-    count: int,
-    *,
-    min_vertices: int = 3,
-    max_vertices: int = 6,
-    num_labels: int | None = 3,
-    seed: int | np.random.Generator | None = 0,
-) -> list[QueryGraph]:
-    """A batch of random patterns spanning a size range (for stress tests)."""
-    rng = as_generator(seed)
-    require(count >= 1, "count must be >= 1")
-    require(2 <= min_vertices <= max_vertices, "bad size range")
-    suite = []
-    for i in range(count):
-        n = int(rng.integers(min_vertices, max_vertices + 1))
-        suite.append(
-            random_query(
-                n,
-                num_labels=num_labels,
-                density=float(rng.uniform(0.0, 0.6)),
-                seed=rng,
-                name=f"rand{i}_{n}v",
-            )
-        )
-    return suite
 
 
 def rulebook_suite(

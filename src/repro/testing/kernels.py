@@ -41,7 +41,7 @@ from repro.core.matching import (
 )
 from repro.core.multiquery import split_walk_budget
 from repro.core.querytrie import ExecutionTrie
-from repro.graphs.attributes import pair_weights
+from repro.graphs.attributes import edge_weights
 from repro.graphs.stream import UpdateBatch
 from repro.gpu.counters import AccessCounters, Channel
 from repro.gpu.device import BYTES_PER_NEIGHBOR
@@ -197,7 +197,6 @@ class RecursivePlanExecutor:
         labels: np.ndarray,
         sink: EmbeddingSink | None,
         filters: dict[int, np.ndarray] | None = None,
-        attributes=None,
     ) -> None:
         self.plan = plan
         self.view = view
@@ -206,9 +205,6 @@ class RecursivePlanExecutor:
         #: optional per-query-vertex candidate sets (sorted arrays); used by
         #: the RapidFlow baseline's candidate-index pruning
         self.filters = filters or {}
-        #: optional edge-weight provider for predicate pushdown (an
-        #: ``EdgeAttributeStore``); None falls back to the hash default
-        self.attributes = attributes
         #: per-level predicated constraints, in plan constraint order
         self._preds = [
             tuple(c for c in lvl.constraints if c.predicate is not None)
@@ -281,7 +277,7 @@ class RecursivePlanExecutor:
             if cand.size == 0:
                 break
             counters.record_compute(cand.size)
-            w = pair_weights(self.attributes, int(self._bound[c.position]), cand)
+            w = edge_weights(int(self._bound[c.position]), cand)
             lo, hi = c.predicate
             cand = cand[(w >= lo) & (w <= hi)]
         for i in range(bound_count):  # injectivity
@@ -327,8 +323,8 @@ class RecursivePlanExecutor:
                     self.sink(emb, sign)
 
 
-def _run_recursive(plan, view, labels, sink, filters, roots, signs, attributes):
-    ex = RecursivePlanExecutor(plan, view, labels, sink, filters, attributes)
+def _run_recursive(plan, view, labels, sink, filters, roots, signs):
+    ex = RecursivePlanExecutor(plan, view, labels, sink, filters)
     for (x_a, x_b), sign in zip(roots.tolist(), signs.tolist()):
         ex.run_root(int(x_a), int(x_b), int(sign))
     return ex.stats
@@ -343,7 +339,6 @@ def match_batch_recursive(
     filters: dict[int, np.ndarray] | None = None,
     root_mask=None,
     prefilter=None,
-    attributes=None,
 ) -> MatchStats:
     """:func:`repro.core.matching.match_batch` on the recursive executor: the
     driver's root pipeline plan by plan, certified by the decision's
@@ -354,16 +349,12 @@ def match_batch_recursive(
     for index, plan in enumerate(plans):
         raw = delta_roots(plan, batch, labels)
         keep = None if prefilter is None else prefilter.masks[index]
-        roots, signs, dropped = route_roots(
-            plan, *raw, keep, filters=filters, attributes=attributes,
-        )
+        roots, signs, dropped = route_roots(plan, *raw, keep, filters=filters)
         if root_mask is not None:
             mine = root_mask(roots)
             roots, signs, dropped = roots[mine], signs[mine], dropped[root_mask(dropped)]
         total.roots_skipped += dropped.shape[0]
-        total.merge(
-            _run_recursive(plan, view, labels, sink, filters, roots, signs, attributes)
-        )
+        total.merge(_run_recursive(plan, view, labels, sink, filters, roots, signs))
     return total
 
 
@@ -372,13 +363,12 @@ def match_static_recursive(
     view: GraphView,
     *,
     sink: EmbeddingSink | None = None,
-    attributes=None,
 ) -> MatchStats:
     """:func:`repro.core.matching.match_static` on the recursive executor."""
     labels = view.graph.labels
     roots, signs = static_roots(plan, view.graph.edges_new_array(), labels)
-    roots, signs = filter_root_predicate(plan, roots, signs, attributes)
-    return _run_recursive(plan, view, labels, sink, None, roots, signs, attributes)
+    roots, signs = filter_root_predicate(plan, roots, signs)
+    return _run_recursive(plan, view, labels, sink, None, roots, signs)
 
 
 class RecursiveFrequencyEstimator(FrequencyEstimator):
@@ -483,7 +473,7 @@ class RecursiveFrequencyEstimator(FrequencyEstimator):
             if c.predicate is None or cand.size == 0:
                 continue
             counters.record_compute(cand.size)
-            w = pair_weights(self.attributes, int(bound[c.position]), cand)
+            w = edge_weights(int(bound[c.position]), cand)
             lo, hi = c.predicate
             cand = cand[(w >= lo) & (w <= hi)]
         for i in range(depth + 2):
@@ -521,9 +511,8 @@ class _Launcher(NamedTuple):
     table: object
 
     def read(self, rows: np.ndarray, line: np.ndarray) -> tuple:
-        est = self.estimator
         cand_flat, parent, cand_cnt, log, compute = expand_rows(
-            est.graph, self.table, rows, line, attributes=est.attributes
+            self.estimator.graph, self.table, rows, line
         )
         grown = np.concatenate([rows[parent], cand_flat[:, None]], axis=1)
         return cand_flat, parent, cand_cnt, log, compute, grown
@@ -566,7 +555,7 @@ def chain_estimate(rulebook, engine, batch, decision=None, expansion=None) -> Es
     shares = split_walk_budget(total, len(rulebook.queries))
     plans = [len(rulebook.plans[q.name]) for q in rulebook.queries]
     budget = np.repeat([max(1, s // n) for s, n in zip(shares, plans)], plans)
-    expansion = expand(chains, batch, engine.graph, attributes=engine.attributes)
+    expansion = expand(chains, batch, engine.graph)
     estimate, nodes, counters = engine.estimator.walk(expansion, budget, max_degree)
     return EstimationResult(
         *estimate, engine.graph.num_vertices, sum(shares), nodes, counters
@@ -586,7 +575,6 @@ def use_reference_kernels(engine, *, matcher: bool = True, estimator: bool = Tru
     if estimator:
         current = engine.estimator
         engine.estimator = RecursiveFrequencyEstimator(
-            current.graph, current.device, seed=current.rng,
-            survival=current.survival, attributes=current.attributes,
+            current.graph, current.device, seed=current.rng, survival=current.survival,
         )
     return engine

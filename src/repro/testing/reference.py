@@ -29,7 +29,7 @@ def _label_ok(query: QueryGraph, u: int, data_label: int) -> bool:
 
 
 def _predicate_ok(
-    query: QueryGraph, assignment: dict[int, int], u: int, v: int, attributes
+    query: QueryGraph, assignment: dict[int, int], u: int, v: int
 ) -> bool:
     """Check every predicated query edge (u, w) with w already assigned.
 
@@ -40,8 +40,7 @@ def _predicate_ok(
         if w in assignment:
             bounds = query.edge_predicate(u, w)
             if bounds is not None:
-                wt = (attributes.weight(assignment[w], v) if attributes is not None
-                      else edge_weight(assignment[w], v))
+                wt = edge_weight(assignment[w], v)
                 if not (bounds[0] <= wt <= bounds[1]):
                     return False
     return True
@@ -65,13 +64,10 @@ def _order_by_connectivity(query: QueryGraph) -> list[int]:
 
 def find_embeddings(
     graph: StaticGraph, query: QueryGraph, *, limit: int | None = None,
-    attributes=None,
 ) -> list[tuple[int, ...]]:
     """Enumerate embeddings as tuples indexed by query vertex.
 
     ``limit`` caps the number returned (handy for existence checks).
-    ``attributes`` optionally overrides the hash edge weights used for the
-    query's weight predicates.
     """
     check_preds = query.has_predicates()
     order = _order_by_connectivity(query)
@@ -99,7 +95,7 @@ def find_embeddings(
                 continue
             if not _label_ok(query, u, graph.label(v)):
                 continue
-            if check_preds and not _predicate_ok(query, assignment, u, v, attributes):
+            if check_preds and not _predicate_ok(query, assignment, u, v):
                 continue
             assignment[u] = v
             used.add(v)
@@ -113,7 +109,7 @@ def find_embeddings(
     return out
 
 
-def count_embeddings(graph: StaticGraph, query: QueryGraph, *, attributes=None) -> int:
+def count_embeddings(graph: StaticGraph, query: QueryGraph) -> int:
     """Number of embeddings of ``query`` in ``graph``."""
     check_preds = query.has_predicates()
     order = _order_by_connectivity(query)
@@ -139,7 +135,7 @@ def count_embeddings(graph: StaticGraph, query: QueryGraph, *, attributes=None) 
                 continue
             if not _label_ok(query, u, graph.label(v)):
                 continue
-            if check_preds and not _predicate_ok(query, assignment, u, v, attributes):
+            if check_preds and not _predicate_ok(query, assignment, u, v):
                 continue
             assignment[u] = v
             used.add(v)

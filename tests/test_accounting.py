@@ -291,7 +291,7 @@ class TestAccessorsArePythonNumbers:
             assert mapping[Channel.PEER] == dict(mapping)[Channel.PEER]
         scalars = (
             c.compute_ops, c.um_faults, c.um_hits, c.dma_bytes, c.dma_requests,
-            c.output_embeddings, c.total_access_count, c.cpu_access_bytes(),
+            c.output_embeddings, c.total_access_count,
         )
         assert all(type(v) is int for v in scalars)
         assert c.bytes_by_channel[Channel.PEER] > 0 and c.compute_ops > 0

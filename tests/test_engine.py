@@ -256,7 +256,7 @@ def check_fault_settles(stage: str, config: str, prefilter: str) -> None:
 
 class TestSettleOnFailure:
     """Any exception raised after the update was applied leaves the store
-    reorganized and the overlays closed: the engine stays usable."""
+    reorganized and the pre-filter index rebuilt: the engine stays usable."""
 
     @staticmethod
     def _az_insert_stream():

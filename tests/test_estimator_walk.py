@@ -534,15 +534,6 @@ class TestWalksHonourPredicates:
         assert frontier_run == run_estimates("recursive", g0, batches, plans, **kwargs)
         assert any(p["nodes"] for p in frontier_run)
 
-    def test_engine_hands_its_weight_overlay_to_both_samplers(self):
-        g0 = erdos_renyi(30, 4.0, num_labels=1, seed=0)
-        engine = GCSMEngine(g0, PREDICATED["triangle"])
-        assert engine.attributes is not None
-        assert engine.estimator.attributes is engine.attributes
-        use_reference_kernels(engine, matcher=False)
-        assert engine.estimator.attributes is engine.attributes
-        assert GCSMEngine(g0, TRIANGLE).estimator.attributes is None
-
 
 # ----------------------------------------------------------------------
 # the walk reads the matcher's expansion
@@ -571,12 +562,11 @@ def dense_stream():
 
 def launching(engine):
     """``engine`` with the walk that launches its own joins: the same
-    generator, survival schedule and weight overlay, its reads of the
-    matcher's expansion replaced by launches."""
+    generator and survival schedule, its reads of the matcher's expansion
+    replaced by launches."""
     current = engine.estimator
     engine.estimator = LaunchingFrequencyEstimator(
         current.graph, current.device, seed=current.rng, survival=current.survival,
-        attributes=current.attributes,
     )
     return engine
 

@@ -1,5 +1,6 @@
 """Tests for the device cost model, counters, and simulated clock."""
 
+import numpy as np
 import pytest
 
 from repro.gpu import (
@@ -10,6 +11,7 @@ from repro.gpu import (
     default_device,
     simulated_time_ns,
 )
+from repro.gpu.counters import Accesses
 
 
 class TestDeviceConfig:
@@ -87,8 +89,11 @@ class TestAccessCounters:
     def test_merge(self):
         a, b = AccessCounters(), AccessCounters()
         a.record_access(Channel.ZERO_COPY, 1, 100)
-        b.record_access(Channel.ZERO_COPY, 2000, 50)
-        b.record_um_fault(3)
+        # a block carrying faults, as the unified-memory view records them
+        b.record(np.array([2000]), Accesses(
+            np.array([Channel.ZERO_COPY.slot]), np.array([50]), np.array([1]), np.array([0]),
+            faults=np.array([3]), hits=np.array([0]),
+        ))
         b.record_dma(1000)
         b.record_compute(7)
         a.merge(b)
@@ -97,12 +102,6 @@ class TestAccessCounters:
         assert a.dma_bytes == 1000
         assert a.compute_ops == 7
         assert a.vertex_access_counts(2001)[2000] == 1
-
-    def test_cpu_access_bytes(self):
-        c = AccessCounters()
-        c.record_access(Channel.ZERO_COPY, 1, 100)
-        c.record_um_fault(2)
-        assert c.cpu_access_bytes(um_page_bytes=4096) == 100 + 8192
 
 
 class TestSimulatedTime:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.query.generator import random_query, random_query_suite
+from repro.query.generator import random_query
 from repro.query.pattern import WILDCARD_LABEL
 
 
@@ -49,25 +49,3 @@ def test_property_always_connected_simple(n, density, seed):
     assert q.num_edges >= n - 1
     # QueryGraph constructor already rejects loops/duplicates; spot-check
     assert all(u != v for u, v in q.edges)
-
-
-class TestSuite:
-    def test_size_range_and_count(self):
-        suite = random_query_suite(10, min_vertices=3, max_vertices=5, seed=7)
-        assert len(suite) == 10
-        assert all(3 <= q.num_vertices <= 5 for q in suite)
-        assert len({q.name for q in suite}) == 10
-
-    def test_suite_usable_by_matcher(self):
-        from repro.testing.reference import count_embeddings
-        from repro.graphs.generators import erdos_renyi
-
-        g = erdos_renyi(25, 4.0, num_labels=3, seed=8)
-        for q in random_query_suite(4, num_labels=3, seed=8):
-            count_embeddings(g, q)  # must not raise
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            random_query_suite(0)
-        with pytest.raises(ValueError):
-            random_query_suite(2, min_vertices=5, max_vertices=3)
