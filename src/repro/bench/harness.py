@@ -103,10 +103,6 @@ class Workload:
         return len(self.batches)
 
     @property
-    def batch_sizes(self) -> list[int]:
-        return [len(b) for b in self.batches]
-
-    @property
     def truncated(self) -> bool:
         """True when the dataset could not satisfy the requested volume."""
         return (self.num_batches_delivered < self.num_batches_requested

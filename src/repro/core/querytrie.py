@@ -4,7 +4,7 @@ Production CSM evaluates a *rulebook* of standing patterns per batch, and
 independent execution repeats the expensive part — frontier expansion —
 once per pattern even when patterns overlap heavily.  This module groups
 compiled ΔM plans by common prefixes of their **execution signatures**
-(:func:`repro.query.plan.plan_signature`) into a trie:
+(a plan's root signature, then one signature per level) into a trie:
 
 * The root layer groups plans by :func:`~repro.query.plan.root_signature`
   (the root-edge label pair), so plans sharing a root iterate one

@@ -11,7 +11,7 @@ actual matching run generates, and the view classes in
 through the appropriate channel.
 """
 
-from repro.gpu.device import ClusterConfig, DeviceConfig, default_cluster, default_device
+from repro.gpu.device import ClusterConfig, DeviceConfig, default_device
 from repro.gpu.counters import AccessCounters, Channel
 from repro.gpu.clock import TimeBreakdown, simulated_time_ns
 from repro.gpu.memory import UnifiedMemoryPager, HostMemoryLayout
@@ -28,7 +28,6 @@ __all__ = [
     "DeviceConfig",
     "ClusterConfig",
     "default_device",
-    "default_cluster",
     "AccessCounters",
     "Channel",
     "TimeBreakdown",

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from repro.graphs.datasets import (
     DEVICE_BUFFER_BYTES,
     DEVICE_KERNEL_RESERVE_BYTES,
@@ -35,7 +37,6 @@ __all__ = [
     "DeviceConfig",
     "ClusterConfig",
     "default_device",
-    "default_cluster",
     "BYTES_PER_NEIGHBOR",
     "INTERCONNECTS",
 ]
@@ -105,20 +106,18 @@ class DeviceConfig:
     cpu_estimator_ops_per_ns: float = 6.0
 
     # --- derived helpers ---------------------------------------------------
-    def zero_copy_lines(self, nbytes: int) -> int:
-        """Number of 128 B lines a zero-copy read of ``nbytes`` touches."""
-        if nbytes <= 0:
-            return 0
+    def zero_copy_lines(self, nbytes: np.ndarray) -> np.ndarray:
+        """128 B lines a zero-copy read of each ``nbytes`` touches (ceil
+        division, 0 for 0)."""
         return -(-nbytes // self.zero_copy_line_bytes)
 
     def zero_copy_time_ns(self, lines: int) -> float:
         moved = lines * self.zero_copy_line_bytes
         return moved / self.pcie_bandwidth_bpns + lines * self.zero_copy_line_overhead_ns
 
-    def peer_lines(self, nbytes: int) -> int:
-        """Number of interconnect lines a peer read of ``nbytes`` touches."""
-        if nbytes <= 0:
-            return 0
+    def peer_lines(self, nbytes: np.ndarray) -> np.ndarray:
+        """Interconnect lines a peer read of each ``nbytes`` touches (ceil
+        division, 0 for 0)."""
         return -(-nbytes // self.peer_line_bytes)
 
     def peer_time_ns(self, lines: int) -> float:
@@ -218,7 +217,3 @@ class ClusterConfig:
             self.allreduce_latency_ns + per_step_payload / dev.peer_bandwidth_bpns
         )
 
-
-def default_cluster(num_devices: int = 1, interconnect: str = "nvlink") -> ClusterConfig:
-    """Convenience: a fleet of default devices on the given interconnect."""
-    return ClusterConfig(num_devices=num_devices, interconnect=interconnect)

@@ -24,6 +24,9 @@ from repro.utils import require
 
 __all__ = ["HostMemoryLayout", "UnifiedMemoryPager"]
 
+#: each list's allocation is padded to this many bytes
+ALIGNMENT_BYTES = 64
+
 
 class HostMemoryLayout:
     """Byte offsets of per-vertex neighbor lists in host memory.
@@ -34,28 +37,22 @@ class HostMemoryLayout:
     page ranges.
     """
 
-    def __init__(self, list_lengths: np.ndarray, *, alignment: int = 64) -> None:
+    def __init__(self, list_lengths: np.ndarray) -> None:
         lengths = np.asarray(list_lengths, dtype=np.int64)
         require(bool(np.all(lengths >= 0)), "negative list length")
         sizes = lengths * BYTES_PER_NEIGHBOR
-        padded = ((sizes + alignment - 1) // alignment) * alignment
+        padded = ((sizes + ALIGNMENT_BYTES - 1) // ALIGNMENT_BYTES) * ALIGNMENT_BYTES
         self.offsets = np.zeros(lengths.shape[0] + 1, dtype=np.int64)
         np.cumsum(padded, out=self.offsets[1:])
 
-    @property
-    def total_bytes(self) -> int:
-        return int(self.offsets[-1])
-
-    def byte_range(self, vertex: int, nbytes: int) -> tuple[int, int]:
-        start = int(self.offsets[vertex])
-        return start, start + max(0, nbytes)
-
-    def pages_for(self, vertex: int, nbytes: int, page_bytes: int) -> range:
-        """Page ids touched by reading ``nbytes`` of ``vertex``'s list."""
-        if nbytes <= 0:
-            return range(0)
-        start, stop = self.byte_range(vertex, nbytes)
-        return range(start // page_bytes, (stop - 1) // page_bytes + 1)
+    def page_spans(
+        self, vertices: np.ndarray, nbytes: np.ndarray, page_bytes: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(first, stop)``: the page ids ``[first, stop)`` that reading
+        ``nbytes`` of each vertex's list touches (an empty span for 0 bytes)."""
+        start = self.offsets[vertices]
+        first = start // page_bytes
+        return first, np.where(nbytes > 0, (start + nbytes - 1) // page_bytes + 1, first)
 
 
 class UnifiedMemoryPager:
@@ -73,10 +70,6 @@ class UnifiedMemoryPager:
         self.total_faults = 0
         self.total_evictions = 0
 
-    @property
-    def resident_pages(self) -> int:
-        return len(self._resident)
-
     def access(self, pages: range) -> tuple[int, int]:
         hits = 0
         faults = 0
@@ -93,10 +86,3 @@ class UnifiedMemoryPager:
         self.total_hits += hits
         self.total_faults += faults
         return hits, faults
-
-    def reset(self) -> None:
-        """Drop residency and statistics (fresh kernel launch)."""
-        self._resident.clear()
-        self.total_hits = 0
-        self.total_faults = 0
-        self.total_evictions = 0

@@ -81,9 +81,9 @@ class GraphView(ABC):
         """Hits are one global-memory read each, misses cross PCIe in
         zero-copy lines (ceil division, 0 for 0); ``ops`` per access."""
         nbytes = lengths * BYTES_PER_NEIGHBOR
-        lines = -(-nbytes // self.device.zero_copy_line_bytes)
         return Accesses(
-            np.where(hit, _GLOBAL, _ZERO_COPY), nbytes, np.where(hit, 1, lines),
+            np.where(hit, _GLOBAL, _ZERO_COPY), nbytes,
+            np.where(hit, 1, self.device.zero_copy_lines(nbytes)),
             np.full(hit.shape[0], ops, dtype=np.int64),
         )
 
@@ -132,11 +132,8 @@ class UnifiedMemoryView(GraphView):
         self.pager = UnifiedMemoryPager(device)
 
     def classify(self, vertices: np.ndarray, lengths: np.ndarray) -> Accesses:
-        n, page = vertices.shape[0], self.device.um_page_bytes
-        nbytes = lengths * BYTES_PER_NEIGHBOR
-        start = self.layout.offsets[vertices]
-        first = start // page  # HostMemoryLayout.pages_for, for the block
-        stop = np.where(nbytes > 0, (start + nbytes - 1) // page + 1, first)
+        n, nbytes = vertices.shape[0], lengths * BYTES_PER_NEIGHBOR
+        first, stop = self.layout.page_spans(vertices, nbytes, self.device.um_page_bytes)
         touched = np.zeros((n, 2), dtype=np.int64)
         for i, (lo, hi) in enumerate(zip(first.tolist(), stop.tolist())):
             touched[i] = self.pager.access(range(lo, hi))

@@ -12,7 +12,7 @@ from repro.graphs.stream import (
     churn_stream,
     derive_stream,
 )
-from repro.graphs.attributes import edge_weight, edge_weights
+from repro.graphs.attributes import edge_weights
 from repro.graphs.window import WindowReport, apply_window
 from repro.graphs import generators, datasets
 
@@ -26,7 +26,6 @@ __all__ = [
     "DEFAULT_CONFLICT_MODE",
     "derive_stream",
     "churn_stream",
-    "edge_weight",
     "edge_weights",
     "apply_window",
     "WindowReport",

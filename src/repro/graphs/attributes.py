@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["edge_weight", "edge_weights"]
+__all__ = ["edge_weights"]
 
 # splitmix64 finalizer constants (Steele et al.) — applied over the packed
 # canonical pair so close-by vertex ids still give avalanche-mixed weights
@@ -55,8 +55,3 @@ def edge_weights(us, vs) -> np.ndarray:
     hi = np.maximum(us, vs).astype(np.uint64)
     h = _mix((lo << _S32) ^ hi ^ (hi << _S11))
     return (h >> _S11).astype(np.float64) * _INV_2_53
-
-
-def edge_weight(u: int, v: int) -> float:
-    """Scalar convenience wrapper over :func:`edge_weights`."""
-    return float(edge_weights(np.int64(u), np.int64(v)))

@@ -4,9 +4,8 @@ The paper keeps the evolving data graph in pre-allocated pinned arrays
 reached through the ``pHost`` / ``pDevice`` tables: one flat address space.
 Here that is **one slab** — a ``pool`` of 4-byte entries (:data:`SLAB_DTYPE`,
 the ``BYTES_PER_NEIGHBOR`` the cost model prices) plus per-vertex ``offset``
-/ ``cap`` tables (``host_address`` / ``device_address`` are the offset table)
-beside four length tables (post-batch degree, base run, stored run,
-deletion marks).  Each
+/ ``cap`` tables (the offset table is the address table) beside four length
+tables (post-batch degree, base run, stored run, deletion marks).  Each
 list is a *window* ``pool[offset[v] : offset[v] + cap[v]]`` holding the sorted
 base run with its marks in place and, appended behind it, the open batch's
 sorted ``ΔN`` run.  A fresh store is its graph's CSR, narrowed in one copy:
@@ -219,7 +218,6 @@ class DynamicGraph:
     def __init__(self, initial: StaticGraph) -> None:
         n = initial.num_vertices
         self._labels: np.ndarray = initial.labels.copy()
-        self._realloc_count = 0
         degs = initial.degrees()
         self._avg_degree = max(1, int(round(float(degs.mean())) if n else 1))
         self._bind(np.zeros((7, n), dtype=np.int64))
@@ -266,19 +264,6 @@ class DynamicGraph:
         return self._labels
 
     @property
-    def host_address(self) -> np.ndarray:
-        """``pHost``: each list's address in the pinned pool (read-only)."""
-        return _read_only(self._offset.view())
-
-    #: ``pDevice``: zero-copy maps the same pinned pool into the device
-    device_address = host_address
-
-    @property
-    def realloc_count(self) -> int:
-        """Number of capacity-doubling reallocations performed so far."""
-        return self._realloc_count
-
-    @property
     def batch_open(self) -> bool:
         """True between :meth:`apply_batch` and :meth:`reorganize`."""
         return self._batch_open
@@ -302,10 +287,6 @@ class DynamicGraph:
         """Post-batch degrees of every vertex: a read-only view of the live
         table, which every mutation rewrites — copy it to keep it."""
         return _read_only(self._new_len.view())
-
-    def degrees_old(self) -> np.ndarray:
-        """Pre-batch degrees of every vertex (a view, as :meth:`degrees_new`)."""
-        return _read_only(self._base_len.view())
 
     def max_degree(self) -> int:
         """The largest post-batch degree, kept by :meth:`apply_batch` (recounted
@@ -528,7 +509,6 @@ class DynamicGraph:
         move = need > cap
         if move.any():
             moved = touched[move]
-            self._realloc_count += moved.size
             self._move(moved, np.maximum(need[move], _GROWTH * cap[move]), self._base_len[moved])
         # the one bulk write; the deletion mark of v is -(v+1)
         self._pool[self._offset[src] + slot] = np.where(deleted, -(dst + 1), dst)
@@ -596,29 +576,20 @@ class DynamicGraph:
         block, lengths = self.read(np.arange(self.num_vertices), False)
         return segment_offsets(lengths), block
 
-    def _edge_array(self, old: bool) -> np.ndarray:
-        """The undirected edge list (``v < w``) of one version, source-major
-        with ascending neighbors: the order of a per-vertex adjacency scan,
-        written block by block (:meth:`read_blocks`) into the ``(m, 2)``
-        output, ``m`` half the version's degree sum."""
-        out = np.empty((int(self._deg[int(old)].sum()) // 2, 2), dtype=VERTEX_DTYPE)
+    def edges_new_array(self) -> np.ndarray:
+        """The undirected post-batch edge list (``v < w``) as an ``(m, 2)``
+        array, source-major with ascending neighbors: the order of a
+        per-vertex adjacency scan, written block by block
+        (:meth:`read_blocks`), ``m`` half the degree sum."""
+        out = np.empty((int(self._new_len.sum()) // 2, 2), dtype=VERTEX_DTYPE)
         at = 0
-        for vertices, block, lengths in self.read_blocks(old):
+        for vertices, block, lengths in self.read_blocks(False):
             src = np.repeat(vertices, lengths)
             keep = src < block
             end = at + int(np.count_nonzero(keep))
             out[at:end, 0], out[at:end, 1] = src[keep], block[keep]
             at = end
         return out
-
-    def edges_new_array(self) -> np.ndarray:
-        """Undirected post-batch edge list as an ``(m, 2)`` array."""
-        return self._edge_array(False)
-
-    def edges_old_array(self) -> np.ndarray:
-        """Undirected pre-batch edge list (``v < w``), requires an open batch."""
-        require(self._batch_open, "edges_old_array requires an open batch")
-        return self._edge_array(True)
 
     def snapshot(self) -> StaticGraph:
         """Materialize the *current* state as a :class:`StaticGraph`.
@@ -629,12 +600,6 @@ class DynamicGraph:
         """
         return StaticGraph.from_edges(
             self.num_vertices, self.edges_new_array(), self._labels.copy()
-        )
-
-    def snapshot_old(self) -> StaticGraph:
-        """Materialize the pre-batch state ``G_k`` (requires an open batch)."""
-        return StaticGraph.from_edges(
-            self.num_vertices, self.edges_old_array(), self._labels.copy()
         )
 
     def check_invariants(self) -> None:

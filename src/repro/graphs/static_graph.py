@@ -248,12 +248,6 @@ class StaticGraph:
         hit[hit] = self.indices[lo[hit]] == cols[hit]
         return np.where(hit, lo, -1)
 
-    def with_edges(self, edges: np.ndarray) -> "StaticGraph":
-        """Copy of the graph with the given undirected edges added."""
-        edge_arr = as_vertex_ids(edges).reshape(-1, 2)
-        combined = np.concatenate([self.edge_array(), edge_arr], axis=0)
-        return StaticGraph.from_edges(self.num_vertices, combined, self.labels.copy())
-
     # ------------------------------------------------------------------
     # misc
     # ------------------------------------------------------------------

@@ -36,7 +36,6 @@ __all__ = [
     "DEFAULT_CONFLICT_MODE",
     "derive_stream",
     "derive_localized_stream",
-    "insert_only_stream",
     "churn_stream",
     "generate_adversarial_stream",
 ]
@@ -366,21 +365,31 @@ def derive_stream(
 
     chosen_edges = all_edges[rng.choice(m, size=count, replace=False)]
     del all_edges  # the edge list dies before G_0 is built
+    return _signed_batches(graph, chosen_edges, insert_probability, batch_size, rng)
+
+
+def _signed_batches(
+    graph: StaticGraph,
+    chosen_edges: np.ndarray,
+    insert_probability: float,
+    batch_size: int,
+    rng: np.random.Generator,
+) -> tuple[StaticGraph, list[UpdateBatch]]:
+    """The derivers' shared tail: each chosen edge becomes an insertion with
+    probability ``insert_probability``, otherwise a deletion; the insertions
+    leave ``G_0``; the update order is shuffled and cut into batches.  Each
+    edge is chosen once, so a deletion always refers to an edge present in
+    ``G_0`` and never follows an insertion of the same edge (as in the
+    paper)."""
+    count = chosen_edges.shape[0]
     signs = np.where(rng.random(count) < insert_probability, INSERT, DELETE).astype(np.int64)
-
     initial = graph.without_edges(chosen_edges[signs > 0])
-
-    # Shuffle the update order, then cut into batches.  A deletion must not
-    # precede an insertion of the same edge (each edge is selected once, so
-    # deletions always refer to edges present in G_0 — matching the paper).
     order = rng.permutation(count)
-    chosen_edges = chosen_edges[order]
-    signs = signs[order]
-
-    batches: list[UpdateBatch] = []
-    for start in range(0, count, batch_size):
-        stop = min(start + batch_size, count)
-        batches.append(UpdateBatch(chosen_edges[start:stop], signs[start:stop]))
+    chosen_edges, signs = chosen_edges[order], signs[order]
+    batches = [
+        UpdateBatch(chosen_edges[s : s + batch_size], signs[s : s + batch_size])
+        for s in range(0, count, batch_size)
+    ]
     return initial, batches
 
 
@@ -435,39 +444,7 @@ def derive_localized_stream(
     weights /= weights.sum()
     chosen_edges = all_edges[rng.choice(m, size=num_updates, replace=False, p=weights)]
     del all_edges, weights  # both die before G_0 is built
-    signs = np.where(rng.random(num_updates) < insert_probability,
-                     INSERT, DELETE).astype(np.int64)
-    initial = graph.without_edges(chosen_edges[signs > 0])
-    order = rng.permutation(num_updates)
-    chosen_edges, signs = chosen_edges[order], signs[order]
-    batches = [
-        UpdateBatch(chosen_edges[s : s + batch_size], signs[s : s + batch_size])
-        for s in range(0, num_updates, batch_size)
-    ]
-    return initial, batches
-
-
-def insert_only_stream(
-    graph: StaticGraph,
-    *,
-    num_updates: int,
-    batch_size: int,
-    seed: int | np.random.Generator | None = 0,
-) -> tuple[StaticGraph, list[UpdateBatch]]:
-    """Insert-only variant (useful for micro-benchmarks and examples)."""
-    rng = as_generator(seed)
-    all_edges = graph.edge_array()
-    require(num_updates <= all_edges.shape[0], "not enough edges")
-    chosen_edges = all_edges[rng.choice(all_edges.shape[0], size=num_updates, replace=False)]
-    del all_edges  # the edge list dies before G_0 is built
-    initial = graph.without_edges(chosen_edges)
-    signs = np.full(num_updates, INSERT, dtype=np.int64)
-    batches = [
-        UpdateBatch(chosen_edges[s : min(s + batch_size, num_updates)],
-                    signs[s : min(s + batch_size, num_updates)])
-        for s in range(0, num_updates, batch_size)
-    ]
-    return initial, batches
+    return _signed_batches(graph, chosen_edges, insert_probability, batch_size, rng)
 
 
 def churn_stream(

@@ -101,9 +101,7 @@ class ShardedDeviceView(CachedDeviceView):
         acc = self._hit_or_zero_copy(hit, lengths)
         return acc._replace(
             channel=np.where(peer, Channel.PEER.slot, acc.channel),
-            transactions=np.where(
-                peer, -(-acc.nbytes // self.device.peer_line_bytes), acc.transactions
-            ),
+            transactions=np.where(peer, self.device.peer_lines(acc.nbytes), acc.transactions),
             ops=ops,
         )
 

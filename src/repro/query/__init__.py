@@ -3,7 +3,7 @@ compilation (static and incremental ΔM_i plans of paper Fig. 2), and
 automorphism handling."""
 
 from repro.query.pattern import QueryGraph, WILDCARD_LABEL
-from repro.query.catalog import QUERIES, QUERY_ORDER, query_by_name, motifs, all_motifs_3_4_5
+from repro.query.catalog import QUERIES, QUERY_ORDER, query_by_name, motifs
 from repro.query.plan import (
     EdgeVersion,
     LevelPlan,
@@ -18,7 +18,6 @@ __all__ = [
     "WILDCARD_LABEL",
     "QUERIES",
     "QUERY_ORDER",
-    "all_motifs_3_4_5",
     "query_by_name",
     "motifs",
     "EdgeVersion",

@@ -23,7 +23,6 @@ __all__ = [
     "QUERY_ORDER",
     "query_by_name",
     "motifs",
-    "all_motifs_3_4_5",
     "load_rulebook",
 ]
 
@@ -129,11 +128,6 @@ def motifs(size: int) -> tuple[QueryGraph, ...]:
         q = QueryGraph.from_networkx(g, name=f"motif{size}_{len(out)}")
         out.append(q)
     return tuple(out)
-
-
-def all_motifs_3_4_5() -> list[QueryGraph]:
-    """The full Fig. 11 workload: every connected motif of sizes 3, 4, 5."""
-    return [q for size in (3, 4, 5) for q in motifs(size)]
 
 
 # ----------------------------------------------------------------------

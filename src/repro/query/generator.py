@@ -16,6 +16,11 @@ from repro.utils import as_generator, require
 
 __all__ = ["random_query", "rulebook_suite"]
 
+#: a rulebook's skeletons have 4 to 6 vertices, and each member resamples the
+#: labels of 0 or 1 of its family's vertices
+SKELETON_VERTICES = (4, 6)
+MAX_PERTURBATIONS = 1
+
 
 def random_query(
     num_vertices: int,
@@ -76,11 +81,7 @@ def random_query(
 def rulebook_suite(
     count: int,
     *,
-    num_families: int | None = None,
-    min_vertices: int = 4,
-    max_vertices: int = 6,
     num_labels: int = 3,
-    max_perturbations: int = 1,
     seed: int | np.random.Generator | None = 0,
 ) -> list[QueryGraph]:
     """Rulebook-style workload: many standing patterns from few families.
@@ -88,26 +89,24 @@ def rulebook_suite(
     Production rulebooks (fraud rings, rumor motifs) are not ``count``
     unrelated patterns — they are variations on a handful of templates:
     the same ring shape with a different account type at one position.
-    This generator mirrors that: it draws ``num_families`` random connected
-    skeletons, gives each a base labeling, then emits ``count`` queries by
-    resampling the labels of ``0..max_perturbations`` vertices of a random
-    family.  Matching orders depend only on structure, so family members
-    compile plans whose execution signatures agree up to the first
-    perturbed vertex — long shared prefixes for the execution trie — and
-    zero-perturbation draws yield outright isomorphic duplicates for the
-    symmetry dedupe.  Names are zero-padded (``R000`` …) so lexsorted order
-    equals generation order.
+    This generator mirrors that: it draws ``max(2, min(6, count // 8))``
+    random connected skeletons (:data:`SKELETON_VERTICES`), gives each a base
+    labeling, then emits ``count`` queries by resampling the labels of
+    ``0..MAX_PERTURBATIONS`` vertices of a random family.  Matching orders
+    depend only on structure, so family members compile plans whose
+    execution signatures agree up to the first perturbed vertex — long
+    shared prefixes for the execution trie — and zero-perturbation draws
+    yield outright isomorphic duplicates for the symmetry dedupe.  Names are
+    zero-padded (``R000`` …) so lexsorted order equals generation order.
     """
     rng = as_generator(seed)
     require(count >= 1, "count must be >= 1")
     require(num_labels >= 1, "num_labels must be >= 1")
-    require(max_perturbations >= 0, "max_perturbations must be >= 0")
-    if num_families is None:
-        num_families = max(2, min(6, count // 8))
+    num_families = max(2, min(6, count // 8))
     families = []
     for _ in range(num_families):
         skeleton = random_query(
-            int(rng.integers(min_vertices, max_vertices + 1)),
+            int(rng.integers(SKELETON_VERTICES[0], SKELETON_VERTICES[1] + 1)),
             density=float(rng.uniform(0.1, 0.5)),
             seed=rng,
         )
@@ -118,7 +117,7 @@ def rulebook_suite(
     for i in range(count):
         skeleton, base_labels = families[int(rng.integers(num_families))]
         labels = base_labels.copy()
-        for _ in range(int(rng.integers(0, max_perturbations + 1))):
+        for _ in range(int(rng.integers(0, MAX_PERTURBATIONS + 1))):
             labels[int(rng.integers(skeleton.num_vertices))] = int(
                 rng.integers(num_labels)
             )

@@ -138,18 +138,9 @@ class QueryGraph:
         """True if any query edge carries a weight predicate."""
         return bool(self.edge_predicates)
 
-    def edge_predicate(self, u: int, v: int) -> tuple[float, float] | None:
-        """Weight interval of undirected edge ``(u, v)``, or None."""
-        return self._pred_by_index.get(self.edge_index(u, v))
-
     def predicate_for_index(self, j: int) -> tuple[float, float] | None:
         """Weight interval of the query edge with global index ``j``."""
         return self._pred_by_index.get(j)
-
-    def relabeled(self, labels: Sequence[int], name: str | None = None) -> "QueryGraph":
-        """Copy with new vertex labels (used to specialize motifs)."""
-        return QueryGraph(self.num_vertices, self.edges, labels, name or self.name,
-                          edge_predicates=self._predicates_by_edge())
 
     def with_edge_predicates(
         self,
@@ -159,9 +150,6 @@ class QueryGraph:
         """Copy with the given edge-weight predicates (replacing any)."""
         return QueryGraph(self.num_vertices, self.edges, self.labels,
                           name or self.name, edge_predicates=edge_predicates)
-
-    def _predicates_by_edge(self) -> dict[tuple[int, int], tuple[float, float]]:
-        return {self.edges[j]: bounds for j, bounds in self.edge_predicates}
 
     # ------------------------------------------------------------------
     def to_networkx(self):

@@ -45,7 +45,6 @@ __all__ = [
     "greedy_matching_order",
     "level_signature",
     "root_signature",
-    "plan_signature",
 ]
 
 
@@ -195,11 +194,6 @@ def root_signature(plan: MatchPlan) -> tuple:
     if plan.root_predicate is not None:
         return plan.root_labels() + (plan.root_predicate,)
     return plan.root_labels()
-
-
-def plan_signature(plan: MatchPlan) -> tuple:
-    """Full structural identity: root signature plus every level's."""
-    return (root_signature(plan), tuple(level_signature(l) for l in plan.levels))
 
 
 def greedy_matching_order(

@@ -7,12 +7,6 @@ distinct subgraphs — the quantity the paper's motif-counting experiments
 (Fig. 11) report.  Patterns are tiny (n ≤ 7), so plain permutation search is
 both simple and fast; results are memoized per pattern.
 
-For workloads that must *materialize* each subgraph once,
-:func:`is_canonical_embedding` keeps exactly the lexicographically-minimal
-member of each automorphism orbit — an exact (if brute-force) analog of the
-symmetry-breaking restrictions used by AutoMine/GraphZero and RapidFlow's
-dual-matching deduplication.
-
 The same permutation machinery also yields **cross-pattern** canonical
 forms: :func:`canonical_form` maps every pattern to the lexicographically
 minimal relabeling of its ``(labels, edges)`` pair, so two patterns are
@@ -28,14 +22,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from typing import Sequence
 
 from repro.query.pattern import QueryGraph
 
 __all__ = [
     "automorphisms",
     "automorphism_count",
-    "is_canonical_embedding",
     "canonical_form",
     "find_isomorphism",
 ]
@@ -151,19 +143,3 @@ def find_isomorphism(
             return perm
     return None
 
-
-def is_canonical_embedding(query: QueryGraph, embedding: Sequence[int]) -> bool:
-    """True iff ``embedding`` is the lexicographically smallest tuple in its
-    automorphism orbit.
-
-    ``embedding[u]`` is the data vertex mapped to query vertex ``u``.  Each
-    distinct matched subgraph has exactly one canonical embedding, so
-    filtering with this predicate converts embedding enumeration into
-    distinct-subgraph enumeration.
-    """
-    emb = tuple(embedding)
-    for auto in automorphisms(query):
-        permuted = tuple(emb[auto[u]] for u in range(len(emb)))
-        if permuted < emb:
-            return False
-    return True

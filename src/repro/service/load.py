@@ -63,10 +63,6 @@ class TenantWorkload:
     def num_batches(self) -> int:
         return len(self.batches)
 
-    @property
-    def total_updates(self) -> int:
-        return sum(len(b) for b in self.batches)
-
 
 def _arrival_times(
     arrival: str,

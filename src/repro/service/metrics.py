@@ -190,31 +190,10 @@ class ServiceReport:
             "schedule": self.schedule,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServiceReport":
-        return cls(
-            scheduler=data["scheduler"],
-            admission=data["admission"],
-            pipeline=data["pipeline"],
-            num_devices=data["num_devices"],
-            queue_capacity=data["queue_capacity"],
-            seed=data["seed"],
-            makespan_ns=data["makespan_ns"],
-            wall_clock_s=data["wall_clock_s"],
-            tenants=list(data.get("tenants", [])),
-            counters=dict(data.get("counters", {})),
-            schedule=data.get("schedule"),
-        )
-
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "ServiceReport":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
     # -- human-readable SLO table ----------------------------------------
     def slo_rows(self) -> list[list[object]]:

@@ -20,9 +20,9 @@ routine replaced, kept verbatim so tests can assert bit-identical output:
 * :func:`without_edges_reference` ↔
   :meth:`repro.graphs.static_graph.StaticGraph.without_edges`: the edge-key
   subtraction and CSR rebuild the mask over the CSR replaced
-* :func:`edge_array_reference` ↔ :meth:`DynamicGraph.edges_new_array` /
-  :meth:`~DynamicGraph.edges_old_array`: the export as one read of the
-  whole store, before it was written block by block, and
+* :func:`edge_array_reference` ↔ :meth:`DynamicGraph.edges_new_array`: the
+  export as one read of the whole store, before it was written block by
+  block (``old=True`` is the pre-batch edge list), and
   :func:`invariant_index_reference` ↔ :meth:`repro.core.prefilter.InvariantIndex.rebuild`:
   that edge list ``np.add.at``-scattered into the index's counts
 * :func:`prefilter_decision_reference` ↔
@@ -99,9 +99,11 @@ def versioned_runs(graph: DynamicGraph, v: int, version: EdgeVersion) -> tuple[n
 
 
 def versioned_degree(graph: DynamicGraph, v: int, version: EdgeVersion) -> int:
-    """The length of ``v``'s list in ``version``, from the degree tables."""
-    degrees = graph.degrees_old() if version is EdgeVersion.OLD else graph.degrees_new()
-    return int(degrees[v])
+    """The length of ``v``'s list in ``version``, from the length tables (the
+    base run is the pre-batch list)."""
+    if version is EdgeVersion.OLD:
+        return int(graph.run_lengths(np.array([v]))[0][0])
+    return int(graph.degrees_new()[v])
 
 
 def build_reference(graph: DynamicGraph, vertices: np.ndarray) -> DcsrCache:

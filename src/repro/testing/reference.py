@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.attributes import edge_weight
+from repro.graphs.attributes import edge_weights
 from repro.graphs.static_graph import StaticGraph
 from repro.query.pattern import WILDCARD_LABEL, QueryGraph
 
@@ -38,9 +38,9 @@ def _predicate_ok(
     """
     for w in query.neighbors(u):
         if w in assignment:
-            bounds = query.edge_predicate(u, w)
+            bounds = query.predicate_for_index(query.edge_index(u, w))
             if bounds is not None:
-                wt = edge_weight(assignment[w], v)
+                wt = float(edge_weights(assignment[w], v))
                 if not (bounds[0] <= wt <= bounds[1]):
                     return False
     return True

@@ -32,6 +32,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import math
 import sys
 import types
 from collections import Counter
@@ -128,7 +129,7 @@ def scalar_model(view, vertices, lengths):
         if hit:
             serve(Channel.GPU_GLOBAL, nbytes, 1)
         else:
-            serve(Channel.ZERO_COPY, nbytes, dev.zero_copy_lines(nbytes))
+            serve(Channel.ZERO_COPY, nbytes, math.ceil(nbytes / dev.zero_copy_line_bytes))
 
     for v, length in zip(vertices.tolist(), lengths.tolist()):
         nbytes = length * BYTES_PER_NEIGHBOR
@@ -143,7 +144,7 @@ def scalar_model(view, vertices, lengths):
                 hit_or_zero_copy(hit, nbytes)
             elif hit:
                 out["tally"]["remote_hits"] += 1
-                serve(Channel.PEER, nbytes, dev.peer_lines(nbytes))
+                serve(Channel.PEER, nbytes, math.ceil(nbytes / dev.peer_line_bytes))
             else:
                 hit_or_zero_copy(False, nbytes, "remote_")
         elif isinstance(view, CachedDeviceView):
@@ -152,7 +153,8 @@ def scalar_model(view, vertices, lengths):
         elif isinstance(view, FullDeviceView):
             hit_or_zero_copy(v in RESIDENT, nbytes)
         elif isinstance(view, UnifiedMemoryView):
-            pages = view.layout.pages_for(v, nbytes, dev.um_page_bytes)
+            start, page = int(view.layout.offsets[v]), dev.um_page_bytes
+            pages = range(start // page, (start + nbytes - 1) // page + 1 if nbytes else 0)
             hits, faults = pager.access(pages)
             out["hits"].append(hits)
             out["faults"].append(faults)
@@ -160,7 +162,7 @@ def scalar_model(view, vertices, lengths):
             # resident-page reads still cost global-memory bandwidth
             out["bytes"][Channel.GPU_GLOBAL] += nbytes
         elif isinstance(view, ZeroCopyView):
-            serve(Channel.ZERO_COPY, nbytes, dev.zero_copy_lines(nbytes))
+            serve(Channel.ZERO_COPY, nbytes, math.ceil(nbytes / dev.zero_copy_line_bytes))
         else:
             assert isinstance(view, HostCPUView)
             serve(Channel.CPU_DRAM, nbytes, 1)

@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.graphs import DynamicGraph, edge_weight, edge_weights
+from repro.graphs import DynamicGraph, edge_weights
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.stream import derive_stream
 from repro.query import QueryGraph
@@ -26,8 +26,8 @@ def small_case(seed=1):
 
 class TestHashWeights:
     def test_deterministic_and_orientation_free(self):
-        assert edge_weight(3, 17) == edge_weight(3, 17)
-        assert edge_weight(3, 17) == edge_weight(17, 3)
+        assert edge_weights(3, 17) == edge_weights(3, 17)
+        assert edge_weights(3, 17) == edge_weights(17, 3)
 
     def test_range_and_spread(self):
         us = np.arange(1000)
@@ -42,13 +42,13 @@ class TestHashWeights:
         vs = np.array([1, 2, 7])
         ws = edge_weights(us, vs)
         for i in range(3):
-            assert ws[i] == edge_weight(int(us[i]), int(vs[i]))
+            assert ws[i] == edge_weights(int(us[i]), int(vs[i]))
 
     def test_broadcasts_scalar_anchor(self):
         cand = np.array([1, 2, 3])
         ws = edge_weights(7, cand)
         assert ws.shape == (3,)
-        assert ws[1] == edge_weight(7, 2)
+        assert ws[1] == edge_weights(7, 2)
 
 
 class TestPredicatePushdown:
@@ -118,8 +118,8 @@ class TestQueryGraphPredicates:
     def test_lookup_helpers(self):
         assert PRED_TRIANGLE.has_predicates()
         assert not TRIANGLE.has_predicates()
-        assert PRED_TRIANGLE.edge_predicate(1, 0) == (0.0, 0.6)
-        assert PRED_TRIANGLE.edge_predicate(0, 2) is None
+        assert PRED_TRIANGLE.predicate_for_index(PRED_TRIANGLE.edge_index(1, 0)) == (0.0, 0.6)
+        assert PRED_TRIANGLE.predicate_for_index(PRED_TRIANGLE.edge_index(0, 2)) is None
 
 
 class TestPredicatesOnEveryConfiguration:

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.graphs import BatchConflictError, DynamicGraph, StaticGraph, UpdateBatch
 from repro.graphs.dynamic_graph import _sorted_updates
 from repro.testing import (
-    merge_runs_reference, neighbors_new, neighbors_new_parts, neighbors_old, stored_runs,
+    edge_array_reference, merge_runs_reference, neighbors_new, neighbors_new_parts,
+    neighbors_old, stored_runs,
 )
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.stream import derive_stream
@@ -19,6 +20,19 @@ def lists(dg, v):
     old, new = (dg.read(np.array([v]), version)[0].tolist() for version in (True, False))
     assert old == neighbors_old(dg, v).tolist() and new == neighbors_new(dg, v).tolist()
     return old, new
+
+
+def snapshot_old(dg):
+    """The store's pre-batch version ``G_k`` as a :class:`StaticGraph`."""
+    return StaticGraph.from_edges(dg.num_vertices, edge_array_reference(dg, old=True),
+                                  dg.labels.copy())
+
+
+def plus(g, edges):
+    """``g`` with the undirected ``edges`` added."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return StaticGraph.from_edges(g.num_vertices, np.concatenate([g.edge_array(), edges]),
+                                  g.labels.copy())
 
 
 def base_graph():
@@ -55,17 +69,18 @@ class TestInsertions:
         assert dg.label(5) == 3
         assert dg.label(4) == 0  # implicit new vertex gets default label
         assert lists(dg, 6) == ([], [2])
-        assert dg.host_address.shape[0] == 7
-        assert dg.device_address.shape[0] == 7
+        assert dg.run_lengths(np.arange(7))[1].tolist() == [2, 2, 4, 1, 0, 0, 1]
 
     def test_amortized_doubling(self):
         dg = DynamicGraph(StaticGraph.empty(2))
-        n = 64
+        n, moves = 64, 0
         for i in range(n):
+            before = dg._cap[0]
             dg.apply_batch(UpdateBatch([(0, i + 2)], [1], new_vertex_labels={}))
             dg.reorganize()
-        # O(log n) reallocations for vertex 0, not O(n)
-        assert dg.realloc_count <= 4 * int(np.log2(n) + 2)
+            moves += int(dg._cap[0] != before)  # a list moves only to a larger window
+        # O(log n) moves of vertex 0's list, not O(n)
+        assert moves <= int(np.log2(n) + 2)
 
 
 class TestDeletions:
@@ -94,12 +109,13 @@ class TestDeletions:
     def test_degrees_old_new(self):
         dg = DynamicGraph(base_graph())
         dg.apply_batch(UpdateBatch([(0, 2), (0, 3)], [-1, 1]))
-        assert dg.degrees_old()[0] == 2
-        assert dg.degrees_new()[0] == 2  # -1 +1
-        assert dg.degrees_old()[3] == 1
-        assert dg.degrees_new()[3] == 2
         everyone = np.arange(dg.num_vertices)
-        assert dg.read(everyone, True)[1].tolist() == dg.degrees_old().tolist()
+        old = dg.run_lengths(everyone)[0]  # the base run is the pre-batch list
+        assert old[0] == 2
+        assert dg.degrees_new()[0] == 2  # -1 +1
+        assert old[3] == 1
+        assert dg.degrees_new()[3] == 2
+        assert dg.read(everyone, True)[1].tolist() == old.tolist()
         assert dg.read(everyone, False)[1].tolist() == dg.degrees_new().tolist()
 
 
@@ -126,11 +142,6 @@ class TestReorganize:
         dg.apply_batch(UpdateBatch([(1, 3)], [1]))
         dg.reorganize()
         assert dg.num_edges == 6
-
-    def test_snapshot_old_requires_open_batch(self):
-        dg = DynamicGraph(base_graph())
-        with pytest.raises(ValueError):
-            dg.snapshot_old()
 
 
 class TestConflictHardening:
@@ -232,7 +243,7 @@ class TestSnapshots:
         g0, batches = derive_stream(g, update_fraction=0.3, batch_size=16, seed=7)
         dg = DynamicGraph(g0)
         dg.apply_batch(batches[0])
-        assert dg.snapshot_old() == g0
+        assert snapshot_old(dg) == g0
 
     def test_replay_stream_matches_incremental_application(self):
         g = erdos_renyi(60, 4.0, seed=11)
@@ -240,7 +251,7 @@ class TestSnapshots:
         dg = DynamicGraph(g0)
         expected = g0
         for batch in batches:
-            expected = expected.with_edges(batch.insert_edges()).without_edges(batch.delete_edges())
+            expected = plus(expected, batch.insert_edges()).without_edges(batch.delete_edges())
             dg.apply_batch(batch)
             assert dg.snapshot() == expected
             dg.reorganize()
@@ -278,10 +289,8 @@ def test_property_random_batches_roundtrip(seed):
             continue
         batch = UpdateBatch([e for e, _ in updates], [s for _, s in updates])
         dg.apply_batch(batch)
-        assert dg.snapshot_old() == current
-        current = current.without_edges(np.array(dels).reshape(-1, 2)).with_edges(
-            np.array(ins).reshape(-1, 2)
-        )
+        assert snapshot_old(dg) == current
+        current = plus(current.without_edges(np.array(dels).reshape(-1, 2)), ins)
         assert dg.snapshot() == current
         dg.reorganize()
         dg.check_invariants()
@@ -330,9 +339,8 @@ class TestBulkWriteSide:
                 # every search is over a whole batch's worth of probes
                 assert min(calls) >= size // 2
             store.check_invariants()
-            assert store.snapshot() == g.without_edges(batch.delete_edges()).with_edges(
-                batch.insert_edges()
-            )
+            assert store.snapshot() == plus(g.without_edges(batch.delete_edges()),
+                                            batch.insert_edges())
         # at the parent: >= 2 per update plus 2 per merged list
         assert counts[32] == counts[1024] <= 4
 
@@ -410,7 +418,7 @@ def test_property_dirty_batches_match_set_arithmetic(case, mode):
         grown = max([len(labels)] + [max(u, v) + 1 for u, v, _ in kept])
         labels += [new_labels.get(v, 0) for v in range(len(labels), grown)]
         assert dg.num_vertices == grown and dg.labels.tolist() == labels
-        assert edge_set_of(dg.snapshot_old()) == edges
+        assert edge_set_of(snapshot_old(dg)) == edges
         assert edge_set_of(dg.snapshot()) == after and dg.num_edges == len(after)
         endpoints = {w for u, v, _ in kept for w in (u, v)}
         assert dg.touched_vertices == endpoints
@@ -484,7 +492,7 @@ def check_settle(g0, batches) -> set[str]:
     edges, met = {tuple(e) for e in g0.edge_array().tolist()}, set()
     for updates, new_labels, mode in batches:
         batch = UpdateBatch([e for e, _ in updates], [s for _, s in updates], new_labels)
-        tables, pool, moves = dg._tables.copy(), dg._pool[: dg._tail].copy(), dg.realloc_count
+        tables, pool = dg._tables.copy(), dg._pool[: dg._tail].copy()
         try:
             effective = dg.apply_batch(batch, mode=mode)
         except BatchConflictError:
@@ -510,7 +518,7 @@ def check_settle(g0, batches) -> set[str]:
         shapes = {
             "marks only": any((base < 0).any() and not delta.size for base, delta in runs),
             "inserts only": any((base >= 0).all() and delta.size for base, delta in runs),
-            "moved": dg.realloc_count > moves,
+            "moved": (dg._cap[: tables.shape[1]] > tables[1]).any(),
             "grown": n > tables.shape[1],
             "nets to nothing": len(batch) and not len(effective),
         }

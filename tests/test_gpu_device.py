@@ -22,6 +22,9 @@ class TestDeviceConfig:
         assert d.zero_copy_lines(128) == 1
         assert d.zero_copy_lines(129) == 2
         assert d.zero_copy_lines(4 * 128) == 4
+        # elementwise over a block, as the views call it
+        assert d.zero_copy_lines(np.array([0, 1, 128, 129])).tolist() == [0, 1, 1, 2]
+        assert d.peer_lines(np.array([0, 1, 129])).tolist() == [0, 1, 2]
 
     def test_channel_cost_ordering(self):
         """Per-byte: GPU global << PCIe zero-copy << UM faulting."""

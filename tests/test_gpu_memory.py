@@ -22,20 +22,20 @@ from tests.test_views_semantics import read_list
 
 class TestHostMemoryLayout:
     def test_offsets_aligned_and_monotone(self):
-        layout = HostMemoryLayout(np.array([3, 0, 100, 1]), alignment=64)
+        layout = HostMemoryLayout(np.array([3, 0, 100, 1]))
         assert layout.offsets[0] == 0
         assert bool(np.all(np.diff(layout.offsets) >= 0))
         for off in layout.offsets:
             assert off % 64 == 0
-        assert layout.total_bytes == 64 + 0 + 448 + 64
+        assert layout.offsets[-1] == 64 + 0 + 448 + 64
 
     def test_pages_for(self):
-        layout = HostMemoryLayout(np.array([2000, 2000]), alignment=64)
-        pages = layout.pages_for(0, 2000 * 4, page_bytes=4096)
-        assert list(pages) == [0, 1]
-        assert list(layout.pages_for(0, 0, 4096)) == []
+        layout = HostMemoryLayout(np.array([2000, 2000]))
+        first, stop = layout.page_spans(np.array([0, 0, 1]), np.array([2000 * 4, 0, 4]), 4096)
+        assert (first[0], stop[0]) == (0, 2)  # pages 0 and 1
+        assert stop[1] == first[1]  # reading nothing touches no page
         # second vertex starts at byte 8000 -> page 1
-        assert list(layout.pages_for(1, 4, 4096)) == [1]
+        assert (first[2], stop[2]) == (1, 2)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -63,13 +63,6 @@ class TestUnifiedMemoryPager:
         hits, faults = p.access(range(1, 2))
         assert faults == 1  # page 1 was evicted
         assert p.total_evictions == 2
-
-    def test_reset(self):
-        p = self.make(2)
-        p.access(range(0, 2))
-        p.reset()
-        assert p.resident_pages == 0
-        assert p.total_faults == 0
 
 
 class TestDmaEngine:
@@ -145,7 +138,7 @@ class TestViews:
         dg = _store_with_batch()
         c = AccessCounters()
         ZeroCopyView(dg, default_device(), c)
-        assert dg.degrees_old()[0] == 2 == dg.read(np.array([0]), True)[1][0]
+        assert dg.run_lengths(np.array([0]))[0][0] == 2 == dg.read(np.array([0]), True)[1][0]
         assert dg.degrees_new()[0] == 3 == dg.read(np.array([0]), False)[1][0]
         assert c.total_access_count == 0  # lengths and store reads are free: views charge
 

@@ -15,7 +15,7 @@ from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.generators import erdos_renyi, powerlaw_graph
 from repro.graphs.stream import derive_stream
 from repro.gpu.counters import AccessCounters, Channel
-from repro.gpu.device import ClusterConfig, DeviceConfig, default_cluster
+from repro.gpu.device import ClusterConfig, DeviceConfig
 from repro.graphs.datasets import DATASETS
 from repro.gpu.clock import simulated_time_ns
 from repro.multigpu import FleetPlacement, LoadBalanceReport, ShardedDeviceView, hash_owners
@@ -191,15 +191,15 @@ class TestClusterConfig:
             ClusterConfig(interconnect="smoke-signals")
 
     def test_allreduce_zero_on_one_device(self):
-        assert default_cluster(1).allreduce_time_ns(64) == 0.0
+        assert ClusterConfig(num_devices=1).allreduce_time_ns(64) == 0.0
 
     def test_allreduce_grows_with_devices(self):
-        t = [default_cluster(n).allreduce_time_ns(64) for n in (2, 4, 8)]
+        t = [ClusterConfig(num_devices=n).allreduce_time_ns(64) for n in (2, 4, 8)]
         assert t[0] < t[1] < t[2]
 
     def test_pcie_peer_reads_cost_more_than_nvlink(self):
-        nv = default_cluster(2, "nvlink").device()
-        pc = default_cluster(2, "pcie").device()
+        nv = ClusterConfig(num_devices=2, interconnect="nvlink").device()
+        pc = ClusterConfig(num_devices=2, interconnect="pcie").device()
         assert pc.peer_time_ns(pc.peer_lines(4096)) > nv.peer_time_ns(nv.peer_lines(4096))
 
     def test_interconnect_changes_fleet_timing(self):
@@ -249,7 +249,7 @@ class TestShardedView:
 
 class TestCommModel:
     def test_allreduce_delta_zero_single_device(self):
-        assert allreduce_delta_ns(default_cluster(1), num_plans=6) == 0.0
+        assert allreduce_delta_ns(ClusterConfig(num_devices=1), num_plans=6) == 0.0
 
     def test_comm_report_aggregates(self):
         a, b = AccessCounters(), AccessCounters()

@@ -23,7 +23,7 @@ from repro.graphs.stream import derive_stream, generate_adversarial_stream
 from repro.query.catalog import QUERIES, QUERY_ORDER
 from repro.query.generator import rulebook_suite
 from repro.query.pattern import QueryGraph
-from repro.query.plan import compile_delta_plans, plan_signature
+from repro.query.plan import compile_delta_plans, level_signature, root_signature
 from repro.testing.validation import ConsistencyError, verify_rulebook
 
 
@@ -219,7 +219,7 @@ class TestTrieMechanics:
 
     def test_plan_signature_separates_distinct_structures(self):
         sigs = {
-            plan_signature(p)
+            (root_signature(p), tuple(map(level_signature, p.levels)))
             for q in _catalog()
             for p in compile_delta_plans(q)
         }

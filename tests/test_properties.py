@@ -93,7 +93,7 @@ def test_um_pager_matches_reference_lru(capacity, accesses):
         hits, faults = pager.access(range(page, page + 1))
         assert (hits == 1) == ref.access(page)
         assert hits + faults == 1
-    assert pager.resident_pages == len(ref.pages)
+    assert len(pager._resident) == len(ref.pages)
 
 
 @settings(max_examples=20, deadline=None)

@@ -49,3 +49,21 @@ def test_property_always_connected_simple(n, density, seed):
     assert q.num_edges >= n - 1
     # QueryGraph constructor already rejects loops/duplicates; spot-check
     assert all(u != v for u, v in q.edges)
+
+
+@pytest.mark.parametrize("count, seed, pinned", [
+    (24, 0, "07f346883e761da0"),  # the repo benchmark's az_rulebook24
+    (8, 0, "fc70127cd8cd6b52"),
+    (12, 4, "ec5968ec676dcf42"),
+    (100, 3, "d01d7ec9e358c6ea"),
+])
+def test_rulebook_suite_draws_as_recorded(count, seed, pinned):
+    """Names, structure and labels of each member, recorded when the family
+    count, skeleton sizes and perturbation bound were still keywords."""
+    import hashlib
+
+    from repro.query.generator import rulebook_suite
+
+    queries = rulebook_suite(count, num_labels=3, seed=seed)
+    shape = repr([(q.name, q.num_vertices, q.edges, q.labels) for q in queries])
+    assert hashlib.sha256(shape.encode()).hexdigest()[:16] == pinned

@@ -164,12 +164,12 @@ class TestOrderOptimization:
     def test_plans_pinned_on_az(self):
         from repro.bench.harness import build_workload
         from repro.query import query_by_name
-        from repro.query.plan import plan_signature
+        from repro.query.plan import level_signature, root_signature
 
         g0, _ = build_workload("AZ", seed=0)
         for name, (orders, digest) in self.AZ_PLANS.items():
             plans = RapidFlowSystem(g0, query_by_name(name)).plans
             assert [p.order for p in plans] == orders, name
-            sig = repr([(plan_signature(p), p.order, p.root_edge, p.delta_index)
-                        for p in plans])
+            sig = repr([((root_signature(p), tuple(map(level_signature, p.levels))),
+                         p.order, p.root_edge, p.delta_index) for p in plans])
             assert hashlib.sha256(sig.encode()).hexdigest()[:16] == digest, name

@@ -238,10 +238,10 @@ class TestMetricsAndReport:
         report = run(tiny_workloads(2), queue_capacity=8)
         path = tmp_path / "svc.json"
         report.save(str(path))
-        loaded = ServiceReport.load(str(path))
-        assert loaded.to_dict() == report.to_dict()
-        # the file is plain JSON with the headline aggregates materialized
+        # the file is plain JSON: the report's dict, with the headline
+        # aggregates materialized
         raw = json.loads(path.read_text())
+        assert raw == json.loads(json.dumps(report.to_dict()))
         assert raw["sustained_edges_per_sec"] == report.sustained_edges_per_sec
         assert raw["completed"] == report.completed
 
@@ -282,7 +282,7 @@ class TestHarness:
             workload_kwargs={"graph_size": 24, "avg_degree": 5.0},
         )
         assert path.exists()
-        assert ServiceReport.load(str(path)).completed == report.completed
+        assert json.loads(path.read_text())["completed"] == report.completed
 
 
 class TestServeCli:

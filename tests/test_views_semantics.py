@@ -47,7 +47,7 @@ class TestSettledSemantics:
         for v in range(dg.num_vertices):
             assert read_list(view, v, True).tolist() == read_list(view, v, False).tolist()
         charged = view.counters.vertex_access_bytes(dg.num_vertices)
-        assert charged.tolist() == (2 * 4 * dg.degrees_old()).tolist()
+        assert charged.tolist() == (2 * 4 * dg.degrees_new()).tolist()
 
     def test_fetch_returns_sorted_runs(self, cls):
         """Each version of each list is read sorted, equal to the per-vertex
@@ -68,7 +68,8 @@ class TestSettledSemantics:
         dg.apply_batch(UpdateBatch([(0, 2), (0, 1)], [1, -1]))
         view = cls(dg, default_device(), AccessCounters())
         everyone = np.arange(dg.num_vertices)
-        for old, degrees in ((True, dg.degrees_old()), (False, dg.degrees_new())):
+        base_len = dg.run_lengths(everyone)[0]  # the pre-batch list is the base run
+        for old, degrees in ((True, base_len), (False, dg.degrees_new())):
             _, lengths = dg.read(everyone, old)
             assert lengths.tolist() == degrees.tolist()
             for v in everyone.tolist():

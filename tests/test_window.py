@@ -84,16 +84,6 @@ class TestApplyWindow:
         snapshot = {(int(u), int(v)) for u, v in g0.edge_array()}
         assert not expired & snapshot
 
-    def test_drain_empties_every_ttl(self):
-        g0 = _empty_initial()
-        batches = [_batch((20, 21, INSERT)), _batch((22, 23, INSERT))]
-        out, report = apply_window(g0, batches, window=3, drain=True)
-        assert report.live_at_end == 0
-        assert report.num_batches_out > len(batches)
-        inserted = sum(int(np.sum(b.signs == INSERT)) for b in out)
-        deleted = sum(int(np.sum(b.signs == DELETE)) for b in out)
-        assert inserted == deleted == 2
-
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             apply_window(_empty_initial(), [], window=0)
