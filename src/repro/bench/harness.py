@@ -108,14 +108,6 @@ class Workload:
         return (self.num_batches_delivered < self.num_batches_requested
                 or self.updates_delivered < self.updates_requested)
 
-    def describe(self) -> str:
-        state = "truncated" if self.truncated else "full"
-        return (
-            f"Workload({self.update_mix}, {state}: "
-            f"{self.num_batches_delivered}/{self.num_batches_requested} batches, "
-            f"{self.updates_delivered}/{self.updates_requested} updates)"
-        )
-
 
 def _validate_size(name: str, value: int) -> int:
     value = int(value)
@@ -213,7 +205,7 @@ def _derive_workload(
     if window is not None:
         from repro.graphs.window import apply_window
 
-        batches, _report = apply_window(g0, batches, window=window)
+        batches = apply_window(g0, batches, window=window)
     return Workload(
         graph=g0,
         batches=list(batches),

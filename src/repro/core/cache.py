@@ -138,8 +138,3 @@ class CachedDeviceView(GraphView):
         self.hits += hits
         self.misses += hit.size - hits
         return self._hit_or_zero_copy(hit, lengths, self.cache.probe_cost_ops())
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

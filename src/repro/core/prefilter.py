@@ -71,7 +71,7 @@ argument.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -132,16 +132,6 @@ class PrefilterStats:
     roots_skipped: int = 0
     queries_skipped: int = 0
     maintenance_ns: float = 0.0
-
-    def merge(self, other: "PrefilterStats") -> None:
-        self.enabled = self.enabled or other.enabled
-        self.batches_skipped += other.batches_skipped
-        self.roots_skipped += other.roots_skipped
-        self.queries_skipped += other.queries_skipped
-        self.maintenance_ns += other.maintenance_ns
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ----------------------------------------------------------------------

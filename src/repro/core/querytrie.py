@@ -171,17 +171,6 @@ class TrieStats:
         """Fraction of level expansions eliminated by prefix sharing."""
         return self.shared_levels / self.total_levels if self.total_levels else 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "num_queries": self.num_queries,
-            "num_plans": self.num_plans,
-            "total_levels": self.total_levels,
-            "expanded_levels": self.expanded_levels,
-            "root_groups": self.root_groups,
-            "shared_levels": self.shared_levels,
-            "sharing_ratio": self.sharing_ratio,
-        }
-
 
 #: skip sets whose incidence a trie keeps before starting over
 _INCIDENCE_CACHE = 64

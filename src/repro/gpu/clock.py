@@ -135,14 +135,6 @@ class TimeBreakdown:
         return self.critical_path_ns if self.critical_path_ns else self.total_ns
 
     @property
-    def overlap_ns(self) -> float:
-        """Stage time hidden under other stages by the pipelined schedule
-        (0 when the batch ran serially)."""
-        if not self.critical_path_ns:
-            return 0.0
-        return max(0.0, self.total_ns - self.critical_path_ns)
-
-    @property
     def fe_fraction(self) -> float:
         """Frequency-estimation share of total time (Table II's "FE")."""
         return self.estimate_ns / self.total_ns if self.total_ns else 0.0
@@ -166,11 +158,9 @@ class TimeBreakdown:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class BatchSchedule:
-    """Where one batch's stages landed on the pipelined timeline."""
+    """What the pipelined timeline made of one batch."""
 
     index: int
-    start_ns: dict[str, float]
-    end_ns: dict[str, float]
     #: makespan contribution: finish(k) - finish(k-1) (sums to the makespan)
     critical_path_ns: float
     #: device idle time waiting on this batch's host prep (fill bubble)
@@ -257,8 +247,6 @@ class PipelineClock:
         self.drain_ns = drain  # stream drain = the last batch's tail
         return BatchSchedule(
             index=self.num_batches - 1,
-            start_ns=start,
-            end_ns=end,
             critical_path_ns=max(0.0, self.makespan_ns - prev_finish),
             fill_ns=fill,
             drain_ns=drain,

@@ -27,11 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.graphs.datasets import (
-    DEVICE_BUFFER_BYTES,
-    DEVICE_KERNEL_RESERVE_BYTES,
-    DEVICE_TOTAL_BYTES,
-)
+from repro.graphs.datasets import DEVICE_BUFFER_BYTES, DEVICE_TOTAL_BYTES
 
 __all__ = [
     "DeviceConfig",
@@ -55,8 +51,9 @@ class DeviceConfig:
     """
 
     # --- capacities ----------------------------------------------------
+    #: device memory: the cache buffer plus the kernel's reserve
+    #: (``repro.graphs.datasets.DEVICE_KERNEL_RESERVE_BYTES``)
     global_memory_bytes: int = DEVICE_TOTAL_BYTES
-    kernel_reserve_bytes: int = DEVICE_KERNEL_RESERVE_BYTES
     #: budget available for cached graph data (paper: 24 GB - ~10 GB kernel)
     cache_buffer_bytes: int = DEVICE_BUFFER_BYTES
 
@@ -142,10 +139,6 @@ class DeviceConfig:
     def um_cache_pages(self) -> int:
         usable = int(self.global_memory_bytes * self.um_cache_fraction)
         return max(1, usable // self.um_page_bytes)
-
-    def scaled(self, **overrides: float) -> "DeviceConfig":
-        """Copy with selected fields overridden (ablation convenience)."""
-        return replace(self, **overrides)
 
 
 def default_device() -> DeviceConfig:

@@ -13,7 +13,7 @@ from repro.graphs.stream import (
     derive_stream,
 )
 from repro.graphs.attributes import edge_weights
-from repro.graphs.window import WindowReport, apply_window
+from repro.graphs.window import apply_window
 from repro.graphs import generators, datasets
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "churn_stream",
     "edge_weights",
     "apply_window",
-    "WindowReport",
     "generators",
     "datasets",
 ]

@@ -73,12 +73,6 @@ class DatasetSpec:
     def build(self, seed: int | np.random.Generator | None = 0) -> StaticGraph:
         return self.builder(seed)
 
-    def num_updates(self, graph: StaticGraph, batch_size: int | None = None) -> int:
-        bs = batch_size or self.default_batch_size
-        if self.update_fraction is not None:
-            return max(bs, int(graph.num_edges * self.update_fraction))
-        return bs * self.num_update_batches
-
     def fits_on_device(self, graph: StaticGraph) -> bool:
         return graph.size_bytes() <= DEVICE_BUFFER_BYTES
 

@@ -273,9 +273,6 @@ class DynamicGraph:
         """Vertices whose lists were modified by the open batch."""
         return set(self._touched.tolist())
 
-    def label(self, v: int) -> int:
-        return int(self._labels[v])
-
     def _epoch_state(self) -> _Epoch:
         """The current epoch with its offset table built."""
         epoch = self._epoch

@@ -13,7 +13,7 @@ ascending, which is what both the WCOJ set intersections and the binary-search
 deletion marking rely on.
 
 An *edge set* is one sorted int64 array of :func:`repro.utils.edge_keys`
-(``lo * n + hi``): construction dedupes with it, ``contains_edges`` probes it.
+(``lo * n + hi``): construction dedupes with it.
 ``without_edges`` masks the CSR itself: each removed edge's two directed
 entries are found by a binary search in their rows' runs and dropped.
 """
@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.utils import (
-    VERTEX_DTYPE, as_vertex_ids, contains_sorted, edge_keys, require, sorted_unique,
+    VERTEX_DTYPE, as_vertex_ids, edge_keys, require, sorted_unique,
 )
 
 __all__ = ["StaticGraph"]
@@ -103,7 +103,8 @@ class StaticGraph:
         directed ``src * n + dst`` keys, one sort in place, the row pointer
         found by a binary search per row, the keys decoded in place."""
         if keys.size == 0:  # also the zero-vertex graph, which has no key base
-            return cls.empty(num_vertices, labels)
+            return cls(np.zeros(num_vertices + 1, dtype=np.int64),
+                       np.empty(0, dtype=VERTEX_DTYPE), labels)
         n, m = num_vertices, keys.size
         directed = np.empty(2 * m, dtype=VERTEX_DTYPE)
         forward, flipped = directed[:m], directed[m:]
@@ -120,15 +121,6 @@ class StaticGraph:
         np.remainder(directed, n, out=directed)
         return cls(indptr, directed, labels)
 
-    @classmethod
-    def empty(cls, num_vertices: int, labels: np.ndarray | None = None) -> "StaticGraph":
-        """Graph with ``num_vertices`` isolated vertices."""
-        return cls(
-            np.zeros(num_vertices + 1, dtype=np.int64),
-            np.empty(0, dtype=VERTEX_DTYPE),
-            labels,
-        )
-
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
@@ -140,9 +132,6 @@ class StaticGraph:
     def num_edges(self) -> int:
         """Number of undirected edges."""
         return self._num_edges
-
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
 
     def degrees(self) -> np.ndarray:
         """``int64[n]`` degree vector."""
@@ -157,34 +146,12 @@ class StaticGraph:
         """Sorted neighbor view (no copy) of vertex ``v``."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.neighbors(u)
-        pos = np.searchsorted(nbrs, v)
-        return bool(pos < nbrs.size and nbrs[pos] == v)
-
     def _row_ids(self) -> np.ndarray:
         """The source vertex of every entry of ``indices``, in the narrowest
         unsigned dtype that holds ``n - 1`` (two bytes an entry up to 65 536
         vertices), not an int64 the size of ``indices``."""
         n = self.num_vertices
         return np.repeat(np.arange(n, dtype=np.min_scalar_type(max(n - 1, 0))), self.degrees())
-
-    def sorted_edge_keys(self) -> np.ndarray:
-        """The edge set as its sorted :func:`~repro.utils.edge_keys` array
-        (the ``u < v`` entries of the CSR, already in key order)."""
-        rows = self._row_ids()
-        upper = rows < self.indices
-        keys = rows[upper].astype(np.int64)
-        keys *= self.num_vertices
-        keys += self.indices[upper]
-        return keys
-
-    def contains_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Whether each ``(us[i], vs[i])`` (endpoints in range, either
-        orientation) is an edge: one binary search over the key array."""
-        return contains_sorted(
-            self.sorted_edge_keys(), edge_keys(us, vs, self.num_vertices)
-        )
 
     def label(self, v: int) -> int:
         return int(self.labels[v])

@@ -96,10 +96,6 @@ class CanonicalReport:
         """Updates a conflict-free stream would never contain."""
         return self.duplicate_inserts + self.phantom_deletes + self.intra_batch_dropped
 
-    @property
-    def dropped(self) -> int:
-        return self.input_size - self.output_size
-
     def merge(self, other: "CanonicalReport") -> None:
         self.input_size += other.input_size
         self.output_size += other.output_size
@@ -108,15 +104,6 @@ class CanonicalReport:
         self.valid_deletes += other.valid_deletes
         self.phantom_deletes += other.phantom_deletes
         self.intra_batch_dropped += other.intra_batch_dropped
-
-    def describe(self) -> str:
-        return (
-            f"canonicalize[{self.mode}]: {self.input_size} -> {self.output_size} "
-            f"updates (+{self.new_inserts} insert / -{self.valid_deletes} delete; "
-            f"dropped {self.duplicate_inserts} dup-insert, "
-            f"{self.phantom_deletes} phantom-delete, "
-            f"{self.intra_batch_dropped} intra-batch)"
-        )
 
 
 def label_pair_mask(head: np.ndarray, tail: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
@@ -229,11 +216,10 @@ class UpdateBatch:
     ) -> tuple["UpdateBatch", CanonicalReport]:
         """Resolve intra-batch conflicts and classify against ``graph``.
 
-        ``graph`` is the *pre-batch* store — anything exposing
-        ``num_vertices`` and ``contains_edges(us, vs)``
-        (:class:`~repro.graphs.DynamicGraph`, :class:`~repro.graphs.StaticGraph`),
-        which is asked once, for the batch's distinct edges whose endpoints it
-        knows.  Updates are grouped by undirected edge key
+        ``graph`` is the *pre-batch* store (a
+        :class:`~repro.graphs.DynamicGraph`): its ``contains_edges`` is asked
+        once, for the batch's distinct edges whose endpoints it knows.
+        Updates are grouped by undirected edge key
         (orientation-insensitive), netted within the batch, and classified
         as new insert / duplicate insert / valid delete / phantom delete:
 

@@ -30,27 +30,13 @@ one batch, windowed streams are only meaningful under the ``coalesce`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.graphs.static_graph import StaticGraph
 from repro.graphs.stream import DELETE, UpdateBatch
 from repro.utils import require
 
-__all__ = ["apply_window", "WindowReport"]
-
-
-@dataclass
-class WindowReport:
-    """What the window transform did to one stream."""
-
-    window: int
-    num_batches: int  # in and out: one windowed batch per input batch
-    expiry_deletes: int  # TTL deletes emitted across all batches
-    refreshed: int  # inserts that re-armed an already-live TTL
-    cancelled: int  # TTLs retired early by explicit deletes
-    live_at_end: int  # edges still armed when the stream ended
+__all__ = ["apply_window"]
 
 
 def _canonical(edges: np.ndarray) -> list[tuple[int, int]]:
@@ -64,12 +50,10 @@ def apply_window(
     batches: list[UpdateBatch],
     *,
     window: int,
-) -> tuple[list[UpdateBatch], WindowReport]:
-    """Rewrite ``batches`` so streamed inserts expire after ``window`` batches.
-
-    Returns ``(windowed_batches, report)``, one batch out per batch in.
-    Edges still armed when the stream ends remain in the final graph and are
-    counted in ``report.live_at_end``.
+) -> list[UpdateBatch]:
+    """Rewrite ``batches`` so streamed inserts expire after ``window`` batches:
+    one batch out per batch in.  Edges still armed when the stream ends
+    remain in the final graph.
     """
     require(window >= 1, "window must be >= 1 batch")
     present: set[tuple[int, int]] = {
@@ -77,7 +61,6 @@ def apply_window(
     }
     expiry: dict[tuple[int, int], int] = {}
     out: list[UpdateBatch] = []
-    expired_total = refreshed = cancelled = 0
 
     def due_deletes(k: int) -> list[tuple[int, int]]:
         due = sorted(e for e, t in expiry.items() if t <= k)
@@ -87,24 +70,19 @@ def apply_window(
 
     def settle(edges: np.ndarray, signs: np.ndarray, k: int) -> None:
         """Advance presence/TTL state by last-occurrence-wins netting."""
-        nonlocal refreshed, cancelled
         final: dict[tuple[int, int], int] = {}
         for e, s in zip(_canonical(edges), signs.tolist()):
             final[e] = s  # later rows overwrite: last op wins
         for e, s in final.items():
             if s > 0:
-                if e in expiry:
-                    refreshed += 1
                 present.add(e)
                 expiry[e] = k + window
             else:
-                if expiry.pop(e, None) is not None:
-                    cancelled += 1
+                expiry.pop(e, None)
                 present.discard(e)
 
     for k, batch in enumerate(batches):
         dead = due_deletes(k)
-        expired_total += len(dead)
         for e in dead:
             present.discard(e)
         if dead:
@@ -117,13 +95,4 @@ def apply_window(
             edges, signs = batch.edges, batch.signs
         settle(batch.edges, batch.signs, k)
         out.append(UpdateBatch(edges, signs, batch.new_vertex_labels))
-
-    report = WindowReport(
-        window=window,
-        num_batches=len(out),
-        expiry_deletes=expired_total,
-        refreshed=refreshed,
-        cancelled=cancelled,
-        live_at_end=len(expiry),
-    )
-    return out, report
+    return out

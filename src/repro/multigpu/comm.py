@@ -52,22 +52,6 @@ class CommReport:
     zero_copy_bytes: int
     allreduce_ns: float
 
-    @property
-    def peer_fraction(self) -> float:
-        """PEER share of all off-device byte traffic (the interconnect
-        pressure the scaling table attributes sub-linearity to)."""
-        total = self.peer_bytes + self.zero_copy_bytes
-        return self.peer_bytes / total if total else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "peer_bytes": self.peer_bytes,
-            "peer_transactions": self.peer_transactions,
-            "zero_copy_bytes": self.zero_copy_bytes,
-            "allreduce_ns": self.allreduce_ns,
-            "peer_fraction": self.peer_fraction,
-        }
-
 
 def comm_report(
     shard_counters: list[AccessCounters], allreduce_ns: float

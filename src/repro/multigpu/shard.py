@@ -18,7 +18,7 @@ an uncached list never takes two hops.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -131,9 +131,6 @@ class ShardBatchReport:
     remote_hits: int
     remote_misses: int
     peer_bytes: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

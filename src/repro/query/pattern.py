@@ -102,9 +102,6 @@ class QueryGraph:
     def degree(self, u: int) -> int:
         return len(self._adj[u])
 
-    def max_degree(self) -> int:
-        return max(self.degree(u) for u in range(self.num_vertices))
-
     def label(self, u: int) -> int:
         return self.labels[u]
 

@@ -99,17 +99,11 @@ class MatchPlan:
 
     query: QueryGraph
     order: tuple[int, ...]
-    root_edge: tuple[int, int]
-    root_edge_index: int
     levels: tuple[LevelPlan, ...]
     delta_index: int | None = None
     #: weight interval the root data edge must satisfy (predicate pushdown
     #: into root generation); None when the root query edge is unconstrained
     root_predicate: tuple[float, float] | None = None
-
-    @property
-    def is_delta(self) -> bool:
-        return self.delta_index is not None
 
     @property
     def depth(self) -> int:
@@ -128,26 +122,6 @@ class MatchPlan:
     def root_labels(self) -> tuple[int, int]:
         """Labels required of the two root-edge endpoints (order[0], order[1])."""
         return self.query.label(self.order[0]), self.query.label(self.order[1])
-
-    def describe(self) -> str:
-        """Human-readable plan dump (mirrors the loop nests of paper Fig. 2)."""
-        lines = []
-        tag = f"ΔM_{self.delta_index + 1}" if self.is_delta else "static"
-        root_src = "ΔE" if self.is_delta else "E"
-        lines.append(
-            f"{tag}: for (x{self.order[0]}, x{self.order[1]}) in {root_src} "
-            f"matching (u{self.order[0]}, u{self.order[1]}):"
-        )
-        indent = "  "
-        for lvl in self.levels:
-            parts = []
-            for c in lvl.constraints:
-                n = {"current": "N", "old": "N", "new": "N'"}[c.version.value]
-                parts.append(f"{n}(x{self.order[c.position]})")
-            lines.append(f"{indent}for x{lvl.query_vertex} in " + " ∩ ".join(parts) + ":")
-            indent += "  "
-        lines.append(f"{indent}emit embedding")
-        return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -285,8 +259,6 @@ def compile_static_plan(query: QueryGraph, root_edge: tuple[int, int] | None = N
     return MatchPlan(
         query=query,
         order=order,
-        root_edge=(u_a, u_b),
-        root_edge_index=query.edge_index(u_a, u_b),
         levels=levels,
         delta_index=None,
         root_predicate=query.predicate_for_index(query.edge_index(u_a, u_b)),
@@ -318,8 +290,6 @@ def compile_delta_plans(
             MatchPlan(
                 query=query,
                 order=order,
-                root_edge=(u_a, u_b),
-                root_edge_index=i,
                 levels=levels,
                 delta_index=i,
                 root_predicate=query.predicate_for_index(i),

@@ -19,7 +19,8 @@ slow, obviously-correct twins of the vectorized production kernels:
   ``neighbors_new``: every list the recursive kernels read), the scalar loops
   the vectorized DCSR pack, reorganize merge and cache-budget scan are
   checked against, the per-cell road lattice and the key-subtracting
-  ``without_edges`` the set-up builders are checked against, the one-read
+  ``without_edges`` the set-up builders are checked against (with a static
+  graph's edge keys and membership, ``sorted_edge_keys`` / ``contains_edges``), the one-read
   edge export and the ``np.add.at`` index build the store's block reader is
   checked against, the
   pre-filter's per-plan decision loop (signature included) and ref-by-ref
@@ -60,6 +61,7 @@ from repro.testing.oracles import (
     IndexFields,
     ReferenceDecision,
     build_reference,
+    contains_edges,
     edge_array_reference,
     group_masks_reference,
     invariant_index_reference,
@@ -72,6 +74,7 @@ from repro.testing.oracles import (
     prefilter_decision_reference,
     road_network_reference,
     select_within_budget_reference,
+    sorted_edge_keys,
     stored_runs,
     versioned_degree,
     versioned_runs,
@@ -104,6 +107,8 @@ __all__ = [
     "is_sorted",
     "select_within_budget_reference",
     "road_network_reference",
+    "sorted_edge_keys",
+    "contains_edges",
     "without_edges_reference",
     "edge_array_reference",
     "IndexFields",

@@ -17,6 +17,9 @@ routine replaced, kept verbatim so tests can assert bit-identical output:
   :func:`repro.core.cache.select_within_budget`
 * :func:`road_network_reference` ↔ :func:`repro.graphs.generators.road_network`:
   the per-cell loop whose draw order the whole-array lattice keeps
+* :func:`sorted_edge_keys` / :func:`contains_edges`: a static graph's edge
+  set as sorted keys and membership in it, for the tests and the oracle
+  below (the store answers membership itself: ``DynamicGraph.contains_edges``)
 * :func:`without_edges_reference` ↔
   :meth:`repro.graphs.static_graph.StaticGraph.without_edges`: the edge-key
   subtraction and CSR rebuild the mask over the CSR replaced
@@ -55,7 +58,8 @@ __all__ = [
     "stored_runs", "neighbors_old", "neighbors_new_parts", "neighbors_new",
     "versioned_runs", "versioned_degree",
     "build_reference", "merge_runs_reference", "merge_sorted", "is_sorted",
-    "select_within_budget_reference", "road_network_reference", "without_edges_reference",
+    "select_within_budget_reference", "road_network_reference",
+    "sorted_edge_keys", "contains_edges", "without_edges_reference",
     "edge_array_reference", "IndexFields", "invariant_index_reference",
     "ReferenceDecision", "prefilter_decision_reference", "group_masks_reference",
 ]
@@ -247,6 +251,19 @@ def road_network_reference(
     return StaticGraph.from_edges(n, np.array(edges, dtype=VERTEX_DTYPE), labels)
 
 
+def sorted_edge_keys(graph: StaticGraph) -> np.ndarray:
+    """The edge set of ``graph`` as its sorted :func:`~repro.utils.edge_keys`
+    array (the edge export is already in key order)."""
+    edges = graph.edge_array()
+    return edge_keys(edges[:, 0], edges[:, 1], graph.num_vertices)
+
+
+def contains_edges(graph: StaticGraph, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Whether each ``(us[i], vs[i])`` (endpoints in range, either
+    orientation) is an edge of ``graph``: one binary search over its keys."""
+    return contains_sorted(sorted_edge_keys(graph), edge_keys(us, vs, graph.num_vertices))
+
+
 def without_edges_reference(graph: StaticGraph, edges: np.ndarray) -> StaticGraph:
     """The original :meth:`StaticGraph.without_edges`: the removed edges'
     keys subtracted from the sorted edge-key array, the CSR rebuilt from the
@@ -255,7 +272,7 @@ def without_edges_reference(graph: StaticGraph, edges: np.ndarray) -> StaticGrap
     n = graph.num_vertices
     # an endpoint outside the graph names no edge, and its key would alias one
     edge_arr = edge_arr[(edge_arr.min(axis=1) >= 0) & (edge_arr.max(axis=1) < n)]
-    keys = graph.sorted_edge_keys()
+    keys = sorted_edge_keys(graph)
     removed = edge_keys(edge_arr[:, 0], edge_arr[:, 1], n)
     keep = np.ones(keys.size, dtype=bool)  # the few removed keys probe the many, not the reverse
     keep[np.searchsorted(keys, removed[contains_sorted(keys, removed)])] = False

@@ -80,6 +80,17 @@ def _parse_system_spec(spec: str) -> tuple[str, dict]:
     return name, kwargs
 
 
+def _describe(report: CanonicalReport) -> str:
+    """One line of what a batch's canonicalization did."""
+    return (
+        f"canonicalize[{report.mode}]: {report.input_size} -> {report.output_size} "
+        f"updates (+{report.new_inserts} insert / -{report.valid_deletes} delete; "
+        f"dropped {report.duplicate_inserts} dup-insert, "
+        f"{report.phantom_deletes} phantom-delete, "
+        f"{report.intra_batch_dropped} intra-batch)"
+    )
+
+
 def _conflict_key(report: CanonicalReport | None) -> tuple | None:
     if report is None:
         return None
@@ -189,7 +200,7 @@ def verify_stream(
         if len(set(keys.values())) > 1:
             raise ConsistencyError(
                 f"batch {k}: systems disagree on batch classification: "
-                f"{ {n: r.describe() for n, r in conflicts.items() if r is not None} }"
+                f"{ {n: _describe(r) for n, r in conflicts.items() if r is not None} }"
             )
         first = next((r for r in conflicts.values() if r is not None), None)
         if first is not None:

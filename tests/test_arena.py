@@ -219,7 +219,7 @@ class TestArenaExactness:
         g0 = erdos_renyi(20, 4.0, num_labels=1, seed=3)
         graph = DynamicGraph(g0)
         u, v = (int(x) for x in g0.edge_array()[0])
-        w = next(x for x in range(20) if x not in (u, v) and not g0.has_edge(u, x))
+        w = next(x for x in range(20) if x not in (u, v) and x not in g0.neighbors(u))
         both = np.array([u, u], dtype=np.int64)
 
         def served(old):

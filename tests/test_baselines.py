@@ -107,7 +107,7 @@ class TestVsgmCapacity:
         g = powerlaw_graph(4000, 12.0, max_degree=150, num_labels=1, seed=8)
         g0, batches = derive_stream(g, num_updates=256, batch_size=256, seed=8)
         device = DeviceConfig(
-            global_memory_bytes=20_000, kernel_reserve_bytes=10_000,
+            global_memory_bytes=20_000,
             cache_buffer_bytes=10_000,
         )
         vsgm = make_system("VSGM", g0, TRIANGLE, device=device)
@@ -128,7 +128,7 @@ class TestVsgmCapacity:
         g = powerlaw_graph(2000, 10.0, max_degree=100, num_labels=1, seed=10)
         g0, batches = derive_stream(g, num_updates=128, batch_size=128, seed=10)
         device = DeviceConfig(
-            global_memory_bytes=20_000, kernel_reserve_bytes=10_000,
+            global_memory_bytes=20_000,
             cache_buffer_bytes=10_000,
         )
         vsgm = make_system("VSGM", g0, TRIANGLE, device=device, strict_capacity=False)

@@ -68,7 +68,6 @@ class TestWorkloadTruncation:
         assert wl.batch_size_requested == 10_000
         assert wl.num_batches_requested == 50
         assert wl.num_batches_delivered < 50
-        assert "truncated" in wl.describe()
 
     def test_warns_on_cache_hits_too(self):
         with pytest.warns(RuntimeWarning):

@@ -1,7 +1,6 @@
 """Tests for cache policies and the cached device view (paper Sec. V-C)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import (
@@ -54,7 +53,7 @@ class TestSelectWithinBudget:
         dg = DynamicGraph(g)
         existing = g.edge_array()[:6]
         fresh = np.array([[0, 39], [1, 38], [2, 37]])
-        fresh = fresh[[not g.has_edge(int(u), int(v)) for u, v in fresh]]
+        fresh = fresh[[int(v) not in g.neighbors(int(u)) for u, v in fresh]]
         dg.apply_batch(UpdateBatch(
             np.concatenate([existing, fresh]),
             np.concatenate([-np.ones(len(existing), np.int64), np.ones(len(fresh), np.int64)]),
@@ -144,7 +143,7 @@ class TestCachedDeviceView:
     def test_hit_rate(self):
         dg, view, _ = self.make([0])
         view.fetch_block(np.array([0, 1, 1]), np.array([2, 1, 1]))
-        assert view.hit_rate == pytest.approx(1 / 3)
+        assert (view.hits, view.misses) == (1, 2)
 
     def test_probe_cost_charged(self):
         dg, view, counters = self.make([0, 2])

@@ -26,7 +26,7 @@ class TestDegenerateDevices:
         never changes results."""
         g = erdos_renyi(40, 5.0, num_labels=1, seed=1)
         g0, batches = derive_stream(g, update_fraction=0.3, batch_size=12, seed=1)
-        tiny = DeviceConfig(global_memory_bytes=64, kernel_reserve_bytes=32,
+        tiny = DeviceConfig(global_memory_bytes=64,
                             cache_buffer_bytes=32)
         normal_engine = GCSMEngine(g0, TRIANGLE, seed=2)
         tiny_engine = GCSMEngine(g0, TRIANGLE, device=tiny, seed=2)

@@ -168,7 +168,7 @@ class TestInitialMatch:
         g = erdos_renyi(20, 3.0, seed=22)
         engine = GCSMEngine(g, TRIANGLE, seed=23)
         engine.graph.apply_batch(UpdateBatch([(0, 1)], [-1])
-                                 if g.has_edge(0, 1) else UpdateBatch([(0, 1)], [1]))
+                                 if 1 in g.neighbors(0) else UpdateBatch([(0, 1)], [1]))
         with pytest.raises(ValueError):
             engine.initial_match()
         engine.graph.reorganize()
@@ -280,7 +280,7 @@ class TestSettleOnFailure:
         g0, batches, query = self._az_insert_stream()
         if system == "VSGM":  # an undersized device buffer
             settings = dict(device=DeviceConfig(
-                global_memory_bytes=20_000, kernel_reserve_bytes=10_000,
+                global_memory_bytes=20_000,
                 cache_buffer_bytes=10_000,
             ))
             error = VsgmCapacityError

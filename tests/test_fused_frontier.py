@@ -16,6 +16,7 @@ order-sensitive:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -48,7 +49,8 @@ from tests.test_frontier_parity import fingerprint
 
 DEVICE = default_device()
 #: a pager of four pages: every batch evicts
-TIGHT = DEVICE.scaled(
+TIGHT = replace(
+    DEVICE,
     um_cache_fraction=4.5 * DEVICE.um_page_bytes / DEVICE.global_memory_bytes
 )
 

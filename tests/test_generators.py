@@ -246,15 +246,6 @@ class TestDatasets:
         assert sizes["FR"] < sizes["SF3K"] < sizes["SF10K"]
         assert sizes["SF10K"] > 4 * datasets.DEVICE_BUFFER_BYTES
 
-    def test_num_updates_rules(self):
-        spec = datasets.DATASETS["AZ"]
-        g = spec.build(0)
-        assert spec.num_updates(g) == max(512, int(0.1 * g.num_edges))
-        spec_fr = datasets.DATASETS["FR"]
-        g_fr = spec_fr.build(0)
-        assert spec_fr.num_updates(g_fr) == 512 * 6
-        assert spec_fr.num_updates(g_fr, batch_size=128) == 128 * 6
-
     def test_table1_rows_structure(self):
         rows = datasets.table1_rows()
         assert [r["graph"] for r in rows] == datasets.TABLE1_ORDER

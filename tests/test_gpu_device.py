@@ -1,5 +1,7 @@
 """Tests for the device cost model, counters, and simulated clock."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.gpu import (
     simulated_time_ns,
 )
 from repro.gpu.counters import Accesses
+from repro.graphs.datasets import DEVICE_KERNEL_RESERVE_BYTES
 
 
 class TestDeviceConfig:
@@ -47,10 +50,10 @@ class TestDeviceConfig:
 
     def test_memory_budget_partition(self):
         d = default_device()
-        assert d.cache_buffer_bytes + d.kernel_reserve_bytes == d.global_memory_bytes
+        assert d.cache_buffer_bytes + DEVICE_KERNEL_RESERVE_BYTES == d.global_memory_bytes
 
     def test_scaled_override(self):
-        d = default_device().scaled(pcie_bandwidth_bpns=8.0)
+        d = replace(default_device(), pcie_bandwidth_bpns=8.0)
         assert d.pcie_bandwidth_bpns == 8.0
         assert d.gpu_global_bandwidth_bpns == default_device().gpu_global_bandwidth_bpns
 

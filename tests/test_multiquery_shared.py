@@ -205,7 +205,6 @@ class TestTrieMechanics:
         assert stats.num_plans == sum(q.num_edges for q in queries)
         assert stats.expanded_levels < stats.total_levels  # real sharing
         assert 0.0 < stats.sharing_ratio < 1.0
-        assert stats.to_dict()["shared_levels"] == stats.shared_levels
 
     def test_identical_plans_collapse_to_one_path(self):
         q = QUERIES["Q2"]

@@ -15,7 +15,11 @@ wide, that ``without_edges``' rebuild oracle
 that the index-build oracle (``tests/test_prefilter.py::check_index_builds``)
 sees a build that loses a block, and that the eviction tests of
 ``tests/test_fused_frontier.py`` see a settle order that is not the trie's
-pre-order.
+pre-order.  The cost model's and the estimator's own unit tests stand too,
+not only the parity digests: ``tests/test_gpu_device.py`` sees a zero-copy
+line count that rounds down, and ``tests/test_frequency.py`` /
+``tests/test_estimator_walk.py`` an Eq. 5 budget without its ``(n - 1)`` and
+an adaptive loop that stops after its first round.
 Every gate runs the same fixed cases under the mutant and unmutated, so a red
 gate is the mutant's doing.
 """
@@ -26,14 +30,19 @@ import numpy as np
 import pytest
 
 import repro.core.engine as engine
+import repro.core.frequency as frequency
 import repro.core.matching as matching
 import repro.core.multiquery as multiquery
 import repro.core.prefilter as prefilter
+import tests.test_estimator_walk as walk_tests
+import tests.test_frequency as frequency_tests
 import tests.test_fused_frontier as fused_tests
+import tests.test_gpu_device as device_tests
 import tests.test_prefilter as prefilter_tests
 from repro.core.engine import GCSMEngine
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.static_graph import StaticGraph
+from repro.gpu.device import DeviceConfig
 from tests.test_dynamic_graph import SETTLE_SEEDS, check_settle, settle_case
 from tests.test_engine import FAULT_STAGES, check_fault_settles
 from tests.test_estimator_walk import mutated
@@ -95,6 +104,26 @@ def settle_order_gate():
     (``tests/test_fused_frontier.py``)."""
     fused_tests.TestSettleOrderUnderEviction().test_um_counters_equal_plan_by_plan_execution()
     fused_tests.TestTrieSettleOrder().test_unified_placement_under_eviction()
+
+
+def zero_copy_gate():
+    """The zero-copy line count at hand-computed sizes, scalar and block
+    (``tests/test_gpu_device.py``)."""
+    device_tests.TestDeviceConfig().test_zero_copy_lines_round_up()
+
+
+def walk_budget_gate():
+    """Eq. 5's closed form at one hand-computed point
+    (``tests/test_frequency.py``)."""
+    frequency_tests.TestRequiredWalks().test_exact_value()
+
+
+def adaptive_gate():
+    """An adaptive engine re-samples a batch whose walks fall short of
+    Eq. 5, every round reading the one expansion
+    (``tests/test_estimator_walk.py``)."""
+    with pytest.MonkeyPatch.context() as patch:
+        walk_tests.TestWalkReadsTheExpansion().test_adaptive_rounds_read_one_expansion(patch)
 
 
 def ignore_the_overlay(patch):
@@ -243,6 +272,27 @@ def settle_key_by_depth(patch):
         patch.setattr(module, "expand", bfs)
 
 
+def zero_copy_rounds_down(patch):
+    """A zero-copy read of a partial line moves none of it."""
+    patch.setattr(DeviceConfig, "zero_copy_lines", mutated(
+        DeviceConfig.zero_copy_lines, "-(-nbytes // self.zero_copy_line_bytes)",
+        "nbytes // self.zero_copy_line_bytes"))
+
+
+def walk_budget_drops_n_minus_1(patch):
+    """Eq. 5 loses its ``(n - 1)`` factor: every budget shrinks by it."""
+    budget = mutated(frequency.required_walks, "(n - 1) * (2 + alpha)", "(2 + alpha)")
+    for module in (frequency, frequency_tests):  # the test module holds its own name
+        patch.setattr(module, "required_walks", budget)
+
+
+def adaptive_stops_after_one_round(patch):
+    """``estimate_adaptive`` never re-samples: the first pass is returned."""
+    patch.setattr(frequency.FrequencyEstimator, "estimate_adaptive", mutated(
+        frequency.FrequencyEstimator.estimate_adaptive,
+        "for _ in range(max_rounds - 1):", "for _ in range(0):"))
+
+
 #: mutant -> (the gate that kills it, what its failure says if it names it)
 MUTANTS = {
     ignore_the_overlay: (query_gate, None),
@@ -262,12 +312,16 @@ MUTANTS = {
     without_admits_vertex_n: (without_gate, None),
     rebuild_drops_the_last_block: (check_index_builds, "index build differs"),
     settle_key_by_depth: (settle_order_gate, None),
+    zero_copy_rounds_down: (zero_copy_gate, None),
+    walk_budget_drops_n_minus_1: (walk_budget_gate, None),
+    adaptive_stops_after_one_round: (adaptive_gate, "assert 1 > 1"),
 }
 
 
 @pytest.mark.parametrize(
     "gate", [query_gate, rulebook_gate, settle_gate, fault_gate, skip_gate,
-             check_handed_out_dtypes, without_gate, check_index_builds, settle_order_gate],
+             check_handed_out_dtypes, without_gate, check_index_builds, settle_order_gate,
+             zero_copy_gate, walk_budget_gate, adaptive_gate],
     ids=lambda g: g.__name__,
 )
 def test_the_gates_pass_unmutated(gate):

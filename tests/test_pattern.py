@@ -21,7 +21,6 @@ class TestQueryGraph:
         assert q.num_vertices == 3
         assert q.num_edges == 3
         assert q.degree(0) == 2
-        assert q.max_degree() == 2
         assert q.neighbors(1) == {0, 2}
         assert q.label(2) == 2
         assert q.is_labeled()

@@ -43,7 +43,7 @@ class TestStaticPlan:
     def test_structure(self):
         q = square_with_diag()
         plan = compile_static_plan(q)
-        assert not plan.is_delta
+        assert plan.delta_index is None
         assert plan.depth == 4
         assert len(plan.levels) == 2
         # all constraints read the single snapshot
@@ -55,21 +55,13 @@ class TestStaticPlan:
         for q in list(QUERIES.values()) + [square_with_diag()]:
             plan = compile_static_plan(q)
             covered = [c.edge_index for lvl in plan.levels for c in lvl.constraints]
-            covered.append(plan.root_edge_index)
+            covered.append(q.edge_index(*plan.order[:2]))
             assert sorted(covered) == list(range(q.num_edges))
 
     def test_explicit_root(self):
         q = square_with_diag()
         plan = compile_static_plan(q, root_edge=(1, 3))
         assert plan.order[:2] == (1, 3)
-        assert plan.root_edge_index == q.edge_index(1, 3)
-
-    def test_describe_mentions_all_levels(self):
-        q = QUERIES["Q6"]
-        text = compile_static_plan(q).describe()
-        # one loop line per level beyond the root edge, plus the root line
-        assert text.count("for x") == q.num_vertices - 2
-        assert "ΔE" not in text
 
 
 class TestDeltaPlans:
@@ -78,10 +70,8 @@ class TestDeltaPlans:
         plans = compile_delta_plans(q)
         assert len(plans) == q.num_edges
         for i, plan in enumerate(plans):
-            assert plan.is_delta
             assert plan.delta_index == i
-            assert plan.root_edge == q.edges[i]
-            assert plan.root_edge_index == i
+            assert plan.order[:2] == q.edges[i]
 
     def test_old_new_versioning_matches_ivm_decomposition(self):
         """Constraint on edge j must read OLD iff j < i (paper Eq. 1)."""
@@ -97,7 +87,7 @@ class TestDeltaPlans:
         q = QUERIES["Q4"]
         for plan in compile_delta_plans(q):
             covered = [c.edge_index for lvl in plan.levels for c in lvl.constraints]
-            covered.append(plan.root_edge_index)
+            covered.append(q.edge_index(*plan.order[:2]))
             assert sorted(covered) == list(range(q.num_edges))
 
     def test_first_plan_all_new_last_plan_all_old(self):

@@ -107,10 +107,10 @@ class TestOrderOptimization:
             # never later than any equally-connectable abundant vertex chosen
             # at its selection point; weak but meaningful check: it is not
             # always last unless it is a root-edge constraint issue
-            if 3 not in plan.root_edge:
+            if 3 not in order[:2]:
                 assert order.index(3) <= len(order) - 1
         # at least one plan binds the scarce vertex before position 3
-        assert any(p.order.index(3) < 3 for p in sys.plans if 3 not in p.root_edge)
+        assert any(p.order.index(3) < 3 for p in sys.plans if 3 not in p.order[:2])
 
     def test_plans_cover_all_edges(self):
         g = erdos_renyi(50, 5.0, num_labels=2, seed=8)
@@ -118,7 +118,7 @@ class TestOrderOptimization:
         assert len(sys.plans) == TAILED.num_edges
         for i, plan in enumerate(sys.plans):
             covered = [c.edge_index for lvl in plan.levels for c in lvl.constraints]
-            covered.append(plan.root_edge_index)
+            covered.append(TAILED.edge_index(*plan.order[:2]))
             assert sorted(covered) == list(range(TAILED.num_edges))
             assert plan.delta_index == i
 
@@ -171,5 +171,5 @@ class TestOrderOptimization:
             plans = RapidFlowSystem(g0, query_by_name(name)).plans
             assert [p.order for p in plans] == orders, name
             sig = repr([((root_signature(p), tuple(map(level_signature, p.levels))),
-                         p.order, p.root_edge, p.delta_index) for p in plans])
+                         p.order, p.order[:2], p.delta_index) for p in plans])
             assert hashlib.sha256(sig.encode()).hexdigest()[:16] == digest, name

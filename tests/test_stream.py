@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.graphs import BatchConflictError, StaticGraph, UpdateBatch, derive_stream
+from repro.graphs import BatchConflictError, DynamicGraph, StaticGraph, UpdateBatch, derive_stream
 from repro.graphs.generators import erdos_renyi
+from repro.testing import contains_edges
 
 
 def plus(g, edges):
@@ -101,9 +102,9 @@ class TestCanonicalize:
 
     def graph(self):
         # path 0-1-2-3 plus chord 0-2
-        return StaticGraph.from_edges(
+        return DynamicGraph(StaticGraph.from_edges(
             4, [(0, 1), (1, 2), (2, 3), (0, 2)], np.array([0, 1, 0, 1])
-        )
+        ))
 
     def test_clean_batch_passes_through_untouched(self):
         b = UpdateBatch([(0, 3), (1, 2)], [1, -1])
@@ -189,7 +190,6 @@ class TestCanonicalize:
         agg.merge(rep)
         agg.merge(rep)
         assert agg.duplicate_inserts == 2 and agg.new_inserts == 2
-        assert "dup-insert" in agg.describe()
 
 
 class TestDeriveStream:
@@ -212,9 +212,9 @@ class TestDeriveStream:
         all_ins = np.concatenate([b.insert_edges() for b in batches])
         all_del = np.concatenate([b.delete_edges() for b in batches])
         for u, v in all_ins.tolist():
-            assert not g0.has_edge(u, v)
+            assert v not in g0.neighbors(u)
         for u, v in all_del.tolist():
-            assert g0.has_edge(u, v)
+            assert v in g0.neighbors(u)
         assert g0.num_edges == g.num_edges - all_ins.shape[0]
 
     def test_replay_reaches_expected_final_graph(self):
@@ -298,9 +298,9 @@ class TestLocalizedStream:
         assert sum(len(b) for b in batches) == 60
         for b in batches:
             for u, v in b.delete_edges().tolist():
-                assert g0.has_edge(u, v)
+                assert v in g0.neighbors(u)
             for u, v in b.insert_edges().tolist():
-                assert not g0.has_edge(u, v)
+                assert v not in g0.neighbors(u)
 
     def test_validation(self):
         from repro.graphs.stream import derive_localized_stream
@@ -347,9 +347,9 @@ class TestLocalizedStream:
         )
         assert [len(b) for b in batches] == [2, 2]
         for b in batches:
-            assert g.contains_edges(b.edges[:, 0], b.edges[:, 1]).all()
-            assert g0.contains_edges(*b.delete_edges().T).all()
-            assert not g0.contains_edges(*b.insert_edges().T).any()
+            assert contains_edges(g, b.edges[:, 0], b.edges[:, 1]).all()
+            assert contains_edges(g0, *b.delete_edges().T).all()
+            assert not contains_edges(g0, *b.insert_edges().T).any()
 
     def test_bad_bias_rejected(self):
         from repro.graphs.stream import derive_localized_stream

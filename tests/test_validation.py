@@ -171,7 +171,7 @@ class TestConflictModeCorrectness:
         absent = None
         for u in range(g.num_vertices):
             for v in range(u + 1, g.num_vertices):
-                if not g.has_edge(u, v):
+                if v not in g.neighbors(u):
                     absent = (u, v)
                     break
             if absent:
