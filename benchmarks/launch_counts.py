@@ -11,7 +11,7 @@ a change can quote them.  By default: the three single-query workloads and
 
 A batch expands once — the kernel's joins, in ``process_batch`` ahead of
 the placement's ``prepare`` — and everything else reads that expansion: the
-frequency walk, every placement's match, a fleet's shards.  ``--check`` exits non-zero if any row launched
+frequency walk, every placement's match, a fleet's one settle.  ``--check`` exits non-zero if any row launched
 anything outside the kernel's ``matching.expand_rows``, if a configuration's
 launches per batch differ from its workload's single-device row, or if a
 row of :data:`CALLS` made more Python calls per batch than its bound.
@@ -40,6 +40,7 @@ WORKLOADS = ("ca_q3_narrow", "fr_q1_mixed", "sf3k_q1_churn", "az_rulebook24")
 #: configurations whose launches per batch must equal the single-device row
 VARIANTS = {
     "devices=2": {"devices": 2},
+    "devices=4": {"devices": 4},
     'prefilter="on"': {"prefilter": "on"},
     'schedule="pipelined"': {"schedule": "pipelined"},
 }
@@ -61,12 +62,19 @@ VARIANTS = {
 #: by one array program (4 651.5 / 372.4 when the index decided plan by plan,
 #: rulebook query by query, and refreshed a label-signature word per vertex);
 #: ``sparse_tri_skip`` 271.3 once the store sorts a batch once, searches only
-#: for deletes and settles without its read (324 before)
+#: for deletes and settles without its read (324 before).  ``devices=2`` on
+#: FR / CA / SF3K / AZ: 964.5 / 1 079.1 / 967.0 / 1 229.7 since a fleet
+#: settles a batch once, keyed by shard (1 084.5 / 1 210.1 / 1 087.0 /
+#: 1 417.9 settling once per shard)
 CALLS = {
     ("fr_q1_mixed", "one device"): 806,
     ("az_rulebook24", "one device"): 1_068,
     ("az_rulebook24", 'prefilter="on"'): 1_235,
     ("sparse_tri_skip", "one device"): 255,
+    ("fr_q1_mixed", "devices=2"): 994,
+    ("ca_q3_narrow", "devices=2"): 1_112,
+    ("sf3k_q1_churn", "devices=2"): 997,
+    ("az_rulebook24", "devices=2"): 1_267,
 }
 
 

@@ -32,7 +32,7 @@ from typing import Sequence
 
 from repro.bench import figures
 from repro.bench.harness import build_workload, print_table, run_stream, summarize
-from repro.core.baselines import SYSTEM_NAMES
+from repro.core.baselines import SYSTEM_NAMES, VsgmCapacityError
 from repro.core.multiquery import Rulebook
 from repro.gpu.device import INTERCONNECTS, ClusterConfig
 from repro.graphs import datasets
@@ -304,7 +304,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             batch_size=args.batch_size, num_batches=args.batches, seed=args.seed,
             **extra, **_engine_settings(args),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, VsgmCapacityError) as exc:
         print(f"repro run: error: {exc}", file=sys.stderr)
         return 2
     _print_run(result, args)
@@ -330,10 +330,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     runs = []
     rows = []
     for system in systems:
-        result = run_stream(
-            system, args.dataset, query_by_name(args.query),
-            batch_size=args.batch_size, num_batches=args.batches, seed=args.seed,
-        )
+        try:
+            result = run_stream(
+                system, args.dataset, query_by_name(args.query),
+                batch_size=args.batch_size, num_batches=args.batches, seed=args.seed,
+            )
+        except (KeyError, ValueError, VsgmCapacityError) as exc:
+            print(f"repro compare: error: {exc}", file=sys.stderr)
+            return 2
         runs.append(result)
         rows.append([system, result.total_ms, result.match_ms,
                      result.cpu_access_bytes, result.delta_total])

@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.core.engine import GCSMEngine, Placement
 from repro.graphs.static_graph import StaticGraph
-from repro.graphs.stream import UpdateBatch
 from repro.gpu.clock import simulated_time_ns
 from repro.gpu.counters import AccessCounters
 from repro.gpu.device import BYTES_PER_NEIGHBOR
@@ -102,13 +101,14 @@ class KhopPlacement(Placement):
         super().__init__(engine)
         self.hops = engine.query.diameter()
 
-    def _khop_vertices(self, batch: UpdateBatch, counters: AccessCounters) -> np.ndarray:
-        """The sorted vertices within ``k`` hops of an update endpoint, by a
-        level-synchronous BFS: one store read of ``N'`` per hop for the whole
-        frontier, each list charged as one host-DRAM read."""
+    def _khop(self, edges: np.ndarray, counters: AccessCounters) -> tuple[np.ndarray, int]:
+        """The sorted vertices within ``k`` hops of an endpoint of ``edges``,
+        by a level-synchronous BFS — one store read of ``N'`` per hop for the
+        whole frontier, each list charged as one host-DRAM read — and the
+        bytes packing their lists uploads (three row-index words a vertex)."""
         graph = self.engine.graph
         host = HostCPUView(graph, self.engine.device, counters)
-        frontier = visited = sorted_unique(batch.edges)
+        frontier = visited = sorted_unique(edges)
         for _ in range(self.hops):
             block, lengths = graph.read(frontier, False)
             counters.record_compute(int(lengths.sum()) + frontier.size)
@@ -118,19 +118,22 @@ class KhopPlacement(Placement):
             if not frontier.size:
                 break
             visited = sorted_unique(np.concatenate([visited, frontier]))
-        return visited
+        stored = graph.run_lengths(visited)[1]
+        return visited, (int(stored.sum()) + visited.size * 3) * BYTES_PER_NEIGHBOR
 
     def prepare(self, batch, decision, breakdown, expansion):
         """Gather + copy (VSGM's "DC" phase of Fig. 13)."""
-        engine, graph, device = self.engine, self.engine.graph, self.engine.device
+        engine, device = self.engine, self.engine.device
         gather_counters = AccessCounters()
-        resident = self._khop_vertices(batch, gather_counters)
-        stored = graph.run_lengths(resident)[1]
-        copy_bytes = (int(stored.sum()) + resident.size * 3) * BYTES_PER_NEIGHBOR
+        resident, copy_bytes = self._khop(batch.edges, gather_counters)
         if engine.config.strict_capacity and copy_bytes > device.cache_buffer_bytes:
+            # a smaller batch is advice only if one update's working set fits
+            alone = self._khop(batch.edges[:1], AccessCounters())[1]
+            advice = ("use a smaller batch" if alone <= device.cache_buffer_bytes else
+                      f"the batch's first update alone needs {alone} B at that radius")
             raise VsgmCapacityError(
-                f"k-hop working set ({copy_bytes} B) exceeds device buffer "
-                f"({device.cache_buffer_bytes} B); use a smaller batch"
+                f"{self.hops}-hop working set ({copy_bytes} B) exceeds device buffer "
+                f"({device.cache_buffer_bytes} B); {advice}"
             )
         gather_ns = simulated_time_ns(gather_counters, device, platform="cpu")
         dma_ns = DmaEngine(device, AccessCounters()).transfer(copy_bytes)

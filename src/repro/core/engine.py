@@ -498,17 +498,15 @@ class QuerySet:
     def match(
         self, engine: "GCSMEngine", batch: UpdateBatch, view: GraphView, decision,
         sinks: dict | None = None, expansion: Expansion | None = None, *,
-        filters: dict[int, np.ndarray] | None = None, root_mask: Callable | None = None,
+        filters: dict[int, np.ndarray] | None = None,
     ) -> MatchStats:
-        """Run the kernel (or settle :meth:`expand`'s) through ``view``:
-        ``filters`` are the placement's, ``root_mask`` a shard's restriction
-        (:func:`~repro.core.matching.settle`)."""
+        """Run the kernel (or settle :meth:`expand`'s) through ``view``;
+        ``filters`` are the placement's."""
         sink = (sinks or {}).get(self.query.name)
         if expansion is not None:
-            return settle(expansion, view, sinks={None: sink}, root_mask=root_mask)[0][None]
+            return settle(expansion, view, sinks={None: sink})[0][None]
         return engine.match(
-            self.plans, batch, view, sink=sink, prefilter=decision,
-            filters=filters, root_mask=root_mask,
+            self.plans, batch, view, sink=sink, prefilter=decision, filters=filters
         )
 
     def settle(self, stats: MatchStats | None, decision) -> MatchStats:

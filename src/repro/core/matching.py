@@ -297,8 +297,8 @@ def expand(
     depth: a node's rows are materialised only for a child or a sink.  The
     frontier stays node-major, i.e. in lexicographic ``(node, root,
     candidate…)`` order, and every row keeps its root's row in the root table
-    (``origin``), so :func:`settle` can restrict the run to any subset of the
-    roots.
+    (``origin``), so :func:`settle` can key the run by any column of the
+    roots (a fleet's shard).
 
     Nothing here loops over nodes or their member lists: who is live and
     who hands rows to whom are the per-depth tables of
@@ -383,84 +383,92 @@ class Attribution(NamedTuple):
 
 def settle(
     expansion: Expansion, view: GraphView, *, sinks: dict | None = None,
-    root_mask: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[dict[str | None, MatchStats], Attribution]:
     """Price an :func:`expand` through ``view``: stats per member query, and
     the settled block as an :class:`Attribution` — nothing is charged per
     query until someone asks (:meth:`Attribution.charge`).
 
-    ``root_mask`` restricts the run to the roots it keeps (given an ``(r,
-    2)`` root array, a boolean mask; a fleet's shard keeps those whose first
-    endpoint it owns).  Rows are independent in the join, so the rows the
-    kept roots grew, their log entries and sink rows are what a launch over
-    those roots alone returns, in the same relative order; any disjoint
-    cover of the roots sums to the unrestricted settle.
+    A view with several readers says who reads each root (a fleet's view:
+    the shard owning its first endpoint, ``readers(roots)``; one device
+    reads them all), and the settle carries that reader as a key column:
+    every count below is one ``bincount`` over ``reader · L + line``, every
+    access is read by its row's root's reader, and the view is charged per
+    reader (:meth:`~repro.gpu.views.GraphView.charge`).  Rows are
+    independent in the join, so a reader's rows, log entries and sink rows
+    are what a launch over its roots alone returns, in the same relative
+    order.
 
     The statistics are products of each depth's per-line candidate totals
     with its incidence (integer sums, in any order).  All accesses are
-    settled once, stably sorted by node pre-order over each depth's ``(slot,
-    constraint, row)`` log: ``(plan, level)`` order for a single query, the
-    node-by-node walk's order for a rulebook — the sequence an
-    order-sensitive view (the UM pager) must be handed.  The view classifies
-    and records that one block into its counters once.  ``sinks`` are
-    flushed in plan order — the depth-first emission order of running the
-    plans one after another.
+    settled once, stably sorted by reader, then by node pre-order over each
+    depth's ``(slot, constraint, row)`` log: ``(plan, level)`` order for a
+    single query, the node-by-node walk's order for a rulebook — the
+    sequence an order-sensitive view (the UM pager) must be handed.  The
+    view classifies and records that one block once.  ``sinks`` are flushed
+    reader by reader, in plan order — the depth-first emission order of
+    running the plans one after another on each reader in turn.
     """
-    e, shared = expansion, view.counters
-    keep = None if root_mask is None else root_mask(e.roots)
-    skipped = e.skipped
-    if keep is not None:
-        group = np.repeat(np.arange(skipped.size), skipped)
-        skipped = np.bincount(group[root_mask(e.dropped)], minlength=skipped.size)
-    nodes, found, signed, output_ops = np.zeros((4, len(e.queries)), dtype=np.int64)
-    work = np.zeros(len(e.trie.nodes), dtype=np.int64)  # order-free compute per node
+    e = expansion
+    parts = view.num_readers
+    part = view.readers(e.roots) if parts > 1 else None  # None: one reader reads all
+    # per reader and query: signed ΔM, embeddings, roots, tree nodes, output ops
+    tally = np.zeros((5, parts, len(e.queries)), dtype=np.int64)
+    signed, found, roots, nodes, output_ops = tally
+    work = np.zeros((parts, len(e.trie.nodes)), dtype=np.int64)  # order-free compute per node
     for depth, (level, record, tier) in enumerate(zip(e.trie.levels, e.records, e.tiers)):
         line, cand_cnt, origin, compute, total = tier
-        if keep is not None:  # the rows the kept roots grew, counted again
-            kept = keep[origin]
-            line, cand_cnt, origin = line[kept], cand_cnt[kept], origin[kept]
-            compute = None if compute is None else compute[kept]
-            total = np.bincount(line, weights=cand_cnt, minlength=total.size).astype(np.int64)
+        cells = parts * total.size
+        if part is None:
+            cell, total = line, total[None]
+        else:  # the totals again, per reader
+            cell = part[origin] * total.size + line
+            total = np.bincount(cell, weights=cand_cnt, minlength=cells).astype(np.int64)
+            total = total.reshape(parts, -1)
         if compute is None:
             processed = total  # the roots: one row per root, counted per group
         else:
-            work[level.order] = np.bincount(line, weights=compute, minlength=total.size)
-        ended = record.terminal @ total  # embeddings of the plans that end here
-        nodes += record.member @ total
+            work[:, level.order] = np.bincount(
+                cell, weights=compute, minlength=cells).reshape(parts, -1)
+        terminal = record.terminal.T
+        ended = total @ terminal  # embeddings of the plans that end here
+        nodes += total @ record.member.T
         found += ended
-        signed += record.terminal @ np.bincount(
-            line, weights=e.signs[origin] * cand_cnt, minlength=total.size
-        ).astype(np.int64)
+        signed += np.bincount(
+            cell, weights=e.signs[origin] * cand_cnt, minlength=cells
+        ).astype(np.int64).reshape(parts, -1) @ terminal
         output_ops += ended * (depth + 2)  # a plan ending at this depth binds depth + 2 vertices
     first = e.records[0].member  # root counts go to every member plan's query
-    columns = np.stack([signed, found, first @ processed, nodes, first @ skipped], axis=1)
-    # every charge that is a sum, once: outputs go to the terminal plan's query
-    shared.record_output(int(found.sum()))
-    shared.record_compute(int(output_ops.sum() + work.sum()))
+    roots += processed @ first.T
+    by_query, by_part = tally.sum(1), tally.sum(2)
+    columns = np.stack([*by_query[:4], first @ e.skipped], axis=1)
+    # every charge that is a sum, once per reader: outputs go to the terminal plan's query
+    view.charge(by_part[2], by_part[1], by_part[4] + work.sum(1))
     key = vertex = acc = None
     if e.logs:
-        logs = e.logs
-        if keep is not None:  # each log entry kept by its row's root
-            logs = []
-            for log, launch, tier in zip(e.logs, e.launches, e.tiers[1:]):
-                kept = keep[tier[2][launch.log.row]]
-                logs.append(tuple(part[kept] for part in log))
-        key, vertex, length = map(np.concatenate, zip(*logs))
-        by = np.argsort(key, kind="stable")
+        key, vertex, length = map(np.concatenate, zip(*e.logs))
+        order = key
+        if part is not None:  # each access read by its row's root's reader
+            reader = np.concatenate([
+                part[tier[2][launch.log.row]] for launch, tier in zip(e.launches, e.tiers[1:])
+            ])
+            order = reader * len(e.trie.nodes) + key
+        by = np.argsort(order, kind="stable")
         key, vertex, length = key[by], vertex[by], length[by]
-        acc = view.fetch_block(vertex, length) if key.size else None  # a slice may read nothing
-    if e.emitted:  # plan order: each sink sees its own match_batch's order
-        for ref in e.trie.refs:
-            if ref in e.emitted:
-                embeddings, origin = e.emitted[ref]
-                if keep is not None:
-                    mine = keep[origin]
-                    embeddings, origin = embeddings[mine], origin[mine]
-                for emb, s in zip(embeddings.tolist(), e.signs[origin].tolist()):
-                    sinks[ref.query_name](tuple(emb), s)
+        if key.size:  # a batch may read nothing
+            acc = view.fetch_block(vertex, length, None if part is None else reader[by])
+    if e.emitted:  # reader by reader, each in plan order
+        for p in range(parts):
+            for ref in e.trie.refs:
+                if ref in e.emitted:
+                    embeddings, origin = e.emitted[ref]
+                    if part is not None:
+                        mine = part[origin] == p
+                        embeddings, origin = embeddings[mine], origin[mine]
+                    for emb, s in zip(embeddings.tolist(), e.signs[origin].tolist()):
+                        sinks[ref.query_name](tuple(emb), s)
     stats = {name: MatchStats(*row) for name, row in zip(e.queries, columns.tolist())}
     return stats, Attribution(
-        e.trie, e.queries, e.member, key, vertex, acc, work, found, output_ops
+        e.trie, e.queries, e.member, key, vertex, acc, work.sum(0), by_query[1], by_query[4],
     )
 
 
@@ -473,14 +481,12 @@ def match_trie(
     skip: frozenset = frozenset(),
     prefilter: list[np.ndarray] | None = None,
     filters: dict[int, np.ndarray] | None = None,
-    root_mask: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> dict[str | None, MatchStats]:
     """Advance a trie of plans level-synchronously over ``view``'s graph and
-    price it through ``view``: :func:`settle` ∘ :func:`expand`, its stats
-    (``root_mask``: :func:`settle`'s restriction)."""
+    price it through ``view``: :func:`settle` ∘ :func:`expand`, its stats."""
     expansion = expand(trie, batch, view.graph, sinks=frozenset(sinks or ()), skip=skip,
                        prefilter=prefilter, filters=filters)
-    return settle(expansion, view, sinks=sinks, root_mask=root_mask)[0]
+    return settle(expansion, view, sinks=sinks)[0]
 
 
 # ----------------------------------------------------------------------
@@ -493,7 +499,6 @@ def match_batch(
     *,
     sink: EmbeddingSink | None = None,
     filters: dict[int, np.ndarray] | None = None,
-    root_mask: Callable[[np.ndarray], np.ndarray] | None = None,
     prefilter=None,
 ) -> MatchStats:
     """Run all ΔM_i plans against a signed batch (paper Fig. 2b-f).
@@ -504,17 +509,12 @@ def match_batch(
     plans (of any depths) run as the no-sharing trie of :func:`match_trie`.
     ``filters`` optionally restricts each query vertex to a sorted candidate
     array (RapidFlow's index pruning); root endpoints are filtered too.
-    ``root_mask`` optionally selects a subset of the directed roots — given
-    the ``(r, 2)`` root array it returns a boolean mask — as :func:`settle`'s
-    restriction: per-root work is independent, so any disjoint cover of the
-    roots reproduces the unrestricted counters exactly.
     ``prefilter`` optionally supplies a certified-skip decision
     (:class:`~repro.core.prefilter.PrefilterDecision`): its per-plan
     ``masks`` are the keep-masks of the plans' root groups; dropped roots are
     counted in ``MatchStats.roots_skipped``.  It is applied *last* — after candidate
-    filters — so the skip accounting composes with them and with the
-    restriction, and exactness is certified (only provably-ΔM=0 roots are
-    dropped).
+    filters — so the skip accounting composes with them, and exactness is
+    certified (only provably-ΔM=0 roots are dropped).
     A query's weight predicates read each edge's hash weight
     (:func:`~repro.graphs.attributes.edge_weights`).
     """
@@ -522,7 +522,7 @@ def match_batch(
         solo_trie(plans), batch, view,
         sinks=None if sink is None else {None: sink},
         prefilter=None if prefilter is None else prefilter.masks,
-        filters=filters, root_mask=root_mask,
+        filters=filters,
     )[None]
 
 

@@ -40,7 +40,7 @@ the two modes for representatives (the sharing contract of
 :mod:`repro.core.querytrie`), while the engine-level ``match_counters``
 price only the work actually executed — their gap is the modeled saving.
 Under the trie they are computed when read: a batch keeps the block it
-settled (:class:`~repro.core.matching.Attribution`, one per shard) and the
+settled (:class:`~repro.core.matching.Attribution`, a fleet's too) and the
 first read of ``match_counters_by_query`` charges it per query; a batch
 nobody asks about attributes nothing.
 
@@ -97,11 +97,10 @@ def split_walk_budget(total_walks: int, num_queries: int) -> list[int]:
 
 @dataclass
 class RulebookStats(MatchStats):
-    """Rulebook totals plus their per-query split (``merge`` keeps both, so
-    a fleet sums its shards' rulebook stats like any other), and what
+    """Rulebook totals plus their per-query split, and what
     per-query counters are read from: the per-query loop's own
     ``counters_by_query``, or the trie's settled blocks ``attributions``
-    (one per shard), charged per query only when read
+    (one per settle), charged per query only when read
     (:meth:`per_query_counters`)."""
 
     by_query: dict[str, MatchStats] = field(default_factory=dict)
@@ -113,14 +112,6 @@ class RulebookStats(MatchStats):
         """Adopt one query's stats."""
         MatchStats.merge(self, stats)
         self.by_query[name] = stats
-
-    def merge(self, other: "RulebookStats") -> None:
-        MatchStats.merge(self, other)
-        for name, stats in other.by_query.items():
-            self.by_query.setdefault(name, MatchStats()).merge(stats)
-        for name, counters in other.counters_by_query.items():
-            self.counters_by_query.setdefault(name, AccessCounters()).merge(counters)
-        self.attributions += other.attributions
 
     def per_query_counters(self, aliases: dict[str, str]) -> dict[str, AccessCounters]:
         """Counters per query in ``by_query``'s order: what each query ran —
@@ -360,7 +351,6 @@ class Rulebook(QuerySet):
     def match(
         self, engine: GCSMEngine, batch: UpdateBatch, view, decision: RulebookDecision | None,
         sinks: dict | None = None, expansion: Expansion | None = None, *, filters=None,
-        root_mask=None,
     ) -> RulebookStats:
         """Settle :meth:`expand`'s run (the per-query loop: match every query
         not certified away); ``view.counters`` receives the work actually
@@ -368,12 +358,10 @@ class Rulebook(QuerySet):
         once per batch by :meth:`settle`.  (``filters`` is the ``indexed`` placement's, which
         :meth:`check` refuses.)"""
         if not self.shared:
-            return self._match_independent(engine, batch, view, decision, sinks or {}, root_mask)
-        return self._match_shared(view, sinks or {}, root_mask, expansion)
+            return self._match_independent(engine, batch, view, decision, sinks or {})
+        return self._match_shared(view, sinks or {}, expansion)
 
-    def _match_independent(
-        self, engine, batch, view, decision, sinks, root_mask
-    ) -> RulebookStats:
+    def _match_independent(self, engine, batch, view, decision, sinks) -> RulebookStats:
         """Baseline: every query runs its own full plan execution.
 
         Each query's charges land in a private counter (swapped into the
@@ -390,7 +378,7 @@ class Rulebook(QuerySet):
                 view.counters = AccessCounters()
                 stats = engine.match(
                     self.plans[query.name], batch, view,
-                    sink=sinks.get(query.name), root_mask=root_mask,
+                    sink=sinks.get(query.name),
                     prefilter=decision.by_query[query.name] if decision else None,
                 )
                 out.add(query.name, stats)
@@ -400,7 +388,7 @@ class Rulebook(QuerySet):
             view.counters = shared_counters
         return out
 
-    def _match_shared(self, view, sinks, root_mask, expansion) -> RulebookStats:
+    def _match_shared(self, view, sinks, expansion) -> RulebookStats:
         """The representatives' trie: settle :meth:`expand`'s run; its stats,
         and the per-query counters read from the settled block it keeps, are
         bit-identical to an independent run.
@@ -429,7 +417,7 @@ class Rulebook(QuerySet):
                         sink(tuple(emb[u] for u in inv), sign)
             rep_sinks[rep] = _fan
 
-        rep_stats, attribution = settle(expansion, view, sinks=rep_sinks, root_mask=root_mask)
+        rep_stats, attribution = settle(expansion, view, sinks=rep_sinks)
         out = RulebookStats(attributions=[attribution])
         for name, stats in rep_stats.items():
             out.add(name, stats)

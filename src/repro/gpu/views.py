@@ -52,6 +52,8 @@ class GraphView(ABC):
 
     #: which platform prices this view's counters (see clock.simulated_time_ns)
     platform: str = "gpu"
+    #: who settles the kernel's roots: one device (a fleet's view: its shards)
+    num_readers: int = 1
 
     def __init__(self, graph: DynamicGraph, device: DeviceConfig,
                  counters: AccessCounters) -> None:
@@ -59,10 +61,16 @@ class GraphView(ABC):
         self.device = device
         self.counters = counters
 
-    def fetch_block(self, vertices: np.ndarray, lengths: np.ndarray) -> Accesses:
+    def charge(self, roots: np.ndarray, outputs: np.ndarray, ops: np.ndarray) -> None:
+        """A settle's roots, embeddings and compute ops, one entry per reader."""
+        self.counters.record_output(sum(outputs.tolist()))
+        self.counters.record_compute(sum(ops.tolist()))
+
+    def fetch_block(self, vertices: np.ndarray, lengths: np.ndarray, reader=None) -> Accesses:
         """Record one neighbor-list access per element of ``vertices``, each
         reading a list of the paired length, in array order; returns the
-        block as classified, for a caller that attributes it further."""
+        block as classified, for a caller that attributes it further
+        (``reader``, who reads each access, is a fleet's view's)."""
         acc = self.classify(vertices, lengths)
         self.counters.record(vertices, acc)
         return acc

@@ -14,19 +14,21 @@ stage (update, prefilter, reorganize) and every schedule is the engine's own.
 * **Pack** — per shard: each device selects the hot vertices *it owns*
   within its own buffer budget, packs its DCSR slice, and uploads over its
   own host link.  Phase time is the slowest shard (uploads overlap).
-* **Match** — per shard: directed roots are routed to the shard owning
-  their first endpoint, and each shard settles the slice of the one
-  expansion its roots grew (:func:`~repro.core.matching.settle` with a
-  ``root_mask``), reading local cache / peer caches / host zero-copy.
-  Phase time is the slowest shard, plus the ΔM all-reduce (reported
-  separately as ``comm_ns``).
+* **Match** — one settle for the fleet: directed roots are keyed by the
+  shard owning their first endpoint, and the one expansion is settled once
+  through the fleet's :class:`~repro.multigpu.shard.ShardedDeviceView`
+  (:func:`~repro.core.matching.settle` carries the shard as a key column),
+  every access classified against the shard reading it — local cache /
+  peer caches / host zero-copy — and each shard's counters its split of
+  the block.  Phase time is the slowest shard, plus the ΔM all-reduce
+  (reported separately as ``comm_ns``).
 
-Pack and match reuse the single-device internals
-(:func:`~repro.core.engine.pack_step`, the shared matching kernel), shard by
-shard in shard order.  With ``devices=1`` the engine never
+Pack reuses the single-device internals
+(:func:`~repro.core.engine.pack_step`) shard by shard in shard order, and
+match the shared matching kernel.  With ``devices=1`` the engine never
 loads this module: the single-device body *is* the one-device fleet, by
 construction.  For ``N > 1`` match counts stay identical (roots are a
-disjoint cover; rows are independent in the join, so a shard's slice is
+disjoint cover; rows are independent in the join, so a shard's split is
 what a launch over its roots alone returns) while timing shows sub-linear
 speedup dominated by PEER traffic and the serial host phases.
 """
@@ -73,10 +75,10 @@ class MultiFleetBatchResult(MultiBatchResult, FleetBatchResult):
 
 @dataclass
 class FleetOutcome(MatchOutcome):
-    """The fleet-wide match: merged stats/counters, slowest-shard time, and
-    the per-shard outcomes the reports are built from."""
+    """The fleet-wide match: stats, counters and the fleet's view of the one
+    settle, the slowest shard's time, and each shard's."""
 
-    shards: list[MatchOutcome] = field(default_factory=list)
+    shard_ns: list[float] = field(default_factory=list)
 
 
 #: Knuth's multiplicative hash constant (2^32 / phi), mod 2^32.
@@ -130,70 +132,55 @@ class FleetPlacement(CachedPlacement):
         breakdown.pack_ns = owner_ns + max(s.pack_ns for s in self.shards)
         return estimation, owner
 
+    def view(self, graph, counters, shipped):
+        return ShardedDeviceView(
+            graph, self.engine.device, counters, [s.cache for s in self.shards], shipped[1]
+        )
+
     def match(self, batch, shipped, decision, sinks, expansion):
-        """Per-shard settles of the expansion's slices for the routed roots,
-        in shard order (so a sink's emission order is deterministic), then
-        the ΔM all-reduce."""
-        engine, graph = self.engine, self.engine.graph
-        _, owner = shipped
-        caches = [s.cache for s in self.shards]
-
-        def match_one(shard: Shard) -> MatchOutcome:
-            counters = AccessCounters()
-            view = ShardedDeviceView(
-                graph, shard.device, counters, shard.cache,
-                shard_id=shard.shard_id, owner=owner, peer_caches=caches,
-            )
-            # certified-away roots are restricted alike, so skipped-root
-            # accounting partitions exactly across the fleet
-            stats = engine.query_set.match(
-                engine, batch, view, decision, sinks, expansion,
-                root_mask=lambda roots: owner[roots[:, 0]] == shard.shard_id,
-            )
-            ns = simulated_time_ns(counters, shard.device, platform="gpu")
-            return MatchOutcome(stats, counters, ns, view)
-
-        outcomes = [match_one(shard) for shard in self.shards]
-        total, merged = type(outcomes[0].stats)(), AccessCounters()
-        for o in outcomes:
-            total.merge(o.stats)
-            merged.merge(o.counters)
+        """One settle through the fleet's view, every root keyed by its shard
+        (so a sink sees the shards in order), then the ΔM all-reduce; the
+        phase is the slowest shard's."""
+        engine = self.engine
+        outcome = super().match(batch, shipped, decision, sinks, expansion)
+        shard_ns = [
+            simulated_time_ns(counters, shard.device, platform="gpu")
+            for shard, counters in zip(self.shards, outcome.view.shard_counters)
+        ]
         return FleetOutcome(
-            total, merged, max(o.match_ns for o in outcomes),
-            comm_ns=allreduce_delta_ns(engine.cluster, engine.query_set.num_plans),
-            shards=outcomes,
+            outcome.stats, outcome.counters, max(shard_ns), outcome.view,
+            allreduce_delta_ns(engine.cluster, engine.query_set.num_plans), shard_ns,
         )
 
     def bookkeeping(self, shipped, outcome):
         if outcome is None:
             return {}
-        estimation = shipped[0]
-        shards, outcomes = self.shards, outcome.shards
+        shards, view = self.shards, outcome.view
+        roots, hits, misses, remote_hits, remote_misses = view.tally.tolist()
         return dict(
-            estimation=estimation,
+            estimation=shipped[0],
             cached_vertices=np.concatenate([s.selected for s in shards]),
             cache_bytes=sum(s.cache.total_bytes for s in shards),
-            cache_hits=sum(o.view.total_hits for o in outcomes),
-            cache_misses=sum(o.view.total_misses for o in outcomes),
+            cache_hits=sum(hits) + sum(remote_hits),
+            cache_misses=sum(misses) + sum(remote_misses),
             shard_reports=[
                 ShardBatchReport(
                     shard_id=s.shard_id,
-                    roots_processed=o.stats.roots_processed,
-                    match_ns=o.match_ns,
+                    roots_processed=roots[i],
+                    match_ns=outcome.shard_ns[i],
                     pack_ns=s.pack_ns,
                     cache_bytes=s.cache.total_bytes,
                     cached_vertices=s.cache.num_cached,
-                    local_hits=o.view.hits,
-                    local_misses=o.view.misses,
-                    remote_hits=o.view.remote_hits,
-                    remote_misses=o.view.remote_misses,
-                    peer_bytes=o.counters.bytes_by_channel[Channel.PEER],
+                    local_hits=hits[i],
+                    local_misses=misses[i],
+                    remote_hits=remote_hits[i],
+                    remote_misses=remote_misses[i],
+                    peer_bytes=view.shard_counters[i].bytes_by_channel[Channel.PEER],
                 )
-                for s, o in zip(shards, outcomes)
+                for i, s in enumerate(shards)
             ],
             load_balance=LoadBalanceReport(
-                shard_match_ns=tuple(o.match_ns for o in outcomes),
-                shard_roots=tuple(o.stats.roots_processed for o in outcomes),
+                shard_match_ns=tuple(outcome.shard_ns), shard_roots=tuple(roots),
             ),
-            comm=comm_report([o.counters for o in outcomes], outcome.comm_ns),
+            comm=comm_report(view.shard_counters, outcome.comm_ns),
         )

@@ -2,15 +2,17 @@
 
 Each :class:`Shard` is one simulated GPU: it owns its own
 :class:`~repro.gpu.device.DeviceConfig`, its slice of the DCSR cache (built
-from the hot vertices *it owns*, within its own device-buffer budget), its
-own :class:`~repro.gpu.counters.AccessCounters`, and its own DMA engine
-(every card sits on its own host link, so per-shard uploads overlap).
+from the hot vertices *it owns*, within its own device-buffer budget), and
+its own DMA engine (every card sits on its own host link, so per-shard
+uploads overlap).
 
-:class:`ShardedDeviceView` extends GCSM's cached view with the multi-GPU
-read path.  For a vertex the shard owns it is byte-for-byte the single-GPU
-view (probe own rowidx; hit → GPU global, miss → host zero-copy).  For a
-remote-owned vertex the kernel probes the owner's (replicated, tiny) rowidx
-directory: a remote *hit* is served over the peer interconnect
+:class:`ShardedDeviceView` is the fleet's one view: GCSM's cached view with
+the multi-GPU read path, each access classified against the shard that
+reads it and each shard's counters its split of the block.  For a vertex
+its reader owns it is byte-for-byte the single-GPU view (probe own rowidx;
+hit → GPU global, miss → host zero-copy).  For a remote-owned vertex the
+kernel probes the owner's (replicated, tiny) rowidx directory: a remote
+*hit* is served over the peer interconnect
 (:data:`~repro.gpu.counters.Channel.PEER`), a remote *miss* falls back to
 host zero-copy — the host graph is pinned and visible to every device, so
 an uncached list never takes two hops.
@@ -22,12 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.cache import CachedDeviceView, select_within_budget
+from repro.core.cache import select_within_budget
 from repro.core.dcsr import DcsrCache
 from repro.core.engine import pack_step
 from repro.graphs.dynamic_graph import DynamicGraph
-from repro.gpu.counters import AccessCounters, Accesses, Channel
+from repro.gpu.counters import AccessCounters, Accesses, Channel, tabulate
 from repro.gpu.device import DeviceConfig
+from repro.gpu.views import GraphView
 from repro.utils import sorted_unique
 
 __all__ = ["Shard", "ShardedDeviceView", "ShardBatchReport", "LoadBalanceReport"]
@@ -54,31 +57,45 @@ class Shard:
         self.cache, self.pack_ns = pack_step(graph, self.selected, self.device)
 
 
-class ShardedDeviceView(CachedDeviceView):
-    """GCSM's cached view plus the remote-read path of a sharded fleet
-    (``devices > 1``; one device runs the plain
-    :class:`~repro.core.cache.CachedDeviceView`)."""
+class ShardedDeviceView(GraphView):
+    """The fleet's one view (``devices > 1``; one device runs the plain
+    :class:`~repro.core.cache.CachedDeviceView`): a root is read by the shard
+    owning its first endpoint, and every access by its root's shard.
 
-    def __init__(
-        self,
-        graph: DynamicGraph,
-        device: DeviceConfig,
-        counters: AccessCounters,
-        cache: DcsrCache,
-        *,
-        shard_id: int,
-        owner: np.ndarray,
-        peer_caches: list[DcsrCache],
-    ) -> None:
-        super().__init__(graph, device, counters, cache)
-        self.shard_id = shard_id
-        self.owner = owner
-        self.peer_caches = peer_caches
-        self.remote_hits = 0
-        self.remote_misses = 0
+    ``counters`` take the whole block, ``shard_counters[s]`` the totals of
+    the split shard ``s`` read (no histogram: they price the shard), and
+    ``tally`` counts per shard the roots it settled, its hits and misses on
+    its own vertices, and its remote hits and misses."""
 
-    def classify(self, vertices: np.ndarray, lengths: np.ndarray) -> Accesses:
-        """The sharded routing, per access: a locally-owned vertex takes the
+    def __init__(self, graph: DynamicGraph, device: DeviceConfig, counters: AccessCounters,
+                 caches: list[DcsrCache], owner: np.ndarray) -> None:
+        super().__init__(graph, device, counters)
+        self.caches, self.owner, self.num_readers = caches, owner, len(caches)
+        self.shard_counters = [AccessCounters() for _ in caches]
+        self.tally = np.zeros((5, len(caches)), dtype=np.int64)
+
+    def readers(self, roots: np.ndarray) -> np.ndarray:
+        """The shard that settles each ``(r, 2)`` root: its first endpoint's owner."""
+        return self.owner[roots[:, 0]]
+
+    def charge(self, roots, outputs, ops) -> None:
+        super().charge(roots, outputs, ops)
+        self.tally[0] += roots
+        for counters, out, op in zip(self.shard_counters, outputs.tolist(), ops.tolist()):
+            counters.record_output(out)
+            counters.record_compute(op)
+
+    def fetch_block(self, vertices, lengths, reader):
+        """Classify the block once and record it whole; each shard's counters
+        add the shard's row of the block tabulated by reader."""
+        acc = self.classify(vertices, lengths, reader)
+        self.counters.record(vertices, acc)
+        for counters, row in zip(self.shard_counters, tabulate(acc, reader, self.num_readers)):
+            counters.accumulate(row)
+        return acc
+
+    def classify(self, vertices: np.ndarray, lengths: np.ndarray, reader: np.ndarray) -> Accesses:
+        """The sharded routing, per access: a vertex its reader owns takes the
         single-GPU cached path; a remote-owned one probes its owner's rowidx
         (at that cache's probe cost) and is served over the peer interconnect
         on a hit, or from pinned host memory on a miss — every device reads
@@ -87,33 +104,21 @@ class ShardedDeviceView(CachedDeviceView):
         hit = np.zeros(vertices.shape[0], dtype=bool)
         ops = np.zeros(vertices.shape[0], dtype=np.int64)
         for sid in sorted_unique(owners).tolist():
-            routed, cache = owners == sid, self.peer_caches[sid]
+            routed, cache = owners == sid, self.caches[sid]
             hit[routed] = cache.lookup_block(vertices[routed])
             ops[routed] = cache.probe_cost_ops()
-        local = owners == self.shard_id
-        peer = hit & ~local
-        mine, served = int(np.count_nonzero(local)), int(np.count_nonzero(hit & local))
-        remote = int(np.count_nonzero(peer))
-        self.hits += served
-        self.misses += mine - served
-        self.remote_hits += remote
-        self.remote_misses += hit.size - mine - remote
+        remote = owners != reader
+        peer = hit & remote
+        # per reader: local hit, local miss, remote hit, remote miss
+        kind = 2 * remote + ~hit
+        self.tally[1:] += np.bincount(kind * self.num_readers + reader,
+                                      minlength=4 * self.num_readers).reshape(4, -1)
         acc = self._hit_or_zero_copy(hit, lengths)
         return acc._replace(
             channel=np.where(peer, Channel.PEER.slot, acc.channel),
             transactions=np.where(peer, self.device.peer_lines(acc.nbytes), acc.transactions),
             ops=ops,
         )
-
-    @property
-    def total_hits(self) -> int:
-        """Reads served from *some* device's cache (local or peer)."""
-        return self.hits + self.remote_hits
-
-    @property
-    def total_misses(self) -> int:
-        """Reads that fell through to host memory."""
-        return self.misses + self.remote_misses
 
 
 @dataclass(frozen=True)

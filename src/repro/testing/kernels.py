@@ -343,7 +343,23 @@ def match_batch_recursive(
     """:func:`repro.core.matching.match_batch` on the recursive executor: the
     driver's root pipeline plan by plan, certified by the decision's
     ``prefilter.masks[plan_index]``, then restricted to the roots
-    ``root_mask`` keeps (the certified-away ones too, for ``roots_skipped``)."""
+    ``root_mask`` keeps (the certified-away ones too, for ``roots_skipped``).
+    Through a fleet's view each shard descends the roots it reads (its
+    restriction), shard by shard (:class:`_ShardReader`)."""
+    if view.num_readers > 1:
+        total = MatchStats()
+        for shard in range(view.num_readers):
+            reader = _ShardReader(view, shard)
+            stats = match_batch_recursive(
+                plans, batch, reader, sink=sink, filters=filters, prefilter=prefilter,
+                root_mask=lambda roots: view.readers(roots) == shard,
+            )
+            charged = np.zeros((3, view.num_readers), dtype=np.int64)
+            charged[:, shard] = (stats.roots_processed, reader.counters.output_embeddings,
+                                 reader.counters.compute_ops)
+            view.charge(*charged)
+            total.merge(stats)
+        return total
     labels = view.graph.labels
     total = MatchStats()
     for index, plan in enumerate(plans):
@@ -356,6 +372,22 @@ def match_batch_recursive(
         total.roots_skipped += dropped.shape[0]
         total.merge(_run_recursive(plan, view, labels, sink, filters, roots, signs))
     return total
+
+
+class _ShardReader(GraphView):
+    """One shard of a fleet's view as the recursive executor reads through
+    it: each access goes to the fleet read by the shard; its outputs and
+    compute collect in ``counters`` for the shard's charge."""
+
+    def __init__(self, fleet: GraphView, shard: int) -> None:
+        super().__init__(fleet.graph, fleet.device, AccessCounters())
+        self.fleet, self.shard = fleet, shard
+
+    def classify(self, vertices: np.ndarray, lengths: np.ndarray):
+        return self.fleet.classify(vertices, lengths, np.full(vertices.shape[0], self.shard))
+
+    def fetch_block(self, vertices, lengths, reader=None):
+        return self.fleet.fetch_block(vertices, lengths, np.full(vertices.shape[0], self.shard))
 
 
 def match_static_recursive(

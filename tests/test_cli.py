@@ -199,3 +199,37 @@ class TestRulebookCommand:
             assert main(["run", "--rulebook", "Q1,Q3", "--dataset", "AZ",
                          "--batch-size", "32", *extra]) == 0
         assert "2 queries, shared=True" in capsys.readouterr().out
+
+
+class TestUserErrorsExitTwo:
+    """A run the input cannot make prints one ``repro <cmd>: error: …`` line
+    and exits 2 — no traceback — from a fresh interpreter, as a user runs it.
+    VSGM's capacity error names the query's k-hop radius, and advises a
+    smaller batch only when one update's working set would fit."""
+
+    @pytest.mark.parametrize("argv, message, absent", [
+        (["run", "--system", "VSGM"],
+         "2-hop working set", "first update alone"),
+        (["compare", "--systems", "VSGM,ZC"],
+         "2-hop working set", "first update alone"),
+        (["compare", "--systems", "FOO,ZC"],
+         "unknown system 'FOO'", "working set"),
+        (["run", "--system", "VSGM", "--batch-size", "1", "--batches", "1"],
+         "the batch's first update alone needs", "use a smaller batch"),
+    ])
+    def test_one_line_and_exit_two(self, argv, message, absent):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-m", "repro", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        lines = done.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"repro {argv[0]}: error: ")
+        assert message in lines[0] and absent not in lines[0]

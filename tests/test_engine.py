@@ -11,6 +11,7 @@ from repro.core.engine import GCSMEngine
 from repro.graphs import StaticGraph, UpdateBatch
 from repro.graphs.generators import erdos_renyi, powerlaw_graph
 from repro.graphs.stream import derive_stream
+from repro.multigpu.shard import ShardedDeviceView
 from repro.query import QueryGraph
 from repro.testing.reference import count_embeddings
 
@@ -200,6 +201,9 @@ def az_mixed_stream():
 FAULT_STAGES = ("update", "pack", "settle", "reorganized")
 #: the configurations the one batch body runs under
 FAULT_CONFIGS = ("serial", "pipelined", "devices=2", "rulebook")
+#: a fleet's own fault: inside its one settle, the view's classify lets the
+#: first shard's reads through and raises on the second's
+SHARD_FAULT = "second shard"
 
 
 def inject_fault(stage: str, engine: GCSMEngine, patch) -> None:
@@ -213,6 +217,18 @@ def inject_fault(stage: str, engine: GCSMEngine, patch) -> None:
         patch.setattr(DcsrCache, "build", boom)
     elif stage == "settle":
         patch.setattr(CachedDeviceView, "fetch_block", boom)
+        patch.setattr(ShardedDeviceView, "fetch_block", boom)
+    elif stage == SHARD_FAULT:
+        classify = ShardedDeviceView.classify
+
+        def on_the_second_shard(view, vertices, lengths, reader):
+            if (reader == 1).any():
+                first = reader == 0
+                classify(view, vertices[first], lengths[first], reader[first])
+                boom()
+            return classify(view, vertices, lengths, reader)
+
+        patch.setattr(ShardedDeviceView, "classify", on_the_second_shard)
     else:
         reorganize = engine.graph.reorganize
         patch.setattr(engine.graph, "reorganize", lambda: (reorganize(), boom()))
@@ -226,7 +242,8 @@ def fault_engine(config: str, prefilter: str) -> GCSMEngine:
     q1 = query_by_name("Q1")
     if config == "rulebook":
         return GCSMEngine(g0, Rulebook([q1, query_by_name("Q2")]), prefilter=prefilter)
-    settings = {"pipelined": {"schedule": "pipelined"}, "devices=2": {"devices": 2}}
+    settings = {"pipelined": {"schedule": "pipelined"}, "devices=2": {"devices": 2},
+                "devices=2 pipelined": {"devices": 2, "schedule": "pipelined"}}
     return GCSMEngine(g0, q1, prefilter=prefilter, **settings.get(config, {}))
 
 
@@ -248,8 +265,12 @@ def check_fault_settles(stage: str, config: str, prefilter: str) -> None:
     if engine.prefilter_index is not None:
         engine.prefilter_index.assert_consistent()
     assert np.array_equal(engine.snapshot().edge_array(), twin.snapshot().edge_array())
-    delta = engine.process_batch(batches[1]).delta_count
-    assert delta == twin.process_batch(batches[1]).delta_count
+    after, theirs = engine.process_batch(batches[1]), twin.process_batch(batches[1])
+    assert after.delta_count == theirs.delta_count
+    if stage == SHARD_FAULT:  # nothing of the failed settle reaches the next batch
+        for name in ("match_stats", "shard_reports", "load_balance", "comm"):
+            assert getattr(after, name) == getattr(theirs, name), name
+        assert after.match_counters.summary() == theirs.match_counters.summary()
     if engine.clock is not None:
         assert engine.schedule_report().num_batches == 1
 
@@ -397,6 +418,15 @@ class TestSettleOnFailure:
     @pytest.mark.parametrize("stage", FAULT_STAGES)
     def test_a_raise_at_any_stage_boundary_settles(self, stage, config, prefilter):
         check_fault_settles(stage, config, prefilter)
+
+    @pytest.mark.parametrize("prefilter", ["off", "on"])
+    @pytest.mark.parametrize("config", ["devices=2", "devices=2 pipelined"])
+    def test_a_raise_on_the_second_shard_settles(self, config, prefilter):
+        """A raise inside the fleet's one settle, on the second shard's
+        reads after the first shard's went through, settles like any other:
+        the store closed, the index a rebuild's, the next batch a fresh
+        fleet's — ΔM, stats, counters and every shard's report."""
+        check_fault_settles(SHARD_FAULT, config, prefilter)
 
 
 class TestEngineConfig:

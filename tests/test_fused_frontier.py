@@ -6,7 +6,7 @@ order-sensitive:
 
 * every per-plan feature — ragged constraint counts, wildcard labels,
   candidate filters, edge predicates, empty root sets, plans of different
-  depths, fleets routing roots with ``root_mask`` — is served per row by the
+  depths, a fleet settling once by shard — is served per row by the
   one fused path, bit-identical (counters, ``MatchStats``, histograms, sink
   order) to the recursive oracle;
 * the batch's accesses reach the view in trie pre-order — the order running
@@ -150,26 +150,27 @@ class TestFusedPathsMatchTheOracle:
         assert fused == oracle
         assert any(trace for _, trace in fused)
 
-    def test_two_device_fleet_with_root_mask(self):
+    def test_two_device_fleet_settles_once_by_shard(self):
+        """Both kernels through one fleet view: the fused one settles once,
+        keyed by shard; the oracle descends each shard's roots in turn."""
         g0, batches = stream(15)
         plans = compile_delta_plans(query_by_name("Q1"))
         owner = np.arange(g0.num_vertices) % 2
-        for shard in (0, 1):
-            def view(graph, counters, shard=shard):
-                caches = [
-                    DcsrCache.build(graph, np.flatnonzero(owner == s)[::3])
-                    for s in (0, 1)
-                ]
-                return ShardedDeviceView(
-                    graph, DEVICE, counters, caches[shard],
-                    shard_id=shard, owner=owner, peer_caches=caches,
-                )
-            fused, oracle = both_kernels(
-                g0, batches, plans, view,
-                root_mask=lambda roots, shard=shard: owner[roots[:, 0]] == shard,
-            )
-            assert fused == oracle
-            assert any(f["bytes"]["peer"] for f, _ in fused)
+        views = []
+
+        def view(graph, counters):
+            caches = [DcsrCache.build(graph, np.flatnonzero(owner == s)[::3]) for s in (0, 1)]
+            views.append(ShardedDeviceView(graph, DEVICE, counters, caches, owner))
+            return views[-1]
+
+        fused, oracle = both_kernels(g0, batches, plans, view)
+        assert fused == oracle  # the sinks' order too: shard by shard
+        assert any(f["bytes"]["peer"] for f, _ in fused)
+        half = len(views) // 2
+        for mine, theirs in zip(views[:half], views[half:]):
+            assert mine.tally.tolist() == theirs.tally.tolist()
+            assert [c.summary() for c in mine.shard_counters] == [
+                c.summary() for c in theirs.shard_counters]
 
     def test_match_static_is_the_one_plan_case(self):
         g = powerlaw_graph(400, 5.0, max_degree=30, num_labels=2, seed=17)

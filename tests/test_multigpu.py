@@ -21,7 +21,6 @@ from repro.gpu.clock import simulated_time_ns
 from repro.multigpu import FleetPlacement, LoadBalanceReport, ShardedDeviceView, hash_owners
 from repro.multigpu.comm import allreduce_delta_ns, comm_report
 from repro.query import QueryGraph, query_by_name
-from tests.test_views_semantics import read_list
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 TAILED = QueryGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)], [0, 0, 1, 1], name="tailed")
@@ -226,25 +225,88 @@ class TestShardedView:
         cache0 = DcsrCache.build(g, np.arange(0, g.num_vertices, 2, dtype=np.int64))
         cache1 = DcsrCache.build(g, np.arange(1, g.num_vertices, 2, dtype=np.int64))
         counters = AccessCounters()
-        view = ShardedDeviceView(
-            g, device, counters, cache0,
-            shard_id=0, owner=owner, peer_caches=[cache0, cache1],
-        )
+        view = ShardedDeviceView(g, device, counters, [cache0, cache1], owner)
         return g, view, counters
+
+    @staticmethod
+    def read_by_shard_zero(view, v):
+        lengths = view.graph.read(np.array([v]), False)[1]
+        view.fetch_block(np.array([v]), lengths, np.zeros(1, dtype=np.int64))
+        return int(lengths[0])
 
     def test_remote_cached_read_uses_peer_channel(self):
         g, view, counters = self._setup()
-        v = 1  # remote-owned, cached at shard 1
-        size = read_list(view, v, False).size
+        size = self.read_by_shard_zero(view, 1)  # remote-owned, cached at shard 1
         assert counters.bytes_by_channel[Channel.PEER] == 4 * size > 0
-        assert view.remote_hits == 1 and view.remote_misses == 0
-        assert view.total_hits == 1
+        assert view.shard_counters[0].bytes_by_channel[Channel.PEER] == 4 * size
+        assert view.tally[:, 0].tolist() == [0, 0, 0, 1, 0]  # one remote hit
+        assert not view.tally[:, 1].any()
 
     def test_local_read_unchanged(self):
         g, view, counters = self._setup()
-        read_list(view, 0, False)  # owned + cached locally
+        self.read_by_shard_zero(view, 0)  # owned + cached locally
         assert counters.bytes_by_channel[Channel.PEER] == 0
-        assert view.hits == 1
+        assert view.tally[:, 0].tolist() == [0, 1, 0, 0, 0]  # one local hit
+
+
+class TestOneSettlePerBatch:
+    """A fleet settles each batch's one expansion once, whatever its size
+    (it used to settle once per shard), on a single query and a rulebook."""
+
+    @pytest.mark.parametrize("devices", [2, 4])
+    def test_settle_is_entered_once_per_batch(self, devices):
+        from repro.core.matching import settle
+        from repro.core.multiquery import Rulebook
+        from repro.testing import count_calls
+
+        g0, batches = _stream(WORKLOADS[1][1], batches=3, batch_size=24)
+        rulebook = Rulebook([TAILED, TRIANGLE, PATH3])
+        for query in (TAILED, rulebook):
+            engine = GCSMEngine(g0, query, devices=devices, seed=9)
+            for batch in batches:
+                result = []
+                calls = count_calls(lambda: result.append(engine.process_batch(batch)),
+                                    settle.__code__)
+                assert calls == 1
+                assert len(result[0].shard_reports) == devices
+
+
+class TestShardCounters:
+    """A fleet settles a batch once; each shard's counters and tallies are
+    what the kernel launched over the shard's roots alone — those whose
+    first endpoint it owns — records, read by that shard."""
+
+    def test_each_shard_counts_what_its_roots_read(self):
+        from repro.core.dcsr import DcsrCache
+        from repro.core.matching import delta_roots, expand, settle
+        from repro.core.querytrie import solo_trie
+        from repro.query.plan import compile_delta_plans
+
+        g = powerlaw_graph(300, 6.0, max_degree=40, num_labels=2, seed=12)
+        g0, batches = derive_stream(g, num_updates=96, batch_size=32, seed=13)
+        graph, device = DynamicGraph(g0), DeviceConfig()
+        trie = solo_trie(compile_delta_plans(query_by_name("Q1")))
+        owner = hash_owners(graph.num_vertices, 3)
+        caches = [DcsrCache.build(graph, np.flatnonzero(owner == s)[::2]) for s in range(3)]
+        read = np.zeros(3, dtype=np.int64)
+        for raw in batches:
+            batch = graph.apply_batch(raw)
+            fleet = ShardedDeviceView(graph, device, AccessCounters(), caches, owner)
+            settle(expand(trie, batch, graph), fleet)
+            for shard in range(3):
+                keep = [
+                    owner[delta_roots(node.members[0].plan, batch, graph.labels)[0][:, 0]] == shard
+                    for node in trie.levels[0].nodes
+                ]
+                alone = ShardedDeviceView(graph, device, AccessCounters(), caches, owner)
+                stats = settle(expand(trie, batch, graph, prefilter=keep), alone)[0][None]
+                mine = fleet.shard_counters[shard].summary()
+                assert mine == {**alone.counters.summary(), "accesses": 0.0}
+                assert fleet.tally[:, shard].tolist() == alone.tally.sum(axis=1).tolist()
+                assert fleet.tally[0, shard] == stats.roots_processed
+                read[shard] += alone.counters.total_access_count
+            graph.reorganize()
+        assert read.all()  # every shard read something
 
 
 class TestCommModel:

@@ -19,7 +19,12 @@ pre-order.  The cost model's and the estimator's own unit tests stand too,
 not only the parity digests: ``tests/test_gpu_device.py`` sees a zero-copy
 line count that rounds down, and ``tests/test_frequency.py`` /
 ``tests/test_estimator_walk.py`` an Eq. 5 budget without its ``(n - 1)`` and
-an adaptive loop that stops after its first round.
+an adaptive loop that stops after its first round.  The fleet's one keyed
+settle has three: the restriction oracle
+(``tests/test_restriction_parity.py``) and the per-shard counters test
+(``tests/test_multigpu.py::TestShardCounters``) each see a root routed by its
+second endpoint and every access charged to shard 0, and the second-shard
+fault (``check_fault_settles``) a fleet view kept across batches.
 Every gate runs the same fixed cases under the mutant and unmutated, so a red
 gate is the mutant's doing.
 """
@@ -38,13 +43,17 @@ import tests.test_estimator_walk as walk_tests
 import tests.test_frequency as frequency_tests
 import tests.test_fused_frontier as fused_tests
 import tests.test_gpu_device as device_tests
+import tests.test_multigpu as multigpu_tests
 import tests.test_prefilter as prefilter_tests
+import tests.test_restriction_parity as restriction_tests
 from repro.core.engine import GCSMEngine
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.static_graph import StaticGraph
 from repro.gpu.device import DeviceConfig
+from repro.multigpu.engine import FleetPlacement
+from repro.multigpu.shard import ShardedDeviceView
 from tests.test_dynamic_graph import SETTLE_SEEDS, check_settle, settle_case
-from tests.test_engine import FAULT_STAGES, check_fault_settles
+from tests.test_engine import FAULT_STAGES, SHARD_FAULT, check_fault_settles
 from tests.test_estimator_walk import mutated
 from tests.test_prefilter import check_index_builds
 from tests.test_prefilter_oracle import check_query, check_rulebook, random_case
@@ -110,6 +119,27 @@ def zero_copy_gate():
     """The zero-copy line count at hand-computed sizes, scalar and block
     (``tests/test_gpu_device.py``)."""
     device_tests.TestDeviceConfig().test_zero_copy_lines_round_up()
+
+
+def shard_slice_gate():
+    """``tests/test_restriction_parity.py::test_a_shards_slice_equals_the_oracle``
+    on fixed examples: each shard's split of the fleet's one keyed settle is
+    what the oracle records over the roots whose first endpoint it owns."""
+    body = restriction_tests.test_a_shards_slice_equals_the_oracle.hypothesis.inner_test
+    for case in ("Q1", "rulebook8"):
+        body(seed=5, shards=3, case=case, prefilter=True, sinks=True)
+
+
+def shard_counters_gate():
+    """Each shard's counters and tallies are the launch over its own roots'
+    (``tests/test_multigpu.py::TestShardCounters``)."""
+    multigpu_tests.TestShardCounters().test_each_shard_counts_what_its_roots_read()
+
+
+def shard_fault_gate():
+    """``check_fault_settles`` with a raise on the second shard's reads
+    inside the fleet's one settle: the next batch is a fresh fleet's."""
+    check_fault_settles(SHARD_FAULT, "devices=2", "on")
 
 
 def walk_budget_gate():
@@ -293,6 +323,31 @@ def adaptive_stops_after_one_round(patch):
         "for _ in range(max_rounds - 1):", "for _ in range(0):"))
 
 
+def roots_routed_by_second_endpoint(patch):
+    """A fleet keys each root by the owner of its second endpoint."""
+    patch.setattr(ShardedDeviceView, "readers", mutated(
+        ShardedDeviceView.readers, "roots[:, 0]", "roots[:, 1]"))
+
+
+def every_access_to_shard_zero(patch):
+    """The fleet's view charges every access to shard 0's counters."""
+    patch.setattr(ShardedDeviceView, "fetch_block", mutated(
+        ShardedDeviceView.fetch_block, "tabulate(acc, reader,", "tabulate(acc, reader * 0,"))
+
+
+def fleet_view_outlives_its_batch(patch):
+    """The fleet builds its view once and keeps it: a batch's tallies pile
+    onto the last one's, a failed batch's partial reads included."""
+    view = FleetPlacement.view
+
+    def kept(self, graph, counters, shipped):
+        if not hasattr(self, "kept"):
+            self.kept = view(self, graph, counters, shipped)
+        return self.kept
+
+    patch.setattr(FleetPlacement, "view", kept)
+
+
 #: mutant -> (the gate that kills it, what its failure says if it names it)
 MUTANTS = {
     ignore_the_overlay: (query_gate, None),
@@ -315,13 +370,17 @@ MUTANTS = {
     zero_copy_rounds_down: (zero_copy_gate, None),
     walk_budget_drops_n_minus_1: (walk_budget_gate, None),
     adaptive_stops_after_one_round: (adaptive_gate, "assert 1 > 1"),
+    roots_routed_by_second_endpoint: (shard_slice_gate, None),
+    every_access_to_shard_zero: (shard_counters_gate, None),
+    fleet_view_outlives_its_batch: (shard_fault_gate, "shard_reports"),
 }
 
 
 @pytest.mark.parametrize(
     "gate", [query_gate, rulebook_gate, settle_gate, fault_gate, skip_gate,
              check_handed_out_dtypes, without_gate, check_index_builds, settle_order_gate,
-             zero_copy_gate, walk_budget_gate, adaptive_gate],
+             zero_copy_gate, walk_budget_gate, adaptive_gate, shard_slice_gate,
+             shard_counters_gate, shard_fault_gate],
     ids=lambda g: g.__name__,
 )
 def test_the_gates_pass_unmutated(gate):
@@ -333,4 +392,16 @@ def test_the_named_gate_kills_the_mutant(mutant, monkeypatch):
     gate, says = MUTANTS[mutant]
     mutant(monkeypatch)
     with pytest.raises(AssertionError, match=says):
+        gate()
+
+
+@pytest.mark.parametrize("gate", [shard_slice_gate, shard_counters_gate],
+                         ids=lambda g: g.__name__)
+@pytest.mark.parametrize("mutant", [roots_routed_by_second_endpoint, every_access_to_shard_zero],
+                         ids=lambda m: m.__name__)
+def test_both_fleet_gates_kill_both_fleet_mutants(mutant, gate, monkeypatch):
+    """The restriction oracle and the per-shard counters test each see a
+    misrouted root and a misattributed access on their own."""
+    mutant(monkeypatch)
+    with pytest.raises(AssertionError):
         gate()

@@ -1,16 +1,20 @@
-"""A shard settles a slice of the one expansion: the restriction, against the oracle.
+"""A fleet settles a batch once, keyed by shard: each shard's slice, against the oracle.
 
-A fleet expands a batch once and every shard settles the rows its roots grew
-(``settle(expansion, view, root_mask=…)``).  For each shard of a random owner
-map that slice must be what the recursive oracle
+A fleet expands a batch once and settles it once, every root keyed by the
+shard owning its first endpoint (``ShardedDeviceView.readers``) and every
+access by its root's shard.  For each shard of a random owner map the split
+the fleet's view records must be what the recursive oracle
 (``repro.testing.match_batch_recursive(root_mask=…)``) records for the
-shard's roots alone: ``MatchStats`` (``roots_skipped`` included), the
-counters' totals and both histograms, the per-query counters charged from
-the settled ``Attribution``, the sink emission order and the multiset of
-``fetch_block`` accesses.  The oracle descends root by root, so the access
-*sequence* is checked against the kernel launched over the shard's roots
-alone (the shard folded into its certify mask), written out node by node.
-Across the cover the slices sum to the unrestricted settle.
+shard's roots alone — the roots it counts, the counters' totals, the
+multiset of ``fetch_block`` accesses — and the sinks see the
+oracle's emissions shard by shard.  The oracle's restriction is written
+here (``owner[roots[:, 0]] == shard``), not read from the view.  The oracle
+descends root by root, so the access *sequence* of a shard is checked
+against the kernel launched over the shard's roots alone (the shard folded
+into its certify mask), written out node by node.  Across the cover the
+slices sum to the whole: the stats, the view's counters and the per-query
+counters charged from the settled ``Attribution`` (totals and both
+histograms).
 
 On a rulebook the oracle runs each representative's own plans; under the
 pre-filter a root group is certified for all its members at once (coarser
@@ -27,6 +31,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.dcsr import DcsrCache
 from repro.core.matching import MatchStats, delta_roots, expand, settle
 from repro.core.multiquery import Rulebook
 from repro.core.prefilter import InvariantIndex
@@ -37,6 +42,7 @@ from repro.graphs.stream import derive_stream
 from repro.gpu.counters import AccessCounters
 from repro.gpu.device import BYTES_PER_NEIGHBOR, default_device
 from repro.gpu.views import HostCPUView
+from repro.multigpu.shard import ShardedDeviceView
 from repro.query import QueryGraph, query_by_name
 from repro.query.generator import rulebook_suite
 from repro.query.plan import compile_delta_plans
@@ -65,12 +71,31 @@ def shard_masks(trie, batch, graph, own, masks):
     return out
 
 
-class Settled(NamedTuple):
-    stats: dict
-    counters: AccessCounters
-    charged: dict
-    emitted: list
-    accesses: tuple
+class HostFleetView(ShardedDeviceView):
+    """The fleet's view keyed by shard, every access a host read — as the
+    oracle's host view records it — with each classified block traced
+    alongside its readers."""
+
+    def __init__(self, graph, owner, shards):
+        caches = [DcsrCache.build(graph, np.empty(0, dtype=np.int64))] * shards
+        super().__init__(graph, DEVICE, AccessCounters(), caches, owner)
+        self.traced = []
+
+    def classify(self, vertices, lengths, reader):
+        self.traced.append((vertices, lengths * BYTES_PER_NEIGHBOR, reader))
+        return HostCPUView.classify(self, vertices, lengths)
+
+    def accesses(self, shard: int) -> tuple:
+        """The accesses shard ``shard`` read, in settle order."""
+        if not self.traced:
+            return [], []
+        vertices, nbytes, reader = map(np.concatenate, zip(*self.traced))
+        return vertices[reader == shard].tolist(), nbytes[reader == shard].tolist()
+
+
+def totals(counters: AccessCounters) -> dict:
+    """A counters' totals: what a shard's split holds (no histogram)."""
+    return {k: v for k, v in counters.summary().items() if k != "accesses"}
 
 
 def prints(counters: AccessCounters, n: int) -> tuple:
@@ -88,14 +113,24 @@ def accesses(view) -> tuple:
     return trace.vertices.tolist(), trace.nbytes.tolist()
 
 
-def settle_slice(expansion, graph, own, names) -> Settled:
-    counters, view = traced(graph)
+class Fleet(NamedTuple):
+    """One keyed settle: its stats, the fleet's view, the per-query counters
+    charged from its ``Attribution`` and what the sinks saw, in order."""
+
+    stats: dict
+    view: HostFleetView
+    charged: dict
+    emitted: list
+
+
+def settle_fleet(expansion, graph, owner, shards, names) -> Fleet:
+    view = HostFleetView(graph, owner, shards)
     emitted = []
     sinks = {name: (lambda emb, s, name=name: emitted.append((name, emb, s))) for name in names}
-    stats, attribution = settle(expansion, view, sinks=sinks or None, root_mask=own)
+    stats, attribution = settle(expansion, view, sinks=sinks or None)
     charged = defaultdict(AccessCounters)
     attribution.charge(charged)
-    return Settled(stats, counters, charged, emitted, accesses(view))
+    return Fleet(stats, view, charged, emitted)
 
 
 def oracle(plans, batch, graph, own, decision, name, sinks):
@@ -118,22 +153,23 @@ def issue_order(expansion) -> tuple:
     return vertex[pick].tolist(), (length[pick] * BYTES_PER_NEIGHBOR).tolist()
 
 
-def assert_cover(whole: Settled, parts: list[Settled], n: int) -> None:
-    """The slices of a cover sum to the unrestricted settle."""
-    stats = {name: MatchStats() for name in whole.stats}
-    counters, charged = AccessCounters(), defaultdict(AccessCounters)
-    for part in parts:
-        for name, one in part.stats.items():
-            stats[name].merge(one)
-        counters.merge(part.counters)
-        for name, one in part.charged.items():
-            charged[name].merge(one)
-    assert stats == whole.stats
-    assert prints(counters, n) == prints(whole.counters, n)
-    assert {q: prints(c, n) for q, c in charged.items()} == {
-        q: prints(c, n) for q, c in whole.charged.items()
-    }
-    assert sorted(e for part in parts for e in part.emitted) == sorted(whole.emitted)
+def owned(owner, shard):
+    """The oracle's restriction: the roots whose first endpoint ``shard`` owns."""
+    return lambda roots: owner[roots[:, 0]] == shard
+
+
+def assert_cover(fleet: Fleet, n: int) -> None:
+    """The shards' splits sum to the whole block the view recorded, and the
+    per-query counters charged from the one settle to it too."""
+    counters = AccessCounters()
+    for one in fleet.view.shard_counters:
+        counters.merge(one)
+    assert totals(counters) == totals(fleet.view.counters)
+    whole = AccessCounters()
+    for one in fleet.charged.values():
+        whole.merge(one)
+    if len(fleet.charged) == 1:  # one query: its counters are the view's
+        assert prints(whole, n) == prints(fleet.view.counters, n)
 
 
 def query_batch(graph, plans, batch, decision, owner, shards, sinks) -> MatchStats:
@@ -141,23 +177,24 @@ def query_batch(graph, plans, batch, decision, owner, shards, sinks) -> MatchSta
     names = [None] if sinks else []
     masks = None if decision is None else decision.masks
     expansion = expand(trie, batch, graph, sinks=frozenset(names), prefilter=masks)
-    n, parts = graph.num_vertices, []
+    fleet = settle_fleet(expansion, graph, owner, shards, names)
+    n, total, counters, emitted = graph.num_vertices, MatchStats(), AccessCounters(), []
     for shard in range(shards):
-        def own(roots, shard=shard):
-            return owner[roots[:, 0]] == shard
-
-        got = settle_slice(expansion, graph, own, names)
-        stats, counters, emitted, seen = oracle(plans, batch, graph, own, decision, None, sinks)
-        assert got.stats[None] == stats
-        assert prints(got.counters, n) == prints(counters, n) == prints(got.charged[None], n)
-        assert got.emitted == emitted
-        assert sorted(zip(*got.accesses)) == sorted(zip(*seen))
+        own = owned(owner, shard)
+        stats, theirs, seen, reads = oracle(plans, batch, graph, own, decision, None, sinks)
+        assert fleet.view.tally[0, shard] == stats.roots_processed
+        assert totals(fleet.view.shard_counters[shard]) == totals(theirs)
+        assert sorted(zip(*fleet.view.accesses(shard))) == sorted(zip(*reads))
         launch = expand(trie, batch, graph, prefilter=shard_masks(trie, batch, graph, own, masks))
-        assert got.accesses == issue_order(launch)
-        parts.append(got)
-    whole = settle_slice(expansion, graph, None, names)
-    assert_cover(whole, parts, n)
-    return whole.stats[None]
+        assert fleet.view.accesses(shard) == issue_order(launch)
+        total.merge(stats)
+        counters.merge(theirs)
+        emitted += seen
+    assert fleet.stats[None] == total
+    assert prints(fleet.charged[None], n) == prints(counters, n)
+    assert fleet.emitted == emitted  # shard by shard, each in plan order
+    assert_cover(fleet, n)
+    return total
 
 
 def rulebook_batch(graph, batch, decision, owner, shards, sinks) -> MatchStats:
@@ -165,40 +202,44 @@ def rulebook_batch(graph, batch, decision, owner, shards, sinks) -> MatchStats:
     reps = [q.name for q in RULEBOOK.representatives if q.name not in routing["skip"]]
     names = reps if sinks else []
     expansion = expand(RULEBOOK.trie, batch, graph, sinks=frozenset(names), **routing)
-    n, parts = graph.num_vertices, []
+    fleet = settle_fleet(expansion, graph, owner, shards, names)
+    n, emitted = graph.num_vertices, []
+    by_query = {q: [MatchStats(), AccessCounters()] for q in reps}
     for shard in range(shards):
-        def own(roots, shard=shard):
-            return owner[roots[:, 0]] == shard
-
-        got = settle_slice(expansion, graph, own, names)
+        own = owned(owner, shard)
         for q in reps:
-            stats, counters, emitted, _ = oracle(
+            stats, counters, seen, _ = oracle(
                 RULEBOOK.plans[q], batch, graph, own,
                 None if decision is None else decision.by_query[q], q, sinks,
             )
-            assert [e for e in got.emitted if e[0] == q] == emitted
-            mine = got.stats[q]
-            assert (mine.signed_count, mine.embeddings_found) == (
-                stats.signed_count, stats.embeddings_found)
-            if decision is None:
-                assert mine == stats
-                assert prints(got.charged[q], n) == prints(counters, n)
+            by_query[q][0].merge(stats)
+            by_query[q][1].merge(counters)
+            emitted += seen
         certify = shard_masks(RULEBOOK.trie, batch, graph, own, routing["prefilter"])
         launch = expand(RULEBOOK.trie, batch, graph, skip=routing["skip"], prefilter=certify)
-        assert got.accesses == issue_order(launch)
-        assert prints(got.counters, n) == prints(settle_slice(launch, graph, None, []).counters, n)
-        parts.append(got)
-    whole = settle_slice(expansion, graph, None, names)
-    assert_cover(whole, parts, n)
+        assert fleet.view.accesses(shard) == issue_order(launch)
+        counters, view = traced(graph)
+        alone = settle(launch, view)[0]
+        assert totals(fleet.view.shard_counters[shard]) == totals(counters)
+        assert fleet.view.tally[0, shard] == sum(s.roots_processed for s in alone.values())
+    for q, (stats, counters) in by_query.items():
+        mine = fleet.stats[q]
+        assert [e for e in fleet.emitted if e[0] == q] == [e for e in emitted if e[0] == q]
+        assert (mine.signed_count, mine.embeddings_found) == (
+            stats.signed_count, stats.embeddings_found)
+        if decision is None:
+            assert mine == stats
+            assert prints(fleet.charged[q], n) == prints(counters, n)
+    assert_cover(fleet, n)
     total = MatchStats()
-    for one in whole.stats.values():
+    for one in fleet.stats.values():
         total.merge(one)
     return total
 
 
 def run(seed, shards, case, prefilter, sinks) -> MatchStats:
-    """Every batch of a small stream, sliced over a random owner map; the
-    unrestricted totals."""
+    """Every batch of a small stream, settled once over a random owner map;
+    the totals."""
     g = powerlaw_graph(300, 7.0, max_degree=40, num_labels=3, seed=seed)
     g0, batches = derive_stream(g, num_updates=64, batch_size=32, seed=seed + 1)
     graph = DynamicGraph(g0)
