@@ -109,16 +109,15 @@ def _tally(vertex: np.ndarray, row: np.ndarray, charge: np.ndarray,
            budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(support, values)``: the charges summed per ``(vertex, row)`` cell
     in charging order, each cell over its row's budget, then a vertex's
-    cells in ascending row order (``np.add.at`` adds in index order)."""
+    cells in ascending row order (a weighted ``np.bincount`` adds in index
+    order, as ``np.add.at`` does)."""
     rows = budgets.size
     cells, at = np.unique(vertex * rows + row, return_inverse=True)
-    sums = np.zeros(cells.size, dtype=np.float64)
-    np.add.at(sums, at, charge)
+    sums = np.bincount(at, weights=charge, minlength=cells.size)
     owner = cells // rows  # sorted: a vertex's cells are adjacent
     lead = np.ones(cells.size, dtype=bool)
     lead[1:] = owner[1:] != owner[:-1]
-    values = np.zeros(np.count_nonzero(lead), dtype=np.float64)
-    np.add.at(values, lead.cumsum() - 1, sums / np.maximum(budgets, 1)[cells % rows])
+    values = np.bincount(lead.cumsum() - 1, weights=sums / np.maximum(budgets, 1)[cells % rows])
     return owner[lead], values
 
 
@@ -256,17 +255,14 @@ class FrequencyEstimator:
         return _tally(*charges, budgets), nodes, counters
 
     def _roots(self, expansion, budget, tally_row):
-        """The root table ``(rows, line, mult, weight, tally_row, frontier)``:
-        every group's roots that drew ``B_root ~ Binomial(M_g, 1/|ΔR_g|) > 0``,
-        group-major, all in ONE ``rng.binomial`` over the repeated ``(M_g,
-        1/|ΔR_g|)`` columns; a root's ``frontier`` entry is its row in the
-        expansion's root table."""
+        """The root columns ``(mult, weight, tally_row)``, one entry per row of
+        the expansion's root table (group-major): ``B_root ~ Binomial(M_g,
+        1/|ΔR_g|)`` — 0 where no walk starts — all in ONE ``rng.binomial``
+        over the repeated ``(M_g, 1/|ΔR_g|)`` columns, the Eq. 3 weight
+        ``|ΔR_g|`` and the group's tally row."""
         group, *_, size = expansion.tiers[0]  # each root's group, roots per group
         born = self.rng.binomial(budget[group], 1.0 / size[group])
-        live = np.flatnonzero(born)
-        group = group[live]
-        weight = size[group].astype(np.float64)  # |ΔR_g|: a root's Eq. 3 weight
-        return expansion.roots[live], group, born[live], weight, tally_row[group], live
+        return born, size[group].astype(np.float64), tally_row[group]
 
     def _thinning(self, k):
         """The branch rule: a surviving row enters each of its node's ``k``
@@ -279,7 +275,7 @@ class FrequencyEstimator:
 
     def _descend(self, expansion, roots, max_degree, counters) -> tuple[int, tuple]:
         """Walk down the live nodes of ``expansion`` (its trie and incidence)
-        from the root table ``roots`` (:meth:`_roots`), FE cost to
+        from the root columns ``roots`` (:meth:`_roots`), FE cost to
         ``counters``; returns the nodes visited and the Eq. 3 charges as
         ``(vertex, tally_row, charge)`` arrays in charging order."""
         raise NotImplementedError

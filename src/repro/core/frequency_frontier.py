@@ -10,24 +10,26 @@ walk node is a row the matcher's :func:`~repro.core.matching.expand` ran.
 
 * What is walked is the :class:`~repro.core.querytrie.ExecutionTrie` the
   kernel runs — a query's one *chain* per ΔM plan, or a rulebook's merged
-  trie — all root groups together, from the roots the kernel ran.  The
-  frontier is ``(twin, line, mult, weight)``: each row's twin in the
-  expansion, its line in the depth's
-  :class:`~repro.core.frontier.LevelTable`, the merged walk multiplicity
-  ``B`` (Sec. IV-B) and the inverse sampling probability (the Eq. 3 weight
-  — a *column*: it is node-dependent).  Rows fan out into their node's live
-  children as the kernel's do, a ``(row, child)`` pair entered with
-  probability ``min(1, survival/k)`` at weight ``× 1/p``, in one draw.
-* Each depth is *read* from the matcher's launch of the level program,
-  :func:`~repro.core.frontier.expand_rows` — the join over the epoch arena
-  plus the label, weight-predicate and injectivity masks
-  (:meth:`~repro.core.matching.Launch.read`) — so a walk never descends
-  where the kernel prunes, and launches nothing.  The access log is settled
-  once per walk.  (The launching walk it replaced lives on in
+  trie — all root groups together, from the roots the kernel ran.
+* The walk is **columns over the matcher's launches**, not a frontier of its
+  own (the way Gunrock's subgraph matching filters a level by masking the
+  frontier it holds): per candidate of a depth, the merged walk
+  multiplicity ``B`` (Sec. IV-B; 0 where no walk reached it), the inverse
+  sampling probability (the Eq. 3 weight — a *column*: it is
+  node-dependent) and the tally row.  A launch row takes the columns of the
+  candidate it extends (:attr:`~repro.core.matching.Launch.src`), a fan-out
+  row enters its child with probability ``min(1, survival/k)`` at weight
+  ``× 1/p`` (``k``: the incidence's per-line ``branching`` table), and the
+  walked rows' share of the launch's access log is picked out by the mask
+  ``walked[log.row]``.  A walk never descends where the kernel prunes, and
+  launches nothing.  The access log is settled once per walk.  (The walk
+  that builds its own frontier and launches its own joins lives on in
   :class:`repro.testing.kernels.LaunchingFrequencyEstimator`.)
-* All surviving children of a depth draw their continuation multiplicities
-  in **one** vectorized ``rng.binomial`` call; saturated children
-  (``p == 1``) skip the RNG entirely, mirroring the recursive reference.
+* The branch draw and the continuation draw of a depth are each **one**
+  vectorized ``rng.binomial`` call over the walked entries in launch order
+  (line-major, candidates ascending: the order a frontier walk visits
+  them); saturated children (``p == 1``) skip the RNG entirely, mirroring
+  the recursive reference.
 
 **Parity contract** (``tests/test_estimator_parity.py``,
 ``tests/test_estimator_walk.py``; derivation in ``docs/frequency.md``):
@@ -61,62 +63,59 @@ _NONE = np.empty(0, dtype=np.int64)
 class FrontierFrequencyEstimator(FrequencyEstimator):
     """The production sampler: the descent of
     :class:`repro.testing.kernels.RecursiveFrequencyEstimator`, its oracle,
-    in level-synchronous shape."""
+    in level-synchronous shape, as columns over the matcher's launches."""
 
     def _descend(self, expansion, roots, max_degree, counters) -> tuple[int, tuple]:
-        """Advance every root group together from the root table: per trie
-        depth the fan-out and its branch draw, one read of the matcher's
-        launch (:meth:`~repro.core.matching.Launch.read`) and one survival
-        draw over the stacked rows; one settle of the walk's whole access log
-        at the end."""
-        trie, records = expansion.trie, expansion.records
-        # a row is its twin in the expansion: its row in the root table, then
-        # its candidate in the launch one depth up
-        _, line, mult, weight, base, frontier = roots  # base: each row's tally row
-        nodes = line.size
-        # host reads: every fetch of the walk is FE cost on the CPU's DRAM
-        view = HostCPUView(self.graph, self.device, counters)
+        """Advance every root group together down the matcher's launches: per
+        depth, each row takes the columns of the candidate it extends, then
+        the branch draw over the walked rows, their share of the launch's
+        log and one survival draw over their candidates; one settle of the
+        walk's whole access log at the end."""
+        # per candidate one depth up, the roots first: the merged multiplicity
+        # B (0: no walk reached it), the Eq. 3 weight and the tally row
+        mult, weight, base = roots
+        nodes = reached = np.count_nonzero(mult)
         logs, ops = [], 0
-        for depth, (level, record) in enumerate(zip(trie.levels[1:], records[1:])):
-            if record.fans:
-                # the kernel's fan-out: each row into every live child of its
-                # node (none: the row's plans ended above), then thinned
-                held = np.bincount(line, minlength=len(trie.levels[depth].nodes))
-                k = np.bincount(record.parent, minlength=held.size)[line]  # live children
-                pick, line = record.fan_out(held)
-                p = self._thinning(k[pick])
-                frontier, mult, weight, base = frontier[pick], mult[pick], weight[pick], base[pick]
-                thin = p < 1.0
-                if thin.any():  # one branch draw over the thinned pairs
-                    mult[thin] = self.rng.binomial(mult[thin], p[thin])
-                    keep = mult > 0
-                    frontier, line, mult = frontier[keep], line[keep], mult[keep]
-                    weight, base = (weight / p)[keep], base[keep]
-            if line.size == 0:
+        for launch, record in zip(expansion.launches, expansion.records[1:]):
+            if not reached:
                 break
-            cand_flat, parent, cand_cnt, log, compute, twin = expansion.launches[depth].read(
-                frontier, line
-            )
-            charge = mult * weight  # Eq. 3: the node's B × weight, to each vertex it reads
-            logs.append((log.vertex, log.length, base[log.row], charge[log.row]))
-            ops += int(compute.sum() + log.vertex.size + log.length[log.slot > 0].sum())
-            # one continuation draw for all children of the depth; saturated
-            # children (p == 1) keep their parent's multiplicity without
+            src = launch.src
+            if src is not None:  # a row takes the columns of the candidate it extends
+                mult, weight, base = mult[src], weight[src], base[src]
+            if record.fans:  # each row entered its child with probability p
+                p = self._thinning(record.branching)[launch.line]
+                thin = (p < 1.0) & (mult > 0)
+                drawn = mult[thin]
+                if drawn.size:  # one branch draw over the walked, thinned rows
+                    mult[thin] = self.rng.binomial(drawn, p[thin])
+                weight = weight / p
+            walked = mult > 0
+            log = launch.log
+            read = walked[log.row]  # the walked rows' log entries, in log order
+            at = log.row[read]
+            if at.size:
+                charge = mult * weight  # Eq. 3: the node's B × weight, to each vertex it reads
+                length = log.length[read]
+                logs.append((log.vertex[read], length, base[at], charge[at]))
+                ops += int(launch.compute[walked].sum() + at.size
+                           + length[log.slot[read] > 0].sum())
+            # one continuation draw for the walked rows' candidates; saturated
+            # candidates (p == 1) keep their row's multiplicity without
             # touching the RNG — in the full-expansion regime no sampler
             # consumes randomness below the roots
+            cand_row = launch.cand_row
             if self.survival is None:
-                p_child = np.full(cand_flat.size, 1.0 / max_degree)
+                p = np.full(cand_row.size, 1.0 / max_degree)
             else:
-                p_child = np.minimum(1.0, self.survival / cand_cnt[parent])
-            born = mult[parent]
-            stoch = p_child < 1.0
-            if stoch.any():
-                born[stoch] = self.rng.binomial(born[stoch], p_child[stoch])
-            live = born > 0
-            frontier, parent = twin[live], parent[live]
-            line, base = line[parent], base[parent]
-            mult, weight = born[live], weight[parent] / p_child[live]
-            nodes += line.size
+                p = np.minimum(1.0, self.survival / launch.cand_cnt[cand_row])
+            mult = mult[cand_row]
+            stoch = (p < 1.0) & (mult > 0)
+            drawn = mult[stoch]
+            if drawn.size:
+                mult[stoch] = self.rng.binomial(drawn, p[stoch])
+            weight, base = weight[cand_row] / p, base[cand_row]
+            reached = np.count_nonzero(mult)
+            nodes += reached
         if not logs:
             return nodes, (_NONE, _NONE, _NONE)
         # the walk's one settle, depths in order: every access is recorded
@@ -126,6 +125,7 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
         # it and the charges keep their log order, so counters and tallies
         # are those of a settle per depth, bit for bit.
         vertex, length, row, charge = map(np.concatenate, zip(*logs))
-        view.fetch_block(vertex, length)
+        # host reads: every fetch of the walk is FE cost on the CPU's DRAM
+        HostCPUView(self.graph, self.device, counters).fetch_block(vertex, length)
         counters.record_compute(ops)
         return nodes, (vertex, row, charge)

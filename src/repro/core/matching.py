@@ -34,6 +34,14 @@ prefix-merged trie of all its patterns.  The per-root depth-first executor
 it replaced lives on as a parity oracle in :mod:`repro.testing.kernels`;
 both route their roots through :func:`route_roots`, so they see identical
 inputs by construction.
+
+The driver is two halves, :func:`settle` ∘ :func:`expand`, and
+:func:`expand` keeps every depth's launch as a :class:`Launch`: each row's
+line and the candidate one depth up it extends (``src``), and the kernel's
+candidate → row map, counts, access log and compute.  The frequency walk
+reads those columns through a mask of the rows it walked
+(:mod:`repro.core.frequency_frontier`); it builds no frontier and launches
+nothing.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from repro.graphs.stream import UpdateBatch, label_pair_mask
 from repro.gpu.counters import AccessCounters, Accesses
 from repro.gpu.views import GraphView
 from repro.query.plan import MatchPlan
-from repro.utils import VERTEX_DTYPE, contains_sorted, segment_indices, segment_offsets
+from repro.utils import VERTEX_DTYPE, contains_sorted
 
 __all__ = [
     "MatchStats",
@@ -218,34 +226,18 @@ def trie_roots(
 
 
 class Launch(NamedTuple):
-    """One depth's launch as :func:`expand` keeps it: what the kernel returned,
-    each row's node ``line`` and ``src``, its candidate one depth up (``None``:
-    the identity, line for line)."""
+    """One depth's launch as :func:`expand` keeps it: each row's node ``line``
+    and ``src``, the candidate one depth up it extends (``None``: the
+    identity, line for line), and what the kernel returned of it — each
+    candidate's row, the candidates per row, the access log and the compute
+    per row."""
 
     src: np.ndarray | None
     line: np.ndarray
-    cand_flat: np.ndarray
+    cand_row: np.ndarray
     cand_cnt: np.ndarray
     log: AccessLog
     compute: np.ndarray
-
-    def read(self, twin: np.ndarray, line: np.ndarray) -> tuple:
-        """``expand_rows`` of the rows extending candidate ``twin`` into node
-        ``line`` — found by both, as a fan-out extends a candidate once per
-        child; line-major, twins ascending: the launch's row order, which the
-        log keeps — read, plus each candidate's own index."""
-        key = None if self.src is None else (self.line << 32) + self.src
-        row = twin if key is None else np.searchsorted(key, (line << 32) + twin)
-        cnt, log = self.cand_cnt[row], self.log
-        pick = segment_indices(segment_offsets(self.cand_cnt)[row], cnt)
-        at = np.full(self.cand_cnt.size, -1)
-        at[row] = np.arange(row.size)
-        at = at[log.row]
-        mine = at >= 0
-        log = AccessLog(at[mine], log.slot[mine], log.constraint[mine], log.vertex[mine],
-                        log.length[mine])
-        parent = np.repeat(np.arange(row.size), cnt)
-        return self.cand_flat[pick], parent, cnt, log, self.compute[row], pick
 
 
 @dataclass
@@ -326,7 +318,7 @@ def expand(
             cand_flat, cand_row, cand_cnt, log, compute = expand_rows(
                 graph, level.table, rows, line, filters
             )
-            launches.append(Launch(src, line, cand_flat, cand_cnt, log, compute))
+            launches.append(Launch(src, line, cand_row, cand_cnt, log, compute))
             logs.append((level.order[line[log.row]], log.vertex, log.length))
             total = np.bincount(line, weights=cand_cnt, minlength=len(level.nodes)).astype(np.int64)
         tiers.append((line, cand_cnt, origin, compute, total))

@@ -130,7 +130,9 @@ class LevelIncidence(NamedTuple):
     rows are ``wanted`` — by a live child or a sink — and the ``(plan,
     line)`` pairs that have a sink, line-major.  ``fans``: rows reach the
     depth by :meth:`fan_out` — not a chain, or a skipped query left a line
-    dead — and by the identity, line for line, everywhere else."""
+    dead — and by the identity, line for line, everywhere else.
+    ``branching``: per line, the live children of its parent line — the
+    ``k`` of the walk's branch rule (0 on a dead line and at depth 0)."""
 
     live: np.ndarray
     parent: np.ndarray
@@ -139,6 +141,7 @@ class LevelIncidence(NamedTuple):
     wanted: np.ndarray
     sinks: tuple[tuple[PlanRef, int], ...]
     fans: bool
+    branching: np.ndarray
 
     def fan_out(self, held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hand line-major rows down, ``held[l]`` of them on line ``l`` one
@@ -272,10 +275,13 @@ class ExecutionTrie:
                 if depth + 1 < len(self.levels):
                     below = self.levels[depth + 1]
                     wanted[below.parent[through[below.order]]] = True
+                parent = level.parent[live] if depth else level.parent
+                branching = np.zeros(len(level.nodes), dtype=np.int64)
+                branching[live] = np.bincount(parent)[parent] if depth else 0
                 levels.append(LevelIncidence(
-                    live, level.parent[live] if depth else level.parent,
-                    member[:, level.order], terminal[:, level.order], wanted, sunk,
-                    depth > 0 and (not level.chain or live.size < len(level.nodes)),
+                    live, parent, member[:, level.order], terminal[:, level.order], wanted,
+                    sunk, depth > 0 and (not level.chain or live.size < len(level.nodes)),
+                    branching,
                 ))
             found = self._incidence[skip, sinks] = (queries, member, tuple(levels))
         return found

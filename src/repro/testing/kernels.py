@@ -22,13 +22,9 @@ Engine-level suites swap both in through :func:`use_reference_kernels`.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import NamedTuple
-
 import numpy as np
 
 from repro.core.frequency import EstimationResult, FrequencyEstimator, default_num_walks
-from repro.core.frequency_frontier import FrontierFrequencyEstimator
 from repro.core.frontier import expand_rows
 from repro.core.matching import (
     EmbeddingSink,
@@ -45,7 +41,7 @@ from repro.graphs.attributes import edge_weights
 from repro.graphs.stream import UpdateBatch
 from repro.gpu.counters import AccessCounters, Channel
 from repro.gpu.device import BYTES_PER_NEIGHBOR
-from repro.gpu.views import GraphView
+from repro.gpu.views import GraphView, HostCPUView
 from repro.query.pattern import WILDCARD_LABEL
 from repro.query.plan import EdgeVersion, MatchPlan
 from repro.testing.oracles import merge_sorted, versioned_degree, versioned_runs
@@ -66,6 +62,8 @@ __all__ = [
     "chain_estimate",
     "use_reference_kernels",
 ]
+
+_NONE = np.empty(0, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -418,7 +416,7 @@ class RecursiveFrequencyEstimator(FrequencyEstimator):
             live[level.order[record.live]] = True
         nodes, charges = 0, []
         for root, group, multiplicity, num_roots, tally_row in zip(
-            *map(np.ndarray.tolist, roots[:5])
+            *map(np.ndarray.tolist, _walked_roots(expansion, roots))
         ):
             bound = np.empty(len(trie.levels) + 1, dtype=np.int64)
             bound[0], bound[1] = root
@@ -534,38 +532,77 @@ class RecursiveFrequencyEstimator(FrequencyEstimator):
         return nodes
 
 
-class _Launcher(NamedTuple):
-    """A depth the walk launches instead of reading: :meth:`read` runs the
-    level program over the walk's own rows, and a candidate's twin is its
-    row of bound vertices one depth down."""
-
-    estimator: FrequencyEstimator
-    table: object
-
-    def read(self, rows: np.ndarray, line: np.ndarray) -> tuple:
-        cand_flat, parent, cand_cnt, log, compute = expand_rows(
-            self.estimator.graph, self.table, rows, line
-        )
-        grown = np.concatenate([rows[parent], cand_flat[:, None]], axis=1)
-        return cand_flat, parent, cand_cnt, log, compute, grown
+def _walked_roots(expansion, roots):
+    """The root columns (:meth:`FrequencyEstimator._roots`) at the roots some
+    walk starts from, group-major: ``(root, group, mult, weight, tally_row)``."""
+    mult, weight, tally_row = roots
+    live = np.flatnonzero(mult)
+    group = expansion.tiers[0][0]  # each root's line at depth 0: its group
+    return expansion.roots[live], group[live], mult[live], weight[live], tally_row[live]
 
 
-class LaunchingFrequencyEstimator(FrontierFrequencyEstimator):
-    """The production sampler with the descent it had before it read the
-    matcher's expansion: the same draws in the same order, each depth one
-    launch of :func:`~repro.core.frontier.expand_rows` over the walk's own
-    rows (bound vertices, not twins).  Reading equals launching bit for bit
-    — frequencies, FE counters, ``nodes_visited`` and generator state — and
-    this is what that is checked against."""
-
-    def _roots(self, expansion, budget, tally_row):
-        table = super()._roots(expansion, budget, tally_row)
-        return (*table[:5], table[0])  # a row is its bound vertices
+class LaunchingFrequencyEstimator(FrequencyEstimator):
+    """The level-synchronous walk that builds its own frontier: the
+    production sampler's draws in the same order, each depth one launch of
+    :func:`~repro.core.frontier.expand_rows` over the walk's own rows (bound
+    vertices) where production reads the matcher's launch through a mask.
+    Reading equals launching bit for bit — frequencies, FE counters,
+    ``nodes_visited`` and generator state — and this is what that is
+    checked against.  The branch rule's ``k`` is counted here from the
+    incidence's ``parent`` lines, not read from its ``branching`` table."""
 
     def _descend(self, expansion, roots, max_degree, counters) -> tuple[int, tuple]:
-        launchers = [_Launcher(self, level.table) for level in expansion.trie.levels[1:]]
-        return super()._descend(replace(expansion, launches=launchers), roots, max_degree,
-                                counters)
+        """Advance every root group together from the walked roots: per trie
+        depth the fan-out and its branch draw, one launch over the stacked
+        rows and one survival draw over their candidates; one settle of the
+        walk's whole access log at the end."""
+        trie, records = expansion.trie, expansion.records
+        rows, line, mult, weight, base = _walked_roots(expansion, roots)  # base: tally row
+        nodes = line.size
+        view = HostCPUView(self.graph, self.device, counters)
+        logs, ops = [], 0
+        for depth, (level, record) in enumerate(zip(trie.levels[1:], records[1:])):
+            if record.fans:
+                # each row into every live child of its node, then thinned
+                held = np.bincount(line, minlength=len(trie.levels[depth].nodes))
+                k = np.bincount(record.parent, minlength=held.size)[line]  # live children
+                pick, line = record.fan_out(held)
+                p = self._thinning(k[pick])
+                rows, mult, weight, base = rows[pick], mult[pick], weight[pick], base[pick]
+                thin = p < 1.0
+                if thin.any():  # one branch draw over the thinned pairs
+                    mult[thin] = self.rng.binomial(mult[thin], p[thin])
+                    keep = mult > 0
+                    rows, line, mult = rows[keep], line[keep], mult[keep]
+                    weight, base = (weight / p)[keep], base[keep]
+            if line.size == 0:
+                break
+            cand_flat, parent, cand_cnt, log, compute = expand_rows(
+                self.graph, level.table, rows, line
+            )
+            charge = mult * weight  # Eq. 3: the node's B × weight, to each vertex it reads
+            logs.append((log.vertex, log.length, base[log.row], charge[log.row]))
+            ops += int(compute.sum() + log.vertex.size + log.length[log.slot > 0].sum())
+            if self.survival is None:
+                p_child = np.full(cand_flat.size, 1.0 / max_degree)
+            else:
+                p_child = np.minimum(1.0, self.survival / cand_cnt[parent])
+            born = mult[parent]
+            stoch = p_child < 1.0
+            if stoch.any():
+                born[stoch] = self.rng.binomial(born[stoch], p_child[stoch])
+            live = born > 0
+            rows = np.concatenate([rows[parent], cand_flat[:, None]], axis=1)[live]
+            parent = parent[live]
+            line, base = line[parent], base[parent]
+            mult, weight = born[live], weight[parent] / p_child[live]
+            nodes += line.size
+        if not logs:
+            return nodes, (_NONE, _NONE, _NONE)
+        vertex, length, row, charge = map(np.concatenate, zip(*logs))
+        view.fetch_block(vertex, length)
+        counters.record_compute(ops)
+        return nodes, (vertex, row, charge)
 
 
 def chain_estimate(rulebook, engine, batch, decision=None, expansion=None) -> EstimationResult:

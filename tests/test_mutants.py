@@ -24,7 +24,11 @@ settle has three: the restriction oracle
 (``tests/test_restriction_parity.py``) and the per-shard counters test
 (``tests/test_multigpu.py::TestShardCounters``) each see a root routed by its
 second endpoint and every access charged to shard 0, and the second-shard
-fault (``check_fault_settles``) a fleet view kept across batches.
+fault (``check_fault_settles``) a fleet view kept across batches.  The
+walk's reads of the matcher's launches have two: its equality with the
+launching walk (``tests/test_estimator_walk.py::TestWalkReadsTheExpansion``)
+sees FE counters charged for rows no walk reached and, on a rulebook's
+fan-out, a row that takes the wrong candidate's columns.
 Every gate runs the same fixed cases under the mutant and unmutated, so a red
 gate is the mutant's doing.
 """
@@ -47,6 +51,7 @@ import tests.test_multigpu as multigpu_tests
 import tests.test_prefilter as prefilter_tests
 import tests.test_restriction_parity as restriction_tests
 from repro.core.engine import GCSMEngine
+from repro.core.frequency_frontier import FrontierFrequencyEstimator
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.static_graph import StaticGraph
 from repro.gpu.device import DeviceConfig
@@ -154,6 +159,26 @@ def adaptive_gate():
     (``tests/test_estimator_walk.py``)."""
     with pytest.MonkeyPatch.context() as patch:
         walk_tests.TestWalkReadsTheExpansion().test_adaptive_rounds_read_one_expansion(patch)
+
+
+def walk_counters_gate():
+    """``TestWalkReadsTheExpansion::test_reading_equals_launching`` on fixed
+    examples: a query's walk (default ``survival``) has the launching walk's
+    frequencies, FE counters and histograms and generator state."""
+    tests = walk_tests.TestWalkReadsTheExpansion()
+    for seed in (3, 17):
+        type(tests).test_reading_equals_launching.hypothesis.inner_test(
+            tests, seed=seed, query="Q1", survival=1.0, mode="coalesce")
+
+
+def walk_parity_gate():
+    """``TestWalkReadsTheExpansion::test_a_rulebook_reading_equals_launching``
+    on fixed examples: a rulebook's walk, fan-out and thinning included, is
+    the launching walk's."""
+    tests = walk_tests.TestWalkReadsTheExpansion()
+    for seed in (3, 17):
+        type(tests).test_a_rulebook_reading_equals_launching.hypothesis.inner_test(
+            tests, seed=seed, rules=8, survival=1.0)
 
 
 def ignore_the_overlay(patch):
@@ -348,6 +373,21 @@ def fleet_view_outlives_its_batch(patch):
     patch.setattr(FleetPlacement, "view", kept)
 
 
+def walk_charges_every_launch_row(patch):
+    """The walk leaves the launch's access log unmasked: a row no walk
+    reached charges 0 to the estimate but real FE bytes and ops."""
+    patch.setattr(FrontierFrequencyEstimator, "_descend", mutated(
+        FrontierFrequencyEstimator._descend, "read = walked[log.row]", "read = log.row >= 0"))
+
+
+def walk_row_ignores_src(patch):
+    """A launch row takes the columns of the candidate at its own index
+    (wrapping past the last one), not of the candidate it extends."""
+    patch.setattr(FrontierFrequencyEstimator, "_descend", mutated(
+        FrontierFrequencyEstimator._descend, "src = launch.src",
+        "src = None if launch.src is None else np.arange(launch.src.size) % mult.size"))
+
+
 #: mutant -> (the gate that kills it, what its failure says if it names it)
 MUTANTS = {
     ignore_the_overlay: (query_gate, None),
@@ -373,6 +413,8 @@ MUTANTS = {
     roots_routed_by_second_endpoint: (shard_slice_gate, None),
     every_access_to_shard_zero: (shard_counters_gate, None),
     fleet_view_outlives_its_batch: (shard_fault_gate, "shard_reports"),
+    walk_charges_every_launch_row: (walk_counters_gate, "'bytes'"),
+    walk_row_ignores_src: (walk_parity_gate, None),
 }
 
 
@@ -380,7 +422,7 @@ MUTANTS = {
     "gate", [query_gate, rulebook_gate, settle_gate, fault_gate, skip_gate,
              check_handed_out_dtypes, without_gate, check_index_builds, settle_order_gate,
              zero_copy_gate, walk_budget_gate, adaptive_gate, shard_slice_gate,
-             shard_counters_gate, shard_fault_gate],
+             shard_counters_gate, shard_fault_gate, walk_counters_gate, walk_parity_gate],
     ids=lambda g: g.__name__,
 )
 def test_the_gates_pass_unmutated(gate):
