@@ -47,17 +47,17 @@ VARIANTS = {
 }
 #: Python calls per batch a ``(workload, configuration)`` row may make, about
 #: 3 % above what it makes (CPython 3.11, NumPy 2.4.6): ``az_rulebook24``
-#: under the pre-filter 1 123.9 and ``devices=2`` on FR / CA / SF3K / AZ
-#: 932.7 / 1 038.4 / 935.2 / 1 159.6, with the walk reading the kernel's
-#: launches through a mask of its rows.  Each workload's single-device calls
-#: are gated once, exactly, by ``benchmarks/trajectory.py check`` against
-#: the trajectory's last row, so they have no row here.
+#: under the pre-filter 1 111.6 and ``devices=2`` on FR / CA / SF3K / AZ
+#: 929.6 / 1 018.5 / 926.3 / 1 146.5, with a launch's operands read in one
+#: store read.  Each workload's single-device calls are gated once, exactly,
+#: by ``benchmarks/trajectory.py check`` against the trajectory's last row,
+#: so they have no row here.
 CALLS = {
-    ("az_rulebook24", 'prefilter="on"'): 1_158,
-    ("fr_q1_mixed", "devices=2"): 961,
-    ("ca_q3_narrow", "devices=2"): 1_070,
-    ("sf3k_q1_churn", "devices=2"): 964,
-    ("az_rulebook24", "devices=2"): 1_195,
+    ("az_rulebook24", 'prefilter="on"'): 1_144,
+    ("fr_q1_mixed", "devices=2"): 957,
+    ("ca_q3_narrow", "devices=2"): 1_049,
+    ("sf3k_q1_churn", "devices=2"): 954,
+    ("az_rulebook24", "devices=2"): 1_180,
 }
 
 

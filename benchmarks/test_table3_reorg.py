@@ -4,7 +4,7 @@ Paper shape: a few milliseconds at most — negligible against matching time
 — growing with batch size and with graph/list sizes.
 
 Also covers the merge itself: the lists reorganize() stores (the open
-epoch arena's N') against the scalar two-pointer reference
+batch's N') against the scalar two-pointer reference
 (``repro.testing.merge_runs_reference``) with the work accounting pinned, and
 the wall-clock win of the vectorized ``repro.testing.merge_sorted`` (the
 reference kernels' merge) on long adjacency lists.
@@ -39,8 +39,8 @@ def test_table3_reorg_time(benchmark, record_table):
 
 
 #: ``ReorganizeStats`` per batch of the parity stream below, recorded from the
-#: commit before reorganize() took its lists from the arena (it merged each
-#: touched list with ``merge_sorted`` and counted per list): the accounting
+#: commit before reorganize() read its lists in bulk (it merged each touched
+#: list with ``merge_sorted`` and counted per list): the accounting
 #: prices ``reorg_ns``, so it may not move
 PARITY_STATS = [
     (108, 768, 74, 54), (106, 722, 58, 70), (107, 735, 66, 62), (106, 700, 78, 50),

@@ -14,9 +14,9 @@ NumPy:
   plans advance together (:func:`repro.core.matching.match_trie`, the one
   driver).  What a row reads comes from the depth's operand table, indexed
   by its node's line (:class:`LevelTable`), so the join itself
-  (:func:`join_rows`) is a plan-agnostic *row program*: one gather per
+  (:func:`join_rows`) is a plan-agnostic *row program*: one store read per
   launch for every row and constraint whatever node it belongs to, one
-  ``searchsorted`` probe per constraint slot against the arena's rank keys,
+  ``searchsorted`` probe per constraint slot against that block's rank keys,
   flat label / candidate-filter / predicate / injectivity masks — no Python
   recursion, no per-plan loop.
 * **Counter parity is exact.**  Neither the join nor the launch charges
@@ -130,13 +130,13 @@ def join_rows(
     filtered along with the candidates).  Per row the lists are visited
     smallest-first (stable on the versioned length in column order, the
     recursive kernels' ``sorted``); the first is materialised as the
-    candidate set, the others are probed through the arena's rank keys
+    candidate set, the others are probed through the block's rank keys
     (:func:`keyed_contains`), and a row stops reading once its set empties.
-    The whole operand matrix is ONE :meth:`DynamicGraph.gather`, up front —
-    so the arena may hold a list no row went on to read; fills are free, the
-    log is what is charged — and the slot loop only indexes its ``(n, K)``
-    start / length matrices: nothing is merged, concatenated or copied per
-    level.
+    The whole operand matrix is ONE :meth:`DynamicGraph.operands` read, up
+    front — so the block may hold a list no row went on to read; reads are
+    free, the log is what is charged — and the slot loop only indexes its
+    ``(n, K)`` start / length matrices: nothing is merged, concatenated or
+    copied per level.
 
     The sets are *pre-label*, with one exception: given ``label`` (each
     row's wanted label), a row's candidates that cannot match it are dropped
@@ -152,9 +152,8 @@ def join_rows(
     """
     n, k = verts.shape
     starts, lens = np.zeros((2, n, k), dtype=np.int64)
-    starts[valid], lens[valid] = graph.gather(verts[valid], old[valid])
-    # the buffers are read after the launch's one gather: they cover it
-    arena, keys, num_vertices = graph.arena, graph.arena_keys, graph.num_vertices
+    block, keys, starts[valid], lens[valid] = graph.operands(verts[valid], old[valid])
+    num_vertices = graph.num_vertices
     arange = np.arange(n, dtype=np.int64)
     if k == 1:
         order = np.zeros((n, 1), dtype=np.int64)
@@ -184,7 +183,7 @@ def join_rows(
             offsets = segment_offsets(cand_cnt)
             compute += cand_cnt
             qrow = np.repeat(arange, cand_cnt)
-            cand_flat = arena[
+            cand_flat = block[
                 np.arange(int(offsets[-1]), dtype=np.int64)
                 + np.repeat(row_start - offsets[:-1], cand_cnt)
             ]

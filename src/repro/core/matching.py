@@ -7,15 +7,15 @@ lists of its bound query neighbors.  Faithful behaviours carried over from
 the paper's kernel:
 
 * **Split intersections.**  ``N'`` is handled as ``N ∪ ΔN``: the store
-  keeps the base and delta runs separately and merges them once per batch
-  into its epoch arena (both runs are sorted, so the merge is linear) —
+  keeps the base and delta runs separately and merges a touched list's
+  two runs as a launch reads it (both are sorted, so the merge is linear) —
   deleted neighbors are dropped from the base run, the analog of "skip the
   negative indices".
 * **Every access counts.**  Each neighbor-list read is recorded by the
   :class:`~repro.gpu.views.GraphView` — channel traffic and the per-vertex
   access histogram.  Re-reads of the same list are recorded again (the real
   kernel streams lists from memory on every use); only the merged *bytes*
-  are shared, through the arena.
+  are shared, one copy per launch (``DynamicGraph.operands``).
 * **Work accounting.**  Merge-intersections charge ``len(a) + len(b)``
   compute ops (the cost model of merge-based SIMD intersection), candidate
   filtering and output emission charge per element.

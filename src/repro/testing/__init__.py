@@ -10,7 +10,7 @@ slow, obviously-correct twins of the vectorized production kernels:
   :class:`LaunchingFrequencyEstimator`, the walk that launches its own joins
   where production reads the matcher's), their
   sorted-set primitives (``intersect_sorted*``, ``merge_sorted_unique``,
-  ``segmented_contains`` — the oracle of the arena's rank-key probe), plus
+  ``segmented_contains`` — the oracle of a launch's rank-key probe), plus
   :func:`use_reference_kernels`, the one seam engine-level parity suites
   reach them through (``engine.estimator`` and ``engine.match`` are plain
   attributes; the function swaps both);

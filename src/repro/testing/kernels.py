@@ -140,7 +140,8 @@ def segmented_contains(
     queries: np.ndarray,
 ) -> np.ndarray:
     """Vectorized membership of each query in its own sorted segment — the
-    oracle of the production rank-key probe (``DynamicGraph.arena_keys``).
+    oracle of the production rank-key probe (the ``keys`` of
+    ``DynamicGraph.operands``).
 
     ``queries[i]`` is looked up in ``flat[starts[i] : starts[i]+lengths[i]]``
     (each segment sorted ascending) with a *simultaneous* binary search: all

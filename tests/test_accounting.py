@@ -22,8 +22,8 @@ attributes by incidence.
 * ``AccessCounters.copy`` lends its histogram copy-on-write: whichever side
   writes next copies first, so neither ever sees the other's writes;
 * the same clock on the row program: one single-query batch (CA × Q3, the
-  SF3K analog × Q1) makes at most 80 % of the calls it made before one arena
-  fill per launch, one estimator settle per walk and the identity-keyed
+  SF3K analog × Q1) makes at most 80 % of the calls it made before one store
+  read per launch, one estimator settle per walk and the identity-keyed
   ``solo_trie``, and no batch hashes a ``MatchPlan``.
 """
 

@@ -1,8 +1,9 @@
-"""The store's versioned length tables and per-epoch adjacency arena.
+"""The store's versioned length tables and a launch's one operand read.
 
-Exactness (the arena serves the same lists the per-vertex slab decode of
-``repro.testing`` does, on dirty streams), lifetime (no epoch outlives ``apply_batch`` / ``reorganize``),
-and one arena serving a fleet's shards and the pipelined schedule alike.
+Exactness (``DynamicGraph.operands`` serves the same lists the per-vertex
+slab decode of ``repro.testing`` does, on dirty streams, each distinct list
+once), the tables kept exact by every mutation, and the same reads serving a
+fleet's shards and the pipelined schedule alike.
 """
 
 import numpy as np
@@ -48,23 +49,29 @@ def expected_list(graph, v, version):
     return _merge_runs(versioned_runs(graph, v, version))
 
 
-def assert_arena_exact(graph):
-    """Every vertex, both versions: arena slice == merged store runs."""
+def assert_operands_exact(graph):
+    """Every vertex, both versions, each asked twice: every operand's segment
+    == the merged store runs and its keys the segment's rank keys; the block
+    holds each distinct list once."""
     verts = np.arange(graph.num_vertices, dtype=np.int64)
+    n = verts.size
     for version in (EdgeVersion.OLD, EdgeVersion.NEW):
-        # two overlapping gathers: the second must find the first's loads
-        graph.gather(verts[::2], version is EdgeVersion.OLD)
-        starts, lens = graph.gather(verts, version is EdgeVersion.OLD)
-        flat, keys = graph.arena, graph.arena_keys
-        assert keys.size == graph._epoch.used  # one int64 per arena element
+        block, keys, starts, lens = graph.operands(np.tile(verts, 2), version is EdgeVersion.OLD)
+        assert keys.size == block.size == int(lens[:n].sum())  # one int64 per element
+        assert np.array_equal(starts[:n], starts[n:]) and np.array_equal(lens[:n], lens[n:])
         for v in verts.tolist():
             want = expected_list(graph, v, version)
-            got = flat[starts[v] : starts[v] + lens[v]]
+            got = block[starts[v] : starts[v] + lens[v]]
             assert got.tolist() == want.tolist(), (v, version)
             ranked = keys[starts[v] : starts[v] + lens[v]]
             assert ranked.tolist() == (starts[v] * graph.num_vertices + got).tolist()
     assert degrees_old(graph).tolist() == [neighbors_old(graph, v).size for v in verts.tolist()]
     assert graph.degrees_new().tolist() == [neighbors_new(graph, v).size for v in verts.tolist()]
+
+
+def both_versions(vertices):
+    """``(vertices, old)`` asking every vertex's ``N``, then its ``N'``."""
+    return np.tile(vertices, 2), np.repeat([True, False], vertices.size)
 
 
 class TestArenaExactness:
@@ -73,15 +80,15 @@ class TestArenaExactness:
     def test_matches_merged_runs_on_adversarial_streams(self, seed, mode):
         g0 = erdos_renyi(24, 4.0, num_labels=2, seed=seed)
         graph = DynamicGraph(g0)
-        assert_arena_exact(graph)  # settled epoch: everything untouched
+        assert_operands_exact(graph)  # the settled store: everything untouched
         for batch in generate_adversarial_stream(
             g0, num_batches=3, batch_size=12, seed=seed
         ):
             graph.apply_batch(batch, mode=mode)
-            assert_arena_exact(graph)
+            assert_operands_exact(graph)
             graph.check_invariants()
             graph.reorganize()
-            assert_arena_exact(graph)
+            assert_operands_exact(graph)
 
     def test_hand_built_corner_cases(self):
         # triangle 0-1-2, 3 isolated; the batch deletes inside a base run (1 is
@@ -95,11 +102,10 @@ class TestArenaExactness:
         )
         graph.apply_batch(batch)
         assert graph.num_vertices == 6
-        assert_arena_exact(graph)
-        s_old, _ = graph.gather(np.arange(6), True)
-        s_new, _ = graph.gather(np.arange(6), False)
+        assert_operands_exact(graph)
+        _, _, starts, _ = graph.operands(*both_versions(np.arange(6)))
         assert graph.touched_vertices == {0, 1, 2, 3, 4, 5}
-        assert (s_old != s_new).all()  # every list changed: one slot per version
+        assert (starts[:6] != starts[6:]).all()  # every list changed: one slot per version
         assert degrees_old(graph).tolist() == [2, 2, 2, 0, 0, 0]
         assert graph.degrees_new().tolist() == [2, 1, 3, 1, 2, 1]
 
@@ -111,7 +117,7 @@ class TestArenaExactness:
             np.array([(u, v), (u, v), (u, v)]), np.array([-1, 1, -1])
         )
         graph.apply_batch(batch, mode="coalesce")
-        assert_arena_exact(graph)
+        assert_operands_exact(graph)
         assert graph.degrees_new()[u] == degrees_old(graph)[u] - 1
 
     def test_untouched_vertices_share_one_slot(self):
@@ -119,45 +125,42 @@ class TestArenaExactness:
         graph = DynamicGraph(g0)
         u, v = (int(x) for x in g0.edge_array()[0])
         graph.apply_batch(deletes((u, v)))
-        verts = np.arange(30, dtype=np.int64)
-        s_old, lens_old = graph.gather(verts, True)
-        used = graph._epoch.used
-        s_new, lens_new = graph.gather(verts, False)
+        block, _, starts, lens = graph.operands(*both_versions(np.arange(30)))
+        (s_old, s_new), (lens_old, lens_new) = starts.reshape(2, 30), lens.reshape(2, 30)
         untouched = np.ones(30, dtype=bool)
         untouched[[u, v]] = False
         assert np.array_equal(s_old[untouched], s_new[untouched])
         assert np.array_equal(lens_old[untouched], lens_new[untouched])
         assert s_old[u] != s_new[u] and s_old[v] != s_new[v]
-        # the NEW gather loaded the two touched lists and nothing else
-        assert graph._epoch.used - used == int(lens_new[u] + lens_new[v])
+        # the NEW asks added the two touched lists and nothing else
+        assert block.size - int(lens_old.sum()) == int(lens_new[u] + lens_new[v])
 
     def test_per_element_versions_in_one_gather(self):
         g0 = erdos_renyi(30, 4.0, num_labels=2, seed=8)
         graph = DynamicGraph(g0)
         batch = generate_adversarial_stream(g0, num_batches=1, batch_size=12, seed=8)[0]
         graph.apply_batch(batch, mode="coalesce")
-        # every vertex in both versions, interleaved, on a cold arena: an
+        # every vertex in both versions, interleaved, in one read: an
         # untouched vertex asked for twice must still get one shared slot
         verts = np.repeat(np.arange(graph.num_vertices), 2)
         old = np.tile([True, False], graph.num_vertices)
-        starts, lens = graph.gather(verts, old)
-        flat = graph.arena
+        block, _, starts, lens = graph.operands(verts, old)
         for v, o, s, n in zip(verts.tolist(), old.tolist(), starts.tolist(), lens.tolist()):
             version = EdgeVersion.OLD if o else EdgeVersion.NEW
-            assert flat[s : s + n].tolist() == expected_list(graph, v, version).tolist()
+            assert block[s : s + n].tolist() == expected_list(graph, v, version).tolist()
         untouched = sorted(set(range(graph.num_vertices)) - graph.touched_vertices)
         assert untouched and all(starts[2 * v] == starts[2 * v + 1] for v in untouched)
-        assert graph._epoch.used == int(
+        assert block.size == int(
             degrees_old(graph).sum() + graph.degrees_new()[sorted(graph.touched_vertices)].sum()
         )
 
     @pytest.mark.parametrize("seed", range(3))
     def test_load_lays_out_what_np_unique_laid_out(self, seed, monkeypatch):
-        """``_load`` dedupes a gather's ``(vertex, slot)`` pairs with
+        """``operands`` dedupes a launch's ``(vertex, version)`` keys with
         ``sorted_unique``; with ``np.unique`` in its place (the spelling it
-        replaced) the same gathers — pairs repeated inside one gather and
-        across gathers, touched and untouched vertices in both versions —
-        fill the same arena, keys and offset tables, element for element."""
+        replaced) the same asks — keys repeated inside one ask, touched and
+        untouched vertices in both versions — read the same block, keys and
+        segments, element for element."""
         from repro.graphs import dynamic_graph
 
         g0 = erdos_renyi(40, 5.0, num_labels=2, seed=seed)
@@ -167,23 +170,16 @@ class TestArenaExactness:
             (rng.integers(0, 40, size=k), rng.random(k) < 0.5)
             for k in (1, 7, 64, 200, 64)
         ]
-        filled = []
+        answers = []
         for dedupe in (dynamic_graph.sorted_unique, np.unique):
             monkeypatch.setattr(dynamic_graph, "sorted_unique", dedupe)
             graph = DynamicGraph(g0)
             graph.apply_batch(batch, mode="coalesce")
             assert 0 < len(graph.touched_vertices) < 40
-            answers = [graph.gather(verts, old) for verts, old in asks]
-            epoch = graph._epoch
-            assert epoch.used > 0
-            filled.append((answers, graph.arena[: epoch.used].copy(), graph.arena_keys.copy(),
-                           epoch.start.copy(), epoch.start_new.copy(), epoch.used))
-            assert_arena_exact(graph)
-        (ours, *tables), (theirs, *expected) = filled
-        for (s, n), (s2, n2) in zip(ours, theirs):
-            assert np.array_equal(s, s2) and np.array_equal(n, n2)
-        for got, want in zip(tables, expected):
-            assert np.array_equal(got, want)
+            answers.append([graph.operands(verts, old) for verts, old in asks])
+            assert_operands_exact(graph)
+        for ours, theirs in zip(*answers):
+            assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
 
     def test_degree_tables_are_read_only_views_of_the_live_tables(self):
         """A handed-out degree table is the store's own, read-only: it follows
@@ -201,49 +197,19 @@ class TestArenaExactness:
         graph.reorganize()
         assert degrees_old(graph)[u] == held[u] == kept[u] - 1
         assert np.array_equal(kept, g0.degrees())  # the copy did not move
-        assert_arena_exact(graph)
+        assert_operands_exact(graph)
 
     def test_degree_tables_follow_new_vertices(self):
         graph = DynamicGraph(erdos_renyi(6, 2.0, num_labels=1, seed=2))
-        assert_arena_exact(graph)  # the offset table is built before the store grows
+        assert_operands_exact(graph)  # read before the store grows
         graph.apply_batch(inserts((0, 9), (9, 7)))
         assert graph.degrees_new().size == degrees_old(graph).size == 10
         assert graph.degrees_new()[6:].tolist() == [0, 1, 0, 2]
         assert degrees_old(graph)[6:].tolist() == [0, 0, 0, 0]
-        assert_arena_exact(graph)
+        assert_operands_exact(graph)
         graph.reorganize()
         assert degrees_old(graph)[6:].tolist() == [0, 1, 0, 2]
-        assert_arena_exact(graph)
-
-    def test_no_epoch_survives_a_mutation(self):
-        g0 = erdos_renyi(20, 4.0, num_labels=1, seed=3)
-        graph = DynamicGraph(g0)
-        u, v = (int(x) for x in g0.edge_array()[0])
-        w = next(x for x in range(20) if x not in (u, v) and x not in g0.neighbors(u))
-        both = np.array([u, u], dtype=np.int64)
-
-        def served(old):
-            starts, lens = graph.gather(both, old)
-            return graph.arena[starts[0] : starts[0] + lens[0]].tolist()
-
-        settled = served(False)
-        graph.apply_batch(UpdateBatch(np.array([(u, v), (u, w)]), np.array([-1, 1])))
-        assert served(True) == settled
-        opened = served(False)
-        assert opened == sorted(set(settled) - {v} | {w})
-        graph.reorganize()
-        assert served(True) == served(False) == opened  # not the pre-batch bytes
-        graph.apply_batch(inserts((u, v)))
-        assert served(True) == opened
-        assert served(False) == sorted(opened + [v])
-
-
-def assert_no_stale_epoch(graph):
-    """A fresh epoch: nothing loaded — every offset an earlier epoch handed
-    out lies below ``base`` — and the degree state exact."""
-    epoch = graph._epoch_state()
-    assert epoch.used == 0 and (epoch.start < epoch.base).all()
-    graph.check_invariants()  # the degree table and its maximum
+        assert_operands_exact(graph)
 
 
 def stream_batch(kind, graph, rng):
@@ -271,7 +237,7 @@ def stream_batch(kind, graph, rng):
 class TestStoreOwnsItsTables:
     """The read side's tables live as long as the store: every mutation
     keeps them — and ``max_degree`` — exact at the vertices it touched, and
-    the next epoch finds no offset the last one filled."""
+    a read after it serves the lists it left."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -297,12 +263,11 @@ class TestStoreOwnsItsTables:
             graph.apply_batch(stream_batch(kind, graph, rng), mode="coalesce")
             check()
             if built:
-                assert_arena_exact(graph)  # fills the arena the next epoch must forget
+                assert_operands_exact(graph)
             graph.reorganize()
             check()
             if built:
-                assert_no_stale_epoch(graph)
-        assert (graph._epoch.flat is not None) == built
+                assert_operands_exact(graph)
 
     def test_the_top_vertex_losing_edges_recounts(self):
         g0 = erdos_renyi(12, 0.0, num_labels=1, seed=0)
@@ -320,50 +285,17 @@ class TestStoreOwnsItsTables:
     def test_reorganize_leaves_no_stale_start(self):
         g0 = erdos_renyi(40, 4.0, num_labels=2, seed=5)
         graph = DynamicGraph(g0)
-        assert_arena_exact(graph)  # the settled epoch fills every list
+        assert_operands_exact(graph)  # the settled store: every list read
         for batch in generate_adversarial_stream(g0, num_batches=3, batch_size=12, seed=5):
             graph.apply_batch(batch, mode="coalesce")
-            assert_no_stale_epoch(graph)  # the settled epoch's fills are gone
-            assert_arena_exact(graph)
+            graph.check_invariants()
+            assert_operands_exact(graph)  # the batch's lists, not the settled ones
             graph.reorganize()
-            assert_no_stale_epoch(graph)
-            assert_arena_exact(graph)
-
-    @pytest.mark.parametrize("depth", [1, 2])
-    def test_a_failed_batch_settled_by_the_engine_leaves_no_stale_entry(
-        self, depth, monkeypatch
-    ):
-        """A kernel raising mid-expansion, after the arena was filled: the
-        engine's settle reorganizes, and the next epoch starts clean."""
-        import repro.core.matching as matching
-
-        g0 = DATASETS["AZ"].build(0)
-        g0, batches = derive_stream(g0, num_updates=128, batch_size=64, seed=1)
-        engine = GCSMEngine(g0, query_by_name("Q1"), seed=0)
-        twin = GCSMEngine(g0, query_by_name("Q1"), seed=0)
-        expand_rows, launches = matching.expand_rows, []
-
-        def failing(*args):
-            launches.append(args)
-            if len(launches) == depth:
-                assert engine.graph._epoch.used > 0 or depth == 1
-                raise RuntimeError("injected")
-            return expand_rows(*args)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(matching, "expand_rows", failing)
-            with pytest.raises(RuntimeError, match="injected"):
-                engine.process_batch(batches[0])
-        assert engine.graph.batch_open is False
-        assert_no_stale_epoch(engine.graph)
-        twin.process_batch(batches[0])
-        got, want = engine.process_batch(batches[1]), twin.process_batch(batches[1])
-        assert got.delta_count == want.delta_count
-        assert_arena_exact(engine.graph)
-
+            graph.check_invariants()
+            assert_operands_exact(graph)
 
 class TestArenaConcurrency:
-    """One epoch's arena serves every reader of it: a fleet's shards and
+    """Every reader of a batch reads the same lists: a fleet's shards and
     the pipelined schedule."""
 
     def test_fleet_and_pipelined_equal_serial_single_device(self):
@@ -371,8 +303,8 @@ class TestArenaConcurrency:
         batches = generate_adversarial_stream(g0, num_batches=3, batch_size=64, seed=11)
 
         def run(**settings):
-            # no estimation pass: the kernels meet a cold arena, which the
-            # shards fill one after another
+            # no estimation pass: each shard's launches read their own
+            # operands, one after another
             engine = GCSMEngine(g0, TRIANGLE, seed=0, policy="degree", **settings)
             return engine.process_stream(batches)
 
@@ -390,7 +322,7 @@ class TestArenaConcurrency:
 
 
 class TestRankKeys:
-    """One ``searchsorted`` over the keyed arena == the per-segment binary
+    """One ``searchsorted`` over a keyed block == the per-segment binary
     search it replaced (``repro.testing.segmented_contains``)."""
 
     NUM_VERTICES = 12  # small alphabet: a vertex recurs across segments
@@ -435,8 +367,7 @@ class TestRankKeys:
             DynamicGraph, "num_vertices", property(lambda self: 2**61), raising=True
         )
         with pytest.raises(ValueError, match="int64 rank keys"):
-            graph._load(graph._epoch_state(), np.array([0, 1]), True)
-        assert graph._epoch.used == 0  # nothing published
+            graph.operands(np.array([0, 1]), True)
 
 
 class TestUnifiedMemoryLayout:

@@ -298,7 +298,7 @@ def test_property_random_batches_roundtrip(seed):
 
 
 class TestBulkWriteSide:
-    """The write side is whole-batch: the store asks the arena its two
+    """The write side is whole-batch: the store asks its one read two
     questions ("is (u, v) an edge, and at which slot", "what is N'(v),
     merged") once per batch, not once per edge and per list."""
 

@@ -28,7 +28,11 @@ fault (``check_fault_settles``) a fleet view kept across batches.  The
 walk's reads of the matcher's launches have two: its equality with the
 launching walk (``tests/test_estimator_walk.py::TestWalkReadsTheExpansion``)
 sees FE counters charged for rows no walk reached and, on a rulebook's
-fan-out, a row that takes the wrong candidate's columns.
+fan-out, a row that takes the wrong candidate's columns.  A launch's one
+operand read has one: the fused kernel's parity with the recursive oracle
+(``tests/test_fused_frontier.py::TestFusedPathsMatchTheOracle``) sees a read
+that dedupes its asks by vertex alone, serving a touched list's ``N'`` where
+``N`` was asked for.
 Every gate runs the same fixed cases under the mutant and unmutated, so a red
 gate is the mutant's doing.
 """
@@ -179,6 +183,13 @@ def walk_parity_gate():
     for seed in (3, 17):
         type(tests).test_a_rulebook_reading_equals_launching.hypothesis.inner_test(
             tests, seed=seed, rules=8, survival=1.0)
+
+
+def fused_oracle_gate():
+    """The fused kernel on a launch whose rows read both versions equals the
+    recursive oracle, which decodes every list from the slab itself
+    (``tests/test_fused_frontier.py``)."""
+    fused_tests.TestFusedPathsMatchTheOracle().test_ragged_constraint_counts_at_one_level()
 
 
 def ignore_the_overlay(patch):
@@ -388,6 +399,13 @@ def walk_row_ignores_src(patch):
         "src = None if launch.src is None else np.arange(launch.src.size) % mult.size"))
 
 
+def operands_drop_the_version(patch):
+    """A launch's read keys its asks by vertex alone: every list is read as
+    ``N'``, a touched one asked as ``N`` included."""
+    patch.setattr(DynamicGraph, "operands", mutated(
+        DynamicGraph.operands, "asked = 2 * vertices + (", "asked = 2 * vertices + 0 * ("))
+
+
 #: mutant -> (the gate that kills it, what its failure says if it names it)
 MUTANTS = {
     ignore_the_overlay: (query_gate, None),
@@ -415,6 +433,7 @@ MUTANTS = {
     fleet_view_outlives_its_batch: (shard_fault_gate, "shard_reports"),
     walk_charges_every_launch_row: (walk_counters_gate, "'bytes'"),
     walk_row_ignores_src: (walk_parity_gate, None),
+    operands_drop_the_version: (fused_oracle_gate, None),
 }
 
 
@@ -422,7 +441,8 @@ MUTANTS = {
     "gate", [query_gate, rulebook_gate, settle_gate, fault_gate, skip_gate,
              check_handed_out_dtypes, without_gate, check_index_builds, settle_order_gate,
              zero_copy_gate, walk_budget_gate, adaptive_gate, shard_slice_gate,
-             shard_counters_gate, shard_fault_gate, walk_counters_gate, walk_parity_gate],
+             shard_counters_gate, shard_fault_gate, walk_counters_gate, walk_parity_gate,
+             fused_oracle_gate],
     ids=lambda g: g.__name__,
 )
 def test_the_gates_pass_unmutated(gate):

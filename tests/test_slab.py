@@ -11,7 +11,6 @@ import pytest
 
 from repro.gpu.device import BYTES_PER_NEIGHBOR
 from repro.graphs import DynamicGraph, StaticGraph, UpdateBatch
-from repro.graphs import dynamic_graph as store_module
 from repro.graphs.generators import erdos_renyi
 from repro.testing import count_calls, neighbors_new, neighbors_old, stored_runs
 from repro.utils import VERTEX_DTYPE
@@ -32,7 +31,7 @@ class TestNoPerVertexPython:
             def batch_path():
                 store.apply_batch(batch)
                 touched = np.array(sorted(store.touched_vertices))
-                store.gather(np.tile(touched, 2), np.repeat([True, False], touched.size))
+                store.operands(np.tile(touched, 2), np.repeat([True, False], touched.size))
                 store.packed_runs(touched)
                 store.reorganize()
 
@@ -51,46 +50,27 @@ class TestNoPerVertexPython:
             lambda: DynamicGraph(large)
         )
 
-    def test_update_path_builds_no_epoch(self, monkeypatch):
-        # at the parent the store probed a settled arena and merged in an
-        # open one: two O(n) table builds per batch on a bare store
-        g = erdos_renyi(300, 8.0, seed=2)
-        store = DynamicGraph(g)
-        builds = []
-        real = store_module._Epoch.build
-        monkeypatch.setattr(
-            store_module._Epoch, "build",
-            lambda self, *tables: (builds.append(1), real(self, *tables))[1],
-        )
-        for seed in range(3):
-            store.apply_batch(mixed_batch(store.snapshot(), 64, np.random.default_rng(seed)))
-            store.reorganize()
-        assert not builds
-        store.gather(np.arange(3), False)  # the instrument works: a reader does build one
-        assert builds == [1]
-
 
 # ----------------------------------------------------------------------
 # set model
 # ----------------------------------------------------------------------
 def lists_of(view, old):
     """Every list of ``view`` in one version, through the per-vertex slab
-    decode of ``repro.testing``, through the bulk ``read`` and through
-    ``gather`` + ``arena``; the three must agree."""
+    decode of ``repro.testing``, through the bulk ``read`` and through a
+    launch's ``operands``; the three must agree."""
     verts = np.arange(view.num_vertices)
     one = neighbors_old if old else neighbors_new
     scalar = [one(view, v).tolist() for v in verts.tolist()]
     block, lens = view.read(verts, old)
     bounds = np.cumsum(lens).tolist()
     assert [block[e - k : e].tolist() for e, k in zip(bounds, lens.tolist())] == scalar
-    starts, lens = view.gather(verts, old)
-    flat = view.arena
-    assert [flat[s : s + k].tolist() for s, k in zip(starts.tolist(), lens.tolist())] == scalar
+    block, _, starts, lens = view.operands(verts, old)
+    assert [block[s : s + k].tolist() for s, k in zip(starts.tolist(), lens.tolist())] == scalar
     return scalar
 
 
 def run_slab_model(seed):
-    """48 steps of apply / gather / reorganize against a model made of Python
+    """48 steps of apply / read / reorganize against a model made of Python
     sets; returns ``(windows outgrown, pools replaced, empty windows grown)``.
     The pool is never compacted, so its tail is checked against twice the
     live windows."""
@@ -197,7 +177,7 @@ class TestPackedRuns:
 def check_handed_out_dtypes():
     """Every array the store hands out is ``VERTEX_DTYPE``, whatever the slab
     holds: both versions of lists with marks and ``ΔN`` runs, the raw runs,
-    the arena and its keys, and the exports."""
+    a launch's operands and their keys, and the exports."""
     g = erdos_renyi(60, 6.0, seed=4)
     store = DynamicGraph(g)
     store.apply_batch(mixed_batch(g, 40, np.random.default_rng(4)))
@@ -212,8 +192,8 @@ def check_handed_out_dtypes():
         "edges_new_array": store.edges_new_array(),
         "snapshot": store.snapshot().indices,
     }
-    store.gather(np.tile(vs, 2), np.repeat([True, False], vs.size))
-    handed.update(arena=store.arena, arena_keys=store.arena_keys)
+    block, keys, _, _ = store.operands(np.tile(vs, 2), np.repeat([True, False], vs.size))
+    handed.update(operands=block, operand_keys=keys)
     narrow = {name: str(a.dtype) for name, a in handed.items() if a.dtype != VERTEX_DTYPE}
     assert not narrow, narrow
 
