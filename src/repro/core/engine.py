@@ -247,7 +247,7 @@ _FLEET = "repro.multigpu.engine:FleetPlacement"
 SCHEDULES = ("serial", "pipelined")
 
 
-def _load(spec: str):
+def _resolve(spec: str):
     module, _, name = spec.partition(":")
     return getattr(import_module(module), name)
 
@@ -577,7 +577,7 @@ class GCSMEngine:
         #: one shared host-side index, also on a fleet: maintenance is a host
         #: phase and the kernels only read precomputed masks
         self.prefilter_index = make_prefilter(config.prefilter, self.graph)
-        self.placement: Placement = _load(
+        self.placement: Placement = _resolve(
             _FLEET if self.num_devices > 1 else PLACEMENTS[config.placement]
         )(self)
         #: the fleet placement when ``devices > 1`` (its shards), else None
