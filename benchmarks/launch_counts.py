@@ -47,17 +47,23 @@ VARIANTS = {
 }
 #: Python calls per batch a ``(workload, configuration)`` row may make, about
 #: 3 % above what it makes (CPython 3.11, NumPy 2.4.6): ``az_rulebook24``
-#: under the pre-filter 1 111.6 and ``devices=2`` on FR / CA / SF3K / AZ
-#: 929.6 / 1 018.5 / 926.3 / 1 146.5, with a launch's operands read in one
-#: store read.  Each workload's single-device calls are gated once, exactly,
-#: by ``benchmarks/trajectory.py check`` against the trajectory's last row,
-#: so they have no row here.
+#: under the pre-filter 1 111.6 (the bound was set there; 1 101.6 since a
+#: pack is priced without counters), and on FR / CA / SF3K / AZ
+#: ``devices=2`` 836.6 / 925.5 / 833.3 / 1 053.5 and ``devices=4`` 878.6 /
+#: 967.5 / 875.3 / 1 095.5, with a fleet packing one cache for all its
+#: shards.  Each workload's single-device calls are gated once, exactly, by
+#: ``benchmarks/trajectory.py check`` against the trajectory's last row, so
+#: they have no row here.
 CALLS = {
     ("az_rulebook24", 'prefilter="on"'): 1_144,
-    ("fr_q1_mixed", "devices=2"): 957,
-    ("ca_q3_narrow", "devices=2"): 1_049,
-    ("sf3k_q1_churn", "devices=2"): 954,
-    ("az_rulebook24", "devices=2"): 1_180,
+    ("fr_q1_mixed", "devices=2"): 861,
+    ("ca_q3_narrow", "devices=2"): 953,
+    ("sf3k_q1_churn", "devices=2"): 858,
+    ("az_rulebook24", "devices=2"): 1_085,
+    ("fr_q1_mixed", "devices=4"): 904,
+    ("ca_q3_narrow", "devices=4"): 996,
+    ("sf3k_q1_churn", "devices=4"): 901,
+    ("az_rulebook24", "devices=4"): 1_128,
 }
 
 

@@ -29,13 +29,19 @@ from repro.graphs.dynamic_graph import DynamicGraph
 from repro.gpu.device import BYTES_PER_NEIGHBOR
 from repro.utils import VERTEX_DTYPE, contains_sorted, require, segment_offsets
 
-__all__ = ["DcsrCache", "packed_size_bytes"]
+__all__ = ["DcsrCache", "packed_size_bytes", "probe_cost"]
 
 
 def packed_size_bytes(list_length: int) -> int:
     """Buffer bytes one cached vertex costs: its colidx entries plus its
     rowidx entry and rowptr pair (all int32 on the device)."""
     return (list_length + 3) * BYTES_PER_NEIGHBOR
+
+
+def probe_cost(num_cached):
+    """Comparison count of one rowidx binary search over ``num_cached``
+    rows (array-valued: a fleet prices each shard's directory at once)."""
+    return np.maximum(1, np.ceil(np.log2(np.asarray(num_cached) + 1))).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -111,5 +117,4 @@ class DcsrCache:
 
     def probe_cost_ops(self) -> int:
         """Comparison count of one rowidx binary search."""
-        k = self.num_cached
-        return max(1, int(np.ceil(np.log2(k + 1))))
+        return int(probe_cost(self.num_cached))

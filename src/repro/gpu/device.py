@@ -126,8 +126,7 @@ class DeviceConfig:
         return faults * self.um_fault_overhead_ns + moved / self.pcie_bandwidth_bpns
 
     def dma_time_ns(self, nbytes: int, requests: int = 1) -> float:
-        if nbytes <= 0 and requests <= 0:
-            return 0.0
+        """Array-valued in ``nbytes``; nothing moved in no request is 0.0."""
         return requests * self.dma_setup_ns + nbytes / self.dma_bandwidth_bpns
 
     def gpu_read_time_ns(self, nbytes: int) -> float:
@@ -190,11 +189,6 @@ class ClusterConfig:
         return replace(
             self.base, peer_bandwidth_bpns=bw, peer_line_overhead_ns=overhead
         )
-
-    def devices(self) -> list[DeviceConfig]:
-        """One config per shard (identical; heterogeneity is future work)."""
-        cfg = self.device()
-        return [cfg for _ in range(self.num_devices)]
 
     def allreduce_time_ns(self, nbytes: int) -> float:
         """Ring all-reduce of ``nbytes`` across the fleet: ``2(N-1)`` steps,

@@ -7,7 +7,8 @@ Public surface:
   runs for the pack and match stages.
   Vertex ``v`` is owned by shard ``hash(v) mod N``
   (:func:`~repro.multigpu.engine.hash_owners`).
-* :mod:`~repro.multigpu.shard` — per-device state and the peer-read path.
+* :mod:`~repro.multigpu.shard` — the fleet's view (the peer-read path)
+  and its load-balance report.
 * :mod:`~repro.multigpu.comm` — interconnect cost model (PEER reads,
   ΔM all-reduce) and per-batch traffic reports.
 """
@@ -20,21 +21,14 @@ from repro.multigpu.engine import (
     MultiFleetBatchResult,
     hash_owners,
 )
-from repro.multigpu.shard import (
-    LoadBalanceReport,
-    Shard,
-    ShardBatchReport,
-    ShardedDeviceView,
-)
+from repro.multigpu.shard import LoadBalanceReport, ShardedDeviceView
 
 __all__ = [
     "FleetPlacement",
     "FleetBatchResult",
     "MultiFleetBatchResult",
     "LoadBalanceReport",
-    "ShardBatchReport",
     "hash_owners",
-    "Shard",
     "ShardedDeviceView",
     "CommReport",
     "comm_report",

@@ -45,25 +45,14 @@ def allreduce_delta_ns(cluster: ClusterConfig, num_plans: int) -> float:
 
 @dataclass(frozen=True)
 class CommReport:
-    """Cross-device traffic of one batch, aggregated over shards."""
+    """Cross-device traffic of one batch: the fleet's peer bytes and the ΔM
+    all-reduce."""
 
     peer_bytes: int
-    peer_transactions: int
-    zero_copy_bytes: int
     allreduce_ns: float
 
 
-def comm_report(
-    shard_counters: list[AccessCounters], allreduce_ns: float
-) -> CommReport:
-    """Aggregate the fleet's cross-device traffic for one batch."""
-    return CommReport(
-        peer_bytes=sum(c.bytes_by_channel[Channel.PEER] for c in shard_counters),
-        peer_transactions=sum(
-            c.transactions_by_channel[Channel.PEER] for c in shard_counters
-        ),
-        zero_copy_bytes=sum(
-            c.bytes_by_channel[Channel.ZERO_COPY] for c in shard_counters
-        ),
-        allreduce_ns=allreduce_ns,
-    )
+def comm_report(counters: AccessCounters, allreduce_ns: float) -> CommReport:
+    """The fleet's cross-device traffic for one batch, from the counters of
+    its one settled block."""
+    return CommReport(counters.bytes_by_channel[Channel.PEER], allreduce_ns)

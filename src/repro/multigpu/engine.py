@@ -11,9 +11,12 @@ stage (update, prefilter, reorganize) and every schedule is the engine's own.
   expansion; its estimates drive cache selection.
 * **Own** — host-side, folded into the pack phase: vertex ``v`` belongs to
   shard ``hash(v) mod N`` (:func:`hash_owners`).
-* **Pack** — per shard: each device selects the hot vertices *it owns*
-  within its own buffer budget, packs its DCSR slice, and uploads over its
-  own host link.  Phase time is the slowest shard (uploads overlap).
+* **Pack** — one pass over an owner column: the one rank is cut into each
+  shard's owned prefix within the shard's own buffer budget (a running
+  packed size per owner), the union is packed into one
+  :class:`~repro.core.dcsr.DcsrCache`, and each shard's host pack and DMA
+  is priced from its own rows, entries and bytes (every card sits on its
+  own host link, so uploads overlap).  Phase time is the slowest shard.
 * **Match** — one settle for the fleet: directed roots are keyed by the
   shard owning their first endpoint, and the one expansion is settled once
   through the fleet's :class:`~repro.multigpu.shard.ShardedDeviceView`
@@ -23,33 +26,30 @@ stage (update, prefilter, reorganize) and every schedule is the engine's own.
   the block.  Phase time is the slowest shard, plus the ΔM all-reduce
   (reported separately as ``comm_ns``).
 
-Pack reuses the single-device internals
-(:func:`~repro.core.engine.pack_step`) shard by shard in shard order, and
-match the shared matching kernel.  With ``devices=1`` the engine never
-loads this module: the single-device body *is* the one-device fleet, by
-construction.  For ``N > 1`` match counts stay identical (roots are a
-disjoint cover; rows are independent in the join, so a shard's split is
-what a launch over its roots alone returns) while timing shows sub-linear
-speedup dominated by PEER traffic and the serial host phases.
+With ``devices=1`` the engine never loads this module: the single-device
+body *is* the one-device fleet, by construction.  For ``N > 1`` match
+counts stay identical (roots are a disjoint cover; rows are independent in
+the join, so a shard's split is what a launch over its roots alone returns)
+while timing shows sub-linear speedup dominated by PEER traffic and the
+serial host phases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.engine import BatchResult, CachedPlacement, GCSMEngine, MatchOutcome
+from repro.core.dcsr import DcsrCache, packed_size_bytes, probe_cost
+from repro.core.engine import BatchResult, CachedPlacement, MatchOutcome, pack_ns
+from repro.core.frequency import EstimationResult
 from repro.core.multiquery import MultiBatchResult
 from repro.gpu.clock import simulated_time_ns
-from repro.gpu.counters import AccessCounters, Channel
+from repro.gpu.counters import AccessCounters
+from repro.gpu.device import BYTES_PER_NEIGHBOR
 from repro.multigpu.comm import CommReport, allreduce_delta_ns, comm_report
-from repro.multigpu.shard import (
-    LoadBalanceReport,
-    Shard,
-    ShardBatchReport,
-    ShardedDeviceView,
-)
+from repro.multigpu.shard import LoadBalanceReport, ShardedDeviceView
 
 __all__ = ["FleetPlacement", "FleetBatchResult", "MultiFleetBatchResult", "hash_owners"]
 
@@ -58,11 +58,10 @@ __all__ = ["FleetPlacement", "FleetBatchResult", "MultiFleetBatchResult", "hash_
 class FleetBatchResult(BatchResult):
     """A :class:`~repro.core.engine.BatchResult` plus fleet diagnostics.
 
-    The extras carry the per-shard load-balance report and cross-device
-    traffic summary (defaults on a certified-skip batch: no shard ran).
+    The extras carry the load-balance report and the cross-device traffic
+    summary (``None`` on a certified-skip batch: no shard ran).
     """
 
-    shard_reports: list[ShardBatchReport] = field(default_factory=list)
     load_balance: LoadBalanceReport | None = None
     comm: CommReport | None = None
 
@@ -79,6 +78,21 @@ class FleetOutcome(MatchOutcome):
     settle, the slowest shard's time, and each shard's."""
 
     shard_ns: list[float] = field(default_factory=list)
+
+
+class FleetPack(NamedTuple):
+    """What a fleet's ``prepare`` ships: the estimate, every shard's cached
+    vertices (shard-major, rank order within a shard) packed as one union
+    cache, the owner map, and per shard its directory's probe cost, the
+    bytes its own buffer would hold and its pack time."""
+
+    estimation: EstimationResult | None
+    selected: np.ndarray
+    cache: DcsrCache
+    owner: np.ndarray
+    probe_ops: np.ndarray
+    nbytes: np.ndarray
+    pack_ns: np.ndarray
 
 
 #: Knuth's multiplicative hash constant (2^32 / phi), mod 2^32.
@@ -106,36 +120,45 @@ class FleetPlacement(CachedPlacement):
 
     result_type = FleetBatchResult
 
-    def __init__(self, engine: GCSMEngine) -> None:
-        super().__init__(engine)
-        self.shards = [
-            Shard(i, dev, engine.cache_budget_bytes)
-            for i, dev in enumerate(engine.cluster.devices())
-        ]
-
     # ------------------------------------------------------------------
     def prepare(self, batch, decision, breakdown, expansion):
-        """Shared estimate, the owner map, per-shard pack."""
-        engine, graph = self.engine, self.engine.graph
+        """Shared estimate, the owner map, and every shard's pack in one pass."""
+        engine, graph, n = self.engine, self.engine.graph, self.engine.num_devices
         estimation = self.estimate(batch, decision, breakdown, expansion)
 
         # the owner map is host work folded into the pack phase
         owner_counters = AccessCounters()
         owner_counters.record_compute(graph.num_vertices)
-        owner = hash_owners(graph.num_vertices, engine.num_devices)
+        owner = hash_owners(graph.num_vertices, n)
         owner_ns = simulated_time_ns(owner_counters, engine.device, platform="cpu")
 
-        # own host links: uploads overlap, the phase is the slowest shard
+        # each shard keeps the prefix of its owned ranked vertices whose
+        # running packed size fits its own budget: select_within_budget per
+        # shard (sizes are positive), one grouped cumulative sum for the fleet
         ranked = engine.policy.rank(graph, estimation)
-        for shard in self.shards:
-            shard.select_and_pack(graph, ranked, owner)
-        breakdown.pack_ns = owner_ns + max(s.pack_ns for s in self.shards)
-        return estimation, owner
+        lengths = graph.run_lengths(ranked)[1]
+        shard = owner[ranked]
+        order = np.argsort(shard, kind="stable")
+        owned = np.bincount(shard, minlength=n)
+        spent = np.concatenate(([0], np.cumsum(packed_size_bytes(lengths[order]))))
+        before = np.repeat(spent[np.cumsum(owned) - owned], owned)
+        kept = order[spent[1:] - before <= engine.cache_budget_bytes]
+        shard = shard[kept]
+        rows = np.bincount(shard, minlength=n)
+        entries = np.bincount(shard, lengths[kept], n).astype(np.int64)
+        # what each shard's own buffer would hold: rowidx, the rowptr pairs
+        # with their sentinel row, colidx
+        nbytes = (3 * rows + 2 + entries) * BYTES_PER_NEIGHBOR
+        shard_ns = pack_ns(engine.device, rows, entries, nbytes)
+        # own host links: uploads overlap, the phase is the slowest shard
+        breakdown.pack_ns = owner_ns + float(shard_ns.max())
+        selected = ranked[kept]
+        return FleetPack(estimation, selected, DcsrCache.build(graph, selected), owner,
+                         probe_cost(rows), nbytes, shard_ns)
 
     def view(self, graph, counters, shipped):
-        return ShardedDeviceView(
-            graph, self.engine.device, counters, [s.cache for s in self.shards], shipped[1]
-        )
+        return ShardedDeviceView(graph, self.engine.device, counters, shipped.cache,
+                                 shipped.probe_ops, shipped.owner)
 
     def match(self, batch, shipped, decision, sinks, expansion):
         """One settle through the fleet's view, every root keyed by its shard
@@ -143,10 +166,8 @@ class FleetPlacement(CachedPlacement):
         phase is the slowest shard's."""
         engine = self.engine
         outcome = super().match(batch, shipped, decision, sinks, expansion)
-        shard_ns = [
-            simulated_time_ns(counters, shard.device, platform="gpu")
-            for shard, counters in zip(self.shards, outcome.view.shard_counters)
-        ]
+        shard_ns = [simulated_time_ns(counters, engine.device, platform="gpu")
+                    for counters in outcome.view.shard_counters]
         return FleetOutcome(
             outcome.stats, outcome.counters, max(shard_ns), outcome.view,
             allreduce_delta_ns(engine.cluster, engine.query_set.num_plans), shard_ns,
@@ -155,32 +176,12 @@ class FleetPlacement(CachedPlacement):
     def bookkeeping(self, shipped, outcome):
         if outcome is None:
             return {}
-        shards, view = self.shards, outcome.view
-        roots, hits, misses, remote_hits, remote_misses = view.tally.tolist()
         return dict(
-            estimation=shipped[0],
-            cached_vertices=np.concatenate([s.selected for s in shards]),
-            cache_bytes=sum(s.cache.total_bytes for s in shards),
-            cache_hits=sum(hits) + sum(remote_hits),
-            cache_misses=sum(misses) + sum(remote_misses),
-            shard_reports=[
-                ShardBatchReport(
-                    shard_id=s.shard_id,
-                    roots_processed=roots[i],
-                    match_ns=outcome.shard_ns[i],
-                    pack_ns=s.pack_ns,
-                    cache_bytes=s.cache.total_bytes,
-                    cached_vertices=s.cache.num_cached,
-                    local_hits=hits[i],
-                    local_misses=misses[i],
-                    remote_hits=remote_hits[i],
-                    remote_misses=remote_misses[i],
-                    peer_bytes=view.shard_counters[i].bytes_by_channel[Channel.PEER],
-                )
-                for i, s in enumerate(shards)
-            ],
+            super().bookkeeping(shipped[:3], outcome),
+            cache_bytes=int(shipped.nbytes.sum()),
             load_balance=LoadBalanceReport(
-                shard_match_ns=tuple(outcome.shard_ns), shard_roots=tuple(roots),
+                shard_match_ns=tuple(outcome.shard_ns),
+                shard_roots=tuple(outcome.view.shard_roots.tolist()),
             ),
-            comm=comm_report(view.shard_counters, outcome.comm_ns),
+            comm=comm_report(outcome.counters, outcome.comm_ns),
         )

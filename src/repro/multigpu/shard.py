@@ -1,78 +1,54 @@
-"""Per-device shard state and the sharded kernel data path.
-
-Each :class:`Shard` is one simulated GPU: it owns its own
-:class:`~repro.gpu.device.DeviceConfig`, its slice of the DCSR cache (built
-from the hot vertices *it owns*, within its own device-buffer budget), and
-its own DMA engine (every card sits on its own host link, so per-shard
-uploads overlap).
+"""The sharded kernel data path and the fleet's straggler report.
 
 :class:`ShardedDeviceView` is the fleet's one view: GCSM's cached view with
 the multi-GPU read path, each access classified against the shard that
-reads it and each shard's counters its split of the block.  For a vertex
-its reader owns it is byte-for-byte the single-GPU view (probe own rowidx;
-hit → GPU global, miss → host zero-copy).  For a remote-owned vertex the
-kernel probes the owner's (replicated, tiny) rowidx directory: a remote
-*hit* is served over the peer interconnect
-(:data:`~repro.gpu.counters.Channel.PEER`), a remote *miss* falls back to
-host zero-copy — the host graph is pinned and visible to every device, so
-an uncached list never takes two hops.
+reads it and each shard's counters its split of the block.  A fleet packs
+one :class:`~repro.core.dcsr.DcsrCache`, the union of every shard's hot
+lists, and a vertex is cached only by the shard owning it, so a hit in the
+union is exactly a hit in the owner's slice.  For a vertex its reader owns
+it is byte-for-byte the single-GPU view (probe own rowidx; hit → GPU
+global, miss → host zero-copy).  For a remote-owned vertex the kernel
+probes the owner's (replicated, tiny) rowidx directory: a remote *hit* is
+served over the peer interconnect (:data:`~repro.gpu.counters.Channel.PEER`),
+a remote *miss* falls back to host zero-copy — the host graph is pinned and
+visible to every device, so an uncached list never takes two hops.  Either
+way the probe costs the owner's directory's binary search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cache import select_within_budget
+from repro.core.cache import CachedDeviceView
 from repro.core.dcsr import DcsrCache
-from repro.core.engine import pack_step
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.gpu.counters import AccessCounters, Accesses, Channel, tabulate
 from repro.gpu.device import DeviceConfig
-from repro.gpu.views import GraphView
-from repro.utils import sorted_unique
 
-__all__ = ["Shard", "ShardedDeviceView", "ShardBatchReport", "LoadBalanceReport"]
+__all__ = ["ShardedDeviceView", "LoadBalanceReport"]
 
-
-@dataclass
-class Shard:
-    """State of one simulated device in the fleet."""
-
-    shard_id: int
-    device: DeviceConfig
-    cache_budget_bytes: int
-    cache: DcsrCache | None = None
-    selected: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    pack_ns: float = 0.0
-
-    def select_and_pack(
-        self, graph: DynamicGraph, ranked: np.ndarray, owner: np.ndarray
-    ) -> None:
-        """Step 3 for this shard: keep the owned prefix of the global rank,
-        fit it to this device's budget, pack, and DMA (own link)."""
-        owned = ranked[owner[ranked] == self.shard_id]
-        self.selected = select_within_budget(graph, owned, self.cache_budget_bytes)
-        self.cache, self.pack_ns = pack_step(graph, self.selected, self.device)
+_GLOBAL, _PEER = Channel.GPU_GLOBAL.slot, Channel.PEER.slot
 
 
-class ShardedDeviceView(GraphView):
+class ShardedDeviceView(CachedDeviceView):
     """The fleet's one view (``devices > 1``; one device runs the plain
     :class:`~repro.core.cache.CachedDeviceView`): a root is read by the shard
     owning its first endpoint, and every access by its root's shard.
 
-    ``counters`` take the whole block, ``shard_counters[s]`` the totals of
-    the split shard ``s`` read (no histogram: they price the shard), and
-    ``tally`` counts per shard the roots it settled, its hits and misses on
-    its own vertices, and its remote hits and misses."""
+    ``cache`` is the union of the shards' slices and ``probe_ops[s]`` the
+    cost of a probe of shard ``s``'s own directory.  ``counters`` take the
+    whole block (``hits`` / ``misses`` tally it), ``shard_counters[s]`` the
+    totals of the split shard ``s`` read (no histogram: they price the
+    shard), and ``shard_roots[s]`` the roots shard ``s`` settled."""
 
     def __init__(self, graph: DynamicGraph, device: DeviceConfig, counters: AccessCounters,
-                 caches: list[DcsrCache], owner: np.ndarray) -> None:
-        super().__init__(graph, device, counters)
-        self.caches, self.owner, self.num_readers = caches, owner, len(caches)
-        self.shard_counters = [AccessCounters() for _ in caches]
-        self.tally = np.zeros((5, len(caches)), dtype=np.int64)
+                 cache: DcsrCache, probe_ops: np.ndarray, owner: np.ndarray) -> None:
+        super().__init__(graph, device, counters, cache)
+        self.probe_ops, self.owner, self.num_readers = probe_ops, owner, len(probe_ops)
+        self.shard_counters = [AccessCounters() for _ in probe_ops]
+        self.shard_roots = np.zeros(len(probe_ops), dtype=np.int64)
 
     def readers(self, roots: np.ndarray) -> np.ndarray:
         """The shard that settles each ``(r, 2)`` root: its first endpoint's owner."""
@@ -80,7 +56,7 @@ class ShardedDeviceView(GraphView):
 
     def charge(self, roots, outputs, ops) -> None:
         super().charge(roots, outputs, ops)
-        self.tally[0] += roots
+        self.shard_roots += roots
         for counters, out, op in zip(self.shard_counters, outputs.tolist(), ops.tolist()):
             counters.record_output(out)
             counters.record_compute(op)
@@ -95,47 +71,19 @@ class ShardedDeviceView(GraphView):
         return acc
 
     def classify(self, vertices: np.ndarray, lengths: np.ndarray, reader: np.ndarray) -> Accesses:
-        """The sharded routing, per access: a vertex its reader owns takes the
-        single-GPU cached path; a remote-owned one probes its owner's rowidx
-        (at that cache's probe cost) and is served over the peer interconnect
-        on a hit, or from pinned host memory on a miss — every device reads
-        it directly: one zero-copy hop, never peer + host."""
+        """The sharded routing, per access: one probe of the union decides hit
+        or miss; a hit on a remote-owned vertex is served over the peer
+        interconnect, a miss from pinned host memory — every device reads it
+        directly: one zero-copy hop, never peer + host.  Each probe costs
+        the owner's directory's search."""
         owners = self.owner[vertices]
-        hit = np.zeros(vertices.shape[0], dtype=bool)
-        ops = np.zeros(vertices.shape[0], dtype=np.int64)
-        for sid in sorted_unique(owners).tolist():
-            routed, cache = owners == sid, self.caches[sid]
-            hit[routed] = cache.lookup_block(vertices[routed])
-            ops[routed] = cache.probe_cost_ops()
-        remote = owners != reader
-        peer = hit & remote
-        # per reader: local hit, local miss, remote hit, remote miss
-        kind = 2 * remote + ~hit
-        self.tally[1:] += np.bincount(kind * self.num_readers + reader,
-                                      minlength=4 * self.num_readers).reshape(4, -1)
-        acc = self._hit_or_zero_copy(hit, lengths)
+        acc = CachedDeviceView.classify(self, vertices, lengths)
+        peer = (acc.channel == _GLOBAL) & (owners != reader)
         return acc._replace(
-            channel=np.where(peer, Channel.PEER.slot, acc.channel),
+            channel=np.where(peer, _PEER, acc.channel),
             transactions=np.where(peer, self.device.peer_lines(acc.nbytes), acc.transactions),
-            ops=ops,
+            ops=self.probe_ops[owners],
         )
-
-
-@dataclass(frozen=True)
-class ShardBatchReport:
-    """What one shard did during one batch."""
-
-    shard_id: int
-    roots_processed: int
-    match_ns: float
-    pack_ns: float
-    cache_bytes: int
-    cached_vertices: int
-    local_hits: int
-    local_misses: int
-    remote_hits: int
-    remote_misses: int
-    peer_bytes: int
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,11 @@ slow, obviously-correct twins of the vectorized production kernels:
   root-group OR the array program is checked against, and the two-run ``merge_sorted`` / ``is_sorted`` helpers only the oracles and
   tests use.
 
+:mod:`repro.testing.fleet` holds the fleet's per-device oracles: each
+shard's own budget cut, pack and price (:func:`shard_packs`), a fleet view
+built over per-shard caches (:func:`sharded_view`) and the access-by-access
+routing against the owner's cache (:func:`classify_by_owner`).
+
 :mod:`repro.testing.calls` holds :func:`count_calls`, the clock that repeats
 (Python ``call`` events), for gates on per-vertex / per-node Python loops,
 and :mod:`repro.testing.trace` the access-trace capture and what-if replay
@@ -43,6 +48,7 @@ differential fuzzer over adversarial streams).
 """
 
 from repro.testing.calls import count_calls
+from repro.testing.fleet import classify_by_owner, shard_packs, sharded_view
 from repro.testing.kernels import (
     GALLOP_RATIO,
     LaunchingFrequencyEstimator,
@@ -116,4 +122,7 @@ __all__ = [
     "ReferenceDecision",
     "prefilter_decision_reference",
     "group_masks_reference",
+    "shard_packs",
+    "sharded_view",
+    "classify_by_owner",
 ]

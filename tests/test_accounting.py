@@ -63,7 +63,7 @@ from repro.multigpu.shard import ShardedDeviceView
 from repro.query import query_by_name
 from repro.query.generator import rulebook_suite
 from repro.query.plan import MatchPlan
-from repro.testing import count_calls, neighbors_new, neighbors_old
+from repro.testing import count_calls, neighbors_new, neighbors_old, sharded_view
 from repro.testing.validation import verify_rulebook
 from tests.test_views_semantics import read_list
 
@@ -106,7 +106,9 @@ def make_sharded(graph, counters):
         DcsrCache.build(graph, np.arange(1, N // 8, 2)),
     ]
     assert caches[0].probe_cost_ops() != caches[1].probe_cost_ops()
-    return ReadByRule(graph, DEVICE, counters, caches, owner)
+    view = sharded_view(graph, DEVICE, counters, caches, owner, ReadByRule)
+    view.shard_caches = caches  # what the scalar model probes
+    return view
 
 
 RESIDENT = frozenset(range(0, N, 2))
@@ -136,8 +138,8 @@ def scalar_model(view, vertices, lengths):
         out["bytes"][channel] += nbytes
         out["tx"][channel] += transactions
 
-    def hit_or_zero_copy(hit, nbytes, name=""):
-        out["tally"][name + ("hits" if hit else "misses")] += 1
+    def hit_or_zero_copy(hit, nbytes):
+        out["tally"]["hits" if hit else "misses"] += 1
         if hit:
             serve(Channel.GPU_GLOBAL, nbytes, 1)
         else:
@@ -149,16 +151,13 @@ def scalar_model(view, vertices, lengths):
         out["vertex_bytes"][v] += nbytes
         if isinstance(view, ShardedDeviceView):
             shard = int(view.owner[v])
-            cache = view.caches[shard]
-            out["ops"] += cache.probe_cost_ops()
-            hit = bool(np.any(cache.rowidx == v))
-            if shard == reader_of(v):
-                hit_or_zero_copy(hit, nbytes)
-            elif hit:
-                out["tally"]["remote_hits"] += 1
+            out["ops"] += view.shard_caches[shard].probe_cost_ops()
+            hit = bool(np.any(view.shard_caches[shard].rowidx == v))
+            if hit and shard != reader_of(v):
+                out["tally"]["hits"] += 1
                 serve(Channel.PEER, nbytes, math.ceil(nbytes / dev.peer_line_bytes))
             else:
-                hit_or_zero_copy(False, nbytes, "remote_")
+                hit_or_zero_copy(hit, nbytes)
         elif isinstance(view, CachedDeviceView):
             out["ops"] += view.cache.probe_cost_ops()
             hit_or_zero_copy(bool(np.any(view.cache.rowidx == v)), nbytes)
@@ -184,13 +183,7 @@ def scalar_model(view, vertices, lengths):
 def observed(view):
     """The same quantities, read back through the public accessors."""
     c = view.counters
-    tallies = {
-        "hits": getattr(view, "hits", 0), "misses": getattr(view, "misses", 0),
-        "remote_hits": getattr(view, "remote_hits", 0),
-        "remote_misses": getattr(view, "remote_misses", 0),
-    }
-    if isinstance(view, ShardedDeviceView):  # per shard: roots, then the four
-        tallies = dict(zip(tallies, view.tally[1:].sum(axis=1).tolist()))
+    tallies = {"hits": getattr(view, "hits", 0), "misses": getattr(view, "misses", 0)}
     if isinstance(view, FullDeviceView):
         tallies["misses"] = view.fallthrough_accesses
     return {

@@ -268,7 +268,7 @@ def check_fault_settles(stage: str, config: str, prefilter: str) -> None:
     after, theirs = engine.process_batch(batches[1]), twin.process_batch(batches[1])
     assert after.delta_count == theirs.delta_count
     if stage == SHARD_FAULT:  # nothing of the failed settle reaches the next batch
-        for name in ("match_stats", "shard_reports", "load_balance", "comm"):
+        for name in ("match_stats", "load_balance", "comm", "cache_hits", "cache_misses"):
             assert getattr(after, name) == getattr(theirs, name), name
         assert after.match_counters.summary() == theirs.match_counters.summary()
     if engine.clock is not None:

@@ -33,7 +33,6 @@ from repro.graphs.stream import derive_stream
 from repro.gpu.counters import AccessCounters
 from repro.gpu.device import default_device
 from repro.gpu.views import HostCPUView, UnifiedMemoryView, ZeroCopyView
-from repro.multigpu.shard import ShardedDeviceView
 from repro.query import query_by_name
 from repro.query.generator import rulebook_suite
 from repro.query.pattern import QueryGraph
@@ -41,6 +40,7 @@ from repro.query.plan import compile_delta_plans, compile_static_plan
 from repro.testing import (
     match_batch_recursive,
     match_static_recursive,
+    sharded_view,
     use_reference_kernels,
 )
 from repro.testing.trace import TracingView
@@ -160,7 +160,7 @@ class TestFusedPathsMatchTheOracle:
 
         def view(graph, counters):
             caches = [DcsrCache.build(graph, np.flatnonzero(owner == s)[::3]) for s in (0, 1)]
-            views.append(ShardedDeviceView(graph, DEVICE, counters, caches, owner))
+            views.append(sharded_view(graph, DEVICE, counters, caches, owner))
             return views[-1]
 
         fused, oracle = both_kernels(g0, batches, plans, view)
@@ -168,7 +168,8 @@ class TestFusedPathsMatchTheOracle:
         assert any(f["bytes"]["peer"] for f, _ in fused)
         half = len(views) // 2
         for mine, theirs in zip(views[:half], views[half:]):
-            assert mine.tally.tolist() == theirs.tally.tolist()
+            assert mine.shard_roots.tolist() == theirs.shard_roots.tolist()
+            assert (mine.hits, mine.misses) == (theirs.hits, theirs.misses)
             assert [c.summary() for c in mine.shard_counters] == [
                 c.summary() for c in theirs.shard_counters]
 

@@ -24,7 +24,11 @@ settle has three: the restriction oracle
 (``tests/test_restriction_parity.py``) and the per-shard counters test
 (``tests/test_multigpu.py::TestShardCounters``) each see a root routed by its
 second endpoint and every access charged to shard 0, and the second-shard
-fault (``check_fault_settles``) a fleet view kept across batches.  The
+fault (``check_fault_settles``) a fleet view kept across batches.  Its one
+pack has two, both seen by the per-device oracle
+(``tests/test_multigpu.py::TestPerShardPackOracle``): a probe priced by the
+union cache's size instead of its owner's, and one budget shared by the
+whole fleet instead of one per shard.  The
 walk's reads of the matcher's launches have two: its equality with the
 launching walk (``tests/test_estimator_walk.py::TestWalkReadsTheExpansion``)
 sees FE counters charged for rows no walk reached and, on a rulebook's
@@ -149,6 +153,13 @@ def shard_fault_gate():
     """``check_fault_settles`` with a raise on the second shard's reads
     inside the fleet's one settle: the next batch is a fresh fleet's."""
     check_fault_settles(SHARD_FAULT, "devices=2", "on")
+
+
+def fleet_pack_gate():
+    """The fleet's one pack and union probe against its devices packing
+    alone, CA on two devices under a budget that binds
+    (``tests/test_multigpu.py::TestPerShardPackOracle``)."""
+    multigpu_tests.check_against_per_shard_packs("ca", 2, multigpu_tests.TIGHT_BUDGET)
 
 
 def walk_budget_gate():
@@ -384,6 +395,20 @@ def fleet_view_outlives_its_batch(patch):
     patch.setattr(FleetPlacement, "view", kept)
 
 
+def probe_priced_by_the_union(patch):
+    """A fleet's probe costs a search of the union cache, not of the
+    owner's own directory."""
+    patch.setattr(ShardedDeviceView, "classify", mutated(
+        ShardedDeviceView.classify, "ops=self.probe_ops[owners],", ""))
+
+
+def one_budget_for_the_fleet(patch):
+    """The running packed size is not restarted per shard: the whole fleet
+    shares one device's budget."""
+    patch.setattr(FleetPlacement, "prepare", mutated(
+        FleetPlacement.prepare, "spent[1:] - before <=", "spent[1:] <="))
+
+
 def walk_charges_every_launch_row(patch):
     """The walk leaves the launch's access log unmasked: a row no walk
     reached charges 0 to the estimate but real FE bytes and ops."""
@@ -430,7 +455,9 @@ MUTANTS = {
     adaptive_stops_after_one_round: (adaptive_gate, "assert 1 > 1"),
     roots_routed_by_second_endpoint: (shard_slice_gate, None),
     every_access_to_shard_zero: (shard_counters_gate, None),
-    fleet_view_outlives_its_batch: (shard_fault_gate, "shard_reports"),
+    fleet_view_outlives_its_batch: (shard_fault_gate, "load_balance"),
+    probe_priced_by_the_union: (fleet_pack_gate, "ops"),
+    one_budget_for_the_fleet: (fleet_pack_gate, None),
     walk_charges_every_launch_row: (walk_counters_gate, "'bytes'"),
     walk_row_ignores_src: (walk_parity_gate, None),
     operands_drop_the_version: (fused_oracle_gate, None),
@@ -441,8 +468,8 @@ MUTANTS = {
     "gate", [query_gate, rulebook_gate, settle_gate, fault_gate, skip_gate,
              check_handed_out_dtypes, without_gate, check_index_builds, settle_order_gate,
              zero_copy_gate, walk_budget_gate, adaptive_gate, shard_slice_gate,
-             shard_counters_gate, shard_fault_gate, walk_counters_gate, walk_parity_gate,
-             fused_oracle_gate],
+             shard_counters_gate, shard_fault_gate, fleet_pack_gate, walk_counters_gate,
+             walk_parity_gate, fused_oracle_gate],
     ids=lambda g: g.__name__,
 )
 def test_the_gates_pass_unmutated(gate):

@@ -7,9 +7,10 @@ two-device fleet and on a pipelined two-device fleet.  Each run is hashed
 with everything it reports per batch — ΔM, ``MatchStats``, the match
 counters with both histograms, the full ``TimeBreakdown`` (``critical_path_
 ns`` / ``fill_ns`` / ``drain_ns`` included), the estimate and the cache, a
-fleet's ``shard_reports`` / ``load_balance`` / ``comm`` — plus the
-``ScheduleReport`` of a pipelined run.  Two ``MatchService`` reports are
-hashed as JSON without their ``wall_clock_s``.
+fleet's ``load_balance`` and its ``comm`` as ``(peer_bytes, allreduce_ns)``
+— plus the ``ScheduleReport`` of a pipelined run.  FR and AZ-24 are pinned
+on a four-device fleet too.  Two ``MatchService`` reports are hashed as
+JSON without their ``wall_clock_s``.
 
 The digests were first recorded at c5baebc, whose pipelined schedule ran
 the kernel on a worker thread against a frozen copy of the store and whose
@@ -20,7 +21,12 @@ b9356b5 without the two online-repartitioning entries, which were 0.0 and
 None on every batch of every run there (``TimeBreakdown.repartition_ns`` and
 the fleet's ``repartition`` report); the owner map is ``hash(v) mod N``
 since.  That run's log, with the old and new digest of each run, is kept
-under ``benchmarks/results/``.
+under ``benchmarks/results/``.  The nine digests of a fleet's runs (the
+eight two-device runs and the predicated ``GCSM@2``) were re-recorded at
+ad471d7 without the per-shard reports (``shard_reports``) and with ``comm``
+hashed as its peer bytes and all-reduce time only, the fields a fleet still
+reports since it packs one cache for all its shards; every other digest
+read the same there (the change log lists the old and new digests).
 
 Every baseline placement — ZC, UM, CPU, Naive, VSGM and RapidFlow — is pinned
 the same way on the CA smoke inputs, VSGM on FR too.
@@ -75,33 +81,41 @@ DIGESTS = {
     ("fr", "pipelined"):
         "c35ed752eb57bd59a8024c1b5794f768d87515aead6b11d1c1814b1612c0264d",
     ("fr", "devices2"):
-        "136f3c4d9e3e4660cc5032e3729bf8355e5241f1ff5db71ec5918574fc18279c",
+        "fe556b48c7651d53d25fd9f4b7402ea42a3771eb50c44217881cf9f3356f76d8",
     ("fr", "devices2-pipelined"):
-        "e2d21956647da24f11af6ef374add29b4934d689c46bdb5e318723bbf4427a8b",
+        "4c4d2ce9dceab9a7f9df7960d80b96afb63704a32f7d76146061c4ba36b6fbac",
     ("ca", "serial"):
         "2af5411d841b929562269f0ea3d7e304ab67d4cbcd5dfe86afcb7619c28efb62",
     ("ca", "pipelined"):
         "2b83ee9ed023dfba45da3213a4526970a1e075536e77225ad75aa1fd37d82e77",
     ("ca", "devices2"):
-        "d9cc3d9e6ecbd05cd99be3537b249a315c58aebf37987982a7008ab871e42943",
+        "45649e41ec326fb15fc5772ec520b9a0c5990d73fb386649a9ca0bd4109e9297",
     ("ca", "devices2-pipelined"):
-        "bbef9c59e2427805ef45932a0ccb949bf6882815c05673aa0c0cb2f62b66e7f4",
+        "9f38fde705b7de18c9b6a462186a6af10b4ee5cd159cf94533a74a9460bef1d5",
     ("sf3k", "serial"):
         "ff9a1d9686cccf524d4cb6dc2b034d918ef4b63815865e9593093b20cf6390ef",
     ("sf3k", "pipelined"):
         "04654c5fc0e7549a5cbb73ee5eeddf426d8ce11c58745835c762295e071aa13d",
     ("sf3k", "devices2"):
-        "c11dc8261edf4afc35161e6947c223cccc6dcc6c40aa0f1528289971ec823cd0",
+        "7bd338a64deacd072afceea207cb13860e9709e7c32cc3f6434bbaa797088525",
     ("sf3k", "devices2-pipelined"):
-        "22e46586b49f53ff5d6b25dfa900421e361436b137016093473fc5a3979b58dd",
+        "a4f0c4297b87c79ce06d9d4e42c9b4913c8b8be905ec21db17cafe2dbd224270",
     ("az24", "serial"):
         "e93736ef3b3e3aa87180bd1a61205c29be5a454fa86d7e6b952aacd138735400",
     ("az24", "pipelined"):
         "a0d17df2671c88715d5c00e0802e6697b82c354fe54b8cc8b9997e06bc678fa7",
     ("az24", "devices2"):
-        "0607d871eef5f8cdf14f5db25af56d22e0a1797d1316008635da62ae50dfc75d",
+        "d797b74adfb55308a0e665c24dd0031e9b1fb46d388ff3e08288f94ba8a8951c",
     ("az24", "devices2-pipelined"):
-        "c9ca94dcd74492e16ad76120aaee1deb8c8ad1302abbf89f566758bcf18d4dfd",
+        "51cd226dc7d296c96b16004bf45bf40929917dd390d4fd35a8f6189a844d5206",
+}
+
+#: a four-device fleet (``devices=4``) on the ``fr`` and ``az24`` smoke inputs,
+#: recorded at ad471d7, where each shard still selected, packed and priced
+#: its own cache
+FOUR_DEVICE_DIGESTS = {
+    "fr": "decbdd964306c233f0e4628bb4639dacaff4e769a33f2decbc338beab7e6658f",
+    "az24": "9889f8c17125f03c10ec6990848c33d6dc5f3c3f241371c359f1eebe1af4fdd1",
 }
 
 #: every baseline placement on the ``ca`` smoke inputs (and VSGM on ``fr``):
@@ -139,7 +153,7 @@ PREDICATED_DIGESTS = {
     "Pipelined":
         "baeadf44848f705a601420256292f594fbdd7c1ee0f212e92a89711ad650d4c0",
     "GCSM@2":
-        "0ec7bd55489dffc35e4661336a7ce333fbb2d7c13bcefd20724f63537872a87b",
+        "eb3e2f34a40dae48cc2e69593c8aad3d3e89ac4c6a99f7d7a0424ab1c5f2ca41",
     "RapidFlow":
         "b8fa3b1b1f035528a6a0dc85438947af27f032b789bc0543768263327c4404ef",
     "rulebook":
@@ -191,8 +205,12 @@ def batch_record(result) -> list:
         result.cached_vertices, result.cache_bytes, result.cache_hits, result.cache_misses,
         getattr(result, "trie_stats", None),
     ]
-    for name in ("shard_reports", "load_balance", "comm"):
-        record.append(getattr(result, name, None))
+    # a fleet's traffic as the harness reads it; the slot ahead of
+    # load_balance held the per-shard reports a fleet no longer makes and
+    # stays None, so a single device's record reads as recorded
+    comm = getattr(result, "comm", None)
+    record += [None, getattr(result, "load_balance", None),
+               None if comm is None else (comm.peer_bytes, comm.allreduce_ns)]
     return canonical(record)
 
 
@@ -206,9 +224,9 @@ def smoke_inputs(name):
     return g0, batches[:SMOKE_BATCHES]
 
 
-def run_digest(name, config) -> str:
+def run_digest(name, config: dict) -> str:
     g0, batches = smoke_inputs(name)
-    settings = dict(seed=0, **CONFIGS[config])
+    settings = dict(seed=0, **config)
     if name == "az24":
         engine = MultiQueryEngine(g0, rulebook_suite(24, num_labels=3, seed=0), **settings)
     else:
@@ -224,7 +242,12 @@ def run_digest(name, config) -> str:
 @pytest.mark.parametrize("config", list(CONFIGS))
 @pytest.mark.parametrize("name", list(WORKLOADS))
 def test_run_digest_unchanged(name, config):
-    assert run_digest(name, config) == DIGESTS[name, config]
+    assert run_digest(name, CONFIGS[config]) == DIGESTS[name, config]
+
+
+@pytest.mark.parametrize("name", list(FOUR_DEVICE_DIGESTS))
+def test_four_device_digest_unchanged(name):
+    assert run_digest(name, {"devices": 4}) == FOUR_DEVICE_DIGESTS[name]
 
 
 def placement_digest(name, system) -> str:

@@ -77,8 +77,9 @@ class HostFleetView(ShardedDeviceView):
     alongside its readers."""
 
     def __init__(self, graph, owner, shards):
-        caches = [DcsrCache.build(graph, np.empty(0, dtype=np.int64))] * shards
-        super().__init__(graph, DEVICE, AccessCounters(), caches, owner)
+        empty = DcsrCache.build(graph, np.empty(0, dtype=np.int64))
+        super().__init__(graph, DEVICE, AccessCounters(), empty,
+                         np.ones(shards, dtype=np.int64), owner)
         self.traced = []
 
     def classify(self, vertices, lengths, reader):
@@ -182,7 +183,7 @@ def query_batch(graph, plans, batch, decision, owner, shards, sinks) -> MatchSta
     for shard in range(shards):
         own = owned(owner, shard)
         stats, theirs, seen, reads = oracle(plans, batch, graph, own, decision, None, sinks)
-        assert fleet.view.tally[0, shard] == stats.roots_processed
+        assert fleet.view.shard_roots[shard] == stats.roots_processed
         assert totals(fleet.view.shard_counters[shard]) == totals(theirs)
         assert sorted(zip(*fleet.view.accesses(shard))) == sorted(zip(*reads))
         launch = expand(trie, batch, graph, prefilter=shard_masks(trie, batch, graph, own, masks))
@@ -221,7 +222,7 @@ def rulebook_batch(graph, batch, decision, owner, shards, sinks) -> MatchStats:
         counters, view = traced(graph)
         alone = settle(launch, view)[0]
         assert totals(fleet.view.shard_counters[shard]) == totals(counters)
-        assert fleet.view.tally[0, shard] == sum(s.roots_processed for s in alone.values())
+        assert fleet.view.shard_roots[shard] == sum(s.roots_processed for s in alone.values())
     for q, (stats, counters) in by_query.items():
         mine = fleet.stats[q]
         assert [e for e in fleet.emitted if e[0] == q] == [e for e in emitted if e[0] == q]
