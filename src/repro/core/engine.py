@@ -126,8 +126,8 @@ def update_step(
     mode: str = DEFAULT_CONFLICT_MODE,
     on_applied: Callable[[UpdateBatch, AccessCounters], None] | None = None,
 ) -> tuple[UpdateBatch, float]:
-    """Step 1: canonicalize ``ΔE`` under ``mode`` and fold it into the CPU
-    store; returns ``(effective_batch, simulated_ns)``.
+    """Step 1: net ``ΔE`` under ``mode`` and fold it into the CPU store
+    (:meth:`DynamicGraph.apply_batch`); returns ``(effective_batch, simulated_ns)``.
 
     Every later step — estimation, root generation, matching — must run on
     the returned *effective* batch: its updates are exactly the symmetric
@@ -645,7 +645,7 @@ class GCSMEngine:
         breakdown = TimeBreakdown()
         shipped = outcome = None
         try:
-            # every later step runs on the canonicalized *effective* batch
+            # every later step runs on the netted *effective* batch
             batch, breakdown.update_ns = update_step(
                 self.graph, batch, self.device, self.config.conflict_mode,
                 self.placement.maintain,

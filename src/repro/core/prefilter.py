@@ -9,7 +9,7 @@ Sec. IV) is the expensive probabilistic version of the same question; this
 module is the certified O(|ΔE|) version.
 
 Invariants maintained (all under :meth:`InvariantIndex.apply_batch`, driven
-by the *effective* canonicalized batch so phantom deletes and same-batch
+by the *effective* (netted) batch so phantom deletes and same-batch
 churn can never desynchronize the index from the store):
 
 * **global vertex-label histogram** ``label_counts[ℓ]`` — vertices per label

@@ -18,11 +18,12 @@ grow.  The four update rules, each one whole-batch operation:
    sorted; a list that outgrows its window (an empty one included) moves to
    one of ``max(need, 2 * cap)`` entries, giving O(1) amortized insertion.
 2. **New vertices** get a window sized to the average degree.
-3. **Deletions mark in place.**  A deleted neighbor ``v`` is found by one
-   keyed binary search for the whole batch and overwritten with ``-(v + 1)``
-   (vertex 0 stays representable); decoding preserves order, so the base run
-   stays logically sorted.  No delete targets a ``ΔN`` run: batches are
-   netted against the store first and cannot open before reorganize.
+3. **Deletions mark in place.**  A deleted neighbor ``v`` is found by the
+   batch's one bisection of the settled base runs (the same that tells
+   whether each edge is there) and overwritten with ``-(v + 1)`` (vertex 0
+   stays representable); decoding preserves order, so the base run stays
+   logically sorted.  No delete targets a ``ΔN`` run: a batch is netted
+   before it is written and cannot open before reorganize.
 4. **Reorganization** (step 5 of the pipeline, run *after* matching) stores
    every touched list's merged ``N'(v)`` as its one sorted base run.
 
@@ -44,9 +45,9 @@ a list that never grows has no dead window.  A full pool is replaced by one
 **One read, one write.**  :meth:`DynamicGraph.read` gathers any set of
 lists in either version as one flat block (marks decoded or dropped, the two
 runs of a touched list merged by one sort of ``segment * n + value`` keys):
-a launch's operands, the edge probe, DCSR packing and the whole-store readers
-(in bounded blocks, :meth:`DynamicGraph.read_blocks`) are that read, and a
-batch is one fancy-indexed write ``pool[offset[src] + slot] = value``.
+a launch's operands, DCSR packing and the whole-store readers (in bounded
+blocks, :meth:`DynamicGraph.read_blocks`) are that read, and a batch is one
+fancy-indexed write ``pool[offset[src] + slot] = value``.
 The slab's 4-byte entries are widened to :data:`~repro.utils.VERTEX_DTYPE`
 once, on the way out (:meth:`DynamicGraph.read`, :meth:`DynamicGraph.packed_runs`),
 so no key (``segment * n + value``, rank keys, edge keys) is ever computed in
@@ -72,10 +73,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graphs.static_graph import StaticGraph
-from repro.graphs.stream import CanonicalReport, UpdateBatch
+from repro.graphs.stream import (
+    CONFLICT_MODES, BatchConflictError, CanonicalReport, UpdateBatch,
+)
 from repro.utils import (
-    VERTEX_DTYPE, contains_sorted, equal_runs, require, segment_indices, segment_offsets,
-    sorted_unique,
+    VERTEX_DTYPE, contains_sorted, require, segment_indices, segment_offsets, sorted_unique,
 )
 
 __all__ = [
@@ -137,13 +139,47 @@ def _sort_runs(block: np.ndarray, lengths: np.ndarray, num_vertices: int) -> np.
     return keys - segment
 
 
-def _sorted_updates(edges: np.ndarray, signs: np.ndarray, span: int):
-    """``(src, dst, deleted)``: directed updates per source, deletes first, then
-    by neighbour — one sort of ``(2 * src + is_insert) * span + dst`` keys."""
-    require(span * span < 2**62, f"{span} vertices overflow the int64 update keys")
-    keys = (2 * edges[:, 0] + (signs > 0)) * span + edges[:, 1]
-    high, dst = np.divmod(np.sort(keys), span)
-    return high >> 1, dst, (high & 1) == 0
+def _bisect(pool, starts, lengths, values, depth):
+    """``(slot, found)``: where each ``values[i]`` sits or would sit in the
+    sorted window ``pool[starts[i] : starts[i] + lengths[i]]``, and whether it
+    is there — ``depth`` halving steps over every window at once, the same
+    count whatever the batch (``2**depth`` must exceed every length)."""
+    last = starts + lengths - 1
+    below = starts - 1  # the last entry known to be smaller than the value
+    for k in reversed(range(depth)):
+        ahead = below + (1 << k)
+        below += (1 << k) * ((ahead <= last) & (pool[np.minimum(ahead, last)] < values))
+    slot = below + 1
+    found = slot <= last  # the range test first: an empty window shares the next one's offset
+    found[found] = pool[slot[found]] == values[found]
+    return slot - starts, found
+
+
+def _conflict_diagnostic(rows, sizes, insert, present, max_examples: int = 4) -> str:
+    """The ``strict`` mode's batch-level diagnostic, one ``(lo, hi)`` row per
+    edge of the batch with its update count, its winner's kind and presence."""
+
+    def sample(mask: np.ndarray) -> str:
+        edges = rows[mask][:max_examples]
+        text = ", ".join(f"({u}, {v})" for u, v in edges.tolist())
+        extra = int(np.count_nonzero(mask)) - edges.shape[0]
+        return text + (f", ... +{extra} more" if extra > 0 else "")
+
+    parts = []
+    repeated = sizes > 1
+    if repeated.any():
+        parts.append(f"{int(np.count_nonzero(repeated))} edge(s) updated "
+                     f"more than once in the batch: {sample(repeated)}")
+    dup = insert & present
+    if dup.any():
+        parts.append(f"{int(np.count_nonzero(dup))} insert(s) of existing "
+                     f"edges: {sample(dup)}")
+    phantom = ~insert & ~present
+    if phantom.any():
+        parts.append(f"{int(np.count_nonzero(phantom))} delete(s) of "
+                     f"non-existent edges: {sample(phantom)}")
+    return ("strict conflict mode rejected the batch: " + "; ".join(parts)
+            + " (use conflict mode 'coalesce' or 'ignore' to net these out)")
 
 
 def rank_keys(
@@ -302,24 +338,6 @@ class DynamicGraph:
                 vertices = np.arange(lo, hi)
                 yield (vertices, *self.read(vertices, old))
 
-    def _keyed(self, us: np.ndarray, vs: np.ndarray):
-        """``(keys, probes, lengths, which)`` for the ascending ``us``: the keys
-        ``j * n + w`` of ``N'`` of the ``j``-th distinct ``u`` (they ascend), each
-        ``(us[i], vs[i])``'s key, the lists' lengths and each ``us[i]``'s ``j``."""
-        first, which = equal_runs(us)
-        block, lengths = self.read(us[first], False)
-        keys = np.repeat(np.arange(lengths.size) * self.num_vertices, lengths) + block
-        return keys, which * self.num_vertices + vs, lengths, which
-
-    def contains_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Whether each ``(us[i], vs[i])`` (endpoints in range) is an edge of the
-        current state: one probe of the lists read, ``us`` sorted first unless it ascends."""
-        if (us[1:] < us[:-1]).any():
-            order = np.argsort(us, kind="stable")
-            return self.contains_edges(us[order], vs[order])[np.argsort(order)]
-        keys, probes, _, _ = self._keyed(us, vs)
-        return contains_sorted(keys, probes)
-
     def operands(
         self, vertices: np.ndarray, old: bool | np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -362,69 +380,112 @@ class DynamicGraph:
     # update protocol
     # ------------------------------------------------------------------
     def apply_batch(self, batch: UpdateBatch, mode: str = "strict") -> UpdateBatch:
-        """Step 1 of the pipeline: fold ``ΔE`` into the store.
+        """Step 1 of the pipeline: net ``ΔE``, classify it against the store
+        and fold it in, in one pass.
 
-        The batch is first canonicalized against the current store
-        (:meth:`~repro.graphs.stream.UpdateBatch.canonicalize`), so arbitrary
-        real-world streams — duplicate inserts, phantom deletes, same-batch
-        churn pairs — are either rejected up front with a batch-level
-        diagnostic (``mode="strict"``, the default for the raw store) or
-        netted to their exact effect (``"coalesce"`` / ``"ignore"``) before
-        any mutation.  Returns the *effective* batch, which callers running
-        the incremental matcher must use for root generation so ΔM equals
-        the true state difference.
+        Arbitrary real-world streams — duplicate inserts, phantom deletes,
+        same-batch churn pairs — are either rejected with a batch-level
+        diagnostic (``mode="strict"``, the default for the raw store:
+        :class:`~repro.graphs.stream.BatchConflictError`, raised before any
+        write and before :attr:`last_canonical_report` changes) or netted to
+        their exact effect: ``"coalesce"`` keeps the last update of each edge
+        (the state a sequential replay reaches), ``"ignore"`` the first, and
+        both drop store-level no-ops.  Returns the *effective* batch — the
+        raw one itself when it is clean, else its surviving updates in order
+        and orientation — which callers running the incremental matcher must
+        use for root generation so ΔM equals the true state difference.
 
-        Both orientations of the effective batch are sorted once, per source
-        (its runs are the touched lists), and placed at once: a delete at the
-        base entry it marks (one binary search, run only if the batch
-        deletes), an insert at its rank in the sorted ``ΔN`` run — one write.
-        Every check that can reject the batch precedes the first write.  The
-        batch stays "open" — :meth:`reorganize` must be called after matching.
+        One key column ``src * span + dst`` holds both orientations of every
+        update, interleaved, so one stable sort lays each directed edge's
+        updates together in stream order (the winner is the first or the
+        last) and each list's updates by neighbour.  One fixed-depth
+        bisection of the settled base runs (:func:`_bisect`) answers whether
+        each winner's edge is there and at which slot; an endpoint the store
+        never saw is absent without a probe.  A kept delete marks its slot,
+        a kept insert lands after the base run at its rank among its list's
+        inserts, read off the column's runs — one write.  The batch stays
+        "open" — :meth:`reorganize` must be called after matching.
         """
         require(not self._batch_open, "previous batch not reorganized yet")
-        effective, report = batch.canonicalize(self, mode=mode)
+        require(mode in CONFLICT_MODES,
+                f"unknown conflict mode {mode!r}; expected one of {CONFLICT_MODES}")
+        n, size = self._tables.shape[1], batch.signs.size
+        span = int(np.maximum.reduce(batch.edges, axis=None, initial=n - 1)) + 1
+        require(span * span < 2**62, f"{span} vertices overflow the int64 edge keys")
+        src, dst = batch.edges.ravel(), batch.edges[:, ::-1].ravel()  # update i: entries 2i, 2i+1
+        keys = src * span + dst
+        order = keys.argsort(kind="stable")
+        keys = keys[order]
+        win = np.empty(keys.size, dtype=bool)  # the first (ignore) or last update of each edge
+        if mode == "ignore":
+            win[:1], win[1:] = True, keys[1:] != keys[:-1]
+        else:
+            win[-1:], win[:-1] = True, keys[1:] != keys[:-1]
+        entry = order[win]
+        src, dst, insert = src[entry], dst[entry], batch.signs[entry >> 1] > 0
+        # the store is settled: a neighbour's slot in N' is its base-run slot
+        known = np.maximum(src, dst) < n
+        slot, present = np.zeros(entry.size, dtype=np.int64), np.zeros(entry.size, dtype=bool)
+        slot[known], present[known] = _bisect(
+            self._pool, self._offset[src[known]], self._base_len[src[known]], dst[known],
+            self._max_degree.bit_length())
+        keep, lohi = insert != present, src < dst  # each edge once, on its (lo, hi) row
+        phantom, valid, duplicate, new = np.bincount(
+            (2 * insert + keep)[lohi], minlength=4).tolist()
+        report = CanonicalReport(
+            mode, input_size=size, output_size=new + valid, new_inserts=new,
+            duplicate_inserts=duplicate, valid_deletes=valid, phantom_deletes=phantom,
+            intra_batch_dropped=size - (entry.size >> 1))
+        if mode == "strict" and report.anomalies:
+            sizes = np.diff(win.nonzero()[0], prepend=-1)
+            raise BatchConflictError(_conflict_diagnostic(
+                np.stack([src, dst], axis=1)[lohi], sizes[lohi], insert[lohi], present[lohi]
+            ), report)
         self.last_canonical_report = report
-        grown = effective.max_vertex() + 1
-        src, dst, deleted = _sorted_updates(
-            *effective.directed_updates(), max(self.num_vertices, grown)
-        )
-        some_deleted = deleted.any()
-        if some_deleted:
-            # the store is settled: a neighbour's rank in N' is its base-run slot
-            keys, probes, lengths, which = self._keyed(src[deleted], dst[deleted])
-            marked = np.searchsorted(keys, probes) - segment_offsets(lengths)[which]
+        if report.output_size < size:
+            kept = (entry >> 1)[keep & lohi]
+            kept.sort()
+            batch = UpdateBatch(batch.edges[kept], batch.signs[kept], batch.new_vertex_labels)
 
+        src, dst, insert, slot = src[keep], dst[keep], insert[keep], slot[keep]
         self._batch_open = True
-        if grown > self.num_vertices:
-            self._grow_vertices(grown, effective.new_vertex_labels)
-        first, run = equal_runs(src)
-        self._touched = touched = src[first]
-        np.add.at(self._marks, src[deleted], 1)
-        np.add.at(self._total_len, src[~deleted], 1)
-        self._in_batch[touched] = 1
+        grown = int(np.maximum.reduce(src, initial=n - 1)) + 1
+        if grown > n:
+            self._grow_vertices(grown, batch.new_vertex_labels)
+        # each touched list's updates are one run of the column: its inserts'
+        # ranks and counts are differences of one running count
+        bounds = np.empty(src.size + 1, dtype=bool)
+        bounds[1:-1], bounds[[0, -1]] = src[1:] != src[:-1], True
+        bounds = bounds.nonzero()[0]
+        inserts = segment_offsets(insert)  # the inserts before each entry
+        self._touched = touched = src[bounds[:-1]]
+        at_run, runs = inserts[bounds], bounds[1:] - bounds[:-1]
+        added = at_run[1:] - at_run[:-1]
         # the store was settled: a list's degree before the batch is its base run
-        before, after = self._base_len[touched], self._total_len[touched] - self._marks[touched]
-        self._new_len[touched] = after
+        before = self._base_len[touched]
+        self._marks[touched] = runs - added
+        self._total_len[touched] = need = before + added
+        self._new_len[touched] = after = need - runs + added
+        self._in_batch[touched] = 1
         top = int(np.maximum.reduce(after, initial=0))
         if top >= self._max_degree:
             self._max_degree = top
         elif self._max_degree in before:
             self._max_degree = int(np.maximum.reduce(self._new_len, initial=0))
-        # an insert lands after the base run, at its rank among its source's inserts
-        slot = self._base_len[src] + np.arange(src.size) - (first + self._marks[touched])[run]
-        if some_deleted:
-            slot[deleted] = marked
+        # an insert lands after the base run, at its rank among its list's inserts
+        rank = inserts[:-1] - at_run[:-1].repeat(runs)
+        slot = np.where(insert, self._base_len[src] + rank, slot)
         # a list that outgrew its window moves first, to one at least
         # doubled (a zero-capacity window too) that fits its stored runs
-        cap, need = self._cap[touched], self._total_len[touched]
+        cap = self._cap[touched]
         move = need > cap
         if move.any():
             moved = touched[move]
             self._move(moved, np.maximum(need[move], _GROWTH * cap[move]), self._base_len[moved])
         # the one bulk write; the deletion mark of v is -(v+1)
-        self._pool[self._offset[src] + slot] = np.where(deleted, -(dst + 1), dst)
-        self._num_edges += int(effective.signs.sum())  # inserts minus deletes
-        return effective
+        self._pool[self._offset[src] + slot] = np.where(insert, dst, -(dst + 1))
+        self._num_edges += new - valid
+        return batch
 
     def reorganize(self) -> ReorganizeStats:
         """Step 5 of the pipeline: restore the sorted invariant.

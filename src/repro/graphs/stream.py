@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.graphs.static_graph import StaticGraph
-from repro.utils import as_generator, as_vertex_ids, edge_keys, equal_runs, require
+from repro.utils import as_generator, as_vertex_ids, require
 
 __all__ = [
     "UpdateBatch",
@@ -164,11 +164,6 @@ class UpdateBatch:
     def delete_edges(self) -> np.ndarray:
         return self.edges[self.signs < 0]
 
-    def max_vertex(self, default: int = -1) -> int:
-        if self.edges.size == 0:
-            return default
-        return int(self.edges.max())
-
     def directed_updates(self) -> tuple[np.ndarray, np.ndarray]:
         """Both orientations of every update: ``(edges[2b, 2], signs[2b])``.
 
@@ -210,108 +205,6 @@ class UpdateBatch:
                 array.setflags(write=False)
             found[pair] = roots
         return found[pair]
-
-    def canonicalize(
-        self, graph, mode: str = "strict"
-    ) -> tuple["UpdateBatch", CanonicalReport]:
-        """Resolve intra-batch conflicts and classify against ``graph``.
-
-        ``graph`` is the *pre-batch* store (a
-        :class:`~repro.graphs.DynamicGraph`): its ``contains_edges`` is asked
-        once, for the batch's distinct edges whose endpoints it knows.
-        Updates are grouped by undirected edge key
-        (orientation-insensitive), netted within the batch, and classified
-        as new insert / duplicate insert / valid delete / phantom delete:
-
-        * ``strict`` — any same-edge repetition, duplicate insert, or
-          phantom delete raises :class:`BatchConflictError` (nothing is
-          applied); a clean batch is returned unchanged (same object).
-        * ``coalesce`` — the **last** update of each edge wins (the final
-          state a sequential replay would reach), then store-level no-ops
-          are dropped.  The effective batch is exactly the symmetric
-          difference between the pre- and post-batch edge sets.
-        * ``ignore`` — the **first** update of each edge wins (later
-          conflicting updates are ignored), then store-level no-ops are
-          dropped.
-
-        Edge orientation and relative order of the surviving updates are
-        preserved, so conflict-free streams pass through bit-identically.
-        """
-        require(mode in CONFLICT_MODES,
-                f"unknown conflict mode {mode!r}; expected one of {CONFLICT_MODES}")
-        report = CanonicalReport(mode=mode, input_size=len(self))
-        if len(self) == 0:
-            report.output_size = 0
-            return self, report
-        n = graph.num_vertices
-        span = max(n, self.max_vertex() + 1)  # new vertices need key room too
-        keys = edge_keys(self.edges[:, 0], self.edges[:, 1], span)
-        # each edge's updates, winner first: ignore keeps the first, strict / coalesce the last
-        if mode == "ignore":
-            order = np.argsort(keys, kind="stable")
-        else:
-            order = len(self) - 1 - np.argsort(keys[::-1], kind="stable")
-        first, _ = equal_runs(keys[order])
-        winner = order[first]
-        lo, hi = np.divmod(keys[winner], span)  # lo ascends: the store's probe order
-        num_groups = first.size
-        known = hi < n  # an endpoint the store never saw: absent, no probe
-        present = np.zeros(num_groups, dtype=bool)
-        present[known] = graph.contains_edges(lo[known], hi[known])
-        winner_sign = self.signs[winner]
-        keep = np.where(winner_sign > 0, ~present, present)
-
-        report.intra_batch_dropped = int(len(self) - num_groups)
-        report.new_inserts = int(np.count_nonzero((winner_sign > 0) & keep))
-        report.duplicate_inserts = int(np.count_nonzero((winner_sign > 0) & ~keep))
-        report.valid_deletes = int(np.count_nonzero((winner_sign < 0) & keep))
-        report.phantom_deletes = int(np.count_nonzero((winner_sign < 0) & ~keep))
-        report.output_size = report.new_inserts + report.valid_deletes
-
-        if mode == "strict" and report.anomalies:
-            raise BatchConflictError(self._conflict_diagnostic(
-                np.stack([lo, hi], axis=1), np.diff(first, append=len(self)), winner_sign,
-                present, report), report)
-
-        if report.output_size == len(self):
-            return self, report  # clean batch: pass through untouched
-        order = np.sort(winner[keep])
-        return UpdateBatch(
-            self.edges[order], self.signs[order], self.new_vertex_labels
-        ), report
-
-    @staticmethod
-    def _conflict_diagnostic(
-        uniq: np.ndarray,
-        group_sizes: np.ndarray,
-        winner_sign: np.ndarray,
-        present: np.ndarray,
-        report: CanonicalReport,
-        max_examples: int = 4,
-    ) -> str:
-        """Batch-level ``strict``-mode diagnostic with example edges."""
-
-        def sample(mask: np.ndarray) -> str:
-            edges = uniq[mask][:max_examples]
-            text = ", ".join(f"({u}, {v})" for u, v in edges.tolist())
-            extra = int(np.count_nonzero(mask)) - edges.shape[0]
-            return text + (f", ... +{extra} more" if extra > 0 else "")
-
-        parts = []
-        repeated = group_sizes > 1
-        if repeated.any():
-            parts.append(f"{int(np.count_nonzero(repeated))} edge(s) updated "
-                         f"more than once in the batch: {sample(repeated)}")
-        dup = (winner_sign > 0) & present
-        if dup.any():
-            parts.append(f"{int(np.count_nonzero(dup))} insert(s) of existing "
-                         f"edges: {sample(dup)}")
-        phantom = (winner_sign < 0) & ~present
-        if phantom.any():
-            parts.append(f"{int(np.count_nonzero(phantom))} delete(s) of "
-                         f"non-existent edges: {sample(phantom)}")
-        return ("strict conflict mode rejected the batch: " + "; ".join(parts)
-                + " (use conflict mode 'coalesce' or 'ignore' to net these out)")
 
     def __repr__(self) -> str:
         n_ins = int(np.count_nonzero(self.signs > 0))

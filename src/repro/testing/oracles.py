@@ -19,7 +19,7 @@ routine replaced, kept verbatim so tests can assert bit-identical output:
   the per-cell loop whose draw order the whole-array lattice keeps
 * :func:`sorted_edge_keys` / :func:`contains_edges`: a static graph's edge
   set as sorted keys and membership in it, for the tests and the oracle
-  below (the store answers membership itself: ``DynamicGraph.contains_edges``)
+  below (a test asks a store through its snapshot: ``contains_edges(dg.snapshot(), us, vs)``)
 * :func:`without_edges_reference` ↔
   :meth:`repro.graphs.static_graph.StaticGraph.without_edges`: the edge-key
   subtraction and CSR rebuild the mask over the CSR replaced

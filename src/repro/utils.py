@@ -21,7 +21,6 @@ __all__ = [
     "format_time_ns",
     "contains_sorted",
     "sorted_unique",
-    "equal_runs",
     "edge_keys",
     "as_vertex_ids",
     "VERTEX_DTYPE",
@@ -96,14 +95,6 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     if out.size > 1:
         out = out[np.concatenate(([True], out[1:] != out[:-1]))]
     return out
-
-
-def equal_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(first, run)`` of the sorted 1-D ``values``: where each run of equal
-    elements begins, and each element's run."""
-    head = np.ones(values.size, dtype=bool)
-    head[1:] = values[1:] != values[:-1]
-    return np.flatnonzero(head), np.cumsum(head) - 1
 
 
 def edge_keys(us: np.ndarray, vs: np.ndarray, num_vertices: int) -> np.ndarray:

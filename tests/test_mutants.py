@@ -6,7 +6,10 @@ pre-filter's oracle tests (``tests/test_prefilter_oracle.py``) and the
 index's rebuild check (``InvariantIndex.assert_consistent``) see the bugs
 an array rewrite of the decision is most likely to carry, that the
 store's settle oracle (``tests/test_dynamic_graph.py::check_settle``) sees
-the bugs of its batch path and of a window's move, that the engine's fault injection
+the bugs of its batch path and of a window's move — a delete placed like an
+insert, a delete's slot taken from its ``(lo, hi)`` row for both rows — and
+its Python-set model (``check_dirty``) a ``coalesce`` that keeps an edge's
+first update, that the engine's fault injection
 (``tests/test_engine.py::check_fault_settles``) and certified-skip test see
 the bugs of the one batch body, that the store's reader contract
 (``tests/test_slab.py::check_handed_out_dtypes``) sees a read left 4 bytes
@@ -65,7 +68,9 @@ from repro.graphs.static_graph import StaticGraph
 from repro.gpu.device import DeviceConfig
 from repro.multigpu.engine import FleetPlacement
 from repro.multigpu.shard import ShardedDeviceView
-from tests.test_dynamic_graph import SETTLE_SEEDS, check_settle, settle_case
+from tests.test_dynamic_graph import (
+    DIRTY_SEEDS, SETTLE_SEEDS, check_dirty, check_settle, dirty_example, settle_case,
+)
 from tests.test_engine import FAULT_STAGES, SHARD_FAULT, check_fault_settles
 from tests.test_estimator_walk import mutated
 from tests.test_prefilter import check_index_builds
@@ -98,6 +103,15 @@ def settle_gate():
     oracle."""
     for seed in SETTLE_SEEDS:
         check_settle(*settle_case(seed))
+
+
+def dirty_gate():
+    """``check_dirty`` over the fixed cases in every conflict mode: the
+    report, the effective batch and both snapshots equal the Python-set
+    model, and a rejected batch changes nothing."""
+    for seed in DIRTY_SEEDS:
+        for mode in ("coalesce", "ignore", "strict"):
+            check_dirty(dirty_example(seed), mode)
 
 
 def fault_gate():
@@ -268,11 +282,30 @@ def reorganize_skips_the_sort(patch):
 
 
 def apply_skips_the_delete_search(patch):
-    """``apply_batch`` decides whether to search from the first update only
-    (deletes sort first per source, not overall)."""
+    """``apply_batch`` places a delete's mark as it places an insert, after
+    the base run at its rank, not at the slot the search found."""
     patch.setattr(DynamicGraph, "apply_batch", mutated(
-        DynamicGraph.apply_batch, "some_deleted = deleted.any()",
-        "some_deleted = deleted[:1].any()",
+        DynamicGraph.apply_batch,
+        "slot = np.where(insert, self._base_len[src] + rank, slot)",
+        "slot = self._base_len[src] + rank",
+    ))
+
+
+def coalesce_keeps_the_first(patch):
+    """``coalesce`` keeps the first update of an edge, as ``ignore`` does,
+    not the last."""
+    patch.setattr(DynamicGraph, "apply_batch", mutated(
+        DynamicGraph.apply_batch, 'if mode == "ignore":', 'if mode != "strict":'))
+
+
+def delete_slot_from_the_lo_row(patch):
+    """The probe searches each edge on its ``(lo, hi)`` row only: presence
+    is right, but a delete marks the ``hi`` list at ``lo``'s slot."""
+    patch.setattr(DynamicGraph, "apply_batch", mutated(
+        DynamicGraph.apply_batch,
+        "self._pool, self._offset[src[known]], self._base_len[src[known]], dst[known],",
+        "self._pool, self._offset[np.minimum(src, dst)[known]],"
+        " self._base_len[np.minimum(src, dst)[known]], np.maximum(src, dst)[known],",
     ))
 
 
@@ -441,6 +474,8 @@ MUTANTS = {
     reorganize_keeps_the_marks: (settle_gate, None),
     reorganize_skips_the_sort: (settle_gate, None),
     apply_skips_the_delete_search: (settle_gate, None),
+    coalesce_keeps_the_first: (dirty_gate, None),
+    delete_slot_from_the_lo_row: (settle_gate, None),
     move_carries_nothing: (settle_gate, None),
     settle_skips_the_rebuild: (fault_gate, "delete overlay not cleared"),
     settle_rebuilds_an_open_store_only: (fault_gate, "delete overlay not cleared"),
@@ -465,7 +500,7 @@ MUTANTS = {
 
 
 @pytest.mark.parametrize(
-    "gate", [query_gate, rulebook_gate, settle_gate, fault_gate, skip_gate,
+    "gate", [query_gate, rulebook_gate, settle_gate, dirty_gate, fault_gate, skip_gate,
              check_handed_out_dtypes, without_gate, check_index_builds, settle_order_gate,
              zero_copy_gate, walk_budget_gate, adaptive_gate, shard_slice_gate,
              shard_counters_gate, shard_fault_gate, fleet_pack_gate, walk_counters_gate,

@@ -20,12 +20,10 @@ class TestUpdateBatch:
         assert len(b) == 3
         assert b.insert_edges().tolist() == [[0, 1], [4, 5]]
         assert b.delete_edges().tolist() == [[2, 3]]
-        assert b.max_vertex() == 5
 
     def test_empty_batch(self):
         b = UpdateBatch(np.empty((0, 2)), np.empty(0))
         assert len(b) == 0
-        assert b.max_vertex(default=-1) == -1
         edges, signs = b.directed_updates()
         assert edges.shape == (0, 2) and signs.shape == (0,)
 
@@ -98,7 +96,8 @@ class TestUpdateBatch:
 
 
 class TestCanonicalize:
-    """Intra-batch netting + classification against the current store."""
+    """Intra-batch netting + classification against the current store, as
+    ``DynamicGraph.apply_batch`` does it and ``last_canonical_report`` tells."""
 
     def graph(self):
         # path 0-1-2-3 plus chord 0-2
@@ -106,9 +105,14 @@ class TestCanonicalize:
             4, [(0, 1), (1, 2), (2, 3), (0, 2)], np.array([0, 1, 0, 1])
         ))
 
+    def apply(self, batch, mode):
+        """``(effective, report)`` of ``batch`` applied to a fresh store."""
+        store = self.graph()
+        return store.apply_batch(batch, mode=mode), store.last_canonical_report
+
     def test_clean_batch_passes_through_untouched(self):
         b = UpdateBatch([(0, 3), (1, 2)], [1, -1])
-        eff, rep = b.canonicalize(self.graph(), mode="strict")
+        eff, rep = self.apply(b, "strict")
         assert eff is b  # identity, not a copy
         assert rep.new_inserts == 1 and rep.valid_deletes == 1
         assert rep.anomalies == 0
@@ -116,7 +120,7 @@ class TestCanonicalize:
 
     def test_coalesce_nets_insert_then_delete(self):
         b = UpdateBatch([(0, 3), (0, 3)], [1, -1])
-        eff, rep = b.canonicalize(self.graph(), mode="coalesce")
+        eff, rep = self.apply(b, "coalesce")
         assert len(eff) == 0
         assert rep.intra_batch_dropped == 1
         assert rep.phantom_deletes == 1  # the surviving delete hits no edge
@@ -124,25 +128,25 @@ class TestCanonicalize:
 
     def test_netting_is_orientation_insensitive(self):
         b = UpdateBatch([(0, 3), (3, 0)], [1, -1])
-        eff, _ = b.canonicalize(self.graph(), mode="coalesce")
+        eff, _ = self.apply(b, "coalesce")
         assert len(eff) == 0
 
     def test_coalesce_drops_duplicate_insert(self):
         b = UpdateBatch([(0, 1), (1, 3)], [1, 1])
-        eff, rep = b.canonicalize(self.graph(), mode="coalesce")
+        eff, rep = self.apply(b, "coalesce")
         assert eff.edges.tolist() == [[1, 3]]
         assert rep.duplicate_inserts == 1 and rep.new_inserts == 1
 
     def test_coalesce_drops_phantom_delete(self):
         # (1, 3) absent; (0, 9) references a vertex the store has never seen
         b = UpdateBatch([(1, 3), (0, 9), (0, 2)], [-1, -1, -1])
-        eff, rep = b.canonicalize(self.graph(), mode="coalesce")
+        eff, rep = self.apply(b, "coalesce")
         assert eff.edges.tolist() == [[0, 2]]
         assert rep.phantom_deletes == 2 and rep.valid_deletes == 1
 
     def test_coalesce_dedupes_double_delete(self):
         b = UpdateBatch([(0, 2), (2, 0)], [-1, -1])
-        eff, rep = b.canonicalize(self.graph(), mode="coalesce")
+        eff, rep = self.apply(b, "coalesce")
         assert len(eff) == 1
         assert rep.valid_deletes == 1 and rep.intra_batch_dropped == 1
 
@@ -150,42 +154,44 @@ class TestCanonicalize:
         # delete-then-insert of a present edge: coalesce nets to a no-op
         # (final state present), ignore keeps the first op (the delete)
         b = UpdateBatch([(0, 2), (0, 2)], [-1, 1])
-        eff_c, _ = b.canonicalize(self.graph(), mode="coalesce")
+        eff_c, _ = self.apply(b, "coalesce")
         assert len(eff_c) == 0
-        eff_i, _ = b.canonicalize(self.graph(), mode="ignore")
+        eff_i, _ = self.apply(b, "ignore")
         assert eff_i.edges.tolist() == [[0, 2]]
         assert eff_i.signs.tolist() == [-1]
 
     def test_strict_raises_with_batch_diagnostic(self):
         b = UpdateBatch([(0, 1), (1, 3), (1, 3), (2, 3)], [1, 1, -1, -1])
+        store = self.graph()
         with pytest.raises(BatchConflictError) as exc:
-            b.canonicalize(self.graph(), mode="strict")
+            store.apply_batch(b, mode="strict")
         msg = str(exc.value)
         assert "updated more than once" in msg
         assert "insert(s) of existing edges" in msg and "(0, 1)" in msg
         assert exc.value.report.duplicate_inserts == 1
         assert exc.value.report.intra_batch_dropped == 1
+        assert store.last_canonical_report is None and not store.batch_open
 
     def test_strict_accepts_clean_batches(self):
         b = UpdateBatch([(1, 3)], [1])
-        eff, _ = b.canonicalize(self.graph(), mode="strict")
+        eff, _ = self.apply(b, "strict")
         assert eff is b
 
     def test_labels_and_order_preserved(self):
         b = UpdateBatch([(2, 5), (0, 1), (0, 4)], [1, 1, 1],
                         new_vertex_labels={4: 3, 5: 2})
-        eff, _ = b.canonicalize(self.graph(), mode="coalesce")
+        eff, _ = self.apply(b, "coalesce")
         # dup (0, 1) dropped; survivors keep stream order and orientation
         assert eff.edges.tolist() == [[2, 5], [0, 4]]
         assert eff.new_vertex_labels == {4: 3, 5: 2}
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
-            UpdateBatch([(0, 3)], [1]).canonicalize(self.graph(), mode="merge")
+            self.graph().apply_batch(UpdateBatch([(0, 3)], [1]), mode="merge")
 
     def test_report_merge_and_describe(self):
         b = UpdateBatch([(0, 1), (1, 3)], [1, 1])
-        _, rep = b.canonicalize(self.graph(), mode="coalesce")
+        _, rep = self.apply(b, "coalesce")
         agg = type(rep)(mode="aggregate")
         agg.merge(rep)
         agg.merge(rep)
