@@ -81,9 +81,9 @@ def _parse_system_spec(spec: str) -> tuple[str, dict]:
 
 
 def _describe(report: CanonicalReport) -> str:
-    """One line of what a batch's canonicalization did."""
+    """One line of what a batch's netting did."""
     return (
-        f"canonicalize[{report.mode}]: {report.input_size} -> {report.output_size} "
+        f"netting[{report.mode}]: {report.input_size} -> {report.output_size} "
         f"updates (+{report.new_inserts} insert / -{report.valid_deletes} delete; "
         f"dropped {report.duplicate_inserts} dup-insert, "
         f"{report.phantom_deletes} phantom-delete, "
