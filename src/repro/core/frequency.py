@@ -57,7 +57,7 @@ from repro.graphs.stream import UpdateBatch
 from repro.gpu.counters import AccessCounters
 from repro.gpu.device import DeviceConfig
 from repro.query.plan import MatchPlan
-from repro.utils import as_generator, require, sorted_unique
+from repro.utils import as_generator, require, sorted_unique, unique_inverse
 
 __all__ = [
     "EstimationResult",
@@ -112,7 +112,7 @@ def _tally(vertex: np.ndarray, row: np.ndarray, charge: np.ndarray,
     cells in ascending row order (a weighted ``np.bincount`` adds in index
     order, as ``np.add.at`` does)."""
     rows = budgets.size
-    cells, at = np.unique(vertex * rows + row, return_inverse=True)
+    cells, at = unique_inverse(vertex * rows + row)
     sums = np.bincount(at, weights=charge, minlength=cells.size)
     owner = cells // rows  # sorted: a vertex's cells are adjacent
     lead = np.ones(cells.size, dtype=bool)
@@ -248,7 +248,7 @@ class FrequencyEstimator:
         integer-valued floats in the full-expansion regime, so the samplers
         agree bit for bit in any charging order.
         """
-        budgets, row = np.unique(budget, return_inverse=True)
+        budgets, row = unique_inverse(budget)
         counters = AccessCounters()
         roots = self._roots(expansion, budget, row)
         nodes, charges = self._descend(expansion, roots, max_degree, counters)

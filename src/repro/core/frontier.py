@@ -47,7 +47,7 @@ from repro.graphs.attributes import edge_weights
 from repro.graphs.dynamic_graph import keyed_contains
 from repro.query.pattern import WILDCARD_LABEL
 from repro.query.plan import EdgeVersion, LevelPlan
-from repro.utils import contains_sorted, segment_offsets
+from repro.utils import contains_sorted, segment_indices
 
 __all__ = ["AccessLog", "LevelTable", "level_table", "join_rows", "expand_rows"]
 
@@ -58,11 +58,10 @@ _LAST = np.iinfo(np.int64).max  # sort key of a constraint column a row lacks
 class AccessLog(NamedTuple):
     """Every list read of one :func:`join_rows` call, as parallel arrays in
     ``(slot, constraint, row)`` order: frontier row, constraint slot (the
-    row's s-th smallest list), constraint column, vertex read, list length."""
+    row's s-th smallest list), vertex read, list length."""
 
     row: np.ndarray
     slot: np.ndarray
-    constraint: np.ndarray
     vertex: np.ndarray
     length: np.ndarray
 
@@ -136,7 +135,9 @@ def join_rows(
     front — so the block may hold a list no row went on to read; reads are
     free, the log is what is charged — and the slot loop only indexes its
     ``(n, K)`` start / length matrices: nothing is merged, concatenated or
-    copied per level.
+    copied per level.  The log keeps two index columns per slot, the rows
+    that read and ``slot * K + constraint``; its ``vertex`` and ``length``
+    are one gather per launch from the unsorted operand matrices.
 
     The sets are *pre-label*, with one exception: given ``label`` (each
     row's wanted label), a row's candidates that cannot match it are dropped
@@ -155,17 +156,18 @@ def join_rows(
     block, keys, starts[valid], lens[valid] = graph.operands(verts[valid], old[valid])
     num_vertices = graph.num_vertices
     arange = np.arange(n, dtype=np.int64)
+    slot_starts, slot_lens = starts, lens  # column s = slot s
     if k == 1:
         order = np.zeros((n, 1), dtype=np.int64)
         count = np.ones(n, dtype=np.int64)
     else:
-        order = np.argsort(np.where(valid, lens, _LAST), axis=1, kind="stable")
-        count = valid.sum(axis=1)
-        # column s = slot s; a row out of constraints finds an empty segment
-        starts, lens = starts[arange[:, None], order], lens[arange[:, None], order]
+        order = np.where(valid, lens, _LAST).argsort(axis=1, kind="stable")
+        count = np.add.reduce(valid, axis=1)
+        # a row out of constraints finds an empty segment
+        slot_starts, slot_lens = starts[arange[:, None], order], lens[arange[:, None], order]
     cand_flat, cand_cnt = _EMPTY, np.zeros(n, dtype=np.int64)
     compute = np.zeros(n, dtype=np.int64)
-    log = []
+    log_rows, log_keys = [], []  # per slot: rows, slot * k + constraint
     for s in range(k):
         reading = (count > s) & (cand_cnt > 0) if s else count > s
         live = arange[reading]
@@ -173,31 +175,30 @@ def join_rows(
             break
         cons = order[live, s]
         if k > 1:  # the log's canonical order: constraint-major inside a slot
-            by = np.argsort(cons, kind="stable")
+            by = cons.argsort(kind="stable")
             live, cons = live[by], cons[by]
-        row_start, row_len = starts[:, s], lens[:, s]
-        length = row_len[live]
-        log.append((live, np.full(live.size, s, dtype=np.int64), cons, verts[live, cons], length))
+        log_rows.append(live)
+        log_keys.append(s * k + cons)
+        row_start, row_len = slot_starts[:, s], slot_lens[:, s]
         if s == 0:
             cand_cnt = row_len
-            offsets = segment_offsets(cand_cnt)
             compute += cand_cnt
-            qrow = np.repeat(arange, cand_cnt)
-            cand_flat = block[
-                np.arange(int(offsets[-1]), dtype=np.int64)
-                + np.repeat(row_start - offsets[:-1], cand_cnt)
-            ]
+            qrow = arange.repeat(cand_cnt)
+            cand_flat = block[segment_indices(row_start, cand_cnt)]
             continue
-        compute[live] += cand_cnt[live] + length
+        compute[live] += cand_cnt[live] + row_len[live]
         if label is not None:  # charged above on the unfiltered set
             free = (count != s + 1) | (label == WILDCARD_LABEL)
-            keep = np.flatnonzero(free[qrow] | (graph.labels[cand_flat] == label[qrow]))
+            keep = (free[qrow] | (graph.labels[cand_flat] == label[qrow])).nonzero()[0]
             cand_flat, qrow = cand_flat[keep], qrow[keep]
         found = keyed_contains(keys, num_vertices, row_start[qrow], row_len[qrow], cand_flat)
         found |= ~reading[qrow]  # a row out of constraints keeps its set
         cand_flat, qrow = cand_flat[found], qrow[found]
         cand_cnt = np.bincount(qrow, minlength=n)
-    return cand_flat, qrow, cand_cnt, AccessLog(*map(np.concatenate, zip(*log))), compute
+    # the log's vertex and length columns: one gather from the unsorted operands
+    row = np.concatenate(log_rows)
+    slot, cons = np.divmod(np.concatenate(log_keys), k)
+    return cand_flat, qrow, cand_cnt, AccessLog(row, slot, verts[row, cons], lens[row, cons]), compute
 
 
 def expand_rows(
@@ -245,7 +246,7 @@ def expand_rows(
     # predicated constraints in order, each charging one weight probe per
     # still-surviving candidate
     for p, position, (lo, hi) in table.predicates:
-        alive = np.flatnonzero(keep & (qline == p))
+        alive = (keep & (qline == p)).nonzero()[0]
         work = work + np.bincount(qrow[alive], minlength=n)
         anchors = rows[qrow[alive], position]
         w = edge_weights(anchors, cand_flat[alive])
@@ -253,7 +254,7 @@ def expand_rows(
     # injectivity: a candidate must differ from every bound vertex of
     # its own row (sequential removal in the recursive executor — the
     # same set either way)
-    keep &= (cand_flat[:, None] != rows[qrow]).all(axis=1)
+    keep &= np.logical_and.reduce(cand_flat[:, None] != rows[qrow], axis=1)
     cand_flat, qrow = cand_flat[keep], qrow[keep]
     cand_cnt = np.bincount(qrow, minlength=n)
     return cand_flat, qrow, cand_cnt, log, work + cand_cnt

@@ -31,9 +31,10 @@ nodes, all accesses settled once in trie pre-order.  :func:`match_batch` is
 that driver over the trie of a query's ΔM plans that shares nothing,
 :func:`match_static` its one-chain case, and a rulebook hands it the
 prefix-merged trie of all its patterns.  The per-root depth-first executor
-it replaced lives on as a parity oracle in :mod:`repro.testing.kernels`;
-both route their roots through :func:`route_roots`, so they see identical
-inputs by construction.
+it replaced lives on as a parity oracle in :mod:`repro.testing.kernels`,
+routing its roots plan by plan through the per-group pipeline of
+:mod:`repro.testing.oracles`; the driver routes every root group's roots in
+one pass (:func:`trie_roots`), and the two are checked equal.
 
 The driver is two halves, :func:`settle` ∘ :func:`expand`, and
 :func:`expand` keeps every depth's launch as a :class:`Launch`: each row's
@@ -54,11 +55,11 @@ import numpy as np
 from repro.core.frontier import AccessLog, expand_rows
 from repro.core.querytrie import ExecutionTrie, solo_trie
 from repro.graphs.attributes import edge_weights
-from repro.graphs.stream import UpdateBatch, label_pair_mask
+from repro.graphs.stream import UpdateBatch
 from repro.gpu.counters import AccessCounters, Accesses
 from repro.gpu.views import GraphView
 from repro.query.plan import MatchPlan
-from repro.utils import VERTEX_DTYPE, contains_sorted
+from repro.utils import contains_sorted
 
 __all__ = [
     "MatchStats",
@@ -69,10 +70,6 @@ __all__ = [
     "match_trie",
     "match_batch",
     "match_static",
-    "route_roots",
-    "delta_roots",
-    "static_roots",
-    "filter_root_predicate",
 ]
 
 EmbeddingSink = Callable[[tuple[int, ...], int], None]
@@ -108,121 +105,62 @@ class MatchStats:
 
 
 # ----------------------------------------------------------------------
-# root generation
-# ----------------------------------------------------------------------
-def delta_roots(
-    plan: MatchPlan, batch: UpdateBatch, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Directed signed batch edges matching plan's root query edge labels.
-
-    Both orientations of every update are considered (paper Fig. 2 includes
-    the reverse edges); label filtering prunes orientations whose endpoint
-    labels cannot map to the root query vertices.  The batch masks each label
-    pair once (:meth:`~repro.graphs.stream.UpdateBatch.labelled_roots`), so
-    every plan, chain and root group with the pair shares one read-only answer.
-    """
-    return batch.labelled_roots(labels, plan.root_labels())
-
-
-def static_roots(
-    plan: MatchPlan, edge_array: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """All directed data edges matching the root labels, with sign +1."""
-    if edge_array.shape[0] == 0:
-        empty = np.empty((0, 2), dtype=VERTEX_DTYPE)
-        return empty, np.empty(0, dtype=np.int64)
-    directed = np.concatenate([edge_array, edge_array[:, ::-1]], axis=0)
-    directed = directed[label_pair_mask(*labels[directed.T], plan.root_labels())]
-    return directed, np.ones(directed.shape[0], dtype=np.int64)
-
-
-def filter_root_predicate(
-    plan: MatchPlan,
-    roots: np.ndarray,
-    signs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drop roots whose data-edge weight violates the plan's root predicate.
-
-    Uncharged, like the label filtering of :func:`delta_roots` (root
-    generation is modeled as free stream-side work).  Applied *after* any
-    precomputed prefilter masks — those are aligned with the raw
-    ``delta_roots`` output and must see it unshrunk.
-    """
-    if plan.root_predicate is None or roots.shape[0] == 0:
-        return roots, signs
-    w = edge_weights(roots[:, 0], roots[:, 1])
-    lo, hi = plan.root_predicate
-    keep = (w >= lo) & (w <= hi)
-    return roots[keep], signs[keep]
-
-
-# ----------------------------------------------------------------------
-# the root pipeline
-# ----------------------------------------------------------------------
-def route_roots(
-    plan: MatchPlan,
-    roots: np.ndarray,
-    signs: np.ndarray,
-    keep: np.ndarray | None = None,
-    *,
-    filters: dict[int, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A plan's label-filtered directed roots through candidate filters, the
-    certified-skip mask and the root predicate: ``(roots, signs, dropped)``.
-    ``keep`` — the prefilter's keep-mask — is aligned with the raw
-    :func:`delta_roots` output, so a precomputed
-    :class:`~repro.core.prefilter.PrefilterDecision` stays aligned under any
-    filtering, but *applied* last: ``dropped`` are the roots it certified
-    away among the survivors.  Every step is per root, so a restriction of
-    the roots (a shard's) commutes with all of them.
-    """
-    if filters and roots.shape[0]:
-        mask = np.ones(roots.shape[0], dtype=bool)
-        for col, u in ((0, plan.order[0]), (1, plan.order[1])):
-            if u in filters:
-                mask &= contains_sorted(filters[u], roots[:, col])
-        roots, signs = roots[mask], signs[mask]
-        keep = keep[mask] if keep is not None else None
-    dropped = roots[:0]
-    if keep is not None:
-        dropped = roots[~keep]
-        roots, signs = roots[keep], signs[keep]
-    return (*filter_root_predicate(plan, roots, signs), dropped)
-
-
-# ----------------------------------------------------------------------
-# the one driver: expand, then settle
+# the one driver: roots, expand, then settle
 # ----------------------------------------------------------------------
 def trie_roots(
     trie: ExecutionTrie, batch: UpdateBatch | None, graph, live: np.ndarray, *,
-    prefilter: list[np.ndarray] | None = None, **routing,
+    prefilter: list[np.ndarray] | None = None, filters: dict[int, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The ``live`` root groups' roots, one :func:`route_roots` pipeline each
-    (``routing``: its keywords; certified by ``prefilter[group]``, the
-    group's keep-mask over its :func:`delta_roots` — the OR of its live
-    members' masks, :meth:`~repro.core.prefilter.InvariantIndex.decide`),
-    stacked group-major: ``(roots, signs, processed, dropped, skipped)``: the
-    certified-away roots as a table, also group-major, and per root group
-    the counts of both.  ``batch=None`` roots at the settled snapshot's
-    edges."""
-    labels = graph.labels
-    processed, skipped = np.zeros((2, len(trie.levels[0].nodes)), dtype=np.int64)
-    none = np.empty((0, 2), dtype=np.int64)
-    kept, gone = [(none, none[:, 0])], [none]  # stacks if none
-    for group in live.tolist():
-        # the root signature holds labels and predicate: one plan stands for all
-        plan = trie.levels[0].nodes[group].members[0].plan
-        if batch is None:
-            raw = static_roots(plan, graph.edges_new_array(), labels)
-        else:
-            raw = delta_roots(plan, batch, labels)
-        keep = None if prefilter is None else prefilter[group]
-        roots, signs, dropped = route_roots(plan, *raw, keep, **routing)
-        processed[group], skipped[group] = roots.shape[0], dropped.shape[0]
-        kept.append((roots, signs))
-        gone.append(dropped)
-    roots, signs = (np.concatenate(part).astype(np.int64, copy=False) for part in zip(*kept))
-    return roots, signs, processed, np.concatenate(gone), skipped
+    """The ``live`` root groups' roots in one pass over the batch's directed
+    updates (``batch=None``: the settled snapshot's edges, both orientations,
+    sign +1): ``(roots, signs, processed, dropped, skipped)``.
+
+    One ``(groups, 2b)`` mask, row per live group (the trie's static
+    :class:`~repro.core.querytrie.RootTable`), keeps a directed update that
+    carries the group's root labels, passes the candidate ``filters`` of the
+    group's two root query vertices (RapidFlow's), is kept by the group's
+    certified-skip mask and meets its root predicate; the roots are its
+    ``nonzero``, group-major.  ``prefilter[group]`` is a group's keep-mask
+    over its label-matched updates (the OR of its live members' masks,
+    :meth:`~repro.core.prefilter.InvariantIndex.decide`), scattered into
+    the mask's label bits group-major; the roots it certified away among
+    those the filters pass (before the predicate) come back as ``dropped``,
+    group-major too, and per root group the counts of both.  Root generation
+    is modeled as free stream-side work: nothing here is charged."""
+    table = trie.root_table
+    processed, skipped = np.zeros((2, table.pair.shape[0]), dtype=np.int64)
+    if batch is None:
+        edges = graph.edges_new_array()
+        edges = np.concatenate([edges, edges[:, ::-1]])
+        signs = np.ones(edges.shape[0], dtype=np.int64)
+    else:
+        edges, signs = batch.directed_updates()
+    head, tail = edges.T
+    head_label, tail_label = graph.labels[edges].T  # one gather for both endpoints
+    first, second = table.pair[live].T[:, :, None]
+    ran = ((head_label == first) | (first < 0)) & ((tail_label == second) | (second < 0))
+    keep = None
+    if prefilter is not None and live.size:
+        keep = np.zeros_like(ran)
+        keep[ran] = np.concatenate([prefilter[group] for group in live.tolist()])
+    if filters:  # a candidate index per query vertex: each root endpoint must be in its own
+        for col, ends in enumerate((head, tail)):
+            for u, allowed in filters.items():
+                at = table.query_vertex[live, col] == u
+                ran[at] &= contains_sorted(allowed, ends)
+    dropped = edges[:0]
+    if keep is not None:
+        gone = ran & ~keep
+        skipped[live] = np.add.reduce(gone, axis=1)
+        dropped = edges[gone.nonzero()[1]]
+        ran &= keep
+    if table.predicated:  # one weight per directed update; a group without a predicate passes all
+        lo, hi = table.bounds[live].T[:, :, None]
+        weight = edge_weights(head, tail)
+        ran &= (weight >= lo) & (weight <= hi)
+    processed[live] = np.add.reduce(ran, axis=1)
+    at = ran.nonzero()[1]
+    return edges[at], signs[at], processed, dropped, skipped
 
 
 class Launch(NamedTuple):
@@ -279,9 +217,8 @@ def expand(
     """Advance a trie of plans level-synchronously over ``graph``, charging
     nothing: roots, launches, the ``sinks`` queries' rows, logs.
 
-    Every live root group runs one :func:`route_roots` pipeline
-    (:func:`trie_roots`; ``prefilter``: one keep-mask per root group), then
-    each depth is **one**
+    The live root groups' roots are one pass (:func:`trie_roots`;
+    ``prefilter``: one keep-mask per root group), then each depth is **one**
     :func:`~repro.core.frontier.expand_rows` launch over the rows of all its
     nodes.  A node's rows are handed to its live children by fan-out;
     queries in ``skip`` (certified ΔM = 0) are dropped from every member set,
@@ -304,7 +241,7 @@ def expand(
     # the root edge as a launch that already ran: one candidate per row
     rows, cand_flat, cand_cnt = roots[:, :1], roots[:, 1], np.ones(roots.shape[0], np.int64)
     cand_row = origin = np.arange(roots.shape[0])
-    line, compute = np.repeat(np.arange(total.size), total), None
+    line, compute = np.arange(total.size).repeat(total), None
     tiers, launches, logs, emitted = [], [], [], {}
     src = None  # per row: the candidate one depth up it extends
     for depth, (level, record) in enumerate(zip(trie.levels, records)):
@@ -328,13 +265,13 @@ def expand(
         src = None
         if not need[total > 0].all():  # some node's rows are wanted by no one
             pick = need[line[cand_row]]
-            src = np.flatnonzero(pick)
+            src = pick.nonzero()[0]
             cand_flat, cand_row = cand_flat[pick], cand_row[pick]
         rows = np.concatenate([rows[cand_row], cand_flat[:, None]], axis=1)
         origin, line = origin[cand_row], line[cand_row]
         held = np.where(need, total, 0)  # rows per line, for the fan-out
         for ref, ln in record.sinks:
-            lo, hi = np.searchsorted(line, (ln, ln + 1))
+            lo, hi = line.searchsorted((ln, ln + 1))
             emitted[ref] = rows[lo:hi][:, ref.plan.inverse_order], origin[lo:hi]
     return Expansion(
         trie, queries, member, records, roots, signs, dropped, skipped, tiers, launches,
@@ -431,10 +368,10 @@ def settle(
         output_ops += ended * (depth + 2)  # a plan ending at this depth binds depth + 2 vertices
     first = e.records[0].member  # root counts go to every member plan's query
     roots += processed @ first.T
-    by_query, by_part = tally.sum(1), tally.sum(2)
-    columns = np.stack([*by_query[:4], first @ e.skipped], axis=1)
+    by_query, by_part = np.add.reduce(tally, axis=1), np.add.reduce(tally, axis=2)
+    columns = np.concatenate([by_query[:4], (first @ e.skipped)[None]]).T
     # every charge that is a sum, once per reader: outputs go to the terminal plan's query
-    view.charge(by_part[2], by_part[1], by_part[4] + work.sum(1))
+    view.charge(by_part[2], by_part[1], by_part[4] + np.add.reduce(work, axis=1))
     key = vertex = acc = None
     if e.logs:
         key, vertex, length = map(np.concatenate, zip(*e.logs))
@@ -444,7 +381,7 @@ def settle(
                 part[tier[2][launch.log.row]] for launch, tier in zip(e.launches, e.tiers[1:])
             ])
             order = reader * len(e.trie.nodes) + key
-        by = np.argsort(order, kind="stable")
+        by = order.argsort(kind="stable")
         key, vertex, length = key[by], vertex[by], length[by]
         if key.size:  # a batch may read nothing
             acc = view.fetch_block(vertex, length, None if part is None else reader[by])
@@ -460,7 +397,7 @@ def settle(
                         sinks[ref.query_name](tuple(emb), s)
     stats = {name: MatchStats(*row) for name, row in zip(e.queries, columns.tolist())}
     return stats, Attribution(
-        e.trie, e.queries, e.member, key, vertex, acc, work.sum(0), by_query[1], by_query[4],
+        e.trie, e.queries, e.member, key, vertex, acc, np.add.reduce(work), by_query[1], by_query[4],
     )
 
 

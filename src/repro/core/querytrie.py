@@ -7,8 +7,9 @@ compiled ΔM plans by common prefixes of their **execution signatures**
 (a plan's root signature, then one signature per level) into a trie:
 
 * The root layer groups plans by :func:`~repro.query.plan.root_signature`
-  (the root-edge label pair), so plans sharing a root iterate one
-  ``delta_roots`` array.
+  (the root-edge label pair), so plans sharing a root iterate one root
+  array, routed for every group at once through the trie's
+  :class:`RootTable`.
 * Each deeper trie node is one :func:`~repro.query.plan.level_signature` —
   a binding step that is *behaviorally identical* across every plan
   passing through the node, expanded **once** for all of them.
@@ -41,7 +42,7 @@ the adversarial-stream fuzzer):
 With the aggregate-invariant pre-filter (:mod:`repro.core.prefilter`) the
 driver additionally prunes at rulebook granularity: queries certified
 ΔM = 0 for this batch are removed from every node's member set, subtrees
-whose members are *all* skipped receive no rows (no ``delta_roots``, no
+whose members are *all* skipped receive no rows (no roots, no
 expansion, no charge), and each root group's frontier is masked at **group
 granularity** — a root row is dropped only when it fails the dominance test
 for *every* surviving member, so dropping it cannot remove an embedding of
@@ -62,11 +63,11 @@ import numpy as np
 from repro.core.frontier import LevelTable, level_table
 from repro.gpu.counters import OPS_COLUMN, AccessCounters, Accesses, tabulate
 from repro.query.plan import LevelPlan, MatchPlan, level_signature, root_signature
-from repro.utils import segment_indices, segment_offsets
+from repro.utils import segment_indices, segment_offsets, unique_inverse
 
 __all__ = [
-    "PlanRef", "TrieNode", "TrieLevel", "LevelIncidence", "ExecutionTrie", "TrieStats",
-    "solo_trie",
+    "PlanRef", "TrieNode", "TrieLevel", "RootTable", "LevelIncidence", "ExecutionTrie",
+    "TrieStats", "solo_trie",
 ]
 
 
@@ -120,6 +121,32 @@ class TrieLevel:
     chain: bool
 
 
+class RootTable(NamedTuple):
+    """The root groups as the one root pass reads them
+    (:func:`repro.core.matching.trie_roots`), one row per group in line
+    order: the root edge's label ``pair`` (negative: the wildcard), its
+    weight predicate's ``bounds`` (``(-inf, inf)`` without one; ``predicated``
+    says whether any group has one) and its two root query vertices
+    ``query_vertex``, which a candidate filter is keyed by.  A root signature
+    holds labels and predicate, so a group's first plan stands for all."""
+
+    pair: np.ndarray
+    bounds: np.ndarray
+    predicated: bool
+    query_vertex: np.ndarray
+
+
+def root_table(plans: Sequence[MatchPlan]) -> RootTable:
+    """The :class:`RootTable` of root groups led by ``plans``, one each."""
+    bounds = [plan.root_predicate or (-np.inf, np.inf) for plan in plans]
+    return RootTable(
+        np.array([plan.root_labels() for plan in plans], dtype=np.int64).reshape(-1, 2),
+        np.array(bounds, dtype=np.float64).reshape(-1, 2),
+        any(plan.root_predicate is not None for plan in plans),
+        np.array([plan.order[:2] for plan in plans], dtype=np.int64).reshape(-1, 2),
+    )
+
+
 class LevelIncidence(NamedTuple):
     """One trie depth under one skip set and one set of sink names, as the
     driver tallies it (:meth:`ExecutionTrie.incidence`): the ``live`` lines
@@ -150,7 +177,7 @@ class LevelIncidence(NamedTuple):
         one hand-down order of the driver and the walk alike."""
         take = held[self.parent]
         pick = segment_indices(segment_offsets(held)[self.parent], take)
-        return pick, np.repeat(self.live, take)
+        return pick, self.live.repeat(take)
 
 
 @dataclass
@@ -230,6 +257,8 @@ class ExecutionTrie:
             ))
             parent = [line for line, n in enumerate(nodes) for _ in n.children]
             nodes = [c for n in nodes for c in n.children.values()]
+        #: the root groups, static: what the root pass reads of them
+        self.root_table = root_table([node.members[0].plan for node in roots.values()])
         self._incidence: dict[tuple[frozenset, frozenset], tuple] = {}
         self.stats = TrieStats(
             num_queries=len(plans_by_query),
@@ -303,7 +332,7 @@ class ExecutionTrie:
         times = member[:, node]  # (query, access): plans of the query the access is charged to
         # cells over the vertices the block touched, not the graph's: the
         # work follows the log's size
-        touched, slot = np.unique(vertex, return_inverse=True)
+        touched, slot = unique_inverse(vertex)
         cell = (np.arange(len(queries))[:, None] * touched.size + slot).ravel()
         # float64 bincount weights are exact: one batch's sums are far below 2**53
         hist = np.stack([

@@ -31,7 +31,6 @@ import numpy as np
 from repro.core.engine import GCSMEngine, Placement
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.stream import UpdateBatch
-from repro.gpu.counters import AccessCounters, Channel
 from repro.gpu.device import BYTES_PER_NEIGHBOR
 from repro.gpu.views import HostCPUView
 from repro.query.pattern import WILDCARD_LABEL, QueryGraph
@@ -122,16 +121,18 @@ class IndexedPlacement(Placement):
         )
 
     # ------------------------------------------------------------------
-    def maintain(self, batch: UpdateBatch, counters: AccessCounters) -> None:
+    def maintain(self, batch: UpdateBatch) -> tuple[int, int]:
         """Refresh candidate membership of vertices the batch touched.
 
         Degree changes can move vertices across the deg ≥ deg_Q(u)
         thresholds; a real implementation patches the index incrementally —
-        we recompute membership for the touched set and charge the work.
+        we recompute membership for the touched set and charge the work:
+        ``(compute ops, DRAM bytes)`` — per touched vertex a degree and label
+        test per query vertex plus two, and one list entry read.
         """
         touched = sorted(self.graph.touched_vertices)
         if not touched:
-            return
+            return 0, 0
         # union degree (pre-batch edges + inserted edges): the degree filter
         # must be a necessary condition for *every* ΔM_i term uniformly —
         # an embedding may mix OLD and NEW edges, so its vertices' incident
@@ -140,10 +141,6 @@ class IndexedPlacement(Placement):
         touched_arr = np.asarray(touched, dtype=np.int64)
         degrees = self.graph.run_lengths(touched_arr)[1]
         labels = self.graph.labels
-        counters.record_compute(len(touched) * (self.query.num_vertices + 2))
-        counters.record_access(
-            Channel.CPU_DRAM, int(touched[0]), len(touched) * BYTES_PER_NEIGHBOR
-        )
         for u in range(self.query.num_vertices):
             ok = degrees >= self.query.degree(u)
             ql = self.query.label(u)
@@ -158,6 +155,7 @@ class IndexedPlacement(Placement):
             raise IndexMemoryError(
                 f"candidate index grew to {self.index_bytes} B over budget"
             )
+        return len(touched) * (self.query.num_vertices + 2), len(touched) * BYTES_PER_NEIGHBOR
 
     def view(self, graph, counters, shipped):
         return HostCPUView(graph, self.engine.device, counters)

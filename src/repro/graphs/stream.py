@@ -31,7 +31,6 @@ __all__ = [
     "UpdateBatch",
     "CanonicalReport",
     "BatchConflictError",
-    "label_pair_mask",
     "CONFLICT_MODES",
     "DEFAULT_CONFLICT_MODE",
     "derive_stream",
@@ -106,17 +105,6 @@ class CanonicalReport:
         self.intra_batch_dropped += other.intra_batch_dropped
 
 
-def label_pair_mask(head: np.ndarray, tail: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
-    """Which directed edges, given their endpoints' label columns, carry the
-    labels ``pair`` (a negative label — the wildcard — matches anything)."""
-    mask = np.ones(head.shape[0], dtype=bool)
-    if pair[0] >= 0:
-        mask &= head == pair[0]
-    if pair[1] >= 0:
-        mask &= tail == pair[1]
-    return mask
-
-
 class UpdateBatch:
     """A batch ``ΔE`` of signed edge updates.
 
@@ -131,7 +119,7 @@ class UpdateBatch:
         carry new vertices, per the paper's problem definition).
     """
 
-    __slots__ = ("edges", "signs", "new_vertex_labels", "_directed", "_labelled")
+    __slots__ = ("edges", "signs", "new_vertex_labels", "_directed")
 
     def __init__(
         self,
@@ -153,7 +141,6 @@ class UpdateBatch:
             require(label >= 0, f"new vertex {v} has label {label}: vertex labels must "
                                 "be >= 0 (-1 is the query wildcard)")
         self._directed = None
-        self._labelled = None
 
     def __len__(self) -> int:
         return int(self.edges.shape[0])
@@ -170,8 +157,9 @@ class UpdateBatch:
         The incremental nested loops of paper Fig. 2 iterate ``ΔE`` in both
         directions (the figure omits reverse edges only "for simplicity of
         illustration").  Computed once per batch and shared by every caller
-        — the estimator's and the matcher's roots are masks of this one pair
-        — so both arrays are read-only.
+        — the matcher's roots (which the estimator walks) and the
+        pre-filter's decision are masks of this one pair — so both arrays are
+        read-only.
         """
         if self._directed is None:
             edges = np.concatenate([self.edges, self.edges[:, ::-1]], axis=0)
@@ -180,31 +168,6 @@ class UpdateBatch:
             signs.setflags(write=False)
             self._directed = edges, signs
         return self._directed
-
-    def labelled_roots(
-        self, labels: np.ndarray, pair: tuple[int, int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The directed updates whose two endpoints carry the labels ``pair``
-        under ``labels`` (a negative label matches anything), with their signs.
-
-        Both endpoints' labels are gathered once per batch and each pair is
-        masked once, whoever asks — the estimator's chains and the matcher's
-        root groups of one batch share the answers — so the arrays are
-        read-only.  Asking under another ``labels`` array starts over.
-        """
-        edges, signs = self.directed_updates()
-        if edges.shape[0] == 0:
-            return edges, signs
-        if self._labelled is None or self._labelled[0] is not labels:
-            self._labelled = labels, labels[edges[:, 0]], labels[edges[:, 1]], {}
-        _, head, tail, found = self._labelled
-        if pair not in found:
-            mask = label_pair_mask(head, tail, pair)
-            roots = edges[mask], signs[mask]
-            for array in roots:
-                array.setflags(write=False)
-            found[pair] = roots
-        return found[pair]
 
     def __repr__(self) -> str:
         n_ins = int(np.count_nonzero(self.signs > 0))

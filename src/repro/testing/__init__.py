@@ -24,8 +24,10 @@ slow, obviously-correct twins of the vectorized production kernels:
   edge export and the ``np.add.at`` index build the store's block reader is
   checked against, the
   pre-filter's per-plan decision loop (signature included) and ref-by-ref
-  root-group OR the array program is checked against, and the two-run ``merge_sorted`` / ``is_sorted`` helpers only the oracles and
-  tests use.
+  root-group OR the array program is checked against, the per-group root
+  pipeline (``delta_roots`` … ``route_roots``, ``trie_roots_reference``) the
+  driver's one root pass is checked against, and the two-run
+  ``merge_sorted`` / ``is_sorted`` helpers only the oracles and tests use.
 
 :mod:`repro.testing.fleet` holds the fleet's per-device oracles: each
 shard's own budget cut, pack and price (:func:`shard_packs`), a fleet view
@@ -68,10 +70,14 @@ from repro.testing.oracles import (
     ReferenceDecision,
     build_reference,
     contains_edges,
+    delta_roots,
     edge_array_reference,
+    filter_root_predicate,
     group_masks_reference,
     invariant_index_reference,
     is_sorted,
+    label_pair_mask,
+    labelled_roots,
     merge_runs_reference,
     merge_sorted,
     neighbors_new,
@@ -79,9 +85,12 @@ from repro.testing.oracles import (
     neighbors_old,
     prefilter_decision_reference,
     road_network_reference,
+    route_roots,
     select_within_budget_reference,
     sorted_edge_keys,
+    static_roots,
     stored_runs,
+    trie_roots_reference,
     versioned_degree,
     versioned_runs,
     without_edges_reference,
@@ -122,6 +131,13 @@ __all__ = [
     "ReferenceDecision",
     "prefilter_decision_reference",
     "group_masks_reference",
+    "label_pair_mask",
+    "labelled_roots",
+    "delta_roots",
+    "static_roots",
+    "filter_root_predicate",
+    "route_roots",
+    "trie_roots_reference",
     "shard_packs",
     "sharded_view",
     "classify_by_owner",

@@ -26,15 +26,7 @@ import numpy as np
 
 from repro.core.frequency import EstimationResult, FrequencyEstimator, default_num_walks
 from repro.core.frontier import expand_rows
-from repro.core.matching import (
-    EmbeddingSink,
-    MatchStats,
-    delta_roots,
-    expand,
-    filter_root_predicate,
-    route_roots,
-    static_roots,
-)
+from repro.core.matching import EmbeddingSink, MatchStats, expand
 from repro.core.multiquery import split_walk_budget
 from repro.core.querytrie import ExecutionTrie
 from repro.graphs.attributes import edge_weights
@@ -44,7 +36,15 @@ from repro.gpu.device import BYTES_PER_NEIGHBOR
 from repro.gpu.views import GraphView, HostCPUView
 from repro.query.pattern import WILDCARD_LABEL
 from repro.query.plan import EdgeVersion, MatchPlan
-from repro.testing.oracles import merge_sorted, versioned_degree, versioned_runs
+from repro.testing.oracles import (
+    delta_roots,
+    filter_root_predicate,
+    merge_sorted,
+    route_roots,
+    static_roots,
+    versioned_degree,
+    versioned_runs,
+)
 from repro.utils import VERTEX_DTYPE, require
 
 __all__ = [

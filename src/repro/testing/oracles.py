@@ -28,6 +28,14 @@ routine replaced, kept verbatim so tests can assert bit-identical output:
   block (``old=True`` is the pre-batch edge list), and
   :func:`invariant_index_reference` ↔ :meth:`repro.core.prefilter.InvariantIndex.rebuild`:
   that edge list ``np.add.at``-scattered into the index's counts
+* :func:`delta_roots` / :func:`static_roots` / :func:`route_roots` /
+  :func:`filter_root_predicate` / :func:`trie_roots_reference` ↔
+  :func:`repro.core.matching.trie_roots`: the root pipeline one root group
+  at a time — a label-pair mask of the directed updates
+  (:func:`labelled_roots`, :func:`label_pair_mask`), the candidate filters,
+  the certified-skip mask, the root predicate — which the one pass over a
+  ``(groups, 2b)`` mask replaced; the recursive executor routes its roots
+  through it
 * :func:`prefilter_decision_reference` ↔
   :meth:`repro.core.prefilter.InvariantIndex.evaluate`: the per-plan,
   per-label dominance loop with the one-word label signature the array
@@ -42,11 +50,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.dcsr import DcsrCache, packed_size_bytes
-from repro.core.matching import delta_roots
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.generators import assign_labels
 from repro.graphs.static_graph import StaticGraph
-from repro.graphs.stream import UpdateBatch, label_pair_mask
+from repro.graphs.attributes import edge_weights
+from repro.graphs.stream import UpdateBatch
 from repro.gpu.counters import AccessCounters
 from repro.query.pattern import WILDCARD_LABEL, QueryGraph
 from repro.query.plan import EdgeVersion
@@ -62,6 +70,8 @@ __all__ = [
     "sorted_edge_keys", "contains_edges", "without_edges_reference",
     "edge_array_reference", "IndexFields", "invariant_index_reference",
     "ReferenceDecision", "prefilter_decision_reference", "group_masks_reference",
+    "label_pair_mask", "labelled_roots", "delta_roots", "static_roots",
+    "filter_root_predicate", "route_roots", "trie_roots_reference",
 ]
 
 
@@ -553,3 +563,103 @@ def group_masks_reference(trie, decisions: dict, skip: frozenset, batch: UpdateB
                 keep |= decisions[ref.query_name].mask(ref.index, ref.plan, roots)
         out.append(keep)
     return out
+
+
+# ----------------------------------------------------------------------
+# the root pipeline, one root group at a time
+# ----------------------------------------------------------------------
+def label_pair_mask(head: np.ndarray, tail: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
+    """Which directed edges, given their endpoints' label columns, carry the
+    labels ``pair`` (a negative label — the wildcard — matches anything)."""
+    mask = np.ones(head.shape[0], dtype=bool)
+    if pair[0] >= 0:
+        mask &= head == pair[0]
+    if pair[1] >= 0:
+        mask &= tail == pair[1]
+    return mask
+
+
+def labelled_roots(
+    batch: UpdateBatch, labels: np.ndarray, pair: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's directed updates whose two endpoints carry the labels
+    ``pair`` under ``labels``, with their signs."""
+    edges, signs = batch.directed_updates()
+    mask = label_pair_mask(labels[edges[:, 0]], labels[edges[:, 1]], pair)
+    return edges[mask], signs[mask]
+
+
+def delta_roots(plan, batch: UpdateBatch, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Directed signed batch edges matching the plan's root query edge
+    labels: both orientations of every update (paper Fig. 2 includes the
+    reverse edges), label-filtered."""
+    return labelled_roots(batch, labels, plan.root_labels())
+
+
+def static_roots(plan, edge_array: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All directed data edges matching the root labels, with sign +1."""
+    if edge_array.shape[0] == 0:
+        empty = np.empty((0, 2), dtype=VERTEX_DTYPE)
+        return empty, np.empty(0, dtype=np.int64)
+    directed = np.concatenate([edge_array, edge_array[:, ::-1]], axis=0)
+    directed = directed[label_pair_mask(*labels[directed.T], plan.root_labels())]
+    return directed, np.ones(directed.shape[0], dtype=np.int64)
+
+
+def filter_root_predicate(plan, roots: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop roots whose data-edge weight violates the plan's root predicate."""
+    if plan.root_predicate is None or roots.shape[0] == 0:
+        return roots, signs
+    w = edge_weights(roots[:, 0], roots[:, 1])
+    lo, hi = plan.root_predicate
+    keep = (w >= lo) & (w <= hi)
+    return roots[keep], signs[keep]
+
+
+def route_roots(
+    plan, roots: np.ndarray, signs: np.ndarray, keep: np.ndarray | None = None, *,
+    filters: dict[int, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A plan's label-filtered directed roots through candidate filters, the
+    certified-skip mask and the root predicate: ``(roots, signs, dropped)``.
+    ``keep`` — the prefilter's keep-mask — is aligned with the raw
+    :func:`delta_roots` output but *applied* after the filters: ``dropped``
+    are the roots it certified away among their survivors."""
+    if filters and roots.shape[0]:
+        mask = np.ones(roots.shape[0], dtype=bool)
+        for col, u in ((0, plan.order[0]), (1, plan.order[1])):
+            if u in filters:
+                mask &= contains_sorted(filters[u], roots[:, col])
+        roots, signs = roots[mask], signs[mask]
+        keep = keep[mask] if keep is not None else None
+    dropped = roots[:0]
+    if keep is not None:
+        dropped = roots[~keep]
+        roots, signs = roots[keep], signs[keep]
+    return (*filter_root_predicate(plan, roots, signs), dropped)
+
+
+def trie_roots_reference(
+    trie, batch: UpdateBatch | None, graph, live: np.ndarray, *,
+    prefilter: list[np.ndarray] | None = None, filters: dict[int, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`repro.core.matching.trie_roots` group by group: one
+    :func:`route_roots` pipeline per live root group (its first plan stands
+    for all), stacked group-major."""
+    labels = graph.labels
+    processed, skipped = np.zeros((2, len(trie.levels[0].nodes)), dtype=np.int64)
+    none = np.empty((0, 2), dtype=np.int64)
+    kept, gone = [(none, none[:, 0])], [none]
+    for group in live.tolist():
+        plan = trie.levels[0].nodes[group].members[0].plan
+        if batch is None:
+            raw = static_roots(plan, graph.edges_new_array(), labels)
+        else:
+            raw = delta_roots(plan, batch, labels)
+        keep = None if prefilter is None else prefilter[group]
+        roots, signs, dropped = route_roots(plan, *raw, keep, filters=filters)
+        processed[group], skipped[group] = roots.shape[0], dropped.shape[0]
+        kept.append((roots, signs))
+        gone.append(dropped)
+    roots, signs = (np.concatenate(part).astype(np.int64, copy=False) for part in zip(*kept))
+    return roots, signs, processed, np.concatenate(gone), skipped

@@ -21,6 +21,7 @@ __all__ = [
     "format_time_ns",
     "contains_sorted",
     "sorted_unique",
+    "unique_inverse",
     "edge_keys",
     "as_vertex_ids",
     "VERTEX_DTYPE",
@@ -81,7 +82,7 @@ def contains_sorted(values: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Membership of each query in the sorted 1-D ``values`` (binary search)."""
     if values.size == 0:
         return np.zeros(queries.shape, dtype=bool)
-    pos = np.minimum(np.searchsorted(values, queries), values.size - 1)
+    pos = np.minimum(values.searchsorted(queries), values.size - 1)
     return values[pos] == queries
 
 
@@ -91,10 +92,26 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     hash path on NumPy 2.4 is 2x (64 keys) to 75x (1.6 M) slower; its
     ``return_*`` forms sort already.
     """
-    out = np.sort(values, axis=None)
+    out = values.flatten()
+    out.sort()
     if out.size > 1:
         out = out[np.concatenate(([True], out[1:] != out[:-1]))]
     return out
+
+
+def unique_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` of a 1-D array — its sorted
+    distinct elements and each element's index among them — in ndarray
+    methods: one argsort, one compare against the neighbour, one scatter of
+    the running count (NumPy's wrapper is a handful of Python calls)."""
+    order = values.argsort()
+    ordered = values[order]
+    lead = np.empty(values.size, dtype=bool)
+    lead[:1] = True
+    lead[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(values.size, dtype=np.int64)
+    inverse[order] = lead.cumsum() - 1
+    return ordered[lead], inverse
 
 
 def edge_keys(us: np.ndarray, vs: np.ndarray, num_vertices: int) -> np.ndarray:

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.matching import delta_roots, match_batch, match_static, static_roots
+from repro.core.matching import match_batch, match_static
 from repro.graphs import DynamicGraph, StaticGraph, UpdateBatch
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.stream import derive_stream
 from repro.gpu import AccessCounters, HostCPUView, ZeroCopyView, default_device
 from repro.query import QueryGraph, compile_delta_plans, compile_static_plan
+from repro.testing.oracles import delta_roots, static_roots
 from repro.testing.reference import count_embeddings
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")

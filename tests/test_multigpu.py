@@ -286,9 +286,10 @@ class TestShardCounters:
 
     def test_each_shard_counts_what_its_roots_read(self):
         from repro.core.dcsr import DcsrCache
-        from repro.core.matching import delta_roots, expand, settle
+        from repro.core.matching import expand, settle
         from repro.core.querytrie import solo_trie
         from repro.query.plan import compile_delta_plans
+        from repro.testing.oracles import delta_roots
 
         g = powerlaw_graph(300, 6.0, max_degree=40, num_labels=2, seed=12)
         g0, batches = derive_stream(g, num_updates=96, batch_size=32, seed=13)

