@@ -13,9 +13,11 @@ A batch expands once — the kernel's joins, in ``process_batch`` ahead of
 the placement's ``prepare`` — and everything else reads that expansion: the
 frequency walk, every placement's match, a fleet's one settle.  ``--check`` exits non-zero if any row launched
 anything outside the kernel's ``matching.expand_rows``, if a configuration's
-launches per batch differ from its workload's single-device row, or if a
-row of :data:`CALLS` made more Python calls per batch than its bound (the
-single-device rows' calls are ``benchmarks/trajectory.py check``'s, exactly).
+launches per batch differ from its workload's single-device row, if a row of
+:data:`CALLS` made more Python calls per batch than its bound (the
+single-device rows' calls are ``benchmarks/trajectory.py check``'s, exactly),
+or if a workload's ``devices=4`` row made more calls than its ``devices=2``
+row (a fleet's Python must not grow with its size).
 
     PYTHONPATH=src python benchmarks/launch_counts.py [--check] [workload ...]
 """
@@ -47,23 +49,23 @@ VARIANTS = {
 }
 #: Python calls per batch a ``(workload, configuration)`` row may make, about
 #: 3 % above what it makes (CPython 3.11, NumPy 2.4.6): ``az_rulebook24``
-#: under the pre-filter 577.5, and on FR / CA / SF3K / AZ ``devices=2``
-#: 443.9 / 494.7 / 445.8 / 530.3 and ``devices=4`` 485.9 / 536.7 / 487.8 /
-#: 572.3, with the roots routed in one pass, a launch's log gathered once
-#: and the reorganize priced from its op count.  Each
+#: under the pre-filter 563.5, and on FR / CA / SF3K / AZ ``devices=2``
+#: 361.8 / 412.6 / 363.7 / 438.3 and ``devices=4`` the same, with a fleet
+#: the cached placement's owner column (one pack, one view, its per-device
+#: split priced in one call).  Each
 #: workload's single-device calls are gated once, exactly, by
 #: ``benchmarks/trajectory.py check`` against the trajectory's last row, so
 #: they have no row here.
 CALLS = {
-    ("az_rulebook24", 'prefilter="on"'): 595,
-    ("fr_q1_mixed", "devices=2"): 457,
-    ("ca_q3_narrow", "devices=2"): 510,
-    ("sf3k_q1_churn", "devices=2"): 459,
-    ("az_rulebook24", "devices=2"): 546,
-    ("fr_q1_mixed", "devices=4"): 500,
-    ("ca_q3_narrow", "devices=4"): 553,
-    ("sf3k_q1_churn", "devices=4"): 502,
-    ("az_rulebook24", "devices=4"): 589,
+    ("az_rulebook24", 'prefilter="on"'): 580,
+    ("fr_q1_mixed", "devices=2"): 373,
+    ("ca_q3_narrow", "devices=2"): 425,
+    ("sf3k_q1_churn", "devices=2"): 375,
+    ("az_rulebook24", "devices=2"): 451,
+    ("fr_q1_mixed", "devices=4"): 373,
+    ("ca_q3_narrow", "devices=4"): 425,
+    ("sf3k_q1_churn", "devices=4"): 375,
+    ("az_rulebook24", "devices=4"): 451,
 }
 
 
@@ -102,8 +104,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("workloads", nargs="*", default=[*WORKLOADS, "sparse_tri_skip"])
     ap.add_argument("--check", action="store_true",
                     help="fail on a launch outside the kernel, on a configuration "
-                         "launching more or less than one device, or on calls "
-                         "per batch over CALLS")
+                         "launching more or less than one device, on calls "
+                         "per batch over CALLS, or on devices=4 calling more "
+                         "than devices=2")
     args = ap.parse_args(argv)
     tally = {"join_rows": 0, "expand_rows": 0}
     counting(frontier, "join_rows", tally)
@@ -117,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
         rows = [("one device", engine)]
         if name in WORKLOADS:
             rows += [(label, variant(w, inputs, settings)) for label, settings in VARIANTS.items()]
-        single = None
+        single, called = None, {}
         for label, engine in rows:
             _, launches, calls = per_batch(engine, inputs.batches, tally)
             print(f"{name:<16} {label:<22} {launches:>9.1f} {calls:>8.1f}")
@@ -127,6 +130,10 @@ def main(argv: list[str] | None = None) -> int:
             if calls > CALLS.get((name, label), float("inf")):
                 failures.append(f"{name} {label}: {calls:.1f} Python calls per batch "
                                 f"> {CALLS[name, label]}")
+            called[label] = calls
+            if label == "devices=4" and calls > called["devices=2"]:
+                failures.append(f"{name} devices=4: {calls:.1f} Python calls per batch, "
+                                f"{called['devices=2']:.1f} on devices=2")
             if single is None:
                 single = launches
             elif launches != single:

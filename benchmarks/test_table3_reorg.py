@@ -80,7 +80,7 @@ def test_reorganize_merge_parity_with_scalar_reference(benchmark):
 def test_reorganize_vectorized_merge_wallclock(benchmark):
     """The numpy two-searchsorted merge beats the scalar two-pointer loop
     on long adjacency lists (where reorganize time actually accrues)."""
-    from repro.testing import merge_runs_reference, neighbors_new_parts, neighbors_old, stored_runs
+    from repro.testing import merge_runs_reference
 
     rng = np.random.default_rng(7)
     pool = rng.choice(2_000_000, size=120_000, replace=False)

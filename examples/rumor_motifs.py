@@ -15,8 +15,6 @@ the paper's road-network experiment (Fig. 11, where wildcard motifs are the
 workload).
 """
 
-import numpy as np
-
 from repro.core.baselines import make_system
 from repro.graphs.generators import powerlaw_graph
 from repro.graphs.stream import derive_stream

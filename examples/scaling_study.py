@@ -30,7 +30,7 @@ def run_fleet(g0, batches, query, *, devices, interconnect="nvlink"):
     results = [engine.process_batch(b) for b in batches]
     # devices=1 is the single-device engine itself: plain BatchResults,
     # no fleet diagnostics to aggregate
-    fleet = results if engine.fleet is not None else []
+    fleet = results if engine.num_devices > 1 else []
     return {
         "delta": sum(r.delta_count for r in results),
         "total_ns": sum(r.breakdown.total_ns for r in results),

@@ -369,7 +369,7 @@ def run_stream(
     system = make_system(
         system_name, workload.graph, query, device=device, seed=seed, **system_kwargs
     )
-    config, fleet = system.config, system.fleet
+    config, fleet = system.config, system.num_devices > 1
 
     totals = _StreamTotals()
     delta_total = embeddings_total = 0
@@ -387,7 +387,7 @@ def run_stream(
         if result.cached_vertices.size and result.estimation is not None:
             cov1.append(result.coverage(0.01))
             cov5.append(result.coverage(0.05))
-        if fleet is None:
+        if not fleet:
             continue
         # fleet diagnostics (a certified-skip batch carries none)
         if result.load_balance is not None:

@@ -15,7 +15,9 @@ Two policies reproduce the paper's comparison:
 :class:`CachedDeviceView` is GCSM's data path: every access binary-searches
 the DCSR ``rowidx``; hits read GPU global memory, misses fall back to
 zero-copy reads of CPU memory through the ``pDevice`` indirection
-(Sec. V-C) — one ``classify`` of the block, like every view.
+(Sec. V-C) — one ``classify`` of the block, like every view.  A fleet
+(``devices > 1``) is the same view keyed by an owner column: remote hits
+cross the peer interconnect.
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.core.dcsr import DcsrCache, packed_size_bytes
+from repro.core.dcsr import DcsrCache, packed_size_bytes, probe_cost
 from repro.core.frequency import EstimationResult, rank_support
 from repro.graphs.dynamic_graph import DynamicGraph
-from repro.gpu.counters import AccessCounters, Accesses
+from repro.gpu.counters import (
+    OPS_COLUMN, OUTPUT_COLUMN, WIDTH, AccessCounters, Accesses, Channel, tabulate,
+)
 from repro.gpu.device import DeviceConfig
 from repro.gpu.views import GraphView
 
@@ -117,24 +121,62 @@ class CachedDeviceView(GraphView):
 
     Every access pays the rowidx binary-search probe (compute ops).  Hits are
     GPU-global reads of the packed runs; misses dereference ``pDevice`` and
-    zero-copy the CPU list.
+    zero-copy the CPU list.  A fleet's view adds an ``owner`` column: the
+    ``cache`` is the devices' union (a vertex is cached only by its owner),
+    ``probe_ops[d]`` the cost of device ``d``'s own directory, a root is read
+    by its first endpoint's owner (:meth:`readers`) and every access by its
+    root's reader, at its owner's probe cost; a remote hit is a peer read.
+    ``totals`` holds each reader's split, one counters-totals row per device
+    (on one device, the counters' own), and ``roots`` the roots it settled.
     """
 
-    def __init__(
-        self,
-        graph: DynamicGraph,
-        device: DeviceConfig,
-        counters: AccessCounters,
-        cache: DcsrCache,
-    ) -> None:
+    def __init__(self, graph: DynamicGraph, device: DeviceConfig, counters: AccessCounters,
+                 cache: DcsrCache, probe_ops: np.ndarray | None = None,
+                 owner: np.ndarray | None = None) -> None:
         super().__init__(graph, device, counters)
-        self.cache = cache
+        self.cache, self.owner = cache, owner
+        self.probe_ops = probe_cost([cache.num_cached]) if probe_ops is None else probe_ops
+        self.num_readers = len(self.probe_ops)
+        self.totals = (counters.totals[None] if self.num_readers == 1
+                       else np.zeros((self.num_readers, WIDTH), dtype=np.int64))
+        self.roots = np.zeros(self.num_readers, dtype=np.int64)
         self.hits = 0
         self.misses = 0
 
-    def classify(self, vertices: np.ndarray, lengths: np.ndarray) -> Accesses:
+    def readers(self, roots: np.ndarray) -> np.ndarray:
+        """The device that settles each ``(r, 2)`` root: its first endpoint's owner."""
+        return self.owner[roots[:, 0]]
+
+    def charge(self, roots, outputs, ops) -> None:
+        super().charge(roots, outputs, ops)
+        self.roots += roots
+        if self.num_readers > 1:
+            self.totals[:, OUTPUT_COLUMN] += outputs
+            self.totals[:, OPS_COLUMN] += ops
+
+    def fetch_block(self, vertices, lengths, reader=None):
+        """Classify the block once and record it whole; on a fleet each
+        reader's row of ``totals`` adds the block tabulated by reader."""
+        acc = self.classify(vertices, lengths, reader)
+        self.counters.record(vertices, acc)
+        if reader is not None:
+            table = tabulate(acc, reader, self.num_readers)
+            self.totals[:, : table.shape[1]] += table
+        return acc
+
+    def classify(self, vertices: np.ndarray, lengths: np.ndarray,
+                 reader: np.ndarray | None = None) -> Accesses:
         hit = self.cache.lookup_block(vertices)
         hits = int(np.count_nonzero(hit))
         self.hits += hits
         self.misses += hit.size - hits
-        return self._hit_or_zero_copy(hit, lengths, self.cache.probe_cost_ops())
+        if self.owner is None:
+            return self._hit_or_zero_copy(hit, lengths, self.probe_ops[0])
+        owners = self.owner[vertices]
+        acc = self._hit_or_zero_copy(hit, lengths)
+        peer = hit & (owners != reader)
+        return acc._replace(
+            channel=np.where(peer, Channel.PEER.slot, acc.channel),
+            transactions=np.where(peer, self.device.peer_lines(acc.nbytes), acc.transactions),
+            ops=self.probe_ops[owners],
+        )

@@ -111,10 +111,6 @@ class DcsrCache:
 
         This is the probe the paper's kernel performs before every
         neighbor-list read (Sec. V-C), one ``searchsorted`` for the block; its
-        *cost* is charged per access by the caller (:meth:`probe_cost_ops`).
+        *cost* is charged per access by the caller (:func:`probe_cost`).
         """
         return contains_sorted(self.rowidx, vertices)
-
-    def probe_cost_ops(self) -> int:
-        """Comparison count of one rowidx binary search."""
-        return int(probe_cost(self.num_cached))

@@ -32,8 +32,9 @@ constructor's ``query`` argument is the fourth:
 * **schedule** — ``serial``, or ``pipelined``: the same stages in the same
   order, with a :class:`~repro.gpu.clock.PipelineClock` placing each batch's
   stage times on overlapping CPU / GPU lanes in simulated time.
-* **fan-out** — ``devices > 1`` swaps the single-device pack/match body for
-  :class:`repro.multigpu.engine.FleetPlacement`, imported lazily.
+* **fan-out** — ``devices=N``: the ``cached`` placement keyed by an owner
+  column (``hash(v) mod N``, :func:`repro.multigpu.engine.hash_owners`);
+  one device is the case where every vertex is device 0's.
 * **query set** (:class:`QuerySet`) — what a batch is matched against: one
   :class:`~repro.query.pattern.QueryGraph` on the fused one-launch-per-level
   kernel, or a :class:`repro.core.multiquery.Rulebook` of standing patterns
@@ -48,8 +49,9 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from importlib import import_module
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,7 +61,7 @@ from repro.core.cache import (
     DegreeCachePolicy,
     FrequencyCachePolicy,
 )
-from repro.core.dcsr import DcsrCache
+from repro.core.dcsr import DcsrCache, packed_size_bytes, probe_cost
 from repro.core.frequency import EstimationResult
 from repro.core.frequency_frontier import FrontierFrequencyEstimator
 from repro.core.matching import Expansion, MatchStats, expand, match_batch, match_static, settle
@@ -74,7 +76,9 @@ from repro.core.querytrie import solo_trie
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.static_graph import StaticGraph
 from repro.graphs.stream import DEFAULT_CONFLICT_MODE, CanonicalReport, UpdateBatch
-from repro.gpu.clock import PipelineClock, ScheduleReport, TimeBreakdown, simulated_time_ns
+from repro.gpu.clock import (
+    PipelineClock, ScheduleReport, TimeBreakdown, gpu_time_ns, simulated_time_ns,
+)
 from repro.gpu.counters import AccessCounters, Channel
 from repro.gpu.device import (
     BYTES_PER_NEIGHBOR,
@@ -93,6 +97,7 @@ __all__ = [
     "BatchResult",
     "Placement",
     "CachedPlacement",
+    "CachedPack",
     "QuerySet",
     "MatchOutcome",
     "PLACEMENTS",
@@ -106,8 +111,8 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Shared batch-step internals.  The engine, the fleet's pack pricing and the
-# benchmark's staged replay all compose these, so a change here changes every
+# Shared batch-step internals.  The engine's pack pricing and the
+# benchmark's staged replay compose these, so a change here changes every
 # caller identically.
 # ----------------------------------------------------------------------
 _POLICIES = {cls.name: cls for cls in (FrequencyCachePolicy, DegreeCachePolicy)}
@@ -151,7 +156,7 @@ def update_step(
 
 
 def pack_ns(device: DeviceConfig, rows, entries, nbytes):
-    """Step 3's simulated ns, array-valued (a fleet prices every shard at
+    """Step 3's simulated ns, array-valued (a fleet prices every device at
     once): the host copies ``entries`` list entries of ``rows`` lists, one
     compute op each, then one DMA request moves the ``nbytes`` buffer."""
     return (entries + rows) / device.cpu_compute_ops_per_ns + device.dma_time_ns(nbytes)
@@ -243,7 +248,6 @@ PLACEMENTS = {
     "khop": "repro.core.baselines:KhopPlacement",
     "indexed": "repro.core.rapidflow:IndexedPlacement",
 }
-_FLEET = "repro.multigpu.engine:FleetPlacement"
 SCHEDULES = ("serial", "pipelined")
 
 
@@ -283,8 +287,8 @@ class EngineConfig:
         simulated time: same results, annotated breakdowns).
     devices:
         The fan-out: a count or a :class:`~repro.gpu.device.ClusterConfig`;
-        ``devices > 1`` shards pack and match over a fleet whose shards own
-        vertices by hash.
+        ``devices > 1`` keys the cached placement's pack and match by an
+        owner column, each device owning the vertices that hash to it.
     """
 
     device: DeviceConfig | None = None
@@ -326,6 +330,7 @@ class MatchOutcome:
     match_ns: float
     view: GraphView | None = None  #: what the kernel read through (hits/misses)
     comm_ns: float = 0.0  #: collective after the kernels drain (fleets only)
+    reader_ns: np.ndarray | None = None  #: each device's match time (fleets only)
 
 
 class Placement:
@@ -387,46 +392,116 @@ class Placement:
         return {}
 
 
+class CachedPack(NamedTuple):
+    """What the cached placement ships: the estimate, the cached vertices
+    (owner-major, rank order within an owner) packed as one cache, the owner
+    map (``None`` on one device), and per device its directory's probe cost,
+    its own buffer's bytes and its pack time."""
+
+    estimation: EstimationResult | None
+    selected: np.ndarray
+    cache: DcsrCache
+    owner: np.ndarray | None
+    probe_ops: np.ndarray
+    nbytes: np.ndarray
+    pack_ns: np.ndarray
+
+
 class CachedPlacement(Placement):
     """GCSM's data path: estimate, select, pack one DCSR buffer, single DMA;
     the kernel hits the cache or falls back to zero-copy.  The walk reads
     the kernel's joins (the skeleton's :meth:`QuerySet.expand`), ``match``
-    settles them."""
+    settles them.  On ``devices=N`` every step is keyed by an owner column,
+    ``hash(v) mod N`` (:func:`repro.multigpu.engine.hash_owners`): each
+    device caches what it owns within its own budget and settles the roots
+    whose first endpoint it owns; one device owns every vertex."""
 
-    def estimate(
-        self, batch: UpdateBatch, decision: PrefilterDecision | None,
-        breakdown: TimeBreakdown, expansion: Expansion | None = None,
-    ) -> EstimationResult | None:
-        """CPU stage 2: merged-random-walk estimation (policy-gated); root-
-        masked updates shrink the walk budget and the packed cache."""
-        engine = self.engine
-        if not engine.policy.requires_estimation:
-            return None
-        estimation = engine.query_set.estimate(engine, batch, decision, expansion)
-        breakdown.estimate_ns = simulated_time_ns(
-            estimation.counters, engine.device, platform="cpu_estimator"
-        )
-        return estimation
+    @property
+    def result_type(self) -> type[BatchResult]:
+        if self.engine.num_devices == 1:
+            return BatchResult
+        from repro.multigpu.engine import FleetBatchResult
+
+        return FleetBatchResult
 
     def prepare(self, batch, decision, breakdown, expansion):
-        engine = self.engine
-        estimation = self.estimate(batch, decision, breakdown, expansion)
-        selected = engine.policy.select(engine.graph, estimation, engine.cache_budget_bytes)
-        cache, breakdown.pack_ns = pack_step(engine.graph, selected, engine.device)
-        return estimation, selected, cache
+        """The walk (policy-gated), then one pack for every device: each keeps
+        the prefix of its owned ranked vertices whose running packed size
+        fits its budget (one grouped cumulative sum), the union is packed
+        into one cache, and each device's pack and DMA over its own host link
+        is priced from its own rows, entries and bytes; the phase is the
+        slowest device's."""
+        engine, graph, n = self.engine, self.engine.graph, self.engine.num_devices
+        estimation = None
+        if engine.policy.requires_estimation:
+            estimation = engine.query_set.estimate(engine, batch, decision, expansion)
+            breakdown.estimate_ns = simulated_time_ns(
+                estimation.counters, engine.device, platform="cpu_estimator")
+        ranked = engine.policy.rank(graph, estimation)
+        owner, owner_ns = None, 0.0
+        if n > 1:  # the owner map: |V| host ops, priced as the CPU platform prices them
+            from repro.multigpu.engine import hash_owners
+
+            owner = hash_owners(graph.num_vertices, n)
+            owner_ns = owner.size / engine.device.cpu_compute_ops_per_ns
+        lengths = graph.run_lengths(ranked)[1]
+        shard = np.zeros(ranked.size, dtype=np.int64) if owner is None else owner[ranked]
+        order = shard.argsort(kind="stable")
+        owned = np.bincount(shard, minlength=n)
+        spent = np.concatenate(([0], packed_size_bytes(lengths[order]).cumsum()))
+        before = spent[owned.cumsum() - owned].repeat(owned)
+        kept = order[spent[1:] - before <= engine.cache_budget_bytes]
+        shard = shard[kept]
+        rows = np.bincount(shard, minlength=n)
+        entries = np.bincount(shard, lengths[kept], n).astype(np.int64)
+        # each device's own buffer: rowidx, rowptr pairs + sentinel row, colidx
+        nbytes = (3 * rows + 2 + entries) * BYTES_PER_NEIGHBOR
+        device_ns = pack_ns(engine.device, rows, entries, nbytes)
+        breakdown.pack_ns = owner_ns + float(device_ns.max())
+        selected = ranked[kept]
+        return CachedPack(estimation, selected, DcsrCache.build(graph, selected), owner,
+                          probe_cost(rows), nbytes, device_ns)
 
     def view(self, graph, counters, shipped):
-        return CachedDeviceView(graph, self.engine.device, counters, shipped[2])
+        return CachedDeviceView(graph, self.engine.device, counters, shipped.cache,
+                                shipped.probe_ops, shipped.owner)
+
+    def match(self, batch, shipped, decision, sinks, expansion):
+        """One settle; on a fleet the phase is the slowest device's (every
+        device's split priced in one call), then the ΔM all-reduce."""
+        engine = self.engine
+        outcome = super().match(batch, shipped, decision, sinks, expansion)
+        if engine.num_devices > 1:
+            outcome.reader_ns = gpu_time_ns(outcome.view.totals, engine.device)
+            outcome.match_ns = float(outcome.reader_ns.max())
+            outcome.comm_ns = self.allreduce_ns
+        return outcome
+
+    @cached_property
+    def allreduce_ns(self) -> float:
+        """A fleet batch's ΔM all-reduce: fixed by the fleet and the plan count."""
+        from repro.multigpu.comm import allreduce_delta_ns
+
+        return allreduce_delta_ns(self.engine.cluster, self.engine.query_set.num_plans)
 
     def bookkeeping(self, shipped, outcome):
         if outcome is None:
             return {}
-        estimation, selected, cache = shipped
-        return dict(
-            estimation=estimation, cached_vertices=selected,
-            cache_bytes=cache.total_bytes, cache_hits=outcome.view.hits,
-            cache_misses=outcome.view.misses,
+        view = outcome.view
+        fields = dict(
+            estimation=shipped.estimation, cached_vertices=shipped.selected,
+            cache_bytes=int(shipped.nbytes.sum()), cache_hits=view.hits,
+            cache_misses=view.misses,
         )
+        if self.engine.num_devices > 1:
+            from repro.multigpu.comm import LoadBalanceReport, comm_report
+
+            fields.update(
+                load_balance=LoadBalanceReport(tuple(outcome.reader_ns.tolist()),
+                                               tuple(view.roots.tolist())),
+                comm=comm_report(outcome.counters, outcome.comm_ns),
+            )
+        return fields
 
 
 # ----------------------------------------------------------------------
@@ -579,11 +654,7 @@ class GCSMEngine:
         #: one shared host-side index, also on a fleet: maintenance is a host
         #: phase and the kernels only read precomputed masks
         self.prefilter_index = make_prefilter(config.prefilter, self.graph)
-        self.placement: Placement = _resolve(
-            _FLEET if self.num_devices > 1 else PLACEMENTS[config.placement]
-        )(self)
-        #: the fleet placement when ``devices > 1`` (its shards), else None
-        self.fleet = self.placement if self.num_devices > 1 else None
+        self.placement: Placement = _resolve(PLACEMENTS[config.placement])(self)
         self.query_set.compile(self.placement)
         self.result_type = self.query_set.result_type(self.placement.result_type)
         #: the pipelined schedule's simulated-time model (None when serial)

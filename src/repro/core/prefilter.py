@@ -319,9 +319,7 @@ class PrefilterDecision:
             return None
         if self.keep_edge.all():
             return self.batch
-        batch = self.batch
-        return UpdateBatch(batch.edges[self.keep_edge], batch.signs[self.keep_edge],
-                           batch.new_vertex_labels)
+        return self.batch.subset(self.keep_edge)
 
     def to_stats(self, maintenance_ns: float = 0.0) -> PrefilterStats:
         skipped = self.roots_total - (0 if self.skip_batch else self.roots_passing)

@@ -19,16 +19,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from repro.gpu.counters import AccessCounters, Channel
+import numpy as np
+
+from repro.gpu.counters import (
+    DMA_COLUMN, FAULTS_COLUMN, OPS_COLUMN, TRANSACTIONS, AccessCounters, Channel,
+)
 from repro.gpu.device import DeviceConfig
 
 __all__ = [
+    "gpu_time_ns",
     "simulated_time_ns",
     "TimeBreakdown",
     "BatchSchedule",
     "PipelineClock",
     "ScheduleReport",
 ]
+
+
+def gpu_time_ns(totals: np.ndarray, device: DeviceConfig) -> np.ndarray:
+    """The GPU kernel model (82x1024 threads) over totals columns: an
+    :attr:`~repro.gpu.counters.AccessCounters.totals` vector, or a table of
+    them with one row per device of a fleet — one time per row."""
+    t = totals.T
+    compute = t[OPS_COLUMN] / device.gpu_compute_ops_per_ns
+    overlap = np.maximum(compute, device.gpu_read_time_ns(t[Channel.GPU_GLOBAL.slot]))
+    stalls = (
+        device.zero_copy_time_ns(t[TRANSACTIONS + Channel.ZERO_COPY.slot])
+        + device.um_fault_time_ns(t[FAULTS_COLUMN])
+        # remote (peer) reads are as fine-grained as zero-copy ones and
+        # stall the requesting kernel the same way — only the link is
+        # faster (NVLink) or comparable (PCIe P2P)
+        + device.peer_time_ns(t[TRANSACTIONS + Channel.PEER.slot])
+    )
+    # no request moves no bytes and costs 0.0
+    return overlap + stalls + device.dma_time_ns(t[DMA_COLUMN], t[DMA_COLUMN + 1])
 
 
 def simulated_time_ns(
@@ -39,29 +63,12 @@ def simulated_time_ns(
 ) -> float:
     """Price one kernel's counted work as nanoseconds.
 
-    ``platform`` selects the executing processor: ``"gpu"`` (82x1024-thread
-    kernel), ``"cpu"`` (32-thread host baseline) or ``"cpu_estimator"``
-    (the 32-thread frequency-estimation walks).
+    ``platform`` selects the executing processor: ``"gpu"``
+    (:func:`gpu_time_ns`), ``"cpu"`` (32-thread host baseline) or
+    ``"cpu_estimator"`` (the 32-thread frequency-estimation walks).
     """
     if platform == "gpu":
-        compute = counters.compute_ops / device.gpu_compute_ops_per_ns
-        overlap = max(
-            compute,
-            device.gpu_read_time_ns(counters.bytes_by_channel[Channel.GPU_GLOBAL]),
-        )
-        stalls = (
-            device.zero_copy_time_ns(
-                counters.transactions_by_channel[Channel.ZERO_COPY]
-            )
-            + device.um_fault_time_ns(counters.um_faults)
-            # remote (peer) reads are as fine-grained as zero-copy ones and
-            # stall the requesting kernel the same way — only the link is
-            # faster (NVLink) or comparable (PCIe P2P)
-            + device.peer_time_ns(counters.transactions_by_channel[Channel.PEER])
-        )
-        dma = device.dma_time_ns(counters.dma_bytes, counters.dma_requests) \
-            if counters.dma_requests else 0.0
-        return overlap + stalls + dma
+        return float(gpu_time_ns(counters.totals, device))
     if platform == "cpu":
         compute = counters.compute_ops / device.cpu_compute_ops_per_ns
         mem = device.cpu_read_time_ns(counters.bytes_by_channel[Channel.CPU_DRAM])

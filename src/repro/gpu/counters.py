@@ -25,7 +25,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["Channel", "Accesses", "AccessCounters", "tabulate", "OPS_COLUMN"]
+__all__ = [
+    "Channel", "Accesses", "AccessCounters", "tabulate",
+    "TRANSACTIONS", "OPS_COLUMN", "FAULTS_COLUMN", "DMA_COLUMN", "OUTPUT_COLUMN", "WIDTH",
+]
 
 
 class Channel(enum.Enum):
@@ -44,11 +47,15 @@ class Channel(enum.Enum):
 
 _C = len(Channel)
 #: the head of the totals vector — bytes per channel, transactions per
-#: channel, ``compute_ops``, ``um_faults``, ``um_hits`` — is what a block of
-#: classified accesses adds up to (:func:`tabulate`'s row layout)
-OPS_COLUMN, _FAULTS, _HITS = 2 * _C, 2 * _C + 1, 2 * _C + 2
+#: channel (from column ``TRANSACTIONS``), ``compute_ops``, ``um_faults``,
+#: ``um_hits`` — is what a block of classified accesses adds up to
+#: (:func:`tabulate`'s row layout); ``dma_bytes``, ``dma_requests`` and
+#: ``output_embeddings`` follow it, ``WIDTH`` columns in all
+TRANSACTIONS = _C
+OPS_COLUMN, FAULTS_COLUMN, _HITS = 2 * _C, 2 * _C + 1, 2 * _C + 2
 _TALLY = 2 * _C + 3
-_WIDTH = _TALLY + 3  # + dma_bytes, dma_requests, output_embeddings
+DMA_COLUMN, OUTPUT_COLUMN = _TALLY, _TALLY + 2
+WIDTH = _TALLY + 3
 
 
 class Accesses(NamedTuple):
@@ -127,14 +134,14 @@ class AccessCounters:
     """
 
     compute_ops = _Scalar(OPS_COLUMN)
-    um_faults = _Scalar(_FAULTS)
+    um_faults = _Scalar(FAULTS_COLUMN)
     um_hits = _Scalar(_HITS)
-    dma_bytes = _Scalar(_TALLY)
-    dma_requests = _Scalar(_TALLY + 1)
-    output_embeddings = _Scalar(_TALLY + 2)
+    dma_bytes = _Scalar(DMA_COLUMN)
+    dma_requests = _Scalar(DMA_COLUMN + 1)
+    output_embeddings = _Scalar(OUTPUT_COLUMN)
 
     def __init__(self) -> None:
-        self._totals = np.zeros(_WIDTH, dtype=np.int64)
+        self._totals = np.zeros(WIDTH, dtype=np.int64)
         #: ``(2, _size)`` access counts and bytes per vertex, built when read
         #: from the ``(vertices, nbytes)`` blocks recorded since (``_pending``
         #: accesses); ``_size``: 0, or a power of two >= 1 024 above them all
@@ -152,7 +159,13 @@ class AccessCounters:
 
     @property
     def transactions_by_channel(self) -> Mapping[Channel, int]:
-        return _ChannelRow(self, _C)
+        return _ChannelRow(self, TRANSACTIONS)
+
+    @property
+    def totals(self) -> np.ndarray:
+        """The int64 totals vector itself, ``WIDTH`` columns (read it; the
+        ``record_*`` methods write it)."""
+        return self._totals
 
     # ------------------------------------------------------------------
     def _room(self, top: int) -> np.ndarray:
@@ -218,14 +231,14 @@ class AccessCounters:
         self._pend([(np.array([vertex]), np.array([nbytes]))], 1, int(vertex))
 
     def record_dma(self, nbytes: int, requests: int = 1) -> None:
-        self._totals[_TALLY] += nbytes
-        self._totals[_TALLY + 1] += requests
+        self._totals[DMA_COLUMN] += nbytes
+        self._totals[DMA_COLUMN + 1] += requests
 
     def record_compute(self, ops: int) -> None:
         self._totals[OPS_COLUMN] += ops
 
     def record_output(self, embeddings: int) -> None:
-        self._totals[_TALLY + 2] += embeddings
+        self._totals[OUTPUT_COLUMN] += embeddings
 
     def merge(self, other: "AccessCounters") -> None:
         """Accumulate ``other`` into ``self`` (multi-batch aggregation): its

@@ -453,7 +453,7 @@ class DynamicGraph:
         if report.output_size < size:
             kept = (entry >> 1)[keep & lohi]
             kept.sort()
-            batch = UpdateBatch(batch.edges[kept], batch.signs[kept], batch.new_vertex_labels)
+            batch = batch.subset(kept)
 
         src, dst, insert, slot = src[keep], dst[keep], insert[keep], slot[keep]
         self._batch_open = True

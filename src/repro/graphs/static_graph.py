@@ -20,7 +20,7 @@ entries are found by a binary search in their rows' runs and dropped.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 

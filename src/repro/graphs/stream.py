@@ -19,7 +19,7 @@ fuzzer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -144,6 +144,14 @@ class UpdateBatch:
 
     def __len__(self) -> int:
         return int(self.edges.shape[0])
+
+    def subset(self, keep: np.ndarray) -> "UpdateBatch":
+        """The updates ``keep`` selects (a mask or row indices), as a batch:
+        rows of this checked batch, so they are not checked again."""
+        sub = object.__new__(UpdateBatch)
+        sub.edges, sub.signs = self.edges[keep], self.signs[keep]
+        sub.new_vertex_labels, sub._directed = dict(self.new_vertex_labels), None
+        return sub
 
     def insert_edges(self) -> np.ndarray:
         return self.edges[self.signs > 0]

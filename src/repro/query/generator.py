@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.query.pattern import WILDCARD_LABEL, QueryGraph
+from repro.query.pattern import QueryGraph
 from repro.utils import as_generator, require
 
 __all__ = ["random_query", "rulebook_suite"]

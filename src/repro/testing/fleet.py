@@ -1,8 +1,8 @@
 """The fleet's pack and read path as its devices would do them alone.
 
-A fleet (:class:`~repro.multigpu.engine.FleetPlacement`) packs one union
-cache in one pass over an owner column and classifies every access with one
-probe of it.  The oracles here are the per-device twins it replaced: each
+A fleet (the cached placement on ``devices > 1``,
+:class:`~repro.core.engine.CachedPlacement`) packs one union cache in one
+pass over an owner column and classifies every access with one probe of it.  The oracles here are the per-device twins it replaced: each
 shard cuts its owned prefix of the one rank to its own budget
 (:func:`~repro.core.cache.select_within_budget`), packs and prices its own
 cache (:func:`~repro.core.engine.pack_step`), and an access probes its
@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.cache import select_within_budget
+from repro.core.cache import CachedDeviceView, select_within_budget
 from repro.core.dcsr import DcsrCache, probe_cost
 from repro.core.engine import pack_step
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.gpu.counters import AccessCounters, Accesses, Channel
 from repro.gpu.device import BYTES_PER_NEIGHBOR, DeviceConfig
-from repro.multigpu.shard import ShardedDeviceView
 
 __all__ = ["shard_packs", "sharded_view", "classify_by_owner"]
 
@@ -39,8 +38,8 @@ def shard_packs(graph: DynamicGraph, ranked: np.ndarray, owner: np.ndarray,
 
 
 def sharded_view(graph: DynamicGraph, device: DeviceConfig, counters: AccessCounters,
-                 caches: list[DcsrCache], owner: np.ndarray, view=ShardedDeviceView):
-    """A fleet's view (``view``, a :class:`ShardedDeviceView` type) over
+                 caches: list[DcsrCache], owner: np.ndarray, view=CachedDeviceView):
+    """A fleet's view (``view``, a :class:`CachedDeviceView` type) over
     per-shard caches, each holding only vertices its shard owns: their
     union, each shard's probe at its own cache's cost."""
     union = DcsrCache.build(graph, np.concatenate([c.rowidx for c in caches]))
@@ -60,7 +59,7 @@ def classify_by_owner(caches: list[DcsrCache], owner: np.ndarray, device: Device
     nbytes = np.asarray(lengths, dtype=np.int64) * BYTES_PER_NEIGHBOR
     for i, (v, size, by) in enumerate(zip(vertices.tolist(), nbytes.tolist(), reader.tolist())):
         cache = caches[owner[v]]
-        ops[i] = cache.probe_cost_ops()
+        ops[i] = probe_cost(cache.num_cached)
         if v not in cache.rowidx:
             channel[i] = Channel.ZERO_COPY.slot
             transactions[i] = -(-size // device.zero_copy_line_bytes)

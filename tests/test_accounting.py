@@ -42,7 +42,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import CachedDeviceView
-from repro.core.dcsr import DcsrCache
+from repro.core.dcsr import DcsrCache, probe_cost
 from repro.core.engine import GCSMEngine
 from repro.core.multiquery import MultiQueryEngine, Rulebook
 from repro.core.querytrie import ExecutionTrie, solo_trie
@@ -59,7 +59,6 @@ from repro.gpu.views import (
     UnifiedMemoryView,
     ZeroCopyView,
 )
-from repro.multigpu.shard import ShardedDeviceView
 from repro.query import query_by_name
 from repro.query.generator import rulebook_suite
 from repro.query.plan import MatchPlan
@@ -91,7 +90,7 @@ def reader_of(vertices):
     return (vertices // 3) % 2
 
 
-class ReadByRule(ShardedDeviceView):
+class ReadByRule(CachedDeviceView):
     """The fleet's view, each access read by :func:`reader_of` its vertex."""
 
     def fetch_block(self, vertices, lengths, reader=None):
@@ -105,7 +104,7 @@ def make_sharded(graph, counters):
         DcsrCache.build(graph, np.arange(0, N, 6)),
         DcsrCache.build(graph, np.arange(1, N // 8, 2)),
     ]
-    assert caches[0].probe_cost_ops() != caches[1].probe_cost_ops()
+    assert probe_cost(caches[0].num_cached) != probe_cost(caches[1].num_cached)
     view = sharded_view(graph, DEVICE, counters, caches, owner, ReadByRule)
     view.shard_caches = caches  # what the scalar model probes
     return view
@@ -149,9 +148,9 @@ def scalar_model(view, vertices, lengths):
         nbytes = length * BYTES_PER_NEIGHBOR
         out["count"][v] += 1
         out["vertex_bytes"][v] += nbytes
-        if isinstance(view, ShardedDeviceView):
+        if isinstance(view, ReadByRule):
             shard = int(view.owner[v])
-            out["ops"] += view.shard_caches[shard].probe_cost_ops()
+            out["ops"] += int(probe_cost(view.shard_caches[shard].num_cached))
             hit = bool(np.any(view.shard_caches[shard].rowidx == v))
             if hit and shard != reader_of(v):
                 out["tally"]["hits"] += 1
@@ -159,7 +158,7 @@ def scalar_model(view, vertices, lengths):
             else:
                 hit_or_zero_copy(hit, nbytes)
         elif isinstance(view, CachedDeviceView):
-            out["ops"] += view.cache.probe_cost_ops()
+            out["ops"] += int(probe_cost(view.cache.num_cached))
             hit_or_zero_copy(bool(np.any(view.cache.rowidx == v)), nbytes)
         elif isinstance(view, FullDeviceView):
             hit_or_zero_copy(v in RESIDENT, nbytes)

@@ -6,7 +6,6 @@ paper reports: UM ≫ ZC, VSGM copy-bound and capacity-limited, CPU slower
 than GPU variants on compute-heavy batches.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.baselines import (
@@ -17,7 +16,7 @@ from repro.core.baselines import (
 )
 from repro.graphs.generators import erdos_renyi, powerlaw_graph
 from repro.graphs.stream import derive_stream
-from repro.gpu import DeviceConfig, default_device
+from repro.gpu import DeviceConfig
 from repro.query import QueryGraph
 from repro.testing.reference import count_embeddings
 

@@ -9,7 +9,7 @@ from repro.core.cache import (
     FrequencyCachePolicy,
     select_within_budget,
 )
-from repro.core.dcsr import DcsrCache, packed_size_bytes
+from repro.core.dcsr import DcsrCache, packed_size_bytes, probe_cost
 from repro.graphs import DynamicGraph, StaticGraph, UpdateBatch
 from repro.graphs.generators import erdos_renyi
 from repro.gpu import AccessCounters, Channel, default_device
@@ -149,4 +149,4 @@ class TestCachedDeviceView:
         dg, view, counters = self.make([0, 2])
         before = counters.compute_ops
         read_list(view, 0, False)
-        assert counters.compute_ops == before + view.cache.probe_cost_ops() > before
+        assert counters.compute_ops == before + probe_cost(view.cache.num_cached) > before

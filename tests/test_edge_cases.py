@@ -5,12 +5,9 @@ isolated vertices, patterns larger than the data graph, batches introducing
 brand-new vertices mid-stream, and label alphabets with no matches.
 """
 
-import numpy as np
-import pytest
-
 from repro.core.engine import GCSMEngine
 from repro.core.baselines import make_system
-from repro.graphs import DynamicGraph, StaticGraph, UpdateBatch
+from repro.graphs import StaticGraph, UpdateBatch
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.stream import derive_stream
 from repro.gpu import DeviceConfig

@@ -8,10 +8,9 @@ import pytest
 from repro.core.cache import CachedDeviceView, FrequencyCachePolicy
 from repro.core.dcsr import DcsrCache
 from repro.core.engine import GCSMEngine
-from repro.graphs import StaticGraph, UpdateBatch
+from repro.graphs import UpdateBatch
 from repro.graphs.generators import erdos_renyi, powerlaw_graph
 from repro.graphs.stream import derive_stream
-from repro.multigpu.shard import ShardedDeviceView
 from repro.query import QueryGraph
 from repro.testing.reference import count_embeddings
 
@@ -217,18 +216,17 @@ def inject_fault(stage: str, engine: GCSMEngine, patch) -> None:
         patch.setattr(DcsrCache, "build", boom)
     elif stage == "settle":
         patch.setattr(CachedDeviceView, "fetch_block", boom)
-        patch.setattr(ShardedDeviceView, "fetch_block", boom)
     elif stage == SHARD_FAULT:
-        classify = ShardedDeviceView.classify
+        classify = CachedDeviceView.classify
 
-        def on_the_second_shard(view, vertices, lengths, reader):
+        def on_the_second_shard(view, vertices, lengths, reader=None):
             if (reader == 1).any():
                 first = reader == 0
                 classify(view, vertices[first], lengths[first], reader[first])
                 boom()
             return classify(view, vertices, lengths, reader)
 
-        patch.setattr(ShardedDeviceView, "classify", on_the_second_shard)
+        patch.setattr(CachedDeviceView, "classify", on_the_second_shard)
     else:
         reorganize = engine.graph.reorganize
         patch.setattr(engine.graph, "reorganize", lambda: (reorganize(), boom()))
@@ -357,7 +355,7 @@ class TestSettleOnFailure:
         engine, twin = build(), build()
         with monkeypatch.context() as patch:
             if stage == "prepare":
-                patch.setattr(engine.policy, "select", boom)
+                patch.setattr(engine.policy, "rank", boom)
             elif stage == "match":  # the one driver expands through the kernel
                 patch.setattr(matching, "expand_rows", boom)
             else:
@@ -533,6 +531,6 @@ class TestEngineConfig:
                     make_system(name, g0, TRIANGLE, devices=2)
                 continue
             engine = make_system(name, g0, TRIANGLE, seed=3, devices=2)
-            assert engine.num_devices == 2 and engine.fleet is not None
+            assert engine.num_devices == 2
             got = [r.delta_count for r in engine.process_stream(batches[:2])]
             assert got == expected, name

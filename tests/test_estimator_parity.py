@@ -27,7 +27,7 @@ from repro.core.matching import match_batch
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.generators import erdos_renyi, powerlaw_graph
 from repro.graphs.stream import derive_stream
-from repro.gpu.counters import AccessCounters, Channel
+from repro.gpu.counters import AccessCounters
 from repro.gpu.views import HostCPUView
 from repro.gpu.device import default_device
 from repro.query import QueryGraph, query_by_name

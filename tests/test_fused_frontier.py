@@ -168,10 +168,9 @@ class TestFusedPathsMatchTheOracle:
         assert any(f["bytes"]["peer"] for f, _ in fused)
         half = len(views) // 2
         for mine, theirs in zip(views[:half], views[half:]):
-            assert mine.shard_roots.tolist() == theirs.shard_roots.tolist()
+            assert mine.roots.tolist() == theirs.roots.tolist()
             assert (mine.hits, mine.misses) == (theirs.hits, theirs.misses)
-            assert [c.summary() for c in mine.shard_counters] == [
-                c.summary() for c in theirs.shard_counters]
+            assert mine.totals.tolist() == theirs.totals.tolist()
 
     def test_match_static_is_the_one_plan_case(self):
         g = powerlaw_graph(400, 5.0, max_degree=30, num_labels=2, seed=17)

@@ -1,17 +1,19 @@
 """Tests for the multi-GPU fan-out plug (``repro.multigpu``).
 
-``GCSMEngine(devices=1)`` *is* the single-device engine — no fleet placement
-is loaded, so the N=1 equivalence holds by construction (asserted cheaply
-below).  Everything else (the owner map, the peer read path, the collective
-model, fleet reports, the one pack against each device packing alone) is
-tested on ``devices > 1``.
+``GCSMEngine(devices=N)`` is the cached placement keyed by an owner column,
+and ``devices=1`` is its case where every vertex is device 0's: the
+single-device engine, no owner map built.  The owner map, the peer read
+path, the collective model and the fleet reports are tested on
+``devices > 1``; the one pack against each device packing alone on every N,
+one device included.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.baselines import make_system
-from repro.core.engine import GCSMEngine
+from repro.core.cache import CachedDeviceView
+from repro.core.engine import BatchResult, CachedPlacement, GCSMEngine
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.generators import erdos_renyi, powerlaw_graph
 from repro.graphs.stream import derive_stream
@@ -19,7 +21,7 @@ from repro.gpu.counters import AccessCounters, Channel
 from repro.gpu.device import ClusterConfig, DeviceConfig
 from repro.graphs.datasets import DATASETS
 from repro.gpu.clock import simulated_time_ns
-from repro.multigpu import FleetPlacement, LoadBalanceReport, ShardedDeviceView, hash_owners
+from repro.multigpu import LoadBalanceReport, hash_owners
 from repro.multigpu.comm import allreduce_delta_ns, comm_report
 from repro.query import QueryGraph, query_by_name
 from repro.testing import sharded_view
@@ -53,7 +55,8 @@ class TestSingleDeviceEquivalence:
         g0, batches = _stream(build)
         single = GCSMEngine(g0, query, seed=9)
         fleet = GCSMEngine(g0, query, devices=1, seed=9)
-        assert fleet.fleet is None and type(fleet.placement) is type(single.placement)
+        assert fleet.num_devices == 1 and type(fleet.placement) is type(single.placement)
+        assert fleet.result_type is single.result_type
         for batch in batches:
             a = single.process_batch(batch)
             b = fleet.process_batch(batch)
@@ -145,13 +148,13 @@ class TestOwnerMap:
         g0, batches = _stream(WORKLOADS[0][1], batches=1)
         engine = GCSMEngine(g0, TRIANGLE, devices=2, seed=9)
         shipped = []
-        prepare = engine.fleet.prepare
+        prepare = engine.placement.prepare
 
         def keep(*args):
             shipped.append(prepare(*args))
             return shipped[-1]
 
-        engine.fleet.prepare = keep
+        engine.placement.prepare = keep
         result = engine.process_batch(batches[0])
         counters = AccessCounters()
         counters.record_compute(engine.graph.num_vertices)
@@ -245,8 +248,8 @@ class TestShardedView:
         g, view, counters = self._setup()
         size = self.read_by_shard_zero(view, 1)  # remote-owned, cached at shard 1
         assert counters.bytes_by_channel[Channel.PEER] == 4 * size > 0
-        assert view.shard_counters[0].bytes_by_channel[Channel.PEER] == 4 * size
-        assert not view.shard_counters[1].bytes_by_channel[Channel.PEER]
+        assert view.totals[0, Channel.PEER.slot] == 4 * size
+        assert not view.totals[1, Channel.PEER.slot]
         assert (view.hits, view.misses) == (1, 0)
 
     def test_local_read_unchanged(self):
@@ -309,9 +312,10 @@ class TestShardCounters:
                 ]
                 alone = sharded_view(graph, device, AccessCounters(), caches, owner)
                 stats = settle(expand(trie, batch, graph, prefilter=keep), alone)[0][None]
-                mine = fleet.shard_counters[shard].summary()
-                assert mine == {**alone.counters.summary(), "accesses": 0.0}
-                assert fleet.shard_roots[shard] == alone.shard_roots.sum() == stats.roots_processed
+                mine = AccessCounters()
+                mine.accumulate(fleet.totals[shard])
+                assert mine.summary() == {**alone.counters.summary(), "accesses": 0.0}
+                assert fleet.roots[shard] == alone.roots.sum() == stats.roots_processed
                 read[shard] += alone.counters.total_access_count
             graph.reorganize()
         assert read.all()  # every shard read something
@@ -335,14 +339,14 @@ class TestFactoryRouting:
     def test_devices_routes_to_fleet_engine(self):
         g0, _ = _stream(WORKLOADS[0][1], batches=1)
         system = make_system("GCSM", g0, TRIANGLE, devices=2)
-        assert isinstance(system.fleet, FleetPlacement)
+        assert isinstance(system.placement, CachedPlacement)
         assert system.num_devices == 2
 
     def test_default_stays_single_gpu(self):
         g0, _ = _stream(WORKLOADS[0][1], batches=1)
         system = make_system("GCSM", g0, TRIANGLE)
         assert isinstance(system, GCSMEngine)
-        assert system.fleet is None and system.num_devices == 1
+        assert system.num_devices == 1 and system.result_type is BatchResult
 
 
 #: a per-device budget that binds on every smoke workload: each shard keeps
@@ -351,11 +355,12 @@ TIGHT_BUDGET = 1024
 
 
 def check_against_per_shard_packs(name: str, devices: int, budget: int | None = None) -> None:
-    """A fleet's smoke run (``tests/test_parity_digests.py``'s inputs) against
-    its devices packing alone (``repro.testing.shard_packs``): after every
-    ``prepare`` the cached vertices (shard-major, rank order within a
-    shard), each shard's buffer bytes and pack time are the per-shard
-    packs', and every access the fleet classifies has the channel,
+    """A smoke run (``tests/test_parity_digests.py``'s inputs) on ``devices``
+    against its devices packing alone (``repro.testing.shard_packs``; on one
+    device that is ``select_within_budget`` + ``pack_step``): after every
+    ``prepare`` the cached vertices (owner-major, rank order within an
+    owner), each device's buffer bytes and pack time are the per-device
+    packs', and every access the view classifies has the channel,
     transactions and probe ops of the owner's own cache
     (``repro.testing.classify_by_owner``)."""
     from repro.core.multiquery import MultiQueryEngine
@@ -367,47 +372,55 @@ def check_against_per_shard_packs(name: str, devices: int, budget: int | None = 
     settings = dict(seed=0, devices=devices, cache_budget_bytes=budget)
     engine = (MultiQueryEngine(g0, rulebook_suite(24, num_labels=3, seed=0), **settings)
               if name == "az24" else GCSMEngine(g0, query_by_name(SMOKE[name][1]), **settings))
-    fleet, packs, seen = engine.fleet, [], {"cut": 0, "peer": 0, "accesses": 0}
-    prepare, classify = fleet.prepare, ShardedDeviceView.classify
+    placement, packs, seen = engine.placement, [], {"cut": 0, "peer": 0, "accesses": 0}
+    prepare, classify = placement.prepare, CachedDeviceView.classify
 
     def checked_prepare(*args):
         shipped = prepare(*args)
+        assert (shipped.owner is None) == (devices == 1)  # one device: device 0 owns all
+        owner = np.zeros(engine.graph.num_vertices, dtype=np.int64) \
+            if shipped.owner is None else shipped.owner
+        seen["owner"] = owner
         ranked = engine.policy.rank(engine.graph, shipped.estimation)
-        alone = shard_packs(engine.graph, ranked, shipped.owner, devices,
+        alone = shard_packs(engine.graph, ranked, owner, devices,
                             engine.cache_budget_bytes, engine.device)
         assert shipped.selected.tolist() == np.concatenate([s for s, _, _ in alone]).tolist()
         assert shipped.nbytes.tolist() == [cache.total_bytes for _, cache, _ in alone]
         assert shipped.pack_ns.tolist() == [ns for _, _, ns in alone]
-        owned = np.bincount(shipped.owner[ranked], minlength=devices)
+        owned = np.bincount(owner[ranked], minlength=devices)
         seen["cut"] += int((owned > [s.size for s, _, _ in alone]).any())
         packs[:] = [cache for _, cache, _ in alone]
         return shipped
 
-    def checked_classify(view, vertices, lengths, reader):
+    def checked_classify(view, vertices, lengths, reader=None):
         acc = classify(view, vertices, lengths, reader)
-        want = classify_by_owner(packs, view.owner, view.device, vertices, lengths, reader)
+        if reader is None:  # one device reads every access
+            reader = np.zeros(vertices.size, dtype=np.int64)
+        want = classify_by_owner(packs, seen["owner"], view.device, vertices, lengths, reader)
         for column in ("channel", "nbytes", "transactions", "ops"):
             assert getattr(acc, column).tolist() == getattr(want, column).tolist(), column
         seen["peer"] += int((acc.channel == Channel.PEER.slot).sum())
         seen["accesses"] += vertices.size
         return acc
 
-    fleet.prepare = checked_prepare
+    placement.prepare = checked_prepare
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ShardedDeviceView, "classify", checked_classify)
+        patch.setattr(CachedDeviceView, "classify", checked_classify)
         for batch in batches:
             engine.process_batch(batch)
-    assert seen["accesses"] and seen["peer"]  # the checks had reads to check
+    assert seen["accesses"]  # the checks had reads to check
+    assert bool(seen["peer"]) == (devices > 1)
     assert bool(seen["cut"]) == (budget is not None)  # a tight budget binds
 
 
 class TestPerShardPackOracle:
-    """The fleet packs one union cache in one pass over an owner column; it
-    equals every device selecting, packing and pricing its own, and its one
-    probe of the union equals a probe of the owner's cache."""
+    """The cached placement packs one union cache in one pass over an owner
+    column; it equals every device selecting, packing and pricing its own,
+    and its one probe of the union equals a probe of the owner's cache — on
+    one device, the rank-prefix cut and ``pack_step``."""
 
     @pytest.mark.parametrize("budget", [None, TIGHT_BUDGET], ids=["default", "tight"])
-    @pytest.mark.parametrize("devices", [2, 4])
+    @pytest.mark.parametrize("devices", [1, 2, 4])
     @pytest.mark.parametrize("name", ["fr", "ca", "sf3k", "az24"])
     def test_the_fleet_packs_as_its_devices_alone(self, name, devices, budget):
         check_against_per_shard_packs(name, devices, budget)

@@ -1,6 +1,5 @@
 """Tests for the multi-query engine (shared per-batch pipeline)."""
 
-import numpy as np
 import pytest
 
 from repro.core.engine import GCSMEngine

@@ -27,11 +27,12 @@ settle has three: the restriction oracle
 (``tests/test_restriction_parity.py``) and the per-shard counters test
 (``tests/test_multigpu.py::TestShardCounters``) each see a root routed by its
 second endpoint and every access charged to shard 0, and the second-shard
-fault (``check_fault_settles``) a fleet view kept across batches.  Its one
-pack has two, both seen by the per-device oracle
+fault (``check_fault_settles``) a fleet view kept across batches.  The
+cached placement's one pack has three, all seen by the per-device oracle
 (``tests/test_multigpu.py::TestPerShardPackOracle``): a probe priced by the
-union cache's size instead of its owner's, and one budget shared by the
-whole fleet instead of one per shard.  The
+union cache's size instead of its owner's, one budget shared by the whole
+fleet instead of one per device, and — on one device, under a budget that
+binds — a cut that keeps one vertex past the budget.  The
 walk's reads of the matcher's launches have two: its equality with the
 launching walk (``tests/test_estimator_walk.py::TestWalkReadsTheExpansion``)
 sees FE counters charged for rows no walk reached and, on a rulebook's
@@ -64,13 +65,12 @@ import tests.test_gpu_device as device_tests
 import tests.test_multigpu as multigpu_tests
 import tests.test_prefilter as prefilter_tests
 import tests.test_restriction_parity as restriction_tests
-from repro.core.engine import GCSMEngine
+from repro.core.cache import CachedDeviceView
+from repro.core.engine import CachedPlacement, GCSMEngine
 from repro.core.frequency_frontier import FrontierFrequencyEstimator
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.static_graph import StaticGraph
 from repro.gpu.device import DeviceConfig
-from repro.multigpu.engine import FleetPlacement
-from repro.multigpu.shard import ShardedDeviceView
 from tests.test_dynamic_graph import (
     DIRTY_SEEDS, SETTLE_SEEDS, check_dirty, check_settle, dirty_example, settle_case,
 )
@@ -178,6 +178,13 @@ def fleet_pack_gate():
     alone, CA on two devices under a budget that binds
     (``tests/test_multigpu.py::TestPerShardPackOracle``)."""
     multigpu_tests.check_against_per_shard_packs("ca", 2, multigpu_tests.TIGHT_BUDGET)
+
+
+def one_device_pack_gate():
+    """The cached placement's cut and pack on one device against
+    ``select_within_budget`` + ``pack_step``, CA under a budget that binds
+    (``tests/test_multigpu.py::TestPerShardPackOracle``)."""
+    multigpu_tests.check_against_per_shard_packs("ca", 1, multigpu_tests.TIGHT_BUDGET)
 
 
 def walk_budget_gate():
@@ -407,41 +414,50 @@ def adaptive_stops_after_one_round(patch):
 
 def roots_routed_by_second_endpoint(patch):
     """A fleet keys each root by the owner of its second endpoint."""
-    patch.setattr(ShardedDeviceView, "readers", mutated(
-        ShardedDeviceView.readers, "roots[:, 0]", "roots[:, 1]"))
+    patch.setattr(CachedDeviceView, "readers", mutated(
+        CachedDeviceView.readers, "roots[:, 0]", "roots[:, 1]"))
 
 
 def every_access_to_shard_zero(patch):
-    """The fleet's view charges every access to shard 0's counters."""
-    patch.setattr(ShardedDeviceView, "fetch_block", mutated(
-        ShardedDeviceView.fetch_block, "tabulate(acc, reader,", "tabulate(acc, reader * 0,"))
+    """The fleet's view adds every access to device 0's row of its totals."""
+    patch.setattr(CachedDeviceView, "fetch_block", mutated(
+        CachedDeviceView.fetch_block, "tabulate(acc, reader,", "tabulate(acc, reader * 0,"))
 
 
 def fleet_view_outlives_its_batch(patch):
-    """The fleet builds its view once and keeps it: a batch's tallies pile
-    onto the last one's, a failed batch's partial reads included."""
-    view = FleetPlacement.view
+    """The cached placement builds its view once and keeps it: a batch's
+    tallies pile onto the last one's, a failed batch's partial reads
+    included."""
+    view = CachedPlacement.view
 
     def kept(self, graph, counters, shipped):
         if not hasattr(self, "kept"):
             self.kept = view(self, graph, counters, shipped)
         return self.kept
 
-    patch.setattr(FleetPlacement, "view", kept)
+    patch.setattr(CachedPlacement, "view", kept)
 
 
 def probe_priced_by_the_union(patch):
     """A fleet's probe costs a search of the union cache, not of the
     owner's own directory."""
-    patch.setattr(ShardedDeviceView, "classify", mutated(
-        ShardedDeviceView.classify, "ops=self.probe_ops[owners],", ""))
+    patch.setattr(CachedDeviceView, "classify", mutated(
+        CachedDeviceView.classify, "ops=self.probe_ops[owners],",
+        "ops=np.full(owners.size, probe_cost(self.cache.num_cached)),"))
 
 
 def one_budget_for_the_fleet(patch):
-    """The running packed size is not restarted per shard: the whole fleet
+    """The running packed size is not restarted per device: the whole fleet
     shares one device's budget."""
-    patch.setattr(FleetPlacement, "prepare", mutated(
-        FleetPlacement.prepare, "spent[1:] - before <=", "spent[1:] <="))
+    patch.setattr(CachedPlacement, "prepare", mutated(
+        CachedPlacement.prepare, "spent[1:] - before <=", "spent[1:] <="))
+
+
+def cut_keeps_one_past_the_budget(patch):
+    """The cut tests the running size *before* each vertex: every owner
+    keeps the first vertex that overflows its budget too."""
+    patch.setattr(CachedPlacement, "prepare", mutated(
+        CachedPlacement.prepare, "spent[1:] - before <=", "spent[:-1] - before <="))
 
 
 def walk_charges_every_launch_row(patch):
@@ -510,6 +526,7 @@ MUTANTS = {
     fleet_view_outlives_its_batch: (shard_fault_gate, "load_balance"),
     probe_priced_by_the_union: (fleet_pack_gate, "ops"),
     one_budget_for_the_fleet: (fleet_pack_gate, None),
+    cut_keeps_one_past_the_budget: (one_device_pack_gate, None),
     walk_charges_every_launch_row: (walk_counters_gate, "'bytes'"),
     walk_row_ignores_src: (walk_parity_gate, None),
     operands_drop_the_version: (fused_oracle_gate, None),
@@ -522,7 +539,8 @@ MUTANTS = {
     "gate", [query_gate, rulebook_gate, settle_gate, dirty_gate, fault_gate, skip_gate,
              check_handed_out_dtypes, without_gate, check_index_builds, settle_order_gate,
              zero_copy_gate, walk_budget_gate, adaptive_gate, shard_slice_gate,
-             shard_counters_gate, shard_fault_gate, fleet_pack_gate, walk_counters_gate,
+             shard_counters_gate, shard_fault_gate, fleet_pack_gate, one_device_pack_gate,
+             walk_counters_gate,
              walk_parity_gate, fused_oracle_gate, routing_gate],
     ids=lambda g: g.__name__,
 )

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.dcsr import DcsrCache
 from repro.core.matching import match_static
-from repro.graphs import DynamicGraph, UpdateBatch
+from repro.graphs import DynamicGraph
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.stream import derive_stream
 from repro.gpu import AccessCounters, Channel, DeviceConfig, HostCPUView, default_device
@@ -181,7 +181,7 @@ def test_adversarial_streams_are_total_and_oracle_exact(executor, estimator, see
 def test_views_agree_on_results_differ_only_in_channels(seed):
     """Any two views produce identical ΔM; only the traffic channel moves."""
     from repro.core.matching import match_batch
-    from repro.gpu import UnifiedMemoryView, ZeroCopyView
+    from repro.gpu import ZeroCopyView
     from repro.query import compile_delta_plans
     from repro.query.pattern import QueryGraph
 

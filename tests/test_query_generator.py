@@ -1,7 +1,6 @@
 """Tests for random query generation."""
 
 import networkx as nx
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -1,7 +1,7 @@
 """A fleet settles a batch once, keyed by shard: each shard's slice, against the oracle.
 
 A fleet expands a batch once and settles it once, every root keyed by the
-shard owning its first endpoint (``ShardedDeviceView.readers``) and every
+shard owning its first endpoint (``CachedDeviceView.readers``) and every
 access by its root's shard.  For each shard of a random owner map the split
 the fleet's view records must be what the recursive oracle
 (``repro.testing.match_batch_recursive(root_mask=…)``) records for the
@@ -31,6 +31,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cache import CachedDeviceView
 from repro.core.dcsr import DcsrCache
 from repro.core.matching import MatchStats, expand, settle
 from repro.core.multiquery import Rulebook
@@ -42,7 +43,6 @@ from repro.graphs.stream import derive_stream
 from repro.gpu.counters import AccessCounters
 from repro.gpu.device import BYTES_PER_NEIGHBOR, default_device
 from repro.gpu.views import HostCPUView
-from repro.multigpu.shard import ShardedDeviceView
 from repro.query import QueryGraph, query_by_name
 from repro.query.generator import rulebook_suite
 from repro.query.plan import compile_delta_plans
@@ -71,7 +71,7 @@ def shard_masks(trie, batch, graph, own, masks):
     return out
 
 
-class HostFleetView(ShardedDeviceView):
+class HostFleetView(CachedDeviceView):
     """The fleet's view keyed by shard, every access a host read — as the
     oracle's host view records it — with each classified block traced
     alongside its readers."""
@@ -97,6 +97,13 @@ class HostFleetView(ShardedDeviceView):
 def totals(counters: AccessCounters) -> dict:
     """A counters' totals: what a shard's split holds (no histogram)."""
     return {k: v for k, v in counters.summary().items() if k != "accesses"}
+
+
+def split(view, shard: int) -> AccessCounters:
+    """Shard ``shard``'s row of the fleet view's totals table, as counters."""
+    counters = AccessCounters()
+    counters.accumulate(view.totals[shard])
+    return counters
 
 
 def prints(counters: AccessCounters, n: int) -> tuple:
@@ -163,8 +170,8 @@ def assert_cover(fleet: Fleet, n: int) -> None:
     """The shards' splits sum to the whole block the view recorded, and the
     per-query counters charged from the one settle to it too."""
     counters = AccessCounters()
-    for one in fleet.view.shard_counters:
-        counters.merge(one)
+    for shard in range(fleet.view.num_readers):
+        counters.merge(split(fleet.view, shard))
     assert totals(counters) == totals(fleet.view.counters)
     whole = AccessCounters()
     for one in fleet.charged.values():
@@ -183,8 +190,8 @@ def query_batch(graph, plans, batch, decision, owner, shards, sinks) -> MatchSta
     for shard in range(shards):
         own = owned(owner, shard)
         stats, theirs, seen, reads = oracle(plans, batch, graph, own, decision, None, sinks)
-        assert fleet.view.shard_roots[shard] == stats.roots_processed
-        assert totals(fleet.view.shard_counters[shard]) == totals(theirs)
+        assert fleet.view.roots[shard] == stats.roots_processed
+        assert totals(split(fleet.view, shard)) == totals(theirs)
         assert sorted(zip(*fleet.view.accesses(shard))) == sorted(zip(*reads))
         launch = expand(trie, batch, graph, prefilter=shard_masks(trie, batch, graph, own, masks))
         assert fleet.view.accesses(shard) == issue_order(launch)
@@ -221,8 +228,8 @@ def rulebook_batch(graph, batch, decision, owner, shards, sinks) -> MatchStats:
         assert fleet.view.accesses(shard) == issue_order(launch)
         counters, view = traced(graph)
         alone = settle(launch, view)[0]
-        assert totals(fleet.view.shard_counters[shard]) == totals(counters)
-        assert fleet.view.shard_roots[shard] == sum(s.roots_processed for s in alone.values())
+        assert totals(split(fleet.view, shard)) == totals(counters)
+        assert fleet.view.roots[shard] == sum(s.roots_processed for s in alone.values())
     for q, (stats, counters) in by_query.items():
         mine = fleet.stats[q]
         assert [e for e in fleet.emitted if e[0] == q] == [e for e in emitted if e[0] == q]

@@ -183,7 +183,7 @@ def test_naive_fleet_parity(seed, conflict_mode):
     kwargs = dict(conflict_mode=conflict_mode, seed=seed)
     single = make_system("Naive", g, TRIANGLE, **kwargs)
     fleet = make_system("Naive", g, TRIANGLE, devices=2, **kwargs)
-    assert fleet.fleet is not None and fleet.policy.name == "degree"
+    assert fleet.num_devices == 2 and fleet.policy.name == "degree"
     results = fleet.process_stream(batches)
     assert all(r.estimation is None for r in results)  # degree policy: no FE
     _assert_same_results(single.process_stream(batches), results, results)

@@ -10,7 +10,6 @@ from repro.graphs.generators import powerlaw_graph
 from repro.graphs.stream import derive_stream
 from repro.query import QueryGraph, compile_delta_plans
 from repro.testing.trace import (
-    AccessTrace,
     TracingView,
     replay_cached,
     replay_unified_memory,
