@@ -50,6 +50,9 @@ KEPT = {
     "Attribution.charge": "under the rulebook's per-query output (match_counters_by_query)",
     "ExecutionTrie.attribute": "under the rulebook's per-query output (match_counters_by_query)",
     "AccessCounters.copy": "under the rulebook's per-query output (match_counters_by_query)",
+    "AccessCounters.transactions_by_channel":
+        "bytes_by_channel's twin, the counters' per-channel read the tests and "
+        "admission_bound.py use (the GPU formula reads the totals columns)",
     "QueryGraph.to_networkx": "interop the README documents",
     "graphs/io.py": "interop the README documents: real SNAP / LDBC edge lists",
     "CachePolicy.rank": "the policy interface: every subclass overrides it",

@@ -2,8 +2,9 @@
 
 A fleet (the cached placement on ``devices > 1``,
 :class:`~repro.core.engine.CachedPlacement`) packs one union cache in one
-pass over an owner column and classifies every access with one probe of it.  The oracles here are the per-device twins it replaced: each
-shard cuts its owned prefix of the one rank to its own budget
+pass over an owner column and classifies every access with one probe of
+it.  The oracles here are the per-device twins it replaced: each shard
+cuts its owned prefix of the one rank to its own budget
 (:func:`~repro.core.cache.select_within_budget`), packs and prices its own
 cache (:func:`~repro.core.engine.pack_step`), and an access probes its
 owner's cache at that cache's cost.
